@@ -83,11 +83,12 @@ def traced_stage_summaries(query_names, num_sites):
     summaries = {}
     for name in query_names:
         workload.cluster.reset_network()
-        trace = Trace("query", query=name)
         engine = GStoreDEngine(workload.cluster, config)
         try:
             engine.execute(workload.queries[name], query_name=name)  # warm the plan cache
             workload.cluster.reset_network()
+            # Opened only now: the root span must not include the warm-up run.
+            trace = Trace("query", query=name)
             engine.execute(workload.queries[name], query_name=name, trace=trace)
         finally:
             engine.close()

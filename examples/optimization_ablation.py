@@ -9,8 +9,10 @@ feature-based pruning) and gStoreD (+ candidate bit-vector exchange).
 This example runs the ablation on the YAGO2-like workload and prints, per
 query and configuration: response time, data shipment, the number of local
 partial matches that reached the coordinator, and the number of join
-attempts the assembly performed.  The join-attempt and shipped-LPM columns
-show *why* the optimizations help, not just that they do.
+attempts the assembly performed (every pair for the ungrouped basic join;
+for the LEC-based assembly, the pairs its hash index on shared crossing
+edges yields).  The join-attempt and shipped-LPM columns show *why* the
+optimizations help, not just that they do.
 
 Run it with::
 

@@ -6,6 +6,8 @@ This package contains everything Sections IV-VI of the paper describe:
 * :mod:`partial_eval` — per-fragment enumeration of local partial matches,
 * :mod:`lec` — LEC features (Definition 8, Algorithm 1) and joinability
   (Definition 9),
+* :mod:`joins` — the integer-compiled, hash-indexed join both coordinator
+  algorithms run on,
 * :mod:`pruning` — LEC feature-based pruning (Algorithm 2),
 * :mod:`assembly` — LEC feature-based assembly (Algorithm 3) and the
   ungrouped baseline join,
@@ -35,9 +37,7 @@ from .engine import (
     execute_ablation,
 )
 from .lec import (
-    JoinedLECFeature,
     LECFeature,
-    build_join_graph,
     compute_lec_features,
     features_joinable,
     group_features_by_sign,
@@ -57,7 +57,6 @@ __all__ = [
     "EngineConfig",
     "GStoreDEngine",
     "GlobalCandidateFilter",
-    "JoinedLECFeature",
     "LECAssembler",
     "LECFeature",
     "LECFeaturePruner",
@@ -72,7 +71,6 @@ __all__ = [
     "STAGE_PLANNING",
     "STAGE_PRUNING",
     "assemble_matches",
-    "build_join_graph",
     "build_site_vectors",
     "check_local_partial_match",
     "compute_lec_features",

@@ -12,7 +12,9 @@ implemented:
   LECSign of their LEC feature (Theorem 5: same sign ⇒ never joinable), a
   join graph is built over the *groups*, and the DFS explores group
   combinations, joining members pairwise only when the group-level structure
-  allows it.  This prunes whole families of join attempts at once.
+  allows it.  This prunes whole families of join attempts at once; inside a
+  group, partners are found by a hash probe on the shared crossing edge
+  (:mod:`repro.core.joins`) rather than by scanning it.
 
 Both assemblers return the same set of complete matches (asserted by the
 test-suite); they differ only in how much work they do to find them.
@@ -20,13 +22,13 @@ test-suite); they differ only in how much work they do to find them.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from functools import reduce
+from typing import FrozenSet, List, Sequence, Set, Tuple
 
 from ..sparql.bindings import Binding
 from ..sparql.query_graph import QueryGraph
-from .lec import LECFeature, features_joinable, lec_feature_of
+from .joins import JoinCompiler, SignGroups
 from .partial_match import LocalPartialMatch
 
 
@@ -35,9 +37,13 @@ class AssemblyOutcome:
     """Result and work counters of one assembly run."""
 
     matches: List[LocalPartialMatch] = field(default_factory=list)
+    #: Join partners tried: every pair for :class:`BasicAssembler`, the pairs
+    #: the group index yielded for :class:`LECAssembler`.
     join_attempts: int = 0
     successful_joins: int = 0
     groups: int = 0
+    #: ``pair -> LPM`` postings of the per-query group index (LEC assembly).
+    index_size: int = 0
 
     def bindings(self) -> List[Binding]:
         return [match.to_binding() for match in self.matches]
@@ -48,27 +54,13 @@ class AssemblyOutcome:
 
 
 class BaseAssembler:
-    """Shared DFS machinery of both assembly strategies."""
+    """The interface both assembly strategies share."""
 
     def __init__(self, query: QueryGraph) -> None:
         self._query = query
-        self._full_mask = (1 << query.num_vertices) - 1
-        self._max_depth = query.num_vertices
 
     def assemble(self, lpms: Sequence[LocalPartialMatch]) -> AssemblyOutcome:
         raise NotImplementedError
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    def _emit_if_complete(self, candidate: LocalPartialMatch, outcome: AssemblyOutcome, seen: Set[FrozenSet]) -> bool:
-        if candidate.internal_mask != self._full_mask:
-            return False
-        key = candidate.assignment
-        if key not in seen:
-            seen.add(key)
-            outcome.matches.append(candidate)
-        return True
 
 
 class BasicAssembler(BaseAssembler):
@@ -94,6 +86,15 @@ class BasicAssembler(BaseAssembler):
             self._extend(seed, items, outcome, seen_matches, visited_partials)
         return outcome
 
+    def _emit_if_complete(self, candidate: LocalPartialMatch, outcome: AssemblyOutcome, seen: Set[FrozenSet]) -> bool:
+        if not candidate.is_complete(self._query):
+            return False
+        key = candidate.assignment
+        if key not in seen:
+            seen.add(key)
+            outcome.matches.append(candidate)
+        return True
+
     def _extend(
         self,
         partial: LocalPartialMatch,
@@ -105,7 +106,7 @@ class BasicAssembler(BaseAssembler):
         # Every join adds at least one internally-matched query vertex, so a
         # partial covering all vertices is already complete and never needs
         # further extension.
-        if bin(partial.internal_mask).count("1") >= self._query.num_vertices:
+        if partial.internal_mask.bit_count() >= self._query.num_vertices:
             return
         for other in items:
             outcome.join_attempts += 1
@@ -130,88 +131,34 @@ class LECAssembler(BaseAssembler):
 
     def assemble(self, lpms: Sequence[LocalPartialMatch]) -> AssemblyOutcome:
         outcome = AssemblyOutcome()
-        seen_matches: Set[FrozenSet] = set()
-        for lpm in lpms:
-            self._emit_if_complete(lpm, outcome, seen_matches)
+        # Definition 11: LPMs are grouped by the LECSign of their LEC feature
+        # and the group join graph is the one over those features.  Both are
+        # compiled and indexed per call (see :mod:`repro.core.joins`).
+        compiler = JoinCompiler(self._query)
+        operands = [compiler.lpm(lpm) for lpm in lpms]
+        features = dict.fromkeys((o.sign, o.fragment_id, frozenset(o.pairs)) for o in operands)
+        graph = SignGroups(
+            self._query,
+            [compiler.crossing_operand(sign, fragment, tuple(pairs)) for sign, fragment, pairs in features],
+        ).join_graph()
+        groups = SignGroups(self._query, operands)
+        seen_matches: Set[Tuple[int, ...]] = set()
 
-        groups = self._group_by_sign(lpms)
-        outcome.groups = len(groups)
-        if not groups:
-            return outcome
-        features_per_group = {
-            sign: {lec_feature_of(lpm) for lpm in members} for sign, members in groups.items()
-        }
-        join_graph = self._build_group_join_graph(features_per_group)
+        def emit(members: Tuple[int, ...], vertex_slots: Tuple[int, ...]) -> None:
+            # A complete match maps every query vertex, so its vertex slots
+            # identify its assignment; only new ones are decoded.
+            if vertex_slots not in seen_matches:
+                seen_matches.add(vertex_slots)
+                outcome.matches.append(
+                    reduce(LocalPartialMatch.join, (lpms[number] for number in members))
+                )
 
-        remaining = set(groups)
-        while remaining:
-            sign_min = min(remaining, key=lambda sign: (len(groups[sign]), sign))
-            self._explore({sign_min}, list(groups[sign_min]), groups, join_graph, remaining, outcome, seen_matches)
-            remaining.discard(sign_min)
-            for sign in list(remaining):
-                if not (join_graph.get(sign, set()) & remaining):
-                    remaining.discard(sign)
+        groups.join(graph, emit)
+        outcome.groups = len(groups.members)
+        outcome.join_attempts = groups.join_attempts
+        outcome.successful_joins = groups.successful_joins
+        outcome.index_size = groups.index_size
         return outcome
-
-    # ------------------------------------------------------------------
-    # Grouping (Definition 11) and the group join graph
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _group_by_sign(lpms: Sequence[LocalPartialMatch]) -> Dict[int, List[LocalPartialMatch]]:
-        groups: Dict[int, List[LocalPartialMatch]] = defaultdict(list)
-        for lpm in lpms:
-            groups[lpm.internal_mask].append(lpm)
-        return dict(groups)
-
-    def _build_group_join_graph(
-        self, features_per_group: Mapping[int, Set[LECFeature]]
-    ) -> Dict[int, Set[int]]:
-        signs = list(features_per_group)
-        adjacency: Dict[int, Set[int]] = {sign: set() for sign in signs}
-        for i, sign_a in enumerate(signs):
-            for sign_b in signs[i + 1 :]:
-                if any(
-                    features_joinable(fa, fb, self._query)
-                    for fa in features_per_group[sign_a]
-                    for fb in features_per_group[sign_b]
-                ):
-                    adjacency[sign_a].add(sign_b)
-                    adjacency[sign_b].add(sign_a)
-        return adjacency
-
-    # ------------------------------------------------------------------
-    # DFS over the group join graph (function ComParJoin of the paper)
-    # ------------------------------------------------------------------
-    def _explore(
-        self,
-        used_signs: Set[int],
-        partials: Sequence[LocalPartialMatch],
-        groups: Mapping[int, Sequence[LocalPartialMatch]],
-        join_graph: Mapping[int, Set[int]],
-        active_signs: Set[int],
-        outcome: AssemblyOutcome,
-        seen_matches: Set[FrozenSet],
-    ) -> None:
-        if not partials or len(used_signs) >= self._max_depth:
-            return
-        neighbour_signs: Set[int] = set()
-        for sign in used_signs:
-            neighbour_signs |= join_graph.get(sign, set())
-        neighbour_signs &= active_signs
-        neighbour_signs -= used_signs
-        for sign in sorted(neighbour_signs):
-            extended: List[LocalPartialMatch] = []
-            for partial in partials:
-                for other in groups[sign]:
-                    outcome.join_attempts += 1
-                    if not partial.can_join(other):
-                        continue
-                    outcome.successful_joins += 1
-                    joined = partial.join(other)
-                    if not self._emit_if_complete(joined, outcome, seen_matches):
-                        extended.append(joined)
-            if extended:
-                self._explore(used_signs | {sign}, extended, groups, join_graph, active_signs, outcome, seen_matches)
 
 
 def assemble_matches(
@@ -220,9 +167,5 @@ def assemble_matches(
     use_lec_grouping: bool = True,
 ) -> AssemblyOutcome:
     """Assemble ``lpms`` into complete matches with the chosen strategy."""
-    assembler: BaseAssembler
-    if use_lec_grouping:
-        assembler = LECAssembler(query)
-    else:
-        assembler = BasicAssembler(query)
+    assembler = LECAssembler(query) if use_lec_grouping else BasicAssembler(query)
     return assembler.assemble(lpms)

@@ -40,7 +40,7 @@ copy of every site from serialized fragments; see :mod:`repro.exec.worker`.)
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -49,7 +49,7 @@ from ..distributed.network import COORDINATOR, StageTimer
 from ..distributed.stats import QueryStatistics
 from ..exec import ExecutorBackend, SiteTask, SiteTaskResult, make_backend, run_site_task
 from ..faults import FaultPlan, RetryPolicy, ShipmentFaultInjector, SiteDownError
-from ..obs import CATEGORY_PLANNING, StageProfiler, Trace, stage_scope
+from ..obs import CATEGORY_COORDINATOR, CATEGORY_PLANNING, StageProfiler, Trace, stage_scope
 from ..planner.plan import QueryPlan
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import Binding, ResultSet
@@ -94,6 +94,23 @@ class _FaultContext:
     task_retries: int = 0
     site_failures: int = 0
     site_recoveries: int = 0
+
+
+@contextmanager
+def _join_span(trace: Optional[Trace]):
+    """Wrap a coordinator join in a ``coordinator`` child span of its stage span.
+
+    Yields a callback that takes the join's outcome and copies its counters
+    onto the span, so the stage's time is attributed at the granularity of
+    its site task spans; with tracing off the callback does nothing.
+    """
+    if trace is None:
+        yield lambda outcome: None
+        return
+    with trace.span("coordinator", CATEGORY_COORDINATOR) as span:
+        yield lambda outcome: span.set(
+            join_attempts=outcome.join_attempts, groups=outcome.groups, index_size=outcome.index_size
+        )
 
 
 @dataclass
@@ -678,8 +695,9 @@ class GStoreDEngine:
                 )
                 stage.shipped_bytes += shipped
                 stage.messages += 1
-            with timer.measure(STAGE_PRUNING, COORDINATOR):
+            with timer.measure(STAGE_PRUNING, COORDINATOR), _join_span(trace) as record_join:
                 outcome, surviving_features = prune_features(query_graph, features_by_site)
+                record_join(outcome)
             # Iterate the sites that actually reported features: identical to
             # lpms_by_site on a clean run, but a site lost during the feature
             # fan-out has no surviving_features entry to ship back.
@@ -701,6 +719,8 @@ class GStoreDEngine:
         stage.add_counter("lec_features", outcome.total_features)
         stage.add_counter("lec_feature_groups", outcome.groups)
         stage.add_counter("surviving_features", len(outcome.surviving))
+        stage.add_counter("join_attempts", outcome.join_attempts)
+        stage.add_counter("complete_combinations", outcome.complete_combinations)
         stage.add_counter(
             "pruned_local_partial_matches",
             sum(len(lpms) for lpms in lpms_by_site.values())
@@ -729,8 +749,9 @@ class GStoreDEngine:
                 stage.shipped_bytes += shipped
                 stage.messages += 1
                 all_lpms.extend(lpms)
-            with timer.measure(STAGE_ASSEMBLY, COORDINATOR):
+            with timer.measure(STAGE_ASSEMBLY, COORDINATOR), _join_span(trace) as record_join:
                 outcome = assemble_matches(query_graph, all_lpms, use_lec_grouping=self.config.use_lec_assembly)
+                record_join(outcome)
             if span is not None:
                 span.set(shipped_bytes=stage.shipped_bytes, messages=stage.messages)
         stage.coordinator_time_s += timer.elapsed(STAGE_ASSEMBLY, COORDINATOR)

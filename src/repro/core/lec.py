@@ -18,17 +18,19 @@ depends on the query size and the crossing edges, never on the data size.
 
 This module implements the feature itself, Algorithm 1 (computing features
 from a stream of local partial matches), the joinability test of Definition
-9, the feature join, and the LECSign-based grouping of Theorem 5.
+9, and the LECSign-based grouping of Theorem 5; the joins over features live
+in :mod:`repro.core.joins`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..rdf.triples import Triple
 from ..sparql.query_graph import QueryGraph
+from .joins import JoinCompiler, joinable
 from .partial_match import LocalPartialMatch
 
 
@@ -97,98 +99,19 @@ def compute_lec_features(lpms: Iterable[LocalPartialMatch]) -> Dict[LECFeature, 
 
 
 # ----------------------------------------------------------------------
-# Joinability (Definition 9) and feature joins
+# Joinability (Definition 9)
 # ----------------------------------------------------------------------
-def _crossing_maps_conflict(
-    left: FrozenSet[Tuple[int, Triple]],
-    right: FrozenSet[Tuple[int, Triple]],
-    query: QueryGraph,
-) -> bool:
-    """Detect conflicting crossing-edge mappings between two features.
-
-    A conflict arises when the same query edge is mapped to two different
-    data edges (condition 3 of Definition 9) or when a shared query *vertex*
-    would have to map to two different data vertices — the vertex-level
-    consequence of the paper's requirement that joined partial matches agree
-    on every common query vertex.
-    """
-    left_edges = dict(left)
-    for index, triple in right:
-        if index in left_edges and left_edges[index] != triple:
-            return True
-    vertex_values: Dict[object, object] = {}
-    for index, triple in list(left) + list(right):
-        edge = query.edge_at(index)
-        for query_vertex, data_vertex in ((edge.subject, triple.subject), (edge.object, triple.object)):
-            existing = vertex_values.get(query_vertex)
-            if existing is not None and existing != data_vertex:
-                return True
-            vertex_values[query_vertex] = data_vertex
-    return False
-
-
 def features_joinable(left: LECFeature, right: LECFeature, query: QueryGraph) -> bool:
-    """Definition 9: can the LPMs of these two classes join pairwise?"""
-    if left.fragment_id == right.fragment_id:
-        return False
-    if left.lec_sign & right.lec_sign:
-        return False
-    if not (left.crossing_map & right.crossing_map):
-        return False
-    return not _crossing_maps_conflict(left.crossing_map, right.crossing_map, query)
+    """Definition 9: can the LPMs of these two classes join pairwise?
 
-
-@dataclass(frozen=True)
-class JoinedLECFeature:
-    """A partial join of several LEC features (used by Algorithm 2).
-
-    Tracks which original features were combined so that the pruning stage
-    can report exactly which features participate in a complete combination.
+    The features must come from different fragments, contribute disjoint
+    internally-matched vertices, share a crossing edge mapped to the same
+    query edge, and map no query edge to two data edges — nor, as the
+    vertex-level consequence, a query vertex to two data vertices.  Evaluated
+    on the compiled form the coordinator's joins use (:mod:`repro.core.joins`).
     """
-
-    fragment_ids: FrozenSet[int]
-    crossing_map: FrozenSet[Tuple[int, Triple]]
-    lec_sign: int
-    constituents: FrozenSet[LECFeature]
-
-    @classmethod
-    def from_feature(cls, feature: LECFeature) -> "JoinedLECFeature":
-        return cls(
-            fragment_ids=frozenset({feature.fragment_id}),
-            crossing_map=feature.crossing_map,
-            lec_sign=feature.lec_sign,
-            constituents=frozenset({feature}),
-        )
-
-    def joinable_with(self, feature: LECFeature, query: QueryGraph) -> bool:
-        """Extend Definition 9 to a partial join.
-
-        The new feature must share a crossing edge with the accumulated
-        combination, contribute disjoint internally-matched vertices and not
-        conflict on any crossing-edge mapping.  Fragment-set disjointness is
-        deliberately *not* required: one crossing match may overlap a single
-        fragment in several disconnected internal regions, each contributing
-        its own feature to the combination (see Theorem 4, whose conditions
-        are per-pair joinability plus sign disjointness — not one feature per
-        fragment).
-        """
-        if self.lec_sign & feature.lec_sign:
-            return False
-        if not (self.crossing_map & feature.crossing_map):
-            return False
-        return not _crossing_maps_conflict(self.crossing_map, feature.crossing_map, query)
-
-    def join(self, feature: LECFeature) -> "JoinedLECFeature":
-        return JoinedLECFeature(
-            fragment_ids=self.fragment_ids | {feature.fragment_id},
-            crossing_map=self.crossing_map | feature.crossing_map,
-            lec_sign=self.lec_sign | feature.lec_sign,
-            constituents=self.constituents | {feature},
-        )
-
-    def is_complete(self, query: QueryGraph) -> bool:
-        """Theorem 4, condition 3: every query vertex is internally matched."""
-        return self.lec_sign == (1 << query.num_vertices) - 1
+    compiler = JoinCompiler(query)
+    return joinable(compiler.feature(left), compiler.feature(right), query)
 
 
 # ----------------------------------------------------------------------
@@ -205,27 +128,3 @@ def group_features_by_sign(features: Iterable[LECFeature]) -> Dict[int, List[LEC
     for feature in features:
         groups[feature.lec_sign].append(feature)
     return dict(groups)
-
-
-def groups_joinable(
-    left: Sequence[LECFeature],
-    right: Sequence[LECFeature],
-    query: QueryGraph,
-) -> bool:
-    """Whether *some* pair of features across the two groups is joinable."""
-    return any(features_joinable(a, b, query) for a in left for b in right)
-
-
-def build_join_graph(
-    groups: Mapping[int, Sequence[LECFeature]],
-    query: QueryGraph,
-) -> Dict[int, Set[int]]:
-    """The join graph over LECSign groups (vertices = signs, edges = joinable pairs)."""
-    signs = list(groups)
-    adjacency: Dict[int, Set[int]] = {sign: set() for sign in signs}
-    for i, sign_a in enumerate(signs):
-        for sign_b in signs[i + 1 :]:
-            if groups_joinable(groups[sign_a], groups[sign_b], query):
-                adjacency[sign_a].add(sign_b)
-                adjacency[sign_b].add(sign_a)
-    return adjacency

@@ -23,7 +23,7 @@ tests and by the enumerator's final filter) in :func:`check_local_partial_match`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ..partition.fragment import Fragment
 from ..rdf.terms import IRI, Literal, Node, PatternTerm, Variable
@@ -137,8 +137,7 @@ class LocalPartialMatch:
 
     def is_complete(self, query: QueryGraph) -> bool:
         """All query vertices internally matched somewhere (Theorem 4, condition 3)."""
-        full_mask = (1 << query.num_vertices) - 1
-        return self.internal_mask == full_mask
+        return self.internal_mask == query.full_mask
 
     # ------------------------------------------------------------------
     # Joining (used by the assembly stage)
@@ -295,11 +294,3 @@ def _matched_part_connected(lpm: LocalPartialMatch, query: QueryGraph) -> bool:
                 seen.add(neighbour)
                 frontier.append(neighbour)
     return seen == matched_vertices
-
-
-def complete_match_bindings(
-    matches: Sequence[LocalPartialMatch],
-    query: QueryGraph,
-) -> List[Binding]:
-    """Bindings of every complete match in ``matches`` (helper for the engine)."""
-    return [match.to_binding() for match in matches if match.is_complete(query)]

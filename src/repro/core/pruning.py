@@ -2,11 +2,12 @@
 
 The coordinator receives every site's LEC features, groups them by LECSign
 (Theorem 5: features with equal LECSign can never join), builds the join
-graph over the groups, and explores joinable combinations with a DFS.  A
-combination whose ORed LECSign covers every query vertex witnesses that its
-constituent features can contribute to a complete match; every feature that
-appears in no such combination is pruned, and with it every local partial
-match of its equivalence class.
+graph over the groups, and explores joinable combinations with a DFS (the
+hash-indexed join of :mod:`repro.core.joins`).  A combination whose ORed
+LECSign covers every query vertex witnesses that its constituent features can
+contribute to a complete match; every feature that appears in no such
+combination is pruned, and with it every local partial match of its
+equivalence class.
 
 The implementation tracks constituents at the level of individual features
 (slightly finer than the group-level bookkeeping in the paper's pseudo-code),
@@ -18,15 +19,11 @@ complete combination, which is exactly the condition of Theorem 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Set, Tuple
 
 from ..sparql.query_graph import QueryGraph
-from .lec import (
-    JoinedLECFeature,
-    LECFeature,
-    build_join_graph,
-    group_features_by_sign,
-)
+from .joins import JoinCompiler, SignGroups
+from .lec import LECFeature
 
 
 @dataclass
@@ -36,8 +33,11 @@ class PruningOutcome:
     surviving: Set[LECFeature] = field(default_factory=set)
     total_features: int = 0
     groups: int = 0
+    #: Pairs the group index yielded and the Definition-9 conflict test ran on.
     join_attempts: int = 0
     complete_combinations: int = 0
+    #: ``pair -> feature`` postings of the per-query group index.
+    index_size: int = 0
 
     @property
     def pruned_count(self) -> int:
@@ -50,78 +50,31 @@ class PruningOutcome:
 class LECFeaturePruner:
     """Runs the LEC feature-based pruning algorithm for one query."""
 
-    def __init__(self, query: QueryGraph, max_combination_size: Optional[int] = None) -> None:
+    def __init__(self, query: QueryGraph) -> None:
         self._query = query
-        # A complete match uses at most |V_Q| partial matches (each must
-        # contribute at least one internally matched vertex).
-        self._max_size = max_combination_size or query.num_vertices
 
     def prune(self, features: Iterable[LECFeature]) -> PruningOutcome:
-        """Algorithm 2: return the features that can contribute to a match."""
+        """Algorithm 2: return the features that can contribute to a match.
+
+        The features are compiled and indexed per call (see
+        :mod:`repro.core.joins`); a feature whose LECSign already covers the
+        query stands alone — its LPMs span the whole query inside one
+        fragment through crossing edges.
+        """
         all_features = list(dict.fromkeys(features))
         outcome = PruningOutcome(total_features=len(all_features))
-        if not all_features:
-            return outcome
-        full_mask = (1 << self._query.num_vertices) - 1
+        compiler = JoinCompiler(self._query)
+        groups = SignGroups(self._query, [compiler.feature(f) for f in all_features])
 
-        # Single-feature completeness: a feature whose LECSign already covers
-        # the query can stand alone (its LPMs span the whole query inside one
-        # fragment through crossing edges).
-        for feature in all_features:
-            if feature.lec_sign == full_mask:
-                outcome.surviving.add(feature)
-                outcome.complete_combinations += 1
+        def emit(members: Tuple[int, ...], _vertex_slots) -> None:
+            outcome.complete_combinations += 1
+            outcome.surviving.update(all_features[number] for number in members)
 
-        groups = group_features_by_sign(all_features)
-        outcome.groups = len(groups)
-        join_graph = build_join_graph(groups, self._query)
-        remaining_signs = set(groups)
-
-        while remaining_signs:
-            sign_min = min(remaining_signs, key=lambda sign: (len(groups[sign]), sign))
-            seeds = [JoinedLECFeature.from_feature(feature) for feature in groups[sign_min]]
-            self._explore({sign_min}, seeds, groups, join_graph, remaining_signs, outcome)
-            remaining_signs.discard(sign_min)
-            # Drop groups that no longer neighbour anything still active.
-            for sign in list(remaining_signs):
-                if not (join_graph.get(sign, set()) & remaining_signs):
-                    remaining_signs.discard(sign)
+        groups.join(groups.join_graph(), emit)
+        outcome.groups = len(groups.members)
+        outcome.join_attempts = groups.join_attempts
+        outcome.index_size = groups.index_size
         return outcome
-
-    # ------------------------------------------------------------------
-    # DFS over the join graph (function ComLECFJoin of the paper)
-    # ------------------------------------------------------------------
-    def _explore(
-        self,
-        used_signs: Set[int],
-        partials: Sequence[JoinedLECFeature],
-        groups: Mapping[int, Sequence[LECFeature]],
-        join_graph: Mapping[int, Set[int]],
-        active_signs: Set[int],
-        outcome: PruningOutcome,
-    ) -> None:
-        if not partials or len(used_signs) >= self._max_size:
-            return
-        neighbour_signs: Set[int] = set()
-        for sign in used_signs:
-            neighbour_signs |= join_graph.get(sign, set())
-        neighbour_signs &= active_signs
-        neighbour_signs -= used_signs
-        for sign in sorted(neighbour_signs):
-            extended: List[JoinedLECFeature] = []
-            for partial in partials:
-                for feature in groups[sign]:
-                    outcome.join_attempts += 1
-                    if not partial.joinable_with(feature, self._query):
-                        continue
-                    joined = partial.join(feature)
-                    if joined.is_complete(self._query):
-                        outcome.complete_combinations += 1
-                        outcome.surviving.update(joined.constituents)
-                    else:
-                        extended.append(joined)
-            if extended:
-                self._explore(used_signs | {sign}, extended, groups, join_graph, active_signs, outcome)
 
 
 def prune_features(

@@ -33,6 +33,7 @@ from .metrics import (
 )
 from .profiling import PROFILE_ENV, StageProfiler
 from .trace import (
+    CATEGORY_COORDINATOR,
     CATEGORY_PLANNING,
     CATEGORY_QUERY,
     CATEGORY_STAGE,
@@ -47,6 +48,7 @@ from .trace import (
 )
 
 __all__ = [
+    "CATEGORY_COORDINATOR",
     "CATEGORY_PLANNING",
     "CATEGORY_QUERY",
     "CATEGORY_STAGE",

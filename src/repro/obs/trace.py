@@ -2,10 +2,10 @@
 
 A :class:`Tracer` produces one :class:`Trace` per query.  A trace is a tree
 of :class:`Span` records — ``parse``, ``plan`` (with its ``plan_cache``
-probe), one span per pipeline stage, and one span per per-site
-:class:`~repro.exec.SiteTask` — annotated with the same accounting the
-statistics carry (shipped bytes, messages, search steps).  Traces export two
-ways:
+probe), one span per pipeline stage, one span per per-site
+:class:`~repro.exec.SiteTask` and one per coordinator-side join — annotated
+with the same accounting the statistics carry (shipped bytes, messages,
+search steps).  Traces export two ways:
 
 * :meth:`Trace.to_chrome` — Chrome trace-event JSON (the ``traceEvents``
   array format), loadable in Perfetto / ``chrome://tracing``; sites render
@@ -50,6 +50,7 @@ CATEGORY_QUERY = "query"
 CATEGORY_PLANNING = "planning"
 CATEGORY_STAGE = "stage"
 CATEGORY_TASK = "task"
+CATEGORY_COORDINATOR = "coordinator"
 
 _TRACE_IDS = itertools.count(1)
 

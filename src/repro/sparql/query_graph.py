@@ -75,6 +75,7 @@ class QueryGraph:
             self._adjacency[pattern.subject].append(edge)
             if pattern.object != pattern.subject:
                 self._adjacency[pattern.object].append(edge)
+        self._full_mask = (1 << len(self._vertices)) - 1
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -115,6 +116,11 @@ class QueryGraph:
     @property
     def num_edges(self) -> int:
         return len(self._edges)
+
+    @property
+    def full_mask(self) -> int:
+        """The LECSign with every query vertex's bit set (a complete match)."""
+        return self._full_mask
 
     def vertex_index(self, vertex: PatternTerm) -> int:
         """The stable index of ``vertex`` (used for LECSign bit positions)."""

@@ -235,7 +235,8 @@ class TestEncodedRebuildsDelta:
 
 class TestQueryMany:
     def test_batch_preserves_order_and_reports_per_query(self):
-        with repro.open(dataset="paper") as session:
+        # Explicitly serial: the CI matrix runs this suite under REPRO_EXECUTOR too.
+        with repro.open(dataset="paper", executor="serial") as session:
             batch = session.query_many(["example", EXAMPLE_SPARQL])
             assert isinstance(batch, QueryBatch)
             assert len(batch) == 2

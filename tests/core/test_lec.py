@@ -3,9 +3,7 @@
 import pytest
 
 from repro.core import (
-    JoinedLECFeature,
     LECFeature,
-    build_join_graph,
     compute_lec_features,
     features_joinable,
     group_features_by_sign,
@@ -118,25 +116,8 @@ class TestJoinability:
             frozenset([(1, Triple(B, Q, C)), (0, Triple(D, P, EX.term("d2")))]),
             0b100,
         )
-        joined_left = JoinedLECFeature.from_feature(left)
-        assert not joined_left.joinable_with(other, query)
         assert not features_joinable(left, other, query)
-
-
-class TestJoinedFeature:
-    def test_join_accumulates(self, path_setting):
-        partitioned, query, lpms = path_setting
-        left = JoinedLECFeature.from_feature(lec_feature_of(lpms[0][0]))
-        right = lec_feature_of(lpms[1][0])
-        joined = left.join(right)
-        assert joined.is_complete(query)
-        assert joined.fragment_ids == frozenset({0, 1})
-        assert len(joined.constituents) == 2
-
-    def test_incomplete_join(self, path_setting):
-        partitioned, query, lpms = path_setting
-        left = JoinedLECFeature.from_feature(lec_feature_of(lpms[0][0]))
-        assert not left.is_complete(query)
+        assert not features_joinable(other, left, query)
 
 
 class TestGroupingAndJoinGraph:
@@ -158,14 +139,3 @@ class TestGroupingAndJoinGraph:
                 for right in members:
                     if left is not right:
                         assert not features_joinable(left, right, example_query_graph)
-
-    def test_join_graph_edges_are_symmetric(self, example_partitioning, example_query_graph):
-        features = []
-        for fragment in example_partitioning:
-            outcome = evaluate_fragment(fragment, example_query_graph)
-            features.extend(lec_feature_of(lpm) for lpm in outcome.local_partial_matches)
-        groups = group_features_by_sign(features)
-        join_graph = build_join_graph(groups, example_query_graph)
-        for sign, neighbours in join_graph.items():
-            for neighbour in neighbours:
-                assert sign in join_graph[neighbour]

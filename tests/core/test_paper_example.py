@@ -158,8 +158,7 @@ class TestExample8AssemblyGroups:
                 if feature in outcome.surviving:
                     surviving.extend(members)
         # Note: pruning one LPM of F3 leaves 7 LPMs in 4 LECSign groups (Example 8).
-        groups = LECAssembler._group_by_sign(surviving)
-        assert len(groups) == 4
+        assert LECAssembler(example_query_graph_module).assemble(surviving).groups == 4
 
     def test_assembly_produces_the_crossing_matches(
         self, per_fragment_lpms, example_query_graph_module

@@ -21,6 +21,14 @@ WORKER_COUNTS = (1, 2, 8)
 SERIAL = EngineConfig.full().with_options(executor="serial")
 
 
+def stage_counters(result):
+    """Every stage's counters except the plan-cache probe (warm-up dependent)."""
+    return [
+        (stage.name, {name: value for name, value in stage.counters.items() if name != "plan_cache_hit"})
+        for stage in result.statistics.stages
+    ]
+
+
 def run(cluster, query, config, trace=None):
     cluster.reset_network()
     engine = GStoreDEngine(cluster, config)
@@ -47,6 +55,7 @@ def test_worker_count_does_not_change_results_or_accounting(lubm_cluster, query_
         assert rows == reference_rows
         assert result.results.same_solutions(reference.results)
         assert snapshot(result) == snapshot(reference)
+        assert stage_counters(result) == stage_counters(reference)
 
 
 def test_threaded_runs_agree_with_each_other(lubm_cluster):
@@ -78,6 +87,7 @@ def test_tracing_does_not_change_results_or_accounting(lubm_cluster, query_name)
         assert rows == reference_rows
         assert snapshot(result) == snapshot(reference)
         assert result.statistics.work == reference.statistics.work
+        assert stage_counters(result) == stage_counters(reference)
         task_spans = trace.find_spans(category=CATEGORY_TASK)
         assert len(task_spans) >= lubm_cluster.num_sites
 
@@ -87,8 +97,15 @@ def test_traced_serial_equals_untraced_serial(lubm_cluster):
     untraced = run(lubm_cluster, query, SERIAL)
     traced = run(lubm_cluster, query, SERIAL, trace=Trace("query"))
     assert traced.results.same_solutions(untraced.results)
+    assert traced.results.to_table() == untraced.results.to_table()  # row sequence too
     assert snapshot(traced) == snapshot(untraced)
     assert traced.statistics.work == untraced.statistics.work
+    # Both coordinator joins report the same work with or without their
+    # ``coordinator`` spans around them.
+    assert stage_counters(traced) == stage_counters(untraced)
+    assert traced.statistics.counter("lec_pruning", "join_attempts") > 0
+    assert traced.statistics.counter("lec_pruning", "complete_combinations") > 0
+    assert traced.statistics.counter("assembly", "join_attempts") > 0
 
 
 def test_executor_is_recorded_for_non_serial_backends_only(lubm_cluster):

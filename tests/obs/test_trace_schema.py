@@ -13,7 +13,13 @@ import pytest
 from repro.core import EngineConfig, GStoreDEngine
 from repro.datasets import get_dataset
 from repro.exec import ProcessPoolBackend
-from repro.obs import CATEGORY_STAGE, CATEGORY_TASK, Trace, validate_chrome_trace
+from repro.obs import (
+    CATEGORY_COORDINATOR,
+    CATEGORY_STAGE,
+    CATEGORY_TASK,
+    Trace,
+    validate_chrome_trace,
+)
 
 SERIAL = EngineConfig.full().with_options(executor="serial")
 
@@ -77,6 +83,41 @@ class TestRealTracesValidate:
         for span in stage_spans:
             assert "shipped_bytes" in span.attrs
             assert "messages" in span.attrs
+
+
+class TestCoordinatorSpans:
+    """Both coordinator joins sit under a ``coordinator`` child span of their
+    stage span, carrying the join's counters — so a stage span's time is not
+    an unexplained gap above its site task spans."""
+
+    def test_each_join_has_a_coordinator_span_under_its_stage(self, lubm_cluster):
+        query = get_dataset("LUBM").queries()["LQ1"]
+        lubm_cluster.reset_network()
+        trace = Trace("query")
+        with GStoreDEngine(lubm_cluster, SERIAL) as engine:
+            result = engine.execute(query, trace=trace)
+        trace.finish()
+        spans = trace.find_spans(category=CATEGORY_COORDINATOR)
+        by_id = {span.span_id: span for span in trace.find_spans()}
+        assert [by_id[span.parent_id].name for span in spans] == ["stage:lec_pruning", "stage:assembly"]
+        for span in spans:
+            parent = by_id[span.parent_id]
+            stage = result.statistics.find_stage(parent.name.removeprefix("stage:"))
+            assert span.name == "coordinator"
+            assert span.attrs["join_attempts"] == stage.counters["join_attempts"] > 0
+            assert span.attrs["groups"] > 0
+            assert span.attrs["index_size"] > 0
+            assert parent.start_s <= span.start_s
+            assert span.start_s + span.duration_s <= parent.start_s + parent.duration_s
+        validate_chrome_trace(trace.to_chrome())
+
+    def test_star_queries_run_no_coordinator_join(self, lubm_cluster):
+        query = get_dataset("LUBM").queries()["LQ2"]
+        lubm_cluster.reset_network()
+        trace = Trace("query")
+        with GStoreDEngine(lubm_cluster, SERIAL) as engine:
+            engine.execute(query, trace=trace)
+        assert trace.find_spans(category=CATEGORY_COORDINATOR) == []
 
 
 class TestValidatorRejections:

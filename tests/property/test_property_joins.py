@@ -1,0 +1,185 @@
+"""Property-based equivalence: the indexed coordinator joins vs the nested loop.
+
+``repro.core.joins`` replaced the ``partials x group`` scans of Algorithm 2
+(LEC feature pruning) and Algorithm 3 (LEC-based assembly) with a hash join
+over an integer compilation of the features and LPMs.  The scans survive
+verbatim in ``tests/core/reference_joins.py``; this suite asserts, on random
+graphs and queries and on adversarial partitionings, that
+
+* the indexed pruner keeps exactly the features the nested loop kept (and
+  finds as many complete combinations over as many groups),
+* the indexed ``LECAssembler`` returns the identical *sequence* of complete
+  matches — not just the same set — with as many successful joins,
+* both agree with ``BasicAssembler`` and with the centralized answers, alone
+  and under the engine.
+
+The partitionings: uniformly random ones; every vertex in its own fragment
+(every edge crossing); a single site (no crossing edge at all); fragments
+that own nothing; and two fragments, where a path keeps re-entering the
+fragment it left, so one fragment contributes several disconnected internal
+regions — several LPMs — to one crossing match.
+"""
+
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+from reference_joins import LECAssembler as ReferenceAssembler
+from reference_joins import LECFeaturePruner as ReferencePruner
+
+from repro.core import EngineConfig, GStoreDEngine, LECFeaturePruner, compute_lec_features
+from repro.core.assembly import BasicAssembler, LECAssembler
+from repro.core.partial_eval import evaluate_fragment
+from repro.datasets import random_assignment, random_connected_query, random_graph
+from repro.distributed import build_cluster
+from repro.partition import build_partitioned_graph
+from repro.rdf import Namespace, RDFGraph, Triple, TriplePattern, Variable
+from repro.sparql import BasicGraphPattern, QueryGraph, SelectQuery
+from repro.store import evaluate_centralized
+
+seeds = st.integers(min_value=0, max_value=5_000)
+query_sizes = st.integers(min_value=2, max_value=4)
+constant_probabilities = st.sampled_from([0.0, 0.25])
+
+
+def uniform(num_fragments):
+    def assign(graph, seed):
+        return random_assignment(graph, seed + 5, num_fragments), num_fragments
+
+    return assign
+
+
+def every_edge_crossing(graph, seed):
+    vertices = sorted(graph.vertices, key=lambda vertex: vertex.n3())
+    return {vertex: position for position, vertex in enumerate(vertices)}, len(vertices)
+
+
+def single_site(graph, seed):
+    return {vertex: 0 for vertex in graph.vertices}, 1
+
+
+def empty_fragments(graph, seed):
+    # Fragments 0, 2 and 4 of five own nothing.
+    assignment = random_assignment(graph, seed + 5, 2)
+    return {vertex: 1 + 2 * fragment for vertex, fragment in assignment.items()}, 5
+
+
+partitionings = st.sampled_from(
+    [uniform(2), uniform(3), uniform(4), every_edge_crossing, single_site, empty_fragments]
+)
+
+
+def coordinator_inputs(graph, query, assignment, num_fragments):
+    """The LEC classes and LPMs the coordinator would receive, site by site."""
+    partitioned = build_partitioned_graph(graph, assignment, num_fragments=num_fragments)
+    query_graph = QueryGraph(query.bgp)
+    classes = {}
+    for fragment in partitioned:
+        lpms = evaluate_fragment(fragment, query_graph).local_partial_matches
+        for feature, members in compute_lec_features(lpms).items():
+            classes.setdefault(feature, []).extend(members)
+    return partitioned, query_graph, classes
+
+
+def assert_joins_agree(query_graph, classes):
+    """Indexed == nested loop, on all LPMs and on the pruning survivors."""
+    features = list(classes)
+    indexed = LECFeaturePruner(query_graph).prune(features)
+    reference = ReferencePruner(query_graph).prune(features)
+    assert indexed.surviving == reference.surviving
+    assert indexed.complete_combinations == reference.complete_combinations
+    assert (indexed.total_features, indexed.groups) == (reference.total_features, reference.groups)
+    assert indexed.join_attempts <= reference.join_attempts
+
+    all_lpms = [lpm for members in classes.values() for lpm in members]
+    surviving = [lpm for feature in features if indexed.survives(feature) for lpm in classes[feature]]
+    assembled = None
+    for lpms in (all_lpms, surviving):
+        assembled = LECAssembler(query_graph).assemble(lpms)
+        expected = ReferenceAssembler(query_graph).assemble(lpms)
+        assert assembled.matches == expected.matches  # the sequence, not the set
+        assert assembled.successful_joins == expected.successful_joins
+        assert assembled.groups == expected.groups
+        assert assembled.join_attempts <= expected.join_attempts
+        basic = BasicAssembler(query_graph).assemble(lpms)
+        assert {m.assignment for m in basic.matches} == {m.assignment for m in assembled.matches}
+    return assembled
+
+
+def assert_centralized(graph, query, partitioned, crossing):
+    """Crossing matches + fragment-local matches are the centralized answers."""
+    variables = query.effective_projection
+    expected = evaluate_centralized(graph, query).project(variables, distinct=True).as_set()
+    found = {binding.project(variables) for binding in crossing.bindings()}
+    assert found <= expected
+    for fragment in partitioned:
+        local = evaluate_centralized(fragment.to_graph(), query)
+        found |= local.project(variables, distinct=True).as_set()
+    assert found == expected
+
+
+class TestIndexedJoinsEqualTheNestedLoop:
+    @given(seeds, partitionings, query_sizes, constant_probabilities)
+    @settings(max_examples=40, deadline=None)
+    def test_random_graphs_and_adversarial_partitionings(
+        self, seed, partitioning, query_edges, constant_probability
+    ):
+        graph = random_graph(seed, num_vertices=14, num_edges=30, num_predicates=3)
+        query = random_connected_query(
+            graph, seed + 17, num_edges=query_edges, constant_probability=constant_probability
+        )
+        assignment, num_fragments = partitioning(graph, seed)
+        partitioned, query_graph, classes = coordinator_inputs(graph, query, assignment, num_fragments)
+        crossing = assert_joins_agree(query_graph, classes)
+        assert_centralized(graph, query, partitioned, crossing)
+
+    @given(seeds, partitionings, query_sizes)
+    @settings(max_examples=10, deadline=None)
+    def test_engine_answers_and_counters(self, seed, partitioning, query_edges):
+        graph = random_graph(seed, num_vertices=14, num_edges=30, num_predicates=3)
+        query = random_connected_query(graph, seed + 17, num_edges=query_edges, constant_probability=0.0)
+        assignment, num_fragments = partitioning(graph, seed)
+        partitioned, query_graph, classes = coordinator_inputs(graph, query, assignment, num_fragments)
+        expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
+        config = EngineConfig.full().with_options(
+            star_shortcut=False, use_candidate_exchange=False, executor="serial"
+        )
+        result = GStoreDEngine(build_cluster(partitioned), config).execute(query)
+        assert result.results.same_solutions(expected)
+        statistics = result.statistics
+        pruned = LECFeaturePruner(query_graph).prune(list(classes))
+        assert statistics.counter("lec_pruning", "join_attempts") == pruned.join_attempts
+        assert statistics.counter("lec_pruning", "complete_combinations") == pruned.complete_combinations
+        assert statistics.counter("lec_pruning", "surviving_features") == len(pruned.surviving)
+
+
+class TestTwoRegionsOfOneFragment:
+    """A path that leaves fragment 0 and comes back: 0 -> 1 -> 1 -> 0.
+
+    Fragment 0 overlaps the one crossing match in two disconnected internal
+    regions, so it contributes two LPMs (two features) to one combination —
+    the case ``fragment_id`` equality must *not* rule out inside the DFS.
+    """
+
+    def build(self):
+        ns = Namespace("http://example.org/")
+        a, b, c, d = (ns.term(name) for name in "abcd")
+        p, q, r = (ns.term(name) for name in "pqr")
+        graph = RDFGraph([Triple(a, p, b), Triple(b, q, c), Triple(c, r, d)])
+        x, y, z, w = (Variable(name) for name in "xyzw")
+        bgp = BasicGraphPattern([TriplePattern(x, p, y), TriplePattern(y, q, z), TriplePattern(z, r, w)])
+        return graph, SelectQuery(bgp, (x, y, z, w)), {a: 0, b: 1, c: 1, d: 0}
+
+    def test_same_fragment_features_join_into_one_match(self):
+        graph, query, assignment = self.build()
+        partitioned, query_graph, classes = coordinator_inputs(graph, query, assignment, 2)
+        assert sorted(feature.fragment_id for feature in classes) == [0, 0, 1]
+        crossing = assert_joins_agree(query_graph, classes)
+        assert_centralized(graph, query, partitioned, crossing)
+        (match,) = crossing.matches
+        assert match.fragments == frozenset({0, 1})
+        pruned = LECFeaturePruner(query_graph).prune(list(classes))
+        assert pruned.surviving == set(classes)

@@ -8,6 +8,7 @@ This test freezes the surface so an accidental rename/removal fails CI; a
 
 import repro
 import repro.api
+import repro.core
 
 #: Everything ``repro`` exports — keep sorted.
 REPRO_EXPORTS = [
@@ -102,6 +103,45 @@ REPRO_API_EXPORTS = [
     "result_cache_key",
 ]
 
+#: Everything ``repro.core`` exports — keep sorted.  ``JoinedLECFeature``,
+#: ``build_join_graph`` and ``groups_joinable`` left with the nested-loop
+#: joins (the oracle in ``tests/core/reference_joins.py`` keeps them).
+REPRO_CORE_EXPORTS = [
+    "ABLATION_CONFIGS",
+    "AssemblyOutcome",
+    "BasicAssembler",
+    "CandidateBitVector",
+    "DEFAULT_BIT_VECTOR_BITS",
+    "DistributedResult",
+    "EngineConfig",
+    "GStoreDEngine",
+    "GlobalCandidateFilter",
+    "LECAssembler",
+    "LECFeature",
+    "LECFeaturePruner",
+    "LocalPartialMatch",
+    "OptimizationLevel",
+    "PartialEvaluationResult",
+    "PartialEvaluator",
+    "PruningOutcome",
+    "STAGE_ASSEMBLY",
+    "STAGE_CANDIDATES",
+    "STAGE_PARTIAL_EVAL",
+    "STAGE_PLANNING",
+    "STAGE_PRUNING",
+    "assemble_matches",
+    "build_site_vectors",
+    "check_local_partial_match",
+    "compute_lec_features",
+    "evaluate_fragment",
+    "execute_ablation",
+    "features_joinable",
+    "group_features_by_sign",
+    "lec_feature_of",
+    "prune_features",
+    "union_site_vectors",
+]
+
 #: The engine registry is part of the CLI and docs contract too.
 ENGINE_REGISTRY_SNAPSHOT = ("centralized", "cloud", "decomp", "dream", "gstored", "s2x")
 
@@ -112,6 +152,15 @@ def test_repro_all_matches_the_snapshot():
 
 def test_repro_api_all_matches_the_snapshot():
     assert sorted(repro.api.__all__) == sorted(REPRO_API_EXPORTS)
+
+
+def test_repro_core_all_matches_the_snapshot():
+    assert sorted(repro.core.__all__) == sorted(REPRO_CORE_EXPORTS)
+    for name in repro.core.__all__:
+        assert getattr(repro.core, name) is not None
+    for removed in ("JoinedLECFeature", "build_join_graph", "groups_joinable"):
+        assert not hasattr(repro.core, removed)
+        assert not hasattr(repro.core.lec, removed)
 
 
 def test_every_exported_name_resolves():

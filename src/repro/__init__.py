@@ -41,8 +41,6 @@ True
 True
 """
 
-import warnings as _warnings
-
 from .api import (
     AsyncSession,
     CentralizedEngine,
@@ -57,7 +55,6 @@ from .api import (
 from .api import open_session as open  # noqa: A001 - ``repro.open`` is the public name
 from .core import (
     ABLATION_CONFIGS,
-    DistributedResult,
     EngineConfig,
     GStoreDEngine,
     LECFeature,
@@ -86,29 +83,6 @@ from .store import LocalMatcher, TripleStore, evaluate_centralized
 __version__ = "1.1.0"
 
 
-def quickstart_cluster(num_fragments: int = 3, strategy: str = "hash"):
-    """Build a tiny ready-to-query cluster over the paper's running example.
-
-    .. deprecated:: 1.1
-        Use ``repro.open(dataset="paper", sites=num_fragments,
-        partitioner=strategy)`` — the session additionally owns the engines,
-        the executor pools and the plan cache.  This shim returns the same
-        ``(cluster, namespace_manager)`` pair as before.
-    """
-    _warnings.warn(
-        "quickstart_cluster() is deprecated; use repro.open(dataset='paper', "
-        f"sites={num_fragments}, partitioner={strategy!r}) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .datasets.paper_example import EXAMPLE_NAMESPACES, build_example_graph
-
-    graph = build_example_graph()
-    partitioner = make_partitioner(strategy, num_fragments)
-    partitioned = partitioner.partition(graph)
-    return build_cluster(partitioned), EXAMPLE_NAMESPACES
-
-
 __all__ = [
     "ABLATION_CONFIGS",
     "AppliedDelta",
@@ -117,7 +91,6 @@ __all__ = [
     "CentralizedEngine",
     "Cluster",
     "ClusterStore",
-    "DistributedResult",
     "EngineConfig",
     "ExecutorBackend",
     "FaultPlan",
@@ -168,7 +141,6 @@ __all__ = [
     "open_session",
     "parse_query",
     "partitioning_cost",
-    "quickstart_cluster",
     "run_per_site",
     "select_best_partitioning",
     "__version__",

@@ -21,15 +21,13 @@ without re-executing, and :class:`QueryServer` /
 (``repro serve``).  See ``docs/serving.md``.
 
 The CLI, the benchmark harness and the examples are all built on this
-module; legacy entry points (``repro.quickstart_cluster``, direct
-``GStoreDEngine`` construction) keep working but the new code path is this
-one.  See ``docs/api.md`` for the full tour and the old→new migration table.
+module (direct ``GStoreDEngine`` construction satisfies the same contract).
+See ``docs/api.md`` for the full tour and the old→new migration table.
 """
 
 from .engines import (
     STAGE_CENTRALIZED,
     CentralizedEngine,
-    EngineAdapter,
     EngineSpec,
     QueryEngine,
     engine_aliases,
@@ -53,7 +51,6 @@ __all__ = [
     "AdmissionError",
     "AsyncSession",
     "CentralizedEngine",
-    "EngineAdapter",
     "EngineSpec",
     "QueryBatch",
     "QueryEngine",

@@ -1,19 +1,17 @@
 """One engine protocol and one registry for every evaluator in the repository.
 
 The paper's evaluation pits gStoreD against DREAM, two relational cloud
-systems, a graph-parallel cloud system and a centralized ground truth.  The
-codebase historically exposed each through a different surface —
-``GStoreDEngine(cluster, config, backend=...)``, hand-constructed
-:class:`~repro.baselines.DistributedEngine` subclasses, and the bare
-function :func:`~repro.store.evaluate_centralized`.  This module levels
-them:
+systems, a graph-parallel cloud system and a centralized ground truth.  This
+module puts all six behind one surface:
 
 * :class:`QueryEngine` is the one contract every evaluator satisfies:
-  ``execute(query, query_name=..., dataset=...)`` returning a
-  :class:`~repro.api.Result`, plus ``close()`` and context-manager support;
+  ``execute(query, query_name="", dataset="", *, trace=None, profiler=None)``
+  returning a :class:`~repro.api.Result`, plus ``close()`` and
+  context-manager support — the engine classes satisfy it themselves, there
+  is no wrapper between the registry and them;
 * :func:`make_engine` instantiates any evaluator by registry name over a
   :class:`~repro.distributed.Cluster`;
-* :class:`CentralizedEngine` adapts the centralized matcher into the same
+* :class:`CentralizedEngine` puts the centralized matcher behind the same
   contract (with a single timed ``centralized_evaluation`` stage), so the
   ground truth is just another registry entry.
 
@@ -35,8 +33,8 @@ Registry names (see :func:`engine_names`):
 
 from __future__ import annotations
 
+import inspect
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
@@ -45,12 +43,12 @@ from ..baselines.dream import DreamEngine
 from ..core.config import EngineConfig
 from ..core.engine import GStoreDEngine
 from ..distributed.cluster import Cluster
-from ..distributed.stats import QueryStatistics
+from ..distributed.result import Result
+from ..distributed.run import Run
 from ..exec import ExecutorBackend
-from ..obs import record_statistics_spans, stage_scope
+from ..obs import StageProfiler, Trace
 from ..sparql.algebra import SelectQuery
 from ..store.matcher import LocalMatcher
-from .result import Result
 
 #: Stage name under which :class:`CentralizedEngine` records its evaluation.
 STAGE_CENTRALIZED = "centralized_evaluation"
@@ -58,41 +56,10 @@ STAGE_CENTRALIZED = "centralized_evaluation"
 
 @runtime_checkable
 class QueryEngine(Protocol):
-    """The single execution contract all five evaluators satisfy."""
+    """The single execution contract all six evaluators satisfy."""
 
     #: Name used in statistics and reports (``gStoreD``, ``DREAM``, ...).
     name: str
-
-    def execute(self, query: SelectQuery, query_name: str = "", dataset: str = "") -> Result:
-        """Evaluate ``query`` and return its solutions plus statistics."""
-        ...
-
-    def close(self) -> None:
-        """Release any worker resources held by the engine."""
-        ...
-
-
-class EngineAdapter:
-    """Wrap a legacy engine (``DistributedResult``-returning) into the contract.
-
-    The adapter owns its inner engine: closing the adapter closes the inner
-    engine (and with it any executor backend the inner engine owns).
-
-    The adapter is also the tracing shim for legacy engines: inner engines
-    that declare ``supports_tracing`` (the gStoreD family) receive the
-    ``trace``/``profiler`` hooks natively; engines exposing
-    ``execute_traced`` (the fixed-strategy baselines) go through that; for
-    anything else the adapter runs the query untraced and synthesizes stage
-    spans from the returned statistics, so every registry engine produces
-    *some* trace when asked for one.
-    """
-
-    #: The adapter accepts ``trace``/``profiler`` kwargs for any inner engine.
-    supports_tracing = True
-
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.name = inner.name
 
     def execute(
         self,
@@ -100,40 +67,20 @@ class EngineAdapter:
         query_name: str = "",
         dataset: str = "",
         *,
-        trace=None,
-        profiler=None,
+        trace: Optional[Trace] = None,
+        profiler: Optional[StageProfiler] = None,
     ) -> Result:
-        """Run the wrapped engine and lift its result into a :class:`Result`."""
-        if (trace is not None or profiler is not None) and getattr(
-            self.inner, "supports_tracing", False
-        ):
-            distributed = self.inner.execute(
-                query, query_name=query_name, dataset=dataset, trace=trace, profiler=profiler
-            )
-        elif trace is not None and hasattr(self.inner, "execute_traced"):
-            distributed = self.inner.execute_traced(
-                query, query_name=query_name, dataset=dataset, trace=trace, profiler=profiler
-            )
-        else:
-            distributed = self.inner.execute(query, query_name=query_name, dataset=dataset)
-            if trace is not None:
-                record_statistics_spans(trace, distributed.statistics)
-        return Result.from_distributed(distributed)
+        """Evaluate ``query`` and return its solutions plus statistics.
+
+        With a ``trace`` the engine records its stage spans into it (measured
+        or synthesized from its statistics); with a ``profiler`` it may
+        capture per-stage profiles.  Neither changes the answers.
+        """
+        ...
 
     def close(self) -> None:
-        """Close the wrapped engine (a no-op for engines without resources)."""
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close()
-
-    def __enter__(self) -> "EngineAdapter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"<EngineAdapter {self.name!r} around {type(self.inner).__name__}>"
+        """Release any worker resources held by the engine."""
+        ...
 
 
 class CentralizedEngine:
@@ -148,9 +95,6 @@ class CentralizedEngine:
     """
 
     name = "Centralized"
-
-    #: Accepts ``trace``/``profiler`` on :meth:`execute` (single-stage spans).
-    supports_tracing = True
 
     def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
@@ -175,30 +119,25 @@ class CentralizedEngine:
         profiler=None,
     ) -> Result:
         """Evaluate ``query`` over the full graph on one simulated machine."""
-        stats = QueryStatistics(
-            query_name=query_name,
-            engine=self.name,
-            dataset=dataset,
-            partitioning=self.cluster.partitioned_graph.strategy,
+        run = Run.start(
+            self.name, self.cluster, query, query_name, dataset, trace=trace, profiler=profiler
         )
-        stage = stats.stage(STAGE_CENTRALIZED)
-        with stage_scope(trace, profiler, STAGE_CENTRALIZED) as span:
+        with run.stage(STAGE_CENTRALIZED) as stage:
             with self._lock:
                 matcher = self._ensure_matcher()
-                started = time.perf_counter()
-                results = matcher.evaluate(query)
-                # The distributed engines all project with distinct=True (duplicate
-                # solutions collapse when projection drops variables); normalize the
-                # centralized answer to the same convention so every evaluator is
-                # row-for-row comparable.
-                results = results.project(query.effective_projection, distinct=True)
-                stage.coordinator_time_s += time.perf_counter() - started
+                with stage.measure():
+                    results = matcher.evaluate(query)
+                    # The distributed engines all project with distinct=True
+                    # (duplicate solutions collapse when projection drops
+                    # variables); normalize the centralized answer to the same
+                    # convention so every evaluator is row-for-row comparable.
+                    results = results.project(query.effective_projection, distinct=True)
                 search_steps = matcher.search_steps
-            if span is not None:
-                span.set(search_steps=search_steps, shipped_bytes=0, messages=0)
-        stats.work["search_steps"] = search_steps
-        stats.num_results = len(results)
-        return Result(results, stats)
+            if stage.span is not None:
+                stage.span.set(search_steps=search_steps)
+        run.stats.work["search_steps"] = search_steps
+        run.stats.num_results = len(results)
+        return Result(results, run.stats)
 
     def close(self) -> None:
         """Drop the cached matcher (indexes are rebuilt on next use)."""
@@ -233,20 +172,17 @@ class EngineSpec:
 
 
 def _gstored_factory(cluster, config, backend, faults=None):
-    return EngineAdapter(GStoreDEngine(cluster, config, backend=backend, faults=faults))
+    return GStoreDEngine(cluster, config, backend=backend, faults=faults)
 
 
-def _baseline_factory(engine_class):
+def _fixed_strategy_factory(engine_class):
     def factory(cluster, config, backend):
-        del config, backend  # baselines model fixed strategies; nothing to configure
-        return EngineAdapter(engine_class(cluster))
+        # Baselines model fixed strategies and a single store has no fan-out
+        # to schedule: nothing to configure.
+        del config, backend
+        return engine_class(cluster)
 
     return factory
-
-
-def _centralized_factory(cluster, config, backend):
-    del config, backend  # a single store has no fan-out to schedule
-    return CentralizedEngine(cluster)
 
 
 _REGISTRY: Dict[str, EngineSpec] = {}
@@ -274,7 +210,7 @@ register_engine(
     EngineSpec(
         name="dream",
         summary="DREAM-like full replication + star decomposition",
-        factory=_baseline_factory(DreamEngine),
+        factory=_fixed_strategy_factory(DreamEngine),
         aliases=(DreamEngine.name,),
     )
 )
@@ -282,7 +218,7 @@ register_engine(
     EngineSpec(
         name="decomp",
         summary="CliqueSquare-like clique decomposition with flat MapReduce joins",
-        factory=_baseline_factory(CliqueSquareEngine),
+        factory=_fixed_strategy_factory(CliqueSquareEngine),
         aliases=(CliqueSquareEngine.name,),
     )
 )
@@ -290,7 +226,7 @@ register_engine(
     EngineSpec(
         name="cloud",
         summary="S2RDF-like Spark-SQL vertical-partitioning scans and hash joins",
-        factory=_baseline_factory(S2RDFEngine),
+        factory=_fixed_strategy_factory(S2RDFEngine),
         aliases=(S2RDFEngine.name,),
     )
 )
@@ -298,7 +234,7 @@ register_engine(
     EngineSpec(
         name="s2x",
         summary="S2X-like vertex-centric graph-parallel matching",
-        factory=_baseline_factory(S2XEngine),
+        factory=_fixed_strategy_factory(S2XEngine),
         aliases=(S2XEngine.name,),
     )
 )
@@ -306,7 +242,7 @@ register_engine(
     EngineSpec(
         name="centralized",
         summary="single-store centralized evaluation (the ground truth)",
-        factory=_centralized_factory,
+        factory=_fixed_strategy_factory(CentralizedEngine),
         aliases=("central",),
     )
 )
@@ -371,6 +307,11 @@ def make_engine(
     ``faults`` — an optional :class:`~repro.faults.FaultPlan` — arms
     deterministic fault injection and recovery; like ``config`` it is only
     meaningful for ``accepts_config`` engines and an error elsewhere.
+
+    Factories registered from outside the package are held to the
+    :class:`QueryEngine` contract here: an engine whose ``execute`` cannot
+    take ``trace`` / ``profiler`` raises a ``TypeError`` naming the contract
+    instead of returning empty traces later.
     """
     spec = engine_spec(name)
     if config is not None and not spec.accepts_config:
@@ -386,5 +327,15 @@ def make_engine(
                 f"engines that do: "
                 f"{', '.join(s.name for s in engine_specs() if s.accepts_config)}"
             )
-        return spec.factory(cluster, config, backend, faults=faults)
-    return spec.factory(cluster, config, backend)
+        engine = spec.factory(cluster, config, backend, faults=faults)
+    else:
+        engine = spec.factory(cluster, config, backend)
+    parameters = inspect.signature(engine.execute).parameters
+    if not {"trace", "profiler"} <= parameters.keys() and not any(
+        parameter.kind is parameter.VAR_KEYWORD for parameter in parameters.values()
+    ):
+        raise TypeError(
+            f"engine {spec.name!r} ({type(engine).__name__}) does not satisfy the QueryEngine "
+            'contract: execute(query, query_name="", dataset="", *, trace=None, profiler=None)'
+        )
+    return engine

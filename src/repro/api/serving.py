@@ -298,8 +298,18 @@ class _Handler(BaseHTTPRequestHandler):
         server = self._query_server
         try:
             length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            # Reject before reading: ``rfile.read`` of a negative length blocks
+            # this handler thread until the client hangs up, and without a
+            # usable length the rest of the connection cannot be framed.
+            self.close_connection = True
+            self._respond_json(400, {"error": "Content-Length must be a non-negative integer"})
+            return
+        try:
             payload = json.loads(self.rfile.read(length) or b"{}")
-        except (ValueError, json.JSONDecodeError):
+        except ValueError:  # includes json.JSONDecodeError
             self._respond_json(400, {"error": "request body must be a JSON object"})
             return
         if not isinstance(payload, dict) or not isinstance(payload.get("query"), str):

@@ -44,7 +44,6 @@ from ..obs import (
     Tracer,
     record_query,
     record_query_failure,
-    record_statistics_spans,
 )
 from ..partition.fragment import PartitionedGraph
 from ..partition.partitioners import make_partitioner
@@ -422,7 +421,7 @@ class Session:
         query_name: str,
     ) -> Result:
         chosen = self.engine(engine)
-        engine_label = getattr(chosen, "name", str(engine or self.default_engine))
+        engine_label = chosen.name
         trace: Optional[Trace] = None
         if self.tracer is not None:
             trace = self.tracer.start_trace(
@@ -449,18 +448,13 @@ class Session:
                         trace.finish(rows=len(hit), cache_hit=True)
                         hit.trace = trace
                     return hit
-            obs_kwargs = {}
-            if getattr(chosen, "supports_tracing", False):
-                if trace is not None:
-                    obs_kwargs["trace"] = trace
-                if self.profiler is not None:
-                    obs_kwargs["profiler"] = self.profiler
             with self.cluster.bus.ledger() as ledger:
                 result = chosen.execute(
                     parsed,
                     query_name=query_name or resolved_name,
                     dataset=self.dataset,
-                    **obs_kwargs,
+                    trace=trace,
+                    profiler=self.profiler,
                 )
         except BaseException as error:
             # Exception-safe finalization: the trace must not leak an open
@@ -471,10 +465,6 @@ class Session:
                 self.metrics, engine=engine_label, backend=self.backend.name
             )
             raise
-        if trace is not None and not obs_kwargs:
-            # Engines outside the tracing contract still yield a trace:
-            # replay their statistics into synthesized spans.
-            record_statistics_spans(trace, result.statistics)
         shipment = ledger.snapshot()
         result.detach_statistics()
         result.shipment = shipment
@@ -485,7 +475,7 @@ class Session:
             self.metrics,
             result.statistics,
             shipment=shipment,
-            engine=getattr(chosen, "name", ""),
+            engine=engine_label,
             backend=self.backend.name,
             pool_size=getattr(self.backend, "max_workers", 1) or 1,
             encoded_rebuilds=encoded_rebuilds() - self._rebuilds_at_open,

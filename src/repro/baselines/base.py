@@ -6,22 +6,24 @@ MPI codebases; what the comparison needs from them is their *query-processing
 strategy* — how they decompose queries, where intermediate results are
 produced and how much data moves — so each baseline here re-implements that
 strategy over the same simulated :class:`~repro.distributed.Cluster` the
-gStoreD engine runs on.  Every baseline returns the standard
-:class:`~repro.core.engine.DistributedResult`, so correctness can be checked
-against the centralized matcher and costs can be tabulated uniformly.
+gStoreD engine runs on, through the same run object and stage runner
+(:mod:`repro.distributed.run`).  Every baseline returns the standard
+:class:`~repro.distributed.Result`, so correctness can be checked against
+the centralized matcher and costs can be tabulated uniformly.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional
+from typing import List
 
 from ..distributed.cluster import Cluster
 from ..distributed.network import NATIVE_PLATFORM, PlatformModel
-from ..distributed.stats import QueryStatistics, StageStats
-from ..core.engine import DistributedResult
+from ..distributed.result import Result
+from ..distributed.run import Run, Stage
+from ..obs import record_statistics_spans
 from ..sparql.algebra import SelectQuery
-from ..sparql.bindings import ResultSet
+from ..sparql.bindings import Binding
 
 
 class DistributedEngine(ABC):
@@ -36,16 +38,7 @@ class DistributedEngine(ABC):
     def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
 
-    def _charge_stage(self, stage: StageStats, platform_stages: int = 0) -> None:
-        """Add the modelled network-transfer and platform overheads to a stage."""
-        stage.network_time_s = self.cluster.network.transfer_time(stage.shipped_bytes, stage.messages)
-        stage.platform_time_s += self.platform.stage_cost(platform_stages)
-
-    @abstractmethod
-    def execute(self, query: SelectQuery, query_name: str = "", dataset: str = "") -> DistributedResult:
-        """Evaluate ``query`` and return its solutions plus statistics."""
-
-    def execute_traced(
+    def execute(
         self,
         query: SelectQuery,
         query_name: str = "",
@@ -53,23 +46,30 @@ class DistributedEngine(ABC):
         *,
         trace=None,
         profiler=None,
-    ) -> DistributedResult:
-        """Run :meth:`execute` and synthesize trace spans from its statistics.
+    ) -> Result:
+        """Evaluate ``query`` and return its solutions plus statistics.
 
         The baselines model fixed strategies without per-stage coordinator
         hooks, so they cannot measure spans inline the way the gStoreD
-        pipeline does; instead the finished :class:`QueryStatistics` (which
-        every baseline does produce, per stage and per site) is replayed into
-        the trace as ``synthesized=True`` spans.  ``profiler`` is accepted
-        for interface symmetry and ignored.
+        pipeline does; instead the finished statistics (which every baseline
+        does produce, per stage and per site) are replayed into ``trace`` as
+        ``synthesized=True`` spans — here and nowhere else.  ``profiler`` is
+        accepted for the uniform contract and ignored.
         """
         del profiler
-        result = self.execute(query, query_name=query_name, dataset=dataset)
+        run = Run.start(self.name, self.cluster, query, query_name, dataset)
+        result = run.result(self._evaluate(run))
         if trace is not None:
-            from ..obs import record_statistics_spans
-
             record_statistics_spans(trace, result.statistics)
         return result
+
+    @abstractmethod
+    def _evaluate(self, run: Run) -> List[Binding]:
+        """The strategy itself: its stages over ``run``, returning all solutions."""
+
+    def _charge_platform(self, stage: Stage, platform_stages: int) -> None:
+        """Add the platform's modelled overhead for that many of its stages."""
+        stage.stats.platform_time_s += self.platform.stage_cost(platform_stages)
 
     def close(self) -> None:
         """Release engine resources (baselines hold none; kept for the
@@ -80,23 +80,3 @@ class DistributedEngine(ABC):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    def _new_statistics(self, query_name: str, dataset: str) -> QueryStatistics:
-        return QueryStatistics(
-            query_name=query_name,
-            engine=self.name,
-            dataset=dataset,
-            partitioning=self.cluster.partitioned_graph.strategy,
-        )
-
-    def _finalize(
-        self,
-        query: SelectQuery,
-        bindings,
-        stats: QueryStatistics,
-    ) -> DistributedResult:
-        results = ResultSet(bindings, query.variables)
-        projected = results.project(query.effective_projection, distinct=True)
-        limited = projected.limit(query.limit)
-        stats.num_results = len(limited)
-        return DistributedResult(limited, stats)

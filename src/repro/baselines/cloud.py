@@ -36,9 +36,8 @@ from ..distributed.network import (
     GRAPH_BSP_PLATFORM,
     MAPREDUCE_PLATFORM,
     SPARK_SQL_PLATFORM,
-    StageTimer,
 )
-from ..core.engine import DistributedResult
+from ..distributed.run import Run
 from ..rdf.terms import IRI, Literal, Node, Variable
 from ..rdf.triples import Triple, TriplePattern
 from ..sparql.algebra import SelectQuery
@@ -73,72 +72,69 @@ def _match_triple(pattern: TriplePattern, triple: Triple) -> Binding | None:
     return Binding(mapping)
 
 
+def _owned_rows(
+    cluster: Cluster, rows: List[Binding], pattern: TriplePattern, site_id: int
+) -> List[Binding]:
+    """Drop rows whose matched triple is a replica owned by another site."""
+    partitioned = cluster.partitioned_graph
+    subject_is_variable = isinstance(pattern.subject, Variable)
+    kept: List[Binding] = []
+    for binding in rows:
+        subject = binding.get(pattern.subject) if subject_is_variable else pattern.subject
+        if subject is None or partitioned.fragment_of(subject) == site_id:
+            kept.append(binding)
+    return kept
+
+
 class RelationalScanEngine(DistributedEngine):
     """Shared machinery for the S2RDF- and CliqueSquare-like baselines."""
 
     #: How triple patterns are grouped into join stages.
     flat_star_joins = False
 
-    def execute(self, query: SelectQuery, query_name: str = "", dataset: str = "") -> DistributedResult:
-        stats = self._new_statistics(query_name, dataset)
-        timer = StageTimer()
-        scan_stage = stats.stage(STAGE_SCAN)
-
+    def _evaluate(self, run: Run) -> List[Binding]:
+        query = run.query
         # Phase 1: every site scans its fragment for every triple pattern
         # (the vertical-partitioning table scan) and ships the matching rows.
         pattern_solutions: List[List[Binding]] = [[] for _ in query.bgp]
-        for site in self.cluster:
-            fragment_triples = site.fragment.internal_edges | site.fragment.crossing_edges
-            by_predicate: Dict[IRI, List[Triple]] = defaultdict(list)
-            for triple in fragment_triples:
-                by_predicate[triple.predicate].append(triple)
-            for index, pattern in enumerate(query.bgp):
-                with timer.measure(STAGE_SCAN, site.site_id):
-                    if isinstance(pattern.predicate, Variable):
-                        local_rows = _pattern_bindings(fragment_triples, pattern)
-                    else:
-                        local_rows = _pattern_bindings(by_predicate.get(pattern.predicate, ()), pattern)
-                    # Crossing edges are replicated on two sites; keep only the
-                    # copy owned by the subject's site to avoid duplicate rows.
-                    local_rows = self._deduplicate_replicas(local_rows, pattern, site.site_id)
-                pattern_solutions[index].extend(local_rows)
-                shipped = self.cluster.bus.send(
-                    site.site_id, COORDINATOR, "scan_rows", local_rows, STAGE_SCAN
-                )
-                scan_stage.shipped_bytes += shipped
-                scan_stage.messages += 1
-        scan_stage.site_times_s.update(timer.site_times(STAGE_SCAN))
-        self._charge_stage(scan_stage, platform_stages=1)
-        scan_stage.add_counter("scanned_rows", sum(len(rows) for rows in pattern_solutions))
-        scan_stage.add_counter("patterns", len(query.bgp.patterns))
+        with run.stage(STAGE_SCAN) as stage:
+            for site in self.cluster:
+                fragment_triples = site.fragment.internal_edges | site.fragment.crossing_edges
+                by_predicate: Dict[IRI, List[Triple]] = defaultdict(list)
+                for triple in fragment_triples:
+                    by_predicate[triple.predicate].append(triple)
+                for index, pattern in enumerate(query.bgp):
+                    with stage.measure(site.site_id):
+                        if isinstance(pattern.predicate, Variable):
+                            local_rows = _pattern_bindings(fragment_triples, pattern)
+                        else:
+                            local_rows = _pattern_bindings(
+                                by_predicate.get(pattern.predicate, ()), pattern
+                            )
+                        # Crossing edges are replicated on two sites; keep only the
+                        # copy owned by the subject's site to avoid duplicate rows.
+                        local_rows = _owned_rows(self.cluster, local_rows, pattern, site.site_id)
+                    pattern_solutions[index].extend(local_rows)
+                    stage.ship(site.site_id, COORDINATOR, "scan_rows", local_rows)
+            self._charge_platform(stage, 1)
+            stage.count(
+                scanned_rows=sum(len(rows) for rows in pattern_solutions),
+                patterns=len(query.bgp.patterns),
+            )
 
         # Phase 2: join the scanned relations (at the coordinator, standing in
         # for the cluster-wide shuffle).
-        join_stage = stats.stage(STAGE_SHUFFLE)
-        with timer.measure(STAGE_SHUFFLE, COORDINATOR):
-            if self.flat_star_joins:
-                joined = self._flat_star_join(query, pattern_solutions)
-            else:
-                joined = join_all(pattern_solutions)
-        join_stage.coordinator_time_s += timer.elapsed(STAGE_SHUFFLE, COORDINATOR)
-        # Every binary (or star) join is one shuffle stage of the underlying
-        # cloud platform.
-        join_stages = max(len(query.bgp.patterns) - 1, 1)
-        self._charge_stage(join_stage, platform_stages=join_stages)
-        join_stage.add_counter("joined_results", len(joined))
-        return self._finalize(query, joined, stats)
-
-    def _deduplicate_replicas(
-        self, rows: List[Binding], pattern: TriplePattern, site_id: int
-    ) -> List[Binding]:
-        """Drop rows whose matched triple is a replica owned by another site."""
-        partitioned = self.cluster.partitioned_graph
-        kept: List[Binding] = []
-        for binding in rows:
-            subject = binding.get(pattern.subject) if isinstance(pattern.subject, Variable) else pattern.subject
-            if subject is None or partitioned.fragment_of(subject) == site_id:
-                kept.append(binding)
-        return kept
+        with run.stage(STAGE_SHUFFLE) as stage:
+            with stage.measure():
+                if self.flat_star_joins:
+                    joined = self._flat_star_join(query, pattern_solutions)
+                else:
+                    joined = join_all(pattern_solutions)
+            # Every binary (or star) join is one shuffle stage of the underlying
+            # cloud platform.
+            self._charge_platform(stage, max(len(query.bgp.patterns) - 1, 1))
+            stage.count(joined_results=len(joined))
+        return joined
 
     def _flat_star_join(
         self, query: SelectQuery, pattern_solutions: Sequence[List[Binding]]
@@ -190,80 +186,59 @@ class S2XEngine(DistributedEngine):
     platform = GRAPH_BSP_PLATFORM
     max_supersteps = 6
 
-    def execute(self, query: SelectQuery, query_name: str = "", dataset: str = "") -> DistributedResult:
-        stats = self._new_statistics(query_name, dataset)
-        timer = StageTimer()
-        scan_stage = stats.stage(STAGE_SCAN)
-
-        patterns = list(query.bgp)
+    def _evaluate(self, run: Run) -> List[Binding]:
+        patterns = list(run.query.bgp)
         candidates: List[List[Binding]] = [[] for _ in patterns]
-        for site in self.cluster:
-            triples = site.fragment.internal_edges | site.fragment.crossing_edges
-            for index, pattern in enumerate(patterns):
-                with timer.measure(STAGE_SCAN, site.site_id):
-                    rows = _pattern_bindings(triples, pattern)
-                    rows = self._owned_rows(rows, pattern, site.site_id)
-                candidates[index].extend(rows)
-        scan_stage.site_times_s.update(timer.site_times(STAGE_SCAN))
-        self._charge_stage(scan_stage, platform_stages=1)
-        scan_stage.add_counter("initial_candidates", sum(len(rows) for rows in candidates))
-
-        superstep_stage = stats.stage(STAGE_SUPERSTEPS)
-        rounds = 0
-        changed = True
-        while changed and rounds < self.max_supersteps:
-            rounds += 1
-            changed = False
-            with timer.measure(STAGE_SUPERSTEPS, COORDINATOR):
-                bound_values = self._bound_values_per_variable(patterns, candidates)
+        with run.stage(STAGE_SCAN) as stage:
+            for site in self.cluster:
+                triples = site.fragment.internal_edges | site.fragment.crossing_edges
                 for index, pattern in enumerate(patterns):
-                    survivors = [
-                        binding
-                        for binding in candidates[index]
-                        if self._validated(binding, index, patterns, bound_values)
-                    ]
-                    if len(survivors) != len(candidates[index]):
-                        changed = True
-                        candidates[index] = survivors
-            # Each superstep exchanges the candidate summaries along edges.
-            shipped = self.cluster.bus.broadcast(
-                COORDINATOR,
-                self.cluster.site_ids,
-                "superstep_candidates",
-                [len(rows) for rows in candidates],
-                STAGE_SUPERSTEPS,
-            )
-            superstep_stage.shipped_bytes += shipped
-            superstep_stage.messages += self.cluster.num_sites
-        superstep_stage.coordinator_time_s += timer.elapsed(STAGE_SUPERSTEPS, COORDINATOR)
-        self._charge_stage(superstep_stage, platform_stages=rounds)
-        superstep_stage.add_counter("supersteps", rounds)
-        superstep_stage.add_counter(
-            "surviving_candidates", sum(len(rows) for rows in candidates)
-        )
+                    with stage.measure(site.site_id):
+                        rows = _pattern_bindings(triples, pattern)
+                        rows = _owned_rows(self.cluster, rows, pattern, site.site_id)
+                    candidates[index].extend(rows)
+            self._charge_platform(stage, 1)
+            stage.count(initial_candidates=sum(len(rows) for rows in candidates))
 
-        join_stage = stats.stage(STAGE_SHUFFLE)
-        for index, rows in enumerate(candidates):
-            shipped = self.cluster.bus.send(
-                index % max(1, self.cluster.num_sites), COORDINATOR, "candidates", rows, STAGE_SHUFFLE
+        with run.stage(STAGE_SUPERSTEPS) as stage:
+            rounds = 0
+            changed = True
+            while changed and rounds < self.max_supersteps:
+                rounds += 1
+                changed = False
+                with stage.measure():
+                    bound_values = self._bound_values_per_variable(patterns, candidates)
+                    for index, pattern in enumerate(patterns):
+                        survivors = [
+                            binding
+                            for binding in candidates[index]
+                            if self._validated(binding, index, patterns, bound_values)
+                        ]
+                        if len(survivors) != len(candidates[index]):
+                            changed = True
+                            candidates[index] = survivors
+                # Each superstep exchanges the candidate summaries along edges.
+                stage.broadcast(
+                    COORDINATOR,
+                    self.cluster.site_ids,
+                    "superstep_candidates",
+                    [len(rows) for rows in candidates],
+                )
+            self._charge_platform(stage, rounds)
+            stage.count(
+                supersteps=rounds, surviving_candidates=sum(len(rows) for rows in candidates)
             )
-            join_stage.shipped_bytes += shipped
-            join_stage.messages += 1
-        with timer.measure(STAGE_SHUFFLE, COORDINATOR):
-            joined = join_all(candidates)
-        join_stage.coordinator_time_s += timer.elapsed(STAGE_SHUFFLE, COORDINATOR)
-        self._charge_stage(join_stage, platform_stages=1)
-        join_stage.add_counter("joined_results", len(joined))
-        return self._finalize(query, joined, stats)
 
-    def _owned_rows(self, rows: List[Binding], pattern: TriplePattern, site_id: int) -> List[Binding]:
-        partitioned = self.cluster.partitioned_graph
-        kept = []
-        for binding in rows:
-            subject = binding.get(pattern.subject) if isinstance(pattern.subject, Variable) else pattern.subject
-            if subject is None or partitioned.fragment_of(subject) == site_id:
-                kept.append(binding)
-        return kept
+        with run.stage(STAGE_SHUFFLE) as stage:
+            for index, rows in enumerate(candidates):
+                stage.ship(
+                    index % max(1, self.cluster.num_sites), COORDINATOR, "candidates", rows
+                )
+            with stage.measure():
+                joined = join_all(candidates)
+            self._charge_platform(stage, 1)
+            stage.count(joined_results=len(joined))
+        return joined
 
     @staticmethod
     def _bound_values_per_variable(

@@ -20,12 +20,11 @@ and reuses the shared star decomposition and hash-join helpers.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from ..distributed.cluster import Cluster
-from ..distributed.network import COORDINATOR, StageTimer
-from ..core.engine import DistributedResult
-from ..sparql.algebra import SelectQuery
+from ..distributed.network import COORDINATOR
+from ..distributed.run import Run
 from ..sparql.bindings import Binding
 from ..store.triple_store import TripleStore
 from .base import DistributedEngine
@@ -51,33 +50,20 @@ class DreamEngine(DistributedEngine):
         # once and share the (immutable) indexes between the simulated sites.
         self._replicated_store = TripleStore(cluster.graph.copy(), name="dream-replica")
 
-    def execute(self, query: SelectQuery, query_name: str = "", dataset: str = "") -> DistributedResult:
-        stats = self._new_statistics(query_name, dataset)
-        timer = StageTimer()
-        stage = stats.stage(STAGE_SUBQUERIES)
-
-        stars = decompose_into_stars(query.bgp)
-        stage.add_counter("star_subqueries", len(stars))
-
+    def _evaluate(self, run: Run) -> List[Binding]:
         star_results: List[List[Binding]] = []
-        for index, star in enumerate(stars):
-            site_id = index % max(1, self.cluster.num_sites)
-            with timer.measure(STAGE_SUBQUERIES, site_id):
-                solutions = list(self._replicated_store.evaluate(subquery(star)))
-            star_results.append(solutions)
-            shipped = self.cluster.bus.send(
-                site_id, COORDINATOR, "star_results", solutions, STAGE_SUBQUERIES
-            )
-            stage.shipped_bytes += shipped
-            stage.messages += 1
-            stage.add_counter("intermediate_results", len(solutions))
-        stage.site_times_s.update(timer.site_times(STAGE_SUBQUERIES))
-        self._charge_stage(stage)
-
-        join_stage = stats.stage(STAGE_JOIN)
-        with timer.measure(STAGE_JOIN, COORDINATOR):
-            joined = join_all(star_results)
-        join_stage.coordinator_time_s += timer.elapsed(STAGE_JOIN, COORDINATOR)
-        self._charge_stage(join_stage)
-        join_stage.add_counter("joined_results", len(joined))
-        return self._finalize(query, joined, stats)
+        with run.stage(STAGE_SUBQUERIES) as stage:
+            stars = decompose_into_stars(run.query.bgp)
+            stage.count(star_subqueries=len(stars))
+            for index, star in enumerate(stars):
+                site_id = index % max(1, self.cluster.num_sites)
+                with stage.measure(site_id):
+                    solutions = list(self._replicated_store.evaluate(subquery(star)))
+                star_results.append(solutions)
+                stage.ship(site_id, COORDINATOR, "star_results", solutions)
+                stage.count(intermediate_results=len(solutions))
+        with run.stage(STAGE_JOIN) as stage:
+            with stage.measure():
+                joined = join_all(star_results)
+            stage.count(joined_results=len(joined))
+        return joined

@@ -15,11 +15,10 @@ result, as discussed in DESIGN.md.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..api.engines import engine_spec, make_engine
+from ..api.engines import make_engine
 from ..api.result import Result
 from ..baselines import BASELINE_ENGINES
 from ..core.config import ABLATION_CONFIGS, EngineConfig
@@ -62,22 +61,6 @@ class PreparedWorkload:
     queries: Dict[str, SelectQuery] = field(default_factory=dict)
 
 
-def make_partitioner(strategy: str, num_sites: int):
-    """Legacy alias of :func:`repro.partition.make_partitioner`.
-
-    .. deprecated:: 1.1
-        Import ``make_partitioner`` from :mod:`repro.partition` (or use
-        ``repro.open(partitioner=...)``, which partitions for you).
-    """
-    warnings.warn(
-        "repro.bench.make_partitioner is deprecated; use "
-        "repro.partition.make_partitioner (or repro.open(partitioner=...)) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _make_partitioner(strategy, num_sites)
-
-
 def prepare_workload(
     dataset: str,
     scale: Optional[int] = None,
@@ -109,16 +92,10 @@ def run_query(
 
     ``engine`` is any :func:`repro.api.make_engine` registry name; the
     gStoreD family takes ``config``, the fixed-strategy engines ignore it by
-    requiring it to stay ``None``.  Returns the unified
-    :class:`~repro.api.Result` (``.results`` / ``.statistics`` keep working
-    as they did for ``DistributedResult``).
+    requiring it to stay ``None``.
     """
     workload.cluster.reset_network()
-    if engine_spec(engine).accepts_config:
-        built = make_engine(engine, workload.cluster, config=config or EngineConfig.full())
-    else:
-        built = make_engine(engine, workload.cluster, config=config)
-    with built:
+    with make_engine(engine, workload.cluster, config=config) as built:
         return built.execute(
             workload.queries[query_name], query_name=query_name, dataset=workload.dataset
         )
@@ -130,31 +107,22 @@ def run_query(
 def stage_breakdown_row(result: Result) -> Dict[str, object]:
     """One row of Tables I-III for a single query execution."""
     stats = result.statistics
+
+    def measured(stage_name: str, attribute: str) -> float:
+        stage = stats.find_stage(stage_name)
+        return round(getattr(stage, attribute), 3) if stage else 0.0
+
     return {
         "query": stats.query_name,
         "selective": stats.extra.get("selective", False),
-        "planning_time_ms": round(stats.find_stage(STAGE_PLANNING).parallel_time_ms, 3)
-        if stats.find_stage(STAGE_PLANNING)
-        else 0.0,
+        "planning_time_ms": measured(STAGE_PLANNING, "parallel_time_ms"),
         "plan_cache_hit": bool(stats.counter(STAGE_PLANNING, "plan_cache_hit")),
-        "candidates_time_ms": round(stats.find_stage(STAGE_CANDIDATES).parallel_time_ms, 3)
-        if stats.find_stage(STAGE_CANDIDATES)
-        else 0.0,
-        "candidates_shipment_kb": round(stats.find_stage(STAGE_CANDIDATES).shipped_kb, 3)
-        if stats.find_stage(STAGE_CANDIDATES)
-        else 0.0,
-        "partial_eval_time_ms": round(stats.find_stage(STAGE_PARTIAL_EVAL).parallel_time_ms, 3)
-        if stats.find_stage(STAGE_PARTIAL_EVAL)
-        else 0.0,
-        "lec_pruning_time_ms": round(stats.find_stage(STAGE_PRUNING).parallel_time_ms, 3)
-        if stats.find_stage(STAGE_PRUNING)
-        else 0.0,
-        "lec_pruning_shipment_kb": round(stats.find_stage(STAGE_PRUNING).shipped_kb, 3)
-        if stats.find_stage(STAGE_PRUNING)
-        else 0.0,
-        "assembly_time_ms": round(stats.find_stage(STAGE_ASSEMBLY).parallel_time_ms, 3)
-        if stats.find_stage(STAGE_ASSEMBLY)
-        else 0.0,
+        "candidates_time_ms": measured(STAGE_CANDIDATES, "parallel_time_ms"),
+        "candidates_shipment_kb": measured(STAGE_CANDIDATES, "shipped_kb"),
+        "partial_eval_time_ms": measured(STAGE_PARTIAL_EVAL, "parallel_time_ms"),
+        "lec_pruning_time_ms": measured(STAGE_PRUNING, "parallel_time_ms"),
+        "lec_pruning_shipment_kb": measured(STAGE_PRUNING, "shipped_kb"),
+        "assembly_time_ms": measured(STAGE_ASSEMBLY, "parallel_time_ms"),
         "total_time_ms": round(stats.total_time_ms, 3),
         "local_partial_matches": stats.counter(STAGE_PARTIAL_EVAL, "local_partial_matches"),
         "crossing_matches": stats.counter(STAGE_ASSEMBLY, "crossing_matches"),

@@ -416,10 +416,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         engine = make_engine(engine_name, cluster)
     trace = Trace("query", engine=engine_name) if args.trace else None
     with engine:
-        if trace is not None:
-            result = engine.execute(query, query_name="cli", trace=trace)
-        else:
-            result = engine.execute(query, query_name="cli")
+        result = engine.execute(query, query_name="cli", trace=trace)
 
     executor = result.statistics.extra.get("executor")
     runtime = ""

@@ -27,14 +27,12 @@ from .candidate_exchange import (
 )
 from .config import ABLATION_CONFIGS, EngineConfig, OptimizationLevel
 from .engine import (
-    DistributedResult,
     GStoreDEngine,
     STAGE_ASSEMBLY,
     STAGE_CANDIDATES,
     STAGE_PARTIAL_EVAL,
     STAGE_PLANNING,
     STAGE_PRUNING,
-    execute_ablation,
 )
 from .lec import (
     LECFeature,
@@ -53,7 +51,6 @@ __all__ = [
     "BasicAssembler",
     "CandidateBitVector",
     "DEFAULT_BIT_VECTOR_BITS",
-    "DistributedResult",
     "EngineConfig",
     "GStoreDEngine",
     "GlobalCandidateFilter",
@@ -75,7 +72,6 @@ __all__ = [
     "check_local_partial_match",
     "compute_lec_features",
     "evaluate_fragment",
-    "execute_ablation",
     "features_joinable",
     "group_features_by_sign",
     "lec_feature_of",

@@ -1,4 +1,5 @@
-"""Distributed execution substrate: sites, message bus, cluster, statistics."""
+"""Distributed execution substrate: sites, message bus, cluster, statistics,
+and the execution spine (:class:`Run` / :class:`Stage`) every evaluator runs on."""
 
 from .cluster import AppliedDelta, Cluster, build_cluster
 from .network import (
@@ -16,6 +17,8 @@ from .network import (
     StageTimer,
     estimate_size,
 )
+from .result import Result
+from .run import Run, Stage
 from .site import Site
 from .stats import QueryStatistics, StageStats, aggregate_graph_statistics
 
@@ -31,10 +34,13 @@ __all__ = [
     "NetworkModel",
     "PlatformModel",
     "QueryStatistics",
+    "Result",
+    "Run",
     "SPARK_SQL_PLATFORM",
     "ShipmentLedger",
     "ShipmentSnapshot",
     "Site",
+    "Stage",
     "StageStats",
     "StageTimer",
     "aggregate_graph_statistics",

@@ -11,7 +11,6 @@ comparisons happen over identical data placement.
 from __future__ import annotations
 
 import threading
-import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -25,7 +24,7 @@ from ..rdf.graph import RDFGraph
 from ..rdf.terms import Node
 from ..rdf.triples import Triple
 from ..store.encoding import encoded_view, patch_encoded_view
-from .network import MessageBus, NetworkModel, StageTimer
+from .network import MessageBus, NetworkModel
 from .site import Site
 from .stats import aggregate_graph_statistics
 
@@ -60,10 +59,6 @@ class Cluster:
         self._mutation_epoch = 0
         # Attached persistence backend (repro.persist.ClusterStore), if any.
         self._store = None
-        # Stage timers of engines executing on this cluster (weakly held, so
-        # a finished engine's timers can be collected); reset_network() clears
-        # them alongside the bus to keep back-to-back runs independent.
-        self._timers: "weakref.WeakSet[StageTimer]" = weakref.WeakSet()
 
     # ------------------------------------------------------------------
     # Topology
@@ -311,22 +306,14 @@ class Cluster:
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
-    def track_timer(self, timer: StageTimer) -> None:
-        """Register a stage timer so :meth:`reset_network` can clear it."""
-        self._timers.add(timer)
-
     def reset_network(self) -> None:
-        """Clear message accounting *and* stage-timer state between runs.
+        """Clear the bus's global message log between back-to-back runs.
 
-        Engines register their per-execution :class:`StageTimer` here; a
-        benchmark that reuses a timer (or an engine) across back-to-back runs
-        would otherwise accumulate stale per-site totals on top of the stale
-        message log.
+        Stage timing needs no reset: every execution times itself on its own
+        :class:`~repro.distributed.run.Run` and keeps only the copy in its
+        statistics.
         """
         self.bus.reset()
-        for timer in list(self._timers):
-            timer.reset()
-        self._timers.clear()
 
     def stats(self) -> Dict[str, object]:
         return {

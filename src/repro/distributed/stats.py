@@ -132,9 +132,8 @@ class QueryStatistics:
         """A deep copy sharing no mutable state with this instance.
 
         The session layer snapshots each query's statistics into its
-        :class:`~repro.api.Result` so that nothing a later query does to the
-        cluster (``reset_network()`` clearing timers, engines reusing stage
-        objects) can mutate or zero an already-returned result's numbers.
+        :class:`~repro.api.Result` so that nothing holding the original can
+        mutate or zero an already-returned result's numbers.
         """
         return QueryStatistics(
             query_name=self.query_name,

@@ -407,7 +407,6 @@ def record_statistics_spans(trace: Trace, statistics) -> None:
                 )
             )
             site_span.set(synthesized=True)
-    return None
 
 
 def validate_chrome_trace(payload: Any) -> List[Dict[str, Any]]:

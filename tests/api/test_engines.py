@@ -1,4 +1,4 @@
-"""Tests for the :mod:`repro.api` engine protocol, registry and adapters."""
+"""Tests for the :mod:`repro.api` engine protocol and registry."""
 
 import pytest
 
@@ -7,14 +7,16 @@ from repro import EngineConfig, GStoreDEngine
 from repro.api import (
     STAGE_CENTRALIZED,
     CentralizedEngine,
-    EngineAdapter,
+    EngineSpec,
     QueryEngine,
     Result,
     engine_names,
     engine_specs,
     make_engine,
+    register_engine,
     resolve_engine_name,
 )
+from repro.api.engines import _ALIASES, _REGISTRY
 from repro.baselines import CliqueSquareEngine, DreamEngine, S2RDFEngine, S2XEngine
 from repro.datasets.paper_example import (
     build_example_partitioning,
@@ -76,18 +78,19 @@ class TestRegistry:
         assert "gstored" in str(excinfo.value)
 
     @pytest.mark.parametrize(
-        ("name", "inner_type"),
+        ("name", "engine_type"),
         [
             ("dream", DreamEngine),
             ("decomp", CliqueSquareEngine),
             ("cloud", S2RDFEngine),
             ("s2x", S2XEngine),
             ("gstored", GStoreDEngine),
+            ("centralized", CentralizedEngine),
         ],
     )
-    def test_factories_build_the_expected_engines(self, cluster, name, inner_type):
+    def test_factories_build_the_engines_themselves(self, cluster, name, engine_type):
         with make_engine(name, cluster) as engine:
-            assert isinstance(engine.inner, inner_type)
+            assert type(engine) is engine_type
 
     def test_every_registry_engine_satisfies_the_protocol(self, cluster):
         for name in engine_names():
@@ -128,11 +131,11 @@ class TestContextManagers:
             assert engine.backend._pool is not None
         assert engine.backend._pool is None
 
-    def test_adapter_exit_closes_the_inner_engine(self, cluster):
+    def test_registry_engine_exit_closes_its_owned_backend(self, cluster):
         config = EngineConfig.full().with_executor("threads", 2)
         with make_engine("gstored", cluster, config=config) as engine:
             engine.execute(example_query())
-        assert engine.inner.backend._pool is None
+        assert engine.backend._pool is None
 
     def test_injected_backend_survives_engine_close(self, cluster):
         backend = repro.ThreadPoolBackend(2)
@@ -149,16 +152,58 @@ class TestContextManagers:
             assert len(engine.execute(example_query()).results) == 4
 
 
-class TestEngineAdapter:
-    def test_adapter_reports_the_inner_name(self, cluster):
-        adapter = EngineAdapter(S2XEngine(cluster))
-        assert adapter.name == "S2X"
+class TestThirdPartyEngines:
+    """Engines registered from outside are held to the one ``execute`` contract."""
 
-    def test_adapter_close_tolerates_engines_without_close(self, cluster):
-        class Bare:
-            name = "bare"
+    class _PreContractEngine:
+        name = "pre-contract"
 
-            def execute(self, query, query_name="", dataset=""):  # pragma: no cover
-                raise NotImplementedError
+        def __init__(self, cluster):
+            self.inner = CentralizedEngine(cluster)
 
-        EngineAdapter(Bare()).close()  # must not raise
+        def execute(self, query, query_name="", dataset=""):
+            return self.inner.execute(query, query_name=query_name, dataset=dataset)
+
+        def close(self):
+            self.inner.close()
+
+    @pytest.fixture()
+    def registered(self):
+        register_engine(
+            EngineSpec(
+                name="pre-contract",
+                summary="test double without trace/profiler",
+                factory=lambda cluster, config, backend: self._PreContractEngine(cluster),
+            )
+        )
+        yield "pre-contract"
+        _REGISTRY.pop("pre-contract", None)
+        _ALIASES.pop("pre-contract", None)
+
+    def test_engine_without_trace_and_profiler_fails_at_its_first_traced_query(self, registered):
+        """Not a silently empty trace: a TypeError that names the contract."""
+        with repro.open(dataset="paper", trace=True) as session:
+            with pytest.raises(TypeError) as excinfo:
+                session.query("example", engine=registered)
+        message = str(excinfo.value)
+        assert "'pre-contract'" in message and "_PreContractEngine" in message
+        assert "trace=None, profiler=None" in message
+
+    def test_keyword_catch_all_satisfies_the_contract(self, cluster):
+        class _Forwarding(self._PreContractEngine):
+            def execute(self, query, **options):
+                return self.inner.execute(query, **options)
+
+        register_engine(
+            EngineSpec(
+                name="forwarding",
+                summary="test double forwarding **options",
+                factory=lambda cluster, config, backend: _Forwarding(cluster),
+            )
+        )
+        try:
+            engine = make_engine("forwarding", cluster)
+            assert len(engine.execute(example_query(), trace=repro.Trace("query"))) == 4
+        finally:
+            _REGISTRY.pop("forwarding", None)
+            _ALIASES.pop("forwarding", None)

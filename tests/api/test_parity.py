@@ -71,7 +71,7 @@ class TestNewApiIsBitIdenticalToTheOldCallPaths:
         # New path: session + registry, over the same Fig. 1 partitioning.
         with repro.open(dataset="paper", partitioner="paper") as session:
             new = session.query(query, query_name="example")
-        assert new.sorted_rows() == Result.from_distributed(old).sorted_rows()
+        assert new.sorted_rows() == old.sorted_rows()
         assert shipment_fingerprint(new.statistics) == shipment_fingerprint(old.statistics)
 
     @pytest.mark.parametrize("report_name", sorted(BASELINE_ENGINES))
@@ -83,7 +83,7 @@ class TestNewApiIsBitIdenticalToTheOldCallPaths:
         new_cluster = build_cluster(build_example_partitioning())
         with make_engine(report_name, new_cluster) as engine:
             new = engine.execute(query, query_name="example")
-        assert new.sorted_rows() == Result.from_distributed(old).sorted_rows()
+        assert new.sorted_rows() == old.sorted_rows()
         assert shipment_fingerprint(new.statistics) == shipment_fingerprint(old.statistics)
         assert new.statistics.engine == old.statistics.engine == report_name
 

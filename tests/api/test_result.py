@@ -77,14 +77,3 @@ class TestEqualityAndStatistics:
         result = Result(example_results)
         assert isinstance(result.statistics, QueryStatistics)
         assert result.statistics.total_shipment_bytes == 0
-
-    def test_from_distributed_preserves_results_and_statistics(self):
-        import repro
-
-        with repro.open(dataset="paper") as session:
-            engine = session.engine("gstored")
-            distributed = engine.inner.execute(session.queries["example"])
-        lifted = Result.from_distributed(distributed)
-        assert lifted.statistics is distributed.statistics
-        assert lifted.results is distributed.results
-        assert len(lifted) == len(distributed.results)

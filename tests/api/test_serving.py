@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -211,6 +212,18 @@ class TestQueryServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(base, {"query": "example", "engine": "sparkle"})
         assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize("content_length", ["-1", "ten"])
+    def test_unusable_content_length_gets_400_without_reading(self, served, content_length):
+        """Regression: ``rfile.read(-1)`` blocked the handler until the client hung up."""
+        _session, server, _base = served
+        request = (
+            f"POST /query HTTP/1.1\r\nHost: test\r\nContent-Length: {content_length}\r\n\r\n"
+        ).encode("ascii")
+        with socket.create_connection(server.address, timeout=1.0) as connection:
+            connection.sendall(request)  # the socket stays open: no EOF to unblock a read
+            status_line = connection.makefile("rb").readline()
+        assert status_line.startswith(b"HTTP/1.1 400 "), status_line
 
     def test_unknown_paths_get_404(self, served):
         _session, _server, base = served

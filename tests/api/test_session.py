@@ -72,7 +72,7 @@ class TestOpen:
     def test_config_options_flow_into_the_engine_config(self):
         with repro.open(dataset="paper", use_lec_pruning=False) as session:
             assert session.config.use_lec_pruning is False
-            assert session.engine("gstored").inner.config.use_lec_pruning is False
+            assert session.engine("gstored").config.use_lec_pruning is False
 
     def test_explicit_config_object_is_honored(self):
         with repro.open(dataset="paper", config=EngineConfig.basic()) as session:
@@ -169,7 +169,6 @@ class TestEngineConstructionRace:
 class TestFailureFinalization:
     class _ExplodingEngine:
         name = "exploding"
-        supports_tracing = False
 
         def execute(self, *args, **kwargs):
             raise RuntimeError("boom in the engine")

@@ -11,7 +11,6 @@ from repro.core import (
     STAGE_PARTIAL_EVAL,
     STAGE_PLANNING,
     STAGE_PRUNING,
-    execute_ablation,
 )
 from repro.datasets import lubm
 from repro.distributed import build_cluster
@@ -110,15 +109,6 @@ class TestCorrectness:
             cluster.reset_network()
             result = GStoreDEngine(cluster, config).execute(query, query_name=query_name)
             assert result.results.same_solutions(central), f"{config.label} differs on {query_name}"
-
-    def test_execute_ablation_helper_runs_all_configs(self, lubm_setup):
-        graph, cluster, queries = lubm_setup
-        results = execute_ablation(cluster, queries["LQ6"], query_name="LQ6")
-        assert len(results) == 4
-        labels = [r.statistics.engine for r in results]
-        assert labels == ["gStoreD-Basic", "gStoreD-LA", "gStoreD-LO", "gStoreD"]
-        counts = {len(r.results) for r in results}
-        assert len(counts) == 1
 
     def test_result_is_iterable_and_sized(self, lubm_setup):
         graph, cluster, queries = lubm_setup

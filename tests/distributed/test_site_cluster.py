@@ -1,7 +1,7 @@
 """Unit tests for sites and clusters."""
 
 from repro.datasets import lubm
-from repro.distributed import Cluster, StageTimer, build_cluster
+from repro.distributed import Cluster, build_cluster
 from repro.partition import HashPartitioner
 from repro.rdf import Variable
 from repro.sparql import QueryGraph, parse_query
@@ -61,39 +61,6 @@ class TestCluster:
         example_cluster.bus.send(0, 1, "x", "payload")
         example_cluster.reset_network()
         assert example_cluster.bus.total_messages == 0
-
-    def test_reset_network_clears_tracked_stage_timers(self):
-        # Regression: back-to-back benchmark runs share a cluster, and a
-        # reused timer must not accumulate the previous run's totals.
-        graph = lubm.generate(scale=1)
-        cluster = build_cluster(HashPartitioner(2).partition(graph))
-        timer = StageTimer()
-        cluster.track_timer(timer)
-        with timer.measure("partial_evaluation", 0):
-            pass
-        assert timer.elapsed("partial_evaluation", 0) > 0.0
-        cluster.reset_network()
-        assert timer.elapsed("partial_evaluation", 0) == 0.0
-        assert timer.site_times("partial_evaluation") == {}
-        assert cluster.bus.total_messages == 0
-
-    def test_engine_timers_are_tracked_and_reset(self):
-        from repro.core import EngineConfig, GStoreDEngine
-
-        graph = lubm.generate(scale=1)
-        cluster = build_cluster(HashPartitioner(2).partition(graph))
-        query = parse_query(
-            "PREFIX ub: <http://example.org/univ-bench#> "
-            "SELECT ?s ?d WHERE { ?s ub:memberOf ?d . ?d ub:subOrganizationOf ?u . }"
-        )
-        engine = GStoreDEngine(cluster, EngineConfig.full())
-        engine.execute(query)
-        assert engine.last_timer is not None
-        assert engine.last_timer in cluster._timers
-        assert engine.last_timer.site_times("partial_evaluation")
-        cluster.reset_network()
-        assert engine.last_timer.site_times("partial_evaluation") == {}
-        assert len(cluster._timers) == 0
 
     def test_graph_statistics_with_threaded_backend(self, example_cluster):
         from repro.exec import ThreadPoolBackend

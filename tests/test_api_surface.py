@@ -10,7 +10,10 @@ import repro
 import repro.api
 import repro.core
 
-#: Everything ``repro`` exports — keep sorted.
+#: Everything ``repro`` exports — keep sorted.  ``DistributedResult`` (every
+#: engine returns ``Result``), ``quickstart_cluster`` (deprecated since 1.1),
+#: ``repro.api.EngineAdapter`` (engines satisfy the contract themselves) and
+#: ``repro.core.execute_ablation`` (``bench.ablation_series``) are gone.
 REPRO_EXPORTS = [
     "ABLATION_CONFIGS",
     "AppliedDelta",
@@ -19,7 +22,6 @@ REPRO_EXPORTS = [
     "CentralizedEngine",
     "Cluster",
     "ClusterStore",
-    "DistributedResult",
     "EngineConfig",
     "ExecutorBackend",
     "FaultPlan",
@@ -71,7 +73,6 @@ REPRO_EXPORTS = [
     "open_session",
     "parse_query",
     "partitioning_cost",
-    "quickstart_cluster",
     "run_per_site",
     "select_best_partitioning",
 ]
@@ -82,7 +83,6 @@ REPRO_API_EXPORTS = [
     "AdmissionError",
     "AsyncSession",
     "CentralizedEngine",
-    "EngineAdapter",
     "EngineSpec",
     "QueryBatch",
     "QueryEngine",
@@ -112,7 +112,6 @@ REPRO_CORE_EXPORTS = [
     "BasicAssembler",
     "CandidateBitVector",
     "DEFAULT_BIT_VECTOR_BITS",
-    "DistributedResult",
     "EngineConfig",
     "GStoreDEngine",
     "GlobalCandidateFilter",
@@ -134,7 +133,6 @@ REPRO_CORE_EXPORTS = [
     "check_local_partial_match",
     "compute_lec_features",
     "evaluate_fragment",
-    "execute_ablation",
     "features_joinable",
     "group_features_by_sign",
     "lec_feature_of",

@@ -6,19 +6,27 @@ one from the original "partial evaluation and assembly" framework [18]
 (which this paper re-uses unchanged — its contributions start *after* the
 LPMs exist), implemented as a crossing-edge-seeded expansion:
 
-1. every LPM contains at least one crossing edge, so each (crossing data
-   edge, compatible query edge) pair seeds one search branch;
+1. every LPM contains at least one crossing edge, so each (query edge,
+   compatible crossing data edge) pair seeds one search branch;
 2. a query vertex mapped to an *internal* vertex must have all of its query
-   edges matched (condition 5), so the search repeatedly picks an
-   internally-mapped query vertex with an unmatched incident query edge and
-   branches over the fragment data edges that can extend it;
-3. when no internal vertex has unmatched edges left, the branch has produced
-   a candidate LPM; the remaining query vertices stay NULL, and the
-   Definition 5 side conditions are verified.
+   edges matched (condition 5), so the branch keeps matching the unmatched
+   query edges of internally-mapped vertices, one data edge at a time;
+3. when none is left the branch is an LPM; other query vertices stay NULL.
 
-Seeding from every crossing edge makes the enumeration complete (every LPM's
-internally-matched region touches at least one crossing edge); a final
-dedup by assignment removes the copies found from different seeds.
+**Canonical seed.**  Query edges are ranked (planner order when given, BGP
+order otherwise).  An LPM maps a query edge at most once, so exactly one of
+its crossing pairs ranks lowest; a branch seeded at rank ``r`` dies the
+moment it matches a crossing data edge to a query edge ranked below ``r``.
+Every LPM therefore comes out of one seed, once: nothing is deduplicated.
+
+**Representation.**  The search runs on the ids of the site graph's
+:class:`~repro.store.encoding.EncodedGraph`: query vertices are slots of a
+``values`` list, query edges are bits in rank order (edge and vertex sets are
+int masks), vertex classes and ranked crossing edges come from the cached
+:func:`~repro.store.fragment_index.fragment_index`, extensions are ascending
+:meth:`EncodedGraph.triple_ids` probes — so the LPM *sequence* is the same
+under every ``PYTHONHASHSEED`` — and terms are decoded only when a
+:class:`LocalPartialMatch` is built.
 
 The optional ``candidate_filter`` implements the Section VI optimization: an
 extended vertex may only be used when the coordinator's global bit vector
@@ -28,15 +36,20 @@ says it is an internal candidate of *some* site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..partition.fragment import Fragment
 from ..rdf.graph import RDFGraph
-from ..rdf.terms import IRI, Literal, Node, PatternTerm, Variable
+from ..rdf.terms import Variable
 from ..rdf.triples import Triple
-from ..sparql.query_graph import QueryEdge, QueryGraph
+from ..sparql.query_graph import QueryGraph
+from ..store.encoding import PREDICATE_ANY, predicate_code
+from ..store.fragment_index import IdTriple, fragment_index
 from .candidate_exchange import GlobalCandidateFilter
 from .partial_match import LocalPartialMatch, check_local_partial_match
+
+#: Id of a constant query vertex the fragment never stores: no data vertex has it.
+_ABSENT_VERTEX = -1
 
 
 @dataclass
@@ -46,6 +59,7 @@ class PartialEvaluationResult:
     fragment_id: int
     local_partial_matches: List[LocalPartialMatch] = field(default_factory=list)
     seeds_explored: int = 0
+    #: Extended-vertex bindings the stage-1 filter refused, one per branch.
     branches_pruned_by_filter: int = 0
 
     @property
@@ -65,245 +79,144 @@ class PartialEvaluator:
     ) -> None:
         self._fragment = fragment
         self._graph = graph if graph is not None else fragment.to_graph()
-        #: ``V_i ∪ Ve_i`` snapshotted once — ``Fragment.all_vertices`` builds
-        #: a fresh union set per call, far too expensive for the per-branch
-        #: assignment check in :meth:`_try_assign`.
-        self._local_vertices = fragment.all_vertices
-        #: When True, every produced LPM is re-checked against Definition 5
-        #: (slower; used by tests).
+        #: Re-check every produced LPM against Definition 5 (slower; for tests).
         self._paranoid = paranoid
         #: Planner-supplied ranking of query-edge indexes (most selective
-        #: first).  Changes which forced edge each branch matches next —
-        #: never which LPMs exist — so selective edges fail branches early.
-        self._edge_priority: Optional[Dict[int, int]] = (
-            {index: rank for rank, index in enumerate(edge_order)} if edge_order is not None else None
+        #: first): decides which seed an LPM comes out of and which forced
+        #: edge a branch matches next — never which LPMs exist.
+        self._edge_priority: Dict[int, int] = (
+            {index: rank for rank, index in enumerate(edge_order)} if edge_order is not None else {}
         )
 
-    # ------------------------------------------------------------------
-    # Public API
-    # ------------------------------------------------------------------
     def evaluate(
         self,
         query: QueryGraph,
         candidate_filter: Optional[GlobalCandidateFilter] = None,
     ) -> PartialEvaluationResult:
         """Enumerate every local partial match of ``query`` in this fragment."""
-        result = PartialEvaluationResult(fragment_id=self._fragment.fragment_id)
-        seen: Set[Tuple[frozenset, frozenset]] = set()
-        for query_edge in self._seed_edges(query):
-            for data_edge in self._compatible_crossing_edges(query_edge):
-                result.seeds_explored += 1
-                self._expand_seed(query, query_edge, data_edge, candidate_filter, seen, result)
-        return result
+        fragment = self._fragment
+        result = PartialEvaluationResult(fragment_id=fragment.fragment_id)
+        index = fragment_index(fragment, self._graph)
+        encoded, crossing_by_predicate = index.encoded, index.crossing_by_predicate
+        internal, extended = index.internal, index.extended
+        triple_ids, term_of = encoded.triple_ids, encoded.dictionary.term_of
 
-    # ------------------------------------------------------------------
-    # Seeding
-    # ------------------------------------------------------------------
-    def _edge_rank(self, edge_index: int) -> int:
-        """The planner rank of a query edge (its own index when unplanned)."""
-        if self._edge_priority is None:
-            return edge_index
-        return self._edge_priority.get(edge_index, edge_index)
+        # Compile the query: vertices to slots, edges to bits in rank order.
+        vertices = query.vertices
+        id_of = encoded.dictionary.get
+        constant: List[Optional[int]] = [
+            None if isinstance(vertex, Variable)
+            else _ABSENT_VERTEX if (code := id_of(vertex)) is None else code
+            for vertex in vertices
+        ]
+        filtered = [candidate_filter is not None and code is None for code in constant]
+        priority = self._edge_priority
+        ranked = sorted(query.edges, key=lambda edge: (priority.get(edge.index, edge.index), edge.index))
+        slot_of = query.vertex_index
+        edges: List[Tuple[int, int, int, int]] = [
+            (slot_of(edge.subject), slot_of(edge.object), predicate_code(encoded, edge.predicate), edge.index)
+            for edge in ranked
+        ]
+        incident = [0] * len(vertices)
+        for rank, (subject_slot, object_slot, _, _) in enumerate(edges):
+            incident[subject_slot] |= 1 << rank
+            incident[object_slot] |= 1 << rank
 
-    def _seed_edges(self, query: QueryGraph) -> List[QueryEdge]:
-        """Query edges in seeding order (planner-ranked when available)."""
-        if self._edge_priority is None:
-            return list(query.edges)
-        return sorted(query.edges, key=lambda edge: (self._edge_rank(edge.index), edge.index))
+        values: List[Optional[int]] = [None] * len(vertices)
+        edge_map: List[Optional[IdTriple]] = [None] * len(edges)
+        fragments = frozenset({fragment.fragment_id})
+        # Decoded (edge index, Triple) pairs and filter verdicts, memoized for this call only.
+        edge_pairs: List[dict] = [{} for _ in edges]
+        verdicts: List[Dict[int, bool]] = [{} for _ in vertices]
 
-    def _compatible_crossing_edges(self, query_edge: QueryEdge) -> Iterable[Triple]:
-        """Crossing edges of the fragment that can match ``query_edge``."""
-        for triple in self._fragment.crossing_edges:
-            if self._edge_label_matches(query_edge, triple) and self._endpoints_compatible(
-                query_edge, triple
-            ):
-                yield triple
+        def refused(slot: int, value: int) -> bool:
+            """Does the stage-1 filter forbid binding ``slot`` to extended ``value``?"""
+            allowed = verdicts[slot].get(value)
+            if allowed is None:
+                allowed = verdicts[slot][value] = candidate_filter.allows(vertices[slot], term_of(value))
+            if not allowed:
+                result.branches_pruned_by_filter += 1
+            return not allowed
 
-    @staticmethod
-    def _edge_label_matches(query_edge: QueryEdge, triple: Triple) -> bool:
-        if isinstance(query_edge.predicate, Variable):
-            return True
-        return query_edge.predicate == triple.predicate
-
-    @staticmethod
-    def _endpoints_compatible(query_edge: QueryEdge, triple: Triple) -> bool:
-        if isinstance(query_edge.subject, (IRI, Literal)) and query_edge.subject != triple.subject:
-            return False
-        if isinstance(query_edge.object, (IRI, Literal)) and query_edge.object != triple.object:
-            return False
-        return True
-
-    def _expand_seed(
-        self,
-        query: QueryGraph,
-        query_edge: QueryEdge,
-        data_edge: Triple,
-        candidate_filter: Optional[GlobalCandidateFilter],
-        seen: Set[Tuple[frozenset, frozenset]],
-        result: PartialEvaluationResult,
-    ) -> None:
-        mapping: Dict[PatternTerm, Node] = {}
-        edge_mapping: Dict[int, Triple] = {}
-        if not self._try_assign(query_edge.subject, data_edge.subject, mapping, candidate_filter, result):
-            return
-        if not self._try_assign(query_edge.object, data_edge.object, mapping, candidate_filter, result):
-            return
-        edge_mapping[query_edge.index] = data_edge
-        self._expand(query, mapping, edge_mapping, candidate_filter, seen, result)
-
-    # ------------------------------------------------------------------
-    # Expansion
-    # ------------------------------------------------------------------
-    def _expand(
-        self,
-        query: QueryGraph,
-        mapping: Dict[PatternTerm, Node],
-        edge_mapping: Dict[int, Triple],
-        candidate_filter: Optional[GlobalCandidateFilter],
-        seen: Set[Tuple[frozenset, frozenset]],
-        result: PartialEvaluationResult,
-    ) -> None:
-        pending = self._next_forced_edge(query, mapping, edge_mapping)
-        if pending is None:
-            self._emit(query, mapping, edge_mapping, seen, result)
-            return
-        query_edge, anchor_vertex = pending
-        for data_edge in self._extension_edges(query_edge, anchor_vertex, mapping):
-            new_vertex, new_value = self._new_assignment(query_edge, anchor_vertex, data_edge)
-            added_vertex = False
-            if new_vertex is not None:
-                existing = mapping.get(new_vertex)
-                if existing is not None:
-                    if existing != new_value:
-                        continue
-                else:
-                    if not self._try_assign(new_vertex, new_value, mapping, candidate_filter, result):
-                        continue
-                    added_vertex = True
-            edge_mapping[query_edge.index] = data_edge
-            self._expand(query, mapping, edge_mapping, candidate_filter, seen, result)
-            del edge_mapping[query_edge.index]
-            if added_vertex and new_vertex is not None:
-                del mapping[new_vertex]
-
-    def _next_forced_edge(
-        self,
-        query: QueryGraph,
-        mapping: Dict[PatternTerm, Node],
-        edge_mapping: Dict[int, Triple],
-    ) -> Optional[Tuple[QueryEdge, PatternTerm]]:
-        """The next (query edge, internally-mapped anchor) that condition 5 forces us to match.
-
-        All forced edges must be matched eventually, so any pick is correct;
-        with a planner-supplied edge order the most selective forced edge is
-        matched first so doomed branches die with the least work.
-        """
-        best: Optional[Tuple[QueryEdge, PatternTerm]] = None
-        best_rank: Optional[int] = None
-        for vertex, value in mapping.items():
-            if not self._fragment.is_internal(value):
-                continue
-            for edge in query.edges_of(vertex):
-                if edge.index in edge_mapping:
+        def emit(matched: int, internal_mask: int) -> None:
+            assignment = [(vertices[slot], term_of(value)) for slot, value in enumerate(values) if value is not None]
+            edge_assignment, crossing_assignment = [], []
+            for rank, (subject_slot, object_slot, _, edge_index) in enumerate(edges):
+                if not matched >> rank & 1:
                     continue
-                if self._edge_priority is None:
-                    return edge, vertex
-                rank = self._edge_rank(edge.index)
-                if best_rank is None or rank < best_rank:
-                    best = (edge, vertex)
-                    best_rank = rank
-        return best
+                ids = edge_map[rank]
+                pair = edge_pairs[rank].get(ids)
+                if pair is None:
+                    triple = Triple(term_of(ids[0]), term_of(ids[1]), term_of(ids[2]))
+                    pair = edge_pairs[rank][ids] = (edge_index, triple)
+                edge_assignment.append(pair)
+                if not internal_mask >> subject_slot & internal_mask >> object_slot & 1:
+                    crossing_assignment.append(pair)
+            lpm = LocalPartialMatch(
+                fragments=fragments,
+                assignment=frozenset(assignment),
+                edge_assignment=frozenset(edge_assignment),
+                crossing_assignment=frozenset(crossing_assignment),
+                internal_mask=internal_mask,
+            )
+            if not (self._paranoid and check_local_partial_match(lpm, query, fragment)):
+                result.local_partial_matches.append(lpm)
 
-    def _extension_edges(
-        self,
-        query_edge: QueryEdge,
-        anchor_vertex: PatternTerm,
-        mapping: Dict[PatternTerm, Node],
-    ) -> Iterable[Triple]:
-        """Fragment data edges that can match ``query_edge`` from the anchor's value."""
-        anchor_value = mapping[anchor_vertex]
-        predicate = None if isinstance(query_edge.predicate, Variable) else query_edge.predicate
-        if query_edge.subject == anchor_vertex:
-            other_vertex = query_edge.object
-            other_value = mapping.get(other_vertex)
-            if other_value is None and isinstance(other_vertex, (IRI, Literal)):
-                other_value = other_vertex
-            candidates = self._graph.triples(anchor_value, predicate, other_value)
-        else:
-            other_vertex = query_edge.subject
-            other_value = mapping.get(other_vertex)
-            if other_value is None and isinstance(other_vertex, (IRI, Literal)):
-                other_value = other_vertex
-            candidates = self._graph.triples(other_value, predicate, anchor_value)
-        yield from candidates
+        def match(rank: int, ids: IdTriple, forced: int, matched: int, internal_mask: int) -> None:
+            """Map query edge ``rank`` to data edge ``ids`` and search on, if Definition 5 allows.
 
-    @staticmethod
-    def _new_assignment(
-        query_edge: QueryEdge,
-        anchor_vertex: PatternTerm,
-        data_edge: Triple,
-    ) -> Tuple[Optional[PatternTerm], Optional[Node]]:
-        """The (query vertex, data vertex) pair the extension would newly assign."""
-        if query_edge.subject == anchor_vertex:
-            return query_edge.object, data_edge.object
-        return query_edge.subject, data_edge.subject
+            A crossing edge (one endpoint extended) ranked below the seed kills
+            the branch — the canonical-seed rule — before the filter is asked.
+            """
+            subject_slot, object_slot, _, _ = edges[rank]
+            bound = []
+            for slot, value in ((subject_slot, ids[0]), (object_slot, ids[2])):
+                current = values[slot]
+                if current is None:
+                    if value in internal:
+                        forced |= incident[slot]
+                        internal_mask |= 1 << slot
+                    elif value not in extended or rank < seed_rank or (filtered[slot] and refused(slot, value)):
+                        break
+                    values[slot] = value
+                    bound.append(slot)
+                elif current != value:
+                    break
+            else:
+                if rank >= seed_rank or internal_mask >> subject_slot & internal_mask >> object_slot & 1:
+                    edge_map[rank] = ids
+                    expand(forced, matched | 1 << rank, internal_mask)
+            for slot in bound:
+                values[slot] = None
 
-    def _try_assign(
-        self,
-        vertex: PatternTerm,
-        value: Node,
-        mapping: Dict[PatternTerm, Node],
-        candidate_filter: Optional[GlobalCandidateFilter],
-        result: PartialEvaluationResult,
-    ) -> bool:
-        """Assign ``vertex -> value`` if the Definition 5 local conditions allow it."""
-        if isinstance(vertex, (IRI, Literal)):
-            if vertex != value:
-                return False
-        if value not in self._local_vertices:
-            return False
-        if (
-            candidate_filter is not None
-            and isinstance(vertex, Variable)
-            and self._fragment.is_extended(value)
-            and not candidate_filter.allows(vertex, value)
-        ):
-            result.branches_pruned_by_filter += 1
-            return False
-        mapping[vertex] = value
-        return True
+        def expand(forced: int, matched: int, internal_mask: int) -> None:
+            """Match the lowest-ranked edge condition 5 still forces, or emit.
 
-    # ------------------------------------------------------------------
-    # Emission
-    # ------------------------------------------------------------------
-    def _emit(
-        self,
-        query: QueryGraph,
-        mapping: Dict[PatternTerm, Node],
-        edge_mapping: Dict[int, Triple],
-        seen: Set[Tuple[frozenset, frozenset]],
-        result: PartialEvaluationResult,
-    ) -> None:
-        key = (frozenset(mapping.items()), frozenset(edge_mapping.items()))
-        if key in seen:
-            return
-        seen.add(key)
-        crossing_indexes = {
-            index for index, triple in edge_mapping.items() if triple in self._fragment.crossing_edges
-        }
-        if not crossing_indexes:
-            return
-        lpm = LocalPartialMatch.build(
-            fragment_id=self._fragment.fragment_id,
-            mapping=mapping,
-            edge_mapping=edge_mapping,
-            crossing_edge_indexes=crossing_indexes,
-            query=query,
-            fragment=self._fragment,
-        )
-        if self._paranoid and check_local_partial_match(lpm, query, self._fragment):
-            return
-        result.local_partial_matches.append(lpm)
+            At most one endpoint of that edge is still NULL (the internally mapped
+            other one forces it); a NULL constant endpoint is probed as the constant.
+            """
+            pending = forced & ~matched
+            if not pending:
+                emit(matched, internal_mask)
+                return
+            rank = (pending & -pending).bit_length() - 1
+            subject_slot, object_slot, code, _ = edges[rank]
+            subject, obj = values[subject_slot], values[object_slot]
+            if subject is None:
+                subject = constant[subject_slot]
+            elif obj is None:
+                obj = constant[object_slot]
+            for ids in triple_ids(subject, code, obj):
+                match(rank, ids, forced, matched, internal_mask)
+
+        for seed_rank, (subject_slot, object_slot, code, _) in enumerate(edges):
+            seeds = index.crossing if code == PREDICATE_ANY else crossing_by_predicate.get(code, ())
+            subject_constant, object_constant = constant[subject_slot], constant[object_slot]
+            for ids in seeds:
+                if subject_constant in (None, ids[0]) and object_constant in (None, ids[2]):
+                    result.seeds_explored += 1
+                    match(seed_rank, ids, 0, 0, 0)
+        return result
 
 
 def evaluate_fragment(

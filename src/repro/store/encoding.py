@@ -307,6 +307,30 @@ class EncodedGraph:
             return object_id in self._in_nbrs
         return False
 
+    def triple_ids(
+        self, subject_id: Optional[int], predicate_code: int, object_id: Optional[int]
+    ) -> List[Tuple[int, int, int]]:
+        """The stored ``(s, p, o)`` id triples matching a pattern, ascending.
+
+        ``None`` leaves one endpoint open; ``predicate_code`` may be a sentinel
+        as in :meth:`has_edge`.  The order never depends on set iteration.
+        """
+        s, p, o = subject_id, predicate_code, object_id
+        if p == PREDICATE_ABSENT:
+            return []
+        if s is None:
+            if p >= 0:
+                return [(s, p, o) for s in sorted(self.subjects_to(p, o))]
+            by_subject = self._osp.get(o, _EMPTY_DICT)
+            return [(s, p, o) for s in sorted(by_subject) for p in sorted(by_subject[s])]
+        by_predicate = self._spo.get(s, _EMPTY_DICT)
+        if o is None:
+            labels = (p,) if p >= 0 else sorted(by_predicate)
+            return [(s, p, o) for p in labels for o in sorted(by_predicate.get(p, _EMPTY_SET))]
+        if p >= 0:
+            return [(s, p, o)] if o in by_predicate.get(p, _EMPTY_SET) else []
+        return [(s, p, o) for p in sorted(self._osp.get(o, _EMPTY_DICT).get(s, _EMPTY_SET))]
+
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------

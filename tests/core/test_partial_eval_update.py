@@ -1,0 +1,81 @@
+"""Partial evaluation across ``Session.update``: the cached fragment index.
+
+The evaluator's per-fragment id index (``repro.store.fragment_index``) is
+cached on the site graph and keyed on its ``version``.  After an update the
+next query must see the *mutated* fragment: LPM sets are compared with a
+cluster built from scratch over the same mutated graph and with the
+object-level oracle, after a removal and again after the matching re-add.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from reference_partial_eval import PartialEvaluator as ReferenceEvaluator
+
+import repro
+from repro.core.partial_eval import PartialEvaluator
+from repro.distributed import build_cluster
+from repro.partition import build_partitioned_graph
+from repro.sparql import QueryGraph
+from repro.store import evaluate_centralized
+from repro.store.fragment_index import fragment_index
+
+QUERIES = ("LQ6", "LQ7")
+#: One triple of each is removed and re-added: predicates the two queries
+#: join over, so LPMs appear and disappear with them.
+PREDICATES = ("advisor", "takesCourse", "teacherOf", "memberOf", "worksFor", "subOrganizationOf")
+
+
+def lpm_sets(cluster, query_graph, evaluator_class):
+    found = {}
+    for site in cluster:
+        lpms = evaluator_class(site.fragment, graph=site.graph).evaluate(query_graph).local_partial_matches
+        assert len(lpms) == len(set(lpms))
+        found[site.site_id] = set(lpms)
+    return found
+
+
+def assert_matches_a_fresh_cluster(session):
+    partitioned = session.partitioned
+    fresh = build_cluster(
+        build_partitioned_graph(
+            session.graph.copy(), partitioned.assignment, num_fragments=partitioned.num_fragments
+        )
+    )
+    total = 0
+    for name in QUERIES:
+        query = session.queries[name]
+        query_graph = QueryGraph(query.bgp)
+        assert session.query(name).results.same_solutions(evaluate_centralized(session.graph, query))
+        live = lpm_sets(session.cluster, query_graph, PartialEvaluator)
+        assert live == lpm_sets(fresh, query_graph, PartialEvaluator)
+        assert live == lpm_sets(session.cluster, query_graph, ReferenceEvaluator)
+        total += sum(len(lpms) for lpms in live.values())
+    return total
+
+
+@pytest.mark.parametrize("executor", ["serial", "threads"])
+def test_remove_then_add_on_lubm3(executor):
+    with repro.open(dataset="lubm", scale=3, sites=4, executor=executor, workers=2) as session:
+        by_predicate = {}
+        for triple in sorted(session.graph, key=lambda triple: triple.n3()):
+            by_predicate.setdefault(triple.predicate.local_name, triple)
+        batch = [by_predicate[name] for name in PREDICATES]
+        before = assert_matches_a_fresh_cluster(session)
+        indexes = {site.site_id: fragment_index(site.fragment, site.graph) for site in session.cluster}
+
+        session.update(remove=batch)
+        removed = assert_matches_a_fresh_cluster(session)
+        rebuilt = [
+            site.site_id
+            for site in session.cluster
+            if fragment_index(site.fragment, site.graph) is not indexes[site.site_id]
+        ]
+        assert rebuilt, "no site saw the removal"
+        assert removed != before
+
+        session.update(add=batch)
+        assert assert_matches_a_fresh_cluster(session) == before

@@ -1,5 +1,6 @@
 """Unit tests for the dictionary-encoding layer (repro.store.encoding)."""
 
+from repro.datasets import random_graph
 from repro.rdf import IRI, Literal, Namespace, RDFGraph, Triple
 from repro.store import EncodedGraph, TermDictionary, encoded_view
 from repro.store.encoding import PREDICATE_ABSENT, PREDICATE_ANY, term_sort_key
@@ -96,6 +97,29 @@ class TestEncodedGraph:
         term_of = encoded.dictionary.term_of
         rebuilt = {Triple(term_of(s), term_of(p), term_of(o)) for s, p, o in encoded.iter_triple_ids()}
         assert rebuilt == set(graph)
+
+    def test_triple_ids_is_the_sorted_id_form_of_graph_triples(self):
+        graph = random_graph(7, num_vertices=8, num_edges=30, num_predicates=3)
+        graph.add(Triple(A, KNOWS, A))  # a loop
+        encoded = EncodedGraph(graph)
+        id_of, term_of = encoded.dictionary.id_of, encoded.dictionary.term_of
+        vertices = sorted(graph.vertices, key=term_sort_key)
+        predicates = sorted(graph.predicates, key=term_sort_key)
+        patterns = [(s, p, o) for s in [None, *vertices] for p in [None, *predicates] for o in [None, *vertices]]
+        for s, p, o in patterns:
+            if s is None and o is None:
+                continue
+            found = encoded.triple_ids(
+                None if s is None else id_of(s),
+                PREDICATE_ANY if p is None else id_of(p),
+                None if o is None else id_of(o),
+            )
+            assert found == sorted(found)
+            decoded = [Triple(*(term_of(term_id) for term_id in ids)) for ids in found]
+            assert len(decoded) == len(set(decoded))
+            assert set(decoded) == set(graph.triples(s, p, o))
+        assert encoded.triple_ids(id_of(A), PREDICATE_ABSENT, None) == []
+        assert encoded.triple_ids(-1, PREDICATE_ANY, None) == []
 
     def test_sorted_vertex_ids_are_sorted_and_complete(self):
         encoded = EncodedGraph(build_graph())

@@ -7,9 +7,12 @@ re-collecting per-fragment statistics.  This benchmark measures both paths
 to a fully queryable cluster (statistics forced, one query answered) on the
 LUBM workload at scale 2 and gates the ratio:
 
-* cold-open (``ClusterStore.open`` + ``load_cluster``) must be at least
-  ``COLD_OPEN_SPEEDUP_FLOOR``x faster than the full rebuild
-  (generate + partition + build + statistics);
+* cold-open (``ClusterStore.open`` + ``load_cluster``) must not be slower
+  than the full rebuild (generate + partition + build + statistics), i.e.
+  reach ``COLD_OPEN_SPEEDUP_FLOOR``x.  The gate used to be 3x: about 170 of
+  the rebuild's 240 ms were the then-quadratic ``PartitionedGraph.validate()``
+  check, which the store path skips; with the check linear the two paths do
+  comparable work and the measured ratio is 1.2-1.5x;
 * both paths must return bit-identical answers and per-stage shipment
   fingerprints (the determinism contract of docs/persistence.md).
 
@@ -37,9 +40,9 @@ SCALE = 2
 NUM_SITES = 6
 QUERY = "LQ2"
 
-#: The acceptance gate: opening a saved cluster must beat rebuilding it
-#: from scratch by at least this factor.
-COLD_OPEN_SPEEDUP_FLOOR = 3.0
+#: The acceptance gate: opening a saved cluster must not be slower than
+#: rebuilding it from scratch.
+COLD_OPEN_SPEEDUP_FLOOR = 1.0
 
 #: Wall-clock rounds per path; the best round counts (noise suppression).
 ROUNDS = 2
@@ -123,8 +126,8 @@ def test_persist_cold_open_speedup(benchmark):
     )
     assert row["identical"], "reopened cluster diverged from the rebuilt cluster"
     assert row["speedup"] >= COLD_OPEN_SPEEDUP_FLOOR, (
-        f"expected cold-open >= {COLD_OPEN_SPEEDUP_FLOOR}x faster than a full "
-        f"rebuild, measured {row['speedup']:.2f}x"
+        f"expected cold-open not slower than a full rebuild "
+        f"(>= {COLD_OPEN_SPEEDUP_FLOOR}x), measured {row['speedup']:.2f}x"
     )
     payload = {"benchmark": "bench_persist", "gate": COLD_OPEN_SPEEDUP_FLOOR, "row": row}
     RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -117,7 +117,10 @@ def union_site_vectors(
     per_site_vectors: Iterable[Mapping[Variable, CandidateBitVector]],
     width: int = DEFAULT_BIT_VECTOR_BITS,
 ) -> GlobalCandidateFilter:
-    """The coordinator's step of Algorithm 4: OR the vectors per variable."""
+    """The coordinator's step of Algorithm 4: OR the vectors per variable.
+
+    The merged vectors keep the width the sites built theirs with (``width``).
+    """
     merged: Dict[Variable, CandidateBitVector] = {}
     for site_vectors in per_site_vectors:
         for variable, vector in site_vectors.items():
@@ -125,8 +128,4 @@ def union_site_vectors(
                 merged[variable] = merged[variable].union(vector)
             else:
                 merged[variable] = CandidateBitVector(vector.width, vector.bits)
-    for variable, vector in merged.items():
-        if vector.width != width:
-            # Widths are homogeneous in practice; keep whatever the sites used.
-            pass
     return GlobalCandidateFilter(merged)

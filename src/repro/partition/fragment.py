@@ -213,13 +213,11 @@ class PartitionedGraph:
                 internal_ends = int(fragment.is_internal(edge.subject)) + int(fragment.is_internal(edge.object))
                 if internal_ends != 1:
                     raise PartitioningError(f"crossing edge {edge.n3()} must have exactly one internal endpoint")
+            crossing_endpoints = {end for edge in fragment.crossing_edges for end in (edge.subject, edge.object)}
             for vertex in fragment.extended_vertices:
                 if fragment.is_internal(vertex):
                     raise PartitioningError(f"extended vertex {vertex.n3()} is also internal")
-                adjacent = any(
-                    vertex in (edge.subject, edge.object) for edge in fragment.crossing_edges
-                )
-                if not adjacent:
+                if vertex not in crossing_endpoints:
                     raise PartitioningError(f"extended vertex {vertex.n3()} has no crossing edge")
             covered |= fragment.internal_edges
             covered |= fragment.crossing_edges

@@ -26,12 +26,12 @@ positions are set on the query side and the data side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..rdf.graph import RDFGraph
 from ..rdf.terms import IRI, Literal, Node, PatternTerm, Variable
 from ..sparql.query_graph import QueryGraph
-from .encoding import EncodedGraph, encoded_view
+from .encoding import PREDICATE_ANY, EncodedGraph, encoded_view
 
 #: Default signature width in bits.  Wide enough that collisions are rare on
 #: the bundled datasets, small enough to stay cheap to build and intersect.
@@ -75,93 +75,100 @@ class SignatureIndex:
         self._graph = graph
         self._rebuild(encoded_view(graph))
 
-    def _signature_masks(self, s: int, p: int, o: int) -> Tuple[int, int]:
-        """The ``(subject_bits, object_bits)`` one data edge contributes."""
+    def _edge_masks(self, memo: Dict, s: int, p: int, o: int) -> Tuple[int, int]:
+        """The ``(subject_bits, object_bits)`` one data edge contributes.
+
+        ``memo`` holds the per-predicate direction masks and the
+        ``(direction, predicate, neighbour)`` positions, each hashed once.
+        """
         dictionary = self._encoded.dictionary
-        value = dictionary.term_of(p).value  # data predicates are IRIs
         width = self._width
-        subject_bits = (1 << _hash_position(f"out|{value}", width)) | (
-            1 << _hash_position(f"out|{value}|{dictionary.n3_of(o)}", width)
-        )
-        object_bits = (1 << _hash_position(f"in|{value}", width)) | (
-            1 << _hash_position(f"in|{value}|{dictionary.n3_of(s)}", width)
-        )
-        return subject_bits, object_bits
+        cached = memo.get(p)
+        if cached is None:
+            value = dictionary.term_of(p).value  # data predicates are IRIs
+            cached = memo[p] = (
+                1 << _hash_position(f"out|{value}", width),
+                1 << _hash_position(f"in|{value}", width),
+                value,
+            )
+        out_mask, in_mask, value = cached
+        out_pair = memo.get((True, p, o))
+        if out_pair is None:
+            out_pair = memo[(True, p, o)] = 1 << _hash_position(
+                f"out|{value}|{dictionary.n3_of(o)}", width
+            )
+        in_pair = memo.get((False, p, s))
+        if in_pair is None:
+            in_pair = memo[(False, p, s)] = 1 << _hash_position(
+                f"in|{value}|{dictionary.n3_of(s)}", width
+            )
+        return out_mask | out_pair, in_mask | in_pair
 
     def _rebuild(self, encoded: EncodedGraph) -> None:
         """One pass over the encoded triples; bits are stored per term id."""
-        width = self._width
-        dictionary = encoded.dictionary
-        bits_by_id: List[int] = [0] * len(dictionary)
-        # Per-predicate direction masks and per-(direction, predicate,
-        # neighbour) positions, each hashed exactly once.
-        predicate_masks: Dict[int, Tuple[int, int, str]] = {}
-        pair_positions: Dict[Tuple[bool, int, int], int] = {}
-        for s, p, o in encoded.iter_triple_ids():
-            cached = predicate_masks.get(p)
-            if cached is None:
-                value = dictionary.term_of(p).value  # data predicates are IRIs
-                cached = (
-                    1 << _hash_position(f"out|{value}", width),
-                    1 << _hash_position(f"in|{value}", width),
-                    value,
-                )
-                predicate_masks[p] = cached
-            out_mask, in_mask, value = cached
-            out_pair = pair_positions.get((True, p, o))
-            if out_pair is None:
-                out_pair = 1 << _hash_position(
-                    f"out|{value}|{dictionary.n3_of(o)}", width
-                )
-                pair_positions[(True, p, o)] = out_pair
-            in_pair = pair_positions.get((False, p, s))
-            if in_pair is None:
-                in_pair = 1 << _hash_position(
-                    f"in|{value}|{dictionary.n3_of(s)}", width
-                )
-                pair_positions[(False, p, s)] = in_pair
-            bits_by_id[s] |= out_mask | out_pair
-            bits_by_id[o] |= in_mask | in_pair
-        self._bits_by_id = bits_by_id
         self._encoded = encoded
+        bits_by_id: List[int] = [0] * len(encoded.dictionary)
+        memo: Dict = {}  # the whole graph's positions: dropped after the pass
+        for s, p, o in encoded.iter_triple_ids():
+            subject_bits, object_bits = self._edge_masks(memo, s, p, o)
+            bits_by_id[s] |= subject_bits
+            bits_by_id[o] |= object_bits
+        self._bits_by_id = bits_by_id
+        # What repairs hash, kept for as long as the ids mean the same terms.
+        self._memo: Dict = {}
         self._applied_version = self._graph.version
         self._matrix = None
+        self._dirty: Set[int] = set()  # rows of ``_matrix`` behind ``_bits_by_id``
 
     def _current(self) -> EncodedGraph:
         """The graph's current encoded view, resyncing the bits if stale.
 
         The graph may have been mutated since this index was built.  When
-        the mutation window is available from the graph's journal and
-        contains only additions, the bits are patched in place (OR-ing new
-        edge masks is exact — signature bits are a union over incident
-        edges).  Any removal, or a journal gap, forces a full rebuild:
-        removals cannot *clear* bits (another edge may have hashed to the
-        same position), and serving superset bits would make this replica's
-        candidate sets diverge from a freshly built one.
+        the mutation window is available from the graph's journal the bits
+        are repaired in place, exactly: signature bits are a union over
+        incident edges, so an added edge ORs its masks in, and the endpoints
+        of a removed edge (a removal cannot *clear* a bit — another edge may
+        have hashed to the same position) get their union recomputed from
+        the edges they still have in the patched encoded view.  Either way
+        the cost follows the window, not the graph, and the bits equal a
+        freshly built index's.  Only a new encoded view (other ids) or a
+        journal gap forces a full rebuild.
         """
         encoded = encoded_view(self._graph)
-        if encoded is not self._encoded:
+        if encoded is self._encoded and self._applied_version == self._graph.version:
+            return encoded
+        ops = self._graph.journal_since(self._applied_version) if encoded is self._encoded else None
+        if ops is None:
             self._rebuild(encoded)
             return encoded
-        if self._applied_version != self._graph.version:
-            ops = self._graph.journal_since(self._applied_version)
-            if ops is None or any(op == "-" for op, _ in ops):
-                self._rebuild(encoded)
-                return encoded
-            bits_by_id = self._bits_by_id
-            dictionary = encoded.dictionary
-            if len(bits_by_id) < len(dictionary):
-                bits_by_id.extend([0] * (len(dictionary) - len(bits_by_id)))
-            id_of = dictionary.id_of
-            for _, triple in ops:
-                s = id_of(triple.subject)
-                p = id_of(triple.predicate)
-                o = id_of(triple.object)
-                subject_bits, object_bits = self._signature_masks(s, p, o)
+        bits_by_id = self._bits_by_id
+        dictionary = encoded.dictionary
+        if len(bits_by_id) < len(dictionary):
+            bits_by_id.extend([0] * (len(dictionary) - len(bits_by_id)))
+        id_of = dictionary.id_of
+        memo = self._memo
+        touched: Set[int] = set()
+        orphaned: Set[int] = set()  # endpoints of removed edges
+        for op, triple in ops:
+            s = id_of(triple.subject)
+            o = id_of(triple.object)
+            touched.update((s, o))
+            if op == "+":
+                subject_bits, object_bits = self._edge_masks(memo, s, id_of(triple.predicate), o)
                 bits_by_id[s] |= subject_bits
                 bits_by_id[o] |= object_bits
-            self._applied_version = self._graph.version
-            self._matrix = None
+            else:
+                orphaned.update((s, o))
+        for vertex in orphaned:
+            bits = 0
+            for edge in encoded.triple_ids(vertex, PREDICATE_ANY, None):
+                bits |= self._edge_masks(memo, *edge)[0]
+            for edge in encoded.triple_ids(None, PREDICATE_ANY, vertex):
+                bits |= self._edge_masks(memo, *edge)[1]
+            bits_by_id[vertex] = bits
+        self._applied_version = self._graph.version
+        if self._matrix is not None:
+            self._dirty |= touched
         return encoded
 
     @property
@@ -194,8 +201,8 @@ class SignatureIndex:
         The vectorized kernel's view of :meth:`bits_table`: row ``i`` holds
         term ``i``'s bitset split into little-endian 64-bit words, so
         signature containment over a whole candidate column is one broadcast
-        AND-compare instead of per-id Python big-int ops.  Built lazily,
-        memoized until the bits change (rebuild or journal patch).  Raises
+        AND-compare instead of per-id Python big-int ops.  Built lazily and
+        memoized; a journal repair rewrites only the rows it touched.  Raises
         ``ValueError`` when numpy is unavailable or ``encoded`` is stale —
         same contract as :meth:`bits_table`.
         """
@@ -204,7 +211,7 @@ class SignatureIndex:
                 "signature index belongs to a different graph than the encoded view"
             )
         matrix = self._matrix
-        if matrix is None:
+        if matrix is None or self._dirty:
             from .kernel import numpy_or_none
 
             np = numpy_or_none()
@@ -212,14 +219,22 @@ class SignatureIndex:
                 raise ValueError("bits_matrix needs numpy; use bits_table instead")
             mask = 0xFFFFFFFFFFFFFFFF
             words = (self._width + 63) // 64
-            matrix = np.array(
-                [
-                    [(bits >> (64 * word)) & mask for word in range(words)]
-                    for bits in self._bits_by_id
-                ],
+            table = self._bits_by_id
+            # Every row on the first build, afterwards only the repaired ones.
+            rows = list(range(len(table)) if matrix is None else self._dirty)
+            fresh = np.array(
+                [[(table[row] >> (64 * word)) & mask for word in range(words)] for row in rows],
                 dtype=np.uint64,
-            ).reshape(len(self._bits_by_id), words)
+            ).reshape(len(rows), words)
+            if matrix is None:
+                matrix = fresh
+            else:
+                if len(matrix) < len(table):  # ids appended since: zero rows, like the table's
+                    grown = np.zeros((len(table) - len(matrix), words), dtype=np.uint64)
+                    matrix = np.concatenate([matrix, grown])
+                matrix[rows] = fresh
             self._matrix = matrix
+            self._dirty.clear()
         return matrix
 
     def query_signature(

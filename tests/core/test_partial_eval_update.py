@@ -1,10 +1,11 @@
 """Partial evaluation across ``Session.update``: the cached fragment index.
 
 The evaluator's per-fragment id index (``repro.store.fragment_index``) is
-cached on the site graph and keyed on its ``version``.  After an update the
-next query must see the *mutated* fragment: LPM sets are compared with a
-cluster built from scratch over the same mutated graph and with the
-object-level oracle, after a removal and again after the matching re-add.
+cached on the site graph, keyed on its ``version`` and patched in place from
+the graph's journal.  After an update the next query must see the *mutated*
+fragment: LPM sets are compared with a cluster built from scratch over the
+same mutated graph and with the object-level oracle, and each site's patched
+index with a cold build, after a removal and again after the matching re-add.
 """
 
 import sys
@@ -21,7 +22,8 @@ from repro.distributed import build_cluster
 from repro.partition import build_partitioned_graph
 from repro.sparql import QueryGraph
 from repro.store import evaluate_centralized
-from repro.store.fragment_index import fragment_index
+from repro.store.encoding import encoded_view
+from repro.store.fragment_index import FragmentIndex, fragment_index
 
 QUERIES = ("LQ6", "LQ7")
 #: One triple of each is removed and re-added: predicates the two queries
@@ -36,6 +38,18 @@ def lpm_sets(cluster, query_graph, evaluator_class):
         assert len(lpms) == len(set(lpms))
         found[site.site_id] = set(lpms)
     return found
+
+
+def index_state(index):
+    return (index.internal, index.extended, index.crossing, index.crossing_by_predicate)
+
+
+def assert_indexes_patched_exactly(session, indexes):
+    """Every site still serves the index object it had, equal to a cold build."""
+    for site in session.cluster:
+        index = fragment_index(site.fragment, site.graph)
+        assert index is indexes[site.site_id], "an update rebuilt the index instead of patching it"
+        assert index_state(index) == index_state(FragmentIndex(site.fragment, encoded_view(site.graph)))
 
 
 def assert_matches_a_fresh_cluster(session):
@@ -66,16 +80,17 @@ def test_remove_then_add_on_lubm3(executor):
         batch = [by_predicate[name] for name in PREDICATES]
         before = assert_matches_a_fresh_cluster(session)
         indexes = {site.site_id: fragment_index(site.fragment, site.graph) for site in session.cluster}
+        crossing_before = {site_id: index.crossing for site_id, index in indexes.items()}
 
         session.update(remove=batch)
         removed = assert_matches_a_fresh_cluster(session)
-        rebuilt = [
-            site.site_id
-            for site in session.cluster
-            if fragment_index(site.fragment, site.graph) is not indexes[site.site_id]
-        ]
-        assert rebuilt, "no site saw the removal"
+        assert_indexes_patched_exactly(session, indexes)
+        assert any(
+            index.crossing != crossing_before[site_id] for site_id, index in indexes.items()
+        ), "no site saw the removal"
         assert removed != before
 
         session.update(add=batch)
         assert assert_matches_a_fresh_cluster(session) == before
+        assert_indexes_patched_exactly(session, indexes)
+        assert {site_id: index.crossing for site_id, index in indexes.items()} == crossing_before

@@ -114,3 +114,77 @@ class TestValidation:
         partitioned = build_partitioned_graph(graph, {v: 0 for v in graph.vertices}, num_fragments=1)
         assert partitioned.crossing_edges == set()
         assert partitioned.fragment(0).extended_vertices == set()
+
+
+def _corrupt(mutate) -> PartitionedGraph:
+    partitioned = two_fragment_partitioning()
+    mutate(partitioned.fragment(0), partitioned.fragment(1))
+    return partitioned
+
+
+#: One corruption per Definition 1 invariant ``validate()`` checks, with the
+#: exact message it must raise ({a, b} | {c, d}, crossing edge b -> c).
+CORRUPTIONS = {
+    "doubly-internal vertex": (
+        lambda f0, f1: f1.internal_vertices.add(A),
+        f"vertex {A!r} is internal to two fragments",
+    ),
+    "uncovered vertex": (
+        lambda f0, f1: f0.internal_vertices.discard(A),
+        "internal vertex sets do not cover the graph",
+    ),
+    "internal edge with a foreign endpoint": (
+        lambda f0, f1: f0.internal_edges.add(Triple(B, P, C)),
+        f"internal edge {Triple(B, P, C).n3()} has a non-internal endpoint",
+    ),
+    "crossing edge with no internal endpoint": (
+        lambda f0, f1: f0.crossing_edges.add(Triple(C, P, D)),
+        f"crossing edge {Triple(C, P, D).n3()} must have exactly one internal endpoint",
+    ),
+    "crossing edge with two internal endpoints": (
+        lambda f0, f1: f0.crossing_edges.add(Triple(A, P, B)),
+        f"crossing edge {Triple(A, P, B).n3()} must have exactly one internal endpoint",
+    ),
+    "extended vertex that is also internal": (
+        lambda f0, f1: f0.extended_vertices.add(A),
+        f"extended vertex {A.n3()} is also internal",
+    ),
+    "extended vertex without a crossing edge": (
+        lambda f0, f1: f0.extended_vertices.add(D),
+        f"extended vertex {D.n3()} has no crossing edge",
+    ),
+    "extended vertex whose crossing edge was dropped": (
+        lambda f0, f1: f1.crossing_edges.clear(),
+        f"extended vertex {B.n3()} has no crossing edge",
+    ),
+    "uncovered edge": (
+        lambda f0, f1: f0.internal_edges.discard(Triple(A, P, B)),
+        "fragments do not cover every edge of the graph",
+    ),
+}
+
+
+class TestValidateRejectsEachBrokenInvariant:
+    @pytest.mark.parametrize("name", CORRUPTIONS)
+    def test_corruption_raises_its_own_message(self, name):
+        mutate, message = CORRUPTIONS[name]
+        with pytest.raises(PartitioningError) as raised:
+            _corrupt(mutate).validate()
+        assert str(raised.value) == message
+
+    def test_extended_vertex_on_either_end_of_its_crossing_edge_is_adjacent(self):
+        # b -> c crosses out of fragment 0 and into fragment 1: the extended
+        # vertex is the object on one side and the subject on the other.
+        graph = RDFGraph([Triple(A, P, B), Triple(B, P, A), Triple(C, P, A), Triple(B, P, D)])
+        partitioned = build_partitioned_graph(graph, {A: 0, B: 0, C: 1, D: 1}, num_fragments=2)
+        assert partitioned.fragment(0).extended_vertices == {C, D}
+        assert partitioned.fragment(1).extended_vertices == {A, B}
+        partitioned.validate()
+
+    def test_validate_runs_by_default_and_can_be_skipped(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(PartitionedGraph, "validate", lambda self: calls.append(self))
+        build_partitioned_graph(chain_graph(), {A: 0, B: 0, C: 1, D: 1})
+        assert len(calls) == 1
+        build_partitioned_graph(chain_graph(), {A: 0, B: 0, C: 1, D: 1}, validate=False)
+        assert len(calls) == 1

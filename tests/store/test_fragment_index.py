@@ -51,17 +51,42 @@ def test_cached_per_graph_version_and_fragment():
     assert fragment_index(other_fragment, graph) is not index
 
 
-def test_rebuilt_after_a_mutation_with_the_stale_index_released_first(monkeypatch):
-    fragment, graph = setting()
-    first = fragment_index(fragment, graph)
+def mutate(fragment, graph):
+    """Add the crossing edge a -p-> c to graph and fragment, as ``Cluster.apply`` would."""
     added = Triple(A, P, C)
     graph.add(added)
     apply_delta_effect(fragment, DeltaEffect("add", 0, added, crossing=True, extended=C), graph=graph)
+
+
+def test_patched_in_place_after_a_mutation_with_the_stale_index_released_first(monkeypatch):
+    fragment, graph = setting()
+    first = fragment_index(fragment, graph)
+    mutate(fragment, graph)
+    cached_at_patch = []
+    real = module.FragmentIndex.patch
+
+    def spy(self, fragment, ops):
+        cached_at_patch.append(getattr(graph, module._CACHE_ATTRIBUTE, None))
+        return real(self, fragment, ops)
+
+    monkeypatch.setattr(module.FragmentIndex, "patch", spy)
+    second = fragment_index(fragment, graph)
+    assert second is first, "a journal window is patched into the cached index, not rebuilt"
+    assert cached_at_patch == [None], "the stale index was still published while it was being patched"
+    assert decoded(second)[P] == [(A, P, C), (B, P, C), (D, P, B)]
+    assert fragment_index(fragment, graph) is second
+
+
+def test_rebuilt_on_a_journal_gap_with_the_stale_index_released_first(monkeypatch):
+    fragment, graph = setting()
+    first = fragment_index(fragment, graph)
+    mutate(fragment, graph)
+    monkeypatch.setattr(graph, "journal_since", lambda version: None)
     cached_at_build = []
     real = module.FragmentIndex
 
     def spy(fragment, encoded):
-        cached_at_build.append(getattr(graph, module._CACHE_ATTRIBUTE))
+        cached_at_build.append(getattr(graph, module._CACHE_ATTRIBUTE, None))
         return real(fragment, encoded)
 
     monkeypatch.setattr(module, "FragmentIndex", spy)
@@ -72,18 +97,15 @@ def test_rebuilt_after_a_mutation_with_the_stale_index_released_first(monkeypatc
     assert fragment_index(fragment, graph) is second
 
 
-def test_concurrent_first_builds_are_benign():
-    # More threads than cores, all missing the cache together, with a short
-    # switch interval so builds interleave: each caller must get a complete
-    # index, all of them equal, and the cache must end up holding one of them.
-    fragment, graph = setting()
+def race(fragment, graph):
+    """Eight threads (more than cores), a short switch interval, one barrier: what each was served."""
     barrier = threading.Barrier(8)
     built = []
 
     def build():
         barrier.wait(timeout=10)
         index = fragment_index(fragment, graph)
-        built.append((index, index.internal, index.extended, index.crossing_by_predicate))
+        built.append((index, set(index.internal), set(index.extended), dict(index.crossing_by_predicate), index.crossing))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -97,9 +119,37 @@ def test_concurrent_first_builds_are_benign():
     finally:
         sys.setswitchinterval(interval)
     assert len(built) == 8
+    return built
+
+
+def assert_all_served_the_fresh_state(fragment, graph, built):
     expected = fragment_index(fragment, graph)
+    fresh = module.FragmentIndex(fragment, encoded_view(graph))
     assert any(index is expected for index, *_ in built)
-    for _, internal, extended, crossing in built:
-        assert (internal, extended, crossing) == (
-            expected.internal, expected.extended, expected.crossing_by_predicate,
+    for _, internal, extended, by_predicate, crossing in built:
+        assert (internal, extended, by_predicate, crossing) == (
+            fresh.internal, fresh.extended, fresh.crossing_by_predicate, fresh.crossing,
         )  # fmt: skip
+    assert (expected.internal, expected.crossing) == (fresh.internal, fresh.crossing)
+
+
+def test_concurrent_first_builds_are_benign():
+    # All miss the cache together and builds interleave: each caller must get a
+    # complete index, all of them equal, and the cache must end up holding one.
+    fragment, graph = setting()
+    assert_all_served_the_fresh_state(fragment, graph, race(fragment, graph))
+
+
+def test_concurrent_reads_after_a_mutation_patch_the_stale_index_once():
+    # All find the stale index together: exactly one may claim and patch it (a
+    # second patcher of the same object would lose one of two tuple updates);
+    # the others build their own, and every caller sees the mutated fragment.
+    for _ in range(20):
+        fragment, graph = setting()
+        stale = fragment_index(fragment, graph)
+        mutate(fragment, graph)
+        graph.discard(Triple(A, Q, D))
+        apply_delta_effect(fragment, DeltaEffect("remove", 0, Triple(A, Q, D), crossing=True, extended=D), graph=graph)
+        built = race(fragment, graph)
+        assert sum(index is stale for index, *_ in built) >= 1
+        assert_all_served_the_fresh_state(fragment, graph, built)

@@ -104,3 +104,44 @@ class TestSignatureIndex:
             BasicGraphPattern([TriplePattern(Variable("x"), Variable("p"), Variable("y"))])
         )
         assert index.query_signature(query, Variable("x")).bits == 0
+
+
+class TestJournalRepair:
+    """Updates are folded in from the graph's journal, exactly and in place."""
+
+    def test_a_removal_clears_exactly_the_bits_no_other_edge_sets(self):
+        graph = small_graph()
+        index = SignatureIndex(graph)
+        graph.discard(Triple(A, LIKES, C))
+        fresh = SignatureIndex(graph.copy())
+        for vertex in (A, B, C):
+            assert index.signature_of(vertex) == fresh.signature_of(vertex)
+        # B -likes-> C still sets C's "in|likes" bit; A's "out|likes" bit is gone.
+        assert index.signature_of(A).bits != SignatureIndex(small_graph()).signature_of(A).bits
+
+    def test_repairs_never_rebuild_and_memoize_only_what_they_touched(self, monkeypatch):
+        graph = small_graph()
+        index = SignatureIndex(graph)
+        assert index._memo == {}, "the cold build's positions must not outlive it"
+        rebuilds = []
+        real = SignatureIndex._rebuild
+        monkeypatch.setattr(
+            SignatureIndex, "_rebuild", lambda self, encoded: (rebuilds.append(1), real(self, encoded))
+        )
+        graph.add(Triple(C, KNOWS, A))
+        index.signature_of(A)
+        assert len(index._memo) == 3  # the predicate's masks + one position per direction
+        graph.discard(Triple(A, KNOWS, B))
+        index.signature_of(A)
+        # A and B are recomputed from the edges they still have (A -likes-> C, C -knows-> A,
+        # B -likes-> C): the second predicate's masks and three new positions, nothing else.
+        assert len(index._memo) == 7
+        assert rebuilds == []
+
+    def test_a_journal_gap_falls_back_to_a_rebuild(self, monkeypatch):
+        graph = small_graph()
+        index = SignatureIndex(graph)
+        graph.discard(Triple(A, LIKES, C))
+        monkeypatch.setattr(graph, "journal_since", lambda version: None)
+        fresh = SignatureIndex(graph.copy())
+        assert all(index.signature_of(vertex) == fresh.signature_of(vertex) for vertex in (A, B, C))

@@ -4,10 +4,9 @@ This package contains everything Sections IV-VI of the paper describe:
 
 * :mod:`partial_match` — local partial matches (Definition 5),
 * :mod:`partial_eval` — per-fragment enumeration of local partial matches,
-* :mod:`lec` — LEC features (Definition 8, Algorithm 1) and joinability
-  (Definition 9),
-* :mod:`joins` — the integer-compiled, hash-indexed join both coordinator
-  algorithms run on,
+* :mod:`lec` — LEC features (Definition 8, Algorithm 1),
+* :mod:`joins` — joinability (Definition 9) and the hash-indexed join both
+  coordinator algorithms run on,
 * :mod:`pruning` — LEC feature-based pruning (Algorithm 2),
 * :mod:`assembly` — LEC feature-based assembly (Algorithm 3) and the
   ungrouped baseline join,
@@ -34,13 +33,7 @@ from .engine import (
     STAGE_PLANNING,
     STAGE_PRUNING,
 )
-from .lec import (
-    LECFeature,
-    compute_lec_features,
-    features_joinable,
-    group_features_by_sign,
-    lec_feature_of,
-)
+from .lec import LECFeature, compute_lec_features, lec_feature_of
 from .partial_eval import PartialEvaluationResult, PartialEvaluator, evaluate_fragment
 from .partial_match import LocalPartialMatch, check_local_partial_match
 from .pruning import LECFeaturePruner, PruningOutcome, prune_features
@@ -72,8 +65,6 @@ __all__ = [
     "check_local_partial_match",
     "compute_lec_features",
     "evaluate_fragment",
-    "features_joinable",
-    "group_features_by_sign",
     "lec_feature_of",
     "prune_features",
     "union_site_vectors",

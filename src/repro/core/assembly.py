@@ -23,13 +23,12 @@ test-suite); they differ only in how much work they do to find them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
 from ..sparql.bindings import Binding
 from ..sparql.query_graph import QueryGraph
 from .joins import JoinCompiler, SignGroups
-from .partial_match import LocalPartialMatch
+from .partial_match import LocalPartialMatch, join_matches
 
 
 @dataclass
@@ -136,22 +135,22 @@ class LECAssembler(BaseAssembler):
         # compiled and indexed per call (see :mod:`repro.core.joins`).
         compiler = JoinCompiler(self._query)
         operands = [compiler.lpm(lpm) for lpm in lpms]
-        features = dict.fromkeys((o.sign, o.fragment_id, frozenset(o.pairs)) for o in operands)
+        # An LPM's crossing pairs come in edge-index order, so equal features
+        # have equal pair tuples.
+        features = dict.fromkeys((o.sign, o.fragment_id, o.pairs) for o in operands)
         graph = SignGroups(
             self._query,
-            [compiler.crossing_operand(sign, fragment, tuple(pairs)) for sign, fragment, pairs in features],
+            [compiler.crossing_operand(sign, fragment, pairs) for sign, fragment, pairs in features],
         ).join_graph()
         groups = SignGroups(self._query, operands)
-        seen_matches: Set[Tuple[int, ...]] = set()
+        seen_matches: Set[Tuple[str, ...]] = set()
 
-        def emit(members: Tuple[int, ...], vertex_slots: Tuple[int, ...]) -> None:
-            # A complete match maps every query vertex, so its vertex slots
+        def emit(members: Tuple[int, ...], vertex_slots: Tuple[str, ...]) -> None:
+            # A complete match maps every query vertex, so its vertex keys
             # identify its assignment; only new ones are decoded.
             if vertex_slots not in seen_matches:
                 seen_matches.add(vertex_slots)
-                outcome.matches.append(
-                    reduce(LocalPartialMatch.join, (lpms[number] for number in members))
-                )
+                outcome.matches.append(join_matches([lpms[number] for number in members]))
 
         groups.join(graph, emit)
         outcome.groups = len(groups.members)

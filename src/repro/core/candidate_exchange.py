@@ -33,7 +33,13 @@ DEFAULT_BIT_VECTOR_BITS = 4096
 def _candidate_hash(term: Node, width: int) -> int:
     # Memoized: the same vertices are hashed by every query's vector build
     # and by every extended-candidate filter probe during partial evaluation.
-    digest = hashlib.sha1(term.n3().encode("utf-8")).digest()
+    return _n3_hash(term.n3(), width)
+
+
+@lru_cache(maxsize=1 << 16)
+def _n3_hash(n3: str, width: int) -> int:
+    # Keyed on N3 text: a site probes with its dictionary's string, hash cached.
+    digest = hashlib.sha1(n3.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") % width
 
 
@@ -54,6 +60,10 @@ class CandidateBitVector:
     def might_contain(self, candidate: Node) -> bool:
         """Membership test: no false negatives, possible false positives."""
         return bool(self.bits >> _candidate_hash(candidate, self.width) & 1)
+
+    def might_contain_n3(self, n3: str) -> bool:
+        """:meth:`might_contain` for the term whose N3 text is ``n3``."""
+        return bool(self.bits >> _n3_hash(n3, self.width) & 1)
 
     def union(self, other: "CandidateBitVector") -> "CandidateBitVector":
         if self.width != other.width:

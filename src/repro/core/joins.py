@@ -1,4 +1,4 @@
-"""The coordinator's joins, compiled to integers and hash-indexed.
+"""The coordinator's joins, hash-indexed on numbered crossing pairs.
 
 Algorithm 2 (LEC feature pruning) and Algorithm 3 (LEC-based assembly) run
 the same search: group the operands — LEC features, or local partial matches
@@ -6,40 +6,35 @@ the same search: group the operands — LEC features, or local partial matches
 disjoint signs.  Definition 9 lets two operands join only through a crossing
 edge both map to the *same* query edge, so a combination's partners inside a
 group are exactly the members sharing one of its ``(query edge, crossing
-edge)`` pairs: :class:`JoinCompiler` interns those pairs and the data
-vertices into small ints, :class:`SignGroups` indexes each group ``pair id ->
-operands`` and probes instead of scanning.  The probe is exact (an operand
-without a shared pair fails condition 2 whatever else holds) and hits are
-visited in arrival order, so complete combinations come out in the sequence
-the nested-loop join produced — ``tests/core/reference_joins.py`` keeps that
-join as the oracle, ``docs/performance.md`` ("coordinator joins") has the
-argument in full.  Only ``join_attempts`` changed meaning: pairs the index
-yielded and the conflict test ran on, not the whole cross product.
+edge)`` pairs: :class:`JoinCompiler` numbers those pairs per query,
+:class:`SignGroups` indexes each group ``pair id -> operands`` and probes
+instead of scanning.  The probe is exact (an operand without a shared pair
+fails condition 2 whatever else holds) and hits are visited in arrival order,
+so complete combinations come out in the sequence the nested-loop join
+produced — ``tests/core/reference_joins.py`` keeps that join as the oracle,
+``docs/performance.md`` ("coordinator joins") has the argument in full.  Only
+``join_attempts`` changed meaning: pairs the index yielded and the conflict
+test ran on, not the whole cross product.
+
+Operands arrive as N3 keys (:mod:`repro.core.partial_match`), so compiling is
+one dict probe per crossing pair and conflict tests compare strings.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Sequence, Set, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ..rdf.terms import Node
-from ..rdf.triples import Triple
 from ..sparql.query_graph import QueryGraph
-
-if TYPE_CHECKING:  # pragma: no cover - lec.py imports this module
-    from .lec import LECFeature
-    from .partial_match import LocalPartialMatch
+from .lec import LECFeature
+from .partial_match import Item, LocalPartialMatch, PairKey
 
 #: Value of a slot whose query edge / query vertex is unmapped (the paper's NULL).
-NULL = -1
-
-#: ``(slot, id)``: query edge ``i`` owns slot ``i`` and holds a pair id, query
-#: vertex ``j`` owns slot ``|E_Q| + j`` and holds a vertex id.
-Item = Tuple[int, int]
+NULL = None
 
 #: Called with the operand numbers of each complete combination, in join
 #: order, and the combination's query-vertex slots.
-EmitFn = Callable[[Tuple[int, ...], Tuple[int, ...]], None]
+EmitFn = Callable[[Tuple[int, ...], Tuple[Optional[str], ...]], None]
 
 
 class Operand(NamedTuple):
@@ -54,78 +49,60 @@ class Operand(NamedTuple):
 
 
 class JoinCompiler:
-    """Interns one query's edge pairs and data vertices into small ints."""
+    """Numbers one query's crossing pairs: the keys the group index probes."""
 
     def __init__(self, query: QueryGraph) -> None:
-        self._vertex_index = query.vertex_index
-        self._vertex_base = base = query.num_edges
+        base = query.num_edges
         self._edge_ends = [
             (base + query.vertex_index(edge.subject), base + query.vertex_index(edge.object))
             for edge in query.edges
         ]
-        self._pair_ids: Dict[Tuple[int, Triple], int] = {}
-        self._vertex_ids: Dict[Node, int] = {}
+        self._pair_ids: Dict[PairKey, int] = {}
         #: Pair id -> the items it implies: its query edge's and both ends'.
         self._pair_items: List[Tuple[Item, Item, Item]] = []
 
-    def _pair_id(self, pair: Tuple[int, Triple]) -> int:
+    def _pair_id(self, pair: PairKey) -> int:
         pair_id = self._pair_ids.get(pair)
         if pair_id is None:
             pair_id = self._pair_ids[pair] = len(self._pair_items)
-            index, triple = pair
+            index, subject, predicate, obj = pair
             subject_slot, object_slot = self._edge_ends[index]
-            vertex_ids = self._vertex_ids
-            self._pair_items.append(
-                (
-                    (index, pair_id),
-                    (subject_slot, vertex_ids.setdefault(triple.subject, len(vertex_ids))),
-                    (object_slot, vertex_ids.setdefault(triple.object, len(vertex_ids))),
-                )
-            )
+            self._pair_items.append(((index, predicate), (subject_slot, subject), (object_slot, obj)))
         return pair_id
 
-    def feature(self, feature: "LECFeature") -> Operand:
+    def feature(self, feature: LECFeature) -> Operand:
         """Compile a LEC feature."""
         pair_id = self._pair_id
-        pairs = tuple([pair_id(pair) for pair in feature.crossing_map])
+        pairs = tuple([pair_id(pair) for pair in feature.crossing])
         return self.crossing_operand(feature.lec_sign, feature.fragment_id, pairs)
 
     def crossing_operand(self, sign: int, fragment_id: int, pairs: Tuple[int, ...]) -> Operand:
         """The operand of the LEC feature with these crossing pairs.
 
         ``g`` alone fixes what a feature maps, so the feature of a compiled
-        LPM is ``crossing_operand(lpm.sign, lpm.fragment_id, lpm.pairs)`` —
-        no term is hashed again.
+        LPM is ``crossing_operand(lpm.sign, lpm.fragment_id, lpm.pairs)``.
         """
         items: Set[Item] = set()
         for pair_id in pairs:
             items.update(self._pair_items[pair_id])
-        return _operand(sign, fragment_id, pairs, items)
+        if len(dict(items)) != len(items):
+            # One query edge or vertex mapped twice: the operand conflicts with
+            # itself, so nothing can join it (Definition 9).  Without join keys
+            # the index never yields it.
+            pairs = ()
+        return Operand(sign, fragment_id, pairs, tuple(items))
 
-    def lpm(self, lpm: "LocalPartialMatch") -> Operand:
-        """Compile a local partial match: every matched edge and vertex counts."""
-        pair_id, vertex_ids = self._pair_id, self._vertex_ids
-        vertex_index, base = self._vertex_index, self._vertex_base
-        items = {(pair[0], pair_id(pair)) for pair in lpm.edge_assignment}
-        for vertex, value in lpm.assignment:
-            items.add((base + vertex_index(vertex), vertex_ids.setdefault(value, len(vertex_ids))))
-        pairs = tuple([pair_id(pair) for pair in lpm.crossing_assignment])
-        return _operand(lpm.internal_mask, lpm.fragment_id, pairs, items)
-
-
-def _operand(sign: int, fragment_id: int, pairs: Tuple[int, ...], items: Set[Item]) -> Operand:
-    if len(dict(items)) != len(items):
-        # One query edge or vertex mapped twice: the operand conflicts with
-        # itself, so nothing can join it (Definition 9).  Without join keys
-        # the index never yields it.
-        pairs = ()
-    return Operand(sign, fragment_id, pairs, tuple(items))
+    def lpm(self, lpm: LocalPartialMatch) -> Operand:
+        """Compile a local partial match (one item per slot: never self-conflicting)."""
+        pair_id = self._pair_id
+        pairs = tuple([pair_id(pair) for pair in lpm.crossing])
+        return Operand(lpm.internal_mask, lpm.fragment_id, pairs, lpm.items)
 
 
 #: A partial combination: LECSign, crossing-pair ids, one slot per query edge
 #: and query vertex (:data:`NULL` where unmapped), and the operand numbers
 #: joined so far, in join order.
-Partial = Tuple[int, Tuple[int, ...], List[int], Tuple[int, ...]]
+Partial = Tuple[int, Tuple[int, ...], List[Optional[str]], Tuple[int, ...]]
 
 
 def seed(operand: Operand, number: int, query: QueryGraph) -> Partial:
@@ -136,14 +113,14 @@ def seed(operand: Operand, number: int, query: QueryGraph) -> Partial:
     return (operand.sign, operand.pairs, slots, (number,))
 
 
-def conflicts(slots: Sequence[int], operand: Operand) -> bool:
+def conflicts(slots: Sequence[Optional[str]], operand: Operand) -> bool:
     """Condition 3 of Definition 9 as slot compares.
 
     True when ``operand`` maps a query edge to another data edge, or a query
     vertex to another data vertex, than ``slots`` already hold.
     """
     for slot, held in operand.items:
-        if slots[slot] != held and slots[slot] != NULL:
+        if slots[slot] != held and slots[slot] is not NULL:
             return True
     return False
 

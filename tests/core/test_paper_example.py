@@ -113,7 +113,7 @@ class TestExample6And7LECFeatures:
         sign-homogeneous, and our implementation merges groups with equal
         LECSign maximally, giving 4 groups for the same 7 features.  What
         matters for Theorem 5 is that no group mixes different LECSigns."""
-        from repro.core import group_features_by_sign
+        from reference_joins import group_features_by_sign
 
         features = []
         for lpms in per_fragment_lpms.values():

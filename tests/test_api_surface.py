@@ -133,8 +133,6 @@ REPRO_CORE_EXPORTS = [
     "check_local_partial_match",
     "compute_lec_features",
     "evaluate_fragment",
-    "features_joinable",
-    "group_features_by_sign",
     "lec_feature_of",
     "prune_features",
     "union_site_vectors",

@@ -1,32 +1,27 @@
-"""Kernel A/B — object path vs encoded kernels, plus the kernel matrix.
+"""Kernel A/B — object path vs the encoded kernel, plus shard scaling.
 
 Not a paper figure: this benchmark validates the `repro.store` matching
-kernels the way `bench_planner.py` validates the planner.  Three sections,
-each a pytest test so the CI bench-smoke job runs all of them:
+kernel the way `bench_planner.py` validates the planner.  Two sections,
+each a pytest test so the CI bench-smoke job runs both:
 
 1. **Object-path A/B** (`test_kernel_ab_lubm`) — the seed's object-path
    matcher (candidate pools of ``Node`` objects, per-step ``n3()`` sorts,
    generator-scan edge checks), preserved verbatim in `kernel_reference.py`,
-   against the encoded default kernel.  Gate: encoded ``>= 2x`` on the
+   against the encoded kernel.  Gate: encoded ``>= 2x`` on the
    multi-join workload (``>= 1x`` in smoke mode).
-2. **Kernel matrix** (`test_kernel_matrix_lubm`) — ``sets`` vs ``python``
-   vs ``vectorized`` over the LUBM workload at a larger scale, where the
-   array kernels' batched frontier pays off.  Gate: ``vectorized >= 2x``
-   over ``sets`` on the multi-join workload and on the stars (``>= 1x`` in
-   smoke mode; skipped entirely when numpy is unavailable).
-3. **Shard scaling** (`test_kernel_shard_scaling`) — intra-site sharding of
+2. **Shard scaling** (`test_kernel_shard_scaling`) — intra-site sharding of
    the depth-0 frontier: per-shard critical-path time for K in {2, 4, 8},
    asserting the concatenated shard bindings and summed ``search_steps``
    reproduce the unsharded run exactly.
 
 Every section asserts **bit-identical behaviour** before timing anything:
 identical match *sequences* and identical ``search_steps`` for every query
-(the dictionary assigns ids in the old candidate sort order, so every
-kernel visits the exact same branches).
+(the dictionary assigns ids in the old candidate sort order, so the kernel
+visits the exact same branches as the object path).
 
 With ``REPRO_KERNEL_SMOKE=1`` everything runs at tiny scale with
 non-regression gates — that is the CI bench-smoke job.  Full (non-smoke)
-runs rewrite ``BENCH_kernel.json`` at the repository root once all three
+runs rewrite ``BENCH_kernel.json`` at the repository root once both
 sections have run; see `docs/benchmarks.md` and `docs/performance.md`.
 """
 
@@ -41,18 +36,15 @@ from repro.bench import format_table, print_experiment
 from repro.datasets import lubm
 from repro.obs import CATEGORY_STAGE, Trace
 from repro.sparql.query_graph import QueryGraph
-from repro.store import KERNEL_PYTHON, KERNEL_SETS, KERNEL_VECTORIZED, LocalMatcher
-from repro.store.kernel import numpy_or_none
+from repro.store import LocalMatcher
 
 #: Smoke mode: tiny scale, non-regression gates only (the CI bench-smoke job).
 SMOKE = os.environ.get("REPRO_KERNEL_SMOKE") == "1"
 SCALE = 1 if SMOKE else 2
-#: The kernel matrix and shard scaling run at a larger scale: the array
-#: kernels' advantage is batching, which tiny frontiers cannot show.
+#: Shard scaling runs at a larger scale: a tiny depth-0 frontier has
+#: nothing to split.
 KERNEL_SCALE = 2 if SMOKE else 24
 SPEEDUP_GATE = 1.0 if SMOKE else 2.0
-#: ``vectorized`` over ``sets`` on the kernel-matrix workloads.
-VECTOR_GATE = 1.0 if SMOKE else 2.0
 REPEATS = 3 if SMOKE else 7
 SHARD_COUNTS = (2, 4, 8)
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
@@ -135,67 +127,15 @@ def kernel_comparison_rows(scale=SCALE, trace=None):
     return rows
 
 
-def _workload_speedup(rows, baseline="object_ms", contender="encoded_ms"):
-    baseline_total = sum(row[baseline] for row in rows)
-    contender_total = sum(row[contender] for row in rows)
-    speedup = baseline_total / contender_total if contender_total else float("inf")
-    return baseline_total, contender_total, speedup
+def _workload_speedup(rows):
+    object_total = sum(row["object_ms"] for row in rows)
+    encoded_total = sum(row["encoded_ms"] for row in rows)
+    speedup = object_total / encoded_total if encoded_total else float("inf")
+    return object_total, encoded_total, speedup
 
 
 # ----------------------------------------------------------------------
-# Section 2: the kernel matrix (sets vs python vs vectorized)
-# ----------------------------------------------------------------------
-def kernel_matrix_rows(scale=KERNEL_SCALE):
-    """One row per LUBM query: all available kernels over the same graph.
-
-    Asserts the full determinism contract before timing: every kernel
-    produces the identical match sequence and identical ``search_steps``.
-    ``vectorized`` is skipped (with its column absent) when numpy is not
-    importable — the matrix then only witnesses sets/python parity.
-    """
-    graph = _lubm_graph(scale)
-    kernels = [KERNEL_SETS, KERNEL_PYTHON]
-    if numpy_or_none() is not None:
-        kernels.append(KERNEL_VECTORIZED)
-    matchers = {name: LocalMatcher(graph, kernel=name) for name in kernels}
-    rows = []
-    for name, query in lubm.queries().items():
-        query_graph = QueryGraph.from_query(query)
-        reference_matches = None
-        reference_steps = None
-        timings = {}
-        for kernel in kernels:
-            matcher = matchers[kernel]
-            matches = list(matcher.find_matches(query_graph))
-            if reference_matches is None:
-                reference_matches, reference_steps = matches, matcher.search_steps
-            else:
-                assert matches == reference_matches, (
-                    f"{name}: {kernel} and {kernels[0]} disagree on matches"
-                )
-                assert matcher.search_steps == reference_steps, (
-                    f"{name}: {kernel} and {kernels[0]} disagree on search_steps"
-                )
-            timings[kernel] = _best_ms(lambda m=matcher: list(m.find_matches(query_graph)))
-        row = {
-            "query": name,
-            "shape": query_graph.classify_shape(),
-            "results": len(reference_matches),
-            "search_steps": reference_steps,
-        }
-        for kernel in kernels:
-            row[f"{kernel}_ms"] = round(timings[kernel], 3)
-        if KERNEL_VECTORIZED in timings:
-            vectorized = timings[KERNEL_VECTORIZED]
-            row["speedup"] = (
-                round(timings[KERNEL_SETS] / vectorized, 2) if vectorized else float("inf")
-            )
-        rows.append(row)
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Section 3: intra-site shard scaling
+# Section 2: intra-site shard scaling
 # ----------------------------------------------------------------------
 def shard_scaling_rows(scale=KERNEL_SCALE, shard_counts=SHARD_COUNTS):
     """Critical-path time of the sharded search for each LUBM query.
@@ -288,49 +228,6 @@ def test_kernel_ab_lubm(benchmark):
     }
 
 
-def test_kernel_matrix_lubm():
-    rows = kernel_matrix_rows()
-    mode = "smoke" if SMOKE else "full"
-    print_experiment(
-        f"Kernel matrix — LUBM scale {KERNEL_SCALE} ({mode}): sets vs python vs vectorized",
-        format_table(rows),
-    )
-    multi_join = [row for row in rows if row["shape"] != "star"]
-    stars = [row for row in rows if row["shape"] == "star"]
-    assert multi_join and stars, "the LUBM workload must cover both shape families"
-
-    vectorized_available = numpy_or_none() is not None
-    summary = {}
-    for label, subset in (("multi_join", multi_join), ("star", stars)):
-        entry = {
-            "sets_ms": round(sum(row["sets_ms"] for row in subset), 3),
-            "python_ms": round(sum(row["python_ms"] for row in subset), 3),
-        }
-        if vectorized_available:
-            sets_total, vectorized_total, speedup = _workload_speedup(
-                subset, baseline="sets_ms", contender="vectorized_ms"
-            )
-            entry["vectorized_ms"] = round(vectorized_total, 3)
-            entry["vectorized_speedup"] = round(speedup, 2)
-            print(
-                f"{label}: sets {sets_total:.2f}ms -> vectorized {vectorized_total:.2f}ms "
-                f"({speedup:.1f}x)"
-            )
-            # The tentpole gate: vectorized >= 2x over the set-based kernel
-            # on the multi-join workload (and the stars) in full runs.
-            assert speedup >= VECTOR_GATE, (
-                f"vectorized speedup {speedup:.2f}x below the {VECTOR_GATE}x gate on {label}"
-            )
-        summary[label] = entry
-    _SECTIONS["kernels"] = {
-        "scale": KERNEL_SCALE,
-        "repeats": REPEATS,
-        "vectorized_available": vectorized_available,
-        "rows": rows,
-        **summary,
-    }
-
-
 def test_kernel_shard_scaling():
     rows = shard_scaling_rows()
     mode = "smoke" if SMOKE else "full"
@@ -349,12 +246,11 @@ def test_kernel_shard_scaling():
         "rows": rows,
     }
 
-    if not SMOKE and all(key in _SECTIONS for key in ("ab", "kernels", "sharding")):
+    if not SMOKE and all(key in _SECTIONS for key in ("ab", "sharding")):
         payload = {
             "benchmark": "bench_kernel",
             "dataset": "LUBM",
             "ab": _SECTIONS["ab"],
-            "kernels": _SECTIONS["kernels"],
             "sharding": _SECTIONS["sharding"],
         }
         RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

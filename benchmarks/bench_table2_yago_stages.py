@@ -14,10 +14,11 @@ def test_table2_yago_per_stage(benchmark, num_sites):
     queries = {row["query"]: row for row in rows}
     # YQ3 is the unselective query dominating the workload (its huge number
     # of local partial matches and crossing matches is the paper's headline
-    # observation for this table).
-    assert queries["YQ3"]["local_partial_matches"] == max(row["local_partial_matches"] for row in rows)
-    assert queries["YQ3"]["results"] == max(row["results"] for row in rows)
-    assert queries["YQ3"]["total_time_ms"] == max(row["total_time_ms"] for row in rows)
+    # observation for this table).  Asserted on the deterministic counters
+    # only: wall-clock columns are printed, but the first query of a run
+    # also pays warm-up, so "YQ3 takes longest" is not a stable check.
+    for column in ("local_partial_matches", "crossing_matches", "lec_pruning_shipment_kb", "results"):
+        assert queries["YQ3"][column] == max(row[column] for row in rows), column
     # YQ2 has an empty answer; YQ1 and YQ4 are selective with small answers.
     assert queries["YQ2"]["results"] == 0
     assert 0 < queries["YQ1"]["results"] < queries["YQ3"]["results"]

@@ -25,7 +25,6 @@ shuts the backend's worker pools down.
 
 from __future__ import annotations
 
-import os
 import threading
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -48,7 +47,6 @@ from ..obs import (
 from ..partition.fragment import PartitionedGraph
 from ..partition.partitioners import make_partitioner
 from ..planner.optimizer import QueryPlanner
-from ..store import KERNEL_ENV, resolve_kernel
 from ..store.encoding import encoded_patches, encoded_rebuilds
 from ..rdf.graph import RDFGraph
 from ..sparql.algebra import SelectQuery
@@ -195,26 +193,9 @@ class Session:
         result_cache: int = 0,
         faults: Optional[FaultPlan] = None,
         store: Optional[object] = None,
-        kernel: Optional[str] = None,
         **config_options,
     ) -> None:
         self.cluster = cluster
-        #: Matching-kernel selection (``"vectorized"`` / ``"python"`` /
-        #: ``"sets"``; see :mod:`repro.store.kernel`).  ``None`` — the default
-        #: — keeps the process default ($REPRO_KERNEL, else vectorized when
-        #: numpy is importable).  An explicit choice is validated here (so a
-        #: typo or a vectorized request without numpy fails at open time) and
-        #: exported through $REPRO_KERNEL *before* the executor backend is
-        #: created below, because process-pool workers inherit the
-        #: environment once, at pool creation.  The choice never changes
-        #: answers — only which filtering substrate computes them.
-        self.kernel: Optional[str] = resolve_kernel(kernel) if kernel is not None else None
-        self._prior_kernel_env: Optional[str] = None
-        self._kernel_env_set = False
-        if self.kernel is not None:
-            self._prior_kernel_env = os.environ.get(KERNEL_ENV)
-            self._kernel_env_set = True
-            os.environ[KERNEL_ENV] = self.kernel
         #: A :class:`~repro.persist.ClusterStore` this session *owns* (it was
         #: opened or created on the session's behalf by ``repro.open(path=…)``)
         #: and closes in :meth:`close`.  Independent of :attr:`store`, which
@@ -480,7 +461,6 @@ class Session:
             pool_size=getattr(self.backend, "max_workers", 1) or 1,
             encoded_rebuilds=encoded_rebuilds() - self._rebuilds_at_open,
             encoded_patches=encoded_patches() - self._patches_at_open,
-            kernel=self.kernel or resolve_kernel(None),
             shards_per_site=self.config.shards_per_site,
         )
         if result.degraded:
@@ -593,16 +573,6 @@ class Session:
             self._closed = True
             engines = list(self._engines.values())
             self._engines.clear()
-        # Undo the session's $REPRO_KERNEL export (last-wins between
-        # overlapping sessions, but a closed session never keeps polluting
-        # the process default).
-        if self._kernel_env_set:
-            self._kernel_env_set = False
-            if os.environ.get(KERNEL_ENV) == self.kernel:
-                if self._prior_kernel_env is None:
-                    os.environ.pop(KERNEL_ENV, None)
-                else:
-                    os.environ[KERNEL_ENV] = self._prior_kernel_env
         first_error: Optional[BaseException] = None
         try:
             for engine in engines:
@@ -708,7 +678,6 @@ def open_session(
     profile: Optional[bool] = None,
     result_cache: int = 0,
     faults: Optional[FaultPlan] = None,
-    kernel: Optional[str] = None,
     **config_options,
 ) -> Session:
     """Open a :class:`Session` over one of the bundled workloads.
@@ -723,11 +692,7 @@ def open_session(
     ``result_cache=N`` enables the opt-in session result cache (N entries,
     see :mod:`repro.api.cache`); ``faults=FaultPlan.parse(...)`` injects
     deterministic site failures into every gStoreD-family query (see
-    :mod:`repro.faults` and ``docs/faults.md``);
-    ``kernel="vectorized"|"python"|"sets"`` pins the matching kernel
-    (validated at open time and exported via ``$REPRO_KERNEL`` so worker
-    processes agree; answers are identical for every choice — see
-    ``docs/performance.md``); any extra keyword becomes an
+    :mod:`repro.faults` and ``docs/faults.md``); any extra keyword becomes an
     :class:`EngineConfig` option (``use_lec_pruning=False``,
     ``shards_per_site=4``, ...).  This
     function is re-exported as ``repro.open``.
@@ -751,7 +716,6 @@ def open_session(
         profile=profile,
         result_cache=result_cache,
         faults=faults,
-        kernel=kernel,
         **config_options,
     )
     if path is not None:

@@ -30,7 +30,6 @@ which keeps it easy to test.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 from contextlib import nullcontext
@@ -63,7 +62,6 @@ from .planner import QueryPlanner
 from .rdf import dump as dump_ntriples
 from .rdf import load as load_ntriples
 from .sparql import QueryGraph, parse_query, traversal_order
-from .store import KERNEL_CHOICES, KERNEL_ENV, resolve_kernel
 
 _LEVELS = {
     "gstored": OptimizationLevel.FULL,
@@ -159,14 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="deterministic fault plan, e.g. 'kill:1@partial_evaluation;"
         "flaky:0@candidate_exchange:2' or 'random:SEED' (gStoreD engine "
         "family only; see docs/faults.md for the grammar)",
-    )
-    query.add_argument(
-        "--kernel",
-        choices=KERNEL_CHOICES,
-        default=None,
-        help="matching kernel for local evaluation (default: $REPRO_KERNEL, "
-        "else vectorized when numpy is importable; answers are identical "
-        "for every choice — see docs/performance.md)",
     )
 
     explain = subparsers.add_parser("explain", help="show the cost-based query plan without executing")
@@ -387,11 +377,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"to the gStoreD engine family ({', '.join(_LEVELS)}); engine "
             f"{engine_name!r} has no per-site stages to fail"
         )
-    if args.kernel is not None:
-        # Validate (a vectorized request without numpy fails here, before any
-        # work) and export, so in-process matchers and process-pool workers
-        # alike resolve the requested kernel.
-        os.environ[KERNEL_ENV] = resolve_kernel(args.kernel)
     cluster = _load_cluster(args)
     query = parse_query(_read_query_text(args))
     faults = _resolve_fault_plan(args.inject_faults, cluster) if args.inject_faults else None
@@ -457,7 +442,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             backend=executor or "serial",
             pool_size=result.statistics.extra.get("max_workers") or workers or 1,
             encoded_rebuilds=_encoded_rebuilds(),
-            kernel=resolve_kernel(args.kernel),
         )
         print(registry.prometheus_text(), end="")
     return 0

@@ -90,17 +90,6 @@ class GlobalCandidateFilter:
 
     vectors: Dict[Variable, CandidateBitVector] = field(default_factory=dict)
 
-    def allows(self, variable: Variable, candidate: Node) -> bool:
-        """May ``candidate`` be bound to ``variable``?
-
-        Unknown variables are never restricted (the filter is only ever a
-        sound over-approximation).
-        """
-        vector = self.vectors.get(variable)
-        if vector is None:
-            return True
-        return vector.might_contain(candidate)
-
     def shipment_size(self) -> int:
         return sum(vector.shipment_size() for vector in self.vectors.values()) + 4
 

@@ -34,6 +34,7 @@ from ..exec.tasks import SiteTask, register_site_task
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import Binding
 from ..sparql.query_graph import QueryGraph
+from ..store.kernel import KERNEL_PYTHON
 from .candidate_exchange import CandidateBitVector, GlobalCandidateFilter, build_site_vectors
 from .lec import LECFeature, compute_lec_features
 from .partial_eval import PartialEvaluator
@@ -97,8 +98,8 @@ class LocalEvalOutput:
     matches: List[Binding]
     #: Matcher search steps the local evaluation cost (never shipped).
     search_steps: int = 0
-    #: Matching kernel the evaluation actually ran with (observability).
-    kernel: str = ""
+    #: Matching kernel the evaluation ran with (observability).
+    kernel: str = KERNEL_PYTHON
     #: Candidate-column intersections the kernel performed (observability).
     kernel_intersections: int = 0
     #: ``(shard_index, num_shards)`` when this output is one shard's slice.
@@ -118,8 +119,8 @@ class PartialEvalOutput:
     #: Matcher search steps of the fragment-local complete evaluation
     #: (the same deterministic work counter the kernel benchmarks report).
     search_steps: int = 0
-    #: Matching kernel the local evaluation actually ran with (observability).
-    kernel: str = ""
+    #: Matching kernel the local evaluation ran with (observability).
+    kernel: str = KERNEL_PYTHON
     #: Candidate-column intersections the kernel performed (observability).
     kernel_intersections: int = 0
 
@@ -150,7 +151,6 @@ def run_local_eval(site, payload: Mapping[str, object]) -> LocalEvalOutput:
     return LocalEvalOutput(
         matches=matches,
         search_steps=matcher.search_steps,
-        kernel=matcher.last_kernel,
         kernel_intersections=matcher.kernel_intersections,
         shard=shard,
     )
@@ -175,7 +175,6 @@ def run_partial_eval(site, payload: Mapping[str, object]) -> PartialEvalOutput:
     local_results = list(site.local_evaluate(query))
     matcher = site.store.matcher
     search_steps = matcher.search_steps
-    kernel = matcher.last_kernel
     kernel_intersections = matcher.kernel_intersections
     evaluator = PartialEvaluator(
         site.fragment,
@@ -189,7 +188,6 @@ def run_partial_eval(site, payload: Mapping[str, object]) -> PartialEvalOutput:
         local_partial_matches=outcome.local_partial_matches,
         branches_pruned_by_filter=outcome.branches_pruned_by_filter,
         search_steps=search_steps,
-        kernel=kernel,
         kernel_intersections=kernel_intersections,
     )
 

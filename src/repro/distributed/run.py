@@ -280,10 +280,9 @@ class Stage:
             run.timer.record(self.name, result.site_id, result.elapsed_s)
             if trace is not None and result.span is not None:
                 span = trace.add_task_span(result.span)
-                # Stage outputs that know which matching kernel produced them
-                # (local/partial evaluation) annotate their task span, so the
-                # trace shows the kernel variant and its intersection count
-                # per site task.
+                # Stage outputs of the matching kernel (local/partial
+                # evaluation) annotate their task span with its name and
+                # intersection count per site task.
                 kernel = getattr(result.value, "kernel", "")
                 if kernel:
                     span.set(

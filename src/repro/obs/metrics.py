@@ -275,7 +275,6 @@ def record_query(
     pool_size: int = 0,
     encoded_rebuilds: Optional[int] = None,
     encoded_patches: Optional[int] = None,
-    kernel: str = "",
     shards_per_site: int = 1,
 ) -> None:
     """Translate one finished query's statistics into metric updates.
@@ -321,13 +320,12 @@ def record_query(
         "Matcher search steps across all sites (paper's work metric).",
     ).inc(work.get("search_steps", 0))
     # Kernel families (always present, even at zero, so scrapes and the CI
-    # smoke jobs can assert on them unconditionally): which matching kernel
-    # served the query, how many candidate-column intersections it performed,
-    # and how many intra-site shards each site's evaluation fanned out to.
+    # smoke jobs can assert on them unconditionally): how many
+    # candidate-column intersections the matching kernel performed, and how
+    # many intra-site shards each site's evaluation fanned out to.
     registry.counter(
         "repro_kernel_intersections_total",
         "Candidate-column intersections performed by the matching kernel.",
-        kernel=kernel or "unknown",
     ).inc(work.get("kernel_intersections", 0))
     registry.gauge(
         "repro_kernel_shards_active",

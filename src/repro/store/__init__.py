@@ -2,16 +2,7 @@
 
 from .candidates import candidate_sizes, compute_candidates, edge_supported
 from .encoding import EncodedGraph, TermDictionary, encoded_view
-from .kernel import (
-    KERNEL_CHOICES,
-    KERNEL_ENV,
-    KERNEL_PYTHON,
-    KERNEL_SETS,
-    KERNEL_VECTORIZED,
-    default_kernel,
-    resolve_kernel,
-    shard_bounds,
-)
+from .kernel import KERNEL_PYTHON, resolve_kernel, shard_bounds
 from .matcher import LocalMatcher, evaluate_centralized, finalize_matches
 from .signatures import DEFAULT_SIGNATURE_BITS, SignatureIndex, VertexSignature
 from .triple_store import TripleStore
@@ -19,11 +10,7 @@ from .triple_store import TripleStore
 __all__ = [
     "DEFAULT_SIGNATURE_BITS",
     "EncodedGraph",
-    "KERNEL_CHOICES",
-    "KERNEL_ENV",
     "KERNEL_PYTHON",
-    "KERNEL_SETS",
-    "KERNEL_VECTORIZED",
     "LocalMatcher",
     "SignatureIndex",
     "TermDictionary",
@@ -31,7 +18,6 @@ __all__ = [
     "VertexSignature",
     "candidate_sizes",
     "compute_candidates",
-    "default_kernel",
     "edge_supported",
     "encoded_view",
     "evaluate_centralized",

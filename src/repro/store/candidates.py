@@ -12,24 +12,19 @@ The computation runs on the graph's dictionary-encoded view
 (:mod:`repro.store.encoding`): seeds, edge-support probes and signature
 containment all work on integer ids, and the resulting id sets are decoded
 to :class:`~repro.rdf.terms.Node` sets only at this module's public
-boundary.  :func:`compute_candidate_ids` is the kernel-side entry point the
-matcher uses directly, skipping the decode/re-encode round trip.
+boundary.  :func:`compute_candidate_ids` is the id-domain entry point,
+skipping the decode/re-encode round trip.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Optional, Set
 
 from ..rdf.graph import RDFGraph
-from ..rdf.terms import IRI, Literal, Node, PatternTerm, Variable
+from ..rdf.terms import Node, PatternTerm, Variable
 from ..sparql.query_graph import QueryEdge, QueryGraph
-from .encoding import (
-    PREDICATE_ABSENT,
-    PREDICATE_ANY,
-    EncodedGraph,
-    encoded_view,
-    predicate_code,
-)
+from .encoding import EncodedGraph, encoded_view, predicate_code
+from .kernel import ArrayRunner
 from .signatures import SignatureIndex
 
 __all__ = [
@@ -90,40 +85,17 @@ def compute_candidate_ids(
     query: QueryGraph,
     signature_index: SignatureIndex,
     relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
-    kernel: Optional[str] = None,
 ) -> Dict[PatternTerm, Set[int]]:
     """Candidate *ids* for every query vertex — the matcher's fast path.
 
     Same semantics as :func:`compute_candidates` (without ``restrict_to``),
-    but input and output stay in the integer domain of ``encoded``.
-
-    ``kernel`` picks the filtering substrate (``None`` means the process
-    default, :func:`repro.store.kernel.default_kernel`): the array kernels
-    filter the seed pool with numpy bit-matrix signature containment and
-    sorted-column membership instead of per-id Python bit ops.  The choice
-    never changes the returned sets — only how fast they are computed.
+    but input and output stay in the integer domain of ``encoded``.  The
+    pools come from the sorted-column kernel (:mod:`repro.store.kernel`):
+    signature containment per seed id, then edge support as sorted-column
+    membership.
     """
-    from .kernel import KERNEL_SETS, make_runner, resolve_kernel
-
-    if resolve_kernel(kernel) != KERNEL_SETS:
-        runner = make_runner(resolve_kernel(kernel), encoded, signature_index)
-        pools = runner.compute_pools(query, relaxed_edges)
-        return {vertex: set(map(int, pool)) for vertex, pool in pools.items()}
-    relaxed_edges = relaxed_edges or {}
-    candidates: Dict[PatternTerm, Set[int]] = {}
-    for query_vertex in query.vertices:
-        relaxed = relaxed_edges.get(query_vertex, set())
-        if isinstance(query_vertex, (IRI, Literal)):
-            vertex_id = encoded.dictionary.get(query_vertex)
-            if vertex_id is not None and encoded.is_vertex(vertex_id):
-                candidates[query_vertex] = {vertex_id}
-            else:
-                candidates[query_vertex] = set()
-        else:
-            candidates[query_vertex] = _variable_candidate_ids(
-                encoded, query, query_vertex, signature_index, relaxed
-            )
-    return candidates
+    pools = ArrayRunner(encoded, signature_index).compute_pools(query, relaxed_edges)
+    return {vertex: set(pool) for vertex, pool in pools.items()}
 
 
 def compute_candidates(
@@ -169,65 +141,6 @@ def compute_candidates(
             found &= restrict_to
         candidates[query_vertex] = found
     return candidates
-
-
-def _variable_candidate_ids(
-    encoded: EncodedGraph,
-    query: QueryGraph,
-    query_vertex: PatternTerm,
-    index: SignatureIndex,
-    relaxed: Set[int],
-) -> Set[int]:
-    required_edges = [edge for edge in query.edges_of(query_vertex) if edge.index not in relaxed]
-    if not required_edges:
-        # Every incident edge was relaxed: any vertex could match.
-        return set(encoded.vertex_ids)
-    # Seed with the most selective incident edge to avoid scanning all vertices.
-    seed: Optional[Set[int]] = None
-    for edge in required_edges:
-        matching = _edge_endpoint_ids(encoded, edge, query_vertex)
-        if seed is None or len(matching) < len(seed):
-            seed = matching
-        if not seed:
-            return set()
-    assert seed is not None
-    needed = index.query_signature(query, query_vertex, skip_edges=relaxed).bits
-    signature_bits = index.bits_table(encoded)
-    survivors: Set[int] = set()
-    for vertex_id in seed:
-        if (signature_bits[vertex_id] & needed) != needed:
-            continue
-        if all(
-            _edge_supported_id(encoded, vertex_id, edge, query_vertex)
-            for edge in required_edges
-        ):
-            survivors.add(vertex_id)
-    return survivors
-
-
-def _edge_endpoint_ids(
-    encoded: EncodedGraph, edge: QueryEdge, query_vertex: PatternTerm
-) -> Set[int]:
-    """Ids of data vertices that could sit at ``query_vertex``'s end of ``edge``.
-
-    Returns live index sets — callers only iterate them, never mutate.
-    """
-    code = predicate_code(encoded, edge.predicate)
-    if edge.subject == query_vertex:
-        other = edge.object
-        if isinstance(other, Variable):
-            return encoded.subjects_of_predicate(code)
-        other_id = encoded.dictionary.get(other)
-        if other_id is None:
-            return set()
-        return encoded.subjects_to(code, other_id)
-    other = edge.subject
-    if isinstance(other, Variable):
-        return encoded.objects_of_predicate(code)
-    other_id = encoded.dictionary.get(other)
-    if other_id is None:
-        return set()
-    return encoded.objects_from(other_id, code)
 
 
 def candidate_sizes(candidates: Dict[PatternTerm, Set[Node]]) -> Dict[str, int]:

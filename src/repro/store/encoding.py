@@ -206,11 +206,11 @@ class EncodedGraph:
             sorted(self._vertex_ids)
         )
         self._num_triples = len(graph)
-        # Sorted-column adjacency caches, one per kernel flavor, attached
-        # lazily by repro.store.kernel.adjacency_view.  Kept here (not in a
+        # The sorted-column adjacency cache, attached lazily by
+        # repro.store.kernel.adjacency_view.  Kept here (not in a
         # module-level WeakValue map) so the cache dies with the encoding
         # and per-predicate invalidation in apply_ops stays a local call.
-        self._kernel_adjacency: Dict[str, object] = {}
+        self._kernel_adjacency: Optional[object] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -357,8 +357,8 @@ class EncodedGraph:
         self._sorted_vertex_ids = None
         # Drop only the mutated predicates' sorted columns; every other
         # kernel column stays warm across the patch.
-        for adjacency in self._kernel_adjacency.values():
-            adjacency.invalidate(touched_predicates)
+        if self._kernel_adjacency is not None:
+            self._kernel_adjacency.invalidate(touched_predicates)
 
     def _add_ids(self, s: int, p: int, o: int) -> None:
         self._spo.setdefault(s, {}).setdefault(p, set()).add(o)

@@ -1,46 +1,31 @@
-"""Array-backed matching kernels: merge-join intersection over sorted columns.
+"""The matching kernel: merge-join intersection over sorted columns.
 
-PR 5 moved the matcher onto dense integer ids but kept its hot loops on
-Python *sets* of ints.  This module adds the next substrate down: flat
-sorted columns (contiguous value lists with per-row offset bounds, plus
-parallel numpy ``int64`` arrays when available) over which candidate
-narrowing becomes galloping merge-join intersection instead of per-element
-hash probes.  Three kernels implement one interface:
+The matcher searches on dense integer ids; this module supplies the
+substrate under that search: flat sorted columns (contiguous value lists
+with per-row offset bounds) over which candidate narrowing becomes
+galloping ``bisect`` merge-join intersection instead of per-element hash
+probes.  :class:`ArrayRunner` is the one kernel (named ``python`` in traces
+and result metadata); the hash-set path it replaced survives only as the
+parity oracle of the test-suite.  Both yield the identical match *sequence*
+and the identical ``search_steps`` counter (see ``docs/performance.md`` for
+why the decomposition is exact).
 
-* ``vectorized`` — numpy-accelerated: candidate pools filter via
-  ``searchsorted`` membership and bit-matrix signature containment, and
-  large frontiers intersect as vectorized merge-joins.  The default
-  whenever numpy imports.
-* ``python``     — the same sorted-column layout and batched frontier with
-  ``bisect`` galloping only; selected automatically when numpy is missing.
-  Keeps the fallback path honest: same interface, same answers, same
-  ``search_steps``.
-* ``sets``       — the PR 5 set-based path, kept verbatim as the reference
-  oracle the parity suites and ``bench_kernel.py`` compare against.
-
-Selection: ``$REPRO_KERNEL`` (one of :data:`KERNEL_CHOICES`) overrides;
-otherwise :func:`default_kernel` picks ``vectorized`` if numpy imports and
-``python`` otherwise.  The choice never changes results: every kernel
-yields the identical match *sequence* and the identical ``search_steps``
-counter (see ``docs/performance.md`` for why the decomposition is exact).
-
-The sorted columns live on the :class:`~repro.store.encoding.EncodedGraph`
-(one cache per flavor), are built lazily per predicate, memoized per graph
-version, and invalidated *per predicate* when ``apply_ops`` patches the
-encoding — an incremental mutation touches only the mutated predicates'
-columns, everything else stays warm.
+The sorted columns live on the :class:`~repro.store.encoding.EncodedGraph`,
+are built lazily per predicate, memoized per graph version, and invalidated
+*per predicate* when ``apply_ops`` patches the encoding — an incremental
+mutation touches only the mutated predicates' columns, everything else
+stays warm.
 
 Sharding: the backtracking search tree decomposes exactly by the first
 vertex's candidate list — nothing is assigned at depth 0, so no narrowing
 applies and the frontier is always the full sorted pool.  Slicing that
 pool into K contiguous ranges therefore partitions the match sequence and
-the step counts exactly; :meth:`MatchRunner.frontier` takes the slice and
+the step counts exactly; :meth:`ArrayRunner.frontier` takes the slice and
 :mod:`repro.core.site_tasks` fans the slices out as sub-site tasks.
 """
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -48,76 +33,13 @@ from ..rdf.terms import IRI, Literal, PatternTerm, Variable
 from ..sparql.query_graph import QueryEdge, QueryGraph
 from .encoding import PREDICATE_ANY, EncodedGraph, predicate_code
 
-#: numpy-accelerated pools, signatures, and large-frontier merge-joins.
-KERNEL_VECTORIZED = "vectorized"
-#: The same sorted-column kernel on plain Python lists (no numpy needed).
+#: The sorted-column kernel's name, as recorded in traces and result metadata.
 KERNEL_PYTHON = "python"
-#: The PR 5 set-based reference path (the parity oracle).
-KERNEL_SETS = "sets"
-#: Every selectable kernel, in preference order.
-KERNEL_CHOICES = (KERNEL_VECTORIZED, KERNEL_PYTHON, KERNEL_SETS)
-#: Environment variable overriding the kernel for the whole process (and,
-#: through environment inheritance, for process-pool workers).
-KERNEL_ENV = "REPRO_KERNEL"
-
-#: Below this driving-column size the vectorized kernel intersects a
-#: frontier by galloping ``bisect`` probes instead of a numpy merge — the
-#: crossover where array setup costs more than O(k log n) scalar probes.
-#: Purely a performance knob; results are identical on both sides.
-SMALL_FRONTIER = 64
-
-_NUMPY = None
-_NUMPY_CHECKED = False
 
 
-def numpy_or_none():
-    """The numpy module, or ``None`` when it cannot be imported.
-
-    Checked once per process; tests monkeypatch ``_NUMPY``/``_NUMPY_CHECKED``
-    to simulate a numpy-free environment without uninstalling anything.
-    """
-    global _NUMPY, _NUMPY_CHECKED
-    if not _NUMPY_CHECKED:
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - exercised by the numpy-free CI leg
-            numpy = None
-        _NUMPY = numpy
-        _NUMPY_CHECKED = True
-    return _NUMPY
-
-
-def default_kernel() -> str:
-    """The kernel this process runs without explicit selection.
-
-    ``$REPRO_KERNEL`` wins when set; otherwise ``vectorized`` if numpy
-    imports, ``python`` if it does not.
-    """
-    env = os.environ.get(KERNEL_ENV)
-    if env:
-        return resolve_kernel(env)
-    return KERNEL_VECTORIZED if numpy_or_none() is not None else KERNEL_PYTHON
-
-
-def resolve_kernel(name: Optional[str] = None) -> str:
-    """Validate ``name`` (``None`` means :func:`default_kernel`).
-
-    Raises ``ValueError`` for unknown names and for ``vectorized`` when
-    numpy is not importable, listing the valid choices — the same error
-    contract as every other bad argument in the package.
-    """
-    if name is None:
-        return default_kernel()
-    if name not in KERNEL_CHOICES:
-        raise ValueError(
-            f"unknown kernel {name!r}; choose from: {', '.join(KERNEL_CHOICES)}"
-        )
-    if name == KERNEL_VECTORIZED and numpy_or_none() is None:
-        raise ValueError(
-            "kernel 'vectorized' needs numpy, which is not installed; "
-            "choose from: python, sets"
-        )
-    return name
+def resolve_kernel(name: None = None) -> str:
+    """The matching kernel's name (there is one: :data:`KERNEL_PYTHON`)."""
+    return KERNEL_PYTHON
 
 
 def shard_bounds(count: int, shard_index: int, num_shards: int) -> Tuple[int, int]:
@@ -136,21 +58,19 @@ def shard_bounds(count: int, shard_index: int, num_shards: int) -> Tuple[int, in
 
 
 # ----------------------------------------------------------------------
-# Sorted adjacency columns (cached per EncodedGraph, per flavor)
+# Sorted adjacency columns (cached per EncodedGraph)
 # ----------------------------------------------------------------------
 class SortedColumn:
     """One predicate-direction's CSR adjacency: sorted keys, offset rows.
 
-    ``values`` is always a flat Python list (contiguous sorted rows), so the
-    scalar gallop path probes it with ``bisect_left(values, item, lo, hi)``
-    — no slicing, no element boxing.  ``array``/``keys_array`` are parallel
-    numpy ``int64`` views built only for the vectorized flavor, used when a
-    frontier is large enough for a vectorized merge to win.
+    ``values`` is a flat Python list (contiguous sorted rows), so the gallop
+    path probes it with ``bisect_left(values, item, lo, hi)`` — no slicing,
+    no element boxing.
     """
 
-    __slots__ = ("keys", "keys_array", "values", "array", "offsets", "_rows")
+    __slots__ = ("keys", "values", "offsets", "_rows")
 
-    def __init__(self, np_module, rows: List[Tuple[int, Sequence[int]]]) -> None:
+    def __init__(self, rows: List[Tuple[int, Sequence[int]]]) -> None:
         self.keys: List[int] = [key for key, _ in rows]
         flat: List[int] = []
         offsets = [0]
@@ -160,12 +80,6 @@ class SortedColumn:
         self.values = flat
         self.offsets = offsets
         self._rows = {key: position for position, (key, _) in enumerate(rows)}
-        if np_module is not None:
-            self.array = np_module.array(flat, dtype=np_module.int64)
-            self.keys_array = np_module.array(self.keys, dtype=np_module.int64)
-        else:
-            self.array = None
-            self.keys_array = None
 
     def bounds(self, key: int) -> Optional[Tuple[int, int]]:
         """``(lo, hi)`` bounds of ``key``'s row in ``values`` (None if absent)."""
@@ -174,22 +88,12 @@ class SortedColumn:
             return None
         return self.offsets[position], self.offsets[position + 1]
 
-    def row(self, key: int):
-        """The sorted neighbour ids of ``key`` (empty sequence when absent).
-
-        Array slice in the vectorized flavor, list slice otherwise — either
-        way a sorted sequence the pool paths can merge or probe.
-        """
+    def row(self, key: int) -> List[int]:
+        """The sorted neighbour ids of ``key`` (empty list when absent)."""
         span = self.bounds(key)
         if span is None:
-            return self.array[:0] if self.array is not None else []
-        if self.array is not None:
-            return self.array[span[0] : span[1]]
+            return []
         return self.values[span[0] : span[1]]
-
-    def all_keys(self):
-        """Every row key in sorted order (the predicate's endpoint pool)."""
-        return self.keys_array if self.keys_array is not None else self.keys
 
 
 class SortedAdjacency:
@@ -199,22 +103,17 @@ class SortedAdjacency:
     memoized until :meth:`invalidate` drops exactly the predicates an
     ``apply_ops`` patch touched — the incremental counterpart of
     :func:`~repro.store.encoding.patch_encoded_view`.  The memoized
-    :meth:`vertex_pool` / column key arrays are also the once-per-version
-    sorted candidate pools the matcher reuses across warm-session queries
-    (they replace the per-query ``sorted(pool)`` of the set path).
+    :meth:`vertex_pool` / column keys are also the once-per-version sorted
+    candidate pools the matcher reuses across warm-session queries.
     """
 
-    __slots__ = ("encoded", "flavor", "np", "_out", "_in", "_vertex_pool")
+    __slots__ = ("encoded", "_out", "_in", "_vertex_pool")
 
-    def __init__(self, encoded: EncodedGraph, flavor: str) -> None:
+    def __init__(self, encoded: EncodedGraph) -> None:
         self.encoded = encoded
-        self.flavor = flavor
-        self.np = numpy_or_none() if flavor == KERNEL_VECTORIZED else None
-        if flavor == KERNEL_VECTORIZED and self.np is None:
-            raise ValueError("vectorized adjacency needs numpy")
         self._out: Dict[int, SortedColumn] = {}
         self._in: Dict[int, SortedColumn] = {}
-        self._vertex_pool: Optional[Tuple[List[int], object]] = None
+        self._vertex_pool: Optional[List[int]] = None
 
     def invalidate(self, codes: Set[int]) -> None:
         """Drop the columns for the mutated predicates (and the ANY rollups)."""
@@ -225,10 +124,9 @@ class SortedAdjacency:
         self._in.pop(PREDICATE_ANY, None)
         self._vertex_pool = None
 
-    def _build(self, source: Dict[int, Set[int]], keys) -> SortedColumn:
-        return SortedColumn(
-            self.np, [(key, sorted(source[key])) for key in sorted(keys)]
-        )
+    @staticmethod
+    def _build(source: Dict[int, Set[int]], keys) -> SortedColumn:
+        return SortedColumn([(key, sorted(source[key])) for key in sorted(keys)])
 
     def out_column(self, code: int) -> SortedColumn:
         """The subject→objects column of ``code`` (empty for absent codes)."""
@@ -243,7 +141,7 @@ class SortedAdjacency:
                     {s: encoded._spo[s][code] for s in subjects}, subjects
                 )
             else:
-                column = SortedColumn(self.np, [])
+                column = SortedColumn([])
             self._out[code] = column
         return column
 
@@ -258,325 +156,123 @@ class SortedAdjacency:
                 by_object = encoded._pos.get(code, {})
                 column = self._build(by_object, by_object)
             else:
-                column = SortedColumn(self.np, [])
+                column = SortedColumn([])
             self._in[code] = column
         return column
 
     # -- kernel probes (sorted-sequence counterparts of EncodedGraph's) ----
-    def objects_from(self, subject_id: int, code: int):
+    def objects_from(self, subject_id: int, code: int) -> List[int]:
         """Sorted ids of objects reached from ``subject_id`` via ``code``."""
         return self.out_column(code).row(subject_id)
 
-    def subjects_to(self, code: int, object_id: int):
+    def subjects_to(self, code: int, object_id: int) -> List[int]:
         """Sorted ids of subjects reaching ``object_id`` via ``code``."""
         return self.in_column(code).row(object_id)
 
-    def subject_keys(self, code: int):
+    def subject_keys(self, code: int) -> List[int]:
         """Sorted ids of all subjects of ``code`` (memoized per version)."""
-        return self.out_column(code).all_keys()
+        return self.out_column(code).keys
 
-    def object_keys(self, code: int):
+    def object_keys(self, code: int) -> List[int]:
         """Sorted ids of all objects of ``code`` (memoized per version)."""
-        return self.in_column(code).all_keys()
+        return self.in_column(code).keys
 
-    def vertex_pool(self) -> Tuple[List[int], object]:
-        """Every vertex id in candidate-sort order, as ``(list, array)``.
+    def vertex_pool(self) -> List[int]:
+        """Every vertex id in candidate-sort order.
 
-        The array element is ``None`` outside the vectorized flavor.
         Memoized per graph version — the "all vertices" candidate pool is
         sorted once, not once per query.
         """
         pool = self._vertex_pool
         if pool is None:
-            ids = list(self.encoded.sorted_vertex_ids)
-            array = (
-                self.np.array(ids, dtype=self.np.int64) if self.np is not None else None
-            )
-            pool = (ids, array)
-            self._vertex_pool = pool
+            pool = self._vertex_pool = list(self.encoded.sorted_vertex_ids)
         return pool
 
 
-def adjacency_view(encoded: EncodedGraph, flavor: str) -> SortedAdjacency:
-    """The (cached) sorted-column adjacency of ``encoded`` for ``flavor``."""
-    cache = encoded._kernel_adjacency
-    adjacency = cache.get(flavor)
+def adjacency_view(encoded: EncodedGraph) -> SortedAdjacency:
+    """The (cached) sorted-column adjacency of ``encoded``."""
+    adjacency = encoded._kernel_adjacency
     if adjacency is None:
-        adjacency = SortedAdjacency(encoded, flavor)
-        cache[flavor] = adjacency
+        adjacency = encoded._kernel_adjacency = SortedAdjacency(encoded)
     return adjacency
 
 
 # ----------------------------------------------------------------------
-# Sorted-sequence primitives
+# Compiled query vertices
 # ----------------------------------------------------------------------
-def _as_list(values) -> List[int]:
-    """A plain Python list of ids from a list, tuple, or numpy array."""
-    if isinstance(values, list):
-        return values
-    tolist = getattr(values, "tolist", None)
-    if tolist is not None:
-        return tolist()
-    return list(values)
-
-
-def _member_mask(np, values, sorted_column):
-    """Vectorized membership of ``values`` in ``sorted_column`` (both sorted)."""
-    if not len(sorted_column):
-        return np.zeros(len(values), dtype=bool)
-    positions = np.searchsorted(sorted_column, values)
-    positions[positions == len(sorted_column)] = len(sorted_column) - 1
-    return sorted_column[positions] == values
-
-
-def signature_words(bits: int, width: int, np) -> "object":
-    """A signature bitset as a little-endian ``uint64`` word vector."""
-    words = [0] * ((width + 63) // 64)
-    position = 0
-    while bits:
-        words[position] = bits & 0xFFFFFFFFFFFFFFFF
-        bits >>= 64
-        position += 1
-    return np.array(words, dtype=np.uint64)
-
-
-# ----------------------------------------------------------------------
-# Compiled query vertices (one shape per runner family)
-# ----------------------------------------------------------------------
-class CompiledSetVertex:
-    """The PR 5 compiled vertex: id-set pool plus integer edge tuples."""
-
-    __slots__ = ("index", "pool", "sorted_pool", "narrow_edges", "check_edges")
-
-    def __init__(
-        self,
-        index: int,
-        pool: Set[int],
-        narrow_edges: List[Tuple[bool, int, int]],
-        check_edges: List[Tuple[bool, int, bool, int, int]],
-    ) -> None:
-        self.index = index
-        self.pool = pool
-        #: Ids sort exactly like the old ``(type, n3)`` candidate order, so
-        #: this sort happens once per query instead of once per search step.
-        self.sorted_pool = sorted(pool)
-        #: ``(vertex_is_subject, predicate_code, other_vertex_index)`` per
-        #: incident non-loop edge, in query-edge order.
-        self.narrow_edges = narrow_edges
-        #: ``(subject_is_self, subject_index, object_is_self, object_index,
-        #: predicate_code)`` per incident edge (loops included).
-        self.check_edges = check_edges
-
-
 class CompiledArrayVertex:
-    """A query vertex compiled for the array kernels.
+    """A query vertex compiled for the sorted-column kernel.
 
     The pool is already in id (= candidate) order — pools come out of
-    :meth:`ArrayRunner.compute_pools` sorted — held as a plain list for the
-    gallop path plus a parallel array for vectorized merges.  Narrowing
-    carries only the non-loop incident edges, pre-resolved to their
-    adjacency columns; the only residual per-candidate checks are
-    self-loops: a non-loop edge toward an *assigned* neighbour is enforced
-    by intersecting that neighbour's adjacency row into the frontier, and
-    an edge toward an unassigned neighbour is checked when that neighbour's
-    own frontier narrows through this vertex — exactly the cases the set
-    path's ``_consistent`` covers.
+    :meth:`ArrayRunner.compute_pools` sorted.  Narrowing carries only the
+    non-loop incident edges, pre-resolved to their adjacency columns; the
+    only residual per-candidate checks are self-loops: a non-loop edge
+    toward an *assigned* neighbour is enforced by intersecting that
+    neighbour's adjacency row into the frontier, and an edge toward an
+    unassigned neighbour is checked when that neighbour's own frontier
+    narrows through this vertex — exactly the cases the set path's
+    consistency check covers.
     """
 
-    __slots__ = ("index", "pool_list", "pool_array", "narrow_columns", "loop_codes")
+    __slots__ = ("index", "pool_list", "narrow_columns", "loop_codes")
 
     def __init__(
         self,
         index: int,
         pool_list: List[int],
-        pool_array,
-        narrow_columns: List[Tuple[Dict[int, int], List[int], List[int], object, int]],
+        narrow_columns: List[Tuple[Dict[int, int], List[int], List[int], int]],
         loop_codes: List[int],
     ) -> None:
         self.index = index
         self.pool_list = pool_list
-        self.pool_array = pool_array
-        #: ``(row index, offsets, values, array, other_vertex_index)`` per
-        #: incident non-loop edge — the internals of the adjacency column
-        #: whose row at the other endpoint's assignment narrows this
-        #: vertex's frontier, flattened so the per-depth hot loop runs on
-        #: plain dict/list lookups.  Columns never change within one
-        #: ``find_matches`` call (invalidation happens on graph mutation,
-        #: between calls), so caching their internals here is safe.
+        #: ``(row index, offsets, values, other_vertex_index)`` per incident
+        #: non-loop edge — the internals of the adjacency column whose row at
+        #: the other endpoint's assignment narrows this vertex's frontier,
+        #: flattened so the per-depth hot loop runs on plain dict/list
+        #: lookups.  Columns never change within one ``find_matches`` call
+        #: (invalidation happens on graph mutation, between calls), so
+        #: caching their internals here is safe.
         self.narrow_columns = narrow_columns
         self.loop_codes = loop_codes
 
 
 # ----------------------------------------------------------------------
-# Match runners: one per kernel, one interface
+# The match runner
 # ----------------------------------------------------------------------
-class MatchRunner:
+class ArrayRunner:
     """One ``find_matches`` call's kernel state (never shared across calls).
 
-    The matcher drives the same three steps whatever the kernel:
-    :meth:`compute_pools` (per-vertex candidate pools, sorted in id order),
-    :meth:`compile` (query vertices to integer tuples in visit order), and
-    :meth:`frontier` (the batched candidate list for one search depth).
-    ``intersections`` counts candidate-set merge operations — the work
-    metric behind ``repro_kernel_intersections_total``.
-    """
+    The matcher drives three steps: :meth:`compute_pools` (per-vertex
+    candidate pools, sorted in id order), :meth:`compile` (query vertices to
+    integer tuples in visit order), and :meth:`frontier` (the batched
+    candidate list for one search depth).
 
-    kernel = ""
-
-    def __init__(self, encoded: EncodedGraph, signature_index) -> None:
-        self.encoded = encoded
-        self.signatures = signature_index
-        #: Candidate-pool/frontier intersection operations performed so far.
-        self.intersections = 0
-
-    def compute_pools(
-        self,
-        query: QueryGraph,
-        relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
-    ) -> Dict[PatternTerm, Sequence[int]]:
-        raise NotImplementedError
-
-    def compile(self, query, order, pools) -> List[object]:
-        raise NotImplementedError
-
-    def frontier(
-        self,
-        vertex,
-        assignment: List[Optional[int]],
-        shard: Optional[Tuple[int, int]] = None,
-    ) -> Tuple[List[int], int]:
-        """``(surviving candidates, candidates tried)`` for one search depth.
-
-        ``tried`` is the number of ordered candidates *before* the residual
-        consistency filter — exactly what the set path charged
-        ``search_steps`` per depth, so totals agree bit-for-bit.  ``shard``
-        (depth 0 only) slices the ordered candidates before counting, which
-        is what makes per-shard step counts sum to the unsharded total.
-        """
-        raise NotImplementedError
-
-
-class SetRunner(MatchRunner):
-    """The PR 5 reference kernel: hash-set narrowing + per-edge probes."""
-
-    kernel = KERNEL_SETS
-
-    def compute_pools(self, query, relaxed_edges=None):
-        from .candidates import compute_candidate_ids
-
-        return compute_candidate_ids(
-            self.encoded, query, self.signatures, relaxed_edges, kernel=KERNEL_SETS
-        )
-
-    def compile(self, query, order, pools):
-        compiled: List[CompiledSetVertex] = []
-        encoded = self.encoded
-        for vertex in order:
-            vertex_index = query.vertex_index(vertex)
-            narrow_edges: List[Tuple[bool, int, int]] = []
-            check_edges: List[Tuple[bool, int, bool, int, int]] = []
-            for edge in query.edges_of(vertex):
-                code = predicate_code(encoded, edge.predicate)
-                subject_index = query.vertex_index(edge.subject)
-                object_index = query.vertex_index(edge.object)
-                check_edges.append(
-                    (
-                        edge.subject == vertex,
-                        subject_index,
-                        edge.object == vertex,
-                        object_index,
-                        code,
-                    )
-                )
-                other = edge.other_endpoint(vertex)
-                if other == vertex:
-                    continue  # self-loop: no already-assigned "other" side
-                if edge.subject == vertex:
-                    narrow_edges.append((True, code, object_index))
-                else:
-                    narrow_edges.append((False, code, subject_index))
-            compiled.append(
-                CompiledSetVertex(vertex_index, pools[vertex], narrow_edges, check_edges)
-            )
-        return compiled
-
-    def frontier(self, vertex, assignment, shard=None):
-        encoded = self.encoded
-        narrowed: Optional[Set[int]] = None
-        for is_subject, code, other_index in vertex.narrow_edges:
-            other_value = assignment[other_index]
-            if other_value is None:
-                continue
-            if is_subject:
-                reachable = encoded.subjects_to(code, other_value)
-            else:
-                reachable = encoded.objects_from(other_value, code)
-            if narrowed is None:
-                narrowed = reachable
-            else:
-                narrowed = narrowed & reachable
-                self.intersections += 1
-            if not narrowed:
-                return [], 0
-        if narrowed is None:
-            ordered: Sequence[int] = vertex.sorted_pool
-        else:
-            narrowed = narrowed & vertex.pool
-            self.intersections += 1
-            if not narrowed:
-                return [], 0
-            ordered = sorted(narrowed)
-        if shard is not None:
-            lo, hi = shard_bounds(len(ordered), *shard)
-            ordered = ordered[lo:hi]
-        tried = len(ordered)
-        survivors = [
-            candidate
-            for candidate in ordered
-            if self._consistent(vertex, candidate, assignment)
-        ]
-        return survivors, tried
-
-    def _consistent(self, vertex, candidate: int, assignment) -> bool:
-        """Check every query edge between ``vertex`` and determined vertices."""
-        has_edge = self.encoded.has_edge
-        for subject_is_self, subject_index, object_is_self, object_index, code in (
-            vertex.check_edges
-        ):
-            subject_value = candidate if subject_is_self else assignment[subject_index]
-            object_value = candidate if object_is_self else assignment[object_index]
-            if subject_value is None or object_value is None:
-                continue
-            if not has_edge(subject_value, code, object_value):
-                return False
-        return True
-
-
-class ArrayRunner(MatchRunner):
-    """Sorted-column kernel shared by the ``vectorized`` and ``python`` flavors.
-
-    Candidate pools and frontiers are sorted sequences; narrowing is a
+    Candidate pools and frontiers are sorted lists; narrowing is a
     merge-join over the adjacency rows of already-assigned neighbours (plus
     the pool itself), smallest row driving.  Because every non-loop incident
     edge toward an assigned vertex participates in the merge, the only
     residual per-candidate check is the self-loop probe — the set path's
     consistency verdicts are reproduced exactly, at merge-join cost.
-
-    The two flavors share all control flow; the vectorized one additionally
-    switches to numpy ``searchsorted`` merges above :data:`SMALL_FRONTIER`
-    and filters candidate pools with bit-matrix signature containment.
     """
 
-    def __init__(self, encoded, signature_index, flavor: str) -> None:
-        super().__init__(encoded, signature_index)
-        self.kernel = flavor
-        self.adjacency = adjacency_view(encoded, flavor)
-        self._np = self.adjacency.np
+    kernel = KERNEL_PYTHON
+
+    def __init__(self, encoded: EncodedGraph, signature_index) -> None:
+        self.encoded = encoded
+        self.signatures = signature_index
+        #: Candidate-pool/frontier intersection operations performed so far
+        #: — the work metric behind ``repro_kernel_intersections_total``.
+        self.intersections = 0
+        self.adjacency = adjacency_view(encoded)
 
     # -- candidate pools -------------------------------------------------
-    def compute_pools(self, query, relaxed_edges=None):
+    def compute_pools(
+        self,
+        query: QueryGraph,
+        relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
+    ) -> Dict[PatternTerm, List[int]]:
         relaxed_edges = relaxed_edges or {}
-        pools: Dict[PatternTerm, Sequence[int]] = {}
+        pools: Dict[PatternTerm, List[int]] = {}
         for query_vertex in query.vertices:
             if isinstance(query_vertex, (IRI, Literal)):
                 vertex_id = self.encoded.dictionary.get(query_vertex)
@@ -590,7 +286,7 @@ class ArrayRunner(MatchRunner):
                 )
         return pools
 
-    def _endpoint_column(self, edge: QueryEdge, query_vertex: PatternTerm):
+    def _endpoint_column(self, edge: QueryEdge, query_vertex: PatternTerm) -> List[int]:
         """Sorted ids that could sit at ``query_vertex``'s end of ``edge``.
 
         The sorted-column counterpart of the set path's per-edge endpoint
@@ -616,18 +312,17 @@ class ArrayRunner(MatchRunner):
             return []
         return adjacency.objects_from(other_id, code)
 
-    def _variable_pool(self, query, query_vertex, relaxed: Set[int]):
+    def _variable_pool(self, query, query_vertex, relaxed: Set[int]) -> List[int]:
         required = [
             edge for edge in query.edges_of(query_vertex) if edge.index not in relaxed
         ]
         if not required:
             # Every incident edge was relaxed: any vertex could match.
-            ids, array = self.adjacency.vertex_pool()
-            return array if array is not None else ids
+            return self.adjacency.vertex_pool()
         columns = []
         for edge in required:
             column = self._endpoint_column(edge, query_vertex)
-            if not len(column):
+            if not column:
                 return []
             columns.append(column)
         seed_position = min(range(len(columns)), key=lambda i: len(columns[i]))
@@ -640,26 +335,6 @@ class ArrayRunner(MatchRunner):
             for position, column in enumerate(columns)
             if position != seed_position
         ]
-        if self._np is not None:
-            return self._filter_pool_numpy(seed, needed, others)
-        return self._filter_pool_python(seed, needed, others)
-
-    def _filter_pool_numpy(self, seed, needed: int, others):
-        np = self._np
-        mask = None
-        if needed:
-            matrix = self.signatures.bits_matrix(self.encoded)
-            words = signature_words(needed, self.signatures.width, np)
-            mask = ((matrix[seed] & words) == words).all(axis=1)
-        for column in others:
-            self.intersections += 1
-            member = _member_mask(np, seed, column)
-            mask = member if mask is None else (mask & member)
-        if mask is None:
-            return seed
-        return seed[mask]
-
-    def _filter_pool_python(self, seed, needed: int, others):
         bits_by_id = self.signatures.bits_table(self.encoded)
         survivors = []
         self.intersections += len(others)
@@ -677,11 +352,10 @@ class ArrayRunner(MatchRunner):
         return survivors
 
     # -- compilation -----------------------------------------------------
-    def compile(self, query, order, pools):
+    def compile(self, query, order, pools) -> List[CompiledArrayVertex]:
         compiled: List[CompiledArrayVertex] = []
         encoded = self.encoded
         adjacency = self.adjacency
-        np = self._np
         for vertex in order:
             vertex_index = query.vertex_index(vertex)
             narrow_columns = []
@@ -701,34 +375,30 @@ class ArrayRunner(MatchRunner):
                     column = adjacency.out_column(code)
                     other_index = query.vertex_index(edge.subject)
                 narrow_columns.append(
-                    (
-                        column._rows,
-                        column.offsets,
-                        column.values,
-                        column.array,
-                        other_index,
-                    )
+                    (column._rows, column.offsets, column.values, other_index)
                 )
-            pool = pools[vertex]
-            if isinstance(pool, list):
-                pool_list = pool
-                pool_array = (
-                    np.array(pool, dtype=np.int64) if np is not None else None
-                )
-            else:
-                pool_array = pool
-                pool_list = pool.tolist()
             compiled.append(
-                CompiledArrayVertex(
-                    vertex_index, pool_list, pool_array, narrow_columns, loop_codes
-                )
+                CompiledArrayVertex(vertex_index, pools[vertex], narrow_columns, loop_codes)
             )
         return compiled
 
     # -- the batched frontier --------------------------------------------
-    def frontier(self, vertex, assignment, shard=None):
+    def frontier(
+        self,
+        vertex: CompiledArrayVertex,
+        assignment: List[Optional[int]],
+        shard: Optional[Tuple[int, int]] = None,
+    ) -> Tuple[List[int], int]:
+        """``(surviving candidates, candidates tried)`` for one search depth.
+
+        ``tried`` is the number of ordered candidates *before* the residual
+        consistency filter — exactly what the set path charged
+        ``search_steps`` per depth, so totals agree bit-for-bit.  ``shard``
+        (depth 0 only) slices the ordered candidates before counting, which
+        is what makes per-shard step counts sum to the unsharded total.
+        """
         spans = None
-        for rows, offsets, values, array, other_index in vertex.narrow_columns:
+        for rows, offsets, values, other_index in vertex.narrow_columns:
             other_value = assignment[other_index]
             if other_value is None:
                 continue
@@ -738,59 +408,41 @@ class ArrayRunner(MatchRunner):
             lo = offsets[position]
             hi = offsets[position + 1]
             if spans is None:
-                spans = [(hi - lo, values, array, lo, hi)]
+                spans = [(hi - lo, values, lo, hi)]
             else:
-                spans.append((hi - lo, values, array, lo, hi))
+                spans.append((hi - lo, values, lo, hi))
         if spans is None:
             # Nothing adjacent assigned yet: the frontier is the whole pool
             # (always the depth-0 case, where the shard slice applies).
             survivors = vertex.pool_list
-            if shard is not None:
-                lo, hi = shard_bounds(len(survivors), *shard)
-                survivors = survivors[lo:hi]
-            tried = len(survivors)
         else:
             pool_list = vertex.pool_list
-            spans.append(
-                (len(pool_list), pool_list, vertex.pool_array, 0, len(pool_list))
-            )
+            spans.append((len(pool_list), pool_list, 0, len(pool_list)))
             # The smallest span drives the merge; the rest are probe targets
             # (their relative order does not matter, so no sort).
             best = 0
             for position in range(1, len(spans)):
                 if spans[position][0] < spans[best][0]:
                     best = position
-            smallest = spans[best]
+            _, values, lo, hi = spans[best]
             rest = spans[:best] + spans[best + 1 :]
             self.intersections += len(rest)
-            if self._np is None or smallest[0] <= SMALL_FRONTIER:
-                # Scalar gallop: iterate the smallest row in place, probe
-                # the other rows with bounded bisects on the flat lists.
-                _, values, _, lo, hi = smallest
-                survivors = []
-                add = survivors.append
-                for position in range(lo, hi):
-                    item = values[position]
-                    for _, other_values, _, other_lo, other_hi in rest:
-                        probe = bisect_left(other_values, item, other_lo, other_hi)
-                        if probe >= other_hi or other_values[probe] != item:
-                            break
-                    else:
-                        add(item)
-            else:
-                np = self._np
-                current = smallest[2][smallest[3] : smallest[4]]
-                for _, _, other_array, other_lo, other_hi in rest:
-                    current = current[
-                        _member_mask(np, current, other_array[other_lo:other_hi])
-                    ]
-                    if not len(current):
-                        return [], 0
-                survivors = current.tolist()
-            if shard is not None:
-                lo, hi = shard_bounds(len(survivors), *shard)
-                survivors = survivors[lo:hi]
-            tried = len(survivors)
+            # Gallop: iterate the smallest row in place, probe the other
+            # rows with bounded bisects on the flat lists.
+            survivors = []
+            add = survivors.append
+            for position in range(lo, hi):
+                item = values[position]
+                for _, other_values, other_lo, other_hi in rest:
+                    probe = bisect_left(other_values, item, other_lo, other_hi)
+                    if probe >= other_hi or other_values[probe] != item:
+                        break
+                else:
+                    add(item)
+        if shard is not None:
+            lo, hi = shard_bounds(len(survivors), *shard)
+            survivors = survivors[lo:hi]
+        tried = len(survivors)
         if vertex.loop_codes:
             has_edge = self.encoded.has_edge
             for code in vertex.loop_codes:
@@ -800,10 +452,3 @@ class ArrayRunner(MatchRunner):
                     if has_edge(candidate, code, candidate)
                 ]
         return survivors, tried
-
-
-def make_runner(kernel: str, encoded: EncodedGraph, signature_index) -> MatchRunner:
-    """One fresh per-call runner for ``kernel`` (already resolved)."""
-    if kernel == KERNEL_SETS:
-        return SetRunner(encoded, signature_index)
-    return ArrayRunner(encoded, signature_index, kernel)

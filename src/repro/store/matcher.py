@@ -12,16 +12,15 @@ Distinct query vertices may map to the same data vertex (homomorphism, not
 isomorphism), matching SPARQL semantics.
 
 Since the dictionary-encoding PR the search runs entirely on dense integer
-ids from :mod:`repro.store.encoding`; since the vectorized-kernel PR the
-per-depth candidate computation is delegated to a pluggable *match runner*
-(:mod:`repro.store.kernel`): the ``vectorized`` kernel narrows candidates by
-galloping merge-join over sorted numpy columns, ``python`` does the same
-over sorted lists, and ``sets`` is the original hash-set path kept as the
-reference oracle.  The search itself is a batched backtracking frontier —
-one runner call computes a whole depth's ordered candidates at once — and
-every kernel produces the identical match sequence and identical
+ids from :mod:`repro.store.encoding`; the per-depth candidate computation
+is delegated to the sorted-column *match runner* of
+:mod:`repro.store.kernel`, which narrows candidates by galloping merge-join
+over sorted adjacency lists.  The search itself is a batched backtracking
+frontier — one runner call computes a whole depth's ordered candidates at
+once — and it produces the identical match sequence and identical
 ``search_steps`` (the frontier's pre-consistency candidate count per depth,
-exactly what the per-candidate loop used to charge).
+exactly what the per-candidate loop used to charge) as the original
+hash-set path, which the test-suite keeps as its oracle.
 
 The first search depth can additionally be sliced into contiguous shards
 (:meth:`LocalMatcher.shard_matches`): nothing is assigned at depth 0, so the
@@ -44,7 +43,7 @@ from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import Binding, ResultSet
 from ..sparql.query_graph import QueryGraph, traversal_order
 from .encoding import encoded_view
-from .kernel import MatchRunner, make_runner, resolve_kernel
+from .kernel import ArrayRunner
 from .signatures import SignatureIndex
 
 
@@ -65,29 +64,26 @@ def finalize_matches(query: SelectQuery, bindings: Iterable[Binding]) -> ResultS
 class LocalMatcher:
     """Find all matches of BGP queries over a single in-memory RDF graph."""
 
+    #: The per-call match runner (the parity suites substitute their oracle).
+    runner_class = ArrayRunner
+
     def __init__(
         self,
         graph: RDFGraph,
         signature_index: Optional[SignatureIndex] = None,
         planner: Optional[QueryPlanner] = None,
-        kernel: Optional[str] = None,
     ) -> None:
         self._graph = graph
         self._signatures = signature_index or SignatureIndex(graph)
         self._planner = planner
-        #: Kernel name pinned at construction, or ``None`` to resolve the
-        #: process default (``$REPRO_KERNEL``, else vectorized-if-numpy) on
-        #: every call — so one warm matcher follows the environment.
-        self._kernel = kernel
         #: Number of candidate assignments attempted by the most recent
         #: ``find_matches``/``evaluate`` call (a deterministic work measure
         #: used by the planner benchmarks).
         self.search_steps = 0
         #: Candidate-column intersection operations the most recent call
-        #: performed (the kernel's work measure; observability only — unlike
-        #: ``search_steps`` it may differ between kernels).
+        #: performed (the kernel's work measure; observability only).
         self.kernel_intersections = 0
-        #: Kernel name the most recent call actually ran with.
+        #: Kernel name the most recent call ran with.
         self.last_kernel = ""
 
     @property
@@ -101,11 +97,6 @@ class LocalMatcher:
     @property
     def planner(self) -> Optional[QueryPlanner]:
         return self._planner
-
-    @property
-    def kernel(self) -> str:
-        """The kernel name a call made right now would run with."""
-        return resolve_kernel(self._kernel)
 
     # ------------------------------------------------------------------
     # Public API
@@ -143,7 +134,7 @@ class LocalMatcher:
         components = query.bgp.connected_components()
         self.search_steps = 0
         self.kernel_intersections = 0
-        self.last_kernel = resolve_kernel(self._kernel)
+        self.last_kernel = self.runner_class.kernel
         if not components:
             return []
         if shard is not None and len(components) != 1:
@@ -189,10 +180,9 @@ class LocalMatcher:
         """
         self.search_steps = 0
         self.kernel_intersections = 0
-        kernel = resolve_kernel(self._kernel)
-        self.last_kernel = kernel
+        self.last_kernel = self.runner_class.kernel
         encoded = encoded_view(self._graph)
-        runner = make_runner(kernel, encoded, self._signatures)
+        runner = self.runner_class(encoded, self._signatures)
         try:
             pools = runner.compute_pools(query)
             if any(len(pools[vertex]) == 0 for vertex in query.vertices):
@@ -229,7 +219,7 @@ class LocalMatcher:
         assignment: List[Optional[int]],
         compiled: List[object],
         start_depth: int,
-        runner: MatchRunner,
+        runner: ArrayRunner,
         shard: Optional[Tuple[int, int]],
     ) -> Iterator[None]:
         """DFS over the compiled vertices; yields once per complete match.

@@ -117,8 +117,6 @@ class SignatureIndex:
         # What repairs hash, kept for as long as the ids mean the same terms.
         self._memo: Dict = {}
         self._applied_version = self._graph.version
-        self._matrix = None
-        self._dirty: Set[int] = set()  # rows of ``_matrix`` behind ``_bits_by_id``
 
     def _current(self) -> EncodedGraph:
         """The graph's current encoded view, resyncing the bits if stale.
@@ -147,12 +145,10 @@ class SignatureIndex:
             bits_by_id.extend([0] * (len(dictionary) - len(bits_by_id)))
         id_of = dictionary.id_of
         memo = self._memo
-        touched: Set[int] = set()
         orphaned: Set[int] = set()  # endpoints of removed edges
         for op, triple in ops:
             s = id_of(triple.subject)
             o = id_of(triple.object)
-            touched.update((s, o))
             if op == "+":
                 subject_bits, object_bits = self._edge_masks(memo, s, id_of(triple.predicate), o)
                 bits_by_id[s] |= subject_bits
@@ -167,8 +163,6 @@ class SignatureIndex:
                 bits |= self._edge_masks(memo, *edge)[1]
             bits_by_id[vertex] = bits
         self._applied_version = self._graph.version
-        if self._matrix is not None:
-            self._dirty |= touched
         return encoded
 
     @property
@@ -194,48 +188,6 @@ class SignatureIndex:
                 "signature index belongs to a different graph than the encoded view"
             )
         return self._bits_by_id
-
-    def bits_matrix(self, encoded: EncodedGraph):
-        """The signature bits as an ``(n_terms, words)`` uint64 numpy matrix.
-
-        The vectorized kernel's view of :meth:`bits_table`: row ``i`` holds
-        term ``i``'s bitset split into little-endian 64-bit words, so
-        signature containment over a whole candidate column is one broadcast
-        AND-compare instead of per-id Python big-int ops.  Built lazily and
-        memoized; a journal repair rewrites only the rows it touched.  Raises
-        ``ValueError`` when numpy is unavailable or ``encoded`` is stale —
-        same contract as :meth:`bits_table`.
-        """
-        if encoded is not self._current():
-            raise ValueError(
-                "signature index belongs to a different graph than the encoded view"
-            )
-        matrix = self._matrix
-        if matrix is None or self._dirty:
-            from .kernel import numpy_or_none
-
-            np = numpy_or_none()
-            if np is None:
-                raise ValueError("bits_matrix needs numpy; use bits_table instead")
-            mask = 0xFFFFFFFFFFFFFFFF
-            words = (self._width + 63) // 64
-            table = self._bits_by_id
-            # Every row on the first build, afterwards only the repaired ones.
-            rows = list(range(len(table)) if matrix is None else self._dirty)
-            fresh = np.array(
-                [[(table[row] >> (64 * word)) & mask for word in range(words)] for row in rows],
-                dtype=np.uint64,
-            ).reshape(len(rows), words)
-            if matrix is None:
-                matrix = fresh
-            else:
-                if len(matrix) < len(table):  # ids appended since: zero rows, like the table's
-                    grown = np.zeros((len(table) - len(matrix), words), dtype=np.uint64)
-                    matrix = np.concatenate([matrix, grown])
-                matrix[rows] = fresh
-            self._matrix = matrix
-            self._dirty.clear()
-        return matrix
 
     def query_signature(
         self,

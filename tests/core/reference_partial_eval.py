@@ -9,8 +9,10 @@ this path any more; ``tests/core/test_partial_eval_differential.py`` asserts
 that the new enumerator returns the same *set* of LPMs per fragment, each
 exactly once.  Only the imports, :func:`build_lpm` (which was
 ``LocalPartialMatch.build`` in ``src/`` and now builds the key form of an LPM
-from object-level state), the ``ValueError`` guard around its one call and
-this paragraph differ from the code that was removed.  One known defect is
+from object-level state), :func:`filter_allows` (which was
+``GlobalCandidateFilter.allows`` in ``src/``, whose encoded path asks the
+bit vectors directly), the ``ValueError`` guard around its one call and this
+paragraph differ from the code that was removed.  One known defect is
 kept on purpose: a *self-loop* query edge seeded from a crossing data edge
 overwrites its own endpoint in ``_expand_seed`` and emits a match Definition 5
 rejects (``build_lpm`` refuses it), so comparisons on self-loop queries use
@@ -286,7 +288,7 @@ class PartialEvaluator:
             candidate_filter is not None
             and isinstance(vertex, Variable)
             and self._fragment.is_extended(value)
-            and not candidate_filter.allows(vertex, value)
+            and not filter_allows(candidate_filter, vertex, value)
         ):
             result.branches_pruned_by_filter += 1
             return False
@@ -331,6 +333,18 @@ class PartialEvaluator:
         if self._paranoid and check_local_partial_match(lpm, query, self._fragment):
             return
         result.local_partial_matches.append(lpm)
+
+
+def filter_allows(candidate_filter: GlobalCandidateFilter, variable: Variable, candidate: Node) -> bool:
+    """May ``candidate`` be bound to ``variable``?
+
+    Unknown variables are never restricted (the filter is only ever a
+    sound over-approximation).
+    """
+    vector = candidate_filter.vectors.get(variable)
+    if vector is None:
+        return True
+    return vector.might_contain(candidate)
 
 
 def evaluate_fragment(

@@ -10,7 +10,7 @@ after every window each site must still serve the index object it had —
 no rebuild — with ``internal`` / ``extended`` / ``crossing`` /
 ``crossing_by_predicate`` equal to a fresh ``FragmentIndex``, and to the
 Definition 1 sets of a partitioning built from scratch over the mutated
-graph.  Every case runs with and without numpy.
+graph.
 """
 
 import sys
@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from test_property_signature_updates import numpy_disabled, numpy_free, window_lists
+from test_property_signature_updates import window_lists
 
 from repro.datasets import random_assignment, random_graph
 from repro.distributed import build_cluster
@@ -93,38 +93,35 @@ def assert_patched_exactly(cluster, indexes):
         assert {Triple(*map(term_of, ids)) for ids in index.crossing} == expected.crossing_edges
 
 
-def check_windows(graph, assignment, num_fragments, windows, without_numpy):
+def check_windows(graph, assignment, num_fragments, windows):
     """Apply ``windows`` (lists of ``(op, triple)``) to a cluster and compare after each one."""
-    with numpy_disabled(without_numpy):
-        cluster = build_cluster(build_partitioned_graph(graph, assignment, num_fragments=num_fragments))
-        indexes = {site.site_id: fragment_index(site.fragment, site.graph) for site in cluster}
+    cluster = build_cluster(build_partitioned_graph(graph, assignment, num_fragments=num_fragments))
+    indexes = {site.site_id: fragment_index(site.fragment, site.graph) for site in cluster}
+    assert_patched_exactly(cluster, indexes)
+    for number, window in enumerate(windows):
+        if number % 2:
+            cluster.apply_ops(window)  # ordered: a triple may come and go inside one window
+        else:
+            cluster.apply(
+                add=[triple for op, triple in window if op == "+"],
+                remove=[triple for op, triple in window if op == "-"],
+            )
         assert_patched_exactly(cluster, indexes)
-        for number, window in enumerate(windows):
-            if number % 2:
-                cluster.apply_ops(window)  # ordered: a triple may come and go inside one window
-            else:
-                cluster.apply(
-                    add=[triple for op, triple in window if op == "+"],
-                    remove=[triple for op, triple in window if op == "-"],
-                )
-            assert_patched_exactly(cluster, indexes)
 
 
-@numpy_free
 @pytest.mark.parametrize("partitioning", PARTITIONINGS)
 @given(st.integers(0, 5_000), window_lists)
 @settings(max_examples=15, deadline=None)
-def test_random_interleavings_equal_a_fresh_index(without_numpy, partitioning, seed, windows):
+def test_random_interleavings_equal_a_fresh_index(partitioning, seed, windows):
     graph = random_graph(seed, num_vertices=10, num_edges=20, num_predicates=3)
     assignment, num_fragments = partitioning(graph, seed)
     triples = universe(graph)
     resolved = [[(op, triples[number % len(triples)]) for op, number in window] for window in windows]
-    check_windows(graph, assignment, num_fragments, resolved, without_numpy)
+    check_windows(graph, assignment, num_fragments, resolved)
 
 
-@numpy_free
 @pytest.mark.parametrize("partitioning", PARTITIONINGS)
-def test_named_windows_equal_a_fresh_index(without_numpy, partitioning):
+def test_named_windows_equal_a_fresh_index(partitioning):
     graph = random_graph(3, num_vertices=10, num_edges=20, num_predicates=3)
     assignment, num_fragments = partitioning(graph, 3)
     triples = sorted(graph, key=lambda triple: triple.n3())
@@ -143,4 +140,4 @@ def test_named_windows_equal_a_fresh_index(without_numpy, partitioning):
         [("+", edge) for edge in hub_edges] + [("-", newcomer)],  # the last edge of a label goes
         [("+", Triple(NEW_VERTICES[0], triples[0].predicate, NEW_VERTICES[1]))],  # brand-new terms only
     ]
-    check_windows(graph, assignment, num_fragments, windows, without_numpy)
+    check_windows(graph, assignment, num_fragments, windows)

@@ -4,16 +4,13 @@
 edge ORs its masks in, the endpoints of a removed edge get their bits
 recomputed from the edges they still have.  After every journal window the
 index must be indistinguishable from one built cold over a copy of the graph
-— per-term signatures, and the numpy ``bits_matrix`` mirror row by row — and
-must have got there without a single full rebuild.  Random interleavings of
-adds and removes are complemented by the windows most likely to break a
-repair: a vertex losing its last edge, a triple removed and re-added (and
-added and removed) inside one window, a hub vertex, brand-new terms.  Every
-case runs with and without numpy.
+— per-term signatures and the ``bits_table`` row by row — and must have got
+there without a single full rebuild.  Random interleavings of adds and
+removes are complemented by the windows most likely to break a repair: a
+vertex losing its last edge, a triple removed and re-added (and added and
+removed) inside one window, a hub vertex, brand-new terms — at the default
+width and at a single 64-bit word.
 """
-
-from contextlib import contextmanager
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -22,25 +19,12 @@ from hypothesis import strategies as st
 from repro.datasets import random_graph
 from repro.rdf import Literal, Namespace, Triple
 from repro.store import SignatureIndex
-from repro.store import kernel as kernel_module
 from repro.store.encoding import encoded_view
 
 EX = Namespace("http://example.org/")
 HUB = EX.term("hub")
 NEW_VERTICES = [EX.term("new0"), EX.term("new1"), Literal("brand new")]
 NEW_PREDICATE = EX.term("newPredicate")
-
-numpy_free = pytest.mark.parametrize("without_numpy", [False, True], ids=["numpy", "numpy-free"])
-
-
-@contextmanager
-def numpy_disabled(disabled):
-    """Simulate a numpy-free interpreter for the duration of the block."""
-    if not disabled:
-        yield
-        return
-    with patch.object(kernel_module, "_NUMPY", None), patch.object(kernel_module, "_NUMPY_CHECKED", True):
-        yield
 
 
 class CountingIndex(SignatureIndex):
@@ -86,28 +70,19 @@ def assert_equals_a_cold_build(index, graph, terms):
         assert index.signature_of(term) == fresh.signature_of(term), term
     for term_id, bits in enumerate(table):
         assert bits == fresh.signature_of(encoded.dictionary.term_of(term_id)).bits
-    if kernel_module.numpy_or_none() is None:
-        with pytest.raises(ValueError, match="needs numpy"):
-            index.bits_matrix(encoded)
-        return
-    matrix = index.bits_matrix(encoded)
-    assert matrix.shape == (len(table), (index.width + 63) // 64)
-    for row, bits in zip(matrix.tolist(), table):
-        assert sum(word << (64 * position) for position, word in enumerate(row)) == bits
 
 
-def check_windows(graph, windows, without_numpy, width=256):
+def check_windows(graph, windows, width=256):
     """Apply ``windows`` (lists of ``(op, triple)``) and compare after each one."""
-    with numpy_disabled(without_numpy):
-        index = CountingIndex(graph, width=width)
-        terms = set(graph.vertices) | {HUB, *NEW_VERTICES}
-        assert_equals_a_cold_build(index, graph, terms)  # ... and materializes the matrix
-        for window in windows:
-            for op, triple in window:
-                terms.update((triple.subject, triple.object))
-                (graph.add if op == "+" else graph.discard)(triple)
-            assert_equals_a_cold_build(index, graph, terms)
-        assert index.rebuilds == 1, "a journal window was answered with a full rebuild"
+    index = CountingIndex(graph, width=width)
+    terms = set(graph.vertices) | {HUB, *NEW_VERTICES}
+    assert_equals_a_cold_build(index, graph, terms)
+    for window in windows:
+        for op, triple in window:
+            terms.update((triple.subject, triple.object))
+            (graph.add if op == "+" else graph.discard)(triple)
+        assert_equals_a_cold_build(index, graph, terms)
+    assert index.rebuilds == 1, "a journal window was answered with a full rebuild"
 
 
 window_lists = st.lists(
@@ -117,14 +92,13 @@ window_lists = st.lists(
 )
 
 
-@numpy_free
 @given(st.integers(0, 5_000), window_lists, st.sampled_from([64, 256]))
 @settings(max_examples=30, deadline=None)
-def test_random_interleavings_equal_a_cold_build(without_numpy, seed, windows, width):
+def test_random_interleavings_equal_a_cold_build(seed, windows, width):
     graph = hub_graph(seed)
     triples = universe(graph)
     resolved = [[(op, triples[number % len(triples)]) for op, number in window] for window in windows]
-    check_windows(graph, resolved, without_numpy, width=width)
+    check_windows(graph, resolved, width=width)
 
 
 def scenario_windows(graph):
@@ -149,8 +123,14 @@ def scenario_windows(graph):
     }
 
 
-@numpy_free
 @pytest.mark.parametrize("name", list(scenario_windows(hub_graph(3))))
-def test_named_windows_equal_a_cold_build(without_numpy, name):
+def test_named_windows_equal_a_cold_build(name):
     graph = hub_graph(3)
-    check_windows(graph, scenario_windows(graph)[name], without_numpy)
+    check_windows(graph, scenario_windows(graph)[name])
+
+
+@pytest.mark.parametrize("name", list(scenario_windows(hub_graph(3))))
+def test_named_windows_equal_a_cold_build_at_word_width(name):
+    """One 64-bit word: the most folding collisions a repair has to keep exact."""
+    graph = hub_graph(3)
+    check_windows(graph, scenario_windows(graph)[name], width=64)

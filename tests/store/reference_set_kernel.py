@@ -1,0 +1,268 @@
+"""The set-based matching kernel, kept as the parity oracle of the test-suite.
+
+Before the sorted-column kernel of :mod:`repro.store.kernel`, the matcher
+narrowed candidates with Python *sets* of ids and checked every incident
+query edge per candidate.  That path is preserved here verbatim — candidate
+pools (:func:`set_candidate_ids`), compiled vertices and the per-depth
+frontier (:class:`SetRunner`) — so the parity suites can assert that the
+production kernel yields the identical match *sequence*, the identical
+``search_steps`` and the identical candidate sets.
+
+:class:`SetMatcher` is a :class:`~repro.store.LocalMatcher` driven by this
+runner; :func:`set_runner_everywhere` swaps it under every in-process
+matcher (serial and threaded engines) for the duration of a block.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+from repro.rdf.terms import IRI, Literal, PatternTerm, Variable
+from repro.sparql.query_graph import QueryEdge, QueryGraph
+from repro.store import LocalMatcher
+from repro.store.candidates import _edge_supported_id
+from repro.store.encoding import EncodedGraph, predicate_code
+from repro.store.kernel import shard_bounds
+from repro.store.signatures import SignatureIndex
+
+#: The oracle's name, as it appears in ``LocalMatcher.last_kernel``.
+KERNEL_SETS = "sets"
+
+
+# ----------------------------------------------------------------------
+# Candidate pools (the set path of compute_candidate_ids)
+# ----------------------------------------------------------------------
+def set_candidate_ids(
+    encoded: EncodedGraph,
+    query: QueryGraph,
+    signature_index: SignatureIndex,
+    relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
+) -> Dict[PatternTerm, Set[int]]:
+    """Candidate ids for every query vertex, computed on hash sets."""
+    relaxed_edges = relaxed_edges or {}
+    candidates: Dict[PatternTerm, Set[int]] = {}
+    for query_vertex in query.vertices:
+        relaxed = relaxed_edges.get(query_vertex, set())
+        if isinstance(query_vertex, (IRI, Literal)):
+            vertex_id = encoded.dictionary.get(query_vertex)
+            if vertex_id is not None and encoded.is_vertex(vertex_id):
+                candidates[query_vertex] = {vertex_id}
+            else:
+                candidates[query_vertex] = set()
+        else:
+            candidates[query_vertex] = _variable_candidate_ids(
+                encoded, query, query_vertex, signature_index, relaxed
+            )
+    return candidates
+
+
+def _variable_candidate_ids(
+    encoded: EncodedGraph,
+    query: QueryGraph,
+    query_vertex: PatternTerm,
+    index: SignatureIndex,
+    relaxed: Set[int],
+) -> Set[int]:
+    required_edges = [edge for edge in query.edges_of(query_vertex) if edge.index not in relaxed]
+    if not required_edges:
+        # Every incident edge was relaxed: any vertex could match.
+        return set(encoded.vertex_ids)
+    # Seed with the most selective incident edge to avoid scanning all vertices.
+    seed: Optional[Set[int]] = None
+    for edge in required_edges:
+        matching = _edge_endpoint_ids(encoded, edge, query_vertex)
+        if seed is None or len(matching) < len(seed):
+            seed = matching
+        if not seed:
+            return set()
+    assert seed is not None
+    needed = index.query_signature(query, query_vertex, skip_edges=relaxed).bits
+    signature_bits = index.bits_table(encoded)
+    survivors: Set[int] = set()
+    for vertex_id in seed:
+        if (signature_bits[vertex_id] & needed) != needed:
+            continue
+        if all(
+            _edge_supported_id(encoded, vertex_id, edge, query_vertex)
+            for edge in required_edges
+        ):
+            survivors.add(vertex_id)
+    return survivors
+
+
+def _edge_endpoint_ids(
+    encoded: EncodedGraph, edge: QueryEdge, query_vertex: PatternTerm
+) -> Set[int]:
+    """Ids of data vertices that could sit at ``query_vertex``'s end of ``edge``.
+
+    Returns live index sets — callers only iterate them, never mutate.
+    """
+    code = predicate_code(encoded, edge.predicate)
+    if edge.subject == query_vertex:
+        other = edge.object
+        if isinstance(other, Variable):
+            return encoded.subjects_of_predicate(code)
+        other_id = encoded.dictionary.get(other)
+        if other_id is None:
+            return set()
+        return encoded.subjects_to(code, other_id)
+    other = edge.subject
+    if isinstance(other, Variable):
+        return encoded.objects_of_predicate(code)
+    other_id = encoded.dictionary.get(other)
+    if other_id is None:
+        return set()
+    return encoded.objects_from(other_id, code)
+
+
+# ----------------------------------------------------------------------
+# The set runner
+# ----------------------------------------------------------------------
+class CompiledSetVertex:
+    """A compiled vertex of the set path: id-set pool plus integer edge tuples."""
+
+    __slots__ = ("index", "pool", "sorted_pool", "narrow_edges", "check_edges")
+
+    def __init__(
+        self,
+        index: int,
+        pool: Set[int],
+        narrow_edges: List[Tuple[bool, int, int]],
+        check_edges: List[Tuple[bool, int, bool, int, int]],
+    ) -> None:
+        self.index = index
+        self.pool = pool
+        #: Ids sort exactly like the old ``(type, n3)`` candidate order, so
+        #: this sort happens once per query instead of once per search step.
+        self.sorted_pool = sorted(pool)
+        #: ``(vertex_is_subject, predicate_code, other_vertex_index)`` per
+        #: incident non-loop edge, in query-edge order.
+        self.narrow_edges = narrow_edges
+        #: ``(subject_is_self, subject_index, object_is_self, object_index,
+        #: predicate_code)`` per incident edge (loops included).
+        self.check_edges = check_edges
+
+
+class SetRunner:
+    """The reference kernel: hash-set narrowing + per-edge probes.
+
+    Same three steps as :class:`repro.store.kernel.ArrayRunner` —
+    :meth:`compute_pools`, :meth:`compile`, :meth:`frontier` — so a
+    :class:`LocalMatcher` can drive either.
+    """
+
+    kernel = KERNEL_SETS
+
+    def __init__(self, encoded: EncodedGraph, signature_index) -> None:
+        self.encoded = encoded
+        self.signatures = signature_index
+        #: Candidate-pool/frontier intersection operations performed so far.
+        self.intersections = 0
+
+    def compute_pools(self, query, relaxed_edges=None):
+        return set_candidate_ids(self.encoded, query, self.signatures, relaxed_edges)
+
+    def compile(self, query, order, pools):
+        compiled: List[CompiledSetVertex] = []
+        encoded = self.encoded
+        for vertex in order:
+            vertex_index = query.vertex_index(vertex)
+            narrow_edges: List[Tuple[bool, int, int]] = []
+            check_edges: List[Tuple[bool, int, bool, int, int]] = []
+            for edge in query.edges_of(vertex):
+                code = predicate_code(encoded, edge.predicate)
+                subject_index = query.vertex_index(edge.subject)
+                object_index = query.vertex_index(edge.object)
+                check_edges.append(
+                    (
+                        edge.subject == vertex,
+                        subject_index,
+                        edge.object == vertex,
+                        object_index,
+                        code,
+                    )
+                )
+                other = edge.other_endpoint(vertex)
+                if other == vertex:
+                    continue  # self-loop: no already-assigned "other" side
+                if edge.subject == vertex:
+                    narrow_edges.append((True, code, object_index))
+                else:
+                    narrow_edges.append((False, code, subject_index))
+            compiled.append(
+                CompiledSetVertex(vertex_index, pools[vertex], narrow_edges, check_edges)
+            )
+        return compiled
+
+    def frontier(self, vertex, assignment, shard=None):
+        encoded = self.encoded
+        narrowed: Optional[Set[int]] = None
+        for is_subject, code, other_index in vertex.narrow_edges:
+            other_value = assignment[other_index]
+            if other_value is None:
+                continue
+            if is_subject:
+                reachable = encoded.subjects_to(code, other_value)
+            else:
+                reachable = encoded.objects_from(other_value, code)
+            if narrowed is None:
+                narrowed = reachable
+            else:
+                narrowed = narrowed & reachable
+                self.intersections += 1
+            if not narrowed:
+                return [], 0
+        if narrowed is None:
+            ordered: Sequence[int] = vertex.sorted_pool
+        else:
+            narrowed = narrowed & vertex.pool
+            self.intersections += 1
+            if not narrowed:
+                return [], 0
+            ordered = sorted(narrowed)
+        if shard is not None:
+            lo, hi = shard_bounds(len(ordered), *shard)
+            ordered = ordered[lo:hi]
+        tried = len(ordered)
+        survivors = [
+            candidate
+            for candidate in ordered
+            if self._consistent(vertex, candidate, assignment)
+        ]
+        return survivors, tried
+
+    def _consistent(self, vertex, candidate: int, assignment) -> bool:
+        """Check every query edge between ``vertex`` and determined vertices."""
+        has_edge = self.encoded.has_edge
+        for subject_is_self, subject_index, object_is_self, object_index, code in (
+            vertex.check_edges
+        ):
+            subject_value = candidate if subject_is_self else assignment[subject_index]
+            object_value = candidate if object_is_self else assignment[object_index]
+            if subject_value is None or object_value is None:
+                continue
+            if not has_edge(subject_value, code, object_value):
+                return False
+        return True
+
+
+class SetMatcher(LocalMatcher):
+    """A :class:`LocalMatcher` whose searches run on :class:`SetRunner`."""
+
+    runner_class = SetRunner
+
+
+@contextmanager
+def set_runner_everywhere():
+    """Run every in-process :class:`LocalMatcher` on :class:`SetRunner`.
+
+    Process-pool workers keep the production kernel: the swap is a class
+    attribute of this interpreter, not something that crosses a pickle.
+    """
+    production = LocalMatcher.runner_class
+    LocalMatcher.runner_class = SetRunner
+    try:
+        yield
+    finally:
+        LocalMatcher.runner_class = production

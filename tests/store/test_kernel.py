@@ -1,31 +1,28 @@
 """Unit tests for the matching-kernel machinery (`repro.store.kernel`).
 
-Kernel selection ($REPRO_KERNEL, numpy fallback), shard bounds, the sorted
-adjacency columns and their incremental invalidation, and the signature
-bit-matrix — the parts the Hypothesis parity suite exercises only
-indirectly.  The numpy-free paths are simulated by monkeypatching
-``kernel._NUMPY`` so they run even on machines that have numpy installed.
+Shard bounds, the sorted adjacency columns and their incremental
+invalidation, and agreement with the set-based oracle — the parts the
+Hypothesis parity suite exercises only indirectly.
 """
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import repro.store.kernel as kernel_module
+import pytest
+from reference_set_kernel import KERNEL_SETS, SetMatcher, set_candidate_ids
+
+import repro
+
 from repro.rdf import Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph
-from repro.store import (
-    KERNEL_CHOICES,
-    KERNEL_ENV,
-    KERNEL_PYTHON,
-    KERNEL_SETS,
-    KERNEL_VECTORIZED,
-    LocalMatcher,
-    SignatureIndex,
-    default_kernel,
-    resolve_kernel,
-    shard_bounds,
-)
+from repro.store import KERNEL_PYTHON, LocalMatcher, SignatureIndex, resolve_kernel, shard_bounds
+from repro.store.candidates import compute_candidate_ids
 from repro.store.encoding import encoded_view
-from repro.store.kernel import SortedAdjacency, adjacency_view, numpy_or_none
+from repro.store.kernel import adjacency_view
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 EX = Namespace("http://example.org/")
 ALICE, BOB, CAROL, DAVE = EX.term("alice"), EX.term("bob"), EX.term("carol"), EX.term("dave")
@@ -54,64 +51,24 @@ def knows_chain() -> QueryGraph:
     )
 
 
-@pytest.fixture
-def no_numpy(monkeypatch):
-    """Simulate a numpy-free interpreter without uninstalling anything."""
-    monkeypatch.setattr(kernel_module, "_NUMPY", None)
-    monkeypatch.setattr(kernel_module, "_NUMPY_CHECKED", True)
+def bgp(*patterns) -> QueryGraph:
+    return QueryGraph(BasicGraphPattern([TriplePattern(*pattern) for pattern in patterns]))
 
 
-# ----------------------------------------------------------------------
-# Kernel selection
-# ----------------------------------------------------------------------
-class TestKernelResolution:
-    def test_default_prefers_vectorized_when_numpy_imports(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        expected = KERNEL_VECTORIZED if numpy_or_none() is not None else KERNEL_PYTHON
-        assert default_kernel() == expected
-        assert resolve_kernel(None) == expected
+X, Y, Z, W = Variable("x"), Variable("y"), Variable("z"), Variable("w")
 
-    def test_environment_variable_wins(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, KERNEL_SETS)
-        assert default_kernel() == KERNEL_SETS
-        assert resolve_kernel() == KERNEL_SETS
-
-    def test_environment_variable_is_validated(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "bogus")
-        with pytest.raises(ValueError, match="unknown kernel 'bogus'"):
-            default_kernel()
-
-    def test_unknown_name_lists_the_choices(self):
-        with pytest.raises(ValueError, match=", ".join(KERNEL_CHOICES)):
-            resolve_kernel("simd")
-
-    def test_explicit_name_passes_through(self):
-        for name in (KERNEL_PYTHON, KERNEL_SETS):
-            assert resolve_kernel(name) == name
-
-    def test_numpy_free_default_is_python(self, no_numpy, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        assert default_kernel() == KERNEL_PYTHON
-
-    def test_numpy_free_vectorized_is_an_error(self, no_numpy):
-        with pytest.raises(ValueError, match="needs numpy"):
-            resolve_kernel(KERNEL_VECTORIZED)
-
-    def test_matcher_follows_the_environment(self, monkeypatch):
-        matcher = LocalMatcher(social_graph())
-        monkeypatch.setenv(KERNEL_ENV, KERNEL_SETS)
-        list(matcher.find_matches(knows_chain()))
-        assert matcher.kernel == KERNEL_SETS
-        assert matcher.last_kernel == KERNEL_SETS
-        monkeypatch.setenv(KERNEL_ENV, KERNEL_PYTHON)
-        list(matcher.find_matches(knows_chain()))
-        assert matcher.last_kernel == KERNEL_PYTHON
-
-    def test_pinned_matcher_ignores_the_environment(self, monkeypatch):
-        matcher = LocalMatcher(social_graph(), kernel=KERNEL_SETS)
-        monkeypatch.setenv(KERNEL_ENV, KERNEL_PYTHON)
-        list(matcher.find_matches(knows_chain()))
-        assert matcher.last_kernel == KERNEL_SETS
+#: Query shapes the oracle comparison runs over: cycles, stars, constants,
+#: literals, variable predicates, and patterns with no answer at all.
+QUERY_SHAPES = {
+    "cycle": lambda: bgp((X, KNOWS, Y), (Y, KNOWS, Z), (Z, KNOWS, X)),
+    "star": lambda: bgp((X, KNOWS, Y), (X, NAME, Z), (X, KNOWS, W)),
+    "constant_subject": lambda: bgp((ALICE, KNOWS, Y), (Y, KNOWS, Z)),
+    "constant_object": lambda: bgp((X, KNOWS, CAROL), (Y, KNOWS, X)),
+    "literal_object": lambda: bgp((X, NAME, Literal("Bob")), (X, KNOWS, Y)),
+    "variable_predicate": lambda: bgp((X, Y, BOB), (BOB, KNOWS, Z)),
+    "unknown_constant": lambda: bgp((X, KNOWS, EX.term("nobody"))),
+    "unknown_predicate": lambda: bgp((X, EX.term("likes"), Y)),
+}
 
 
 # ----------------------------------------------------------------------
@@ -139,15 +96,14 @@ class TestShardBounds:
 # Sorted adjacency columns
 # ----------------------------------------------------------------------
 class TestSortedAdjacency:
-    def test_view_is_cached_per_flavor(self):
+    def test_view_is_cached(self):
         encoded = encoded_view(social_graph())
-        assert adjacency_view(encoded, KERNEL_PYTHON) is adjacency_view(encoded, KERNEL_PYTHON)
-        assert adjacency_view(encoded, KERNEL_SETS) is adjacency_view(encoded, KERNEL_SETS)
+        assert adjacency_view(encoded) is adjacency_view(encoded)
 
     def test_columns_are_sorted_and_complete(self):
         graph = social_graph()
         encoded = encoded_view(graph)
-        adjacency = adjacency_view(encoded, KERNEL_PYTHON)
+        adjacency = adjacency_view(encoded)
         code = encoded.dictionary.id_of(KNOWS)
         alice = encoded.dictionary.id_of(ALICE)
         row = list(adjacency.objects_from(alice, code))
@@ -158,15 +114,14 @@ class TestSortedAdjacency:
 
     def test_vertex_pool_is_the_candidate_sort_order(self):
         encoded = encoded_view(social_graph())
-        adjacency = adjacency_view(encoded, KERNEL_PYTHON)
-        ids, array = adjacency.vertex_pool()
+        adjacency = adjacency_view(encoded)
+        ids = adjacency.vertex_pool()
         assert tuple(ids) == encoded.sorted_vertex_ids
-        assert array is None  # arrays only exist in the vectorized flavor
-        assert adjacency.vertex_pool()[0] is ids  # memoized
+        assert adjacency.vertex_pool() is ids  # memoized
 
     def test_invalidate_drops_only_the_touched_predicates(self):
         encoded = encoded_view(social_graph())
-        adjacency = adjacency_view(encoded, KERNEL_PYTHON)
+        adjacency = adjacency_view(encoded)
         knows = encoded.dictionary.id_of(KNOWS)
         name = encoded.dictionary.id_of(NAME)
         knows_column = adjacency.out_column(knows)
@@ -175,17 +130,10 @@ class TestSortedAdjacency:
         assert adjacency.out_column(knows) is not knows_column
         assert adjacency.out_column(name) is name_column
 
-    def test_vectorized_flavor_requires_numpy(self, no_numpy):
-        encoded = encoded_view(social_graph())
-        with pytest.raises(ValueError, match="needs numpy"):
-            SortedAdjacency(encoded, KERNEL_VECTORIZED)
-
-    @pytest.mark.parametrize("kernel", [KERNEL_SETS, KERNEL_PYTHON, KERNEL_VECTORIZED])
-    def test_mutation_then_query_sees_the_new_edges(self, kernel):
-        if kernel == KERNEL_VECTORIZED and numpy_or_none() is None:
-            pytest.skip("numpy unavailable")
+    @pytest.mark.parametrize("matcher_class", [SetMatcher, LocalMatcher], ids=[KERNEL_SETS, KERNEL_PYTHON])
+    def test_mutation_then_query_sees_the_new_edges(self, matcher_class):
         graph = social_graph()
-        matcher = LocalMatcher(graph, kernel=kernel)
+        matcher = matcher_class(graph)
         query = knows_chain()
         before = list(matcher.find_matches(query))
         graph.add(Triple(DAVE, KNOWS, CAROL))
@@ -193,49 +141,107 @@ class TestSortedAdjacency:
         assert len(after) > len(before)
         # A cold matcher over an identical graph agrees exactly — the
         # incrementally patched columns are not an approximation.
-        fresh = LocalMatcher(graph.copy(), kernel=kernel)
+        fresh = matcher_class(graph.copy())
         assert list(fresh.find_matches(query)) == after
         assert fresh.search_steps == matcher.search_steps
 
 
 # ----------------------------------------------------------------------
-# Signature bit-matrix (the vectorized kernel's filter input)
+# The one kernel against the set-based oracle
 # ----------------------------------------------------------------------
-class TestBitsMatrix:
-    def test_matrix_words_match_the_bits_table(self):
-        np = numpy_or_none()
-        if np is None:
-            pytest.skip("numpy unavailable")
+class TestAgainstTheSetOracle:
+    def test_the_kernel_is_named_python(self):
+        assert resolve_kernel(None) == KERNEL_PYTHON
+        matcher = LocalMatcher(social_graph())
+        list(matcher.find_matches(knows_chain()))
+        assert matcher.last_kernel == KERNEL_PYTHON
+
+    def test_python_kernel_matches_sets(self):
+        graph = social_graph()
+        query = knows_chain()
+        default = LocalMatcher(graph)
+        sets = SetMatcher(graph)
+        assert list(default.find_matches(query)) == list(sets.find_matches(query))
+        assert default.search_steps == sets.search_steps
+        assert sets.last_kernel == KERNEL_SETS
+
+    @pytest.mark.parametrize("shape", list(QUERY_SHAPES))
+    def test_query_shapes_match_sets(self, shape):
+        graph = social_graph()
+        query = QUERY_SHAPES[shape]()
+        default = LocalMatcher(graph)
+        sets = SetMatcher(graph)
+        assert list(default.find_matches(query)) == list(sets.find_matches(query))
+        assert default.search_steps == sets.search_steps
+        encoded = encoded_view(graph)
+        index = SignatureIndex(graph)
+        assert compute_candidate_ids(encoded, query, index) == set_candidate_ids(encoded, query, index)
+
+
+# ----------------------------------------------------------------------
+# Kernel selection is gone
+# ----------------------------------------------------------------------
+class TestNoKernelSelection:
+    def test_matcher_takes_no_kernel_argument(self):
+        with pytest.raises(TypeError):
+            LocalMatcher(social_graph(), kernel=KERNEL_PYTHON)
+
+    def test_session_takes_no_kernel_argument(self):
+        with pytest.raises(TypeError):
+            repro.open(dataset="paper", kernel=KERNEL_PYTHON)
+
+    def test_cli_has_no_kernel_flag(self, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["query", "--data", "data.nt", "--query", "x", "--kernel", "python"])
+        assert "--kernel" in capsys.readouterr().err
+
+    def test_a_stale_environment_variable_is_ignored(self):
+        child = (
+            "from test_kernel import knows_chain, social_graph\n"
+            "from repro.store import LocalMatcher\n"
+            "matcher = LocalMatcher(social_graph())\n"
+            "print(len(list(matcher.find_matches(knows_chain()))), matcher.last_kernel)\n"
+        )
+        env = dict(
+            os.environ,
+            REPRO_KERNEL="vectorized",
+            PYTHONPATH=os.pathsep.join([str(SRC), str(Path(__file__).resolve().parent)]),
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert completed.returncode == 0, completed.stderr
+        expected = len(list(LocalMatcher(social_graph()).find_matches(knows_chain())))
+        assert completed.stdout.split() == [str(expected), KERNEL_PYTHON]
+
+
+# ----------------------------------------------------------------------
+# Signature table (the kernel's filter input)
+# ----------------------------------------------------------------------
+class TestBitsTable:
+    def test_table_rows_match_the_signatures(self):
         graph = social_graph()
         index = SignatureIndex(graph)
         encoded = encoded_view(graph)
         table = index.bits_table(encoded)
-        matrix = index.bits_matrix(encoded)
-        assert matrix.shape[0] == len(table)
-        words = matrix.shape[1]
-        for row, bits in zip(matrix, table):
-            reassembled = 0
-            for word in range(words):
-                reassembled |= int(row[word]) << (64 * word)
-            assert reassembled == bits
+        assert len(table) == len(encoded.dictionary)
+        for term_id, bits in enumerate(table):
+            assert bits == index.signature_of(encoded.dictionary.term_of(term_id)).bits
 
-    def test_matrix_refreshes_after_mutation(self):
-        np = numpy_or_none()
-        if np is None:
-            pytest.skip("numpy unavailable")
+    def test_table_refreshes_after_mutation(self):
         graph = social_graph()
         index = SignatureIndex(graph)
-        stale = index.bits_matrix(encoded_view(graph))
+        before = list(index.bits_table(encoded_view(graph)))
         graph.add(Triple(DAVE, NAME, Literal("Dave")))
-        fresh = index.bits_matrix(encoded_view(graph))
-        assert fresh is not stale
-        assert fresh.shape[0] >= stale.shape[0]
-
-    def test_numpy_free_matrix_is_an_error(self, no_numpy):
-        graph = social_graph()
-        index = SignatureIndex(graph)
-        with pytest.raises(ValueError, match="needs numpy"):
-            index.bits_matrix(encoded_view(graph))
+        encoded = encoded_view(graph)
+        table = index.bits_table(encoded)
+        dave = encoded.dictionary.id_of(DAVE)
+        assert table[dave] != before[dave]
+        fresh = SignatureIndex(graph.copy())
+        for term_id, bits in enumerate(table):
+            assert bits == fresh.signature_of(encoded.dictionary.term_of(term_id)).bits
 
     def test_stale_encoded_view_is_an_error(self):
         graph = social_graph()
@@ -243,20 +249,3 @@ class TestBitsMatrix:
         other = encoded_view(social_graph())
         with pytest.raises(ValueError, match="different graph"):
             index.bits_table(other)
-
-
-# ----------------------------------------------------------------------
-# Numpy-free end to end
-# ----------------------------------------------------------------------
-class TestNumpyFreeMatching:
-    def test_python_kernel_matches_sets_without_numpy(self, no_numpy, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        graph = social_graph()
-        query = knows_chain()
-        default = LocalMatcher(graph)
-        sets = LocalMatcher(graph, kernel=KERNEL_SETS)
-        default_matches = list(default.find_matches(query))
-        sets_matches = list(sets.find_matches(query))
-        assert default.last_kernel == KERNEL_PYTHON
-        assert default_matches == sets_matches
-        assert default.search_steps == sets.search_steps

@@ -10,8 +10,9 @@ one :class:`~repro.distributed.Cluster`:
    complete matches and (b) its local partial matches (Definition 5),
    filtering extended candidates with the stage-1 bit vectors.
 3. *LEC feature-based pruning* (optional, Algorithms 1-2): sites compress
-   LPMs into LEC features, the coordinator joins the features and reports
-   which ones can contribute to a complete match; the sites drop the rest.
+   LPMs into LEC features, the coordinator joins the features and returns
+   the positions of the ones that can contribute to a complete match; the
+   sites drop the rest.
 4. *Assembly* (Algorithm 3 or the ungrouped join of [18]): the surviving
    LPMs are shipped to the coordinator and joined into crossing matches,
    which are merged with the fragment-local matches.
@@ -62,7 +63,7 @@ from ..store import finalize_matches
 from .assembly import assemble_matches
 from .candidate_exchange import GlobalCandidateFilter, union_site_vectors
 from .config import EngineConfig
-from .lec import LECFeature
+from .lec import LECClasses, LECFeature
 from .partial_match import LocalPartialMatch
 from .pruning import prune_features
 from .site_tasks import (
@@ -371,7 +372,7 @@ class GStoreDEngine:
         if not self.config.use_lec_pruning:
             run.stats.stage(STAGE_PRUNING)
             return lpms_by_site
-        classes_by_site: Dict[int, Dict[LECFeature, List[LocalPartialMatch]]] = {}
+        classes_by_site: Dict[int, LECClasses] = {}
         features_by_site: Dict[int, List[LECFeature]] = {}
         surviving_by_site: LPMsBySite = {}
         with run.stage(STAGE_PRUNING) as stage:
@@ -381,16 +382,14 @@ class GStoreDEngine:
                 features_by_site[result.site_id] = list(classes)
                 stage.ship(result.site_id, COORDINATOR, "lec_features", list(classes))
             with stage.join() as record_join:
-                outcome, surviving_features = prune_features(run.query_graph, features_by_site)
+                outcome, survivors = prune_features(run.query_graph, features_by_site)
                 record_join(outcome)
             # Iterate the sites that actually reported features: identical to
             # lpms_by_site on a clean run, but a site lost during the feature
-            # fan-out has no surviving_features entry to ship back.
+            # fan-out has no survivor positions to ship back.
             for site_id in sorted(classes_by_site):
-                stage.ship(
-                    COORDINATOR, site_id, "surviving_features", list(surviving_features[site_id])
-                )
-            for result in stage.fan_out(lec_filter_tasks(classes_by_site, surviving_features)):
+                stage.ship(COORDINATOR, site_id, "surviving_features", survivors[site_id])
+            for result in stage.fan_out(lec_filter_tasks(classes_by_site, survivors)):
                 surviving_by_site[result.site_id] = result.value
             stage.count(
                 lec_features=outcome.total_features,

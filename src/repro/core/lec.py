@@ -20,31 +20,45 @@ This module implements the feature itself and Algorithm 1 (computing
 features from a stream of local partial matches); Definition 9 and Theorem 5
 are applied by the joins in :mod:`repro.core.joins`.  A feature is its key:
 ``g`` holds N3-keyed crossing pairs, so grouping, shipping and pruning hash
-and compare strings, never term objects.
+and compare strings, never term objects.  On the wire a site's features share
+one term table: each key's text is paid once per message, by the first
+feature that uses it, and every pair is four fixed-width references.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Set, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Set, Tuple
 
 from ..rdf.ntriples import parse_term
 from ..rdf.triples import Triple
-from .partial_match import LocalPartialMatch, PairKey
+from .partial_match import REFERENCE_BYTES, LocalPartialMatch, LPMList, PairKey, key_bytes
+
+#: Fragment-id (8 B) and LECSign (4 B) framing of one feature.
+FEATURE_FRAMING = 12
+#: One crossing pair: its query edge index and three key references.
+PAIR_BYTES = 4 * REFERENCE_BYTES
 
 
-class LECFeature(NamedTuple):
+class _FeatureKey(NamedTuple):
+    fragment_id: int
+    crossing: Tuple[PairKey, ...]
+    lec_sign: int
+
+
+class LECFeature(_FeatureKey):
     """The compact summary of one local partial match equivalence class.
 
     ``crossing`` is the function ``g`` of Definition 8: one
     ``(query edge index, s, p, o)`` key per crossing edge, in ascending edge
     index (so equal functions are equal tuples); ``lec_sign`` is the LECSign
-    bitmask over query-vertex indices.
+    bitmask over query-vertex indices.  The feature *is* that key tuple, so
+    equality and hashing cover it alone at C speed.  ``size``, outside the
+    tuple, is what the feature adds to its ``lec_features`` message
+    (:meth:`shipment_size`), set by Algorithm 1's scan.
     """
 
-    fragment_id: int
-    crossing: Tuple[PairKey, ...]
-    lec_sign: int
+    #: Unset (a feature built on its own): charged as its message's only feature.
+    size = -1
 
     # ------------------------------------------------------------------
     # Decoded views (tests and oracles)
@@ -68,19 +82,40 @@ class LECFeature(NamedTuple):
         return "".join("1" if self.lec_sign >> i & 1 else "0" for i in range(num_vertices))
 
     def shipment_size(self) -> int:
-        """Approximate serialized size: fragment id + g + LECSign.
+        """Bytes this feature adds to its ``lec_features`` message.
 
-        Matches the paper's cost analysis: O(|E_Q|) for ``g`` plus O(|V_Q|)
-        for the bitstring plus a constant for the fragment identifier.
+        The message is a term table plus references: 12 B of fragment-id and
+        LECSign framing, 16 B per crossing pair (its query edge index and three
+        key references), and the UTF-8 text of each key this feature is the
+        first in message order to use — Algorithm 1's scan charges every key
+        once per message.  So the paper's O(|E_Q|) for ``g`` holds per
+        feature, and a key shared by features is paid for once.
         """
-        size = 8 + 4  # fragment id + bitmask
-        for _, subject, predicate, obj in self.crossing:
-            size += 4 + len(subject) + len(predicate) + len(obj)
-        return size
+        return self.size if self.size >= 0 else _charge(self.crossing, set())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         edges = ", ".join(f"#{pair[0]}" for pair in self.crossing)
         return f"<LECFeature F{self.fragment_id} edges=[{edges}] sign={bin(self.lec_sign)}>"
+
+
+def _charge(crossing: Tuple[PairKey, ...], seen: Set[str]) -> int:
+    """A feature's bytes in its message, given the keys ``seen`` earlier in it (updated).
+
+    Unrolled over the three keys of a pair: this runs once per feature on
+    the query path, and a loop over a ``(s, p, o)`` tuple costs half again.
+    """
+    size = FEATURE_FRAMING + PAIR_BYTES * len(crossing)
+    for _, subject, predicate, obj in crossing:
+        if subject not in seen:
+            seen.add(subject)
+            size += key_bytes(subject)
+        if predicate not in seen:
+            seen.add(predicate)
+            size += key_bytes(predicate)
+        if obj not in seen:
+            seen.add(obj)
+            size += key_bytes(obj)
+    return size
 
 
 def lec_feature_of(lpm: LocalPartialMatch) -> LECFeature:
@@ -88,14 +123,38 @@ def lec_feature_of(lpm: LocalPartialMatch) -> LECFeature:
     return LECFeature(lpm.fragment_id, lpm.crossing, lpm.internal_mask)
 
 
-def compute_lec_features(lpms: Iterable[LocalPartialMatch]) -> Dict[LECFeature, List[LocalPartialMatch]]:
+class LECClasses(dict):
+    """Algorithm 1's output: each LEC feature, in message order, to its class.
+
+    ``list(classes)`` is the ``lec_features`` message.  Pickles as the LPMs it
+    groups — one :class:`~repro.core.partial_match.LPMList`, in class order —
+    and groups them again on load, which rebuilds the same classes in the
+    same order with the same charges.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        members = LPMList([lpm for lpms in self.values() for lpm in lpms])
+        return (compute_lec_features, (members,))
+
+
+def compute_lec_features(lpms: Iterable[LocalPartialMatch]) -> LECClasses:
     """Algorithm 1: one linear scan over the local partial matches.
 
     Returns the mapping from each distinct LEC feature to the equivalence
-    class (the list of LPMs it summarises); the key set alone is what gets
-    shipped to the coordinator.
+    class (the list of LPMs it summarises), features in order of first
+    appearance.  The key list alone is what gets shipped to the coordinator;
+    each feature is then charged its share of that message, in that order.
     """
-    classes: Dict[LECFeature, List[LocalPartialMatch]] = defaultdict(list)
+    classes = LECClasses()
     for lpm in lpms:
-        classes[lec_feature_of(lpm)].append(lpm)
-    return dict(classes)
+        feature = lec_feature_of(lpm)
+        members = classes.get(feature)
+        if members is None:
+            members = classes[feature] = []
+        members.append(lpm)
+    seen: Set[str] = set()
+    for feature in classes:
+        feature.size = _charge(feature.crossing, seen)
+    return classes

@@ -27,9 +27,10 @@ int masks), vertex classes and ranked crossing edges come from the cached
 :meth:`EncodedGraph.triple_ids` probes — so the LPM *sequence* is the same
 under every ``PYTHONHASHSEED``.  An LPM is emitted straight from that state
 in its wire form (:mod:`repro.core.partial_match`): each id becomes the
-dictionary's N3 key and term (two list lookups), the crossing pairs are key
-tuples shared by every LPM of the call, and the shipment size is summed from
-the keys' lengths.  No ``Triple`` or ``frozenset`` is built.
+dictionary's N3 key and term (two list lookups), and the crossing pairs are
+key tuples shared by every LPM of the call.  No ``Triple`` or ``frozenset`` is
+built.  The LPMs are collected in the :class:`~repro.core.partial_match.LPMList`
+that ships them.
 
 The optional ``candidate_filter`` implements the Section VI optimization: an
 extended vertex may only be used when the coordinator's global bit vector
@@ -48,7 +49,7 @@ from ..sparql.query_graph import QueryGraph
 from ..store.encoding import PREDICATE_ANY, predicate_code
 from ..store.fragment_index import IdTriple, fragment_index
 from .candidate_exchange import GlobalCandidateFilter
-from .partial_match import LocalPartialMatch, PairKey, check_local_partial_match
+from .partial_match import LocalPartialMatch, LPMList, PairKey, check_local_partial_match
 
 #: Id of a constant query vertex the fragment never stores: no data vertex has it.
 _ABSENT_VERTEX = -1
@@ -59,7 +60,7 @@ class PartialEvaluationResult:
     """Output of one site's partial evaluation."""
 
     fragment_id: int
-    local_partial_matches: List[LocalPartialMatch] = field(default_factory=list)
+    local_partial_matches: LPMList = field(default_factory=LPMList)
     seeds_explored: int = 0
     #: Extended-vertex bindings the stage-1 filter refused, one per branch.
     branches_pruned_by_filter: int = 0
@@ -136,7 +137,6 @@ class PartialEvaluator:
         # Emission order: edge slots by index, then vertex slots.
         by_index = sorted(range(len(edges)), key=lambda rank: edges[rank][3])
         vertex_base = len(edges)
-        query_lengths = [len(vertex.n3()) for vertex in vertices]
         # Crossing pair keys and filter verdicts, memoized for this call only.
         pair_keys: List[Dict[IdTriple, PairKey]] = [{} for _ in edges]
         verdicts: List[Dict[int, bool]] = [{} for _ in vertices]
@@ -152,7 +152,6 @@ class PartialEvaluator:
 
         def emit(matched: int, internal_mask: int) -> None:
             items, terms, crossing = [], [], []
-            size = 8
             for rank in by_index:
                 if not matched >> rank & 1:
                     continue
@@ -161,7 +160,6 @@ class PartialEvaluator:
                 key = n3_of(ids[1])
                 items.append((edge_index, key))
                 terms.append(term_of(ids[1]))
-                size += 4 + len(key)
                 if not internal_mask >> subject_slot & internal_mask >> object_slot & 1:
                     pair = pair_keys[rank].get(ids)
                     if pair is None:
@@ -172,10 +170,7 @@ class PartialEvaluator:
                     key = n3_of(value)
                     items.append((vertex_base + slot, key))
                     terms.append(term_of(value))
-                    size += query_lengths[slot] + len(key)
-            lpm = LocalPartialMatch(
-                fragments, query, tuple(items), tuple(terms), internal_mask, tuple(crossing), size
-            )
+            lpm = LocalPartialMatch(fragments, query, tuple(items), tuple(terms), internal_mask, tuple(crossing))
             if not (self._paranoid and check_local_partial_match(lpm, query, fragment)):
                 result.local_partial_matches.append(lpm)
 

@@ -19,7 +19,10 @@ to fragment vertices (unassigned vertices stand for the paper's NULL), where
 its N3 text, injective over terms, as the producing site's dictionary holds it
 (``docs/performance.md``, "LPMs cross as keys").  Joins, Algorithm 1 and sizes
 work on the keys; each key's ``Node`` is read only to build a ``Binding``.
-``assignment``, ``mapping()`` … are views decoded on demand for tests.
+``assignment``, ``mapping()`` … are views decoded on demand for tests.  A site's
+LPMs travel as one :class:`LPMList` message, which carries each distinct key
+once and refers to it by a fixed-width reference (``docs/performance.md``,
+"Algorithm 2 pays for its bytes") — on the bus and in a pickle alike.
 
 The class below is an immutable value object; the enumeration algorithm
 lives in :mod:`repro.core.partial_eval` and the validity checker (used by
@@ -32,6 +35,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..partition.fragment import Fragment
+from ..rdf.ntriples import parse_term
 from ..rdf.terms import IRI, Literal, Node, PatternTerm, Term, Variable
 from ..rdf.triples import Triple
 from ..sparql.bindings import Binding
@@ -67,8 +71,6 @@ class LocalPartialMatch:
     crossing:
         The matched edges whose data edge is a crossing edge of the producing
         fragment — the only part other fragments can share — by edge index.
-    size:
-        :meth:`shipment_size`, computed once where the LPM was built.
 
     Equality and hashing cover the keys, never the term objects.
     """
@@ -79,7 +81,6 @@ class LocalPartialMatch:
     terms: Tuple[Term, ...]
     internal_mask: int
     crossing: Tuple[PairKey, ...]
-    size: int
 
     def _key(self) -> tuple:
         return (self.fragments, self.items, self.internal_mask, self.crossing)
@@ -197,18 +198,6 @@ class LocalPartialMatch:
         """Merge two joinable partial matches into one larger partial match."""
         return join_matches((self, other))
 
-    # ------------------------------------------------------------------
-    # Network accounting
-    # ------------------------------------------------------------------
-    def shipment_size(self) -> int:
-        """Approximate serialized size in bytes (used for shipment accounting).
-
-        8 bytes of fragment-id and mask framing, each mapped (query vertex,
-        data vertex) pair's two N3 lengths, and 4 bytes plus the predicate's
-        N3 length per matched edge — summed where the LPM was built.
-        """
-        return self.size
-
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         pairs = ", ".join(
             f"{vertex.n3()}->{value.n3()}" for vertex, value in sorted(self.assignment, key=lambda p: p[0].n3())
@@ -225,11 +214,94 @@ def join_matches(members: Sequence[LocalPartialMatch]) -> LocalPartialMatch:
         fragments |= member.fragments
         internal_mask |= member.internal_mask
         crossing.update(member.crossing)
-    query, items = members[0].query, tuple(sorted(merged))
-    base, vertices = query.num_edges, query.vertices
-    size = 8 + sum(4 + len(key) if slot < base else len(vertices[slot - base].n3()) + len(key) for slot, key in items)
+    items = tuple(sorted(merged))
     terms = tuple([merged[item] for item in items])
-    return LocalPartialMatch(frozenset(fragments), query, items, terms, internal_mask, tuple(sorted(crossing)), size)
+    return LocalPartialMatch(
+        frozenset(fragments), members[0].query, items, terms, internal_mask, tuple(sorted(crossing))
+    )
+
+
+# ----------------------------------------------------------------------
+# The message wire form
+# ----------------------------------------------------------------------
+#: Bytes of one reference: a key's position in its message's table, or an index.
+REFERENCE_BYTES = 4
+#: Fragment-id and LECSign framing of one LPM.
+LPM_FRAMING = 8
+
+
+def key_bytes(key: str) -> int:
+    """What a message's term table pays for one key: its UTF-8 text."""
+    return len(key.encode("utf-8"))
+
+
+class LPMList(list):
+    """One site's local partial matches as the message that ships them.
+
+    The wire form is a term table plus references: each distinct key of the
+    message once, then per LPM its framing and, per item, a slot index and a
+    key reference.  :meth:`shipment_size` charges that form and
+    :meth:`__reduce__` pickles it, so the bus and a process pool move one
+    thing.  The members are enumerated LPMs (one fragment each): a member's
+    crossing pairs follow from its items and LECSign, so they are not shipped.
+    """
+
+    __slots__ = ()
+
+    def shipment_size(self) -> int:
+        """Bytes of the message: distinct keys once, everything else fixed-width.
+
+        4 B of list framing; per LPM, 8 B of fragment-id and mask framing and
+        8 B per item — a 4 B slot index (the query edge index, or ``|E_Q|`` +
+        the query vertex index) and a 4 B key reference; and the UTF-8 text of
+        each distinct key, once per message.
+        """
+        items = sum([len(lpm.items) for lpm in self])
+        keys = {key for lpm in self for _, key in lpm.items}
+        return 4 + LPM_FRAMING * len(self) + 2 * REFERENCE_BYTES * items + sum(map(key_bytes, keys))
+
+    def __reduce__(self):
+        """Pickle the wire form: the key table, then ``(slot, key reference)`` per item."""
+        references: Dict[str, int] = {}
+        records = []
+        for lpm in self:
+            flat: List[int] = []
+            for slot, key in lpm.items:
+                reference = references.get(key)
+                if reference is None:
+                    reference = references[key] = len(references)
+                flat += (slot, reference)
+            records.append((lpm.query, lpm.fragments, lpm.internal_mask, tuple(flat)))
+        return (_rebuild_lpms, (tuple(references), records))
+
+
+def _rebuild_lpms(keys: Sequence[str], records: Sequence[tuple]) -> LPMList:
+    """Unpickle an :class:`LPMList`: parse each key once, derive the crossing pairs.
+
+    A matched edge is a crossing pair unless both ends map to internal
+    vertices — the rule the partial evaluator emits by.
+    """
+    terms = [parse_term(key) for key in keys]
+    ends: Dict[int, List[Tuple[int, int]]] = {}
+    lpms = LPMList()
+    for query, fragments, internal_mask, flat in records:
+        edge_ends = ends.get(id(query))
+        if edge_ends is None:
+            edge_ends = ends[id(query)] = [
+                (query.vertex_index(edge.subject), query.vertex_index(edge.object)) for edge in query.edges
+            ]
+        base, references = query.num_edges, flat[1::2]
+        items = tuple(zip(flat[0::2], [keys[reference] for reference in references]))
+        held = dict(items)
+        crossing = []
+        for slot, key in items:
+            if slot < base:
+                subject, obj = edge_ends[slot]
+                if not internal_mask >> subject & internal_mask >> obj & 1:
+                    crossing.append((slot, held[base + subject], key, held[base + obj]))
+        lpm_terms = tuple([terms[reference] for reference in references])
+        lpms.append(LocalPartialMatch(fragments, query, items, lpm_terms, internal_mask, tuple(crossing)))
+    return lpms
 
 
 def check_local_partial_match(

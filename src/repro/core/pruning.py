@@ -19,7 +19,7 @@ complete combination, which is exactly the condition of Theorem 4.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from ..sparql.query_graph import QueryGraph
 from .joins import JoinCompiler, SignGroups
@@ -80,16 +80,19 @@ class LECFeaturePruner:
 def prune_features(
     query: QueryGraph,
     features_by_site: Mapping[int, Sequence[LECFeature]],
-) -> Tuple[PruningOutcome, Dict[int, Set[LECFeature]]]:
-    """Run the pruner over all sites' features; return per-site survivors.
+) -> Tuple[PruningOutcome, Dict[int, List[int]]]:
+    """Run the pruner over all sites' features; return per-site survivor positions.
 
-    The per-site result is what the coordinator ships back so each site can
-    discard the local partial matches of its pruned equivalence classes.
+    A site's survivors go back as the ascending positions of its surviving
+    features in the sequence it sent — its own ``lec_features`` message —
+    so the coordinator never echoes a feature to the site that sent it.
     """
     pruner = LECFeaturePruner(query)
     every_feature = [feature for features in features_by_site.values() for feature in features]
     outcome = pruner.prune(every_feature)
-    per_site: Dict[int, Set[LECFeature]] = {}
+    per_site: Dict[int, List[int]] = {}
     for site_id, features in features_by_site.items():
-        per_site[site_id] = {feature for feature in features if outcome.survives(feature)}
+        per_site[site_id] = [
+            position for position, feature in enumerate(features) if outcome.survives(feature)
+        ]
     return outcome, per_site

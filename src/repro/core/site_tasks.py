@@ -36,9 +36,9 @@ from ..sparql.bindings import Binding
 from ..sparql.query_graph import QueryGraph
 from ..store.kernel import KERNEL_PYTHON
 from .candidate_exchange import CandidateBitVector, GlobalCandidateFilter, build_site_vectors
-from .lec import LECFeature, compute_lec_features
+from .lec import LECClasses, compute_lec_features
 from .partial_eval import PartialEvaluator
-from .partial_match import LocalPartialMatch
+from .partial_match import LocalPartialMatch, LPMList
 
 #: Task names of the engine's per-site stage bodies.
 TASK_LOCAL_EVAL = "engine.local_eval"
@@ -113,7 +113,7 @@ class PartialEvalOutput:
     #: Fragment-local complete matches (shipped to the coordinator as-is).
     local_matches: List[Binding]
     #: The site's local partial matches (Definition 5), kept for pruning.
-    local_partial_matches: List[LocalPartialMatch]
+    local_partial_matches: LPMList
     #: Extended-candidate branches cut by the stage-1 bit-vector filter.
     branches_pruned_by_filter: int
     #: Matcher search steps of the fragment-local complete evaluation
@@ -193,7 +193,7 @@ def run_partial_eval(site, payload: Mapping[str, object]) -> PartialEvalOutput:
 
 
 @register_site_task(TASK_LEC_FEATURES, payload_bound=True)
-def run_lec_features(site, payload: Mapping[str, object]) -> Dict[LECFeature, List[LocalPartialMatch]]:
+def run_lec_features(site, payload: Mapping[str, object]) -> LECClasses:
     """Group the site's local partial matches into LEC equivalence classes.
 
     The LPMs arrive through the payload (the coordinator collected them in
@@ -207,19 +207,20 @@ def run_lec_features(site, payload: Mapping[str, object]) -> Dict[LECFeature, Li
 
 
 @register_site_task(TASK_LEC_FILTER, payload_bound=True)
-def run_lec_filter(site, payload: Mapping[str, object]) -> List[LocalPartialMatch]:
-    """Drop the site's LPMs whose LEC feature the coordinator pruned.
+def run_lec_filter(site, payload: Mapping[str, object]) -> LPMList:
+    """Keep the LPMs of the classes the coordinator kept, in class order.
 
-    Payload-bound for the same reason as :func:`run_lec_features`: a set
-    membership scan is far cheaper than round-tripping the LPM classes
-    through a worker process.
+    ``surviving`` holds the ascending positions of the surviving features in
+    the site's own ``lec_features`` message, which is ``list(classes)``.
+    Payload-bound for the same reason as :func:`run_lec_features`: picking
+    classes by position is far cheaper than round-tripping them through a
+    worker process.
     """
     del site
-    surviving = payload["surviving"]
-    kept: List[LocalPartialMatch] = []
-    for feature, members in payload["classes"].items():
-        if feature in surviving:
-            kept.extend(members)
+    classes = list(payload["classes"].values())
+    kept = LPMList()
+    for position in payload["surviving"]:
+        kept.extend(classes[position])
     return kept
 
 
@@ -288,10 +289,10 @@ def lec_feature_tasks(
 
 
 def lec_filter_tasks(
-    classes_by_site: Mapping[int, Dict[LECFeature, List[LocalPartialMatch]]],
-    surviving_by_site: Mapping[int, object],
+    classes_by_site: Mapping[int, LECClasses],
+    surviving_by_site: Mapping[int, Sequence[int]],
 ) -> List[SiteTask]:
-    """LEC filtering fan-out: keep only the surviving classes' members."""
+    """LEC filtering fan-out: each site keeps the classes at its survivor positions."""
     return [
         SiteTask(
             site_id,

@@ -18,6 +18,14 @@ against term objects.  Also here, because nothing in ``src/`` calls them:
 (``repro.core.lec``'s grouping and Definition 9 on the compiled form, until
 they moved), and :func:`lec_feature`, which builds a feature's key form from
 object-level ``(index, Triple)`` pairs.
+
+Two more oracles belong to the messages around Algorithm 2.
+:func:`echo_survivors` and :func:`echo_filter` are the survivor exchange as it
+was before survivors went back as positions: the coordinator echoed each
+site's surviving features, and the site kept the classes found in that set.
+:func:`recount_lpm_message` and :func:`recount_feature_message` size the
+table wire form from the decoded terms, independently of the production
+accounting.
 """
 
 from __future__ import annotations
@@ -41,6 +49,59 @@ def lec_feature(fragment_id: int, crossing_map: Iterable[Tuple[int, Triple]], le
         (index, triple.subject.n3(), triple.predicate.n3(), triple.object.n3()) for index, triple in crossing_map
     )
     return LECFeature(fragment_id, tuple(crossing), lec_sign)
+
+
+def echo_survivors(
+    query: QueryGraph, features_by_site: Mapping[int, Sequence[LECFeature]]
+) -> Dict[int, Set[LECFeature]]:
+    """Per site, the set of its features that survive Algorithm 2 (the old echo)."""
+    outcome = LECFeaturePruner(query).prune(f for features in features_by_site.values() for f in features)
+    return {site: {f for f in features if outcome.survives(f)} for site, features in features_by_site.items()}
+
+
+def echo_filter(
+    classes: Mapping[LECFeature, Sequence[LocalPartialMatch]], surviving: Set[LECFeature]
+) -> List[LocalPartialMatch]:
+    """The LPMs a site kept from an echoed survivor set: surviving classes' members, in class order."""
+    kept: List[LocalPartialMatch] = []
+    for feature, members in classes.items():
+        if feature in surviving:
+            kept.extend(members)
+    return kept
+
+
+def _text_bytes(keys: Iterable[str]) -> int:
+    return sum(len(key.encode("utf-8")) for key in keys)
+
+
+def recount_lpm_message(lpms: Iterable[LocalPartialMatch]) -> int:
+    """A ``local_partial_matches`` message, sized from the decoded terms.
+
+    4 B of list framing; per LPM 8 B of framing and 8 B (slot index + key
+    reference) per mapped query vertex and per matched query edge; the UTF-8
+    N3 text of every distinct data vertex and predicate once.
+    """
+    size, keys = 4, set()
+    for lpm in lpms:
+        size += 8 + 8 * (len(lpm.assignment) + len(lpm.edge_assignment))
+        keys |= {value.n3() for _, value in lpm.assignment}
+        keys |= {triple.predicate.n3() for _, triple in lpm.edge_assignment}
+    return size + _text_bytes(keys)
+
+
+def recount_feature_message(features: Iterable[LECFeature]) -> int:
+    """A ``lec_features`` message, sized from the decoded crossing edges.
+
+    4 B of list framing; per feature 12 B of framing and 16 B (edge index +
+    three key references) per crossing pair; the UTF-8 N3 text of every
+    distinct subject, predicate and object once.
+    """
+    size, keys = 4, set()
+    for feature in features:
+        size += 12 + 16 * len(feature.crossing_map)
+        for _, triple in feature.crossing_map:
+            keys |= {triple.subject.n3(), triple.predicate.n3(), triple.object.n3()}
+    return size + _text_bytes(keys)
 
 
 def group_features_by_sign(features: Iterable[LECFeature]) -> Dict[int, List[LECFeature]]:

@@ -370,11 +370,10 @@ def build_lpm(
 ) -> LocalPartialMatch:
     """Build an LPM from object-level working state.
 
-    Keys are ``term.n3()`` and the shipment size is the object formula
-    (8 + both N3 lengths per mapped vertex + 4 + the predicate's per matched
-    edge), computed here independently of the evaluator.  A matched edge's
-    item holds only its predicate (the mapped endpoints pin the rest), so a
-    data edge that does not connect them raises ``ValueError``.
+    Keys are ``term.n3()``, computed here independently of the evaluator.  A
+    matched edge's item holds only its predicate (the mapped endpoints pin
+    the rest), so a data edge that does not connect them raises
+    ``ValueError``.
     """
     for index, triple in edge_mapping.items():
         edge = query.edge_at(index)
@@ -394,11 +393,6 @@ def build_lpm(
         for index, triple in edge_mapping.items()
         if index in crossing_edge_indexes
     )
-    size = 8
-    for vertex, value in mapping.items():
-        size += len(vertex.n3()) + len(value.n3())
-    for triple in edge_mapping.values():
-        size += 4 + len(triple.predicate.n3())
     return LocalPartialMatch(
         frozenset({fragment_id}),
         query,
@@ -406,5 +400,4 @@ def build_lpm(
         tuple(slots[slot] for slot in order),
         internal_mask,
         tuple(crossing),
-        size,
     )

@@ -5,11 +5,14 @@ import pytest
 from reference_joins import compiled_features_joinable as features_joinable
 from reference_joins import group_features_by_sign, lec_feature
 
-from repro.core import LECFeature, compute_lec_features, lec_feature_of
+from repro.core import EngineConfig, GStoreDEngine, LECFeature, compute_lec_features, lec_feature_of
 from repro.core.partial_eval import evaluate_fragment
+from repro.core.partial_match import LPMList
+from repro.distributed import build_cluster
+from repro.distributed.network import estimate_size
 from repro.partition import build_partitioned_graph
 from repro.rdf import Namespace, RDFGraph, Triple, TriplePattern, Variable
-from repro.sparql import BasicGraphPattern, QueryGraph
+from repro.sparql import BasicGraphPattern, QueryGraph, SelectQuery
 
 EX = Namespace("http://example.org/")
 A, B, C, D = EX.term("a"), EX.term("b"), EX.term("c"), EX.term("d")
@@ -49,6 +52,14 @@ class TestLECFeature:
         large = lec_feature(0, [(0, Triple(A, P, B)), (1, Triple(B, Q, C))], 0b1)
         assert 0 < small.shipment_size() < large.shipment_size()
 
+    def test_a_key_is_charged_to_the_first_feature_that_uses_it(self, path_setting):
+        _, _, lpms = path_setting
+        first, second = compute_lec_features(lpms[0] + lpms[1])
+        assert first.crossing == second.crossing
+        keys = len(B.n3()) + len(Q.n3()) + len(C.n3())
+        assert first.shipment_size() == 12 + 16 + keys == lec_feature_of(lpms[1][0]).shipment_size()
+        assert second.shipment_size() == 12 + 16
+
     def test_features_are_hashable_and_deduplicated(self, path_setting):
         _, _, lpms = path_setting
         assert len({lec_feature_of(lpm) for lpm in lpms[0]}) == 1
@@ -75,6 +86,47 @@ class TestAlgorithm1:
 
     def test_empty_input(self):
         assert compute_lec_features([]) == {}
+
+
+class TestDefinition8Compresses:
+    """An internal star hanging off one crossing edge: many LPMs, one feature.
+
+    ``a -p-> b`` crosses from fragment 0 into fragment 1, where ``b`` has
+    ``LEAVES`` internal ``q`` neighbours.  Each neighbour gives fragment 1 one
+    LPM of ``?x p ?y . ?y q ?z``, and all of them share the crossing pair and
+    the LECSign: one class, whose feature ships in fewer bytes than its LPMs.
+    """
+
+    LEAVES = 8
+
+    def build(self):
+        leaves = [EX.term(f"leaf{i}") for i in range(self.LEAVES)]
+        graph = RDFGraph([Triple(A, P, B)] + [Triple(B, Q, leaf) for leaf in leaves])
+        assignment = {A: 0, B: 1, **{leaf: 1 for leaf in leaves}}
+        partitioned = build_partitioned_graph(graph, assignment, num_fragments=2)
+        bgp = BasicGraphPattern([TriplePattern(X, P, Y), TriplePattern(Y, Q, Z)])
+        return partitioned, bgp
+
+    def test_one_feature_ships_smaller_than_its_class(self):
+        partitioned, bgp = self.build()
+        lpms = evaluate_fragment(partitioned.fragment(1), QueryGraph(bgp)).local_partial_matches
+        classes = compute_lec_features(lpms)
+        assert len(lpms) / len(classes) == self.LEAVES > 1
+        (members,) = classes.values()
+        assert estimate_size(list(classes)) < estimate_size(LPMList(members))
+
+    def test_the_engine_ships_the_feature_and_keeps_the_class(self):
+        partitioned, bgp = self.build()
+        cluster = build_cluster(partitioned)
+        config = EngineConfig.full().with_options(star_shortcut=False, executor="serial")
+        result = GStoreDEngine(cluster, config).execute(SelectQuery(bgp, (X, Y, Z)))
+        statistics = result.statistics
+        lpms = statistics.counter("partial_evaluation", "local_partial_matches")
+        assert lpms / statistics.counter("lec_pruning", "lec_features") > 1
+        assert statistics.counter("lec_pruning", "pruned_local_partial_matches") == 0
+        assert len(result.results) == self.LEAVES
+        shipped = cluster.bus.bytes_by_kind()
+        assert shipped["lec_features"] < shipped["local_partial_matches"]
 
 
 class TestJoinability:

@@ -1,10 +1,13 @@
 """Unit tests for the LocalPartialMatch value object and Definition 5 checker."""
 
+import pickle
+
 import pytest
 
 from reference_partial_eval import build_lpm
 
 from repro.core import check_local_partial_match
+from repro.core.partial_match import LPMList
 from repro.partition import build_partitioned_graph
 from repro.rdf import Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph
@@ -79,7 +82,24 @@ class TestConstruction:
 
     def test_shipment_size_positive_and_monotone(self, setting):
         _, partitioned, query = setting
-        assert lpm_f0(partitioned, query).shipment_size() > lpm_f1(partitioned, query).shipment_size() > 0
+        larger, smaller = LPMList([lpm_f0(partitioned, query)]), LPMList([lpm_f1(partitioned, query)])
+        assert larger.shipment_size() > smaller.shipment_size() > LPMList().shipment_size() == 4
+
+    def test_a_shared_key_is_charged_once_per_message(self, setting):
+        _, partitioned, query = setting
+        left, right = lpm_f0(partitioned, query), lpm_f1(partitioned, query)
+        apart = LPMList([left]).shipment_size() + LPMList([right]).shipment_size() - 4
+        shared = {key for _, key in left.items} & {key for _, key in right.items}
+        assert shared
+        assert LPMList([left, right]).shipment_size() == apart - sum(len(key.encode()) for key in shared)
+
+    def test_pickles_as_the_table_form(self, setting):
+        _, partitioned, query = setting
+        lpms = LPMList([lpm_f0(partitioned, query), lpm_f1(partitioned, query)])
+        loaded = pickle.loads(pickle.dumps(lpms))
+        assert type(loaded) is LPMList and loaded == lpms
+        for before, after in zip(lpms, loaded):
+            assert (after.terms, after.crossing, after.fragments) == (before.terms, before.crossing, before.fragments)
 
 
 class TestJoin:

@@ -80,9 +80,8 @@ class TestPruningSoundness:
         surviving_lpms = [
             lpm
             for site, classes in classes_by_site.items()
-            for feature, members in classes.items()
-            if feature in surviving[site]
-            for lpm in members
+            for position in surviving[site]
+            for lpm in list(classes.values())[position]
         ]
         assembler = LECAssembler(query_graph)
         full = {m.assignment for m in assembler.assemble(all_lpms).matches}
@@ -96,5 +95,8 @@ class TestPruningSoundness:
             features_by_site[fragment.fragment_id] = list(compute_lec_features(lpms))
         outcome, surviving = prune_features(example_query_graph, features_by_site)
         for site, features in features_by_site.items():
-            assert surviving[site] <= set(features)
+            positions = surviving[site]
+            assert positions == sorted(set(positions))
+            assert all(0 <= position < len(features) for position in positions)
+            assert [features[p] for p in positions] == [f for f in features if outcome.survives(f)]
         assert sum(len(s) for s in surviving.values()) == len(outcome.surviving)

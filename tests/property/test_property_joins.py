@@ -11,7 +11,11 @@ graphs and queries and on adversarial partitionings, that
 * the indexed ``LECAssembler`` returns the identical *sequence* of complete
   matches — not just the same set — with as many successful joins,
 * both agree with ``BasicAssembler`` and with the centralized answers, alone
-  and under the engine.
+  and under the engine,
+* survivor positions keep exactly the LPMs the old feature echo kept, and
+  every ``lec_features``, ``surviving_features`` and ``local_partial_matches``
+  message is charged what an independent recount of its wire form gives —
+  site by site and on the engine's bus.
 
 The partitionings: uniformly random ones; every vertex in its own fragment
 (every edge crossing); a single site (no crossing edge at all); fragments
@@ -29,10 +33,13 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
 from reference_joins import LECAssembler as ReferenceAssembler
 from reference_joins import LECFeaturePruner as ReferencePruner
+from reference_joins import echo_filter, echo_survivors, recount_feature_message, recount_lpm_message
 
-from repro.core import EngineConfig, GStoreDEngine, LECFeaturePruner, compute_lec_features
+from repro.core import EngineConfig, GStoreDEngine, LECFeaturePruner, compute_lec_features, prune_features
 from repro.core.assembly import BasicAssembler, LECAssembler
 from repro.core.partial_eval import evaluate_fragment
+from repro.core.site_tasks import run_lec_filter
+from repro.distributed.network import estimate_size
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.distributed import build_cluster
 from repro.partition import build_partitioned_graph
@@ -154,6 +161,66 @@ class TestIndexedJoinsEqualTheNestedLoop:
         assert statistics.counter("lec_pruning", "join_attempts") == pruned.join_attempts
         assert statistics.counter("lec_pruning", "complete_combinations") == pruned.complete_combinations
         assert statistics.counter("lec_pruning", "surviving_features") == len(pruned.surviving)
+
+
+def site_classes(graph, query, assignment, num_fragments):
+    """Each site's LEC classes, as its ``lec_features`` task returns them."""
+    partitioned = build_partitioned_graph(graph, assignment, num_fragments=num_fragments)
+    query_graph = QueryGraph(query.bgp)
+    classes_by_site = {
+        fragment.fragment_id: compute_lec_features(evaluate_fragment(fragment, query_graph).local_partial_matches)
+        for fragment in partitioned
+    }
+    return partitioned, query_graph, classes_by_site
+
+
+def recount_messages(query_graph, classes_by_site):
+    """Bytes per message kind of the pruning and assembly stages, recounted."""
+    features_by_site = {site: list(classes) for site, classes in classes_by_site.items()}
+    echoed = echo_survivors(query_graph, features_by_site)
+    kept = {site: echo_filter(classes, echoed[site]) for site, classes in classes_by_site.items()}
+    return {
+        "lec_features": sum(recount_feature_message(classes) for classes in classes_by_site.values()),
+        "surviving_features": sum(4 + 8 * len(survivors) for survivors in echoed.values()),
+        "local_partial_matches": sum(recount_lpm_message(lpms) for lpms in kept.values()),
+    }
+
+
+class TestTheWireForm:
+    @given(seeds, partitionings, query_sizes, constant_probabilities)
+    @settings(max_examples=40, deadline=None)
+    def test_positions_keep_what_the_echo_kept(self, seed, partitioning, query_edges, constant_probability):
+        graph = random_graph(seed, num_vertices=14, num_edges=30, num_predicates=3)
+        query = random_connected_query(
+            graph, seed + 17, num_edges=query_edges, constant_probability=constant_probability
+        )
+        _, query_graph, classes_by_site = site_classes(graph, query, *partitioning(graph, seed))
+        features_by_site = {site: list(classes) for site, classes in classes_by_site.items()}
+        _, positions = prune_features(query_graph, features_by_site)
+        echoed = echo_survivors(query_graph, features_by_site)
+        for site, classes in classes_by_site.items():
+            kept = run_lec_filter(None, {"classes": classes, "surviving": positions[site]})
+            assert kept == echo_filter(classes, echoed[site])
+            assert estimate_size(features_by_site[site]) == recount_feature_message(classes)
+            assert estimate_size(positions[site]) == 4 + 8 * len(echoed[site])
+            assert estimate_size(kept) == recount_lpm_message(kept)
+
+    @given(seeds, partitionings, query_sizes)
+    @settings(max_examples=10, deadline=None)
+    def test_engine_ships_the_recounted_bytes_and_the_answers(self, seed, partitioning, query_edges):
+        graph = random_graph(seed, num_vertices=14, num_edges=30, num_predicates=3)
+        query = random_connected_query(graph, seed + 17, num_edges=query_edges, constant_probability=0.0)
+        partitioned, query_graph, classes_by_site = site_classes(graph, query, *partitioning(graph, seed))
+        config = EngineConfig.full().with_options(
+            star_shortcut=False, use_candidate_exchange=False, executor="serial"
+        )
+        cluster = build_cluster(partitioned)
+        result = GStoreDEngine(cluster, config).execute(query)
+        expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
+        assert result.results.same_solutions(expected)
+        shipped = cluster.bus.bytes_by_kind()
+        for kind, size in recount_messages(query_graph, classes_by_site).items():
+            assert shipped[kind] == size, kind
 
 
 class TestTwoRegionsOfOneFragment:

@@ -11,15 +11,24 @@ instead of term objects.  That is exact only if
 * ``TermDictionary.n3_of(id)`` is ``term.n3()``, for ids built in bulk and for
   ids ``ensure()`` appends later;
 * a LEC feature's decoded ``crossing_map`` parses its keys back to the terms;
-* ``shipment_size()`` of an LPM and of its feature equals the object formula
-  the shipment accounting always used, and the engine still answers exactly
-  what the centralized evaluator does — on graphs built from such terms.
+* a ``local_partial_matches`` or ``lec_features`` message is charged what an
+  independent recount over the decoded terms gives (each distinct key's UTF-8
+  text once, fixed-width references for the rest), an LPM message pickles to
+  equal LPMs, and the engine still answers exactly what the centralized
+  evaluator does — on graphs built from such terms.
 """
+
+import pickle
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import EngineConfig, GStoreDEngine, lec_feature_of
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
+from reference_joins import recount_feature_message, recount_lpm_message
+
+from repro.core import EngineConfig, GStoreDEngine, compute_lec_features, lec_feature_of
 from repro.core.partial_eval import evaluate_fragment
 from repro.datasets import random_assignment, random_connected_query
 from repro.distributed import build_cluster
@@ -96,24 +105,6 @@ class TestDictionaryKeys:
             assert dictionary.term_of(dictionary.id_of(term)) == term
 
 
-def object_lpm_size(lpm):
-    """The LPM shipment formula over the decoded term objects."""
-    size = 8
-    for vertex, value in lpm.assignment:
-        size += len(vertex.n3()) + len(value.n3())
-    for _, triple in lpm.edge_assignment:
-        size += 4 + len(triple.predicate.n3())
-    return size
-
-
-def object_feature_size(crossing_map):
-    """The LEC feature shipment formula over the decoded term objects."""
-    size = 8 + 4
-    for _, triple in crossing_map:
-        size += 4 + len(triple.subject.n3()) + len(triple.predicate.n3()) + len(triple.object.n3())
-    return size
-
-
 @st.composite
 def hostile_settings(draw):
     """A small graph over generated terms, a partitioning and a query sampled from it."""
@@ -140,11 +131,15 @@ class TestKeyedLPMsOnHostileTerms:
         for fragment in partitioned:
             lpms = evaluate_fragment(fragment, query_graph).local_partial_matches
             for lpm in lpms:
-                assert lpm.shipment_size() == object_lpm_size(lpm)
                 feature = lec_feature_of(lpm)
                 assert feature.crossing_map == lpm.crossing_assignment
-                assert feature.shipment_size() == object_feature_size(lpm.crossing_assignment)
-            assert estimate_size(lpms) == 4 + sum(object_lpm_size(lpm) for lpm in lpms)
+                assert estimate_size([feature]) == recount_feature_message([feature])
+            assert estimate_size(lpms) == recount_lpm_message(lpms)
+            features = list(compute_lec_features(lpms))
+            assert estimate_size(features) == recount_feature_message(features)
+            loaded = pickle.loads(pickle.dumps(lpms))
+            assert loaded == lpms
+            assert [(lpm.terms, lpm.crossing) for lpm in loaded] == [(lpm.terms, lpm.crossing) for lpm in lpms]
         config = EngineConfig.full().with_options(executor="serial")
         result = GStoreDEngine(build_cluster(partitioned), config).execute(query)
         expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)

@@ -20,20 +20,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, Mapping, Optional, Set
+from typing import Dict, Iterable, Mapping
 
-from ..rdf.terms import Node, PatternTerm, Variable
+from ..rdf.terms import Node, Variable
+from ..store.fragment_index import CandidateIds
 
 #: Default bit-vector width (bits).  Fixed length per the paper; wide enough
 #: to keep the false-positive rate low on the bundled datasets.
 DEFAULT_BIT_VECTOR_BITS = 4096
-
-
-@lru_cache(maxsize=1 << 16)
-def _candidate_hash(term: Node, width: int) -> int:
-    # Memoized: the same vertices are hashed by every query's vector build
-    # and by every extended-candidate filter probe during partial evaluation.
-    return _n3_hash(term.n3(), width)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -51,15 +45,11 @@ class CandidateBitVector:
     bits: int = 0
 
     def add(self, candidate: Node) -> None:
-        self.bits |= 1 << _candidate_hash(candidate, self.width)
-
-    def add_all(self, candidates: Iterable[Node]) -> None:
-        for candidate in candidates:
-            self.add(candidate)
+        self.bits |= 1 << _n3_hash(candidate.n3(), self.width)
 
     def might_contain(self, candidate: Node) -> bool:
         """Membership test: no false negatives, possible false positives."""
-        return bool(self.bits >> _candidate_hash(candidate, self.width) & 1)
+        return self.might_contain_n3(candidate.n3())
 
     def might_contain_n3(self, n3: str) -> bool:
         """:meth:`might_contain` for the term whose N3 text is ``n3``."""
@@ -77,12 +67,6 @@ class CandidateBitVector:
         """Fixed size on the wire: the vector itself plus small framing."""
         return self.width // 8 + 4
 
-    @classmethod
-    def from_candidates(cls, candidates: Iterable[Node], width: int = DEFAULT_BIT_VECTOR_BITS) -> "CandidateBitVector":
-        vector = cls(width)
-        vector.add_all(candidates)
-        return vector
-
 
 @dataclass
 class GlobalCandidateFilter:
@@ -98,17 +82,23 @@ class GlobalCandidateFilter:
 
 
 def build_site_vectors(
-    internal_candidates: Mapping[PatternTerm, Set[Node]],
+    internal_candidates: CandidateIds,
     width: int = DEFAULT_BIT_VECTOR_BITS,
 ) -> Dict[Variable, CandidateBitVector]:
     """One site's step of Algorithm 4: compress its internal candidate sets.
 
     Only variables get vectors; constant query vertices need no filtering.
+    An id sets the bit of its N3 text, memoized per id on the encoded view.
     """
+    encoded = internal_candidates.encoded
+    n3_of, positions = encoded.dictionary.n3_of, encoded.memo.setdefault(("n3_hash", width), {})
     vectors: Dict[Variable, CandidateBitVector] = {}
-    for vertex, candidates in internal_candidates.items():
+    for vertex, ids in internal_candidates.items():
         if isinstance(vertex, Variable):
-            vectors[vertex] = CandidateBitVector.from_candidates(candidates, width)
+            for unseen in ids.difference(positions):
+                positions[unseen] = _n3_hash(n3_of(unseen), width)
+            bits = sum(1 << position for position in set(map(positions.__getitem__, ids)))
+            vectors[vertex] = CandidateBitVector(width, bits)
     return vectors
 
 

@@ -34,7 +34,8 @@ that ships them.
 
 The optional ``candidate_filter`` implements the Section VI optimization: an
 extended vertex may only be used when the coordinator's global bit vector
-says it is an internal candidate of *some* site.
+says it is an internal candidate of *some* site; an internal one only when it
+is one of this site's (:func:`~repro.store.fragment_index.internal_pools`).
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from ..rdf.graph import RDFGraph
 from ..rdf.terms import Variable
 from ..sparql.query_graph import QueryGraph
 from ..store.encoding import PREDICATE_ANY, predicate_code
-from ..store.fragment_index import IdTriple, fragment_index
+from ..store.fragment_index import IdTriple, fragment_index, internal_pools
 from .candidate_exchange import GlobalCandidateFilter
 from .partial_match import LocalPartialMatch, LPMList, PairKey, check_local_partial_match
 
@@ -119,6 +120,9 @@ class PartialEvaluator:
             for vertex, code in zip(vertices, constant)
         ]
         filtered = [vector is not None for vector in vectors]
+        # The internal values each slot may take: with the filter, the site's own candidates.
+        own = internal_pools(fragment, self._graph, query) if candidate_filter is not None else None
+        allowed = [internal if own is None else own[vertex] for vertex in vertices]
         priority = self._edge_priority
         ranked = sorted(query.edges, key=lambda edge: (priority.get(edge.index, edge.index), edge.index))
         slot_of = query.vertex_index
@@ -185,7 +189,7 @@ class PartialEvaluator:
             for slot, value in ((subject_slot, ids[0]), (object_slot, ids[2])):
                 current = values[slot]
                 if current is None:
-                    if value in internal:
+                    if value in allowed[slot]:
                         forced |= incident[slot]
                         internal_mask |= 1 << slot
                     elif value not in extended or rank < seed_rank or (filtered[slot] and refused(slot, value)):
@@ -228,6 +232,7 @@ class PartialEvaluator:
                 if subject_constant in (None, ids[0]) and object_constant in (None, ids[2]):
                     result.seeds_explored += 1
                     match(seed_rank, ids, 0, 0, 0)
+        del match, expand  # free the call's state (and query pools) now, not at a GC pass
         return result
 
 

@@ -18,10 +18,10 @@ message bus then charges, so ``shipped_bytes``/``messages`` cannot depend on
 which process produced them.
 
 The stage bodies themselves run on the site store's dictionary-encoded
-matching kernel (:mod:`repro.store.encoding`): local evaluation and internal
-candidate computation work on integer ids inside the store and decode to
-:class:`~repro.rdf.terms.Node` objects only at this task boundary, so the
-payloads and results — and therefore the shipment accounting — are identical
+matching kernel (:mod:`repro.store.encoding`): a site computes a query's
+candidate pools once (:func:`repro.store.kernel.query_pools`), stage 1 sets
+bits from their ids and stage 2 reuses them; only complete matches decode to
+:class:`~repro.rdf.terms.Node` objects, so the payloads and results — and therefore the shipment accounting — are identical
 to the pre-encoding object path.
 """
 
@@ -172,23 +172,22 @@ def run_partial_eval(site, payload: Mapping[str, object]) -> PartialEvalOutput:
     query: SelectQuery = payload["query"]
     query_graph: QueryGraph = payload["query_graph"]
     candidate_filter: Optional[GlobalCandidateFilter] = payload["candidate_filter"]
-    local_results = list(site.local_evaluate(query))
-    matcher = site.store.matcher
-    search_steps = matcher.search_steps
-    kernel_intersections = matcher.kernel_intersections
     evaluator = PartialEvaluator(
         site.fragment,
         graph=site.graph,
         paranoid=payload["paranoid"],
         edge_order=payload["edge_order"],
     )
+    # First, so that where stage 1 ran in another process the local search reuses its pools.
     outcome = evaluator.evaluate(query_graph, candidate_filter=candidate_filter)
+    local_results = list(site.local_evaluate(query))
+    matcher = site.store.matcher
     return PartialEvalOutput(
         local_matches=local_results,
         local_partial_matches=outcome.local_partial_matches,
         branches_pruned_by_filter=outcome.branches_pruned_by_filter,
-        search_steps=search_steps,
-        kernel_intersections=kernel_intersections,
+        search_steps=matcher.search_steps,
+        kernel_intersections=matcher.kernel_intersections,
     )
 
 

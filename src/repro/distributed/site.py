@@ -16,10 +16,11 @@ from ..partition.fragment import Fragment
 from ..planner.optimizer import QueryPlanner
 from ..planner.statistics import GraphStatistics
 from ..rdf.graph import RDFGraph
-from ..rdf.terms import Node, PatternTerm
+from ..rdf.terms import Node
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import ResultSet
 from ..sparql.query_graph import QueryGraph
+from ..store.fragment_index import CandidateIds, internal_pools
 from ..store.triple_store import TripleStore
 
 
@@ -94,18 +95,15 @@ class Site:
         """
         return self.store.shard_matches(query, shard_index, num_shards)
 
-    def internal_candidates(self, query: QueryGraph) -> Dict[PatternTerm, Set[Node]]:
+    def internal_candidates(self, query: QueryGraph) -> CandidateIds:
         """Internal candidates ``C(Q, v)`` of every query vertex (Section VI).
 
         For an internal vertex every incident query edge must be locally
         supported (all its data edges are present in the fragment); edges are
-        never relaxed here.
+        never relaxed here.  Values are id sets of the site graph's encoded
+        view, from pools this query's stage 2 reuses.
         """
-        return self.store.candidates(query, restrict_to=self.fragment.internal_vertices)
-
-    def local_matches(self, query: QueryGraph):
-        """Complete (fragment-local) matches of ``query`` inside this fragment."""
-        return self.store.find_matches(query)
+        return internal_pools(self.fragment, self.graph, query, self.store.signatures)
 
     def stats(self) -> Dict[str, int]:
         return self.fragment.stats()

@@ -1,6 +1,6 @@
 """Local triple store substrate: encoding, signatures, candidates, matcher, store facade."""
 
-from .candidates import candidate_sizes, compute_candidates, edge_supported
+from .candidates import compute_candidates, edge_supported
 from .encoding import EncodedGraph, TermDictionary, encoded_view
 from .kernel import KERNEL_PYTHON, resolve_kernel, shard_bounds
 from .matcher import LocalMatcher, evaluate_centralized, finalize_matches
@@ -16,7 +16,6 @@ __all__ = [
     "TermDictionary",
     "TripleStore",
     "VertexSignature",
-    "candidate_sizes",
     "compute_candidates",
     "edge_supported",
     "encoded_view",

@@ -32,7 +32,6 @@ __all__ = [
     "edge_supported",
     "compute_candidate_ids",
     "compute_candidates",
-    "candidate_sizes",
 ]
 
 
@@ -88,11 +87,10 @@ def compute_candidate_ids(
 ) -> Dict[PatternTerm, Set[int]]:
     """Candidate *ids* for every query vertex — the matcher's fast path.
 
-    Same semantics as :func:`compute_candidates` (without ``restrict_to``),
-    but input and output stay in the integer domain of ``encoded``.  The
-    pools come from the sorted-column kernel (:mod:`repro.store.kernel`):
-    signature containment per seed id, then edge support as sorted-column
-    membership.
+    Same semantics as :func:`compute_candidates`, but input and output stay
+    in the integer domain of ``encoded``.  The pools come from the
+    sorted-column kernel (:mod:`repro.store.kernel`): signature containment
+    per seed id, then edge support as sorted-column membership.
     """
     pools = ArrayRunner(encoded, signature_index).compute_pools(query, relaxed_edges)
     return {vertex: set(pool) for vertex, pool in pools.items()}
@@ -103,7 +101,6 @@ def compute_candidates(
     query: QueryGraph,
     signature_index: Optional[SignatureIndex] = None,
     relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
-    restrict_to: Optional[Set[Node]] = None,
 ) -> Dict[PatternTerm, Set[Node]]:
     """Compute a candidate set for every query vertex.
 
@@ -120,9 +117,6 @@ def compute_candidates(
         Per query vertex, indices of query edges whose support must *not* be
         required.  Sites use this for extended vertices, whose edges inside
         other fragments are invisible locally.
-    restrict_to:
-        Optional universe to intersect every candidate set with (e.g. only
-        internal vertices of a fragment).
 
     Returns
     -------
@@ -134,15 +128,4 @@ def compute_candidates(
     index = signature_index or SignatureIndex(graph)
     id_candidates = compute_candidate_ids(encoded, query, index, relaxed_edges)
     decode = encoded.dictionary.decode_ids
-    candidates: Dict[PatternTerm, Set[Node]] = {}
-    for query_vertex, ids in id_candidates.items():
-        found = decode(ids)
-        if restrict_to is not None:
-            found &= restrict_to
-        candidates[query_vertex] = found
-    return candidates
-
-
-def candidate_sizes(candidates: Dict[PatternTerm, Set[Node]]) -> Dict[str, int]:
-    """Small helper used by statistics and logging."""
-    return {vertex.n3(): len(values) for vertex, values in candidates.items()}
+    return {query_vertex: decode(ids) for query_vertex, ids in id_candidates.items()}

@@ -163,6 +163,7 @@ class EncodedGraph:
         "_sorted_vertex_ids",
         "_num_triples",
         "_kernel_adjacency",
+        "memo",
     )
 
     def __init__(self, graph: RDFGraph) -> None:
@@ -211,6 +212,8 @@ class EncodedGraph:
         # module-level WeakValue map) so the cache dies with the encoding
         # and per-predicate invalidation in apply_ops stays a local call.
         self._kernel_adjacency: Optional[object] = None
+        #: Per-id and per-query caches that die with the encoding (ids keep their terms).
+        self.memo: Dict[object, dict] = {}
 
     # ------------------------------------------------------------------
     # Introspection

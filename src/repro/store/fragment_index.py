@@ -23,7 +23,9 @@ from typing import Dict, Iterable, Set, Tuple
 from ..partition.fragment import Fragment
 from ..rdf.graph import RDFGraph
 from ..rdf.triples import Triple
+from ..sparql.query_graph import QueryGraph
 from .encoding import EncodedGraph, encoded_view
+from .kernel import query_pools
 
 IdTriple = Tuple[int, int, int]
 
@@ -107,3 +109,20 @@ def fragment_index(fragment: Fragment, graph: RDFGraph) -> FragmentIndex:
         index.patch(fragment, ops)
     setattr(graph, _CACHE_ATTRIBUTE, (version, fragment, index))
     return index
+
+
+class CandidateIds(dict):
+    """Per query vertex, a set of candidate ids of :attr:`encoded`, never decoded."""
+
+    encoded: EncodedGraph
+
+
+def internal_pools(fragment: Fragment, graph: RDFGraph, query: QueryGraph, signature_index=None) -> CandidateIds:
+    """``query``'s pools on ``graph`` (:func:`~repro.store.kernel.query_pools`)
+    restricted to ``fragment``'s internal ids, kept with them."""
+    entry = query_pools(graph, query, signature_index)
+    if entry.internal is None:
+        index = fragment_index(fragment, graph)
+        internal = CandidateIds((v, index.internal.intersection(pool)) for v, pool in entry.pools.items())
+        internal.encoded, entry.internal = index.encoded, internal
+    return entry.internal

@@ -26,12 +26,16 @@ the step counts exactly; :meth:`ArrayRunner.frontier` takes the slice and
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from ..rdf.graph import RDFGraph
 from ..rdf.terms import IRI, Literal, PatternTerm, Variable
+from ..sparql.algebra import BasicGraphPattern
 from ..sparql.query_graph import QueryEdge, QueryGraph
-from .encoding import PREDICATE_ANY, EncodedGraph, predicate_code
+from .encoding import PREDICATE_ANY, EncodedGraph, encoded_view, predicate_code
 
 #: The sorted-column kernel's name, as recorded in traces and result metadata.
 KERNEL_PYTHON = "python"
@@ -327,15 +331,14 @@ class ArrayRunner:
             columns.append(column)
         seed_position = min(range(len(columns)), key=lambda i: len(columns[i]))
         seed = columns[seed_position]
-        needed = self.signatures.query_signature(
-            query, query_vertex, skip_edges=relaxed
-        ).bits
+        # Edge support implies containment: without an index only the prefilter goes.
+        needed = self.signatures and self.signatures.query_signature(query, query_vertex, skip_edges=relaxed).bits
+        bits_by_id = needed and self.signatures.bits_table(self.encoded)
         others = [
             column
             for position, column in enumerate(columns)
             if position != seed_position
         ]
-        bits_by_id = self.signatures.bits_table(self.encoded)
         survivors = []
         self.intersections += len(others)
         for vertex_id in seed:
@@ -452,3 +455,39 @@ class ArrayRunner:
                     if has_edge(candidate, code, candidate)
                 ]
         return survivors, tried
+
+
+@dataclass
+class QueryPools:
+    """One query's :meth:`ArrayRunner.compute_pools` over one graph version."""
+
+    owner: weakref.ref  #: the query graph, held weakly: the entry dies with it
+    version: int
+    pools: Dict[PatternTerm, List[int]]
+    #: What computing them cost, charged again to every search reusing them.
+    intersections: int
+    internal: Optional[dict] = None  #: restricted to a fragment's internal ids
+
+
+def cached_pools(graph: RDFGraph, bgp: BasicGraphPattern) -> Optional[QueryPools]:
+    """The pools of the live query graph built on ``bgp``, if ``graph`` is unchanged."""
+    entry = encoded_view(graph).memo.get(QueryPools, {}).get(id(bgp))
+    if entry is None or entry.version != graph.version or getattr(entry.owner(), "bgp", None) is not bgp:
+        return None
+    return entry
+
+
+def query_pools(graph: RDFGraph, query: QueryGraph, signature_index=None) -> QueryPools:
+    """``query``'s candidate pools over ``graph``, computed once per query.
+
+    Stage 1, partial evaluation and the complete-match search share them
+    through a memo on the encoded view, keyed on the BGP.  A miss computes.
+    """
+    entry = cached_pools(graph, query.bgp)
+    if entry is None:
+        encoded, key = encoded_view(graph), id(query.bgp)
+        memo, runner = encoded.memo.setdefault(QueryPools, {}), ArrayRunner(encoded, signature_index)
+        pools = runner.compute_pools(query)
+        owner = weakref.ref(query, lambda _: memo.pop(key, None))
+        entry = memo[key] = QueryPools(owner, graph.version, pools, runner.intersections)
+    return entry

@@ -43,7 +43,7 @@ from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import Binding, ResultSet
 from ..sparql.query_graph import QueryGraph, traversal_order
 from .encoding import encoded_view
-from .kernel import ArrayRunner
+from .kernel import ArrayRunner, QueryPools, cached_pools
 from .signatures import SignatureIndex
 
 
@@ -146,7 +146,9 @@ class LocalMatcher:
         intersections = 0
         for component in components:
             graph = QueryGraph(component)
-            partial.append(list(self.find_matches(graph, shard=shard)))
+            # Pools are per query vertex: a sole component reuses the query's.
+            reused = cached_pools(self._graph, query.bgp) if len(components) == 1 else None
+            partial.append(list(self.find_matches(graph, shard=shard, pools=reused)))
             steps += self.search_steps
             intersections += self.kernel_intersections
         self.search_steps = steps
@@ -167,6 +169,7 @@ class LocalMatcher:
         query: QueryGraph,
         order: Optional[Sequence[PatternTerm]] = None,
         shard: Optional[Tuple[int, int]] = None,
+        pools: Optional[QueryPools] = None,
     ) -> Iterator[Dict[PatternTerm, Node]]:
         """Yield complete assignments (query vertex → data vertex) for ``query``.
 
@@ -176,7 +179,8 @@ class LocalMatcher:
         vertices yields the same matches — the order only changes how much
         of the search space is explored before failures are detected.
 
-        ``shard`` slices the depth-0 frontier (see :meth:`raw_matches`).
+        ``shard`` slices the depth-0 frontier (see :meth:`raw_matches`);
+        ``pools`` are this query's already computed kernel pools.
         """
         self.search_steps = 0
         self.kernel_intersections = 0
@@ -184,7 +188,10 @@ class LocalMatcher:
         encoded = encoded_view(self._graph)
         runner = self.runner_class(encoded, self._signatures)
         try:
-            pools = runner.compute_pools(query)
+            if pools is None or self.runner_class is not ArrayRunner:
+                pools = runner.compute_pools(query)
+            else:
+                runner.intersections, pools = pools.intersections, pools.pools
             if any(len(pools[vertex]) == 0 for vertex in query.vertices):
                 return
             if order is not None:

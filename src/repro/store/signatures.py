@@ -26,6 +26,7 @@ positions are set on the query side and the data side.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..rdf.graph import RDFGraph
@@ -47,6 +48,10 @@ def _hash_position(key: str, bits: int) -> int:
         value ^= char
         value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
     return value % bits
+
+
+#: Query-side positions, each key hashed once (the build path holds no keys here).
+_query_position = lru_cache(maxsize=4096)(_hash_position)
 
 
 @dataclass(frozen=True, slots=True)
@@ -212,15 +217,15 @@ class SignatureIndex:
             if isinstance(predicate, Variable):
                 continue
             if edge.subject == vertex:
-                bits |= 1 << _hash_position(f"out|{predicate.value}", self._width)
+                bits |= 1 << _query_position(f"out|{predicate.value}", self._width)
                 if not isinstance(edge.object, Variable):
-                    bits |= 1 << _hash_position(
+                    bits |= 1 << _query_position(
                         f"out|{predicate.value}|{edge.object.n3()}", self._width
                     )
             if edge.object == vertex:
-                bits |= 1 << _hash_position(f"in|{predicate.value}", self._width)
+                bits |= 1 << _query_position(f"in|{predicate.value}", self._width)
                 if not isinstance(edge.subject, Variable):
-                    bits |= 1 << _hash_position(
+                    bits |= 1 << _query_position(
                         f"in|{predicate.value}|{edge.subject.n3()}", self._width
                     )
         return VertexSignature(bits, self._width)

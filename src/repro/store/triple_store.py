@@ -211,16 +211,9 @@ class TripleStore:
         self,
         query: QueryGraph,
         relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
-        restrict_to: Optional[Set[Node]] = None,
     ) -> Dict[PatternTerm, Set[Node]]:
         """Per-query-vertex candidates using this store's signature index."""
-        return compute_candidates(
-            self._graph,
-            query,
-            self.signatures,
-            relaxed_edges=relaxed_edges,
-            restrict_to=restrict_to,
-        )
+        return compute_candidates(self._graph, query, self.signatures, relaxed_edges=relaxed_edges)
 
     def stats(self) -> Dict[str, int]:
         return self._graph.stats()

@@ -1,6 +1,7 @@
 """Unit tests for assembling variables' internal candidates (Algorithm 4)."""
 
 import pytest
+from reference_candidates import vector_of
 from reference_partial_eval import filter_allows
 
 from repro.core import (
@@ -9,21 +10,32 @@ from repro.core import (
     build_site_vectors,
     union_site_vectors,
 )
-from repro.rdf import Namespace, Variable
+from repro.rdf import Namespace, RDFGraph, Triple, Variable
 from repro.sparql import QueryGraph, parse_query
 from repro.distributed import build_cluster
 from repro.partition import HashPartitioner
 from repro.datasets import lubm
+from repro.store import encoded_view
+from repro.store.fragment_index import CandidateIds
 
 EX = Namespace("http://example.org/")
 X, Y = Variable("x"), Variable("y")
 A, B, C = EX.term("a"), EX.term("b"), EX.term("c")
+CONST = EX.term("const")
+
+
+def candidate_ids(candidates):
+    """``candidates`` (terms per query vertex) as the ids of a graph holding them all."""
+    graph = RDFGraph(triples=[Triple(A, EX.term("p"), B), Triple(C, EX.term("p"), CONST)])
+    encoded = encoded_view(graph)
+    ids = CandidateIds((v, encoded.dictionary.encode_nodes(terms)) for v, terms in candidates.items())
+    ids.encoded = encoded
+    return ids
 
 
 class TestCandidateBitVector:
     def test_membership_has_no_false_negatives(self):
-        vector = CandidateBitVector()
-        vector.add_all([A, B])
+        vector = vector_of([A, B])
         assert vector.might_contain(A)
         assert vector.might_contain(B)
 
@@ -44,8 +56,7 @@ class TestCandidateBitVector:
 
     def test_shipment_size_is_fixed(self):
         empty = CandidateBitVector(width=1024)
-        full = CandidateBitVector(width=1024)
-        full.add_all([EX.term(f"v{i}") for i in range(100)])
+        full = vector_of([EX.term(f"v{i}") for i in range(100)], width=1024)
         assert empty.shipment_size() == full.shipment_size() == 1024 // 8 + 4
 
     def test_popcount(self):
@@ -53,10 +64,10 @@ class TestCandidateBitVector:
         vector.add(A)
         assert vector.popcount() >= 1
 
-    def test_from_candidates(self):
-        vector = CandidateBitVector.from_candidates([A, B, C], width=2048)
+    def test_might_contain_n3_agrees_with_might_contain(self):
+        vector = vector_of([A, B, C], width=2048)
         assert vector.width == 2048
-        assert vector.might_contain(C)
+        assert vector.might_contain(C) and vector.might_contain_n3(C.n3())
 
 
 class TestGlobalFilter:
@@ -78,12 +89,17 @@ class TestGlobalFilter:
 
 class TestAlgorithm4:
     def test_build_site_vectors_skips_constants(self):
-        vectors = build_site_vectors({X: {A}, EX.term("const"): {EX.term("const")}})
+        vectors = build_site_vectors(candidate_ids({X: {A}, CONST: {CONST}}))
         assert set(vectors) == {X}
 
+    def test_site_vectors_set_the_bits_of_the_decoded_terms(self):
+        vectors = build_site_vectors(candidate_ids({X: {A, B}, Y: set()}), width=512)
+        assert vectors[X] == vector_of([A, B], width=512)
+        assert vectors[Y] == CandidateBitVector(512)
+
     def test_union_site_vectors_is_bitwise_or(self):
-        site1 = build_site_vectors({X: {A}})
-        site2 = build_site_vectors({X: {B}, Y: {C}})
+        site1 = build_site_vectors(candidate_ids({X: {A}}))
+        site2 = build_site_vectors(candidate_ids({X: {B}, Y: {C}}))
         merged = union_site_vectors([site1, site2])
         assert filter_allows(merged, X, A)
         assert filter_allows(merged, X, B)
@@ -108,4 +124,4 @@ class TestAlgorithm4:
                 if not isinstance(vertex, Variable):
                     continue
                 for value in values:
-                    assert filter_allows(merged, vertex, value)
+                    assert filter_allows(merged, vertex, candidates.encoded.dictionary.term_of(value))

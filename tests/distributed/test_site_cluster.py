@@ -37,7 +37,7 @@ class TestSite:
         for site in lubm_cluster.sites[:2]:
             candidates = site.internal_candidates(graph)
             for values in candidates.values():
-                assert values <= site.internal_vertices
+                assert candidates.encoded.dictionary.decode_ids(values) <= site.internal_vertices
 
     def test_site_stats(self, example_cluster):
         stats = example_cluster.site(0).stats()

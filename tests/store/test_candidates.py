@@ -1,8 +1,10 @@
 """Unit tests for per-variable candidate computation."""
 
 from repro.rdf import IRI, Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
+from repro.partition import build_partitioned_graph
 from repro.sparql import BasicGraphPattern, QueryGraph
 from repro.store import compute_candidates, edge_supported
+from repro.store.fragment_index import internal_pools
 
 EX = Namespace("http://example.org/")
 A, B, C, D = EX.term("a"), EX.term("b"), EX.term("c"), EX.term("d")
@@ -67,11 +69,17 @@ class TestComputeCandidates:
         candidates = compute_candidates(graph(), q)
         assert candidates[EX.term("missing")] == set()
 
-    def test_restrict_to_universe(self):
+    def test_internal_pools_restrict_to_the_fragment(self):
+        # Stage 1's universe: the pools over a fragment's graph, internal ids only.
+        fragment = build_partitioned_graph(graph(), {A: 0, B: 0, C: 1, D: 1, Literal("Alice"): 0}, num_fragments=2)
+        fragment = fragment.fragment(0)
+        site_graph = fragment.to_graph()
         q = query_graph(TriplePattern(Variable("x"), KNOWS, Variable("y")))
-        candidates = compute_candidates(graph(), q, restrict_to={A, B})
-        assert candidates[Variable("x")] == {A, B}
-        assert candidates[Variable("y")] == {B}
+        candidates = internal_pools(fragment, site_graph, q)
+        decode = candidates.encoded.dictionary.decode_ids
+        assert compute_candidates(site_graph, q)[Variable("y")] == {B, C}
+        assert decode(candidates[Variable("x")]) == {A, B}
+        assert decode(candidates[Variable("y")]) == {B}
 
     def test_relaxed_edges_drop_constraints(self):
         q = query_graph(

@@ -34,7 +34,8 @@ from repro.bench import (
     prepare_workload,
     print_experiment,
 )
-from repro.core import EngineConfig, GStoreDEngine
+from repro.core import GStoreDEngine
+from repro.exec import SerialBackend
 from repro.obs import Trace
 
 WORKER_COUNTS = (1, 2, 4)
@@ -79,11 +80,10 @@ def traced_stage_summaries(query_names, num_sites):
     recording where each query's time went (stage spans with shipment
     attributes, one task span per site)."""
     workload = prepare_workload("LUBM", num_sites=num_sites)
-    config = EngineConfig.full().with_options(executor="serial")
     summaries = {}
     for name in query_names:
         workload.cluster.reset_network()
-        engine = GStoreDEngine(workload.cluster, config)
+        engine = GStoreDEngine(workload.cluster, backend=SerialBackend())
         try:
             engine.execute(workload.queries[name], query_name=name)  # warm the plan cache
             workload.cluster.reset_network()

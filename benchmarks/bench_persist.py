@@ -32,7 +32,7 @@ from repro.bench import (
     run_query,
     stage_shipment_snapshot,
 )
-from repro.core import EngineConfig
+from repro.exec import SerialBackend
 from repro.persist import ClusterStore
 
 DATASET = "LUBM"
@@ -48,7 +48,6 @@ COLD_OPEN_SPEEDUP_FLOOR = 1.0
 ROUNDS = 5
 
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_persist.json"
-SERIAL = EngineConfig.full().with_options(executor="serial")
 
 
 def _force_statistics(cluster):
@@ -58,7 +57,7 @@ def _force_statistics(cluster):
 
 
 def _fingerprint(workload):
-    result = run_query(workload, QUERY, SERIAL)
+    result = run_query(workload, QUERY, backend=SerialBackend())
     rows = sorted(map(sorted, (row.items() for row in result.results.to_table())))
     return rows, dict(result.statistics.work), stage_shipment_snapshot(result)
 

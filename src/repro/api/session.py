@@ -33,7 +33,7 @@ from ..core.config import EngineConfig
 from ..datasets.registry import DATASETS, get_dataset
 from ..distributed.cluster import Cluster, build_cluster
 from ..distributed.network import NetworkModel
-from ..exec import ExecutorBackend, make_backend
+from ..exec import ExecutorBackend, OptionError, make_backend
 from ..faults import FaultPlan
 from ..obs import (
     CATEGORY_PLANNING,
@@ -224,18 +224,20 @@ class Session:
         #: Named benchmark queries of the workload; ``query()`` accepts these
         #: names directly.
         self.queries: Dict[str, SelectQuery] = dict(queries or {})
+        if result_cache < 0:
+            raise OptionError(
+                f"result_cache must be >= 0 (0 disables it), got {result_cache}",
+                result_cache=result_cache,
+            )
         config = config if config is not None else EngineConfig.full()
         if config_options:
             config = config.with_options(**config_options)
-        if executor is not None:
-            config = config.with_executor(executor, workers)
-        elif workers is not None:
-            config = config.with_workers(workers)
         self.config = config
         #: The session-owned executor backend: every gStoreD-family engine
         #: the session creates shares this pool (warm across queries), and
-        #: :meth:`close` shuts it down exactly once.
-        self.backend: ExecutorBackend = make_backend(config.executor, config.max_workers)
+        #: :meth:`close` shuts it down exactly once.  ``make_backend`` is the
+        #: one place the ``executor``/``workers`` choice is resolved.
+        self.backend: ExecutorBackend = make_backend(executor, workers)
         # resolve_engine_name validates eagerly, so an unknown default engine
         # fails at open() time; construction itself stays lazy.
         self.default_engine = resolve_engine_name(engine)
@@ -686,7 +688,8 @@ def open_session(
     ``"paper"`` for the running example of Figs. 1-3 (whose
     ``partitioner="paper"`` reproduces the exact Fig. 1 fragment
     assignment).  ``engine`` is any :func:`~repro.api.make_engine` registry
-    name; ``executor``/``workers`` select the per-site fan-out backend;
+    name; ``executor``/``workers`` select the per-site fan-out backend (see
+    :func:`~repro.exec.make_backend`: ``workers`` alone means threads);
     ``trace=True`` turns on per-query tracing (results gain ``.trace``) and
     ``profile=True`` per-stage profiling (see :mod:`repro.obs`);
     ``result_cache=N`` enables the opt-in session result cache (N entries,
@@ -726,18 +729,17 @@ def open_session(
         if Path(path).exists():
             store = ClusterStore.open(path)
             try:
-                cluster = store.load_cluster(network=network)
+                return Session.from_cluster(
+                    store.load_cluster(network=network),
+                    dataset=store.dataset,
+                    scale=store.scale,
+                    queries=_workload_queries(store.dataset),
+                    store=store,
+                    **session_options,
+                )
             except BaseException:
                 store.close()
                 raise
-            return Session.from_cluster(
-                cluster,
-                dataset=store.dataset,
-                scale=store.scale,
-                queries=_workload_queries(store.dataset),
-                store=store,
-                **session_options,
-            )
         partitioned, dataset_name, chosen_scale, queries = _prepare_workload(
             name, strategy, scale, sites
         )

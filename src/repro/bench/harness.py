@@ -32,6 +32,7 @@ from ..core.engine import (
 from ..planner.optimizer import QueryPlanner
 from ..store.matcher import LocalMatcher
 from ..distributed.cluster import Cluster, build_cluster
+from ..exec import ExecutorBackend, ProcessPoolBackend, SerialBackend, ThreadPoolBackend
 from ..partition.cost_model import partitioning_cost
 from ..partition.fragment import PartitionedGraph
 from ..partition.partitioners import make_partitioner as _make_partitioner
@@ -87,15 +88,17 @@ def run_query(
     query_name: str,
     config: Optional[EngineConfig] = None,
     engine: str = "gstored",
+    backend: Optional[ExecutorBackend] = None,
 ) -> Result:
     """Run one benchmark query on a prepared workload with a fresh network.
 
     ``engine`` is any :func:`repro.api.make_engine` registry name; the
-    gStoreD family takes ``config``, the fixed-strategy engines ignore it by
-    requiring it to stay ``None``.
+    gStoreD family takes ``config`` and ``backend`` (default: the
+    ``$REPRO_EXECUTOR`` one), the fixed-strategy engines require ``config``
+    to stay ``None`` and ignore ``backend``.
     """
     workload.cluster.reset_network()
-    with make_engine(engine, workload.cluster, config=config) as built:
+    with make_engine(engine, workload.cluster, config=config, backend=backend) as built:
         return built.execute(
             workload.queries[query_name], query_name=query_name, dataset=workload.dataset
         )
@@ -233,19 +236,14 @@ def parallel_comparison_rows(
     perfect site parallelism, so only the host's real concurrency (cores, or
     GIL-free processes) can move it.
     """
-    from ..exec import ExecutorBackend, ProcessPoolBackend, ThreadPoolBackend
-
     workload = prepare_workload(dataset, scale, strategy, num_sites)
     names = list(query_names) if query_names is not None else list(workload.queries)
     rows: List[Dict[str, object]] = []
 
-    def timed_run(
-        name: str, config: EngineConfig, backend: Optional[ExecutorBackend] = None
-    ) -> Tuple[Result, float]:
+    def timed_run(name: str, backend: ExecutorBackend) -> Tuple[Result, float]:
         workload.cluster.reset_network()
-        # Built through the registry: shared backends survive close(), owned
-        # ones shut down with the engine.
-        with make_engine("gstored", workload.cluster, config=config, backend=backend) as engine:
+        # The injected backend is shared: it survives the engine's close().
+        with make_engine("gstored", workload.cluster, backend=backend) as engine:
             started = time.perf_counter()
             result = engine.execute(workload.queries[name], query_name=name, dataset=dataset)
             wall_ms = (time.perf_counter() - started) * 1000.0
@@ -253,7 +251,7 @@ def parallel_comparison_rows(
 
     # Explicitly serial so the baseline stays the reference even under a
     # REPRO_EXECUTOR=threads / =processes environment.
-    serial_config = EngineConfig.full().with_options(executor="serial")
+    serial = SerialBackend()
     #: (column prefix, worker count) -> shared warm pool for that column.
     pools: Dict[Tuple[str, int], ExecutorBackend] = {}
     for workers in worker_counts:
@@ -262,8 +260,8 @@ def parallel_comparison_rows(
         pools[("processes", workers)] = ProcessPoolBackend(workers)
     try:
         for name in names:
-            timed_run(name, serial_config)  # warm the plan caches once
-            baseline, serial_ms = timed_run(name, serial_config)
+            timed_run(name, serial)  # warm the plan caches once
+            baseline, serial_ms = timed_run(name, serial)
             row: Dict[str, object] = {
                 "query": name,
                 "results": len(baseline.results),
@@ -271,9 +269,8 @@ def parallel_comparison_rows(
             }
             identical = True
             for (kind, workers), pool in pools.items():
-                config = EngineConfig.full().with_executor(kind, workers)
-                timed_run(name, config, backend=pool)  # warm pool + worker caches
-                result, wall_ms = timed_run(name, config, backend=pool)
+                timed_run(name, pool)  # warm pool + worker caches
+                result, wall_ms = timed_run(name, pool)
                 row[f"{kind}{workers}_wall_ms"] = round(wall_ms, 3)
                 identical = (
                     identical

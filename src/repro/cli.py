@@ -9,9 +9,10 @@ The CLI covers the workflow a downstream user actually runs:
 * ``repro query``     — execute a SPARQL BGP query (inline or from a file)
   over a partitioned workspace or an ad-hoc partitioning, with any
   gStoreD configuration or any :mod:`repro.api` registry engine
-  (``--engine gstored|dream|decomp|cloud|s2x|centralized``); ``--trace PATH``
-  writes a Chrome trace-event JSON of the staged pipeline and ``--metrics``
-  prints a Prometheus exposition of the run (:mod:`repro.obs`);
+  (``--engine gstored|dream|decomp|cloud|s2x|centralized``), through one
+  :class:`~repro.api.Session`; ``--trace PATH`` writes a Chrome trace-event
+  JSON of the query's stages and ``--metrics`` prints the session's Prometheus
+  exposition (:mod:`repro.obs`);
 * ``repro explain``   — show the cost-based plan (statistics summary, chosen
   vertex order, per-step estimates) for a query without executing it;
 * ``repro experiment`` — regenerate one of the paper's tables/figures;
@@ -36,7 +37,7 @@ from contextlib import nullcontext
 from pathlib import Path
 from typing import List, Optional, Sequence
 
-from .api import engine_aliases, engine_names, make_engine
+from .api import Session, engine_aliases, engine_names
 from .bench import (
     ablation_series,
     comparison_series,
@@ -49,8 +50,8 @@ from .bench import (
 from .core import EngineConfig, OptimizationLevel
 from .datasets import get_dataset
 from .distributed import build_cluster
-from .exec import EXECUTOR_CHOICES, make_backend
-from .obs import CATEGORY_PLANNING, MetricsRegistry, Trace, record_query
+from .exec import EXECUTOR_CHOICES, OptionError
+from .obs import CATEGORY_PLANNING, MetricsRegistry, Trace
 from .partition import (
     load_workspace,
     make_partitioner,
@@ -142,8 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace",
         metavar="PATH",
         default=None,
-        help="write a Chrome trace-event JSON of the staged pipeline to PATH "
-        "(gStoreD engine family only; open it in Perfetto or chrome://tracing)",
+        help="write a Chrome trace-event JSON of the query's stages to PATH "
+        "(every engine; open it in Perfetto or chrome://tracing)",
     )
     query.add_argument(
         "--metrics",
@@ -324,84 +325,40 @@ def _load_cluster(args: argparse.Namespace):
     return build_cluster(partitioned)
 
 
-def _validated_workers(args: argparse.Namespace) -> Optional[int]:
-    """The validated ``--workers`` value, or ``None`` when not given."""
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers < 1:
-        raise ValueError(f"--workers must be a positive worker count, got {workers}")
-    return workers
-
-
-def _requested_executor(args: argparse.Namespace, workers: Optional[int]) -> Optional[str]:
-    """The backend to use, or ``None`` for the serial default.
-
-    ``--workers N`` alone keeps its original meaning (a thread pool of N);
-    ``--executor`` overrides the backend and works with or without
-    ``--workers`` (processes then size themselves from $REPRO_MAX_WORKERS or
-    the CPU count).
-    """
-    executor = getattr(args, "executor", None)
-    if executor is not None and executor not in EXECUTOR_CHOICES:
-        raise ValueError(
-            f"unknown executor {executor!r}; expected one of {', '.join(EXECUTOR_CHOICES)}"
-        )
-    if executor == "serial" and workers is not None:
-        parallel = [name for name in EXECUTOR_CHOICES if name != "serial"]
-        raise ValueError(
-            "--workers is meaningless with --executor serial; drop --workers or "
-            f"pick --executor from: {', '.join(parallel)}"
-        )
-    if executor is not None:
-        return executor
-    return "threads" if workers is not None else None
-
-
 def _cmd_query(args: argparse.Namespace) -> int:
-    workers = _validated_workers(args)
-    executor = _requested_executor(args, workers)
     engine_name = args.engine.lower()
     if engine_name not in engine_choices():
         raise ValueError(
             f"unknown engine {args.engine!r}; choose from: {', '.join(engine_choices())}"
         )
-    is_gstored = engine_name in _LEVELS or engine_aliases().get(engine_name) == "gstored"
-    if args.trace and not is_gstored:
-        raise ValueError(
-            "--trace follows the staged gStoreD pipeline and only applies to the "
-            f"gStoreD engine family ({', '.join(_LEVELS)}); engine {engine_name!r} "
-            "bypasses it (drop --trace, or keep --metrics which works with every engine)"
-        )
-    if args.inject_faults and not is_gstored:
-        raise ValueError(
-            "--inject-faults hooks the staged gStoreD pipeline and only applies "
-            f"to the gStoreD engine family ({', '.join(_LEVELS)}); engine "
-            f"{engine_name!r} has no per-site stages to fail"
-        )
+    level = _LEVELS.get(engine_name)
+    if level is None and engine_aliases().get(engine_name) != "gstored":
+        # Baselines run a fixed strategy: no fan-out pool to size, and no
+        # per-site stages to fail.  A session builds them without its fault
+        # plan by design, so this check is what keeps a baseline run from
+        # silently ignoring --inject-faults.
+        for flag, value, reason in (
+            ("--workers", args.workers, "runs its fixed strategy without a fan-out pool"),
+            ("--executor", args.executor, "runs its fixed strategy without a fan-out pool"),
+            ("--inject-faults", args.inject_faults, "has no per-site stages for fault injection"),
+        ):
+            if value is not None:
+                raise ValueError(
+                    f"{flag} only applies to the gStoreD engine family "
+                    f"({', '.join(_LEVELS)}); engine {engine_name!r} {reason}"
+                )
     cluster = _load_cluster(args)
-    query = parse_query(_read_query_text(args))
     faults = _resolve_fault_plan(args.inject_faults, cluster) if args.inject_faults else None
-
-    if is_gstored:
-        config = EngineConfig.for_level(_LEVELS.get(engine_name, OptimizationLevel.FULL))
-        if executor is not None:
-            config = config.with_executor(executor, workers)
-        engine = make_engine("gstored", cluster, config=config, faults=faults)
-    else:
-        gstored_family = ", ".join(_LEVELS)
-        if workers is not None:
-            raise ValueError(
-                f"--workers only applies to the gStoreD engine family ({gstored_family}); "
-                f"engine {engine_name!r} runs its fixed strategy without a fan-out pool"
-            )
-        if executor is not None:
-            raise ValueError(
-                f"--executor only applies to the gStoreD engine family ({gstored_family}); "
-                f"engine {engine_name!r} runs its fixed strategy without a fan-out pool"
-            )
-        engine = make_engine(engine_name, cluster)
-    trace = Trace("query", engine=engine_name) if args.trace else None
-    with engine:
-        result = engine.execute(query, query_name="cli", trace=trace)
+    with Session.from_cluster(
+        cluster,
+        engine="gstored" if level is not None else engine_name,
+        config=EngineConfig.for_level(level) if level is not None else None,
+        executor=args.executor,
+        workers=args.workers,
+        trace=args.trace is not None,
+        faults=faults,
+    ) as session:
+        result = session.query(_read_query_text(args), query_name="cli")
 
     executor = result.statistics.extra.get("executor")
     runtime = ""
@@ -428,22 +385,11 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"total: {result.statistics.total_time_ms:.2f} ms, "
             f"{result.statistics.total_shipment_kb:.2f} KB shipped"
         )
-    if trace is not None:
-        trace.finish(rows=len(result.results))
-        trace.save(args.trace)
-        print(f"trace: wrote {len(trace.spans)} spans to {args.trace}")
+    if args.trace is not None:
+        result.trace.save(args.trace)
+        print(f"trace: wrote {len(result.trace.spans)} spans to {args.trace}")
     if args.metrics:
-        registry = MetricsRegistry()
-        record_query(
-            registry,
-            result.statistics,
-            shipment=cluster.bus.snapshot(),
-            engine=result.statistics.engine,
-            backend=executor or "serial",
-            pool_size=result.statistics.extra.get("max_workers") or workers or 1,
-            encoded_rebuilds=_encoded_rebuilds(),
-        )
-        print(registry.prometheus_text(), end="")
+        print(session.metrics.prometheus_text(), end="")
     return 0
 
 
@@ -469,14 +415,6 @@ def _resolve_fault_plan(spec: str, cluster):
     return FaultPlan.parse(text)
 
 
-def _encoded_rebuilds() -> int:
-    """The process-wide :class:`EncodedGraph` rebuild count (lazy import so
-    the store layer is only touched when ``--metrics`` asks for it)."""
-    from .store.encoding import encoded_rebuilds
-
-    return encoded_rebuilds()
-
-
 def _read_query_text(args: argparse.Namespace) -> str:
     if args.query_file:
         return Path(args.query_file).read_text(encoding="utf-8")
@@ -484,14 +422,10 @@ def _read_query_text(args: argparse.Namespace) -> str:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    workers = _validated_workers(args)
-    executor = _requested_executor(args, workers)
     trace = Trace("explain") if args.trace else None
-    backend = make_backend(executor, workers) if executor is not None else None
-    try:
-        cluster = _load_cluster(args)
-        query = parse_query(_read_query_text(args))
-
+    cluster = _load_cluster(args)
+    query = parse_query(_read_query_text(args))
+    with Session.from_cluster(cluster, executor=args.executor, workers=args.workers) as session:
         stats_started = time.perf_counter()
         stats_cm = (
             trace.span("collect_statistics", CATEGORY_PLANNING)
@@ -499,12 +433,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             else nullcontext()
         )
         with stats_cm:
-            statistics = cluster.graph_statistics(backend)
+            statistics = session.cluster.graph_statistics(session.backend)
         stats_seconds = time.perf_counter() - stats_started
-        planner = cluster.coordinator_planner(backend=backend)
-    finally:
-        if backend is not None:
-            backend.close()
+        planner = session.planner
     print(f"statistics: {statistics.summary()} (aggregated over {cluster.num_sites} sites)")
     components = query.bgp.connected_components()
     plan_started = time.perf_counter()
@@ -628,17 +559,13 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    workers = _validated_workers(args)
-    executor = _requested_executor(args, workers)
-    if args.result_cache < 0:
-        raise ValueError(f"--result-cache must be >= 0, got {args.result_cache}")
     from .api import QueryServer, open_session
 
     open_kwargs = dict(
         partitioner=args.partitioner,
         engine=args.engine,
-        executor=executor,
-        workers=workers,
+        executor=args.executor,
+        workers=args.workers,
         result_cache=args.result_cache,
     )
     if args.store is not None:
@@ -695,6 +622,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
         return _COMMANDS[args.command](args)
+    except OptionError as error:
+        # The library names its keyword arguments; say which flags they were.
+        flags = " ".join(
+            f"--{name.replace('_', '-')} {value}"
+            for name, value in error.options.items()
+            if value is not None
+        )
+        print(f"error: {flags}: {error}" if flags else f"error: {error}", file=sys.stderr)
+        return 2
     except (FileNotFoundError, KeyError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Dict, Optional
+from typing import Dict
 
 from ..planner.plan_cache import DEFAULT_PLAN_CACHE_SIZE
 from .candidate_exchange import DEFAULT_BIT_VECTOR_BITS
@@ -60,19 +60,11 @@ class EngineConfig:
     use_planner: bool = True
     #: Maximum number of cached plans per planner (coordinator and sites).
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
-    #: Execution backend for the per-site stage fan-out (:mod:`repro.exec`):
-    #: ``"serial"``, ``"threads"`` or ``"processes"``.  ``None`` resolves
-    #: from $REPRO_EXECUTOR and defaults to serial, the reference behavior.
-    #: Like the planner this is orthogonal to the paper's optimizations:
-    #: results and shipment accounting are bit-identical under every backend.
-    executor: Optional[str] = None
-    #: Workers for the ``"threads"`` / ``"processes"`` backends; ``None``
-    #: resolves from $REPRO_MAX_WORKERS and defaults to the CPU count.
-    max_workers: Optional[int] = None
     #: Intra-site sharding: split each site's star-shortcut local evaluation
     #: into this many depth-0 frontier shards, fanned out as independent
     #: site tasks (``K`` tasks per site) that the coordinator reassembles in
-    #: shard order.  Purely a scheduling knob, like ``executor``: answers,
+    #: shard order.  Purely a scheduling knob, like the execution backend
+    #: (:mod:`repro.exec`, chosen by the caller, not here): answers,
     #: ``search_steps`` and shipment accounting are bit-identical for every
     #: value, so small fragments of a skewed partitioning can still occupy
     #: the whole worker pool.
@@ -135,19 +127,6 @@ class EngineConfig:
         """A copy of this configuration with the given fields replaced."""
         return replace(self, **changes)
 
-    def with_workers(self, max_workers: int, executor: str = "threads") -> "EngineConfig":
-        """A copy running the per-site fan-out on ``max_workers`` threads
-        (or on the given backend, e.g. ``executor="processes"``)."""
-        return replace(self, executor=executor, max_workers=max_workers)
-
-    def with_executor(self, executor: str, max_workers: Optional[int] = None) -> "EngineConfig":
-        """A copy using the named execution backend for the per-site fan-out.
-
-        ``max_workers=None`` keeps the backend's own default resolution
-        ($REPRO_MAX_WORKERS, then the CPU count).
-        """
-        return replace(self, executor=executor, max_workers=max_workers)
-
     def describe(self) -> Dict[str, object]:
         return {
             "label": self.label,
@@ -158,8 +137,6 @@ class EngineConfig:
             "bit_vector_bits": self.bit_vector_bits,
             "planner": self.use_planner,
             "plan_cache_size": self.plan_cache_size,
-            "executor": self.executor or "auto",
-            "max_workers": self.max_workers or "auto",
             "shards_per_site": self.shards_per_site,
         }
 

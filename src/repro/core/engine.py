@@ -33,8 +33,9 @@ methods below read like the paper's Algorithms 1-4.
 Execution model: each stage expresses its per-site body as a picklable
 :class:`~repro.exec.SiteTask` descriptor (``(site_id, stage, payload)``; the
 module-level handlers live in :mod:`repro.core.site_tasks`) and fans the
-batch out through an :class:`~repro.exec.ExecutorBackend` —
-``EngineConfig.executor`` selects serial, threaded or process execution.
+batch out through an :class:`~repro.exec.ExecutorBackend` — serial,
+threaded or process execution, injected by the caller or resolved by
+:func:`~repro.exec.make_backend` from ``$REPRO_EXECUTOR``.
 Handlers only touch their own site and their explicit payload; all
 shared-state mutation — message-bus sends, statistics accumulation, stage
 timing — happens afterwards in a serial merge over the results in
@@ -111,11 +112,11 @@ class GStoreDEngine:
         #: How per-site stage bodies are scheduled (see :mod:`repro.exec`).
         #: An explicitly injected backend is *shared*: the caller keeps
         #: ownership and :meth:`close` leaves it running (benchmarks reuse
-        #: one warm process pool across many engines this way).
+        #: one warm process pool across many engines this way).  Without one
+        #: the engine owns the environment's default ($REPRO_EXECUTOR, which
+        #: the CI matrix sets, else serial).
         self._owns_backend = backend is None
-        self.backend = backend if backend is not None else make_backend(
-            self.config.executor, self.config.max_workers
-        )
+        self.backend = backend if backend is not None else make_backend()
         #: Worker-side knobs for process pools (mirrors the sites' planner
         #: setup below), also how a dead site is rebuilt.
         self._site_options = {

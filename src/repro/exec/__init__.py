@@ -22,6 +22,7 @@ from .backend import (
     SERIAL,
     THREADS,
     ExecutorBackend,
+    OptionError,
     ProcessPoolBackend,
     SerialBackend,
     ThreadPoolBackend,
@@ -47,6 +48,7 @@ __all__ = [
     "SERIAL",
     "THREADS",
     "ExecutorBackend",
+    "OptionError",
     "ProcessPoolBackend",
     "SerialBackend",
     "SiteTask",

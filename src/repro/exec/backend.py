@@ -39,7 +39,7 @@ from .tasks import PAYLOAD_BOUND_STAGES, SiteTask, SiteTaskResult, run_site_task
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: Backend names accepted by :func:`make_backend` / ``EngineConfig.executor``.
+#: Backend names accepted by :func:`make_backend`.
 SERIAL = "serial"
 THREADS = "threads"
 PROCESSES = "processes"
@@ -354,25 +354,54 @@ class ProcessPoolBackend(ExecutorBackend):
             pass
 
 
-def make_backend(
-    executor: Optional[str] = None, max_workers: Optional[int] = None
-) -> ExecutorBackend:
-    """Build a backend from an explicit choice or the environment.
+class OptionError(ValueError):
+    """A rejected keyword option of :func:`make_backend` or a session.
 
-    ``executor=None`` resolves from ``$REPRO_EXECUTOR`` and falls back to
-    ``"serial"`` — the reproducible default.  ``max_workers=None`` resolves
-    from ``$REPRO_MAX_WORKERS`` and falls back to the CPU count.
+    ``options`` maps each offending keyword to the value it was given, so a
+    front end that spells the option differently (the CLI's ``--workers``)
+    can name it the way its user typed it.
     """
+
+    def __init__(self, message: str, **options: object) -> None:
+        super().__init__(message)
+        self.options = options
+
+
+def make_backend(
+    executor: Optional[str] = None, workers: Optional[int] = None
+) -> ExecutorBackend:
+    """The one resolver and validator of the per-site fan-out backend.
+
+    * ``(None, None)`` resolves from ``$REPRO_EXECUTOR`` and falls back to
+      ``"serial"``, the reproducible default;
+    * ``(None, N)`` is a thread pool of N, whatever ``$REPRO_EXECUTOR`` says;
+    * ``("threads" | "processes", N)`` is that pool, sized N or, for
+      ``N=None``, from ``$REPRO_MAX_WORKERS`` then the CPU count;
+    * ``("serial", N)``, an unknown name and ``N < 1`` raise
+      :class:`OptionError`.
+    """
+    if workers is not None and workers < 1:
+        raise OptionError(f"workers must be >= 1, got {workers}", workers=workers)
+    if executor is None and workers is not None:
+        return ThreadPoolBackend(workers)
     chosen = executor if executor is not None else os.environ.get(EXECUTOR_ENV_VAR, SERIAL)
     chosen = chosen.strip().lower() or SERIAL
     if chosen == SERIAL:
+        if workers is not None:
+            raise OptionError(
+                f"workers={workers} needs a worker pool and executor 'serial' has none; "
+                f"drop workers or choose executor from: {THREADS}, {PROCESSES}",
+                executor=executor,
+                workers=workers,
+            )
         return SerialBackend()
     if chosen == THREADS:
-        return ThreadPoolBackend(max_workers)
+        return ThreadPoolBackend(workers)
     if chosen == PROCESSES:
-        return ProcessPoolBackend(max_workers)
-    raise ValueError(
-        f"unknown executor {chosen!r}; expected one of {', '.join(EXECUTOR_CHOICES)}"
+        return ProcessPoolBackend(workers)
+    raise OptionError(
+        f"unknown executor {chosen!r}; expected one of {', '.join(EXECUTOR_CHOICES)}",
+        executor=executor,
     )
 
 

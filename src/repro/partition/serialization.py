@@ -18,7 +18,7 @@ from ..rdf import graph as graph_module
 from ..rdf.graph import RDFGraph
 from ..rdf.ntriples import dump as dump_ntriples
 from ..rdf.ntriples import load as load_ntriples
-from ..rdf.ntriples import parse_line, parse_term
+from ..rdf.ntriples import parse_term
 from ..rdf.terms import Node
 from ..rdf.triples import Triple
 from .fragment import Fragment, PartitionedGraph, build_partitioned_graph
@@ -30,10 +30,6 @@ _FORMAT = "repro-partitioning/1"
 
 #: Format marker of a dictionary-encoded fragment payload (current).
 _FRAGMENT_FORMAT = "repro-fragment/2"
-
-#: Format marker of the legacy payload that repeated every term's N3 text in
-#: every vertex and edge entry; still readable, no longer written.
-_FRAGMENT_FORMAT_V1 = "repro-fragment/1"
 
 #: Format marker of a store-reference payload: instead of inlining the
 #: fragment's data it points at a :class:`~repro.persist.ClusterStore` file
@@ -152,9 +148,9 @@ def fragment_to_store_payload(fragment_id: int, store) -> Dict[str, object]:
 def fragment_from_payload(payload: Dict[str, object]) -> Fragment:
     """Rebuild a :class:`Fragment` written by :func:`fragment_to_payload`.
 
-    Accepts the current dictionary-encoded format, the legacy v1 format that
-    spelled every term out in place, and the v3 store-reference format
-    (which opens the referenced store file read-only).
+    Accepts the current dictionary-encoded format and the v3 store-reference
+    format (which opens the referenced store file read-only); the v1 format
+    that spelled every term out in place is no longer read.
     """
     marker = payload.get("format")
     if marker == _FRAGMENT_FORMAT_V3:
@@ -164,14 +160,6 @@ def fragment_from_payload(payload: Dict[str, object]) -> Fragment:
             return store.load_fragment(
                 int(payload["fragment_id"]), up_to=int(payload["delta_seq"])
             )
-    if marker == _FRAGMENT_FORMAT_V1:
-        return Fragment(
-            fragment_id=int(payload["fragment_id"]),
-            internal_vertices={parse_term(text) for text in payload["internal_vertices"]},
-            extended_vertices={parse_term(text) for text in payload["extended_vertices"]},
-            internal_edges={parse_line(text) for text in payload["internal_edges"]},
-            crossing_edges={parse_line(text) for text in payload["crossing_edges"]},
-        )
     if marker != _FRAGMENT_FORMAT:
         raise ValueError(f"not a repro fragment payload: {marker!r}")
     terms = [parse_term(text) for text in payload["terms"]]

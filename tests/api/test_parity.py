@@ -42,11 +42,13 @@ def centralized_rows(graph, query):
     return Result(raw.project(query.effective_projection, distinct=True)).sorted_rows()
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads"])
+@pytest.mark.parametrize(
+    ("executor", "workers"), [("serial", None), ("threads", 2)], ids=["serial", "threads"]
+)
 @pytest.mark.parametrize("engine_name", engine_names())
-def test_every_engine_matches_centralized_on_the_paper_workload(engine_name, executor):
+def test_every_engine_matches_centralized_on_the_paper_workload(engine_name, executor, workers):
     with repro.open(
-        dataset="paper", engine=engine_name, executor=executor, workers=2
+        dataset="paper", engine=engine_name, executor=executor, workers=workers
     ) as session:
         for query_name, query in WORKLOAD.items():
             result = session.query(query, query_name=query_name)

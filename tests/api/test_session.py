@@ -116,10 +116,29 @@ class TestQuery:
             assert result.statistics.extra["executor"] == "threads"
             assert result.statistics.extra["max_workers"] == 2
 
-    def test_workers_alone_imply_threads(self):
+    @pytest.mark.parametrize("environment", [None, "processes"])
+    def test_workers_alone_imply_threads(self, monkeypatch, environment):
+        if environment is None:
+            monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_EXECUTOR", environment)
         with repro.open(dataset="paper", workers=2) as session:
             assert session.backend.name == "threads"
             assert session.backend.max_workers == 2
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (dict(executor="serial", workers=2), "executor 'serial' has none"),
+            (dict(workers=0), "workers must be >= 1"),
+            (dict(executor="mpi"), "unknown executor 'mpi'"),
+            (dict(result_cache=-1), "result_cache must be >= 0"),
+        ],
+        ids=["serial-with-workers", "zero-workers", "unknown-executor", "negative-result-cache"],
+    )
+    def test_rejected_options_fail_at_open(self, options, message):
+        with pytest.raises(ValueError, match=message):
+            repro.open(dataset="paper", **options)
 
     def test_explain_shows_the_plan(self):
         with repro.open(dataset="paper") as session:

@@ -10,6 +10,7 @@ from repro.core.partial_eval import evaluate_fragment
 from repro.core.partial_match import LPMList
 from repro.distributed import build_cluster
 from repro.distributed.network import estimate_size
+from repro.exec import SerialBackend
 from repro.partition import build_partitioned_graph
 from repro.rdf import Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph, SelectQuery
@@ -118,8 +119,10 @@ class TestDefinition8Compresses:
     def test_the_engine_ships_the_feature_and_keeps_the_class(self):
         partitioned, bgp = self.build()
         cluster = build_cluster(partitioned)
-        config = EngineConfig.full().with_options(star_shortcut=False, executor="serial")
-        result = GStoreDEngine(cluster, config).execute(SelectQuery(bgp, (X, Y, Z)))
+        config = EngineConfig.full().with_options(star_shortcut=False)
+        result = GStoreDEngine(cluster, config, backend=SerialBackend()).execute(
+            SelectQuery(bgp, (X, Y, Z))
+        )
         statistics = result.statistics
         lpms = statistics.counter("partial_evaluation", "local_partial_matches")
         assert lpms / statistics.counter("lec_pruning", "lec_features") > 1

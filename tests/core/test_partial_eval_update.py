@@ -71,9 +71,11 @@ def assert_matches_a_fresh_cluster(session):
     return total
 
 
-@pytest.mark.parametrize("executor", ["serial", "threads"])
-def test_remove_then_add_on_lubm3(executor):
-    with repro.open(dataset="lubm", scale=3, sites=4, executor=executor, workers=2) as session:
+@pytest.mark.parametrize(
+    ("executor", "workers"), [("serial", None), ("threads", 2)], ids=["serial", "threads"]
+)
+def test_remove_then_add_on_lubm3(executor, workers):
+    with repro.open(dataset="lubm", scale=3, sites=4, executor=executor, workers=workers) as session:
         by_predicate = {}
         for triple in sorted(session.graph, key=lambda triple: triple.n3()):
             by_predicate.setdefault(triple.predicate.local_name, triple)

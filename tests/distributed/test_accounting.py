@@ -11,9 +11,10 @@ import threading
 
 import pytest
 
-from repro.core import EngineConfig, GStoreDEngine
+from repro.core import GStoreDEngine
 from repro.datasets import get_dataset
 from repro.distributed.network import MessageBus, ShipmentSnapshot, StageTimer
+from repro.exec import SerialBackend, ThreadPoolBackend
 from repro.obs import CATEGORY_STAGE, Trace
 
 
@@ -105,18 +106,10 @@ class TestSpanAttributesMatchTheBus:
     @pytest.mark.parametrize("workers", [None, 2])
     def test_stage_span_attrs_equal_bus_and_statistics(self, lubm_cluster, workers):
         query = get_dataset("LUBM").queries()["LQ1"]
-        config = (
-            EngineConfig.full().with_options(executor="serial")
-            if workers is None
-            else EngineConfig.full().with_workers(workers)
-        )
         lubm_cluster.reset_network()
         trace = Trace("query")
-        engine = GStoreDEngine(lubm_cluster, config)
-        try:
-            result = engine.execute(query, trace=trace)
-        finally:
-            engine.close()
+        with SerialBackend() if workers is None else ThreadPoolBackend(workers) as backend:
+            result = GStoreDEngine(lubm_cluster, backend=backend).execute(query, trace=trace)
         trace.finish()
 
         bus = lubm_cluster.bus

@@ -8,6 +8,7 @@ import pytest
 from repro.exec import (
     EXECUTOR_ENV_VAR,
     MAX_WORKERS_ENV_VAR,
+    OptionError,
     SerialBackend,
     ThreadPoolBackend,
     default_max_workers,
@@ -112,6 +113,32 @@ class TestMakeBackend:
         backend = make_backend("threads", 2)
         assert backend.max_workers == 2
         backend.close()
+
+    @pytest.mark.parametrize("environment", [None, "processes"])
+    def test_workers_alone_means_threads(self, monkeypatch, environment):
+        if environment is None:
+            monkeypatch.delenv(EXECUTOR_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(EXECUTOR_ENV_VAR, environment)
+        with make_backend(workers=2) as backend:
+            assert isinstance(backend, ThreadPoolBackend)
+            assert backend.max_workers == 2
+
+    @pytest.mark.parametrize(
+        "executor, workers, message, options",
+        [
+            (None, 0, "workers must be >= 1", {"workers": 0}),
+            ("threads", -1, "workers must be >= 1", {"workers": -1}),
+            ("serial", 2, "executor 'serial' has none", {"executor": "serial", "workers": 2}),
+            ("mpi", None, "unknown executor 'mpi'", {"executor": "mpi"}),
+        ],
+        ids=["zero-workers", "negative-workers", "serial-with-workers", "unknown-executor"],
+    )
+    def test_rejected_choices_name_the_option(self, executor, workers, message, options):
+        with pytest.raises(OptionError, match=message) as excinfo:
+            make_backend(executor, workers)
+        assert isinstance(excinfo.value, ValueError)
+        assert excinfo.value.options == options
 
     def test_unknown_executor_error_enumerates_choices(self):
         with pytest.raises(ValueError, match="unknown executor") as excinfo:

@@ -10,15 +10,16 @@ never leak into the statistics.
 import pytest
 
 from repro.bench import stage_shipment_snapshot as snapshot
-from repro.core import EngineConfig, GStoreDEngine
+from repro.core import GStoreDEngine
 from repro.datasets import get_dataset
+from repro.exec import EXECUTOR_ENV_VAR, SerialBackend, ThreadPoolBackend
 from repro.obs import CATEGORY_TASK, Trace
 
 WORKER_COUNTS = (1, 2, 8)
 
 #: Explicitly serial, so the reference stays the reference even when the
 #: suite runs under REPRO_EXECUTOR=threads (the CI matrix leg).
-SERIAL = EngineConfig.full().with_options(executor="serial")
+SERIAL = SerialBackend()
 
 
 def stage_counters(result):
@@ -29,15 +30,10 @@ def stage_counters(result):
     ]
 
 
-def run(cluster, query, config, trace=None):
+def run(cluster, query, backend, trace=None):
+    """One execution on an injected ``backend`` (the caller closes it)."""
     cluster.reset_network()
-    engine = GStoreDEngine(cluster, config)
-    try:
-        if trace is not None:
-            return engine.execute(query, trace=trace)
-        return engine.execute(query)
-    finally:
-        engine.close()
+    return GStoreDEngine(cluster, backend=backend).execute(query, trace=trace)
 
 
 @pytest.mark.parametrize("query_name", ["LQ1", "LQ7", "LQ2"])  # complex x2 + star
@@ -50,7 +46,8 @@ def test_worker_count_does_not_change_results_or_accounting(lubm_cluster, query_
     reference = run(lubm_cluster, query, SERIAL)
     reference_rows = sorted(map(sorted, (row.items() for row in reference.results.to_table())))
     for workers in WORKER_COUNTS:
-        result = run(lubm_cluster, query, EngineConfig.full().with_workers(workers))
+        with ThreadPoolBackend(workers) as backend:
+            result = run(lubm_cluster, query, backend)
         rows = sorted(map(sorted, (row.items() for row in result.results.to_table())))
         assert rows == reference_rows
         assert result.results.same_solutions(reference.results)
@@ -63,7 +60,8 @@ def test_threaded_runs_agree_with_each_other(lubm_cluster):
     snapshots = []
     result_sets = []
     for workers in WORKER_COUNTS:
-        result = run(lubm_cluster, query, EngineConfig.full().with_workers(workers))
+        with ThreadPoolBackend(workers) as backend:
+            result = run(lubm_cluster, query, backend)
         snapshots.append(snapshot(result))
         result_sets.append(result.results)
     assert all(snap == snapshots[0] for snap in snapshots)
@@ -81,7 +79,8 @@ def test_tracing_does_not_change_results_or_accounting(lubm_cluster, query_name)
     reference_rows = sorted(map(sorted, (row.items() for row in reference.results.to_table())))
     for workers in WORKER_COUNTS:
         trace = Trace("query")
-        result = run(lubm_cluster, query, EngineConfig.full().with_workers(workers), trace=trace)
+        with ThreadPoolBackend(workers) as backend:
+            result = run(lubm_cluster, query, backend, trace=trace)
         trace.finish()
         rows = sorted(map(sorted, (row.items() for row in result.results.to_table())))
         assert rows == reference_rows
@@ -111,8 +110,21 @@ def test_traced_serial_equals_untraced_serial(lubm_cluster):
 def test_executor_is_recorded_for_non_serial_backends_only(lubm_cluster):
     query = get_dataset("LUBM").queries()["LQ2"]
     serial = run(lubm_cluster, query, SERIAL)
-    threaded = run(lubm_cluster, query, EngineConfig.full().with_workers(2))
+    with ThreadPoolBackend(2) as backend:
+        threaded = run(lubm_cluster, query, backend)
     # The serial reference must keep the paper's table layout unchanged.
     assert "executor" not in serial.statistics.extra
     assert threaded.statistics.extra["executor"] == "threads"
     assert threaded.statistics.extra["max_workers"] == 2
+
+
+def test_reference_stays_serial_under_a_parallel_environment(lubm_cluster, monkeypatch):
+    """Under the CI's REPRO_EXECUTOR=processes leg an engine built without a
+    backend follows the environment; the reference pins SerialBackend, or
+    every serial-vs-parallel check above would compare processes with
+    processes and pass vacuously."""
+    monkeypatch.setenv(EXECUTOR_ENV_VAR, "processes")
+    with GStoreDEngine(lubm_cluster) as engine:
+        assert engine.backend.name == "processes"
+    reference = run(lubm_cluster, get_dataset("LUBM").queries()["LQ7"], SERIAL)
+    assert "executor" not in reference.statistics.extra

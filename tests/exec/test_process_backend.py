@@ -14,7 +14,7 @@ import pickle
 import pytest
 
 from repro.bench import stage_shipment_snapshot as snapshot
-from repro.core import EngineConfig, GStoreDEngine
+from repro.core import GStoreDEngine
 from repro.core.site_tasks import TASK_LOCAL_EVAL, local_eval_tasks
 from repro.datasets import get_dataset
 from repro.exec import (
@@ -33,12 +33,12 @@ WORKER_COUNTS = (1, 2, 8)
 
 #: Explicitly serial, so the reference stays the reference even when the
 #: suite runs under REPRO_EXECUTOR=processes (the CI matrix leg).
-SERIAL = EngineConfig.full().with_options(executor="serial")
+SERIAL = SerialBackend()
 
 
-def run(cluster, query, config, backend=None):
+def run(cluster, query, backend):
     cluster.reset_network()
-    engine = GStoreDEngine(cluster, config, backend=backend)
+    engine = GStoreDEngine(cluster, backend=backend)
     try:
         return engine.execute(query)
     finally:
@@ -149,7 +149,7 @@ class TestWorkerBootstrap:
             example_cluster.graph_statistics(backend)
             pool = backend._pool
             assert pool is not None
-            engine = GStoreDEngine(example_cluster, EngineConfig.full(), backend=backend)
+            engine = GStoreDEngine(example_cluster, backend=backend)
             engine.execute(example_query_obj)
             engine.close()
             assert backend._pool is pool
@@ -164,8 +164,8 @@ def test_worker_count_does_not_change_results_or_accounting(lubm_cluster, query_
     reference = run(lubm_cluster, query, SERIAL)
     reference_rows = sorted_rows(reference.results)
     for workers in WORKER_COUNTS:
-        config = EngineConfig.full().with_executor("processes", workers)
-        result = run(lubm_cluster, query, config)
+        with ProcessPoolBackend(workers) as backend:
+            result = run(lubm_cluster, query, backend)
         assert sorted_rows(result.results) == reference_rows
         assert result.results.same_solutions(reference.results)
         assert snapshot(result) == snapshot(reference)
@@ -178,13 +178,12 @@ def test_shared_backend_is_reused_and_survives_engine_close(lubm_cluster):
     reference = run(lubm_cluster, query, SERIAL)
     backend = ProcessPoolBackend(max_workers=2)
     try:
-        config = EngineConfig.full().with_executor("processes", 2)
-        first = run(lubm_cluster, query, config, backend=backend)
+        first = run(lubm_cluster, query, backend)
         # engine.close() must NOT have torn the shared pool down: the second
         # run reuses the already-bootstrapped workers.
         pool_before = backend._pool
         assert pool_before is not None
-        second = run(lubm_cluster, query, config, backend=backend)
+        second = run(lubm_cluster, query, backend)
         assert backend._pool is pool_before
         assert first.results.same_solutions(reference.results)
         assert second.results.same_solutions(reference.results)
@@ -198,13 +197,12 @@ def test_pool_rebinds_when_the_cluster_changes(lubm_cluster, example_cluster, ex
     lubm_query = get_dataset("LUBM").queries()["LQ1"]
     backend = ProcessPoolBackend(max_workers=2)
     try:
-        config = EngineConfig.full().with_executor("processes", 2)
-        lubm_result = run(lubm_cluster, lubm_query, config, backend=backend)
+        lubm_result = run(lubm_cluster, lubm_query, backend)
         assert len(lubm_result.results) > 0
         # Same backend, different cluster: the pool must rebind to the new
         # cluster's fragments and still match its serial reference.
         example_serial = run(example_cluster, example_query_obj, SERIAL)
-        example_result = run(example_cluster, example_query_obj, config, backend=backend)
+        example_result = run(example_cluster, example_query_obj, backend)
         assert example_result.results.same_solutions(example_serial.results)
         assert snapshot(example_result) == snapshot(example_serial)
     finally:

@@ -10,9 +10,9 @@ import json
 
 import pytest
 
-from repro.core import EngineConfig, GStoreDEngine
+from repro.core import GStoreDEngine
 from repro.datasets import get_dataset
-from repro.exec import ProcessPoolBackend
+from repro.exec import ProcessPoolBackend, SerialBackend, ThreadPoolBackend
 from repro.obs import (
     CATEGORY_COORDINATOR,
     CATEGORY_STAGE,
@@ -21,18 +21,14 @@ from repro.obs import (
     validate_chrome_trace,
 )
 
-SERIAL = EngineConfig.full().with_options(executor="serial")
+SERIAL = SerialBackend()
 
 
-def traced_run(cluster, config, backend=None):
+def traced_run(cluster, backend):
     query = get_dataset("LUBM").queries()["LQ1"]
     cluster.reset_network()
     trace = Trace("query", engine="gstored")
-    engine = GStoreDEngine(cluster, config, backend=backend) if backend else GStoreDEngine(cluster, config)
-    try:
-        result = engine.execute(query, trace=trace)
-    finally:
-        engine.close()
+    result = GStoreDEngine(cluster, backend=backend).execute(query, trace=trace)
     trace.finish(rows=len(result.results))
     return trace
 
@@ -56,17 +52,14 @@ class TestRealTracesValidate:
         assert any(name.startswith("site ") for name in track_names)
 
     def test_threads_backend_trace_validates(self, lubm_cluster):
-        trace = traced_run(lubm_cluster, EngineConfig.full().with_workers(2))
+        with ThreadPoolBackend(2) as backend:
+            trace = traced_run(lubm_cluster, backend)
         events = validate_chrome_trace(trace.to_chrome())
         assert len([e for e in events if e["cat"] == CATEGORY_TASK]) >= lubm_cluster.num_sites
 
     def test_processes_backend_trace_validates(self, lubm_cluster):
         with ProcessPoolBackend(max_workers=2) as backend:
-            trace = traced_run(
-                lubm_cluster,
-                EngineConfig.full().with_executor("processes", 2),
-                backend=backend,
-            )
+            trace = traced_run(lubm_cluster, backend)
         events = validate_chrome_trace(trace.to_chrome())
         task_events = [e for e in events if e["cat"] == CATEGORY_TASK]
         assert len(task_events) >= lubm_cluster.num_sites
@@ -94,7 +87,7 @@ class TestCoordinatorSpans:
         query = get_dataset("LUBM").queries()["LQ1"]
         lubm_cluster.reset_network()
         trace = Trace("query")
-        with GStoreDEngine(lubm_cluster, SERIAL) as engine:
+        with GStoreDEngine(lubm_cluster, backend=SERIAL) as engine:
             result = engine.execute(query, trace=trace)
         trace.finish()
         spans = trace.find_spans(category=CATEGORY_COORDINATOR)
@@ -115,7 +108,7 @@ class TestCoordinatorSpans:
         query = get_dataset("LUBM").queries()["LQ2"]
         lubm_cluster.reset_network()
         trace = Trace("query")
-        with GStoreDEngine(lubm_cluster, SERIAL) as engine:
+        with GStoreDEngine(lubm_cluster, backend=SERIAL) as engine:
             engine.execute(query, trace=trace)
         assert trace.find_spans(category=CATEGORY_COORDINATOR) == []
 

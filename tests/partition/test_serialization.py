@@ -81,9 +81,10 @@ class TestEveryStrategyRoundTrips:
         assert [p["fragment_id"] for p in first] == sorted(p["fragment_id"] for p in first)
 
 
-def test_fragment_payload_rejects_foreign_dicts():
+@pytest.mark.parametrize("marker", ["something/else", "repro-fragment/1"])
+def test_fragment_payload_rejects_foreign_dicts(marker):
     with pytest.raises(ValueError, match="fragment payload"):
-        fragment_from_payload({"format": "something/else"})
+        fragment_from_payload({"format": marker})
 
 
 class TestAssignmentRoundTrip:

@@ -15,16 +15,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import stage_shipment_snapshot as snapshot
-from repro.core import EngineConfig, GStoreDEngine
+from repro.core import GStoreDEngine
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.distributed import build_cluster
+from repro.exec import ProcessPoolBackend, SerialBackend, ThreadPoolBackend
 from repro.partition import build_partitioned_graph
 from repro.persist import ClusterStore
 from repro.rdf import IRI, Triple
 
 EX = "http://example.org/prop/"
 
-SERIAL = EngineConfig.full().with_options(executor="serial")
+SERIAL = SerialBackend()
 
 seeds = st.integers(min_value=0, max_value=5_000)
 fragment_counts = st.integers(min_value=1, max_value=4)
@@ -59,13 +60,9 @@ def random_batches(rng, cluster, count):
     return batches
 
 
-def fingerprint(cluster, query, config=SERIAL):
+def fingerprint(cluster, query, backend=SERIAL):
     cluster.reset_network()
-    engine = GStoreDEngine(cluster, config)
-    try:
-        result = engine.execute(query)
-    finally:
-        engine.close()
+    result = GStoreDEngine(cluster, backend=backend).execute(query)
     rows = sorted(map(sorted, (row.items() for row in result.results.to_table())))
     return rows, dict(result.statistics.work), snapshot(result)
 
@@ -121,8 +118,8 @@ class TestSaveReopenParity:
                 cold = cold_store.load_cluster()
                 reference = fingerprint(cold, query)
                 for workers in (1, 2, 8):
-                    config = EngineConfig.full().with_executor("threads", workers)
-                    assert fingerprint(cold, query, config) == reference
+                    with ThreadPoolBackend(workers) as backend:
+                        assert fingerprint(cold, query, backend) == reference
 
     @given(seeds)
     @settings(max_examples=3, deadline=None)
@@ -137,5 +134,5 @@ class TestSaveReopenParity:
                 for batch in random_batches(rng, cluster, 2):
                     cluster.apply(**batch)
                 reference = fingerprint(cluster, query)
-                config = EngineConfig.full().with_executor("processes", 2)
-                assert fingerprint(cluster, query, config) == reference
+                with ProcessPoolBackend(2) as backend:
+                    assert fingerprint(cluster, query, backend) == reference

@@ -11,10 +11,11 @@ stays flat), which is what makes warm restarts cheap.
 import pytest
 
 from repro.bench import stage_shipment_snapshot as snapshot
-from repro.core import EngineConfig, GStoreDEngine
+from repro.core import GStoreDEngine
 from repro.datasets import get_dataset
 from repro.datasets.paper_example import build_example_partitioning, example_query
 from repro.distributed import build_cluster
+from repro.exec import SerialBackend, make_backend
 from repro.partition import HashPartitioner
 from repro.persist import ClusterStore
 from repro.rdf import IRI, Triple
@@ -24,7 +25,7 @@ EX = "http://example.org/parity/"
 
 #: Explicitly serial, so the reference stays the reference even when the
 #: suite runs under REPRO_EXECUTOR=threads (the CI matrix leg).
-SERIAL = EngineConfig.full().with_options(executor="serial")
+SERIAL = SerialBackend()
 
 WORKER_COUNTS = (1, 2, 8)
 
@@ -46,17 +47,9 @@ def _mutations():
     )
 
 
-def run(cluster, query, config):
+def fingerprint(cluster, query, backend=SERIAL):
     cluster.reset_network()
-    engine = GStoreDEngine(cluster, config)
-    try:
-        return engine.execute(query)
-    finally:
-        engine.close()
-
-
-def fingerprint(cluster, query, config=SERIAL):
-    result = run(cluster, query, config)
+    result = GStoreDEngine(cluster, backend=backend).execute(query)
     rows = sorted(map(sorted, (row.items() for row in result.results.to_table())))
     return rows, dict(result.statistics.work), snapshot(result)
 
@@ -101,8 +94,8 @@ class TestPaperWorkloadParity:
                 cluster.apply(**delta)
             reference = fingerprint(cluster, query)
             for workers in WORKER_COUNTS:
-                config = EngineConfig.full().with_executor(executor, workers)
-                assert fingerprint(cluster, query, config) == reference
+                with make_backend(executor, workers) as backend:
+                    assert fingerprint(cluster, query, backend) == reference
 
 
 class TestLubmWorkloadParity:

@@ -44,7 +44,7 @@ from repro.core.candidate_exchange import build_site_vectors, union_site_vectors
 from repro.core.partial_eval import PartialEvaluator
 from repro.datasets import lubm, random_connected_query, random_graph
 from repro.distributed import build_cluster
-from repro.exec import ProcessPoolBackend
+from repro.exec import ProcessPoolBackend, SerialBackend, ThreadPoolBackend
 from repro.partition import HashPartitioner, build_partitioned_graph
 from repro.sparql import QueryGraph
 from repro.store import encoded_view, evaluate_centralized
@@ -123,17 +123,10 @@ def run_everywhere(cluster, query):
     """The engine's counters under serial, threads 2 and processes 2 (all equal)."""
     config = EngineConfig.full().with_options(star_shortcut=False)
     outcomes = []
-    for executor in ("serial", "threads", "processes"):
+    for backend in (SerialBackend(), ThreadPoolBackend(2), ProcessPoolBackend(2)):
         cluster.reset_network()
-        if executor == "processes":
-            with ProcessPoolBackend(max_workers=2) as backend:
-                engine = GStoreDEngine(cluster, config.with_executor(executor, 2), backend=backend)
-                outcomes.append(counters(engine.execute(query)))
-                engine.close()
-        else:
-            engine = GStoreDEngine(cluster, config.with_executor(executor, 2))
-            outcomes.append(counters(engine.execute(query)))
-            engine.close()
+        with backend:
+            outcomes.append(counters(GStoreDEngine(cluster, config, backend=backend).execute(query)))
     assert outcomes[1] == outcomes[0]
     assert outcomes[2] == outcomes[0]
     return outcomes[0]
@@ -152,9 +145,10 @@ class TestStageOneAndTheSearchesAgreeWithTheDecodePath:
     def test_adversarial_partitionings(self, seed, partitioning, query_edges, constant_probability):
         graph, query, cluster = random_setting(seed, partitioning, query_edges, constant_probability)
         assert_cluster_agrees(cluster, query)
-        config = EngineConfig.full().with_options(star_shortcut=False, executor="serial")
+        config = EngineConfig.full().with_options(star_shortcut=False)
         expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
-        assert GStoreDEngine(cluster, config).execute(query).results.same_solutions(expected)
+        engine = GStoreDEngine(cluster, config, backend=SerialBackend())
+        assert engine.execute(query).results.same_solutions(expected)
 
     @pytest.mark.parametrize("name", LUBM_QUERIES)
     def test_lubm(self, lubm_graph, name):
@@ -230,7 +224,7 @@ def assert_answers_fresh(session, names):
     fresh = build_cluster(
         build_partitioned_graph(session.graph.copy(), partitioned.assignment, num_fragments=partitioned.num_fragments)
     )
-    engine = GStoreDEngine(fresh, EngineConfig.full().with_options(executor="serial"))
+    engine = GStoreDEngine(fresh, backend=SerialBackend())
     for name in names:
         query = session.queries[name]
         answer = session.query(name).results

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import stage_shipment_snapshot
-from repro.core import EngineConfig, GStoreDEngine
+from repro.core import GStoreDEngine
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.distributed import build_cluster
-from repro.exec import ProcessPoolBackend
+from repro.exec import ProcessPoolBackend, SerialBackend, ThreadPoolBackend
 from repro.obs import Trace
 from repro.partition import build_partitioned_graph
 from repro.store import evaluate_centralized
@@ -28,7 +28,7 @@ worker_counts = st.sampled_from([2, 3, 8])
 #: The worker counts the process-path acceptance contract names.
 process_worker_counts = st.sampled_from([1, 2, 8])
 
-SERIAL = EngineConfig.full().with_options(executor="serial")
+SERIAL = SerialBackend()
 
 
 def build_environment(seed, num_fragments, query_edges, constant_probability):
@@ -58,11 +58,10 @@ class TestCrossEngineEquivalence:
         expected = evaluate_centralized(graph, query).project(
             query.effective_projection, distinct=True
         )
-        serial = GStoreDEngine(cluster, SERIAL).execute(query)
+        serial = GStoreDEngine(cluster, backend=SERIAL).execute(query)
         cluster.reset_network()
-        threaded_engine = GStoreDEngine(cluster, EngineConfig.full().with_workers(workers))
-        threaded = threaded_engine.execute(query)
-        threaded_engine.close()
+        with ThreadPoolBackend(workers) as backend:
+            threaded = GStoreDEngine(cluster, backend=backend).execute(query)
 
         expected_rows = sorted_rows(expected)
         assert sorted_rows(serial.results) == expected_rows
@@ -90,21 +89,16 @@ class TestCrossEngineEquivalence:
         expected_rows = sorted_rows(expected)
 
         cluster.reset_network()
-        serial = GStoreDEngine(cluster, SERIAL).execute(query)
+        serial = GStoreDEngine(cluster, backend=SERIAL).execute(query)
         serial_snapshot = stage_shipment_snapshot(serial)
 
         cluster.reset_network()
-        threaded_engine = GStoreDEngine(cluster, EngineConfig.full().with_workers(workers))
-        threaded = threaded_engine.execute(query)
-        threaded_engine.close()
+        with ThreadPoolBackend(workers) as backend:
+            threaded = GStoreDEngine(cluster, backend=backend).execute(query)
 
         cluster.reset_network()
         with ProcessPoolBackend(max_workers=workers) as backend:
-            process_engine = GStoreDEngine(
-                cluster, EngineConfig.full().with_executor("processes", workers), backend=backend
-            )
-            processed = process_engine.execute(query)
-            process_engine.close()
+            processed = GStoreDEngine(cluster, backend=backend).execute(query)
 
         assert sorted_rows(serial.results) == expected_rows
         assert sorted_rows(threaded.results) == expected_rows
@@ -123,26 +117,25 @@ class TestCrossEngineEquivalence:
         attached, across the serial, thread-pool and process-pool backends."""
         _, query, cluster = build_environment(seed, num_fragments, query_edges, 0.25)
         cluster.reset_network()
-        untraced = GStoreDEngine(cluster, SERIAL).execute(query)
+        untraced = GStoreDEngine(cluster, backend=SERIAL).execute(query)
         base_rows = sorted_rows(untraced.results)
         base_snapshot = stage_shipment_snapshot(untraced)
         base_work = dict(untraced.statistics.work)
 
         cluster.reset_network()
-        serial_traced = GStoreDEngine(cluster, SERIAL).execute(query, trace=Trace("query"))
+        serial_traced = GStoreDEngine(cluster, backend=SERIAL).execute(query, trace=Trace("query"))
 
         cluster.reset_network()
-        threaded_engine = GStoreDEngine(cluster, EngineConfig.full().with_workers(workers))
-        threaded_traced = threaded_engine.execute(query, trace=Trace("query"))
-        threaded_engine.close()
+        with ThreadPoolBackend(workers) as backend:
+            threaded_traced = GStoreDEngine(cluster, backend=backend).execute(
+                query, trace=Trace("query")
+            )
 
         cluster.reset_network()
         with ProcessPoolBackend(max_workers=workers) as backend:
-            process_engine = GStoreDEngine(
-                cluster, EngineConfig.full().with_executor("processes", workers), backend=backend
+            process_traced = GStoreDEngine(cluster, backend=backend).execute(
+                query, trace=Trace("query")
             )
-            process_traced = process_engine.execute(query, trace=Trace("query"))
-            process_engine.close()
 
         for traced in (serial_traced, threaded_traced, process_traced):
             assert sorted_rows(traced.results) == base_rows
@@ -154,11 +147,10 @@ class TestCrossEngineEquivalence:
     def test_threaded_shipment_equals_serial_shipment(self, seed, num_fragments, query_edges):
         _, query, cluster = build_environment(seed, num_fragments, query_edges, 0.25)
         cluster.reset_network()
-        serial = GStoreDEngine(cluster, SERIAL).execute(query)
+        serial = GStoreDEngine(cluster, backend=SERIAL).execute(query)
         serial_snapshot = stage_shipment_snapshot(serial)
         cluster.reset_network()
-        engine = GStoreDEngine(cluster, EngineConfig.full().with_workers(4))
-        threaded = engine.execute(query)
-        engine.close()
+        with ThreadPoolBackend(4) as backend:
+            threaded = GStoreDEngine(cluster, backend=backend).execute(query)
         assert stage_shipment_snapshot(threaded) == serial_snapshot
         assert threaded.statistics.total_shipment_bytes == cluster.bus.total_bytes

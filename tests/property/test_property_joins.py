@@ -42,6 +42,7 @@ from repro.core.site_tasks import run_lec_filter
 from repro.distributed.network import estimate_size
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.distributed import build_cluster
+from repro.exec import SerialBackend
 from repro.partition import build_partitioned_graph
 from repro.rdf import Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph, SelectQuery
@@ -151,10 +152,8 @@ class TestIndexedJoinsEqualTheNestedLoop:
         assignment, num_fragments = partitioning(graph, seed)
         partitioned, query_graph, classes = coordinator_inputs(graph, query, assignment, num_fragments)
         expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
-        config = EngineConfig.full().with_options(
-            star_shortcut=False, use_candidate_exchange=False, executor="serial"
-        )
-        result = GStoreDEngine(build_cluster(partitioned), config).execute(query)
+        config = EngineConfig.full().with_options(star_shortcut=False, use_candidate_exchange=False)
+        result = GStoreDEngine(build_cluster(partitioned), config, backend=SerialBackend()).execute(query)
         assert result.results.same_solutions(expected)
         statistics = result.statistics
         pruned = LECFeaturePruner(query_graph).prune(list(classes))
@@ -211,11 +210,9 @@ class TestTheWireForm:
         graph = random_graph(seed, num_vertices=14, num_edges=30, num_predicates=3)
         query = random_connected_query(graph, seed + 17, num_edges=query_edges, constant_probability=0.0)
         partitioned, query_graph, classes_by_site = site_classes(graph, query, *partitioning(graph, seed))
-        config = EngineConfig.full().with_options(
-            star_shortcut=False, use_candidate_exchange=False, executor="serial"
-        )
+        config = EngineConfig.full().with_options(star_shortcut=False, use_candidate_exchange=False)
         cluster = build_cluster(partitioned)
-        result = GStoreDEngine(cluster, config).execute(query)
+        result = GStoreDEngine(cluster, config, backend=SerialBackend()).execute(query)
         expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
         assert result.results.same_solutions(expected)
         shipped = cluster.bus.bytes_by_kind()

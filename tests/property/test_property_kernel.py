@@ -38,7 +38,7 @@ from repro.bench import stage_shipment_snapshot
 from repro.core import EngineConfig, GStoreDEngine
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.distributed import build_cluster
-from repro.exec import ProcessPoolBackend
+from repro.exec import ProcessPoolBackend, SerialBackend, ThreadPoolBackend
 from repro.partition import build_partitioned_graph
 from repro.sparql.query_graph import QueryGraph
 from repro.store import KERNEL_PYTHON, LocalMatcher, SignatureIndex, compute_candidates, evaluate_centralized
@@ -53,7 +53,7 @@ constant_probabilities = st.sampled_from([0.0, 0.25, 0.5])
 worker_counts = st.sampled_from([1, 2, 8])
 shard_counts = st.sampled_from([2, 3, 8])
 
-SERIAL = EngineConfig.full().with_options(executor="serial")
+SERIAL = SerialBackend()
 
 #: The set-based oracle and the production kernel, by kernel name.
 MATCHERS = {KERNEL_SETS: SetMatcher, KERNEL_PYTHON: LocalMatcher}
@@ -126,13 +126,12 @@ class TestKernelEquivalence:
         expected_rows = sorted_rows(expected)
 
         cluster.reset_network()
-        serial = GStoreDEngine(cluster, SERIAL).execute(query)
+        serial = GStoreDEngine(cluster, backend=SERIAL).execute(query)
         serial_snapshot = stage_shipment_snapshot(serial)
 
         cluster.reset_network()
-        threaded_engine = GStoreDEngine(cluster, EngineConfig.full().with_workers(workers))
-        threaded = threaded_engine.execute(query)
-        threaded_engine.close()
+        with ThreadPoolBackend(workers) as backend:
+            threaded = GStoreDEngine(cluster, backend=backend).execute(query)
 
         assert sorted_rows(serial.results) == expected_rows
         assert sorted_rows(threaded.results) == expected_rows
@@ -231,7 +230,7 @@ class TestDistributedKernelParity:
         cluster = build_cluster(partitioned)
 
         cluster.reset_network()
-        reference = GStoreDEngine(cluster, SERIAL).execute(query)
+        reference = GStoreDEngine(cluster, backend=SERIAL).execute(query)
         reference_rows = sorted_rows(reference.results)
         reference_snapshot = stage_shipment_snapshot(reference)
 
@@ -239,20 +238,17 @@ class TestDistributedKernelParity:
             with running_on():
                 for shards in (1, 3):
                     cluster.reset_network()
-                    config = SERIAL.with_options(shards_per_site=shards)
-                    outcome = GStoreDEngine(cluster, config).execute(query)
+                    config = EngineConfig.full().with_options(shards_per_site=shards)
+                    outcome = GStoreDEngine(cluster, config, backend=SERIAL).execute(query)
                     assert sorted_rows(outcome.results) == reference_rows, (kernel, shards)
                     assert stage_shipment_snapshot(outcome) == reference_snapshot, (
                         kernel,
                         shards,
                     )
                 cluster.reset_network()
-                threaded_config = EngineConfig.full().with_workers(workers).with_options(
-                    shards_per_site=2
-                )
-                engine = GStoreDEngine(cluster, threaded_config)
-                threaded = engine.execute(query)
-                engine.close()
+                sharded = EngineConfig.full().with_options(shards_per_site=2)
+                with ThreadPoolBackend(workers) as backend:
+                    threaded = GStoreDEngine(cluster, sharded, backend=backend).execute(query)
                 assert sorted_rows(threaded.results) == reference_rows, kernel
                 assert stage_shipment_snapshot(threaded) == reference_snapshot, kernel
 
@@ -280,17 +276,13 @@ class TestProcessPoolKernelParity:
         cluster = build_cluster(partitioned)
 
         cluster.reset_network()
-        reference = GStoreDEngine(cluster, SERIAL).execute(query)
+        reference = GStoreDEngine(cluster, backend=SERIAL).execute(query)
         reference_rows = sorted_rows(reference.results)
         reference_snapshot = stage_shipment_snapshot(reference)
 
         cluster.reset_network()
         with ProcessPoolBackend(max_workers=workers) as backend:
-            config = EngineConfig.full().with_executor("processes", workers).with_options(
-                shards_per_site=shards
-            )
-            engine = GStoreDEngine(cluster, config, backend=backend)
-            outcome = engine.execute(query)
-            engine.close()
+            config = EngineConfig.full().with_options(shards_per_site=shards)
+            outcome = GStoreDEngine(cluster, config, backend=backend).execute(query)
         assert sorted_rows(outcome.results) == reference_rows
         assert stage_shipment_snapshot(outcome) == reference_snapshot

@@ -28,11 +28,12 @@ from hypothesis import strategies as st
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
 from reference_joins import recount_feature_message, recount_lpm_message
 
-from repro.core import EngineConfig, GStoreDEngine, compute_lec_features, lec_feature_of
+from repro.core import GStoreDEngine, compute_lec_features, lec_feature_of
 from repro.core.partial_eval import evaluate_fragment
 from repro.datasets import random_assignment, random_connected_query
 from repro.distributed import build_cluster
 from repro.distributed.network import estimate_size
+from repro.exec import SerialBackend
 from repro.partition import build_partitioned_graph
 from repro.rdf import RDFGraph, Triple
 from repro.rdf.ntriples import parse_term
@@ -140,7 +141,6 @@ class TestKeyedLPMsOnHostileTerms:
             loaded = pickle.loads(pickle.dumps(lpms))
             assert loaded == lpms
             assert [(lpm.terms, lpm.crossing) for lpm in loaded] == [(lpm.terms, lpm.crossing) for lpm in lpms]
-        config = EngineConfig.full().with_options(executor="serial")
-        result = GStoreDEngine(build_cluster(partitioned), config).execute(query)
+        result = GStoreDEngine(build_cluster(partitioned), backend=SerialBackend()).execute(query)
         expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
         assert result.results.same_solutions(expected)

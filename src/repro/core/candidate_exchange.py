@@ -11,8 +11,14 @@ the union covers every useful candidate — and broadcasts the result.
 During partial evaluation each site then refuses to bind an *extended*
 vertex to a variable when the global bit vector says that vertex is an
 internal candidate nowhere: such a binding could never survive the assembly.
-Because the vectors have fixed length, the communication cost of this stage
-is independent of the data size.
+
+The paper fixes the vector length so that this stage's communication cost
+does not depend on the data.  On the wire a vector travels as the smaller of
+two forms, the container choice of Roaring bitmaps: the dense bitmap, or the
+ascending positions of its set bits at a fixed width each.  A vector that
+holds little ships little, and no vector ever costs more than its bitmap:
+``ceil(width / 8) + 4`` bytes stays the data-independent bound
+(``docs/performance.md``, "Candidate vectors ship as what they hold").
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ from ..store.fragment_index import CandidateIds
 #: Default bit-vector width (bits).  Fixed length per the paper; wide enough
 #: to keep the false-positive rate low on the bundled datasets.
 DEFAULT_BIT_VECTOR_BITS = 4096
+#: Framing of one vector on the wire: its width and form.
+VECTOR_FRAMING = 4
 
 
 @lru_cache(maxsize=1 << 16)
@@ -61,11 +69,54 @@ class CandidateBitVector:
         return CandidateBitVector(self.width, self.bits | other.bits)
 
     def popcount(self) -> int:
-        return bin(self.bits).count("1")
+        return self.bits.bit_count()
 
     def shipment_size(self) -> int:
-        """Fixed size on the wire: the vector itself plus small framing."""
-        return self.width // 8 + 4
+        """Bytes on the wire: 4 B of framing plus the smaller of the two forms.
+
+        The dense form is the bitmap, ``ceil(width / 8)`` bytes; the sparse
+        form is one position per set bit, in the fewest whole bytes that hold
+        ``width - 1`` (2 B at 4,096 bits).  So the size never exceeds
+        ``ceil(width / 8) + 4``, whatever the data.
+        """
+        return VECTOR_FRAMING + min(_dense_bytes(self.width), _position_bytes(self.width) * self.popcount())
+
+    def wire_payload(self) -> bytes:
+        """The form :meth:`shipment_size` charges: ascending positions if smaller, else the bitmap."""
+        width, bits = self.width, self.bits
+        if self.shipment_size() == VECTOR_FRAMING + _dense_bytes(width):
+            return bits.to_bytes(_dense_bytes(width), "little")
+        size = _position_bytes(width)
+        positions = []
+        while bits:
+            low = bits & -bits
+            positions.append((low.bit_length() - 1).to_bytes(size, "little"))
+            bits ^= low
+        return b"".join(positions)
+
+    def __reduce__(self):
+        """Pickle the wire form, so a process pool moves what the bus charges."""
+        return (_vector_from_wire, (self.width, self.wire_payload()))
+
+
+def _position_bytes(width: int) -> int:
+    """Bytes of one set-bit position in the sparse form: enough to hold ``width - 1``."""
+    return max(1, ((width - 1).bit_length() + 7) // 8)
+
+
+def _dense_bytes(width: int) -> int:
+    return (width + 7) // 8
+
+
+def _vector_from_wire(width: int, payload: bytes) -> CandidateBitVector:
+    """Unpickle a :class:`CandidateBitVector`: a payload shorter than the bitmap is positions."""
+    if len(payload) >= _dense_bytes(width):
+        return CandidateBitVector(width, int.from_bytes(payload, "little"))
+    size = _position_bytes(width)
+    bits = 0
+    for start in range(0, len(payload), size):
+        bits |= 1 << int.from_bytes(payload[start : start + size], "little")
+    return CandidateBitVector(width, bits)
 
 
 @dataclass

@@ -70,6 +70,11 @@ class EngineConfig:
     #: the whole worker pool.
     shards_per_site: int = 1
 
+    def __post_init__(self) -> None:
+        bits = self.bit_vector_bits
+        if isinstance(bits, bool) or not isinstance(bits, int) or bits < 1:
+            raise ValueError(f"bit_vector_bits must be a positive integer, got {bits!r}")
+
     # ------------------------------------------------------------------
     # Named configurations
     # ------------------------------------------------------------------

@@ -126,13 +126,14 @@ def lec_feature_of(lpm: LocalPartialMatch) -> LECFeature:
 class LECClasses(dict):
     """Algorithm 1's output: each LEC feature, in message order, to its class.
 
-    ``list(classes)`` is the ``lec_features`` message.  Pickles as the LPMs it
-    groups — one :class:`~repro.core.partial_match.LPMList`, in class order —
-    and groups them again on load, which rebuilds the same classes in the
-    same order with the same charges.
+    ``list(classes)`` is the ``lec_features`` message and ``key_table`` the
+    keys its term table holds.  Pickles as the LPMs it groups — one
+    :class:`~repro.core.partial_match.LPMList`, in class order — and groups
+    them again on load, which rebuilds the same classes in the same order
+    with the same charges and table.
     """
 
-    __slots__ = ()
+    __slots__ = ("key_table",)
 
     def __reduce__(self):
         members = LPMList([lpm for lpms in self.values() for lpm in lpms])
@@ -145,7 +146,8 @@ def compute_lec_features(lpms: Iterable[LocalPartialMatch]) -> LECClasses:
     Returns the mapping from each distinct LEC feature to the equivalence
     class (the list of LPMs it summarises), features in order of first
     appearance.  The key list alone is what gets shipped to the coordinator;
-    each feature is then charged its share of that message, in that order.
+    each feature is then charged its share of that message, in that order,
+    and the keys the message's table holds are kept as ``key_table``.
     """
     classes = LECClasses()
     for lpm in lpms:
@@ -157,4 +159,5 @@ def compute_lec_features(lpms: Iterable[LocalPartialMatch]) -> LECClasses:
     seen: Set[str] = set()
     for feature in classes:
         feature.size = _charge(feature.crossing, seen)
+    classes.key_table = seen
     return classes

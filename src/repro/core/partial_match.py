@@ -32,7 +32,7 @@ tests and by the enumerator's final filter) in :func:`check_local_partial_match`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..partition.fragment import Fragment
 from ..rdf.ntriples import parse_term
@@ -244,20 +244,29 @@ class LPMList(list):
     :meth:`__reduce__` pickles it, so the bus and a process pool move one
     thing.  The members are enumerated LPMs (one fragment each): a member's
     crossing pairs follow from its items and LECSign, so they are not shipped.
+
+    ``known_keys`` are keys the receiver already holds from this site's own
+    ``lec_features`` message (the LEC survivors of :func:`run_lec_filter
+    <repro.core.site_tasks.run_lec_filter>`): a reference reaches them in that
+    message's table, so their text is not sent again.
     """
 
-    __slots__ = ()
+    __slots__ = ("known_keys",)
+
+    def __init__(self, lpms: Iterable[LocalPartialMatch] = (), known_keys: AbstractSet[str] = frozenset()) -> None:
+        super().__init__(lpms)
+        self.known_keys = known_keys
 
     def shipment_size(self) -> int:
-        """Bytes of the message: distinct keys once, everything else fixed-width.
+        """Bytes of the message: new keys once, everything else fixed-width.
 
         4 B of list framing; per LPM, 8 B of fragment-id and mask framing and
         8 B per item — a 4 B slot index (the query edge index, or ``|E_Q|`` +
         the query vertex index) and a 4 B key reference; and the UTF-8 text of
-        each distinct key, once per message.
+        each distinct key outside ``known_keys``, once per message.
         """
         items = sum([len(lpm.items) for lpm in self])
-        keys = {key for lpm in self for _, key in lpm.items}
+        keys = {key for lpm in self for _, key in lpm.items} - self.known_keys
         return 4 + LPM_FRAMING * len(self) + 2 * REFERENCE_BYTES * items + sum(map(key_bytes, keys))
 
     def __reduce__(self):

@@ -210,16 +210,18 @@ def run_lec_filter(site, payload: Mapping[str, object]) -> LPMList:
     """Keep the LPMs of the classes the coordinator kept, in class order.
 
     ``surviving`` holds the ascending positions of the surviving features in
-    the site's own ``lec_features`` message, which is ``list(classes)``.
+    the site's own ``lec_features`` message, which is ``list(classes)``.  The
+    kept LPMs refer to that message's key table instead of resending its keys.
     Payload-bound for the same reason as :func:`run_lec_features`: picking
     classes by position is far cheaper than round-tripping them through a
     worker process.
     """
     del site
-    classes = list(payload["classes"].values())
-    kept = LPMList()
+    classes = payload["classes"]
+    members = list(classes.values())
+    kept = LPMList(known_keys=classes.key_table)
     for position in payload["surviving"]:
-        kept.extend(classes[position])
+        kept.extend(members[position])
     return kept
 
 

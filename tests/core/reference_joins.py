@@ -25,14 +25,15 @@ was before survivors went back as positions: the coordinator echoed each
 site's surviving features, and the site kept the classes found in that set.
 :func:`recount_lpm_message` and :func:`recount_feature_message` size the
 table wire form from the decoded terms, independently of the production
-accounting.
+accounting; survivor LPMs leave out the keys of their site's features
+(:func:`feature_keys`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.assembly import AssemblyOutcome
 from repro.core.joins import JoinCompiler, joinable
@@ -74,19 +75,30 @@ def _text_bytes(keys: Iterable[str]) -> int:
     return sum(len(key.encode("utf-8")) for key in keys)
 
 
-def recount_lpm_message(lpms: Iterable[LocalPartialMatch]) -> int:
+def recount_lpm_message(lpms: Iterable[LocalPartialMatch], shipped_keys: AbstractSet[str] = frozenset()) -> int:
     """A ``local_partial_matches`` message, sized from the decoded terms.
 
     4 B of list framing; per LPM 8 B of framing and 8 B (slot index + key
     reference) per mapped query vertex and per matched query edge; the UTF-8
-    N3 text of every distinct data vertex and predicate once.
+    N3 text of every distinct data vertex and predicate once, unless the
+    site's ``lec_features`` message already carried it (``shipped_keys``, see
+    :func:`feature_keys`).
     """
     size, keys = 4, set()
     for lpm in lpms:
         size += 8 + 8 * (len(lpm.assignment) + len(lpm.edge_assignment))
         keys |= {value.n3() for _, value in lpm.assignment}
         keys |= {triple.predicate.n3() for _, triple in lpm.edge_assignment}
-    return size + _text_bytes(keys)
+    return size + _text_bytes(keys - shipped_keys)
+
+
+def feature_keys(features: Iterable[LECFeature]) -> Set[str]:
+    """The keys of a ``lec_features`` message's table: its crossing edges' subjects, predicates and objects."""
+    keys = set()
+    for feature in features:
+        for _, triple in feature.crossing_map:
+            keys |= {triple.subject.n3(), triple.predicate.n3(), triple.object.n3()}
+    return keys
 
 
 def recount_feature_message(features: Iterable[LECFeature]) -> int:
@@ -96,12 +108,9 @@ def recount_feature_message(features: Iterable[LECFeature]) -> int:
     three key references) per crossing pair; the UTF-8 N3 text of every
     distinct subject, predicate and object once.
     """
-    size, keys = 4, set()
-    for feature in features:
-        size += 12 + 16 * len(feature.crossing_map)
-        for _, triple in feature.crossing_map:
-            keys |= {triple.subject.n3(), triple.predicate.n3(), triple.object.n3()}
-    return size + _text_bytes(keys)
+    features = list(features)
+    size = 4 + sum(12 + 16 * len(feature.crossing_map) for feature in features)
+    return size + _text_bytes(feature_keys(features))
 
 
 def group_features_by_sign(features: Iterable[LECFeature]) -> Dict[int, List[LECFeature]]:

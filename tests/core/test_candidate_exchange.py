@@ -1,6 +1,10 @@
 """Unit tests for assembling variables' internal candidates (Algorithm 4)."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_candidates import vector_of
 from reference_partial_eval import filter_allows
 
@@ -54,20 +58,55 @@ class TestCandidateBitVector:
         with pytest.raises(ValueError):
             CandidateBitVector(width=64).union(CandidateBitVector(width=128))
 
-    def test_shipment_size_is_fixed(self):
-        empty = CandidateBitVector(width=1024)
-        full = vector_of([EX.term(f"v{i}") for i in range(100)], width=1024)
-        assert empty.shipment_size() == full.shipment_size() == 1024 // 8 + 4
+    @pytest.mark.parametrize(
+        ("width", "set_bits", "size"),
+        [
+            (4096, 0, 4),  # empty: the framing alone
+            (4096, 1, 6),  # one 2 B position
+            (4096, 255, 514),  # the last count whose positions are smaller than the bitmap
+            (4096, 256, 516),  # positions as large as the bitmap: the bitmap
+            (4096, 4096, 4096 // 8 + 4),  # full
+            (100, 100, 17),  # an odd width pays for its last partial byte: 13 B, not 12
+        ],
+    )
+    def test_shipment_size_is_the_smaller_form(self, width, set_bits, size):
+        vector = CandidateBitVector(width, (1 << set_bits) - 1)
+        assert vector.shipment_size() == size == 4 + len(vector.wire_payload())
 
     def test_popcount(self):
         vector = CandidateBitVector()
         vector.add(A)
         assert vector.popcount() >= 1
 
-    def test_might_contain_n3_agrees_with_might_contain(self):
-        vector = vector_of([A, B, C], width=2048)
-        assert vector.width == 2048
+    @pytest.mark.parametrize("width", [2048, 100])
+    def test_might_contain_n3_agrees_with_might_contain(self, width):
+        vector = vector_of([A, B, C], width=width)
+        assert vector.width == width
         assert vector.might_contain(C) and vector.might_contain_n3(C.n3())
+
+
+WIDTHS = [8, 100, 4096, 65536, 65544]
+
+
+@st.composite
+def vectors(draw):
+    """A vector of one of ``WIDTHS``: a few set bits (sparse) or any bits at all (mostly dense)."""
+    width = draw(st.sampled_from(WIDTHS))
+    positions = st.sets(st.integers(0, width - 1), max_size=40).map(lambda found: sum(1 << p for p in found))
+    return CandidateBitVector(width, draw(st.one_of(positions, st.integers(0, (1 << width) - 1))))
+
+
+class TestTheWireForm:
+    @given(vectors())
+    @settings(max_examples=200, deadline=None)
+    def test_size_is_bounded_by_the_bitmap_and_pickles_what_it_charges(self, vector):
+        size = vector.shipment_size()
+        assert 4 <= size <= -(-vector.width // 8) + 4
+        assert size == 4 + len(vector.wire_payload())
+        loaded = pickle.loads(pickle.dumps(vector))
+        assert loaded == vector
+        for term in (A, B, C, CONST, *(EX.term(f"v{i}") for i in range(20))):
+            assert loaded.might_contain(term) == vector.might_contain(term)
 
 
 class TestGlobalFilter:
@@ -92,10 +131,11 @@ class TestAlgorithm4:
         vectors = build_site_vectors(candidate_ids({X: {A}, CONST: {CONST}}))
         assert set(vectors) == {X}
 
-    def test_site_vectors_set_the_bits_of_the_decoded_terms(self):
-        vectors = build_site_vectors(candidate_ids({X: {A, B}, Y: set()}), width=512)
-        assert vectors[X] == vector_of([A, B], width=512)
-        assert vectors[Y] == CandidateBitVector(512)
+    @pytest.mark.parametrize("width", [512, 100])
+    def test_site_vectors_set_the_bits_of_the_decoded_terms(self, width):
+        site_vectors = build_site_vectors(candidate_ids({X: {A, B}, Y: set()}), width=width)
+        assert site_vectors[X] == vector_of([A, B], width=width)
+        assert site_vectors[Y] == CandidateBitVector(width)
 
     def test_union_site_vectors_is_bitwise_or(self):
         site1 = build_site_vectors(candidate_ids({X: {A}}))

@@ -1,5 +1,7 @@
 """Unit tests for the engine configuration / optimization levels."""
 
+import pytest
+
 from repro.core import ABLATION_CONFIGS, EngineConfig, OptimizationLevel
 
 
@@ -52,3 +54,8 @@ class TestOptions:
 
     def test_default_is_full(self):
         assert EngineConfig().level is OptimizationLevel.FULL
+
+    @pytest.mark.parametrize("width", [0, -8, 2.5, True])
+    def test_with_options_rejects_a_width_no_vector_can_have(self, width):
+        with pytest.raises(ValueError, match="bit_vector_bits"):
+            EngineConfig.full().with_options(bit_vector_bits=width)

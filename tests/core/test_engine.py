@@ -105,10 +105,11 @@ class TestCorrectness:
         graph, cluster, queries = lubm_setup
         query = queries[query_name]
         central = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
-        for config in ABLATION_CONFIGS:
+        odd_width = EngineConfig.full().with_options(bit_vector_bits=100)
+        for config in (*ABLATION_CONFIGS, odd_width):
             cluster.reset_network()
             result = GStoreDEngine(cluster, config).execute(query, query_name=query_name)
-            assert result.results.same_solutions(central), f"{config.label} differs on {query_name}"
+            assert result.results.same_solutions(central), f"{config} differs on {query_name}"
 
     def test_result_is_iterable_and_sized(self, lubm_setup):
         graph, cluster, queries = lubm_setup

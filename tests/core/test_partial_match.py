@@ -92,6 +92,9 @@ class TestConstruction:
         shared = {key for _, key in left.items} & {key for _, key in right.items}
         assert shared
         assert LPMList([left, right]).shipment_size() == apart - sum(len(key.encode()) for key in shared)
+        # Keys the receiver already holds are referred to, not sent again.
+        referred = LPMList([left, right], known_keys=shared).shipment_size()
+        assert referred == LPMList([left, right]).shipment_size() - sum(len(key.encode()) for key in shared)
 
     def test_pickles_as_the_table_form(self, setting):
         _, partitioned, query = setting

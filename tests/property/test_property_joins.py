@@ -13,9 +13,10 @@ graphs and queries and on adversarial partitionings, that
 * both agree with ``BasicAssembler`` and with the centralized answers, alone
   and under the engine,
 * survivor positions keep exactly the LPMs the old feature echo kept, and
-  every ``lec_features``, ``surviving_features`` and ``local_partial_matches``
-  message is charged what an independent recount of its wire form gives —
-  site by site and on the engine's bus.
+  every message kind — ``candidate_vectors``, ``global_candidate_filter``,
+  ``lec_features``, ``surviving_features`` and ``local_partial_matches`` — is
+  charged what an independent recount of its wire form gives, site by site
+  and on the engine's bus.
 
 The partitionings: uniformly random ones; every vertex in its own fragment
 (every edge crossing); a single site (no crossing edge at all); fragments
@@ -27,15 +28,25 @@ regions — several LPMs — to one crossing match.
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
 from reference_joins import LECAssembler as ReferenceAssembler
 from reference_joins import LECFeaturePruner as ReferencePruner
-from reference_joins import echo_filter, echo_survivors, recount_feature_message, recount_lpm_message
+from reference_candidates import hashed_positions, recount_vector, reference_internal_candidates
+from reference_joins import echo_filter, echo_survivors, feature_keys, recount_feature_message, recount_lpm_message
 
-from repro.core import EngineConfig, GStoreDEngine, LECFeaturePruner, compute_lec_features, prune_features
+from repro.core import (
+    CandidateBitVector,
+    EngineConfig,
+    GlobalCandidateFilter,
+    GStoreDEngine,
+    LECFeaturePruner,
+    compute_lec_features,
+    prune_features,
+)
 from repro.core.assembly import BasicAssembler, LECAssembler
 from repro.core.partial_eval import evaluate_fragment
 from repro.core.site_tasks import run_lec_filter
@@ -162,26 +173,53 @@ class TestIndexedJoinsEqualTheNestedLoop:
         assert statistics.counter("lec_pruning", "surviving_features") == len(pruned.surviving)
 
 
-def site_classes(graph, query, assignment, num_fragments):
+def site_classes(graph, query, assignment, num_fragments, candidate_filter=None):
     """Each site's LEC classes, as its ``lec_features`` task returns them."""
     partitioned = build_partitioned_graph(graph, assignment, num_fragments=num_fragments)
     query_graph = QueryGraph(query.bgp)
     classes_by_site = {
-        fragment.fragment_id: compute_lec_features(evaluate_fragment(fragment, query_graph).local_partial_matches)
+        fragment.fragment_id: compute_lec_features(
+            evaluate_fragment(fragment, query_graph, candidate_filter=candidate_filter).local_partial_matches
+        )
         for fragment in partitioned
     }
     return partitioned, query_graph, classes_by_site
 
 
+def recount_vectors(cluster, query_graph):
+    """Stage 1 from the decoded candidate sets: its bytes per message kind, and the filter it builds."""
+    per_site = []
+    for site in cluster:
+        candidates = reference_internal_candidates(site, query_graph)
+        per_site.append({v: hashed_positions(found) for v, found in candidates.items() if isinstance(v, Variable)})
+    merged = {}
+    for positions in per_site:
+        for variable, found in positions.items():
+            merged[variable] = merged.get(variable, set()) | found
+    union = 4 + sum(recount_vector(found) for found in merged.values())
+    sizes = {
+        "candidate_vectors": sum(4 + sum(map(recount_vector, positions.values())) for positions in per_site),
+        "global_candidate_filter": union * len(per_site),
+    }
+    vectors = {variable: CandidateBitVector(bits=sum(1 << p for p in found)) for variable, found in merged.items()}
+    return sizes, GlobalCandidateFilter(vectors)
+
+
 def recount_messages(query_graph, classes_by_site):
-    """Bytes per message kind of the pruning and assembly stages, recounted."""
+    """Bytes per message kind of the pruning and assembly stages, recounted.
+
+    A site's survivor LPMs refer to the keys of its own ``lec_features``
+    message instead of carrying their text again.
+    """
     features_by_site = {site: list(classes) for site, classes in classes_by_site.items()}
     echoed = echo_survivors(query_graph, features_by_site)
-    kept = {site: echo_filter(classes, echoed[site]) for site, classes in classes_by_site.items()}
     return {
         "lec_features": sum(recount_feature_message(classes) for classes in classes_by_site.values()),
         "surviving_features": sum(4 + 8 * len(survivors) for survivors in echoed.values()),
-        "local_partial_matches": sum(recount_lpm_message(lpms) for lpms in kept.values()),
+        "local_partial_matches": sum(
+            recount_lpm_message(echo_filter(classes, echoed[site]), feature_keys(classes))
+            for site, classes in classes_by_site.items()
+        ),
     }
 
 
@@ -202,21 +240,31 @@ class TestTheWireForm:
             assert kept == echo_filter(classes, echoed[site])
             assert estimate_size(features_by_site[site]) == recount_feature_message(classes)
             assert estimate_size(positions[site]) == 4 + 8 * len(echoed[site])
-            assert estimate_size(kept) == recount_lpm_message(kept)
+            assert estimate_size(kept) == recount_lpm_message(kept, feature_keys(classes))
 
+    @pytest.mark.parametrize("candidate_exchange", [False, True])
     @given(seeds, partitionings, query_sizes)
     @settings(max_examples=10, deadline=None)
-    def test_engine_ships_the_recounted_bytes_and_the_answers(self, seed, partitioning, query_edges):
+    def test_engine_ships_the_recounted_bytes_and_the_answers(
+        self, candidate_exchange, seed, partitioning, query_edges
+    ):
         graph = random_graph(seed, num_vertices=14, num_edges=30, num_predicates=3)
         query = random_connected_query(graph, seed + 17, num_edges=query_edges, constant_probability=0.0)
-        partitioned, query_graph, classes_by_site = site_classes(graph, query, *partitioning(graph, seed))
-        config = EngineConfig.full().with_options(star_shortcut=False, use_candidate_exchange=False)
+        assignment, num_fragments = partitioning(graph, seed)
+        partitioned = build_partitioned_graph(graph, assignment, num_fragments=num_fragments)
         cluster = build_cluster(partitioned)
+        recounted, candidate_filter = {}, None
+        if candidate_exchange:
+            recounted, candidate_filter = recount_vectors(cluster, QueryGraph(query.bgp))
+        _, query_graph, classes_by_site = site_classes(graph, query, assignment, num_fragments, candidate_filter)
+        recounted.update(recount_messages(query_graph, classes_by_site))
+        config = EngineConfig.full().with_options(star_shortcut=False, use_candidate_exchange=candidate_exchange)
         result = GStoreDEngine(cluster, config, backend=SerialBackend()).execute(query)
         expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
         assert result.results.same_solutions(expected)
         shipped = cluster.bus.bytes_by_kind()
-        for kind, size in recount_messages(query_graph, classes_by_site).items():
+        assert set(shipped) == set(recounted) | {"local_matches"}
+        for kind, size in recounted.items():
             assert shipped[kind] == size, kind
 
 

@@ -366,7 +366,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         runtime = f", executor={executor} x{result.statistics.extra.get('max_workers')}"
     print(f"{len(result.results)} solutions ({result.statistics.engine}{runtime})")
     for row in result.results.to_table()[: args.limit]:
-        print("  " + ", ".join(f"{key}={value}" for key, value in sorted(row.items())))
+        print("  " + ", ".join(f"{key}={value}" for key, value in row.items()))
     if faults is not None:
         work = result.statistics.work
         print(

@@ -87,9 +87,9 @@ class LocalEvalOutput:
     :attr:`~repro.distributed.QueryStatistics.work` in the serial merge.
 
     With intra-site sharding (``shard`` set) this is *one shard's* slice:
-    ``matches`` then holds the shard's raw, unprojected bindings — the
-    coordinator concatenates a site's shards in shard order and finalizes
-    (projection/DISTINCT/LIMIT) once, reproducing the unsharded site result
+    ``matches`` then holds the shard's raw bindings (projected, not yet
+    DISTINCT or LIMITed) — the coordinator concatenates a site's shards in
+    shard order and finalizes once, reproducing the unsharded site result
     bit for bit before anything touches the bus.
     """
 
@@ -138,8 +138,8 @@ def run_local_eval(site, payload: Mapping[str, object]) -> LocalEvalOutput:
     A ``"shard"`` payload entry (absent for unsharded runs, so the pickled
     payload is byte-identical to before sharding existed) turns this into one
     slice of the site's search: the matcher partitions the depth-0 candidate
-    frontier and this shard returns its raw, unprojected bindings for the
-    coordinator to reassemble (see :class:`LocalEvalOutput`).
+    frontier and this shard returns its raw bindings for the coordinator to
+    reassemble (see :class:`LocalEvalOutput`).
     """
     query: SelectQuery = payload["query"]
     shard: Optional[Tuple[int, int]] = payload.get("shard")

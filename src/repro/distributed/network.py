@@ -82,7 +82,8 @@ def estimate_size(payload: Any) -> int:
     RDF terms are charged their N3 text length; containers are charged the
     sum of their elements plus a small framing overhead; objects exposing a
     ``shipment_size()`` method (LEC features, local partial matches, bit
-    vectors) delegate to it.
+    vectors, solution bindings) delegate to it.  No engine's payload reaches
+    the ``repr`` fallback at the end; it exists for foreign payload types.
     """
     if payload is None:
         return 1
@@ -106,7 +107,7 @@ def estimate_size(payload: Any) -> int:
         return 4 + sum(estimate_size(k) + estimate_size(v) for k, v in payload.items())
     if isinstance(payload, (list, tuple, set, frozenset)):
         return 4 + sum(estimate_size(item) for item in payload)
-    # Fallback: charge the repr length; rarely hit in practice.
+    # Fallback for foreign payloads: charge the repr length.
     return len(repr(payload))
 
 

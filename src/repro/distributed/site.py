@@ -88,10 +88,11 @@ class Site:
     def local_evaluate_shard(self, query: SelectQuery, shard_index: int, num_shards: int):
         """One shard's slice of this fragment's local evaluation.
 
-        Returns the shard's *raw* (unprojected) bindings: projection,
-        DISTINCT and LIMIT only commute with concatenation when applied over
-        the complete stream, so the coordinator concatenates the shards in
-        shard order and finalizes once (:func:`repro.store.finalize_matches`).
+        Returns the shard's *raw* (projected, not yet DISTINCT or LIMITed)
+        bindings: DISTINCT and LIMIT only commute with concatenation when
+        applied over the complete stream, so the coordinator concatenates the
+        shards in shard order and finalizes once
+        (:func:`repro.store.finalize_matches`).
         """
         return self.store.shard_matches(query, shard_index, num_shards)
 

@@ -21,7 +21,9 @@ class Term:
     """Base class of every RDF term.
 
     Terms are value objects: equality and hashing are defined purely by their
-    textual content, never by identity.  Subclasses are frozen dataclasses.
+    textual content, never by identity.  Subclasses are frozen dataclasses
+    that hash their text field alone: terms of different kinds with the
+    same text share a hash but never compare equal.
     """
 
     __slots__ = ()
@@ -44,6 +46,9 @@ class IRI(Term):
     """An IRI reference, e.g. ``<http://example.org/person/Alice>``."""
 
     value: str
+
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def n3(self) -> str:
         return f"<{self.value}>"
@@ -86,6 +91,9 @@ class Literal(Term):
         if self.language is not None and self.datatype is not None:
             raise ValueError("a literal cannot have both a language tag and a datatype")
 
+    def __hash__(self) -> int:
+        return hash(self.lexical)
+
     def n3(self) -> str:
         escaped = escape_literal(self.lexical)
         if self.language:
@@ -104,6 +112,9 @@ class BlankNode(Term):
 
     label: str
 
+    def __hash__(self) -> int:
+        return hash(self.label)
+
     def n3(self) -> str:
         return f"_:{self.label}"
 
@@ -119,6 +130,9 @@ class Variable(Term):
     """
 
     name: str
+
+    def __hash__(self) -> int:
+        return hash(self.name)
 
     def n3(self) -> str:
         return f"?{self.name}"
@@ -143,6 +157,7 @@ _ESCAPES = {
     "\r": "\\r",
     "\t": "\\t",
 }
+_ESCAPE_TABLE = str.maketrans(_ESCAPES)
 
 _UNESCAPES = {
     "\\\\": "\\",
@@ -155,10 +170,7 @@ _UNESCAPES = {
 
 def escape_literal(text: str) -> str:
     """Escape a literal's lexical form for N-Triples output."""
-    out = []
-    for char in text:
-        out.append(_ESCAPES.get(char, char))
-    return "".join(out)
+    return text.translate(_ESCAPE_TABLE)
 
 
 def unescape_literal(text: str) -> str:

@@ -22,11 +22,17 @@ class Binding:
     _items: FrozenSet[Tuple[Variable, Node]]
 
     def __init__(self, mapping: Mapping[Variable, Node] | Iterable[Tuple[Variable, Node]] = ()) -> None:
-        if isinstance(mapping, Mapping):
+        # The engines' per-solution forms (frozenset of pairs, dict) skip the ABC check.
+        if isinstance(mapping, frozenset):
+            items = mapping
+        elif isinstance(mapping, (dict, Mapping)):
             items = frozenset(mapping.items())
         else:
             items = frozenset(mapping)
         object.__setattr__(self, "_items", items)
+
+    def __hash__(self) -> int:
+        return hash(self._items)
 
     def as_dict(self) -> Dict[Variable, Node]:
         return dict(self._items)
@@ -57,9 +63,13 @@ class Binding:
         return {var for var, _ in self._items}
 
     def project(self, variables: Sequence[Variable]) -> "Binding":
-        """Keep only the given variables (missing ones are dropped)."""
+        """Keep only the given variables (missing ones are dropped); ``self`` if none is."""
         wanted = set(variables)
-        return Binding({var: value for var, value in self._items if var in wanted})
+        items = self._items
+        for var, _ in items:
+            if var not in wanted:
+                return Binding(frozenset([item for item in items if item[0] in wanted]))
+        return self
 
     def compatible_with(self, other: "Binding") -> bool:
         """SPARQL compatibility: shared variables must have equal values."""
@@ -75,7 +85,13 @@ class Binding:
         merged.update(other.as_dict())
         return Binding(merged)
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
+    def shipment_size(self) -> int:
+        """Bytes a shipped solution is charged: ``len(repr(self))``, without printing it."""
+        items = self._items
+        text = sum(len(var.name) + 2 + len(value.n3()) for var, value in items)
+        return 9 + text + 2 * max(len(items) - 1, 0)
+
+    def __repr__(self) -> str:
         inner = ", ".join(f"{var.n3()}={value.n3()}" for var, value in sorted(self._items, key=lambda i: i[0].name))
         return f"Binding({inner})"
 
@@ -93,7 +109,7 @@ class ResultSet:
             return self._variables
         seen: List[Variable] = []
         for binding in self._bindings:
-            for variable in binding.variables:
+            for variable in sorted(binding.variables, key=lambda v: v.name):
                 if variable not in seen:
                     seen.append(variable)
         return tuple(seen)
@@ -145,10 +161,19 @@ class ResultSet:
         return self.as_set() == other.as_set()
 
     def to_table(self) -> List[Dict[str, str]]:
-        """Render bindings as dictionaries of variable name → N3 term text."""
+        """Render bindings as dictionaries of variable name → N3 term text.
+
+        A row lists its variables in :attr:`variables` order (the projection
+        order when one was given), then any others it binds by name.
+        """
+        names = [var.name for var in self.variables]
         rows = []
         for binding in self._bindings:
-            rows.append({var.name: binding[var].n3() for var in binding.variables})
+            texts = {var.name: value.n3() for var, value in binding._items}
+            row = {name: texts[name] for name in names if name in texts}
+            if len(row) < len(texts):
+                row.update(sorted(texts.items()))
+            rows.append(row)
         return rows
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -38,7 +38,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..planner.optimizer import QueryPlanner
 from ..rdf.graph import RDFGraph
-from ..rdf.terms import Node, PatternTerm, Variable
+from ..rdf.terms import Node, PatternTerm
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import Binding, ResultSet
 from ..sparql.query_graph import QueryGraph, traversal_order
@@ -117,11 +117,12 @@ class LocalMatcher:
         query: SelectQuery,
         shard: Optional[Tuple[int, int]] = None,
     ) -> List[Binding]:
-        """Every BGP match of ``query`` as unprojected bindings.
+        """Every BGP match of ``query`` as a binding of its projected variables.
 
-        The shard-mergeable form of :meth:`evaluate`: projection/DISTINCT/
-        LIMIT are *not* applied (they only commute with concatenation when
-        run over the complete stream — :func:`finalize_matches` does that).
+        The shard-mergeable form of :meth:`evaluate`: each binding is built
+        once, from the search's projected slots; DISTINCT/LIMIT are *not*
+        applied (they only commute with concatenation when run over the
+        complete stream — :func:`finalize_matches` does that).
 
         ``shard`` is a ``(shard_index, num_shards)`` slice of the search:
         single-component queries slice the depth-0 candidate frontier, so
@@ -137,18 +138,19 @@ class LocalMatcher:
         self.last_kernel = self.runner_class.kernel
         if not components:
             return []
-        if shard is not None and len(components) != 1:
-            if shard[0] > 0:
-                return []
-            shard = None
+        projection = frozenset(query.effective_projection)
+        if len(components) == 1:
+            # Pools are per query vertex: a sole component reuses the query's.
+            pools = cached_pools(self._graph, query.bgp)
+            solutions = self._solutions(QueryGraph(components[0]), None, shard, pools, projection)
+            return [Binding(frozenset(items)) for items in solutions]
+        if shard is not None and shard[0] > 0:
+            return []
         partial: List[List[Dict[PatternTerm, Node]]] = []
         steps = 0
         intersections = 0
         for component in components:
-            graph = QueryGraph(component)
-            # Pools are per query vertex: a sole component reuses the query's.
-            reused = cached_pools(self._graph, query.bgp) if len(components) == 1 else None
-            partial.append(list(self.find_matches(graph, shard=shard, pools=reused)))
+            partial.append(list(self.find_matches(QueryGraph(component))))
             steps += self.search_steps
             intersections += self.kernel_intersections
         self.search_steps = steps
@@ -156,7 +158,10 @@ class LocalMatcher:
         combined = partial[0]
         for extra in partial[1:]:
             combined = [{**left, **right} for left in combined for right in extra]
-        return [self._to_binding(assignment) for assignment in combined]
+        return [
+            Binding({vertex: value for vertex, value in assignment.items() if vertex in projection})
+            for assignment in combined
+        ]
 
     def shard_matches(
         self, query: SelectQuery, shard_index: int, num_shards: int
@@ -182,6 +187,13 @@ class LocalMatcher:
         ``shard`` slices the depth-0 frontier (see :meth:`raw_matches`);
         ``pools`` are this query's already computed kernel pools.
         """
+        return map(dict, self._solutions(query, order, shard, pools, None))
+
+    def _solutions(self, query, order, shard, pools, keep) -> Iterator[List[Tuple[PatternTerm, Node]]]:
+        """:meth:`find_matches`, each match as ``(query vertex, term)`` pairs.
+
+        Only the vertices in ``keep`` are decoded (every vertex when ``None``).
+        """
         self.search_steps = 0
         self.kernel_intersections = 0
         self.last_kernel = self.runner_class.kernel
@@ -203,14 +215,15 @@ class LocalMatcher:
             compiled = runner.compile(query, chosen, pools)
             assignment: List[Optional[int]] = [None] * query.num_vertices
             term_of = encoded.dictionary.term_of
-            positions = range(len(compiled))
+            slots = [
+                (chosen[position], vertex.index)
+                for position, vertex in enumerate(compiled)
+                if keep is None or chosen[position] in keep
+            ]
             for _ in self._extend(assignment, compiled, 0, runner, shard):
                 # The inner generator is suspended with every slot assigned,
                 # so the complete match decodes straight off the assignment.
-                yield {
-                    chosen[position]: term_of(assignment[compiled[position].index])
-                    for position in positions
-                }
+                yield [(vertex, term_of(assignment[index])) for vertex, index in slots]
         finally:
             self.kernel_intersections += runner.intersections
 
@@ -269,13 +282,6 @@ class LocalMatcher:
                 yield None  # the caller reads the complete assignment in place
             else:
                 depth += 1
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _to_binding(assignment: Dict[PatternTerm, Node]) -> Binding:
-        return Binding({vertex: value for vertex, value in assignment.items() if isinstance(vertex, Variable)})
 
 
 def evaluate_centralized(

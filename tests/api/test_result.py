@@ -1,9 +1,16 @@
 """Tests for the unified :class:`repro.api.Result` type."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro import parse_query
 from repro.api import Result
+from repro.cli import main
 from repro.datasets.paper_example import build_example_graph, example_query
 from repro.distributed import QueryStatistics
 from repro.sparql.bindings import ResultSet
@@ -77,3 +84,52 @@ class TestEqualityAndStatistics:
         result = Result(example_results)
         assert isinstance(result.statistics, QueryStatistics)
         assert result.statistics.total_shipment_bytes == 0
+
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: LQ1 of the LUBM benchmark; its projection order is not its name order.
+LQ1 = (
+    "PREFIX ub: <http://example.org/univ-bench#> "
+    "SELECT ?student ?professor ?course WHERE { "
+    "?student ub:advisor ?professor . ?professor ub:teacherOf ?course . "
+    "?student ub:takesCourse ?course . }"
+)
+
+#: Prints, as JSON, the distinct key orders of LQ1's rows in ``to_dicts()``,
+#: ``to_table()`` and ``repro query`` (whose solution lines read ``k=v, ...``).
+COLUMN_ORDER_SCRIPT = """
+import contextlib, io, json, sys
+import repro
+from repro.cli import main
+data, query = sys.argv[1], sys.argv[2]
+with repro.open(dataset="lubm", scale=1) as session:
+    result = session.query(query)
+    dicts = {tuple(row) for row in result.to_dicts()}
+    table = {tuple(row) for row in result.results.to_table()}
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    main(["query", "--data", data, "--sites", "3", "--query", query, "--limit", "5"])
+lines = [line.strip() for line in out.getvalue().splitlines() if line.startswith("  ")]
+cli = {tuple(cell.split("=", 1)[0] for cell in line.split(", ")) for line in lines}
+print(json.dumps({"dicts": sorted(dicts), "table": sorted(table), "cli": sorted(cli)}))
+"""
+
+
+class TestColumnOrder:
+    """A row lists its variables in the query's projection order, whatever the hash seed."""
+
+    def test_rows_follow_the_projection_under_three_hash_seeds(self, tmp_path):
+        data = tmp_path / "lubm.nt"
+        assert main(["generate", "LUBM", "--scale", "1", "--output", str(data)]) == 0
+        projection = ["student", "professor", "course"]
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC))
+            completed = subprocess.run(
+                [sys.executable, "-c", COLUMN_ORDER_SCRIPT, str(data), LQ1],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert completed.returncode == 0, completed.stderr
+            seen = json.loads(completed.stdout.splitlines()[-1])
+            assert seen == {"dicts": [projection], "table": [projection], "cli": [projection]}, seed

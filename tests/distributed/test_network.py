@@ -2,7 +2,12 @@
 
 import time
 
+import pytest
+
+import repro
+from repro.api import engine_names
 from repro.core import CandidateBitVector, LECFeature, LocalPartialMatch
+from repro.distributed import network
 from repro.distributed import COORDINATOR, MessageBus, StageTimer, estimate_size
 from repro.rdf import IRI, Literal, Triple
 
@@ -38,6 +43,40 @@ class TestEstimateSize:
 
     def test_empty_string_literal(self):
         assert estimate_size(Literal("")) == len('""')
+
+
+@pytest.fixture(scope="module")
+def lubm_session():
+    with repro.open(dataset="lubm", scale=1) as session:
+        yield session
+
+
+class TestNoPayloadIsPrinted:
+    """Every engine's messages are sized structurally, never by ``repr``."""
+
+    @pytest.mark.parametrize("engine", engine_names())
+    def test_engine_never_reaches_the_repr_fallback(self, engine, lubm_session, monkeypatch):
+        printed = []
+
+        def recording_repr(payload):
+            printed.append(type(payload).__name__)
+            return object.__repr__(payload)
+
+        # ``estimate_size`` finds ``repr`` in its module before the builtins.
+        monkeypatch.setattr(network, "repr", recording_repr, raising=False)
+        shipped = 0
+        for name in ("LQ1", "LQ2", "LQ7"):
+            shipped += lubm_session.query(name, engine=engine).shipment.total_bytes
+        assert printed == []
+        assert shipped > 0 or engine == "centralized"
+
+    def test_the_fallback_is_still_there_for_unknown_payloads(self, monkeypatch):
+        # Proves the probe above can see the fallback, so its pass is not vacuous.
+        printed = []
+        monkeypatch.setattr(network, "repr", lambda payload: printed.append(payload) or "xyz", raising=False)
+        payload = object()
+        assert estimate_size(payload) == 3
+        assert printed == [payload]
 
 
 class TestMessageBus:

@@ -1,5 +1,7 @@
 """Unit tests for the RDF term model."""
 
+import pickle
+
 import pytest
 
 from repro.rdf import IRI, BlankNode, Literal, Variable, is_concrete
@@ -80,3 +82,60 @@ class TestEscaping:
     )
     def test_escape_roundtrip(self, raw):
         assert unescape_literal(escape_literal(raw)) == raw
+
+    def test_escape_literal_maps_each_special_character(self):
+        assert escape_literal('a\\b"c\nd\re\tf') == 'a\\\\b\\"c\\nd\\re\\tf'
+
+
+XSD_INT = IRI("http://www.w3.org/2001/XMLSchema#integer")
+
+#: One instance of every kind of term, plus literals of every shape.
+TERMS = [
+    IRI("http://x/a"),
+    Literal("a"),
+    Literal("a", language="en"),
+    Literal("a", datatype=XSD_INT),
+    Literal('say "hi"\n'),
+    BlankNode("b1"),
+    Variable("x"),
+]
+
+
+class TestValueObjects:
+    """Terms are values: equality and hash follow the text, never identity."""
+
+    @pytest.mark.parametrize("term", TERMS, ids=repr)
+    def test_equal_terms_hash_equal(self, term):
+        twin = type(term)(*[getattr(term, name) for name in term.__dataclass_fields__])
+        assert twin is not term
+        assert twin == term
+        assert hash(twin) == hash(term)
+        assert len({term, twin}) == 1
+
+    def test_kinds_with_the_same_text_are_pairwise_unequal(self):
+        same_text = [IRI("a"), Literal("a"), BlankNode("a"), Variable("a")]
+        for left in same_text:
+            for right in same_text:
+                assert (left == right) == (left is right)
+        assert len(set(same_text)) == 4
+        assert len({term: None for term in same_text}) == 4
+
+    def test_literals_differing_only_in_language_or_datatype_are_unequal(self):
+        plain, tagged, other_tag = Literal("a"), Literal("a", language="en"), Literal("a", language="de")
+        typed, other_type = Literal("a", datatype=XSD_INT), Literal("a", datatype=IRI("http://x/dt"))
+        variants = [plain, tagged, other_tag, typed, other_type]
+        assert len(set(variants)) == len(variants)
+        for left in variants:
+            for right in variants:
+                assert (left == right) == (left is right)
+
+    def test_empty_language_tag_is_plain(self):
+        assert Literal("a", language="") == Literal("a")
+        assert hash(Literal("a", language="")) == hash(Literal("a"))
+
+    @pytest.mark.parametrize("term", TERMS, ids=repr)
+    def test_pickle_round_trip_keeps_equality_and_hash(self, term):
+        copy = pickle.loads(pickle.dumps(term))
+        assert copy == term
+        assert hash(copy) == hash(term)
+        assert copy.n3() == term.n3()

@@ -1,6 +1,9 @@
 """Unit tests for solution mappings and result sets."""
 
-from repro.rdf import IRI, Literal, Variable
+import pytest
+
+from repro.distributed import estimate_size
+from repro.rdf import IRI, BlankNode, Literal, Variable
 from repro.sparql import Binding, ResultSet
 
 X, Y, Z = Variable("x"), Variable("y"), Variable("z")
@@ -28,6 +31,19 @@ class TestBinding:
         binding = Binding({X: A, Y: B})
         assert binding.project([X]) == Binding({X: A})
         assert binding.project([Z]) == Binding({})
+
+    def test_project_keeping_everything_is_the_binding_itself(self):
+        binding = Binding({X: A, Y: B})
+        assert binding.project([X, Y]) is binding
+        assert binding.project([Y, X, Z]) is binding
+        assert binding.project([X]) is not binding
+
+    def test_every_construction_form_is_the_same_value(self):
+        from_dict = Binding({X: A, Y: B})
+        forms = [Binding(frozenset({(X, A), (Y, B)})), Binding([(Y, B), (X, A)]), Binding(iter([(X, A), (Y, B)]))]
+        for form in forms:
+            assert form == from_dict
+            assert hash(form) == hash(from_dict)
 
     def test_compatible_with_shared_variable(self):
         assert Binding({X: A}).compatible_with(Binding({X: A, Y: B}))
@@ -85,3 +101,40 @@ class TestResultSet:
         results = ResultSet([Binding({X: A, Y: Literal("v")})])
         rows = results.to_table()
         assert rows == [{"x": A.n3(), "y": '"v"'}]
+
+    def test_to_table_follows_the_declared_variable_order(self):
+        results = ResultSet([Binding({X: A, Y: B, Z: C})], variables=[Z, X, Y])
+        assert [list(row) for row in results.to_table()] == [["z", "x", "y"]]
+
+    def test_to_table_appends_undeclared_variables_by_name(self):
+        results = ResultSet([Binding({X: A, Y: B, Z: C}), Binding({Y: C})], variables=[Y])
+        assert [list(row) for row in results.to_table()] == [["y", "x", "z"], ["y"]]
+        assert results.to_table()[0] == {"x": A.n3(), "y": B.n3(), "z": C.n3()}
+
+    def test_inferred_variables_are_in_name_order(self):
+        results = ResultSet([Binding({Z: A, X: B}), Binding({Y: C})])
+        assert results.variables == (X, Z, Y)
+
+
+XSD_INT = IRI("http://www.w3.org/2001/XMLSchema#integer")
+
+
+class TestShipmentSize:
+    """A shipped solution is charged its ``repr`` length without being printed."""
+
+    @pytest.mark.parametrize(
+        "binding",
+        [
+            Binding(),
+            Binding({X: A}),
+            Binding({X: Literal('say "hi"\n\tand\\leave')}),
+            Binding({X: Literal("chat", language="fr"), Y: Literal("42", datatype=XSD_INT)}),
+            Binding({X: BlankNode("b7"), Y: A, Variable("long_name"): Literal("")}),
+            Binding({X: Literal("café ✓")}),
+        ],
+        ids=["empty", "one-iri", "escaped", "tagged-and-typed", "blank-and-empty", "non-ascii"],
+    )
+    def test_size_is_the_repr_length(self, binding):
+        assert binding.shipment_size() == len(repr(binding))
+        assert estimate_size(binding) == len(repr(binding))
+        assert estimate_size([binding, binding]) == 4 + 2 * len(repr(binding))

@@ -9,8 +9,7 @@ The package provides, end to end:
   (:mod:`repro.partition`),
 * a simulated distributed runtime with data-shipment accounting
   (:mod:`repro.distributed`),
-* a pluggable execution runtime (serial / thread pool / process pool) for
-  the per-site fan-out (:mod:`repro.exec`),
+* the per-site fan-out of site-task descriptors (:mod:`repro.exec`),
 * the paper's contribution — LEC-feature-accelerated partial evaluation and
   assembly (:mod:`repro.core`),
 * simulated comparison systems (:mod:`repro.baselines`),
@@ -26,7 +25,7 @@ Quickstart
 ----------
 
 ``repro.open`` is the front door: it prepares a workload, owns the cluster
-and the executor pools, and hands every evaluator out behind one contract.
+and the engines, and hands every evaluator out behind one contract.
 
 >>> import repro
 >>> with repro.open(dataset="paper") as session:
@@ -62,7 +61,7 @@ from .core import (
     OptimizationLevel,
 )
 from .distributed import AppliedDelta, Cluster, QueryStatistics, ShipmentSnapshot, build_cluster
-from .exec import ExecutorBackend, SerialBackend, ThreadPoolBackend, make_backend, run_per_site
+from .exec import SerialBackend, make_backend
 from .faults import FaultPlan, RetryPolicy
 from .obs import MetricsRegistry, StageProfiler, Trace, Tracer
 from .persist import ClusterStore, StoreError
@@ -92,7 +91,6 @@ __all__ = [
     "Cluster",
     "ClusterStore",
     "EngineConfig",
-    "ExecutorBackend",
     "FaultPlan",
     "GStoreDEngine",
     "GraphStatistics",
@@ -124,7 +122,6 @@ __all__ = [
     "ShipmentSnapshot",
     "StageProfiler",
     "StoreError",
-    "ThreadPoolBackend",
     "Trace",
     "Tracer",
     "Triple",
@@ -141,7 +138,6 @@ __all__ = [
     "open_session",
     "parse_query",
     "partitioning_cost",
-    "run_per_site",
     "select_best_partitioning",
     "__version__",
 ]

@@ -20,7 +20,7 @@ Registry names (see :func:`engine_names`):
 ========================  =====================================================
 ``gstored``               the paper's engine (LEC-accelerated partial
                           evaluation; honors ``EngineConfig`` and an injected
-                          :class:`~repro.exec.ExecutorBackend`)
+                          :class:`~repro.exec.SerialBackend`)
 ``dream``                 DREAM-like full replication + star decomposition
 ``decomp``                CliqueSquare-like clique/star decomposition over
                           MapReduce-style flat joins (alias ``cliquesquare``)
@@ -45,7 +45,7 @@ from ..core.engine import GStoreDEngine
 from ..distributed.cluster import Cluster
 from ..distributed.result import Result
 from ..distributed.run import Run
-from ..exec import ExecutorBackend
+from ..exec import SerialBackend
 from ..obs import StageProfiler, Trace
 from ..sparql.algebra import SelectQuery
 from ..store.matcher import LocalMatcher
@@ -79,7 +79,7 @@ class QueryEngine(Protocol):
         ...
 
     def close(self) -> None:
-        """Release any worker resources held by the engine."""
+        """Release any resources held by the engine."""
         ...
 
 
@@ -163,11 +163,11 @@ class EngineSpec:
     #: One-line description shown in docs and CLI help.
     summary: str
     #: ``factory(cluster, config, backend) -> QueryEngine``.
-    factory: Callable[[Cluster, Optional[EngineConfig], Optional[ExecutorBackend]], QueryEngine]
+    factory: Callable[[Cluster, Optional[EngineConfig], Optional[SerialBackend]], QueryEngine]
     #: Alternative lookup names (legacy report names, spellings).
     aliases: Tuple[str, ...] = ()
     #: Whether the engine honors an :class:`EngineConfig` (and an injected
-    #: executor backend).  Engines that don't raise on an explicit config.
+    #: fan-out backend).  Engines that don't raise on an explicit config.
     accepts_config: bool = False
 
 
@@ -293,7 +293,7 @@ def make_engine(
     cluster: Cluster,
     *,
     config: Optional[EngineConfig] = None,
-    backend: Optional[ExecutorBackend] = None,
+    backend: Optional[SerialBackend] = None,
     faults=None,
 ) -> QueryEngine:
     """Instantiate any registered evaluator by name over ``cluster``.
@@ -301,8 +301,8 @@ def make_engine(
     ``config`` and ``backend`` apply to engines that declare
     ``accepts_config`` (today the gStoreD family); passing an explicit
     ``config`` to a fixed-strategy engine is an error, while a ``backend`` is
-    silently ignored there — sessions share one pool across whatever engines
-    they create.  An injected ``backend`` stays owned by the caller.
+    silently ignored there — sessions share one backend across whatever
+    engines they create.
 
     ``faults`` — an optional :class:`~repro.faults.FaultPlan` — arms
     deterministic fault injection and recovery; like ``config`` it is only

@@ -4,9 +4,8 @@ PR 7 made one session safe under parallel ``query()`` calls; this module is
 everything that builds on that guarantee:
 
 * :class:`AsyncSession` — an asyncio facade multiplexing queries over one
-  warm session (and its shared executor backend) from a dedicated thread
-  pool, so event-loop code can ``await session.query(...)`` without blocking
-  the loop on a cold engine;
+  warm session from a dedicated thread pool, so event-loop code can
+  ``await session.query(...)`` without blocking the loop on a cold engine;
 * :class:`AdmissionController` — a bounded admission queue: at most
   ``max_inflight`` queries execute at once, at most ``max_queue`` wait, and
   anything beyond that is rejected immediately with :class:`AdmissionError`
@@ -45,6 +44,10 @@ REJECTED_FAMILY = "repro_admission_rejected_total"
 _QUEUE_DEPTH_HELP = "Queries waiting for an execution slot right now."
 _INFLIGHT_HELP = "Queries executing right now (bounded by max_inflight)."
 _REJECTED_HELP = "Queries rejected because the admission queue was full."
+
+#: Largest ``POST /query`` body accepted (1 MiB); a longer declared
+#: ``Content-Length`` is answered 413 before any byte of the body is read.
+MAX_BODY_BYTES = 1 << 20
 
 
 class AdmissionError(RuntimeError):
@@ -140,8 +143,8 @@ class AsyncSession:
     Queries submitted with ``await`` run on a dedicated thread pool
     (``repro-query`` threads) against the shared session, so several
     coroutines can have queries in flight at once — the session's per-query
-    ledgers keep their statistics independent, and the underlying executor
-    backend (thread or process pool) is shared warm across all of them.
+    ledgers keep their statistics independent.  ``max_concurrency``
+    (default 4) sizes that pool.
 
     Lifecycle mirrors the synchronous session: ``async with`` or an explicit
     ``await close()``, which closes the wrapped session and retires the
@@ -156,23 +159,18 @@ class AsyncSession:
             )
     """
 
-    def __init__(self, session: Session, *, max_concurrency: Optional[int] = None) -> None:
-        workers = (
-            max_concurrency
-            if max_concurrency is not None
-            else max(4, getattr(session.backend, "max_workers", 1) or 1)
-        )
-        if workers < 1:
-            raise ValueError(f"max_concurrency must be >= 1, got {workers}")
+    def __init__(self, session: Session, *, max_concurrency: int = 4) -> None:
+        if max_concurrency < 1:
+            raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
         self.session = session
-        self.max_concurrency = workers
+        self.max_concurrency = max_concurrency
         self._pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-query"
+            max_workers=max_concurrency, thread_name_prefix="repro-query"
         )
         self._closed = False
 
     @classmethod
-    def open(cls, *, max_concurrency: Optional[int] = None, **open_kwargs) -> "AsyncSession":
+    def open(cls, *, max_concurrency: int = 4, **open_kwargs) -> "AsyncSession":
         """``repro.open(...)`` wrapped into an :class:`AsyncSession`.
 
         Synchronous on purpose: dataset generation and partitioning dominate
@@ -306,6 +304,14 @@ class _Handler(BaseHTTPRequestHandler):
             # usable length the rest of the connection cannot be framed.
             self.close_connection = True
             self._respond_json(400, {"error": "Content-Length must be a non-negative integer"})
+            return
+        if length > MAX_BODY_BYTES:
+            # Same reason: reading a body this size (or waiting for one the
+            # client only claimed) would pin this handler thread.
+            self.close_connection = True
+            self._respond_json(
+                413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"}
+            )
             return
         try:
             payload = json.loads(self.rfile.read(length) or b"{}")

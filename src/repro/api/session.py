@@ -2,15 +2,14 @@
 
 A session owns everything one line of research code used to wire by hand:
 workload preparation (dataset generation, partitioning, cluster
-construction), the executor backend (including warm thread/process pools),
-the engine instances, and the plan cache living on the cluster.  The
-canonical entry point is :func:`open_session`, re-exported as
+construction), the per-site fan-out backend, the engine instances, and the
+plan cache living on the cluster.  The canonical entry point is :func:`open_session`, re-exported as
 ``repro.open``::
 
     import repro
 
     with repro.open(dataset="lubm", scale=1, sites=4, partitioner="metis",
-                    executor="threads", engine="gstored") as session:
+                    engine="gstored") as session:
         result = session.query("LQ1")          # a named benchmark query...
         result = session.query("SELECT ?s WHERE { ?s ?p ?o }")  # ...or raw SPARQL
         print(result.sorted_rows(), result.statistics.total_time_ms)
@@ -18,22 +17,22 @@ canonical entry point is :func:`open_session`, re-exported as
 
 Every evaluator of the paper's comparison is reachable from the same
 session (``session.query(..., engine="dream")``); engines are created
-lazily, cached, and share the session's executor backend.  Closing the
-session (or leaving the ``with`` block) closes every engine it created and
-shuts the backend's worker pools down.
+lazily, cached, and share the session's backend.  Closing the session (or
+leaving the ``with`` block) closes every engine it created.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
+from dataclasses import fields
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 from ..core.config import EngineConfig
 from ..datasets.registry import DATASETS, get_dataset
 from ..distributed.cluster import Cluster, build_cluster
 from ..distributed.network import NetworkModel
-from ..exec import ExecutorBackend, OptionError, make_backend
+from ..exec import OptionError, SerialBackend, make_backend
 from ..faults import FaultPlan
 from ..obs import (
     CATEGORY_PLANNING,
@@ -160,7 +159,7 @@ class QueryBatch:
 
 
 class Session:
-    """One prepared workload plus the engines and executor pool to query it.
+    """One prepared workload plus the engines to query it.
 
     Construct through :func:`open_session` (datasets by name), or through
     :meth:`from_partitioned` / :meth:`from_cluster` for ad-hoc graphs the
@@ -186,7 +185,6 @@ class Session:
         queries: Optional[Dict[str, SelectQuery]] = None,
         engine: str = "gstored",
         executor: Optional[str] = None,
-        workers: Optional[int] = None,
         config: Optional[EngineConfig] = None,
         trace: bool = False,
         profile: Optional[bool] = None,
@@ -229,15 +227,10 @@ class Session:
                 f"result_cache must be >= 0 (0 disables it), got {result_cache}",
                 result_cache=result_cache,
             )
-        config = config if config is not None else EngineConfig.full()
-        if config_options:
-            config = config.with_options(**config_options)
-        self.config = config
-        #: The session-owned executor backend: every gStoreD-family engine
-        #: the session creates shares this pool (warm across queries), and
-        #: :meth:`close` shuts it down exactly once.  ``make_backend`` is the
-        #: one place the ``executor``/``workers`` choice is resolved.
-        self.backend: ExecutorBackend = make_backend(executor, workers)
+        self.config = _engine_config(config, config_options)
+        #: The per-site fan-out every gStoreD-family engine of the session
+        #: shares; ``make_backend`` is the one place ``executor`` is checked.
+        self.backend: SerialBackend = make_backend(executor)
         # resolve_engine_name validates eagerly, so an unknown default engine
         # fails at open() time; construction itself stays lazy.
         self.default_engine = resolve_engine_name(engine)
@@ -280,7 +273,7 @@ class Session:
     def from_cluster(cls, cluster: Cluster, **options) -> "Session":
         """Open a session over an existing cluster (shared with the caller).
 
-        The session still owns its backend and engines — but never the
+        The session still owns its engines — but never the
         cluster, which the caller keeps and may pass to several sessions.
         """
         return cls(cluster, **options)
@@ -311,9 +304,7 @@ class Session:
         churn; the session exposes it for cache introspection
         (``session.planner.cache.hit_rate``) and explicit warm-up.
         """
-        return self.cluster.coordinator_planner(
-            self.config.plan_cache_size, backend=self.backend
-        )
+        return self.cluster.coordinator_planner(self.config.plan_cache_size)
 
     @property
     def store(self):
@@ -459,8 +450,6 @@ class Session:
             result.statistics,
             shipment=shipment,
             engine=engine_label,
-            backend=self.backend.name,
-            pool_size=getattr(self.backend, "max_workers", 1) or 1,
             encoded_rebuilds=encoded_rebuilds() - self._rebuilds_at_open,
             encoded_patches=encoded_patches() - self._patches_at_open,
             shards_per_site=self.config.shards_per_site,
@@ -562,12 +551,11 @@ class Session:
         return self._closed
 
     def close(self) -> None:
-        """Close every engine the session created and shut its pools down.
+        """Close every engine the session created, then the owned store.
 
-        Every engine gets its ``close()`` call and the backend is shut down
-        even when an engine's close raises — the first such exception is
-        re-raised after the cleanup completes, so a misbehaving engine can
-        no longer leak the session's worker pools.
+        Every engine gets its ``close()`` call and the store is closed even
+        when an engine's close raises — the first such exception is
+        re-raised after the cleanup completes.
         """
         with self._lock:
             if self._closed:
@@ -584,11 +572,8 @@ class Session:
                     if first_error is None:
                         first_error = error
         finally:
-            try:
-                self.backend.close()
-            finally:
-                if self._owned_store is not None:
-                    self._owned_store.close()
+            if self._owned_store is not None:
+                self._owned_store.close()
         if first_error is not None:
             raise first_error
 
@@ -604,6 +589,27 @@ class Session:
             f"<Session {state} dataset={self.dataset!r} sites={self.num_sites} "
             f"engine={self.default_engine!r} executor={self.backend.name!r}>"
         )
+
+
+class _UnknownOptionError(OptionError, TypeError):
+    """An unknown keyword: an :class:`OptionError` that is also the ``TypeError``
+    Python raises for an unexpected keyword argument."""
+
+
+def _engine_config(config: Optional[EngineConfig], options: Dict[str, object]) -> EngineConfig:
+    """``config`` (default: the full gStoreD configuration) with ``options`` applied.
+
+    A keyword that is not an :class:`EngineConfig` field raises
+    :class:`OptionError` (also a ``TypeError``) naming it.
+    """
+    config = config if config is not None else EngineConfig.full()
+    unknown = sorted(set(options) - {field.name for field in fields(EngineConfig)})
+    if unknown:
+        raise _UnknownOptionError(
+            f"unknown option(s): {', '.join(unknown)}",
+            **{name: options[name] for name in unknown},
+        )
+    return config.with_options(**options) if options else config
 
 
 def _prepare_workload(
@@ -673,7 +679,6 @@ def open_session(
     partitioner: str = "hash",
     engine: str = "gstored",
     executor: Optional[str] = None,
-    workers: Optional[int] = None,
     config: Optional[EngineConfig] = None,
     network: Optional[NetworkModel] = None,
     trace: bool = False,
@@ -688,8 +693,8 @@ def open_session(
     ``"paper"`` for the running example of Figs. 1-3 (whose
     ``partitioner="paper"`` reproduces the exact Fig. 1 fragment
     assignment).  ``engine`` is any :func:`~repro.api.make_engine` registry
-    name; ``executor``/``workers`` select the per-site fan-out backend (see
-    :func:`~repro.exec.make_backend`: ``workers`` alone means threads);
+    name; ``executor`` may only be ``"serial"`` (see
+    :func:`~repro.exec.make_backend`);
     ``trace=True`` turns on per-query tracing (results gain ``.trace``) and
     ``profile=True`` per-stage profiling (see :mod:`repro.obs`);
     ``result_cache=N`` enables the opt-in session result cache (N entries,
@@ -710,16 +715,16 @@ def open_session(
     """
     name = dataset.strip()
     strategy = partitioner.strip().lower()
+    # Reject bad options before any dataset is generated or store file written.
+    make_backend(executor)
     session_options = dict(
         engine=engine,
         executor=executor,
-        workers=workers,
-        config=config,
+        config=_engine_config(config, config_options),
         trace=trace,
         profile=profile,
         result_cache=result_cache,
         faults=faults,
-        **config_options,
     )
     if path is not None:
         from pathlib import Path

@@ -7,7 +7,6 @@ from .harness import (
     ablation_series,
     comparison_series,
     lec_feature_shipment_series,
-    parallel_comparison_rows,
     partitioning_cost_table,
     partitioning_performance_series,
     per_stage_table,
@@ -31,7 +30,6 @@ __all__ = [
     "format_table",
     "format_value",
     "lec_feature_shipment_series",
-    "parallel_comparison_rows",
     "partitioning_cost_table",
     "partitioning_performance_series",
     "per_stage_table",

@@ -14,7 +14,6 @@ result, as discussed in DESIGN.md.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -32,7 +31,7 @@ from ..core.engine import (
 from ..planner.optimizer import QueryPlanner
 from ..store.matcher import LocalMatcher
 from ..distributed.cluster import Cluster, build_cluster
-from ..exec import ExecutorBackend, ProcessPoolBackend, SerialBackend, ThreadPoolBackend
+from ..exec import SerialBackend
 from ..partition.cost_model import partitioning_cost
 from ..partition.fragment import PartitionedGraph
 from ..partition.partitioners import make_partitioner as _make_partitioner
@@ -88,13 +87,12 @@ def run_query(
     query_name: str,
     config: Optional[EngineConfig] = None,
     engine: str = "gstored",
-    backend: Optional[ExecutorBackend] = None,
+    backend: Optional[SerialBackend] = None,
 ) -> Result:
     """Run one benchmark query on a prepared workload with a fresh network.
 
     ``engine`` is any :func:`repro.api.make_engine` registry name; the
-    gStoreD family takes ``config`` and ``backend`` (default: the
-    ``$REPRO_EXECUTOR`` one), the fixed-strategy engines require ``config``
+    gStoreD family takes ``config`` and ``backend``, the fixed-strategy engines require ``config``
     to stay ``None`` and ignore ``backend``.
     """
     workload.cluster.reset_network()
@@ -207,82 +205,6 @@ def stage_shipment_snapshot(result: Result) -> List[Tuple[str, int, int]]:
     return [
         (stage.name, stage.shipped_bytes, stage.messages) for stage in result.statistics.stages
     ]
-
-
-def parallel_comparison_rows(
-    dataset: str,
-    query_names: Optional[Sequence[str]] = None,
-    scale: Optional[int] = None,
-    strategy: str = "hash",
-    num_sites: int = DEFAULT_NUM_SITES,
-    worker_counts: Sequence[int] = (1, 4),
-    process_worker_counts: Sequence[int] = (),
-) -> List[Dict[str, object]]:
-    """Execution-runtime A/B: serial vs thread-pool vs process-pool fan-out.
-
-    For every query the serial engine, one threaded engine per
-    ``worker_counts`` entry and one process-pool engine per
-    ``process_worker_counts`` entry run cache-warm over the same cluster;
-    each row records the real wall-clock time of ``execute()`` per backend
-    (``threads{N}_wall_ms`` / ``processes{N}_wall_ms`` columns), plus an
-    ``identical`` flag asserting that every backend returned the same
-    solutions *and* the same per-stage shipment fingerprint.
-
-    Thread and process pools are shared across the queries of one backend
-    column and warmed with one throwaway run per (backend, query), so the
-    measured times exclude pool spin-up, worker bootstrap and cold plan
-    caches — the steady state a long-lived deployment sees.  Wall-clock is
-    the honest measure here: the modelled response time already assumes
-    perfect site parallelism, so only the host's real concurrency (cores, or
-    GIL-free processes) can move it.
-    """
-    workload = prepare_workload(dataset, scale, strategy, num_sites)
-    names = list(query_names) if query_names is not None else list(workload.queries)
-    rows: List[Dict[str, object]] = []
-
-    def timed_run(name: str, backend: ExecutorBackend) -> Tuple[Result, float]:
-        workload.cluster.reset_network()
-        # The injected backend is shared: it survives the engine's close().
-        with make_engine("gstored", workload.cluster, backend=backend) as engine:
-            started = time.perf_counter()
-            result = engine.execute(workload.queries[name], query_name=name, dataset=dataset)
-            wall_ms = (time.perf_counter() - started) * 1000.0
-        return result, wall_ms
-
-    # Explicitly serial so the baseline stays the reference even under a
-    # REPRO_EXECUTOR=threads / =processes environment.
-    serial = SerialBackend()
-    #: (column prefix, worker count) -> shared warm pool for that column.
-    pools: Dict[Tuple[str, int], ExecutorBackend] = {}
-    for workers in worker_counts:
-        pools[("threads", workers)] = ThreadPoolBackend(workers)
-    for workers in process_worker_counts:
-        pools[("processes", workers)] = ProcessPoolBackend(workers)
-    try:
-        for name in names:
-            timed_run(name, serial)  # warm the plan caches once
-            baseline, serial_ms = timed_run(name, serial)
-            row: Dict[str, object] = {
-                "query": name,
-                "results": len(baseline.results),
-                "serial_wall_ms": round(serial_ms, 3),
-            }
-            identical = True
-            for (kind, workers), pool in pools.items():
-                timed_run(name, pool)  # warm pool + worker caches
-                result, wall_ms = timed_run(name, pool)
-                row[f"{kind}{workers}_wall_ms"] = round(wall_ms, 3)
-                identical = (
-                    identical
-                    and result.results.same_solutions(baseline.results)
-                    and stage_shipment_snapshot(result) == stage_shipment_snapshot(baseline)
-                )
-            row["identical"] = identical
-            rows.append(row)
-    finally:
-        for pool in pools.values():
-            pool.close()
-    return rows
 
 
 def planner_search_report(

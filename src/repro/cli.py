@@ -50,7 +50,7 @@ from .bench import (
 from .core import EngineConfig, OptimizationLevel
 from .datasets import get_dataset
 from .distributed import build_cluster
-from .exec import EXECUTOR_CHOICES, OptionError
+from .exec import SERIAL, OptionError
 from .obs import CATEGORY_PLANNING, MetricsRegistry, Trace
 from .partition import (
     load_workspace,
@@ -127,17 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--show-stats", action="store_true", help="print per-stage statistics")
     query.add_argument("--limit", type=int, default=20, help="maximum solutions to print")
     query.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="run per-site stage work on a worker pool with N workers (default: serial)",
-    )
-    query.add_argument(
         "--executor",
         default=None,
-        help="execution backend for the per-site fan-out, one of: "
-        f"{', '.join(EXECUTOR_CHOICES)} (threads is implied by --workers alone; "
-        "processes sidesteps the GIL for real multi-core speedup)",
+        help=f"per-site fan-out; the only choice is {SERIAL} (the default)",
     )
     query.add_argument(
         "--trace",
@@ -170,16 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
     explain_text.add_argument("--query", help="SPARQL query text")
     explain_text.add_argument("--query-file", help="file containing the SPARQL query")
     explain.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="collect per-site planner statistics on a worker pool with N workers",
-    )
-    explain.add_argument(
         "--executor",
         default=None,
-        help="execution backend for the statistics fan-out, one of: "
-        f"{', '.join(EXECUTOR_CHOICES)} (threads is implied by --workers alone)",
+        help=f"per-site fan-out; the only choice is {SERIAL} (the default)",
     )
     explain.add_argument(
         "--trace",
@@ -256,9 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--executor",
         default=None,
-        help=f"execution backend for the per-site fan-out, one of: {', '.join(EXECUTOR_CHOICES)}",
+        help=f"per-site fan-out; the only choice is {SERIAL} (the default)",
     )
-    serve.add_argument("--workers", type=int, default=None, help="worker pool size for the fan-out")
     serve.add_argument("--host", default="127.0.0.1", help="interface to bind (default: 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8080, help="TCP port to bind (0 picks a free one)")
     serve.add_argument(
@@ -333,13 +317,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
         )
     level = _LEVELS.get(engine_name)
     if level is None and engine_aliases().get(engine_name) != "gstored":
-        # Baselines run a fixed strategy: no fan-out pool to size, and no
+        # Baselines run a fixed strategy: no per-site fan-out, and no
         # per-site stages to fail.  A session builds them without its fault
         # plan by design, so this check is what keeps a baseline run from
         # silently ignoring --inject-faults.
         for flag, value, reason in (
-            ("--workers", args.workers, "runs its fixed strategy without a fan-out pool"),
-            ("--executor", args.executor, "runs its fixed strategy without a fan-out pool"),
+            ("--executor", args.executor, "runs its fixed strategy without a per-site fan-out"),
             ("--inject-faults", args.inject_faults, "has no per-site stages for fault injection"),
         ):
             if value is not None:
@@ -354,17 +337,12 @@ def _cmd_query(args: argparse.Namespace) -> int:
         engine="gstored" if level is not None else engine_name,
         config=EngineConfig.for_level(level) if level is not None else None,
         executor=args.executor,
-        workers=args.workers,
         trace=args.trace is not None,
         faults=faults,
     ) as session:
         result = session.query(_read_query_text(args), query_name="cli")
 
-    executor = result.statistics.extra.get("executor")
-    runtime = ""
-    if executor and executor != "serial":
-        runtime = f", executor={executor} x{result.statistics.extra.get('max_workers')}"
-    print(f"{len(result.results)} solutions ({result.statistics.engine}{runtime})")
+    print(f"{len(result.results)} solutions ({result.statistics.engine})")
     for row in result.results.to_table()[: args.limit]:
         print("  " + ", ".join(f"{key}={value}" for key, value in row.items()))
     if faults is not None:
@@ -425,7 +403,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     trace = Trace("explain") if args.trace else None
     cluster = _load_cluster(args)
     query = parse_query(_read_query_text(args))
-    with Session.from_cluster(cluster, executor=args.executor, workers=args.workers) as session:
+    with Session.from_cluster(cluster, executor=args.executor) as session:
         stats_started = time.perf_counter()
         stats_cm = (
             trace.span("collect_statistics", CATEGORY_PLANNING)
@@ -433,7 +411,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             else nullcontext()
         )
         with stats_cm:
-            statistics = session.cluster.graph_statistics(session.backend)
+            statistics = session.cluster.graph_statistics()
         stats_seconds = time.perf_counter() - stats_started
         planner = session.planner
     print(f"statistics: {statistics.summary()} (aggregated over {cluster.num_sites} sites)")
@@ -565,7 +543,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         partitioner=args.partitioner,
         engine=args.engine,
         executor=args.executor,
-        workers=args.workers,
         result_cache=args.result_cache,
     )
     if args.store is not None:

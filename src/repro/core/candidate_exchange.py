@@ -95,7 +95,7 @@ class CandidateBitVector:
         return b"".join(positions)
 
     def __reduce__(self):
-        """Pickle the wire form, so a process pool moves what the bus charges."""
+        """Pickle the wire form, so a pickled vector is what the bus charges."""
         return (_vector_from_wire, (self.width, self.wire_payload()))
 
 

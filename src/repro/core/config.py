@@ -63,11 +63,8 @@ class EngineConfig:
     #: Intra-site sharding: split each site's star-shortcut local evaluation
     #: into this many depth-0 frontier shards, fanned out as independent
     #: site tasks (``K`` tasks per site) that the coordinator reassembles in
-    #: shard order.  Purely a scheduling knob, like the execution backend
-    #: (:mod:`repro.exec`, chosen by the caller, not here): answers,
-    #: ``search_steps`` and shipment accounting are bit-identical for every
-    #: value, so small fragments of a skewed partitioning can still occupy
-    #: the whole worker pool.
+    #: shard order.  Purely a scheduling knob: answers, ``search_steps`` and
+    #: shipment accounting are bit-identical for every value.
     shards_per_site: int = 1
 
     def __post_init__(self) -> None:

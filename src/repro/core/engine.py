@@ -30,18 +30,13 @@ execution's :class:`~repro.distributed.run.Run` and ships, fans out and times
 through the :class:`~repro.distributed.run.Stage` it is handed, so the stage
 methods below read like the paper's Algorithms 1-4.
 
-Execution model: each stage expresses its per-site body as a picklable
+Execution model: each stage expresses its per-site body as a
 :class:`~repro.exec.SiteTask` descriptor (``(site_id, stage, payload)``; the
 module-level handlers live in :mod:`repro.core.site_tasks`) and fans the
-batch out through an :class:`~repro.exec.ExecutorBackend` — serial,
-threaded or process execution, injected by the caller or resolved by
-:func:`~repro.exec.make_backend` from ``$REPRO_EXECUTOR``.
-Handlers only touch their own site and their explicit payload; all
-shared-state mutation — message-bus sends, statistics accumulation, stage
-timing — happens afterwards in a serial merge over the results in
-``site_id`` order, so answers and shipment accounting are bit-identical
-whatever the backend or worker count.  (Process workers bootstrap their own
-copy of every site from serialized fragments; see :mod:`repro.exec.worker`.)
+batch out through the :class:`~repro.exec.SerialBackend`.  Handlers only
+touch their own site and their explicit payload; all shared-state mutation —
+message-bus sends, statistics accumulation, stage timing — happens
+afterwards in a serial merge over the results in ``site_id`` order.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ from ..distributed.cluster import Cluster
 from ..distributed.network import COORDINATOR
 from ..distributed.result import Result
 from ..distributed.run import Run
-from ..exec import ExecutorBackend, make_backend
+from ..exec import SerialBackend
 from ..faults import FaultPlan, RetryPolicy
 from ..obs import CATEGORY_PLANNING, StageProfiler, Trace
 from ..planner.plan import QueryPlan
@@ -93,7 +88,7 @@ class GStoreDEngine:
         cluster: Cluster,
         config: Optional[EngineConfig] = None,
         name: Optional[str] = None,
-        backend: Optional[ExecutorBackend] = None,
+        backend: Optional[SerialBackend] = None,
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
@@ -103,22 +98,15 @@ class GStoreDEngine:
         #: Optional fault-injection schedule (see :mod:`repro.faults`): when
         #: set, every site task carries the plan, transient failures retry
         #: with ``retry`` (default: the plan's own policy), dead sites are
-        #: rebuilt from their fragment payloads, and unrecoverable losses
+        #: rebuilt from their fragments, and unrecoverable losses
         #: degrade the result instead of aborting the query.  ``None`` — the
         #: default — leaves the execution path byte-identical to before the
         #: fault layer existed.
         self.faults = faults
         self.retry = retry if retry is not None else (faults.retry if faults else None)
-        #: How per-site stage bodies are scheduled (see :mod:`repro.exec`).
-        #: An explicitly injected backend is *shared*: the caller keeps
-        #: ownership and :meth:`close` leaves it running (benchmarks reuse
-        #: one warm process pool across many engines this way).  Without one
-        #: the engine owns the environment's default ($REPRO_EXECUTOR, which
-        #: the CI matrix sets, else serial).
-        self._owns_backend = backend is None
-        self.backend = backend if backend is not None else make_backend()
-        #: Worker-side knobs for process pools (mirrors the sites' planner
-        #: setup below), also how a dead site is rebuilt.
+        #: The per-site fan-out (see :mod:`repro.exec`); sessions share theirs.
+        self.backend = backend if backend is not None else SerialBackend()
+        #: How a dead site is rebuilt (mirrors the sites' planner setup below).
         self._site_options = {
             "use_planner": self.config.use_planner,
             "plan_cache_size": self.config.plan_cache_size,
@@ -137,9 +125,7 @@ class GStoreDEngine:
                 site.disable_planner()
 
     def close(self) -> None:
-        """Release the execution backend's worker resources (owned backends only)."""
-        if self._owns_backend:
-            self.backend.close()
+        """Nothing to release: the engine holds no resources of its own."""
 
     def __enter__(self) -> "GStoreDEngine":
         return self
@@ -183,12 +169,6 @@ class GStoreDEngine:
             retry=self.retry,
         )
         stats = run.stats
-        if self.backend.name != "serial":
-            # Only non-default backends annotate the statistics — the serial
-            # reference must reproduce the paper's table layouts unchanged
-            # (extra keys become columns via QueryStatistics.as_row()).
-            stats.extra["executor"] = self.backend.name
-            stats.extra["max_workers"] = self.backend.max_workers
         if self.config.use_planner:
             # Keep the stage present (and first) even on the star path,
             # where the coordinator never plans — its zero-cost row mirrors

@@ -241,8 +241,8 @@ class LPMList(list):
     The wire form is a term table plus references: each distinct key of the
     message once, then per LPM its framing and, per item, a slot index and a
     key reference.  :meth:`shipment_size` charges that form and
-    :meth:`__reduce__` pickles it, so the bus and a process pool move one
-    thing.  The members are enumerated LPMs (one fragment each): a member's
+    :meth:`__reduce__` pickles it, so a pickled message and the bus's
+    charge describe one thing.  The members are enumerated LPMs (one fragment each): a member's
     crossing pairs follow from its items and LECSign, so they are not shipped.
 
     ``known_keys`` are keys the receiver already holds from this site's own

@@ -1,11 +1,10 @@
-"""The gStoreD engine's per-site stage bodies as picklable site tasks.
+"""The gStoreD engine's per-site stage bodies as site tasks.
 
-PR 2 extracted the four per-site stage bodies of :class:`~repro.core.engine.GStoreDEngine`
-into closures; this module completes the refactor the process-pool backend
-forces: every stage body is now a *module-level* handler registered with
-:mod:`repro.exec.tasks`, taking exactly ``(site, payload)`` and returning a
-plain picklable value.  No handler touches the cluster, the message bus, the
-stage timers or the statistics — those live in the coordinator, which builds
+Every per-site stage body of :class:`~repro.core.engine.GStoreDEngine` is a
+*module-level* handler registered with :mod:`repro.exec.tasks`, taking
+exactly ``(site, payload)`` and returning a plain value.  No handler touches
+the cluster, the message bus, the stage timers or the statistics — those
+live in the coordinator, which builds
 the :class:`~repro.exec.tasks.SiteTask` descriptors (via the ``*_tasks``
 helpers below) and folds the returned values into shared state in its
 deterministic ``site_id``-ordered merge.
@@ -14,8 +13,8 @@ Payload and result types are deliberately explicit: what a stage needs goes
 *in* through the payload (query, query graph, planner edge order, candidate
 filter, config knobs), and what the coordinator accounts for comes *out*
 through small result dataclasses — the same objects whose shipment the
-message bus then charges, so ``shipped_bytes``/``messages`` cannot depend on
-which process produced them.
+message bus then charges, so ``shipped_bytes``/``messages`` depend only on
+what the handlers return.
 
 The stage bodies themselves run on the site store's dictionary-encoded
 matching kernel (:mod:`repro.store.encoding`): a site computes a query's
@@ -126,7 +125,7 @@ class PartialEvalOutput:
 
 
 # ----------------------------------------------------------------------
-# Stage handlers (module-level, picklable by reference)
+# Stage handlers (module-level, registered by name)
 # ----------------------------------------------------------------------
 @register_site_task(TASK_LOCAL_EVAL)
 def run_local_eval(site, payload: Mapping[str, object]) -> LocalEvalOutput:
@@ -135,8 +134,7 @@ def run_local_eval(site, payload: Mapping[str, object]) -> LocalEvalOutput:
     The star-query shortcut: every match of a star query is contained in a
     single fragment because crossing edges are replicated.
 
-    A ``"shard"`` payload entry (absent for unsharded runs, so the pickled
-    payload is byte-identical to before sharding existed) turns this into one
+    A ``"shard"`` payload entry (absent for unsharded runs) turns this into one
     slice of the site's search: the matcher partitions the depth-0 candidate
     frontier and this shard returns its raw bindings for the coordinator to
     reassemble (see :class:`LocalEvalOutput`).
@@ -178,7 +176,7 @@ def run_partial_eval(site, payload: Mapping[str, object]) -> PartialEvalOutput:
         paranoid=payload["paranoid"],
         edge_order=payload["edge_order"],
     )
-    # First, so that where stage 1 ran in another process the local search reuses its pools.
+    # First, so the local search below reuses the candidate pools it builds.
     outcome = evaluator.evaluate(query_graph, candidate_filter=candidate_filter)
     local_results = list(site.local_evaluate(query))
     matcher = site.store.matcher
@@ -191,30 +189,25 @@ def run_partial_eval(site, payload: Mapping[str, object]) -> PartialEvalOutput:
     )
 
 
-@register_site_task(TASK_LEC_FEATURES, payload_bound=True)
+@register_site_task(TASK_LEC_FEATURES)
 def run_lec_features(site, payload: Mapping[str, object]) -> LECClasses:
     """Group the site's local partial matches into LEC equivalence classes.
 
     The LPMs arrive through the payload (the coordinator collected them in
     the partial-evaluation merge), so this handler is site-resident only for
-    scheduling symmetry — it reads nothing from the fragment.  Marked
-    payload-bound: grouping is a dictionary pass over data that would have to
-    be pickled twice to ship, so process pools keep it in the coordinator.
+    scheduling symmetry — it reads nothing from the fragment.
     """
     del site
     return compute_lec_features(payload["lpms"])
 
 
-@register_site_task(TASK_LEC_FILTER, payload_bound=True)
+@register_site_task(TASK_LEC_FILTER)
 def run_lec_filter(site, payload: Mapping[str, object]) -> LPMList:
     """Keep the LPMs of the classes the coordinator kept, in class order.
 
     ``surviving`` holds the ascending positions of the surviving features in
     the site's own ``lec_features`` message, which is ``list(classes)``.  The
     kept LPMs refer to that message's key table instead of resending its keys.
-    Payload-bound for the same reason as :func:`run_lec_features`: picking
-    classes by position is far cheaper than round-tripping them through a
-    worker process.
     """
     del site
     classes = payload["classes"]

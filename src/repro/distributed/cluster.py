@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..exec import ExecutorBackend, SerialBackend, SiteTask
+from ..exec import SerialBackend, SiteTask
 from ..partition.delta import apply_delta_effect
 from ..partition.fragment import PartitionedGraph
 from ..planner.optimizer import QueryPlanner
@@ -54,9 +54,6 @@ class Cluster:
         self.network = network if network is not None else NetworkModel()
         self._coordinator_planner: Optional[QueryPlanner] = None
         self._planner_lock = threading.Lock()
-        # Bumped by every apply(); process-pool backends fold it into their
-        # bootstrap binding so warm worker pools re-bootstrap after mutation.
-        self._mutation_epoch = 0
         # Attached persistence backend (repro.persist.ClusterStore), if any.
         self._store = None
 
@@ -105,20 +102,16 @@ class Cluster:
         use_planner: bool = True,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
     ) -> Site:
-        """Replace a site with a fresh one rebuilt from its fragment payload.
+        """Replace a site with a fresh one rebuilt from its fragment.
 
         The fault-recovery path: when the coordinator detects a site death
-        (:mod:`repro.faults`), it re-bootstraps the site exactly the way a
-        process-pool worker would — the fragment is serialized to its
-        plain-data payload and materialized into a brand-new
-        :class:`~repro.distributed.Site` with fresh indexes and planner —
-        and swaps it into the cluster in place.  The graph data itself is
-        never lost (fragments are the durable unit), so the rebuilt site
-        answers identically to the one it replaces.
+        (:mod:`repro.faults`), it builds a brand-new
+        :class:`~repro.distributed.Site` — fresh store, indexes and planner —
+        over the dead site's fragment and swaps it into the cluster in place.
+        The graph data itself is never lost (fragments are the durable
+        unit), so the rebuilt site answers identically to the one it
+        replaces.
         """
-        from ..exec.worker import build_site
-        from ..partition.serialization import fragment_to_payload
-
         position = next(
             (index for index, site in enumerate(self._sites) if site.site_id == site_id),
             None,
@@ -126,32 +119,34 @@ class Cluster:
         if position is None:
             known = ", ".join(str(sid) for sid in self.site_ids) or "none"
             raise LookupError(f"cluster has no site {site_id} (sites: {known})")
-        payload = fragment_to_payload(self._sites[position].fragment)
-        site = build_site(payload, use_planner=use_planner, plan_cache_size=plan_cache_size)
+        fragment = self._sites[position].fragment
+        site = Site(fragment.fragment_id, fragment)
+        if use_planner:
+            site.enable_planner(plan_cache_size)
+        else:
+            site.disable_planner()
         self._sites[position] = site
         return site
 
-    def graph_statistics(self, backend: Optional[ExecutorBackend] = None) -> GraphStatistics:
+    def graph_statistics(self) -> GraphStatistics:
         """Cluster-wide planner statistics, aggregated from the per-site
         summaries (the coordinator's global view of the data distribution).
 
-        With a backend the per-site summaries are collected through its
-        fan-out — expressed as :class:`~repro.exec.SiteTask` descriptors so
-        even a process pool can run it — and the summaries merge in
-        ``site_id`` order either way."""
+        The per-site summaries are collected as
+        :class:`~repro.exec.SiteTask` descriptors and merge in ``site_id``
+        order."""
         from .site import GRAPH_STATISTICS_TASK
 
         tasks = [
             SiteTask(site_id, GRAPH_STATISTICS_TASK)
             for site_id in sorted(site.site_id for site in self._sites)
         ]
-        results = (backend or SerialBackend()).map_site_tasks(tasks, self)
+        results = SerialBackend().map_site_tasks(tasks, self)
         return aggregate_graph_statistics(result.value for result in results)
 
     def coordinator_planner(
         self,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-        backend: Optional[ExecutorBackend] = None,
     ) -> QueryPlanner:
         """The coordinator-side planner over the aggregated statistics.
 
@@ -167,7 +162,7 @@ class Cluster:
                 or self._coordinator_planner.cache.maxsize != plan_cache_size
             ):
                 self._coordinator_planner = QueryPlanner(
-                    self.graph_statistics(backend), cache_size=plan_cache_size
+                    self.graph_statistics(), cache_size=plan_cache_size
                 )
             return self._coordinator_planner
 
@@ -175,19 +170,13 @@ class Cluster:
     # Mutation (delta application)
     # ------------------------------------------------------------------
     @property
-    def mutation_epoch(self) -> int:
-        """Number of :meth:`apply` calls that changed this cluster so far."""
-        return self._mutation_epoch
-
-    @property
     def store(self):
         """The attached :class:`~repro.persist.ClusterStore`, or ``None``."""
         return self._store
 
     def attach_store(self, store) -> None:
         """Attach a persistence backend: subsequent :meth:`apply` calls are
-        journaled to its write-ahead delta table, and process-pool workers
-        bootstrap by opening the store file instead of unpickling fragments."""
+        journaled to its write-ahead delta table."""
         self._store = store
 
     def apply(
@@ -204,9 +193,9 @@ class Cluster:
         the site stores; the dictionary encodings are then *patched* eagerly
         (never rebuilt), so the resulting id assignment is a pure function of
         (base state, op sequence).  A replica replaying the same ops from the
-        same base — a reopened store file, a process-pool worker — therefore
-        reaches the bit-identical encoding, which is what keeps answers,
-        match sequences and shipment fingerprints stable across restarts.
+        same base — a reopened store file — therefore reaches the
+        bit-identical encoding, which is what keeps answers, match sequences
+        and shipment fingerprints stable across restarts.
 
         Callers must not run queries concurrently with ``apply`` (the same
         contract as direct graph mutation; :meth:`Session.update
@@ -263,12 +252,6 @@ class Cluster:
                 else:
                     site.store.discard(triple)
                 apply_delta_effect(site.fragment, effect, graph=site.store.graph)
-                # Fault recovery may have swapped in a site whose fragment is
-                # a rebuilt copy; keep the partitioning's own fragment (the
-                # durable source for payloads and saves) in step too.
-                partitioned_fragment = self._partitioned.fragment(effect.fragment_id)
-                if partitioned_fragment is not site.fragment:
-                    apply_delta_effect(partitioned_fragment, effect, graph=site.store.graph)
                 site_ops[effect.fragment_id].append((op, triple))
         if not master_ops:
             return AppliedDelta(0, 0)
@@ -284,7 +267,6 @@ class Cluster:
                     statistics.replace_with(self.graph_statistics())
                 # Cached orders were chosen against the old statistics.
                 self._coordinator_planner.cache.clear()
-        self._mutation_epoch += 1
         if self._store is not None:
             try:
                 self._store.append_ops(master_ops)

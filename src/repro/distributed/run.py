@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, ContextManager, Iterator, List, Mapping, Optional, Sequence, Set
 
-from ..exec import ExecutorBackend, SiteTask, SiteTaskResult, run_site_task
+from ..exec import SerialBackend, SiteTask, SiteTaskResult, run_site_task
 from ..faults import FaultPlan, RetryPolicy, ShipmentFaultInjector, SiteDownError
 from ..obs import CATEGORY_COORDINATOR, Span, StageProfiler, Trace, stage_scope
 from ..sparql.algebra import SelectQuery
@@ -59,8 +59,8 @@ class Run:
     query_graph: Optional[QueryGraph] = None
     trace: Optional[Trace] = None
     profiler: Optional[StageProfiler] = None
-    backend: Optional[ExecutorBackend] = None
-    #: Worker-side knobs for process pools, also how a dead site is rebuilt.
+    backend: Optional[SerialBackend] = None
+    #: Planner settings a dead site is rebuilt with (``Cluster.rebuild_site``).
     site_options: Mapping[str, object] = field(default_factory=dict)
     plan: Optional[FaultPlan] = None
     #: Transient-failure budget stamped on every task (the plan's own by default).
@@ -248,14 +248,14 @@ class Stage:
         deterministic; the handler-measured wall-clock of each task is folded
         into the run's timer here, in the serial merge, never by the tasks
         themselves.  When tracing, the stage span's context is stamped onto
-        every task before the fan-out, and the worker-measured task spans
+        every task before the fan-out, and the measured task spans
         are folded back into the trace — also here, serially.
 
         With an active fault plan the plan and retry policy are stamped onto
         every task, and failed results are resolved here — still in the
         serial, ``site_id``-ordered merge, which is what keeps recovery
-        deterministic across backends: a dead-but-recoverable site is
-        rebuilt from its fragment payload and its task re-executed inline,
+        deterministic: a dead-but-recoverable site is rebuilt from its
+        fragment and its task re-executed,
         an unrecoverable site is marked lost and its result dropped.  Only
         results that survive (including recovered ones) reach the stage
         timers — and a retried task contributes the successful attempt's
@@ -268,7 +268,7 @@ class Stage:
             tasks = [replace(task, trace=context) for task in tasks]
         if run.plan is not None:
             tasks = [replace(task, faults=run.plan, retry=run.retry) for task in tasks]
-        results = run.backend.map_site_tasks(tasks, run.cluster, run.site_options)
+        results = run.backend.map_site_tasks(tasks, run.cluster)
         merged: List[SiteTaskResult] = []
         for task, result in zip(tasks, results):
             if result.failure is not None:

@@ -1,24 +1,13 @@
-"""Site-task descriptors: the picklable unit of per-site work.
+"""Site-task descriptors: the unit of per-site work.
 
-The thread-pool backend of PR 2 could fan closures out over the sites, but a
-closure captures the engine, the cluster and the message bus — none of which
-can (or should) cross a process boundary.  This module replaces closures with
-*descriptors*: a :class:`SiteTask` names the target site, a registered stage
-handler and an explicit, picklable payload.  Handlers are plain module-level
-functions registered under a string key, so a worker process can resolve the
-same handler by name after unpickling the descriptor.
-
-The flow is symmetric across backends:
-
-* in-process backends (serial, threads) resolve the task's site from the live
-  :class:`~repro.distributed.Cluster` and call the handler directly;
-* the process-pool backend pickles the descriptor to a worker whose
-  bootstrapped site registry (:mod:`repro.exec.worker`) supplies the site.
-
-Either way a handler receives ``(site, payload)`` and returns a picklable
-value; :func:`execute_site_task` wraps it with the measured wall-clock time so
-the engine's serial merge can feed the per-site stage timers without the
-tasks ever touching shared state.
+A :class:`SiteTask` names the target site, a registered stage handler and an
+explicit payload, instead of a closure over the engine, the cluster and the
+message bus.  Handlers are plain module-level functions registered under a
+string key.  The backend resolves the task's site from the live
+:class:`~repro.distributed.Cluster` and calls the handler with
+``(site, payload)``; :func:`execute_site_task` wraps it with the measured
+wall-clock time so the engine's serial merge can feed the per-site stage
+timers without the tasks ever touching shared state.
 """
 
 from __future__ import annotations
@@ -44,42 +33,31 @@ from ..obs.trace import SpanContext, TaskSpan
 
 #: Registered stage handlers, keyed by task name.  Handlers are registered at
 #: import time by the modules that define them (:mod:`repro.core.site_tasks`,
-#: :mod:`repro.distributed.site`); worker processes import the same modules,
-#: so both sides of a process boundary resolve identical functions.
+#: :mod:`repro.distributed.site`).
 _HANDLERS: Dict[str, Callable[[Any, Mapping[str, Any]], Any]] = {}
-
-#: Stages registered with ``payload_bound=True``: their input/output payload
-#: dwarfs their compute (pure regrouping or filtering of already-materialized
-#: data), so shipping them to another process costs more in pickling than the
-#: parallelism could ever return.  Process pools run these inline in the
-#: coordinator; results are bit-identical either way — this is purely a
-#: scheduling decision.
-PAYLOAD_BOUND_STAGES: set = set()
 
 
 @dataclass(frozen=True)
 class SiteTask:
     """One unit of per-site work: ``(site_id, stage, payload)``.
 
-    ``payload`` must contain only picklable values — it is the *entire* input
-    of the handler beyond the site itself.  Handlers must not reach for the
-    cluster, the message bus or the engine; that is what makes the same task
-    executable in another process.
+    ``payload`` is the *entire* input of the handler beyond the site itself.
+    Handlers must not reach for the cluster, the message bus or the engine;
+    all shared-state mutation belongs to the coordinator's serial merge.
 
     ``trace`` (optional) is the :class:`~repro.obs.SpanContext` of the
     coordinator's open stage span; when set, :func:`execute_site_task`
     measures a :class:`~repro.obs.TaskSpan` for the handler so the trace can
-    reassemble per-site spans after the fan-out.  Like the payload it is
-    plain picklable data — tracing survives the process-pool backend without
-    the backends knowing about it.
+    reassemble per-site spans after the fan-out, without the backend knowing
+    about tracing.
 
     ``attempt``/``recovery``/``faults``/``retry`` belong to the fault-injection
     layer (:mod:`repro.faults`): ``faults`` is the plan consulted before the
     handler runs, ``retry`` the transient-failure budget
     :func:`run_site_task` applies, ``attempt`` the 1-based attempt number the
     retry loop stamps, and ``recovery`` marks a coordinator-driven re-run
-    against a rebuilt site.  All four are plain picklable data and default to
-    the fault-free configuration, so clean runs carry no extra state.
+    against a rebuilt site.  All four default to the fault-free
+    configuration, so clean runs carry no extra state.
     """
 
     site_id: int
@@ -96,9 +74,9 @@ class SiteTask:
 class SiteTaskResult:
     """A handler's return value plus the wall-clock seconds it took.
 
-    ``elapsed_s`` is measured around the handler alone (no pickling, no
-    queueing), so the engine's stage timers report comparable per-site compute
-    times for every backend.
+    ``elapsed_s`` is measured around the handler alone (not the wait for
+    the site's lock), so the engine's stage timers report per-site compute
+    times.
 
     ``span`` is populated only when the task carried a trace context: the raw
     :class:`~repro.obs.TaskSpan` measured where the handler ran, for the
@@ -121,13 +99,11 @@ class SiteTaskResult:
     failure: Optional[TaskFailure] = None
 
 
-def register_site_task(stage: str, payload_bound: bool = False) -> Callable[[Callable], Callable]:
+def register_site_task(stage: str) -> Callable[[Callable], Callable]:
     """Decorator registering the decorated function as the handler for ``stage``.
 
-    ``payload_bound=True`` marks the stage as cheaper to run inline than to
-    ship (see :data:`PAYLOAD_BOUND_STAGES`).  Registration is idempotent per
-    name but refuses to silently replace a different function — two modules
-    claiming the same stage name is a bug.
+    Registration is idempotent per name but refuses to silently replace a
+    different function — two modules claiming the same stage name is a bug.
     """
 
     def decorator(fn: Callable[[Any, Mapping[str, Any]], Any]) -> Callable:
@@ -135,8 +111,6 @@ def register_site_task(stage: str, payload_bound: bool = False) -> Callable[[Cal
         if existing is not None and existing is not fn:
             raise ValueError(f"site task {stage!r} is already registered to {existing!r}")
         _HANDLERS[stage] = fn
-        if payload_bound:
-            PAYLOAD_BOUND_STAGES.add(stage)
         return fn
 
     return decorator
@@ -153,8 +127,7 @@ def _import_builtin_handlers() -> None:
 
     Deferred to call time: :mod:`repro.core.site_tasks` and
     :mod:`repro.distributed.site` both import :mod:`repro.exec`, so importing
-    them from the top of this module would be circular.  Worker processes hit
-    this on their first task, which is exactly when they need the registry.
+    them from the top of this module would be circular.
     """
     from ..core import site_tasks  # noqa: F401  (registers the engine's stage tasks)
     from ..distributed import site  # noqa: F401  (registers graph_statistics)
@@ -174,8 +147,7 @@ def _resolve_handler(stage: str) -> Callable[[Any, Mapping[str, Any]], Any]:
 #: site's store *after* evaluating (``site.store.matcher.search_steps``), so
 #: two concurrent queries hammering the same site would interleave those
 #: counters.  Within one query the per-site fan-out targets distinct sites —
-#: distinct locks — so this serializes nothing the backends parallelize;
-#: across queries it makes each site's handler runs atomic.  Keyed weakly so
+#: distinct locks; across queries it makes each site's handler runs atomic.  Keyed weakly so
 #: a dropped cluster's sites don't pin their locks.
 _SITE_LOCKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 _SITE_LOCKS_GUARD = threading.Lock()
@@ -189,22 +161,13 @@ def _site_lock(site: Any) -> threading.RLock:
         return lock
 
 
-def execute_site_task(task: SiteTask, site: Optional[Any] = None) -> SiteTaskResult:
+def execute_site_task(task: SiteTask, site: Any) -> SiteTaskResult:
     """Run ``task`` against ``site`` and return its timed result.
-
-    With ``site=None`` the site is resolved from this process's bootstrapped
-    worker registry (:func:`repro.exec.worker.resolve_site`) — the process-pool
-    path, where this function is the picklable top-level entry point every
-    worker executes.  In-process backends pass the live site explicitly.
 
     Handler runs are serialized per site (see :data:`_SITE_LOCKS`); the lock
     is taken *before* the timing starts, so waiting on a concurrent query
     never inflates this task's measured compute time.
     """
-    if site is None:
-        from . import worker
-
-        site = worker.resolve_site(task.site_id)
     handler = _resolve_handler(task.stage)
     with _site_lock(site):
         started = time.perf_counter()
@@ -227,12 +190,10 @@ def execute_site_task(task: SiteTask, site: Optional[Any] = None) -> SiteTaskRes
     return SiteTaskResult(task.site_id, task.stage, ended - started, value, span)
 
 
-def run_site_task(task: SiteTask, site: Optional[Any] = None) -> SiteTaskResult:
+def run_site_task(task: SiteTask, site: Any) -> SiteTaskResult:
     """Run ``task`` with the retry/failure semantics of the fault layer.
 
-    This is what every backend maps over site tasks (and, like
-    :func:`execute_site_task`, a picklable top-level entry point for the
-    process pool).  The contract:
+    This is what the backend maps over site tasks.  The contract:
 
     * :class:`~repro.faults.TransientTaskError` is retried in place up to the
       task's :class:`~repro.faults.RetryPolicy` budget with capped
@@ -241,7 +202,7 @@ def run_site_task(task: SiteTask, site: Optional[Any] = None) -> SiteTaskResult:
       timers) and ``attempts`` records how many tries it took.
     * :class:`~repro.faults.SiteDownError` — and an exhausted retry budget —
       produce a *failed* result (``value=None``, ``failure`` set) instead of
-      raising, so one dead site cannot poison a whole backend batch; the
+      raising, so one dead site cannot poison a whole fan-out batch; the
       coordinator's serial merge turns the failure into recovery or
       degradation.
     * Any other exception is a real bug in a handler and propagates

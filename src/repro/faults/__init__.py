@@ -6,13 +6,13 @@ a :class:`FaultPlan` schedules site deaths, transient task failures, and
 straggler latency by ``(site, stage, attempt)``, the execution runtime
 (:mod:`repro.exec`) retries transients with a capped-backoff
 :class:`RetryPolicy`, and the engine's serial merge recovers dead sites by
-rebuilding them from their fragment payloads or degrades to partial results
+rebuilding them from their fragments or degrades to partial results
 (``Result.degraded``) when the plan marks a site unrecoverable.
 
 Because every fault decision is a pure function of the plan and the task
 identity, the same plan produces bit-identical answers, retry counts, and
-shipment fingerprints across the serial, thread, and process backends at any
-worker count — the property the chaos suite in ``tests/faults`` pins.
+shipment fingerprints on every run — the property the chaos suite in
+``tests/faults`` pins.
 
 See ``docs/faults.md`` for the plan format and the determinism contract.
 """

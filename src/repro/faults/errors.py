@@ -18,10 +18,9 @@ Real handler bugs raise neither and propagate unchanged: only the injection
 layer (:class:`~repro.faults.FaultPlan`) raises these two, so a clean run's
 error behavior is untouched.
 
-:class:`TaskFailure` is the picklable record of a failure that a
-:class:`~repro.exec.tasks.SiteTaskResult` carries back across a process
-boundary instead of raising — the coordinator's serial merge turns it into
-recovery or degradation.
+:class:`TaskFailure` is the record of a failure that a
+:class:`~repro.exec.tasks.SiteTaskResult` carries back instead of raising —
+the coordinator's serial merge turns it into recovery or degradation.
 """
 
 from __future__ import annotations

@@ -16,11 +16,10 @@ pipeline stage, and a fault kind:
     The first attempt of the site's task sleeps for a fixed delay before
     running — injectable straggler latency.
 
-Plans are immutable, picklable (they ride on :class:`~repro.exec.tasks.SiteTask`
-into process-pool workers), and pure: whether an entry fires is a function
-of ``(entry, task.stage, task.site_id, task.attempt, task.recovery)`` only,
-which is what makes the same plan deterministic across serial, thread, and
-process backends at any worker count.
+Plans are immutable (they ride on :class:`~repro.exec.tasks.SiteTask`) and
+pure: whether an entry fires is a function of ``(entry, task.stage,
+task.site_id, task.attempt, task.recovery)`` only, which is what makes the
+same plan deterministic run after run.
 
 The textual format accepted by :meth:`FaultPlan.parse` (and the CLI's
 ``repro query --inject-faults``)::
@@ -172,7 +171,7 @@ class FaultPlan:
     """An immutable schedule of injected faults plus the retry policy.
 
     The retry policy rides on the plan so one object carries everything the
-    engine, backends, and workers need; pass a custom ``retry`` to tighten
+    engine and the fan-out need; pass a custom ``retry`` to tighten
     or widen the transient-failure budget.
     """
 

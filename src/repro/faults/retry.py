@@ -1,8 +1,8 @@
 """Deterministic retry policy for transient site-task failures.
 
 Backoff is exponential with a cap and — deliberately — no jitter: the
-chaos suite pins bit-identical behavior for the same seed across
-serial/thread/process backends, and randomized sleeps would make retry
+chaos suite pins bit-identical behavior for the same seed, and
+randomized sleeps would make retry
 timing (and test wall-clock) nondeterministic without adding coverage.
 The defaults are tuned for an in-process simulation where a "retry" costs
 microseconds, not for a real network.

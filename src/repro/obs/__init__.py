@@ -5,9 +5,9 @@ query's time go, on which site, under which backend" without re-running it:
 
 * :mod:`repro.obs.trace` — per-query structured traces (parse/plan/stage/
   per-site-task spans) with Chrome trace-event export (Perfetto-loadable)
-  and a plain summary tree.  Span context travels through
-  :class:`~repro.exec.SiteTask` payloads so spans survive the thread- and
-  process-pool backends.
+  and a plain summary tree.  Span context travels on
+  :class:`~repro.exec.SiteTask` descriptors, so per-site spans nest under
+  their stage.
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry` of
   counters/gauges/histograms with ``snapshot()`` and Prometheus text
   exposition; the session layer feeds it from each query's statistics.

@@ -145,9 +145,9 @@ class MetricsRegistry:
 
     Families are created on first use through :meth:`counter`, :meth:`gauge`
     and :meth:`histogram`; re-using a family name with a different type
-    raises :class:`ValueError`.  All access is lock-guarded, so a session
-    driving the threaded backend can record from the coordinator while a
-    scraper formats :meth:`prometheus_text`.
+    raises :class:`ValueError`.  All access is lock-guarded, so queries on
+    several serving threads can record while a scraper formats
+    :meth:`prometheus_text`.
     """
 
     def __init__(self) -> None:
@@ -271,8 +271,6 @@ def record_query(
     *,
     shipment=None,
     engine: str = "",
-    backend: str = "",
-    pool_size: int = 0,
     encoded_rebuilds: Optional[int] = None,
     encoded_patches: Optional[int] = None,
     shards_per_site: int = 1,
@@ -374,12 +372,6 @@ def record_query(
                 "Simulated bytes shipped, by message kind.",
                 kind=kind,
             ).inc(size)
-    if backend:
-        registry.gauge(
-            "repro_executor_pool_size",
-            "Configured worker-pool size of the session's executor backend.",
-            backend=backend,
-        ).set(pool_size)
 
 
 def record_query_failure(registry: MetricsRegistry, *, engine: str = "", backend: str = "") -> None:

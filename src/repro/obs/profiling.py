@@ -9,10 +9,8 @@ no-op context manager, so the default path pays a single truthiness check.
 
 Profiles accumulate per stage name across queries; :meth:`report` renders
 one stage's aggregate as ``pstats`` text sorted by cumulative time, and
-:meth:`reports` renders all of them.  Only coordinator-process work is
-captured: site tasks dispatched to a process pool run in worker processes
-that a coordinator profiler cannot see (documented limitation, matching the
-tracing layer's clock-rebasing caveat in ``docs/observability.md``).
+:meth:`reports` renders all of them.  Site tasks run in the coordinator's
+process, so their work is captured too.
 """
 
 from __future__ import annotations

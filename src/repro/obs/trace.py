@@ -12,14 +12,13 @@ search steps).  Traces export two ways:
   as separate tracks so the fan-out of every stage is visible at a glance;
 * :meth:`Trace.summary` — a plain indented text tree for terminals and logs.
 
-Span context crosses executor backends as data, not as object references:
+Span context travels with the site tasks as data, not as object references:
 the engine stamps its open stage span's :class:`SpanContext` onto each
-:class:`~repro.exec.SiteTask`, the (possibly remote) worker measures a plain
+:class:`~repro.exec.SiteTask`, the task run measures a plain
 :class:`TaskSpan`, and the engine's deterministic serial merge reassembles
 the task spans under their parent stage span via :meth:`Trace.add_task_span`.
-A task span measured in *another process* carries a ``perf_counter`` clock
-that is not comparable to the coordinator's, so the merge re-anchors it at
-its parent's start; same-process task spans keep their real offsets.
+Task spans share the coordinator's ``perf_counter`` clock and keep their
+real offsets.
 
 Tracing is strictly opt-in and zero-cost when off: with no trace object in
 play the engines allocate nothing and take no extra branches beyond a
@@ -59,9 +58,9 @@ _TRACE_IDS = itertools.count(1)
 class SpanContext:
     """A picklable reference to one open span of one trace.
 
-    This is the only tracing state that crosses an executor-backend
-    boundary: the engine stamps it onto :class:`~repro.exec.SiteTask`
-    descriptors so the worker-measured :class:`TaskSpan` can find its parent
+    This is the only tracing state a site task carries: the engine stamps
+    it onto :class:`~repro.exec.SiteTask` descriptors so the task's
+    measured :class:`TaskSpan` can find its parent
     stage span back in the coordinator's merge.
     """
 
@@ -75,8 +74,7 @@ class TaskSpan:
 
     ``start_s``/``end_s`` are ``time.perf_counter()`` readings taken in the
     executing process (``pid``); they are only comparable to the trace's own
-    clock when ``pid`` matches the coordinator's.  Plain data, so it pickles
-    through the process-pool backend unchanged.
+    clock when ``pid`` matches the coordinator's.
     """
 
     site_id: int
@@ -123,9 +121,8 @@ class Trace:
     Create through :meth:`Tracer.start_trace`.  Spans nest through the
     :meth:`span` context manager (a stack tracks the open parent); per-site
     task spans reassemble through :meth:`add_task_span`.  Access is
-    lock-guarded so a traced engine running over the threaded backend can
-    never corrupt the tree, although by design all span mutation happens in
-    the coordinator's serial merge.
+    lock-guarded so concurrent writers can never corrupt the tree, although
+    by design all span mutation happens in the coordinator's serial merge.
     """
 
     def __init__(self, name: str, **attrs: Any) -> None:
@@ -195,13 +192,12 @@ class Trace:
         return SpanContext(trace_id=self.trace_id, span_id=span_id)
 
     def add_task_span(self, task_span: TaskSpan) -> Span:
-        """Reassemble a worker-measured :class:`TaskSpan` into the tree.
+        """Reassemble a measured :class:`TaskSpan` into the tree.
 
         Same-process spans keep their measured offsets (``perf_counter`` is
-        one clock per process); a span measured in a worker process is
-        re-anchored at its parent stage span's start, preserving its measured
-        duration — the lanes still show which sites ran and for how long,
-        just not the pool's queueing delays.
+        one clock per process); a span measured in another process (or
+        before this trace began) is re-anchored at its parent stage span's
+        start, preserving its measured duration.
         """
         parent = self._by_id.get(task_span.context.span_id, self.root)
         if task_span.pid == self._pid and task_span.start_s >= self._origin:

@@ -15,7 +15,6 @@ from .delta import (
     DeltaRouter,
     apply_delta_effect,
     stable_fragment_of,
-    stable_fragment_of_n3,
 )
 from .fragment import Fragment, PartitionedGraph, PartitioningError, build_partitioned_graph
 from .partitioners import (
@@ -28,10 +27,6 @@ from .partitioners import (
 )
 from .refinement import RefinementReport, refine_partitioning
 from .serialization import (
-    fragment_from_payload,
-    fragment_to_payload,
-    fragment_to_store_payload,
-    fragments_to_payloads,
     load_assignment,
     load_partitioning,
     load_workspace,
@@ -57,10 +52,6 @@ __all__ = [
     "compare_partitionings",
     "crossing_edge_distribution",
     "crossing_edge_expectation",
-    "fragment_from_payload",
-    "fragment_to_payload",
-    "fragment_to_store_payload",
-    "fragments_to_payloads",
     "largest_fragment_size",
     "load_assignment",
     "load_partitioning",
@@ -72,6 +63,5 @@ __all__ = [
     "save_workspace",
     "select_best_partitioning",
     "stable_fragment_of",
-    "stable_fragment_of_n3",
     "star_query_lec_feature_count",
 ]

@@ -12,8 +12,8 @@ removals can be folded into the fragments without re-partitioning.
 
 * vertices keep a *sticky* fragment assignment — once a vertex has been
   routed somewhere it stays there for life, so replaying the same op
-  sequence anywhere (coordinator, store replay, process-pool worker
-  bootstrap) lands every triple in the same fragment;
+  sequence anywhere (coordinator, store replay) lands every triple in the
+  same fragment;
 * a brand-new vertex joins the fragment of an already-assigned endpoint of
   its first triple (subject's home wins when both endpoints are new and the
   subject was assigned first), falling back to a stable FNV-1a hash of its
@@ -37,28 +37,17 @@ from ..rdf.triples import Triple
 from .fragment import Fragment
 
 
-def stable_fragment_of_n3(n3_text: str, num_fragments: int) -> int:
-    """:func:`stable_fragment_of` on an already-serialized N3 string.
-
-    The store's per-site bootstrap routes the delta journal on integer term
-    ids and only holds N3 *text* (not parsed terms) for unseen vertices;
-    hashing the text directly keeps that path decode-free while landing on
-    the exact fragment the live router chose.
-    """
-    value = 0xCBF29CE484222325
-    for char in n3_text.encode("utf-8"):
-        value ^= char
-        value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-    return value % num_fragments
-
-
 def stable_fragment_of(vertex: Node, num_fragments: int) -> int:
     """Deterministic fallback fragment for a vertex with no assigned endpoint.
 
     FNV-1a over the vertex's N3 text: stable across processes and platforms
     (``hash()`` is per-process randomized and would break replay parity).
     """
-    return stable_fragment_of_n3(vertex.n3(), num_fragments)
+    value = 0xCBF29CE484222325
+    for char in vertex.n3().encode("utf-8"):
+        value ^= char
+        value = (value * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    return value % num_fragments
 
 
 @dataclass(frozen=True)

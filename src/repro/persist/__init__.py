@@ -6,8 +6,7 @@ dictionary, integer triple table, vertex→fragment assignment, per-fragment
 planner statistics and a write-ahead delta table, under a versioned
 manifest.  ``repro.open(path=...)`` builds-and-saves or reopens a cluster
 from it, :meth:`~repro.distributed.Cluster.apply` journals mutations into
-it, and process-pool workers bootstrap their sites by opening the file
-read-only instead of unpickling fragment payloads.
+it, and ``repro store info`` inspects it read-only.
 
 The determinism contract (see docs/persistence.md): a cluster reopened from
 a store file replays the delta table through the exact code path the live

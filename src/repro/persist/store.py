@@ -83,11 +83,9 @@ class ClusterStore:
 
     Use the classmethods: :meth:`create` snapshots a
     :class:`~repro.partition.PartitionedGraph` into a fresh file,
-    :meth:`open` attaches to an existing one (``read_only=True`` for worker
-    processes).  :meth:`load_cluster` rebuilds the full
-    :class:`~repro.distributed.Cluster`, replaying the delta table;
-    :meth:`bootstrap_site` rebuilds a single site the same way (the
-    process-pool worker path).
+    :meth:`open` attaches to an existing one (``read_only=True`` for
+    inspection).  :meth:`load_cluster` rebuilds the full
+    :class:`~repro.distributed.Cluster`, replaying the delta table.
     """
 
     def __init__(self, path: Path, connection: sqlite3.Connection, read_only: bool) -> None:
@@ -148,7 +146,7 @@ class ClusterStore:
 
     @classmethod
     def open(cls, path: PathLike, *, read_only: bool = False) -> "ClusterStore":
-        """Attach to an existing store file (``read_only`` for workers)."""
+        """Attach to an existing store file (``read_only`` for inspection)."""
         path = Path(path)
         if not path.exists():
             raise StoreError(f"no store file at {path}")
@@ -337,34 +335,6 @@ class ClusterStore:
             raise StoreError(f"unknown term ids {sorted(missing)[:5]} in {self._path}")
         return decoded
 
-    def _assign_term_id(
-        self,
-        term_id: int,
-        partner_id: int,
-        assign_ids: Dict[int, int],
-        num_fragments: int,
-    ) -> int:
-        """Sticky fragment of ``term_id``, mirroring ``DeltaRouter._assign``.
-
-        Operates purely on integer ids against the stored assignment; only a
-        vertex with no assignment *and* no assigned partner touches the terms
-        table, and then only to FNV-hash its N3 text — no term is parsed.
-        """
-        from ..partition.delta import stable_fragment_of_n3
-
-        fragment_id = assign_ids.get(term_id)
-        if fragment_id is None:
-            fragment_id = assign_ids.get(partner_id)
-            if fragment_id is None:
-                row = self._conn.execute(
-                    "SELECT n3 FROM terms WHERE id = ?", (term_id,)
-                ).fetchone()
-                if row is None:  # pragma: no cover - defensive
-                    raise StoreError(f"unknown term id {term_id} in {self._path}")
-                fragment_id = stable_fragment_of_n3(row[0], num_fragments)
-            assign_ids[term_id] = fragment_id
-        return fragment_id
-
     def load_deltas(
         self, terms: Optional[Mapping[int, Term]] = None
     ) -> List[Tuple[str, Triple]]:
@@ -440,146 +410,6 @@ class ClusterStore:
             cluster.apply_ops(ops)
         cluster.attach_store(self)
         return cluster
-
-    def load_fragment(self, fragment_id: int, *, up_to: Optional[int] = None):
-        """Rebuild one :class:`~repro.partition.Fragment` (deltas applied).
-
-        Backs the v3 store-reference fragment payloads of
-        :mod:`repro.partition.serialization`: the payload carries
-        ``(store_path, fragment_id, delta_seq)`` and this method materializes
-        the fragment exactly as it stood at ``delta_seq``.
-        """
-        return self.bootstrap_site(fragment_id, use_planner=False, up_to=up_to).fragment
-
-    def bootstrap_site(
-        self,
-        fragment_id: int,
-        *,
-        use_planner: bool = True,
-        plan_cache_size: Optional[int] = None,
-        up_to: Optional[int] = None,
-    ):
-        """Rebuild one site from the store: the process-pool worker path.
-
-        Loads only this fragment's base edges — O(|F_k|) via the indexed
-        assignment table, never a scan of the full triple table — then
-        force-encodes the base state and replays the delta journal through
-        the same router/patch discipline the coordinator used, so the
-        worker's encoding matches the coordinator's bit for bit.  The
-        journal is routed on integer term ids against the stored assignment
-        (replicating :class:`~repro.partition.delta.DeltaRouter`'s sticky
-        discipline, with the same FNV-1a fallback on the N3 text for terms
-        first seen by a delta), so only the terms of this fragment's base
-        edges and of the ops that actually touch it are ever decoded —
-        bootstrap stays O(|F_k| + |deltas|), never O(|V|).
-
-        ``up_to`` bounds the replay at a delta sequence number (inclusive),
-        so a worker bootstrapped from a payload pinned at ``delta_seq = n``
-        reproduces exactly the coordinator state that emitted the payload
-        even if the file has grown since.
-        """
-        from ..distributed.site import Site
-        from ..partition.delta import DeltaEffect, apply_delta_effect
-        from ..partition.fragment import Fragment
-        from ..planner.plan_cache import DEFAULT_PLAN_CACHE_SIZE
-        from ..store.encoding import encoded_view, patch_encoded_view
-
-        if plan_cache_size is None:
-            plan_cache_size = DEFAULT_PLAN_CACHE_SIZE
-        num_fragments = self.num_fragments
-        if not (0 <= fragment_id < num_fragments):
-            raise StoreError(
-                f"store has no fragment {fragment_id} (fragments: 0..{num_fragments - 1})"
-            )
-        assign_ids: Dict[int, int] = dict(
-            self._conn.execute("SELECT term, fragment_id FROM assignment")
-        )
-        edge_rows = self._conn.execute(
-            "SELECT s, p, o FROM triples"
-            " WHERE s IN (SELECT term FROM assignment WHERE fragment_id = ?)"
-            " UNION "
-            "SELECT s, p, o FROM triples"
-            " WHERE o IN (SELECT term FROM assignment WHERE fragment_id = ?)",
-            (fragment_id, fragment_id),
-        ).fetchall()
-        head = self._head if up_to is None else up_to
-        delta_rows = self._conn.execute(
-            "SELECT op, s, p, o FROM deltas WHERE seq <= ? ORDER BY seq", (head,)
-        ).fetchall()
-        # Route the whole journal on ids (the sticky assignment updates must
-        # run in sequence order), keeping only the ops that touch this
-        # fragment; DeltaRouter only ever *adds* assignments, so the base
-        # edge-classification lookups below are unaffected.
-        routed: List[Tuple[str, int, int, int, int, int]] = []
-        for op, s, p, o in delta_rows:
-            if op == "+":
-                home_s = self._assign_term_id(s, o, assign_ids, num_fragments)
-                home_o = self._assign_term_id(o, s, assign_ids, num_fragments)
-            else:
-                # A removed triple was present, so both endpoints are assigned.
-                home_s = assign_ids[s]
-                home_o = assign_ids[o]
-            if fragment_id in (home_s, home_o):
-                routed.append((op, s, p, o, home_s, home_o))
-        ids = set()
-        for s, p, o in edge_rows:
-            ids.update((s, p, o))
-        for _, s, p, o, _, _ in routed:
-            ids.update((s, p, o))
-        terms: Mapping[int, Term] = self._decode_terms(ids)
-        fragment = Fragment(fragment_id)
-        for s, p, o in edge_rows:
-            triple = Triple(terms[s], terms[p], terms[o])
-            home_s = assign_ids[s]
-            home_o = assign_ids[o]
-            if home_s == home_o:
-                fragment.internal_edges.add(triple)
-                fragment.internal_vertices.add(triple.subject)
-                fragment.internal_vertices.add(triple.object)
-            else:
-                fragment.crossing_edges.add(triple)
-                if home_s == fragment_id:
-                    fragment.internal_vertices.add(triple.subject)
-                    fragment.extended_vertices.add(triple.object)
-                else:
-                    fragment.internal_vertices.add(triple.object)
-                    fragment.extended_vertices.add(triple.subject)
-        site = Site(fragment_id, fragment)
-        statistics = self.load_statistics(fragment_id)
-        if statistics is not None:
-            site.store.preload_statistics(statistics)
-        if routed:
-            site_graph = site.store.graph
-            base_encoded = encoded_view(site_graph)
-            ops_here: List[Tuple[str, Triple]] = []
-            for op, s, p, o, home_s, home_o in routed:
-                triple = Triple(terms[s], terms[p], terms[o])
-                kind = "add" if op == "+" else "remove"
-                # At most one of the routed effects lands here: the internal
-                # effect when both endpoints are home, else the crossing
-                # replica whose extended endpoint is the foreign one.
-                if home_s == home_o:
-                    effect = DeltaEffect(kind, fragment_id, triple, crossing=False)
-                elif home_s == fragment_id:
-                    effect = DeltaEffect(
-                        kind, fragment_id, triple, crossing=True, extended=triple.object
-                    )
-                else:
-                    effect = DeltaEffect(
-                        kind, fragment_id, triple, crossing=True, extended=triple.subject
-                    )
-                if op == "+":
-                    site.store.add(triple)
-                else:
-                    site.store.discard(triple)
-                apply_delta_effect(fragment, effect, graph=site_graph)
-                ops_here.append((op, triple))
-            patch_encoded_view(site_graph, base_encoded, ops_here)
-        if use_planner:
-            site.enable_planner(plan_cache_size)
-        else:
-            site.disable_planner()
-        return site
 
     # ------------------------------------------------------------------
     # Maintenance

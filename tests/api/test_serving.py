@@ -14,6 +14,7 @@ import repro
 from repro.api import AdmissionController, AdmissionError, AsyncSession, QueryServer
 from repro.api.serving import (
     INFLIGHT_FAMILY,
+    MAX_BODY_BYTES,
     QUEUE_DEPTH_FAMILY,
     REJECTED_FAMILY,
 )
@@ -224,6 +225,34 @@ class TestQueryServer:
             connection.sendall(request)  # the socket stays open: no EOF to unblock a read
             status_line = connection.makefile("rb").readline()
         assert status_line.startswith(b"HTTP/1.1 400 "), status_line
+
+    def test_oversized_content_length_gets_413_without_reading(self, served):
+        """A claimed 2 GiB body is refused at once and the connection closed;
+        the server keeps answering."""
+        _session, server, base = served
+        request = (
+            f"POST /query HTTP/1.1\r\nHost: test\r\nContent-Length: {2 << 30}\r\n\r\n"
+            '{"query":'
+        ).encode("ascii")
+        with socket.create_connection(server.address, timeout=1.0) as connection:
+            connection.sendall(request)  # the socket stays open: no EOF to unblock a read
+            response = connection.makefile("rb").read()  # returns once the server closes
+        assert response.startswith(b"HTTP/1.1 413 "), response
+        assert str(MAX_BODY_BYTES).encode("ascii") in response
+        with urllib.request.urlopen(base + "/healthz", timeout=30) as health:
+            assert health.status == 200
+
+    def test_a_body_at_the_cap_is_read(self, served):
+        _session, _server, base = served
+        body = json.dumps({"query": "example"}).encode("ascii")
+        request = urllib.request.Request(
+            base + "/query",
+            data=body + b" " * (MAX_BODY_BYTES - len(body)),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request, timeout=30) as response:
+            assert response.status == 200
+            assert json.loads(response.read())["num_rows"] == 4
 
     def test_unknown_paths_get_404(self, served):
         _session, _server, base = served

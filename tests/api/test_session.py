@@ -6,6 +6,7 @@ import pytest
 
 import repro
 from repro import EngineConfig, Session
+from repro.exec import OptionError
 from repro.api import QueryBatch, Result
 from repro.datasets.paper_example import build_example_partitioning, example_query
 
@@ -109,35 +110,37 @@ class TestQuery:
                 == second.statistics.total_shipment_bytes
             )
 
-    def test_executor_threads_is_used_and_annotated(self):
-        with repro.open(dataset="paper", executor="threads", workers=2) as session:
-            assert session.backend.name == "threads"
+    def test_the_serial_fan_out_is_the_default(self):
+        with repro.open(dataset="paper", executor="serial") as session:
+            assert session.backend.name == "serial"
             result = session.query("example")
-            assert result.statistics.extra["executor"] == "threads"
-            assert result.statistics.extra["max_workers"] == 2
+            assert "executor" not in result.statistics.extra
 
-    @pytest.mark.parametrize("environment", [None, "processes"])
-    def test_workers_alone_imply_threads(self, monkeypatch, environment):
-        if environment is None:
-            monkeypatch.delenv("REPRO_EXECUTOR", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_EXECUTOR", environment)
-        with repro.open(dataset="paper", workers=2) as session:
-            assert session.backend.name == "threads"
-            assert session.backend.max_workers == 2
+    @pytest.mark.parametrize(
+        "options",
+        [dict(executor="threads"), dict(executor="processes"), dict(workers=2)],
+        ids=["threads", "processes", "workers"],
+    )
+    def test_removed_fan_out_options_are_rejected_by_name(self, options, example_cluster):
+        (name,) = options
+        with pytest.raises(OptionError, match=name) as excinfo:
+            repro.open(dataset="paper", **options)
+        assert excinfo.value.options == options
+        with pytest.raises(OptionError) as excinfo:
+            Session.from_cluster(example_cluster, **options)
+        assert excinfo.value.options == options
 
     @pytest.mark.parametrize(
         "options, message",
         [
-            (dict(executor="serial", workers=2), "executor 'serial' has none"),
-            (dict(workers=0), "workers must be >= 1"),
             (dict(executor="mpi"), "unknown executor 'mpi'"),
             (dict(result_cache=-1), "result_cache must be >= 0"),
+            (dict(bit_vector_width=8), "unknown option"),
         ],
-        ids=["serial-with-workers", "zero-workers", "unknown-executor", "negative-result-cache"],
+        ids=["unknown-executor", "negative-result-cache", "unknown-config-option"],
     )
     def test_rejected_options_fail_at_open(self, options, message):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(OptionError, match=message):
             repro.open(dataset="paper", **options)
 
     def test_explain_shows_the_plan(self):
@@ -215,21 +218,20 @@ class TestFailureFinalization:
                 session.query("example")
             assert "repro_query_failures_total" in session.metrics.prometheus_text()
 
-    def test_close_shuts_the_backend_down_even_when_an_engine_close_raises(self):
+    def test_close_finishes_even_when_an_engine_close_raises(self):
         class _BadCloseEngine:
             name = "bad-close"
 
             def close(self):
                 raise RuntimeError("close failed")
 
-        session = repro.open(dataset="paper", executor="threads", workers=2)
-        session.query("example")  # warms the pool
+        session = repro.open(dataset="paper")
+        session.query("example")
         session._engines["bad-close"] = _BadCloseEngine()
-        backend = session.backend
         with pytest.raises(RuntimeError, match="close failed"):
             session.close()
         assert session.closed
-        assert backend._pool is None  # the pool did not leak
+        assert session._engines == {}
 
 
 class TestEncodedRebuildsDelta:
@@ -253,8 +255,7 @@ class TestEncodedRebuildsDelta:
 
 class TestQueryMany:
     def test_batch_preserves_order_and_reports_per_query(self):
-        # Explicitly serial: the CI matrix runs this suite under REPRO_EXECUTOR too.
-        with repro.open(dataset="paper", executor="serial") as session:
+        with repro.open(dataset="paper") as session:
             batch = session.query_many(["example", EXAMPLE_SPARQL])
             assert isinstance(batch, QueryBatch)
             assert len(batch) == 2
@@ -287,14 +288,11 @@ class TestQueryMany:
 
 
 class TestLifecycle:
-    def test_close_shuts_engines_and_backend_down(self):
-        session = repro.open(dataset="paper", executor="threads", workers=2)
+    def test_close_shuts_engines_down(self):
+        session = repro.open(dataset="paper")
         session.query("example")
-        backend = session.backend
-        assert backend._pool is not None
         session.close()
         assert session.closed
-        assert backend._pool is None
         assert session._engines == {}
 
     def test_close_is_idempotent(self):
@@ -358,9 +356,7 @@ class TestCustomRegisteredEngines:
             )
         )
         try:
-            with repro.open(
-                dataset="paper", executor="threads", workers=2, engine="custom-gstored"
-            ) as session:
+            with repro.open(dataset="paper", engine="custom-gstored") as session:
                 result = session.query("example")
                 assert len(result) == 4
                 assert captured["config"] is session.config

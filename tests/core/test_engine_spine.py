@@ -15,8 +15,8 @@ run to a fingerprint of everything the engine promises to keep bit-identical:
 
 The fingerprints of ``engine_spine_golden.json`` were recorded from the
 serial, untraced run at the commit *before* the stage-runner refactor; the
-test then requires the serial/threads x traced/untraced variants of each case
-to reproduce them.  ``rows`` are compared as a sequence between the variants
+test then requires the traced and untraced variants of each case to
+reproduce them.  ``rows`` are compared as a sequence between the variants
 of one process and as a sorted list against the golden file, because the row
 order of a query is only defined per ``PYTHONHASHSEED``.
 
@@ -36,7 +36,7 @@ from repro.core import ABLATION_CONFIGS, EngineConfig
 from repro.datasets import get_dataset, lubm
 from repro.datasets.paper_example import build_example_partitioning, example_query
 from repro.distributed import build_cluster
-from repro.exec import make_backend
+from repro.exec import SerialBackend
 from repro.faults import FaultPlan, RetryPolicy
 from repro.obs import Trace
 from repro.partition import HashPartitioner
@@ -69,9 +69,7 @@ CASES = {
     **{f"LQ1-{config.label}": ("lubm", "LQ1", config, None) for config in ABLATION_CONFIGS},
 }
 
-VARIANTS = [
-    (backend, traced) for backend in ("serial", "threads") for traced in (False, True)
-]
+VARIANTS = (False, True)  # untraced, traced
 
 
 def load_workloads():
@@ -86,14 +84,6 @@ def load_workloads():
 
 
 workloads = pytest.fixture(scope="module")(load_workloads)
-
-
-@pytest.fixture(scope="module")
-def backends():
-    pool = {"serial": make_backend("serial", None), "threads": make_backend("threads", 2)}
-    yield pool
-    for backend in pool.values():
-        backend.close()
 
 
 def fingerprint(workloads, backend, case_id, traced):
@@ -151,19 +141,15 @@ def golden():
 
 
 @pytest.mark.parametrize("case_id", list(CASES))
-def test_spine_fingerprint_matches_the_recorded_one(workloads, backends, golden, case_id):
+def test_spine_fingerprint_matches_the_recorded_one(workloads, golden, case_id):
     expected = golden[case_id]
     row_sequences = []
-    for backend_name, traced in VARIANTS:
-        observed = fingerprint(workloads, backends[backend_name], case_id, traced)
+    for traced in VARIANTS:
+        observed = fingerprint(workloads, SerialBackend(), case_id, traced)
         # Round-trip through JSON so tuples/lists and float text compare the
         # way they were recorded.
         observed = json.loads(json.dumps(observed))
-        label = f"{case_id} under {backend_name}, traced={traced}"
-        if backend_name != "serial":
-            # Non-serial backends announce themselves first in ``extra``.
-            assert observed["extra"][:2] == [["executor", "threads"], ["max_workers", 2]], label
-            observed["extra"] = observed["extra"][2:]
+        label = f"{case_id}, traced={traced}"
         row_sequences.append(observed.pop("rows"))
         tree = observed.pop("trace")
         if traced:
@@ -182,7 +168,7 @@ def test_golden_file_covers_exactly_the_cases(golden):
 
 def _regenerate() -> None:  # pragma: no cover - maintenance entry point
     loaded = load_workloads()
-    serial = make_backend("serial", None)
+    serial = SerialBackend()
     recorded = {}
     for case_id in CASES:
         untraced = fingerprint(loaded, serial, case_id, traced=False)

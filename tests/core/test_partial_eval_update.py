@@ -11,7 +11,6 @@ index with a cold build, after a removal and again after the matching re-add.
 import sys
 from pathlib import Path
 
-import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from reference_partial_eval import PartialEvaluator as ReferenceEvaluator
@@ -71,11 +70,8 @@ def assert_matches_a_fresh_cluster(session):
     return total
 
 
-@pytest.mark.parametrize(
-    ("executor", "workers"), [("serial", None), ("threads", 2)], ids=["serial", "threads"]
-)
-def test_remove_then_add_on_lubm3(executor, workers):
-    with repro.open(dataset="lubm", scale=3, sites=4, executor=executor, workers=workers) as session:
+def test_remove_then_add_on_lubm3():
+    with repro.open(dataset="lubm", scale=3, sites=4) as session:
         by_predicate = {}
         for triple in sorted(session.graph, key=lambda triple: triple.n3()):
             by_predicate.setdefault(triple.predicate.local_name, triple)

@@ -14,7 +14,7 @@ import pytest
 from repro.core import GStoreDEngine
 from repro.datasets import get_dataset
 from repro.distributed.network import MessageBus, ShipmentSnapshot, StageTimer
-from repro.exec import SerialBackend, ThreadPoolBackend
+from repro.exec import SerialBackend
 from repro.obs import CATEGORY_STAGE, Trace
 
 
@@ -103,13 +103,11 @@ class TestSpanAttributesMatchTheBus:
     """The shipment attrs on stage spans are the same numbers the bus and
     the statistics report — one accounting, three views."""
 
-    @pytest.mark.parametrize("workers", [None, 2])
-    def test_stage_span_attrs_equal_bus_and_statistics(self, lubm_cluster, workers):
+    def test_stage_span_attrs_equal_bus_and_statistics(self, lubm_cluster):
         query = get_dataset("LUBM").queries()["LQ1"]
         lubm_cluster.reset_network()
         trace = Trace("query")
-        with SerialBackend() if workers is None else ThreadPoolBackend(workers) as backend:
-            result = GStoreDEngine(lubm_cluster, backend=backend).execute(query, trace=trace)
+        result = GStoreDEngine(lubm_cluster, backend=SerialBackend()).execute(query, trace=trace)
         trace.finish()
 
         bus = lubm_cluster.bus

@@ -62,14 +62,6 @@ class TestCluster:
         example_cluster.reset_network()
         assert example_cluster.bus.total_messages == 0
 
-    def test_graph_statistics_with_threaded_backend(self, example_cluster):
-        from repro.exec import ThreadPoolBackend
-
-        serial_stats = example_cluster.graph_statistics()
-        with ThreadPoolBackend(max_workers=3) as backend:
-            threaded_stats = example_cluster.graph_statistics(backend)
-        assert threaded_stats.summary() == serial_stats.summary()
-
     def test_stats_include_partitioning_info(self, example_cluster):
         stats = example_cluster.stats()
         assert stats["sites"] == 3

@@ -2,13 +2,14 @@
 
 The contract under test (``docs/faults.md``): with a recoverable
 :class:`~repro.faults.FaultPlan`, the engine's answers, per-stage shipment
-fingerprint, and retry counters are **bit-identical** to the fault-free run —
-under every executor backend and at every worker count.  Unrecoverable
+fingerprint, and retry counters are **bit-identical** to the fault-free run.
+Unrecoverable
 losses instead degrade: the result names the lost site and returns exactly
 what the surviving fragments can answer.
 
-Everything runs over the paper's Fig. 1 example (3 sites, 4 solutions) on a
-module-local cluster — recovery rebuilds sites in place, so the suite never
+Everything runs over the paper's example graph (3 sites, 4 solutions): the
+Fig. 1 assignment, and the kill matrix again under every registered
+partitioner, each on a module-local cluster — recovery rebuilds sites in place, so the suite never
 shares the session-scoped fixture clusters with other tests.
 """
 
@@ -16,14 +17,19 @@ import pytest
 
 from repro.bench import stage_shipment_snapshot as snapshot
 from repro.core import EngineConfig, GStoreDEngine
-from repro.datasets.paper_example import build_example_partitioning, example_query
+from repro.datasets.paper_example import (
+    build_example_graph,
+    build_example_partitioning,
+    example_query,
+)
 from repro.distributed import build_cluster
-from repro.exec import make_backend
+from repro.exec import SerialBackend
 from repro.faults import INJECTABLE_STAGES, FaultPlan, RetryPolicy
+from repro.partition import PARTITIONER_REGISTRY, make_partitioner
 
 #: Every site of the Fig. 1 partitioning × every injectable pipeline stage.
 SITES = (0, 1, 2)
-BACKENDS = ("serial", "threads", "processes")
+PARTITIONERS = sorted(PARTITIONER_REGISTRY)
 
 #: No sleeping in the kill matrix: recovery re-runs never retry in place, so
 #: a zero-backoff policy keeps the suite fast without changing coverage.
@@ -35,26 +41,10 @@ def chaos_cluster():
     return build_cluster(build_example_partitioning())
 
 
-@pytest.fixture(scope="module")
-def backends():
-    """One warm backend per executor, shared by every run in this module."""
-    pool = {
-        "serial": make_backend("serial", None),
-        "threads": make_backend("threads", 2),
-        "processes": make_backend("processes", 2),
-    }
-    yield pool
-    for backend in pool.values():
-        backend.close()
-
-
-def run(cluster, backend, faults=None):
+def run(cluster, faults=None):
     cluster.reset_network()
-    engine = GStoreDEngine(cluster, EngineConfig.full(), backend=backend, faults=faults)
-    try:
-        return engine.execute(example_query())
-    finally:
-        engine.close()
+    engine = GStoreDEngine(cluster, EngineConfig.full(), backend=SerialBackend(), faults=faults)
+    return engine.execute(example_query())
 
 
 def rows_of(result):
@@ -62,24 +52,17 @@ def rows_of(result):
 
 
 @pytest.fixture(scope="module")
-def clean(chaos_cluster, backends):
-    """The fault-free reference: rows + shipment fingerprint per backend."""
-    reference = {name: run(chaos_cluster, backend) for name, backend in backends.items()}
-    first = next(iter(reference.values()))
-    for result in reference.values():
-        assert rows_of(result) == rows_of(first)
-        assert snapshot(result) == snapshot(first)
-    return {"rows": rows_of(first), "snapshot": snapshot(first)}
+def clean(chaos_cluster):
+    """The fault-free reference: rows + shipment fingerprint."""
+    result = run(chaos_cluster)
+    return {"rows": rows_of(result), "snapshot": snapshot(result)}
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("stage", INJECTABLE_STAGES)
 @pytest.mark.parametrize("site", SITES)
-def test_killing_any_site_at_any_stage_recovers_bit_for_bit(
-    chaos_cluster, backends, clean, site, stage, backend_name
-):
+def test_killing_any_site_at_any_stage_recovers_bit_for_bit(chaos_cluster, clean, site, stage):
     plan = FaultPlan.parse(f"kill:{site}@{stage}", retry=FAST_RETRY)
-    result = run(chaos_cluster, backends[backend_name], faults=plan)
+    result = run(chaos_cluster, faults=plan)
     assert rows_of(result) == clean["rows"]
     assert snapshot(result) == clean["snapshot"]
     work = result.statistics.work
@@ -88,13 +71,10 @@ def test_killing_any_site_at_any_stage_recovers_bit_for_bit(
     assert not result.statistics.extra.get("degraded")
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @pytest.mark.parametrize("site", SITES)
-def test_unrecoverable_loss_degrades_and_names_the_site(
-    chaos_cluster, backends, clean, site, backend_name
-):
+def test_unrecoverable_loss_degrades_and_names_the_site(chaos_cluster, clean, site):
     plan = FaultPlan.parse(f"kill:{site}@partial_evaluation:unrecoverable", retry=FAST_RETRY)
-    result = run(chaos_cluster, backends[backend_name], faults=plan)
+    result = run(chaos_cluster, faults=plan)
     extra = result.statistics.extra
     assert extra["degraded"] is True
     assert extra["missing_sites"] == [site]
@@ -106,14 +86,11 @@ def test_unrecoverable_loss_degrades_and_names_the_site(
     assert len(survivors) < len(clean["rows"])
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_flaky_tasks_retry_in_place_without_changing_answers(
-    chaos_cluster, backends, clean, backend_name
-):
+def test_flaky_tasks_retry_in_place_without_changing_answers(chaos_cluster, clean):
     plan = FaultPlan.parse(
         "flaky:0@candidate_exchange:2;flaky:2@partial_evaluation", retry=FAST_RETRY
     )
-    result = run(chaos_cluster, backends[backend_name], faults=plan)
+    result = run(chaos_cluster, faults=plan)
     assert rows_of(result) == clean["rows"]
     assert snapshot(result) == clean["snapshot"]
     work = result.statistics.work
@@ -121,15 +98,12 @@ def test_flaky_tasks_retry_in_place_without_changing_answers(
     assert work["site_failures"] == 0
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_combined_plan_is_deterministic_across_backends(
-    chaos_cluster, backends, clean, backend_name
-):
+def test_combined_plan_is_deterministic(chaos_cluster, clean):
     plan = FaultPlan.parse(
         "kill:1@partial_evaluation;flaky:0@candidate_exchange:2;kill:2@assembly",
         retry=FAST_RETRY,
     )
-    result = run(chaos_cluster, backends[backend_name], faults=plan)
+    result = run(chaos_cluster, faults=plan)
     assert rows_of(result) == clean["rows"]
     assert snapshot(result) == clean["snapshot"]
     work = result.statistics.work
@@ -138,36 +112,110 @@ def test_combined_plan_is_deterministic_across_backends(
     assert work["site_recoveries"] == 2
 
 
-def test_worker_count_does_not_change_recovered_answers(chaos_cluster, clean):
+@pytest.fixture(scope="module")
+def partitioned(clean):
+    """strategy -> (cluster, clean reference) for the paper graph split by
+    each registered partitioner onto the same three sites."""
+    graph = build_example_graph()
+    clusters = {}
+    for strategy in PARTITIONERS:
+        cluster = build_cluster(make_partitioner(strategy, len(SITES)).partition(graph))
+        result = run(cluster)
+        assert rows_of(result) == clean["rows"], strategy
+        clusters[strategy] = (cluster, {"rows": rows_of(result), "snapshot": snapshot(result)})
+    return clusters
+
+
+@pytest.mark.parametrize("stage", INJECTABLE_STAGES)
+@pytest.mark.parametrize("site", SITES)
+@pytest.mark.parametrize("strategy", PARTITIONERS)
+def test_killing_any_site_recovers_under_every_partitioner(partitioned, strategy, site, stage):
+    """Other splits leave other crossing edges and LPMs behind a dead site;
+    recovery must rebuild them all the same."""
+    cluster, reference = partitioned[strategy]
+    plan = FaultPlan.parse(f"kill:{site}@{stage}", retry=FAST_RETRY)
+    result = run(cluster, faults=plan)
+    assert rows_of(result) == reference["rows"]
+    assert snapshot(result) == reference["snapshot"]
+    work = result.statistics.work
+    assert work["site_failures"] == 1
+    assert work["site_recoveries"] == 1
+    assert not result.statistics.extra.get("degraded")
+
+
+@pytest.mark.parametrize("strategy", PARTITIONERS)
+def test_combined_plan_is_deterministic_under_every_partitioner(partitioned, strategy):
+    cluster, reference = partitioned[strategy]
     plan = FaultPlan.parse(
-        "kill:1@partial_evaluation;flaky:0@candidate_exchange:2", retry=FAST_RETRY
+        "kill:1@partial_evaluation;flaky:0@candidate_exchange:2;kill:2@assembly",
+        retry=FAST_RETRY,
     )
-    for workers in (1, 2, 8):
-        backend = make_backend("threads", workers)
-        try:
-            result = run(chaos_cluster, backend, faults=plan)
-        finally:
-            backend.close()
-        assert rows_of(result) == clean["rows"]
-        assert snapshot(result) == clean["snapshot"]
-        assert result.statistics.work["task_retries"] == 2
+    result = run(cluster, faults=plan)
+    assert rows_of(result) == reference["rows"]
+    assert snapshot(result) == reference["snapshot"]
+    work = result.statistics.work
+    assert work["task_retries"] == 2
+    assert work["site_failures"] == 2
+    assert work["site_recoveries"] == 2
 
 
-def test_clean_runs_carry_no_fault_state(chaos_cluster, backends):
+@pytest.mark.parametrize("strategy", PARTITIONERS)
+def test_flaky_tasks_retry_in_place_under_every_partitioner(partitioned, strategy):
+    cluster, reference = partitioned[strategy]
+    plan = FaultPlan.parse(
+        "flaky:0@candidate_exchange:2;flaky:2@partial_evaluation", retry=FAST_RETRY
+    )
+    result = run(cluster, faults=plan)
+    assert rows_of(result) == reference["rows"]
+    assert snapshot(result) == reference["snapshot"]
+    work = result.statistics.work
+    assert work["task_retries"] == 3
+    assert work["site_failures"] == 0
+
+
+@pytest.mark.parametrize("use_planner", [True, False])
+def test_a_killed_site_is_rebuilt_fresh_and_answers_bit_for_bit(use_planner):
+    """Recovery swaps in a new :class:`~repro.distributed.Site` over the
+    dead one's fragment: new store and indexes, the dead site's planner
+    setting, and the very same rows in the very same order."""
+    cluster = build_cluster(build_example_partitioning())
+    config = EngineConfig.full().with_options(use_planner=use_planner)
+
+    def execute(faults=None):
+        cluster.reset_network()
+        return GStoreDEngine(cluster, config, faults=faults).execute(example_query())
+
+    reference = execute()
+    dead = cluster.site(1)
+    plan = FaultPlan.parse("kill:1@partial_evaluation", retry=FAST_RETRY)
+    recovered = execute(plan)
+    rebuilt = cluster.site(1)
+    assert recovered.statistics.work["site_recoveries"] == 1
+    assert rebuilt is not dead
+    assert rebuilt.store is not dead.store
+    assert rebuilt.fragment is dead.fragment
+    assert set(rebuilt.graph) == set(dead.graph)
+    assert (rebuilt.planner is not None) is use_planner
+    for result in (recovered, execute()):
+        assert result.results.to_table() == reference.results.to_table()
+        assert snapshot(result) == snapshot(reference)
+
+
+def test_clean_runs_carry_no_fault_state(chaos_cluster):
     """Without a plan the statistics stay byte-identical to the pre-fault era."""
-    result = run(chaos_cluster, backends["serial"])
+    result = run(chaos_cluster)
     assert "task_retries" not in result.statistics.work
     assert "degraded" not in result.statistics.extra
 
 
-def test_slow_site_latency_shows_in_the_stage_timer(chaos_cluster, backends):
+def test_slow_site_latency_shows_in_the_stage_timer(chaos_cluster):
     plan = FaultPlan.parse("slow:0@partial_evaluation:0.2", retry=FAST_RETRY)
-    result = run(chaos_cluster, backends["serial"], faults=plan)
+    result = run(chaos_cluster, faults=plan)
     stage = next(s for s in result.statistics.stages if s.name == "partial_evaluation")
     assert max(stage.site_times_s.values()) >= 0.2
 
 
-def test_retried_tasks_time_only_the_successful_attempt(chaos_cluster, backends, clean):
+def test_retried_tasks_time_only_the_successful_attempt(chaos_cluster, clean):
     """The PR's timing fix: a flaky first attempt (with injected straggler
     latency) must not leak its failed attempt's wall clock into the stage
     timer — ``slow`` only fires on attempt 1, which is exactly the attempt
@@ -175,7 +223,7 @@ def test_retried_tasks_time_only_the_successful_attempt(chaos_cluster, backends,
     plan = FaultPlan.parse(
         "flaky:0@partial_evaluation:1;slow:0@partial_evaluation:0.2", retry=FAST_RETRY
     )
-    result = run(chaos_cluster, backends["serial"], faults=plan)
+    result = run(chaos_cluster, faults=plan)
     assert rows_of(result) == clean["rows"]
     assert result.statistics.work["task_retries"] >= 1
     stage = next(s for s in result.statistics.stages if s.name == "partial_evaluation")

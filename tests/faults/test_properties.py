@@ -3,8 +3,8 @@
 Hypothesis drives :class:`~repro.faults.FaultPlan` construction directly
 (random kills, flaky bursts within the retry budget, small straggler
 delays) and asserts the determinism contract as a *property*: recovered
-answers and shipment fingerprints equal the fault-free run, and the three
-executor backends agree with each other — for every generated plan.
+answers and shipment fingerprints equal the fault-free run, and replaying a
+plan reproduces its retry and failure counters — for every generated plan.
 """
 
 import pytest
@@ -15,7 +15,6 @@ from repro.bench import stage_shipment_snapshot as snapshot
 from repro.core import EngineConfig, GStoreDEngine
 from repro.datasets.paper_example import build_example_partitioning, example_query
 from repro.distributed import build_cluster
-from repro.exec import make_backend
 from repro.faults import (
     FLAKY,
     INJECTABLE_STAGES,
@@ -64,25 +63,9 @@ def chaos_cluster():
     return build_cluster(build_example_partitioning())
 
 
-@pytest.fixture(scope="module")
-def backends():
-    pool = {
-        "serial": make_backend("serial", None),
-        "threads": make_backend("threads", 2),
-        "processes": make_backend("processes", 2),
-    }
-    yield pool
-    for backend in pool.values():
-        backend.close()
-
-
-def run(cluster, backend, faults=None):
+def run(cluster, faults=None):
     cluster.reset_network()
-    engine = GStoreDEngine(cluster, EngineConfig.full(), backend=backend, faults=faults)
-    try:
-        return engine.execute(example_query())
-    finally:
-        engine.close()
+    return GStoreDEngine(cluster, EngineConfig.full(), faults=faults).execute(example_query())
 
 
 def rows_of(result):
@@ -90,33 +73,30 @@ def rows_of(result):
 
 
 @pytest.fixture(scope="module")
-def clean(chaos_cluster, backends):
-    result = run(chaos_cluster, backends["serial"])
+def clean(chaos_cluster):
+    result = run(chaos_cluster)
     return {"rows": rows_of(result), "snapshot": snapshot(result)}
 
 
 @settings(max_examples=15, deadline=None)
 @given(plan=plans)
-def test_recoverable_plans_preserve_answers_and_fingerprints(
-    chaos_cluster, backends, clean, plan
-):
-    for backend in backends.values():
-        result = run(chaos_cluster, backend, faults=plan)
-        assert rows_of(result) == clean["rows"]
-        assert snapshot(result) == clean["snapshot"]
-        assert not result.statistics.extra.get("degraded")
+def test_recoverable_plans_preserve_answers_and_fingerprints(chaos_cluster, clean, plan):
+    result = run(chaos_cluster, faults=plan)
+    assert rows_of(result) == clean["rows"]
+    assert snapshot(result) == clean["snapshot"]
+    assert not result.statistics.extra.get("degraded")
 
 
 @settings(max_examples=15, deadline=None)
 @given(plan=plans)
-def test_backends_agree_on_retry_and_failure_counters(chaos_cluster, backends, plan):
+def test_replayed_plans_reproduce_retry_and_failure_counters(chaos_cluster, plan):
     counters = []
-    for backend in backends.values():
-        work = run(chaos_cluster, backend, faults=plan).statistics.work
+    for _ in range(2):
+        work = run(chaos_cluster, faults=plan).statistics.work
         counters.append(
             (work["task_retries"], work["site_failures"], work["site_recoveries"])
         )
-    assert counters[0] == counters[1] == counters[2]
+    assert counters[0] == counters[1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -127,9 +107,9 @@ def test_plans_round_trip_through_their_textual_form(plan):
 
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6))
-def test_random_seeded_plans_are_survivable(chaos_cluster, backends, clean, seed):
+def test_random_seeded_plans_are_survivable(chaos_cluster, clean, seed):
     plan = FaultPlan.random(seed, list(SITES), retry=FAST_RETRY)
-    result = run(chaos_cluster, backends["serial"], faults=plan)
+    result = run(chaos_cluster, faults=plan)
     assert rows_of(result) == clean["rows"]
     assert snapshot(result) == clean["snapshot"]
     assert not result.statistics.extra.get("degraded")

@@ -125,8 +125,6 @@ class TestRecordQuery:
             make_statistics(),
             shipment=shipment,
             engine="gStoreD",
-            backend="threads",
-            pool_size=4,
             encoded_rebuilds=2,
         )
         snapshot = registry.snapshot()
@@ -139,7 +137,6 @@ class TestRecordQuery:
         assert snapshot["repro_site_tasks_total"]["series"]["stage=partial_evaluation"] == 2
         assert snapshot["repro_stage_seconds"]["series"]["stage=partial_evaluation"]["count"] == 1
         assert snapshot["repro_shipped_bytes_by_kind_total"]["series"]["kind=local_matches"] == 128
-        assert snapshot["repro_executor_pool_size"]["series"]["backend=threads"] == 4
         assert snapshot["repro_encoded_graph_rebuilds"]["series"][""] == 2
 
     def test_plan_cache_and_search_step_families_exist_even_when_unplanned(self):

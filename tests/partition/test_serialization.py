@@ -1,22 +1,15 @@
 """Unit tests for partitioning persistence (save/load assignments and workspaces).
 
-The process-pool execution backend rebuilds every site from serialized
-fragment payloads, so these round trips are load-bearing runtime machinery
-now, not just workspace persistence: every partitioner strategy must survive
-``assignment_to_dict`` → load and ``fragment_to_payload`` → rebuild exactly.
+Every partitioner strategy must survive ``assignment_to_dict`` → load exactly.
 """
 
 import json
-import pickle
 
 import pytest
 
 from repro.datasets import lubm
 from repro.partition import (
     HashPartitioner,
-    fragment_from_payload,
-    fragment_to_payload,
-    fragments_to_payloads,
     load_assignment,
     load_partitioning,
     load_workspace,
@@ -64,27 +57,6 @@ class TestEveryStrategyRoundTrips:
             assert restored.internal_edges == original.internal_edges
             assert restored.crossing_edges == original.crossing_edges
             assert restored.extended_vertices == original.extended_vertices
-
-    def test_fragment_payloads_round_trip(self, strategy_partitioned):
-        for fragment in strategy_partitioned:
-            payload = fragment_to_payload(fragment)
-            assert fragment_from_payload(payload) == fragment
-            # Payloads must survive both transports the runtime uses: JSON
-            # (workspaces) and pickle (process-pool worker bootstrap).
-            assert fragment_from_payload(json.loads(json.dumps(payload))) == fragment
-            assert fragment_from_payload(pickle.loads(pickle.dumps(payload))) == fragment
-
-    def test_payloads_are_deterministic(self, strategy_partitioned):
-        first = fragments_to_payloads(strategy_partitioned)
-        second = fragments_to_payloads(strategy_partitioned)
-        assert first == second
-        assert [p["fragment_id"] for p in first] == sorted(p["fragment_id"] for p in first)
-
-
-@pytest.mark.parametrize("marker", ["something/else", "repro-fragment/1"])
-def test_fragment_payload_rejects_foreign_dicts(marker):
-    with pytest.raises(ValueError, match="fragment payload"):
-        fragment_from_payload({"format": marker})
 
 
 class TestAssignmentRoundTrip:

@@ -3,8 +3,7 @@
 For random graphs, random partitionings and random mutation sequences, a
 cluster saved to disk, mutated through the journal and reopened cold must be
 observationally bit-identical to the never-persisted cluster: same answers,
-same ``search_steps``, same shipment fingerprints — and the parity must hold
-across executor backends and worker counts.
+same ``search_steps``, same shipment fingerprints.
 """
 
 import random
@@ -18,7 +17,7 @@ from repro.bench import stage_shipment_snapshot as snapshot
 from repro.core import GStoreDEngine
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.distributed import build_cluster
-from repro.exec import ProcessPoolBackend, SerialBackend, ThreadPoolBackend
+from repro.exec import SerialBackend
 from repro.partition import build_partitioned_graph
 from repro.persist import ClusterStore
 from repro.rdf import IRI, Triple
@@ -100,39 +99,3 @@ class TestSaveReopenParity:
                 cold = cold_store.load_cluster()
                 assert fingerprint(cold, query) == fingerprint(live, query)
                 cold.partitioned_graph.validate()
-
-    @given(seeds, fragment_counts, batch_counts)
-    @settings(max_examples=6, deadline=None)
-    def test_thread_backends_agree_after_reopen(self, seed, num_fragments, batches):
-        partitioned, query = build_environment(seed, num_fragments)
-        rng = random.Random(seed + 29)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "random.store"
-            ClusterStore.create(path, partitioned).close()
-            store = ClusterStore.open(path)
-            cluster = store.load_cluster()
-            for batch in random_batches(rng, cluster, batches):
-                cluster.apply(**batch)
-            store.close()
-            with ClusterStore.open(path) as cold_store:
-                cold = cold_store.load_cluster()
-                reference = fingerprint(cold, query)
-                for workers in (1, 2, 8):
-                    with ThreadPoolBackend(workers) as backend:
-                        assert fingerprint(cold, query, backend) == reference
-
-    @given(seeds)
-    @settings(max_examples=3, deadline=None)
-    def test_process_backend_agrees_after_reopen(self, seed):
-        partitioned, query = build_environment(seed, 3)
-        rng = random.Random(seed + 43)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "random.store"
-            ClusterStore.create(path, partitioned).close()
-            with ClusterStore.open(path) as store:
-                cluster = store.load_cluster()
-                for batch in random_batches(rng, cluster, 2):
-                    cluster.apply(**batch)
-                reference = fingerprint(cluster, query)
-                with ProcessPoolBackend(2) as backend:
-                    assert fingerprint(cluster, query, backend) == reference

@@ -1,18 +1,15 @@
 """Unit tests for :mod:`repro.persist` — the durable cluster store file.
 
 Covers the file-format contract (manifest, schema version, foreign-file
-rejection), the write-ahead delta journal, full-cluster and per-site
-loading, the v3 store-reference fragment payloads, and compaction.
+rejection), the write-ahead delta journal, full-cluster loading, and
+compaction.
 """
 
-import json
 import sqlite3
 
 import pytest
 
 from repro.datasets.paper_example import build_example_partitioning
-from repro.distributed import build_cluster
-from repro.partition import fragment_from_payload, fragment_to_store_payload
 from repro.persist import SCHEMA_VERSION, ClusterStore, StoreError
 from repro.rdf import IRI, Triple
 
@@ -201,67 +198,6 @@ class TestClusterLoading:
         # Replayed ops must not have been re-journaled by the load itself.
         assert cluster.store is paper_store
         assert paper_store.delta_head == 0
-
-
-class TestSiteBootstrap:
-    def test_bootstrapped_site_matches_the_live_site(self, paper_store):
-        cluster = paper_store.load_cluster()
-        cluster.apply(add=[_triple("y")])
-        for site in cluster:
-            rebuilt = paper_store.bootstrap_site(site.site_id)
-            assert rebuilt.fragment == site.fragment
-            assert set(rebuilt.store.graph) == set(site.store.graph)
-
-    def test_bootstrap_rejects_unknown_fragments(self, paper_store):
-        with pytest.raises(StoreError, match="no fragment"):
-            paper_store.bootstrap_site(99)
-
-    def test_up_to_pins_the_replay_horizon(self, paper_store):
-        cluster = paper_store.load_cluster()
-        cluster.apply(add=[_triple("first")])
-        head_before = paper_store.delta_head
-        frozen = {
-            site.site_id: paper_store.bootstrap_site(site.site_id, up_to=head_before)
-            for site in cluster
-        }
-        cluster.apply(add=[_triple("second")])
-        for site_id, site in frozen.items():
-            pinned = paper_store.bootstrap_site(site_id, up_to=head_before)
-            assert pinned.fragment == site.fragment
-
-    def test_bootstrap_replay_never_decodes_the_full_dictionary(
-        self, paper_store, monkeypatch
-    ):
-        """With deltas pending, bootstrap must stay O(|F_k|), not O(|V|).
-
-        Regression: a single journaled delta used to trigger a full
-        ``_load_terms`` decode of the whole dictionary.  The id-level
-        routing must reproduce the live sites without it — including for
-        ops introducing brand-new vertices (stable-hash fallback) and
-        removals of base triples.
-        """
-        cluster = paper_store.load_cluster()
-        cluster.apply(add=[_triple("lazy")], remove=[next(iter(cluster.graph))])
-        monkeypatch.setattr(
-            ClusterStore,
-            "_load_terms",
-            lambda self: pytest.fail("bootstrap_site decoded the full dictionary"),
-        )
-        for site in cluster:
-            rebuilt = paper_store.bootstrap_site(site.site_id)
-            assert rebuilt.fragment == site.fragment
-            assert set(rebuilt.store.graph) == set(site.store.graph)
-
-    def test_v3_payload_round_trips_through_the_store(self, paper_store):
-        cluster = paper_store.load_cluster()
-        cluster.apply(add=[_triple("z")])
-        for site in cluster:
-            payload = fragment_to_store_payload(site.site_id, paper_store)
-            assert payload["format"] == "repro-fragment/3"
-            assert payload["delta_seq"] == paper_store.delta_head
-            # v3 payloads are plain data (JSON/pickle-safe) like v1/v2.
-            rebuilt = fragment_from_payload(json.loads(json.dumps(payload)))
-            assert rebuilt == site.fragment
 
 
 class TestCompaction:

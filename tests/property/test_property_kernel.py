@@ -17,15 +17,13 @@ and asserts, on random graphs and queries, that the kernel produces
 * the identical ``search_steps`` work counter — also after graph mutations
   (incremental adjacency patching) and under depth-0 frontier sharding, and
 * identical result rows and per-stage shipment fingerprints when the kernel
-  runs under the distributed engine (serial / threads / processes, workers
-  1, 2 and 8, with and without intra-site sharding).
+  runs under the distributed engine (with and without intra-site sharding).
 """
 
 import sys
 from contextlib import nullcontext
 from pathlib import Path
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +36,7 @@ from repro.bench import stage_shipment_snapshot
 from repro.core import EngineConfig, GStoreDEngine
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.distributed import build_cluster
-from repro.exec import ProcessPoolBackend, SerialBackend, ThreadPoolBackend
+from repro.exec import SerialBackend
 from repro.partition import build_partitioned_graph
 from repro.sparql.query_graph import QueryGraph
 from repro.store import KERNEL_PYTHON, LocalMatcher, SignatureIndex, compute_candidates, evaluate_centralized
@@ -49,8 +47,6 @@ seeds = st.integers(min_value=0, max_value=5_000)
 fragment_counts = st.integers(min_value=1, max_value=4)
 query_sizes = st.integers(min_value=1, max_value=4)
 constant_probabilities = st.sampled_from([0.0, 0.25, 0.5])
-#: The worker counts the kernel acceptance contract names.
-worker_counts = st.sampled_from([1, 2, 8])
 shard_counts = st.sampled_from([2, 3, 8])
 
 SERIAL = SerialBackend()
@@ -103,15 +99,13 @@ class TestKernelEquivalence:
             encoded, query_graph, index
         )
 
-    @given(seeds, fragment_counts, query_sizes, constant_probabilities, worker_counts)
+    @given(seeds, fragment_counts, query_sizes, constant_probabilities)
     @settings(max_examples=10, deadline=None)
-    def test_distributed_rows_and_fingerprints_at_workers_1_2_8(
-        self, seed, num_fragments, query_edges, constant_probability, workers
+    def test_distributed_rows_match_centralized(
+        self, seed, num_fragments, query_edges, constant_probability
     ):
-        """The kernel swap is invisible to the engines: identical rows and
-        identical per-stage shipment fingerprints under serial and threaded
-        execution at the contract's worker counts.  (The process-pool legs at
-        workers 1/2/8 live in test_property_exec.py.)"""
+        """The kernel swap is invisible to the engines: the distributed rows
+        equal the centralized ones."""
         graph = random_graph(seed, num_vertices=16, num_edges=32, num_predicates=3)
         query = random_connected_query(
             graph, seed + 101, num_edges=query_edges, constant_probability=constant_probability
@@ -127,15 +121,7 @@ class TestKernelEquivalence:
 
         cluster.reset_network()
         serial = GStoreDEngine(cluster, backend=SERIAL).execute(query)
-        serial_snapshot = stage_shipment_snapshot(serial)
-
-        cluster.reset_network()
-        with ThreadPoolBackend(workers) as backend:
-            threaded = GStoreDEngine(cluster, backend=backend).execute(query)
-
         assert sorted_rows(serial.results) == expected_rows
-        assert sorted_rows(threaded.results) == expected_rows
-        assert stage_shipment_snapshot(threaded) == serial_snapshot
 
 
 class TestKernelMatrixEquivalence:
@@ -215,14 +201,14 @@ class TestDistributedKernelParity:
     """The set oracle, the kernel and intra-site sharding are
     indistinguishable to the engines."""
 
-    @given(seeds, fragment_counts, query_sizes, worker_counts)
+    @given(seeds, fragment_counts, query_sizes)
     @settings(max_examples=8, deadline=None)
     def test_kernels_and_shards_are_invisible_to_the_engine(
-        self, seed, num_fragments, query_edges, workers
+        self, seed, num_fragments, query_edges
     ):
-        """For every kernel, serial × shards_per_site ∈ {1, 3} and threaded
-        × shards_per_site = 2 at workers 1/2/8 all reproduce the reference
-        rows and per-stage shipment fingerprints."""
+        """For every kernel, shards_per_site ∈ {1, 2, 3, 8} (unsharded,
+        uneven and more-shards-than-candidates splits alike) all reproduce
+        the reference rows and per-stage shipment fingerprints."""
         graph = random_graph(seed, num_vertices=16, num_edges=32, num_predicates=3)
         query = random_connected_query(graph, seed + 101, num_edges=query_edges)
         assignment = random_assignment(graph, seed + 7, num_fragments)
@@ -236,7 +222,7 @@ class TestDistributedKernelParity:
 
         for kernel, running_on in ENGINE_KERNELS.items():
             with running_on():
-                for shards in (1, 3):
+                for shards in (1, 2, 3, 8):
                     cluster.reset_network()
                     config = EngineConfig.full().with_options(shards_per_site=shards)
                     outcome = GStoreDEngine(cluster, config, backend=SERIAL).execute(query)
@@ -245,44 +231,3 @@ class TestDistributedKernelParity:
                         kernel,
                         shards,
                     )
-                cluster.reset_network()
-                sharded = EngineConfig.full().with_options(shards_per_site=2)
-                with ThreadPoolBackend(workers) as backend:
-                    threaded = GStoreDEngine(cluster, sharded, backend=backend).execute(query)
-                assert sorted_rows(threaded.results) == reference_rows, kernel
-                assert stage_shipment_snapshot(threaded) == reference_snapshot, kernel
-
-
-class TestProcessPoolKernelParity:
-    """Fixed-seed process-pool legs: sharded site tasks cross the pickle
-    boundary and still reproduce the serial reference exactly."""
-
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_process_pool_matches_serial_reference(self, workers):
-        self.check_process_pool(workers, shards=2)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("shards", [1, 3, 8])
-    def test_every_shard_count_matches_serial_reference(self, shards, workers):
-        """Unsharded, uneven and more-shards-than-candidates splits alike."""
-        self.check_process_pool(workers, shards)
-
-    @staticmethod
-    def check_process_pool(workers, shards):
-        graph = random_graph(1234, num_vertices=16, num_edges=32, num_predicates=3)
-        query = random_connected_query(graph, 1335, num_edges=3)
-        assignment = random_assignment(graph, 1241, 3)
-        partitioned = build_partitioned_graph(graph, assignment, num_fragments=3)
-        cluster = build_cluster(partitioned)
-
-        cluster.reset_network()
-        reference = GStoreDEngine(cluster, backend=SERIAL).execute(query)
-        reference_rows = sorted_rows(reference.results)
-        reference_snapshot = stage_shipment_snapshot(reference)
-
-        cluster.reset_network()
-        with ProcessPoolBackend(max_workers=workers) as backend:
-            config = EngineConfig.full().with_options(shards_per_site=shards)
-            outcome = GStoreDEngine(cluster, config, backend=backend).execute(query)
-        assert sorted_rows(outcome.results) == reference_rows
-        assert stage_shipment_snapshot(outcome) == reference_snapshot

@@ -9,8 +9,8 @@ production kernel yields the identical match *sequence*, the identical
 ``search_steps`` and the identical candidate sets.
 
 :class:`SetMatcher` is a :class:`~repro.store.LocalMatcher` driven by this
-runner; :func:`set_runner_everywhere` swaps it under every in-process
-matcher (serial and threaded engines) for the duration of a block.
+runner; :func:`set_runner_everywhere` swaps it under every matcher (the
+engines' included) for the duration of a block.
 """
 
 from __future__ import annotations
@@ -255,11 +255,7 @@ class SetMatcher(LocalMatcher):
 
 @contextmanager
 def set_runner_everywhere():
-    """Run every in-process :class:`LocalMatcher` on :class:`SetRunner`.
-
-    Process-pool workers keep the production kernel: the swap is a class
-    attribute of this interpreter, not something that crosses a pickle.
-    """
+    """Run every :class:`LocalMatcher` on :class:`SetRunner` (a class attribute swap)."""
     production = LocalMatcher.runner_class
     LocalMatcher.runner_class = SetRunner
     try:

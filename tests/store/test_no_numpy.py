@@ -3,7 +3,7 @@
 The matching kernel runs on plain Python lists, so a query must not pull
 numpy into the interpreter — not at ``import repro``, not on the first
 gStoreD query, not on the first ``LocalMatcher`` search, on no engine,
-executor, command-line run or persisted store.  The checks run in a fresh
+command-line run or persisted store.  The checks run in a fresh
 child interpreter because the test runner's own process may have imported
 numpy for unrelated reasons.
 """
@@ -83,11 +83,6 @@ def test_queries_never_import_numpy():
 @pytest.mark.parametrize("engine", engine_names())
 def test_no_engine_imports_numpy(engine):
     assert imports_numpy(ENGINE_CHILD.format(engine=engine, executor="serial")) == "False"
-
-
-@pytest.mark.parametrize("executor", ["threads", "processes"])
-def test_no_executor_imports_numpy(executor):
-    assert imports_numpy(ENGINE_CHILD.format(engine="gstored", executor=executor)) == "False"
 
 
 def test_the_command_line_never_imports_numpy(tmp_path):

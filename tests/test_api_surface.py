@@ -12,8 +12,10 @@ import repro.core
 
 #: Everything ``repro`` exports — keep sorted.  ``DistributedResult`` (every
 #: engine returns ``Result``), ``quickstart_cluster`` (deprecated since 1.1),
-#: ``repro.api.EngineAdapter`` (engines satisfy the contract themselves) and
-#: ``repro.core.execute_ablation`` (``bench.ablation_series``) are gone.
+#: ``repro.api.EngineAdapter`` (engines satisfy the contract themselves),
+#: ``repro.core.execute_ablation`` (``bench.ablation_series``) and
+#: ``ExecutorBackend``/``ThreadPoolBackend``/``run_per_site`` (the serial
+#: fan-out is the only one) are gone.
 REPRO_EXPORTS = [
     "ABLATION_CONFIGS",
     "AppliedDelta",
@@ -23,7 +25,6 @@ REPRO_EXPORTS = [
     "Cluster",
     "ClusterStore",
     "EngineConfig",
-    "ExecutorBackend",
     "FaultPlan",
     "GStoreDEngine",
     "GraphStatistics",
@@ -55,7 +56,6 @@ REPRO_EXPORTS = [
     "ShipmentSnapshot",
     "StageProfiler",
     "StoreError",
-    "ThreadPoolBackend",
     "Trace",
     "Tracer",
     "Triple",
@@ -73,7 +73,6 @@ REPRO_EXPORTS = [
     "open_session",
     "parse_query",
     "partitioning_cost",
-    "run_per_site",
     "select_best_partitioning",
 ]
 

@@ -188,103 +188,16 @@ class TestQueryEngineRegistry:
             assert choice in message
 
 
-class TestQueryWorkers:
-    QUERY = TestQuery.QUERY
-
-    def test_query_with_workers_runs_threaded(self, dataset_file, capsys):
-        exit_code = main(
-            ["query", "--data", str(dataset_file), "--sites", "3", "--workers", "2", "--query", self.QUERY]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "solutions" in output
-        assert "executor=threads x2" in output
-
-    def test_threaded_and_serial_answers_match(self, dataset_file, capsys):
-        main(["query", "--data", str(dataset_file), "--sites", "3", "--query", self.QUERY, "--limit", "100"])
-        serial_output = capsys.readouterr().out
-        main(
-            ["query", "--data", str(dataset_file), "--sites", "3", "--workers", "4", "--query", self.QUERY, "--limit", "100"]
-        )
-        threaded_output = capsys.readouterr().out
-        # Identical solution lines; only the engine banner differs.
-        assert sorted(serial_output.splitlines()[1:]) == sorted(threaded_output.splitlines()[1:])
-
-    @pytest.mark.parametrize("workers", ["0", "-2"])
-    def test_invalid_worker_counts_are_rejected(self, dataset_file, capsys, workers):
-        exit_code = main(
-            ["query", "--data", str(dataset_file), "--sites", "2", "--workers", workers, "--query", self.QUERY]
-        )
-        assert exit_code == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_workers_rejected_for_baseline_engines(self, dataset_file, capsys):
-        exit_code = main(
-            [
-                "query",
-                "--data",
-                str(dataset_file),
-                "--sites",
-                "2",
-                "--engine",
-                "dream",
-                "--workers",
-                "2",
-                "--query",
-                self.QUERY,
-            ]
-        )
-        assert exit_code == 2
-        assert "gStoreD" in capsys.readouterr().err
+def exit_code_of(argv):
+    """``main(argv)``, or the code of the ``SystemExit`` argparse raised."""
+    try:
+        return main(argv)
+    except SystemExit as exit:
+        return exit.code
 
 
 class TestQueryExecutor:
     QUERY = TestQuery.QUERY
-
-    def test_query_with_process_executor(self, dataset_file, capsys):
-        exit_code = main(
-            [
-                "query",
-                "--data",
-                str(dataset_file),
-                "--sites",
-                "3",
-                "--executor",
-                "processes",
-                "--workers",
-                "2",
-                "--query",
-                self.QUERY,
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "solutions" in output
-        assert "executor=processes x2" in output
-
-    def test_process_and_serial_answers_match(self, dataset_file, capsys):
-        main(["query", "--data", str(dataset_file), "--sites", "3", "--query", self.QUERY, "--limit", "100"])
-        serial_output = capsys.readouterr().out
-        main(
-            [
-                "query",
-                "--data",
-                str(dataset_file),
-                "--sites",
-                "3",
-                "--executor",
-                "processes",
-                "--workers",
-                "2",
-                "--query",
-                self.QUERY,
-                "--limit",
-                "100",
-            ]
-        )
-        process_output = capsys.readouterr().out
-        # Identical solution lines; only the engine banner differs.
-        assert sorted(serial_output.splitlines()[1:]) == sorted(process_output.splitlines()[1:])
 
     def test_explicit_serial_executor_keeps_reference_banner(self, dataset_file, capsys):
         exit_code = main(
@@ -305,34 +218,22 @@ class TestQueryExecutor:
         assert "solutions" in output
         assert "executor=" not in output
 
-    def test_serial_executor_with_workers_is_contradictory(self, dataset_file, capsys):
-        exit_code = main(
-            [
-                "query",
-                "--data",
-                str(dataset_file),
-                "--sites",
-                "2",
-                "--executor",
-                "serial",
-                "--workers",
-                "8",
-                "--query",
-                self.QUERY,
-            ]
-        )
-        assert exit_code == 2
-        assert "--executor serial" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "flags", [("--workers", "2"), ("--executor", "processes")], ids=["workers", "processes"]
+    )
+    def test_removed_fan_out_flags_exit_2(self, dataset_file, capsys, flags):
+        argv = ["query", "--data", str(dataset_file), "--sites", "2", *flags, "--query", self.QUERY]
+        assert exit_code_of(argv) == 2
+        assert flags[0] in capsys.readouterr().err
 
-    def test_unknown_executor_names_every_choice(self, dataset_file, capsys):
+    def test_unknown_executor_names_the_only_choice(self, dataset_file, capsys):
         exit_code = main(
             ["query", "--data", str(dataset_file), "--executor", "mpi", "--query", self.QUERY]
         )
         assert exit_code == 2
         message = capsys.readouterr().err
         assert "unknown executor 'mpi'" in message
-        for choice in ("serial", "threads", "processes"):
-            assert choice in message
+        assert "'serial'" in message
 
     def test_executor_rejected_for_baseline_engines(self, dataset_file, capsys):
         exit_code = main(
@@ -345,7 +246,7 @@ class TestQueryExecutor:
                 "--engine",
                 "dream",
                 "--executor",
-                "processes",
+                "serial",
                 "--query",
                 self.QUERY,
             ]
@@ -406,22 +307,6 @@ class TestQueryObservability:
         payload = json.loads(trace_path.read_text(encoding="utf-8"))
         events = validate_chrome_trace(payload)
         assert any(event["name"].startswith("stage:") for event in events)
-
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
-    def test_trace_works_under_every_parallel_backend(
-        self, dataset_file, tmp_path, capsys, executor
-    ):
-        import json
-
-        from repro.obs import validate_chrome_trace
-
-        trace_path = tmp_path / "trace.json"
-        exit_code = main(
-            ["query", "--data", str(dataset_file), "--sites", "3", "--executor", executor,
-             "--workers", "2", "--query", self.QUERY, "--trace", str(trace_path)]
-        )
-        assert exit_code == 0
-        validate_chrome_trace(json.loads(trace_path.read_text(encoding="utf-8")))
 
     def test_trace_works_for_baseline_engines(self, dataset_file, tmp_path, capsys):
         import json
@@ -531,42 +416,13 @@ class TestExplain:
         assert exit_code == 0
         assert "edge order:" in capsys.readouterr().out
 
-    def test_explain_with_workers(self, dataset_file, capsys):
+    def test_explain_rejects_other_executors(self, dataset_file, capsys):
         exit_code = main(
-            ["explain", "--data", str(dataset_file), "--sites", "3", "--workers", "2", "--query", self.QUERY]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "statistics:" in output
-        assert "vertex order:" in output
-
-    def test_explain_rejects_invalid_worker_count(self, dataset_file, capsys):
-        exit_code = main(
-            ["explain", "--data", str(dataset_file), "--sites", "3", "--workers", "0", "--query", self.QUERY]
+            ["explain", "--data", str(dataset_file), "--sites", "3", "--executor", "threads",
+             "--query", self.QUERY]
         )
         assert exit_code == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_explain_with_process_executor(self, dataset_file, capsys):
-        exit_code = main(
-            [
-                "explain",
-                "--data",
-                str(dataset_file),
-                "--sites",
-                "3",
-                "--executor",
-                "processes",
-                "--workers",
-                "2",
-                "--query",
-                self.QUERY,
-            ]
-        )
-        assert exit_code == 0
-        output = capsys.readouterr().out
-        assert "statistics:" in output
-        assert "vertex order:" in output
+        assert "--executor threads" in capsys.readouterr().err
 
 
 class TestExperiment:
@@ -601,8 +457,7 @@ class TestServe:
                 "--sites", "3",
                 "--partitioner", "metis",
                 "--engine", "gstored",
-                "--executor", "threads",
-                "--workers", "2",
+                "--executor", "serial",
                 "--host", "0.0.0.0",
                 "--port", "0",
                 "--max-inflight", "2",
@@ -618,10 +473,10 @@ class TestServe:
         assert exit_code == 2
         assert "--result-cache" in capsys.readouterr().err
 
-    def test_serve_rejects_contradictory_executor_flags(self, capsys):
-        exit_code = main(["serve", "--executor", "serial", "--workers", "2"])
+    def test_serve_rejects_other_executors(self, capsys):
+        exit_code = main(["serve", "--executor", "processes"])
         assert exit_code == 2
-        assert "--workers" in capsys.readouterr().err
+        assert "--executor processes" in capsys.readouterr().err
 
     def test_serve_answers_http_queries(self, capsys):
         """End to end: bind port 0, query over HTTP, shut down cleanly."""

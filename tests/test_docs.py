@@ -83,19 +83,18 @@ def test_relative_links_resolve(path):
 def test_docs_cover_the_execution_surface():
     text = (REPO_ROOT / "docs" / "execution.md").read_text(encoding="utf-8")
     for required in (
-        "REPRO_EXECUTOR",
-        "REPRO_MAX_WORKERS",
         "SiteTask",
-        "WorkerBootstrap",
-        "processes",
+        "site_id",
+        "Per-site locks",
+        "RetryPolicy",
+        "rebuild_site",
+        "OptionError",
         "determinism",
     ):
         assert required in text, f"docs/execution.md no longer mentions {required}"
-    # The documented executor names must match the code's registry.
-    from repro.exec import EXECUTOR_CHOICES
+    from repro.exec import SERIAL
 
-    for name in EXECUTOR_CHOICES:
-        assert f"`{name}`" in text, f"docs/execution.md does not document executor {name!r}"
+    assert f"`{SERIAL}`" in text, "docs/execution.md does not document the serial fan-out"
 
 
 def test_docs_cover_the_api_surface():
@@ -189,8 +188,6 @@ def test_docs_cover_the_persistence_surface():
         "schema_version",
         "delta_head",
         "compact",
-        "repro-fragment/3",
-        "delta_seq",
         "read-only",
         "repro_encoded_graph_rebuilds",
         "repro_encoded_graph_patches",

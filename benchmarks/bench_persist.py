@@ -32,7 +32,6 @@ from repro.bench import (
     run_query,
     stage_shipment_snapshot,
 )
-from repro.exec import SerialBackend
 from repro.persist import ClusterStore
 
 DATASET = "LUBM"
@@ -57,7 +56,7 @@ def _force_statistics(cluster):
 
 
 def _fingerprint(workload):
-    result = run_query(workload, QUERY, backend=SerialBackend())
+    result = run_query(workload, QUERY)
     rows = sorted(map(sorted, (row.items() for row in result.results.to_table())))
     return rows, dict(result.statistics.work), stage_shipment_snapshot(result)
 

@@ -3,8 +3,8 @@
 Three pieces make every evaluator in the repository interchangeable:
 
 * :func:`open_session` (re-exported as ``repro.open``) returns a
-  :class:`Session` owning workload preparation, the cluster, the executor
-  backend (warm pools shut down on close) and the plan cache;
+  :class:`Session` owning workload preparation, the cluster, the engines
+  and the plan cache;
 * :func:`make_engine` instantiates any registered evaluator —
   ``gstored``, ``dream``, ``decomp``, ``cloud``, ``s2x``, ``centralized`` —
   behind the one :class:`QueryEngine` contract;

@@ -19,8 +19,7 @@ Registry names (see :func:`engine_names`):
 
 ========================  =====================================================
 ``gstored``               the paper's engine (LEC-accelerated partial
-                          evaluation; honors ``EngineConfig`` and an injected
-                          :class:`~repro.exec.SerialBackend`)
+                          evaluation; honors ``EngineConfig``)
 ``dream``                 DREAM-like full replication + star decomposition
 ``decomp``                CliqueSquare-like clique/star decomposition over
                           MapReduce-style flat joins (alias ``cliquesquare``)
@@ -45,7 +44,6 @@ from ..core.engine import GStoreDEngine
 from ..distributed.cluster import Cluster
 from ..distributed.result import Result
 from ..distributed.run import Run
-from ..exec import SerialBackend
 from ..obs import StageProfiler, Trace
 from ..sparql.algebra import SelectQuery
 from ..store.matcher import LocalMatcher
@@ -162,24 +160,23 @@ class EngineSpec:
     name: str
     #: One-line description shown in docs and CLI help.
     summary: str
-    #: ``factory(cluster, config, backend) -> QueryEngine``.
-    factory: Callable[[Cluster, Optional[EngineConfig], Optional[SerialBackend]], QueryEngine]
+    #: ``factory(cluster, config) -> QueryEngine``.
+    factory: Callable[[Cluster, Optional[EngineConfig]], QueryEngine]
     #: Alternative lookup names (legacy report names, spellings).
     aliases: Tuple[str, ...] = ()
-    #: Whether the engine honors an :class:`EngineConfig` (and an injected
-    #: fan-out backend).  Engines that don't raise on an explicit config.
+    #: Whether the engine honors an :class:`EngineConfig` (and a fault plan).
+    #: Engines that don't raise on an explicit config.
     accepts_config: bool = False
 
 
-def _gstored_factory(cluster, config, backend, faults=None):
-    return GStoreDEngine(cluster, config, backend=backend, faults=faults)
+def _gstored_factory(cluster, config, faults=None):
+    return GStoreDEngine(cluster, config, faults=faults)
 
 
 def _fixed_strategy_factory(engine_class):
-    def factory(cluster, config, backend):
-        # Baselines model fixed strategies and a single store has no fan-out
-        # to schedule: nothing to configure.
-        del config, backend
+    def factory(cluster, config):
+        # Baselines model fixed strategies: nothing to configure.
+        del config
         return engine_class(cluster)
 
     return factory
@@ -293,16 +290,13 @@ def make_engine(
     cluster: Cluster,
     *,
     config: Optional[EngineConfig] = None,
-    backend: Optional[SerialBackend] = None,
     faults=None,
 ) -> QueryEngine:
     """Instantiate any registered evaluator by name over ``cluster``.
 
-    ``config`` and ``backend`` apply to engines that declare
-    ``accepts_config`` (today the gStoreD family); passing an explicit
-    ``config`` to a fixed-strategy engine is an error, while a ``backend`` is
-    silently ignored there — sessions share one backend across whatever
-    engines they create.
+    ``config`` applies to engines that declare ``accepts_config`` (today the
+    gStoreD family); passing an explicit ``config`` to a fixed-strategy
+    engine is an error.
 
     ``faults`` — an optional :class:`~repro.faults.FaultPlan` — arms
     deterministic fault injection and recovery; like ``config`` it is only
@@ -327,9 +321,9 @@ def make_engine(
                 f"engines that do: "
                 f"{', '.join(s.name for s in engine_specs() if s.accepts_config)}"
             )
-        engine = spec.factory(cluster, config, backend, faults=faults)
+        engine = spec.factory(cluster, config, faults=faults)
     else:
-        engine = spec.factory(cluster, config, backend)
+        engine = spec.factory(cluster, config)
     parameters = inspect.signature(engine.execute).parameters
     if not {"trace", "profiler"} <= parameters.keys() and not any(
         parameter.kind is parameter.VAR_KEYWORD for parameter in parameters.values()

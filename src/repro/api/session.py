@@ -2,8 +2,8 @@
 
 A session owns everything one line of research code used to wire by hand:
 workload preparation (dataset generation, partitioning, cluster
-construction), the per-site fan-out backend, the engine instances, and the
-plan cache living on the cluster.  The canonical entry point is :func:`open_session`, re-exported as
+construction), the engine instances, and the plan cache living on the
+cluster.  The canonical entry point is :func:`open_session`, re-exported as
 ``repro.open``::
 
     import repro
@@ -17,7 +17,7 @@ plan cache living on the cluster.  The canonical entry point is :func:`open_sess
 
 Every evaluator of the paper's comparison is reachable from the same
 session (``session.query(..., engine="dream")``); engines are created
-lazily, cached, and share the session's backend.  Closing the session (or
+lazily and cached.  Closing the session (or
 leaving the ``with`` block) closes every engine it created.
 """
 
@@ -228,8 +228,9 @@ class Session:
                 result_cache=result_cache,
             )
         self.config = _engine_config(config, config_options)
-        #: The per-site fan-out every gStoreD-family engine of the session
-        #: shares; ``make_backend`` is the one place ``executor`` is checked.
+        #: The fan-out handle for callers that run site tasks themselves
+        #: (engines run theirs directly); ``make_backend`` is the one place
+        #: ``executor`` is checked.
         self.backend: SerialBackend = make_backend(executor)
         # resolve_engine_name validates eagerly, so an unknown default engine
         # fails at open() time; construction itself stays lazy.
@@ -319,8 +320,8 @@ class Session:
         """The (cached) evaluator for ``name`` — default: the session's engine.
 
         gStoreD-family engines receive the session's :class:`EngineConfig`
-        and share the session's executor backend; fixed-strategy engines
-        (baselines, centralized) take neither.  Construction is lock-guarded:
+        and fault plan; fixed-strategy engines (baselines, centralized) take
+        neither.  Construction is lock-guarded:
         two threads asking for the same engine concurrently get the *same*
         instance, never a duplicate whose twin leaks unclosed.
         """
@@ -335,7 +336,6 @@ class Session:
                         canonical,
                         self.cluster,
                         config=self.config,
-                        backend=self.backend,
                         faults=self.faults,
                     )
                 else:
@@ -452,7 +452,6 @@ class Session:
             engine=engine_label,
             encoded_rebuilds=encoded_rebuilds() - self._rebuilds_at_open,
             encoded_patches=encoded_patches() - self._patches_at_open,
-            shards_per_site=self.config.shards_per_site,
         )
         if result.degraded:
             with self._lock:
@@ -702,8 +701,8 @@ def open_session(
     deterministic site failures into every gStoreD-family query (see
     :mod:`repro.faults` and ``docs/faults.md``); any extra keyword becomes an
     :class:`EngineConfig` option (``use_lec_pruning=False``,
-    ``shards_per_site=4``, ...).  This
-    function is re-exported as ``repro.open``.
+    ``bit_vector_bits=256``, ...).  This function is re-exported as
+    ``repro.open``.
 
     ``path`` makes the session durable (see :mod:`repro.persist` and
     ``docs/persistence.md``): an existing store file is opened and its

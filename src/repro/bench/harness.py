@@ -31,7 +31,6 @@ from ..core.engine import (
 from ..planner.optimizer import QueryPlanner
 from ..store.matcher import LocalMatcher
 from ..distributed.cluster import Cluster, build_cluster
-from ..exec import SerialBackend
 from ..partition.cost_model import partitioning_cost
 from ..partition.fragment import PartitionedGraph
 from ..partition.partitioners import make_partitioner as _make_partitioner
@@ -87,16 +86,15 @@ def run_query(
     query_name: str,
     config: Optional[EngineConfig] = None,
     engine: str = "gstored",
-    backend: Optional[SerialBackend] = None,
 ) -> Result:
     """Run one benchmark query on a prepared workload with a fresh network.
 
     ``engine`` is any :func:`repro.api.make_engine` registry name; the
-    gStoreD family takes ``config`` and ``backend``, the fixed-strategy engines require ``config``
-    to stay ``None`` and ignore ``backend``.
+    gStoreD family takes ``config``, the fixed-strategy engines require it
+    to stay ``None``.
     """
     workload.cluster.reset_network()
-    with make_engine(engine, workload.cluster, config=config, backend=backend) as built:
+    with make_engine(engine, workload.cluster, config=config) as built:
         return built.execute(
             workload.queries[query_name], query_name=query_name, dataset=workload.dataset
         )

@@ -60,17 +60,16 @@ class EngineConfig:
     use_planner: bool = True
     #: Maximum number of cached plans per planner (coordinator and sites).
     plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE
-    #: Intra-site sharding: split each site's star-shortcut local evaluation
-    #: into this many depth-0 frontier shards, fanned out as independent
-    #: site tasks (``K`` tasks per site) that the coordinator reassembles in
-    #: shard order.  Purely a scheduling knob: answers, ``search_steps`` and
-    #: shipment accounting are bit-identical for every value.
+    #: Site tasks per site of the star-shortcut local evaluation.  Always 1:
+    #: a site evaluates its fragment in one task; any other value raises.
     shards_per_site: int = 1
 
     def __post_init__(self) -> None:
         bits = self.bit_vector_bits
         if isinstance(bits, bool) or not isinstance(bits, int) or bits < 1:
             raise ValueError(f"bit_vector_bits must be a positive integer, got {bits!r}")
+        if self.shards_per_site != 1:
+            raise ValueError(f"shards_per_site must be 1, got {self.shards_per_site!r}")
 
     # ------------------------------------------------------------------
     # Named configurations
@@ -139,7 +138,6 @@ class EngineConfig:
             "bit_vector_bits": self.bit_vector_bits,
             "planner": self.use_planner,
             "plan_cache_size": self.plan_cache_size,
-            "shards_per_site": self.shards_per_site,
         }
 
 

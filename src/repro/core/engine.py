@@ -31,12 +31,13 @@ through the :class:`~repro.distributed.run.Stage` it is handed, so the stage
 methods below read like the paper's Algorithms 1-4.
 
 Execution model: each stage expresses its per-site body as a
-:class:`~repro.exec.SiteTask` descriptor (``(site_id, stage, payload)``; the
-module-level handlers live in :mod:`repro.core.site_tasks`) and fans the
-batch out through the :class:`~repro.exec.SerialBackend`.  Handlers only
-touch their own site and their explicit payload; all shared-state mutation —
-message-bus sends, statistics accumulation, stage timing — happens
-afterwards in a serial merge over the results in ``site_id`` order.
+:class:`~repro.exec.SiteTask` descriptor (``(site_id, stage, handler,
+payload)``; the module-level handlers live in :mod:`repro.core.site_tasks`)
+and runs the batch through :meth:`~repro.distributed.run.Stage.fan_out`, one
+site after another.  Handlers only touch their own site and their explicit
+payload; all shared-state mutation — message-bus sends, statistics
+accumulation, stage timing — happens afterwards in a serial merge over the
+results in ``site_id`` order.
 """
 
 from __future__ import annotations
@@ -48,14 +49,12 @@ from ..distributed.cluster import Cluster
 from ..distributed.network import COORDINATOR
 from ..distributed.result import Result
 from ..distributed.run import Run
-from ..exec import SerialBackend
 from ..faults import FaultPlan, RetryPolicy
 from ..obs import CATEGORY_PLANNING, StageProfiler, Trace
 from ..planner.plan import QueryPlan
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import Binding
 from ..sparql.query_graph import QueryGraph
-from ..store import finalize_matches
 from .assembly import assemble_matches
 from .candidate_exchange import GlobalCandidateFilter, union_site_vectors
 from .config import EngineConfig
@@ -88,7 +87,6 @@ class GStoreDEngine:
         cluster: Cluster,
         config: Optional[EngineConfig] = None,
         name: Optional[str] = None,
-        backend: Optional[SerialBackend] = None,
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
@@ -96,7 +94,7 @@ class GStoreDEngine:
         self.config = config or EngineConfig.full()
         self.name = name or self.config.label
         #: Optional fault-injection schedule (see :mod:`repro.faults`): when
-        #: set, every site task carries the plan, transient failures retry
+        #: set, every site task runs under the plan, transient failures retry
         #: with ``retry`` (default: the plan's own policy), dead sites are
         #: rebuilt from their fragments, and unrecoverable losses
         #: degrade the result instead of aborting the query.  ``None`` — the
@@ -104,8 +102,6 @@ class GStoreDEngine:
         #: fault layer existed.
         self.faults = faults
         self.retry = retry if retry is not None else (faults.retry if faults else None)
-        #: The per-site fan-out (see :mod:`repro.exec`); sessions share theirs.
-        self.backend = backend if backend is not None else SerialBackend()
         #: How a dead site is rebuilt (mirrors the sites' planner setup below).
         self._site_options = {
             "use_planner": self.config.use_planner,
@@ -148,8 +144,8 @@ class GStoreDEngine:
         """Run ``query`` through the full distributed pipeline.
 
         ``trace``/``profiler`` are optional observability hooks (see
-        :mod:`repro.obs`): when set, every stage opens a span (with per-site
-        task spans reassembled from the backend fan-out) and/or a per-stage
+        :mod:`repro.obs`): when set, every stage opens a span (with a span
+        per site task) and/or a per-stage
         ``cProfile`` capture.  Both default to off and change nothing about
         evaluation — answers, ``search_steps`` and shipment accounting are
         bit-identical with or without them.
@@ -163,7 +159,6 @@ class GStoreDEngine:
             query_graph=QueryGraph(query.bgp),
             trace=trace,
             profiler=profiler,
-            backend=self.backend,
             site_options=self._site_options,
             plan=self.faults,
             retry=self.retry,
@@ -229,43 +224,18 @@ class GStoreDEngine:
     # Star shortcut
     # ------------------------------------------------------------------
     def _evaluate_star(self, run: Run) -> List[Binding]:
-        """Evaluate a star query purely locally at every site.
-
-        With ``config.shards_per_site > 1`` each site's search is fanned out
-        as that many depth-0 frontier shards (independent site tasks over the
-        same store).  The merge below reassembles each site: shard bindings
-        are concatenated in shard order and finalized once, reproducing the
-        unsharded site result bit for bit, and only then does *one* message
-        per site hit the bus — so answers, ``search_steps`` and shipment
-        accounting are identical for every shard count.
-        """
-        query, work = run.query, run.stats.work
-        shards = max(1, self.config.shards_per_site)
-        tasks = local_eval_tasks(run.live_site_ids(), query, shards)
+        """Evaluate a star query purely locally at every site."""
+        work = run.stats.work
+        tasks = local_eval_tasks(run.live_site_ids(), run.query)
         all_bindings: List[Binding] = []
         with run.stage(STAGE_PARTIAL_EVAL, star_shortcut=True) as stage:
-            # Group the results by site first: tasks come back in submission
-            # order (site ascending, then shard ascending), and a site whose
-            # shard died unrecoverably mid-stage must not ship the shards
-            # that did succeed.
-            outcomes_by_site: Dict[int, List[object]] = {}
             for result in stage.fan_out(tasks):
-                outcomes_by_site.setdefault(result.site_id, []).append(result.value)
-            for site_id, outcomes in outcomes_by_site.items():
-                if site_id in run.lost_sites:
-                    continue
-                if shards == 1:
-                    matches = outcomes[0].matches
-                else:
-                    raw = [binding for outcome in outcomes for binding in outcome.matches]
-                    matches = list(finalize_matches(query, raw))
-                stage.ship(site_id, COORDINATOR, "local_matches", matches)
-                all_bindings.extend(matches)
-                work["search_steps"] = work.get("search_steps", 0) + sum(
-                    outcome.search_steps for outcome in outcomes
-                )
-                work["kernel_intersections"] = work.get("kernel_intersections", 0) + sum(
-                    outcome.kernel_intersections for outcome in outcomes
+                outcome = result.value
+                stage.ship(result.site_id, COORDINATOR, "local_matches", outcome.matches)
+                all_bindings.extend(outcome.matches)
+                work["search_steps"] = work.get("search_steps", 0) + outcome.search_steps
+                work["kernel_intersections"] = (
+                    work.get("kernel_intersections", 0) + outcome.kernel_intersections
                 )
             stage.count(local_matches=len(all_bindings), local_partial_matches=0)
         # Keep the optimization stages present (at zero cost) so the table

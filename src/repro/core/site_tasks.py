@@ -1,13 +1,12 @@
 """The gStoreD engine's per-site stage bodies as site tasks.
 
 Every per-site stage body of :class:`~repro.core.engine.GStoreDEngine` is a
-*module-level* handler registered with :mod:`repro.exec.tasks`, taking
-exactly ``(site, payload)`` and returning a plain value.  No handler touches
-the cluster, the message bus, the stage timers or the statistics — those
-live in the coordinator, which builds
-the :class:`~repro.exec.tasks.SiteTask` descriptors (via the ``*_tasks``
-helpers below) and folds the returned values into shared state in its
-deterministic ``site_id``-ordered merge.
+*module-level* handler taking exactly ``(site, payload)`` and returning a
+plain value.  No handler touches the cluster, the message bus, the stage
+timers or the statistics — those live in the coordinator, which builds the
+:class:`~repro.exec.tasks.SiteTask` descriptors (via the ``*_tasks`` helpers
+below, each putting its handler on the task) and folds the returned values
+into shared state in its deterministic ``site_id``-ordered merge.
 
 Payload and result types are deliberately explicit: what a stage needs goes
 *in* through the payload (query, query graph, planner edge order, candidate
@@ -29,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..exec.tasks import SiteTask, register_site_task
+from ..exec.tasks import SiteTask
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import Binding
 from ..sparql.query_graph import QueryGraph
@@ -84,16 +83,9 @@ class LocalEvalOutput:
     bus with the list itself, exactly as before this wrapper existed);
     ``search_steps`` is a work counter folded into
     :attr:`~repro.distributed.QueryStatistics.work` in the serial merge.
-
-    With intra-site sharding (``shard`` set) this is *one shard's* slice:
-    ``matches`` then holds the shard's raw bindings (projected, not yet
-    DISTINCT or LIMITed) — the coordinator concatenates a site's shards in
-    shard order and finalizes once, reproducing the unsharded site result
-    bit for bit before anything touches the bus.
     """
 
-    #: The site's fragment-local matches (the shipped payload), or one
-    #: shard's raw bindings when ``shard`` is set.
+    #: The site's fragment-local matches (the shipped payload).
     matches: List[Binding]
     #: Matcher search steps the local evaluation cost (never shipped).
     search_steps: int = 0
@@ -101,8 +93,6 @@ class LocalEvalOutput:
     kernel: str = KERNEL_PYTHON
     #: Candidate-column intersections the kernel performed (observability).
     kernel_intersections: int = 0
-    #: ``(shard_index, num_shards)`` when this output is one shard's slice.
-    shard: Optional[Tuple[int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -125,36 +115,23 @@ class PartialEvalOutput:
 
 
 # ----------------------------------------------------------------------
-# Stage handlers (module-level, registered by name)
+# Stage handlers (module-level, so a task pickles by reference)
 # ----------------------------------------------------------------------
-@register_site_task(TASK_LOCAL_EVAL)
 def run_local_eval(site, payload: Mapping[str, object]) -> LocalEvalOutput:
     """Evaluate the query entirely inside the site's fragment.
 
     The star-query shortcut: every match of a star query is contained in a
     single fragment because crossing edges are replicated.
-
-    A ``"shard"`` payload entry (absent for unsharded runs) turns this into one
-    slice of the site's search: the matcher partitions the depth-0 candidate
-    frontier and this shard returns its raw bindings for the coordinator to
-    reassemble (see :class:`LocalEvalOutput`).
     """
-    query: SelectQuery = payload["query"]
-    shard: Optional[Tuple[int, int]] = payload.get("shard")
+    matches = list(site.local_evaluate(payload["query"]))
     matcher = site.store.matcher
-    if shard is None:
-        matches = list(site.local_evaluate(query))
-    else:
-        matches = site.local_evaluate_shard(query, shard[0], shard[1])
     return LocalEvalOutput(
         matches=matches,
         search_steps=matcher.search_steps,
         kernel_intersections=matcher.kernel_intersections,
-        shard=shard,
     )
 
 
-@register_site_task(TASK_CANDIDATE_VECTORS)
 def run_candidate_vectors(site, payload: Mapping[str, object]) -> CandidateVectorsOutput:
     """Compute the site's internal candidates and compress them to bit vectors."""
     query_graph: QueryGraph = payload["query_graph"]
@@ -164,7 +141,6 @@ def run_candidate_vectors(site, payload: Mapping[str, object]) -> CandidateVecto
     return CandidateVectorsOutput(internal_candidates=total, vectors=vectors)
 
 
-@register_site_task(TASK_PARTIAL_EVAL)
 def run_partial_eval(site, payload: Mapping[str, object]) -> PartialEvalOutput:
     """Enumerate the site's complete local matches and local partial matches."""
     query: SelectQuery = payload["query"]
@@ -189,7 +165,6 @@ def run_partial_eval(site, payload: Mapping[str, object]) -> PartialEvalOutput:
     )
 
 
-@register_site_task(TASK_LEC_FEATURES)
 def run_lec_features(site, payload: Mapping[str, object]) -> LECClasses:
     """Group the site's local partial matches into LEC equivalence classes.
 
@@ -201,7 +176,6 @@ def run_lec_features(site, payload: Mapping[str, object]) -> LECClasses:
     return compute_lec_features(payload["lpms"])
 
 
-@register_site_task(TASK_LEC_FILTER)
 def run_lec_filter(site, payload: Mapping[str, object]) -> LPMList:
     """Keep the LPMs of the classes the coordinator kept, in class order.
 
@@ -226,22 +200,14 @@ def local_eval_tasks(
 ) -> List[SiteTask]:
     """Star-shortcut fan-out: evaluate ``query`` locally at every site.
 
-    With ``shards_per_site > 1`` each site's search is split into that many
-    depth-0 frontier shards — ``K`` tasks per site under the same
-    ``TASK_LOCAL_EVAL`` name, emitted in ``(site_id, shard_index)`` order so
-    the coordinator's submission-order merge can reassemble each site's
-    shards contiguously and in order.  Unsharded payloads carry no
-    ``"shard"`` key at all, keeping them byte-identical to the pre-sharding
-    engine.
+    ``shards_per_site`` must be 1, the only value
+    :attr:`~repro.core.config.EngineConfig.shards_per_site` takes.
     """
-    if shards_per_site <= 1:
-        return [
-            SiteTask(site_id, TASK_LOCAL_EVAL, {"query": query}) for site_id in site_ids
-        ]
+    if shards_per_site != 1:
+        raise ValueError(f"shards_per_site must be 1, got {shards_per_site!r}")
     return [
-        SiteTask(site_id, TASK_LOCAL_EVAL, {"query": query, "shard": (shard, shards_per_site)})
+        SiteTask(site_id, TASK_LOCAL_EVAL, run_local_eval, {"query": query})
         for site_id in site_ids
-        for shard in range(shards_per_site)
     ]
 
 
@@ -250,7 +216,10 @@ def candidate_vector_tasks(
 ) -> List[SiteTask]:
     """Algorithm 4 fan-out: per-site candidate bit-vector compression."""
     payload = {"query_graph": query_graph, "bit_vector_bits": bit_vector_bits}
-    return [SiteTask(site_id, TASK_CANDIDATE_VECTORS, payload) for site_id in site_ids]
+    return [
+        SiteTask(site_id, TASK_CANDIDATE_VECTORS, run_candidate_vectors, payload)
+        for site_id in site_ids
+    ]
 
 
 def partial_eval_tasks(
@@ -269,7 +238,9 @@ def partial_eval_tasks(
         "candidate_filter": candidate_filter,
         "paranoid": paranoid,
     }
-    return [SiteTask(site_id, TASK_PARTIAL_EVAL, payload) for site_id in site_ids]
+    return [
+        SiteTask(site_id, TASK_PARTIAL_EVAL, run_partial_eval, payload) for site_id in site_ids
+    ]
 
 
 def lec_feature_tasks(
@@ -277,7 +248,7 @@ def lec_feature_tasks(
 ) -> List[SiteTask]:
     """LEC compression fan-out, one task per site in ``site_id`` order."""
     return [
-        SiteTask(site_id, TASK_LEC_FEATURES, {"lpms": lpms_by_site[site_id]})
+        SiteTask(site_id, TASK_LEC_FEATURES, run_lec_features, {"lpms": lpms_by_site[site_id]})
         for site_id in sorted(lpms_by_site)
     ]
 
@@ -291,6 +262,7 @@ def lec_filter_tasks(
         SiteTask(
             site_id,
             TASK_LEC_FILTER,
+            run_lec_filter,
             {"classes": classes_by_site[site_id], "surviving": surviving_by_site[site_id]},
         )
         for site_id in sorted(classes_by_site)

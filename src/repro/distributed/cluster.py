@@ -14,7 +14,6 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..exec import SerialBackend, SiteTask
 from ..partition.delta import apply_delta_effect
 from ..partition.fragment import PartitionedGraph
 from ..planner.optimizer import QueryPlanner
@@ -130,19 +129,10 @@ class Cluster:
 
     def graph_statistics(self) -> GraphStatistics:
         """Cluster-wide planner statistics, aggregated from the per-site
-        summaries (the coordinator's global view of the data distribution).
-
-        The per-site summaries are collected as
-        :class:`~repro.exec.SiteTask` descriptors and merge in ``site_id``
-        order."""
-        from .site import GRAPH_STATISTICS_TASK
-
-        tasks = [
-            SiteTask(site_id, GRAPH_STATISTICS_TASK)
-            for site_id in sorted(site.site_id for site in self._sites)
-        ]
-        results = SerialBackend().map_site_tasks(tasks, self)
-        return aggregate_graph_statistics(result.value for result in results)
+        summaries (the coordinator's global view of the data distribution),
+        merged in ``site_id`` order."""
+        sites = sorted(self._sites, key=lambda site: site.site_id)
+        return aggregate_graph_statistics(site.graph_statistics() for site in sites)
 
     def coordinator_planner(
         self,

@@ -170,8 +170,8 @@ class ShipmentLedger:
 
     A ledger is thread-confined by construction: the bus routes a send to the
     ledger only from the thread that opened it, and engines issue every send
-    from the serial merge on the thread driving ``execute()`` (the
-    determinism contract of :mod:`repro.exec.backend`).  No lock is needed.
+    from the serial merge on the thread driving ``execute()`` (see
+    ``docs/execution.md``).  No lock is needed.
     """
 
     __slots__ = ("messages",)
@@ -199,11 +199,11 @@ class ShipmentLedger:
 class MessageBus:
     """Records every message sent between sites / the coordinator.
 
-    The bus is shared by every site, so with a threaded execution backend
-    concurrent sends are possible; an internal lock keeps the message log and
-    its derived counters consistent.  (The engines additionally issue their
-    sends from the deterministic site-order merge, so the *order* of the log
-    does not depend on the backend either.)
+    The bus is shared by every query on the cluster, so concurrent queries
+    (each on its own thread) may send at once; an internal lock keeps the
+    message log and its derived counters consistent.  (The engines issue
+    their sends from the deterministic site-order merge, so the *order* of
+    one query's messages is fixed.)
     """
 
     messages: List[Message] = field(default_factory=list)
@@ -341,9 +341,9 @@ class MessageBus:
 class StageTimer:
     """Context-manager helper to time site / coordinator work within a stage.
 
-    With a threaded backend several sites measure concurrently; each
-    accumulation into the shared table happens under a lock so no sample is
-    lost, and the per-``(stage, site_id)`` keys never collide between sites.
+    Each accumulation into the table happens under a lock, so a timer
+    recorded into from several threads loses no sample; the per-``(stage,
+    site_id)`` keys never collide between sites.
     """
 
     def __init__(self) -> None:
@@ -361,9 +361,8 @@ class StageTimer:
     def record(self, stage: str, site_id: int, elapsed_s: float) -> None:
         """Accumulate an externally measured duration for ``(stage, site_id)``.
 
-        Used by the execution runtime: site tasks measure their own handler
-        wall-clock (possibly in another process, where this timer does not
-        exist) and the engine's serial merge records the samples here.
+        Used by the fan-out: the site-task runner measures each handler's
+        wall-clock and the engine's serial merge records the samples here.
         """
         key = (stage, site_id)
         with self._lock:

@@ -31,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable, ContextManager, Iterator, List, Mapping, Optional, Sequence, Set
 
-from ..exec import SerialBackend, SiteTask, SiteTaskResult, run_site_task
+from ..exec import SiteTask, SiteTaskResult, run_site_task, run_site_tasks
 from ..faults import FaultPlan, RetryPolicy, ShipmentFaultInjector, SiteDownError
 from ..obs import CATEGORY_COORDINATOR, Span, StageProfiler, Trace, stage_scope
 from ..sparql.algebra import SelectQuery
@@ -47,10 +47,10 @@ from .stats import QueryStatistics, StageStats
 class Run:
     """Everything one ``execute()`` call owns (never shared across queries).
 
-    The fan-out fields (``backend``, ``site_options``) and the fault fields
-    are only set by the gStoreD engine; the comparison systems run their
-    site work inline and take no fault plan.  ``plan is None`` for
-    fault-free runs, in which case every fault counter stays zero.
+    ``site_options`` and the fault fields are only set by the gStoreD
+    engine; the comparison systems run their site work inline and take no
+    fault plan.  ``plan is None`` for fault-free runs, in which case every
+    fault counter stays zero.
     """
 
     cluster: Cluster
@@ -59,11 +59,10 @@ class Run:
     query_graph: Optional[QueryGraph] = None
     trace: Optional[Trace] = None
     profiler: Optional[StageProfiler] = None
-    backend: Optional[SerialBackend] = None
     #: Planner settings a dead site is rebuilt with (``Cluster.rebuild_site``).
     site_options: Mapping[str, object] = field(default_factory=dict)
     plan: Optional[FaultPlan] = None
-    #: Transient-failure budget stamped on every task (the plan's own by default).
+    #: Transient-failure budget of every task (the plan's own by default).
     retry: Optional[RetryPolicy] = None
     timer: StageTimer = field(default_factory=StageTimer)
     lost_sites: Set[int] = field(default_factory=set)
@@ -241,34 +240,28 @@ class Stage:
 
     # -- site fan-out --------------------------------------------------------
     def fan_out(self, tasks: Sequence[SiteTask]) -> List[SiteTaskResult]:
-        """Fan the task batch out and record each site's measured time.
+        """Run the task batch and record each site's measured time.
 
         Results come back in submission order (the builders emit tasks in
         ascending ``site_id`` order), so the callers' merges stay
         deterministic; the handler-measured wall-clock of each task is folded
         into the run's timer here, in the serial merge, never by the tasks
-        themselves.  When tracing, the stage span's context is stamped onto
-        every task before the fan-out, and the measured task spans
-        are folded back into the trace — also here, serially.
+        themselves.  When tracing, each task's ``site:{id}`` span is added
+        under the stage span from the runner's start and elapsed time — also
+        here, serially.
 
-        With an active fault plan the plan and retry policy are stamped onto
-        every task, and failed results are resolved here — still in the
-        serial, ``site_id``-ordered merge, which is what keeps recovery
-        deterministic: a dead-but-recoverable site is rebuilt from its
-        fragment and its task re-executed,
-        an unrecoverable site is marked lost and its result dropped.  Only
-        results that survive (including recovered ones) reach the stage
-        timers — and a retried task contributes the successful attempt's
-        time alone.
+        The run's fault plan and retry policy go to the runner, and failed
+        results are resolved here — still in the serial, ``site_id``-ordered
+        merge, which is what keeps recovery deterministic: a
+        dead-but-recoverable site is rebuilt from its fragment and its task
+        re-executed, an unrecoverable site is marked lost and its result
+        dropped.  Only results that survive (including recovered ones) reach
+        the stage timers — and a retried task contributes the successful
+        attempt's time alone.
         """
         run = self.run
         trace = run.trace
-        if trace is not None:
-            context = trace.current_context()
-            tasks = [replace(task, trace=context) for task in tasks]
-        if run.plan is not None:
-            tasks = [replace(task, faults=run.plan, retry=run.retry) for task in tasks]
-        results = run.backend.map_site_tasks(tasks, run.cluster)
+        results = run_site_tasks(tasks, run.cluster, run.plan, run.retry)
         merged: List[SiteTaskResult] = []
         for task, result in zip(tasks, results):
             if result.failure is not None:
@@ -278,8 +271,14 @@ class Stage:
             if result.attempts > 1:
                 run.task_retries += result.attempts - 1
             run.timer.record(self.name, result.site_id, result.elapsed_s)
-            if trace is not None and result.span is not None:
-                span = trace.add_task_span(result.span)
+            if trace is not None:
+                span = trace.add_site_span(
+                    self.span,
+                    result.site_id,
+                    result.stage,
+                    result.started_s - trace.origin,
+                    result.elapsed_s,
+                )
                 # Stage outputs of the matching kernel (local/partial
                 # evaluation) annotate their task span with its name and
                 # intersection count per site task.
@@ -306,7 +305,7 @@ class Stage:
             run.lost_sites.add(failed.site_id)
             return None
         site = run.cluster.rebuild_site(failed.site_id, **run.site_options)
-        rerun = run_site_task(replace(task, attempt=1, recovery=True), site)
+        rerun = run_site_task(replace(task, attempt=1, recovery=True), site, run.plan, run.retry)
         if rerun.failure is not None:
             run.lost_sites.add(failed.site_id)
             return None

@@ -9,9 +9,9 @@ information must arrive through the message bus.
 
 from __future__ import annotations
 
+import threading
 from typing import Dict, Optional, Set
 
-from ..exec.tasks import register_site_task
 from ..partition.fragment import Fragment
 from ..planner.optimizer import QueryPlanner
 from ..planner.statistics import GraphStatistics
@@ -31,6 +31,11 @@ class Site:
         self.site_id = site_id
         self.fragment = fragment
         self.store = TripleStore(fragment.to_graph(), name=fragment.name)
+        #: Serializes site-task handler runs (:func:`repro.exec.run_site_task`):
+        #: handlers read work counters off the store after evaluating, so two
+        #: concurrent queries on this site would interleave them.  A rebuilt
+        #: site is a new object with a fresh lock.
+        self.lock = threading.RLock()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -85,17 +90,6 @@ class Site:
         """
         return self.store.evaluate(query)
 
-    def local_evaluate_shard(self, query: SelectQuery, shard_index: int, num_shards: int):
-        """One shard's slice of this fragment's local evaluation.
-
-        Returns the shard's *raw* (projected, not yet DISTINCT or LIMITed)
-        bindings: DISTINCT and LIMIT only commute with concatenation when
-        applied over the complete stream, so the coordinator concatenates the
-        shards in shard order and finalizes once
-        (:func:`repro.store.finalize_matches`).
-        """
-        return self.store.shard_matches(query, shard_index, num_shards)
-
     def internal_candidates(self, query: QueryGraph) -> CandidateIds:
         """Internal candidates ``C(Q, v)`` of every query vertex (Section VI).
 
@@ -111,15 +105,3 @@ class Site:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Site {self.name} fragment={self.fragment.name} triples={len(self.store)}>"
-
-
-#: Task name under which a site's planner-statistics summary is collected
-#: (used by :meth:`repro.distributed.Cluster.graph_statistics`).
-GRAPH_STATISTICS_TASK = "graph_statistics"
-
-
-@register_site_task(GRAPH_STATISTICS_TASK)
-def _graph_statistics_task(site: Site, payload) -> GraphStatistics:
-    """Site task: summarize this site's fragment for the coordinator planner."""
-    del payload  # the summary needs no inputs beyond the site itself
-    return site.graph_statistics()

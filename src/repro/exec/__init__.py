@@ -1,20 +1,14 @@
 """Execution runtime: the engine's per-site fan-out.
 
-:class:`SerialBackend` runs :class:`SiteTask` descriptors one site after
-another in the coordinator's process; results merge in ``site_id`` order and
-all shared-state mutation stays in the coordinator's serial merge.  See
+A :class:`SiteTask` carries its site, its module-level handler and its
+payload; :func:`run_site_task` calls the handler in the coordinator's
+process, one site after another; results merge in ``site_id`` order and all
+shared-state mutation stays in the coordinator's serial merge.  See
 ``docs/execution.md`` for the contract.
 """
 
 from .backend import SERIAL, OptionError, SerialBackend, make_backend
-from .tasks import (
-    SiteTask,
-    SiteTaskResult,
-    execute_site_task,
-    register_site_task,
-    registered_site_tasks,
-    run_site_task,
-)
+from .tasks import SiteTask, SiteTaskResult, run_site_task, run_site_tasks
 
 __all__ = [
     "SERIAL",
@@ -22,9 +16,7 @@ __all__ = [
     "SerialBackend",
     "SiteTask",
     "SiteTaskResult",
-    "execute_site_task",
     "make_backend",
-    "register_site_task",
-    "registered_site_tasks",
     "run_site_task",
+    "run_site_tasks",
 ]

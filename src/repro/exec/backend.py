@@ -1,29 +1,17 @@
-"""The per-site fan-out: one in-process backend scheduling the engine's site work.
+"""The session's per-site fan-out handle: a thin surface over :func:`run_site_tasks`.
 
-The paper's pipeline is embarrassingly parallel between stages' barriers:
-candidate compression, partial evaluation and LEC feature extraction all run
-*independently at each site* before the coordinator acts.  This repository
-simulates every site in one interpreter, so the fan-out runs the per-site
-bodies one after another in the coordinator's process.  (Thread and process
-pools were measured slower than this loop on every benchmark workload and
-were removed.)
-
-Determinism contract
---------------------
-
-:meth:`SerialBackend.map` returns results in *submission order* and
-:meth:`SerialBackend.map_site_tasks` pairs tasks with results the same way;
-the engines build their task batches in ascending ``site_id`` order and keep
-all shared-state mutation (message-bus accounting, statistics accumulation)
-in the serial merge that consumes these ordered results.  See
-``docs/execution.md``.
+The engines run their site tasks through :func:`~repro.exec.tasks.run_site_tasks`
+directly; :class:`SerialBackend` is what :func:`make_backend` resolves the
+``executor`` option to and what ``Session.backend`` exposes for callers that
+fan site tasks (or plain per-site bodies) out themselves.  Both methods
+return results in *submission order*.  See ``docs/execution.md``.
 """
 
 from __future__ import annotations
 
 from typing import Callable, List, Optional, Sequence, TypeVar
 
-from .tasks import SiteTask, SiteTaskResult, run_site_task
+from .tasks import SiteTask, SiteTaskResult, run_site_tasks
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -45,15 +33,9 @@ class SerialBackend:
         return [fn(item) for item in items]
 
     def map_site_tasks(self, tasks: Sequence[SiteTask], cluster) -> List[SiteTaskResult]:
-        """Run a batch of :class:`~repro.exec.tasks.SiteTask` descriptors.
-
-        Each task's site is resolved from the live ``cluster`` and the task
-        runs through :func:`~repro.exec.tasks.run_site_task`, so every
-        fan-out shares the fault layer's retry/failure semantics; fault-free
-        tasks run the handler exactly once.
-        """
-        site_of = {site.site_id: site for site in cluster}
-        return [run_site_task(task, site_of[task.site_id]) for task in tasks]
+        """Run a batch of :class:`~repro.exec.tasks.SiteTask` descriptors
+        against the live ``cluster``'s sites (:func:`~repro.exec.tasks.run_site_tasks`)."""
+        return run_site_tasks(tasks, cluster)
 
     def close(self) -> None:
         """Nothing to release; kept so owners can close what they hold."""

@@ -5,12 +5,12 @@ stage; this module names the two ways the chaos layer breaks that
 assumption, because the recovery machinery treats them differently:
 
 * :class:`TransientTaskError` — a blip (lost packet, brief overload).  The
-  executing backend retries the task in place with capped backoff
+  site-task runner retries the task in place with capped backoff
   (:class:`~repro.faults.RetryPolicy`); the coordinator never notices unless
   the retries run out.
 * :class:`SiteDownError` — the site died.  Retrying in place is pointless,
   so the task fails fast and the *coordinator* recovers: it rebuilds the
-  site from its fragment payload and re-executes the stage body, or — when
+  site from its fragment and re-executes the stage body, or — when
   the fault plan marks the site unrecoverable — degrades to partial results
   that name the lost site.
 

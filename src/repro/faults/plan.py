@@ -5,18 +5,18 @@ pipeline stage, and a fault kind:
 
 ``kill``
     The site dies when it is asked to work on that stage.  Recoverable by
-    default — the coordinator rebuilds the site from its fragment payload
-    and re-executes the stage — or permanent with the ``unrecoverable``
+    default — the coordinator rebuilds the site from its fragment and
+    re-executes the stage — or permanent with the ``unrecoverable``
     flag, in which case the query degrades to partial results.
 ``flaky``
     The first N attempts of the site's task raise
-    :class:`~repro.faults.TransientTaskError`; the backend retries in place
+    :class:`~repro.faults.TransientTaskError`; the site-task runner retries in place
     with capped backoff and the coordinator never notices.
 ``slow``
     The first attempt of the site's task sleeps for a fixed delay before
     running — injectable straggler latency.
 
-Plans are immutable (they ride on :class:`~repro.exec.tasks.SiteTask`) and
+Plans are immutable (the engine hands one to the site-task runner) and
 pure: whether an entry fires is a function of ``(entry, task.stage,
 task.site_id, task.attempt, task.recovery)`` only, which is what makes the
 same plan deterministic run after run.
@@ -244,7 +244,7 @@ class FaultPlan:
                 yield entry
 
     def before_task(self, task: Any) -> None:
-        """Fault hook run by ``execute_site_task`` before the handler.
+        """Fault hook run by ``repro.exec.run_site_task`` before the handler.
 
         ``task`` is a :class:`~repro.exec.tasks.SiteTask` (typed loosely to
         keep this package import-cycle free).  Raises

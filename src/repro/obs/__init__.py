@@ -1,13 +1,12 @@
 """``repro.obs`` — tracing, metrics and profiling for query execution.
 
 This package is the repo's observability layer, answering "where did this
-query's time go, on which site, under which backend" without re-running it:
+query's time go, on which site" without re-running it:
 
 * :mod:`repro.obs.trace` — per-query structured traces (parse/plan/stage/
   per-site-task spans) with Chrome trace-event export (Perfetto-loadable)
-  and a plain summary tree.  Span context travels on
-  :class:`~repro.exec.SiteTask` descriptors, so per-site spans nest under
-  their stage.
+  and a plain summary tree.  Per-site spans are measured in-process and
+  nest under their stage.
 * :mod:`repro.obs.metrics` — a process-local :class:`MetricsRegistry` of
   counters/gauges/histograms with ``snapshot()`` and Prometheus text
   exposition; the session layer feeds it from each query's statistics.
@@ -39,8 +38,6 @@ from .trace import (
     CATEGORY_STAGE,
     CATEGORY_TASK,
     Span,
-    SpanContext,
-    TaskSpan,
     Trace,
     Tracer,
     record_statistics_spans,
@@ -59,9 +56,7 @@ __all__ = [
     "MetricsRegistry",
     "PROFILE_ENV",
     "Span",
-    "SpanContext",
     "StageProfiler",
-    "TaskSpan",
     "Trace",
     "Tracer",
     "record_query",

@@ -273,7 +273,6 @@ def record_query(
     engine: str = "",
     encoded_rebuilds: Optional[int] = None,
     encoded_patches: Optional[int] = None,
-    shards_per_site: int = 1,
 ) -> None:
     """Translate one finished query's statistics into metric updates.
 
@@ -317,18 +316,12 @@ def record_query(
         "repro_search_steps_total",
         "Matcher search steps across all sites (paper's work metric).",
     ).inc(work.get("search_steps", 0))
-    # Kernel families (always present, even at zero, so scrapes and the CI
-    # smoke jobs can assert on them unconditionally): how many
-    # candidate-column intersections the matching kernel performed, and how
-    # many intra-site shards each site's evaluation fanned out to.
+    # Always present, even at zero, so scrapes and the CI smoke jobs can
+    # assert on it unconditionally.
     registry.counter(
         "repro_kernel_intersections_total",
         "Candidate-column intersections performed by the matching kernel.",
     ).inc(work.get("kernel_intersections", 0))
-    registry.gauge(
-        "repro_kernel_shards_active",
-        "Configured intra-site shards per site for local evaluation.",
-    ).set(max(1, shards_per_site))
     # Fault-recovery families (always present, zero on clean runs) so the
     # chaos-smoke CI job and dashboards can assert on them unconditionally.
     registry.counter(

@@ -12,13 +12,10 @@ search steps).  Traces export two ways:
   as separate tracks so the fan-out of every stage is visible at a glance;
 * :meth:`Trace.summary` — a plain indented text tree for terminals and logs.
 
-Span context travels with the site tasks as data, not as object references:
-the engine stamps its open stage span's :class:`SpanContext` onto each
-:class:`~repro.exec.SiteTask`, the task run measures a plain
-:class:`TaskSpan`, and the engine's deterministic serial merge reassembles
-the task spans under their parent stage span via :meth:`Trace.add_task_span`.
-Task spans share the coordinator's ``perf_counter`` clock and keep their
-real offsets.
+Site spans are measured in-process: the site-task runner times each handler
+on the coordinator's ``perf_counter`` clock, and the engine's deterministic
+serial merge adds each ``site:{id}`` span under its stage span from those
+numbers via :meth:`Trace.add_site_span`.
 
 Tracing is strictly opt-in and zero-cost when off: with no trace object in
 play the engines allocate nothing and take no extra branches beyond a
@@ -32,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import threading
 import time
 from contextlib import contextmanager
@@ -52,42 +48,6 @@ CATEGORY_TASK = "task"
 CATEGORY_COORDINATOR = "coordinator"
 
 _TRACE_IDS = itertools.count(1)
-
-
-@dataclass(frozen=True)
-class SpanContext:
-    """A picklable reference to one open span of one trace.
-
-    This is the only tracing state a site task carries: the engine stamps
-    it onto :class:`~repro.exec.SiteTask` descriptors so the task's
-    measured :class:`TaskSpan` can find its parent
-    stage span back in the coordinator's merge.
-    """
-
-    trace_id: str
-    span_id: int
-
-
-@dataclass(frozen=True)
-class TaskSpan:
-    """The raw timing of one executed site task, measured where it ran.
-
-    ``start_s``/``end_s`` are ``time.perf_counter()`` readings taken in the
-    executing process (``pid``); they are only comparable to the trace's own
-    clock when ``pid`` matches the coordinator's.
-    """
-
-    site_id: int
-    stage: str
-    start_s: float
-    end_s: float
-    pid: int
-    context: SpanContext
-
-    @property
-    def elapsed_s(self) -> float:
-        """Wall-clock seconds the task's handler ran for."""
-        return self.end_s - self.start_s
 
 
 @dataclass
@@ -120,7 +80,7 @@ class Trace:
 
     Create through :meth:`Tracer.start_trace`.  Spans nest through the
     :meth:`span` context manager (a stack tracks the open parent); per-site
-    task spans reassemble through :meth:`add_task_span`.  Access is
+    task spans are added through :meth:`add_site_span`.  Access is
     lock-guarded so concurrent writers can never corrupt the tree, although
     by design all span mutation happens in the coordinator's serial merge.
     """
@@ -130,8 +90,8 @@ class Trace:
         self.name = name
         #: Wall-clock epoch seconds when the trace began (trace metadata).
         self.started_at = time.time()
-        self._origin = time.perf_counter()
-        self._pid = os.getpid()
+        #: The ``time.perf_counter()`` reading span offsets count from.
+        self.origin = time.perf_counter()
         self._ids = itertools.count(1)
         self._lock = threading.Lock()
         self._stack: List[int] = []
@@ -144,7 +104,7 @@ class Trace:
     # Span lifecycle
     # ------------------------------------------------------------------
     def _now(self) -> float:
-        return time.perf_counter() - self._origin
+        return time.perf_counter() - self.origin
 
     def _open(self, name: str, category: str, attrs: Dict[str, Any]) -> Span:
         with self._lock:
@@ -185,35 +145,24 @@ class Trace:
         span.duration_s = 0.0
         return span
 
-    def current_context(self) -> SpanContext:
-        """The :class:`SpanContext` of the innermost open span."""
-        with self._lock:
-            span_id = self._stack[-1] if self._stack else self.root.span_id
-        return SpanContext(trace_id=self.trace_id, span_id=span_id)
+    def add_site_span(
+        self, parent: Span, site_id: int, stage: str, start_s: float, duration_s: float
+    ) -> Span:
+        """Add one site task's ``site:{site_id}`` span under ``parent``.
 
-    def add_task_span(self, task_span: TaskSpan) -> Span:
-        """Reassemble a measured :class:`TaskSpan` into the tree.
-
-        Same-process spans keep their measured offsets (``perf_counter`` is
-        one clock per process); a span measured in another process (or
-        before this trace began) is re-anchored at its parent stage span's
-        start, preserving its measured duration.
+        ``start_s`` is relative to :attr:`origin`, like every span's; the
+        span renders on the site's own track.
         """
-        parent = self._by_id.get(task_span.context.span_id, self.root)
-        if task_span.pid == self._pid and task_span.start_s >= self._origin:
-            start = task_span.start_s - self._origin
-        else:
-            start = parent.start_s
         with self._lock:
             span = Span(
                 span_id=next(self._ids),
                 parent_id=parent.span_id,
-                name=f"site:{task_span.site_id}",
+                name=f"site:{site_id}",
                 category=CATEGORY_TASK,
-                start_s=start,
-                duration_s=task_span.elapsed_s,
-                track=SITE_TRACK_OFFSET + task_span.site_id,
-                attrs={"site_id": task_span.site_id, "stage": task_span.stage},
+                start_s=start_s,
+                duration_s=duration_s,
+                track=SITE_TRACK_OFFSET + site_id,
+                attrs={"site_id": site_id, "stage": stage},
             )
             self.spans.append(span)
             self._by_id[span.span_id] = span
@@ -392,16 +341,7 @@ def record_statistics_spans(trace: Trace, statistics) -> None:
         span.start_s = cursor
         span.duration_s = duration
         for site_id, seconds in sorted(stage.site_times_s.items()):
-            site_span = trace.add_task_span(
-                TaskSpan(
-                    site_id=site_id,
-                    stage=stage.name,
-                    start_s=0.0,
-                    end_s=seconds,
-                    pid=-1,  # never the coordinator: forces re-anchoring
-                    context=SpanContext(trace.trace_id, span.span_id),
-                )
-            )
+            site_span = trace.add_site_span(span, site_id, stage.name, span.start_s, seconds)
             site_span.set(synthesized=True)
 
 

@@ -16,13 +16,17 @@ which covers every benchmark query used in the paper's evaluation
 
 from __future__ import annotations
 
+import re
 from typing import List, Optional, Tuple
 
 from ..rdf.namespaces import NamespaceManager, RDF_TYPE
 from ..rdf.terms import IRI, Literal, PatternTerm, Variable
 from ..rdf.triples import TriplePattern
 from .algebra import BasicGraphPattern, SelectQuery
-from .tokenizer import SparqlSyntaxError, Token, TokenType, tokenize
+from .tokenizer import NAME_CHARS, SparqlSyntaxError, Token, TokenType, tokenize
+
+#: A language tag after ``@`` (BCP 47 shape, as the SPARQL grammar's LANGTAG).
+_LANGUAGE_TAG = re.compile(r"[A-Za-z]+(-[A-Za-z0-9]+)*")
 
 
 def parse_query(text: str, namespaces: Optional[NamespaceManager] = None) -> SelectQuery:
@@ -134,13 +138,12 @@ class _Parser:
         )
 
     def _parse_limit(self) -> Optional[int]:
-        if self._accept_keyword("limit"):
-            token = self._expect(TokenType.LITERAL)
-            try:
-                return int(token.value)
-            except ValueError as exc:
-                raise SparqlSyntaxError("LIMIT expects an integer", token.position) from exc
-        return None
+        if not self._accept_keyword("limit"):
+            return None
+        token = self._expect(TokenType.LITERAL)
+        if not (token.value.isascii() and token.value.isdigit()):
+            raise SparqlSyntaxError("LIMIT expects a non-negative integer", token.position)
+        return int(token.value)
 
     def _parse_group(self) -> List[TriplePattern]:
         self._expect(TokenType.LBRACE)
@@ -187,10 +190,7 @@ class _Parser:
         if token.type is TokenType.IRI:
             return IRI(token.value)
         if token.type is TokenType.PREFIXED_NAME:
-            try:
-                return self._namespaces.resolve(token.value)
-            except KeyError as exc:
-                raise SparqlSyntaxError(str(exc), token.position) from exc
+            return self._resolve(token.value, token)
         if token.type is TokenType.VARIABLE:
             return Variable(token.value)
         if token.type is TokenType.LITERAL and allow_literal:
@@ -207,12 +207,21 @@ class _Parser:
         lexical = raw[1:closing].replace('\\"', '"').replace("\\'", "'")
         suffix = raw[closing + 1 :]
         if suffix.startswith("@"):
+            if not _LANGUAGE_TAG.fullmatch(suffix[1:]):
+                raise SparqlSyntaxError(f"malformed language tag {suffix!r}", token.position)
             return Literal(lexical, language=suffix[1:])
         if suffix.startswith("^^<") and suffix.endswith(">"):
             return Literal(lexical, datatype=IRI(suffix[3:-1]))
         if suffix.startswith("^^"):
-            return Literal(lexical, datatype=self._namespaces.resolve(suffix[2:]))
+            return Literal(lexical, datatype=self._resolve(suffix[2:], token))
         return Literal(lexical)
+
+    def _resolve(self, prefixed_name: str, token: Token) -> IRI:
+        """Expand a prefixed name, reporting a bad one at ``token``'s offset."""
+        try:
+            return self._namespaces.resolve(prefixed_name)
+        except (KeyError, ValueError) as exc:
+            raise SparqlSyntaxError(str(exc), token.position) from exc
 
 
 def parse_bgp(text: str, namespaces: Optional[NamespaceManager] = None) -> BasicGraphPattern:
@@ -242,10 +251,14 @@ def format_query(query: SelectQuery, namespaces: Optional[NamespaceManager] = No
     for pattern in query.bgp:
         parts = []
         for term in pattern:
+            text = term.n3()
             if isinstance(term, IRI):
-                parts.append(manager.shrink(term))
-            else:
-                parts.append(term.n3())
+                shrunk = manager.shrink(term)
+                # Keep the full IRI when the prefixed form would not read
+                # back as one name (a local part with ``/`` or ``#``, say).
+                if set(shrunk) <= NAME_CHARS | {":"}:
+                    text = shrunk
+            parts.append(text)
         lines.append("  " + " ".join(parts) + " .")
     lines.append("}")
     if query.limit is not None:

@@ -64,7 +64,8 @@ _PUNCTUATION = {
     "*": TokenType.STAR,
 }
 
-_NAME_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
+#: Characters of a prefixed name besides its ``:``.
+NAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-.")
 
 
 def tokenize(text: str) -> List[Token]:
@@ -156,7 +157,7 @@ def _read_literal(text: str, start: int) -> tuple[Token, int]:
             suffix = text[i : end + 1]
             i = end + 1
         else:
-            while j < len(text) and (text[j] in _NAME_CHARS or text[j] == ":"):
+            while j < len(text) and (text[j] in NAME_CHARS or text[j] == ":"):
                 j += 1
             suffix = text[i:j]
             i = j
@@ -166,7 +167,7 @@ def _read_literal(text: str, start: int) -> tuple[Token, int]:
 
 def _read_word(text: str, start: int) -> tuple[Token, int]:
     i = start
-    while i < len(text) and (text[i] in _NAME_CHARS or text[i] == ":"):
+    while i < len(text) and (text[i] in NAME_CHARS or text[i] == ":"):
         i += 1
     word = text[start:i]
     lowered = word.lower()

@@ -2,7 +2,7 @@
 
 from .candidates import compute_candidates, edge_supported
 from .encoding import EncodedGraph, TermDictionary, encoded_view
-from .kernel import KERNEL_PYTHON, resolve_kernel, shard_bounds
+from .kernel import KERNEL_PYTHON, resolve_kernel
 from .matcher import LocalMatcher, evaluate_centralized, finalize_matches
 from .signatures import DEFAULT_SIGNATURE_BITS, SignatureIndex, VertexSignature
 from .triple_store import TripleStore
@@ -22,5 +22,4 @@ __all__ = [
     "evaluate_centralized",
     "finalize_matches",
     "resolve_kernel",
-    "shard_bounds",
 ]

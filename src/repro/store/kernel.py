@@ -15,13 +15,6 @@ are built lazily per predicate, memoized per graph version, and invalidated
 *per predicate* when ``apply_ops`` patches the encoding — an incremental
 mutation touches only the mutated predicates' columns, everything else
 stays warm.
-
-Sharding: the backtracking search tree decomposes exactly by the first
-vertex's candidate list — nothing is assigned at depth 0, so no narrowing
-applies and the frontier is always the full sorted pool.  Slicing that
-pool into K contiguous ranges therefore partitions the match sequence and
-the step counts exactly; :meth:`ArrayRunner.frontier` takes the slice and
-:mod:`repro.core.site_tasks` fans the slices out as sub-site tasks.
 """
 
 from __future__ import annotations
@@ -44,21 +37,6 @@ KERNEL_PYTHON = "python"
 def resolve_kernel(name: None = None) -> str:
     """The matching kernel's name (there is one: :data:`KERNEL_PYTHON`)."""
     return KERNEL_PYTHON
-
-
-def shard_bounds(count: int, shard_index: int, num_shards: int) -> Tuple[int, int]:
-    """The contiguous slice of ``count`` depth-0 candidates shard ``k`` owns.
-
-    ``[k*n//K, (k+1)*n//K)`` — the slices partition ``range(count)`` exactly,
-    so concatenating the shards' match streams in shard order reproduces the
-    unsharded stream and the unsharded step totals.
-    """
-    if not 0 <= shard_index < num_shards:
-        raise ValueError(f"shard {shard_index} outside 0..{num_shards - 1}")
-    return (
-        (shard_index * count) // num_shards,
-        ((shard_index + 1) * count) // num_shards,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -390,15 +368,12 @@ class ArrayRunner:
         self,
         vertex: CompiledArrayVertex,
         assignment: List[Optional[int]],
-        shard: Optional[Tuple[int, int]] = None,
     ) -> Tuple[List[int], int]:
         """``(surviving candidates, candidates tried)`` for one search depth.
 
         ``tried`` is the number of ordered candidates *before* the residual
         consistency filter — exactly what the set path charged
-        ``search_steps`` per depth, so totals agree bit-for-bit.  ``shard``
-        (depth 0 only) slices the ordered candidates before counting, which
-        is what makes per-shard step counts sum to the unsharded total.
+        ``search_steps`` per depth, so totals agree bit-for-bit.
         """
         spans = None
         for rows, offsets, values, other_index in vertex.narrow_columns:
@@ -415,8 +390,8 @@ class ArrayRunner:
             else:
                 spans.append((hi - lo, values, lo, hi))
         if spans is None:
-            # Nothing adjacent assigned yet: the frontier is the whole pool
-            # (always the depth-0 case, where the shard slice applies).
+            # Nothing adjacent assigned yet (always the depth-0 case): the
+            # frontier is the whole pool.
             survivors = vertex.pool_list
         else:
             pool_list = vertex.pool_list
@@ -442,9 +417,6 @@ class ArrayRunner:
                         break
                 else:
                     add(item)
-        if shard is not None:
-            lo, hi = shard_bounds(len(survivors), *shard)
-            survivors = survivors[lo:hi]
         tried = len(survivors)
         if vertex.loop_codes:
             has_edge = self.encoded.has_edge

@@ -22,12 +22,6 @@ once — and it produces the identical match sequence and identical
 exactly what the per-candidate loop used to charge) as the original
 hash-set path, which the test-suite keeps as its oracle.
 
-The first search depth can additionally be sliced into contiguous shards
-(:meth:`LocalMatcher.shard_matches`): nothing is assigned at depth 0, so the
-depth-0 frontier is always the full sorted pool, and slicing it partitions
-the match sequence and the step counts exactly — the foundation of
-intra-site sharding in :mod:`repro.core.site_tasks`.
-
 Assignments decode back to :class:`~repro.rdf.terms.Node` objects only when
 a complete match is yielded.
 """
@@ -51,10 +45,7 @@ def finalize_matches(query: SelectQuery, bindings: Iterable[Binding]) -> ResultS
     """Turn raw match bindings into the query's final solution sequence.
 
     Projection, DISTINCT and LIMIT — the per-query postlude that must run
-    over the *complete* match stream.  Split out of :meth:`LocalMatcher.
-    evaluate` so the sharded path can concatenate per-shard raw bindings in
-    shard order and finalize once, producing the bit-identical ``ResultSet``
-    the unsharded evaluation yields.
+    over the *complete* match stream.
     """
     results = ResultSet(list(bindings), query.variables)
     projected = results.project(query.effective_projection, distinct=query.distinct)
@@ -112,25 +103,12 @@ class LocalMatcher:
             return ResultSet([], query.effective_projection)
         return finalize_matches(query, self.raw_matches(query))
 
-    def raw_matches(
-        self,
-        query: SelectQuery,
-        shard: Optional[Tuple[int, int]] = None,
-    ) -> List[Binding]:
+    def raw_matches(self, query: SelectQuery) -> List[Binding]:
         """Every BGP match of ``query`` as a binding of its projected variables.
 
-        The shard-mergeable form of :meth:`evaluate`: each binding is built
-        once, from the search's projected slots; DISTINCT/LIMIT are *not*
-        applied (they only commute with concatenation when run over the
-        complete stream — :func:`finalize_matches` does that).
-
-        ``shard`` is a ``(shard_index, num_shards)`` slice of the search:
-        single-component queries slice the depth-0 candidate frontier, so
-        concatenating the shards' bindings in shard order reproduces the
-        unsharded sequence and the per-shard ``search_steps`` sum to the
-        unsharded total.  Queries that do not decompose that way (empty or
-        multi-component BGPs, whose results are cross products) fall back to
-        shard 0 evaluating everything while the other shards return nothing.
+        :meth:`evaluate` before its postlude: each binding is built once,
+        from the search's projected slots; DISTINCT/LIMIT are *not* applied
+        (:func:`finalize_matches` does that).
         """
         components = query.bgp.connected_components()
         self.search_steps = 0
@@ -142,10 +120,8 @@ class LocalMatcher:
         if len(components) == 1:
             # Pools are per query vertex: a sole component reuses the query's.
             pools = cached_pools(self._graph, query.bgp)
-            solutions = self._solutions(QueryGraph(components[0]), None, shard, pools, projection)
+            solutions = self._solutions(QueryGraph(components[0]), None, pools, projection)
             return [Binding(frozenset(items)) for items in solutions]
-        if shard is not None and shard[0] > 0:
-            return []
         partial: List[List[Dict[PatternTerm, Node]]] = []
         steps = 0
         intersections = 0
@@ -163,17 +139,10 @@ class LocalMatcher:
             for assignment in combined
         ]
 
-    def shard_matches(
-        self, query: SelectQuery, shard_index: int, num_shards: int
-    ) -> List[Binding]:
-        """One shard's slice of :meth:`raw_matches` (see there for the contract)."""
-        return self.raw_matches(query, shard=(shard_index, num_shards))
-
     def find_matches(
         self,
         query: QueryGraph,
         order: Optional[Sequence[PatternTerm]] = None,
-        shard: Optional[Tuple[int, int]] = None,
         pools: Optional[QueryPools] = None,
     ) -> Iterator[Dict[PatternTerm, Node]]:
         """Yield complete assignments (query vertex → data vertex) for ``query``.
@@ -184,12 +153,11 @@ class LocalMatcher:
         vertices yields the same matches — the order only changes how much
         of the search space is explored before failures are detected.
 
-        ``shard`` slices the depth-0 frontier (see :meth:`raw_matches`);
         ``pools`` are this query's already computed kernel pools.
         """
-        return map(dict, self._solutions(query, order, shard, pools, None))
+        return map(dict, self._solutions(query, order, pools, None))
 
-    def _solutions(self, query, order, shard, pools, keep) -> Iterator[List[Tuple[PatternTerm, Node]]]:
+    def _solutions(self, query, order, pools, keep) -> Iterator[List[Tuple[PatternTerm, Node]]]:
         """:meth:`find_matches`, each match as ``(query vertex, term)`` pairs.
 
         Only the vertices in ``keep`` are decoded (every vertex when ``None``).
@@ -220,7 +188,7 @@ class LocalMatcher:
                 for position, vertex in enumerate(compiled)
                 if keep is None or chosen[position] in keep
             ]
-            for _ in self._extend(assignment, compiled, 0, runner, shard):
+            for _ in self._extend(assignment, compiled, runner):
                 # The inner generator is suspended with every slot assigned,
                 # so the complete match decodes straight off the assignment.
                 yield [(vertex, term_of(assignment[index])) for vertex, index in slots]
@@ -238,9 +206,7 @@ class LocalMatcher:
         self,
         assignment: List[Optional[int]],
         compiled: List[object],
-        start_depth: int,
         runner: ArrayRunner,
-        shard: Optional[Tuple[int, int]],
     ) -> Iterator[None]:
         """DFS over the compiled vertices; yields once per complete match.
 
@@ -253,7 +219,6 @@ class LocalMatcher:
         count the old per-candidate loop accumulated lazily (all callers
         consume the generator fully, so the totals are identical).
         """
-        del start_depth  # the search always starts at depth 0
         if not compiled:
             yield None
             return
@@ -264,9 +229,7 @@ class LocalMatcher:
         while depth >= 0:
             frame = stack[depth]
             if frame is None:
-                survivors, tried = frontier(
-                    compiled[depth], assignment, shard if depth == 0 else None
-                )
+                survivors, tried = frontier(compiled[depth], assignment)
                 self.search_steps += tried
                 frame = [survivors, 0]
                 stack[depth] = frame

@@ -203,10 +203,6 @@ class TripleStore:
         """Yield complete vertex assignments of ``query`` over this store's graph."""
         return self.matcher.find_matches(query)
 
-    def shard_matches(self, query: SelectQuery, shard_index: int, num_shards: int):
-        """One shard's raw bindings of ``query`` (see :meth:`LocalMatcher.shard_matches`)."""
-        return self.matcher.shard_matches(query, shard_index, num_shards)
-
     def candidates(
         self,
         query: QueryGraph,

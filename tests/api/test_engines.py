@@ -77,6 +77,13 @@ class TestRegistry:
         assert "EngineConfig" in str(excinfo.value)
         assert "gstored" in str(excinfo.value)
 
+    def test_engines_take_no_backend(self, cluster):
+        """Site tasks run through one in-process runner: nothing to inject."""
+        with pytest.raises(TypeError, match="backend"):
+            make_engine("gstored", cluster, backend=repro.SerialBackend())
+        with pytest.raises(TypeError, match="backend"):
+            GStoreDEngine(cluster, backend=repro.SerialBackend())
+
     @pytest.mark.parametrize(
         ("name", "engine_type"),
         [
@@ -150,7 +157,7 @@ class TestThirdPartyEngines:
             EngineSpec(
                 name="pre-contract",
                 summary="test double without trace/profiler",
-                factory=lambda cluster, config, backend: self._PreContractEngine(cluster),
+                factory=lambda cluster, config: self._PreContractEngine(cluster),
             )
         )
         yield "pre-contract"
@@ -175,7 +182,7 @@ class TestThirdPartyEngines:
             EngineSpec(
                 name="forwarding",
                 summary="test double forwarding **options",
-                factory=lambda cluster, config, backend: _Forwarding(cluster),
+                factory=lambda cluster, config: _Forwarding(cluster),
             )
         )
         try:

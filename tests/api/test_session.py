@@ -110,6 +110,18 @@ class TestQuery:
                 == second.statistics.total_shipment_bytes
             )
 
+    @pytest.mark.parametrize("count", ["-1", "-3"])
+    def test_a_negative_limit_is_a_syntax_error(self, count):
+        """``LIMIT -1`` used to slice ``[:-1]`` and drop rows silently."""
+        from repro.sparql import SparqlSyntaxError, format_query
+
+        text = format_query(example_query())
+        with repro.open(dataset="paper") as session:
+            assert len(session.query(text)) == 4
+            assert len(session.query(f"{text}\nLIMIT 2")) == 2
+            with pytest.raises(SparqlSyntaxError, match="non-negative integer"):
+                session.query(f"{text}\nLIMIT {count}")
+
     def test_the_serial_fan_out_is_the_default(self):
         with repro.open(dataset="paper", executor="serial") as session:
             assert session.backend.name == "serial"
@@ -335,17 +347,16 @@ class TestAlternativeConstructors:
 
 
 class TestCustomRegisteredEngines:
-    def test_accepts_config_engines_get_the_session_config_and_backend(self):
+    def test_accepts_config_engines_get_the_session_config(self):
         """Sessions dispatch on EngineSpec.accepts_config, not on the name."""
         from repro.api import EngineSpec, register_engine
         from repro.api.engines import _ALIASES, _REGISTRY
 
         captured = {}
 
-        def factory(cluster, config, backend):
+        def factory(cluster, config):
             captured["config"] = config
-            captured["backend"] = backend
-            return repro.make_engine("gstored", cluster, config=config, backend=backend)
+            return repro.make_engine("gstored", cluster, config=config)
 
         register_engine(
             EngineSpec(
@@ -360,7 +371,6 @@ class TestCustomRegisteredEngines:
                 result = session.query("example")
                 assert len(result) == 4
                 assert captured["config"] is session.config
-                assert captured["backend"] is session.backend
         finally:
             _REGISTRY.pop("custom-gstored", None)
             _ALIASES.pop("custom-gstored", None)

@@ -59,3 +59,10 @@ class TestOptions:
     def test_with_options_rejects_a_width_no_vector_can_have(self, width):
         with pytest.raises(ValueError, match="bit_vector_bits"):
             EngineConfig.full().with_options(bit_vector_bits=width)
+
+    @pytest.mark.parametrize("shards", [0, 2, 8])
+    def test_a_site_evaluates_its_fragment_in_one_task(self, shards):
+        with pytest.raises(ValueError, match="shards_per_site"):
+            EngineConfig(shards_per_site=shards)
+        with pytest.raises(ValueError, match="shards_per_site"):
+            EngineConfig.full().with_options(shards_per_site=shards)

@@ -16,9 +16,11 @@ run to a fingerprint of everything the engine promises to keep bit-identical:
 The fingerprints of ``engine_spine_golden.json`` were recorded from the
 serial, untraced run at the commit *before* the stage-runner refactor; the
 test then requires the traced and untraced variants of each case to
-reproduce them.  ``rows`` are compared as a sequence between the variants
-of one process and as a sorted list against the golden file, because the row
-order of a query is only defined per ``PYTHONHASHSEED``.
+reproduce them (``LQ2-unrecoverable`` was recorded at the commit before
+intra-site sharding was removed).  ``rows`` are compared as a sequence
+between the variants of one process and as a sorted list against the golden
+file, because the row order of a query is only defined per
+``PYTHONHASHSEED``.
 
 Regenerate (only when a change is *meant* to move a fingerprint) with
 ``PYTHONPATH=src python tests/core/test_engine_spine.py``.
@@ -36,7 +38,6 @@ from repro.core import ABLATION_CONFIGS, EngineConfig
 from repro.datasets import get_dataset, lubm
 from repro.datasets.paper_example import build_example_partitioning, example_query
 from repro.distributed import build_cluster
-from repro.exec import SerialBackend
 from repro.faults import FaultPlan, RetryPolicy
 from repro.obs import Trace
 from repro.partition import HashPartitioner
@@ -59,11 +60,8 @@ CASES = {
     "paper-recoverable": ("paper", "example", FULL, RECOVERABLE),
     "paper-unrecoverable": ("paper", "example", FULL, UNRECOVERABLE),
     "LQ7": ("lubm", "LQ7", FULL, None),
-    "LQ2-shards1": ("lubm", "LQ2", FULL, None),
-    "LQ2-shards3": ("lubm", "LQ2", FULL.with_options(shards_per_site=3), None),
-    "LQ2-shards3-unrecoverable": (
-        "lubm", "LQ2", FULL.with_options(shards_per_site=3), UNRECOVERABLE,
-    ),
+    "LQ2": ("lubm", "LQ2", FULL, None),
+    "LQ2-unrecoverable": ("lubm", "LQ2", FULL, UNRECOVERABLE),
     "LQ7-recoverable": ("lubm", "LQ7", FULL, RECOVERABLE),
     # LQ1 under all four Fig. 9 configurations (the last one is gStoreD-Full).
     **{f"LQ1-{config.label}": ("lubm", "LQ1", config, None) for config in ABLATION_CONFIGS},
@@ -86,14 +84,14 @@ def load_workloads():
 workloads = pytest.fixture(scope="module")(load_workloads)
 
 
-def fingerprint(workloads, backend, case_id, traced):
+def fingerprint(workloads, case_id, traced):
     """Run one case on a fresh cluster; the fingerprint as plain JSON data."""
     workload, query_name, config, fault_text = CASES[case_id]
     partitioned, queries = workloads[workload]
     cluster = build_cluster(partitioned)
     faults = FaultPlan.parse(fault_text, retry=FAST_RETRY) if fault_text else None
     trace = Trace("query") if traced else None
-    with make_engine("gstored", cluster, config=config, backend=backend, faults=faults) as engine:
+    with make_engine("gstored", cluster, config=config, faults=faults) as engine:
         result = engine.execute(
             queries[query_name], query_name=query_name, dataset=workload, trace=trace
         )
@@ -145,7 +143,7 @@ def test_spine_fingerprint_matches_the_recorded_one(workloads, golden, case_id):
     expected = golden[case_id]
     row_sequences = []
     for traced in VARIANTS:
-        observed = fingerprint(workloads, SerialBackend(), case_id, traced)
+        observed = fingerprint(workloads, case_id, traced)
         # Round-trip through JSON so tuples/lists and float text compare the
         # way they were recorded.
         observed = json.loads(json.dumps(observed))
@@ -168,11 +166,10 @@ def test_golden_file_covers_exactly_the_cases(golden):
 
 def _regenerate() -> None:  # pragma: no cover - maintenance entry point
     loaded = load_workloads()
-    serial = SerialBackend()
     recorded = {}
     for case_id in CASES:
-        untraced = fingerprint(loaded, serial, case_id, traced=False)
-        untraced["trace"] = fingerprint(loaded, serial, case_id, traced=True)["trace"]
+        untraced = fingerprint(loaded, case_id, traced=False)
+        untraced["trace"] = fingerprint(loaded, case_id, traced=True)["trace"]
         untraced["sorted_rows"] = sorted(untraced.pop("rows"))
         recorded[case_id] = untraced
     # One line per (case, field): compact, and a moved fingerprint diffs as one line.

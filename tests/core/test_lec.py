@@ -10,7 +10,6 @@ from repro.core.partial_eval import evaluate_fragment
 from repro.core.partial_match import LPMList
 from repro.distributed import build_cluster
 from repro.distributed.network import estimate_size
-from repro.exec import SerialBackend
 from repro.partition import build_partitioned_graph
 from repro.rdf import Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph, SelectQuery
@@ -120,7 +119,7 @@ class TestDefinition8Compresses:
         partitioned, bgp = self.build()
         cluster = build_cluster(partitioned)
         config = EngineConfig.full().with_options(star_shortcut=False)
-        result = GStoreDEngine(cluster, config, backend=SerialBackend()).execute(
+        result = GStoreDEngine(cluster, config).execute(
             SelectQuery(bgp, (X, Y, Z))
         )
         statistics = result.statistics

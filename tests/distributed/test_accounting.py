@@ -1,8 +1,8 @@
 """Concurrency and consistency of the accounting primitives.
 
-The executor backends let several sites record times and send messages
-concurrently; these tests pin that no sample is ever lost under the threads
-backend, that ``reset()`` gives each run a clean slate, and that the
+Concurrent queries record times and send messages from their own threads;
+these tests pin that no sample is ever lost when several threads record at
+once, that ``reset()`` gives each run a clean slate, and that the
 per-stage/per-kind byte breakdowns agree with each other and with the
 shipment attributes the tracing layer stamps onto stage spans.
 """
@@ -14,7 +14,6 @@ import pytest
 from repro.core import GStoreDEngine
 from repro.datasets import get_dataset
 from repro.distributed.network import MessageBus, ShipmentSnapshot, StageTimer
-from repro.exec import SerialBackend
 from repro.obs import CATEGORY_STAGE, Trace
 
 
@@ -107,7 +106,7 @@ class TestSpanAttributesMatchTheBus:
         query = get_dataset("LUBM").queries()["LQ1"]
         lubm_cluster.reset_network()
         trace = Trace("query")
-        result = GStoreDEngine(lubm_cluster, backend=SerialBackend()).execute(query, trace=trace)
+        result = GStoreDEngine(lubm_cluster).execute(query, trace=trace)
         trace.finish()
 
         bus = lubm_cluster.bus

@@ -4,8 +4,20 @@ import pickle
 
 import pytest
 
-from repro.core.site_tasks import TASK_LOCAL_EVAL, local_eval_tasks
-from repro.exec import OptionError, SerialBackend, SiteTask, execute_site_task, make_backend
+from repro.core.site_tasks import (
+    TASK_LOCAL_EVAL,
+    candidate_vector_tasks,
+    local_eval_tasks,
+    partial_eval_tasks,
+    run_local_eval,
+)
+from repro.exec import OptionError, SerialBackend, SiteTask, make_backend, run_site_task
+from repro.sparql.query_graph import QueryGraph
+
+
+def graph_statistics(site, payload):
+    """A module-level handler: the site's planner statistics."""
+    return site.graph_statistics()
 
 
 class TestSiteTasks:
@@ -14,13 +26,27 @@ class TestSiteTasks:
         rebuilt = pickle.loads(pickle.dumps(tasks))
         assert [task.site_id for task in rebuilt] == sorted(example_cluster.site_ids)
         assert all(task.stage == TASK_LOCAL_EVAL for task in rebuilt)
-        result = execute_site_task(rebuilt[0], example_cluster.site(rebuilt[0].site_id))
+        assert all(task.handler is run_local_eval for task in rebuilt)
+        result = run_site_task(rebuilt[0], example_cluster.site(rebuilt[0].site_id))
         assert pickle.loads(pickle.dumps(result)).site_id == result.site_id
         assert result.elapsed_s >= 0.0
 
-    def test_unknown_stage_is_a_lookup_error(self, example_cluster):
-        with pytest.raises(LookupError, match="no site task registered"):
-            execute_site_task(SiteTask(0, "no-such-stage"), example_cluster.site(0))
+    def test_an_unpickled_task_runs_its_handler(self, example_cluster, example_query_obj):
+        """The handler rides on the task by reference: after a pickle round
+        trip every builder's task runs the same handler to the same value."""
+        query_graph = QueryGraph(example_query_obj.bgp)
+        batches = [
+            local_eval_tasks(example_cluster.site_ids, example_query_obj),
+            candidate_vector_tasks(example_cluster.site_ids, query_graph, 64),
+            partial_eval_tasks(
+                example_cluster.site_ids, example_query_obj, query_graph, None, None, False
+            ),
+        ]
+        for task in (task for batch in batches for task in batch):
+            rebuilt = pickle.loads(pickle.dumps(task))
+            assert rebuilt.handler is task.handler
+            site = example_cluster.site(task.site_id)
+            assert run_site_task(rebuilt, site).value == run_site_task(task, site).value
 
 
 class TestSerialBackend:
@@ -41,7 +67,7 @@ class TestSerialBackend:
 
     def test_site_tasks_come_back_in_submission_order(self, example_cluster):
         site_ids = sorted(example_cluster.site_ids, reverse=True)
-        tasks = [SiteTask(site_id, "graph_statistics") for site_id in site_ids]
+        tasks = [SiteTask(site_id, "graph_statistics", graph_statistics) for site_id in site_ids]
         results = SerialBackend().map_site_tasks(tasks, example_cluster)
         assert [result.site_id for result in results] == site_ids
         for result in results:

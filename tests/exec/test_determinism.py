@@ -10,10 +10,7 @@ import pytest
 from repro.bench import stage_shipment_snapshot as snapshot
 from repro.core import GStoreDEngine
 from repro.datasets import get_dataset
-from repro.exec import SerialBackend
 from repro.obs import CATEGORY_TASK, Trace
-
-SERIAL = SerialBackend()
 
 
 def stage_counters(result):
@@ -24,10 +21,10 @@ def stage_counters(result):
     ]
 
 
-def run(cluster, query, backend, trace=None):
-    """One execution on an injected ``backend`` (the caller closes it)."""
+def run(cluster, query, trace=None):
+    """One execution on a fresh network."""
     cluster.reset_network()
-    return GStoreDEngine(cluster, backend=backend).execute(query, trace=trace)
+    return GStoreDEngine(cluster).execute(query, trace=trace)
 
 
 @pytest.mark.parametrize("query_name", ["LQ1", "LQ7", "LQ2"])  # complex x2 + star
@@ -36,10 +33,10 @@ def test_repeated_runs_do_not_change_results_or_accounting(lubm_cluster, query_n
     # Warm the plan caches so the planning stage is in steady state for
     # every run (the cache-hit counter is not part of the fingerprint, but
     # warmed caches keep the runs maximally comparable).
-    run(lubm_cluster, query, SERIAL)
-    reference = run(lubm_cluster, query, SERIAL)
+    run(lubm_cluster, query)
+    reference = run(lubm_cluster, query)
     for _ in range(2):
-        result = run(lubm_cluster, query, SerialBackend())
+        result = run(lubm_cluster, query)
         assert result.results.to_table() == reference.results.to_table()  # row sequence too
         assert snapshot(result) == snapshot(reference)
         assert stage_counters(result) == stage_counters(reference)
@@ -51,11 +48,11 @@ def test_tracing_does_not_change_results_or_accounting(lubm_cluster, query_name)
     still produces bit-identical answers, shipment fingerprints and
     ``search_steps`` — and the trace itself gains per-site task spans."""
     query = get_dataset("LUBM").queries()[query_name]
-    run(lubm_cluster, query, SERIAL)  # warm the plan cache
-    reference = run(lubm_cluster, query, SERIAL)
+    run(lubm_cluster, query)  # warm the plan cache
+    reference = run(lubm_cluster, query)
     reference_rows = sorted(map(sorted, (row.items() for row in reference.results.to_table())))
     trace = Trace("query")
-    result = run(lubm_cluster, query, SERIAL, trace=trace)
+    result = run(lubm_cluster, query, trace=trace)
     trace.finish()
     rows = sorted(map(sorted, (row.items() for row in result.results.to_table())))
     assert rows == reference_rows
@@ -68,8 +65,8 @@ def test_tracing_does_not_change_results_or_accounting(lubm_cluster, query_name)
 
 def test_traced_serial_equals_untraced_serial(lubm_cluster):
     query = get_dataset("LUBM").queries()["LQ7"]
-    untraced = run(lubm_cluster, query, SERIAL)
-    traced = run(lubm_cluster, query, SERIAL, trace=Trace("query"))
+    untraced = run(lubm_cluster, query)
+    traced = run(lubm_cluster, query, trace=Trace("query"))
     assert traced.results.same_solutions(untraced.results)
     assert traced.results.to_table() == untraced.results.to_table()  # row sequence too
     assert snapshot(traced) == snapshot(untraced)
@@ -83,6 +80,6 @@ def test_traced_serial_equals_untraced_serial(lubm_cluster):
 
 
 def test_statistics_keep_the_paper_table_layout(lubm_cluster):
-    result = run(lubm_cluster, get_dataset("LUBM").queries()["LQ2"], SERIAL)
+    result = run(lubm_cluster, get_dataset("LUBM").queries()["LQ2"])
     assert "executor" not in result.statistics.extra
     assert "max_workers" not in result.statistics.extra

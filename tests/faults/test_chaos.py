@@ -23,7 +23,6 @@ from repro.datasets.paper_example import (
     example_query,
 )
 from repro.distributed import build_cluster
-from repro.exec import SerialBackend
 from repro.faults import INJECTABLE_STAGES, FaultPlan, RetryPolicy
 from repro.partition import PARTITIONER_REGISTRY, make_partitioner
 
@@ -43,7 +42,7 @@ def chaos_cluster():
 
 def run(cluster, faults=None):
     cluster.reset_network()
-    engine = GStoreDEngine(cluster, EngineConfig.full(), backend=SerialBackend(), faults=faults)
+    engine = GStoreDEngine(cluster, EngineConfig.full(), faults=faults)
     return engine.execute(example_query())
 
 

@@ -2,7 +2,7 @@
 
 The chaos suite (``test_chaos.py``) proves recovery end to end; this module
 pins the pieces it is built from — the textual plan grammar, the pure firing
-rules consulted inside ``execute_site_task``, the literal stage/task mapping
+rules consulted inside ``run_site_task``, the literal stage/task mapping
 the fault layer keeps to stay import-cycle free, and the deterministic
 backoff schedule.
 """
@@ -134,7 +134,11 @@ def test_random_plan_requires_site_ids():
 # Firing rules (pure functions of the task descriptor)
 # ----------------------------------------------------------------------
 def _task(name, site_id, attempt=1, recovery=False):
-    return SiteTask(site_id, name, attempt=attempt, recovery=recovery)
+    return SiteTask(site_id, name, _no_work, attempt=attempt, recovery=recovery)
+
+
+def _no_work(site, payload):
+    """The handler of the descriptors above; the firing rules never call it."""
 
 
 def test_kill_fires_on_every_task_of_its_stage():

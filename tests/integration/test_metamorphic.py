@@ -9,7 +9,10 @@ Three relations that must hold whatever the engine does inside:
   the answer columns and changes nothing else, the plan-cache shape key
   included;
 * **triple-pattern permutation** — reordering the BGP's triple patterns
-  leaves the answers unchanged.
+  leaves the answers unchanged;
+* **update round trip** — ``session.update(add=X)`` followed by
+  ``session.update(remove=X)`` returns every query's rows, work counters and
+  per-stage shipment to their values before the pair.
 
 The default tier covers the paper example and LUBM 1 on a few sites; more
 site counts, every rotation of the patterns and the YAGO2/BTC workloads run
@@ -20,6 +23,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.api import Session
+from repro.bench import stage_shipment_snapshot
 from repro.core import EngineConfig, GStoreDEngine
 from repro.datasets import btc, lubm, yago
 from repro.datasets.paper_example import (
@@ -30,12 +35,12 @@ from repro.datasets.paper_example import (
 from repro.distributed import build_cluster
 from repro.partition import PARTITIONER_REGISTRY, make_partitioner
 from repro.planner import shape_key
-from repro.rdf import Variable
-from repro.rdf.triples import TriplePattern
+from repro.rdf import IRI, Variable
+from repro.rdf.triples import Triple, TriplePattern
 from repro.sparql import parse_query
 from repro.sparql.algebra import BasicGraphPattern
 from repro.sparql.query_graph import QueryGraph
-from repro.store import evaluate_centralized
+from repro.store import LocalMatcher, evaluate_centralized
 
 PARTITIONERS = sorted(PARTITIONER_REGISTRY)
 
@@ -177,6 +182,89 @@ def test_renaming_really_renames():
     assert set(back) == {variable.name for variable in example_query().variables}
     assert any(new != old for new, old in back.items())
     assert renamed.bgp != example_query().bgp
+
+
+def cloned_matches(graph, queries):
+    """Triples that give each query one more answer, around a fresh vertex.
+
+    For every query with an answer, its first match is copied with the first
+    projected variable bound to a new IRI instead: the copy's triples join
+    that new vertex to the match's existing vertices.  Triples already in
+    the graph are dropped, so removing the delta again restores the graph.
+    """
+    delta = []
+    matcher = LocalMatcher(graph)
+    for name, query in queries.items():
+        match = next(iter(matcher.find_matches(QueryGraph(query.bgp))), None)
+        if match is None:
+            continue
+        match[query.effective_projection[0]] = IRI(f"http://example.org/fresh/{name}")
+        for pattern in query.bgp:
+            triple = Triple(*(match.get(term, term) for term in pattern))
+            if triple not in graph and triple not in delta:
+                delta.append(triple)
+    return delta
+
+
+def fingerprint(result):
+    return result.sorted_rows(), dict(result.statistics.work), stage_shipment_snapshot(result)
+
+
+def update_round_trip(partitioned, queries):
+    """The delta, the graph's vertices, and every query's fingerprint before
+    an add/remove pair, after the add and after the remove."""
+    with Session.from_partitioned(partitioned) as session:
+        delta = cloned_matches(session.graph, queries)
+        known = {term for triple in session.graph for term in (triple.subject, triple.object)}
+        states = []
+        for change in ({}, {"add": delta}, {"remove": delta}):
+            session.update(**change)
+            states.append({name: fingerprint(session.query(q)) for name, q in queries.items()})
+    return delta, known, states
+
+
+@pytest.fixture(scope="module")
+def round_trips():
+    """(workload, strategy) -> :func:`update_round_trip`, computed on first use."""
+    workloads = {"paper": (build_example_graph(), PAPER_QUERIES), "lubm": (None, lubm.queries())}
+    computed = {}
+
+    def get(workload, strategy):
+        if (workload, strategy) not in computed:
+            graph, queries = workloads[workload]
+            graph = graph if graph is not None else lubm.generate(scale=1)
+            sites = 3 if workload == "paper" else 4
+            partitioned = make_partitioner(strategy, sites).partition(graph)
+            computed[workload, strategy] = update_round_trip(partitioned, queries)
+        return computed[workload, strategy]
+
+    return get
+
+
+ROUND_TRIP_CASES = [
+    (workload, strategy, name)
+    for workload, names in (("paper", PAPER_QUERIES), ("lubm", lubm.queries()))
+    for strategy in PARTITIONERS
+    for name in names
+]
+
+
+@pytest.mark.parametrize("workload, strategy, name", ROUND_TRIP_CASES)
+def test_update_round_trip(round_trips, workload, strategy, name):
+    _, _, (before, _, after) = round_trips(workload, strategy)
+    rows, work, shipment = after[name]
+    assert rows == before[name][0]
+    assert work == before[name][1]
+    assert shipment == before[name][2]
+
+
+@pytest.mark.parametrize("workload", ["paper", "lubm"])
+@pytest.mark.parametrize("strategy", PARTITIONERS)
+def test_the_round_trip_delta_mixes_vertices_and_moves_answers(round_trips, workload, strategy):
+    delta, known, (before, added, _) = round_trips(workload, strategy)
+    endpoints = {term for triple in delta for term in (triple.subject, triple.object)}
+    assert endpoints & known and endpoints - known
+    assert any(added[name][0] != before[name][0] for name in before)
 
 
 @pytest.mark.slow

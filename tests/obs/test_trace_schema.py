@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import GStoreDEngine
 from repro.datasets import get_dataset
-from repro.exec import SerialBackend
 from repro.obs import (
     CATEGORY_COORDINATOR,
     CATEGORY_STAGE,
@@ -21,21 +20,19 @@ from repro.obs import (
     validate_chrome_trace,
 )
 
-SERIAL = SerialBackend()
 
-
-def traced_run(cluster, backend):
+def traced_run(cluster):
     query = get_dataset("LUBM").queries()["LQ1"]
     cluster.reset_network()
     trace = Trace("query", engine="gstored")
-    result = GStoreDEngine(cluster, backend=backend).execute(query, trace=trace)
+    result = GStoreDEngine(cluster).execute(query, trace=trace)
     trace.finish(rows=len(result.results))
     return trace
 
 
 class TestRealTracesValidate:
     def test_serial_backend_trace_round_trips_through_json(self, lubm_cluster, tmp_path):
-        trace = traced_run(lubm_cluster, SERIAL)
+        trace = traced_run(lubm_cluster)
         path = tmp_path / "trace.json"
         trace.save(str(path))
         payload = json.loads(path.read_text(encoding="utf-8"))
@@ -57,7 +54,7 @@ class TestRealTracesValidate:
             assert event["ts"] >= root["ts"]
 
     def test_stage_spans_carry_shipment_attrs(self, lubm_cluster):
-        trace = traced_run(lubm_cluster, SERIAL)
+        trace = traced_run(lubm_cluster)
         stage_spans = trace.find_spans(category=CATEGORY_STAGE)
         assert stage_spans
         for span in stage_spans:
@@ -74,7 +71,7 @@ class TestCoordinatorSpans:
         query = get_dataset("LUBM").queries()["LQ1"]
         lubm_cluster.reset_network()
         trace = Trace("query")
-        with GStoreDEngine(lubm_cluster, backend=SERIAL) as engine:
+        with GStoreDEngine(lubm_cluster) as engine:
             result = engine.execute(query, trace=trace)
         trace.finish()
         spans = trace.find_spans(category=CATEGORY_COORDINATOR)
@@ -95,7 +92,7 @@ class TestCoordinatorSpans:
         query = get_dataset("LUBM").queries()["LQ2"]
         lubm_cluster.reset_network()
         trace = Trace("query")
-        with GStoreDEngine(lubm_cluster, backend=SERIAL) as engine:
+        with GStoreDEngine(lubm_cluster) as engine:
             engine.execute(query, trace=trace)
         assert trace.find_spans(category=CATEGORY_COORDINATOR) == []
 

@@ -1,17 +1,16 @@
-"""Unit tests for the tracing core: spans, nesting, task-span reassembly."""
-
-import os
+"""Unit tests for the tracing core: spans, nesting, site spans."""
 
 import pytest
 
+from repro.bench import stage_shipment_snapshot
+from repro.core import GStoreDEngine
+from repro.datasets import get_dataset
 from repro.obs import (
     CATEGORY_PLANNING,
     CATEGORY_QUERY,
     CATEGORY_STAGE,
     CATEGORY_TASK,
-    SpanContext,
     StageProfiler,
-    TaskSpan,
     Trace,
     Tracer,
     stage_scope,
@@ -76,62 +75,56 @@ class TestSpanTree:
         assert trace.duration_s == first_duration
         assert trace.root.attrs["rows"] == 7
 
-    def test_current_context_points_at_the_innermost_open_span(self):
-        trace = Trace("query")
-        assert trace.current_context() == SpanContext(trace.trace_id, trace.root.span_id)
-        with trace.span("stage:partial_evaluation") as span:
-            context = trace.current_context()
-            assert context.span_id == span.span_id
-            assert context.trace_id == trace.trace_id
 
-
-class TestTaskSpanReassembly:
-    def test_same_process_task_spans_keep_their_measured_offsets(self):
+class TestSiteSpans:
+    def test_a_site_span_nests_under_its_parent_on_the_site_track(self):
         trace = Trace("query")
         with trace.span("stage:partial_evaluation") as stage:
-            context = trace.current_context()
-        # A task measured on this process's own perf_counter clock.
-        import time
-
-        start = time.perf_counter()
-        task = TaskSpan(
-            site_id=2, stage="partial_evaluation", start_s=start, end_s=start + 0.5,
-            pid=os.getpid(), context=context,
-        )
-        span = trace.add_task_span(task)
+            pass
+        span = trace.add_site_span(stage, 2, "engine.partial_eval", stage.start_s, 0.5)
         assert span.parent_id == stage.span_id
         assert span.name == "site:2"
         assert span.category == CATEGORY_TASK
         assert span.track == SITE_TRACK_OFFSET + 2
-        assert span.duration_s == pytest.approx(0.5)
-        assert span.start_s >= 0.0
+        assert span.attrs == {"site_id": 2, "stage": "engine.partial_eval"}
+        assert (span.start_s, span.duration_s) == (stage.start_s, 0.5)
+        assert trace.children(stage) == [span]
 
-    def test_foreign_process_task_spans_are_reanchored_at_their_parent(self):
+    @pytest.mark.parametrize("query_name", ["LQ1", "LQ2"])  # general pipeline + star shortcut
+    def test_engine_site_spans_carry_the_runner_measured_times(self, lubm_cluster, query_name):
+        """Each stage's site spans lie inside the stage span, and per site
+        their durations add up to the site time the stage's statistics
+        recorded from the same runner measurement; the traced run answers
+        and accounts exactly like an untraced one."""
+        query = get_dataset("LUBM").queries()[query_name]
+        engine = GStoreDEngine(lubm_cluster)
+        engine.execute(query)  # warm the plan cache
+        lubm_cluster.reset_network()
+        untraced = engine.execute(query)
+        lubm_cluster.reset_network()
         trace = Trace("query")
-        with trace.span("stage:partial_evaluation") as stage:
-            context = trace.current_context()
-        task = TaskSpan(
-            site_id=0, stage="partial_evaluation", start_s=1234.0, end_s=1234.25,
-            pid=-1, context=context,
-        )
-        span = trace.add_task_span(task)
-        # Re-anchored: the foreign clock's absolute reading is discarded,
-        # the measured duration is preserved.
-        assert span.start_s == stage.start_s
-        assert span.duration_s == pytest.approx(0.25)
-
-    def test_unknown_context_falls_back_to_the_root(self):
-        trace = Trace("query")
-        task = TaskSpan(
-            site_id=1, stage="assembly", start_s=0.0, end_s=0.1,
-            pid=-1, context=SpanContext("trace-0", 9999),
-        )
-        span = trace.add_task_span(task)
-        assert span.parent_id == trace.root.span_id
-
-    def test_elapsed_s_is_end_minus_start(self):
-        task = TaskSpan(0, "s", 1.0, 1.75, pid=-1, context=SpanContext("t", 1))
-        assert task.elapsed_s == pytest.approx(0.75)
+        traced = engine.execute(query, trace=trace)
+        trace.finish()
+        assert traced.results.to_table() == untraced.results.to_table()
+        assert traced.statistics.work == untraced.statistics.work
+        assert stage_shipment_snapshot(traced) == stage_shipment_snapshot(untraced)
+        stages = {stage.name: stage for stage in traced.statistics.stages}
+        checked = 0
+        for stage_span in trace.find_spans(category=CATEGORY_STAGE):
+            site_spans = [
+                child for child in trace.children(stage_span) if child.category == CATEGORY_TASK
+            ]
+            end = stage_span.start_s + stage_span.duration_s
+            totals = {}
+            for span in site_spans:
+                assert stage_span.start_s <= span.start_s
+                assert span.start_s + span.duration_s <= end + 1e-9
+                site_id = span.attrs["site_id"]
+                totals[site_id] = totals.get(site_id, 0.0) + span.duration_s
+            site_times = stages[stage_span.name.removeprefix("stage:")].site_times_s
+            assert totals == pytest.approx(site_times)
+            checked += len(site_spans)
+        assert checked >= lubm_cluster.num_sites
 
 
 class TestSummaryAndTracer:

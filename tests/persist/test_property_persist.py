@@ -17,14 +17,12 @@ from repro.bench import stage_shipment_snapshot as snapshot
 from repro.core import GStoreDEngine
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.distributed import build_cluster
-from repro.exec import SerialBackend
 from repro.partition import build_partitioned_graph
 from repro.persist import ClusterStore
 from repro.rdf import IRI, Triple
 
 EX = "http://example.org/prop/"
 
-SERIAL = SerialBackend()
 
 seeds = st.integers(min_value=0, max_value=5_000)
 fragment_counts = st.integers(min_value=1, max_value=4)
@@ -59,9 +57,9 @@ def random_batches(rng, cluster, count):
     return batches
 
 
-def fingerprint(cluster, query, backend=SERIAL):
+def fingerprint(cluster, query):
     cluster.reset_network()
-    result = GStoreDEngine(cluster, backend=backend).execute(query)
+    result = GStoreDEngine(cluster).execute(query)
     rows = sorted(map(sorted, (row.items() for row in result.results.to_table())))
     return rows, dict(result.statistics.work), snapshot(result)
 

@@ -15,7 +15,6 @@ from repro.core import GStoreDEngine
 from repro.datasets import get_dataset
 from repro.datasets.paper_example import build_example_partitioning, example_query
 from repro.distributed import build_cluster
-from repro.exec import SerialBackend
 from repro.partition import HashPartitioner
 from repro.persist import ClusterStore
 from repro.rdf import IRI, Triple
@@ -23,7 +22,6 @@ from repro.store.encoding import encoded_rebuilds
 
 EX = "http://example.org/parity/"
 
-SERIAL = SerialBackend()
 
 
 def _mutations():
@@ -43,9 +41,9 @@ def _mutations():
     )
 
 
-def fingerprint(cluster, query, backend=SERIAL):
+def fingerprint(cluster, query):
     cluster.reset_network()
-    result = GStoreDEngine(cluster, backend=backend).execute(query)
+    result = GStoreDEngine(cluster).execute(query)
     rows = sorted(map(sorted, (row.items() for row in result.results.to_table())))
     return rows, dict(result.statistics.work), snapshot(result)
 

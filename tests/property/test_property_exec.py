@@ -14,7 +14,6 @@ from repro.bench import stage_shipment_snapshot
 from repro.core import GStoreDEngine
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.distributed import build_cluster
-from repro.exec import SerialBackend
 from repro.obs import Trace
 from repro.partition import build_partitioned_graph
 from repro.store import evaluate_centralized
@@ -24,7 +23,6 @@ fragment_counts = st.integers(min_value=1, max_value=4)
 query_sizes = st.integers(min_value=1, max_value=4)
 constant_probabilities = st.sampled_from([0.0, 0.25, 0.5])
 
-SERIAL = SerialBackend()
 
 
 def build_environment(seed, num_fragments, query_edges, constant_probability):
@@ -54,7 +52,7 @@ class TestCrossEngineEquivalence:
         expected = evaluate_centralized(graph, query).project(
             query.effective_projection, distinct=True
         )
-        serial = GStoreDEngine(cluster, backend=SERIAL).execute(query)
+        serial = GStoreDEngine(cluster).execute(query)
         assert sorted_rows(serial.results) == sorted_rows(expected)
         assert serial.results.same_solutions(expected)
 
@@ -66,9 +64,9 @@ class TestCrossEngineEquivalence:
         attached."""
         _, query, cluster = build_environment(seed, num_fragments, query_edges, 0.25)
         cluster.reset_network()
-        untraced = GStoreDEngine(cluster, backend=SERIAL).execute(query)
+        untraced = GStoreDEngine(cluster).execute(query)
         cluster.reset_network()
-        traced = GStoreDEngine(cluster, backend=SERIAL).execute(query, trace=Trace("query"))
+        traced = GStoreDEngine(cluster).execute(query, trace=Trace("query"))
         assert sorted_rows(traced.results) == sorted_rows(untraced.results)
         assert stage_shipment_snapshot(traced) == stage_shipment_snapshot(untraced)
         assert dict(traced.statistics.work) == dict(untraced.statistics.work)
@@ -78,8 +76,8 @@ class TestCrossEngineEquivalence:
     def test_repeated_shipment_equals_the_bus_total(self, seed, num_fragments, query_edges):
         _, query, cluster = build_environment(seed, num_fragments, query_edges, 0.25)
         cluster.reset_network()
-        first = GStoreDEngine(cluster, backend=SERIAL).execute(query)
+        first = GStoreDEngine(cluster).execute(query)
         cluster.reset_network()
-        again = GStoreDEngine(cluster, backend=SERIAL).execute(query)
+        again = GStoreDEngine(cluster).execute(query)
         assert stage_shipment_snapshot(again) == stage_shipment_snapshot(first)
         assert again.statistics.total_shipment_bytes == cluster.bus.total_bytes

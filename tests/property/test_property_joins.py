@@ -53,7 +53,6 @@ from repro.core.site_tasks import run_lec_filter
 from repro.distributed.network import estimate_size
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.distributed import build_cluster
-from repro.exec import SerialBackend
 from repro.partition import build_partitioned_graph
 from repro.rdf import Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph, SelectQuery
@@ -164,7 +163,7 @@ class TestIndexedJoinsEqualTheNestedLoop:
         partitioned, query_graph, classes = coordinator_inputs(graph, query, assignment, num_fragments)
         expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
         config = EngineConfig.full().with_options(star_shortcut=False, use_candidate_exchange=False)
-        result = GStoreDEngine(build_cluster(partitioned), config, backend=SerialBackend()).execute(query)
+        result = GStoreDEngine(build_cluster(partitioned), config).execute(query)
         assert result.results.same_solutions(expected)
         statistics = result.statistics
         pruned = LECFeaturePruner(query_graph).prune(list(classes))
@@ -259,7 +258,7 @@ class TestTheWireForm:
         _, query_graph, classes_by_site = site_classes(graph, query, assignment, num_fragments, candidate_filter)
         recounted.update(recount_messages(query_graph, classes_by_site))
         config = EngineConfig.full().with_options(star_shortcut=False, use_candidate_exchange=candidate_exchange)
-        result = GStoreDEngine(cluster, config, backend=SerialBackend()).execute(query)
+        result = GStoreDEngine(cluster, config).execute(query)
         expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
         assert result.results.same_solutions(expected)
         shipped = cluster.bus.bytes_by_kind()

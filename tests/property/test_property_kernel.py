@@ -15,9 +15,9 @@ and asserts, on random graphs and queries, that the kernel produces
 
 * the identical *sequence* of match assignments (not just the same set),
 * the identical ``search_steps`` work counter — also after graph mutations
-  (incremental adjacency patching) and under depth-0 frontier sharding, and
+  (incremental adjacency patching), and
 * identical result rows and per-stage shipment fingerprints when the kernel
-  runs under the distributed engine (with and without intra-site sharding).
+  runs under the distributed engine.
 """
 
 import sys
@@ -33,10 +33,9 @@ from kernel_reference import ReferenceObjectMatcher, reference_candidates
 from reference_set_kernel import KERNEL_SETS, SetMatcher, set_candidate_ids, set_runner_everywhere
 
 from repro.bench import stage_shipment_snapshot
-from repro.core import EngineConfig, GStoreDEngine
+from repro.core import GStoreDEngine
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.distributed import build_cluster
-from repro.exec import SerialBackend
 from repro.partition import build_partitioned_graph
 from repro.sparql.query_graph import QueryGraph
 from repro.store import KERNEL_PYTHON, LocalMatcher, SignatureIndex, compute_candidates, evaluate_centralized
@@ -47,9 +46,7 @@ seeds = st.integers(min_value=0, max_value=5_000)
 fragment_counts = st.integers(min_value=1, max_value=4)
 query_sizes = st.integers(min_value=1, max_value=4)
 constant_probabilities = st.sampled_from([0.0, 0.25, 0.5])
-shard_counts = st.sampled_from([2, 3, 8])
 
-SERIAL = SerialBackend()
 
 #: The set-based oracle and the production kernel, by kernel name.
 MATCHERS = {KERNEL_SETS: SetMatcher, KERNEL_PYTHON: LocalMatcher}
@@ -120,7 +117,7 @@ class TestKernelEquivalence:
         expected_rows = sorted_rows(expected)
 
         cluster.reset_network()
-        serial = GStoreDEngine(cluster, backend=SERIAL).execute(query)
+        serial = GStoreDEngine(cluster).execute(query)
         assert sorted_rows(serial.results) == expected_rows
 
 
@@ -171,44 +168,15 @@ class TestKernelMatrixEquivalence:
             assert list(matcher.find_matches(query_graph)) == expected, kernel
             assert matcher.search_steps == reference.search_steps, kernel
 
-    @given(seeds, query_sizes, constant_probabilities, shard_counts)
-    @settings(max_examples=15, deadline=None)
-    def test_shard_concatenation_replays_the_unsharded_stream(
-        self, seed, query_edges, constant_probability, num_shards
-    ):
-        """Depth-0 frontier shards partition the search exactly: bindings
-        concatenated in shard order equal the unsharded sequence and the
-        per-shard ``search_steps`` sum to the unsharded total — for every
-        kernel."""
-        graph = random_graph(seed, num_vertices=16, num_edges=32, num_predicates=3)
-        query = random_connected_query(
-            graph, seed + 101, num_edges=query_edges, constant_probability=constant_probability
-        )
-        for kernel, matcher_class in MATCHERS.items():
-            matcher = matcher_class(graph)
-            unsharded = matcher.raw_matches(query)
-            unsharded_steps = matcher.search_steps
-            combined = []
-            steps = 0
-            for index in range(num_shards):
-                combined.extend(matcher.shard_matches(query, index, num_shards))
-                steps += matcher.search_steps
-            assert combined == unsharded, kernel
-            assert steps == unsharded_steps, kernel
-
 
 class TestDistributedKernelParity:
-    """The set oracle, the kernel and intra-site sharding are
-    indistinguishable to the engines."""
+    """The set oracle and the kernel are indistinguishable to the engines."""
 
     @given(seeds, fragment_counts, query_sizes)
     @settings(max_examples=8, deadline=None)
-    def test_kernels_and_shards_are_invisible_to_the_engine(
-        self, seed, num_fragments, query_edges
-    ):
-        """For every kernel, shards_per_site ∈ {1, 2, 3, 8} (unsharded,
-        uneven and more-shards-than-candidates splits alike) all reproduce
-        the reference rows and per-stage shipment fingerprints."""
+    def test_kernels_are_invisible_to_the_engine(self, seed, num_fragments, query_edges):
+        """Every kernel reproduces the reference rows and per-stage shipment
+        fingerprints."""
         graph = random_graph(seed, num_vertices=16, num_edges=32, num_predicates=3)
         query = random_connected_query(graph, seed + 101, num_edges=query_edges)
         assignment = random_assignment(graph, seed + 7, num_fragments)
@@ -216,18 +184,13 @@ class TestDistributedKernelParity:
         cluster = build_cluster(partitioned)
 
         cluster.reset_network()
-        reference = GStoreDEngine(cluster, backend=SERIAL).execute(query)
+        reference = GStoreDEngine(cluster).execute(query)
         reference_rows = sorted_rows(reference.results)
         reference_snapshot = stage_shipment_snapshot(reference)
 
         for kernel, running_on in ENGINE_KERNELS.items():
             with running_on():
-                for shards in (1, 2, 3, 8):
-                    cluster.reset_network()
-                    config = EngineConfig.full().with_options(shards_per_site=shards)
-                    outcome = GStoreDEngine(cluster, config, backend=SERIAL).execute(query)
-                    assert sorted_rows(outcome.results) == reference_rows, (kernel, shards)
-                    assert stage_shipment_snapshot(outcome) == reference_snapshot, (
-                        kernel,
-                        shards,
-                    )
+                cluster.reset_network()
+                outcome = GStoreDEngine(cluster).execute(query)
+            assert sorted_rows(outcome.results) == reference_rows, kernel
+            assert stage_shipment_snapshot(outcome) == reference_snapshot, kernel

@@ -33,7 +33,6 @@ from repro.core.partial_eval import evaluate_fragment
 from repro.datasets import random_assignment, random_connected_query
 from repro.distributed import build_cluster
 from repro.distributed.network import estimate_size
-from repro.exec import SerialBackend
 from repro.partition import build_partitioned_graph
 from repro.rdf import RDFGraph, Triple
 from repro.rdf.ntriples import parse_term
@@ -141,6 +140,6 @@ class TestKeyedLPMsOnHostileTerms:
             loaded = pickle.loads(pickle.dumps(lpms))
             assert loaded == lpms
             assert [(lpm.terms, lpm.crossing) for lpm in loaded] == [(lpm.terms, lpm.crossing) for lpm in lpms]
-        result = GStoreDEngine(build_cluster(partitioned), backend=SerialBackend()).execute(query)
+        result = GStoreDEngine(build_cluster(partitioned)).execute(query)
         expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
         assert result.results.same_solutions(expected)

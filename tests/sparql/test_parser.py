@@ -124,6 +124,42 @@ class TestErrors:
         with pytest.raises(SparqlSyntaxError):
             parse_query("DESCRIBE ?x")
 
+    @pytest.mark.parametrize("count", ["-1", "-3", "1.5", "2.", '"5"'])
+    def test_limit_takes_a_non_negative_integer(self, count):
+        text = f"SELECT ?x WHERE {{ ?x <http://x/p> ?y }} LIMIT {count}"
+        with pytest.raises(SparqlSyntaxError, match="non-negative integer") as excinfo:
+            parse_query(text)
+        assert excinfo.value.position == text.index(count)
+
+    def test_limit_zero_is_legal(self):
+        assert parse_query("SELECT ?x WHERE { ?x <http://x/p> ?y } LIMIT 0").limit == 0
+
+    @pytest.mark.parametrize(
+        ("literal", "message"),
+        [
+            ('"a"^^', "not a prefixed name"),
+            ('"a"^^integer', "not a prefixed name"),
+            ('"a"^^nope:integer', "unknown prefix"),
+            ('"a"@', "malformed language tag"),
+            ('"a"@-en', "malformed language tag"),
+            ('"a"@en-', "malformed language tag"),
+        ],
+    )
+    def test_malformed_literal_suffixes_are_syntax_errors(self, literal, message):
+        text = f"SELECT ?x WHERE {{ ?x <http://x/p> {literal} }}"
+        with pytest.raises(SparqlSyntaxError, match=message) as excinfo:
+            parse_query(text)
+        assert excinfo.value.position == text.index(literal)
+
+    def test_language_subtags_parse(self):
+        query = parse_query('SELECT ?x WHERE { ?x <http://x/name> "Alice"@en-GB-1996 }')
+        assert query.bgp[0].object == Literal("Alice", language="en-GB-1996")
+
+    def test_formatted_iris_with_slashes_parse_back(self):
+        text = "PREFIX u: <http://x/> SELECT ?x WHERE { ?x u:p <http://x/a/b> }"
+        query = parse_query(text)
+        assert parse_query(format_query(query)).bgp.patterns == query.bgp.patterns
+
 
 class TestHelpers:
     def test_parse_bgp_accepts_bare_triples(self):

@@ -23,7 +23,6 @@ from repro.sparql.query_graph import QueryEdge, QueryGraph
 from repro.store import LocalMatcher
 from repro.store.candidates import _edge_supported_id
 from repro.store.encoding import EncodedGraph, predicate_code
-from repro.store.kernel import shard_bounds
 from repro.store.signatures import SignatureIndex
 
 #: The oracle's name, as it appears in ``LocalMatcher.last_kernel``.
@@ -195,7 +194,7 @@ class SetRunner:
             )
         return compiled
 
-    def frontier(self, vertex, assignment, shard=None):
+    def frontier(self, vertex, assignment):
         encoded = self.encoded
         narrowed: Optional[Set[int]] = None
         for is_subject, code, other_index in vertex.narrow_edges:
@@ -221,9 +220,6 @@ class SetRunner:
             if not narrowed:
                 return [], 0
             ordered = sorted(narrowed)
-        if shard is not None:
-            lo, hi = shard_bounds(len(ordered), *shard)
-            ordered = ordered[lo:hi]
         tried = len(ordered)
         survivors = [
             candidate

@@ -1,7 +1,6 @@
 """Unit tests for the matching-kernel machinery (`repro.store.kernel`).
 
-Shard bounds, the sorted adjacency columns and their incremental
-invalidation, and agreement with the set-based oracle — the parts the
+The sorted adjacency columns and their incremental invalidation, and agreement with the set-based oracle — the parts the
 Hypothesis parity suite exercises only indirectly.
 """
 
@@ -17,7 +16,7 @@ import repro
 
 from repro.rdf import Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph
-from repro.store import KERNEL_PYTHON, LocalMatcher, SignatureIndex, resolve_kernel, shard_bounds
+from repro.store import KERNEL_PYTHON, LocalMatcher, SignatureIndex, resolve_kernel
 from repro.store.candidates import compute_candidate_ids
 from repro.store.encoding import encoded_view
 from repro.store.kernel import adjacency_view
@@ -69,27 +68,6 @@ QUERY_SHAPES = {
     "unknown_constant": lambda: bgp((X, KNOWS, EX.term("nobody"))),
     "unknown_predicate": lambda: bgp((X, EX.term("likes"), Y)),
 }
-
-
-# ----------------------------------------------------------------------
-# Shard bounds
-# ----------------------------------------------------------------------
-class TestShardBounds:
-    @pytest.mark.parametrize("count", [0, 1, 2, 7, 64, 1000])
-    @pytest.mark.parametrize("num_shards", [1, 2, 3, 8])
-    def test_slices_tile_the_range_exactly(self, count, num_shards):
-        covered = []
-        for shard in range(num_shards):
-            low, high = shard_bounds(count, shard, num_shards)
-            assert 0 <= low <= high <= count
-            covered.extend(range(low, high))
-        assert covered == list(range(count))
-
-    def test_out_of_range_shard_is_an_error(self):
-        with pytest.raises(ValueError, match="outside"):
-            shard_bounds(10, 3, 3)
-        with pytest.raises(ValueError, match="outside"):
-            shard_bounds(10, -1, 3)
 
 
 # ----------------------------------------------------------------------

@@ -163,7 +163,7 @@ class TestQueryEngineRegistry:
             EngineSpec(
                 name="cli-custom",
                 summary="test double",
-                factory=lambda cluster, config, backend: make_engine("centralized", cluster),
+                factory=lambda cluster, config: make_engine("centralized", cluster),
             )
         )
         try:

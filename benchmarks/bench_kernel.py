@@ -3,8 +3,9 @@
 Not a paper figure: this benchmark validates the `repro.store` matching
 kernel the way `bench_planner.py` validates the planner.
 **Object-path A/B** (`test_kernel_ab_lubm`) — the seed's object-path
-matcher (candidate pools of ``Node`` objects, per-step ``n3()`` sorts,
-generator-scan edge checks), preserved verbatim in `kernel_reference.py`,
+matcher (candidate pools of ``Node`` objects, a vertex signature
+prefilter, per-step ``n3()`` sorts, generator-scan edge checks), preserved
+in `kernel_reference.py`,
 against the encoded kernel.  Gate: encoded ``>= 2x`` on the multi-join
 workload (``>= 1x`` in smoke mode).
 

@@ -1,20 +1,29 @@
-"""The seed's object-path matcher, preserved verbatim as an A/B baseline.
+"""The seed's object-path matcher, preserved as an A/B baseline.
 
 This is the pre-encoding implementation of candidate computation and the
-backtracking search — candidate pools of ``Node`` objects, per-step
-``n3()`` sorts, generator-scan edge checks — kept alive as the reference
-both for the Hypothesis equivalence suite
+backtracking search — candidate pools of ``Node`` objects, a vertex
+signature prefilter, per-step ``n3()`` sorts, generator-scan edge checks —
+kept alive as the reference both for the Hypothesis equivalence suite
 (``tests/property/test_property_kernel.py``) and the kernel benchmark
 (``benchmarks/bench_kernel.py``).  One copy, two importers: if the baseline
 ever needs a fix, the property suite and the bench gate stay in lockstep.
 
 Not part of the installed package on purpose: production code must never
 fall back to the object path.
+
+The prefilter follows gStore's vertex signatures (Zou et al., PVLDB 2011),
+unhashed: a vertex's signature is the set of ``(direction, predicate)`` and
+``(direction, predicate, neighbour)`` keys of its edges, and a candidate
+must hold every key its query vertex's constants ask for.  Edge support
+already implies every key but one — the incoming side of a self-loop
+``?x p ?x`` — which is why the production kernel needs no signatures, only
+that loop rule.
 """
+
+from collections import defaultdict
 
 from repro.rdf.terms import IRI, Literal, Variable
 from repro.sparql.query_graph import traversal_order
-from repro.store import SignatureIndex
 
 
 def _sort_key(node):
@@ -34,7 +43,33 @@ def reference_edge_supported(graph, vertex, query, query_vertex, edge_index):
     return any(True for _ in graph.triples(other_bound, predicate, vertex))
 
 
-def _reference_variable_candidates(graph, query, query_vertex, index):
+def node_signatures(graph):
+    """Per vertex, the signature keys of its edges (see the module docstring)."""
+    signatures = defaultdict(set)
+    for triple in graph:
+        signatures[triple.subject].update((("out", triple.predicate), ("out", triple.predicate, triple.object)))
+        signatures[triple.object].update((("in", triple.predicate), ("in", triple.predicate, triple.subject)))
+    return signatures
+
+
+def _query_signature(query, query_vertex):
+    """The keys a data vertex must hold to match ``query_vertex``: constants only."""
+    needed = set()
+    for edge in query.edges_of(query_vertex):
+        if isinstance(edge.predicate, Variable):
+            continue
+        if edge.subject == query_vertex:
+            needed.add(("out", edge.predicate))
+            if not isinstance(edge.object, Variable):
+                needed.add(("out", edge.predicate, edge.object))
+        if edge.object == query_vertex:
+            needed.add(("in", edge.predicate))
+            if not isinstance(edge.subject, Variable):
+                needed.add(("in", edge.predicate, edge.subject))
+    return needed
+
+
+def _reference_variable_candidates(graph, query, query_vertex, signatures):
     required_edges = list(query.edges_of(query_vertex))
     if not required_edges:
         return set(graph.vertices)
@@ -53,10 +88,10 @@ def _reference_variable_candidates(graph, query, query_vertex, index):
             seed = matching
         if seed is not None and not seed:
             return set()
-    needed = index.query_signature(query, query_vertex)
+    needed = _query_signature(query, query_vertex)
     survivors = set()
     for vertex in seed:
-        if not index.signature_of(vertex).covers(needed):
+        if not needed <= signatures[vertex]:
             continue
         if all(
             reference_edge_supported(graph, vertex, query, query_vertex, edge.index)
@@ -66,7 +101,7 @@ def _reference_variable_candidates(graph, query, query_vertex, index):
     return survivors
 
 
-def reference_candidates(graph, query, index):
+def reference_candidates(graph, query, signatures):
     """Seed ``compute_candidates`` (no relaxed edges, no restriction)."""
     vertices_universe = graph.vertices
     candidates = {}
@@ -74,7 +109,7 @@ def reference_candidates(graph, query, index):
         if isinstance(query_vertex, (IRI, Literal)):
             found = {query_vertex} if query_vertex in vertices_universe else set()
         else:
-            found = _reference_variable_candidates(graph, query, query_vertex, index)
+            found = _reference_variable_candidates(graph, query, query_vertex, signatures)
         candidates[query_vertex] = found
     return candidates
 
@@ -84,7 +119,7 @@ class ReferenceObjectMatcher:
 
     def __init__(self, graph):
         self._graph = graph
-        self._signatures = SignatureIndex(graph)
+        self._signatures = node_signatures(graph)
         self.search_steps = 0
 
     def find_matches(self, query):

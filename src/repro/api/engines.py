@@ -86,8 +86,8 @@ class CentralizedEngine:
 
     Wraps :class:`~repro.store.LocalMatcher` over the cluster's *full* graph
     (what :func:`~repro.store.evaluate_centralized` does per call), but keeps
-    the matcher — and therefore its signature index and plan cache — warm
-    across queries, the way a long-lived single-store deployment would.
+    the matcher warm across queries, the way a long-lived single-store
+    deployment would.
     Nothing is shipped, so the statistics carry a single
     ``centralized_evaluation`` stage with pure coordinator time.
     """

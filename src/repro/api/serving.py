@@ -323,13 +323,16 @@ class _Handler(BaseHTTPRequestHandler):
                 400, {"error": 'expected {"query": "<SPARQL or benchmark name>", ...}'}
             )
             return
+        engine, name = payload.get("engine"), payload.get("name", "")
+        if engine is not None and not isinstance(engine, str):
+            self._respond_json(400, {"error": "'engine' must be a string or null"})
+            return
+        if not isinstance(name, str):
+            self._respond_json(400, {"error": "'name' must be a string"})
+            return
         try:
             with server.admission.admit():
-                result = server.session.query(
-                    payload["query"],
-                    engine=payload.get("engine"),
-                    query_name=payload.get("name", ""),
-                )
+                result = server.session.query(payload["query"], engine=engine, query_name=name)
         except AdmissionError as error:
             self._respond_json(429, {"error": str(error)})
             return

@@ -136,13 +136,3 @@ def example_query() -> SelectQuery:
         }
     """
     return parse_query(text)
-
-
-def expected_answer_count() -> int:
-    """Number of solutions of the example query over the full graph.
-
-    Two philosophers influence Crispin Wright (s2:Phi2 and s3:Phi3);
-    s2:Phi2 has three labelled interests and s3:Phi3 has one, so the query
-    has four solutions in total.
-    """
-    return 4

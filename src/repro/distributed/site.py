@@ -98,7 +98,7 @@ class Site:
         never relaxed here.  Values are id sets of the site graph's encoded
         view, from pools this query's stage 2 reuses.
         """
-        return internal_pools(self.fragment, self.graph, query, self.store.signatures)
+        return internal_pools(self.fragment, self.graph, query)
 
     def stats(self) -> Dict[str, int]:
         return self.fragment.stats()

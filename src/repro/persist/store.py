@@ -353,14 +353,6 @@ class ClusterStore:
             (op, Triple(terms[s], terms[p], terms[o])) for op, s, p, o in rows
         ]
 
-    def load_graph(self) -> RDFGraph:
-        """The *base* master graph (deltas not applied)."""
-        terms = self._load_terms()
-        graph = RDFGraph(name=self._manifest.get("graph_name", ""))
-        for s, p, o in self._conn.execute("SELECT s, p, o FROM triples"):
-            graph.add(Triple(terms[s], terms[p], terms[o]))
-        return graph
-
     def load_statistics(self, fragment_id: int) -> Optional[GraphStatistics]:
         """The stored planner statistics of one fragment (base state)."""
         row = self._conn.execute(

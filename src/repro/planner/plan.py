@@ -48,10 +48,6 @@ class QueryPlan:
         """The same plan, marked as served from the plan cache."""
         return replace(self, source=SOURCE_CACHE)
 
-    @property
-    def used_statistics(self) -> bool:
-        return self.source != SOURCE_FALLBACK
-
     # ------------------------------------------------------------------
     # Rendering
     # ------------------------------------------------------------------

@@ -20,7 +20,7 @@ from .terms import IRI, Literal, Node, Term
 from .triples import Triple
 
 #: How many of the most recent mutations each graph remembers.  Derived
-#: structures (the encoded view, signature index, statistics) patch
+#: structures (the encoded view, sorted columns, statistics) patch
 #: themselves from this window; falling off the end of it simply degrades
 #: to the pre-delta behaviour of a full rebuild, so the bound trades a
 #: little memory for never penalising bulk loads.

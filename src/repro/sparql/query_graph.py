@@ -15,7 +15,7 @@ serialization-vector convention of the paper's examples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..rdf.terms import IRI, PatternTerm, Variable
 from ..rdf.triples import TriplePattern
@@ -83,10 +83,6 @@ class QueryGraph:
     @classmethod
     def from_query(cls, query: SelectQuery) -> "QueryGraph":
         return cls(query.bgp)
-
-    @classmethod
-    def from_patterns(cls, patterns: Sequence[TriplePattern]) -> "QueryGraph":
-        return cls(BasicGraphPattern(patterns))
 
     # ------------------------------------------------------------------
     # Accessors

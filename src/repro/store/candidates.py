@@ -9,10 +9,10 @@ vector, and the coordinator ORs the vectors so sites can discard extended
 candidates that are internal nowhere.
 
 The computation runs on the graph's dictionary-encoded view
-(:mod:`repro.store.encoding`): seeds, edge-support probes and signature
-containment all work on integer ids, and the resulting id sets are decoded
-to :class:`~repro.rdf.terms.Node` sets only at this module's public
-boundary.  :func:`compute_candidate_ids` is the id-domain entry point,
+(:mod:`repro.store.encoding`): a pool is the intersection of the sorted
+adjacency columns of its vertex's query edges, all on integer ids, and the
+resulting id sets are decoded to :class:`~repro.rdf.terms.Node` sets only at
+this module's public boundary.  :func:`compute_candidate_ids` is the id-domain entry point,
 skipping the decode/re-encode round trip.
 """
 
@@ -25,7 +25,6 @@ from ..rdf.terms import Node, PatternTerm, Variable
 from ..sparql.query_graph import QueryEdge, QueryGraph
 from .encoding import EncodedGraph, encoded_view, predicate_code
 from .kernel import ArrayRunner
-from .signatures import SignatureIndex
 
 __all__ = [
     "predicate_code",
@@ -82,24 +81,22 @@ def _edge_supported_id(
 def compute_candidate_ids(
     encoded: EncodedGraph,
     query: QueryGraph,
-    signature_index: SignatureIndex,
     relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
 ) -> Dict[PatternTerm, Set[int]]:
     """Candidate *ids* for every query vertex — the matcher's fast path.
 
     Same semantics as :func:`compute_candidates`, but input and output stay
     in the integer domain of ``encoded``.  The pools come from the
-    sorted-column kernel (:mod:`repro.store.kernel`): signature containment
-    per seed id, then edge support as sorted-column membership.
+    sorted-column kernel (:mod:`repro.store.kernel`): edge support as
+    sorted-column membership.
     """
-    pools = ArrayRunner(encoded, signature_index).compute_pools(query, relaxed_edges)
+    pools = ArrayRunner(encoded).compute_pools(query, relaxed_edges)
     return {vertex: set(pool) for vertex, pool in pools.items()}
 
 
 def compute_candidates(
     graph: RDFGraph,
     query: QueryGraph,
-    signature_index: Optional[SignatureIndex] = None,
     relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
 ) -> Dict[PatternTerm, Set[Node]]:
     """Compute a candidate set for every query vertex.
@@ -110,9 +107,6 @@ def compute_candidates(
         The data graph (a whole RDF graph, or one fragment's graph).
     query:
         The query graph.
-    signature_index:
-        Optional pre-built signature index over ``graph``; built on demand
-        when omitted.
     relaxed_edges:
         Per query vertex, indices of query edges whose support must *not* be
         required.  Sites use this for extended vertices, whose edges inside
@@ -125,7 +119,6 @@ def compute_candidates(
         data vertices that could match it based on local-only checks.
     """
     encoded = encoded_view(graph)
-    index = signature_index or SignatureIndex(graph)
-    id_candidates = compute_candidate_ids(encoded, query, index, relaxed_edges)
+    id_candidates = compute_candidate_ids(encoded, query, relaxed_edges)
     decode = encoded.dictionary.decode_ids
     return {query_vertex: decode(ids) for query_vertex, ids in id_candidates.items()}

@@ -16,7 +16,7 @@ term objects.  This module is that layer for the reproduction:
 * :func:`encoded_view` caches one :class:`EncodedGraph` per graph, keyed on
   :attr:`~repro.rdf.graph.RDFGraph.version`, so the encoding is built
   lazily, reused across queries, and rebuilt only after a mutation —
-  the same lifecycle as the signature index and planner statistics.
+  the same lifecycle as the sorted columns and planner statistics.
 
 Decoding happens only at result boundaries (bindings, candidate sets handed
 to the distributed layers); everything inside the kernel is ints.

@@ -117,10 +117,10 @@ class CandidateIds(dict):
     encoded: EncodedGraph
 
 
-def internal_pools(fragment: Fragment, graph: RDFGraph, query: QueryGraph, signature_index=None) -> CandidateIds:
+def internal_pools(fragment: Fragment, graph: RDFGraph, query: QueryGraph) -> CandidateIds:
     """``query``'s pools on ``graph`` (:func:`~repro.store.kernel.query_pools`)
     restricted to ``fragment``'s internal ids, kept with them."""
-    entry = query_pools(graph, query, signature_index)
+    entry = query_pools(graph, query)
     if entry.internal is None:
         index = fragment_index(fragment, graph)
         internal = CandidateIds((v, index.internal.intersection(pool)) for v, pool in entry.pools.items())

@@ -239,9 +239,8 @@ class ArrayRunner:
 
     kernel = KERNEL_PYTHON
 
-    def __init__(self, encoded: EncodedGraph, signature_index) -> None:
+    def __init__(self, encoded: EncodedGraph) -> None:
         self.encoded = encoded
-        self.signatures = signature_index
         #: Candidate-pool/frontier intersection operations performed so far
         #: — the work metric behind ``repro_kernel_intersections_total``.
         self.intersections = 0
@@ -295,6 +294,12 @@ class ArrayRunner:
         return adjacency.objects_from(other_id, code)
 
     def _variable_pool(self, query, query_vertex, relaxed: Set[int]) -> List[int]:
+        """The ids in every required edge's endpoint column, in id order.
+
+        A self-loop ``?x p ?x`` with a constant ``p`` requires both of
+        ``p``'s columns: a candidate must have an outgoing *and* an incoming
+        ``p`` edge.  Whether that is the same edge is left to the search.
+        """
         required = [
             edge for edge in query.edges_of(query_vertex) if edge.index not in relaxed
         ]
@@ -307,11 +312,13 @@ class ArrayRunner:
             if not column:
                 return []
             columns.append(column)
+            if edge.object == edge.subject and not isinstance(edge.predicate, Variable):
+                column = self.adjacency.object_keys(predicate_code(self.encoded, edge.predicate))
+                if not column:
+                    return []
+                columns.append(column)
         seed_position = min(range(len(columns)), key=lambda i: len(columns[i]))
         seed = columns[seed_position]
-        # Edge support implies containment: without an index only the prefilter goes.
-        needed = self.signatures and self.signatures.query_signature(query, query_vertex, skip_edges=relaxed).bits
-        bits_by_id = needed and self.signatures.bits_table(self.encoded)
         others = [
             column
             for position, column in enumerate(columns)
@@ -320,8 +327,6 @@ class ArrayRunner:
         survivors = []
         self.intersections += len(others)
         for vertex_id in seed:
-            if needed and (bits_by_id[vertex_id] & needed) != needed:
-                continue
             supported = True
             for column in others:
                 position = bisect_left(column, vertex_id)
@@ -449,7 +454,7 @@ def cached_pools(graph: RDFGraph, bgp: BasicGraphPattern) -> Optional[QueryPools
     return entry
 
 
-def query_pools(graph: RDFGraph, query: QueryGraph, signature_index=None) -> QueryPools:
+def query_pools(graph: RDFGraph, query: QueryGraph) -> QueryPools:
     """``query``'s candidate pools over ``graph``, computed once per query.
 
     Stage 1, partial evaluation and the complete-match search share them
@@ -458,7 +463,7 @@ def query_pools(graph: RDFGraph, query: QueryGraph, signature_index=None) -> Que
     entry = cached_pools(graph, query.bgp)
     if entry is None:
         encoded, key = encoded_view(graph), id(query.bgp)
-        memo, runner = encoded.memo.setdefault(QueryPools, {}), ArrayRunner(encoded, signature_index)
+        memo, runner = encoded.memo.setdefault(QueryPools, {}), ArrayRunner(encoded)
         pools = runner.compute_pools(query)
         owner = weakref.ref(query, lambda _: memo.pop(key, None))
         entry = memo[key] = QueryPools(owner, graph.version, pools, runner.intersections)

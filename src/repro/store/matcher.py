@@ -6,10 +6,10 @@ a BGP query over an RDF graph is finding all subgraph homomorphisms from the
 query graph to the data graph (Definition 3).
 
 The matcher is a classic backtracking search over the query vertices in a
-connectivity-preserving order, with candidate filtering (signatures +
-per-edge support) done upfront.  Variables on predicates are supported.
-Distinct query vertices may map to the same data vertex (homomorphism, not
-isomorphism), matching SPARQL semantics.
+connectivity-preserving order, with candidate filtering (per-edge support,
+as sorted-column intersection) done upfront.  Variables on predicates are
+supported.  Distinct query vertices may map to the same data vertex
+(homomorphism, not isomorphism), matching SPARQL semantics.
 
 Since the dictionary-encoding PR the search runs entirely on dense integer
 ids from :mod:`repro.store.encoding`; the per-depth candidate computation
@@ -38,7 +38,6 @@ from ..sparql.bindings import Binding, ResultSet
 from ..sparql.query_graph import QueryGraph, traversal_order
 from .encoding import encoded_view
 from .kernel import ArrayRunner, QueryPools, cached_pools
-from .signatures import SignatureIndex
 
 
 def finalize_matches(query: SelectQuery, bindings: Iterable[Binding]) -> ResultSet:
@@ -61,11 +60,9 @@ class LocalMatcher:
     def __init__(
         self,
         graph: RDFGraph,
-        signature_index: Optional[SignatureIndex] = None,
         planner: Optional[QueryPlanner] = None,
     ) -> None:
         self._graph = graph
-        self._signatures = signature_index or SignatureIndex(graph)
         self._planner = planner
         #: Number of candidate assignments attempted by the most recent
         #: ``find_matches``/``evaluate`` call (a deterministic work measure
@@ -80,10 +77,6 @@ class LocalMatcher:
     @property
     def graph(self) -> RDFGraph:
         return self._graph
-
-    @property
-    def signatures(self) -> SignatureIndex:
-        return self._signatures
 
     @property
     def planner(self) -> Optional[QueryPlanner]:
@@ -166,7 +159,7 @@ class LocalMatcher:
         self.kernel_intersections = 0
         self.last_kernel = self.runner_class.kernel
         encoded = encoded_view(self._graph)
-        runner = self.runner_class(encoded, self._signatures)
+        runner = self.runner_class(encoded)
         try:
             if pools is None or self.runner_class is not ArrayRunner:
                 pools = runner.compute_pools(query)

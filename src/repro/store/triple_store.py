@@ -1,7 +1,7 @@
 """Local triple store facade ("gStore-lite").
 
 Each site of the simulated cluster hosts one :class:`TripleStore`, which
-bundles the fragment's RDF graph with its signature index, a matcher, and
+bundles the fragment's RDF graph with a matcher, planner statistics and
 cached per-query candidate computations.  The centralized baseline uses the
 same class over the unpartitioned graph, so every engine in the repository
 shares one local-evaluation code path.
@@ -27,7 +27,6 @@ from ..sparql.query_graph import QueryGraph
 from .candidates import compute_candidates
 from .encoding import EncodedGraph, encoded_view
 from .matcher import LocalMatcher
-from .signatures import DEFAULT_SIGNATURE_BITS, SignatureIndex
 
 
 class TripleStore:
@@ -37,15 +36,12 @@ class TripleStore:
         self,
         graph: Optional[RDFGraph] = None,
         name: str = "",
-        signature_bits: int = DEFAULT_SIGNATURE_BITS,
         use_planner: bool = False,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
     ) -> None:
         self._graph = graph if graph is not None else RDFGraph(name=name)
         if name:
             self._graph.name = name
-        self._signature_bits = signature_bits
-        self._signatures: Optional[SignatureIndex] = None
         self._matcher: Optional[LocalMatcher] = None
         self._statistics: Optional[GraphStatistics] = None
         self._use_planner = use_planner
@@ -79,7 +75,7 @@ class TripleStore:
     def _sync(self) -> None:
         """Bring the cached statistics (and plan cache) up to the graph.
 
-        The signature index and encoded view maintain themselves against
+        The encoded view and its sorted columns maintain themselves against
         :attr:`RDFGraph.version`; statistics are this store's to keep.  A
         contiguous journal window is patched in place (exact — see
         :func:`repro.planner.statistics.apply_statistics_ops`), a gap falls
@@ -105,13 +101,6 @@ class TripleStore:
     # ------------------------------------------------------------------
     # Index access
     # ------------------------------------------------------------------
-    @property
-    def signatures(self) -> SignatureIndex:
-        """The (lazily rebuilt) signature index for candidate filtering."""
-        if self._signatures is None:
-            self._signatures = SignatureIndex(self._graph, self._signature_bits)
-        return self._signatures
-
     @property
     def encoded(self) -> EncodedGraph:
         """The dictionary-encoded view the matching kernel runs on.
@@ -184,9 +173,9 @@ class TripleStore:
     @property
     def matcher(self) -> LocalMatcher:
         if self._matcher is None:
-            self._matcher = LocalMatcher(self._graph, self.signatures, planner=self.planner)
+            self._matcher = LocalMatcher(self._graph, planner=self.planner)
         else:
-            # The matcher's graph/signature references self-maintain against
+            # The matcher's graph and encoded view self-maintain against
             # the graph version; the statistics behind its planner are ours
             # to refresh (and stale plan-cache entries to drop).
             self._sync()
@@ -208,8 +197,8 @@ class TripleStore:
         query: QueryGraph,
         relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
     ) -> Dict[PatternTerm, Set[Node]]:
-        """Per-query-vertex candidates using this store's signature index."""
-        return compute_candidates(self._graph, query, self.signatures, relaxed_edges=relaxed_edges)
+        """Per-query-vertex candidates over this store's graph."""
+        return compute_candidates(self._graph, query, relaxed_edges=relaxed_edges)
 
     def stats(self) -> Dict[str, int]:
         return self._graph.stats()

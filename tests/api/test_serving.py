@@ -213,6 +213,29 @@ class TestQueryServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post(base, {"query": "example", "engine": "sparkle"})
         assert excinfo.value.code == 400
+        for body in ({"query": "example", "engine": 5}, {"query": "example", "name": ["a"]}):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(base, body)
+            assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("engine", 5), ("engine", True), ("engine", ["gstored"]), ("engine", {}), ("name", ["a"]), ("name", 7), ("name", None)],
+    )
+    def test_a_mistyped_field_gets_400_naming_it(self, served, field, value):
+        """Regression: a non-string ``engine`` answered 500 and a list ``name`` was accepted."""
+        _session, _server, base = served
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(base, {"query": "example", field: value})
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"].startswith(f"'{field}' must be")
+
+    def test_a_null_engine_and_a_string_name_are_accepted(self, served):
+        session, _server, base = served
+        status, body = _post(base, {"query": "example", "engine": None, "name": "fig1"})
+        assert status == 200
+        assert body["num_rows"] == 4
+        assert body["engine"] == session.engine(session.default_engine).name
 
     @pytest.mark.parametrize("content_length", ["-1", "ten"])
     def test_unusable_content_length_gets_400_without_reading(self, served, content_length):

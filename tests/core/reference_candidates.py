@@ -28,7 +28,7 @@ def vector_of(terms, width=DEFAULT_BIT_VECTOR_BITS) -> CandidateBitVector:
 
 def reference_internal_candidates(site, query_graph):
     """Per query vertex, the site's decoded internal candidates (a ``Node`` set)."""
-    candidates = compute_candidates(site.graph, query_graph, site.store.signatures)
+    candidates = compute_candidates(site.graph, query_graph)
     return {vertex: found & site.fragment.internal_vertices for vertex, found in candidates.items()}
 
 

@@ -15,8 +15,11 @@ from repro.core import (
 from repro.datasets import lubm
 from repro.distributed import build_cluster
 from repro.partition import HashPartitioner
+from repro.rdf import Triple
 from repro.store import evaluate_centralized
 from repro.sparql import parse_query
+
+UB = "PREFIX ub: <http://example.org/univ-bench#> "
 
 
 @pytest.fixture(scope="module")
@@ -126,3 +129,41 @@ class TestCorrectness:
         cluster.reset_network()
         result = GStoreDEngine(cluster).execute(query)
         assert len(result.results) == 3
+
+
+#: Self-loop queries over :func:`looped_lubm`: alone, in a star, on a path
+#: of crossing edges, in a cycle, and with a variable predicate.
+LOOP_QUERIES = {
+    "loop": "SELECT ?s WHERE { ?s ub:advisor ?s . }",
+    "loop_in_a_star": "SELECT ?s ?c WHERE { ?s ub:advisor ?s . ?s ub:takesCourse ?c . }",
+    "loop_on_a_path": "SELECT ?s ?p ?c WHERE { ?s ub:advisor ?s . ?s ub:advisor ?p . ?p ub:teacherOf ?c . }",
+    "loop_in_a_cycle": "SELECT ?s ?c WHERE { ?s ub:advisor ?s . ?s ub:takesCourse ?c . ?p ub:teacherOf ?c . ?s ub:advisor ?p . }",
+    "variable_predicate_loop": "SELECT ?s ?q WHERE { ?s ?q ?s . }",
+}
+
+
+@pytest.fixture(scope="module", params=[2, 4], ids=["2_sites", "4_sites"])
+def looped_lubm(request):
+    """LUBM 1 plus an ``advisor`` loop on every fourth advised student.
+
+    The looped students keep their real advisor, so a loop vertex also has a
+    non-loop outgoing edge of the same predicate, often a crossing one.
+    """
+    graph = lubm.generate(scale=1)
+    advisor = lubm.UB.term("advisor")
+    for student in sorted({t.subject for t in graph.triples(None, advisor, None)}, key=lambda term: term.n3())[::4]:
+        graph.add(Triple(student, advisor, student))
+    return graph, build_cluster(HashPartitioner(request.param).partition(graph))
+
+
+class TestSelfLoops:
+    @pytest.mark.parametrize("name", list(LOOP_QUERIES))
+    def test_every_config_matches_centralized(self, looped_lubm, name):
+        graph, cluster = looped_lubm
+        query = parse_query(UB + LOOP_QUERIES[name])
+        central = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
+        assert len(central) > 0
+        for config in ABLATION_CONFIGS:
+            cluster.reset_network()
+            result = GStoreDEngine(cluster, config).execute(query, query_name=name)
+            assert result.results.same_solutions(central), f"{config} differs on {name}"

@@ -13,15 +13,9 @@ Definition 1 sets of a partitioning built from scratch over the mutated
 graph.
 """
 
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from test_property_signature_updates import window_lists
 
 from repro.datasets import random_assignment, random_graph
 from repro.distributed import build_cluster
@@ -54,6 +48,13 @@ def two_fragments(graph, seed):
 
 
 PARTITIONINGS = [every_edge_crossing, single_site, empty_fragments, two_fragments]
+
+#: Up to five journal windows of up to eight ``(op, triple number)`` pairs each.
+window_lists = st.lists(
+    st.lists(st.tuples(st.sampled_from("+-"), st.integers(0, 10_000)), min_size=1, max_size=8),
+    min_size=1,
+    max_size=5,
+)
 
 
 def universe(graph):

@@ -2,11 +2,13 @@
 
 Before the sorted-column kernel of :mod:`repro.store.kernel`, the matcher
 narrowed candidates with Python *sets* of ids and checked every incident
-query edge per candidate.  That path is preserved here verbatim — candidate
-pools (:func:`set_candidate_ids`), compiled vertices and the per-depth
-frontier (:class:`SetRunner`) — so the parity suites can assert that the
-production kernel yields the identical match *sequence*, the identical
-``search_steps`` and the identical candidate sets.
+query edge per candidate.  That path is preserved here — candidate pools
+(:func:`set_candidate_ids`), compiled vertices and the per-depth frontier
+(:class:`SetRunner`) — so the parity suites can assert that the production
+kernel yields the identical match *sequence*, the identical ``search_steps``
+and the identical candidate sets.  Its pools are edge support alone, with
+no signature prefilter: a self-loop ``?x p ?x`` with a constant ``p`` asks
+for an incoming ``p`` edge as well as an outgoing one.
 
 :class:`SetMatcher` is a :class:`~repro.store.LocalMatcher` driven by this
 runner; :func:`set_runner_everywhere` swaps it under every matcher (the
@@ -23,7 +25,6 @@ from repro.sparql.query_graph import QueryEdge, QueryGraph
 from repro.store import LocalMatcher
 from repro.store.candidates import _edge_supported_id
 from repro.store.encoding import EncodedGraph, predicate_code
-from repro.store.signatures import SignatureIndex
 
 #: The oracle's name, as it appears in ``LocalMatcher.last_kernel``.
 KERNEL_SETS = "sets"
@@ -35,7 +36,6 @@ KERNEL_SETS = "sets"
 def set_candidate_ids(
     encoded: EncodedGraph,
     query: QueryGraph,
-    signature_index: SignatureIndex,
     relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
 ) -> Dict[PatternTerm, Set[int]]:
     """Candidate ids for every query vertex, computed on hash sets."""
@@ -50,9 +50,7 @@ def set_candidate_ids(
             else:
                 candidates[query_vertex] = set()
         else:
-            candidates[query_vertex] = _variable_candidate_ids(
-                encoded, query, query_vertex, signature_index, relaxed
-            )
+            candidates[query_vertex] = _variable_candidate_ids(encoded, query, query_vertex, relaxed)
     return candidates
 
 
@@ -60,7 +58,6 @@ def _variable_candidate_ids(
     encoded: EncodedGraph,
     query: QueryGraph,
     query_vertex: PatternTerm,
-    index: SignatureIndex,
     relaxed: Set[int],
 ) -> Set[int]:
     required_edges = [edge for edge in query.edges_of(query_vertex) if edge.index not in relaxed]
@@ -76,16 +73,17 @@ def _variable_candidate_ids(
         if not seed:
             return set()
     assert seed is not None
-    needed = index.query_signature(query, query_vertex, skip_edges=relaxed).bits
-    signature_bits = index.bits_table(encoded)
+    loop_codes = [
+        predicate_code(encoded, edge.predicate)
+        for edge in required_edges
+        if edge.subject == edge.object and not isinstance(edge.predicate, Variable)
+    ]
     survivors: Set[int] = set()
     for vertex_id in seed:
-        if (signature_bits[vertex_id] & needed) != needed:
-            continue
         if all(
             _edge_supported_id(encoded, vertex_id, edge, query_vertex)
             for edge in required_edges
-        ):
+        ) and all(encoded.has_in_edge(vertex_id, code) for code in loop_codes):
             survivors.add(vertex_id)
     return survivors
 
@@ -153,14 +151,13 @@ class SetRunner:
 
     kernel = KERNEL_SETS
 
-    def __init__(self, encoded: EncodedGraph, signature_index) -> None:
+    def __init__(self, encoded: EncodedGraph) -> None:
         self.encoded = encoded
-        self.signatures = signature_index
         #: Candidate-pool/frontier intersection operations performed so far.
         self.intersections = 0
 
     def compute_pools(self, query, relaxed_edges=None):
-        return set_candidate_ids(self.encoded, query, self.signatures, relaxed_edges)
+        return set_candidate_ids(self.encoded, query, relaxed_edges)
 
     def compile(self, query, order, pools):
         compiled: List[CompiledSetVertex] = []

@@ -1,7 +1,7 @@
 """Unit tests for the matching-kernel machinery (`repro.store.kernel`).
 
-The sorted adjacency columns and their incremental invalidation, and agreement with the set-based oracle — the parts the
-Hypothesis parity suite exercises only indirectly.
+The sorted adjacency columns and their incremental invalidation, self-loop pools, and agreement with the set-based
+oracle — the parts the Hypothesis parity suite exercises only indirectly.
 """
 
 import os
@@ -12,11 +12,14 @@ from pathlib import Path
 import pytest
 from reference_set_kernel import KERNEL_SETS, SetMatcher, set_candidate_ids
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
+from kernel_reference import ReferenceObjectMatcher, node_signatures, reference_candidates
+
 import repro
 
 from repro.rdf import Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
-from repro.sparql import BasicGraphPattern, QueryGraph
-from repro.store import KERNEL_PYTHON, LocalMatcher, SignatureIndex, resolve_kernel
+from repro.sparql import BasicGraphPattern, QueryGraph, parse_query
+from repro.store import KERNEL_PYTHON, LocalMatcher, compute_candidates, resolve_kernel
 from repro.store.candidates import compute_candidate_ids
 from repro.store.encoding import encoded_view
 from repro.store.kernel import adjacency_view
@@ -152,8 +155,7 @@ class TestAgainstTheSetOracle:
         assert list(default.find_matches(query)) == list(sets.find_matches(query))
         assert default.search_steps == sets.search_steps
         encoded = encoded_view(graph)
-        index = SignatureIndex(graph)
-        assert compute_candidate_ids(encoded, query, index) == set_candidate_ids(encoded, query, index)
+        assert compute_candidate_ids(encoded, query) == set_candidate_ids(encoded, query)
 
 
 # ----------------------------------------------------------------------
@@ -196,34 +198,103 @@ class TestNoKernelSelection:
 
 
 # ----------------------------------------------------------------------
-# Signature table (the kernel's filter input)
+# Self-loop pools
 # ----------------------------------------------------------------------
-class TestBitsTable:
-    def test_table_rows_match_the_signatures(self):
-        graph = social_graph()
-        index = SignatureIndex(graph)
-        encoded = encoded_view(graph)
-        table = index.bits_table(encoded)
-        assert len(table) == len(encoded.dictionary)
-        for term_id, bits in enumerate(table):
-            assert bits == index.signature_of(encoded.dictionary.term_of(term_id)).bits
+LIKES = EX.term("likes")
 
-    def test_table_refreshes_after_mutation(self):
-        graph = social_graph()
-        index = SignatureIndex(graph)
-        before = list(index.bits_table(encoded_view(graph)))
-        graph.add(Triple(DAVE, NAME, Literal("Dave")))
-        encoded = encoded_view(graph)
-        table = index.bits_table(encoded)
-        dave = encoded.dictionary.id_of(DAVE)
-        assert table[dave] != before[dave]
-        fresh = SignatureIndex(graph.copy())
-        for term_id, bits in enumerate(table):
-            assert bits == fresh.signature_of(encoded.dictionary.term_of(term_id)).bits
 
-    def test_stale_encoded_view_is_an_error(self):
-        graph = social_graph()
-        index = SignatureIndex(graph)
-        other = encoded_view(social_graph())
-        with pytest.raises(ValueError, match="different graph"):
-            index.bits_table(other)
+def loop_graph() -> RDFGraph:
+    """Loops beside vertices that have both sides of ``knows`` (bob), or one (dave, carol)."""
+    return RDFGraph(
+        [
+            Triple(ALICE, KNOWS, ALICE),
+            Triple(ALICE, KNOWS, BOB),
+            Triple(BOB, KNOWS, CAROL),
+            Triple(DAVE, KNOWS, CAROL),
+            Triple(CAROL, LIKES, CAROL),
+            Triple(DAVE, LIKES, DAVE),
+            Triple(ALICE, NAME, Literal("Alice")),
+            Triple(CAROL, NAME, Literal("Carol")),
+        ]
+    )
+
+
+#: Query shapes with at least one self-loop edge, over :func:`loop_graph`.
+LOOP_SHAPES = {
+    "loop": lambda: bgp((X, KNOWS, X)),
+    "loop_and_outgoing": lambda: bgp((X, KNOWS, X), (X, KNOWS, Y)),
+    "loop_and_incoming": lambda: bgp((X, KNOWS, X), (Y, KNOWS, X)),
+    "loop_and_literal": lambda: bgp((X, KNOWS, X), (X, NAME, Z)),
+    "two_loops": lambda: bgp((X, KNOWS, X), (X, LIKES, X)),
+    "loop_on_a_neighbour": lambda: bgp((X, KNOWS, Y), (Y, LIKES, Y)),
+    "variable_predicate_loop": lambda: bgp((X, Y, X)),
+    "constant_loop": lambda: bgp((ALICE, KNOWS, ALICE), (ALICE, NAME, Z)),
+    "unknown_predicate_loop": lambda: bgp((X, EX.term("hates"), X)),
+}
+
+#: Journal windows that move a vertex in or out of a loop pool.
+LOOP_WINDOWS = {
+    "a loop is added": [("+", Triple(BOB, KNOWS, BOB))],
+    "a loop is removed": [("-", Triple(ALICE, KNOWS, ALICE))],
+    "an outgoing-only vertex gains an incoming edge": [("+", Triple(CAROL, KNOWS, DAVE))],
+    "a loop replaces an incoming edge": [("-", Triple(ALICE, KNOWS, BOB)), ("+", Triple(BOB, KNOWS, BOB))],
+}
+
+
+class TestSelfLoopPools:
+    def test_a_loop_edge_needs_both_of_its_columns(self):
+        """``?x p ?x`` pools only vertices with an outgoing *and* an incoming ``p``.
+
+        ``bob`` has an outgoing ``knows`` edge but no incoming one: in the
+        pool it would cost a second search step.
+        """
+        graph = RDFGraph([Triple(ALICE, KNOWS, ALICE), Triple(BOB, KNOWS, CAROL)])
+        query = parse_query("SELECT ?x WHERE { ?x <http://example.org/knows> ?x }")
+        matcher = LocalMatcher(graph)
+        assert [row[X] for row in matcher.evaluate(query)] == [ALICE]
+        assert matcher.search_steps == 1
+        encoded = encoded_view(graph)
+        pools = compute_candidate_ids(encoded, QueryGraph.from_query(query))
+        assert pools == {X: {encoded.dictionary.id_of(ALICE)}}
+
+    @pytest.mark.parametrize("shape", list(LOOP_SHAPES))
+    def test_loop_shapes_match_sets(self, shape):
+        graph = loop_graph()
+        query = LOOP_SHAPES[shape]()
+        default = LocalMatcher(graph)
+        sets = SetMatcher(graph)
+        assert list(default.find_matches(query)) == list(sets.find_matches(query))
+        assert default.search_steps == sets.search_steps
+        encoded = encoded_view(graph)
+        assert compute_candidate_ids(encoded, query) == set_candidate_ids(encoded, query)
+
+    @pytest.mark.parametrize("shape", list(LOOP_SHAPES))
+    def test_loop_shapes_match_the_signature_prefiltered_object_path(self, shape):
+        """The loop column prunes exactly what vertex signatures pruned, and no more."""
+        graph = loop_graph()
+        query = LOOP_SHAPES[shape]()
+        default = LocalMatcher(graph)
+        reference = ReferenceObjectMatcher(graph)
+        assert list(default.find_matches(query)) == list(reference.find_matches(query))
+        assert default.search_steps == reference.search_steps
+        assert compute_candidates(graph, query) == reference_candidates(graph, query, node_signatures(graph))
+
+    def test_a_relaxed_loop_requires_nothing(self):
+        graph = loop_graph()
+        relaxed = compute_candidates(graph, bgp((X, KNOWS, X)), relaxed_edges={X: {0}})
+        assert relaxed[X] == graph.vertices
+
+    @pytest.mark.parametrize("window", list(LOOP_WINDOWS))
+    def test_loop_pools_follow_updates(self, window):
+        graph = loop_graph()
+        query = LOOP_SHAPES["loop_and_incoming"]()
+        matcher = LocalMatcher(graph)
+        list(matcher.find_matches(query))  # warm the columns the window will patch
+        for op, triple in LOOP_WINDOWS[window]:
+            (graph.add if op == "+" else graph.discard)(triple)
+        after = list(matcher.find_matches(query))
+        fresh = SetMatcher(graph.copy())
+        assert after == list(fresh.find_matches(query))
+        assert matcher.search_steps == fresh.search_steps
+        encoded = encoded_view(graph)
+        assert compute_candidate_ids(encoded, query) == set_candidate_ids(encoded, query)

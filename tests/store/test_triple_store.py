@@ -1,5 +1,7 @@
 """Unit tests for the TripleStore facade."""
 
+import pytest
+
 from repro.rdf import Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph, parse_query
 from repro.store import TripleStore
@@ -32,19 +34,6 @@ class TestLoading:
 
 
 class TestIndexInvalidation:
-    def test_signature_index_resyncs_after_load(self):
-        store = TripleStore()
-        store.load([Triple(A, KNOWS, B)])
-        first = store.signatures
-        before = first.signature_of(B).bits
-        store.load([Triple(B, KNOWS, C)])
-        # The index object survives the mutation (it patches itself in
-        # place from the graph's journal) but must serve fresh bits.
-        assert store.signatures is first
-        after = store.signatures.signature_of(B).bits
-        assert after != 0
-        assert after != before
-
     def test_matcher_survives_mutation_and_stays_correct(self):
         store = TripleStore()
         store.load([Triple(A, KNOWS, B)])
@@ -90,3 +79,23 @@ class TestQuerying:
         store = TripleStore()
         store.load([Triple(A, KNOWS, B)])
         assert store.stats()["triples"] == 1
+
+
+class TestNoSignatureIndex:
+    """Candidate pools are the sorted columns alone: no signature index, no knob for one."""
+
+    def test_the_store_takes_no_signature_width(self):
+        with pytest.raises(TypeError):
+            TripleStore(signature_bits=64)
+
+    def test_store_and_matcher_hold_no_signatures(self):
+        store = TripleStore(RDFGraph([Triple(A, KNOWS, B)]))
+        assert not hasattr(store, "signatures")
+        assert not hasattr(store.matcher, "signatures")
+
+    def test_the_store_package_has_no_signature_module(self):
+        import repro.store
+
+        assert not hasattr(repro.store, "SignatureIndex")
+        with pytest.raises(ImportError):
+            import repro.store.signatures  # noqa: F401

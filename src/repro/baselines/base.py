@@ -23,7 +23,7 @@ from ..distributed.result import Result
 from ..distributed.run import Run, Stage
 from ..obs import record_statistics_spans
 from ..sparql.algebra import SelectQuery
-from ..sparql.bindings import Binding
+from ..sparql.bindings import Binding, ResultSet
 
 
 class DistributedEngine(ABC):
@@ -58,7 +58,8 @@ class DistributedEngine(ABC):
         """
         del profiler
         run = Run.start(self.name, self.cluster, query, query_name, dataset)
-        result = run.result(self._evaluate(run))
+        solutions = ResultSet(self._evaluate(run), query.variables)
+        result = run.result(solutions.project(query.effective_projection).rows)
         if trace is not None:
             record_statistics_spans(trace, result.statistics)
         return result

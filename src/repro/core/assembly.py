@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Sequence, Set, Tuple
 
-from ..sparql.bindings import Binding
+from ..rdf.terms import Variable
+from ..sparql.bindings import Binding, Row
 from ..sparql.query_graph import QueryGraph
 from .joins import JoinCompiler, SignGroups
 from .partial_match import LocalPartialMatch, join_matches
@@ -46,6 +47,18 @@ class AssemblyOutcome:
 
     def bindings(self) -> List[Binding]:
         return [match.to_binding() for match in self.matches]
+
+    def rows(self, variables: Sequence[Variable]) -> List[Row]:
+        """Each match's terms for ``variables``, read from its vertex slots (``None``: no vertex)."""
+        if not self.matches:
+            return []
+        query = self.matches[0].query
+        slots = [query.num_edges + query.vertex_index(v) if v in query else None for v in variables]
+        rows = []
+        for match in self.matches:
+            term_at = dict(zip([slot for slot, _ in match.items], match.terms)).get
+            rows.append(tuple(map(term_at, slots)))
+        return rows
 
     @property
     def num_matches(self) -> int:

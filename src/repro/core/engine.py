@@ -53,7 +53,7 @@ from ..faults import FaultPlan, RetryPolicy
 from ..obs import CATEGORY_PLANNING, StageProfiler, Trace
 from ..planner.plan import QueryPlan
 from ..sparql.algebra import SelectQuery
-from ..sparql.bindings import Binding
+from ..sparql.bindings import Row
 from ..sparql.query_graph import QueryGraph
 from .assembly import assemble_matches
 from .candidate_exchange import GlobalCandidateFilter, union_site_vectors
@@ -171,12 +171,12 @@ class GStoreDEngine:
             stats.stage(STAGE_PLANNING)
         with run.fault_scope():
             if self.config.star_shortcut and run.query_graph.is_star():
-                bindings = self._evaluate_star(run)
+                rows = self._evaluate_star(run)
             else:
-                bindings = self._evaluate_general(run)
+                rows = self._evaluate_general(run)
         stats.extra["query_shape"] = run.query_graph.classify_shape()
         stats.extra["selective"] = run.query_graph.has_selective_pattern()
-        return run.result(bindings)
+        return run.result(rows)
 
     # ------------------------------------------------------------------
     # Stage 0: cost-based planning
@@ -223,37 +223,37 @@ class GStoreDEngine:
     # ------------------------------------------------------------------
     # Star shortcut
     # ------------------------------------------------------------------
-    def _evaluate_star(self, run: Run) -> List[Binding]:
+    def _evaluate_star(self, run: Run) -> List[Row]:
         """Evaluate a star query purely locally at every site."""
         work = run.stats.work
         tasks = local_eval_tasks(run.live_site_ids(), run.query)
-        all_bindings: List[Binding] = []
+        all_rows: List[Row] = []
         with run.stage(STAGE_PARTIAL_EVAL, star_shortcut=True) as stage:
             for result in stage.fan_out(tasks):
                 outcome = result.value
                 stage.ship(result.site_id, COORDINATOR, "local_matches", outcome.matches)
-                all_bindings.extend(outcome.matches)
+                all_rows.extend(outcome.matches.rows)
                 work["search_steps"] = work.get("search_steps", 0) + outcome.search_steps
                 work["kernel_intersections"] = (
                     work.get("kernel_intersections", 0) + outcome.kernel_intersections
                 )
-            stage.count(local_matches=len(all_bindings), local_partial_matches=0)
+            stage.count(local_matches=len(all_rows), local_partial_matches=0)
         # Keep the optimization stages present (at zero cost) so the table
         # rows show the same zeros as the paper does for star queries.
         run.stats.stage(STAGE_CANDIDATES)
         run.stats.stage(STAGE_PRUNING)
         run.stats.stage(STAGE_ASSEMBLY).add_counter("crossing_matches", 0)
-        return all_bindings
+        return all_rows
 
     # ------------------------------------------------------------------
     # General pipeline
     # ------------------------------------------------------------------
-    def _evaluate_general(self, run: Run) -> List[Binding]:
+    def _evaluate_general(self, run: Run) -> List[Row]:
         plan = self._plan_query(run)
         candidate_filter = self._candidate_exchange(run)
-        local_bindings, lpms_by_site = self._partial_evaluation(run, plan, candidate_filter)
+        local_rows, lpms_by_site = self._partial_evaluation(run, plan, candidate_filter)
         surviving_by_site = self._lec_pruning(run, lpms_by_site)
-        return local_bindings + self._assembly(run, surviving_by_site)
+        return local_rows + self._assembly(run, surviving_by_site)
 
     # -- Stage 1: Algorithm 4 -------------------------------------------------
     def _candidate_exchange(self, run: Run) -> Optional[GlobalCandidateFilter]:
@@ -287,7 +287,7 @@ class GStoreDEngine:
         run: Run,
         plan: Optional[QueryPlan],
         candidate_filter: Optional[GlobalCandidateFilter],
-    ) -> Tuple[List[Binding], LPMsBySite]:
+    ) -> Tuple[List[Row], LPMsBySite]:
         work = run.stats.work
         tasks = partial_eval_tasks(
             run.live_site_ids(),
@@ -297,13 +297,13 @@ class GStoreDEngine:
             candidate_filter,
             self.config.paranoid_validation,
         )
-        local_bindings: List[Binding] = []
+        local_rows: List[Row] = []
         lpms_by_site: LPMsBySite = {}
         filtered_branches = 0
         with run.stage(STAGE_PARTIAL_EVAL) as stage:
             for result in stage.fan_out(tasks):
                 outcome = result.value
-                local_bindings.extend(outcome.local_matches)
+                local_rows.extend(outcome.local_matches.rows)
                 lpms_by_site[result.site_id] = outcome.local_partial_matches
                 filtered_branches += outcome.branches_pruned_by_filter
                 work["search_steps"] = work.get("search_steps", 0) + outcome.search_steps
@@ -312,11 +312,11 @@ class GStoreDEngine:
                 )
                 stage.ship(result.site_id, COORDINATOR, "local_matches", outcome.local_matches)
             stage.count(
-                local_matches=len(local_bindings),
+                local_matches=len(local_rows),
                 local_partial_matches=sum(len(lpms) for lpms in lpms_by_site.values()),
                 filtered_extended_candidates=filtered_branches,
             )
-        return local_bindings, lpms_by_site
+        return local_rows, lpms_by_site
 
     # -- Stage 3: Algorithms 1-2 ------------------------------------------------
     def _lec_pruning(self, run: Run, lpms_by_site: LPMsBySite) -> LPMsBySite:
@@ -354,7 +354,7 @@ class GStoreDEngine:
         return surviving_by_site
 
     # -- Stage 4: assembly --------------------------------------------------------
-    def _assembly(self, run: Run, lpms_by_site: LPMsBySite) -> List[Binding]:
+    def _assembly(self, run: Run, lpms_by_site: LPMsBySite) -> List[Row]:
         all_lpms: List[LocalPartialMatch] = []
         with run.stage(STAGE_ASSEMBLY) as stage:
             for site_id, lpms in lpms_by_site.items():
@@ -373,4 +373,4 @@ class GStoreDEngine:
                 join_attempts=outcome.join_attempts,
                 lpm_groups=outcome.groups,
             )
-        return outcome.bindings()
+        return outcome.rows(run.query.effective_projection)

@@ -18,7 +18,7 @@ to fragment vertices (unassigned vertices stand for the paper's NULL), where
 **Wire form.**  An LPM crosses to the coordinator as *keys*: a term's key is
 its N3 text, injective over terms, as the producing site's dictionary holds it
 (``docs/performance.md``, "LPMs cross as keys").  Joins, Algorithm 1 and sizes
-work on the keys; each key's ``Node`` is read only to build a ``Binding``.
+work on the keys; each key's ``Node`` is read only into an answer row.
 ``assignment``, ``mapping()`` … are views decoded on demand for tests.  A site's
 LPMs travel as one :class:`LPMList` message, which carries each distinct key
 once and refers to it by a fixed-width reference (``docs/performance.md``,

@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exec.tasks import SiteTask
 from ..sparql.algebra import SelectQuery
-from ..sparql.bindings import Binding
+from ..sparql.bindings import ResultSet
 from ..sparql.query_graph import QueryGraph
 from ..store.kernel import KERNEL_PYTHON
 from .candidate_exchange import CandidateBitVector, GlobalCandidateFilter, build_site_vectors
@@ -80,13 +80,13 @@ class LocalEvalOutput:
     """One site's star-shortcut step: local matches plus the work they cost.
 
     Only ``matches`` is shipped to the coordinator (the engine charges the
-    bus with the list itself, exactly as before this wrapper existed);
+    bus with the result set's rows);
     ``search_steps`` is a work counter folded into
     :attr:`~repro.distributed.QueryStatistics.work` in the serial merge.
     """
 
-    #: The site's fragment-local matches (the shipped payload).
-    matches: List[Binding]
+    #: The site's fragment-local matches as projected rows (the shipped payload).
+    matches: ResultSet
     #: Matcher search steps the local evaluation cost (never shipped).
     search_steps: int = 0
     #: Matching kernel the evaluation ran with (observability).
@@ -99,8 +99,8 @@ class LocalEvalOutput:
 class PartialEvalOutput:
     """One site's partial-evaluation step: complete + partial local matches."""
 
-    #: Fragment-local complete matches (shipped to the coordinator as-is).
-    local_matches: List[Binding]
+    #: Fragment-local complete matches as projected rows (shipped as-is).
+    local_matches: ResultSet
     #: The site's local partial matches (Definition 5), kept for pruning.
     local_partial_matches: LPMList
     #: Extended-candidate branches cut by the stage-1 bit-vector filter.
@@ -123,7 +123,7 @@ def run_local_eval(site, payload: Mapping[str, object]) -> LocalEvalOutput:
     The star-query shortcut: every match of a star query is contained in a
     single fragment because crossing edges are replicated.
     """
-    matches = list(site.local_evaluate(payload["query"]))
+    matches = site.local_evaluate(payload["query"])
     matcher = site.store.matcher
     return LocalEvalOutput(
         matches=matches,
@@ -154,7 +154,7 @@ def run_partial_eval(site, payload: Mapping[str, object]) -> PartialEvalOutput:
     )
     # First, so the local search below reuses the candidate pools it builds.
     outcome = evaluator.evaluate(query_graph, candidate_filter=candidate_filter)
-    local_results = list(site.local_evaluate(query))
+    local_results = site.local_evaluate(query)
     matcher = site.store.matcher
     return PartialEvalOutput(
         local_matches=local_results,

@@ -82,7 +82,7 @@ def estimate_size(payload: Any) -> int:
     RDF terms are charged their N3 text length; containers are charged the
     sum of their elements plus a small framing overhead; objects exposing a
     ``shipment_size()`` method (LEC features, local partial matches, bit
-    vectors, solution bindings) delegate to it.  No engine's payload reaches
+    vectors, result sets, bindings) delegate to it.  No engine's payload reaches
     the ``repr`` fallback at the end; it exists for foreign payload types.
     """
     if payload is None:

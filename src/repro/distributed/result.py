@@ -129,12 +129,10 @@ class Result:
         solution order.  Computed once and cached.
         """
         if self._rows is None:
+            columns = sorted((v.name, p) for v, p in self.results.first_columns().items())
             self._rows = [
-                tuple(
-                    f"{variable.name}={binding[variable].n3()}"
-                    for variable in sorted(binding.variables, key=lambda v: v.name)
-                )
-                for binding in self.results
+                tuple([f"{name}={row[p].n3()}" for name, p in columns if row[p] is not None])
+                for row in self.results.rows
             ]
         return self._rows
 

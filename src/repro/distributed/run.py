@@ -10,7 +10,7 @@ systems — tells its strategy as a sequence of stages over one :class:`Run`::
         with stage.measure():                          # coordinator work
             ...
         stage.count(local_matches=...)
-    return run.result(bindings)
+    return run.result(rows)
 
 :meth:`Run.stage` is the only place that opens the stage's statistics record
 and its span / profile capture, and on exit folds the measured site and
@@ -35,7 +35,7 @@ from ..exec import SiteTask, SiteTaskResult, run_site_task, run_site_tasks
 from ..faults import FaultPlan, RetryPolicy, ShipmentFaultInjector, SiteDownError
 from ..obs import CATEGORY_COORDINATOR, Span, StageProfiler, Trace, stage_scope
 from ..sparql.algebra import SelectQuery
-from ..sparql.bindings import Binding, ResultSet
+from ..sparql.bindings import ResultSet, Row
 from ..sparql.query_graph import QueryGraph
 from .cluster import Cluster
 from .network import COORDINATOR, StageTimer
@@ -146,11 +146,11 @@ class Run:
                 + " lost and unrecoverable; matches needing their fragments are missing"
             )
 
-    def result(self, bindings: Sequence[Binding]) -> Result:
-        """Project (distinct) and limit the solutions; the run's :class:`Result`."""
+    def result(self, rows: List[Row]) -> Result:
+        """The run's :class:`Result`: the distinct ``rows`` (in projection order), limited."""
         query = self.query
-        results = ResultSet(bindings, query.variables)
-        limited = results.project(query.effective_projection, distinct=True).limit(query.limit)
+        rows = list(dict.fromkeys(rows))[: query.limit]
+        limited = ResultSet(variables=query.effective_projection, rows=rows)
         self.stats.num_results = len(limited)
         return Result(limited, self.stats)
 

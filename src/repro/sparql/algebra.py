@@ -27,6 +27,9 @@ class BasicGraphPattern:
     def __iter__(self) -> Iterator[TriplePattern]:
         return iter(self.patterns)
 
+    def __getstate__(self) -> Dict[str, object]:
+        return {"patterns": self.patterns}  # a pickle leaves the components cache behind
+
     def __len__(self) -> int:
         return len(self.patterns)
 
@@ -57,8 +60,13 @@ class BasicGraphPattern:
 
         Two triple patterns are connected when they share a subject/object
         term (joins through predicates are not considered graph connections,
-        matching the query-graph view of Definition 2).
+        matching the query-graph view of Definition 2).  Computed once per
+        instance: the cache is no dataclass field, so equality and hashing
+        ignore it.
         """
+        cached = self.__dict__.get("_components")
+        if cached is not None:
+            return list(cached)
         unassigned = list(self.patterns)
         components: List[List[TriplePattern]] = []
         while unassigned:
@@ -75,7 +83,8 @@ class BasicGraphPattern:
                         unassigned.remove(pattern)
                         changed = True
             components.append(component)
-        return [BasicGraphPattern(component) for component in components]
+        object.__setattr__(self, "_components", tuple(map(BasicGraphPattern, components)))
+        return self.connected_components()
 
     @property
     def is_connected(self) -> bool:

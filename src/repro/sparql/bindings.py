@@ -1,18 +1,19 @@
 """Solution mappings (bindings) and result sets.
 
 A :class:`Binding` maps query variables to RDF terms; a :class:`ResultSet`
-is an ordered collection of bindings with helpers for projection, dedup and
-comparison.  All distributed engines and baselines in this repository return
-``ResultSet`` objects, so the integration tests can compare them directly
-against the centralized ground truth.
+holds solutions as rows, a tuple of terms per solution in column order, with
+helpers for projection, dedup and comparison.  All distributed engines and
+baselines in this repository return ``ResultSet`` objects, so the integration
+tests can compare them directly against the centralized ground truth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..rdf.terms import Node, Term, Variable
+from ..rdf.terms import Node, Variable
 
 
 @dataclass(frozen=True)
@@ -96,85 +97,114 @@ class Binding:
         return f"Binding({inner})"
 
 
+#: One solution in a :class:`ResultSet`: a cell per column, ``None`` when unbound.
+Row = Tuple[Optional[Node], ...]
+
+
 class ResultSet:
-    """An ordered, comparable collection of :class:`Binding` objects."""
+    """Solutions as rows: a tuple per solution, a cell per column of :attr:`variables`.
 
-    def __init__(self, bindings: Iterable[Binding] = (), variables: Sequence[Variable] = ()) -> None:
-        self._bindings: List[Binding] = list(bindings)
-        self._variables: Tuple[Variable, ...] = tuple(variables)
+    A cell is a term, or ``None`` where the solution leaves the variable
+    unbound; a variable projected twice is two equal columns.  Iteration,
+    :meth:`as_set` and :meth:`same_solutions` build :class:`Binding` objects on demand.
+    """
 
-    @property
-    def variables(self) -> Tuple[Variable, ...]:
-        if self._variables:
-            return self._variables
-        seen: List[Variable] = []
-        for binding in self._bindings:
-            for variable in sorted(binding.variables, key=lambda v: v.name):
-                if variable not in seen:
-                    seen.append(variable)
-        return tuple(seen)
+    __slots__ = ("variables", "rows")
+
+    def __init__(
+        self, bindings: Iterable[Binding] = (), variables: Sequence[Variable] = (), *, rows: Optional[List[Row]] = None
+    ) -> None:
+        self.variables: Tuple[Variable, ...] = tuple(variables)
+        self.rows: List[Row] = [] if rows is None else rows
+        if bindings:
+            self.extend(bindings)
 
     def add(self, binding: Binding) -> None:
-        self._bindings.append(binding)
+        self.extend((binding,))
 
     def extend(self, bindings: Iterable[Binding]) -> None:
-        self._bindings.extend(bindings)
+        """Append ``bindings`` as rows; a variable they bind beyond :attr:`variables`
+        becomes a new column, in order of first appearance (by name within a binding)."""
+        bindings = list(bindings)
+        names = {variable.name for variable in self.variables}
+        unseen = {variable for binding in bindings for variable, _ in binding._items if variable.name not in names}
+        if unseen:
+            ordered = (v for binding in bindings for v in sorted(binding.variables, key=lambda v: v.name))
+            added = tuple(dict.fromkeys(v for v in ordered if v in unseen))
+            self.variables += added
+            self.rows = [row + (None,) * len(added) for row in self.rows]
+        # Keyed by name: a str hashes in C, a Variable in Python.
+        first = {variable.name: position for variable, position in self.first_columns().items()}
+        positions = [first[variable.name] for variable in self.variables]
+        for binding in bindings:
+            # Fill each variable's first column; a column projected twice copies it.
+            row: List[Optional[Node]] = [None] * len(positions)
+            for variable, value in binding._items:
+                row[first[variable.name]] = value
+            self.rows.append(tuple(row) if len(first) == len(row) else tuple(map(row.__getitem__, positions)))
 
     def __len__(self) -> int:
-        return len(self._bindings)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[Binding]:
-        return iter(self._bindings)
+        columns = self.variables
+        for row in self.rows:
+            yield Binding(frozenset([pair for pair in zip(columns, row) if pair[1] is not None]))
 
     def __bool__(self) -> bool:
-        return bool(self._bindings)
+        return bool(self.rows)
 
     def __contains__(self, binding: Binding) -> bool:
-        return binding in self._bindings
+        return binding in self.as_set()
+
+    def __eq__(self, other: object) -> bool:
+        """Same columns and the same row sequence (:meth:`same_solutions` ignores order)."""
+        if not isinstance(other, ResultSet):
+            return NotImplemented
+        return self.variables == other.variables and self.rows == other.rows
+
+    def first_columns(self) -> Dict[Variable, int]:
+        """The position of each variable's first column."""
+        return {variable: self.variables.index(variable) for variable in self.variables}
 
     def project(self, variables: Sequence[Variable], distinct: bool = False) -> "ResultSet":
-        projected = [binding.project(variables) for binding in self._bindings]
-        if distinct:
-            seen: Set[Binding] = set()
-            unique: List[Binding] = []
-            for binding in projected:
-                if binding not in seen:
-                    seen.add(binding)
-                    unique.append(binding)
-            projected = unique
-        return ResultSet(projected, variables)
+        """The columns ``variables`` (unbound where no column has the variable)."""
+        positions = list(map(self.first_columns().get, variables))
+        if len(positions) > 1 and None not in positions:
+            rows = list(map(itemgetter(*positions), self.rows))
+        else:
+            rows = [tuple([None if p is None else row[p] for p in positions]) for row in self.rows]
+        return ResultSet(variables=variables, rows=list(dict.fromkeys(rows)) if distinct else rows)
 
     def distinct(self) -> "ResultSet":
         return self.project(self.variables, distinct=True)
 
     def limit(self, count: Optional[int]) -> "ResultSet":
-        if count is None:
-            return self
-        return ResultSet(self._bindings[:count], self._variables)
+        return self if count is None else ResultSet(variables=self.variables, rows=self.rows[:count])
 
     def as_set(self) -> FrozenSet[Binding]:
         """Order-insensitive view used for equality checks in tests."""
-        return frozenset(self._bindings)
+        return frozenset(self)
 
     def same_solutions(self, other: "ResultSet") -> bool:
         """Compare two result sets as sets of solution mappings."""
         return self.as_set() == other.as_set()
 
-    def to_table(self) -> List[Dict[str, str]]:
-        """Render bindings as dictionaries of variable name → N3 term text.
+    def shipment_size(self) -> int:
+        """``4 + Σ len(repr(binding))`` over the rows' bindings, nothing printed; a
+        variable projected twice is one pair of the binding, charged at its first column."""
+        # A pair prints as "?name=<n3>" plus a ", " separator; "Binding()" is 9, less one separator.
+        columns = [(p, len(variable.name) + 4) for variable, p in self.first_columns().items()]
+        total = 4
+        for row in self.rows:
+            text = sum([framing + len(row[p].n3()) for p, framing in columns if row[p] is not None])
+            total += text + 7 if text else 9
+        return total
 
-        A row lists its variables in :attr:`variables` order (the projection
-        order when one was given), then any others it binds by name.
-        """
-        names = [var.name for var in self.variables]
-        rows = []
-        for binding in self._bindings:
-            texts = {var.name: value.n3() for var, value in binding._items}
-            row = {name: texts[name] for name in names if name in texts}
-            if len(row) < len(texts):
-                row.update(sorted(texts.items()))
-            rows.append(row)
-        return rows
+    def to_table(self) -> List[Dict[str, str]]:
+        """Render rows as dictionaries of variable name → N3 term text, in column order."""
+        names = [variable.name for variable in self.variables]
+        return [{name: cell.n3() for name, cell in zip(names, row) if cell is not None} for row in self.rows]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<ResultSet solutions={len(self)} vars={[v.name for v in self.variables]}>"

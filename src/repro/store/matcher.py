@@ -28,27 +28,28 @@ a complete match is yielded.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..planner.optimizer import QueryPlanner
 from ..rdf.graph import RDFGraph
 from ..rdf.terms import Node, PatternTerm
 from ..sparql.algebra import SelectQuery
-from ..sparql.bindings import Binding, ResultSet
+from ..sparql.bindings import ResultSet, Row
 from ..sparql.query_graph import QueryGraph, traversal_order
 from .encoding import encoded_view
 from .kernel import ArrayRunner, QueryPools, cached_pools
 
 
-def finalize_matches(query: SelectQuery, bindings: Iterable[Binding]) -> ResultSet:
-    """Turn raw match bindings into the query's final solution sequence.
+def finalize_matches(query: SelectQuery, rows: List[Row]) -> ResultSet:
+    """Turn raw match rows into the query's final solution sequence.
 
-    Projection, DISTINCT and LIMIT — the per-query postlude that must run
-    over the *complete* match stream.
+    ``rows`` are already in projection order (:meth:`LocalMatcher.raw_matches`);
+    DISTINCT and LIMIT are the per-query postlude that must run over the
+    *complete* match stream.
     """
-    results = ResultSet(list(bindings), query.variables)
-    projected = results.project(query.effective_projection, distinct=query.distinct)
-    return projected.limit(query.limit)
+    if query.distinct:
+        rows = list(dict.fromkeys(rows))
+    return ResultSet(variables=query.effective_projection, rows=rows[: query.limit])
 
 
 class LocalMatcher:
@@ -93,14 +94,15 @@ class LocalMatcher:
         connected components are considered separately.
         """
         if not query.bgp.connected_components():
-            return ResultSet([], query.effective_projection)
+            return ResultSet(variables=query.effective_projection)
         return finalize_matches(query, self.raw_matches(query))
 
-    def raw_matches(self, query: SelectQuery) -> List[Binding]:
-        """Every BGP match of ``query`` as a binding of its projected variables.
+    def raw_matches(self, query: SelectQuery) -> List[Row]:
+        """Every BGP match of ``query`` as a row in projection order.
 
-        :meth:`evaluate` before its postlude: each binding is built once,
-        from the search's projected slots; DISTINCT/LIMIT are *not* applied
+        :meth:`evaluate` before its postlude: each row is read straight off
+        the search's assignment slots, a cell per projected variable (``None``
+        for one the BGP does not bind); DISTINCT/LIMIT are *not* applied
         (:func:`finalize_matches` does that).
         """
         components = query.bgp.connected_components()
@@ -109,12 +111,11 @@ class LocalMatcher:
         self.last_kernel = self.runner_class.kernel
         if not components:
             return []
-        projection = frozenset(query.effective_projection)
+        projection = query.effective_projection
         if len(components) == 1:
             # Pools are per query vertex: a sole component reuses the query's.
             pools = cached_pools(self._graph, query.bgp)
-            solutions = self._solutions(QueryGraph(components[0]), None, pools, projection)
-            return [Binding(frozenset(items)) for items in solutions]
+            return list(self._solutions(QueryGraph(components[0]), None, pools, projection))
         partial: List[List[Dict[PatternTerm, Node]]] = []
         steps = 0
         intersections = 0
@@ -127,10 +128,7 @@ class LocalMatcher:
         combined = partial[0]
         for extra in partial[1:]:
             combined = [{**left, **right} for left in combined for right in extra]
-        return [
-            Binding({vertex: value for vertex, value in assignment.items() if vertex in projection})
-            for assignment in combined
-        ]
+        return [tuple(map(assignment.get, projection)) for assignment in combined]
 
     def find_matches(
         self,
@@ -148,12 +146,14 @@ class LocalMatcher:
 
         ``pools`` are this query's already computed kernel pools.
         """
-        return map(dict, self._solutions(query, order, pools, None))
+        vertices = query.vertices
+        return (dict(zip(vertices, row)) for row in self._solutions(query, order, pools, vertices))
 
-    def _solutions(self, query, order, pools, keep) -> Iterator[List[Tuple[PatternTerm, Node]]]:
-        """:meth:`find_matches`, each match as ``(query vertex, term)`` pairs.
+    def _solutions(self, query, order, pools, columns) -> Iterator[Row]:
+        """:meth:`find_matches`, each match as a row of the terms of ``columns``.
 
-        Only the vertices in ``keep`` are decoded (every vertex when ``None``).
+        A column that is no vertex of ``query`` is ``None``; only the
+        vertices a column names are decoded.
         """
         self.search_steps = 0
         self.kernel_intersections = 0
@@ -176,15 +176,12 @@ class LocalMatcher:
             compiled = runner.compile(query, chosen, pools)
             assignment: List[Optional[int]] = [None] * query.num_vertices
             term_of = encoded.dictionary.term_of
-            slots = [
-                (chosen[position], vertex.index)
-                for position, vertex in enumerate(compiled)
-                if keep is None or chosen[position] in keep
-            ]
+            slot_of = {chosen[position]: vertex.index for position, vertex in enumerate(compiled)}
+            slots = [slot_of.get(column) for column in columns]
             for _ in self._extend(assignment, compiled, runner):
                 # The inner generator is suspended with every slot assigned,
                 # so the complete match decodes straight off the assignment.
-                yield [(vertex, term_of(assignment[index])) for vertex, index in slots]
+                yield tuple([None if s is None else term_of(assignment[s]) for s in slots])
         finally:
             self.kernel_intersections += runner.intersections
 

@@ -1,5 +1,7 @@
 """Unit tests for the SPARQL algebra (BGP, SelectQuery)."""
 
+import pickle
+
 from repro.rdf import IRI, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, SelectQuery, bgp_from_patterns
 
@@ -33,6 +35,25 @@ class TestBasicGraphPattern:
         assert not bgp.is_connected
         assert len(components) == 2
         assert {len(c) for c in components} == {1}
+
+    def test_components_are_computed_once_and_stay_equal(self):
+        bgp = BasicGraphPattern([TriplePattern(X, P, Y), TriplePattern(Z, Q, W)])
+        first = bgp.connected_components()
+        first.pop()  # a caller's copy: the cached split is untouched
+        assert bgp.connected_components() == bgp.connected_components()
+        assert len(bgp.connected_components()) == 2
+        assert bgp.connected_components()[0] is bgp.connected_components()[0]
+
+    def test_cached_components_leave_equality_hash_and_pickling_alone(self):
+        bgp = BasicGraphPattern([TriplePattern(X, P, Y), TriplePattern(Z, Q, W)])
+        fresh = BasicGraphPattern(bgp.patterns)
+        bgp.connected_components()
+        assert bgp == fresh and hash(bgp) == hash(fresh)
+        restored = pickle.loads(pickle.dumps(bgp))
+        assert restored == bgp and hash(restored) == hash(bgp)
+        assert restored.connected_components() == bgp.connected_components()
+        assert pickle.loads(pickle.dumps(fresh)) == restored
+        assert pickle.dumps(bgp) == pickle.dumps(fresh)  # the cache does not travel
 
     def test_connection_through_constant_term(self):
         shared = IRI("http://example.org/hub")

@@ -1,6 +1,8 @@
 """Unit tests for solution mappings and result sets."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.distributed import estimate_size
 from repro.rdf import IRI, BlankNode, Literal, Variable
@@ -138,3 +140,48 @@ class TestShipmentSize:
         assert binding.shipment_size() == len(repr(binding))
         assert estimate_size(binding) == len(repr(binding))
         assert estimate_size([binding, binding]) == 4 + 2 * len(repr(binding))
+
+
+TERMS = st.one_of(
+    st.text(max_size=12).map(lambda text: IRI("http://x/" + text)),
+    st.builds(Literal, st.text(max_size=12)),
+    st.builds(Literal, st.text(max_size=12), language=st.sampled_from(["fr", "en-GB"])),
+    st.builds(Literal, st.text(max_size=12), datatype=st.just(XSD_INT)),
+    st.text(alphabet="abz019", min_size=1, max_size=6).map(BlankNode),
+)
+VARIABLES = st.sampled_from([X, Y, Z, Variable("long_name"), Variable("é")])
+
+
+@st.composite
+def row_sets(draw):
+    """Columns (a name may repeat, as in ``SELECT ?x ?x``) and rows that fit them."""
+    columns = draw(st.lists(VARIABLES, max_size=5))
+    names = list(dict.fromkeys(columns))
+    cells = st.lists(st.one_of(st.none(), TERMS), min_size=len(names), max_size=len(names))
+    rows = [
+        tuple(dict(zip(names, drawn))[column] for column in columns)
+        for drawn in draw(st.lists(cells, max_size=4))
+    ]
+    return ResultSet(variables=columns, rows=rows)
+
+
+class TestRowCharge:
+    """A row-form result set is charged what shipping its bindings was charged."""
+
+    @given(row_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_charge_is_the_bindings_repr_length(self, results):
+        bindings = list(results)
+        assert len(bindings) == len(results.rows)
+        assert results.shipment_size() == 4 + sum(len(repr(binding)) for binding in bindings)
+        assert estimate_size(results) == estimate_size(bindings)
+
+    def test_unbound_duplicate_and_empty_rows(self):
+        results = ResultSet(
+            variables=[X, X, Y],
+            rows=[(A, A, None), (None, None, Literal('"q"\n', language="fr")), (None, None, None)],
+        )
+        bindings = list(results)
+        assert bindings == [Binding({X: A}), Binding({Y: Literal('"q"\n', language="fr")}), Binding()]
+        assert results.shipment_size() == 4 + sum(len(repr(binding)) for binding in bindings)
+        assert ResultSet(variables=[], rows=[()]).shipment_size() == 4 + len(repr(Binding()))

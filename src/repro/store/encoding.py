@@ -1,8 +1,8 @@
-"""Dictionary encoding: the integer substrate of the matching kernel.
+"""Dictionary encoding and sorted columns: the integer substrate of the matching kernel.
 
-Real RDF stores (S2RDF, gStore) dictionary-encode terms into dense integer
-ids so that the join/matching kernel runs on machine integers instead of
-term objects.  This module is that layer for the reproduction:
+Real RDF stores dictionary-encode terms into dense integer ids and serve
+every triple-pattern probe from sorted id permutations (RDF-3X, Neumann &
+Weikum, VLDB 2008).  This module is that layer for the reproduction:
 
 * :class:`TermDictionary` maps every term of one graph (vertices *and*
   predicates) to a dense id.  Ids are assigned in the total order
@@ -10,13 +10,17 @@ term objects.  This module is that layer for the reproduction:
   to sort candidate pools — so **sorting ids is sorting candidates**: the
   backtracking search stays bit-for-bit deterministic (same answers, same
   ``search_steps``) while every per-step ``node.n3()`` sort disappears.
-* :class:`EncodedGraph` holds the integer permutation indexes
-  (``spo``: s→p→{o}, ``pos``: p→o→{s}, ``osp``: o→s→{p}) plus per-vertex
-  neighbour sets, giving the matcher O(1) set-membership edge probes.
+* :class:`SortedColumn` is one predicate's adjacency in one direction in CSR
+  form: ascending keys, one flat list of ascending rows, offset bounds.
+* :class:`EncodedGraph` is the dictionary plus an out-column (subject →
+  objects) and an in-column (object → subjects) per predicate, all built in
+  one pass: encode the triples, sort them by predicate, cut them into rows.
+  Every probe reads those columns; :meth:`EncodedGraph.apply_ops` patches
+  only the touched predicates' columns.
 * :func:`encoded_view` caches one :class:`EncodedGraph` per graph, keyed on
   :attr:`~repro.rdf.graph.RDFGraph.version`, so the encoding is built
-  lazily, reused across queries, and rebuilt only after a mutation —
-  the same lifecycle as the sorted columns and planner statistics.
+  lazily, reused across queries, and patched from the graph's journal after
+  a mutation.
 
 Decoding happens only at result boundaries (bindings, candidate sets handed
 to the distributed layers); everything inside the kernel is ints.
@@ -25,6 +29,8 @@ to the distributed layers); everything inside the kernel is ints.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..rdf.graph import RDFGraph
@@ -36,9 +42,6 @@ PREDICATE_ANY = -1
 #: Predicate code of a constant query predicate that cannot match any data
 #: edge (the IRI is absent from the graph, or the term is not an IRI at all).
 PREDICATE_ABSENT = -2
-
-_EMPTY_DICT: Dict[int, Set[int]] = {}
-_EMPTY_SET: Set[int] = set()
 
 #: Attribute under which :func:`encoded_view` caches the per-graph encoding.
 _CACHE_ATTRIBUTE = "_repro_encoded_view"
@@ -139,81 +142,178 @@ class TermDictionary:
         return term_id
 
 
-class EncodedGraph:
-    """Integer adjacency indexes over one :class:`~repro.rdf.graph.RDFGraph`.
+class SortedColumn:
+    """One predicate's adjacency in one direction, in CSR form.
 
-    All probes the matching kernel performs — "does edge (s, p, o) exist",
-    "which subjects reach object o via p", "which objects does s reach via
-    p" — are O(1) dictionary/set lookups here, against ids from
-    :attr:`dictionary`.
+    ``keys`` ascend, and ``values[offsets[i]:offsets[i + 1]]`` is the
+    ascending row of ``keys[i]``; ``_rows`` maps a key to that ``i``.
+    ``values`` is one flat list, so the gallop path probes it with
+    ``bisect_left(values, item, lo, hi)`` — no slicing, no element boxing.
+    A column is never mutated: a patch builds a new one.
     """
 
-    __slots__ = (
-        "dictionary",
-        "_spo",
-        "_pos",
-        "_osp",
-        "_out_nbrs",
-        "_in_nbrs",
-        "_p_subjects",
-        "_p_objects",
-        "_all_subjects",
-        "_all_objects",
-        "_vertex_ids",
-        "_sorted_vertex_ids",
-        "_num_triples",
-        "_kernel_adjacency",
-        "memo",
-    )
+    __slots__ = ("keys", "values", "offsets", "_rows")
+
+    def __init__(
+        self,
+        keys: List[int],
+        values: List[int],
+        offsets: List[int],
+        rows: Optional[Dict[int, int]] = None,
+    ) -> None:
+        self.keys = keys
+        self.values = values
+        self.offsets = offsets
+        self._rows = dict(zip(keys, range(len(keys)))) if rows is None else rows
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[Tuple[int, int]]) -> "SortedColumn":
+        """The column of ascending, distinct ``(key, value)`` pairs, cut into rows."""
+        keys: List[int] = []
+        values: List[int] = []
+        offsets: List[int] = []
+        last = None
+        for key, value in pairs:
+            if key != last:
+                keys.append(key)
+                offsets.append(len(values))
+                last = key
+            values.append(value)
+        offsets.append(len(values))
+        return cls(keys, values, offsets)
+
+    def row(self, key: int) -> List[int]:
+        """The ascending values of ``key`` (empty when absent)."""
+        position = self._rows.get(key)
+        if position is None:
+            return []
+        return self.values[self.offsets[position] : self.offsets[position + 1]]
+
+    def has(self, key: int, value: int) -> bool:
+        """Is ``value`` in ``key``'s row?  A row lookup plus a bounded bisect."""
+        position = self._rows.get(key)
+        if position is None:
+            return False
+        hi = self.offsets[position + 1]
+        at = bisect_left(self.values, value, self.offsets[position], hi)
+        return at < hi and self.values[at] == value
+
+    def pairs(self) -> Iterator[Tuple[int, int]]:
+        """Every ``(key, value)`` pair, ascending."""
+        values, offsets = self.values, self.offsets
+        for position, key in enumerate(self.keys):
+            for value in values[offsets[position] : offsets[position + 1]]:
+                yield key, value
+
+    def patched(self, changes: Dict[int, Dict[int, bool]]) -> "SortedColumn":
+        """This column with ``changes`` (key → value → present) applied, in one pass.
+
+        Runs of untouched rows are copied as slices and only a changed row is
+        re-sorted, so the result equals a cold build of the patched pairs.
+        The key map is shared when no key comes or goes.
+        """
+        keys: List[int] = []
+        values: List[int] = []
+        offsets = [0]
+        same_keys = True
+        start = 0
+        for key in sorted(changes):
+            at = bisect_left(self.keys, key, start)
+            self._copy_rows(start, at, keys, values, offsets)
+            found = at < len(self.keys) and self.keys[at] == key
+            row = set(self.values[self.offsets[at] : self.offsets[at + 1]]) if found else set()
+            for value, present in changes[key].items():
+                if present:
+                    row.add(value)
+                else:
+                    row.discard(value)
+            if row:
+                keys.append(key)
+                values.extend(sorted(row))
+                offsets.append(len(values))
+            same_keys = same_keys and found == bool(row)
+            start = at + found
+        self._copy_rows(start, len(self.keys), keys, values, offsets)
+        return SortedColumn(keys, values, offsets, self._rows if same_keys else None)
+
+    def _copy_rows(
+        self, start: int, stop: int, keys: List[int], values: List[int], offsets: List[int]
+    ) -> None:
+        """Append rows ``start:stop`` of this column to the column being built."""
+        if start == stop:
+            return
+        lo = self.offsets[start]
+        shift = len(values) - lo
+        keys += self.keys[start:stop]
+        values += self.values[lo : self.offsets[stop]]
+        bounds = self.offsets[start + 1 : stop + 1]
+        offsets += [bound + shift for bound in bounds] if shift else bounds
+
+
+_EMPTY_COLUMN = SortedColumn([], [], [0])
+
+
+class EncodedGraph:
+    """The dictionary plus one out-column and one in-column per predicate.
+
+    ``out_column(p)`` maps each subject of ``p`` to its ascending objects,
+    ``in_column(p)`` each object to its ascending subjects.  Every probe the
+    kernel and partial evaluation make reads those columns, against ids from
+    :attr:`dictionary`; nothing else is indexed.  The variable-predicate
+    (:data:`PREDICATE_ANY`) columns and the sorted vertex ids are derived on
+    first use and dropped by a patch.
+    """
+
+    __slots__ = ("dictionary", "_out", "_in", "_any", "_sorted_vertex_ids", "_num_triples", "memo")
 
     def __init__(self, graph: RDFGraph) -> None:
         terms: Set[Term] = set()
         for triple in graph:
-            terms.add(triple.subject)
-            terms.add(triple.predicate)
-            terms.add(triple.object)
+            terms.update(triple.as_tuple())
         self.dictionary = TermDictionary(terms)
         id_of = self.dictionary.id_of
-        spo: Dict[int, Dict[int, Set[int]]] = {}
-        pos: Dict[int, Dict[int, Set[int]]] = {}
-        osp: Dict[int, Dict[int, Set[int]]] = {}
-        out_nbrs: Dict[int, Set[int]] = {}
-        in_nbrs: Dict[int, Set[int]] = {}
-        p_subjects: Dict[int, Set[int]] = {}
-        p_objects: Dict[int, Set[int]] = {}
+        by_predicate: Dict[int, List[Tuple[int, int]]] = {}
         for triple in graph:
-            s, p, o = id_of(triple.subject), id_of(triple.predicate), id_of(triple.object)
-            spo.setdefault(s, {}).setdefault(p, set()).add(o)
-            pos.setdefault(p, {}).setdefault(o, set()).add(s)
-            osp.setdefault(o, {}).setdefault(s, set()).add(p)
-            out_nbrs.setdefault(s, set()).add(o)
-            in_nbrs.setdefault(o, set()).add(s)
-            p_subjects.setdefault(p, set()).add(s)
-            p_objects.setdefault(p, set()).add(o)
-        self._spo = spo
-        self._pos = pos
-        self._osp = osp
-        self._out_nbrs = out_nbrs
-        self._in_nbrs = in_nbrs
-        self._p_subjects = p_subjects
-        self._p_objects = p_objects
-        self._all_subjects: Set[int] = set(out_nbrs)
-        self._all_objects: Set[int] = set(in_nbrs)
-        self._vertex_ids: Set[int] = self._all_subjects | self._all_objects
-        # Ids are assigned in candidate-sort order, so this is the "all
-        # vertices" candidate pool, pre-sorted once at encode time.  It is
-        # recomputed lazily after in-place patches (apply_ops sets it None).
-        self._sorted_vertex_ids: Optional[Tuple[int, ...]] = tuple(
-            sorted(self._vertex_ids)
-        )
+            by_predicate.setdefault(id_of(triple.predicate), []).append(
+                (id_of(triple.subject), id_of(triple.object))
+            )
+        self._out: Dict[int, SortedColumn] = {}
+        self._in: Dict[int, SortedColumn] = {}
+        for predicate in sorted(by_predicate):
+            pairs = by_predicate.pop(predicate)
+            pairs.sort()
+            self._out[predicate] = SortedColumn.from_pairs(pairs)
+            self._in[predicate] = SortedColumn.from_pairs(sorted([(o, s) for s, o in pairs]))
+        self._any: Optional[Tuple[SortedColumn, SortedColumn]] = None
+        self._sorted_vertex_ids: Optional[List[int]] = None
         self._num_triples = len(graph)
-        # The sorted-column adjacency cache, attached lazily by
-        # repro.store.kernel.adjacency_view.  Kept here (not in a
-        # module-level WeakValue map) so the cache dies with the encoding
-        # and per-predicate invalidation in apply_ops stays a local call.
-        self._kernel_adjacency: Optional[object] = None
         #: Per-id and per-query caches that die with the encoding (ids keep their terms).
         self.memo: Dict[object, dict] = {}
+
+    # ------------------------------------------------------------------
+    # Columns
+    # ------------------------------------------------------------------
+    def out_column(self, predicate_code: int) -> SortedColumn:
+        """The subject → objects column of ``predicate_code`` (empty when absent)."""
+        if predicate_code >= 0:
+            return self._out.get(predicate_code, _EMPTY_COLUMN)
+        return self._rollups()[0] if predicate_code == PREDICATE_ANY else _EMPTY_COLUMN
+
+    def in_column(self, predicate_code: int) -> SortedColumn:
+        """The object → subjects column of ``predicate_code`` (empty when absent)."""
+        if predicate_code >= 0:
+            return self._in.get(predicate_code, _EMPTY_COLUMN)
+        return self._rollups()[1] if predicate_code == PREDICATE_ANY else _EMPTY_COLUMN
+
+    def _rollups(self) -> Tuple[SortedColumn, SortedColumn]:
+        """The :data:`PREDICATE_ANY` out- and in-columns: every label's pairs, merged."""
+        if self._any is None:
+            out_any, in_any = (
+                SortedColumn.from_pairs(sorted({pair for column in columns.values() for pair in column.pairs()}))
+                for columns in (self._out, self._in)
+            )
+            self._any = (out_any, in_any)
+        return self._any
 
     # ------------------------------------------------------------------
     # Introspection
@@ -223,30 +323,30 @@ class EncodedGraph:
         return self._num_triples
 
     @property
-    def vertex_ids(self) -> Set[int]:
-        """Ids of every subject/object vertex (predicates excluded)."""
-        return self._vertex_ids
+    def sorted_vertex_ids(self) -> List[int]:
+        """Every subject/object id in canonical (= candidate sort) order.
 
-    @property
-    def sorted_vertex_ids(self) -> Tuple[int, ...]:
-        """All vertex ids in canonical (= candidate sort) order."""
+        Derived once per graph version: the "all vertices" candidate pool.
+        """
         if self._sorted_vertex_ids is None:
-            self._sorted_vertex_ids = tuple(sorted(self._vertex_ids))
+            columns = chain(self._out.values(), self._in.values())
+            self._sorted_vertex_ids = sorted({key for column in columns for key in column.keys})
         return self._sorted_vertex_ids
 
     def is_vertex(self, term_id: int) -> bool:
         """Is ``term_id`` a subject or object of some triple?"""
-        return term_id in self._vertex_ids
+        ids = self.sorted_vertex_ids
+        at = bisect_left(ids, term_id)
+        return at < len(ids) and ids[at] == term_id
 
     def iter_triple_ids(self) -> Iterator[Tuple[int, int, int]]:
-        """Every triple as an ``(s, p, o)`` id tuple (index order, not sorted)."""
-        for s, by_predicate in self._spo.items():
-            for p, objects in by_predicate.items():
-                for o in objects:
-                    yield (s, p, o)
+        """Every triple as an ``(s, p, o)`` id tuple, ascending by ``(p, s, o)``."""
+        for p in sorted(self._out):
+            for s, o in self._out[p].pairs():
+                yield (s, p, o)
 
     # ------------------------------------------------------------------
-    # Kernel probes (all O(1) dictionary/set lookups)
+    # Kernel probes (rows are ascending id lists)
     # ------------------------------------------------------------------
     def has_edge(self, subject_id: int, predicate_code: int, object_id: int) -> bool:
         """Does the data edge exist?  ``predicate_code`` may be a sentinel.
@@ -254,61 +354,31 @@ class EncodedGraph:
         :data:`PREDICATE_ANY` matches any label (variable query predicate);
         :data:`PREDICATE_ABSENT` matches nothing.
         """
-        if predicate_code >= 0:
-            return object_id in self._spo.get(subject_id, _EMPTY_DICT).get(
-                predicate_code, _EMPTY_SET
-            )
-        if predicate_code == PREDICATE_ANY:
-            return subject_id in self._osp.get(object_id, _EMPTY_DICT)
-        return False
+        return self.out_column(predicate_code).has(subject_id, object_id)
 
-    def subjects_to(self, predicate_code: int, object_id: int) -> Set[int]:
-        """Ids of subjects with an edge labelled ``predicate_code`` into ``object_id``."""
-        if predicate_code >= 0:
-            return self._pos.get(predicate_code, _EMPTY_DICT).get(object_id, _EMPTY_SET)
-        if predicate_code == PREDICATE_ANY:
-            return self._in_nbrs.get(object_id, _EMPTY_SET)
-        return _EMPTY_SET
+    def subjects_to(self, predicate_code: int, object_id: int) -> List[int]:
+        """Ascending ids of subjects with a ``predicate_code`` edge into ``object_id``."""
+        return self.in_column(predicate_code).row(object_id)
 
-    def objects_from(self, subject_id: int, predicate_code: int) -> Set[int]:
-        """Ids of objects reached from ``subject_id`` via ``predicate_code``."""
-        if predicate_code >= 0:
-            return self._spo.get(subject_id, _EMPTY_DICT).get(predicate_code, _EMPTY_SET)
-        if predicate_code == PREDICATE_ANY:
-            return self._out_nbrs.get(subject_id, _EMPTY_SET)
-        return _EMPTY_SET
+    def objects_from(self, subject_id: int, predicate_code: int) -> List[int]:
+        """Ascending ids of objects reached from ``subject_id`` via ``predicate_code``."""
+        return self.out_column(predicate_code).row(subject_id)
 
-    def subjects_of_predicate(self, predicate_code: int) -> Set[int]:
-        """Ids of all subjects of edges labelled ``predicate_code``."""
-        if predicate_code >= 0:
-            return self._p_subjects.get(predicate_code, _EMPTY_SET)
-        if predicate_code == PREDICATE_ANY:
-            return self._all_subjects
-        return _EMPTY_SET
+    def subjects_of_predicate(self, predicate_code: int) -> List[int]:
+        """Ascending ids of all subjects of ``predicate_code`` edges."""
+        return self.out_column(predicate_code).keys
 
-    def objects_of_predicate(self, predicate_code: int) -> Set[int]:
-        """Ids of all objects of edges labelled ``predicate_code``."""
-        if predicate_code >= 0:
-            return self._p_objects.get(predicate_code, _EMPTY_SET)
-        if predicate_code == PREDICATE_ANY:
-            return self._all_objects
-        return _EMPTY_SET
+    def objects_of_predicate(self, predicate_code: int) -> List[int]:
+        """Ascending ids of all objects of ``predicate_code`` edges."""
+        return self.in_column(predicate_code).keys
 
     def has_out_edge(self, subject_id: int, predicate_code: int) -> bool:
         """Does ``subject_id`` have any outgoing edge labelled ``predicate_code``?"""
-        if predicate_code >= 0:
-            return predicate_code in self._spo.get(subject_id, _EMPTY_DICT)
-        if predicate_code == PREDICATE_ANY:
-            return subject_id in self._out_nbrs
-        return False
+        return subject_id in self.out_column(predicate_code)._rows
 
     def has_in_edge(self, object_id: int, predicate_code: int) -> bool:
         """Does ``object_id`` have any incoming edge labelled ``predicate_code``?"""
-        if predicate_code >= 0:
-            return object_id in self._pos.get(predicate_code, _EMPTY_DICT)
-        if predicate_code == PREDICATE_ANY:
-            return object_id in self._in_nbrs
-        return False
+        return object_id in self.in_column(predicate_code)._rows
 
     def triple_ids(
         self, subject_id: Optional[int], predicate_code: int, object_id: Optional[int]
@@ -316,118 +386,62 @@ class EncodedGraph:
         """The stored ``(s, p, o)`` id triples matching a pattern, ascending.
 
         ``None`` leaves one endpoint open; ``predicate_code`` may be a sentinel
-        as in :meth:`has_edge`.  The order never depends on set iteration.
+        as in :meth:`has_edge`.  A variable predicate reads every label's row.
         """
         s, p, o = subject_id, predicate_code, object_id
-        if p == PREDICATE_ABSENT:
+        if p >= 0:
+            if s is None:
+                return [(s, p, o) for s in self.subjects_to(p, o)]
+            if o is None:
+                return [(s, p, o) for o in self.objects_from(s, p)]
+            return [(s, p, o)] if self.has_edge(s, p, o) else []
+        if p != PREDICATE_ANY:
             return []
         if s is None:
-            if p >= 0:
-                return [(s, p, o) for s in sorted(self.subjects_to(p, o))]
-            by_subject = self._osp.get(o, _EMPTY_DICT)
-            return [(s, p, o) for s in sorted(by_subject) for p in sorted(by_subject[s])]
-        by_predicate = self._spo.get(s, _EMPTY_DICT)
+            return sorted((s, p, o) for p, column in self._in.items() for s in column.row(o))
         if o is None:
-            labels = (p,) if p >= 0 else sorted(by_predicate)
-            return [(s, p, o) for p in labels for o in sorted(by_predicate.get(p, _EMPTY_SET))]
-        if p >= 0:
-            return [(s, p, o)] if o in by_predicate.get(p, _EMPTY_SET) else []
-        return [(s, p, o) for p in sorted(self._osp.get(o, _EMPTY_DICT).get(s, _EMPTY_SET))]
+            return sorted((s, p, o) for p, column in self._out.items() for o in column.row(s))
+        return [(s, p, o) for p in sorted(self._out) if self._out[p].has(s, o)]
 
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
     def apply_ops(self, ops: Iterable[Tuple[str, Triple]]) -> None:
-        """Patch the indexes in place for a journal window of graph ops.
+        """Patch the columns for a journal window of graph ops.
 
         ``ops`` is a list of ``("+"|"-", triple)`` pairs in mutation order,
         as returned by :meth:`RDFGraph.journal_since`.  New terms get fresh
-        appended dictionary ids; removals scrub empty inner containers so a
-        patched encoding answers every probe exactly like a cold rebuild of
-        the same triples would.
+        appended dictionary ids.  Each triple's last op decides its state;
+        every predicate whose triples change gets new columns from one
+        :meth:`SortedColumn.patched` pass per direction, equal to a cold
+        build over the same ids, and every other column stays as it is.
         """
         ensure = self.dictionary.ensure
-        touched_predicates: Set[int] = set()
+        final: Dict[Tuple[int, int, int], bool] = {}
         for op, triple in ops:
-            s = ensure(triple.subject)
-            p = ensure(triple.predicate)
-            o = ensure(triple.object)
-            touched_predicates.add(p)
-            if op == "+":
-                self._add_ids(s, p, o)
-            else:
-                self._remove_ids(s, p, o)
-        self._sorted_vertex_ids = None
-        # Drop only the mutated predicates' sorted columns; every other
-        # kernel column stays warm across the patch.
-        if self._kernel_adjacency is not None:
-            self._kernel_adjacency.invalidate(touched_predicates)
-
-    def _add_ids(self, s: int, p: int, o: int) -> None:
-        self._spo.setdefault(s, {}).setdefault(p, set()).add(o)
-        self._pos.setdefault(p, {}).setdefault(o, set()).add(s)
-        self._osp.setdefault(o, {}).setdefault(s, set()).add(p)
-        self._out_nbrs.setdefault(s, set()).add(o)
-        self._in_nbrs.setdefault(o, set()).add(s)
-        self._p_subjects.setdefault(p, set()).add(s)
-        self._p_objects.setdefault(p, set()).add(o)
-        self._all_subjects.add(s)
-        self._all_objects.add(o)
-        self._vertex_ids.add(s)
-        self._vertex_ids.add(o)
-        self._num_triples += 1
-
-    def _remove_ids(self, s: int, p: int, o: int) -> None:
-        objects = self._spo[s][p]
-        objects.discard(o)
-        if not objects:
-            del self._spo[s][p]
-            if not self._spo[s]:
-                del self._spo[s]
-        subjects = self._pos[p][o]
-        subjects.discard(s)
-        if not subjects:
-            del self._pos[p][o]
-            if not self._pos[p]:
-                del self._pos[p]
-        labels = self._osp[o][s]
-        labels.discard(p)
-        if not labels:
-            del self._osp[o][s]
-            if not self._osp[o]:
-                del self._osp[o]
-            # The last (s, ?, o) edge is gone: drop the neighbour links.
-            out = self._out_nbrs[s]
-            out.discard(o)
-            if not out:
-                del self._out_nbrs[s]
-                self._all_subjects.discard(s)
-            into = self._in_nbrs[o]
-            into.discard(s)
-            if not into:
-                del self._in_nbrs[o]
-                self._all_objects.discard(o)
-        if p not in self._spo.get(s, _EMPTY_DICT):
-            subjects_of_p = self._p_subjects.get(p)
-            if subjects_of_p is not None:
-                subjects_of_p.discard(s)
-                if not subjects_of_p:
-                    del self._p_subjects[p]
-        if o not in self._pos.get(p, _EMPTY_DICT):
-            objects_of_p = self._p_objects.get(p)
-            if objects_of_p is not None:
-                objects_of_p.discard(o)
-                if not objects_of_p:
-                    del self._p_objects[p]
-        for vertex in (s, o):
-            if vertex not in self._out_nbrs and vertex not in self._in_nbrs:
-                self._vertex_ids.discard(vertex)
-        self._num_triples -= 1
+            final[(ensure(triple.subject), ensure(triple.predicate), ensure(triple.object))] = op == "+"
+        out_changes: Dict[int, Dict[int, Dict[int, bool]]] = {}
+        in_changes: Dict[int, Dict[int, Dict[int, bool]]] = {}
+        for (s, p, o), present in final.items():
+            if self.has_edge(s, p, o) != present:
+                out_changes.setdefault(p, {}).setdefault(s, {})[o] = present
+                in_changes.setdefault(p, {}).setdefault(o, {})[s] = present
+                self._num_triples += 1 if present else -1
+        for columns, changes in ((self._out, out_changes), (self._in, in_changes)):
+            for p, by_key in changes.items():
+                column = columns.get(p, _EMPTY_COLUMN).patched(by_key)
+                if column.keys:
+                    columns[p] = column
+                else:
+                    del columns[p]
+        if out_changes:
+            self._any = None
+            self._sorted_vertex_ids = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"<EncodedGraph terms={len(self.dictionary)} "
-            f"vertices={len(self._vertex_ids)} triples={self._num_triples}>"
+            f"predicates={len(self._out)} triples={self._num_triples}>"
         )
 
 

@@ -10,11 +10,10 @@ parity oracle of the test-suite.  Both yield the identical match *sequence*
 and the identical ``search_steps`` counter (see ``docs/performance.md`` for
 why the decomposition is exact).
 
-The sorted columns live on the :class:`~repro.store.encoding.EncodedGraph`,
-are built lazily per predicate, memoized per graph version, and invalidated
-*per predicate* when ``apply_ops`` patches the encoding — an incremental
-mutation touches only the mutated predicates' columns, everything else
-stays warm.
+The sorted columns are the :class:`~repro.store.encoding.EncodedGraph`'s
+own: built with the encoding, and replaced *per predicate* when
+``apply_ops`` patches it — an incremental mutation touches only the mutated
+predicates' columns, everything else stays as it is.
 """
 
 from __future__ import annotations
@@ -22,13 +21,13 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..rdf.graph import RDFGraph
 from ..rdf.terms import IRI, Literal, PatternTerm, Variable
 from ..sparql.algebra import BasicGraphPattern
 from ..sparql.query_graph import QueryEdge, QueryGraph
-from .encoding import PREDICATE_ANY, EncodedGraph, encoded_view, predicate_code
+from .encoding import EncodedGraph, encoded_view, predicate_code
 
 #: The sorted-column kernel's name, as recorded in traces and result metadata.
 KERNEL_PYTHON = "python"
@@ -37,146 +36,6 @@ KERNEL_PYTHON = "python"
 def resolve_kernel(name: None = None) -> str:
     """The matching kernel's name (there is one: :data:`KERNEL_PYTHON`)."""
     return KERNEL_PYTHON
-
-
-# ----------------------------------------------------------------------
-# Sorted adjacency columns (cached per EncodedGraph)
-# ----------------------------------------------------------------------
-class SortedColumn:
-    """One predicate-direction's CSR adjacency: sorted keys, offset rows.
-
-    ``values`` is a flat Python list (contiguous sorted rows), so the gallop
-    path probes it with ``bisect_left(values, item, lo, hi)`` — no slicing,
-    no element boxing.
-    """
-
-    __slots__ = ("keys", "values", "offsets", "_rows")
-
-    def __init__(self, rows: List[Tuple[int, Sequence[int]]]) -> None:
-        self.keys: List[int] = [key for key, _ in rows]
-        flat: List[int] = []
-        offsets = [0]
-        for _, row_values in rows:
-            flat.extend(row_values)
-            offsets.append(len(flat))
-        self.values = flat
-        self.offsets = offsets
-        self._rows = {key: position for position, (key, _) in enumerate(rows)}
-
-    def bounds(self, key: int) -> Optional[Tuple[int, int]]:
-        """``(lo, hi)`` bounds of ``key``'s row in ``values`` (None if absent)."""
-        position = self._rows.get(key)
-        if position is None:
-            return None
-        return self.offsets[position], self.offsets[position + 1]
-
-    def row(self, key: int) -> List[int]:
-        """The sorted neighbour ids of ``key`` (empty list when absent)."""
-        span = self.bounds(key)
-        if span is None:
-            return []
-        return self.values[span[0] : span[1]]
-
-
-class SortedAdjacency:
-    """Per-predicate sorted adjacency columns over one :class:`EncodedGraph`.
-
-    Columns are built lazily (first probe of a predicate/direction pair) and
-    memoized until :meth:`invalidate` drops exactly the predicates an
-    ``apply_ops`` patch touched — the incremental counterpart of
-    :func:`~repro.store.encoding.patch_encoded_view`.  The memoized
-    :meth:`vertex_pool` / column keys are also the once-per-version sorted
-    candidate pools the matcher reuses across warm-session queries.
-    """
-
-    __slots__ = ("encoded", "_out", "_in", "_vertex_pool")
-
-    def __init__(self, encoded: EncodedGraph) -> None:
-        self.encoded = encoded
-        self._out: Dict[int, SortedColumn] = {}
-        self._in: Dict[int, SortedColumn] = {}
-        self._vertex_pool: Optional[List[int]] = None
-
-    def invalidate(self, codes: Set[int]) -> None:
-        """Drop the columns for the mutated predicates (and the ANY rollups)."""
-        for code in codes:
-            self._out.pop(code, None)
-            self._in.pop(code, None)
-        self._out.pop(PREDICATE_ANY, None)
-        self._in.pop(PREDICATE_ANY, None)
-        self._vertex_pool = None
-
-    @staticmethod
-    def _build(source: Dict[int, Set[int]], keys) -> SortedColumn:
-        return SortedColumn([(key, sorted(source[key])) for key in sorted(keys)])
-
-    def out_column(self, code: int) -> SortedColumn:
-        """The subject→objects column of ``code`` (empty for absent codes)."""
-        column = self._out.get(code)
-        if column is None:
-            encoded = self.encoded
-            if code == PREDICATE_ANY:
-                column = self._build(encoded._out_nbrs, encoded._out_nbrs)
-            elif code >= 0:
-                subjects = encoded._p_subjects.get(code, ())
-                column = self._build(
-                    {s: encoded._spo[s][code] for s in subjects}, subjects
-                )
-            else:
-                column = SortedColumn([])
-            self._out[code] = column
-        return column
-
-    def in_column(self, code: int) -> SortedColumn:
-        """The object→subjects column of ``code`` (empty for absent codes)."""
-        column = self._in.get(code)
-        if column is None:
-            encoded = self.encoded
-            if code == PREDICATE_ANY:
-                column = self._build(encoded._in_nbrs, encoded._in_nbrs)
-            elif code >= 0:
-                by_object = encoded._pos.get(code, {})
-                column = self._build(by_object, by_object)
-            else:
-                column = SortedColumn([])
-            self._in[code] = column
-        return column
-
-    # -- kernel probes (sorted-sequence counterparts of EncodedGraph's) ----
-    def objects_from(self, subject_id: int, code: int) -> List[int]:
-        """Sorted ids of objects reached from ``subject_id`` via ``code``."""
-        return self.out_column(code).row(subject_id)
-
-    def subjects_to(self, code: int, object_id: int) -> List[int]:
-        """Sorted ids of subjects reaching ``object_id`` via ``code``."""
-        return self.in_column(code).row(object_id)
-
-    def subject_keys(self, code: int) -> List[int]:
-        """Sorted ids of all subjects of ``code`` (memoized per version)."""
-        return self.out_column(code).keys
-
-    def object_keys(self, code: int) -> List[int]:
-        """Sorted ids of all objects of ``code`` (memoized per version)."""
-        return self.in_column(code).keys
-
-    def vertex_pool(self) -> List[int]:
-        """Every vertex id in candidate-sort order.
-
-        Memoized per graph version — the "all vertices" candidate pool is
-        sorted once, not once per query.
-        """
-        pool = self._vertex_pool
-        if pool is None:
-            pool = self._vertex_pool = list(self.encoded.sorted_vertex_ids)
-        return pool
-
-
-def adjacency_view(encoded: EncodedGraph) -> SortedAdjacency:
-    """The (cached) sorted-column adjacency of ``encoded``."""
-    adjacency = encoded._kernel_adjacency
-    if adjacency is None:
-        adjacency = encoded._kernel_adjacency = SortedAdjacency(encoded)
-    return adjacency
 
 
 # ----------------------------------------------------------------------
@@ -211,9 +70,8 @@ class CompiledArrayVertex:
         #: non-loop edge — the internals of the adjacency column whose row at
         #: the other endpoint's assignment narrows this vertex's frontier,
         #: flattened so the per-depth hot loop runs on plain dict/list
-        #: lookups.  Columns never change within one ``find_matches`` call
-        #: (invalidation happens on graph mutation, between calls), so
-        #: caching their internals here is safe.
+        #: lookups.  A column is never mutated (a patch replaces it), so
+        #: caching its internals here is safe.
         self.narrow_columns = narrow_columns
         self.loop_codes = loop_codes
 
@@ -244,7 +102,6 @@ class ArrayRunner:
         #: Candidate-pool/frontier intersection operations performed so far
         #: — the work metric behind ``repro_kernel_intersections_total``.
         self.intersections = 0
-        self.adjacency = adjacency_view(encoded)
 
     # -- candidate pools -------------------------------------------------
     def compute_pools(
@@ -275,23 +132,22 @@ class ArrayRunner:
         sequence drives both seeding and support filtering.
         """
         encoded = self.encoded
-        adjacency = self.adjacency
         code = predicate_code(encoded, edge.predicate)
         if edge.subject == query_vertex:
             other = edge.object
             if isinstance(other, Variable):
-                return adjacency.subject_keys(code)
+                return encoded.subjects_of_predicate(code)
             other_id = encoded.dictionary.get(other)
             if other_id is None:
                 return []
-            return adjacency.subjects_to(code, other_id)
+            return encoded.subjects_to(code, other_id)
         other = edge.subject
         if isinstance(other, Variable):
-            return adjacency.object_keys(code)
+            return encoded.objects_of_predicate(code)
         other_id = encoded.dictionary.get(other)
         if other_id is None:
             return []
-        return adjacency.objects_from(other_id, code)
+        return encoded.objects_from(other_id, code)
 
     def _variable_pool(self, query, query_vertex, relaxed: Set[int]) -> List[int]:
         """The ids in every required edge's endpoint column, in id order.
@@ -305,7 +161,7 @@ class ArrayRunner:
         ]
         if not required:
             # Every incident edge was relaxed: any vertex could match.
-            return self.adjacency.vertex_pool()
+            return self.encoded.sorted_vertex_ids
         columns = []
         for edge in required:
             column = self._endpoint_column(edge, query_vertex)
@@ -313,7 +169,7 @@ class ArrayRunner:
                 return []
             columns.append(column)
             if edge.object == edge.subject and not isinstance(edge.predicate, Variable):
-                column = self.adjacency.object_keys(predicate_code(self.encoded, edge.predicate))
+                column = self.encoded.objects_of_predicate(predicate_code(self.encoded, edge.predicate))
                 if not column:
                     return []
                 columns.append(column)
@@ -341,7 +197,6 @@ class ArrayRunner:
     def compile(self, query, order, pools) -> List[CompiledArrayVertex]:
         compiled: List[CompiledArrayVertex] = []
         encoded = self.encoded
-        adjacency = self.adjacency
         for vertex in order:
             vertex_index = query.vertex_index(vertex)
             narrow_columns = []
@@ -355,10 +210,10 @@ class ArrayRunner:
                 # assignment: vertex-as-subject narrows through the inbound
                 # column of the object, and vice versa.
                 if edge.subject == vertex:
-                    column = adjacency.in_column(code)
+                    column = encoded.in_column(code)
                     other_index = query.vertex_index(edge.object)
                 else:
-                    column = adjacency.out_column(code)
+                    column = encoded.out_column(code)
                     other_index = query.vertex_index(edge.subject)
                 narrow_columns.append(
                     (column._rows, column.offsets, column.values, other_index)

@@ -8,7 +8,9 @@ query edge per candidate.  That path is preserved here — candidate pools
 kernel yields the identical match *sequence*, the identical ``search_steps``
 and the identical candidate sets.  Its pools are edge support alone, with
 no signature prefilter: a self-loop ``?x p ?x`` with a constant ``p`` asks
-for an incoming ``p`` edge as well as an outgoing one.
+for an incoming ``p`` edge as well as an outgoing one.  It answers every
+probe from hash indexes of its own (:class:`SetIndex`), never from the
+encoding's columns.
 
 :class:`SetMatcher` is a :class:`~repro.store.LocalMatcher` driven by this
 runner; :func:`set_runner_everywhere` swaps it under every matcher (the
@@ -23,11 +25,47 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.rdf.terms import IRI, Literal, PatternTerm, Variable
 from repro.sparql.query_graph import QueryEdge, QueryGraph
 from repro.store import LocalMatcher
-from repro.store.candidates import _edge_supported_id
-from repro.store.encoding import EncodedGraph, predicate_code
+from repro.store.encoding import PREDICATE_ANY, EncodedGraph, predicate_code
 
 #: The oracle's name, as it appears in ``LocalMatcher.last_kernel``.
 KERNEL_SETS = "sets"
+
+_NOTHING: Set[int] = frozenset()  # type: ignore[assignment]
+
+
+class SetIndex:
+    """The oracle's own hash indexes over an encoding's stored triples.
+
+    Built from :meth:`EncodedGraph.iter_triple_ids` alone (which the patch
+    property suite checks against a scan of the graph), so no probe of the
+    code under test answers for the oracle.  A variable predicate is the
+    code :data:`PREDICATE_ANY`; an absent one finds nothing.
+    """
+
+    def __init__(self, encoded: EncodedGraph) -> None:
+        #: code -> subject -> objects, and code -> object -> subjects.
+        self.out: Dict[int, Dict[int, Set[int]]] = {}
+        self.into: Dict[int, Dict[int, Set[int]]] = {}
+        for s, p, o in encoded.iter_triple_ids():
+            for code in (p, PREDICATE_ANY):
+                self.out.setdefault(code, {}).setdefault(s, set()).add(o)
+                self.into.setdefault(code, {}).setdefault(o, set()).add(s)
+        self.vertices: Set[int] = set(self.out.get(PREDICATE_ANY, {})) | set(self.into.get(PREDICATE_ANY, {}))
+
+    def objects_from(self, subject_id: int, code: int) -> Set[int]:
+        return self.out.get(code, {}).get(subject_id, _NOTHING)
+
+    def subjects_to(self, code: int, object_id: int) -> Set[int]:
+        return self.into.get(code, {}).get(object_id, _NOTHING)
+
+    def subjects_of(self, code: int) -> Set[int]:
+        return set(self.out.get(code, {}))
+
+    def objects_of(self, code: int) -> Set[int]:
+        return set(self.into.get(code, {}))
+
+    def has_edge(self, subject_id: int, code: int, object_id: int) -> bool:
+        return object_id in self.objects_from(subject_id, code)
 
 
 # ----------------------------------------------------------------------
@@ -37,25 +75,28 @@ def set_candidate_ids(
     encoded: EncodedGraph,
     query: QueryGraph,
     relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
+    index: Optional[SetIndex] = None,
 ) -> Dict[PatternTerm, Set[int]]:
     """Candidate ids for every query vertex, computed on hash sets."""
+    index = SetIndex(encoded) if index is None else index
     relaxed_edges = relaxed_edges or {}
     candidates: Dict[PatternTerm, Set[int]] = {}
     for query_vertex in query.vertices:
         relaxed = relaxed_edges.get(query_vertex, set())
         if isinstance(query_vertex, (IRI, Literal)):
             vertex_id = encoded.dictionary.get(query_vertex)
-            if vertex_id is not None and encoded.is_vertex(vertex_id):
+            if vertex_id is not None and vertex_id in index.vertices:
                 candidates[query_vertex] = {vertex_id}
             else:
                 candidates[query_vertex] = set()
         else:
-            candidates[query_vertex] = _variable_candidate_ids(encoded, query, query_vertex, relaxed)
+            candidates[query_vertex] = _variable_candidate_ids(encoded, index, query, query_vertex, relaxed)
     return candidates
 
 
 def _variable_candidate_ids(
     encoded: EncodedGraph,
+    index: SetIndex,
     query: QueryGraph,
     query_vertex: PatternTerm,
     relaxed: Set[int],
@@ -63,11 +104,11 @@ def _variable_candidate_ids(
     required_edges = [edge for edge in query.edges_of(query_vertex) if edge.index not in relaxed]
     if not required_edges:
         # Every incident edge was relaxed: any vertex could match.
-        return set(encoded.vertex_ids)
+        return set(index.vertices)
     # Seed with the most selective incident edge to avoid scanning all vertices.
     seed: Optional[Set[int]] = None
     for edge in required_edges:
-        matching = _edge_endpoint_ids(encoded, edge, query_vertex)
+        matching = _edge_endpoint_ids(encoded, index, edge, query_vertex)
         if seed is None or len(matching) < len(seed):
             seed = matching
         if not seed:
@@ -81,15 +122,15 @@ def _variable_candidate_ids(
     survivors: Set[int] = set()
     for vertex_id in seed:
         if all(
-            _edge_supported_id(encoded, vertex_id, edge, query_vertex)
+            _edge_supported(encoded, index, vertex_id, edge, query_vertex)
             for edge in required_edges
-        ) and all(encoded.has_in_edge(vertex_id, code) for code in loop_codes):
+        ) and all(index.subjects_to(code, vertex_id) for code in loop_codes):
             survivors.add(vertex_id)
     return survivors
 
 
 def _edge_endpoint_ids(
-    encoded: EncodedGraph, edge: QueryEdge, query_vertex: PatternTerm
+    encoded: EncodedGraph, index: SetIndex, edge: QueryEdge, query_vertex: PatternTerm
 ) -> Set[int]:
     """Ids of data vertices that could sit at ``query_vertex``'s end of ``edge``.
 
@@ -99,18 +140,36 @@ def _edge_endpoint_ids(
     if edge.subject == query_vertex:
         other = edge.object
         if isinstance(other, Variable):
-            return encoded.subjects_of_predicate(code)
+            return index.subjects_of(code)
         other_id = encoded.dictionary.get(other)
         if other_id is None:
             return set()
-        return encoded.subjects_to(code, other_id)
+        return index.subjects_to(code, other_id)
     other = edge.subject
     if isinstance(other, Variable):
-        return encoded.objects_of_predicate(code)
+        return index.objects_of(code)
     other_id = encoded.dictionary.get(other)
     if other_id is None:
         return set()
-    return encoded.objects_from(other_id, code)
+    return index.objects_from(other_id, code)
+
+
+def _edge_supported(
+    encoded: EncodedGraph, index: SetIndex, vertex_id: int, edge: QueryEdge, query_vertex: PatternTerm
+) -> bool:
+    """Does ``vertex_id`` have an incident data edge matching ``edge`` at ``query_vertex``'s end?"""
+    code = predicate_code(encoded, edge.predicate)
+    if edge.subject == query_vertex:
+        other = edge.object
+        if isinstance(other, Variable):
+            return bool(index.objects_from(vertex_id, code))
+        other_id = encoded.dictionary.get(other)
+        return other_id is not None and index.has_edge(vertex_id, code, other_id)
+    other = edge.subject
+    if isinstance(other, Variable):
+        return bool(index.subjects_to(code, vertex_id))
+    other_id = encoded.dictionary.get(other)
+    return other_id is not None and index.has_edge(other_id, code, vertex_id)
 
 
 # ----------------------------------------------------------------------
@@ -153,11 +212,12 @@ class SetRunner:
 
     def __init__(self, encoded: EncodedGraph) -> None:
         self.encoded = encoded
+        self.index = SetIndex(encoded)
         #: Candidate-pool/frontier intersection operations performed so far.
         self.intersections = 0
 
     def compute_pools(self, query, relaxed_edges=None):
-        return set_candidate_ids(self.encoded, query, relaxed_edges)
+        return set_candidate_ids(self.encoded, query, relaxed_edges, self.index)
 
     def compile(self, query, order, pools):
         compiled: List[CompiledSetVertex] = []
@@ -192,16 +252,16 @@ class SetRunner:
         return compiled
 
     def frontier(self, vertex, assignment):
-        encoded = self.encoded
+        index = self.index
         narrowed: Optional[Set[int]] = None
         for is_subject, code, other_index in vertex.narrow_edges:
             other_value = assignment[other_index]
             if other_value is None:
                 continue
             if is_subject:
-                reachable = encoded.subjects_to(code, other_value)
+                reachable = index.subjects_to(code, other_value)
             else:
-                reachable = encoded.objects_from(other_value, code)
+                reachable = index.objects_from(other_value, code)
             if narrowed is None:
                 narrowed = reachable
             else:
@@ -227,7 +287,7 @@ class SetRunner:
 
     def _consistent(self, vertex, candidate: int, assignment) -> bool:
         """Check every query edge between ``vertex`` and determined vertices."""
-        has_edge = self.encoded.has_edge
+        has_edge = self.index.has_edge
         for subject_is_self, subject_index, object_is_self, object_index, code in (
             vertex.check_edges
         ):

@@ -1,7 +1,10 @@
 """Unit tests for the dictionary-encoding layer (repro.store.encoding)."""
 
+import gc
+
 from repro.datasets import random_graph
 from repro.rdf import IRI, Literal, Namespace, RDFGraph, Triple
+from repro.rdf.terms import Term
 from repro.store import EncodedGraph, TermDictionary, encoded_view
 from repro.store.encoding import PREDICATE_ABSENT, PREDICATE_ANY, term_sort_key
 
@@ -66,7 +69,7 @@ class TestEncodedGraph:
     def test_vertex_ids_exclude_pure_predicates(self):
         graph = build_graph()
         encoded = EncodedGraph(graph)
-        decoded = encoded.dictionary.decode_ids(encoded.vertex_ids)
+        decoded = encoded.dictionary.decode_ids(encoded.sorted_vertex_ids)
         assert decoded == graph.vertices
         assert not encoded.is_vertex(encoded.dictionary.id_of(KNOWS))
 
@@ -75,17 +78,16 @@ class TestEncodedGraph:
         id_of = encoded.dictionary.id_of
         assert not encoded.has_edge(id_of(A), PREDICATE_ABSENT, id_of(B))
         assert not encoded.has_edge(id_of(B), id_of(NAME), id_of(A))
-        assert encoded.subjects_to(PREDICATE_ABSENT, id_of(B)) == set()
-        assert encoded.objects_from(id_of(A), PREDICATE_ABSENT) == set()
-        assert encoded.subjects_of_predicate(PREDICATE_ABSENT) == set()
-        assert encoded.objects_of_predicate(PREDICATE_ABSENT) == set()
+        assert encoded.subjects_to(PREDICATE_ABSENT, id_of(B)) == []
+        assert encoded.objects_from(id_of(A), PREDICATE_ABSENT) == []
+        assert encoded.subjects_of_predicate(PREDICATE_ABSENT) == []
+        assert encoded.objects_of_predicate(PREDICATE_ABSENT) == []
 
     def test_predicate_wide_probes(self):
         encoded = EncodedGraph(build_graph())
         id_of = encoded.dictionary.id_of
-        decode = encoded.dictionary.decode_ids
-        assert decode(encoded.subjects_of_predicate(id_of(KNOWS))) == {A, B}
-        assert decode(encoded.objects_of_predicate(id_of(KNOWS))) == {B, C}
+        assert encoded.subjects_of_predicate(id_of(KNOWS)) == sorted([id_of(A), id_of(B)])
+        assert encoded.objects_of_predicate(id_of(KNOWS)) == sorted([id_of(B), id_of(C)])
         assert encoded.has_out_edge(id_of(A), id_of(KNOWS))
         assert not encoded.has_out_edge(id_of(C), id_of(KNOWS))
         assert encoded.has_in_edge(id_of(C), PREDICATE_ANY)
@@ -122,8 +124,9 @@ class TestEncodedGraph:
         assert encoded.triple_ids(-1, PREDICATE_ANY, None) == []
 
     def test_sorted_vertex_ids_are_sorted_and_complete(self):
-        encoded = EncodedGraph(build_graph())
-        assert list(encoded.sorted_vertex_ids) == sorted(encoded.vertex_ids)
+        graph = build_graph()
+        encoded = EncodedGraph(graph)
+        assert encoded.sorted_vertex_ids == sorted(encoded.dictionary.encode_nodes(graph.vertices))
 
 
 class TestEncodedViewCache:
@@ -173,3 +176,28 @@ class TestKernelSurvivesMutation:
             (B, C),
             (zed, A),
         }
+
+
+def tracked_containers(encoded: EncodedGraph) -> int:
+    """GC-tracked objects reachable from ``encoded``, terms and classes not entered."""
+    seen, stack = set(), [encoded]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (Term, type)) or not gc.is_tracked(obj):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
+    return len(seen)
+
+
+class TestGCFootprint:
+    def test_tracked_containers_follow_the_predicates_not_the_triples(self):
+        """A full collection walks every tracked container, so their number must not grow with the data."""
+        small = random_graph(1, num_vertices=30, num_edges=80, num_predicates=4)
+        big = small.copy()
+        big.add_all(random_graph(2, num_vertices=60, num_edges=200, num_predicates=4))
+        assert big.predicates == small.predicates
+        assert len(big) >= 2 * len(small)
+        assert tracked_containers(EncodedGraph(big)) == tracked_containers(EncodedGraph(small))
+        # A label costs its two columns: a fixed handful of containers, never one per row.
+        assert tracked_containers(EncodedGraph(small)) < len(small)

@@ -1,7 +1,8 @@
 """Unit tests for the matching-kernel machinery (`repro.store.kernel`).
 
-The sorted adjacency columns and their incremental invalidation, self-loop pools, and agreement with the set-based
-oracle — the parts the Hypothesis parity suite exercises only indirectly.
+The sorted adjacency columns and their per-predicate patches, self-loop pools,
+and agreement with the set-based oracle — the parts the Hypothesis parity
+suite exercises only indirectly.
 """
 
 import os
@@ -22,7 +23,6 @@ from repro.sparql import BasicGraphPattern, QueryGraph, parse_query
 from repro.store import KERNEL_PYTHON, LocalMatcher, compute_candidates, resolve_kernel
 from repro.store.candidates import compute_candidate_ids
 from repro.store.encoding import encoded_view
-from repro.store.kernel import adjacency_view
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -77,39 +77,41 @@ QUERY_SHAPES = {
 # Sorted adjacency columns
 # ----------------------------------------------------------------------
 class TestSortedAdjacency:
-    def test_view_is_cached(self):
+    def test_columns_are_built_with_the_encoding(self):
         encoded = encoded_view(social_graph())
-        assert adjacency_view(encoded) is adjacency_view(encoded)
+        knows = encoded.dictionary.id_of(KNOWS)
+        assert encoded.out_column(knows) is encoded.out_column(knows)
 
     def test_columns_are_sorted_and_complete(self):
         graph = social_graph()
         encoded = encoded_view(graph)
-        adjacency = adjacency_view(encoded)
         code = encoded.dictionary.id_of(KNOWS)
         alice = encoded.dictionary.id_of(ALICE)
-        row = list(adjacency.objects_from(alice, code))
+        row = list(encoded.objects_from(alice, code))
         assert row == sorted(row)
         assert {encoded.dictionary.n3_of(v) for v in row} == {BOB.n3(), DAVE.n3()}
-        keys = list(adjacency.subject_keys(code))
+        keys = list(encoded.subjects_of_predicate(code))
         assert keys == sorted(keys)
 
     def test_vertex_pool_is_the_candidate_sort_order(self):
         encoded = encoded_view(social_graph())
-        adjacency = adjacency_view(encoded)
-        ids = adjacency.vertex_pool()
-        assert tuple(ids) == encoded.sorted_vertex_ids
-        assert adjacency.vertex_pool() is ids  # memoized
+        ids = encoded.sorted_vertex_ids
+        assert ids == sorted(encoded.dictionary.encode_nodes(social_graph().vertices))
+        assert encoded.sorted_vertex_ids is ids  # memoized
 
-    def test_invalidate_drops_only_the_touched_predicates(self):
-        encoded = encoded_view(social_graph())
-        adjacency = adjacency_view(encoded)
+    def test_a_patch_replaces_only_the_mutated_predicates_columns(self):
+        graph = social_graph()
+        encoded = encoded_view(graph)
         knows = encoded.dictionary.id_of(KNOWS)
         name = encoded.dictionary.id_of(NAME)
-        knows_column = adjacency.out_column(knows)
-        name_column = adjacency.out_column(name)
-        adjacency.invalidate({knows})
-        assert adjacency.out_column(knows) is not knows_column
-        assert adjacency.out_column(name) is name_column
+        knows_columns = encoded.out_column(knows), encoded.in_column(knows)
+        name_columns = encoded.out_column(name), encoded.in_column(name)
+        graph.add(Triple(DAVE, KNOWS, CAROL))
+        assert encoded_view(graph) is encoded
+        assert encoded.out_column(knows) is not knows_columns[0]
+        assert encoded.in_column(knows) is not knows_columns[1]
+        assert encoded.out_column(name) is name_columns[0]
+        assert encoded.in_column(name) is name_columns[1]
 
     @pytest.mark.parametrize("matcher_class", [SetMatcher, LocalMatcher], ids=[KERNEL_SETS, KERNEL_PYTHON])
     def test_mutation_then_query_sees_the_new_edges(self, matcher_class):

@@ -61,8 +61,7 @@ from .core import (
     OptimizationLevel,
 )
 from .distributed import AppliedDelta, Cluster, QueryStatistics, ShipmentSnapshot, build_cluster
-from .exec import SerialBackend, make_backend
-from .faults import FaultPlan, RetryPolicy
+from .exec import SerialBackend, SiteTaskError, make_backend
 from .obs import MetricsRegistry, StageProfiler, Trace, Tracer
 from .persist import ClusterStore, StoreError
 from .partition import (
@@ -91,7 +90,6 @@ __all__ = [
     "Cluster",
     "ClusterStore",
     "EngineConfig",
-    "FaultPlan",
     "GStoreDEngine",
     "GraphStatistics",
     "HashPartitioner",
@@ -114,12 +112,12 @@ __all__ = [
     "RDFGraph",
     "Result",
     "ResultSet",
-    "RetryPolicy",
     "SelectQuery",
     "SemanticHashPartitioner",
     "SerialBackend",
     "Session",
     "ShipmentSnapshot",
+    "SiteTaskError",
     "StageProfiler",
     "StoreError",
     "Trace",

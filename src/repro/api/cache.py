@@ -134,14 +134,9 @@ class ResultCache:
     def put(self, key: Hashable, result: Result) -> None:
         """Store a finished (statistics-detached) result under ``key``.
 
-        Degraded results (partial answers after an unrecoverable site loss,
-        see :attr:`Result.degraded`) are refused: caching one would keep
-        serving partial answers after the cluster healed.  Failed queries
-        never reach this method at all — the session only stores results
-        whose execution returned.
+        Failed queries never reach this method — the session only stores
+        results whose execution returned.
         """
-        if getattr(result, "degraded", False):
-            return
         entry = _Entry(result.results, result.statistics, result.shipment)
         with self._lock:
             self._entries[key] = entry

@@ -164,13 +164,9 @@ class EngineSpec:
     factory: Callable[[Cluster, Optional[EngineConfig]], QueryEngine]
     #: Alternative lookup names (legacy report names, spellings).
     aliases: Tuple[str, ...] = ()
-    #: Whether the engine honors an :class:`EngineConfig` (and a fault plan).
+    #: Whether the engine honors an :class:`EngineConfig`.
     #: Engines that don't raise on an explicit config.
     accepts_config: bool = False
-
-
-def _gstored_factory(cluster, config, faults=None):
-    return GStoreDEngine(cluster, config, faults=faults)
 
 
 def _fixed_strategy_factory(engine_class):
@@ -198,7 +194,7 @@ register_engine(
     EngineSpec(
         name="gstored",
         summary="LEC-accelerated partial evaluation and assembly (the paper's engine)",
-        factory=_gstored_factory,
+        factory=GStoreDEngine,
         aliases=("gstore-d",),
         accepts_config=True,
     )
@@ -290,17 +286,12 @@ def make_engine(
     cluster: Cluster,
     *,
     config: Optional[EngineConfig] = None,
-    faults=None,
 ) -> QueryEngine:
     """Instantiate any registered evaluator by name over ``cluster``.
 
     ``config`` applies to engines that declare ``accepts_config`` (today the
     gStoreD family); passing an explicit ``config`` to a fixed-strategy
     engine is an error.
-
-    ``faults`` — an optional :class:`~repro.faults.FaultPlan` — arms
-    deterministic fault injection and recovery; like ``config`` it is only
-    meaningful for ``accepts_config`` engines and an error elsewhere.
 
     Factories registered from outside the package are held to the
     :class:`QueryEngine` contract here: an engine whose ``execute`` cannot
@@ -314,16 +305,7 @@ def make_engine(
             f"EngineConfig; engines that do: "
             f"{', '.join(s.name for s in engine_specs() if s.accepts_config)}"
         )
-    if faults is not None:
-        if not spec.accepts_config:
-            raise ValueError(
-                f"engine {spec.name!r} does not support fault injection; "
-                f"engines that do: "
-                f"{', '.join(s.name for s in engine_specs() if s.accepts_config)}"
-            )
-        engine = spec.factory(cluster, config, faults=faults)
-    else:
-        engine = spec.factory(cluster, config)
+    engine = spec.factory(cluster, config)
     parameters = inspect.signature(engine.execute).parameters
     if not {"trace", "profiler"} <= parameters.keys() and not any(
         parameter.kind is parameter.VAR_KEYWORD for parameter in parameters.values()

@@ -12,7 +12,8 @@ everything that builds on that guarantee:
   (the HTTP layer maps it to ``429 Too Many Requests``), so overload sheds
   load instead of stacking requests until something times out;
 * :class:`QueryServer` — the thin HTTP front end behind ``repro serve``:
-  ``POST /query`` evaluates SPARQL, ``GET /metrics`` exposes the session's
+  ``POST /query`` evaluates SPARQL (a failing site task answers ``500``
+  naming its ``site`` and ``stage``), ``GET /metrics`` exposes the session's
   Prometheus text (admission depth and result-cache families included) and
   ``GET /healthz`` answers liveness probes.
 
@@ -31,6 +32,7 @@ from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
 
+from ..exec import SiteTaskError
 from ..obs import MetricsRegistry
 from ..sparql.algebra import SelectQuery
 from .result import Result
@@ -271,17 +273,12 @@ class _Handler(BaseHTTPRequestHandler):
         server = self._query_server
         if self.path == "/healthz":
             session = server.session
-            degraded = getattr(session, "degraded_queries", 0)
-            body: Dict[str, Any] = {
-                # Still HTTP 200 — the server is alive and serving; degraded
-                # means some answers were partial after a site loss.
-                "status": "degraded" if degraded else "ok",
+            body = {
+                "status": "ok",
                 "dataset": session.dataset,
                 "engine": session.default_engine,
                 "executor": session.backend.name,
             }
-            if degraded:
-                body["degraded_queries"] = degraded
             self._respond_json(200, body)
         elif self.path == "/metrics":
             text = server.session.metrics.prometheus_text()
@@ -337,10 +334,16 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond_json(429, {"error": str(error)})
             return
         except ValueError as error:
+            # Raised before any site work: a bad query, engine or name.
             self._respond_json(400, {"error": str(error)})
             return
-        except Exception as error:  # pragma: no cover - engine-internal failures
-            self._respond_json(500, {"error": f"{type(error).__name__}: {error}"})
+        except Exception as error:
+            # A site task's own exception arrives wrapped in SiteTaskError (a
+            # RuntimeError), so a handler bug is never the client's fault.
+            failure: Dict[str, Any] = {"error": f"{type(error).__name__}: {error}"}
+            if isinstance(error, SiteTaskError):
+                failure.update(site=error.site_id, stage=error.stage)
+            self._respond_json(500, failure)
             return
         statistics = result.statistics
         body = {
@@ -350,10 +353,7 @@ class _Handler(BaseHTTPRequestHandler):
             "total_time_ms": round(statistics.total_time_ms, 3),
             "shipped_bytes": result.shipment.total_bytes if result.shipment else 0,
             "cache_hit": result.cache_hit,
-            "degraded": result.degraded,
         }
-        if result.degraded:
-            body["missing_sites"] = result.missing_sites
         self._respond_json(200, body)
 
 

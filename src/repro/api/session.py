@@ -33,7 +33,6 @@ from ..datasets.registry import DATASETS, get_dataset
 from ..distributed.cluster import Cluster, build_cluster
 from ..distributed.network import NetworkModel
 from ..exec import OptionError, SerialBackend, make_backend
-from ..faults import FaultPlan
 from ..obs import (
     CATEGORY_PLANNING,
     MetricsRegistry,
@@ -189,7 +188,6 @@ class Session:
         trace: bool = False,
         profile: Optional[bool] = None,
         result_cache: int = 0,
-        faults: Optional[FaultPlan] = None,
         store: Optional[object] = None,
         **config_options,
     ) -> None:
@@ -201,13 +199,6 @@ class Session:
         self._owned_store = store
         self.dataset = dataset
         self.scale = scale
-        #: Fault-injection plan applied to every gStoreD-family query of the
-        #: session (``None`` — the default — injects nothing; see
-        #: :mod:`repro.faults` and ``docs/faults.md``).
-        self.faults = faults
-        #: Queries that returned *partial* answers after an unrecoverable
-        #: site loss (``result.degraded``); surfaced by ``/healthz``.
-        self.degraded_queries = 0
         #: Per-query tracer (see :mod:`repro.obs`), or ``None`` when the
         #: session was opened without ``trace=True``.  Each ``query()`` call
         #: starts one trace; the returned result carries it as ``.trace``.
@@ -319,9 +310,9 @@ class Session:
     def engine(self, name: Optional[str] = None) -> QueryEngine:
         """The (cached) evaluator for ``name`` — default: the session's engine.
 
-        gStoreD-family engines receive the session's :class:`EngineConfig`
-        and fault plan; fixed-strategy engines (baselines, centralized) take
-        neither.  Construction is lock-guarded:
+        gStoreD-family engines receive the session's :class:`EngineConfig`;
+        fixed-strategy engines (baselines, centralized) take none.
+        Construction is lock-guarded:
         two threads asking for the same engine concurrently get the *same*
         instance, never a duplicate whose twin leaks unclosed.
         """
@@ -332,12 +323,7 @@ class Session:
             built = self._engines.get(canonical)
             if built is None:
                 if engine_spec(canonical).accepts_config:
-                    built = make_engine(
-                        canonical,
-                        self.cluster,
-                        config=self.config,
-                        faults=self.faults,
-                    )
+                    built = make_engine(canonical, self.cluster, config=self.config)
                 else:
                     built = make_engine(canonical, self.cluster)
                 self._engines[canonical] = built
@@ -375,9 +361,10 @@ class Session:
         When the session traces (``repro.open(..., trace=True)``) the
         returned result additionally carries ``result.trace``; the session's
         :attr:`metrics` registry is updated after every query either way —
-        including failures, which finish the trace with an ``error``
-        attribute and count into ``repro_query_failures_total`` before the
-        exception propagates.
+        including failures (a failing site task raises
+        :class:`~repro.exec.SiteTaskError`), which finish the trace with an
+        ``error`` attribute and count into ``repro_query_failures_total``
+        before the exception propagates.
 
         Queries hold the session's mutation gate (read side) while they run,
         so a concurrent :meth:`update` waits for them instead of mutating
@@ -453,10 +440,7 @@ class Session:
             encoded_rebuilds=encoded_rebuilds() - self._rebuilds_at_open,
             encoded_patches=encoded_patches() - self._patches_at_open,
         )
-        if result.degraded:
-            with self._lock:
-                self.degraded_queries += 1
-        if cache_key is not None and not result.degraded:
+        if cache_key is not None:
             self.result_cache.put(cache_key, result)
         return result
 
@@ -683,7 +667,6 @@ def open_session(
     trace: bool = False,
     profile: Optional[bool] = None,
     result_cache: int = 0,
-    faults: Optional[FaultPlan] = None,
     **config_options,
 ) -> Session:
     """Open a :class:`Session` over one of the bundled workloads.
@@ -697,9 +680,7 @@ def open_session(
     ``trace=True`` turns on per-query tracing (results gain ``.trace``) and
     ``profile=True`` per-stage profiling (see :mod:`repro.obs`);
     ``result_cache=N`` enables the opt-in session result cache (N entries,
-    see :mod:`repro.api.cache`); ``faults=FaultPlan.parse(...)`` injects
-    deterministic site failures into every gStoreD-family query (see
-    :mod:`repro.faults` and ``docs/faults.md``); any extra keyword becomes an
+    see :mod:`repro.api.cache`); any extra keyword becomes an
     :class:`EngineConfig` option (``use_lec_pruning=False``,
     ``bit_vector_bits=256``, ...).  This function is re-exported as
     ``repro.open``.
@@ -723,7 +704,6 @@ def open_session(
         trace=trace,
         profile=profile,
         result_cache=result_cache,
-        faults=faults,
     )
     if path is not None:
         from pathlib import Path

@@ -50,7 +50,7 @@ from .bench import (
 from .core import EngineConfig, OptimizationLevel
 from .datasets import get_dataset
 from .distributed import build_cluster
-from .exec import SERIAL, OptionError
+from .exec import SERIAL, OptionError, SiteTaskError
 from .obs import CATEGORY_PLANNING, MetricsRegistry, Trace
 from .partition import (
     load_workspace,
@@ -142,14 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--metrics",
         action="store_true",
         help="print the run's metrics in Prometheus text exposition format after the results",
-    )
-    query.add_argument(
-        "--inject-faults",
-        metavar="PLAN",
-        default=None,
-        help="deterministic fault plan, e.g. 'kill:1@partial_evaluation;"
-        "flaky:0@candidate_exchange:2' or 'random:SEED' (gStoreD engine "
-        "family only; see docs/faults.md for the grammar)",
     )
 
     explain = subparsers.add_parser("explain", help="show the cost-based query plan without executing")
@@ -316,47 +308,29 @@ def _cmd_query(args: argparse.Namespace) -> int:
             f"unknown engine {args.engine!r}; choose from: {', '.join(engine_choices())}"
         )
     level = _LEVELS.get(engine_name)
-    if level is None and engine_aliases().get(engine_name) != "gstored":
-        # Baselines run a fixed strategy: no per-site fan-out, and no
-        # per-site stages to fail.  A session builds them without its fault
-        # plan by design, so this check is what keeps a baseline run from
-        # silently ignoring --inject-faults.
-        for flag, value, reason in (
-            ("--executor", args.executor, "runs its fixed strategy without a per-site fan-out"),
-            ("--inject-faults", args.inject_faults, "has no per-site stages for fault injection"),
-        ):
-            if value is not None:
-                raise ValueError(
-                    f"{flag} only applies to the gStoreD engine family "
-                    f"({', '.join(_LEVELS)}); engine {engine_name!r} {reason}"
-                )
-    cluster = _load_cluster(args)
-    faults = _resolve_fault_plan(args.inject_faults, cluster) if args.inject_faults else None
+    if (
+        level is None
+        and engine_aliases().get(engine_name) != "gstored"
+        and args.executor is not None
+    ):
+        # Baselines run a fixed strategy without a per-site fan-out.
+        raise ValueError(
+            f"--executor only applies to the gStoreD engine family "
+            f"({', '.join(_LEVELS)}); engine {engine_name!r} runs its fixed "
+            f"strategy without a per-site fan-out"
+        )
     with Session.from_cluster(
-        cluster,
+        _load_cluster(args),
         engine="gstored" if level is not None else engine_name,
         config=EngineConfig.for_level(level) if level is not None else None,
         executor=args.executor,
         trace=args.trace is not None,
-        faults=faults,
     ) as session:
         result = session.query(_read_query_text(args), query_name="cli")
 
     print(f"{len(result.results)} solutions ({result.statistics.engine})")
     for row in result.results.to_table()[: args.limit]:
         print("  " + ", ".join(f"{key}={value}" for key, value in row.items()))
-    if faults is not None:
-        work = result.statistics.work
-        print(
-            f"faults: plan [{faults.describe()}] -> "
-            f"retries={int(work.get('task_retries', 0))}, "
-            f"site_failures={int(work.get('site_failures', 0))}, "
-            f"recoveries={int(work.get('site_recoveries', 0))}"
-        )
-        extra = result.statistics.extra
-        if extra.get("degraded"):
-            missing = ", ".join(str(sid) for sid in extra.get("missing_sites", ()))
-            print(f"WARNING: partial results — site(s) {missing} lost unrecoverably")
     if args.show_stats:
         print(format_table([stage.as_dict() for stage in result.statistics.stages]))
         print(
@@ -369,28 +343,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if args.metrics:
         print(session.metrics.prometheus_text(), end="")
     return 0
-
-
-def _resolve_fault_plan(spec: str, cluster):
-    """Parse ``--inject-faults`` into a :class:`~repro.faults.FaultPlan`.
-
-    ``random:SEED`` draws a survivable random plan over the cluster's actual
-    site ids (which is why resolution waits until the cluster is loaded);
-    anything else goes through the ``KIND:SITE@STAGE`` grammar.
-    """
-    from .faults import FaultPlan
-
-    text = spec.strip()
-    if text.lower().startswith("random:"):
-        seed_text = text.split(":", 1)[1].strip()
-        try:
-            seed = int(seed_text)
-        except ValueError:
-            raise ValueError(
-                f"--inject-faults random:SEED needs an integer seed, got {seed_text!r}"
-            ) from None
-        return FaultPlan.random(seed, sorted(cluster.site_ids))
-    return FaultPlan.parse(text)
 
 
 def _read_query_text(args: argparse.Namespace) -> str:
@@ -599,6 +551,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(list(argv) if argv is not None else None)
     try:
         return _COMMANDS[args.command](args)
+    except SiteTaskError as error:
+        # A site's own failure, not a usage error: exit 1, not 2.
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     except OptionError as error:
         # The library names its keyword arguments; say which flags they were.
         flags = " ".join(

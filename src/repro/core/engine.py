@@ -37,7 +37,8 @@ and runs the batch through :meth:`~repro.distributed.run.Stage.fan_out`, one
 site after another.  Handlers only touch their own site and their explicit
 payload; all shared-state mutation — message-bus sends, statistics
 accumulation, stage timing — happens afterwards in a serial merge over the
-results in ``site_id`` order.
+results in ``site_id`` order.  A handler that raises ends the query with a
+:class:`~repro.exec.SiteTaskError` naming its site and task.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from ..distributed.cluster import Cluster
 from ..distributed.network import COORDINATOR
 from ..distributed.result import Result
 from ..distributed.run import Run
-from ..faults import FaultPlan, RetryPolicy
 from ..obs import CATEGORY_PLANNING, StageProfiler, Trace
 from ..planner.plan import QueryPlan
 from ..sparql.algebra import SelectQuery
@@ -87,26 +87,10 @@ class GStoreDEngine:
         cluster: Cluster,
         config: Optional[EngineConfig] = None,
         name: Optional[str] = None,
-        faults: Optional[FaultPlan] = None,
-        retry: Optional[RetryPolicy] = None,
     ) -> None:
         self.cluster = cluster
         self.config = config or EngineConfig.full()
         self.name = name or self.config.label
-        #: Optional fault-injection schedule (see :mod:`repro.faults`): when
-        #: set, every site task runs under the plan, transient failures retry
-        #: with ``retry`` (default: the plan's own policy), dead sites are
-        #: rebuilt from their fragments, and unrecoverable losses
-        #: degrade the result instead of aborting the query.  ``None`` — the
-        #: default — leaves the execution path byte-identical to before the
-        #: fault layer existed.
-        self.faults = faults
-        self.retry = retry if retry is not None else (faults.retry if faults else None)
-        #: How a dead site is rebuilt (mirrors the sites' planner setup below).
-        self._site_options = {
-            "use_planner": self.config.use_planner,
-            "plan_cache_size": self.config.plan_cache_size,
-        }
         # Sites plan their local evaluations from their own fragment's
         # statistics; the statistics and plan caches live on the stores, so
         # repeated queries (and repeated engines over the same cluster)
@@ -159,9 +143,6 @@ class GStoreDEngine:
             query_graph=QueryGraph(query.bgp),
             trace=trace,
             profiler=profiler,
-            site_options=self._site_options,
-            plan=self.faults,
-            retry=self.retry,
         )
         stats = run.stats
         if self.config.use_planner:
@@ -169,11 +150,10 @@ class GStoreDEngine:
             # where the coordinator never plans — its zero-cost row mirrors
             # how the star shortcut zeroes the other optimization stages.
             stats.stage(STAGE_PLANNING)
-        with run.fault_scope():
-            if self.config.star_shortcut and run.query_graph.is_star():
-                rows = self._evaluate_star(run)
-            else:
-                rows = self._evaluate_general(run)
+        if self.config.star_shortcut and run.query_graph.is_star():
+            rows = self._evaluate_star(run)
+        else:
+            rows = self._evaluate_general(run)
         stats.extra["query_shape"] = run.query_graph.classify_shape()
         stats.extra["selective"] = run.query_graph.has_selective_pattern()
         return run.result(rows)
@@ -226,7 +206,7 @@ class GStoreDEngine:
     def _evaluate_star(self, run: Run) -> List[Row]:
         """Evaluate a star query purely locally at every site."""
         work = run.stats.work
-        tasks = local_eval_tasks(run.live_site_ids(), run.query)
+        tasks = local_eval_tasks(sorted(run.cluster.site_ids), run.query)
         all_rows: List[Row] = []
         with run.stage(STAGE_PARTIAL_EVAL, star_shortcut=True) as stage:
             for result in stage.fan_out(tasks):
@@ -261,7 +241,8 @@ class GStoreDEngine:
             run.stats.stage(STAGE_CANDIDATES)
             return None
         bits = self.config.bit_vector_bits
-        tasks = candidate_vector_tasks(run.live_site_ids(), run.query_graph, bits)
+        site_ids = sorted(run.cluster.site_ids)
+        tasks = candidate_vector_tasks(site_ids, run.query_graph, bits)
         per_site_vectors = []
         internal_candidates = 0
         with run.stage(STAGE_CANDIDATES) as stage:
@@ -272,12 +253,7 @@ class GStoreDEngine:
                 stage.ship(result.site_id, COORDINATOR, "candidate_vectors", list(vectors.values()))
             with stage.measure():
                 global_filter = union_site_vectors(per_site_vectors, bits)
-            # Broadcast to the sites still alive at this point — identical to
-            # the full cluster on a clean run, and a lost site must neither
-            # receive the filter nor be charged for it.
-            stage.broadcast(
-                COORDINATOR, run.live_site_ids(), "global_candidate_filter", global_filter
-            )
+            stage.broadcast(COORDINATOR, site_ids, "global_candidate_filter", global_filter)
             stage.count(internal_candidates=internal_candidates, variables=len(global_filter))
         return global_filter
 
@@ -290,7 +266,7 @@ class GStoreDEngine:
     ) -> Tuple[List[Row], LPMsBySite]:
         work = run.stats.work
         tasks = partial_eval_tasks(
-            run.live_site_ids(),
+            sorted(run.cluster.site_ids),
             run.query,
             run.query_graph,
             plan.edge_order if plan is not None else None,
@@ -335,9 +311,6 @@ class GStoreDEngine:
             with stage.join() as record_join:
                 outcome, survivors = prune_features(run.query_graph, features_by_site)
                 record_join(outcome)
-            # Iterate the sites that actually reported features: identical to
-            # lpms_by_site on a clean run, but a site lost during the feature
-            # fan-out has no survivor positions to ship back.
             for site_id in sorted(classes_by_site):
                 stage.ship(COORDINATOR, site_id, "surviving_features", survivors[site_id])
             for result in stage.fan_out(lec_filter_tasks(classes_by_site, survivors)):
@@ -358,10 +331,8 @@ class GStoreDEngine:
         all_lpms: List[LocalPartialMatch] = []
         with run.stage(STAGE_ASSEMBLY) as stage:
             for site_id, lpms in lpms_by_site.items():
-                # ``None``: the site died unrecoverably mid-shipment, so its
-                # LPMs never reach the join.
-                if stage.ship(site_id, COORDINATOR, "local_partial_matches", lpms) is not None:
-                    all_lpms.extend(lpms)
+                stage.ship(site_id, COORDINATOR, "local_partial_matches", lpms)
+                all_lpms.extend(lpms)
             with stage.join() as record_join:
                 outcome = assemble_matches(
                     run.query_graph, all_lpms, use_lec_grouping=self.config.use_lec_assembly

@@ -26,7 +26,7 @@ to the pre-encoding object path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..exec.tasks import SiteTask
 from ..sparql.algebra import SelectQuery
@@ -44,21 +44,6 @@ TASK_CANDIDATE_VECTORS = "engine.candidate_vectors"
 TASK_PARTIAL_EVAL = "engine.partial_eval"
 TASK_LEC_FEATURES = "engine.lec_features"
 TASK_LEC_FILTER = "engine.lec_filter"
-
-#: Which of these tasks each pipeline stage fans out (assembly ships results
-#: over the bus instead of running a per-site task).  The authoritative
-#: mapping behind ``repro.faults.TASKS_BY_STAGE`` — the fault layer keeps a
-#: literal copy because importing this module from there would be circular,
-#: and ``tests/faults`` pins the two against each other.  The stage-name keys
-#: are literal for the same reason: :mod:`repro.core.engine` (which defines
-#: the ``STAGE_*`` constants) imports this module.
-PIPELINE_STAGE_TASKS: Dict[str, Tuple[str, ...]] = {
-    "candidate_exchange": (TASK_CANDIDATE_VECTORS,),
-    "partial_evaluation": (TASK_LOCAL_EVAL, TASK_PARTIAL_EVAL),
-    "lec_pruning": (TASK_LEC_FEATURES,),
-    "lec_filter": (TASK_LEC_FILTER,),
-    "assembly": (),
-}
 
 
 # ----------------------------------------------------------------------

@@ -94,39 +94,6 @@ class Cluster:
         """The site whose fragment owns ``vertex`` as an internal vertex."""
         return self._sites[self._partitioned.fragment_of(vertex)]
 
-    def rebuild_site(
-        self,
-        site_id: int,
-        *,
-        use_planner: bool = True,
-        plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-    ) -> Site:
-        """Replace a site with a fresh one rebuilt from its fragment.
-
-        The fault-recovery path: when the coordinator detects a site death
-        (:mod:`repro.faults`), it builds a brand-new
-        :class:`~repro.distributed.Site` — fresh store, indexes and planner —
-        over the dead site's fragment and swaps it into the cluster in place.
-        The graph data itself is never lost (fragments are the durable
-        unit), so the rebuilt site answers identically to the one it
-        replaces.
-        """
-        position = next(
-            (index for index, site in enumerate(self._sites) if site.site_id == site_id),
-            None,
-        )
-        if position is None:
-            known = ", ".join(str(sid) for sid in self.site_ids) or "none"
-            raise LookupError(f"cluster has no site {site_id} (sites: {known})")
-        fragment = self._sites[position].fragment
-        site = Site(fragment.fragment_id, fragment)
-        if use_planner:
-            site.enable_planner(plan_cache_size)
-        else:
-            site.disable_planner()
-        self._sites[position] = site
-        return site
-
     def graph_statistics(self) -> GraphStatistics:
         """Cluster-wide planner statistics, aggregated from the per-site
         summaries (the coordinator's global view of the data distribution),

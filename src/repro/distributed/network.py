@@ -17,7 +17,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..rdf.terms import Term
 from ..rdf.triples import Triple, TriplePattern
@@ -213,11 +213,6 @@ class MessageBus:
     _ledgers: Dict[int, List[ShipmentLedger]] = field(
         default_factory=dict, repr=False, compare=False
     )
-    #: Active fault injectors, a stack per sending thread (see
-    #: :meth:`fault_scope`); guarded by ``_lock`` like the ledgers.
-    _injectors: Dict[int, List[Callable[[int, int, str, str], None]]] = field(
-        default_factory=dict, repr=False, compare=False
-    )
 
     def send(self, source: int, destination: int, kind: str, payload: Any, stage: str = "") -> int:
         """Record a message and return its estimated size in bytes.
@@ -225,17 +220,7 @@ class MessageBus:
         When the sending thread has an open :class:`ShipmentLedger` (see
         :meth:`ledger`) the message is charged to that ledger instead of the
         global log, scoping the accounting to the query that opened it.
-
-        When the sending thread has an active fault injector (see
-        :meth:`fault_scope`) it is consulted *before* any accounting: an
-        injector that raises (a site dying as it ships) aborts the send with
-        nothing recorded, so a failed shipment ships zero bytes.
         """
-        with self._lock:
-            injector_stack = self._injectors.get(threading.get_ident())
-            injector = injector_stack[-1] if injector_stack else None
-        if injector is not None:
-            injector(source, destination, kind, stage)
         size = estimate_size(payload)
         message = Message(source, destination, kind, size, stage)
         with self._lock:
@@ -273,31 +258,6 @@ class MessageBus:
                     stack.remove(opened)
                 if not stack:
                     self._ledgers.pop(ident, None)
-
-    @contextmanager
-    def fault_scope(self, injector: Callable[[int, int, str, str], None]) -> Iterator[None]:
-        """Consult ``injector`` before every send this thread issues.
-
-        The shipment-layer hook of the fault-injection framework
-        (:class:`repro.faults.ShipmentFaultInjector`): while the scope is
-        open, each ``send`` from this thread calls
-        ``injector(source, destination, kind, stage)`` first, and a raise —
-        a site dying mid-shipment — aborts that send before any byte is
-        recorded.  Thread-scoped and stacked exactly like :meth:`ledger`, so
-        concurrent queries over one cluster never see each other's faults.
-        """
-        ident = threading.get_ident()
-        with self._lock:
-            self._injectors.setdefault(ident, []).append(injector)
-        try:
-            yield
-        finally:
-            with self._lock:
-                stack = self._injectors.get(ident, [])
-                if injector in stack:
-                    stack.remove(injector)
-                if not stack:
-                    self._injectors.pop(ident, None)
 
     # ------------------------------------------------------------------
     # Accounting

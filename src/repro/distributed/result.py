@@ -93,21 +93,10 @@ class Result:
 
     @property
     def degraded(self) -> bool:
-        """``True`` when the answers are partial because a site was lost.
-
-        Set by the fault-injection layer (:mod:`repro.faults`): a site the
-        fault plan marks unrecoverable takes its fragment's matches with it,
-        and instead of failing the query the engine returns what the
-        surviving sites can answer and flags it here.  A degraded result
-        names the lost sites in :attr:`missing_sites` and is never stored in
-        the session result cache.
-        """
-        return bool(self._statistics.extra.get("degraded", False))
-
-    @property
-    def missing_sites(self) -> List[int]:
-        """Site ids lost unrecoverably during the run (empty when healthy)."""
-        return list(self._statistics.extra.get("missing_sites", ()))
+        """Always ``False``: a failing site raises :class:`~repro.exec.SiteTaskError`."""
+        # Read by the end-to-end benchmark's JSON-encode probe; the e2e v2
+        # change to that benchmark drops the read, and this property with it.
+        return False
 
     def __iter__(self) -> Iterator[Binding]:
         return iter(self.results)

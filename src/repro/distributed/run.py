@@ -16,10 +16,10 @@ systems — tells its strategy as a sequence of stages over one :class:`Run`::
 and its span / profile capture, and on exit folds the measured site and
 coordinator times, charges the network model and stamps the shipment onto
 the span.  :class:`Stage` is the only code that sends on the bus and counts
-what it sent, fans site tasks out, and turns a failed task or a site dying
-mid-shipment into recovery or degradation.  A new per-stage concern (a
-deadline check, a site-skew attribute) therefore goes *here*, once — never
-into a stage body.
+what it sent and fans site tasks out; a failing site task ends the run with
+a :class:`~repro.exec.SiteTaskError`.  A new per-stage concern (a deadline
+check, a site-skew attribute) therefore goes *here*, once — never into a
+stage body.
 
 The run is created per execution and dropped with it: engines are shared by
 concurrent queries and keep no per-query state of their own.
@@ -28,11 +28,10 @@ concurrent queries and keep no per-query state of their own.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import Callable, ContextManager, Iterator, List, Mapping, Optional, Sequence, Set
+from dataclasses import dataclass, field
+from typing import Callable, ContextManager, Iterator, List, Optional, Sequence
 
-from ..exec import SiteTask, SiteTaskResult, run_site_task, run_site_tasks
-from ..faults import FaultPlan, RetryPolicy, ShipmentFaultInjector, SiteDownError
+from ..exec import SiteTask, SiteTaskResult, run_site_tasks
 from ..obs import CATEGORY_COORDINATOR, Span, StageProfiler, Trace, stage_scope
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import ResultSet, Row
@@ -45,13 +44,7 @@ from .stats import QueryStatistics, StageStats
 
 @dataclass
 class Run:
-    """Everything one ``execute()`` call owns (never shared across queries).
-
-    ``site_options`` and the fault fields are only set by the gStoreD
-    engine; the comparison systems run their site work inline and take no
-    fault plan.  ``plan is None`` for fault-free runs, in which case every
-    fault counter stays zero.
-    """
+    """Everything one ``execute()`` call owns (never shared across queries)."""
 
     cluster: Cluster
     query: SelectQuery
@@ -59,16 +52,7 @@ class Run:
     query_graph: Optional[QueryGraph] = None
     trace: Optional[Trace] = None
     profiler: Optional[StageProfiler] = None
-    #: Planner settings a dead site is rebuilt with (``Cluster.rebuild_site``).
-    site_options: Mapping[str, object] = field(default_factory=dict)
-    plan: Optional[FaultPlan] = None
-    #: Transient-failure budget of every task (the plan's own by default).
-    retry: Optional[RetryPolicy] = None
     timer: StageTimer = field(default_factory=StageTimer)
-    lost_sites: Set[int] = field(default_factory=set)
-    task_retries: int = 0
-    site_failures: int = 0
-    site_recoveries: int = 0
 
     @classmethod
     def start(
@@ -110,42 +94,6 @@ class Run:
             stats.shipped_bytes, stats.messages
         )
 
-    def live_site_ids(self) -> List[int]:
-        """The fan-out order (ascending site id) minus the sites this run has lost."""
-        ids = sorted(self.cluster.site_ids)
-        if not self.lost_sites:
-            return ids
-        return [site_id for site_id in ids if site_id not in self.lost_sites]
-
-    @contextmanager
-    def fault_scope(self) -> Iterator[None]:
-        """Arm the plan's shipment faults for the block, then fold the bookkeeping.
-
-        Statistics keys are only written when fault injection was active, so
-        a clean run's work counters and table columns stay byte-identical to
-        the pre-fault-layer engine.  ``work`` carries the recovery counters
-        (not table columns); ``extra`` carries the degradation verdict, which
-        surfaces as ``Result.degraded`` / ``Result.missing_sites``.
-        """
-        if self.plan is None:
-            yield
-            return
-        with self.cluster.bus.fault_scope(ShipmentFaultInjector(self.plan)):
-            yield
-        stats = self.stats
-        stats.work["task_retries"] = self.task_retries
-        stats.work["site_failures"] = self.site_failures
-        stats.work["site_recoveries"] = self.site_recoveries
-        if self.lost_sites:
-            missing = sorted(self.lost_sites)
-            stats.extra["degraded"] = True
-            stats.extra["missing_sites"] = missing
-            stats.extra["warning"] = (
-                "partial results: site(s) "
-                + ", ".join(str(site_id) for site_id in missing)
-                + " lost and unrecoverable; matches needing their fragments are missing"
-            )
-
     def result(self, rows: List[Row]) -> Result:
         """The run's :class:`Result`: the distinct ``rows`` (in projection order), limited."""
         query = self.query
@@ -173,33 +121,12 @@ class Stage:
         self.span = span
 
     # -- shipment ------------------------------------------------------------
-    def ship(self, source: int, destination: int, kind: str, payload: object) -> Optional[int]:
-        """Send one payload over the bus and count it; the bytes shipped.
-
-        A site can die *while shipping* (the bus-level kill of
-        :class:`~repro.faults.ShipmentFaultInjector` fires before any byte is
-        recorded).  Recoverable: rebuild the site and re-send — the retried
-        shipment carries identical bytes, so the ledger matches a clean run;
-        the loop survives a plan scheduling several deaths of the same site
-        (each recoverable entry fires once, so it terminates).  Unrecoverable:
-        mark the site lost and return ``None``; nothing was shipped or
-        counted, exactly as if the machine vanished mid-transfer.
-        """
-        run = self.run
-        while True:
-            try:
-                shipped = run.cluster.bus.send(source, destination, kind, payload, self.name)
-            except SiteDownError as error:
-                run.site_failures += 1
-                if not error.recoverable:
-                    run.lost_sites.add(source)
-                    return None
-                run.cluster.rebuild_site(source, **run.site_options)
-                run.site_recoveries += 1
-                continue
-            self.stats.shipped_bytes += shipped
-            self.stats.messages += 1
-            return shipped
+    def ship(self, source: int, destination: int, kind: str, payload: object) -> int:
+        """Send one payload over the bus and count it; the bytes shipped."""
+        shipped = self.run.cluster.bus.send(source, destination, kind, payload, self.name)
+        self.stats.shipped_bytes += shipped
+        self.stats.messages += 1
+        return shipped
 
     def broadcast(self, source: int, destinations: List[int], kind: str, payload: object) -> None:
         """Send the same payload to every destination, one counted message each."""
@@ -248,28 +175,13 @@ class Stage:
         into the run's timer here, in the serial merge, never by the tasks
         themselves.  When tracing, each task's ``site:{id}`` span is added
         under the stage span from the runner's start and elapsed time — also
-        here, serially.
-
-        The run's fault plan and retry policy go to the runner, and failed
-        results are resolved here — still in the serial, ``site_id``-ordered
-        merge, which is what keeps recovery deterministic: a
-        dead-but-recoverable site is rebuilt from its fragment and its task
-        re-executed, an unrecoverable site is marked lost and its result
-        dropped.  Only results that survive (including recovered ones) reach
-        the stage timers — and a retried task contributes the successful
-        attempt's time alone.
+        here, serially.  A task that raises ends the stage with its
+        :class:`~repro.exec.SiteTaskError`.
         """
         run = self.run
         trace = run.trace
-        results = run_site_tasks(tasks, run.cluster, run.plan, run.retry)
-        merged: List[SiteTaskResult] = []
-        for task, result in zip(tasks, results):
-            if result.failure is not None:
-                result = self._recover(task, result)
-                if result is None:
-                    continue
-            if result.attempts > 1:
-                run.task_retries += result.attempts - 1
+        results = run_site_tasks(tasks, run.cluster)
+        for result in results:
             run.timer.record(self.name, result.site_id, result.elapsed_s)
             if trace is not None:
                 span = trace.add_site_span(
@@ -288,26 +200,4 @@ class Stage:
                         kernel=kernel,
                         kernel_intersections=getattr(result.value, "kernel_intersections", 0),
                     )
-            merged.append(result)
-        return merged
-
-    def _recover(self, task: SiteTask, failed: SiteTaskResult) -> Optional[SiteTaskResult]:
-        """Turn a failed task result into recovery or degradation.
-
-        Returns the recovery re-run's result on a recoverable site death, or
-        ``None`` when the site is unrecoverable — it is then recorded in
-        ``run.lost_sites`` and the caller drops it from the merge.
-        """
-        run = self.run
-        run.site_failures += 1
-        run.task_retries += failed.attempts - 1
-        if not failed.failure.recoverable:
-            run.lost_sites.add(failed.site_id)
-            return None
-        site = run.cluster.rebuild_site(failed.site_id, **run.site_options)
-        rerun = run_site_task(replace(task, attempt=1, recovery=True), site, run.plan, run.retry)
-        if rerun.failure is not None:
-            run.lost_sites.add(failed.site_id)
-            return None
-        run.site_recoveries += 1
-        return rerun
+        return results

@@ -6,52 +6,56 @@ over the engine, the cluster and the message bus.  :func:`run_site_task`
 calls the handler with ``(site, payload)`` under the site's lock and times it
 on the coordinator's ``perf_counter`` clock, so the engine's serial merge can
 feed the per-site stage timers and trace spans without the tasks ever
-touching shared state.
+touching shared state.  A handler that raises ends the query with one
+:class:`SiteTaskError` naming the site and the task.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable, List, Mapping, Optional, Sequence
-
-from ..faults import (
-    FAILURE_SITE_DOWN,
-    FAILURE_TRANSIENT_EXHAUSTED,
-    DEFAULT_RETRY_POLICY,
-    FaultPlan,
-    RetryPolicy,
-    SiteDownError,
-    TaskFailure,
-    TransientTaskError,
-)
+from dataclasses import dataclass, field
+from typing import Any, Callable, List, Mapping, Sequence
 
 #: A stage handler: ``handler(site, payload) -> value``.
 Handler = Callable[[Any, Mapping[str, Any]], Any]
+
+
+class SiteTaskError(RuntimeError):
+    """A site task raised: the one failure shape of the per-site fan-out.
+
+    ``site_id`` is the site the task ran on and ``stage`` its task label
+    (e.g. ``engine.partial_eval``, the label :attr:`SiteTaskResult.stage`
+    and the ``site:{id}`` spans show).  The handler's exception is the
+    ``__cause__``.
+    """
+
+    def __init__(self, site_id: int, stage: str) -> None:
+        super().__init__(site_id, stage)
+        self.site_id = site_id
+        self.stage = stage
+
+    def __str__(self) -> str:
+        cause = self.__cause__
+        detail = f": {type(cause).__name__}: {cause}" if cause is not None else ""
+        return f"site {self.site_id} failed in {self.stage}{detail}"
 
 
 @dataclass(frozen=True)
 class SiteTask:
     """One unit of per-site work: ``(site_id, stage, handler, payload)``.
 
-    ``stage`` is the task's name: the label the fault plan matches and
-    :attr:`SiteTaskResult.stage` reports.  ``handler`` is a module-level
+    ``stage`` is the task's name: the label :attr:`SiteTaskResult.stage`
+    and :class:`SiteTaskError` report.  ``handler`` is a module-level
     function, so a task pickles by reference.  ``payload`` is the *entire*
     input of the handler beyond the site itself; handlers must not reach for
     the cluster, the message bus or the engine — all shared-state mutation
     belongs to the coordinator's serial merge.
-
-    ``attempt`` is the 1-based attempt number the retry loop stamps and
-    ``recovery`` marks a coordinator-driven re-run against a rebuilt site;
-    the fault plan (:mod:`repro.faults`) reads both.
     """
 
     site_id: int
     stage: str
     handler: Handler
     payload: Mapping[str, Any] = field(default_factory=dict)
-    attempt: int = 1
-    recovery: bool = False
 
 
 @dataclass(frozen=True)
@@ -62,13 +66,6 @@ class SiteTaskResult:
     the site's lock), so the engine's stage timers report per-site compute
     times; ``started_s`` is the ``time.perf_counter()`` reading it started
     at, from which the engine places the task's trace span.
-
-    ``attempts`` counts every attempt :func:`run_site_task` consumed; on
-    success ``elapsed_s`` covers the *successful attempt only*, so a retried
-    task never double-counts failed attempts into the engine's stage timers.
-    ``failure`` is set — with ``value=None`` and ``elapsed_s=0.0`` — when the
-    task's site died or its retries ran out; the coordinator's serial merge
-    decides between recovery and degradation.
     """
 
     site_id: int
@@ -76,70 +73,29 @@ class SiteTaskResult:
     elapsed_s: float
     value: Any
     started_s: float = 0.0
-    attempts: int = 1
-    failure: Optional[TaskFailure] = None
 
 
-def run_site_task(
-    task: SiteTask,
-    site: Any,
-    faults: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
-) -> SiteTaskResult:
-    """Run ``task`` against ``site`` with the retry/failure semantics of the fault layer.
+def run_site_task(task: SiteTask, site: Any) -> SiteTaskResult:
+    """Run ``task`` against ``site`` and time the handler.
 
     Handler runs are serialized per site (:attr:`~repro.distributed.Site.lock`:
     handlers read work counters off the site's store after evaluating, so
     concurrent queries on one site would interleave them); the lock is taken
     *before* the timing starts, so waiting on a concurrent query never
-    inflates this task's measured compute time.  The contract:
-
-    * ``faults`` is consulted inside the timing window, so injected straggler
-      latency (``slow`` entries) shows up in the attempt's measured time.
-    * :class:`~repro.faults.TransientTaskError` is retried in place up to the
-      ``retry`` budget (default :data:`~repro.faults.DEFAULT_RETRY_POLICY`)
-      with capped exponential backoff; only the successful attempt's time is
-      reported and ``attempts`` records how many tries it took.
-    * :class:`~repro.faults.SiteDownError` — and an exhausted retry budget —
-      produce a *failed* result (``value=None``, ``failure`` set) instead of
-      raising, so one dead site cannot poison a whole fan-out batch.
-    * Any other exception is a real bug in a handler and propagates
-      unchanged.
+    inflates this task's measured compute time.  Any exception the handler
+    raises is re-raised as a :class:`SiteTaskError` chained from it.
     """
-    policy = retry if retry is not None else DEFAULT_RETRY_POLICY
-    attempts = 0
-    while True:
-        attempts += 1
-        current = task if attempts == task.attempt else replace(task, attempt=attempts)
+    with site.lock:
+        started = time.perf_counter()
         try:
-            with site.lock:
-                started = time.perf_counter()
-                if faults is not None:
-                    faults.before_task(current)
-                value = task.handler(site, task.payload)
-                elapsed = time.perf_counter() - started
-        except SiteDownError as error:
-            failure = TaskFailure(FAILURE_SITE_DOWN, str(error), recoverable=error.recoverable)
-        except TransientTaskError as error:
-            if attempts < policy.max_attempts:
-                backoff = policy.backoff_for(attempts)
-                if backoff > 0:
-                    time.sleep(backoff)
-                continue
-            failure = TaskFailure(FAILURE_TRANSIENT_EXHAUSTED, str(error), recoverable=True)
-        else:
-            return SiteTaskResult(task.site_id, task.stage, elapsed, value, started, attempts)
-        return SiteTaskResult(
-            task.site_id, task.stage, 0.0, None, attempts=attempts, failure=failure
-        )
+            value = task.handler(site, task.payload)
+        except Exception as error:
+            raise SiteTaskError(task.site_id, task.stage) from error
+        elapsed = time.perf_counter() - started
+    return SiteTaskResult(task.site_id, task.stage, elapsed, value, started)
 
 
-def run_site_tasks(
-    tasks: Sequence[SiteTask],
-    cluster: Any,
-    faults: Optional[FaultPlan] = None,
-    retry: Optional[RetryPolicy] = None,
-) -> List[SiteTaskResult]:
+def run_site_tasks(tasks: Sequence[SiteTask], cluster: Any) -> List[SiteTaskResult]:
     """Run a batch of tasks against the live ``cluster``'s sites, in submission order."""
     site_of = {site.site_id: site for site in cluster}
-    return [run_site_task(task, site_of[task.site_id], faults, retry) for task in tasks]
+    return [run_site_task(task, site_of[task.site_id]) for task in tasks]

@@ -322,21 +322,6 @@ def record_query(
         "repro_kernel_intersections_total",
         "Candidate-column intersections performed by the matching kernel.",
     ).inc(work.get("kernel_intersections", 0))
-    # Fault-recovery families (always present, zero on clean runs) so the
-    # chaos-smoke CI job and dashboards can assert on them unconditionally.
-    registry.counter(
-        "repro_task_retries_total",
-        "Per-site task attempts beyond the first (injected transient faults).",
-    ).inc(work.get("task_retries", 0))
-    registry.counter(
-        "repro_site_failures_total",
-        "Site failures observed mid-query (injected or real).",
-    ).inc(work.get("site_failures", 0))
-    extra = getattr(statistics, "extra", {}) or {}
-    registry.counter(
-        "repro_degraded_queries_total",
-        "Queries that returned partial answers after an unrecoverable site loss.",
-    ).inc(1 if extra.get("degraded") else 0)
     for stage in getattr(statistics, "stages", ()):  # StageStats
         registry.counter(
             "repro_shipped_bytes_total",

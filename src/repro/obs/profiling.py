@@ -3,8 +3,9 @@
 A :class:`StageProfiler` wraps coordinator-side stage execution in a
 ``cProfile.Profile`` when — and only when — profiling was requested, either
 explicitly (``repro.open(..., profile=True)``) or through the
-``REPRO_PROFILE`` environment variable (any value other than ``""``/``0``/
-``false``/``off`` enables it).  A disabled profiler's :meth:`capture` is a
+``REPRO_PROFILE`` environment variable (``1``/``true``/``yes``/``on``
+enable it, ``""``/``0``/``false``/``no``/``off`` leave it off, and any other
+value raises ``ValueError``).  A disabled profiler's :meth:`capture` is a
 no-op context manager, so the default path pays a single truthiness check.
 
 Profiles accumulate per stage name across queries; :meth:`report` renders
@@ -26,11 +27,21 @@ from typing import Dict, Iterator, List, Optional
 #: Environment variable that force-enables profiling for a process.
 PROFILE_ENV = "REPRO_PROFILE"
 
-_FALSEY = {"", "0", "false", "no", "off"}
+_TRUTHY = ("1", "true", "yes", "on")
+_FALSEY = ("", "0", "false", "no", "off")
 
 
 def _env_enabled() -> bool:
-    return os.environ.get(PROFILE_ENV, "").strip().lower() not in _FALSEY
+    raw = os.environ.get(PROFILE_ENV, "")
+    value = raw.strip().lower()
+    if value in _TRUTHY:
+        return True
+    if value in _FALSEY:
+        return False
+    raise ValueError(
+        f"{PROFILE_ENV}={raw!r} is not a switch; use one of "
+        f"{', '.join(_TRUTHY)} (on) or {', '.join(_FALSEY[1:])} or empty (off)"
+    )
 
 
 class StageProfiler:

@@ -8,8 +8,8 @@ Three contracts from ``docs/serving.md`` that only had happy-path coverage:
   the next query works;
 * cancelling an ``AsyncSession`` query mid-flight must not poison the shared
   session or its thread pool;
-* the opt-in :class:`~repro.api.ResultCache` must never serve degraded
-  answers, and failed queries must never populate it.
+* failed queries must never populate the opt-in
+  :class:`~repro.api.ResultCache`.
 """
 
 import asyncio
@@ -17,9 +17,6 @@ import asyncio
 import pytest
 
 import repro
-from repro.api.cache import ResultCache
-from repro.faults import FaultPlan
-from repro.obs import MetricsRegistry
 
 
 @pytest.fixture()
@@ -95,32 +92,8 @@ def test_async_session_survives_cancellation_mid_query():
 
 
 # ----------------------------------------------------------------------
-# ResultCache: degraded and failed results never populate it
+# ResultCache: failed results never populate it
 # ----------------------------------------------------------------------
-def test_degraded_results_are_never_cached_and_never_served():
-    plan = FaultPlan.parse("kill:1@partial_evaluation:unrecoverable")
-    with repro.open(
-        dataset="paper", partitioner="paper", result_cache=8, faults=plan
-    ) as degraded_session:
-        first = degraded_session.query("example")
-        assert first.degraded and first.missing_sites == [1]
-        assert len(degraded_session.result_cache) == 0
-        second = degraded_session.query("example")
-        assert not second.cache_hit  # re-executed, not served from cache
-        assert degraded_session.degraded_queries == 2
-
-
-def test_put_refuses_degraded_results_directly(session):
-    cache = ResultCache(4, MetricsRegistry())
-    healthy = session.query("example")
-    degraded = session.query("example")
-    degraded.statistics.extra["degraded"] = True
-    cache.put("degraded-key", degraded)
-    assert len(cache) == 0 and cache.get("degraded-key") is None
-    cache.put("healthy-key", healthy)
-    assert len(cache) == 1 and cache.get("healthy-key") is not None
-
-
 def test_failed_queries_never_reach_the_cache(monkeypatch):
     with repro.open(
         dataset="paper", partitioner="paper", result_cache=8

@@ -16,8 +16,7 @@ run to a fingerprint of everything the engine promises to keep bit-identical:
 The fingerprints of ``engine_spine_golden.json`` were recorded from the
 serial, untraced run at the commit *before* the stage-runner refactor; the
 test then requires the traced and untraced variants of each case to
-reproduce them (``LQ2-unrecoverable`` was recorded at the commit before
-intra-site sharding was removed).  ``rows`` are compared as a sequence
+reproduce them.  ``rows`` are compared as a sequence
 between the variants of one process and as a sorted list against the golden
 file, because the row order of a query is only defined per
 ``PYTHONHASHSEED``.
@@ -38,33 +37,20 @@ from repro.core import ABLATION_CONFIGS, EngineConfig
 from repro.datasets import get_dataset, lubm
 from repro.datasets.paper_example import build_example_partitioning, example_query
 from repro.distributed import build_cluster
-from repro.faults import FaultPlan, RetryPolicy
 from repro.obs import Trace
 from repro.partition import HashPartitioner
 
 GOLDEN_PATH = Path(__file__).with_name("engine_spine_golden.json")
 
-#: No sleeping between retry attempts; the attempt *count* is what is pinned.
-FAST_RETRY = RetryPolicy(max_attempts=3, base_backoff_s=0.0, max_backoff_s=0.0)
-
-#: One site rebuilt after dying in a task, one task retried in place, one
-#: site dying while it ships its LPMs to the assembly.
-RECOVERABLE = "kill:1@partial_evaluation;flaky:0@lec_pruning:2;kill:2@assembly"
-UNRECOVERABLE = "kill:1@partial_evaluation:unrecoverable"
-
 FULL = EngineConfig.full()
 
-#: case id -> (workload, query name, engine configuration, fault plan text)
+#: case id -> (workload, query name, engine configuration)
 CASES = {
-    "paper": ("paper", "example", FULL, None),
-    "paper-recoverable": ("paper", "example", FULL, RECOVERABLE),
-    "paper-unrecoverable": ("paper", "example", FULL, UNRECOVERABLE),
-    "LQ7": ("lubm", "LQ7", FULL, None),
-    "LQ2": ("lubm", "LQ2", FULL, None),
-    "LQ2-unrecoverable": ("lubm", "LQ2", FULL, UNRECOVERABLE),
-    "LQ7-recoverable": ("lubm", "LQ7", FULL, RECOVERABLE),
+    "paper": ("paper", "example", FULL),
+    "LQ7": ("lubm", "LQ7", FULL),
+    "LQ2": ("lubm", "LQ2", FULL),
     # LQ1 under all four Fig. 9 configurations (the last one is gStoreD-Full).
-    **{f"LQ1-{config.label}": ("lubm", "LQ1", config, None) for config in ABLATION_CONFIGS},
+    **{f"LQ1-{config.label}": ("lubm", "LQ1", config) for config in ABLATION_CONFIGS},
 }
 
 VARIANTS = (False, True)  # untraced, traced
@@ -86,12 +72,11 @@ workloads = pytest.fixture(scope="module")(load_workloads)
 
 def fingerprint(workloads, case_id, traced):
     """Run one case on a fresh cluster; the fingerprint as plain JSON data."""
-    workload, query_name, config, fault_text = CASES[case_id]
+    workload, query_name, config = CASES[case_id]
     partitioned, queries = workloads[workload]
     cluster = build_cluster(partitioned)
-    faults = FaultPlan.parse(fault_text, retry=FAST_RETRY) if fault_text else None
     trace = Trace("query") if traced else None
-    with make_engine("gstored", cluster, config=config, faults=faults) as engine:
+    with make_engine("gstored", cluster, config=config) as engine:
         result = engine.execute(
             queries[query_name], query_name=query_name, dataset=workload, trace=trace
         )

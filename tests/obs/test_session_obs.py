@@ -1,6 +1,8 @@
 """Session-level observability: ``repro.open(..., trace=True)``, metrics,
 profiling, and the detached-statistics lifetime guarantee."""
 
+import pytest
+
 import repro
 from repro.distributed import ShipmentSnapshot
 from repro.obs import CATEGORY_STAGE, CATEGORY_TASK, validate_chrome_trace
@@ -112,6 +114,24 @@ class TestSessionProfiling:
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
         with repro.open(dataset="paper") as session:
             assert session.profiler is None
+
+    @pytest.mark.parametrize(
+        "value, enabled",
+        [
+            ("1", True), ("true", True), ("YES", True), (" On ", True),
+            ("", False), ("0", False), ("False", False), ("no", False), ("OFF", False),
+            ("flase", None), ("2", None), ("enabled", None),
+        ],
+    )
+    def test_profile_env_variable_accepts_only_switch_values(self, monkeypatch, value, enabled):
+        monkeypatch.setenv("REPRO_PROFILE", value)
+        if enabled is None:
+            with pytest.raises(ValueError, match="REPRO_PROFILE") as excinfo:
+                repro.open(dataset="paper")
+            assert "true" in str(excinfo.value) and "off" in str(excinfo.value)
+            return
+        with repro.open(dataset="paper") as session:
+            assert (session.profiler is not None) is enabled
 
     def test_profile_env_variable_enables_it(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")

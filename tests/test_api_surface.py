@@ -25,7 +25,6 @@ REPRO_EXPORTS = [
     "Cluster",
     "ClusterStore",
     "EngineConfig",
-    "FaultPlan",
     "GStoreDEngine",
     "GraphStatistics",
     "HashPartitioner",
@@ -48,12 +47,12 @@ REPRO_EXPORTS = [
     "RDFGraph",
     "Result",
     "ResultSet",
-    "RetryPolicy",
     "SelectQuery",
     "SemanticHashPartitioner",
     "SerialBackend",
     "Session",
     "ShipmentSnapshot",
+    "SiteTaskError",
     "StageProfiler",
     "StoreError",
     "Trace",

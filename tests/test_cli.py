@@ -255,40 +255,6 @@ class TestQueryExecutor:
         assert "--executor" in capsys.readouterr().err
 
 
-class TestQueryFaults:
-    QUERY = TestQuery.QUERY
-
-    def run(self, dataset_file, *extra):
-        return main(
-            ["query", "--data", str(dataset_file), "--sites", "3", "--query", self.QUERY, *extra]
-        )
-
-    def test_recovered_plan_prints_its_summary(self, dataset_file, capsys):
-        plan = "kill:1@partial_evaluation;flaky:0@partial_evaluation:2"
-        assert self.run(dataset_file, "--inject-faults", plan) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert (
-            "faults: plan [kill:1@partial_evaluation; flaky:0@partial_evaluation:2] -> "
-            "retries=2, site_failures=1, recoveries=1"
-        ) in lines
-        assert not any(line.startswith("WARNING") for line in lines)
-
-    def test_unrecoverable_loss_warns(self, dataset_file, capsys):
-        plan = "kill:1@partial_evaluation:unrecoverable"
-        assert self.run(dataset_file, "--inject-faults", plan) == 0
-        output = capsys.readouterr().out
-        assert "WARNING: partial results — site(s) 1 lost unrecoverably" in output
-
-    def test_inject_faults_rejected_for_baseline_engines(self, dataset_file, capsys):
-        exit_code = self.run(
-            dataset_file, "--engine", "dream", "--inject-faults", "kill:1@partial_evaluation"
-        )
-        assert exit_code == 2
-        message = capsys.readouterr().err
-        assert "--inject-faults" in message
-        assert "fault injection" in message
-
-
 class TestQueryObservability:
     QUERY = TestQuery.QUERY
 

@@ -41,7 +41,6 @@ True
 """
 
 from .api import (
-    AsyncSession,
     CentralizedEngine,
     QueryEngine,
     QueryServer,
@@ -84,7 +83,6 @@ __version__ = "1.1.0"
 __all__ = [
     "ABLATION_CONFIGS",
     "AppliedDelta",
-    "AsyncSession",
     "Binding",
     "CentralizedEngine",
     "Cluster",

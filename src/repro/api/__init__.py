@@ -12,13 +12,10 @@ Three pieces make every evaluator in the repository interchangeable:
   :class:`~repro.distributed.QueryStatistics`, and canonical
   ``sorted_rows()`` for cross-engine comparison.
 
-The concurrent serving layer builds on the same pieces: sessions are
-thread-safe, :class:`AsyncSession` multiplexes queries over one warm
-session from asyncio code, :class:`ResultCache` (opt-in via
-``open(..., result_cache=N)``) serves repeated template instantiations
-without re-executing, and :class:`QueryServer` /
-:class:`AdmissionController` put a load-shedding HTTP front end on top
-(``repro serve``).  See ``docs/serving.md``.
+A query is ``Session.query`` in-process or ``POST /query`` over HTTP:
+sessions are thread-safe, and :class:`QueryServer` /
+:class:`AdmissionController` put a load-shedding HTTP front end on one
+session (``repro serve``).  See ``docs/serving.md``.
 
 The CLI, the benchmark harness and the examples are all built on this
 module (direct ``GStoreDEngine`` construction satisfies the same contract).
@@ -38,10 +35,9 @@ from .engines import (
     register_engine,
     resolve_engine_name,
 )
-from .cache import ResultCache, result_cache_key
 from .result import Result
-from .serving import AdmissionController, AdmissionError, AsyncSession, QueryServer
-from .session import QueryBatch, Session, open_session
+from .serving import AdmissionController, AdmissionError, QueryServer
+from .session import Session, open_session
 
 #: ``repro.api.open`` mirrors the package-level ``repro.open`` alias.
 open = open_session
@@ -49,14 +45,11 @@ open = open_session
 __all__ = [
     "AdmissionController",
     "AdmissionError",
-    "AsyncSession",
     "CentralizedEngine",
     "EngineSpec",
-    "QueryBatch",
     "QueryEngine",
     "QueryServer",
     "Result",
-    "ResultCache",
     "STAGE_CENTRALIZED",
     "Session",
     "engine_aliases",
@@ -68,5 +61,4 @@ __all__ = [
     "open_session",
     "register_engine",
     "resolve_engine_name",
-    "result_cache_key",
 ]

@@ -1,11 +1,8 @@
 """Concurrent serving on top of :class:`~repro.api.Session`.
 
-PR 7 made one session safe under parallel ``query()`` calls; this module is
-everything that builds on that guarantee:
+One session is safe under parallel ``query()`` calls; this module puts an
+HTTP front end on that guarantee:
 
-* :class:`AsyncSession` — an asyncio facade multiplexing queries over one
-  warm session from a dedicated thread pool, so event-loop code can
-  ``await session.query(...)`` without blocking the loop on a cold engine;
 * :class:`AdmissionController` — a bounded admission queue: at most
   ``max_inflight`` queries execute at once, at most ``max_queue`` wait, and
   anything beyond that is rejected immediately with :class:`AdmissionError`
@@ -14,29 +11,24 @@ everything that builds on that guarantee:
 * :class:`QueryServer` — the thin HTTP front end behind ``repro serve``:
   ``POST /query`` evaluates SPARQL (a failing site task answers ``500``
   naming its ``site`` and ``stage``), ``GET /metrics`` exposes the session's
-  Prometheus text (admission depth and result-cache families included) and
-  ``GET /healthz`` answers liveness probes.
+  Prometheus text (admission families included) and ``GET /healthz``
+  answers liveness probes.
 
-Everything here is stdlib-only (``asyncio``, ``http.server``), matching the
-repository's no-new-dependencies rule.
+Everything here is stdlib-only (``http.server``), matching the repository's
+no-new-dependencies rule.
 """
 
 from __future__ import annotations
 
-import asyncio
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from functools import partial
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Iterable, Iterator, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from ..exec import SiteTaskError
 from ..obs import MetricsRegistry
-from ..sparql.algebra import SelectQuery
-from .result import Result
-from .session import QueryBatch, Session, open_session
+from .session import Session
 
 #: Metric families fed by the admission controller (docs/observability.md).
 QUEUE_DEPTH_FAMILY = "repro_admission_queue_depth"
@@ -50,6 +42,10 @@ _REJECTED_HELP = "Queries rejected because the admission queue was full."
 #: Largest ``POST /query`` body accepted (1 MiB); a longer declared
 #: ``Content-Length`` is answered 413 before any byte of the body is read.
 MAX_BODY_BYTES = 1 << 20
+
+#: How often the accept loop checks for :meth:`QueryServer.shutdown`, which
+#: waits up to this long; the ``socketserver`` default is 0.5 s.
+SHUTDOWN_POLL_S = 0.05
 
 
 class AdmissionError(RuntimeError):
@@ -139,112 +135,6 @@ class AdmissionController:
             self._slots.release()
 
 
-class AsyncSession:
-    """Asyncio facade over one warm :class:`Session`.
-
-    Queries submitted with ``await`` run on a dedicated thread pool
-    (``repro-query`` threads) against the shared session, so several
-    coroutines can have queries in flight at once — the session's per-query
-    ledgers keep their statistics independent.  ``max_concurrency``
-    (default 4) sizes that pool.
-
-    Lifecycle mirrors the synchronous session: ``async with`` or an explicit
-    ``await close()``, which closes the wrapped session and retires the
-    thread pool.  The wrapped session must not be closed behind the facade's
-    back.
-
-    ::
-
-        async with repro.AsyncSession.open(dataset="lubm", scale=1) as session:
-            results = await asyncio.gather(
-                session.query("LQ1"), session.query("LQ2")
-            )
-    """
-
-    def __init__(self, session: Session, *, max_concurrency: int = 4) -> None:
-        if max_concurrency < 1:
-            raise ValueError(f"max_concurrency must be >= 1, got {max_concurrency}")
-        self.session = session
-        self.max_concurrency = max_concurrency
-        self._pool = ThreadPoolExecutor(
-            max_workers=max_concurrency, thread_name_prefix="repro-query"
-        )
-        self._closed = False
-
-    @classmethod
-    def open(cls, *, max_concurrency: int = 4, **open_kwargs) -> "AsyncSession":
-        """``repro.open(...)`` wrapped into an :class:`AsyncSession`.
-
-        Synchronous on purpose: dataset generation and partitioning dominate
-        the cost and callers typically open once at startup, before the
-        event loop is busy.
-        """
-        return cls(open_session(**open_kwargs), max_concurrency=max_concurrency)
-
-    async def _run(self, fn, *args, **kwargs):
-        if self._closed:
-            raise RuntimeError("this AsyncSession is closed")
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(self._pool, partial(fn, *args, **kwargs))
-
-    async def query(
-        self,
-        query: Union[str, SelectQuery],
-        *,
-        engine: Optional[str] = None,
-        query_name: str = "",
-    ) -> Result:
-        """``Session.query`` off the event loop; safe to run concurrently."""
-        return await self._run(
-            self.session.query, query, engine=engine, query_name=query_name
-        )
-
-    async def query_many(
-        self,
-        queries: Iterable[Union[str, SelectQuery]],
-        *,
-        engine: Optional[str] = None,
-    ) -> QueryBatch:
-        """``Session.query_many`` off the event loop (amortized, in order).
-
-        The batch itself executes sequentially with batch-level warmup; for
-        concurrent execution, ``asyncio.gather`` over :meth:`query` calls.
-        """
-        return await self._run(self.session.query_many, list(queries), engine=engine)
-
-    async def explain(self, query: Union[str, SelectQuery]) -> str:
-        """``Session.explain`` off the event loop."""
-        return await self._run(self.session.explain, query)
-
-    @property
-    def metrics(self) -> MetricsRegistry:
-        return self.session.metrics
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    async def close(self) -> None:
-        """Close the wrapped session, then retire the submission pool."""
-        if self._closed:
-            return
-        try:
-            await self._run(self.session.close)
-        finally:
-            self._closed = True
-            self._pool.shutdown(wait=False)
-
-    async def __aenter__(self) -> "AsyncSession":
-        return self
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "closed" if self._closed else "open"
-        return f"<AsyncSession {state} around {self.session!r}>"
-
-
 class _Handler(BaseHTTPRequestHandler):
     """Request handler for :class:`QueryServer` (one instance per request)."""
 
@@ -287,7 +177,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond_json(404, {"error": f"unknown path {self.path!r}"})
 
     def do_POST(self) -> None:  # noqa: N802 - http.server contract
+        # An answer sent before the body is read closes the connection: on a
+        # kept-alive one, the unread body would be parsed as the next request.
+        if "Transfer-Encoding" in self.headers:
+            # http.server does not decode chunked bodies; only a
+            # Content-Length can frame one.
+            self.close_connection = True
+            self._respond_json(
+                411, {"error": "Transfer-Encoding is not supported; send Content-Length"}
+            )
+            return
         if self.path != "/query":
+            self.close_connection = True
             self._respond_json(404, {"error": f"unknown path {self.path!r}"})
             return
         server = self._query_server
@@ -352,7 +253,6 @@ class _Handler(BaseHTTPRequestHandler):
             "engine": statistics.engine,
             "total_time_ms": round(statistics.total_time_ms, 3),
             "shipped_bytes": result.shipment.total_bytes if result.shipment else 0,
-            "cache_hit": result.cache_hit,
         }
         self._respond_json(200, body)
 
@@ -395,14 +295,14 @@ class QueryServer:
         """Serve from a background daemon thread; returns self."""
         if self._thread is None:
             self._thread = threading.Thread(
-                target=self._http.serve_forever, name="repro-serve", daemon=True
+                target=self.serve_forever, name="repro-serve", daemon=True
             )
             self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown` (the CLI path)."""
-        self._http.serve_forever()
+        self._http.serve_forever(poll_interval=SHUTDOWN_POLL_S)
 
     def shutdown(self) -> None:
         """Stop serving and close the socket (idempotent; keeps the session)."""

@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import fields
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Tuple, Union
 
 from ..core.config import EngineConfig
 from ..datasets.registry import DATASETS, get_dataset
@@ -50,7 +50,6 @@ from ..rdf.graph import RDFGraph
 from ..sparql.algebra import SelectQuery
 from ..sparql.parser import parse_query
 from ..sparql.query_graph import QueryGraph
-from .cache import ResultCache, result_cache_key
 from .engines import QueryEngine, engine_spec, make_engine, resolve_engine_name
 from .result import Result
 
@@ -130,33 +129,6 @@ class _ReadWriteGate:
                 self._cond.notify_all()
 
 
-class QueryBatch:
-    """What :meth:`Session.query_many` returns: results plus a batch report.
-
-    ``results`` holds one :class:`Result` per input query, in input order
-    (the batch iterates and indexes like that list); ``report`` holds one
-    plain dict per query with the engine/backend the query ran on and its
-    headline numbers (rows, total time, shipment, cache hit) — ready for a
-    table or a JSON dump without touching the statistics objects.
-    """
-
-    def __init__(self, results: List[Result], report: List[Dict[str, object]]) -> None:
-        self.results = list(results)
-        self.report = list(report)
-
-    def __iter__(self):
-        return iter(self.results)
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __getitem__(self, index: int) -> Result:
-        return self.results[index]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"<QueryBatch queries={len(self.results)}>"
-
-
 class Session:
     """One prepared workload plus the engines to query it.
 
@@ -213,11 +185,7 @@ class Session:
         #: Named benchmark queries of the workload; ``query()`` accepts these
         #: names directly.
         self.queries: Dict[str, SelectQuery] = dict(queries or {})
-        if result_cache < 0:
-            raise OptionError(
-                f"result_cache must be >= 0 (0 disables it), got {result_cache}",
-                result_cache=result_cache,
-            )
+        _check_result_cache(result_cache)
         self.config = _engine_config(config, config_options)
         #: The fan-out handle for callers that run site tasks themselves
         #: (engines run theirs directly); ``make_backend`` is the one place
@@ -236,11 +204,6 @@ class Session:
         # side, so a mutation can never interleave with a query that would
         # observe half-patched encodings or fragments.
         self._mutation_gate = _ReadWriteGate()
-        #: Opt-in result cache (``result_cache=N`` entries); ``None`` — the
-        #: default — preserves the execute-every-call contract.
-        self.result_cache: Optional[ResultCache] = (
-            ResultCache(result_cache, self.metrics) if result_cache else None
-        )
         # record_query reports encoded-graph rebuilds (and delta patches) as
         # deltas since open, so one session's metrics never absorb another
         # session's builds.
@@ -367,11 +330,11 @@ class Session:
         before the exception propagates.
 
         Queries hold the session's mutation gate (read side) while they run,
-        so a concurrent :meth:`update` waits for them instead of mutating
-        the cluster under their feet.
+        so a concurrent :meth:`update` or :meth:`close` waits for them instead
+        of changing the cluster under their feet.
         """
-        self._ensure_open()
         with self._mutation_gate.read():
+            self._ensure_open()
             return self._execute(query, engine=engine, query_name=query_name)
 
     def _execute(
@@ -395,20 +358,6 @@ class Session:
                     span.set(query_name=query_name or resolved_name or "(inline)")
             else:
                 parsed, resolved_name = self._resolve_query(query)
-            cache_key = None
-            if self.result_cache is not None:
-                canonical = (
-                    resolve_engine_name(engine) if engine is not None else self.default_engine
-                )
-                cache_key = result_cache_key(
-                    parsed, engine=canonical, graph_version=self.graph.version
-                )
-                hit = self.result_cache.get(cache_key)
-                if hit is not None:
-                    if trace is not None:
-                        trace.finish(rows=len(hit), cache_hit=True)
-                        hit.trace = trace
-                    return hit
             with self.cluster.bus.ledger() as ledger:
                 result = chosen.execute(
                     parsed,
@@ -440,49 +389,7 @@ class Session:
             encoded_rebuilds=encoded_rebuilds() - self._rebuilds_at_open,
             encoded_patches=encoded_patches() - self._patches_at_open,
         )
-        if cache_key is not None:
-            self.result_cache.put(cache_key, result)
         return result
-
-    def query_many(
-        self,
-        queries: Iterable[Union[str, SelectQuery]],
-        *,
-        engine: Optional[str] = None,
-    ) -> QueryBatch:
-        """Execute a batch of queries and return results plus a per-query report.
-
-        The batch amortizes what single calls pay per query: every input is
-        parsed up front, and for planning engines the coordinator planner
-        (graph statistics + plan cache) is warmed once before the first
-        execution instead of on its critical path — so repeated templates in
-        the batch plan from the shared cache.  Execution itself runs through
-        :meth:`query`, keeping the per-query ledger/trace/metrics contract.
-        """
-        self._ensure_open()
-        resolved = [self._resolve_query(item) for item in queries]
-        canonical = resolve_engine_name(engine) if engine is not None else self.default_engine
-        if engine_spec(canonical).accepts_config and self.config.use_planner:
-            self.planner  # noqa: B018 — warm statistics + plan cache once
-        results: List[Result] = []
-        report: List[Dict[str, object]] = []
-        for parsed, name in resolved:
-            result = self.query(parsed, engine=engine, query_name=name)
-            results.append(result)
-            stats = result.statistics
-            report.append(
-                {
-                    "query_name": name or stats.query_name or "(inline)",
-                    "engine": stats.engine,
-                    "backend": self.backend.name,
-                    "rows": len(result),
-                    "total_time_ms": round(stats.total_time_ms, 3),
-                    "shipped_bytes": result.shipment.total_bytes if result.shipment else 0,
-                    "messages": result.shipment.total_messages if result.shipment else 0,
-                    "cache_hit": result.cache_hit,
-                }
-            )
-        return QueryBatch(results, report)
 
     def update(self, add: Iterable = (), remove: Iterable = ()):
         """Apply a triple delta to the session's cluster, in place.
@@ -496,14 +403,14 @@ class Session:
 
         Updates take the session's mutation gate exclusively: an update
         waits for every in-flight :meth:`query` (on any thread, including
-        :class:`~repro.api.AsyncSession` and ``repro serve`` traffic) to
-        drain, runs alone, and only then lets queued queries proceed — no
-        caller discipline required, and no query ever observes half-patched
-        encodings or fragments.  Returns the
-        :class:`~repro.distributed.AppliedDelta` summary.
+        ``repro serve`` traffic) to drain, runs alone, and only then lets
+        queued queries proceed — no caller discipline required, and no query
+        ever observes half-patched encodings or fragments.  A :meth:`close`
+        waits for the update, and an update queued behind a close raises.
+        Returns the :class:`~repro.distributed.AppliedDelta` summary.
         """
-        self._ensure_open()
         with self._mutation_gate.write():
+            self._ensure_open()
             return self.cluster.apply(add=add, remove=remove)
 
     def explain(self, query: Union[str, SelectQuery]) -> str:
@@ -536,27 +443,31 @@ class Session:
     def close(self) -> None:
         """Close every engine the session created, then the owned store.
 
-        Every engine gets its ``close()`` call and the store is closed even
-        when an engine's close raises — the first such exception is
-        re-raised after the cleanup completes.
+        Takes the mutation gate exclusively first, so an in-flight
+        :meth:`query` or :meth:`update` finishes (and an update's journal
+        write lands in the store) before anything is closed; a call queued
+        behind the close raises.  Every engine gets its ``close()`` call and
+        the store is closed even when an engine's close raises — the first
+        such exception is re-raised after the cleanup completes.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            engines = list(self._engines.values())
-            self._engines.clear()
-        first_error: Optional[BaseException] = None
-        try:
-            for engine in engines:
-                try:
-                    engine.close()
-                except BaseException as error:
-                    if first_error is None:
-                        first_error = error
-        finally:
-            if self._owned_store is not None:
-                self._owned_store.close()
+        with self._mutation_gate.write():
+            with self._lock:
+                if self._closed:
+                    return
+                self._closed = True
+                engines = list(self._engines.values())
+                self._engines.clear()
+            first_error: Optional[BaseException] = None
+            try:
+                for engine in engines:
+                    try:
+                        engine.close()
+                    except BaseException as error:
+                        if first_error is None:
+                            first_error = error
+            finally:
+                if self._owned_store is not None:
+                    self._owned_store.close()
         if first_error is not None:
             raise first_error
 
@@ -571,6 +482,17 @@ class Session:
         return (
             f"<Session {state} dataset={self.dataset!r} sites={self.num_sites} "
             f"engine={self.default_engine!r} executor={self.backend.name!r}>"
+        )
+
+
+def _check_result_cache(result_cache: int) -> None:
+    """Reject any ``result_cache`` but ``0``: the session keeps no result cache."""
+    # The end-to-end benchmark still passes ``result_cache=0``; the e2e v2
+    # change to that benchmark drops it, and this keyword with it.
+    if result_cache != 0:
+        raise OptionError(
+            f"result_cache must be 0 (there is no result cache), got {result_cache!r}",
+            result_cache=result_cache,
         )
 
 
@@ -679,8 +601,7 @@ def open_session(
     :func:`~repro.exec.make_backend`);
     ``trace=True`` turns on per-query tracing (results gain ``.trace``) and
     ``profile=True`` per-stage profiling (see :mod:`repro.obs`);
-    ``result_cache=N`` enables the opt-in session result cache (N entries,
-    see :mod:`repro.api.cache`); any extra keyword becomes an
+    ``result_cache`` may only be ``0``; any extra keyword becomes an
     :class:`EngineConfig` option (``use_lec_pruning=False``,
     ``bit_vector_bits=256``, ...).  This function is re-exported as
     ``repro.open``.
@@ -697,13 +618,13 @@ def open_session(
     strategy = partitioner.strip().lower()
     # Reject bad options before any dataset is generated or store file written.
     make_backend(executor)
+    _check_result_cache(result_cache)
     session_options = dict(
         engine=engine,
         executor=executor,
         config=_engine_config(config, config_options),
         trace=trace,
         profile=profile,
-        result_cache=result_cache,
     )
     if path is not None:
         from pathlib import Path

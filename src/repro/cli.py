@@ -21,7 +21,7 @@ The CLI covers the workflow a downstream user actually runs:
   ``repro.open(path=...)`` restart warm from them;
 * ``repro serve``     — keep one warm session open and answer SPARQL queries
   over HTTP (``POST /query``, ``GET /healthz``, ``GET /metrics``) with
-  bounded admission and an optional result cache (:mod:`repro.api.serving`).
+  bounded admission (:mod:`repro.api.serving`).
 
 Every subcommand prints plain text so the tool composes with shell pipelines;
 ``main()`` returns the process exit code and never calls ``sys.exit`` itself,
@@ -250,11 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="queries allowed to wait for a slot before new ones are rejected "
         "with HTTP 429 (default: 16)",
     )
+    # The end-to-end benchmark still passes ``--result-cache 0``; the e2e v2
+    # change to that benchmark drops it, and this flag with it.
     serve.add_argument(
         "--result-cache",
         type=int,
         default=0,
-        help="enable the session result cache with N entries (default: off)",
+        help="accepted only as 0: the session keeps no result cache",
     )
 
     return parser
@@ -519,8 +521,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(
             f"serving {session.dataset} on http://{host}:{port} "
             f"(engine={session.default_engine}, executor={session.backend.name}, "
-            f"max_inflight={args.max_inflight}, max_queue={args.max_queue}, "
-            f"result_cache={args.result_cache})",
+            f"max_inflight={args.max_inflight}, max_queue={args.max_queue})",
             flush=True,
         )
         try:

@@ -54,11 +54,6 @@ class Result:
         #: :class:`~repro.api.Session` (``None`` otherwise).  Unlike the live
         #: bus, this survives the next query's ``reset_network()``.
         self.shipment = None
-        #: ``True`` when the session served this result from its opt-in
-        #: result cache (``repro.open(..., result_cache=N)``) instead of
-        #: executing; the statistics then describe the run that populated
-        #: the cache entry.
-        self.cache_hit = False
 
     # ------------------------------------------------------------------
     # Lazy materialization
@@ -90,6 +85,13 @@ class Result:
         """
         self._statistics = self._statistics.snapshot()
         return self._statistics
+
+    @property
+    def cache_hit(self) -> bool:
+        """Always ``False``: a session executes every query it is given."""
+        # Read by the end-to-end benchmark's JSON-encode probe; the e2e v2
+        # change to that benchmark drops the read, and this property with it.
+        return False
 
     @property
     def degraded(self) -> bool:

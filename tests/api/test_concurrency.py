@@ -126,43 +126,6 @@ def test_shipment_ledger_isolates_overlapping_queries():
         assert result.statistics.total_shipment_bytes == alone.statistics.total_shipment_bytes
 
 
-class TestResultCacheUnderMutation:
-    def test_graph_mutation_invalidates_cached_results(self):
-        from repro.rdf import IRI, Literal, Triple
-
-        with repro.open(dataset="paper", result_cache=8) as session:
-            miss = session.query("example")
-            hit = session.query("example")
-            assert miss.cache_hit is False
-            assert hit.cache_hit is True
-            assert hit.sorted_rows() == miss.sorted_rows()
-            assert session.result_cache.describe()["hits"] == 1
-
-            # Any successful mutation bumps RDFGraph.version, which is part
-            # of the cache key — the next query must execute, not hit.
-            ex = "http://example.org/"
-            assert session.graph.add(
-                Triple(IRI(ex + "NewPhilosopher"), IRI(ex + "name"), Literal("New", language="en"))
-            )
-            after = session.query("example")
-            assert after.cache_hit is False
-            assert after.sorted_rows() == miss.sorted_rows()
-            assert session.result_cache.describe()["misses"] == 2
-
-    def test_cache_hits_are_correct_under_concurrency(self):
-        with repro.open(dataset="paper", result_cache=8) as session:
-            baseline = session.query("example")
-
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                results = list(pool.map(lambda _: session.query("example"), range(16)))
-            assert all(r.sorted_rows() == baseline.sorted_rows() for r in results)
-            assert all(r.cache_hit for r in results)
-            # A hit's statistics stay detached: mutating one result's copy
-            # cannot leak into another's.
-            results[0].statistics.num_results = -1
-            assert results[1].statistics.num_results == baseline.statistics.num_results
-
-
 class TestUpdateSerialization:
     """``Session.update`` holds an exclusive writer gate against queries.
 
@@ -256,3 +219,157 @@ class TestUpdateSerialization:
                 update_thread.join(10)
                 query_thread.join(10)
             assert len(rows) == 1 and len(rows[0]) == 1
+
+    def test_close_waits_for_an_inflight_update(self, tmp_path):
+        """Regression: ``close()`` returned at once and closed the store under a
+        running update, whose journal write then failed after the cluster had
+        applied the delta in memory."""
+        import unittest.mock
+
+        from repro.persist import ClusterStore
+        from repro.rdf import IRI, Triple
+
+        path = str(tmp_path / "paper.store")
+        session = repro.open(dataset="paper", path=path)
+        ex = "http://example.org/"
+        added = Triple(IRI(ex + "Journaled"), IRI(ex + "name"), IRI(ex + "JournaledName"))
+        journaling = threading.Event()
+        release_journal = threading.Event()
+        closed = threading.Event()
+        errors = []
+        real_append_ops = ClusterStore.append_ops
+
+        def slow_append_ops(store, ops):
+            journaling.set()
+            assert release_journal.wait(10)
+            return real_append_ops(store, ops)
+
+        def run_update():
+            try:
+                session.update(add=[added])
+            except Exception as error:  # reported by the assertion below
+                errors.append(error)
+
+        def run_close():
+            session.close()
+            closed.set()
+
+        with unittest.mock.patch.object(ClusterStore, "append_ops", slow_append_ops):
+            update_thread = threading.Thread(target=run_update)
+            update_thread.start()
+            assert journaling.wait(10)
+            close_thread = threading.Thread(target=run_close)
+            close_thread.start()
+            assert not closed.wait(0.3)  # the close waits for the journal write
+            release_journal.set()
+            update_thread.join(10)
+            close_thread.join(10)
+        assert not update_thread.is_alive() and closed.is_set() and errors == []
+        with repro.open(path=path) as reopened:
+            assert added in set(reopened.graph)
+
+    def test_an_update_queued_behind_close_raises_and_changes_nothing(self):
+        from repro.rdf import IRI, Triple
+
+        session = repro.open(dataset="paper")
+        engine = session.engine()
+        closing = threading.Event()
+        release_close = threading.Event()
+        real_close = engine.close
+
+        def slow_close():
+            closing.set()
+            assert release_close.wait(10)
+            real_close()
+
+        engine.close = slow_close
+        ex = "http://example.org/"
+        added = Triple(IRI(ex + "Late"), IRI(ex + "name"), IRI(ex + "LateName"))
+        before = set(session.graph)
+        outcome = []
+
+        def run_update():
+            try:
+                session.update(add=[added])
+                outcome.append("applied")
+            except RuntimeError as error:
+                outcome.append(error)
+
+        close_thread = threading.Thread(target=session.close)
+        close_thread.start()
+        assert closing.wait(10)
+        update_thread = threading.Thread(target=run_update)
+        update_thread.start()
+        update_thread.join(0.3)
+        assert update_thread.is_alive()  # queued behind the close
+        release_close.set()
+        close_thread.join(10)
+        update_thread.join(10)
+        assert not close_thread.is_alive() and not update_thread.is_alive()
+        (error,) = outcome
+        assert isinstance(error, RuntimeError) and "closed" in str(error)
+        assert set(session.graph) == before
+
+    def test_close_waits_for_an_inflight_query(self):
+        session = repro.open(dataset="paper")
+        engine = session.engine()
+        query_entered = threading.Event()
+        release_query = threading.Event()
+        closed = threading.Event()
+        rows = []
+        real_execute = engine.execute
+
+        def slow_execute(*args, **kwargs):
+            query_entered.set()
+            assert release_query.wait(10)
+            return real_execute(*args, **kwargs)
+
+        def run_close():
+            session.close()
+            closed.set()
+
+        engine.execute = slow_execute
+        query_thread = threading.Thread(target=lambda: rows.append(len(session.query("example"))))
+        query_thread.start()
+        assert query_entered.wait(10)
+        close_thread = threading.Thread(target=run_close)
+        close_thread.start()
+        assert not closed.wait(0.3)  # the engines stay open under the query
+        release_query.set()
+        query_thread.join(10)
+        close_thread.join(10)
+        assert not query_thread.is_alive() and rows == [4] and closed.is_set()
+
+    def test_a_query_queued_behind_close_raises(self):
+        session = repro.open(dataset="paper")
+        engine = session.engine()
+        closing = threading.Event()
+        release_close = threading.Event()
+        outcome = []
+        real_close = engine.close
+
+        def slow_close():
+            closing.set()
+            assert release_close.wait(10)
+            real_close()
+
+        def run_query():
+            try:
+                outcome.append(len(session.query("example")))
+            except RuntimeError as error:
+                outcome.append(error)
+
+        engine.close = slow_close
+        close_thread = threading.Thread(target=session.close)
+        close_thread.start()
+        assert closing.wait(10)
+        query_thread = threading.Thread(target=run_query)
+        query_thread.start()
+        query_thread.join(0.3)
+        assert query_thread.is_alive()  # queued behind the close
+        release_close.set()
+        close_thread.join(10)
+        query_thread.join(10)
+        assert not close_thread.is_alive() and not query_thread.is_alive()
+        (error,) = outcome
+        assert isinstance(error, RuntimeError) and "closed" in str(error)

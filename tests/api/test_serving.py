@@ -1,6 +1,5 @@
-"""Tests for :mod:`repro.api.serving` — AsyncSession, admission, HTTP server."""
+"""Tests for :mod:`repro.api.serving` — admission and the HTTP server."""
 
-import asyncio
 import json
 import socket
 import threading
@@ -11,68 +10,13 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 import repro
-from repro.api import AdmissionController, AdmissionError, AsyncSession, QueryServer
+from repro.api import AdmissionController, AdmissionError, QueryServer
 from repro.api.serving import (
     INFLIGHT_FAMILY,
     MAX_BODY_BYTES,
     QUEUE_DEPTH_FAMILY,
     REJECTED_FAMILY,
 )
-
-
-class TestAsyncSession:
-    def test_gathered_queries_share_one_warm_session(self):
-        async def main():
-            async with AsyncSession.open(dataset="paper") as session:
-                first, second = await asyncio.gather(
-                    session.query("example"),
-                    session.query("example", engine="centralized"),
-                )
-                assert first.sorted_rows() == second.sorted_rows()
-                assert first.shipment.total_bytes > 0
-                return session
-
-        session = asyncio.run(main())
-        assert session.closed
-        assert session.session.closed  # the wrapped Session closed too
-
-    def test_wraps_an_existing_session(self):
-        inner = repro.open(dataset="paper")
-
-        async def main():
-            async with AsyncSession(inner, max_concurrency=2) as session:
-                assert session.max_concurrency == 2
-                result = await session.query("example")
-                assert len(result) == 4
-                plan = await session.explain("example")
-                assert "query shape" in plan
-
-        asyncio.run(main())
-        assert inner.closed
-
-    def test_query_many_returns_the_batch_report(self):
-        async def main():
-            async with AsyncSession.open(dataset="paper") as session:
-                batch = await session.query_many(["example", "example"])
-                assert len(batch) == 2
-                assert [entry["rows"] for entry in batch.report] == [4, 4]
-
-        asyncio.run(main())
-
-    def test_closed_async_session_rejects_work(self):
-        async def main():
-            session = AsyncSession.open(dataset="paper")
-            await session.close()
-            await session.close()  # idempotent
-            with pytest.raises(RuntimeError, match="closed"):
-                await session.query("example")
-
-        asyncio.run(main())
-
-    def test_rejects_a_nonpositive_concurrency(self):
-        with repro.open(dataset="paper") as inner:
-            with pytest.raises(ValueError, match="max_concurrency"):
-                AsyncSession(inner, max_concurrency=0)
 
 
 class TestAdmissionController:
@@ -162,10 +106,26 @@ def _post(base, payload, timeout=30):
         return response.status, json.loads(response.read())
 
 
+def _exchange(address, request):
+    """Send raw ``request`` bytes; return the first response's status line and
+    JSON body, and every byte the server sent after it before closing."""
+    with socket.create_connection(address, timeout=5.0) as connection:
+        connection.sendall(request)
+        stream = connection.makefile("rb")
+        status_line = stream.readline()
+        length = 0
+        for line in iter(stream.readline, b"\r\n"):
+            name, _, value = line.decode("latin-1").partition(":")
+            if name.strip().lower() == "content-length":
+                length = int(value)
+        body = json.loads(stream.read(length))
+        return status_line, body, stream.read()  # read() returns at EOF
+
+
 class TestQueryServer:
     @pytest.fixture()
     def served(self):
-        session = repro.open(dataset="paper", result_cache=8)
+        session = repro.open(dataset="paper")
         with QueryServer(session, port=0, max_inflight=2, max_queue=2) as server:
             host, port = server.address
             yield session, server, f"http://{host}:{port}"
@@ -182,22 +142,23 @@ class TestQueryServer:
             "executor": session.backend.name,
         }
 
-    def test_query_roundtrip_and_cache_hit(self, served):
+    def test_query_roundtrip(self, served):
         _session, _server, base = served
         status, first = _post(base, {"query": "example"})
         assert status == 200
         assert first["num_rows"] == 4
-        assert first["cache_hit"] is False
         assert len(first["rows"]) == 4
         status, second = _post(base, {"query": "example"})
-        assert second["cache_hit"] is True
         assert second["rows"] == first["rows"]
 
-    def test_engine_override_is_honored(self, served):
-        _session, _server, base = served
-        status, body = _post(base, {"query": "example", "engine": "centralized"})
+    @pytest.mark.parametrize("engine", repro.engine_names())
+    def test_every_engine_answers_with_the_same_body_keys(self, served, engine):
+        session, _server, base = served
+        status, body = _post(base, {"query": "example", "engine": engine})
         assert status == 200
-        assert body["engine"] == "Centralized"
+        assert set(body) == {"rows", "num_rows", "engine", "total_time_ms", "shipped_bytes"}
+        assert body["engine"] == session.engine(engine).name
+        assert body["num_rows"] == len(body["rows"]) == 4
 
     def test_bad_requests_get_400(self, served):
         _session, _server, base = served
@@ -217,6 +178,30 @@ class TestQueryServer:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 _post(base, body)
             assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            "Transfer-Encoding: chunked",
+            "Transfer-Encoding: gzip, chunked",
+            "Content-Length: 20\r\nTransfer-Encoding: chunked",
+        ],
+        ids=["chunked", "gzip-chunked", "with-content-length"],
+    )
+    def test_a_chunked_post_gets_one_411_and_the_connection_closes(self, served, framing):
+        """Regression: a chunked body was read as empty (a JSON 400 asking for
+        "query") and its chunk bytes were then parsed as a second request."""
+        _session, server, _base = served
+        body = json.dumps({"query": "example"}).encode("ascii")
+        request = (
+            b"POST /query HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+            + framing.encode("ascii") + b"\r\n\r\n"
+            + f"{len(body):x}\r\n".encode("ascii") + body + b"\r\n0\r\n\r\n"
+        )
+        status_line, payload, rest = _exchange(server.address, request)
+        assert status_line.startswith(b"HTTP/1.1 411 "), status_line
+        assert "Content-Length" in payload["error"]
+        assert rest == b"", rest
 
     @pytest.mark.parametrize(
         "field, value",
@@ -283,6 +268,18 @@ class TestQueryServer:
             urllib.request.urlopen(base + "/nope", timeout=30)
         assert excinfo.value.code == 404
 
+    def test_a_post_to_an_unknown_path_closes_the_connection(self, served):
+        """The unread body of a 404'd POST is never parsed as a next request."""
+        _session, server, _base = served
+        body = b'GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n'
+        request = (
+            f"POST /nope HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii") + body
+        status_line, payload, rest = _exchange(server.address, request)
+        assert status_line.startswith(b"HTTP/1.1 404 "), status_line
+        assert "/nope" in payload["error"]
+        assert rest == b"", rest
+
     def test_metrics_endpoint_exposes_the_new_families(self, served):
         _session, _server, base = served
         _post(base, {"query": "example"})
@@ -292,8 +289,6 @@ class TestQueryServer:
             text = response.read().decode("utf-8")
         for family in (
             "repro_queries_total",
-            "repro_result_cache_hits_total",
-            "repro_result_cache_misses_total",
             QUEUE_DEPTH_FAMILY,
             INFLIGHT_FAMILY,
             REJECTED_FAMILY,

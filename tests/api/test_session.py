@@ -7,7 +7,7 @@ import pytest
 import repro
 from repro import EngineConfig, Session
 from repro.exec import OptionError
-from repro.api import QueryBatch, Result
+from repro.api import Result
 from repro.datasets.paper_example import build_example_partitioning, example_query
 
 EXAMPLE_SPARQL = (
@@ -146,14 +146,27 @@ class TestQuery:
         "options, message",
         [
             (dict(executor="mpi"), "unknown executor 'mpi'"),
-            (dict(result_cache=-1), "result_cache must be >= 0"),
+            (dict(result_cache=8), "result_cache must be 0"),
+            (dict(result_cache=-1), "result_cache must be 0"),
             (dict(bit_vector_width=8), "unknown option"),
         ],
-        ids=["unknown-executor", "negative-result-cache", "unknown-config-option"],
+        ids=["unknown-executor", "result-cache", "negative-result-cache", "unknown-config-option"],
     )
-    def test_rejected_options_fail_at_open(self, options, message):
-        with pytest.raises(OptionError, match=message):
+    def test_rejected_options_fail_at_open(self, options, message, example_cluster):
+        with pytest.raises(OptionError, match=message) as excinfo:
             repro.open(dataset="paper", **options)
+        assert excinfo.value.options == options
+        with pytest.raises(OptionError, match=message) as excinfo:
+            Session.from_cluster(example_cluster, **options)
+        assert excinfo.value.options == options
+
+    def test_a_zero_result_cache_is_accepted(self, example_cluster):
+        """``result_cache=0`` (no cache) is the one value the keyword takes."""
+        with repro.open(dataset="paper", result_cache=0) as session:
+            assert len(session.query("example")) == 4
+        with Session.from_cluster(example_cluster, result_cache=0) as session:
+            result = session.query(example_query())
+            assert len(result) == 4 and result.cache_hit is False
 
     def test_explain_shows_the_plan(self):
         with repro.open(dataset="paper") as session:
@@ -263,40 +276,6 @@ class TestEncodedRebuildsDelta:
         # its fresh graph), so the value is identical run after run instead
         # of climbing with the process-global counter.
         assert first == second
-
-
-class TestQueryMany:
-    def test_batch_preserves_order_and_reports_per_query(self):
-        with repro.open(dataset="paper") as session:
-            batch = session.query_many(["example", EXAMPLE_SPARQL])
-            assert isinstance(batch, QueryBatch)
-            assert len(batch) == 2
-            assert batch[0].sorted_rows() == batch[1].sorted_rows()
-            assert [entry["query_name"] for entry in batch.report] == ["example", "(inline)"]
-            for entry in batch.report:
-                assert entry["engine"] == "gStoreD"
-                assert entry["backend"] == "serial"
-                assert entry["rows"] == 4
-                assert entry["shipped_bytes"] > 0
-                assert entry["cache_hit"] is False
-
-    def test_batch_warms_the_plan_cache_once(self):
-        with repro.open(dataset="paper") as session:
-            batch = session.query_many(["example", "example", "example"])
-            assert len(batch) == 3
-            # The warmup plus the first execution prime the cache; the later
-            # identical queries plan from it.
-            assert session.planner.cache.hits >= 2
-
-    def test_batch_engine_override_applies_to_every_query(self):
-        with repro.open(dataset="paper") as session:
-            batch = session.query_many(["example"], engine="centralized")
-            assert batch.report[0]["engine"] == "Centralized"
-
-    def test_batch_reports_cache_hits(self):
-        with repro.open(dataset="paper", result_cache=4) as session:
-            batch = session.query_many(["example", "example"])
-            assert [entry["cache_hit"] for entry in batch.report] == [False, True]
 
 
 class TestLifecycle:

@@ -120,6 +120,7 @@ def test_session_raises_one_typed_error_and_stays_usable(
         assert not trace._stack, "the failed query left a span open"
         failures = session.metrics.snapshot()["repro_query_failures_total"]["series"]
         assert sum(failures.values()) == 1
+        assert all(not stack for stack in session.cluster.bus._ledgers.values())
 
         monkeypatch.undo()
         assert fingerprint(session.query(query)) == fresh[query]

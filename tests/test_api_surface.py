@@ -6,11 +6,19 @@ This test freezes the surface so an accidental rename/removal fails CI; a
 *deliberate* change updates the snapshot here (and ``docs/api.md``).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 import repro
 import repro.api
 import repro.core
 
-#: Everything ``repro`` exports — keep sorted.  ``DistributedResult`` (every
+#: Everything ``repro`` exports — keep sorted.  ``AsyncSession`` (a query is
+#: ``Session.query`` or ``POST /query``), ``DistributedResult`` (every
 #: engine returns ``Result``), ``quickstart_cluster`` (deprecated since 1.1),
 #: ``repro.api.EngineAdapter`` (engines satisfy the contract themselves),
 #: ``repro.core.execute_ablation`` (``bench.ablation_series``) and
@@ -19,7 +27,6 @@ import repro.core
 REPRO_EXPORTS = [
     "ABLATION_CONFIGS",
     "AppliedDelta",
-    "AsyncSession",
     "Binding",
     "CentralizedEngine",
     "Cluster",
@@ -75,18 +82,17 @@ REPRO_EXPORTS = [
     "select_best_partitioning",
 ]
 
-#: Everything ``repro.api`` exports — keep sorted.
+#: Everything ``repro.api`` exports — keep sorted.  ``QueryBatch``,
+#: ``ResultCache`` and ``result_cache_key`` are gone with ``query_many`` and
+#: the result cache.
 REPRO_API_EXPORTS = [
     "AdmissionController",
     "AdmissionError",
-    "AsyncSession",
     "CentralizedEngine",
     "EngineSpec",
-    "QueryBatch",
     "QueryEngine",
     "QueryServer",
     "Result",
-    "ResultCache",
     "STAGE_CENTRALIZED",
     "Session",
     "engine_aliases",
@@ -98,7 +104,6 @@ REPRO_API_EXPORTS = [
     "open_session",
     "register_engine",
     "resolve_engine_name",
-    "result_cache_key",
 ]
 
 #: Everything ``repro.core`` exports — keep sorted.  ``JoinedLECFeature``,
@@ -170,3 +175,14 @@ def test_engine_registry_matches_the_snapshot():
 
 def test_open_is_the_session_entry_point():
     assert repro.open is repro.open_session is repro.api.open_session
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.cli"])
+def test_import_leaves_asyncio_out(module):
+    """Nothing on the import path of the library or the CLI needs an event loop."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    probe = f"import sys, {module}; print('asyncio' in sys.modules)"
+    output = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert output.strip() == "False"

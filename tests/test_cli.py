@@ -428,23 +428,24 @@ class TestServe:
                 "--port", "0",
                 "--max-inflight", "2",
                 "--max-queue", "1",
-                "--result-cache", "8",
             ]
         )
         assert (args.dataset, args.scale, args.sites) == ("lubm", 1, 3)
-        assert (args.max_inflight, args.max_queue, args.result_cache) == (2, 1, 8)
+        assert (args.max_inflight, args.max_queue) == (2, 1)
 
-    def test_serve_rejects_a_negative_result_cache(self, capsys):
-        exit_code = main(["serve", "--result-cache", "-1"])
+    @pytest.mark.parametrize("size", ["8", "-1"])
+    def test_serve_rejects_a_result_cache(self, capsys, size):
+        exit_code = main(["serve", "--result-cache", size])
         assert exit_code == 2
-        assert "--result-cache" in capsys.readouterr().err
+        assert f"--result-cache {size}" in capsys.readouterr().err
 
     def test_serve_rejects_other_executors(self, capsys):
         exit_code = main(["serve", "--executor", "processes"])
         assert exit_code == 2
         assert "--executor processes" in capsys.readouterr().err
 
-    def test_serve_answers_http_queries(self, capsys):
+    @pytest.mark.parametrize("extra", [[], ["--result-cache", "0"]], ids=["default", "result-cache-0"])
+    def test_serve_answers_http_queries(self, capsys, extra):
         """End to end: bind port 0, query over HTTP, shut down cleanly."""
         import json
         import threading
@@ -467,7 +468,7 @@ class TestServe:
         try:
             thread = threading.Thread(
                 target=cli_module.main,
-                args=(["serve", "--port", "0", "--result-cache", "4"],),
+                args=(["serve", "--port", "0", *extra],),
                 daemon=True,
             )
             thread.start()

@@ -46,6 +46,7 @@ from ..distributed.result import Result
 from ..distributed.run import Run
 from ..obs import StageProfiler, Trace
 from ..sparql.algebra import SelectQuery
+from ..store.encoding import encoded_view
 from ..store.matcher import LocalMatcher
 
 #: Stage name under which :class:`CentralizedEngine` records its evaluation.
@@ -84,10 +85,10 @@ class QueryEngine(Protocol):
 class CentralizedEngine:
     """The centralized ground truth behind the standard engine contract.
 
-    Wraps :class:`~repro.store.LocalMatcher` over the cluster's *full* graph
-    (what :func:`~repro.store.evaluate_centralized` does per call), but keeps
-    the matcher warm across queries, the way a long-lived single-store
-    deployment would.
+    Wraps :class:`~repro.store.LocalMatcher` over the encoding of the
+    cluster's *full* graph (what :func:`~repro.store.evaluate_centralized`
+    does per call), but keeps the matcher warm across queries, the way a
+    long-lived single-store deployment would.
     Nothing is shipped, so the statistics carry a single
     ``centralized_evaluation`` stage with pure coordinator time.
     """
@@ -103,8 +104,9 @@ class CentralizedEngine:
         self._lock = threading.Lock()
 
     def _ensure_matcher(self) -> LocalMatcher:
-        if self._matcher is None:
-            self._matcher = LocalMatcher(self.cluster.graph)
+        encoded = encoded_view(self.cluster.graph)
+        if self._matcher is None or self._matcher.encoded is not encoded:
+            self._matcher = LocalMatcher(encoded)
         return self._matcher
 
     def execute(

@@ -649,16 +649,15 @@ def open_session(
             name, strategy, scale, sites
         )
         cluster = build_cluster(partitioned, network=network)
+        # The sites' statistics are what the snapshot stores: collect them once.
         store = ClusterStore.create(
-            path, partitioned, dataset=dataset_name, scale=chosen_scale
+            path,
+            partitioned,
+            dataset=dataset_name,
+            scale=chosen_scale,
+            statistics={site.site_id: site.graph_statistics() for site in cluster},
         )
         try:
-            # The store collected per-fragment statistics while snapshotting;
-            # hand them to the sites so nobody collects the same numbers twice.
-            for site in cluster:
-                statistics = store.load_statistics(site.site_id)
-                if statistics is not None:
-                    site.store.preload_statistics(statistics)
             cluster.attach_store(store)
             return Session.from_cluster(
                 cluster,

@@ -14,19 +14,21 @@ This captures the behaviour the paper observes in Fig. 12:
 * complex queries decompose into large, unselective stars whose intermediate
   results are huge, making the final join and its data shipment expensive.
 
-The simulation gives each site a full-graph store (mirroring the replication)
-and reuses the shared star decomposition and hash-join helpers.
+The simulation lets every site match over the cluster's live master
+encoding (the replica every site would hold; updates reach it as they reach
+the master graph) and reuses the shared star decomposition and hash-join
+helpers.
 """
 
 from __future__ import annotations
 
 from typing import List
 
-from ..distributed.cluster import Cluster
 from ..distributed.network import COORDINATOR
 from ..distributed.run import Run
 from ..sparql.bindings import Binding
-from ..store.triple_store import TripleStore
+from ..store.encoding import encoded_view
+from ..store.matcher import LocalMatcher
 from .base import DistributedEngine
 from .decomposition import (
     decompose_into_stars,
@@ -44,13 +46,9 @@ class DreamEngine(DistributedEngine):
 
     name = "DREAM"
 
-    def __init__(self, cluster: Cluster) -> None:
-        super().__init__(cluster)
-        # Every site holds the entire RDF graph; build the replicated store
-        # once and share the (immutable) indexes between the simulated sites.
-        self._replicated_store = TripleStore(cluster.graph.copy(), name="dream-replica")
-
     def _evaluate(self, run: Run) -> List[Binding]:
+        # Every site holds the entire graph: all of them share the master encoding.
+        replica = LocalMatcher(encoded_view(self.cluster.graph))
         star_results: List[List[Binding]] = []
         with run.stage(STAGE_SUBQUERIES) as stage:
             stars = decompose_into_stars(run.query.bgp)
@@ -58,7 +56,7 @@ class DreamEngine(DistributedEngine):
             for index, star in enumerate(stars):
                 site_id = index % max(1, self.cluster.num_sites)
                 with stage.measure(site_id):
-                    solutions = list(self._replicated_store.evaluate(subquery(star)))
+                    solutions = list(replica.evaluate(subquery(star)))
                 star_results.append(solutions)
                 stage.ship(site_id, COORDINATOR, "star_results", solutions)
                 stage.count(intermediate_results=len(solutions))

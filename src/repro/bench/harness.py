@@ -29,6 +29,7 @@ from ..core.engine import (
     STAGE_PRUNING,
 )
 from ..planner.optimizer import QueryPlanner
+from ..store.encoding import encoded_view
 from ..store.matcher import LocalMatcher
 from ..distributed.cluster import Cluster, build_cluster
 from ..partition.cost_model import partitioning_cost
@@ -222,9 +223,10 @@ def planner_search_report(
     graph = spec.generate(scale if scale is not None else spec.default_scale)
     queries = spec.queries()
     names = list(query_names) if query_names is not None else list(queries)
-    planner = QueryPlanner.from_graph(graph)
-    static_matcher = LocalMatcher(graph)
-    planned_matcher = LocalMatcher(graph, planner=planner)
+    encoded = encoded_view(graph)
+    planner = QueryPlanner.from_graph(encoded)
+    static_matcher = LocalMatcher(encoded)
+    planned_matcher = LocalMatcher(encoded, planner=planner)
     rows: List[Dict[str, object]] = []
     for name in names:
         query = queries[name]

@@ -19,11 +19,11 @@ its crossing pairs ranks lowest; a branch seeded at rank ``r`` dies the
 moment it matches a crossing data edge to a query edge ranked below ``r``.
 Every LPM therefore comes out of one seed, once: nothing is deduplicated.
 
-**Representation.**  The search runs on the ids of the site graph's
+**Representation.**  The search runs on the ids of the site's
 :class:`~repro.store.encoding.EncodedGraph`: query vertices are slots of a
 ``values`` list, query edges are bits in rank order (edge and vertex sets are
-int masks), vertex classes and ranked crossing edges come from the cached
-:func:`~repro.store.fragment_index.fragment_index`, extensions are ascending
+int masks), vertex classes and ranked crossing edges come from the site's
+:class:`~repro.store.fragment_index.FragmentIndex`, extensions are ascending
 :meth:`EncodedGraph.triple_ids` probes — so the LPM *sequence* is the same
 under every ``PYTHONHASHSEED``.  An LPM is emitted straight from that state
 in its wire form (:mod:`repro.core.partial_match`): each id becomes the
@@ -44,11 +44,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..partition.fragment import Fragment
-from ..rdf.graph import RDFGraph
 from ..rdf.terms import Variable
 from ..sparql.query_graph import QueryGraph
 from ..store.encoding import PREDICATE_ANY, predicate_code
-from ..store.fragment_index import IdTriple, fragment_index, internal_pools
+from ..store.fragment_index import FragmentIndex, IdTriple, internal_pools
 from .candidate_exchange import GlobalCandidateFilter
 from .partial_match import LocalPartialMatch, LPMList, PairKey, check_local_partial_match
 
@@ -77,12 +76,14 @@ class PartialEvaluator:
     def __init__(
         self,
         fragment: Fragment,
-        graph: Optional[RDFGraph] = None,
+        graph: Optional[FragmentIndex] = None,
         paranoid: bool = False,
         edge_order: Optional[Sequence[int]] = None,
     ) -> None:
         self._fragment = fragment
-        self._graph = graph if graph is not None else fragment.to_graph()
+        #: The site's index of ``fragment`` (:attr:`Site.graph
+        #: <repro.distributed.site.Site.graph>`), or one built here.
+        self._index = graph if graph is not None else FragmentIndex.build(fragment)
         #: Re-check every produced LPM against Definition 5 (slower; for tests).
         self._paranoid = paranoid
         #: Planner-supplied ranking of query-edge indexes (most selective
@@ -100,7 +101,7 @@ class PartialEvaluator:
         """Enumerate every local partial match of ``query`` in this fragment."""
         fragment = self._fragment
         result = PartialEvaluationResult(fragment_id=fragment.fragment_id)
-        index = fragment_index(fragment, self._graph)
+        index = self._index
         encoded, crossing_by_predicate = index.encoded, index.crossing_by_predicate
         internal, extended = index.internal, index.extended
         triple_ids = encoded.triple_ids
@@ -121,7 +122,7 @@ class PartialEvaluator:
         ]
         filtered = [vector is not None for vector in vectors]
         # The internal values each slot may take: with the filter, the site's own candidates.
-        own = internal_pools(fragment, self._graph, query) if candidate_filter is not None else None
+        own = internal_pools(index, query) if candidate_filter is not None else None
         allowed = [internal if own is None else own[vertex] for vertex in vertices]
         priority = self._edge_priority
         ranked = sorted(query.edges, key=lambda edge: (priority.get(edge.index, edge.index), edge.index))
@@ -239,7 +240,7 @@ class PartialEvaluator:
 def evaluate_fragment(
     fragment: Fragment,
     query: QueryGraph,
-    graph: Optional[RDFGraph] = None,
+    graph: Optional[FragmentIndex] = None,
     candidate_filter: Optional[GlobalCandidateFilter] = None,
     paranoid: bool = False,
     edge_order: Optional[Sequence[int]] = None,

@@ -14,7 +14,7 @@ import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..partition.delta import apply_delta_effect
+from ..partition.delta import DeltaEffect
 from ..partition.fragment import PartitionedGraph
 from ..planner.optimizer import QueryPlanner
 from ..planner.plan_cache import DEFAULT_PLAN_CACHE_SIZE
@@ -146,10 +146,10 @@ class Cluster:
         Removals run first, then additions; no-ops (adding a present triple,
         removing an absent one) are skipped.  Every effective op is routed to
         its fragments by the sticky :class:`~repro.partition.delta.DeltaRouter`
-        and folded into the master graph, the fragment vertex/edge sets and
-        the site stores; the dictionary encodings are then *patched* eagerly
-        (never rebuilt), so the resulting id assignment is a pure function of
-        (base state, op sequence).  A replica replaying the same ops from the
+        and folded into the master graph; the master encoding is then
+        *patched* (never rebuilt) and each touched site patches itself once
+        with its window (:meth:`Site.apply`), so the resulting id assignment
+        is a pure function of (base state, op sequence).  A replica replaying the same ops from the
         same base — a reopened store file — therefore reaches the
         bit-identical encoding, which is what keeps answers, match sequences
         and shipment fingerprints stable across restarts.
@@ -179,18 +179,12 @@ class Cluster:
         if not staged:
             return AppliedDelta(0, 0)
         graph = self.graph
-        # Force every encoding *before* mutating: patching from a known
+        # Force the master encoding *before* mutating: patching from a known
         # base state is what replicas replay against.
         master_encoded = encoded_view(graph)
-        site_encoded = {
-            site.site_id: encoded_view(site.store.graph) for site in self._sites
-        }
-        sites_by_id = {site.site_id: site for site in self._sites}
         router = self._partitioned.delta_router()
         master_ops: List[Tuple[str, Triple]] = []
-        site_ops: Dict[int, List[Tuple[str, Triple]]] = {
-            site.site_id: [] for site in self._sites
-        }
+        site_effects: Dict[int, List[DeltaEffect]] = {site.site_id: [] for site in self._sites}
         added = removed = 0
         for op, triple in staged:
             if op == "+":
@@ -203,20 +197,13 @@ class Cluster:
                 removed += 1
             master_ops.append((op, triple))
             for effect in router.route(op, triple):
-                site = sites_by_id[effect.fragment_id]
-                if op == "+":
-                    site.store.add(triple)
-                else:
-                    site.store.discard(triple)
-                apply_delta_effect(site.fragment, effect, graph=site.store.graph)
-                site_ops[effect.fragment_id].append((op, triple))
+                site_effects[effect.fragment_id].append(effect)
         if not master_ops:
             return AppliedDelta(0, 0)
         patch_encoded_view(graph, master_encoded, master_ops)
         for site in self._sites:
-            ops_here = site_ops[site.site_id]
-            if ops_here:
-                patch_encoded_view(site.store.graph, site_encoded[site.site_id], ops_here)
+            if site_effects[site.site_id]:
+                site.apply(site_effects[site.site_id])
         with self._planner_lock:
             if self._coordinator_planner is not None:
                 statistics = self._coordinator_planner.statistics

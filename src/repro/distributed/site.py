@@ -1,26 +1,32 @@
 """A site of the simulated cluster.
 
-Each site hosts exactly one fragment (the paper's simplifying assumption) and
-runs a local :class:`~repro.store.TripleStore` over it.  Sites expose the
-local operations the engines need — candidate computation, local BGP
-evaluation — but they never look at other fragments: any cross-site
-information must arrive through the message bus.
+Each site hosts exactly one fragment (the paper's simplifying assumption).
+It keeps three things: the :class:`~repro.partition.fragment.Fragment`, one
+:class:`~repro.store.encoding.EncodedGraph` of the fragment's edges (the
+dictionary plus sorted columns every probe reads), and one
+:class:`~repro.store.fragment_index.FragmentIndex` over that encoding.  A
+local :class:`~repro.store.TripleStore` wraps the encoding for matching and
+planning.  All of it is built once, in the constructor, and patched in place
+by :meth:`Site.apply`.  Sites expose the local operations the engines need —
+candidate computation, local BGP evaluation — but they never look at other
+fragments: any cross-site information must arrive through the message bus.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Sequence, Set
 
+from ..partition.delta import DeltaEffect, apply_delta_effects
 from ..partition.fragment import Fragment
 from ..planner.optimizer import QueryPlanner
 from ..planner.statistics import GraphStatistics
-from ..rdf.graph import RDFGraph
 from ..rdf.terms import Node
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import ResultSet
 from ..sparql.query_graph import QueryGraph
-from ..store.fragment_index import CandidateIds, internal_pools
+from ..store.encoding import EncodedGraph
+from ..store.fragment_index import CandidateIds, FragmentIndex, internal_pools
 from ..store.triple_store import TripleStore
 
 
@@ -30,11 +36,16 @@ class Site:
     def __init__(self, site_id: int, fragment: Fragment) -> None:
         self.site_id = site_id
         self.fragment = fragment
-        self.store = TripleStore(fragment.to_graph(), name=fragment.name)
+        #: The dictionary plus sorted columns of the fragment's edges: every probe reads these.
+        self.encoded = EncodedGraph(fragment.all_edges)
+        #: Definition 1 over the encoding's ids: what partial evaluation reads
+        #: (``PartialEvaluator(site.fragment, graph=site.graph)``).
+        self.graph = FragmentIndex(fragment, self.encoded)
+        self.store = TripleStore(self.encoded, name=fragment.name)
         #: Serializes site-task handler runs (:func:`repro.exec.run_site_task`):
         #: handlers read work counters off the store after evaluating, so two
-        #: concurrent queries on this site would interleave them.  A rebuilt
-        #: site is a new object with a fresh lock.
+        #: concurrent queries on this site would interleave them.
+        #: :meth:`apply` patches the site in place and keeps this lock.
         self.lock = threading.RLock()
 
     # ------------------------------------------------------------------
@@ -43,10 +54,6 @@ class Site:
     @property
     def name(self) -> str:
         return f"S{self.site_id}"
-
-    @property
-    def graph(self) -> RDFGraph:
-        return self.store.graph
 
     @property
     def internal_vertices(self) -> Set[Node]:
@@ -95,10 +102,32 @@ class Site:
 
         For an internal vertex every incident query edge must be locally
         supported (all its data edges are present in the fragment); edges are
-        never relaxed here.  Values are id sets of the site graph's encoded
-        view, from pools this query's stage 2 reuses.
+        never relaxed here.  Values are id sets of the site's encoding, from
+        pools this query's stage 2 reuses.
         """
-        return internal_pools(self.fragment, self.graph, query)
+        return internal_pools(self.graph, query)
+
+    # ------------------------------------------------------------------
+    # Mutation
+    # ------------------------------------------------------------------
+    def apply(self, effects: Sequence[DeltaEffect]) -> None:
+        """Patch the site in place for its window of effective delta effects.
+
+        In order: the encoding (which drops its per-query pools), the
+        fragment's edge sets, the internal/extended membership of every
+        touched vertex (once, from the patched encoding), the fragment index,
+        and the statistics with the plan cache.  Each result equals a fresh
+        build over the mutated fragment, except that new terms get appended
+        ids — which is what keeps replicas that replay the same ops
+        identical.
+        """
+        ops = [("+" if effect.op == "add" else "-", effect.triple) for effect in effects]
+        encoded = self.encoded
+        encoded.apply_ops(ops)
+        id_of, degree = encoded.dictionary.id_of, encoded.degree
+        apply_delta_effects(self.fragment, effects, lambda vertex: degree(id_of(vertex)) > 0)
+        self.graph.patch(self.fragment, ops)
+        self.store.patch_statistics(ops)
 
     def stats(self) -> Dict[str, int]:
         return self.fragment.stats()

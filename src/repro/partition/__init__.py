@@ -13,7 +13,7 @@ from .cost_model import (
 from .delta import (
     DeltaEffect,
     DeltaRouter,
-    apply_delta_effect,
+    apply_delta_effects,
     stable_fragment_of,
 )
 from .fragment import Fragment, PartitionedGraph, PartitioningError, build_partitioned_graph
@@ -47,7 +47,7 @@ __all__ = [
     "PartitioningError",
     "RefinementReport",
     "SemanticHashPartitioner",
-    "apply_delta_effect",
+    "apply_delta_effects",
     "build_partitioned_graph",
     "compare_partitionings",
     "crossing_edge_distribution",

@@ -29,9 +29,8 @@ fragment contents falls out of that, not out of coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..rdf.graph import RDFGraph
 from ..rdf.terms import Node
 from ..rdf.triples import Triple
 from .fragment import Fragment
@@ -117,53 +116,33 @@ class DeltaRouter:
         ]
 
 
-def _has_incident_edge(fragment: Fragment, vertex: Node, graph: Optional[RDFGraph]) -> bool:
-    """Does any edge stored in ``fragment`` touch ``vertex``?
-
-    ``graph``, when given, must be the site's materialized graph *after* the
-    mutation — its adjacency index answers in O(1).  Without it the fragment's
-    edge sets are scanned.
-    """
-    if graph is not None:
-        return graph.degree(vertex) > 0
-    return any(
-        vertex in (edge.subject, edge.object)
-        for edge_set in (fragment.internal_edges, fragment.crossing_edges)
-        for edge in edge_set
-    )
-
-
-def apply_delta_effect(
+def apply_delta_effects(
     fragment: Fragment,
-    effect: DeltaEffect,
-    graph: Optional[RDFGraph] = None,
+    effects: Iterable[DeltaEffect],
+    stores_edge_at: Callable[[Node], bool],
 ) -> None:
-    """Fold one :class:`DeltaEffect` into ``fragment``'s vertex/edge sets.
+    """Fold a window of :class:`DeltaEffect` into ``fragment``.
 
-    ``graph`` is the site's materialized graph, already reflecting the op
-    (used for O(1) isolation checks; optional).  Vertex memberships are
-    maintained so Definition 1 holds after every effect: additions (re-)
-    establish internal/extended membership, removals prune vertices whose
-    last supporting edge disappeared.  Pruning is decidable locally because
-    the home fragment of a vertex stores every incident edge.
+    The edge sets take every effect in order.  Then each endpoint the window
+    touched gets its membership settled once: a vertex the site still stores
+    an edge at (``stores_edge_at``, asked after the whole window) is internal
+    when its home is this fragment and extended otherwise, and a vertex
+    without one is neither.  Homes are sticky and the home fragment stores
+    every incident edge, so this is Definition 1 of the final edge set.
     """
-    triple = effect.triple
-    if effect.op == "add":
-        if effect.crossing:
-            fragment.crossing_edges.add(triple)
-            fragment.extended_vertices.add(effect.extended)
-        else:
-            fragment.internal_edges.add(triple)
+    homes: Dict[Node, bool] = {}
+    for effect in effects:
+        triple = effect.triple
+        edges = fragment.crossing_edges if effect.crossing else fragment.internal_edges
+        (edges.add if effect.op == "add" else edges.discard)(triple)
         for vertex in effect.internal_endpoints:
-            fragment.internal_vertices.add(vertex)
-        return
-    if effect.crossing:
-        fragment.crossing_edges.discard(triple)
-        assert effect.extended is not None
-        if not _has_incident_edge(fragment, effect.extended, graph):
-            fragment.extended_vertices.discard(effect.extended)
-    else:
-        fragment.internal_edges.discard(triple)
-    for vertex in effect.internal_endpoints:
-        if not _has_incident_edge(fragment, vertex, graph):
-            fragment.internal_vertices.discard(vertex)
+            homes[vertex] = True
+        if effect.extended is not None:
+            homes[effect.extended] = False
+    for vertex, home in homes.items():
+        stored = stores_edge_at(vertex)
+        for members, wanted in (
+            (fragment.internal_vertices, home),
+            (fragment.extended_vertices, not home),
+        ):
+            (members.add if stored and wanted else members.discard)(vertex)

@@ -66,13 +66,6 @@ class Fragment:
     def is_crossing(self, edge: Triple) -> bool:
         return edge in self.crossing_edges
 
-    def to_graph(self) -> RDFGraph:
-        """Materialize the fragment as an RDF graph (what the site's store loads)."""
-        graph = RDFGraph(name=self.name)
-        graph.add_all(self.internal_edges)
-        graph.add_all(self.crossing_edges)
-        return graph
-
     def edge_labels(self) -> Set:
         """``Σ_i`` — the set of edge labels (predicates) used in the fragment."""
         return {t.predicate for t in self.all_edges}

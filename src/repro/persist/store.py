@@ -46,6 +46,7 @@ from ..rdf.graph import RDFGraph
 from ..rdf.ntriples import parse_term
 from ..rdf.terms import Node, Term
 from ..rdf.triples import Triple
+from ..store.encoding import EncodedGraph
 
 PathLike = Union[str, Path]
 
@@ -499,7 +500,7 @@ def _write_snapshot(
             if statistics is not None:
                 summary = statistics.get(fragment.fragment_id)
             if summary is None:
-                summary = collect_statistics(fragment.to_graph())
+                summary = collect_statistics(EncodedGraph(fragment.all_edges))
             connection.execute(
                 "INSERT INTO stats (fragment_id, payload) VALUES (?, ?)",
                 (fragment.fragment_id, json.dumps(summary.as_dict())),

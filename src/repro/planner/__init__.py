@@ -4,8 +4,9 @@ The seed engine walked query vertices in a static
 :func:`~repro.sparql.query_graph.traversal_order`.  This package adds the
 standard next layer of a gStore-style engine:
 
-* :mod:`statistics` — cheap per-graph/fragment summaries (predicate counts,
-  distinct subjects/objects, degree histogram), serializable and mergeable
+* :mod:`statistics` — cheap per-fragment summaries (predicate counts,
+  distinct subjects/objects, degree histogram) read off an encoding's sorted
+  columns and patched with each update window, serializable and mergeable
   across sites;
 * :mod:`cardinality` — System-R-style estimates for triple patterns,
   vertex candidates and join fan-out;
@@ -16,7 +17,8 @@ standard next layer of a gStore-style engine:
   :class:`QueryPlanner` facade;
 * :mod:`plan_cache` — a shape-keyed LRU so hot query templates plan once.
 
-The planner is wired through :class:`~repro.store.TripleStore` /
+The planner is wired through :class:`~repro.store.TripleStore` (which
+collects a site's statistics on first use; ``Site.apply`` patches them) /
 :class:`~repro.store.LocalMatcher` (vertex order), the partial evaluator
 (edge order) and the engine (per-query planning stage); the
 ``use_planner`` / ``plan_cache_size`` knobs live on

@@ -22,15 +22,17 @@ optimization cost once.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..rdf.graph import RDFGraph
 from ..rdf.terms import PatternTerm, Variable
 from ..sparql.query_graph import QueryGraph, traversal_order
 from .cardinality import CardinalityEstimator
 from .plan import QueryPlan, SOURCE_FALLBACK, SOURCE_STATISTICS
 from .plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache, shape_key
 from .statistics import GraphStatistics, collect_statistics
+
+if TYPE_CHECKING:  # the store package imports the planner
+    from ..store.encoding import EncodedGraph
 
 
 class PlanOptimizer:
@@ -172,8 +174,9 @@ class QueryPlanner:
     # Construction helpers
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(cls, graph: RDFGraph, cache_size: int = DEFAULT_PLAN_CACHE_SIZE) -> "QueryPlanner":
-        return cls(collect_statistics(graph), cache_size=cache_size)
+    def from_graph(cls, encoded: "EncodedGraph", cache_size: int = DEFAULT_PLAN_CACHE_SIZE) -> "QueryPlanner":
+        """A planner over :func:`collect_statistics` of ``encoded``."""
+        return cls(collect_statistics(encoded), cache_size=cache_size)
 
     @property
     def statistics(self) -> Optional[GraphStatistics]:

@@ -1,11 +1,13 @@
 """Graph statistics for cost-based query planning.
 
 The planner never looks at the data graph directly: everything it knows is
-summarized here, once per :class:`~repro.store.TripleStore` (the store caches
-the summary and invalidates it on mutation).  The summary is deliberately
-cheap — one pass over the triples — and deliberately small, because in the
-distributed setting every site ships its statistics to the coordinator,
-which aggregates them (see :func:`merge_statistics` and
+summarized here, once per :class:`~repro.store.TripleStore` (the store
+collects the summary on first use; a site patches it with each update
+window).  The summary is read off an
+:class:`~repro.store.encoding.EncodedGraph`'s sorted columns — column
+lengths and key counts, no pass over the triples — and deliberately small,
+because in the distributed setting every site ships its statistics to the
+coordinator, which aggregates them (see :func:`merge_statistics` and
 :meth:`~repro.distributed.Cluster.graph_statistics`).
 
 Collected per graph/fragment:
@@ -24,11 +26,13 @@ stored alongside a partitioned workspace or shipped between sites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Tuple
 
-from ..rdf.graph import RDFGraph
-from ..rdf.terms import IRI, Node
+from ..rdf.terms import IRI
 from ..rdf.triples import Triple
+
+if TYPE_CHECKING:  # the store package imports the planner
+    from ..store.encoding import EncodedGraph
 
 
 @dataclass
@@ -170,73 +174,74 @@ class GraphStatistics:
         )
 
 
-def collect_statistics(graph: RDFGraph) -> GraphStatistics:
-    """Summarize ``graph`` in one pass over its triples."""
-    stats = GraphStatistics(num_triples=len(graph))
-    subjects: Dict[IRI, set] = {}
-    objects: Dict[IRI, set] = {}
-    for triple in graph:
-        per_predicate = stats.predicates.get(triple.predicate)
-        if per_predicate is None:
-            per_predicate = PredicateStatistics()
-            stats.predicates[triple.predicate] = per_predicate
-            subjects[triple.predicate] = set()
-            objects[triple.predicate] = set()
-        per_predicate.count += 1
-        subjects[triple.predicate].add(triple.subject)
-        objects[triple.predicate].add(triple.object)
-    for predicate, per_predicate in stats.predicates.items():
-        per_predicate.distinct_subjects = len(subjects[predicate])
-        per_predicate.distinct_objects = len(objects[predicate])
-    vertices = graph.vertices
-    stats.num_vertices = len(vertices)
-    for vertex in vertices:
-        bucket = degree_bucket(graph.degree(vertex))
+def collect_statistics(encoded: "EncodedGraph") -> GraphStatistics:
+    """Summarize ``encoded`` from its columns.
+
+    A predicate's count is its out-column's length, its distinct subjects and
+    objects the key counts of its out- and in-column; a vertex's degree is
+    the sum of its row lengths.
+    """
+    term_of = encoded.dictionary.term_of
+    stats = GraphStatistics(num_triples=encoded.num_triples)
+    degrees: Dict[int, int] = {}
+    for predicate in encoded.predicate_ids():
+        out_column, in_column = encoded.out_column(predicate), encoded.in_column(predicate)
+        stats.predicates[term_of(predicate)] = PredicateStatistics(
+            count=len(out_column.values),
+            distinct_subjects=len(out_column.keys),
+            distinct_objects=len(in_column.keys),
+        )
+        for column in (out_column, in_column):
+            offsets = column.offsets
+            for position, vertex in enumerate(column.keys):
+                degrees[vertex] = degrees.get(vertex, 0) + offsets[position + 1] - offsets[position]
+    stats.num_vertices = len(degrees)
+    for degree in degrees.values():
+        bucket = degree_bucket(degree)
         stats.degree_histogram[bucket] = stats.degree_histogram.get(bucket, 0) + 1
     return stats
 
 
 def apply_statistics_ops(
     stats: GraphStatistics,
-    graph: RDFGraph,
+    encoded: "EncodedGraph",
     ops: Iterable[Tuple[str, Triple]],
 ) -> None:
-    """Patch ``stats`` in place for a journal window of ``graph`` mutations.
+    """Patch ``stats`` in place for a window of effective mutations.
 
-    ``graph`` must already reflect the ops (they come from its own journal).
-    The patch is *exact*: every touched predicate summary is recomputed from
-    the graph's indexes, and the degree histogram is adjusted by walking each
-    affected vertex's degree delta backwards — the result equals a fresh
-    :func:`collect_statistics` of the mutated graph.
+    ``encoded`` must already reflect the ops.  The patch is *exact*: every
+    touched predicate summary is re-read from its columns, and the degree
+    histogram is adjusted by walking each affected vertex's degree delta
+    backwards — the result equals a fresh :func:`collect_statistics` of the
+    patched encoding.
     """
+    id_of = encoded.dictionary.id_of
     touched_predicates = set()
-    degree_delta: Dict[Node, int] = {}
+    degree_delta: Dict[int, int] = {}
     triple_delta = 0
     for op, triple in ops:
         touched_predicates.add(triple.predicate)
         step = 1 if op == "+" else -1
         triple_delta += step
         # A self-loop contributes to both the out- and in-degree.
-        degree_delta[triple.subject] = degree_delta.get(triple.subject, 0) + step
-        degree_delta[triple.object] = degree_delta.get(triple.object, 0) + step
+        for vertex in (id_of(triple.subject), id_of(triple.object)):
+            degree_delta[vertex] = degree_delta.get(vertex, 0) + step
     stats.num_triples += triple_delta
     for predicate in touched_predicates:
-        count = graph.count(predicate=predicate)
-        if count == 0:
+        predicate_id = id_of(predicate)
+        out_column = encoded.out_column(predicate_id)
+        if not out_column.keys:
             stats.predicates.pop(predicate, None)
             continue
-        per_predicate = stats.predicates.get(predicate)
-        if per_predicate is None:
-            per_predicate = PredicateStatistics()
-            stats.predicates[predicate] = per_predicate
-        per_predicate.count = count
-        per_predicate.distinct_subjects = len(graph.subjects(predicate=predicate))
-        per_predicate.distinct_objects = len(graph.objects(predicate=predicate))
+        per_predicate = stats.predicates.setdefault(predicate, PredicateStatistics())
+        per_predicate.count = len(out_column.values)
+        per_predicate.distinct_subjects = len(out_column.keys)
+        per_predicate.distinct_objects = len(encoded.in_column(predicate_id).keys)
     histogram = stats.degree_histogram
     for vertex, delta in degree_delta.items():
         if delta == 0:
             continue
-        new_degree = graph.degree(vertex)
+        new_degree = encoded.degree(vertex)
         old_degree = new_degree - delta
         if old_degree > 0:
             bucket = degree_bucket(old_degree)

@@ -1,8 +1,9 @@
 """In-memory indexed RDF graph.
 
-:class:`RDFGraph` is the data substrate of the whole reproduction: fragments,
-local stores, partitioners and the centralized ground-truth matcher all
-operate on it.  It keeps the classic three permutation indexes (SPO, POS,
+:class:`RDFGraph` holds a whole dataset: generators, loaders, partitioners,
+the cluster's master graph and the centralized ground truth operate on it
+(a site stores only its fragment's encoding, :mod:`repro.store.encoding`).
+It keeps the classic three permutation indexes (SPO, POS,
 OSP) plus per-vertex adjacency, so the pattern-matching code can answer
 ``triples(s, p, o)`` with any combination of bound positions efficiently.
 
@@ -13,18 +14,11 @@ exposes both the triple view and the graph view.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from collections import defaultdict
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from .terms import IRI, Literal, Node, Term
 from .triples import Triple
-
-#: How many of the most recent mutations each graph remembers.  Derived
-#: structures (the encoded view, sorted columns, statistics) patch
-#: themselves from this window; falling off the end of it simply degrades
-#: to the pre-delta behaviour of a full rebuild, so the bound trades a
-#: little memory for never penalising bulk loads.
-JOURNAL_LIMIT = 4096
 
 
 class RDFGraph:
@@ -45,10 +39,6 @@ class RDFGraph:
         # views (e.g. the dictionary-encoded kernel in repro.store.encoding)
         # can cache themselves against one graph state and rebuild lazily.
         self._version = 0
-        # Bounded journal of the most recent mutations, each entry being
-        # ``(version-after-the-op, "+"|"-", triple)``.  Consumers call
-        # :meth:`journal_since` to patch incrementally instead of rebuilding.
-        self._journal: Deque[Tuple[int, str, Triple]] = deque(maxlen=JOURNAL_LIMIT)
         # Permutation indexes.
         self._spo: Dict[Node, Dict[IRI, Set[Node]]] = defaultdict(lambda: defaultdict(set))
         self._pos: Dict[IRI, Dict[Node, Set[Node]]] = defaultdict(lambda: defaultdict(set))
@@ -75,7 +65,6 @@ class RDFGraph:
         self._out[s].add(triple)
         self._in[o].add(triple)
         self._version += 1
-        self._journal.append((self._version, "+", triple))
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -94,28 +83,7 @@ class RDFGraph:
         self._out[s].discard(triple)
         self._in[o].discard(triple)
         self._version += 1
-        self._journal.append((self._version, "-", triple))
         return True
-
-    def journal_since(self, version: int) -> Optional[List[Tuple[str, Triple]]]:
-        """The ``("+"|"-", triple)`` ops that took the graph from ``version``
-        to its current state, oldest first.
-
-        Returns ``None`` when the window is unknowable — ``version`` is ahead
-        of the graph, or the ops have already fallen out of the bounded
-        journal — in which case callers must fall back to a full rebuild.
-        """
-        if version == self._version:
-            return []
-        if version > self._version:
-            return None
-        needed = self._version - version
-        if needed > len(self._journal):
-            return None
-        entries = list(self._journal)[-needed:]
-        if entries[0][0] != version + 1:  # pragma: no cover - defensive
-            return None
-        return [(op, triple) for _, op, triple in entries]
 
     # ------------------------------------------------------------------
     # Triple view

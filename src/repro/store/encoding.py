@@ -17,10 +17,12 @@ Weikum, VLDB 2008).  This module is that layer for the reproduction:
   one pass: encode the triples, sort them by predicate, cut them into rows.
   Every probe reads those columns; :meth:`EncodedGraph.apply_ops` patches
   only the touched predicates' columns.
-* :func:`encoded_view` caches one :class:`EncodedGraph` per graph, keyed on
-  :attr:`~repro.rdf.graph.RDFGraph.version`, so the encoding is built
-  lazily, reused across queries, and patched from the graph's journal after
-  a mutation.
+* A site builds its :class:`EncodedGraph` from its fragment's edges and
+  patches it with each update window.  :func:`encoded_view` serves a whole
+  :class:`~repro.rdf.graph.RDFGraph` (the master graph, the centralized
+  ground truth): one encoding cached per graph
+  :attr:`~repro.rdf.graph.RDFGraph.version`, patched only through
+  :func:`patch_encoded_view`, rebuilt when the version moved otherwise.
 
 Decoding happens only at result boundaries (bindings, candidate sets handed
 to the distributed layers); everything inside the kernel is ints.
@@ -31,7 +33,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..rdf.graph import RDFGraph
 from ..rdf.terms import IRI, Node, PatternTerm, Term, Variable
@@ -45,6 +47,9 @@ PREDICATE_ABSENT = -2
 
 #: Attribute under which :func:`encoded_view` caches the per-graph encoding.
 _CACHE_ATTRIBUTE = "_repro_encoded_view"
+#: :attr:`EncodedGraph.memo` key of the per-query candidate pools
+#: (:func:`repro.store.kernel.query_pools`): dropped by every patch.
+QUERY_POOLS = "query_pools"
 
 
 def term_sort_key(term: Term) -> Tuple[str, str]:
@@ -262,18 +267,23 @@ class EncodedGraph:
     :attr:`dictionary`; nothing else is indexed.  The variable-predicate
     (:data:`PREDICATE_ANY`) columns and the sorted vertex ids are derived on
     first use and dropped by a patch.
+
+    ``triples`` is any collection of distinct triples — an
+    :class:`~repro.rdf.graph.RDFGraph` or a fragment's edge set; it is
+    iterated twice and not kept.
     """
 
     __slots__ = ("dictionary", "_out", "_in", "_any", "_sorted_vertex_ids", "_num_triples", "memo")
 
-    def __init__(self, graph: RDFGraph) -> None:
+    def __init__(self, triples: Collection[Triple]) -> None:
+        global _REBUILDS
         terms: Set[Term] = set()
-        for triple in graph:
+        for triple in triples:
             terms.update(triple.as_tuple())
         self.dictionary = TermDictionary(terms)
         id_of = self.dictionary.id_of
         by_predicate: Dict[int, List[Tuple[int, int]]] = {}
-        for triple in graph:
+        for triple in triples:
             by_predicate.setdefault(id_of(triple.predicate), []).append(
                 (id_of(triple.subject), id_of(triple.object))
             )
@@ -286,9 +296,12 @@ class EncodedGraph:
             self._in[predicate] = SortedColumn.from_pairs(sorted([(o, s) for s, o in pairs]))
         self._any: Optional[Tuple[SortedColumn, SortedColumn]] = None
         self._sorted_vertex_ids: Optional[List[int]] = None
-        self._num_triples = len(graph)
-        #: Per-id and per-query caches that die with the encoding (ids keep their terms).
+        self._num_triples = len(triples)
+        #: Per-id caches (ids keep their terms) and the per-query pools
+        #: (:data:`QUERY_POOLS`, dropped by a patch); all die with the encoding.
         self.memo: Dict[object, dict] = {}
+        with _REBUILDS_LOCK:
+            _REBUILDS += 1
 
     # ------------------------------------------------------------------
     # Columns
@@ -326,12 +339,25 @@ class EncodedGraph:
     def sorted_vertex_ids(self) -> List[int]:
         """Every subject/object id in canonical (= candidate sort) order.
 
-        Derived once per graph version: the "all vertices" candidate pool.
+        Derived on first use after a build or patch: the "all vertices" candidate pool.
         """
         if self._sorted_vertex_ids is None:
             columns = chain(self._out.values(), self._in.values())
             self._sorted_vertex_ids = sorted({key for column in columns for key in column.keys})
         return self._sorted_vertex_ids
+
+    def degree(self, term_id: int) -> int:
+        """How many stored triples touch ``term_id``: the sum of its row lengths.
+
+        A self-loop counts twice, once per direction.
+        """
+        total = 0
+        for columns in (self._out, self._in):
+            for column in columns.values():
+                position = column._rows.get(term_id)
+                if position is not None:
+                    total += column.offsets[position + 1] - column.offsets[position]
+        return total
 
     def is_vertex(self, term_id: int) -> bool:
         """Is ``term_id`` a subject or object of some triple?"""
@@ -339,9 +365,13 @@ class EncodedGraph:
         at = bisect_left(ids, term_id)
         return at < len(ids) and ids[at] == term_id
 
+    def predicate_ids(self) -> List[int]:
+        """The ids of every predicate that labels a stored triple, ascending."""
+        return sorted(self._out)
+
     def iter_triple_ids(self) -> Iterator[Tuple[int, int, int]]:
         """Every triple as an ``(s, p, o)`` id tuple, ascending by ``(p, s, o)``."""
-        for p in sorted(self._out):
+        for p in self.predicate_ids():
             for s, o in self._out[p].pairs():
                 yield (s, p, o)
 
@@ -407,15 +437,20 @@ class EncodedGraph:
     # Incremental maintenance
     # ------------------------------------------------------------------
     def apply_ops(self, ops: Iterable[Tuple[str, Triple]]) -> None:
-        """Patch the columns for a journal window of graph ops.
+        """Patch the columns for a window of ``("+"|"-", triple)`` ops.
 
-        ``ops`` is a list of ``("+"|"-", triple)`` pairs in mutation order,
-        as returned by :meth:`RDFGraph.journal_since`.  New terms get fresh
-        appended dictionary ids.  Each triple's last op decides its state;
-        every predicate whose triples change gets new columns from one
+        ``ops`` are in mutation order.  New terms get fresh appended
+        dictionary ids.  Each triple's last op decides its state; every
+        predicate whose triples change gets new columns from one
         :meth:`SortedColumn.patched` pass per direction, equal to a cold
         build over the same ids, and every other column stays as it is.
+        The per-query pools of :attr:`memo` are dropped: they were computed
+        against the old columns.
         """
+        global _PATCHES
+        with _REBUILDS_LOCK:
+            _PATCHES += 1
+        self.memo.pop(QUERY_POOLS, None)
         ensure = self.dictionary.ensure
         final: Dict[Tuple[int, int, int], bool] = {}
         for op, triple in ops:
@@ -445,23 +480,22 @@ class EncodedGraph:
         )
 
 
-#: Process-local count of :class:`EncodedGraph` constructions performed by
-#: :func:`encoded_view` (cache misses + version-invalidated rebuilds).  The
-#: observability layer exposes it as the ``repro_encoded_graph_rebuilds``
-#: gauge; a count that climbs query-over-query means graphs are being
-#: mutated (or recreated) between queries and the encoding cache is cold.
+#: Process-local count of :class:`EncodedGraph` constructions, wherever they
+#: happen.  The observability layer exposes it as the
+#: ``repro_encoded_graph_rebuilds`` gauge: sites build theirs once, so a
+#: count that climbs query-over-query means encodings are being rebuilt
+#: (a graph mutated outside :func:`patch_encoded_view`, or recreated).
 _REBUILDS = 0
-#: Process-local count of in-place :meth:`EncodedGraph.apply_ops` patches
-#: performed by :func:`encoded_view` instead of full rebuilds.  Exposed as
-#: the ``repro_encoded_graph_patches`` gauge: with the delta machinery in
-#: place, mutations should move this counter, not ``_REBUILDS``.
+#: Process-local count of :meth:`EncodedGraph.apply_ops` patches.  Exposed as
+#: the ``repro_encoded_graph_patches`` gauge: updates move this counter, not
+#: ``_REBUILDS``.
 _PATCHES = 0
 _REBUILDS_LOCK = threading.Lock()
 
-#: Serializes cache-miss rebuilds in :func:`encoded_view`: two queries
-#: hitting a cold graph concurrently must share one build (and count one
-#: rebuild), not race to construct two.  Builds are rare — one per graph
-#: version — so a single global lock costs nothing measurable.
+#: Serializes cache-miss builds in :func:`encoded_view`: two queries hitting
+#: a cold graph concurrently must share one build (and count one rebuild),
+#: not race to construct two.  Builds are rare — one per graph version — so
+#: a single global lock costs nothing measurable.
 _BUILD_LOCK = threading.Lock()
 
 
@@ -484,40 +518,29 @@ def patch_encoded_view(
 ) -> EncodedGraph:
     """Bring ``graph``'s cached encoding up to date by applying ``ops`` directly.
 
-    The delta-application entry point for the cluster/persistence layer:
-    ``encoded`` must be the view obtained from :func:`encoded_view` *before*
-    the mutations, and ``ops`` the exact op sequence since.  Unlike the lazy
-    journal path inside :func:`encoded_view`, this never falls back to a
-    rebuild, so the final encoding (including appended dictionary ids) is a
-    pure function of (base state, op sequence) — independent of the graph's
-    bounded journal and of how the ops were batched.  That purity is what
-    lets a replica that replays the same ops from the same base (a reopened
-    store file) end up with the bit-identical
-    encoding.
+    The delta-application entry point for the master graph: ``encoded`` must
+    be the view obtained from :func:`encoded_view` *before* the mutations, and
+    ``ops`` the exact op sequence since.  The final encoding (including
+    appended dictionary ids) is a pure function of (base state, op sequence),
+    so a replica that replays the same ops from the same base (a reopened
+    store file) ends up with the bit-identical encoding.
     """
-    global _PATCHES
     with _BUILD_LOCK:
         cached = getattr(graph, _CACHE_ATTRIBUTE, None)
         if cached is not None and cached[0] == graph.version:
             return cached[1]
         encoded.apply_ops(ops)
         setattr(graph, _CACHE_ATTRIBUTE, (graph.version, encoded))
-        with _REBUILDS_LOCK:
-            _PATCHES += 1
         return encoded
 
 
 def encoded_view(graph: RDFGraph) -> EncodedGraph:
     """The (cached) dictionary-encoded view of ``graph``.
 
-    Built lazily on first use and cached on the graph object.  When the
-    graph's :attr:`~repro.rdf.graph.RDFGraph.version` moves, the cached
-    encoding is *patched in place* from the graph's mutation journal
-    (:meth:`RDFGraph.journal_since`); only when the journal window has been
-    exceeded — e.g. by a bulk load — does the encoding fall back to a full
-    rebuild.
+    Built on first use and cached on the graph object against its
+    :attr:`~repro.rdf.graph.RDFGraph.version`.  A version that moved without
+    a :func:`patch_encoded_view` call gets a fresh build.
     """
-    global _REBUILDS, _PATCHES
     cached = getattr(graph, _CACHE_ATTRIBUTE, None)
     if cached is not None and cached[0] == graph.version:
         return cached[1]
@@ -525,17 +548,6 @@ def encoded_view(graph: RDFGraph) -> EncodedGraph:
         cached = getattr(graph, _CACHE_ATTRIBUTE, None)
         if cached is not None and cached[0] == graph.version:
             return cached[1]
-        if cached is not None:
-            ops = graph.journal_since(cached[0])
-            if ops is not None:
-                encoded = cached[1]
-                encoded.apply_ops(ops)
-                setattr(graph, _CACHE_ATTRIBUTE, (graph.version, encoded))
-                with _REBUILDS_LOCK:
-                    _PATCHES += 1
-                return encoded
         encoded = EncodedGraph(graph)
         setattr(graph, _CACHE_ATTRIBUTE, (graph.version, encoded))
-        with _REBUILDS_LOCK:
-            _REBUILDS += 1
         return encoded

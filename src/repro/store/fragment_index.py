@@ -1,17 +1,13 @@
 """The per-fragment id index partial evaluation runs on.
 
-Definition 1 restated over the ids of the site graph's
+Definition 1 restated over the ids of the site's
 :class:`~repro.store.encoding.EncodedGraph`: internal and extended vertices as
 int sets, crossing edges as ``(s, p, o)`` id tuples grouped by predicate (a
 seed scan touches only its own label) and sorted, which is their rank.
 
-:func:`fragment_index` caches one index on the graph object, keyed on
-:attr:`~repro.rdf.graph.RDFGraph.version` like ``encoded_view``: reused by
-every query, and after an update patched in place from the graph's journal
-window (rebuilt only for a new encoded view or a journal gap).  The stale index
-is taken off the graph first, so exactly one caller patches it and two never
-coexist; a complete index is published by one attribute assignment, and threads
-that miss together each end up with one and either may win.
+A :class:`~repro.distributed.site.Site` builds one index with its encoding,
+reuses it for every query and patches it with each update window
+(:meth:`FragmentIndex.patch`), after the encoding and the fragment.
 """
 
 from __future__ import annotations
@@ -21,16 +17,12 @@ from itertools import chain
 from typing import Dict, Iterable, Set, Tuple
 
 from ..partition.fragment import Fragment
-from ..rdf.graph import RDFGraph
 from ..rdf.triples import Triple
 from ..sparql.query_graph import QueryGraph
-from .encoding import EncodedGraph, encoded_view
+from .encoding import EncodedGraph
 from .kernel import query_pools
 
 IdTriple = Tuple[int, int, int]
-
-#: Attribute under which :func:`fragment_index` caches the per-graph index.
-_CACHE_ATTRIBUTE = "_repro_fragment_index"
 
 
 class FragmentIndex:
@@ -55,8 +47,15 @@ class FragmentIndex:
         #: Every crossing edge in ascending id order: the seeds of a variable predicate.
         self.crossing: Tuple[IdTriple, ...] = tuple(sorted(chain.from_iterable(by_predicate.values())))
 
+    @classmethod
+    def build(cls, fragment: Fragment) -> "FragmentIndex":
+        """The index of ``fragment`` over a fresh encoding of its edges."""
+        return cls(fragment, EncodedGraph(fragment.all_edges))
+
     def patch(self, fragment: Fragment, ops: Iterable[Tuple[str, Triple]]) -> None:
-        """Follow a journal window of the site graph, to what a fresh build gives.
+        """Follow an update window of the site, to what a fresh build gives.
+
+        The encoding must already hold the window's terms (it is patched first).
 
         Vertex homes are sticky, so only the window's triples and their
         endpoints can have changed class: each is re-tested against
@@ -89,40 +88,17 @@ def _with(triples: Tuple[IdTriple, ...], ids: IdTriple, present: bool) -> Tuple[
     return triples[:at] + ((ids,) if present else ()) + triples[at + found :]
 
 
-def fragment_index(fragment: Fragment, graph: RDFGraph) -> FragmentIndex:
-    """The (cached) id index of ``fragment`` over its materialized ``graph``."""
-    cached = getattr(graph, _CACHE_ATTRIBUTE, None)
-    if cached is not None and cached[0] == graph.version and cached[1] is fragment:
-        return cached[2]
-    # Claim the stale index: one caller gets it, to patch; any other finds none
-    # and builds its own.  The graph's reference goes before a replacement exists.
-    cached = vars(graph).pop(_CACHE_ATTRIBUTE, None)
-    version, encoded = graph.version, encoded_view(graph)
-    ops = None
-    if cached is not None and cached[1] is fragment and cached[2].encoded is encoded:
-        ops = graph.journal_since(cached[0])
-    if ops is None:
-        del cached
-        index = FragmentIndex(fragment, encoded)
-    else:
-        index = cached[2]
-        index.patch(fragment, ops)
-    setattr(graph, _CACHE_ATTRIBUTE, (version, fragment, index))
-    return index
-
-
 class CandidateIds(dict):
     """Per query vertex, a set of candidate ids of :attr:`encoded`, never decoded."""
 
     encoded: EncodedGraph
 
 
-def internal_pools(fragment: Fragment, graph: RDFGraph, query: QueryGraph) -> CandidateIds:
-    """``query``'s pools on ``graph`` (:func:`~repro.store.kernel.query_pools`)
-    restricted to ``fragment``'s internal ids, kept with them."""
-    entry = query_pools(graph, query)
+def internal_pools(index: FragmentIndex, query: QueryGraph) -> CandidateIds:
+    """``query``'s pools on ``index.encoded`` (:func:`~repro.store.kernel.query_pools`)
+    restricted to the fragment's internal ids, kept with them."""
+    entry = query_pools(index.encoded, query)
     if entry.internal is None:
-        index = fragment_index(fragment, graph)
         internal = CandidateIds((v, index.internal.intersection(pool)) for v, pool in entry.pools.items())
         internal.encoded, entry.internal = index.encoded, internal
     return entry.internal

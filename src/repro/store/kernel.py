@@ -23,11 +23,10 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..rdf.graph import RDFGraph
 from ..rdf.terms import IRI, Literal, PatternTerm, Variable
 from ..sparql.algebra import BasicGraphPattern
 from ..sparql.query_graph import QueryEdge, QueryGraph
-from .encoding import EncodedGraph, encoded_view, predicate_code
+from .encoding import QUERY_POOLS, EncodedGraph, predicate_code
 
 #: The sorted-column kernel's name, as recorded in traces and result metadata.
 KERNEL_PYTHON = "python"
@@ -291,35 +290,37 @@ class ArrayRunner:
 
 @dataclass
 class QueryPools:
-    """One query's :meth:`ArrayRunner.compute_pools` over one graph version."""
+    """One query's :meth:`ArrayRunner.compute_pools` over one encoding."""
 
     owner: weakref.ref  #: the query graph, held weakly: the entry dies with it
-    version: int
     pools: Dict[PatternTerm, List[int]]
     #: What computing them cost, charged again to every search reusing them.
     intersections: int
     internal: Optional[dict] = None  #: restricted to a fragment's internal ids
 
 
-def cached_pools(graph: RDFGraph, bgp: BasicGraphPattern) -> Optional[QueryPools]:
-    """The pools of the live query graph built on ``bgp``, if ``graph`` is unchanged."""
-    entry = encoded_view(graph).memo.get(QueryPools, {}).get(id(bgp))
-    if entry is None or entry.version != graph.version or getattr(entry.owner(), "bgp", None) is not bgp:
+def cached_pools(encoded: EncodedGraph, bgp: BasicGraphPattern) -> Optional[QueryPools]:
+    """The pools of the live query graph built on ``bgp``, if any.
+
+    A patch of ``encoded`` drops them all (:meth:`EncodedGraph.apply_ops`).
+    """
+    entry = encoded.memo.get(QUERY_POOLS, {}).get(id(bgp))
+    if entry is None or getattr(entry.owner(), "bgp", None) is not bgp:
         return None
     return entry
 
 
-def query_pools(graph: RDFGraph, query: QueryGraph) -> QueryPools:
-    """``query``'s candidate pools over ``graph``, computed once per query.
+def query_pools(encoded: EncodedGraph, query: QueryGraph) -> QueryPools:
+    """``query``'s candidate pools over ``encoded``, computed once per query.
 
     Stage 1, partial evaluation and the complete-match search share them
-    through a memo on the encoded view, keyed on the BGP.  A miss computes.
+    through a memo on the encoding, keyed on the BGP.  A miss computes.
     """
-    entry = cached_pools(graph, query.bgp)
+    entry = cached_pools(encoded, query.bgp)
     if entry is None:
-        encoded, key = encoded_view(graph), id(query.bgp)
-        memo, runner = encoded.memo.setdefault(QueryPools, {}), ArrayRunner(encoded)
+        key = id(query.bgp)
+        memo, runner = encoded.memo.setdefault(QUERY_POOLS, {}), ArrayRunner(encoded)
         pools = runner.compute_pools(query)
         owner = weakref.ref(query, lambda _: memo.pop(key, None))
-        entry = memo[key] = QueryPools(owner, graph.version, pools, runner.intersections)
+        entry = memo[key] = QueryPools(owner, pools, runner.intersections)
     return entry

@@ -1,4 +1,4 @@
-"""Centralized BGP matcher (subgraph homomorphism search).
+"""BGP matcher over one encoded graph (subgraph homomorphism search).
 
 This is the "local evaluation inside one site" engine and also the
 ground-truth centralized evaluator used by the tests: finding all matches of
@@ -36,7 +36,7 @@ from ..rdf.terms import Node, PatternTerm
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import ResultSet, Row
 from ..sparql.query_graph import QueryGraph, traversal_order
-from .encoding import encoded_view
+from .encoding import EncodedGraph, encoded_view
 from .kernel import ArrayRunner, QueryPools, cached_pools
 
 
@@ -53,17 +53,21 @@ def finalize_matches(query: SelectQuery, rows: List[Row]) -> ResultSet:
 
 
 class LocalMatcher:
-    """Find all matches of BGP queries over a single in-memory RDF graph."""
+    """Find all matches of BGP queries over one :class:`EncodedGraph`.
+
+    A caller holding an :class:`~repro.rdf.graph.RDFGraph` passes
+    :func:`~repro.store.encoding.encoded_view` of it.
+    """
 
     #: The per-call match runner (the parity suites substitute their oracle).
     runner_class = ArrayRunner
 
     def __init__(
         self,
-        graph: RDFGraph,
+        encoded: EncodedGraph,
         planner: Optional[QueryPlanner] = None,
     ) -> None:
-        self._graph = graph
+        self._encoded = encoded
         self._planner = planner
         #: Number of candidate assignments attempted by the most recent
         #: ``find_matches``/``evaluate`` call (a deterministic work measure
@@ -76,8 +80,8 @@ class LocalMatcher:
         self.last_kernel = ""
 
     @property
-    def graph(self) -> RDFGraph:
-        return self._graph
+    def encoded(self) -> EncodedGraph:
+        return self._encoded
 
     @property
     def planner(self) -> Optional[QueryPlanner]:
@@ -114,7 +118,7 @@ class LocalMatcher:
         projection = query.effective_projection
         if len(components) == 1:
             # Pools are per query vertex: a sole component reuses the query's.
-            pools = cached_pools(self._graph, query.bgp)
+            pools = cached_pools(self._encoded, query.bgp)
             return list(self._solutions(QueryGraph(components[0]), None, pools, projection))
         partial: List[List[Dict[PatternTerm, Node]]] = []
         steps = 0
@@ -158,7 +162,7 @@ class LocalMatcher:
         self.search_steps = 0
         self.kernel_intersections = 0
         self.last_kernel = self.runner_class.kernel
-        encoded = encoded_view(self._graph)
+        encoded = self._encoded
         runner = self.runner_class(encoded)
         try:
             if pools is None or self.runner_class is not ArrayRunner:
@@ -243,4 +247,4 @@ def evaluate_centralized(
     planner: Optional[QueryPlanner] = None,
 ) -> ResultSet:
     """One-shot convenience wrapper: evaluate ``query`` over ``graph`` centrally."""
-    return LocalMatcher(graph, planner=planner).evaluate(query)
+    return LocalMatcher(encoded_view(graph), planner=planner).evaluate(query)

@@ -14,7 +14,7 @@ decoded terms hash to (:func:`hashed_positions`), independently of
 import hashlib
 
 from repro.core.candidate_exchange import DEFAULT_BIT_VECTOR_BITS, CandidateBitVector
-from repro.rdf import Variable
+from repro.rdf import RDFGraph, Variable
 from repro.store import compute_candidates
 
 
@@ -28,7 +28,7 @@ def vector_of(terms, width=DEFAULT_BIT_VECTOR_BITS) -> CandidateBitVector:
 
 def reference_internal_candidates(site, query_graph):
     """Per query vertex, the site's decoded internal candidates (a ``Node`` set)."""
-    candidates = compute_candidates(site.graph, query_graph)
+    candidates = compute_candidates(RDFGraph(site.fragment.all_edges), query_graph)
     return {vertex: found & site.fragment.internal_vertices for vertex, found in candidates.items()}
 
 

@@ -11,8 +11,10 @@ exactly once.  Only the imports, :func:`build_lpm` (which was
 ``LocalPartialMatch.build`` in ``src/`` and now builds the key form of an LPM
 from object-level state), :func:`filter_allows` (which was
 ``GlobalCandidateFilter.allows`` in ``src/``, whose encoded path asks the
-bit vectors directly), the ``ValueError`` guard around its one call and this
-paragraph differ from the code that was removed.  One known defect is
+bit vectors directly), the ``ValueError`` guard around its one call, the
+constructor's own ``RDFGraph`` of the fragment (a site no longer keeps one;
+``graph`` is accepted and ignored, so both evaluators take the same
+arguments) and this paragraph differ from the code that was removed.  One known defect is
 kept on purpose: a *self-loop* query edge seeded from a crossing data edge
 overwrites its own endpoint in ``_expand_seed`` and emits a match Definition 5
 rejects (``build_lpm`` refuses it), so comparisons on self-loop queries use
@@ -81,12 +83,12 @@ class PartialEvaluator:
     def __init__(
         self,
         fragment: Fragment,
-        graph: Optional[RDFGraph] = None,
+        graph: object = None,
         paranoid: bool = False,
         edge_order: Optional[Sequence[int]] = None,
     ) -> None:
         self._fragment = fragment
-        self._graph = graph if graph is not None else fragment.to_graph()
+        self._graph = RDFGraph(fragment.all_edges, name=fragment.name)
         #: ``V_i ∪ Ve_i`` snapshotted once — ``Fragment.all_vertices`` builds
         #: a fresh union set per call, far too expensive for the per-branch
         #: assignment check in :meth:`_try_assign`.

@@ -37,6 +37,7 @@ from repro.datasets import (
 )
 from repro.distributed import build_cluster
 from repro.partition import HashPartitioner, build_partitioned_graph
+from repro.store.fragment_index import FragmentIndex
 from repro.rdf import Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph
 
@@ -169,7 +170,7 @@ def check_hand_built(patterns, paranoid_reference=False):
     query_graph = QueryGraph(BasicGraphPattern(patterns))
     found = []
     for fragment in partitioned:
-        graph = fragment.to_graph()
+        graph = FragmentIndex.build(fragment)
         for edge_order in edge_orders(query_graph):
             lpms = assert_same_lpms(
                 fragment, graph, query_graph, None, edge_order, paranoid_reference=paranoid_reference

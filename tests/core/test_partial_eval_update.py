@@ -1,11 +1,11 @@
-"""Partial evaluation across ``Session.update``: the cached fragment index.
+"""Partial evaluation across ``Session.update``: the site's fragment index.
 
-The evaluator's per-fragment id index (``repro.store.fragment_index``) is
-cached on the site graph, keyed on its ``version`` and patched in place from
-the graph's journal.  After an update the next query must see the *mutated*
-fragment: LPM sets are compared with a cluster built from scratch over the
-same mutated graph and with the object-level oracle, and each site's patched
-index with a cold build, after a removal and again after the matching re-add.
+Each site builds its per-fragment id index (``repro.store.fragment_index``)
+once and patches it in place with every update window (``Site.apply``).
+After an update the next query must see the *mutated* fragment: LPM sets are
+compared with a cluster built from scratch over the same mutated graph and
+with the object-level oracle, and each site's patched index with a cold
+build, after a removal and again after the matching re-add.
 """
 
 import sys
@@ -21,8 +21,7 @@ from repro.distributed import build_cluster
 from repro.partition import build_partitioned_graph
 from repro.sparql import QueryGraph
 from repro.store import evaluate_centralized
-from repro.store.encoding import encoded_view
-from repro.store.fragment_index import FragmentIndex, fragment_index
+from repro.store.fragment_index import FragmentIndex
 
 QUERIES = ("LQ6", "LQ7")
 #: One triple of each is removed and re-added: predicates the two queries
@@ -46,9 +45,9 @@ def index_state(index):
 def assert_indexes_patched_exactly(session, indexes):
     """Every site still serves the index object it had, equal to a cold build."""
     for site in session.cluster:
-        index = fragment_index(site.fragment, site.graph)
+        index = site.graph
         assert index is indexes[site.site_id], "an update rebuilt the index instead of patching it"
-        assert index_state(index) == index_state(FragmentIndex(site.fragment, encoded_view(site.graph)))
+        assert index_state(index) == index_state(FragmentIndex(site.fragment, index.encoded))
 
 
 def assert_matches_a_fresh_cluster(session):
@@ -77,7 +76,7 @@ def test_remove_then_add_on_lubm3():
             by_predicate.setdefault(triple.predicate.local_name, triple)
         batch = [by_predicate[name] for name in PREDICATES]
         before = assert_matches_a_fresh_cluster(session)
-        indexes = {site.site_id: fragment_index(site.fragment, site.graph) for site in session.cluster}
+        indexes = {site.site_id: site.graph for site in session.cluster}
         crossing_before = {site_id: index.crossing for site_id, index in indexes.items()}
 
         session.update(remove=batch)

@@ -1,16 +1,20 @@
 """Unit tests for sites and clusters."""
 
+import pytest
+
 from repro.datasets import lubm
 from repro.distributed import Cluster, build_cluster
 from repro.partition import HashPartitioner
-from repro.rdf import Variable
+from repro.rdf import IRI, RDFGraph, Triple, Variable
 from repro.sparql import QueryGraph, parse_query
+from repro.store.encoding import EncodedGraph, encoded_rebuilds, encoded_view
 
 
 class TestSite:
     def test_site_graph_matches_fragment(self, example_cluster):
         for site in example_cluster:
-            assert len(site.graph) == site.fragment.num_edges
+            assert len(site.store) == site.encoded.num_triples == site.fragment.num_edges
+            assert site.graph.encoded is site.encoded is site.store.encoded
             assert site.name == f"S{site.site_id}"
 
     def test_internal_and_extended_vertices(self, example_cluster):
@@ -73,3 +77,63 @@ class TestCluster:
         cluster = build_cluster(partitioned)
         assert isinstance(cluster, Cluster)
         assert cluster.num_sites == 3
+
+
+class TestOneEncodingPerSite:
+    """A site stores its fragment and one encoding of it: no per-site ``RDFGraph``."""
+
+    @pytest.fixture(scope="class")
+    def partitioned(self):
+        return HashPartitioner(3).partition(lubm.generate(scale=1))
+
+    def test_build_cluster_constructs_no_graph(self, partitioned, monkeypatch):
+        constructed = []
+        original = RDFGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RDFGraph, "__init__", counting)
+        cluster = build_cluster(partitioned)
+        assert constructed == []
+        assert cluster.graph is partitioned.graph
+
+    def test_an_update_constructs_no_graph_and_no_encoding(self, partitioned, monkeypatch):
+        cluster = build_cluster(HashPartitioner(3).partition(partitioned.graph.copy()))
+        cluster.graph_statistics()
+        encoded_view(cluster.graph)  # the master encoding: built on first use, then patched
+        structures = [(site.encoded, site.graph, site.graph_statistics()) for site in cluster]
+        constructed = []
+        original = RDFGraph.__init__
+
+        def counting(self, *args, **kwargs):
+            constructed.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RDFGraph, "__init__", counting)
+        edge = sorted(cluster.graph, key=lambda triple: triple.n3())[0]
+        encodings = encoded_rebuilds()
+        cluster.apply(remove=[edge])
+        cluster.apply(add=[edge, Triple(edge.subject, edge.predicate, IRI("http://example.org/new"))])
+        assert constructed == []
+        assert encoded_rebuilds() == encodings
+        assert [(site.encoded, site.graph, site.graph_statistics()) for site in cluster] == structures
+
+    def test_the_site_encoding_is_the_encoding_of_its_edges(self, partitioned):
+        for site in build_cluster(partitioned):
+            encoded = site.graph.encoded
+            assert encoded is site.encoded is site.store.encoded
+            reference = EncodedGraph(RDFGraph(site.fragment.internal_edges | site.fragment.crossing_edges))
+            size = len(reference.dictionary)
+            assert len(encoded.dictionary) == size
+            assert [encoded.dictionary.term_of(i) for i in range(size)] == [
+                reference.dictionary.term_of(i) for i in range(size)
+            ]
+            assert encoded.predicate_ids() == reference.predicate_ids()
+            for predicate in reference.predicate_ids():
+                for ours, theirs in (
+                    (encoded.out_column(predicate), reference.out_column(predicate)),
+                    (encoded.in_column(predicate), reference.in_column(predicate)),
+                ):
+                    assert (ours.keys, ours.offsets, ours.values) == (theirs.keys, theirs.offsets, theirs.values)

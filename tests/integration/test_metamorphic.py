@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import Session
+from repro.api import Session, engine_names
 from repro.bench import stage_shipment_snapshot
 from repro.core import EngineConfig, GStoreDEngine
 from repro.datasets import btc, lubm, yago
@@ -41,6 +41,7 @@ from repro.sparql import parse_query
 from repro.sparql.algebra import BasicGraphPattern
 from repro.sparql.query_graph import QueryGraph
 from repro.store import LocalMatcher, evaluate_centralized
+from repro.store.encoding import encoded_view
 
 PARTITIONERS = sorted(PARTITIONER_REGISTRY)
 
@@ -193,7 +194,7 @@ def cloned_matches(graph, queries):
     the graph are dropped, so removing the delta again restores the graph.
     """
     delta = []
-    matcher = LocalMatcher(graph)
+    matcher = LocalMatcher(encoded_view(graph))
     for name, query in queries.items():
         match = next(iter(matcher.find_matches(QueryGraph(query.bgp))), None)
         if match is None:
@@ -256,6 +257,39 @@ def test_update_round_trip(round_trips, workload, strategy, name):
     assert rows == before[name][0]
     assert work == before[name][1]
     assert shipment == before[name][2]
+
+
+FRESH = "http://example.org/fresh/"
+PATH_QUERY = f"SELECT ?x ?z WHERE {{ ?x <{FRESH}p> ?y . ?y <{FRESH}p> ?z . }}"
+
+
+@pytest.fixture(scope="module")
+def updated_answers():
+    """Every engine's sorted rows for a two-edge path, after it is added and after it is removed.
+
+    The path joins two fresh vertices to an existing LUBM vertex, so the
+    added edges cross fragments.
+    """
+    graph = lubm.generate(scale=1)
+    existing = sorted(graph.vertices, key=lambda vertex: vertex.n3())[0]
+    a, p, c = IRI(FRESH + "a"), IRI(FRESH + "p"), IRI(FRESH + "c")
+    delta = [Triple(a, p, existing), Triple(existing, p, c)]
+    answers = {}
+    with Session.from_partitioned(make_partitioner("hash", 3).partition(graph)) as session:
+        for engine in engine_names():  # every engine is built before the update
+            session.query(PATH_QUERY, engine=engine)
+        for label, change in (("added", {"add": delta}), ("removed", {"remove": delta})):
+            session.update(**change)
+            answers[label] = {engine: session.query(PATH_QUERY, engine=engine).sorted_rows() for engine in engine_names()}
+    return answers
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_every_engine_answers_from_the_updated_graph(updated_answers, engine):
+    added, removed = updated_answers["added"], updated_answers["removed"]
+    assert len(added["centralized"]) == 1
+    assert added[engine] == added["centralized"]
+    assert removed[engine] == removed["centralized"] == []
 
 
 @pytest.mark.parametrize("workload", ["paper", "lubm"])

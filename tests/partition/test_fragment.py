@@ -53,12 +53,10 @@ class TestFragmentConstruction:
         assert not fragment.is_internal(C)
         assert fragment.is_extended(C)
 
-    def test_to_graph_contains_internal_and_crossing_edges(self):
+    def test_all_edges_are_internal_and_crossing_edges(self):
         fragment = two_fragment_partitioning().fragment(0)
-        graph = fragment.to_graph()
-        assert len(graph) == 2
-        assert Triple(A, P, B) in graph
-        assert Triple(B, P, C) in graph
+        assert fragment.all_edges == {Triple(A, P, B), Triple(B, P, C)}
+        assert fragment.num_edges == 2
 
     def test_crossing_edges_union(self):
         partitioned = two_fragment_partitioning()

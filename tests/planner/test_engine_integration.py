@@ -4,8 +4,11 @@ from repro.core import EngineConfig, GStoreDEngine, STAGE_PLANNING
 from repro.datasets import lubm
 from repro.distributed import build_cluster
 from repro.partition import HashPartitioner
-from repro.planner import QueryPlanner
-from repro.store import LocalMatcher, TripleStore
+from repro.planner import QueryPlanner, collect_statistics
+from repro.rdf import TriplePattern, Variable
+from repro.sparql import BasicGraphPattern, QueryGraph
+from repro.store import EncodedGraph, LocalMatcher, TripleStore
+from repro.store.encoding import encoded_view
 import pytest
 
 
@@ -19,15 +22,15 @@ def lubm_setup():
 class TestMatcherIntegration:
     def test_planned_matcher_returns_identical_solutions(self, lubm_setup):
         graph, _, queries = lubm_setup
-        static = LocalMatcher(graph)
-        planned = LocalMatcher(graph, planner=QueryPlanner.from_graph(graph))
+        static = LocalMatcher(encoded_view(graph))
+        planned = LocalMatcher(encoded_view(graph), planner=QueryPlanner.from_graph(encoded_view(graph)))
         for query in queries.values():
             assert planned.evaluate(query).same_solutions(static.evaluate(query))
 
     def test_planner_reduces_search_steps_on_multi_join(self, lubm_setup):
         graph, _, queries = lubm_setup
-        static = LocalMatcher(graph)
-        planned = LocalMatcher(graph, planner=QueryPlanner.from_graph(graph))
+        static = LocalMatcher(encoded_view(graph))
+        planned = LocalMatcher(encoded_view(graph), planner=QueryPlanner.from_graph(encoded_view(graph)))
         static.evaluate(queries["LQ6"])
         planned.evaluate(queries["LQ6"])
         assert planned.search_steps < static.search_steps
@@ -36,7 +39,7 @@ class TestMatcherIntegration:
         graph, _, queries = lubm_setup
         from repro.sparql import QueryGraph, traversal_order
 
-        planned = LocalMatcher(graph, planner=QueryPlanner.from_graph(graph))
+        planned = LocalMatcher(encoded_view(graph), planner=QueryPlanner.from_graph(encoded_view(graph)))
         query_graph = QueryGraph(queries["LQ1"].bgp)
         seed_order = traversal_order(query_graph)
         forced = list(planned.find_matches(query_graph, order=seed_order))
@@ -47,12 +50,12 @@ class TestMatcherIntegration:
 class TestTripleStoreIntegration:
     def test_planner_disabled_by_default(self, lubm_setup):
         graph, _, _ = lubm_setup
-        store = TripleStore(graph)
+        store = TripleStore(encoded_view(graph))
         assert store.planner is None
 
     def test_enable_disable(self, lubm_setup):
         graph, _, _ = lubm_setup
-        store = TripleStore(graph)
+        store = TripleStore(encoded_view(graph))
         planner = store.enable_planner(plan_cache_size=16)
         assert store.planner is planner
         assert store.matcher.planner is planner
@@ -61,14 +64,20 @@ class TestTripleStoreIntegration:
         assert store.planner is None
         assert store.matcher.planner is None
 
-    def test_statistics_invalidated_on_mutation(self, tiny_graph):
+    def test_statistics_follow_a_patch(self, tiny_graph):
         from repro.rdf import Namespace, Triple
 
         EX = Namespace("http://example.org/")
-        store = TripleStore(tiny_graph.copy())
+        store = TripleStore(EncodedGraph(tiny_graph))
+        planner = store.enable_planner()
         before = store.statistics.num_triples
-        store.add(Triple(EX.term("new1"), EX.term("knows"), EX.term("new2")))
+        planner.plan_for(QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), EX.term("knows"), Variable("y"))])))
+        ops = [("+", Triple(EX.term("new1"), EX.term("knows"), EX.term("new2")))]
+        store.encoded.apply_ops(ops)
+        store.patch_statistics(ops)
         assert store.statistics.num_triples == before + 1
+        assert store.statistics.as_dict() == collect_statistics(store.encoded).as_dict()
+        assert len(planner.cache) == 0, "plans chosen against the old statistics survived"
 
 
 class TestEngineIntegration:

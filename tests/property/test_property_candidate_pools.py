@@ -45,10 +45,10 @@ from repro.datasets import lubm, random_connected_query, random_graph
 from repro.distributed import build_cluster
 from repro.partition import HashPartitioner, build_partitioned_graph
 from repro.sparql import QueryGraph
-from repro.store import encoded_view, evaluate_centralized
+from repro.store import evaluate_centralized
 from repro.store import fragment_index as fragment_index_module
-from repro.store.fragment_index import fragment_index
-from repro.store.kernel import QueryPools, cached_pools
+from repro.store.encoding import QUERY_POOLS
+from repro.store.kernel import cached_pools
 
 BITS = 4096
 LUBM_QUERIES = ("LQ1", "LQ3", "LQ6", "LQ7")
@@ -62,9 +62,7 @@ constant_probabilities = st.sampled_from([0.0, 0.25])
 def internal_pruning_off():
     """The partial evaluator before it read the pools: every internal vertex allowed."""
     original = partial_eval.internal_pools
-    partial_eval.internal_pools = lambda fragment, graph, query: {
-        vertex: fragment_index(fragment, graph).internal for vertex in query.vertices
-    }
+    partial_eval.internal_pools = lambda index, query: {vertex: index.internal for vertex in query.vertices}
     try:
         yield
     finally:
@@ -95,7 +93,7 @@ def assert_cluster_agrees(cluster, query):
         assert vectors[-1] == reference_site_vectors(oracle, BITS)
     candidate_filter = union_site_vectors(vectors, BITS)
     for site in cluster:
-        assert cached_pools(site.graph, query.bgp) is not None
+        assert cached_pools(site.encoded, query.bgp) is not None
         assert local_search(site, query) == computed[site.site_id]
         evaluator = PartialEvaluator(site.fragment, graph=site.graph)
         pruned = evaluator.evaluate(query_graph, candidate_filter=candidate_filter)
@@ -169,7 +167,7 @@ class TestEngineAnswers:
 
 
 def memo_of(site):
-    return encoded_view(site.graph).memo.get(QueryPools, {})
+    return site.encoded.memo.get(QUERY_POOLS, {})
 
 
 class TestTheMemoLivesAsLongAsItsQuery:
@@ -198,9 +196,9 @@ class TestTheMemoLivesAsLongAsItsQuery:
             site = session.cluster.site(0)
             first = site.internal_candidates(query_graph)
             assert site.internal_candidates(query_graph) is first
-            entry = weakref.ref(cached_pools(site.graph, query.bgp))
+            entry = weakref.ref(cached_pools(site.encoded, query.bgp))
             session.update(remove=[next(iter(site.fragment.internal_edges))])
-            assert cached_pools(site.graph, query.bgp) is None
+            assert cached_pools(site.encoded, query.bgp) is None
             again = site.internal_candidates(query_graph)
             assert again is not first
             decode = again.encoded.dictionary.decode_ids

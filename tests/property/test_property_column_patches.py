@@ -1,10 +1,11 @@
 """Column patches equal a cold build, and every probe equals a scan of the graph.
 
-``EncodedGraph.apply_ops`` gives each predicate whose triples a journal
+``EncodedGraph.apply_ops`` gives each predicate whose triples an update
 window changes new out- and in-columns from one merge pass, and keeps every
 other column.  Random windows — new terms and predicates, self-loops and
 literals, rows and whole predicates that empty out, a triple removed and
-added back — are applied to a graph whose encoded view is warm.  After each
+added back — are applied to a graph whose encoded view is warm, and patched
+into it as the cluster patches its master graph.  After each
 window the view must be the same object (patched, not rebuilt), every
 predicate's ``keys``, ``offsets`` and ``values`` must equal the CSR columns
 built from scratch over the graph's triples with the view's own ids, and
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import random_graph
 from repro.rdf import Literal, Namespace, Triple
-from repro.store.encoding import PREDICATE_ABSENT, PREDICATE_ANY, encoded_view
+from repro.store.encoding import PREDICATE_ABSENT, PREDICATE_ANY, encoded_view, patch_encoded_view
 
 EX = Namespace("http://example.org/")
 NEW_VERTEX, NEW_PREDICATE = EX.term("new"), EX.term("newPredicate")
@@ -26,7 +27,7 @@ NEW_VERTEX, NEW_PREDICATE = EX.term("new"), EX.term("newPredicate")
 #: One op: add or remove triple number ``n`` of the universe, or remove every
 #: triple of predicate number ``n`` ("clear"), or remove then re-add triple ``n``.
 ops = st.tuples(st.sampled_from(["+", "-", "clear", "-+"]), st.integers(0, 10_000))
-#: Up to four journal windows of up to eight ops each.
+#: Up to four update windows of up to eight ops each.
 window_lists = st.lists(st.lists(ops, min_size=1, max_size=8), min_size=1, max_size=4)
 
 
@@ -43,18 +44,24 @@ def universe(graph):
 
 
 def apply_window(graph, window, triples, predicates):
+    """Apply one window to ``graph`` and patch its encoded view with the effective ops."""
+    encoded, effective = encoded_view(graph), []
+
+    def do(op, triple):
+        if (graph.add if op == "+" else graph.discard)(triple):
+            effective.append((op, triple))
+
     for op, number in window:
         triple = triples[number % len(triples)]
-        if op == "+":
-            graph.add(triple)
-        elif op == "-":
-            graph.discard(triple)
+        if op in ("+", "-"):
+            do(op, triple)
         elif op == "-+":
-            graph.discard(triple)
-            graph.add(triple)
+            do("-", triple)
+            do("+", triple)
         else:
             for present in list(graph.triples(predicate=predicates[number % len(predicates)])):
-                graph.discard(present)
+                do("-", present)
+    patch_encoded_view(graph, encoded, effective)
 
 
 def cold_column(pairs):

@@ -1,16 +1,17 @@
-"""Exact O(delta) maintenance of the per-fragment id index across cluster updates.
+"""Exact O(delta) maintenance of a site's structures across cluster updates.
 
-``fragment_index`` patches its cached index from the site graph's journal
-window: vertex homes are sticky, so only a window's triples and their
-endpoints can change class.  Random op sequences are driven through
-``Cluster.apply`` / ``Cluster.apply_ops`` on the adversarial partitionings of
-``tests/core/test_partial_eval_differential.py`` (every edge crossing, a
-single site, fragments that own nothing, two fragments over a dense graph);
-after every window each site must still serve the index object it had —
-no rebuild — with ``internal`` / ``extended`` / ``crossing`` /
-``crossing_by_predicate`` equal to a fresh ``FragmentIndex``, and to the
-Definition 1 sets of a partitioning built from scratch over the mutated
-graph.
+``Site.apply`` patches the site's encoding, fragment, fragment index and
+statistics in place with each window: vertex homes are sticky, so only a
+window's triples and their endpoints can change class.  Random op sequences
+are driven through ``Cluster.apply`` / ``Cluster.apply_ops`` on the
+adversarial partitionings of ``tests/core/test_partial_eval_differential.py``
+(every edge crossing, a single site, fragments that own nothing, two
+fragments over a dense graph); after every window each site must still hold
+the encoding, index and statistics objects it had — no rebuild — with
+``internal`` / ``extended`` / ``crossing`` / ``crossing_by_predicate`` equal
+to a fresh ``FragmentIndex`` and to the Definition 1 sets of a partitioning
+built from scratch over the mutated graph, and statistics equal to a fresh
+collection over a fresh encoding of the mutated fragment.
 """
 
 import pytest
@@ -20,9 +21,10 @@ from hypothesis import strategies as st
 from repro.datasets import random_assignment, random_graph
 from repro.distributed import build_cluster
 from repro.partition import build_partitioned_graph
+from repro.planner import collect_statistics
 from repro.rdf import Namespace, Triple
-from repro.store.encoding import encoded_view
-from repro.store.fragment_index import FragmentIndex, fragment_index
+from repro.store.encoding import EncodedGraph
+from repro.store.fragment_index import FragmentIndex
 
 EX = Namespace("http://example.org/")
 NEW_VERTICES = [EX.term("new0"), EX.term("new1")]
@@ -49,7 +51,7 @@ def two_fragments(graph, seed):
 
 PARTITIONINGS = [every_edge_crossing, single_site, empty_fragments, two_fragments]
 
-#: Up to five journal windows of up to eight ``(op, triple number)`` pairs each.
+#: Up to five update windows of up to eight ``(op, triple number)`` pairs each.
 window_lists = st.lists(
     st.lists(st.tuples(st.sampled_from("+-"), st.integers(0, 10_000)), min_size=1, max_size=8),
     min_size=1,
@@ -73,7 +75,12 @@ def state(index):
     return (index.internal, index.extended, index.crossing, index.crossing_by_predicate)
 
 
-def assert_patched_exactly(cluster, indexes):
+def site_objects(cluster):
+    """What each site must keep across updates: its encoding, index and statistics."""
+    return {site.site_id: (site.encoded, site.graph, site.graph_statistics()) for site in cluster}
+
+
+def assert_patched_exactly(cluster, objects):
     partitioned = cluster.partitioned_graph
     scratch = build_partitioned_graph(
         partitioned.graph.copy(),
@@ -81,24 +88,32 @@ def assert_patched_exactly(cluster, indexes):
         num_fragments=partitioned.num_fragments,
     )
     for site in cluster:
-        index = fragment_index(site.fragment, site.graph)
-        assert index is indexes[site.site_id], "an update rebuilt the index instead of patching it"
-        assert index.encoded is encoded_view(site.graph)
+        encoded, index, statistics = objects[site.site_id]
+        assert site.encoded is encoded, "an update rebuilt the encoding instead of patching it"
+        assert site.graph is index, "an update rebuilt the index instead of patching it"
+        assert index.encoded is encoded and site.store.encoded is encoded
         assert state(index) == state(FragmentIndex(site.fragment, index.encoded))
         assert list(index.crossing) == sorted(index.crossing)
         dictionary = index.encoded.dictionary
         expected = scratch.fragment(site.site_id)
+        assert site.fragment.internal_vertices == expected.internal_vertices
+        assert site.fragment.extended_vertices == expected.extended_vertices
+        assert site.fragment.internal_edges == expected.internal_edges
+        assert site.fragment.crossing_edges == expected.crossing_edges
         assert dictionary.decode_ids(index.internal) == expected.internal_vertices
         assert dictionary.decode_ids(index.extended) == expected.extended_vertices
         term_of = dictionary.term_of
         assert {Triple(*map(term_of, ids)) for ids in index.crossing} == expected.crossing_edges
+        assert site.graph_statistics() is statistics, "an update re-collected the statistics"
+        fresh = collect_statistics(EncodedGraph(site.fragment.all_edges))
+        assert statistics.as_dict() == fresh.as_dict()
 
 
 def check_windows(graph, assignment, num_fragments, windows):
     """Apply ``windows`` (lists of ``(op, triple)``) to a cluster and compare after each one."""
     cluster = build_cluster(build_partitioned_graph(graph, assignment, num_fragments=num_fragments))
-    indexes = {site.site_id: fragment_index(site.fragment, site.graph) for site in cluster}
-    assert_patched_exactly(cluster, indexes)
+    objects = site_objects(cluster)
+    assert_patched_exactly(cluster, objects)
     for number, window in enumerate(windows):
         if number % 2:
             cluster.apply_ops(window)  # ordered: a triple may come and go inside one window
@@ -107,7 +122,7 @@ def check_windows(graph, assignment, num_fragments, windows):
                 add=[triple for op, triple in window if op == "+"],
                 remove=[triple for op, triple in window if op == "-"],
             )
-        assert_patched_exactly(cluster, indexes)
+        assert_patched_exactly(cluster, objects)
 
 
 @pytest.mark.parametrize("partitioning", PARTITIONINGS)

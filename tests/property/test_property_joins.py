@@ -134,7 +134,7 @@ def assert_centralized(graph, query, partitioned, crossing):
     found = {binding.project(variables) for binding in crossing.bindings()}
     assert found <= expected
     for fragment in partitioned:
-        local = evaluate_centralized(fragment.to_graph(), query)
+        local = evaluate_centralized(RDFGraph(fragment.all_edges), query)
         found |= local.project(variables, distinct=True).as_set()
     assert found == expected
 

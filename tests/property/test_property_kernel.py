@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "store"))
+from graph_patches import apply_and_patch
 from kernel_reference import ReferenceObjectMatcher, node_signatures, reference_candidates
 from reference_set_kernel import KERNEL_SETS, SetMatcher, set_candidate_ids, set_runner_everywhere
 
@@ -75,7 +76,7 @@ class TestKernelEquivalence:
         )
         query_graph = QueryGraph.from_query(query)
         reference = ReferenceObjectMatcher(graph)
-        encoded = LocalMatcher(graph)
+        encoded = LocalMatcher(encoded_view(graph))
         reference_matches = list(reference.find_matches(query_graph))
         encoded_matches = list(encoded.find_matches(query_graph))
         assert encoded_matches == reference_matches
@@ -134,7 +135,7 @@ class TestKernelMatrixEquivalence:
         reference = ReferenceObjectMatcher(graph)
         reference_matches = list(reference.find_matches(query_graph))
         for kernel, matcher_class in MATCHERS.items():
-            matcher = matcher_class(graph)
+            matcher = matcher_class(encoded_view(graph))
             assert list(matcher.find_matches(query_graph)) == reference_matches, kernel
             assert matcher.search_steps == reference.search_steps, kernel
             assert matcher.last_kernel == kernel
@@ -148,17 +149,16 @@ class TestKernelMatrixEquivalence:
         graph = random_graph(seed, num_vertices=16, num_edges=32, num_predicates=3)
         query = random_connected_query(graph, seed + 101, num_edges=query_edges)
         query_graph = QueryGraph.from_query(query)
-        matchers = {kernel: matcher_class(graph) for kernel, matcher_class in MATCHERS.items()}
+        matchers = {kernel: matcher_class(encoded_view(graph)) for kernel, matcher_class in MATCHERS.items()}
         for matcher in matchers.values():  # warm the adjacency caches
             list(matcher.find_matches(query_graph))
 
         extra = random_graph(seed + 1, num_vertices=16, num_edges=8, num_predicates=3)
-        graph.add_all(extra)
-        graph.discard(next(iter(graph)))
+        apply_and_patch(graph, [("+", triple) for triple in extra] + [("-", next(iter(graph)))])
 
         reference = ReferenceObjectMatcher(graph)
         expected = list(reference.find_matches(query_graph))
-        cold = SetMatcher(graph.copy())
+        cold = SetMatcher(encoded_view(graph.copy()))
         cold_matches = list(cold.find_matches(query_graph))
         assert cold_matches == expected
         for kernel, matcher in matchers.items():

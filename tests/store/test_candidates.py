@@ -4,7 +4,7 @@ from repro.rdf import IRI, Literal, Namespace, RDFGraph, Triple, TriplePattern, 
 from repro.partition import build_partitioned_graph
 from repro.sparql import BasicGraphPattern, QueryGraph
 from repro.store import compute_candidates, edge_supported
-from repro.store.fragment_index import internal_pools
+from repro.store.fragment_index import FragmentIndex, internal_pools
 
 EX = Namespace("http://example.org/")
 A, B, C, D = EX.term("a"), EX.term("b"), EX.term("c"), EX.term("d")
@@ -73,13 +73,20 @@ class TestComputeCandidates:
         # Stage 1's universe: the pools over a fragment's graph, internal ids only.
         fragment = build_partitioned_graph(graph(), {A: 0, B: 0, C: 1, D: 1, Literal("Alice"): 0}, num_fragments=2)
         fragment = fragment.fragment(0)
-        site_graph = fragment.to_graph()
+        index = FragmentIndex.build(fragment)
         q = query_graph(TriplePattern(Variable("x"), KNOWS, Variable("y")))
-        candidates = internal_pools(fragment, site_graph, q)
+        candidates = internal_pools(index, q)
         decode = candidates.encoded.dictionary.decode_ids
-        assert compute_candidates(site_graph, q)[Variable("y")] == {B, C}
+        assert candidates.encoded is index.encoded
+        assert compute_candidates(RDFGraph(fragment.all_edges), q)[Variable("y")] == {B, C}
         assert decode(candidates[Variable("x")]) == {A, B}
         assert decode(candidates[Variable("y")]) == {B}
+
+    def test_candidates_of_a_chain(self):
+        chain = RDFGraph([Triple(A, KNOWS, B), Triple(B, KNOWS, C)])
+        candidates = compute_candidates(chain, query_graph(TriplePattern(Variable("x"), KNOWS, Variable("y"))))
+        assert candidates[Variable("x")] == {A, B}
+        assert candidates[Variable("y")] == {B, C}
 
     def test_relaxed_edges_drop_constraints(self):
         q = query_graph(

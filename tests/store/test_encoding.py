@@ -6,7 +6,13 @@ from repro.datasets import random_graph
 from repro.rdf import IRI, Literal, Namespace, RDFGraph, Triple
 from repro.rdf.terms import Term
 from repro.store import EncodedGraph, TermDictionary, encoded_view
-from repro.store.encoding import PREDICATE_ABSENT, PREDICATE_ANY, term_sort_key
+from repro.store.encoding import (
+    PREDICATE_ABSENT,
+    PREDICATE_ANY,
+    encoded_rebuilds,
+    patch_encoded_view,
+    term_sort_key,
+)
 
 EX = Namespace("http://example.org/")
 A, B, C = EX.term("a"), EX.term("b"), EX.term("c")
@@ -130,17 +136,31 @@ class TestEncodedGraph:
 
 
 class TestEncodedViewCache:
-    def test_view_is_patched_in_place_when_the_graph_changes(self):
+    def test_an_explicit_patch_keeps_the_view(self):
         graph = build_graph()
         first = encoded_view(graph)
         assert encoded_view(graph) is first
+        ops = [("+", Triple(B, LIKES, A))]
         graph.add(Triple(B, LIKES, A))
-        # A single append patches the cached encoding in place instead of
-        # rebuilding it (the delta machinery of repro.persist).
+        # The delta path patches the cached encoding in place (repro.persist
+        # replicas replay the same ops against the same base).
+        assert patch_encoded_view(graph, first, ops) is first
         second = encoded_view(graph)
         assert second is first
         id_of = second.dictionary.id_of
         assert second.has_edge(id_of(B), id_of(LIKES), id_of(A))
+
+    def test_a_moved_version_without_a_patch_rebuilds(self):
+        graph = build_graph()
+        first = encoded_view(graph)
+        before = encoded_rebuilds()
+        graph.add(Triple(B, LIKES, A))
+        second = encoded_view(graph)
+        assert second is not first
+        assert encoded_rebuilds() == before + 1
+        id_of = second.dictionary.id_of
+        assert second.has_edge(id_of(B), id_of(LIKES), id_of(A))
+        assert not first.has_edge(first.dictionary.id_of(B), first.dictionary.id_of(LIKES), first.dictionary.id_of(A))
 
     def test_noop_mutations_keep_the_cache(self):
         graph = build_graph()
@@ -156,26 +176,37 @@ class TestEncodedViewCache:
 
 
 class TestKernelSurvivesMutation:
-    def test_matcher_is_correct_after_graph_mutation(self):
-        # The matcher was built before the mutation; dense ids shift when
-        # the encoding rebuilds, so its pools must follow the new ids.
+    def test_matcher_is_correct_after_a_patch(self):
+        # The matcher was built before the mutation; appended ids do not
+        # sort with the old ones, so its pools must follow the patched columns.
         from repro.sparql import BasicGraphPattern, QueryGraph
         from repro.rdf import TriplePattern, Variable
         from repro.store import LocalMatcher
 
         graph = build_graph()
-        matcher = LocalMatcher(graph)
+        encoded = encoded_view(graph)
+        matcher = LocalMatcher(encoded)
         query = QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), KNOWS, Variable("y"))]))
         assert matcher.count_matches(query) == 2
         zed = EX.term("zed")
-        graph.add(Triple(zed, KNOWS, A))
-        graph.add(Triple(EX.term("aaa"), NAME, Literal("Aaa")))  # shifts low ids
+        ops = [("+", Triple(zed, KNOWS, A)), ("+", Triple(EX.term("aaa"), NAME, Literal("Aaa")))]
+        for _, triple in ops:
+            graph.add(triple)
+        patch_encoded_view(graph, encoded, ops)
         matches = list(matcher.find_matches(query))
         assert {(m[Variable("x")], m[Variable("y")]) for m in matches} == {
             (A, B),
             (B, C),
             (zed, A),
         }
+
+    def test_degree_is_the_sum_of_row_lengths(self):
+        graph = build_graph()
+        graph.add(Triple(A, KNOWS, A))  # a loop counts once per direction
+        encoded = EncodedGraph(graph)
+        for vertex in graph.vertices:
+            assert encoded.degree(encoded.dictionary.id_of(vertex)) == graph.degree(vertex)
+        assert encoded.degree(encoded.dictionary.id_of(KNOWS)) == 0
 
 
 def tracked_containers(encoded: EncodedGraph) -> int:

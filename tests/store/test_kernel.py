@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from graph_patches import apply_and_patch
 from reference_set_kernel import KERNEL_SETS, SetMatcher, set_candidate_ids
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "benchmarks"))
@@ -106,7 +107,7 @@ class TestSortedAdjacency:
         name = encoded.dictionary.id_of(NAME)
         knows_columns = encoded.out_column(knows), encoded.in_column(knows)
         name_columns = encoded.out_column(name), encoded.in_column(name)
-        graph.add(Triple(DAVE, KNOWS, CAROL))
+        assert apply_and_patch(graph, [("+", Triple(DAVE, KNOWS, CAROL))]) is encoded
         assert encoded_view(graph) is encoded
         assert encoded.out_column(knows) is not knows_columns[0]
         assert encoded.in_column(knows) is not knows_columns[1]
@@ -116,15 +117,15 @@ class TestSortedAdjacency:
     @pytest.mark.parametrize("matcher_class", [SetMatcher, LocalMatcher], ids=[KERNEL_SETS, KERNEL_PYTHON])
     def test_mutation_then_query_sees_the_new_edges(self, matcher_class):
         graph = social_graph()
-        matcher = matcher_class(graph)
+        matcher = matcher_class(encoded_view(graph))
         query = knows_chain()
         before = list(matcher.find_matches(query))
-        graph.add(Triple(DAVE, KNOWS, CAROL))
+        apply_and_patch(graph, [("+", Triple(DAVE, KNOWS, CAROL))])
         after = list(matcher.find_matches(query))
         assert len(after) > len(before)
         # A cold matcher over an identical graph agrees exactly — the
         # incrementally patched columns are not an approximation.
-        fresh = matcher_class(graph.copy())
+        fresh = matcher_class(encoded_view(graph.copy()))
         assert list(fresh.find_matches(query)) == after
         assert fresh.search_steps == matcher.search_steps
 
@@ -135,15 +136,15 @@ class TestSortedAdjacency:
 class TestAgainstTheSetOracle:
     def test_the_kernel_is_named_python(self):
         assert resolve_kernel(None) == KERNEL_PYTHON
-        matcher = LocalMatcher(social_graph())
+        matcher = LocalMatcher(encoded_view(social_graph()))
         list(matcher.find_matches(knows_chain()))
         assert matcher.last_kernel == KERNEL_PYTHON
 
     def test_python_kernel_matches_sets(self):
         graph = social_graph()
         query = knows_chain()
-        default = LocalMatcher(graph)
-        sets = SetMatcher(graph)
+        default = LocalMatcher(encoded_view(graph))
+        sets = SetMatcher(encoded_view(graph))
         assert list(default.find_matches(query)) == list(sets.find_matches(query))
         assert default.search_steps == sets.search_steps
         assert sets.last_kernel == KERNEL_SETS
@@ -152,8 +153,8 @@ class TestAgainstTheSetOracle:
     def test_query_shapes_match_sets(self, shape):
         graph = social_graph()
         query = QUERY_SHAPES[shape]()
-        default = LocalMatcher(graph)
-        sets = SetMatcher(graph)
+        default = LocalMatcher(encoded_view(graph))
+        sets = SetMatcher(encoded_view(graph))
         assert list(default.find_matches(query)) == list(sets.find_matches(query))
         assert default.search_steps == sets.search_steps
         encoded = encoded_view(graph)
@@ -166,7 +167,7 @@ class TestAgainstTheSetOracle:
 class TestNoKernelSelection:
     def test_matcher_takes_no_kernel_argument(self):
         with pytest.raises(TypeError):
-            LocalMatcher(social_graph(), kernel=KERNEL_PYTHON)
+            LocalMatcher(encoded_view(social_graph()), kernel=KERNEL_PYTHON)
 
     def test_session_takes_no_kernel_argument(self):
         with pytest.raises(TypeError):
@@ -182,8 +183,8 @@ class TestNoKernelSelection:
     def test_a_stale_environment_variable_is_ignored(self):
         child = (
             "from test_kernel import knows_chain, social_graph\n"
-            "from repro.store import LocalMatcher\n"
-            "matcher = LocalMatcher(social_graph())\n"
+            "from repro.store import LocalMatcher, encoded_view\n"
+            "matcher = LocalMatcher(encoded_view(social_graph()))\n"
             "print(len(list(matcher.find_matches(knows_chain()))), matcher.last_kernel)\n"
         )
         env = dict(
@@ -195,7 +196,7 @@ class TestNoKernelSelection:
             [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
         )
         assert completed.returncode == 0, completed.stderr
-        expected = len(list(LocalMatcher(social_graph()).find_matches(knows_chain())))
+        expected = len(list(LocalMatcher(encoded_view(social_graph())).find_matches(knows_chain())))
         assert completed.stdout.split() == [str(expected), KERNEL_PYTHON]
 
 
@@ -252,7 +253,7 @@ class TestSelfLoopPools:
         """
         graph = RDFGraph([Triple(ALICE, KNOWS, ALICE), Triple(BOB, KNOWS, CAROL)])
         query = parse_query("SELECT ?x WHERE { ?x <http://example.org/knows> ?x }")
-        matcher = LocalMatcher(graph)
+        matcher = LocalMatcher(encoded_view(graph))
         assert [row[X] for row in matcher.evaluate(query)] == [ALICE]
         assert matcher.search_steps == 1
         encoded = encoded_view(graph)
@@ -263,8 +264,8 @@ class TestSelfLoopPools:
     def test_loop_shapes_match_sets(self, shape):
         graph = loop_graph()
         query = LOOP_SHAPES[shape]()
-        default = LocalMatcher(graph)
-        sets = SetMatcher(graph)
+        default = LocalMatcher(encoded_view(graph))
+        sets = SetMatcher(encoded_view(graph))
         assert list(default.find_matches(query)) == list(sets.find_matches(query))
         assert default.search_steps == sets.search_steps
         encoded = encoded_view(graph)
@@ -275,7 +276,7 @@ class TestSelfLoopPools:
         """The loop column prunes exactly what vertex signatures pruned, and no more."""
         graph = loop_graph()
         query = LOOP_SHAPES[shape]()
-        default = LocalMatcher(graph)
+        default = LocalMatcher(encoded_view(graph))
         reference = ReferenceObjectMatcher(graph)
         assert list(default.find_matches(query)) == list(reference.find_matches(query))
         assert default.search_steps == reference.search_steps
@@ -290,12 +291,11 @@ class TestSelfLoopPools:
     def test_loop_pools_follow_updates(self, window):
         graph = loop_graph()
         query = LOOP_SHAPES["loop_and_incoming"]()
-        matcher = LocalMatcher(graph)
+        matcher = LocalMatcher(encoded_view(graph))
         list(matcher.find_matches(query))  # warm the columns the window will patch
-        for op, triple in LOOP_WINDOWS[window]:
-            (graph.add if op == "+" else graph.discard)(triple)
+        apply_and_patch(graph, LOOP_WINDOWS[window])
         after = list(matcher.find_matches(query))
-        fresh = SetMatcher(graph.copy())
+        fresh = SetMatcher(encoded_view(graph.copy()))
         assert after == list(fresh.find_matches(query))
         assert matcher.search_steps == fresh.search_steps
         encoded = encoded_view(graph)

@@ -4,81 +4,86 @@ import pytest
 
 from repro.rdf import Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph, parse_query
-from repro.store import TripleStore
+from repro.planner import collect_statistics
+from repro.store import EncodedGraph, TripleStore
 
 EX = Namespace("http://example.org/")
 A, B, C = EX.term("a"), EX.term("b"), EX.term("c")
 KNOWS = EX.term("knows")
 
 
-class TestLoading:
-    def test_load_counts_new_triples(self):
-        store = TripleStore(name="test")
-        added = store.load([Triple(A, KNOWS, B), Triple(A, KNOWS, B), Triple(B, KNOWS, C)])
-        assert added == 2
-        assert len(store) == 2
+def store_of(*triples, name=""):
+    return TripleStore(EncodedGraph(RDFGraph(triples)), name=name)
 
-    def test_add_single(self):
-        store = TripleStore()
-        assert store.add(Triple(A, KNOWS, B)) is True
-        assert store.add(Triple(A, KNOWS, B)) is False
 
+class TestConstruction:
     def test_name_from_constructor(self):
-        assert TripleStore(name="fragment-1").name == "fragment-1"
+        assert store_of(name="fragment-1").name == "fragment-1"
 
-    def test_wraps_existing_graph(self):
-        graph = RDFGraph([Triple(A, KNOWS, B)])
-        store = TripleStore(graph)
+    def test_wraps_the_encoding(self):
+        encoded = EncodedGraph(RDFGraph([Triple(A, KNOWS, B)]))
+        store = TripleStore(encoded)
         assert len(store) == 1
-        assert store.graph is graph
+        assert store.encoded is encoded
+        assert store.matcher.encoded is encoded
+
+    def test_statistics_are_collected_on_first_use(self):
+        store = store_of(Triple(A, KNOWS, B), Triple(B, KNOWS, C))
+        assert store._statistics is None
+        assert store.statistics.num_triples == 2
+        assert store.statistics is store.statistics
+
+    def test_the_store_does_not_mutate(self):
+        store = store_of(Triple(A, KNOWS, B))
+        for gone in ("load", "add", "discard", "candidates", "stats", "graph"):
+            assert not hasattr(store, gone), gone
 
 
-class TestIndexInvalidation:
-    def test_matcher_survives_mutation_and_stays_correct(self):
-        store = TripleStore()
-        store.load([Triple(A, KNOWS, B)])
+class TestPatching:
+    def test_matcher_survives_a_patch_and_stays_correct(self):
+        store = store_of(Triple(A, KNOWS, B))
         first = store.matcher
-        store.add(Triple(B, KNOWS, C))
+        ops = [("+", Triple(B, KNOWS, C))]
+        store.encoded.apply_ops(ops)
+        store.patch_statistics(ops)
         assert store.matcher is first
         query = QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), KNOWS, Variable("y"))]))
         assert len(list(store.find_matches(query))) == 2
 
-    def test_removal_resyncs_indexes(self):
-        store = TripleStore()
-        store.load([Triple(A, KNOWS, B), Triple(B, KNOWS, C)])
+    def test_a_removal_patches_collected_statistics(self):
+        store = store_of(Triple(A, KNOWS, B), Triple(B, KNOWS, C))
         query = QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), KNOWS, Variable("y"))]))
         assert len(list(store.find_matches(query))) == 2
-        assert store.discard(Triple(B, KNOWS, C))
+        statistics = store.statistics
+        ops = [("-", Triple(B, KNOWS, C))]
+        store.encoded.apply_ops(ops)
+        store.patch_statistics(ops)
         assert len(list(store.find_matches(query))) == 1
-        assert store.statistics.num_triples == 1
+        assert store.statistics is statistics
+        assert statistics.num_triples == 1
+        assert statistics.as_dict() == collect_statistics(store.encoded).as_dict()
+
+    def test_uncollected_statistics_stay_uncollected(self):
+        store = store_of(Triple(A, KNOWS, B))
+        ops = [("+", Triple(B, KNOWS, C))]
+        store.encoded.apply_ops(ops)
+        store.patch_statistics(ops)
+        assert store._statistics is None
+        assert store.statistics.num_triples == 2
 
 
 class TestQuerying:
     def test_evaluate_query(self):
-        store = TripleStore()
-        store.load([Triple(A, KNOWS, B), Triple(B, KNOWS, C)])
+        store = store_of(Triple(A, KNOWS, B), Triple(B, KNOWS, C))
         results = store.evaluate(
             parse_query("PREFIX ex: <http://example.org/> SELECT ?x WHERE { ?x ex:knows ?y }")
         )
         assert len(results) == 2
 
     def test_find_matches(self):
-        store = TripleStore()
-        store.load([Triple(A, KNOWS, B)])
+        store = store_of(Triple(A, KNOWS, B))
         query = QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), KNOWS, Variable("y"))]))
         assert len(list(store.find_matches(query))) == 1
-
-    def test_candidates(self):
-        store = TripleStore()
-        store.load([Triple(A, KNOWS, B), Triple(B, KNOWS, C)])
-        query = QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), KNOWS, Variable("y"))]))
-        candidates = store.candidates(query)
-        assert candidates[Variable("x")] == {A, B}
-
-    def test_stats(self):
-        store = TripleStore()
-        store.load([Triple(A, KNOWS, B)])
-        assert store.stats()["triples"] == 1
 
 
 class TestNoSignatureIndex:
@@ -86,10 +91,10 @@ class TestNoSignatureIndex:
 
     def test_the_store_takes_no_signature_width(self):
         with pytest.raises(TypeError):
-            TripleStore(signature_bits=64)
+            TripleStore(EncodedGraph(RDFGraph()), signature_bits=64)
 
     def test_store_and_matcher_hold_no_signatures(self):
-        store = TripleStore(RDFGraph([Triple(A, KNOWS, B)]))
+        store = store_of(Triple(A, KNOWS, B))
         assert not hasattr(store, "signatures")
         assert not hasattr(store.matcher, "signatures")
 

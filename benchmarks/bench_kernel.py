@@ -31,7 +31,7 @@ from repro.bench import format_table, print_experiment
 from repro.datasets import lubm
 from repro.obs import CATEGORY_STAGE, Trace
 from repro.sparql.query_graph import QueryGraph
-from repro.store import LocalMatcher, encoded_view
+from repro.store import EncodedGraph, LocalMatcher
 
 #: Smoke mode: tiny scale, non-regression gates only (the CI bench-smoke job).
 SMOKE = os.environ.get("REPRO_KERNEL_SMOKE") == "1"
@@ -62,7 +62,7 @@ def kernel_comparison_rows(scale=SCALE, trace=None):
     """
     graph = lubm.generate(scale=scale)
     queries = lubm.queries()
-    encoded = LocalMatcher(encoded_view(graph))
+    encoded = LocalMatcher(EncodedGraph(graph))
     reference = ReferenceObjectMatcher(graph)
     rows = []
     for name, query in queries.items():

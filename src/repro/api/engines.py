@@ -46,7 +46,6 @@ from ..distributed.result import Result
 from ..distributed.run import Run
 from ..obs import StageProfiler, Trace
 from ..sparql.algebra import SelectQuery
-from ..store.encoding import encoded_view
 from ..store.matcher import LocalMatcher
 
 #: Stage name under which :class:`CentralizedEngine` records its evaluation.
@@ -85,10 +84,10 @@ class QueryEngine(Protocol):
 class CentralizedEngine:
     """The centralized ground truth behind the standard engine contract.
 
-    Wraps :class:`~repro.store.LocalMatcher` over the encoding of the
-    cluster's *full* graph (what :func:`~repro.store.evaluate_centralized`
-    does per call), but keeps the matcher warm across queries, the way a
-    long-lived single-store deployment would.
+    Wraps :class:`~repro.store.LocalMatcher` over the cluster's master
+    encoding (:attr:`Cluster.encoded <repro.distributed.cluster.Cluster.encoded>`),
+    and keeps the matcher warm across queries, the way a long-lived
+    single-store deployment would.
     Nothing is shipped, so the statistics carry a single
     ``centralized_evaluation`` stage with pure coordinator time.
     """
@@ -104,9 +103,8 @@ class CentralizedEngine:
         self._lock = threading.Lock()
 
     def _ensure_matcher(self) -> LocalMatcher:
-        encoded = encoded_view(self.cluster.graph)
-        if self._matcher is None or self._matcher.encoded is not encoded:
-            self._matcher = LocalMatcher(encoded)
+        if self._matcher is None:
+            self._matcher = LocalMatcher(self.cluster.encoded)
         return self._matcher
 
     def execute(

@@ -27,7 +27,6 @@ from typing import List
 from ..distributed.network import COORDINATOR
 from ..distributed.run import Run
 from ..sparql.bindings import Binding
-from ..store.encoding import encoded_view
 from ..store.matcher import LocalMatcher
 from .base import DistributedEngine
 from .decomposition import (
@@ -48,7 +47,7 @@ class DreamEngine(DistributedEngine):
 
     def _evaluate(self, run: Run) -> List[Binding]:
         # Every site holds the entire graph: all of them share the master encoding.
-        replica = LocalMatcher(encoded_view(self.cluster.graph))
+        replica = LocalMatcher(self.cluster.encoded)
         star_results: List[List[Binding]] = []
         with run.stage(STAGE_SUBQUERIES) as stage:
             stars = decompose_into_stars(run.query.bgp)

@@ -29,7 +29,7 @@ from ..core.engine import (
     STAGE_PRUNING,
 )
 from ..planner.optimizer import QueryPlanner
-from ..store.encoding import encoded_view
+from ..store.encoding import EncodedGraph
 from ..store.matcher import LocalMatcher
 from ..distributed.cluster import Cluster, build_cluster
 from ..partition.cost_model import partitioning_cost
@@ -223,7 +223,7 @@ def planner_search_report(
     graph = spec.generate(scale if scale is not None else spec.default_scale)
     queries = spec.queries()
     names = list(query_names) if query_names is not None else list(queries)
-    encoded = encoded_view(graph)
+    encoded = EncodedGraph(graph)
     planner = QueryPlanner.from_graph(encoded)
     static_matcher = LocalMatcher(encoded)
     planned_matcher = LocalMatcher(encoded, planner=planner)

@@ -52,12 +52,13 @@ class AssemblyOutcome:
         """Each match's terms for ``variables``, read from its vertex slots (``None``: no vertex)."""
         if not self.matches:
             return []
-        query = self.matches[0].query
+        first = self.matches[0]
+        query, term_of = first.query, first.dictionary.term_of
         slots = [query.num_edges + query.vertex_index(v) if v in query else None for v in variables]
         rows = []
         for match in self.matches:
-            term_at = dict(zip([slot for slot, _ in match.items], match.terms)).get
-            rows.append(tuple(map(term_at, slots)))
+            id_at = dict(match.items).get
+            rows.append(tuple([None if (term_id := id_at(slot)) is None else term_of(term_id) for slot in slots]))
         return rows
 
     @property
@@ -156,11 +157,11 @@ class LECAssembler(BaseAssembler):
             [compiler.crossing_operand(sign, fragment, pairs) for sign, fragment, pairs in features],
         ).join_graph()
         groups = SignGroups(self._query, operands)
-        seen_matches: Set[Tuple[str, ...]] = set()
+        seen_matches: Set[Tuple[int, ...]] = set()
 
-        def emit(members: Tuple[int, ...], vertex_slots: Tuple[str, ...]) -> None:
-            # A complete match maps every query vertex, so its vertex keys
-            # identify its assignment; only new ones are decoded.
+        def emit(members: Tuple[int, ...], vertex_slots: Tuple[int, ...]) -> None:
+            # A complete match maps every query vertex, so its vertex ids
+            # identify its assignment; only new ones are joined.
             if vertex_slots not in seen_matches:
                 seen_matches.add(vertex_slots)
                 outcome.matches.append(join_matches([lpms[number] for number in members]))

@@ -23,12 +23,11 @@ holds little ships little, and no vector ever costs more than its bitmap:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, Iterable, Mapping
 
 from ..rdf.terms import Node, Variable
+from ..store.encoding import key_bit
 from ..store.fragment_index import CandidateIds
 
 #: Default bit-vector width (bits).  Fixed length per the paper; wide enough
@@ -36,13 +35,6 @@ from ..store.fragment_index import CandidateIds
 DEFAULT_BIT_VECTOR_BITS = 4096
 #: Framing of one vector on the wire: its width and form.
 VECTOR_FRAMING = 4
-
-
-@lru_cache(maxsize=1 << 16)
-def _n3_hash(n3: str, width: int) -> int:
-    # Keyed on N3 text: a site probes with its dictionary's string, hash cached.
-    digest = hashlib.sha1(n3.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % width
 
 
 @dataclass
@@ -53,15 +45,11 @@ class CandidateBitVector:
     bits: int = 0
 
     def add(self, candidate: Node) -> None:
-        self.bits |= 1 << _n3_hash(candidate.n3(), self.width)
+        self.bits |= 1 << key_bit(candidate.n3(), self.width)
 
     def might_contain(self, candidate: Node) -> bool:
         """Membership test: no false negatives, possible false positives."""
-        return self.might_contain_n3(candidate.n3())
-
-    def might_contain_n3(self, n3: str) -> bool:
-        """:meth:`might_contain` for the term whose N3 text is ``n3``."""
-        return bool(self.bits >> _n3_hash(n3, self.width) & 1)
+        return bool(self.bits >> key_bit(candidate.n3(), self.width) & 1)
 
     def union(self, other: "CandidateBitVector") -> "CandidateBitVector":
         if self.width != other.width:
@@ -139,15 +127,12 @@ def build_site_vectors(
     """One site's step of Algorithm 4: compress its internal candidate sets.
 
     Only variables get vectors; constant query vertices need no filtering.
-    An id sets the bit of its N3 text, memoized per id on the encoded view.
+    An id sets the bit its dictionary's per-id table holds for ``width``.
     """
-    encoded = internal_candidates.encoded
-    n3_of, positions = encoded.dictionary.n3_of, encoded.memo.setdefault(("n3_hash", width), {})
+    positions = internal_candidates.encoded.dictionary.bit_positions(width)
     vectors: Dict[Variable, CandidateBitVector] = {}
     for vertex, ids in internal_candidates.items():
         if isinstance(vertex, Variable):
-            for unseen in ids.difference(positions):
-                positions[unseen] = _n3_hash(n3_of(unseen), width)
             bits = sum(1 << position for position in set(map(positions.__getitem__, ids)))
             vectors[vertex] = CandidateBitVector(width, bits)
     return vectors

@@ -16,8 +16,8 @@ produced — ``tests/core/reference_joins.py`` keeps that join as the oracle,
 ``join_attempts`` changed meaning: pairs the index yielded and the conflict
 test ran on, not the whole cross product.
 
-Operands arrive as N3 keys (:mod:`repro.core.partial_match`), so compiling is
-one dict probe per crossing pair and conflict tests compare strings.
+Operands arrive as cluster ids (:mod:`repro.core.partial_match`), so
+compiling is one dict probe per crossing pair and conflict tests compare ints.
 """
 
 from __future__ import annotations
@@ -27,14 +27,14 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tu
 
 from ..sparql.query_graph import QueryGraph
 from .lec import LECFeature
-from .partial_match import Item, LocalPartialMatch, PairKey
+from .partial_match import Item, LocalPartialMatch, Pair
 
 #: Value of a slot whose query edge / query vertex is unmapped (the paper's NULL).
 NULL = None
 
 #: Called with the operand numbers of each complete combination, in join
 #: order, and the combination's query-vertex slots.
-EmitFn = Callable[[Tuple[int, ...], Tuple[Optional[str], ...]], None]
+EmitFn = Callable[[Tuple[int, ...], Tuple[Optional[int], ...]], None]
 
 
 class Operand(NamedTuple):
@@ -57,11 +57,11 @@ class JoinCompiler:
             (base + query.vertex_index(edge.subject), base + query.vertex_index(edge.object))
             for edge in query.edges
         ]
-        self._pair_ids: Dict[PairKey, int] = {}
+        self._pair_ids: Dict[Pair, int] = {}
         #: Pair id -> the items it implies: its query edge's and both ends'.
         self._pair_items: List[Tuple[Item, Item, Item]] = []
 
-    def _pair_id(self, pair: PairKey) -> int:
+    def _pair_id(self, pair: Pair) -> int:
         pair_id = self._pair_ids.get(pair)
         if pair_id is None:
             pair_id = self._pair_ids[pair] = len(self._pair_items)
@@ -102,7 +102,7 @@ class JoinCompiler:
 #: A partial combination: LECSign, crossing-pair ids, one slot per query edge
 #: and query vertex (:data:`NULL` where unmapped), and the operand numbers
 #: joined so far, in join order.
-Partial = Tuple[int, Tuple[int, ...], List[Optional[str]], Tuple[int, ...]]
+Partial = Tuple[int, Tuple[int, ...], List[Optional[int]], Tuple[int, ...]]
 
 
 def seed(operand: Operand, number: int, query: QueryGraph) -> Partial:
@@ -113,7 +113,7 @@ def seed(operand: Operand, number: int, query: QueryGraph) -> Partial:
     return (operand.sign, operand.pairs, slots, (number,))
 
 
-def conflicts(slots: Sequence[Optional[str]], operand: Operand) -> bool:
+def conflicts(slots: Sequence[Optional[int]], operand: Operand) -> bool:
     """Condition 3 of Definition 9 as slot compares.
 
     True when ``operand`` maps a query edge to another data edge, or a query

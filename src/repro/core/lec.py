@@ -19,19 +19,19 @@ depends on the query size and the crossing edges, never on the data size.
 This module implements the feature itself and Algorithm 1 (computing
 features from a stream of local partial matches); Definition 9 and Theorem 5
 are applied by the joins in :mod:`repro.core.joins`.  A feature is its key:
-``g`` holds N3-keyed crossing pairs, so grouping, shipping and pruning hash
-and compare strings, never term objects.  On the wire a site's features share
-one term table: each key's text is paid once per message, by the first
+``g`` holds crossing pairs of cluster ids, so grouping, shipping and pruning
+hash and compare ints, never term objects.  On the wire a site's features
+share one term table: each key's text is paid once per message, by the first
 feature that uses it, and every pair is four fixed-width references.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, NamedTuple, Set, Tuple
+from typing import FrozenSet, Iterable, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ..rdf.ntriples import parse_term
 from ..rdf.triples import Triple
-from .partial_match import REFERENCE_BYTES, LocalPartialMatch, LPMList, PairKey, key_bytes
+from ..store.encoding import TermDictionary
+from .partial_match import REFERENCE_BYTES, LocalPartialMatch, LPMList, Pair
 
 #: Fragment-id (8 B) and LECSign (4 B) framing of one feature.
 FEATURE_FRAMING = 12
@@ -41,7 +41,7 @@ PAIR_BYTES = 4 * REFERENCE_BYTES
 
 class _FeatureKey(NamedTuple):
     fragment_id: int
-    crossing: Tuple[PairKey, ...]
+    crossing: Tuple[Pair, ...]
     lec_sign: int
 
 
@@ -49,14 +49,17 @@ class LECFeature(_FeatureKey):
     """The compact summary of one local partial match equivalence class.
 
     ``crossing`` is the function ``g`` of Definition 8: one
-    ``(query edge index, s, p, o)`` key per crossing edge, in ascending edge
-    index (so equal functions are equal tuples); ``lec_sign`` is the LECSign
-    bitmask over query-vertex indices.  The feature *is* that key tuple, so
-    equality and hashing cover it alone at C speed.  ``size``, outside the
-    tuple, is what the feature adds to its ``lec_features`` message
+    ``(query edge index, s, p, o)`` id pair per crossing edge, in ascending
+    edge index (so equal functions are equal tuples); ``lec_sign`` is the
+    LECSign bitmask over query-vertex indices.  The feature *is* that tuple,
+    so equality and hashing cover it alone at C speed.  Outside the tuple,
+    ``dictionary`` is the cluster dictionary the ids belong to and ``size``
+    what the feature adds to its ``lec_features`` message
     (:meth:`shipment_size`), set by Algorithm 1's scan.
     """
 
+    #: The dictionary of the LPMs the feature summarises (decodes and sizes its ids).
+    dictionary: Optional[TermDictionary] = None
     #: Unset (a feature built on its own): charged as its message's only feature.
     size = -1
 
@@ -65,9 +68,10 @@ class LECFeature(_FeatureKey):
     # ------------------------------------------------------------------
     @property
     def crossing_map(self) -> FrozenSet[Tuple[int, Triple]]:
-        """``g`` as (query edge index, data crossing edge) pairs, parsed back from the keys."""
+        """``g`` as (query edge index, data crossing edge) pairs, decoded from the ids."""
+        term_of = self.dictionary.term_of
         return frozenset(
-            (index, Triple(parse_term(subject), parse_term(predicate), parse_term(obj)))
+            (index, Triple(term_of(subject), term_of(predicate), term_of(obj)))
             for index, subject, predicate, obj in self.crossing
         )
 
@@ -91,43 +95,45 @@ class LECFeature(_FeatureKey):
         once per message.  So the paper's O(|E_Q|) for ``g`` holds per
         feature, and a key shared by features is paid for once.
         """
-        return self.size if self.size >= 0 else _charge(self.crossing, set())
+        return self.size if self.size >= 0 else _charge(self.crossing, set(), self.dictionary.key_bytes)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         edges = ", ".join(f"#{pair[0]}" for pair in self.crossing)
         return f"<LECFeature F{self.fragment_id} edges=[{edges}] sign={bin(self.lec_sign)}>"
 
 
-def _charge(crossing: Tuple[PairKey, ...], seen: Set[str]) -> int:
-    """A feature's bytes in its message, given the keys ``seen`` earlier in it (updated).
+def _charge(crossing: Tuple[Pair, ...], seen: Set[int], key_bytes: Sequence[int]) -> int:
+    """A feature's bytes in its message, given the ids ``seen`` earlier in it (updated).
 
-    Unrolled over the three keys of a pair: this runs once per feature on
+    Unrolled over the three ids of a pair: this runs once per feature on
     the query path, and a loop over a ``(s, p, o)`` tuple costs half again.
     """
     size = FEATURE_FRAMING + PAIR_BYTES * len(crossing)
     for _, subject, predicate, obj in crossing:
         if subject not in seen:
             seen.add(subject)
-            size += key_bytes(subject)
+            size += key_bytes[subject]
         if predicate not in seen:
             seen.add(predicate)
-            size += key_bytes(predicate)
+            size += key_bytes[predicate]
         if obj not in seen:
             seen.add(obj)
-            size += key_bytes(obj)
+            size += key_bytes[obj]
     return size
 
 
 def lec_feature_of(lpm: LocalPartialMatch) -> LECFeature:
     """The LEC feature of a single local partial match (Definition 8)."""
-    return LECFeature(lpm.fragment_id, lpm.crossing, lpm.internal_mask)
+    feature = LECFeature(lpm.fragment_id, lpm.crossing, lpm.internal_mask)
+    feature.dictionary = lpm.dictionary
+    return feature
 
 
 class LECClasses(dict):
     """Algorithm 1's output: each LEC feature, in message order, to its class.
 
     ``list(classes)`` is the ``lec_features`` message and ``key_table`` the
-    keys its term table holds.  Pickles as the LPMs it groups — one
+    ids its term table holds.  Pickles as the LPMs it groups — one
     :class:`~repro.core.partial_match.LPMList`, in class order — and groups
     them again on load, which rebuilds the same classes in the same order
     with the same charges and table.
@@ -147,17 +153,18 @@ def compute_lec_features(lpms: Iterable[LocalPartialMatch]) -> LECClasses:
     class (the list of LPMs it summarises), features in order of first
     appearance.  The key list alone is what gets shipped to the coordinator;
     each feature is then charged its share of that message, in that order,
-    and the keys the message's table holds are kept as ``key_table``.
+    and the ids the message's table holds are kept as ``key_table``.
     """
     classes = LECClasses()
     for lpm in lpms:
-        feature = lec_feature_of(lpm)
+        feature = LECFeature(lpm.fragment_id, lpm.crossing, lpm.internal_mask)
         members = classes.get(feature)
         if members is None:
             members = classes[feature] = []
         members.append(lpm)
-    seen: Set[str] = set()
-    for feature in classes:
-        feature.size = _charge(feature.crossing, seen)
+    seen: Set[int] = set()
+    for feature, members in classes.items():
+        dictionary = feature.dictionary = members[0].dictionary
+        feature.size = _charge(feature.crossing, seen, dictionary.key_bytes)
     classes.key_table = seen
     return classes

@@ -26,9 +26,8 @@ int masks), vertex classes and ranked crossing edges come from the site's
 :class:`~repro.store.fragment_index.FragmentIndex`, extensions are ascending
 :meth:`EncodedGraph.triple_ids` probes — so the LPM *sequence* is the same
 under every ``PYTHONHASHSEED``.  An LPM is emitted straight from that state
-in its wire form (:mod:`repro.core.partial_match`): each id becomes the
-dictionary's N3 key and term (two list lookups), and the crossing pairs are
-key tuples shared by every LPM of the call.  No ``Triple`` or ``frozenset`` is
+in its wire form (:mod:`repro.core.partial_match`): the ids themselves, which
+are cluster ids, so nothing is decoded.  No ``Triple`` or ``frozenset`` is
 built.  The LPMs are collected in the :class:`~repro.core.partial_match.LPMList`
 that ships them.
 
@@ -49,7 +48,7 @@ from ..sparql.query_graph import QueryGraph
 from ..store.encoding import PREDICATE_ANY, predicate_code
 from ..store.fragment_index import FragmentIndex, IdTriple, internal_pools
 from .candidate_exchange import GlobalCandidateFilter
-from .partial_match import LocalPartialMatch, LPMList, PairKey, check_local_partial_match
+from .partial_match import LocalPartialMatch, LPMList, check_local_partial_match
 
 #: Id of a constant query vertex the fragment never stores: no data vertex has it.
 _ABSENT_VERTEX = -1
@@ -104,15 +103,13 @@ class PartialEvaluator:
         index = self._index
         encoded, crossing_by_predicate = index.encoded, index.crossing_by_predicate
         internal, extended = index.internal, index.extended
-        triple_ids = encoded.triple_ids
-        term_of, n3_of = encoded.dictionary.term_of, encoded.dictionary.n3_of
+        triple_ids, dictionary = encoded.triple_ids, encoded.dictionary
 
         # Compile the query: vertices to slots, edges to bits in rank order.
         vertices = query.vertices
-        id_of = encoded.dictionary.get
         constant: List[Optional[int]] = [
             None if isinstance(vertex, Variable)
-            else _ABSENT_VERTEX if (code := id_of(vertex)) is None else code
+            else _ABSENT_VERTEX if (code := dictionary.get(vertex)) is None else code
             for vertex in vertices
         ]
         # The stage-1 vector each variable is filtered by (None: unfiltered).
@@ -121,6 +118,8 @@ class PartialEvaluator:
             for vertex, code in zip(vertices, constant)
         ]
         filtered = [vector is not None for vector in vectors]
+        # Each filtered slot's id -> bit table at its vector's width.
+        positions = [None if vector is None else dictionary.bit_positions(vector.width) for vector in vectors]
         # The internal values each slot may take: with the filter, the site's own candidates.
         own = internal_pools(index, query) if candidate_filter is not None else None
         allowed = [internal if own is None else own[vertex] for vertex in vertices]
@@ -142,40 +141,28 @@ class PartialEvaluator:
         # Emission order: edge slots by index, then vertex slots.
         by_index = sorted(range(len(edges)), key=lambda rank: edges[rank][3])
         vertex_base = len(edges)
-        # Crossing pair keys and filter verdicts, memoized for this call only.
-        pair_keys: List[Dict[IdTriple, PairKey]] = [{} for _ in edges]
-        verdicts: List[Dict[int, bool]] = [{} for _ in vertices]
 
         def refused(slot: int, value: int) -> bool:
             """Does the stage-1 filter forbid binding ``slot`` to extended ``value``?"""
-            allowed = verdicts[slot].get(value)
-            if allowed is None:
-                allowed = verdicts[slot][value] = vectors[slot].might_contain_n3(n3_of(value))
-            if not allowed:
-                result.branches_pruned_by_filter += 1
-            return not allowed
+            if vectors[slot].bits >> positions[slot][value] & 1:
+                return False
+            result.branches_pruned_by_filter += 1
+            return True
 
         def emit(matched: int, internal_mask: int) -> None:
-            items, terms, crossing = [], [], []
+            items, crossing = [], []
             for rank in by_index:
                 if not matched >> rank & 1:
                     continue
                 subject_slot, object_slot, _, edge_index = edges[rank]
-                ids = edge_map[rank]
-                key = n3_of(ids[1])
-                items.append((edge_index, key))
-                terms.append(term_of(ids[1]))
+                subject, predicate, obj = edge_map[rank]
+                items.append((edge_index, predicate))
                 if not internal_mask >> subject_slot & internal_mask >> object_slot & 1:
-                    pair = pair_keys[rank].get(ids)
-                    if pair is None:
-                        pair = pair_keys[rank][ids] = (edge_index, n3_of(ids[0]), key, n3_of(ids[2]))
-                    crossing.append(pair)
+                    crossing.append((edge_index, subject, predicate, obj))
             for slot, value in enumerate(values):
                 if value is not None:
-                    key = n3_of(value)
-                    items.append((vertex_base + slot, key))
-                    terms.append(term_of(value))
-            lpm = LocalPartialMatch(fragments, query, tuple(items), tuple(terms), internal_mask, tuple(crossing))
+                    items.append((vertex_base + slot, value))
+            lpm = LocalPartialMatch(fragments, query, tuple(items), dictionary, internal_mask, tuple(crossing))
             if not (self._paranoid and check_local_partial_match(lpm, query, fragment)):
                 result.local_partial_matches.append(lpm)
 

@@ -15,14 +15,16 @@ to fragment vertices (unassigned vertices stand for the paper's NULL), where
    internally-mapped paths (so one fragment may contribute several LPMs to
    the same crossing match).
 
-**Wire form.**  An LPM crosses to the coordinator as *keys*: a term's key is
-its N3 text, injective over terms, as the producing site's dictionary holds it
-(``docs/performance.md``, "LPMs cross as keys").  Joins, Algorithm 1 and sizes
-work on the keys; each key's ``Node`` is read only into an answer row.
-``assignment``, ``mapping()`` … are views decoded on demand for tests.  A site's
-LPMs travel as one :class:`LPMList` message, which carries each distinct key
-once and refers to it by a fixed-width reference (``docs/performance.md``,
-"Algorithm 2 pays for its bytes") — on the bus and in a pickle alike.
+**Wire form.**  An LPM crosses to the coordinator as *cluster ids*: every
+site encodes against the cluster's one :class:`~repro.store.encoding.TermDictionary`,
+so a term has one id at every site and at the coordinator
+(``docs/performance.md``, "LPMs cross as cluster ids").  Joins, Algorithm 1
+and sizes work on the ids; a term is decoded only into an answer row or a
+view.  ``assignment``, ``mapping()`` … are views decoded on demand for tests.
+A site's LPMs travel as one :class:`LPMList` message, which is charged and
+pickled as each distinct key's text once plus a fixed-width reference per use
+(``docs/performance.md``, "Algorithm 2 pays for its bytes"): the text is what
+tells a receiver the term behind an id.
 
 The class below is an immutable value object; the enumeration algorithm
 lives in :mod:`repro.core.partial_eval` and the validity checker (used by
@@ -35,19 +37,19 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..partition.fragment import Fragment
-from ..rdf.ntriples import parse_term
 from ..rdf.terms import IRI, Literal, Node, PatternTerm, Term, Variable
 from ..rdf.triples import Triple
 from ..sparql.bindings import Binding
 from ..sparql.query_graph import QueryGraph
+from ..store.encoding import TermDictionary
 
-#: ``(slot, key)``: query edge ``i`` owns slot ``i`` and holds its data edge's
-#: predicate key, query vertex ``j`` owns slot ``|E_Q| + j`` and holds its data
-#: vertex's key (a matched edge's mapped endpoints pin the rest of the edge).
-Item = Tuple[int, str]
+#: ``(slot, id)``: query edge ``i`` owns slot ``i`` and holds its data edge's
+#: predicate id, query vertex ``j`` owns slot ``|E_Q| + j`` and holds its data
+#: vertex's id (a matched edge's mapped endpoints pin the rest of the edge).
+Item = Tuple[int, int]
 
-#: A crossing ``(query edge index, subject, predicate, object)`` pair, as keys.
-PairKey = Tuple[int, str, str, str]
+#: A crossing ``(query edge index, subject, predicate, object)`` pair, as ids.
+Pair = Tuple[int, int, int, int]
 
 
 @dataclass(eq=False, slots=True)
@@ -61,9 +63,11 @@ class LocalPartialMatch:
         partial match.  Freshly enumerated LPMs have exactly one.
     query:
         The query graph the slots refer to (read by the decoded views only).
-    items, terms:
+    items:
         One :data:`Item` per matched query edge and mapped query vertex, by
-        slot, and the decoded term of each.
+        slot.
+    dictionary:
+        The cluster dictionary the ids belong to (decodes them, sizes them).
     internal_mask:
         Bitmask over query-vertex indices: bit ``i`` is set when query vertex
         ``i`` is mapped to an internal vertex of the producing fragment
@@ -72,15 +76,15 @@ class LocalPartialMatch:
         The matched edges whose data edge is a crossing edge of the producing
         fragment — the only part other fragments can share — by edge index.
 
-    Equality and hashing cover the keys, never the term objects.
+    Equality and hashing cover the ids, never the term objects.
     """
 
     fragments: FrozenSet[int]
     query: QueryGraph
     items: Tuple[Item, ...]
-    terms: Tuple[Term, ...]
+    dictionary: TermDictionary
     internal_mask: int
-    crossing: Tuple[PairKey, ...]
+    crossing: Tuple[Pair, ...]
 
     def _key(self) -> tuple:
         return (self.fragments, self.items, self.internal_mask, self.crossing)
@@ -93,9 +97,6 @@ class LocalPartialMatch:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def __reduce__(self):  # positional arguments: smaller pickles than slot state
-        return (LocalPartialMatch, tuple(getattr(self, name) for name in self.__slots__))
-
     # ------------------------------------------------------------------
     # Decoded views
     # ------------------------------------------------------------------
@@ -104,9 +105,15 @@ class LocalPartialMatch:
         """The producing fragment id (smallest id for joined matches)."""
         return min(self.fragments)
 
+    @property
+    def terms(self) -> Tuple[Term, ...]:
+        """The term of each item, in item order."""
+        term_of = self.dictionary.term_of
+        return tuple([term_of(term_id) for _, term_id in self.items])
+
     def _vertex_terms(self) -> Iterator[Tuple[PatternTerm, Node]]:
-        base, vertices = self.query.num_edges, self.query.vertices
-        return ((vertices[slot - base], term) for (slot, _), term in zip(self.items, self.terms) if slot >= base)
+        base, vertices, term_of = self.query.num_edges, self.query.vertices, self.dictionary.term_of
+        return ((vertices[slot - base], term_of(term_id)) for slot, term_id in self.items if slot >= base)
 
     @property
     def assignment(self) -> FrozenSet[Tuple[PatternTerm, Node]]:
@@ -207,17 +214,21 @@ class LocalPartialMatch:
 
 def join_matches(members: Sequence[LocalPartialMatch]) -> LocalPartialMatch:
     """The partial match that joins ``members`` (pairwise joinable, in any order)."""
-    merged: Dict[Item, Term] = {}
+    items: Set[Item] = set()
     fragments, internal_mask, crossing = set(), 0, set()
     for member in members:
-        merged.update(zip(member.items, member.terms))
+        items.update(member.items)
         fragments |= member.fragments
         internal_mask |= member.internal_mask
         crossing.update(member.crossing)
-    items = tuple(sorted(merged))
-    terms = tuple([merged[item] for item in items])
+    first = members[0]
     return LocalPartialMatch(
-        frozenset(fragments), members[0].query, items, terms, internal_mask, tuple(sorted(crossing))
+        frozenset(fragments),
+        first.query,
+        tuple(sorted(items)),
+        first.dictionary,
+        internal_mask,
+        tuple(sorted(crossing)),
     )
 
 
@@ -230,11 +241,6 @@ REFERENCE_BYTES = 4
 LPM_FRAMING = 8
 
 
-def key_bytes(key: str) -> int:
-    """What a message's term table pays for one key: its UTF-8 text."""
-    return len(key.encode("utf-8"))
-
-
 class LPMList(list):
     """One site's local partial matches as the message that ships them.
 
@@ -245,7 +251,7 @@ class LPMList(list):
     charge describe one thing.  The members are enumerated LPMs (one fragment each): a member's
     crossing pairs follow from its items and LECSign, so they are not shipped.
 
-    ``known_keys`` are keys the receiver already holds from this site's own
+    ``known_keys`` are ids the receiver already holds from this site's own
     ``lec_features`` message (the LEC survivors of :func:`run_lec_filter
     <repro.core.site_tasks.run_lec_filter>`): a reference reaches them in that
     message's table, so their text is not sent again.
@@ -253,7 +259,7 @@ class LPMList(list):
 
     __slots__ = ("known_keys",)
 
-    def __init__(self, lpms: Iterable[LocalPartialMatch] = (), known_keys: AbstractSet[str] = frozenset()) -> None:
+    def __init__(self, lpms: Iterable[LocalPartialMatch] = (), known_keys: AbstractSet[int] = frozenset()) -> None:
         super().__init__(lpms)
         self.known_keys = known_keys
 
@@ -263,34 +269,41 @@ class LPMList(list):
         4 B of list framing; per LPM, 8 B of fragment-id and mask framing and
         8 B per item — a 4 B slot index (the query edge index, or ``|E_Q|`` +
         the query vertex index) and a 4 B key reference; and the UTF-8 text of
-        each distinct key outside ``known_keys``, once per message.
+        each distinct key outside ``known_keys``, once per message
+        (:attr:`TermDictionary.key_bytes <repro.store.encoding.TermDictionary.key_bytes>`).
         """
+        if not self:
+            return 4
         items = sum([len(lpm.items) for lpm in self])
-        keys = {key for lpm in self for _, key in lpm.items} - self.known_keys
-        return 4 + LPM_FRAMING * len(self) + 2 * REFERENCE_BYTES * items + sum(map(key_bytes, keys))
+        keys = {term_id for lpm in self for _, term_id in lpm.items}.difference(self.known_keys)
+        key_bytes = self[0].dictionary.key_bytes
+        return 4 + LPM_FRAMING * len(self) + 2 * REFERENCE_BYTES * items + sum(map(key_bytes.__getitem__, keys))
 
     def __reduce__(self):
-        """Pickle the wire form: the key table, then ``(slot, key reference)`` per item."""
-        references: Dict[str, int] = {}
+        """Pickle the wire form: the ``(id, term)`` table, then ``(slot, reference)`` per item."""
+        references: Dict[int, int] = {}
         records = []
         for lpm in self:
             flat: List[int] = []
-            for slot, key in lpm.items:
-                reference = references.get(key)
+            for slot, term_id in lpm.items:
+                reference = references.get(term_id)
                 if reference is None:
-                    reference = references[key] = len(references)
+                    reference = references[term_id] = len(references)
                 flat += (slot, reference)
             records.append((lpm.query, lpm.fragments, lpm.internal_mask, tuple(flat)))
-        return (_rebuild_lpms, (tuple(references), records))
+        term_of = self[0].dictionary.term_of if self else None
+        table = tuple([(term_id, term_of(term_id)) for term_id in references])
+        return (_rebuild_lpms, (table, records))
 
 
-def _rebuild_lpms(keys: Sequence[str], records: Sequence[tuple]) -> LPMList:
-    """Unpickle an :class:`LPMList`: parse each key once, derive the crossing pairs.
+def _rebuild_lpms(table: Sequence[Tuple[int, Term]], records: Sequence[tuple]) -> LPMList:
+    """Unpickle an :class:`LPMList` over the dictionary part its table carries.
 
     A matched edge is a crossing pair unless both ends map to internal
     vertices — the rule the partial evaluator emits by.
     """
-    terms = [parse_term(key) for key in keys]
+    dictionary = TermDictionary.received(table)
+    ids = [term_id for term_id, _ in table]
     ends: Dict[int, List[Tuple[int, int]]] = {}
     lpms = LPMList()
     for query, fragments, internal_mask, flat in records:
@@ -299,17 +312,16 @@ def _rebuild_lpms(keys: Sequence[str], records: Sequence[tuple]) -> LPMList:
             edge_ends = ends[id(query)] = [
                 (query.vertex_index(edge.subject), query.vertex_index(edge.object)) for edge in query.edges
             ]
-        base, references = query.num_edges, flat[1::2]
-        items = tuple(zip(flat[0::2], [keys[reference] for reference in references]))
+        base = query.num_edges
+        items = tuple(zip(flat[0::2], [ids[reference] for reference in flat[1::2]]))
         held = dict(items)
         crossing = []
-        for slot, key in items:
+        for slot, term_id in items:
             if slot < base:
                 subject, obj = edge_ends[slot]
                 if not internal_mask >> subject & internal_mask >> obj & 1:
-                    crossing.append((slot, held[base + subject], key, held[base + obj]))
-        lpm_terms = tuple([terms[reference] for reference in references])
-        lpms.append(LocalPartialMatch(fragments, query, items, lpm_terms, internal_mask, tuple(crossing)))
+                    crossing.append((slot, held[base + subject], term_id, held[base + obj]))
+        lpms.append(LocalPartialMatch(fragments, query, items, dictionary, internal_mask, tuple(crossing)))
     return lpms
 
 

@@ -6,13 +6,19 @@ uses to account for data shipment.  The cluster itself is engine-agnostic:
 the gStoreD engine (``repro.core.engine``) and the baselines
 (``repro.baselines``) all execute on top of the same cluster object, so
 comparisons happen over identical data placement.
+
+The cluster owns the one :class:`~repro.store.encoding.TermDictionary` every
+encoding uses: built from the base graph, so a term has one id at every site,
+in the master encoding and in the coordinator's joins.  The master encoding
+(the whole graph's columns, read by ``centralized`` and ``dream``) is built on
+first use.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from ..partition.delta import DeltaEffect
 from ..partition.fragment import PartitionedGraph
@@ -22,7 +28,7 @@ from ..planner.statistics import GraphStatistics
 from ..rdf.graph import RDFGraph
 from ..rdf.terms import Node
 from ..rdf.triples import Triple
-from ..store.encoding import encoded_view, patch_encoded_view
+from ..store.encoding import EncodedGraph, TermDictionary
 from .network import MessageBus, NetworkModel
 from .site import Site
 from .stats import aggregate_graph_statistics
@@ -45,9 +51,25 @@ class AppliedDelta:
 class Cluster:
     """A simulated cluster hosting one partitioned RDF graph."""
 
-    def __init__(self, partitioned: PartitionedGraph, network: Optional[NetworkModel] = None) -> None:
+    def __init__(
+        self,
+        partitioned: PartitionedGraph,
+        network: Optional[NetworkModel] = None,
+        statistics: Optional[Mapping[int, GraphStatistics]] = None,
+    ) -> None:
+        """``statistics`` are already collected per-site summaries, by site id
+        (a store file's); the sites collect any missing ones when built."""
         self._partitioned = partitioned
-        self._sites: List[Site] = [Site(fragment.fragment_id, fragment) for fragment in partitioned]
+        graph = partitioned.graph
+        #: The one dictionary: base terms in ``term_sort_key`` order, new terms appended.
+        self.dictionary = TermDictionary(term for triple in graph for term in triple.as_tuple())
+        statistics = statistics or {}
+        self._sites: List[Site] = [
+            Site(fragment.fragment_id, fragment, self.dictionary, statistics.get(fragment.fragment_id))
+            for fragment in partitioned
+        ]
+        self._encoded: Optional[EncodedGraph] = None
+        self._encoded_lock = threading.Lock()
         self.bus = MessageBus()
         #: Cost model used by every engine to convert shipped bytes into time.
         self.network = network if network is not None else NetworkModel()
@@ -68,6 +90,19 @@ class Cluster:
         """The full RDF graph (only used by ground-truth checks and baselines
         that replicate the whole dataset, such as DREAM)."""
         return self._partitioned.graph
+
+    @property
+    def encoded(self) -> EncodedGraph:
+        """The master encoding: the full graph's columns over :attr:`dictionary`.
+
+        Built on first use (``centralized`` and ``dream`` read it) and patched
+        by :meth:`apply_ops` once it exists.  The ids are the dictionary's, so
+        when it is built does not change them.
+        """
+        with self._encoded_lock:
+            if self._encoded is None:
+                self._encoded = EncodedGraph(self.graph, self.dictionary)
+            return self._encoded
 
     @property
     def sites(self) -> List[Site]:
@@ -146,13 +181,15 @@ class Cluster:
         Removals run first, then additions; no-ops (adding a present triple,
         removing an absent one) are skipped.  Every effective op is routed to
         its fragments by the sticky :class:`~repro.partition.delta.DeltaRouter`
-        and folded into the master graph; the master encoding is then
-        *patched* (never rebuilt) and each touched site patches itself once
-        with its window (:meth:`Site.apply`), so the resulting id assignment
-        is a pure function of (base state, op sequence).  A replica replaying the same ops from the
-        same base — a reopened store file — therefore reaches the
-        bit-identical encoding, which is what keeps answers, match sequences
-        and shipment fingerprints stable across restarts.
+        and folded into the master graph; the terms new to the cluster then
+        get the next dictionary ids, in effective-op order, the master
+        encoding (if built) is *patched*, and each touched site patches itself
+        once with its window (:meth:`Site.apply`).  So the id assignment is a
+        pure function of (base state, op sequence).  A replica replaying the
+        same ops from the same base — a reopened store file — therefore
+        reaches the bit-identical dictionary and encodings, which is what
+        keeps answers, match sequences and shipment fingerprints stable
+        across restarts.
 
         Callers must not run queries concurrently with ``apply`` (the same
         contract as direct graph mutation; :meth:`Session.update
@@ -179,9 +216,6 @@ class Cluster:
         if not staged:
             return AppliedDelta(0, 0)
         graph = self.graph
-        # Force the master encoding *before* mutating: patching from a known
-        # base state is what replicas replay against.
-        master_encoded = encoded_view(graph)
         router = self._partitioned.delta_router()
         master_ops: List[Tuple[str, Triple]] = []
         site_effects: Dict[int, List[DeltaEffect]] = {site.site_id: [] for site in self._sites}
@@ -200,7 +234,12 @@ class Cluster:
                 site_effects[effect.fragment_id].append(effect)
         if not master_ops:
             return AppliedDelta(0, 0)
-        patch_encoded_view(graph, master_encoded, master_ops)
+        ensure = self.dictionary.ensure
+        for _, triple in master_ops:
+            for term in triple.as_tuple():
+                ensure(term)
+        if self._encoded is not None:
+            self._encoded.apply_ops(master_ops)
         for site in self._sites:
             if site_effects[site.site_id]:
                 site.apply(site_effects[site.site_id])

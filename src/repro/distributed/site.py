@@ -2,12 +2,12 @@
 
 Each site hosts exactly one fragment (the paper's simplifying assumption).
 It keeps three things: the :class:`~repro.partition.fragment.Fragment`, one
-:class:`~repro.store.encoding.EncodedGraph` of the fragment's edges (the
-dictionary plus sorted columns every probe reads), and one
+:class:`~repro.store.encoding.EncodedGraph` of the fragment's edges (sorted
+columns over the cluster's dictionary, which every probe reads), and one
 :class:`~repro.store.fragment_index.FragmentIndex` over that encoding.  A
 local :class:`~repro.store.TripleStore` wraps the encoding for matching and
-planning.  All of it is built once, in the constructor, and patched in place
-by :meth:`Site.apply`.  Sites expose the local operations the engines need —
+planning, with the planner statistics.  All of it is built once, in the
+constructor, and patched in place by :meth:`Site.apply`.  Sites expose the local operations the engines need —
 candidate computation, local BGP evaluation — but they never look at other
 fragments: any cross-site information must arrive through the message bus.
 """
@@ -25,7 +25,7 @@ from ..rdf.terms import Node
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import ResultSet
 from ..sparql.query_graph import QueryGraph
-from ..store.encoding import EncodedGraph
+from ..store.encoding import EncodedGraph, TermDictionary
 from ..store.fragment_index import CandidateIds, FragmentIndex, internal_pools
 from ..store.triple_store import TripleStore
 
@@ -33,15 +33,23 @@ from ..store.triple_store import TripleStore
 class Site:
     """One machine of the simulated cluster, hosting one fragment."""
 
-    def __init__(self, site_id: int, fragment: Fragment) -> None:
+    def __init__(
+        self,
+        site_id: int,
+        fragment: Fragment,
+        dictionary: TermDictionary,
+        statistics: Optional[GraphStatistics] = None,
+    ) -> None:
+        """``dictionary`` is the cluster's; ``statistics``, already collected
+        ones for the fragment as it stands, or ``None`` to collect them here."""
         self.site_id = site_id
         self.fragment = fragment
-        #: The dictionary plus sorted columns of the fragment's edges: every probe reads these.
-        self.encoded = EncodedGraph(fragment.all_edges)
+        #: The sorted columns of the fragment's edges over the cluster dictionary: every probe reads these.
+        self.encoded = EncodedGraph(fragment.all_edges, dictionary)
         #: Definition 1 over the encoding's ids: what partial evaluation reads
         #: (``PartialEvaluator(site.fragment, graph=site.graph)``).
         self.graph = FragmentIndex(fragment, self.encoded)
-        self.store = TripleStore(self.encoded, name=fragment.name)
+        self.store = TripleStore(self.encoded, name=fragment.name, statistics=statistics)
         #: Serializes site-task handler runs (:func:`repro.exec.run_site_task`):
         #: handlers read work counters off the store after evaluating, so two
         #: concurrent queries on this site would interleave them.
@@ -70,7 +78,7 @@ class Site:
     # Planner support
     # ------------------------------------------------------------------
     def graph_statistics(self) -> GraphStatistics:
-        """This fragment's planner statistics (cached by the local store)."""
+        """This fragment's planner statistics (kept exact by the local store)."""
         return self.store.statistics
 
     @property
@@ -117,9 +125,8 @@ class Site:
         fragment's edge sets, the internal/extended membership of every
         touched vertex (once, from the patched encoding), the fragment index,
         and the statistics with the plan cache.  Each result equals a fresh
-        build over the mutated fragment, except that new terms get appended
-        ids — which is what keeps replicas that replay the same ops
-        identical.
+        build over the mutated fragment and the cluster dictionary, which
+        already holds the window's new terms.
         """
         ops = [("+" if effect.op == "add" else "-", effect.triple) for effect in effects]
         encoded = self.encoded

@@ -4,10 +4,10 @@ One store file holds one cluster, in five tables plus a manifest:
 
 * ``manifest`` — key/value: format marker, schema version, dataset name and
   scale, graph name, partitioning strategy, fragment count, delta head.
-* ``terms`` — the dictionary: dense integer id → N3 text.  Base ids are
-  assigned in sorted-N3 order; terms first seen by a delta get appended ids
-  in first-appearance order (mirroring the in-memory encoding's append
-  discipline).
+* ``terms`` — the file's dictionary: dense integer id → N3 text.  Base ids
+  are assigned in sorted-N3 order; terms first seen by a delta get appended
+  ids in first-appearance order.  (These ids are the file's own; a loaded
+  cluster builds its dictionary from the base graph and replays the deltas.)
 * ``triples`` — the *base* master graph as integer ``(s, p, o)`` rows.
 * ``assignment`` — term id → fragment id, the Definition 1 vertex
   assignment (sticky entries included, so replayed routing is identical).
@@ -46,7 +46,7 @@ from ..rdf.graph import RDFGraph
 from ..rdf.ntriples import parse_term
 from ..rdf.terms import Node, Term
 from ..rdf.triples import Triple
-from ..store.encoding import EncodedGraph
+from ..store.encoding import EncodedGraph, TermDictionary
 
 PathLike = Union[str, Path]
 
@@ -256,10 +256,9 @@ class ClusterStore:
     def append_ops(self, ops: Iterable[Tuple[str, Triple]]) -> int:
         """Journal effective mutation ops; returns the new delta head.
 
-        Terms never seen before get appended dictionary ids in
-        first-appearance order — the same discipline the in-memory
-        :class:`~repro.store.TermDictionary` uses, so replayed encodings
-        agree with live ones.  The batch commits (and fsyncs) atomically;
+        Terms the file has never seen get appended ids in its ``terms``
+        table, in first-appearance order; replaying the ops in journal order
+        gives a loaded cluster's dictionary the live one's new ids.  The batch commits (and fsyncs) atomically;
         ``self`` is only mutated *after* the commit, so a failed transaction
         (disk full, busy timeout) leaves both the file and the in-memory
         head/manifest exactly as they were — the next append reuses the same
@@ -393,11 +392,8 @@ class ClusterStore:
             strategy=self._manifest.get("strategy", "loaded"),
             validate=False,
         )
-        cluster = Cluster(partitioned, network=network)
-        for site in cluster:
-            statistics = self.load_statistics(site.site_id)
-            if statistics is not None:
-                site.store.preload_statistics(statistics)
+        statistics = {fragment_id: self.load_statistics(fragment_id) for fragment_id in range(self.num_fragments)}
+        cluster = Cluster(partitioned, network=network, statistics=statistics)
         ops = self.load_deltas({i: term for i, term in enumerate(terms)})
         if ops:
             cluster.apply_ops(ops)
@@ -495,12 +491,15 @@ def _write_snapshot(
                 for vertex, fragment_id in assignment.items()
             ),
         )
+        dictionary = None
         for fragment in partitioned:
             summary = None
             if statistics is not None:
                 summary = statistics.get(fragment.fragment_id)
             if summary is None:
-                summary = collect_statistics(EncodedGraph(fragment.all_edges))
+                if dictionary is None:
+                    dictionary = TermDictionary(terms)
+                summary = collect_statistics(EncodedGraph(fragment.all_edges, dictionary))
             connection.execute(
                 "INSERT INTO stats (fragment_id, payload) VALUES (?, ?)",
                 (fragment.fragment_id, json.dumps(summary.as_dict())),

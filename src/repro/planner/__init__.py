@@ -18,7 +18,7 @@ standard next layer of a gStore-style engine:
 * :mod:`plan_cache` — a shape-keyed LRU so hot query templates plan once.
 
 The planner is wired through :class:`~repro.store.TripleStore` (which
-collects a site's statistics on first use; ``Site.apply`` patches them) /
+collects a site's statistics when the site is built; ``Site.apply`` patches them) /
 :class:`~repro.store.LocalMatcher` (vertex order), the partial evaluator
 (edge order) and the engine (per-query planning stage); the
 ``use_planner`` / ``plan_cache_size`` knobs live on

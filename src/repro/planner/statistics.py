@@ -2,7 +2,7 @@
 
 The planner never looks at the data graph directly: everything it knows is
 summarized here, once per :class:`~repro.store.TripleStore` (the store
-collects the summary on first use; a site patches it with each update
+collects the summary when it is built; a site patches it with each update
 window).  The summary is read off an
 :class:`~repro.store.encoding.EncodedGraph`'s sorted columns — column
 lengths and key counts, no pass over the triples — and deliberately small,

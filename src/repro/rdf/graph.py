@@ -35,10 +35,6 @@ class RDFGraph:
     def __init__(self, triples: Optional[Iterable[Triple]] = None, name: str = "") -> None:
         self.name = name
         self._triples: Set[Triple] = set()
-        # Mutation counter: bumped by every successful add/discard so derived
-        # views (e.g. the dictionary-encoded kernel in repro.store.encoding)
-        # can cache themselves against one graph state and rebuild lazily.
-        self._version = 0
         # Permutation indexes.
         self._spo: Dict[Node, Dict[IRI, Set[Node]]] = defaultdict(lambda: defaultdict(set))
         self._pos: Dict[IRI, Dict[Node, Set[Node]]] = defaultdict(lambda: defaultdict(set))
@@ -64,7 +60,6 @@ class RDFGraph:
         self._osp[o][s].add(p)
         self._out[s].add(triple)
         self._in[o].add(triple)
-        self._version += 1
         return True
 
     def add_all(self, triples: Iterable[Triple]) -> int:
@@ -82,7 +77,6 @@ class RDFGraph:
         self._osp[o][s].discard(p)
         self._out[s].discard(triple)
         self._in[o].discard(triple)
-        self._version += 1
         return True
 
     # ------------------------------------------------------------------
@@ -171,15 +165,6 @@ class RDFGraph:
     # ------------------------------------------------------------------
     # Graph view
     # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter (bumped by every add/discard).
-
-        Derived structures cache against this value and rebuild lazily when
-        it moves, instead of eagerly invalidating on every write.
-        """
-        return self._version
-
     @property
     def vertices(self) -> Set[Node]:
         """All subjects and objects of the graph."""

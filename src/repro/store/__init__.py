@@ -1,7 +1,6 @@
-"""Local triple store substrate: encoding, candidates, matcher, store facade."""
+"""Local triple store substrate: encoding, matcher, store facade."""
 
-from .candidates import compute_candidates, edge_supported
-from .encoding import EncodedGraph, TermDictionary, encoded_view
+from .encoding import EncodedGraph, TermDictionary
 from .kernel import KERNEL_PYTHON, resolve_kernel
 from .matcher import LocalMatcher, evaluate_centralized, finalize_matches
 from .triple_store import TripleStore
@@ -12,9 +11,6 @@ __all__ = [
     "LocalMatcher",
     "TermDictionary",
     "TripleStore",
-    "compute_candidates",
-    "edge_supported",
-    "encoded_view",
     "evaluate_centralized",
     "finalize_matches",
     "resolve_kernel",

@@ -10,6 +10,8 @@ Weikum, VLDB 2008).  This module is that layer for the reproduction:
   to sort candidate pools — so **sorting ids is sorting candidates**: the
   backtracking search stays bit-for-bit deterministic (same answers, same
   ``search_steps``) while every per-step ``node.n3()`` sort disappears.
+  Per id it also holds what the wire accounting reads: the UTF-8 length of
+  the term's N3 key and its stage-1 bit position per vector width.
 * :class:`SortedColumn` is one predicate's adjacency in one direction in CSR
   form: ascending keys, one flat list of ascending rows, offset bounds.
 * :class:`EncodedGraph` is the dictionary plus an out-column (subject →
@@ -17,25 +19,26 @@ Weikum, VLDB 2008).  This module is that layer for the reproduction:
   one pass: encode the triples, sort them by predicate, cut them into rows.
   Every probe reads those columns; :meth:`EncodedGraph.apply_ops` patches
   only the touched predicates' columns.
-* A site builds its :class:`EncodedGraph` from its fragment's edges and
-  patches it with each update window.  :func:`encoded_view` serves a whole
-  :class:`~repro.rdf.graph.RDFGraph` (the master graph, the centralized
-  ground truth): one encoding cached per graph
-  :attr:`~repro.rdf.graph.RDFGraph.version`, patched only through
-  :func:`patch_encoded_view`, rebuilt when the version moved otherwise.
+* A cluster has **one** dictionary (:attr:`Cluster.dictionary
+  <repro.distributed.cluster.Cluster.dictionary>`), built from its base graph:
+  every site's encoding and the master encoding are columns over it, so a
+  term has one id everywhere, from a site's columns to the coordinator's
+  joins.  A site's ids are a subset of one order, so sorting them still sorts
+  candidates.  An encoding built without a dictionary gets its own.
 
-Decoding happens only at result boundaries (bindings, candidate sets handed
-to the distributed layers); everything inside the kernel is ints.
+Decoding happens only at result boundaries (answer rows, the decoded views of
+local partial matches); everything inside the kernel and the coordinator's
+joins is ints.
 """
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from bisect import bisect_left
 from itertools import chain
 from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..rdf.graph import RDFGraph
 from ..rdf.terms import IRI, Node, PatternTerm, Term, Variable
 from ..rdf.triples import Triple
 
@@ -45,8 +48,6 @@ PREDICATE_ANY = -1
 #: edge (the IRI is absent from the graph, or the term is not an IRI at all).
 PREDICATE_ABSENT = -2
 
-#: Attribute under which :func:`encoded_view` caches the per-graph encoding.
-_CACHE_ATTRIBUTE = "_repro_encoded_view"
 #: :attr:`EncodedGraph.memo` key of the per-query candidate pools
 #: (:func:`repro.store.kernel.query_pools`): dropped by every patch.
 QUERY_POOLS = "query_pools"
@@ -60,6 +61,12 @@ def term_sort_key(term: Term) -> Tuple[str, str]:
     order and candidate order the same thing.
     """
     return (type(term).__name__, term.n3())
+
+
+def key_bit(key: str, width: int) -> int:
+    """The stage-1 bit of the term whose N3 key is ``key`` in a ``width``-bit vector."""
+    digest = hashlib.sha1(key.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") % width
 
 
 def predicate_code(encoded: "EncodedGraph", predicate: PatternTerm) -> int:
@@ -83,18 +90,37 @@ class TermDictionary:
 
     Ids are dense (``0..len-1``) and assigned in :func:`term_sort_key` order
     over *all* terms of the graph — vertices and predicates alike — so any
-    subset of ids sorts exactly like the corresponding terms.
+    subset of ids sorts exactly like the corresponding terms.  Terms added
+    later by :meth:`ensure` get the next ids.
+
+    :attr:`key_bytes` is the per-id UTF-8 length of the term's N3 key — what a
+    message's term table pays for it — and :meth:`bit_positions` the per-id
+    stage-1 bit positions at one vector width.
     """
 
-    __slots__ = ("_ids", "_terms", "_n3")
+    __slots__ = ("_ids", "_terms", "key_bytes", "_bit_positions")
 
     def __init__(self, terms: Iterable[Term]) -> None:
         decorated = sorted((term_sort_key(term), term) for term in set(terms))
         self._terms: List[Term] = [term for _, term in decorated]
-        self._n3: List[str] = [key[1] for key, _ in decorated]
-        self._ids: Dict[Term, int] = {
-            term: position for position, term in enumerate(self._terms)
-        }
+        self._ids: Dict[Term, int] = {term: position for position, term in enumerate(self._terms)}
+        #: Id -> bytes of the UTF-8 text of the term's N3 key.
+        self.key_bytes: List[int] = [len(key[1].encode("utf-8")) for key, _ in decorated]
+        self._bit_positions: Dict[int, _BitPositions] = {}
+
+    @classmethod
+    def received(cls, entries: Iterable[Tuple[int, Term]]) -> "TermDictionary":
+        """The part of a dictionary a message carries: these ids, with their terms.
+
+        Read-only (no :meth:`ensure`); ids keep their values, so what was
+        encoded against the full dictionary decodes and sizes the same here.
+        """
+        received = cls.__new__(cls)
+        received._terms = dict(entries)
+        received._ids = {term: term_id for term_id, term in received._terms.items()}
+        received.key_bytes = {term_id: len(term.n3().encode("utf-8")) for term_id, term in received._terms.items()}
+        received._bit_positions = {}
+        return received
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -115,8 +141,21 @@ class TermDictionary:
         return self._terms[term_id]
 
     def n3_of(self, term_id: int) -> str:
-        """The (precomputed) N3 text of ``term_id`` — no re-serialization."""
-        return self._n3[term_id]
+        """The N3 text of ``term_id``: its key on the wire."""
+        return self._terms[term_id].n3()
+
+    def bit_positions(self, width: int) -> Dict[int, int]:
+        """Id -> stage-1 bit position in a ``width``-bit candidate vector.
+
+        A table filled on first lookup of each id (:func:`key_bit` of its N3
+        key), kept for the dictionary's lifetime.
+        """
+        positions = self._bit_positions.get(width)
+        if positions is None:
+            # Concurrent queries share the dictionary: racing first lookups
+            # get one table, and racing fills write equal values.
+            positions = self._bit_positions.setdefault(width, _BitPositions(self, width))
+        return positions
 
     def encode_nodes(self, nodes: Iterable[Node]) -> Set[int]:
         """Ids of ``nodes``, silently dropping terms unknown to the graph."""
@@ -133,18 +172,33 @@ class TermDictionary:
 
         Appended ids break the "sorted ids == sorted candidates" invariant
         for the *new* terms only; the delta machinery keeps determinism by
-        making every replica of a graph apply the identical op sequence from
-        the identical base, so appended ids agree everywhere (see
-        docs/persistence.md).
+        making every replica of a cluster append the new terms of the
+        identical op sequence in the identical order, so appended ids agree
+        everywhere (see docs/persistence.md).
         """
         existing = self._ids.get(term)
         if existing is not None:
             return existing
         term_id = len(self._terms)
         self._terms.append(term)
-        self._n3.append(term.n3())
+        self.key_bytes.append(len(term.n3().encode("utf-8")))
         self._ids[term] = term_id
         return term_id
+
+
+class _BitPositions(dict):
+    """One width's id -> stage-1 bit table of a :class:`TermDictionary`, filled on a miss."""
+
+    __slots__ = ("_dictionary", "_width")
+
+    def __init__(self, dictionary: TermDictionary, width: int) -> None:
+        super().__init__()
+        self._dictionary = dictionary
+        self._width = width
+
+    def __missing__(self, term_id: int) -> int:
+        position = self[term_id] = key_bit(self._dictionary.n3_of(term_id), self._width)
+        return position
 
 
 class SortedColumn:
@@ -269,19 +323,20 @@ class EncodedGraph:
     first use and dropped by a patch.
 
     ``triples`` is any collection of distinct triples — an
-    :class:`~repro.rdf.graph.RDFGraph` or a fragment's edge set; it is
-    iterated twice and not kept.
+    :class:`~repro.rdf.graph.RDFGraph` or a fragment's edge set; it is not
+    kept.  ``dictionary`` is the one the ids come from (a cluster's, which
+    must already hold every term of ``triples``); without one the encoding
+    builds its own over ``triples``.
     """
 
     __slots__ = ("dictionary", "_out", "_in", "_any", "_sorted_vertex_ids", "_num_triples", "memo")
 
-    def __init__(self, triples: Collection[Triple]) -> None:
+    def __init__(self, triples: Collection[Triple], dictionary: Optional[TermDictionary] = None) -> None:
         global _REBUILDS
-        terms: Set[Term] = set()
-        for triple in triples:
-            terms.update(triple.as_tuple())
-        self.dictionary = TermDictionary(terms)
-        id_of = self.dictionary.id_of
+        if dictionary is None:
+            dictionary = TermDictionary(term for triple in triples for term in triple.as_tuple())
+        self.dictionary = dictionary
+        id_of = dictionary.id_of
         by_predicate: Dict[int, List[Tuple[int, int]]] = {}
         for triple in triples:
             by_predicate.setdefault(id_of(triple.predicate), []).append(
@@ -440,7 +495,8 @@ class EncodedGraph:
         """Patch the columns for a window of ``("+"|"-", triple)`` ops.
 
         ``ops`` are in mutation order.  New terms get fresh appended
-        dictionary ids.  Each triple's last op decides its state; every
+        dictionary ids (a cluster's dictionary already holds them).  Each
+        triple's last op decides its state; every
         predicate whose triples change gets new columns from one
         :meth:`SortedColumn.patched` pass per direction, equal to a cold
         build over the same ids, and every other column stays as it is.
@@ -482,21 +538,15 @@ class EncodedGraph:
 
 #: Process-local count of :class:`EncodedGraph` constructions, wherever they
 #: happen.  The observability layer exposes it as the
-#: ``repro_encoded_graph_rebuilds`` gauge: sites build theirs once, so a
-#: count that climbs query-over-query means encodings are being rebuilt
-#: (a graph mutated outside :func:`patch_encoded_view`, or recreated).
+#: ``repro_encoded_graph_rebuilds`` gauge: sites build theirs once and the
+#: cluster its master encoding on first use, so a count that climbs
+#: query-over-query means encodings are being rebuilt.
 _REBUILDS = 0
 #: Process-local count of :meth:`EncodedGraph.apply_ops` patches.  Exposed as
 #: the ``repro_encoded_graph_patches`` gauge: updates move this counter, not
 #: ``_REBUILDS``.
 _PATCHES = 0
 _REBUILDS_LOCK = threading.Lock()
-
-#: Serializes cache-miss builds in :func:`encoded_view`: two queries hitting
-#: a cold graph concurrently must share one build (and count one rebuild),
-#: not race to construct two.  Builds are rare — one per graph version — so
-#: a single global lock costs nothing measurable.
-_BUILD_LOCK = threading.Lock()
 
 
 def encoded_rebuilds() -> int:
@@ -509,45 +559,3 @@ def encoded_patches() -> int:
     """How many in-place encoding patches this process has performed."""
     with _REBUILDS_LOCK:
         return _PATCHES
-
-
-def patch_encoded_view(
-    graph: RDFGraph,
-    encoded: EncodedGraph,
-    ops: Iterable[Tuple[str, Triple]],
-) -> EncodedGraph:
-    """Bring ``graph``'s cached encoding up to date by applying ``ops`` directly.
-
-    The delta-application entry point for the master graph: ``encoded`` must
-    be the view obtained from :func:`encoded_view` *before* the mutations, and
-    ``ops`` the exact op sequence since.  The final encoding (including
-    appended dictionary ids) is a pure function of (base state, op sequence),
-    so a replica that replays the same ops from the same base (a reopened
-    store file) ends up with the bit-identical encoding.
-    """
-    with _BUILD_LOCK:
-        cached = getattr(graph, _CACHE_ATTRIBUTE, None)
-        if cached is not None and cached[0] == graph.version:
-            return cached[1]
-        encoded.apply_ops(ops)
-        setattr(graph, _CACHE_ATTRIBUTE, (graph.version, encoded))
-        return encoded
-
-
-def encoded_view(graph: RDFGraph) -> EncodedGraph:
-    """The (cached) dictionary-encoded view of ``graph``.
-
-    Built on first use and cached on the graph object against its
-    :attr:`~repro.rdf.graph.RDFGraph.version`.  A version that moved without
-    a :func:`patch_encoded_view` call gets a fresh build.
-    """
-    cached = getattr(graph, _CACHE_ATTRIBUTE, None)
-    if cached is not None and cached[0] == graph.version:
-        return cached[1]
-    with _BUILD_LOCK:
-        cached = getattr(graph, _CACHE_ATTRIBUTE, None)
-        if cached is not None and cached[0] == graph.version:
-            return cached[1]
-        encoded = EncodedGraph(graph)
-        setattr(graph, _CACHE_ATTRIBUTE, (graph.version, encoded))
-        return encoded

@@ -21,7 +21,7 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..rdf.terms import IRI, Literal, PatternTerm, Variable
 from ..sparql.algebra import BasicGraphPattern
@@ -103,12 +103,10 @@ class ArrayRunner:
         self.intersections = 0
 
     # -- candidate pools -------------------------------------------------
-    def compute_pools(
-        self,
-        query: QueryGraph,
-        relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
-    ) -> Dict[PatternTerm, List[int]]:
-        relaxed_edges = relaxed_edges or {}
+    def compute_pools(self, query: QueryGraph) -> Dict[PatternTerm, List[int]]:
+        """Every query vertex's candidate ids, ascending: a constant's own id
+        where it is a vertex here, a variable's the ids supporting every
+        incident edge."""
         pools: Dict[PatternTerm, List[int]] = {}
         for query_vertex in query.vertices:
             if isinstance(query_vertex, (IRI, Literal)):
@@ -118,9 +116,7 @@ class ArrayRunner:
                 else:
                     pools[query_vertex] = []
             else:
-                pools[query_vertex] = self._variable_pool(
-                    query, query_vertex, relaxed_edges.get(query_vertex, set())
-                )
+                pools[query_vertex] = self._variable_pool(query, query_vertex)
         return pools
 
     def _endpoint_column(self, edge: QueryEdge, query_vertex: PatternTerm) -> List[int]:
@@ -148,21 +144,15 @@ class ArrayRunner:
             return []
         return encoded.objects_from(other_id, code)
 
-    def _variable_pool(self, query, query_vertex, relaxed: Set[int]) -> List[int]:
-        """The ids in every required edge's endpoint column, in id order.
+    def _variable_pool(self, query, query_vertex) -> List[int]:
+        """The ids in every incident edge's endpoint column, in id order.
 
         A self-loop ``?x p ?x`` with a constant ``p`` requires both of
         ``p``'s columns: a candidate must have an outgoing *and* an incoming
         ``p`` edge.  Whether that is the same edge is left to the search.
         """
-        required = [
-            edge for edge in query.edges_of(query_vertex) if edge.index not in relaxed
-        ]
-        if not required:
-            # Every incident edge was relaxed: any vertex could match.
-            return self.encoded.sorted_vertex_ids
         columns = []
-        for edge in required:
+        for edge in query.edges_of(query_vertex):
             column = self._endpoint_column(edge, query_vertex)
             if not column:
                 return []

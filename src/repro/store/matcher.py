@@ -36,7 +36,7 @@ from ..rdf.terms import Node, PatternTerm
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import ResultSet, Row
 from ..sparql.query_graph import QueryGraph, traversal_order
-from .encoding import EncodedGraph, encoded_view
+from .encoding import EncodedGraph
 from .kernel import ArrayRunner, QueryPools, cached_pools
 
 
@@ -55,8 +55,8 @@ def finalize_matches(query: SelectQuery, rows: List[Row]) -> ResultSet:
 class LocalMatcher:
     """Find all matches of BGP queries over one :class:`EncodedGraph`.
 
-    A caller holding an :class:`~repro.rdf.graph.RDFGraph` passes
-    :func:`~repro.store.encoding.encoded_view` of it.
+    A caller holding an :class:`~repro.rdf.graph.RDFGraph` passes an
+    :class:`EncodedGraph` of it.
     """
 
     #: The per-call match runner (the parity suites substitute their oracle).
@@ -246,5 +246,5 @@ def evaluate_centralized(
     query: SelectQuery,
     planner: Optional[QueryPlanner] = None,
 ) -> ResultSet:
-    """One-shot convenience wrapper: evaluate ``query`` over ``graph`` centrally."""
-    return LocalMatcher(encoded_view(graph), planner=planner).evaluate(query)
+    """One-shot convenience wrapper: evaluate ``query`` over a fresh encoding of ``graph``."""
+    return LocalMatcher(EncodedGraph(graph), planner=planner).evaluate(query)

@@ -2,9 +2,9 @@
 
 Each site of the simulated cluster hosts one :class:`TripleStore` over its
 fragment's :class:`~repro.store.encoding.EncodedGraph`, bundling a matcher,
-planner statistics collected on first use and an optional planner.  The site
-patches the encoding itself and then hands the same op window to
-:meth:`TripleStore.patch_statistics`.
+planner statistics (collected when the store is built, unless supplied) and
+an optional planner.  The site patches the encoding itself and then hands the
+same op window to :meth:`TripleStore.patch_statistics`.
 """
 
 from __future__ import annotations
@@ -35,11 +35,14 @@ class TripleStore:
         name: str = "",
         use_planner: bool = False,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
+        statistics: Optional[GraphStatistics] = None,
     ) -> None:
+        """``statistics``, when given, must describe ``encoded`` as it stands
+        (a store file's summary); otherwise they are collected here."""
         self._encoded = encoded
         self._name = name
         self._matcher: Optional[LocalMatcher] = None
-        self._statistics: Optional[GraphStatistics] = None
+        self._statistics = collect_statistics(encoded) if statistics is None else statistics
         self._use_planner = use_planner
         self._plan_cache_size = plan_cache_size
         self._planner: Optional[QueryPlanner] = None
@@ -61,22 +64,8 @@ class TripleStore:
     # ------------------------------------------------------------------
     @property
     def statistics(self) -> GraphStatistics:
-        """Planner statistics for the encoding (collected once, on first use)."""
-        if self._statistics is None:
-            self._statistics = collect_statistics(self._encoded)
+        """Planner statistics for the encoding, kept exact by :meth:`patch_statistics`."""
         return self._statistics
-
-    def preload_statistics(self, statistics: GraphStatistics) -> None:
-        """Adopt previously collected statistics for the encoding's current state.
-
-        Used by the persistence layer to skip the collection pass when a
-        store file already carries the summary.  The caller asserts that
-        ``statistics`` describes the encoding exactly as it stands now.
-        """
-        self._statistics = statistics
-        if self._planner is not None:
-            self._planner = None
-            self._matcher = None
 
     def patch_statistics(self, ops: Iterable[Tuple[str, Triple]]) -> None:
         """Follow a window of effective ops the encoding has already applied.
@@ -87,8 +76,7 @@ class TripleStore:
         update; the plan cache is cleared either way, because its orders were
         chosen against the old statistics.
         """
-        if self._statistics is not None:
-            apply_statistics_ops(self._statistics, self._encoded, ops)
+        apply_statistics_ops(self._statistics, self._encoded, ops)
         if self._planner is not None:
             self._planner.cache.clear()
 

@@ -14,8 +14,9 @@ decoded terms hash to (:func:`hashed_positions`), independently of
 import hashlib
 
 from repro.core.candidate_exchange import DEFAULT_BIT_VECTOR_BITS, CandidateBitVector
-from repro.rdf import RDFGraph, Variable
-from repro.store import compute_candidates
+from repro.rdf import Variable
+from repro.store import EncodedGraph
+from repro.store.kernel import ArrayRunner
 
 
 def vector_of(terms, width=DEFAULT_BIT_VECTOR_BITS) -> CandidateBitVector:
@@ -27,9 +28,15 @@ def vector_of(terms, width=DEFAULT_BIT_VECTOR_BITS) -> CandidateBitVector:
 
 
 def reference_internal_candidates(site, query_graph):
-    """Per query vertex, the site's decoded internal candidates (a ``Node`` set)."""
-    candidates = compute_candidates(RDFGraph(site.fragment.all_edges), query_graph)
-    return {vertex: found & site.fragment.internal_vertices for vertex, found in candidates.items()}
+    """Per query vertex, the site's decoded internal candidates (a ``Node`` set).
+
+    The pools come from a fresh encoding of the fragment, with its own
+    dictionary, so they are decoded out of another id space than the site's.
+    """
+    encoded = EncodedGraph(site.fragment.all_edges)
+    pools = ArrayRunner(encoded).compute_pools(query_graph)
+    decode = encoded.dictionary.decode_ids
+    return {vertex: decode(found) & site.fragment.internal_vertices for vertex, found in pools.items()}
 
 
 def reference_site_vectors(internal_candidates, width=DEFAULT_BIT_VECTOR_BITS):

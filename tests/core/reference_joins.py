@@ -10,13 +10,13 @@ more; ``tests/property/test_property_joins.py`` asserts that the indexed join
 returns the same surviving features and the same *sequence* of matches.
 Only the imports differ from the code that was removed.
 
-Since LPMs and features cross as N3 keys, the assembler below tests
+Since LPMs and features cross as cluster ids, the assembler below tests
 Definition 9 with :func:`lpms_joinable` on the LPMs' decoded views (the
-object-level ``can_join`` they had), so the key-based joins are checked
+object-level ``can_join`` they had), so the id-based joins are checked
 against term objects.  Also here, because nothing in ``src/`` calls them:
 :func:`group_features_by_sign` and :func:`compiled_features_joinable`
 (``repro.core.lec``'s grouping and Definition 9 on the compiled form, until
-they moved), and :func:`lec_feature`, which builds a feature's key form from
+they moved), and :func:`lec_feature`, which builds a feature's id form from
 object-level ``(index, Triple)`` pairs.
 
 Two more oracles belong to the messages around Algorithm 2.
@@ -42,14 +42,31 @@ from repro.core.partial_match import LocalPartialMatch
 from repro.core.pruning import PruningOutcome
 from repro.rdf.triples import Triple
 from repro.sparql.query_graph import QueryGraph
+from repro.store.encoding import TermDictionary
 
 
-def lec_feature(fragment_id: int, crossing_map: Iterable[Tuple[int, Triple]], lec_sign: int) -> LECFeature:
-    """The LEC feature whose ``g`` maps these (query edge index, data edge) pairs."""
+def lec_feature(
+    fragment_id: int,
+    crossing_map: Iterable[Tuple[int, Triple]],
+    lec_sign: int,
+    dictionary: Optional[TermDictionary] = None,
+) -> LECFeature:
+    """The LEC feature whose ``g`` maps these (query edge index, data edge) pairs.
+
+    Ids are ``dictionary``'s (terms it lacks are appended), by default a
+    fresh one over the pairs' terms.
+    """
+    crossing_map = list(crossing_map)
+    if dictionary is None:
+        dictionary = TermDictionary(term for _, triple in crossing_map for term in triple.as_tuple())
+    ensure = dictionary.ensure
     crossing = sorted(
-        (index, triple.subject.n3(), triple.predicate.n3(), triple.object.n3()) for index, triple in crossing_map
+        (index, ensure(triple.subject), ensure(triple.predicate), ensure(triple.object))
+        for index, triple in crossing_map
     )
-    return LECFeature(fragment_id, tuple(crossing), lec_sign)
+    feature = LECFeature(fragment_id, tuple(crossing), lec_sign)
+    feature.dictionary = dictionary
+    return feature
 
 
 def echo_survivors(

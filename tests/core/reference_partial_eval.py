@@ -8,13 +8,14 @@ key, over ``Node``/``Triple``-keyed dictionaries.  Nothing in ``src/`` runs
 this path any more; ``tests/core/test_partial_eval_differential.py`` asserts
 that the new enumerator returns the same *set* of LPMs per fragment, each
 exactly once.  Only the imports, :func:`build_lpm` (which was
-``LocalPartialMatch.build`` in ``src/`` and now builds the key form of an LPM
+``LocalPartialMatch.build`` in ``src/`` and now builds the id form of an LPM
 from object-level state), :func:`filter_allows` (which was
 ``GlobalCandidateFilter.allows`` in ``src/``, whose encoded path asks the
 bit vectors directly), the ``ValueError`` guard around its one call, the
 constructor's own ``RDFGraph`` of the fragment (a site no longer keeps one;
-``graph`` is accepted and ignored, so both evaluators take the same
-arguments) and this paragraph differ from the code that was removed.  One known defect is
+``graph`` is read only for the dictionary the ids come from, so both
+evaluators take the same arguments and emit in one id space) and this
+paragraph differ from the code that was removed.  One known defect is
 kept on purpose: a *self-loop* query edge seeded from a crossing data edge
 overwrites its own endpoint in ``_expand_seed`` and emits a match Definition 5
 rejects (``build_lpm`` refuses it), so comparisons on self-loop queries use
@@ -61,6 +62,7 @@ from repro.rdf.triples import Triple
 from repro.sparql.query_graph import QueryEdge, QueryGraph
 from repro.core.candidate_exchange import GlobalCandidateFilter
 from repro.core.partial_match import LocalPartialMatch, check_local_partial_match
+from repro.store.encoding import TermDictionary
 
 
 @dataclass
@@ -89,6 +91,13 @@ class PartialEvaluator:
     ) -> None:
         self._fragment = fragment
         self._graph = RDFGraph(fragment.all_edges, name=fragment.name)
+        #: The dictionary the emitted ids come from: the one the evaluator
+        #: under test reads (``graph``'s), else the fragment's own.
+        self._dictionary = (
+            graph.encoded.dictionary
+            if graph is not None
+            else TermDictionary(term for triple in fragment.all_edges for term in triple.as_tuple())
+        )
         #: ``V_i ∪ Ve_i`` snapshotted once — ``Fragment.all_vertices`` builds
         #: a fresh union set per call, far too expensive for the per-branch
         #: assignment check in :meth:`_try_assign`.
@@ -325,6 +334,7 @@ class PartialEvaluator:
                 crossing_edge_indexes=crossing_indexes,
                 query=query,
                 fragment=self._fragment,
+                dictionary=self._dictionary,
             )
         except ValueError:
             # The self-loop defect above: Definition 5 rejects the match, and
@@ -369,14 +379,19 @@ def build_lpm(
     crossing_edge_indexes: Set[int],
     query: QueryGraph,
     fragment: Fragment,
+    dictionary: Optional[TermDictionary] = None,
 ) -> LocalPartialMatch:
     """Build an LPM from object-level working state.
 
-    Keys are ``term.n3()``, computed here independently of the evaluator.  A
+    Ids are ``dictionary``'s (by default, a fresh one over the fragment's
+    terms, which is what an evaluator given no graph encodes with).  A
     matched edge's item holds only its predicate (the mapped endpoints pin
     the rest), so a data edge that does not connect them raises
     ``ValueError``.
     """
+    if dictionary is None:
+        dictionary = TermDictionary(term for triple in fragment.all_edges for term in triple.as_tuple())
+    id_of = dictionary.id_of
     for index, triple in edge_mapping.items():
         edge = query.edge_at(index)
         if (mapping.get(edge.subject), mapping.get(edge.object)) != (triple.subject, triple.object):
@@ -391,15 +406,15 @@ def build_lpm(
         slots[base + query.vertex_index(vertex)] = value
     order = sorted(slots)
     crossing = sorted(
-        (index, triple.subject.n3(), triple.predicate.n3(), triple.object.n3())
+        (index, id_of(triple.subject), id_of(triple.predicate), id_of(triple.object))
         for index, triple in edge_mapping.items()
         if index in crossing_edge_indexes
     )
     return LocalPartialMatch(
         frozenset({fragment_id}),
         query,
-        tuple((slot, slots[slot].n3()) for slot in order),
-        tuple(slots[slot] for slot in order),
+        tuple((slot, id_of(slots[slot])) for slot in order),
+        dictionary,
         internal_mask,
         tuple(crossing),
     )

@@ -4,15 +4,17 @@ import pytest
 
 from repro.core.assembly import BasicAssembler, LECAssembler, assemble_matches
 from repro.core.partial_eval import evaluate_fragment
+from repro.distributed import build_cluster
 from repro.partition import HashPartitioner, SemanticHashPartitioner
 from repro.sparql import QueryGraph
 from repro.datasets import btc, lubm, yago
 
 
 def collect_lpms(partitioned, query_graph):
+    """Every site's LPMs, over the cluster's one dictionary."""
     lpms = []
-    for fragment in partitioned:
-        lpms.extend(evaluate_fragment(fragment, query_graph).local_partial_matches)
+    for site in build_cluster(partitioned):
+        lpms.extend(evaluate_fragment(site.fragment, query_graph, graph=site.graph).local_partial_matches)
     return lpms
 
 

@@ -5,7 +5,7 @@ import pickle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_candidates import vector_of
+from reference_candidates import hashed_positions, vector_of
 from reference_partial_eval import filter_allows
 
 from repro.core import (
@@ -19,7 +19,7 @@ from repro.sparql import QueryGraph, parse_query
 from repro.distributed import build_cluster
 from repro.partition import HashPartitioner
 from repro.datasets import lubm
-from repro.store import encoded_view
+from repro.store import EncodedGraph, TermDictionary
 from repro.store.fragment_index import CandidateIds
 
 EX = Namespace("http://example.org/")
@@ -31,7 +31,7 @@ CONST = EX.term("const")
 def candidate_ids(candidates):
     """``candidates`` (terms per query vertex) as the ids of a graph holding them all."""
     graph = RDFGraph(triples=[Triple(A, EX.term("p"), B), Triple(C, EX.term("p"), CONST)])
-    encoded = encoded_view(graph)
+    encoded = EncodedGraph(graph)
     ids = CandidateIds((v, encoded.dictionary.encode_nodes(terms)) for v, terms in candidates.items())
     ids.encoded = encoded
     return ids
@@ -79,10 +79,15 @@ class TestCandidateBitVector:
         assert vector.popcount() >= 1
 
     @pytest.mark.parametrize("width", [2048, 100])
-    def test_might_contain_n3_agrees_with_might_contain(self, width):
-        vector = vector_of([A, B, C], width=width)
-        assert vector.width == width
-        assert vector.might_contain(C) and vector.might_contain_n3(C.n3())
+    def test_the_dictionary_bit_table_agrees_with_might_contain(self, width):
+        vector = vector_of([A, B], width=width)
+        dictionary = TermDictionary([A, B, C, CONST])
+        positions = dictionary.bit_positions(width)
+        assert dictionary.bit_positions(width) is positions
+        for term in (A, B, C, CONST):
+            position = positions[dictionary.id_of(term)]
+            assert position == hashed_positions([term], width).pop()
+            assert bool(vector.bits >> position & 1) == vector.might_contain(term)
 
 
 WIDTHS = [8, 100, 4096, 65536, 65544]

@@ -9,6 +9,7 @@ from reference_joins import features_joinable as reference_joinable
 from repro.core import LECFeaturePruner, lec_feature_of
 from repro.core.joins import NULL, JoinCompiler, SignGroups, conflicts, seed
 from repro.core.partial_eval import evaluate_fragment
+from repro.distributed import build_cluster
 from repro.datasets import lubm
 from repro.partition import HashPartitioner
 from repro.rdf import Namespace, Triple
@@ -18,10 +19,10 @@ EX = Namespace("http://example.org/")
 
 
 @pytest.fixture()
-def example_features(example_partitioning, example_query_graph):
+def example_features(example_cluster, example_query_graph):
     features = []
-    for fragment in example_partitioning:
-        lpms = evaluate_fragment(fragment, example_query_graph).local_partial_matches
+    for site in example_cluster:
+        lpms = evaluate_fragment(site.fragment, example_query_graph, graph=site.graph).local_partial_matches
         features.extend(dict.fromkeys(lec_feature_of(lpm) for lpm in lpms))
     return features
 
@@ -30,8 +31,8 @@ def lubm_features(lubm_graph, query_name):
     """The distinct LEC features of one LUBM query over a 4-way hash partitioning."""
     query_graph = QueryGraph(lubm.queries()[query_name].bgp)
     features = []
-    for fragment in HashPartitioner(4).partition(lubm_graph):
-        lpms = evaluate_fragment(fragment, query_graph).local_partial_matches
+    for site in build_cluster(HashPartitioner(4).partition(lubm_graph)):
+        lpms = evaluate_fragment(site.fragment, query_graph, graph=site.graph).local_partial_matches
         features.extend(dict.fromkeys(lec_feature_of(lpm) for lpm in lpms))
     return query_graph, features
 
@@ -52,10 +53,10 @@ class TestCompiledForm:
                 shared = len(left.crossing_map & right.crossing_map)
                 assert len(set(a.pairs) & set(b.pairs)) == shared
 
-    def test_lpm_form_covers_every_matched_edge_and_vertex(self, example_partitioning, example_query_graph):
+    def test_lpm_form_covers_every_matched_edge_and_vertex(self, example_cluster, example_query_graph):
         compiler = JoinCompiler(example_query_graph)
-        for fragment in example_partitioning:
-            for lpm in evaluate_fragment(fragment, example_query_graph).local_partial_matches:
+        for site in example_cluster:
+            for lpm in evaluate_fragment(site.fragment, example_query_graph, graph=site.graph).local_partial_matches:
                 operand = compiler.lpm(lpm)
                 assert operand.sign == lpm.internal_mask
                 assert len(operand.pairs) == len(lpm.crossing_assignment)
@@ -73,7 +74,7 @@ class TestCompiledForm:
         assert not conflicts(slots, operand)
         other = compiler.feature(example_features[1])
         clash = list(slots)
-        clash[other.items[0][0]] = other.items[0][1] + "-other"
+        clash[other.items[0][0]] = other.items[0][1] + 1_000_000  # an id no term has
         assert conflicts(clash, other)
 
     def test_self_conflicting_feature_has_no_join_keys(self, example_query_graph):

@@ -25,8 +25,9 @@ def path_setting():
     graph = RDFGraph([Triple(A, P, B), Triple(B, Q, C)])
     partitioned = build_partitioned_graph(graph, {A: 0, B: 0, C: 1}, num_fragments=2)
     query = QueryGraph(BasicGraphPattern([TriplePattern(X, P, Y), TriplePattern(Y, Q, Z)]))
+    cluster = build_cluster(partitioned)
     lpms = {
-        fid: evaluate_fragment(partitioned.fragment(fid), query).local_partial_matches
+        fid: evaluate_fragment(partitioned.fragment(fid), query, graph=cluster.site(fid).graph).local_partial_matches
         for fid in (0, 1)
     }
     return partitioned, query, lpms
@@ -153,7 +154,7 @@ class TestJoinability:
     def test_no_common_crossing_edge_not_joinable(self, path_setting):
         partitioned, query, lpms = path_setting
         left = lec_feature_of(lpms[0][0])
-        other = lec_feature(1, [(0, Triple(A, P, B))], 0b100)
+        other = lec_feature(1, [(0, Triple(A, P, B))], 0b100, left.dictionary)
         assert not features_joinable(left, other, query)
 
     def test_conflicting_crossing_endpoint_not_joinable(self, path_setting):
@@ -162,7 +163,7 @@ class TestJoinability:
         # The other feature shares query edge 1 (mapped to b-q-c, so ?y→b) but
         # also maps query edge 0 to d-p-d', forcing ?y→d' ≠ b: the vertex-level
         # conflict on ?y must make the features non-joinable.
-        other = lec_feature(1, [(1, Triple(B, Q, C)), (0, Triple(D, P, EX.term("d2")))], 0b100)
+        other = lec_feature(1, [(1, Triple(B, Q, C)), (0, Triple(D, P, EX.term("d2")))], 0b100, left.dictionary)
         assert not features_joinable(left, other, query)
         assert not features_joinable(other, left, query)
 
@@ -175,10 +176,10 @@ class TestGroupingAndJoinGraph:
         for sign, members in groups.items():
             assert all(member.lec_sign == sign for member in members)
 
-    def test_theorem5_same_sign_features_never_joinable(self, example_partitioning, example_query_graph):
+    def test_theorem5_same_sign_features_never_joinable(self, example_cluster, example_query_graph):
         features = []
-        for fragment in example_partitioning:
-            outcome = evaluate_fragment(fragment, example_query_graph)
+        for site in example_cluster:
+            outcome = evaluate_fragment(site.fragment, example_query_graph, graph=site.graph)
             features.extend(lec_feature_of(lpm) for lpm in outcome.local_partial_matches)
         groups = group_features_by_sign(features)
         for members in groups.values():

@@ -17,6 +17,7 @@ from repro.core import (
 )
 from repro.core.assembly import LECAssembler
 from repro.core.partial_eval import PartialEvaluator
+from repro.distributed import build_cluster
 from repro.core.partial_match import check_local_partial_match
 from repro.datasets.paper_example import VERTEX
 from repro.rdf import Variable
@@ -26,9 +27,9 @@ from repro.store import evaluate_centralized
 @pytest.fixture(scope="module")
 def per_fragment_lpms(example_partitioning_module, example_query_graph_module):
     lpms = {}
-    for fragment in example_partitioning_module:
-        outcome = PartialEvaluator(fragment, paranoid=True).evaluate(example_query_graph_module)
-        lpms[fragment.fragment_id] = outcome.local_partial_matches
+    for site in build_cluster(example_partitioning_module):
+        outcome = PartialEvaluator(site.fragment, graph=site.graph, paranoid=True).evaluate(example_query_graph_module)
+        lpms[site.site_id] = outcome.local_partial_matches
     return lpms
 
 

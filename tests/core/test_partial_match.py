@@ -11,6 +11,7 @@ from repro.core.partial_match import LPMList
 from repro.partition import build_partitioned_graph
 from repro.rdf import Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph
+from repro.store import TermDictionary
 
 EX = Namespace("http://example.org/")
 A, B, C, D = EX.term("a"), EX.term("b"), EX.term("c"), EX.term("d")
@@ -27,6 +28,11 @@ def setting():
     return graph, partitioned, query
 
 
+def cluster_dictionary(partitioned):
+    """One dictionary over the whole graph, as a cluster of ``partitioned`` has."""
+    return TermDictionary(term for triple in partitioned.graph for term in triple.as_tuple())
+
+
 def lpm_f0(partitioned, query):
     """The full LPM of fragment 0: {x→a, y→b, z→c} (z extended)."""
     fragment = partitioned.fragment(0)
@@ -37,6 +43,7 @@ def lpm_f0(partitioned, query):
         crossing_edge_indexes={1},
         query=query,
         fragment=fragment,
+        dictionary=cluster_dictionary(partitioned),
     )
 
 
@@ -50,6 +57,7 @@ def lpm_f1(partitioned, query):
         crossing_edge_indexes={1},
         query=query,
         fragment=fragment,
+        dictionary=cluster_dictionary(partitioned),
     )
 
 
@@ -91,10 +99,11 @@ class TestConstruction:
         apart = LPMList([left]).shipment_size() + LPMList([right]).shipment_size() - 4
         shared = {key for _, key in left.items} & {key for _, key in right.items}
         assert shared
-        assert LPMList([left, right]).shipment_size() == apart - sum(len(key.encode()) for key in shared)
+        text = sum(len(left.dictionary.n3_of(key).encode()) for key in shared)
+        assert LPMList([left, right]).shipment_size() == apart - text
         # Keys the receiver already holds are referred to, not sent again.
         referred = LPMList([left, right], known_keys=shared).shipment_size()
-        assert referred == LPMList([left, right]).shipment_size() - sum(len(key.encode()) for key in shared)
+        assert referred == LPMList([left, right]).shipment_size() - text
 
     def test_pickles_as_the_table_form(self, setting):
         _, partitioned, query = setting

@@ -6,6 +6,7 @@ from reference_joins import lec_feature
 
 from repro.core import LECFeaturePruner, compute_lec_features, prune_features
 from repro.core.partial_eval import evaluate_fragment
+from repro.distributed import build_cluster
 from repro.partition import HashPartitioner
 from repro.rdf import Namespace, Triple
 from repro.sparql import QueryGraph
@@ -34,10 +35,10 @@ class TestPruner:
         assert not outcome.survives(feature)
         assert outcome.pruned_count == 1
 
-    def test_paper_example_prunes_exactly_one_feature(self, example_partitioning, example_query_graph):
+    def test_paper_example_prunes_exactly_one_feature(self, example_cluster, example_query_graph):
         features = []
-        for fragment in example_partitioning:
-            lpms = evaluate_fragment(fragment, example_query_graph).local_partial_matches
+        for site in example_cluster:
+            lpms = evaluate_fragment(site.fragment, example_query_graph, graph=site.graph).local_partial_matches
             features.extend(compute_lec_features(lpms))
         outcome = LECFeaturePruner(example_query_graph).prune(features)
         assert outcome.total_features == 7
@@ -64,9 +65,9 @@ class TestPruningSoundness:
         partitioned = HashPartitioner(4).partition(lubm_graph)
 
         classes_by_site = {}
-        for fragment in partitioned:
-            lpms = evaluate_fragment(fragment, query_graph).local_partial_matches
-            classes_by_site[fragment.fragment_id] = compute_lec_features(lpms)
+        for site in build_cluster(partitioned):
+            lpms = evaluate_fragment(site.fragment, query_graph, graph=site.graph).local_partial_matches
+            classes_by_site[site.site_id] = compute_lec_features(lpms)
 
         features_by_site = {site: list(classes) for site, classes in classes_by_site.items()}
         _, surviving = prune_features(query_graph, features_by_site)
@@ -88,11 +89,11 @@ class TestPruningSoundness:
         pruned = {m.assignment for m in assembler.assemble(surviving_lpms).matches}
         assert full == pruned
 
-    def test_per_site_survivors_are_subsets(self, example_partitioning, example_query_graph):
+    def test_per_site_survivors_are_subsets(self, example_cluster, example_query_graph):
         features_by_site = {}
-        for fragment in example_partitioning:
-            lpms = evaluate_fragment(fragment, example_query_graph).local_partial_matches
-            features_by_site[fragment.fragment_id] = list(compute_lec_features(lpms))
+        for site in example_cluster:
+            lpms = evaluate_fragment(site.fragment, example_query_graph, graph=site.graph).local_partial_matches
+            features_by_site[site.site_id] = list(compute_lec_features(lpms))
         outcome, surviving = prune_features(example_query_graph, features_by_site)
         for site, features in features_by_site.items():
             positions = surviving[site]

@@ -7,7 +7,7 @@ from repro.distributed import Cluster, build_cluster
 from repro.partition import HashPartitioner
 from repro.rdf import IRI, RDFGraph, Triple, Variable
 from repro.sparql import QueryGraph, parse_query
-from repro.store.encoding import EncodedGraph, encoded_rebuilds, encoded_view
+from repro.store.encoding import EncodedGraph, encoded_rebuilds
 
 
 class TestSite:
@@ -102,7 +102,7 @@ class TestOneEncodingPerSite:
     def test_an_update_constructs_no_graph_and_no_encoding(self, partitioned, monkeypatch):
         cluster = build_cluster(HashPartitioner(3).partition(partitioned.graph.copy()))
         cluster.graph_statistics()
-        encoded_view(cluster.graph)  # the master encoding: built on first use, then patched
+        cluster.encoded  # the master encoding: built on first use, then patched
         structures = [(site.encoded, site.graph, site.graph_statistics()) for site in cluster]
         constructed = []
         original = RDFGraph.__init__
@@ -121,15 +121,14 @@ class TestOneEncodingPerSite:
         assert [(site.encoded, site.graph, site.graph_statistics()) for site in cluster] == structures
 
     def test_the_site_encoding_is_the_encoding_of_its_edges(self, partitioned):
-        for site in build_cluster(partitioned):
+        cluster = build_cluster(partitioned)
+        for site in cluster:
             encoded = site.graph.encoded
             assert encoded is site.encoded is site.store.encoded
-            reference = EncodedGraph(RDFGraph(site.fragment.internal_edges | site.fragment.crossing_edges))
-            size = len(reference.dictionary)
-            assert len(encoded.dictionary) == size
-            assert [encoded.dictionary.term_of(i) for i in range(size)] == [
-                reference.dictionary.term_of(i) for i in range(size)
-            ]
+            assert encoded.dictionary is cluster.dictionary
+            reference = EncodedGraph(
+                RDFGraph(site.fragment.internal_edges | site.fragment.crossing_edges), cluster.dictionary
+            )
             assert encoded.predicate_ids() == reference.predicate_ids()
             for predicate in reference.predicate_ids():
                 for ours, theirs in (

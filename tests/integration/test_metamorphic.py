@@ -41,7 +41,7 @@ from repro.sparql import parse_query
 from repro.sparql.algebra import BasicGraphPattern
 from repro.sparql.query_graph import QueryGraph
 from repro.store import LocalMatcher, evaluate_centralized
-from repro.store.encoding import encoded_view
+from repro.store.encoding import EncodedGraph
 
 PARTITIONERS = sorted(PARTITIONER_REGISTRY)
 
@@ -194,7 +194,7 @@ def cloned_matches(graph, queries):
     the graph are dropped, so removing the delta again restores the graph.
     """
     delta = []
-    matcher = LocalMatcher(encoded_view(graph))
+    matcher = LocalMatcher(EncodedGraph(graph))
     for name, query in queries.items():
         match = next(iter(matcher.find_matches(QueryGraph(query.bgp))), None)
         if match is None:

@@ -4,13 +4,13 @@ from repro.planner import CardinalityEstimator, MIN_CARDINALITY, collect_statist
 from repro.rdf import Namespace, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph
 from repro.rdf.triples import TriplePattern
-from repro.store.encoding import encoded_view
+from repro.store.encoding import EncodedGraph
 
 EX = Namespace("http://example.org/")
 
 
 def estimator_for(graph):
-    return CardinalityEstimator(collect_statistics(encoded_view(graph)))
+    return CardinalityEstimator(collect_statistics(EncodedGraph(graph)))
 
 
 def single_edge(subject, predicate, object_):
@@ -62,7 +62,7 @@ class TestVertexCardinality:
         assert estimator.vertex_cardinality(query, Variable("x")) == 1.0
 
     def test_more_frequent_predicate_means_more_candidates(self, lubm_graph):
-        estimator = CardinalityEstimator(collect_statistics(encoded_view(lubm_graph)))
+        estimator = CardinalityEstimator(collect_statistics(EncodedGraph(lubm_graph)))
         ub = Namespace("http://example.org/univ-bench#")
         frequent = QueryGraph(
             BasicGraphPattern([TriplePattern(Variable("x"), ub.term("takesCourse"), Variable("y"))])

@@ -8,7 +8,6 @@ from repro.planner import QueryPlanner, collect_statistics
 from repro.rdf import TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph
 from repro.store import EncodedGraph, LocalMatcher, TripleStore
-from repro.store.encoding import encoded_view
 import pytest
 
 
@@ -22,15 +21,15 @@ def lubm_setup():
 class TestMatcherIntegration:
     def test_planned_matcher_returns_identical_solutions(self, lubm_setup):
         graph, _, queries = lubm_setup
-        static = LocalMatcher(encoded_view(graph))
-        planned = LocalMatcher(encoded_view(graph), planner=QueryPlanner.from_graph(encoded_view(graph)))
+        static = LocalMatcher(EncodedGraph(graph))
+        planned = LocalMatcher(EncodedGraph(graph), planner=QueryPlanner.from_graph(EncodedGraph(graph)))
         for query in queries.values():
             assert planned.evaluate(query).same_solutions(static.evaluate(query))
 
     def test_planner_reduces_search_steps_on_multi_join(self, lubm_setup):
         graph, _, queries = lubm_setup
-        static = LocalMatcher(encoded_view(graph))
-        planned = LocalMatcher(encoded_view(graph), planner=QueryPlanner.from_graph(encoded_view(graph)))
+        static = LocalMatcher(EncodedGraph(graph))
+        planned = LocalMatcher(EncodedGraph(graph), planner=QueryPlanner.from_graph(EncodedGraph(graph)))
         static.evaluate(queries["LQ6"])
         planned.evaluate(queries["LQ6"])
         assert planned.search_steps < static.search_steps
@@ -39,7 +38,7 @@ class TestMatcherIntegration:
         graph, _, queries = lubm_setup
         from repro.sparql import QueryGraph, traversal_order
 
-        planned = LocalMatcher(encoded_view(graph), planner=QueryPlanner.from_graph(encoded_view(graph)))
+        planned = LocalMatcher(EncodedGraph(graph), planner=QueryPlanner.from_graph(EncodedGraph(graph)))
         query_graph = QueryGraph(queries["LQ1"].bgp)
         seed_order = traversal_order(query_graph)
         forced = list(planned.find_matches(query_graph, order=seed_order))
@@ -50,12 +49,12 @@ class TestMatcherIntegration:
 class TestTripleStoreIntegration:
     def test_planner_disabled_by_default(self, lubm_setup):
         graph, _, _ = lubm_setup
-        store = TripleStore(encoded_view(graph))
+        store = TripleStore(EncodedGraph(graph))
         assert store.planner is None
 
     def test_enable_disable(self, lubm_setup):
         graph, _, _ = lubm_setup
-        store = TripleStore(encoded_view(graph))
+        store = TripleStore(EncodedGraph(graph))
         planner = store.enable_planner(plan_cache_size=16)
         assert store.planner is planner
         assert store.matcher.planner is planner

@@ -11,7 +11,7 @@ from repro.planner import (
 from repro.rdf import Namespace, Variable
 from repro.rdf.triples import TriplePattern
 from repro.sparql import BasicGraphPattern, QueryGraph, parse_query, traversal_order
-from repro.store.encoding import encoded_view
+from repro.store.encoding import EncodedGraph
 
 EX = Namespace("http://example.org/")
 
@@ -41,7 +41,7 @@ class TestFallback:
 
 class TestGreedyPlan:
     def plan(self, graph, query):
-        return PlanOptimizer(collect_statistics(encoded_view(graph))).plan(query)
+        return PlanOptimizer(collect_statistics(EncodedGraph(graph))).plan(query)
 
     def test_connectivity_preserved(self, lubm_graph):
         ub = Namespace("http://example.org/univ-bench#")
@@ -104,7 +104,7 @@ class TestGreedyPlan:
 
 class TestQueryPlanner:
     def test_cache_hit_on_second_plan(self, tiny_graph):
-        planner = QueryPlanner.from_graph(encoded_view(tiny_graph))
+        planner = QueryPlanner.from_graph(EncodedGraph(tiny_graph))
         query = query_of(TriplePattern(Variable("x"), EX.term("knows"), Variable("y")))
         first = planner.plan_for(query)
         second = planner.plan_for(query)
@@ -114,7 +114,7 @@ class TestQueryPlanner:
         assert planner.cache.hits == 1
 
     def test_cache_shared_across_constant_instantiations(self, tiny_graph):
-        planner = QueryPlanner.from_graph(encoded_view(tiny_graph))
+        planner = QueryPlanner.from_graph(EncodedGraph(tiny_graph))
         for_a = query_of(TriplePattern(EX.term("a"), EX.term("knows"), Variable("y")))
         for_b = query_of(TriplePattern(EX.term("b"), EX.term("knows"), Variable("y")))
         planner.plan_for(for_a)
@@ -122,7 +122,7 @@ class TestQueryPlanner:
         assert plan.source == SOURCE_CACHE
 
     def test_explain_renders_order_and_estimates(self, tiny_graph):
-        planner = QueryPlanner.from_graph(encoded_view(tiny_graph))
+        planner = QueryPlanner.from_graph(EncodedGraph(tiny_graph))
         query = query_of(
             TriplePattern(Variable("x"), EX.term("knows"), Variable("y")),
             TriplePattern(Variable("y"), EX.term("name"), Variable("n")),
@@ -134,7 +134,7 @@ class TestQueryPlanner:
         assert "estimated cost" in text
 
     def test_order_for_is_a_permutation(self, lubm_graph):
-        planner = QueryPlanner.from_graph(encoded_view(lubm_graph))
+        planner = QueryPlanner.from_graph(EncodedGraph(lubm_graph))
         query = parse_query(
             "PREFIX ub: <http://example.org/univ-bench#> "
             "SELECT ?x ?y WHERE { ?x ub:advisor ?y . ?y ub:worksFor ?d . }"

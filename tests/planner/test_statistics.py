@@ -4,37 +4,37 @@ from repro.distributed import aggregate_graph_statistics, build_cluster
 from repro.partition import HashPartitioner
 from repro.planner import GraphStatistics, collect_statistics, degree_bucket, merge_statistics
 from repro.rdf import IRI, Literal, Namespace, RDFGraph, Triple
-from repro.store.encoding import encoded_view
+from repro.store.encoding import EncodedGraph
 
 EX = Namespace("http://example.org/")
 
 
 class TestCollect:
     def test_counts(self, tiny_graph):
-        stats = collect_statistics(encoded_view(tiny_graph))
+        stats = collect_statistics(EncodedGraph(tiny_graph))
         assert stats.num_triples == 4
         assert stats.num_vertices == len(tiny_graph.vertices)
         assert stats.num_predicates == 3
 
     def test_per_predicate_counts(self, tiny_graph):
-        stats = collect_statistics(encoded_view(tiny_graph))
+        stats = collect_statistics(EncodedGraph(tiny_graph))
         knows = EX.term("knows")
         assert stats.predicate_count(knows) == 2
         assert stats.distinct_subjects(knows) == 2  # a and b
         assert stats.distinct_objects(knows) == 2  # b and c
 
     def test_unknown_predicate_is_zero(self, tiny_graph):
-        stats = collect_statistics(encoded_view(tiny_graph))
+        stats = collect_statistics(EncodedGraph(tiny_graph))
         assert stats.predicate_count(EX.term("nope")) == 0
         assert stats.distinct_subjects(EX.term("nope")) == 0
 
     def test_degree_histogram_counts_every_vertex(self, tiny_graph):
-        stats = collect_statistics(encoded_view(tiny_graph))
+        stats = collect_statistics(EncodedGraph(tiny_graph))
         assert sum(stats.degree_histogram.values()) == stats.num_vertices
         assert stats.average_degree() > 0
 
     def test_empty_graph(self):
-        stats = collect_statistics(encoded_view(RDFGraph()))
+        stats = collect_statistics(EncodedGraph(RDFGraph()))
         assert stats.is_empty
         assert stats.num_vertices == 0
         assert stats.average_degree() == 0.0
@@ -51,21 +51,21 @@ class TestDegreeBucket:
 
 class TestSerialization:
     def test_roundtrip(self, tiny_graph):
-        stats = collect_statistics(encoded_view(tiny_graph))
+        stats = collect_statistics(EncodedGraph(tiny_graph))
         restored = GraphStatistics.from_dict(stats.as_dict())
         assert restored == stats
 
     def test_as_dict_is_jsonable(self, tiny_graph):
         import json
 
-        encoded = json.dumps(collect_statistics(encoded_view(tiny_graph)).as_dict())
+        encoded = json.dumps(collect_statistics(EncodedGraph(tiny_graph)).as_dict())
         restored = GraphStatistics.from_dict(json.loads(encoded))
         assert restored.num_triples == 4
 
 
 class TestMerge:
     def test_merge_totals(self, tiny_graph):
-        stats = collect_statistics(encoded_view(tiny_graph))
+        stats = collect_statistics(EncodedGraph(tiny_graph))
         merged = merge_statistics([stats, stats])
         assert merged.num_triples == 2 * stats.num_triples
         knows = EX.term("knows")

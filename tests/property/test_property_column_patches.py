@@ -4,12 +4,12 @@
 window changes new out- and in-columns from one merge pass, and keeps every
 other column.  Random windows — new terms and predicates, self-loops and
 literals, rows and whole predicates that empty out, a triple removed and
-added back — are applied to a graph whose encoded view is warm, and patched
-into it as the cluster patches its master graph.  After each
-window the view must be the same object (patched, not rebuilt), every
-predicate's ``keys``, ``offsets`` and ``values`` must equal the CSR columns
-built from scratch over the graph's triples with the view's own ids, and
-every probe must answer what a brute-force scan of those triples answers.
+added back — are applied to a graph whose encoding is warm, and patched
+into it as the cluster patches its master encoding.  After each window every
+predicate's ``keys``, ``offsets`` and ``values`` must equal both the CSR
+columns built by hand from the graph's triples with the encoding's own ids and
+a cold :class:`EncodedGraph` build over the same dictionary, and every probe
+must answer what a brute-force scan of those triples answers.
 """
 
 from itertools import chain
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.datasets import random_graph
 from repro.rdf import Literal, Namespace, Triple
-from repro.store.encoding import PREDICATE_ABSENT, PREDICATE_ANY, encoded_view, patch_encoded_view
+from repro.store.encoding import PREDICATE_ABSENT, PREDICATE_ANY, EncodedGraph
 
 EX = Namespace("http://example.org/")
 NEW_VERTEX, NEW_PREDICATE = EX.term("new"), EX.term("newPredicate")
@@ -43,9 +43,9 @@ def universe(graph):
     return triples, predicates + [NEW_PREDICATE]
 
 
-def apply_window(graph, window, triples, predicates):
-    """Apply one window to ``graph`` and patch its encoded view with the effective ops."""
-    encoded, effective = encoded_view(graph), []
+def apply_window(graph, encoded, window, triples, predicates):
+    """Apply one window to ``graph`` and patch ``encoded`` with the effective ops."""
+    effective = []
 
     def do(op, triple):
         if (graph.add if op == "+" else graph.discard)(triple):
@@ -61,7 +61,7 @@ def apply_window(graph, window, triples, predicates):
         else:
             for present in list(graph.triples(predicate=predicates[number % len(predicates)])):
                 do("-", present)
-    patch_encoded_view(graph, encoded, effective)
+    encoded.apply_ops(effective)
 
 
 def cold_column(pairs):
@@ -75,10 +75,16 @@ def cold_column(pairs):
     return keys, offsets + [len(values)], values
 
 
-def assert_columns_are_a_cold_build(encoded, id_triples):
-    """Every label's columns are the CSR form of exactly its triples; no label keeps an empty one."""
+def assert_columns_are_a_cold_build(encoded, graph, id_triples):
+    """Every label's columns are the CSR form of exactly its triples, and a
+    cold build's over the same dictionary; no label keeps an empty one."""
     labels = {p for _, p, _ in id_triples}
     assert set(encoded._out) == set(encoded._in) == labels
+    cold = EncodedGraph(graph, encoded.dictionary)
+    assert cold.predicate_ids() == encoded.predicate_ids()
+    for p in cold.predicate_ids():
+        for ours, theirs in ((encoded.out_column(p), cold.out_column(p)), (encoded.in_column(p), cold.in_column(p))):
+            assert (ours.keys, ours.offsets, ours.values) == (theirs.keys, theirs.offsets, theirs.values)
     for p in range(len(encoded.dictionary)):
         out_pairs = [(s, o) for s, q, o in id_triples if q == p]
         in_pairs = [(o, s) for s, o in out_pairs]
@@ -135,18 +141,17 @@ class TestColumnPatches:
     def test_patched_columns_equal_a_cold_build(self, seed, windows):
         graph = random_graph(seed, num_vertices=8, num_edges=20, num_predicates=3)
         triples, predicates = universe(graph)
-        encoded = encoded_view(graph)
+        encoded = EncodedGraph(graph)
         for window in windows:
-            apply_window(graph, window, triples, predicates)
-            assert encoded_view(graph) is encoded
+            apply_window(graph, encoded, window, triples, predicates)
             id_triples = id_triples_of(graph, encoded)
-            assert_columns_are_a_cold_build(encoded, id_triples)
+            assert_columns_are_a_cold_build(encoded, graph, id_triples)
             assert_probes_match_a_scan(encoded, id_triples)
 
     def test_remove_then_re_add_and_emptied_labels(self):
         graph = random_graph(3, num_vertices=6, num_edges=12, num_predicates=2)
         triples, predicates = universe(graph)
-        encoded = encoded_view(graph)
+        encoded = EncodedGraph(graph)
         windows = [
             [("-+", 0), ("-+", 1)],  # removed and re-added inside one window
             [("-", 0)],
@@ -155,8 +160,7 @@ class TestColumnPatches:
             [("+", len(triples) - 1), ("clear", len(predicates) - 1)],  # a new label comes and goes
         ]
         for window in windows:
-            apply_window(graph, window, triples, predicates)
-            assert encoded_view(graph) is encoded
+            apply_window(graph, encoded, window, triples, predicates)
             id_triples = id_triples_of(graph, encoded)
-            assert_columns_are_a_cold_build(encoded, id_triples)
+            assert_columns_are_a_cold_build(encoded, graph, id_triples)
             assert_probes_match_a_scan(encoded, id_triples)

@@ -92,9 +92,13 @@ def assert_patched_exactly(cluster, objects):
         assert site.encoded is encoded, "an update rebuilt the encoding instead of patching it"
         assert site.graph is index, "an update rebuilt the index instead of patching it"
         assert index.encoded is encoded and site.store.encoded is encoded
-        assert state(index) == state(FragmentIndex(site.fragment, index.encoded))
-        assert list(index.crossing) == sorted(index.crossing)
         dictionary = index.encoded.dictionary
+        assert dictionary is cluster.dictionary
+        # The cold side: a fresh encoding and index of the mutated fragment over the same dictionary.
+        cold = FragmentIndex(site.fragment, EncodedGraph(site.fragment.all_edges, dictionary))
+        assert state(index) == state(cold)
+        assert list(encoded.iter_triple_ids()) == list(cold.encoded.iter_triple_ids())
+        assert list(index.crossing) == sorted(index.crossing)
         expected = scratch.fragment(site.site_id)
         assert site.fragment.internal_vertices == expected.internal_vertices
         assert site.fragment.extended_vertices == expected.extended_vertices
@@ -105,7 +109,7 @@ def assert_patched_exactly(cluster, objects):
         term_of = dictionary.term_of
         assert {Triple(*map(term_of, ids)) for ids in index.crossing} == expected.crossing_edges
         assert site.graph_statistics() is statistics, "an update re-collected the statistics"
-        fresh = collect_statistics(EncodedGraph(site.fragment.all_edges))
+        fresh = collect_statistics(cold.encoded)
         assert statistics.as_dict() == fresh.as_dict()
 
 

@@ -95,8 +95,8 @@ def coordinator_inputs(graph, query, assignment, num_fragments):
     partitioned = build_partitioned_graph(graph, assignment, num_fragments=num_fragments)
     query_graph = QueryGraph(query.bgp)
     classes = {}
-    for fragment in partitioned:
-        lpms = evaluate_fragment(fragment, query_graph).local_partial_matches
+    for site in build_cluster(partitioned):
+        lpms = evaluate_fragment(site.fragment, query_graph, graph=site.graph).local_partial_matches
         for feature, members in compute_lec_features(lpms).items():
             classes.setdefault(feature, []).extend(members)
     return partitioned, query_graph, classes
@@ -177,10 +177,12 @@ def site_classes(graph, query, assignment, num_fragments, candidate_filter=None)
     partitioned = build_partitioned_graph(graph, assignment, num_fragments=num_fragments)
     query_graph = QueryGraph(query.bgp)
     classes_by_site = {
-        fragment.fragment_id: compute_lec_features(
-            evaluate_fragment(fragment, query_graph, candidate_filter=candidate_filter).local_partial_matches
+        site.site_id: compute_lec_features(
+            evaluate_fragment(
+                site.fragment, query_graph, graph=site.graph, candidate_filter=candidate_filter
+            ).local_partial_matches
         )
-        for fragment in partitioned
+        for site in build_cluster(partitioned)
     }
     return partitioned, query_graph, classes_by_site
 

@@ -39,9 +39,8 @@ from repro.datasets import random_assignment, random_connected_query, random_gra
 from repro.distributed import build_cluster
 from repro.partition import build_partitioned_graph
 from repro.sparql.query_graph import QueryGraph
-from repro.store import KERNEL_PYTHON, LocalMatcher, compute_candidates, evaluate_centralized
-from repro.store.candidates import compute_candidate_ids
-from repro.store.encoding import encoded_view
+from repro.store import KERNEL_PYTHON, EncodedGraph, LocalMatcher, evaluate_centralized
+from repro.store.kernel import ArrayRunner
 
 seeds = st.integers(min_value=0, max_value=5_000)
 fragment_counts = st.integers(min_value=1, max_value=4)
@@ -76,7 +75,7 @@ class TestKernelEquivalence:
         )
         query_graph = QueryGraph.from_query(query)
         reference = ReferenceObjectMatcher(graph)
-        encoded = LocalMatcher(encoded_view(graph))
+        encoded = LocalMatcher(EncodedGraph(graph))
         reference_matches = list(reference.find_matches(query_graph))
         encoded_matches = list(encoded.find_matches(query_graph))
         assert encoded_matches == reference_matches
@@ -88,11 +87,13 @@ class TestKernelEquivalence:
         graph = random_graph(seed, num_vertices=16, num_edges=32, num_predicates=3)
         query = random_connected_query(graph, seed + 11, num_edges=query_edges)
         query_graph = QueryGraph.from_query(query)
-        assert compute_candidates(graph, query_graph) == reference_candidates(
+        encoded = EncodedGraph(graph)
+        pools = {vertex: set(pool) for vertex, pool in ArrayRunner(encoded).compute_pools(query_graph).items()}
+        decode = encoded.dictionary.decode_ids
+        assert {vertex: decode(ids) for vertex, ids in pools.items()} == reference_candidates(
             graph, query_graph, node_signatures(graph)
         )
-        encoded = encoded_view(graph)
-        assert compute_candidate_ids(encoded, query_graph) == set_candidate_ids(encoded, query_graph)
+        assert pools == set_candidate_ids(encoded, query_graph)
 
     @given(seeds, fragment_counts, query_sizes, constant_probabilities)
     @settings(max_examples=10, deadline=None)
@@ -135,7 +136,7 @@ class TestKernelMatrixEquivalence:
         reference = ReferenceObjectMatcher(graph)
         reference_matches = list(reference.find_matches(query_graph))
         for kernel, matcher_class in MATCHERS.items():
-            matcher = matcher_class(encoded_view(graph))
+            matcher = matcher_class(EncodedGraph(graph))
             assert list(matcher.find_matches(query_graph)) == reference_matches, kernel
             assert matcher.search_steps == reference.search_steps, kernel
             assert matcher.last_kernel == kernel
@@ -149,16 +150,17 @@ class TestKernelMatrixEquivalence:
         graph = random_graph(seed, num_vertices=16, num_edges=32, num_predicates=3)
         query = random_connected_query(graph, seed + 101, num_edges=query_edges)
         query_graph = QueryGraph.from_query(query)
-        matchers = {kernel: matcher_class(encoded_view(graph)) for kernel, matcher_class in MATCHERS.items()}
+        encoded = EncodedGraph(graph)
+        matchers = {kernel: matcher_class(encoded) for kernel, matcher_class in MATCHERS.items()}
         for matcher in matchers.values():  # warm the adjacency caches
             list(matcher.find_matches(query_graph))
 
         extra = random_graph(seed + 1, num_vertices=16, num_edges=8, num_predicates=3)
-        apply_and_patch(graph, [("+", triple) for triple in extra] + [("-", next(iter(graph)))])
+        apply_and_patch(graph, encoded, [("+", triple) for triple in extra] + [("-", next(iter(graph)))])
 
         reference = ReferenceObjectMatcher(graph)
         expected = list(reference.find_matches(query_graph))
-        cold = SetMatcher(encoded_view(graph.copy()))
+        cold = SetMatcher(EncodedGraph(graph.copy()))
         cold_matches = list(cold.find_matches(query_graph))
         assert cold_matches == expected
         for kernel, matcher in matchers.items():

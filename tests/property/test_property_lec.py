@@ -13,6 +13,7 @@ from reference_joins import group_features_by_sign
 from repro.core import LECFeaturePruner, compute_lec_features, lec_feature_of
 from repro.core.assembly import BasicAssembler, LECAssembler
 from repro.core.partial_eval import evaluate_fragment
+from repro.distributed import build_cluster
 from repro.core.partial_match import check_local_partial_match
 from repro.datasets import random_assignment, random_connected_query, random_graph
 from repro.partition import build_partitioned_graph
@@ -30,8 +31,8 @@ def random_setting(seed: int, num_fragments: int, query_edges: int):
     partitioned = build_partitioned_graph(graph, assignment, num_fragments=num_fragments)
     query_graph = QueryGraph(query.bgp)
     lpms_per_fragment = {
-        fragment.fragment_id: evaluate_fragment(fragment, query_graph).local_partial_matches
-        for fragment in partitioned
+        site.site_id: evaluate_fragment(site.fragment, query_graph, graph=site.graph).local_partial_matches
+        for site in build_cluster(partitioned)
     }
     return partitioned, query_graph, lpms_per_fragment
 

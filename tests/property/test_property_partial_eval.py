@@ -30,6 +30,7 @@ from repro.datasets import random_assignment, random_connected_query, random_gra
 from repro.partition import build_partitioned_graph
 from repro.rdf import TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph
+from repro.store import TermDictionary
 
 seeds = st.integers(min_value=0, max_value=5_000)
 
@@ -43,6 +44,8 @@ def brute_force_lpms(fragment, query_graph):
         by_endpoints.setdefault((triple.subject, triple.object), []).append(triple)
     vertices = query_graph.vertices
     found = set()
+    # The ids an evaluator given no graph emits: a dictionary over the fragment's own terms.
+    dictionary = TermDictionary(term for triple in stored for term in triple.as_tuple())
 
     def data_edges(edge, mapping):
         """Choices for one query edge: ``None`` = stays unmatched, ``[]`` = impossible."""
@@ -64,7 +67,7 @@ def brute_force_lpms(fragment, query_graph):
             edge_mapping = dict(zip(forced, picked))
             crossing = {index for index, triple in edge_mapping.items() if fragment.is_crossing(triple)}
             lpm = build_lpm(
-                fragment.fragment_id, mapping, edge_mapping, crossing, query_graph, fragment
+                fragment.fragment_id, mapping, edge_mapping, crossing, query_graph, fragment, dictionary
             )
             if not check_local_partial_match(lpm, query_graph, fragment):
                 found.add(lpm)

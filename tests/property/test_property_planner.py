@@ -16,7 +16,7 @@ from repro.partition import build_partitioned_graph
 from repro.planner import PlanOptimizer, QueryPlanner, collect_statistics, shape_key
 from repro.sparql import QueryGraph
 from repro.store import LocalMatcher
-from repro.store.encoding import encoded_view
+from repro.store.encoding import EncodedGraph
 
 seeds = st.integers(min_value=0, max_value=5_000)
 fragment_counts = st.integers(min_value=1, max_value=4)
@@ -32,8 +32,8 @@ class TestPlannerEquivalence:
         query = random_connected_query(
             graph, seed + 31, num_edges=query_edges, constant_probability=constant_probability
         )
-        static = LocalMatcher(encoded_view(graph))
-        planned = LocalMatcher(encoded_view(graph), planner=QueryPlanner.from_graph(encoded_view(graph)))
+        static = LocalMatcher(EncodedGraph(graph))
+        planned = LocalMatcher(EncodedGraph(graph), planner=QueryPlanner.from_graph(EncodedGraph(graph)))
         assert planned.evaluate(query).same_solutions(static.evaluate(query))
 
     @given(seeds, fragment_counts, query_sizes)
@@ -59,7 +59,7 @@ class TestPlanInvariants:
         graph = random_graph(seed, num_vertices=16, num_edges=32, num_predicates=3)
         query = random_connected_query(graph, seed + 13, num_edges=query_edges, constant_probability=0.3)
         query_graph = QueryGraph(query.bgp)
-        plan = PlanOptimizer(collect_statistics(encoded_view(graph))).plan(query_graph)
+        plan = PlanOptimizer(collect_statistics(EncodedGraph(graph))).plan(query_graph)
         assert sorted(plan.vertex_order) == list(range(query_graph.num_vertices))
         assert sorted(plan.edge_order) == list(range(query_graph.num_edges))
 

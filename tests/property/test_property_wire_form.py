@@ -1,20 +1,23 @@
-"""The premise of the key wire form: a term's N3 text identifies the term.
+"""The premises of the wire form: one id per term, charged as its N3 text.
 
-Local partial matches and LEC features reach the coordinator as N3 keys — the
-text each site's ``TermDictionary`` already holds — and the coordinator's joins,
-Algorithm 1 and the shipment accounting compare, hash and measure those keys
-instead of term objects.  That is exact only if
+Local partial matches and LEC features reach the coordinator as ids of the
+cluster's one ``TermDictionary``, and the coordinator's joins and Algorithm 1
+compare and hash those ids; the shipment accounting charges each distinct
+key's N3 text once per message, read from the dictionary's per-id table.  That
+is exact only if
 
 * ``a.n3() == b.n3()`` exactly when ``a == b``, for IRIs, plain / ``@lang`` /
   ``^^datatype`` literals (quotes, backslashes, newlines, non-ASCII in the
-  lexical form) and blank nodes;
-* ``TermDictionary.n3_of(id)`` is ``term.n3()``, for ids built in bulk and for
-  ids ``ensure()`` appends later;
-* a LEC feature's decoded ``crossing_map`` parses its keys back to the terms;
+  lexical form) and blank nodes, and N3 text parses back to its term (the
+  dictionary sorts by it, and a store file keeps terms as it);
+* ``TermDictionary.n3_of(id)`` is ``term.n3()`` and ``key_bytes[id]`` its UTF-8
+  length, for ids built in bulk and for ids ``ensure()`` appends later;
+* a LEC feature's decoded ``crossing_map`` is its LPM's crossing edges;
 * a ``local_partial_matches`` or ``lec_features`` message is charged what an
   independent recount over the decoded terms gives (each distinct key's UTF-8
   text once, fixed-width references for the rest), an LPM message pickles to
-  equal LPMs, and the engine still answers exactly what the centralized
+  equal LPMs that decode and size the same, the sites of one cluster give a
+  term one id, and the engine still answers exactly what the centralized
   evaluator does — on graphs built from such terms.
 """
 
@@ -89,7 +92,7 @@ class TestN3IdentifiesTheTerm:
 
     @given(nodes)
     @settings(max_examples=200, deadline=None)
-    def test_feature_views_parse_the_keys_back(self, term):
+    def test_n3_text_parses_back_to_the_term(self, term):
         assert parse_term(term.n3()) == term
 
 
@@ -101,8 +104,10 @@ class TestDictionaryKeys:
         for term in appended:
             dictionary.ensure(term)
         for term in built + appended:
-            assert dictionary.n3_of(dictionary.id_of(term)) == term.n3()
-            assert dictionary.term_of(dictionary.id_of(term)) == term
+            term_id = dictionary.id_of(term)
+            assert dictionary.n3_of(term_id) == term.n3()
+            assert dictionary.key_bytes[term_id] == len(term.n3().encode("utf-8"))
+            assert dictionary.term_of(term_id) == term
 
 
 @st.composite
@@ -122,14 +127,15 @@ def hostile_settings(draw):
     return graph, partitioned, query
 
 
-class TestKeyedLPMsOnHostileTerms:
+class TestIdLPMsOnHostileTerms:
     @given(hostile_settings())
     @settings(max_examples=40, deadline=None)
     def test_sizes_views_and_answers(self, setting):
         graph, partitioned, query = setting
         query_graph = QueryGraph(query.bgp)
-        for fragment in partitioned:
-            lpms = evaluate_fragment(fragment, query_graph).local_partial_matches
+        cluster = build_cluster(partitioned)
+        for site in cluster:
+            lpms = evaluate_fragment(site.fragment, query_graph, graph=site.graph).local_partial_matches
             for lpm in lpms:
                 feature = lec_feature_of(lpm)
                 assert feature.crossing_map == lpm.crossing_assignment
@@ -140,6 +146,11 @@ class TestKeyedLPMsOnHostileTerms:
             loaded = pickle.loads(pickle.dumps(lpms))
             assert loaded == lpms
             assert [(lpm.terms, lpm.crossing) for lpm in loaded] == [(lpm.terms, lpm.crossing) for lpm in lpms]
-        result = GStoreDEngine(build_cluster(partitioned)).execute(query)
+            assert estimate_size(loaded) == estimate_size(lpms)
+            term_of = cluster.dictionary.term_of
+            for lpm in lpms:
+                assert lpm.dictionary is cluster.dictionary
+                assert lpm.terms == tuple(term_of(term_id) for _, term_id in lpm.items)
+        result = GStoreDEngine(cluster).execute(query)
         expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
         assert result.results.same_solutions(expected)

@@ -191,13 +191,14 @@ class TestIndexHygiene:
         assert set(graph._out.keys()) == out_keys
         assert set(graph._in.keys()) == in_keys
 
-    def test_version_moves_only_on_real_mutation(self):
+    def test_add_and_discard_report_only_real_mutation(self):
+        # Cluster.apply_ops keeps exactly the ops these calls report as effective.
         graph = build_graph()
-        version = graph.version
-        graph.add(Triple(A, KNOWS, B))  # duplicate: no change
-        graph.discard(Triple(A, KNOWS, Literal("nope")))  # absent: no change
-        assert graph.version == version
-        graph.add(Triple(B, LIKES, A))
-        assert graph.version == version + 1
-        graph.discard(Triple(B, LIKES, A))
-        assert graph.version == version + 2
+        size = len(graph)
+        assert not graph.add(Triple(A, KNOWS, B))  # duplicate: no change
+        assert not graph.discard(Triple(A, KNOWS, Literal("nope")))  # absent: no change
+        assert len(graph) == size
+        assert graph.add(Triple(B, LIKES, A))
+        assert graph.discard(Triple(B, LIKES, A))
+        assert len(graph) == size and Triple(B, LIKES, A) not in graph
+        assert not hasattr(graph, "version")

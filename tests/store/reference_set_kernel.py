@@ -69,20 +69,17 @@ class SetIndex:
 
 
 # ----------------------------------------------------------------------
-# Candidate pools (the set path of compute_candidate_ids)
+# Candidate pools (the set path of ArrayRunner.compute_pools)
 # ----------------------------------------------------------------------
 def set_candidate_ids(
     encoded: EncodedGraph,
     query: QueryGraph,
-    relaxed_edges: Optional[Dict[PatternTerm, Set[int]]] = None,
     index: Optional[SetIndex] = None,
 ) -> Dict[PatternTerm, Set[int]]:
     """Candidate ids for every query vertex, computed on hash sets."""
     index = SetIndex(encoded) if index is None else index
-    relaxed_edges = relaxed_edges or {}
     candidates: Dict[PatternTerm, Set[int]] = {}
     for query_vertex in query.vertices:
-        relaxed = relaxed_edges.get(query_vertex, set())
         if isinstance(query_vertex, (IRI, Literal)):
             vertex_id = encoded.dictionary.get(query_vertex)
             if vertex_id is not None and vertex_id in index.vertices:
@@ -90,7 +87,7 @@ def set_candidate_ids(
             else:
                 candidates[query_vertex] = set()
         else:
-            candidates[query_vertex] = _variable_candidate_ids(encoded, index, query, query_vertex, relaxed)
+            candidates[query_vertex] = _variable_candidate_ids(encoded, index, query, query_vertex)
     return candidates
 
 
@@ -99,12 +96,8 @@ def _variable_candidate_ids(
     index: SetIndex,
     query: QueryGraph,
     query_vertex: PatternTerm,
-    relaxed: Set[int],
 ) -> Set[int]:
-    required_edges = [edge for edge in query.edges_of(query_vertex) if edge.index not in relaxed]
-    if not required_edges:
-        # Every incident edge was relaxed: any vertex could match.
-        return set(index.vertices)
+    required_edges = query.edges_of(query_vertex)
     # Seed with the most selective incident edge to avoid scanning all vertices.
     seed: Optional[Set[int]] = None
     for edge in required_edges:
@@ -216,8 +209,8 @@ class SetRunner:
         #: Candidate-pool/frontier intersection operations performed so far.
         self.intersections = 0
 
-    def compute_pools(self, query, relaxed_edges=None):
-        return set_candidate_ids(self.encoded, query, relaxed_edges, self.index)
+    def compute_pools(self, query):
+        return set_candidate_ids(self.encoded, query, self.index)
 
     def compile(self, query, order, pools):
         compiled: List[CompiledSetVertex] = []

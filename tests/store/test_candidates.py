@@ -1,10 +1,11 @@
-"""Unit tests for per-variable candidate computation."""
+"""Unit tests for per-variable candidate pools (``ArrayRunner.compute_pools``)."""
 
-from repro.rdf import IRI, Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
+from repro.rdf import Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.partition import build_partitioned_graph
 from repro.sparql import BasicGraphPattern, QueryGraph
-from repro.store import compute_candidates, edge_supported
+from repro.store import EncodedGraph, TermDictionary
 from repro.store.fragment_index import FragmentIndex, internal_pools
+from repro.store.kernel import ArrayRunner
 
 EX = Namespace("http://example.org/")
 A, B, C, D = EX.term("a"), EX.term("b"), EX.term("c"), EX.term("d")
@@ -24,31 +25,41 @@ def query_graph(*patterns) -> QueryGraph:
     return QueryGraph(BasicGraphPattern(patterns))
 
 
-class TestEdgeSupported:
+def candidates(data: RDFGraph, query: QueryGraph):
+    """The kernel's pools over a fresh encoding of ``data``, decoded to terms."""
+    encoded = EncodedGraph(data)
+    pools = ArrayRunner(encoded).compute_pools(query)
+    for pool in pools.values():
+        assert pool == sorted(set(pool)), "a pool is ascending and duplicate-free"
+    return {vertex: encoded.dictionary.decode_ids(pool) for vertex, pool in pools.items()}
+
+
+class TestEdgeSupport:
+    """A single-edge query's pool holds exactly the vertices supporting that edge."""
+
     def test_supported_outgoing_edge(self):
         q = query_graph(TriplePattern(Variable("x"), KNOWS, Variable("y")))
-        assert edge_supported(graph(), A, q, Variable("x"), 0)
+        assert A in candidates(graph(), q)[Variable("x")]
 
     def test_unsupported_outgoing_edge(self):
         q = query_graph(TriplePattern(Variable("x"), KNOWS, Variable("y")))
-        assert not edge_supported(graph(), D, q, Variable("x"), 0)
+        assert D not in candidates(graph(), q)[Variable("x")]
 
     def test_supported_incoming_edge(self):
         q = query_graph(TriplePattern(Variable("x"), KNOWS, Variable("y")))
-        assert edge_supported(graph(), B, q, Variable("y"), 0)
+        assert B in candidates(graph(), q)[Variable("y")]
 
     def test_constant_other_endpoint(self):
         q = query_graph(TriplePattern(Variable("x"), KNOWS, C))
-        assert edge_supported(graph(), B, q, Variable("x"), 0)
-        assert not edge_supported(graph(), A, q, Variable("x"), 0)
+        assert candidates(graph(), q)[Variable("x")] == {B}
 
 
-class TestComputeCandidates:
+class TestComputePools:
     def test_single_pattern_candidates(self):
         q = query_graph(TriplePattern(Variable("x"), KNOWS, Variable("y")))
-        candidates = compute_candidates(graph(), q)
-        assert candidates[Variable("x")] == {A, B, C}
-        assert candidates[Variable("y")] == {B, C, D}
+        found = candidates(graph(), q)
+        assert found[Variable("x")] == {A, B, C}
+        assert found[Variable("y")] == {B, C, D}
 
     def test_multi_pattern_candidates_intersect_constraints(self):
         # ?x knows ?y and ?x name "Alice" — only A satisfies both.
@@ -56,50 +67,46 @@ class TestComputeCandidates:
             TriplePattern(Variable("x"), KNOWS, Variable("y")),
             TriplePattern(Variable("x"), NAME, Literal("Alice")),
         )
-        candidates = compute_candidates(graph(), q)
-        assert candidates[Variable("x")] == {A}
+        assert candidates(graph(), q)[Variable("x")] == {A}
 
     def test_constant_vertex_candidates(self):
         q = query_graph(TriplePattern(A, KNOWS, Variable("y")))
-        candidates = compute_candidates(graph(), q)
-        assert candidates[A] == {A}
+        assert candidates(graph(), q)[A] == {A}
 
     def test_missing_constant_vertex_gives_empty_set(self):
         q = query_graph(TriplePattern(EX.term("missing"), KNOWS, Variable("y")))
-        candidates = compute_candidates(graph(), q)
-        assert candidates[EX.term("missing")] == set()
+        assert candidates(graph(), q)[EX.term("missing")] == set()
+
+    def test_a_constant_with_an_id_but_no_edge_here_gives_empty_set(self):
+        # One cluster dictionary gives every term an id at every site: an id
+        # alone must not make a constant a candidate where it is no vertex.
+        data = graph()
+        elsewhere = EX.term("elsewhere")
+        dictionary_terms = [term for triple in data for term in triple.as_tuple()] + [elsewhere]
+
+        encoded = EncodedGraph(data, TermDictionary(dictionary_terms))
+        q = query_graph(TriplePattern(elsewhere, KNOWS, Variable("y")), TriplePattern(Variable("x"), KNOWS, elsewhere))
+        pools = ArrayRunner(encoded).compute_pools(q)
+        assert pools[elsewhere] == [] and pools[Variable("x")] == [] and pools[Variable("y")] == []
 
     def test_internal_pools_restrict_to_the_fragment(self):
-        # Stage 1's universe: the pools over a fragment's graph, internal ids only.
+        # Stage 1's universe: the pools over a fragment's encoding, internal ids only.
         fragment = build_partitioned_graph(graph(), {A: 0, B: 0, C: 1, D: 1, Literal("Alice"): 0}, num_fragments=2)
         fragment = fragment.fragment(0)
         index = FragmentIndex.build(fragment)
         q = query_graph(TriplePattern(Variable("x"), KNOWS, Variable("y")))
-        candidates = internal_pools(index, q)
-        decode = candidates.encoded.dictionary.decode_ids
-        assert candidates.encoded is index.encoded
-        assert compute_candidates(RDFGraph(fragment.all_edges), q)[Variable("y")] == {B, C}
-        assert decode(candidates[Variable("x")]) == {A, B}
-        assert decode(candidates[Variable("y")]) == {B}
+        pools = internal_pools(index, q)
+        decode = pools.encoded.dictionary.decode_ids
+        assert pools.encoded is index.encoded
+        assert candidates(RDFGraph(fragment.all_edges), q)[Variable("y")] == {B, C}
+        assert decode(pools[Variable("x")]) == {A, B}
+        assert decode(pools[Variable("y")]) == {B}
 
     def test_candidates_of_a_chain(self):
         chain = RDFGraph([Triple(A, KNOWS, B), Triple(B, KNOWS, C)])
-        candidates = compute_candidates(chain, query_graph(TriplePattern(Variable("x"), KNOWS, Variable("y"))))
-        assert candidates[Variable("x")] == {A, B}
-        assert candidates[Variable("y")] == {B, C}
-
-    def test_relaxed_edges_drop_constraints(self):
-        q = query_graph(
-            TriplePattern(Variable("x"), KNOWS, Variable("y")),
-            TriplePattern(Variable("x"), NAME, Literal("Alice")),
-        )
-        relaxed = compute_candidates(graph(), q, relaxed_edges={Variable("x"): {1}})
-        assert relaxed[Variable("x")] == {A, B, C}
-
-    def test_all_edges_relaxed_allows_everything(self):
-        q = query_graph(TriplePattern(Variable("x"), KNOWS, Variable("y")))
-        relaxed = compute_candidates(graph(), q, relaxed_edges={Variable("x"): {0}})
-        assert relaxed[Variable("x")] == graph().vertices
+        found = candidates(chain, query_graph(TriplePattern(Variable("x"), KNOWS, Variable("y"))))
+        assert found[Variable("x")] == {A, B}
+        assert found[Variable("y")] == {B, C}
 
     def test_candidates_never_miss_true_matches(self):
         # Every vertex that actually participates in a match must be a candidate.
@@ -107,8 +114,8 @@ class TestComputeCandidates:
             TriplePattern(Variable("x"), KNOWS, Variable("y")),
             TriplePattern(Variable("y"), KNOWS, Variable("z")),
         )
-        candidates = compute_candidates(graph(), q)
+        found = candidates(graph(), q)
         # True matches: (A,B,C) and (B,C,D).
-        assert {A, B} <= candidates[Variable("x")]
-        assert {B, C} <= candidates[Variable("y")]
-        assert {C, D} <= candidates[Variable("z")]
+        assert {A, B} <= found[Variable("x")]
+        assert {B, C} <= found[Variable("y")]
+        assert {C, D} <= found[Variable("z")]

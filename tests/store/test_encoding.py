@@ -5,12 +5,12 @@ import gc
 from repro.datasets import random_graph
 from repro.rdf import IRI, Literal, Namespace, RDFGraph, Triple
 from repro.rdf.terms import Term
-from repro.store import EncodedGraph, TermDictionary, encoded_view
+from repro.store import EncodedGraph, TermDictionary
 from repro.store.encoding import (
     PREDICATE_ABSENT,
     PREDICATE_ANY,
     encoded_rebuilds,
-    patch_encoded_view,
+    key_bit,
     term_sort_key,
 )
 
@@ -53,10 +53,37 @@ class TestTermDictionary:
         assert C not in dictionary
         assert dictionary.encode_nodes([A, C]) == {dictionary.id_of(A)}
 
-    def test_n3_is_precomputed(self):
+    def test_n3_of_is_the_terms_n3(self):
         dictionary = TermDictionary([A, Literal("Carol")])
         for term_id in range(len(dictionary)):
             assert dictionary.n3_of(term_id) == dictionary.term_of(term_id).n3()
+
+    def test_key_bytes_are_each_keys_utf8_length_for_built_and_appended_ids(self):
+        dictionary = TermDictionary([A, Literal("Carol"), Literal("é字", language="fr")])
+        appended = dictionary.ensure(Literal('a "quoted"\nline'))
+        assert appended == len(dictionary) - 1
+        for term_id in range(len(dictionary)):
+            assert dictionary.key_bytes[term_id] == len(dictionary.n3_of(term_id).encode("utf-8"))
+
+    def test_bit_positions_are_one_table_per_width(self):
+        dictionary = TermDictionary([A, B, C])
+        for width in (64, 4096):
+            positions = dictionary.bit_positions(width)
+            assert dictionary.bit_positions(width) is positions
+            for term in (A, B, C):
+                assert positions[dictionary.id_of(term)] == key_bit(term.n3(), width)
+        assert dictionary.bit_positions(64) is not dictionary.bit_positions(4096)
+
+    def test_a_received_dictionary_keeps_the_ids_it_was_sent(self):
+        dictionary = TermDictionary([A, B, C, KNOWS])
+        sent = [dictionary.id_of(C), dictionary.id_of(A)]
+        received = TermDictionary.received((term_id, dictionary.term_of(term_id)) for term_id in sent)
+        assert len(received) == 2
+        for term_id in sent:
+            assert received.term_of(term_id) == dictionary.term_of(term_id)
+            assert received.id_of(dictionary.term_of(term_id)) == term_id
+            assert received.key_bytes[term_id] == dictionary.key_bytes[term_id]
+        assert B not in received
 
 
 class TestEncodedGraph:
@@ -135,44 +162,50 @@ class TestEncodedGraph:
         assert encoded.sorted_vertex_ids == sorted(encoded.dictionary.encode_nodes(graph.vertices))
 
 
-class TestEncodedViewCache:
-    def test_an_explicit_patch_keeps_the_view(self):
+class TestOneDictionary:
+    def test_an_encoding_reads_the_dictionary_it_is_given(self):
         graph = build_graph()
-        first = encoded_view(graph)
-        assert encoded_view(graph) is first
-        ops = [("+", Triple(B, LIKES, A))]
-        graph.add(Triple(B, LIKES, A))
-        # The delta path patches the cached encoding in place (repro.persist
-        # replicas replay the same ops against the same base).
-        assert patch_encoded_view(graph, first, ops) is first
-        second = encoded_view(graph)
-        assert second is first
-        id_of = second.dictionary.id_of
-        assert second.has_edge(id_of(B), id_of(LIKES), id_of(A))
-
-    def test_a_moved_version_without_a_patch_rebuilds(self):
-        graph = build_graph()
-        first = encoded_view(graph)
+        dictionary = TermDictionary([*graph.vertices, *graph.predicates, EX.term("elsewhere")])
         before = encoded_rebuilds()
-        graph.add(Triple(B, LIKES, A))
-        second = encoded_view(graph)
-        assert second is not first
+        encoded = EncodedGraph(graph, dictionary)
+        assert encoded.dictionary is dictionary
         assert encoded_rebuilds() == before + 1
-        id_of = second.dictionary.id_of
-        assert second.has_edge(id_of(B), id_of(LIKES), id_of(A))
-        assert not first.has_edge(first.dictionary.id_of(B), first.dictionary.id_of(LIKES), first.dictionary.id_of(A))
+        assert not encoded.is_vertex(dictionary.id_of(EX.term("elsewhere")))
 
-    def test_noop_mutations_keep_the_cache(self):
+    def test_without_a_dictionary_an_encoding_builds_its_own(self):
         graph = build_graph()
-        first = encoded_view(graph)
-        graph.add(Triple(A, KNOWS, B))  # already present
-        assert encoded_view(graph) is first
+        encoded = EncodedGraph(graph)
+        terms = {term for triple in graph for term in triple.as_tuple()}
+        assert [encoded.dictionary.term_of(i) for i in range(len(encoded.dictionary))] == sorted(
+            terms, key=term_sort_key
+        )
 
-    def test_copies_do_not_share_the_cache(self):
+    def test_a_patch_equals_a_cold_build_over_the_same_dictionary(self):
         graph = build_graph()
-        first = encoded_view(graph)
-        copy = graph.copy()
-        assert encoded_view(copy) is not first
+        dictionary = TermDictionary(term for triple in graph for term in triple.as_tuple())
+        encoded = EncodedGraph(graph, dictionary)
+        ops = [("+", Triple(B, LIKES, A)), ("-", Triple(A, KNOWS, B)), ("+", Triple(EX.term("new"), NAME, A))]
+        for op, triple in ops:
+            (graph.add if op == "+" else graph.discard)(triple)
+        encoded.apply_ops(ops)
+        assert dictionary.get(EX.term("new")) == len(dictionary) - 1
+        cold = EncodedGraph(graph, dictionary)
+        assert encoded.predicate_ids() == cold.predicate_ids()
+        for predicate in cold.predicate_ids():
+            for ours, theirs in (
+                (encoded.out_column(predicate), cold.out_column(predicate)),
+                (encoded.in_column(predicate), cold.in_column(predicate)),
+            ):
+                assert (ours.keys, ours.offsets, ours.values) == (theirs.keys, theirs.offsets, theirs.values)
+        assert encoded.num_triples == cold.num_triples
+
+    def test_a_noop_patch_changes_no_column(self):
+        graph = build_graph()
+        encoded = EncodedGraph(graph)
+        knows = encoded.dictionary.id_of(KNOWS)
+        column = encoded.out_column(knows)
+        encoded.apply_ops([])
+        assert encoded.out_column(knows) is column
 
 
 class TestKernelSurvivesMutation:
@@ -184,7 +217,7 @@ class TestKernelSurvivesMutation:
         from repro.store import LocalMatcher
 
         graph = build_graph()
-        encoded = encoded_view(graph)
+        encoded = EncodedGraph(graph)
         matcher = LocalMatcher(encoded)
         query = QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), KNOWS, Variable("y"))]))
         assert matcher.count_matches(query) == 2
@@ -192,7 +225,7 @@ class TestKernelSurvivesMutation:
         ops = [("+", Triple(zed, KNOWS, A)), ("+", Triple(EX.term("aaa"), NAME, Literal("Aaa")))]
         for _, triple in ops:
             graph.add(triple)
-        patch_encoded_view(graph, encoded, ops)
+        encoded.apply_ops(ops)
         matches = list(matcher.find_matches(query))
         assert {(m[Variable("x")], m[Variable("y")]) for m in matches} == {
             (A, B),

@@ -29,6 +29,13 @@ def state(index):
     return (index.internal, index.extended, index.crossing, index.crossing_by_predicate)
 
 
+def cold_state(index, fragment):
+    """:func:`state` of a fresh encoding and index of ``fragment`` over ``index``'s dictionary."""
+    cold = FragmentIndex(fragment, EncodedGraph(fragment.all_edges, index.encoded.dictionary))
+    assert list(cold.encoded.iter_triple_ids()) == list(index.encoded.iter_triple_ids())
+    return state(cold)
+
+
 def apply(index, fragment, effects):
     """Patch encoding, fragment and index for one window, in the order ``Site.apply`` uses."""
     ops = [("+" if effect.op == "add" else "-", effect.triple) for effect in effects]
@@ -69,7 +76,7 @@ def test_an_added_crossing_edge_is_patched_in():
     apply(index, fragment, [DeltaEffect("add", 0, Triple(A, P, C), crossing=True, extended=C)])
     assert index.encoded is encoded
     assert decoded(index)[P] == [(A, P, C), (B, P, C), (D, P, B)]
-    assert state(index) == state(FragmentIndex(fragment, encoded))
+    assert state(index) == cold_state(index, fragment)
 
 
 def test_an_extended_vertex_that_loses_its_last_crossing_edge_leaves():
@@ -81,7 +88,7 @@ def test_an_extended_vertex_that_loses_its_last_crossing_edge_leaves():
     assert D not in fragment.extended_vertices
     assert index.encoded.dictionary.decode_ids(index.extended) == {C}
     assert Q not in decoded(index)
-    assert state(index) == state(FragmentIndex(fragment, index.encoded))
+    assert state(index) == cold_state(index, fragment)
 
 
 def test_a_window_that_adds_and_removes_settles_membership_once():
@@ -99,5 +106,5 @@ def test_a_window_that_adds_and_removes_settles_membership_once():
     )
     assert newcomer not in fragment.extended_vertices
     assert added not in fragment.crossing_edges
-    assert state(index) == state(FragmentIndex(fragment, index.encoded))
+    assert state(index) == cold_state(index, fragment)
     assert index.encoded.num_triples == 4

@@ -21,13 +21,23 @@ import repro
 
 from repro.rdf import Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph, parse_query
-from repro.store import KERNEL_PYTHON, LocalMatcher, compute_candidates, resolve_kernel
-from repro.store.candidates import compute_candidate_ids
-from repro.store.encoding import encoded_view
+from repro.store import KERNEL_PYTHON, EncodedGraph, LocalMatcher, resolve_kernel
+from repro.store.kernel import ArrayRunner
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 EX = Namespace("http://example.org/")
+
+
+def pool_ids(encoded, query):
+    """The kernel's candidate pools of ``query`` over ``encoded``, as id sets."""
+    return {vertex: set(pool) for vertex, pool in ArrayRunner(encoded).compute_pools(query).items()}
+
+
+def pool_terms(graph, query):
+    """:func:`pool_ids` over a fresh encoding of ``graph``, decoded to terms."""
+    encoded = EncodedGraph(graph)
+    return {vertex: encoded.dictionary.decode_ids(ids) for vertex, ids in pool_ids(encoded, query).items()}
 ALICE, BOB, CAROL, DAVE = EX.term("alice"), EX.term("bob"), EX.term("carol"), EX.term("dave")
 KNOWS, NAME = EX.term("knows"), EX.term("name")
 
@@ -79,13 +89,13 @@ QUERY_SHAPES = {
 # ----------------------------------------------------------------------
 class TestSortedAdjacency:
     def test_columns_are_built_with_the_encoding(self):
-        encoded = encoded_view(social_graph())
+        encoded = EncodedGraph(social_graph())
         knows = encoded.dictionary.id_of(KNOWS)
         assert encoded.out_column(knows) is encoded.out_column(knows)
 
     def test_columns_are_sorted_and_complete(self):
         graph = social_graph()
-        encoded = encoded_view(graph)
+        encoded = EncodedGraph(graph)
         code = encoded.dictionary.id_of(KNOWS)
         alice = encoded.dictionary.id_of(ALICE)
         row = list(encoded.objects_from(alice, code))
@@ -95,20 +105,19 @@ class TestSortedAdjacency:
         assert keys == sorted(keys)
 
     def test_vertex_pool_is_the_candidate_sort_order(self):
-        encoded = encoded_view(social_graph())
+        encoded = EncodedGraph(social_graph())
         ids = encoded.sorted_vertex_ids
         assert ids == sorted(encoded.dictionary.encode_nodes(social_graph().vertices))
         assert encoded.sorted_vertex_ids is ids  # memoized
 
     def test_a_patch_replaces_only_the_mutated_predicates_columns(self):
         graph = social_graph()
-        encoded = encoded_view(graph)
+        encoded = EncodedGraph(graph)
         knows = encoded.dictionary.id_of(KNOWS)
         name = encoded.dictionary.id_of(NAME)
         knows_columns = encoded.out_column(knows), encoded.in_column(knows)
         name_columns = encoded.out_column(name), encoded.in_column(name)
-        assert apply_and_patch(graph, [("+", Triple(DAVE, KNOWS, CAROL))]) is encoded
-        assert encoded_view(graph) is encoded
+        assert apply_and_patch(graph, encoded, [("+", Triple(DAVE, KNOWS, CAROL))]) is encoded
         assert encoded.out_column(knows) is not knows_columns[0]
         assert encoded.in_column(knows) is not knows_columns[1]
         assert encoded.out_column(name) is name_columns[0]
@@ -117,15 +126,15 @@ class TestSortedAdjacency:
     @pytest.mark.parametrize("matcher_class", [SetMatcher, LocalMatcher], ids=[KERNEL_SETS, KERNEL_PYTHON])
     def test_mutation_then_query_sees_the_new_edges(self, matcher_class):
         graph = social_graph()
-        matcher = matcher_class(encoded_view(graph))
+        matcher = matcher_class(EncodedGraph(graph))
         query = knows_chain()
         before = list(matcher.find_matches(query))
-        apply_and_patch(graph, [("+", Triple(DAVE, KNOWS, CAROL))])
+        apply_and_patch(graph, matcher.encoded, [("+", Triple(DAVE, KNOWS, CAROL))])
         after = list(matcher.find_matches(query))
         assert len(after) > len(before)
         # A cold matcher over an identical graph agrees exactly — the
         # incrementally patched columns are not an approximation.
-        fresh = matcher_class(encoded_view(graph.copy()))
+        fresh = matcher_class(EncodedGraph(graph.copy()))
         assert list(fresh.find_matches(query)) == after
         assert fresh.search_steps == matcher.search_steps
 
@@ -136,15 +145,15 @@ class TestSortedAdjacency:
 class TestAgainstTheSetOracle:
     def test_the_kernel_is_named_python(self):
         assert resolve_kernel(None) == KERNEL_PYTHON
-        matcher = LocalMatcher(encoded_view(social_graph()))
+        matcher = LocalMatcher(EncodedGraph(social_graph()))
         list(matcher.find_matches(knows_chain()))
         assert matcher.last_kernel == KERNEL_PYTHON
 
     def test_python_kernel_matches_sets(self):
         graph = social_graph()
         query = knows_chain()
-        default = LocalMatcher(encoded_view(graph))
-        sets = SetMatcher(encoded_view(graph))
+        default = LocalMatcher(EncodedGraph(graph))
+        sets = SetMatcher(EncodedGraph(graph))
         assert list(default.find_matches(query)) == list(sets.find_matches(query))
         assert default.search_steps == sets.search_steps
         assert sets.last_kernel == KERNEL_SETS
@@ -153,12 +162,12 @@ class TestAgainstTheSetOracle:
     def test_query_shapes_match_sets(self, shape):
         graph = social_graph()
         query = QUERY_SHAPES[shape]()
-        default = LocalMatcher(encoded_view(graph))
-        sets = SetMatcher(encoded_view(graph))
+        default = LocalMatcher(EncodedGraph(graph))
+        sets = SetMatcher(EncodedGraph(graph))
         assert list(default.find_matches(query)) == list(sets.find_matches(query))
         assert default.search_steps == sets.search_steps
-        encoded = encoded_view(graph)
-        assert compute_candidate_ids(encoded, query) == set_candidate_ids(encoded, query)
+        encoded = EncodedGraph(graph)
+        assert pool_ids(encoded, query) == set_candidate_ids(encoded, query)
 
 
 # ----------------------------------------------------------------------
@@ -167,7 +176,7 @@ class TestAgainstTheSetOracle:
 class TestNoKernelSelection:
     def test_matcher_takes_no_kernel_argument(self):
         with pytest.raises(TypeError):
-            LocalMatcher(encoded_view(social_graph()), kernel=KERNEL_PYTHON)
+            LocalMatcher(EncodedGraph(social_graph()), kernel=KERNEL_PYTHON)
 
     def test_session_takes_no_kernel_argument(self):
         with pytest.raises(TypeError):
@@ -183,8 +192,8 @@ class TestNoKernelSelection:
     def test_a_stale_environment_variable_is_ignored(self):
         child = (
             "from test_kernel import knows_chain, social_graph\n"
-            "from repro.store import LocalMatcher, encoded_view\n"
-            "matcher = LocalMatcher(encoded_view(social_graph()))\n"
+            "from repro.store import EncodedGraph, LocalMatcher\n"
+            "matcher = LocalMatcher(EncodedGraph(social_graph()))\n"
             "print(len(list(matcher.find_matches(knows_chain()))), matcher.last_kernel)\n"
         )
         env = dict(
@@ -196,7 +205,7 @@ class TestNoKernelSelection:
             [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
         )
         assert completed.returncode == 0, completed.stderr
-        expected = len(list(LocalMatcher(encoded_view(social_graph())).find_matches(knows_chain())))
+        expected = len(list(LocalMatcher(EncodedGraph(social_graph())).find_matches(knows_chain())))
         assert completed.stdout.split() == [str(expected), KERNEL_PYTHON]
 
 
@@ -253,50 +262,45 @@ class TestSelfLoopPools:
         """
         graph = RDFGraph([Triple(ALICE, KNOWS, ALICE), Triple(BOB, KNOWS, CAROL)])
         query = parse_query("SELECT ?x WHERE { ?x <http://example.org/knows> ?x }")
-        matcher = LocalMatcher(encoded_view(graph))
+        matcher = LocalMatcher(EncodedGraph(graph))
         assert [row[X] for row in matcher.evaluate(query)] == [ALICE]
         assert matcher.search_steps == 1
-        encoded = encoded_view(graph)
-        pools = compute_candidate_ids(encoded, QueryGraph.from_query(query))
+        encoded = matcher.encoded
+        pools = pool_ids(encoded, QueryGraph.from_query(query))
         assert pools == {X: {encoded.dictionary.id_of(ALICE)}}
 
     @pytest.mark.parametrize("shape", list(LOOP_SHAPES))
     def test_loop_shapes_match_sets(self, shape):
         graph = loop_graph()
         query = LOOP_SHAPES[shape]()
-        default = LocalMatcher(encoded_view(graph))
-        sets = SetMatcher(encoded_view(graph))
+        default = LocalMatcher(EncodedGraph(graph))
+        sets = SetMatcher(EncodedGraph(graph))
         assert list(default.find_matches(query)) == list(sets.find_matches(query))
         assert default.search_steps == sets.search_steps
-        encoded = encoded_view(graph)
-        assert compute_candidate_ids(encoded, query) == set_candidate_ids(encoded, query)
+        encoded = EncodedGraph(graph)
+        assert pool_ids(encoded, query) == set_candidate_ids(encoded, query)
 
     @pytest.mark.parametrize("shape", list(LOOP_SHAPES))
     def test_loop_shapes_match_the_signature_prefiltered_object_path(self, shape):
         """The loop column prunes exactly what vertex signatures pruned, and no more."""
         graph = loop_graph()
         query = LOOP_SHAPES[shape]()
-        default = LocalMatcher(encoded_view(graph))
+        default = LocalMatcher(EncodedGraph(graph))
         reference = ReferenceObjectMatcher(graph)
         assert list(default.find_matches(query)) == list(reference.find_matches(query))
         assert default.search_steps == reference.search_steps
-        assert compute_candidates(graph, query) == reference_candidates(graph, query, node_signatures(graph))
-
-    def test_a_relaxed_loop_requires_nothing(self):
-        graph = loop_graph()
-        relaxed = compute_candidates(graph, bgp((X, KNOWS, X)), relaxed_edges={X: {0}})
-        assert relaxed[X] == graph.vertices
+        assert pool_terms(graph, query) == reference_candidates(graph, query, node_signatures(graph))
 
     @pytest.mark.parametrize("window", list(LOOP_WINDOWS))
     def test_loop_pools_follow_updates(self, window):
         graph = loop_graph()
         query = LOOP_SHAPES["loop_and_incoming"]()
-        matcher = LocalMatcher(encoded_view(graph))
+        matcher = LocalMatcher(EncodedGraph(graph))
         list(matcher.find_matches(query))  # warm the columns the window will patch
-        apply_and_patch(graph, LOOP_WINDOWS[window])
+        apply_and_patch(graph, matcher.encoded, LOOP_WINDOWS[window])
         after = list(matcher.find_matches(query))
-        fresh = SetMatcher(encoded_view(graph.copy()))
+        fresh = SetMatcher(EncodedGraph(graph.copy()))
         assert after == list(fresh.find_matches(query))
         assert matcher.search_steps == fresh.search_steps
-        encoded = encoded_view(graph)
-        assert compute_candidate_ids(encoded, query) == set_candidate_ids(encoded, query)
+        encoded = matcher.encoded
+        assert pool_ids(encoded, query) == set_candidate_ids(encoded, query)

@@ -3,7 +3,7 @@
 from repro.rdf import IRI, Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph, SelectQuery, parse_query
 from repro.store import LocalMatcher, evaluate_centralized
-from repro.store.encoding import encoded_view
+from repro.store.encoding import EncodedGraph
 
 EX = Namespace("http://example.org/")
 ALICE, BOB, CAROL, DAVE = EX.term("alice"), EX.term("bob"), EX.term("carol"), EX.term("dave")
@@ -28,12 +28,12 @@ def run(graph, text):
 
 class TestFindMatches:
     def test_single_pattern_matches(self):
-        matcher = LocalMatcher(encoded_view(social_graph()))
+        matcher = LocalMatcher(EncodedGraph(social_graph()))
         query = QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), KNOWS, Variable("y"))]))
         assert matcher.count_matches(query) == 4
 
     def test_path_matches(self):
-        matcher = LocalMatcher(encoded_view(social_graph()))
+        matcher = LocalMatcher(EncodedGraph(social_graph()))
         query = QueryGraph(
             BasicGraphPattern(
                 [
@@ -46,7 +46,7 @@ class TestFindMatches:
         assert matcher.count_matches(query) == 4
 
     def test_cycle_matches(self):
-        matcher = LocalMatcher(encoded_view(social_graph()))
+        matcher = LocalMatcher(EncodedGraph(social_graph()))
         query = QueryGraph(
             BasicGraphPattern(
                 [
@@ -60,7 +60,7 @@ class TestFindMatches:
 
     def test_homomorphism_allows_repeated_data_vertices(self):
         graph = RDFGraph([Triple(ALICE, KNOWS, BOB), Triple(BOB, KNOWS, ALICE)])
-        matcher = LocalMatcher(encoded_view(graph))
+        matcher = LocalMatcher(EncodedGraph(graph))
         query = QueryGraph(
             BasicGraphPattern(
                 [
@@ -73,14 +73,14 @@ class TestFindMatches:
         assert matcher.count_matches(query) == 2
 
     def test_variable_predicate(self):
-        matcher = LocalMatcher(encoded_view(social_graph()))
+        matcher = LocalMatcher(EncodedGraph(social_graph()))
         query = QueryGraph(
             BasicGraphPattern([TriplePattern(ALICE, Variable("p"), Variable("y"))])
         )
         assert matcher.count_matches(query) == 3
 
     def test_no_matches_for_absent_pattern(self):
-        matcher = LocalMatcher(encoded_view(social_graph()))
+        matcher = LocalMatcher(EncodedGraph(social_graph()))
         query = QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), AGE, Variable("y"))]))
         assert matcher.count_matches(query) == 0
 

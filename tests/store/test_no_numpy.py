@@ -24,11 +24,11 @@ import sys
 
 import repro
 from repro.datasets.paper_example import build_example_graph, example_query
-from repro.store import LocalMatcher, encoded_view
+from repro.store import EncodedGraph, LocalMatcher
 
 with repro.open(dataset="paper", engine="gstored") as session:
     assert session.query("example").to_dicts()
-assert len(LocalMatcher(encoded_view(build_example_graph())).evaluate(example_query())) > 0
+assert len(LocalMatcher(EncodedGraph(build_example_graph())).evaluate(example_query())) > 0
 print("numpy" in sys.modules)
 """
 

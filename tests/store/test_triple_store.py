@@ -27,11 +27,32 @@ class TestConstruction:
         assert store.encoded is encoded
         assert store.matcher.encoded is encoded
 
-    def test_statistics_are_collected_on_first_use(self):
+    def test_statistics_are_collected_when_the_store_is_built(self, monkeypatch):
+        import repro.store.triple_store as module
+
+        calls = []
+
+        def counting(encoded):
+            calls.append(encoded)
+            return collect_statistics(encoded)
+
+        monkeypatch.setattr(module, "collect_statistics", counting)
         store = store_of(Triple(A, KNOWS, B), Triple(B, KNOWS, C))
-        assert store._statistics is None
+        assert calls == [store.encoded]
         assert store.statistics.num_triples == 2
         assert store.statistics is store.statistics
+        store.enable_planner()
+        assert len(calls) == 1, "enabling the planner collects nothing"
+
+    def test_supplied_statistics_are_adopted_not_collected(self, monkeypatch):
+        import repro.store.triple_store as module
+
+        encoded = EncodedGraph(RDFGraph([Triple(A, KNOWS, B)]))
+        supplied = collect_statistics(encoded)
+        monkeypatch.setattr(module, "collect_statistics", lambda encoded: pytest.fail("collected"))
+        store = TripleStore(encoded, statistics=supplied)
+        assert store.statistics is supplied
+        assert store.enable_planner().statistics is supplied
 
     def test_the_store_does_not_mutate(self):
         store = store_of(Triple(A, KNOWS, B))
@@ -63,13 +84,15 @@ class TestPatching:
         assert statistics.num_triples == 1
         assert statistics.as_dict() == collect_statistics(store.encoded).as_dict()
 
-    def test_uncollected_statistics_stay_uncollected(self):
+    def test_an_addition_patches_the_statistics_in_place(self):
         store = store_of(Triple(A, KNOWS, B))
+        statistics = store.statistics
         ops = [("+", Triple(B, KNOWS, C))]
         store.encoded.apply_ops(ops)
         store.patch_statistics(ops)
-        assert store._statistics is None
-        assert store.statistics.num_triples == 2
+        assert store.statistics is statistics
+        assert statistics.num_triples == 2
+        assert statistics.as_dict() == collect_statistics(store.encoded).as_dict()
 
 
 class TestQuerying:

@@ -10,7 +10,7 @@ LPMs exist), implemented as a crossing-edge-seeded expansion:
    compatible crossing data edge) pair seeds one search branch;
 2. a query vertex mapped to an *internal* vertex must have all of its query
    edges matched (condition 5), so the branch keeps matching the unmatched
-   query edges of internally-mapped vertices, one data edge at a time;
+   query edges of internally-mapped vertices, one query edge at a time;
 3. when none is left the branch is an LPM; other query vertices stay NULL.
 
 **Canonical seed.**  Query edges are ranked (planner order when given, BGP
@@ -23,13 +23,17 @@ Every LPM therefore comes out of one seed, once: nothing is deduplicated.
 :class:`~repro.store.encoding.EncodedGraph`: query vertices are slots of a
 ``values`` list, query edges are bits in rank order (edge and vertex sets are
 int masks), vertex classes and ranked crossing edges come from the site's
-:class:`~repro.store.fragment_index.FragmentIndex`, extensions are ascending
-:meth:`EncodedGraph.triple_ids` probes — so the LPM *sequence* is the same
-under every ``PYTHONHASHSEED``.  An LPM is emitted straight from that state
-in its wire form (:mod:`repro.core.partial_match`): the ids themselves, which
-are cluster ids, so nothing is decoded.  No ``Triple`` or ``frozenset`` is
-built.  The LPMs are collected in the :class:`~repro.core.partial_match.LPMList`
-that ships them.
+:class:`~repro.store.fragment_index.FragmentIndex`.  A forced edge with one
+free endpoint reads the bound endpoint's ascending row of its label once and
+sorts each value in one loop: internal-admissible, extended-admissible (the
+canonical-seed rule and the stage-1 bit, tested inline) or dropped; only the
+survivors recurse.  An edge between two bound slots is one probe.  Rows
+ascend and seeds are sorted, so the LPM *sequence* is the same under every
+``PYTHONHASHSEED``.  An LPM is emitted straight from that state in its wire
+form (:mod:`repro.core.partial_match`): the ids themselves, which are cluster
+ids, so nothing is decoded.  No ``Triple`` or ``frozenset`` is built.  The
+LPMs are collected in the :class:`~repro.core.partial_match.LPMList` that
+ships them.
 
 The optional ``candidate_filter`` implements the Section VI optimization: an
 extended vertex may only be used when the coordinator's global bit vector
@@ -46,7 +50,7 @@ from ..partition.fragment import Fragment
 from ..rdf.terms import Variable
 from ..sparql.query_graph import QueryGraph
 from ..store.encoding import PREDICATE_ANY, predicate_code
-from ..store.fragment_index import FragmentIndex, IdTriple, internal_pools
+from ..store.fragment_index import FragmentIndex, internal_pools
 from .candidate_exchange import GlobalCandidateFilter
 from .partial_match import LocalPartialMatch, LPMList, check_local_partial_match
 
@@ -83,7 +87,8 @@ class PartialEvaluator:
         #: The site's index of ``fragment`` (:attr:`Site.graph
         #: <repro.distributed.site.Site.graph>`), or one built here.
         self._index = graph if graph is not None else FragmentIndex.build(fragment)
-        #: Re-check every produced LPM against Definition 5 (slower; for tests).
+        #: Re-check every produced LPM against Definition 5 and raise on a
+        #: violation (slower; for tests).
         self._paranoid = paranoid
         #: Planner-supplied ranking of query-edge indexes (most selective
         #: first): decides which seed an LPM comes out of and which forced
@@ -117,7 +122,7 @@ class PartialEvaluator:
             candidate_filter.vectors.get(vertex) if candidate_filter is not None and code is None else None
             for vertex, code in zip(vertices, constant)
         ]
-        filtered = [vector is not None for vector in vectors]
+        filter_bits = [None if vector is None else vector.bits for vector in vectors]
         # Each filtered slot's id -> bit table at its vector's width.
         positions = [None if vector is None else dictionary.bit_positions(vector.width) for vector in vectors]
         # The internal values each slot may take: with the filter, the site's own candidates.
@@ -136,68 +141,63 @@ class PartialEvaluator:
             incident[object_slot] |= 1 << rank
 
         values: List[Optional[int]] = [None] * len(vertices)
-        edge_map: List[Optional[IdTriple]] = [None] * len(edges)
+        # Each rank's matched predicate id: its code, or a variable predicate's label.
+        labels = [code for _, _, code, _ in edges]
+        out_columns = [None if code == PREDICATE_ANY else encoded.out_column(code) for _, _, code, _ in edges]
+        in_columns = [None if code == PREDICATE_ANY else encoded.in_column(code) for _, _, code, _ in edges]
         fragments = frozenset({fragment.fragment_id})
         # Emission order: edge slots by index, then vertex slots.
-        by_index = sorted(range(len(edges)), key=lambda rank: edges[rank][3])
+        by_index = sorted((edge_index, rank, s, o) for rank, (s, o, _, edge_index) in enumerate(edges))
         vertex_base = len(edges)
-
-        def refused(slot: int, value: int) -> bool:
-            """Does the stage-1 filter forbid binding ``slot`` to extended ``value``?"""
-            if vectors[slot].bits >> positions[slot][value] & 1:
-                return False
-            result.branches_pruned_by_filter += 1
-            return True
 
         def emit(matched: int, internal_mask: int) -> None:
             items, crossing = [], []
-            for rank in by_index:
-                if not matched >> rank & 1:
-                    continue
-                subject_slot, object_slot, _, edge_index = edges[rank]
-                subject, predicate, obj = edge_map[rank]
-                items.append((edge_index, predicate))
-                if not internal_mask >> subject_slot & internal_mask >> object_slot & 1:
-                    crossing.append((edge_index, subject, predicate, obj))
-            for slot, value in enumerate(values):
-                if value is not None:
-                    items.append((vertex_base + slot, value))
+            for edge_index, rank, subject_slot, object_slot in by_index:
+                if matched >> rank & 1:
+                    label = labels[rank]
+                    items.append((edge_index, label))
+                    if not internal_mask >> subject_slot & internal_mask >> object_slot & 1:
+                        crossing.append((edge_index, values[subject_slot], label, values[object_slot]))
+            items += [(vertex_base + slot, value) for slot, value in enumerate(values) if value is not None]
             lpm = LocalPartialMatch(fragments, query, tuple(items), dictionary, internal_mask, tuple(crossing))
-            if not (self._paranoid and check_local_partial_match(lpm, query, fragment)):
-                result.local_partial_matches.append(lpm)
+            if self._paranoid:
+                violations = check_local_partial_match(lpm, query, fragment)
+                if violations:
+                    raise RuntimeError(f"fragment {fragment.name}: {lpm!r} breaks Definition 5: {violations}")
+            result.local_partial_matches.append(lpm)
 
-        def match(rank: int, ids: IdTriple, forced: int, matched: int, internal_mask: int) -> None:
-            """Map query edge ``rank`` to data edge ``ids`` and search on, if Definition 5 allows.
+        def descend(
+            rank: int, slot: int, row: Sequence[int], forced: int, matched: int, internal_mask: int
+        ) -> None:
+            """Bind the free ``slot`` of edge ``rank`` to each admissible value of ``row`` and search on.
 
-            A crossing edge (one endpoint extended) ranked below the seed kills
-            the branch — the canonical-seed rule — before the filter is asked.
+            A value is internal-admissible (in the slot's ``allowed`` pool), or
+            extended-admissible: extended, at or above the seed's rank (the
+            canonical-seed rule) and kept by the stage-1 filter; or dropped.
             """
-            subject_slot, object_slot, _, _ = edges[rank]
-            bound = []
-            for slot, value in ((subject_slot, ids[0]), (object_slot, ids[2])):
-                current = values[slot]
-                if current is None:
-                    if value in allowed[slot]:
-                        forced |= incident[slot]
-                        internal_mask |= 1 << slot
-                    elif value not in extended or rank < seed_rank or (filtered[slot] and refused(slot, value)):
-                        break
+            pool, bits, bit_of = allowed[slot], filter_bits[slot], positions[slot]
+            open_to_extended = rank >= seed_rank
+            forced_if_internal, mask_if_internal = forced | incident[slot], internal_mask | 1 << slot
+            for value in row:
+                if value in pool:
                     values[slot] = value
-                    bound.append(slot)
-                elif current != value:
-                    break
-            else:
-                if rank >= seed_rank or internal_mask >> subject_slot & internal_mask >> object_slot & 1:
-                    edge_map[rank] = ids
-                    expand(forced, matched | 1 << rank, internal_mask)
-            for slot in bound:
-                values[slot] = None
+                    expand(forced_if_internal, matched, mask_if_internal)
+                elif open_to_extended and value in extended:
+                    if bits is not None and not bits >> bit_of[value] & 1:
+                        result.branches_pruned_by_filter += 1
+                        continue
+                    values[slot] = value
+                    expand(forced, matched, internal_mask)
+            values[slot] = None
 
         def expand(forced: int, matched: int, internal_mask: int) -> None:
             """Match the lowest-ranked edge condition 5 still forces, or emit.
 
-            At most one endpoint of that edge is still NULL (the internally mapped
-            other one forces it); a NULL constant endpoint is probed as the constant.
+            At least one endpoint of that edge is bound (an internally mapped
+            one forces it).  With one free variable endpoint and a constant
+            predicate, that endpoint's values are one sorted neighbour row;
+            with both bound, the edge is one probe.  A variable predicate or
+            a free constant endpoint reads the matching triples instead.
             """
             pending = forced & ~matched
             if not pending:
@@ -206,21 +206,68 @@ class PartialEvaluator:
             rank = (pending & -pending).bit_length() - 1
             subject_slot, object_slot, code, _ = edges[rank]
             subject, obj = values[subject_slot], values[object_slot]
+            matched |= 1 << rank
+            if subject is not None and obj is not None:
+                # A crossing edge ranked below the seed kills the branch.
+                if rank >= seed_rank or internal_mask >> subject_slot & internal_mask >> object_slot & 1:
+                    if code != PREDICATE_ANY:
+                        if out_columns[rank].has(subject, obj):
+                            expand(forced, matched, internal_mask)
+                    else:
+                        for ids in triple_ids(subject, code, obj):
+                            labels[rank] = ids[1]
+                            expand(forced, matched, internal_mask)
+                return
+            slot = subject_slot if subject is None else object_slot
+            if code != PREDICATE_ANY and constant[slot] is None:
+                row = in_columns[rank].row(obj) if subject is None else out_columns[rank].row(subject)
+                descend(rank, slot, row, forced, matched, internal_mask)
+                return
             if subject is None:
-                subject = constant[subject_slot]
-            elif obj is None:
-                obj = constant[object_slot]
+                subject = constant[slot]
+            else:
+                obj = constant[slot]
             for ids in triple_ids(subject, code, obj):
-                match(rank, ids, forced, matched, internal_mask)
+                labels[rank] = ids[1]
+                value = ids[0] if slot == subject_slot else ids[2]
+                descend(rank, slot, (value,), forced, matched, internal_mask)
 
         for seed_rank, (subject_slot, object_slot, code, _) in enumerate(edges):
             seeds = index.crossing if code == PREDICATE_ANY else crossing_by_predicate.get(code, ())
             subject_constant, object_constant = constant[subject_slot], constant[object_slot]
-            for ids in seeds:
-                if subject_constant in (None, ids[0]) and object_constant in (None, ids[2]):
-                    result.seeds_explored += 1
-                    match(seed_rank, ids, 0, 0, 0)
-        del match, expand  # free the call's state (and query pools) now, not at a GC pass
+            subject_pool, object_pool = allowed[subject_slot], allowed[object_slot]
+            subject_bits, object_bits = filter_bits[subject_slot], filter_bits[object_slot]
+            subject_bit_of, object_bit_of = positions[subject_slot], positions[object_slot]
+            matched = 1 << seed_rank
+            for s, p, o in seeds:
+                if subject_constant not in (None, s) or object_constant not in (None, o):
+                    continue
+                result.seeds_explored += 1
+                # The endpoint tests of ``descend``, subject first (a crossing
+                # edge never loops, so a self-loop query edge takes no seed).
+                if s in subject_pool:
+                    forced, internal_mask = incident[subject_slot], 1 << subject_slot
+                elif s not in extended:
+                    continue
+                elif subject_bits is not None and not subject_bits >> subject_bit_of[s] & 1:
+                    result.branches_pruned_by_filter += 1
+                    continue
+                else:
+                    forced = internal_mask = 0
+                if object_slot == subject_slot:
+                    continue
+                if o in object_pool:
+                    forced |= incident[object_slot]
+                    internal_mask |= 1 << object_slot
+                elif o not in extended:
+                    continue
+                elif object_bits is not None and not object_bits >> object_bit_of[o] & 1:
+                    result.branches_pruned_by_filter += 1
+                    continue
+                values[subject_slot], values[object_slot], labels[seed_rank] = s, o, p
+                expand(forced, matched, internal_mask)
+                values[subject_slot] = values[object_slot] = None
+        del descend, expand  # free the call's state (and query pools) now, not at a GC pass
         return result
 
 

@@ -457,14 +457,6 @@ class EncodedGraph:
         """Ascending ids of all objects of ``predicate_code`` edges."""
         return self.in_column(predicate_code).keys
 
-    def has_out_edge(self, subject_id: int, predicate_code: int) -> bool:
-        """Does ``subject_id`` have any outgoing edge labelled ``predicate_code``?"""
-        return subject_id in self.out_column(predicate_code)._rows
-
-    def has_in_edge(self, object_id: int, predicate_code: int) -> bool:
-        """Does ``object_id`` have any incoming edge labelled ``predicate_code``?"""
-        return object_id in self.in_column(predicate_code)._rows
-
     def triple_ids(
         self, subject_id: Optional[int], predicate_code: int, object_id: Optional[int]
     ) -> List[Tuple[int, int, int]]:

@@ -2,12 +2,16 @@
 
 import pytest
 
-from repro.core import GlobalCandidateFilter, CandidateBitVector
+from repro.core import CandidateBitVector, EngineConfig, GlobalCandidateFilter, partial_eval
+from repro.core.engine import GStoreDEngine
 from repro.core.partial_eval import PartialEvaluator, evaluate_fragment
 from repro.core.partial_match import check_local_partial_match
+from repro.core.site_tasks import TASK_PARTIAL_EVAL
+from repro.distributed import build_cluster
+from repro.exec import SiteTaskError
 from repro.partition import HashPartitioner, build_partitioned_graph
 from repro.rdf import Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
-from repro.sparql import BasicGraphPattern, QueryGraph
+from repro.sparql import BasicGraphPattern, QueryGraph, parse_query
 from repro.datasets import lubm
 
 EX = Namespace("http://example.org/")
@@ -123,3 +127,40 @@ class TestCandidateFilter:
         candidate_filter = GlobalCandidateFilter({Z: CandidateBitVector()})
         outcome = evaluate_fragment(partitioned.fragment(1), query, candidate_filter=candidate_filter)
         assert outcome.count == 1
+
+
+class TestParanoidMode:
+    """``paranoid=True`` raises on an LPM that breaks Definition 5; it never drops one."""
+
+    @staticmethod
+    def break_checker(monkeypatch):
+        monkeypatch.setattr(partial_eval, "check_local_partial_match", lambda lpm, query, fragment: ["bogus"])
+
+    def test_a_violation_raises_naming_fragment_lpm_and_violations(self, monkeypatch):
+        partitioned, query = path_setting()
+        fragment = partitioned.fragment(0)
+        lpm = evaluate_fragment(fragment, query).local_partial_matches[0]
+        self.break_checker(monkeypatch)
+        assert evaluate_fragment(fragment, query).local_partial_matches == [lpm]
+        with pytest.raises(RuntimeError) as excinfo:
+            evaluate_fragment(fragment, query, paranoid=True)
+        message = str(excinfo.value)
+        assert f"fragment {fragment.name}" in message
+        assert repr(lpm) in message
+        assert "['bogus']" in message
+
+    def test_the_engine_reports_a_site_task_error(self, monkeypatch):
+        partitioned, _ = path_setting()
+        # Without the star shortcut a two-edge path runs partial evaluation.
+        config = EngineConfig(paranoid_validation=True, star_shortcut=False)
+        engine = GStoreDEngine(build_cluster(partitioned), config)
+        select = parse_query(
+            "PREFIX ex: <http://example.org/> SELECT ?x ?z WHERE { ?x ex:p ?y . ?y ex:q ?z . }"
+        )
+        assert len(engine.execute(select).rows()) == 1
+        self.break_checker(monkeypatch)
+        with pytest.raises(SiteTaskError) as excinfo:
+            engine.execute(select)
+        assert excinfo.value.stage == TASK_PARTIAL_EVAL
+        assert isinstance(excinfo.value.__cause__, RuntimeError)
+        assert "breaks Definition 5" in str(excinfo.value.__cause__)

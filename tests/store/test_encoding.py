@@ -121,10 +121,6 @@ class TestEncodedGraph:
         id_of = encoded.dictionary.id_of
         assert encoded.subjects_of_predicate(id_of(KNOWS)) == sorted([id_of(A), id_of(B)])
         assert encoded.objects_of_predicate(id_of(KNOWS)) == sorted([id_of(B), id_of(C)])
-        assert encoded.has_out_edge(id_of(A), id_of(KNOWS))
-        assert not encoded.has_out_edge(id_of(C), id_of(KNOWS))
-        assert encoded.has_in_edge(id_of(C), PREDICATE_ANY)
-        assert not encoded.has_in_edge(id_of(A), PREDICATE_ANY)
 
     def test_iter_triple_ids_round_trips(self):
         graph = build_graph()

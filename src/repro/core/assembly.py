@@ -8,13 +8,12 @@ implemented:
   join graph is built over *individual* LPMs and explored with a DFS.  It is
   correct but its join space grows with the number of LPMs; the paper uses
   it as the gStoreD-Basic baseline.
-* :class:`LECAssembler` — Algorithm 3: LPMs are first grouped by the
-  LECSign of their LEC feature (Theorem 5: same sign ⇒ never joinable), a
-  join graph is built over the *groups*, and the DFS explores group
-  combinations, joining members pairwise only when the group-level structure
-  allows it.  This prunes whole families of join attempts at once; inside a
-  group, partners are found by a hash probe on the shared crossing edge
-  (:mod:`repro.core.joins`) rather than by scanning it.
+* :class:`LECAssembler` — Algorithm 3: the join of :mod:`repro.core.joins`
+  finds each combination of LPMs whose LECSigns (Theorem 5: equal signs
+  never join) partition the query vertices once, trying as partners only
+  the LPMs listed under one crossing pair and one query vertex the partial
+  combination still lacks.  Matches come out sorted by their vertex-slot
+  ids, so the order of crossing rows depends on the answer set alone.
 
 Both assemblers return the same set of complete matches (asserted by the
 test-suite); they differ only in how much work they do to find them.
@@ -28,7 +27,7 @@ from typing import FrozenSet, List, Sequence, Set, Tuple
 from ..rdf.terms import Variable
 from ..sparql.bindings import Binding, Row
 from ..sparql.query_graph import QueryGraph
-from .joins import JoinCompiler, SignGroups
+from .joins import JoinCompiler, SignGroups, one_space
 from .partial_match import LocalPartialMatch, join_matches
 
 
@@ -37,12 +36,13 @@ class AssemblyOutcome:
     """Result and work counters of one assembly run."""
 
     matches: List[LocalPartialMatch] = field(default_factory=list)
-    #: Join partners tried: every pair for :class:`BasicAssembler`, the pairs
-    #: the group index yielded for :class:`LECAssembler`.
+    #: Join partners tried: every pair for :class:`BasicAssembler`, the LPMs
+    #: the join index listed for :class:`LECAssembler`.
     join_attempts: int = 0
     successful_joins: int = 0
+    #: LPMs for :class:`BasicAssembler`, distinct LECSigns for :class:`LECAssembler`.
     groups: int = 0
-    #: ``pair -> LPM`` postings of the per-query group index (LEC assembly).
+    #: ``(pair, vertex) -> LPM`` postings of the per-query join index (LEC assembly).
     index_size: int = 0
 
     def bindings(self) -> List[Binding]:
@@ -143,31 +143,19 @@ class LECAssembler(BaseAssembler):
     """Algorithm 3: LEC feature-based assembly."""
 
     def assemble(self, lpms: Sequence[LocalPartialMatch]) -> AssemblyOutcome:
+        """Every crossing match, once each, sorted by vertex-slot ids.
+
+        Raises ``ValueError`` for LPMs of two dictionaries.
+        """
+        one_space(lpm.dictionary for lpm in lpms)
         outcome = AssemblyOutcome()
-        # Definition 11: LPMs are grouped by the LECSign of their LEC feature
-        # and the group join graph is the one over those features.  Both are
-        # compiled and indexed per call (see :mod:`repro.core.joins`).
         compiler = JoinCompiler(self._query)
-        operands = [compiler.lpm(lpm) for lpm in lpms]
-        # An LPM's crossing pairs come in edge-index order, so equal features
-        # have equal pair tuples.
-        features = dict.fromkeys((o.sign, o.fragment_id, o.pairs) for o in operands)
-        graph = SignGroups(
-            self._query,
-            [compiler.crossing_operand(sign, fragment, pairs) for sign, fragment, pairs in features],
-        ).join_graph()
-        groups = SignGroups(self._query, operands)
-        seen_matches: Set[Tuple[int, ...]] = set()
-
-        def emit(members: Tuple[int, ...], vertex_slots: Tuple[int, ...]) -> None:
-            # A complete match maps every query vertex, so its vertex ids
-            # identify its assignment; only new ones are joined.
-            if vertex_slots not in seen_matches:
-                seen_matches.add(vertex_slots)
-                outcome.matches.append(join_matches([lpms[number] for number in members]))
-
-        groups.join(graph, emit)
-        outcome.groups = len(groups.members)
+        groups = SignGroups(compiler, [compiler.lpm(lpm) for lpm in lpms])
+        found: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+        groups.join(lambda members, vertex_slots: found.append((vertex_slots, members)))
+        found.sort()
+        outcome.matches = [join_matches([lpms[number] for number in members]) for _, members in found]
+        outcome.groups = groups.groups
         outcome.join_attempts = groups.join_attempts
         outcome.successful_joins = groups.successful_joins
         outcome.index_size = groups.index_size

@@ -1,31 +1,32 @@
-"""The coordinator's joins, hash-indexed on numbered crossing pairs.
+"""The coordinator's joins: each complete combination of operands found once.
 
 Algorithm 2 (LEC feature pruning) and Algorithm 3 (LEC-based assembly) run
-the same search: group the operands — LEC features, or local partial matches
-— by LECSign and extend partial combinations depth-first across groups with
-disjoint signs.  Definition 9 lets two operands join only through a crossing
-edge both map to the *same* query edge, so a combination's partners inside a
-group are exactly the members sharing one of its ``(query edge, crossing
-edge)`` pairs: :class:`JoinCompiler` numbers those pairs per query,
-:class:`SignGroups` indexes each group ``pair id -> operands`` and probes
-instead of scanning.  The probe is exact (an operand without a shared pair
-fails condition 2 whatever else holds) and hits are visited in arrival order,
-so complete combinations come out in the sequence the nested-loop join
-produced — ``tests/core/reference_joins.py`` keeps that join as the oracle,
-``docs/performance.md`` ("coordinator joins") has the argument in full.  Only
-``join_attempts`` changed meaning: pairs the index yielded and the conflict
-test ran on, not the whole cross product.
+the same search over operands — LEC features, or local partial matches: find
+every combination whose LECSigns partition the query vertices and whose
+members join pairwise (Definition 9, Theorem 4).  :class:`JoinCompiler`
+numbers a query's crossing ``(query edge, crossing edge)`` pairs;
+:class:`SignGroups` lists each operand under ``(pair id, query vertex)`` for
+each endpoint of its pairs it maps internally, and extends a partial
+combination only through one vertex it reaches over a crossing pair but does
+not cover — the exact-cover rule of Knuth's Algorithm X.  The member that
+covers that vertex maps every query edge of it (Definition 5, condition 4),
+so it holds the pair and sits in that one list: every combination is reached
+along exactly one path, and emitted once.  ``docs/performance.md``
+("Coordinator joins") has the argument in full; ``tests/core/reference_joins.py``
+keeps the nested-loop join as the oracle.
 
 Operands arrive as cluster ids (:mod:`repro.core.partial_match`), so
-compiling is one dict probe per crossing pair and conflict tests compare ints.
+compiling is one dict probe per crossing pair and conflict tests compare
+ints; :func:`one_space` refuses operands whose ids come from two dictionaries.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
+from collections import Counter, defaultdict
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..sparql.query_graph import QueryGraph
+from ..store.encoding import TermDictionary
 from .lec import LECFeature
 from .partial_match import Item, LocalPartialMatch, Pair
 
@@ -49,9 +50,10 @@ class Operand(NamedTuple):
 
 
 class JoinCompiler:
-    """Numbers one query's crossing pairs: the keys the group index probes."""
+    """Numbers one query's crossing pairs: the keys the join index lists operands under."""
 
     def __init__(self, query: QueryGraph) -> None:
+        self.query = query
         base = query.num_edges
         self._edge_ends = [
             (base + query.vertex_index(edge.subject), base + query.vertex_index(edge.object))
@@ -60,6 +62,8 @@ class JoinCompiler:
         self._pair_ids: Dict[Pair, int] = {}
         #: Pair id -> the items it implies: its query edge's and both ends'.
         self._pair_items: List[Tuple[Item, Item, Item]] = []
+        #: Pair id -> the query vertex indexes of its subject and object.
+        self.pair_ends: List[Tuple[int, int]] = []
 
     def _pair_id(self, pair: Pair) -> int:
         pair_id = self._pair_ids.get(pair)
@@ -68,29 +72,23 @@ class JoinCompiler:
             index, subject, predicate, obj = pair
             subject_slot, object_slot = self._edge_ends[index]
             self._pair_items.append(((index, predicate), (subject_slot, subject), (object_slot, obj)))
+            base = self.query.num_edges
+            self.pair_ends.append((subject_slot - base, object_slot - base))
         return pair_id
 
     def feature(self, feature: LECFeature) -> Operand:
-        """Compile a LEC feature."""
+        """Compile a LEC feature: its crossing pairs (``g``) alone fix what it maps."""
         pair_id = self._pair_id
         pairs = tuple([pair_id(pair) for pair in feature.crossing])
-        return self.crossing_operand(feature.lec_sign, feature.fragment_id, pairs)
-
-    def crossing_operand(self, sign: int, fragment_id: int, pairs: Tuple[int, ...]) -> Operand:
-        """The operand of the LEC feature with these crossing pairs.
-
-        ``g`` alone fixes what a feature maps, so the feature of a compiled
-        LPM is ``crossing_operand(lpm.sign, lpm.fragment_id, lpm.pairs)``.
-        """
         items: Set[Item] = set()
-        for pair_id in pairs:
-            items.update(self._pair_items[pair_id])
+        for key in pairs:
+            items.update(self._pair_items[key])
         if len(dict(items)) != len(items):
             # One query edge or vertex mapped twice: the operand conflicts with
             # itself, so nothing can join it (Definition 9).  Without join keys
-            # the index never yields it.
+            # the index never lists it.
             pairs = ()
-        return Operand(sign, fragment_id, pairs, tuple(items))
+        return Operand(feature.lec_sign, feature.fragment_id, pairs, tuple(items))
 
     def lpm(self, lpm: LocalPartialMatch) -> Operand:
         """Compile a local partial match (one item per slot: never self-conflicting)."""
@@ -135,121 +133,108 @@ def joinable(left: Operand, right: Operand, query: QueryGraph) -> bool:
     )
 
 
-class SignGroups:
-    """Operands grouped by LECSign (Theorem 5), each group hash-indexed.
+def one_space(dictionaries: Iterable[TermDictionary]) -> None:
+    """Raise ``ValueError`` unless all ``dictionaries`` share one id space.
 
-    ``index[sign][pair id]`` lists, in arrival order, the operands of the
-    group that carry the pair.  Built once per query and discarded with it.
+    The joins compare ids, so operands encoded over two dictionaries would
+    join on numbers that name different terms.
+    """
+    if len({dictionary.space for dictionary in dictionaries}) > 1:
+        raise ValueError("the operands' ids come from two dictionaries; encode every site over one")
+
+
+class SignGroups:
+    """One query's operands, listed under ``(pair id, query vertex)`` (Theorem 4's join).
+
+    ``index[pair id, v]`` lists, in arrival order, the operands that carry the
+    pair and map its endpoint ``v`` internally.  Built once per query and
+    discarded with it.  Theorem 5 is the sign test: operands whose LECSigns
+    overlap never join.
     """
 
-    def __init__(self, query: QueryGraph, operands: Sequence[Operand]) -> None:
-        self._query = query
+    def __init__(self, compiler: JoinCompiler, operands: Sequence[Operand]) -> None:
+        self._query = compiler.query
         self._operands = operands
-        self.members: Dict[int, List[int]] = defaultdict(list)
-        self.index: Dict[int, Dict[int, List[int]]] = defaultdict(dict)
-        #: Number of ``pair id -> operand`` postings over all groups.
-        self.index_size = 0
+        self._pair_ends = pair_ends = compiler.pair_ends
+        #: LECSign -> number of operands carrying it.
+        self._signs = Counter([operand.sign for operand in operands])
+        #: Distinct LECSigns among the operands.
+        self.groups = len(self._signs)
+        self.index: Dict[Tuple[int, int], List[int]] = defaultdict(list)
+        index = self.index
+        for number, operand in enumerate(operands):
+            sign = operand.sign
+            for pair_id in operand.pairs:
+                subject, obj = pair_ends[pair_id]
+                if sign >> subject & 1:
+                    index[pair_id, subject].append(number)
+                if sign >> obj & 1:
+                    index[pair_id, obj].append(number)
+        #: Number of ``(pair id, vertex) -> operand`` postings.
+        self.index_size = sum(map(len, index.values()))
         self.join_attempts = 0
         self.successful_joins = 0
-        for number, operand in enumerate(operands):
-            self.members[operand.sign].append(number)
-            postings = self.index[operand.sign]
-            for pair_id in operand.pairs:
-                postings.setdefault(pair_id, []).append(number)
-            self.index_size += len(operand.pairs)
 
-    def join_graph(self) -> Dict[int, Set[int]]:
-        """Signs are adjacent when some pair of their operands is joinable.
+    def join(self, emit: EmitFn) -> None:
+        """Emit every complete combination (Theorem 4) once, full-sign operands on their own.
 
-        Only operands that meet under one pair id can be, so the index
-        enumerates every candidate; same-sign operands never are (Theorem 5).
+        Seeds are the operands covering the root — the query vertex the
+        fewest operands cover, lowest index first — and a partial grows only
+        through its scarcest ``(pair, vertex)`` list (:meth:`_extend`).
         """
-        operands, query = self._operands, self._query
-        adjacency: Dict[int, Set[int]] = {sign: set() for sign in self.members}
-        holders: Dict[int, List[int]] = defaultdict(list)
-        for sign, postings in self.index.items():
-            for pair_id in postings:
-                holders[pair_id].append(sign)
-        for pair_id, signs in holders.items():
-            for position, sign_a in enumerate(signs):
-                for sign_b in signs[position + 1 :]:
-                    if sign_a & sign_b or sign_b in adjacency[sign_a]:
-                        continue
-                    if any(
-                        joinable(operands[a], operands[b], query)
-                        for a in self.index[sign_a][pair_id]
-                        for b in self.index[sign_b][pair_id]
-                    ):
-                        adjacency[sign_a].add(sign_b)
-                        adjacency[sign_b].add(sign_a)
-        return adjacency
-
-    def join(self, graph: Dict[int, Set[int]], emit: EmitFn) -> None:
-        """Emit every complete combination (Theorem 4), single operands first.
-
-        Function ComLECFJoin / ComParJoin of the paper: repeatedly seed the
-        DFS from the smallest remaining group, then retire it together with
-        the groups it leaves without an active neighbour.
-        """
-        operands, query = self._operands, self._query
-        for number, operand in enumerate(operands):
+        query = self._query
+        if not self._operands:
+            return
+        root = min(
+            range(query.num_vertices),
+            key=lambda vertex: (sum(n for sign, n in self._signs.items() if sign >> vertex & 1), vertex),
+        )
+        for number, operand in enumerate(self._operands):
             if operand.sign == query.full_mask:
                 _, _, slots, members = seed(operand, number, query)
                 emit(members, tuple(slots[query.num_edges :]))
-        remaining = set(self.members)
-        while remaining:
-            seed_sign = min(remaining, key=lambda sign: (len(self.members[sign]), sign))
-            seeds = [seed(operands[number], number, query) for number in self.members[seed_sign]]
-            self._explore({seed_sign}, seeds, graph, remaining, emit)
-            remaining.discard(seed_sign)
-            for sign in list(remaining):
-                if not graph[sign] & remaining:
-                    remaining.discard(sign)
+            elif operand.sign >> root & 1:
+                self._extend(seed(operand, number, query), emit)
 
-    def _explore(
-        self,
-        used_signs: Set[int],
-        partials: Sequence[Partial],
-        graph: Dict[int, Set[int]],
-        active_signs: Set[int],
-        emit: EmitFn,
-    ) -> None:
-        # A complete match uses at most |V_Q| operands: each contributes at
-        # least one internally matched vertex.
-        if not partials or len(used_signs) >= self._query.num_vertices:
+    def _extend(self, partial: Partial, emit: EmitFn) -> None:
+        """Join ``partial`` with the operands of one frontier vertex, and recurse.
+
+        A frontier vertex is one the partial maps through a crossing pair but
+        does not cover.  Of its ``(pair, vertex)`` lists the shortest is
+        taken (then the lowest vertex, then the partial's pair order); an
+        empty one means no operand can complete the partial.
+        """
+        sign, pairs, slots, joined = partial
+        pair_ends, index = self._pair_ends, self.index
+        chosen: Optional[List[int]] = None
+        chosen_vertex = 0
+        for pair_id in pairs:
+            for vertex in pair_ends[pair_id]:
+                if sign >> vertex & 1:
+                    continue
+                listed = index.get((pair_id, vertex))
+                if listed is None:
+                    return
+                if chosen is None or (len(listed), vertex) < (len(chosen), chosen_vertex):
+                    chosen, chosen_vertex = listed, vertex
+        if chosen is None:
+            # Nothing left to reach: the rest of the query lies in another
+            # component, which no crossing pair joins.
             return
         operands, full_mask = self._operands, self._query.full_mask
         vertex_base = self._query.num_edges
-        neighbour_signs: Set[int] = set()
-        for sign in used_signs:
-            neighbour_signs |= graph[sign]
-        neighbour_signs &= active_signs
-        neighbour_signs -= used_signs
-        for sign in sorted(neighbour_signs):
-            postings = self.index[sign]
-            extended: List[Partial] = []
-            for partial_sign, pairs, slots, joined in partials:
-                if partial_sign & sign:
-                    continue
-                hits = [postings[pair_id] for pair_id in pairs if pair_id in postings]
-                if not hits:
-                    continue
-                # Ascending operand number = the group's arrival order.
-                partners = hits[0] if len(hits) == 1 else sorted(set().union(*hits))
-                self.join_attempts += len(partners)
-                for number in partners:
-                    operand = operands[number]
-                    if conflicts(slots, operand):
-                        continue
-                    self.successful_joins += 1
-                    new_slots = list(slots)
-                    for slot, held in operand.items:
-                        new_slots[slot] = held
-                    members = joined + (number,)
-                    if partial_sign | sign == full_mask:
-                        emit(members, tuple(new_slots[vertex_base:]))
-                    else:
-                        new_pairs = pairs + tuple([p for p in operand.pairs if p not in pairs])
-                        extended.append((partial_sign | sign, new_pairs, new_slots, members))
-            if extended:
-                self._explore(used_signs | {sign}, extended, graph, active_signs, emit)
+        self.join_attempts += len(chosen)
+        for number in chosen:
+            operand = operands[number]
+            if operand.sign & sign or conflicts(slots, operand):
+                continue
+            self.successful_joins += 1
+            new_slots = list(slots)
+            for slot, held in operand.items:
+                new_slots[slot] = held
+            members = joined + (number,)
+            if sign | operand.sign == full_mask:
+                emit(members, tuple(new_slots[vertex_base:]))
+            else:
+                new_pairs = pairs + tuple([p for p in operand.pairs if p not in pairs])
+                self._extend((sign | operand.sign, new_pairs, new_slots, members), emit)

@@ -291,18 +291,19 @@ class LPMList(list):
                     reference = references[term_id] = len(references)
                 flat += (slot, reference)
             records.append((lpm.query, lpm.fragments, lpm.internal_mask, tuple(flat)))
-        term_of = self[0].dictionary.term_of if self else None
+        term_of, space = (self[0].dictionary.term_of, self[0].dictionary.space) if self else (None, None)
         table = tuple([(term_id, term_of(term_id)) for term_id in references])
-        return (_rebuild_lpms, (table, records))
+        return (_rebuild_lpms, (table, records, space))
 
 
-def _rebuild_lpms(table: Sequence[Tuple[int, Term]], records: Sequence[tuple]) -> LPMList:
+def _rebuild_lpms(table: Sequence[Tuple[int, Term]], records: Sequence[tuple], space: Optional[str]) -> LPMList:
     """Unpickle an :class:`LPMList` over the dictionary part its table carries.
 
-    A matched edge is a crossing pair unless both ends map to internal
-    vertices — the rule the partial evaluator emits by.
+    The part keeps its source's id space.  A matched edge is a crossing pair
+    unless both ends map to internal vertices — the rule the partial
+    evaluator emits by.
     """
-    dictionary = TermDictionary.received(table)
+    dictionary = TermDictionary.received(table, space)
     ids = [term_id for term_id, _ in table]
     ends: Dict[int, List[Tuple[int, int]]] = {}
     lpms = LPMList()

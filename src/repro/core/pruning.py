@@ -1,13 +1,10 @@
 """LEC feature-based pruning (Section IV-C, Algorithm 2).
 
-The coordinator receives every site's LEC features, groups them by LECSign
-(Theorem 5: features with equal LECSign can never join), builds the join
-graph over the groups, and explores joinable combinations with a DFS (the
-hash-indexed join of :mod:`repro.core.joins`).  A combination whose ORed
-LECSign covers every query vertex witnesses that its constituent features can
-contribute to a complete match; every feature that appears in no such
-combination is pruned, and with it every local partial match of its
-equivalence class.
+The coordinator receives every site's LEC features and enumerates, once
+each, the combinations whose LECSigns partition the query vertices and whose
+members join pairwise (the join of :mod:`repro.core.joins`; Theorem 5 is its
+sign test).  Every feature that appears in no such complete combination is
+pruned, and with it every local partial match of its equivalence class.
 
 The implementation tracks constituents at the level of individual features
 (slightly finer than the group-level bookkeeping in the paper's pseudo-code),
@@ -22,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from ..sparql.query_graph import QueryGraph
-from .joins import JoinCompiler, SignGroups
+from .joins import JoinCompiler, SignGroups, one_space
 from .lec import LECFeature
 
 
@@ -32,11 +29,12 @@ class PruningOutcome:
 
     surviving: Set[LECFeature] = field(default_factory=set)
     total_features: int = 0
+    #: Distinct LECSigns among the features.
     groups: int = 0
-    #: Pairs the group index yielded and the Definition-9 conflict test ran on.
+    #: Features the join index listed and the Definition-9 test ran on.
     join_attempts: int = 0
     complete_combinations: int = 0
-    #: ``pair -> feature`` postings of the per-query group index.
+    #: ``(pair, vertex) -> feature`` postings of the per-query join index.
     index_size: int = 0
 
     @property
@@ -59,19 +57,21 @@ class LECFeaturePruner:
         The features are compiled and indexed per call (see
         :mod:`repro.core.joins`); a feature whose LECSign already covers the
         query stands alone — its LPMs span the whole query inside one
-        fragment through crossing edges.
+        fragment through crossing edges.  Raises ``ValueError`` for features
+        of two dictionaries.
         """
         all_features = list(dict.fromkeys(features))
+        one_space(feature.dictionary for feature in all_features)
         outcome = PruningOutcome(total_features=len(all_features))
         compiler = JoinCompiler(self._query)
-        groups = SignGroups(self._query, [compiler.feature(f) for f in all_features])
+        groups = SignGroups(compiler, [compiler.feature(f) for f in all_features])
 
         def emit(members: Tuple[int, ...], _vertex_slots) -> None:
             outcome.complete_combinations += 1
             outcome.surviving.update(all_features[number] for number in members)
 
-        groups.join(groups.join_graph(), emit)
-        outcome.groups = len(groups.members)
+        groups.join(emit)
+        outcome.groups = groups.groups
         outcome.join_attempts = groups.join_attempts
         outcome.index_size = groups.index_size
         return outcome

@@ -34,6 +34,7 @@ joins is ints.
 from __future__ import annotations
 
 import hashlib
+import secrets
 import threading
 from bisect import bisect_left
 from itertools import chain
@@ -95,12 +96,17 @@ class TermDictionary:
 
     :attr:`key_bytes` is the per-id UTF-8 length of the term's N3 key — what a
     message's term table pays for it — and :meth:`bit_positions` the per-id
-    stage-1 bit positions at one vector width.
+    stage-1 bit positions at one vector width.  :attr:`space` names the id
+    space: fresh per dictionary, shared by the :meth:`received` parts cut
+    from it, so two id sequences are comparable exactly when their spaces are
+    equal.
     """
 
-    __slots__ = ("_ids", "_terms", "key_bytes", "_bit_positions")
+    __slots__ = ("_ids", "_terms", "key_bytes", "_bit_positions", "space")
 
     def __init__(self, terms: Iterable[Term]) -> None:
+        #: Random, so a part unpickled in another process still names its source.
+        self.space: str = secrets.token_hex(8)
         decorated = sorted((term_sort_key(term), term) for term in set(terms))
         self._terms: List[Term] = [term for _, term in decorated]
         self._ids: Dict[Term, int] = {term: position for position, term in enumerate(self._terms)}
@@ -109,13 +115,14 @@ class TermDictionary:
         self._bit_positions: Dict[int, _BitPositions] = {}
 
     @classmethod
-    def received(cls, entries: Iterable[Tuple[int, Term]]) -> "TermDictionary":
-        """The part of a dictionary a message carries: these ids, with their terms.
+    def received(cls, entries: Iterable[Tuple[int, Term]], space: str) -> "TermDictionary":
+        """The part of dictionary ``space`` a message carries: these ids, with their terms.
 
         Read-only (no :meth:`ensure`); ids keep their values, so what was
         encoded against the full dictionary decodes and sizes the same here.
         """
         received = cls.__new__(cls)
+        received.space = space
         received._terms = dict(entries)
         received._ids = {term: term_id for term_id, term in received._terms.items()}
         received.key_bytes = {term_id: len(term.n3().encode("utf-8")) for term_id, term in received._terms.items()}

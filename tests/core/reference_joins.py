@@ -6,9 +6,11 @@ Until the indexed join of :mod:`repro.core.joins` replaced them, these were
 (``LECFeaturePruner``, Algorithm 2) and ``core/assembly.py``
 (``LECAssembler``, Algorithm 3): every ``partials x group`` pair is tested
 with object-level set intersections.  Nothing in ``src/`` runs this path any
-more; ``tests/property/test_property_joins.py`` asserts that the indexed join
-returns the same surviving features and the same *sequence* of matches.
-Only the imports differ from the code that was removed.
+more; ``tests/property/test_property_joins.py`` asserts that the production
+join returns the same surviving features, each member set the pruner below
+emits (``LECFeaturePruner.emitted``, recorded beside the unchanged search)
+exactly once, and the matches below in vertex-slot order.  Only the imports
+and that record differ from the code that was removed.
 
 Since LPMs and features cross as cluster ids, the assembler below tests
 Definition 9 with :func:`lpms_joinable` on the LPMs' decoded views (the
@@ -298,6 +300,9 @@ class LECFeaturePruner:
         # A complete match uses at most |V_Q| partial matches (each must
         # contribute at least one internally matched vertex).
         self._max_size = max_combination_size or query.num_vertices
+        #: The member set of every complete combination, in emission order
+        #: (one set may be emitted once per order the search reaches it in).
+        self.emitted: List[FrozenSet[LECFeature]] = []
 
     def prune(self, features: Iterable[LECFeature]) -> PruningOutcome:
         """Algorithm 2: return the features that can contribute to a match."""
@@ -314,6 +319,7 @@ class LECFeaturePruner:
             if feature.lec_sign == full_mask:
                 outcome.surviving.add(feature)
                 outcome.complete_combinations += 1
+                self.emitted.append(frozenset({feature}))
 
         groups = group_features_by_sign(all_features)
         outcome.groups = len(groups)
@@ -361,6 +367,7 @@ class LECFeaturePruner:
                     if joined.is_complete(self._query):
                         outcome.complete_combinations += 1
                         outcome.surviving.update(joined.constituents)
+                        self.emitted.append(joined.constituents)
                     else:
                         extended.append(joined)
             if extended:

@@ -1,8 +1,12 @@
 """Unit tests for the assembly stage (Algorithm 3 and the basic join)."""
 
+import pickle
+
 import pytest
 
+from repro.core import compute_lec_features, prune_features
 from repro.core.assembly import BasicAssembler, LECAssembler, assemble_matches
+from repro.core.partial_match import LPMList
 from repro.core.partial_eval import evaluate_fragment
 from repro.distributed import build_cluster
 from repro.partition import HashPartitioner, SemanticHashPartitioner
@@ -95,3 +99,32 @@ class TestAssemblyDetails:
         lpms = collect_lpms(example_partitioning, example_query_graph)
         outcome = LECAssembler(example_query_graph).assemble(lpms)
         assert outcome.groups >= 4
+
+
+class TestOneIdSpace:
+    """The joins compare ids, so every operand must come from one dictionary."""
+
+    def test_lpms_of_two_dictionaries_raise(self, example_partitioning, example_query_graph):
+        # Without a site's index, each fragment is encoded over its own dictionary.
+        lpms_by_fragment = {
+            fragment.fragment_id: evaluate_fragment(fragment, example_query_graph).local_partial_matches
+            for fragment in example_partitioning
+        }
+        lpms = [lpm for found in lpms_by_fragment.values() for lpm in found]
+        with pytest.raises(ValueError, match="two dictionaries"):
+            assemble_matches(example_query_graph, lpms)
+        features = {site: list(compute_lec_features(found)) for site, found in lpms_by_fragment.items()}
+        with pytest.raises(ValueError, match="two dictionaries"):
+            prune_features(example_query_graph, features)
+
+    def test_received_messages_keep_their_cluster_space(self, example_partitioning, example_query_graph):
+        cluster = build_cluster(example_partitioning)
+        sent = [
+            LPMList(evaluate_fragment(site.fragment, example_query_graph, graph=site.graph).local_partial_matches)
+            for site in cluster
+        ]
+        received = [lpm for lpms in sent for lpm in pickle.loads(pickle.dumps(lpms))]
+        assert {lpm.dictionary.space for lpm in received} == {cluster.dictionary.space}
+        expected = LECAssembler(example_query_graph).assemble([lpm for lpms in sent for lpm in lpms])
+        assert LECAssembler(example_query_graph).assemble(received).matches == expected.matches
+        assert expected.num_matches == 4

@@ -1,9 +1,9 @@
-"""Unit tests for the compiled, hash-indexed coordinator join (``repro.core.joins``)."""
+"""Unit tests for the compiled coordinator join (``repro.core.joins``): each combination once."""
 
 import pytest
 
 from reference_joins import LECFeaturePruner as ReferencePruner
-from reference_joins import build_join_graph, compiled_features_joinable, group_features_by_sign, lec_feature
+from reference_joins import compiled_features_joinable, group_features_by_sign, lec_feature
 from reference_joins import features_joinable as reference_joinable
 
 from repro.core import LECFeaturePruner, lec_feature_of
@@ -99,28 +99,47 @@ class TestCompiledForm:
         assert len(operand.items) > 2
 
 
-class TestIndexAndJoinGraph:
-    def test_index_lists_members_in_arrival_order(self, example_features, example_query_graph):
+class TestIndex:
+    def test_lists_hold_the_internal_endpoints_in_arrival_order(self, example_features, example_query_graph):
         compiler = JoinCompiler(example_query_graph)
         operands = [compiler.feature(feature) for feature in example_features]
-        groups = SignGroups(example_query_graph, operands)
+        groups = SignGroups(compiler, operands)
+        assert groups.groups == len(group_features_by_sign(example_features))
+        expected = {}
+        for number, operand in enumerate(operands):
+            for pair_id in operand.pairs:
+                for vertex in compiler.pair_ends[pair_id]:
+                    if operand.sign >> vertex & 1:
+                        expected.setdefault((pair_id, vertex), []).append(number)
+        assert groups.index == expected
+        assert groups.index_size == sum(len(numbers) for numbers in expected.values()) > 0
+        # A crossing pair has one end internal to the fragment that holds it:
+        # each operand is listed once per pair.
         assert groups.index_size == sum(len(operand.pairs) for operand in operands)
-        assert {sign: len(members) for sign, members in groups.members.items()} == {
-            sign: len(members) for sign, members in group_features_by_sign(example_features).items()
-        }
-        for sign, postings in groups.index.items():
-            for pair_id, numbers in postings.items():
-                assert numbers == sorted(numbers)
-                assert all(operands[n].sign == sign and pair_id in operands[n].pairs for n in numbers)
+
+    def test_pair_ends_are_the_query_vertices_of_the_pair(self, example_features, example_query_graph):
+        compiler = JoinCompiler(example_query_graph)
+        for feature in example_features:
+            operand = compiler.feature(feature)
+            for pair, pair_id in zip(feature.crossing, operand.pairs):
+                edge = example_query_graph.edge_at(pair[0])
+                assert compiler.pair_ends[pair_id] == (
+                    example_query_graph.vertex_index(edge.subject),
+                    example_query_graph.vertex_index(edge.object),
+                )
 
     @pytest.mark.parametrize("query_name", ["LQ1", "LQ6", "LQ7"])
-    def test_join_graph_equals_the_nested_loop_graph(self, lubm_graph, query_name):
+    def test_each_combination_of_the_nested_loop_once(self, lubm_graph, query_name):
         query_graph, features = lubm_features(lubm_graph, query_name)
         compiler = JoinCompiler(query_graph)
-        graph = SignGroups(query_graph, [compiler.feature(f) for f in features]).join_graph()
-        assert graph == build_join_graph(group_features_by_sign(features), query_graph)
-        for sign, neighbours in graph.items():
-            assert all(sign in graph[neighbour] for neighbour in neighbours)
+        emitted = []
+        SignGroups(compiler, [compiler.feature(f) for f in features]).join(
+            lambda members, _vertex_slots: emitted.append(frozenset(features[n] for n in members))
+        )
+        oracle = ReferencePruner(query_graph)
+        oracle.prune(features)
+        assert len(set(emitted)) == len(emitted)
+        assert set(emitted) == set(oracle.emitted)
 
     def test_pairwise_joinability_equals_the_object_level_test(self, example_features, example_query_graph):
         for left in example_features:
@@ -133,14 +152,15 @@ class TestIndexAndJoinGraph:
 class TestJoinAttempts:
     @pytest.mark.parametrize("query_name", ["LQ1", "LQ7"])
     def test_counter_is_index_hits_not_the_cross_product(self, lubm_graph, query_name):
-        """``join_attempts`` counts the pairs the index yielded: far fewer than
-        the nested loop's ``partials x group`` pairs, never fewer than the
-        joins that succeeded, with the same survivors and combinations."""
+        """``join_attempts`` counts the operands the index listed: far fewer
+        than the nested loop's ``partials x group`` pairs, with the same
+        survivors and each of its combinations once."""
         query_graph, features = lubm_features(lubm_graph, query_name)
         indexed = LECFeaturePruner(query_graph).prune(features)
-        reference = ReferencePruner(query_graph).prune(features)
+        oracle = ReferencePruner(query_graph)
+        reference = oracle.prune(features)
         assert indexed.surviving == reference.surviving
-        assert indexed.complete_combinations == reference.complete_combinations
+        assert indexed.complete_combinations == len(set(oracle.emitted)) < reference.complete_combinations
         assert indexed.groups == reference.groups
         assert 0 < indexed.join_attempts * 5 < reference.join_attempts
         assert indexed.index_size > 0

@@ -77,8 +77,11 @@ class TestTermDictionary:
     def test_a_received_dictionary_keeps_the_ids_it_was_sent(self):
         dictionary = TermDictionary([A, B, C, KNOWS])
         sent = [dictionary.id_of(C), dictionary.id_of(A)]
-        received = TermDictionary.received((term_id, dictionary.term_of(term_id)) for term_id in sent)
+        received = TermDictionary.received(
+            ((term_id, dictionary.term_of(term_id)) for term_id in sent), dictionary.space
+        )
         assert len(received) == 2
+        assert received.space == dictionary.space != TermDictionary([A, B, C, KNOWS]).space
         for term_id in sent:
             assert received.term_of(term_id) == dictionary.term_of(term_id)
             assert received.id_of(dictionary.term_of(term_id)) == term_id

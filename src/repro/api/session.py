@@ -238,12 +238,16 @@ class Session:
     # ------------------------------------------------------------------
     @property
     def graph(self) -> RDFGraph:
-        """The full (unpartitioned) RDF graph behind the cluster."""
+        """The full (unpartitioned) RDF graph, decoded from the sites.
+
+        A copy built per call (it costs a pass over every edge): mutating it
+        changes no answer, and :meth:`update` is how the data changes.
+        """
         return self.cluster.graph
 
     @property
     def partitioned(self) -> PartitionedGraph:
-        """The partitioned graph the cluster was built from."""
+        """The cluster's Definition 1 partitioning, decoded: a copy built per call."""
         return self.cluster.partitioned_graph
 
     @property

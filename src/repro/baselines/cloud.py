@@ -28,9 +28,8 @@ RDF-specific pruning.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set
 
-from ..distributed.cluster import Cluster
 from ..distributed.network import (
     COORDINATOR,
     GRAPH_BSP_PLATFORM,
@@ -38,10 +37,12 @@ from ..distributed.network import (
     SPARK_SQL_PLATFORM,
 )
 from ..distributed.run import Run
-from ..rdf.terms import IRI, Literal, Node, Variable
+from ..distributed.site import Site
+from ..rdf.terms import Node, Variable
 from ..rdf.triples import Triple, TriplePattern
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import Binding
+from ..store.encoding import predicate_code
 from .base import DistributedEngine
 from .decomposition import decompose_into_stars, hash_join, join_all
 
@@ -72,18 +73,22 @@ def _match_triple(pattern: TriplePattern, triple: Triple) -> Binding | None:
     return Binding(mapping)
 
 
-def _owned_rows(
-    cluster: Cluster, rows: List[Binding], pattern: TriplePattern, site_id: int
-) -> List[Binding]:
-    """Drop rows whose matched triple is a replica owned by another site."""
-    partitioned = cluster.partitioned_graph
-    subject_is_variable = isinstance(pattern.subject, Variable)
-    kept: List[Binding] = []
-    for binding in rows:
-        subject = binding.get(pattern.subject) if subject_is_variable else pattern.subject
-        if subject is None or partitioned.fragment_of(subject) == site_id:
-            kept.append(binding)
-    return kept
+def _scan(site: Site, pattern: TriplePattern) -> List[Binding]:
+    """The solutions of ``pattern`` over the edges ``site`` owns, read from its encoding.
+
+    Crossing edges are replicated on two sites; only the copy at the subject's
+    home (subject internal) counts, so no row comes twice.
+    """
+    encoded, internal = site.encoded, site.graph.internal
+    term_of = encoded.dictionary.term_of
+    if isinstance(pattern.predicate, Variable):
+        triples = encoded.iter_triple_ids()
+    else:
+        predicate = predicate_code(encoded, pattern.predicate)
+        triples = ((s, predicate, o) for s, o in encoded.out_column(predicate).pairs())
+    return _pattern_bindings(
+        (Triple(term_of(s), term_of(p), term_of(o)) for s, p, o in triples if s in internal), pattern
+    )
 
 
 class RelationalScanEngine(DistributedEngine):
@@ -99,21 +104,9 @@ class RelationalScanEngine(DistributedEngine):
         pattern_solutions: List[List[Binding]] = [[] for _ in query.bgp]
         with run.stage(STAGE_SCAN) as stage:
             for site in self.cluster:
-                fragment_triples = site.fragment.internal_edges | site.fragment.crossing_edges
-                by_predicate: Dict[IRI, List[Triple]] = defaultdict(list)
-                for triple in fragment_triples:
-                    by_predicate[triple.predicate].append(triple)
                 for index, pattern in enumerate(query.bgp):
                     with stage.measure(site.site_id):
-                        if isinstance(pattern.predicate, Variable):
-                            local_rows = _pattern_bindings(fragment_triples, pattern)
-                        else:
-                            local_rows = _pattern_bindings(
-                                by_predicate.get(pattern.predicate, ()), pattern
-                            )
-                        # Crossing edges are replicated on two sites; keep only the
-                        # copy owned by the subject's site to avoid duplicate rows.
-                        local_rows = _owned_rows(self.cluster, local_rows, pattern, site.site_id)
+                        local_rows = _scan(site, pattern)
                     pattern_solutions[index].extend(local_rows)
                     stage.ship(site.site_id, COORDINATOR, "scan_rows", local_rows)
             self._charge_platform(stage, 1)
@@ -191,11 +184,9 @@ class S2XEngine(DistributedEngine):
         candidates: List[List[Binding]] = [[] for _ in patterns]
         with run.stage(STAGE_SCAN) as stage:
             for site in self.cluster:
-                triples = site.fragment.internal_edges | site.fragment.crossing_edges
                 for index, pattern in enumerate(patterns):
                     with stage.measure(site.site_id):
-                        rows = _pattern_bindings(triples, pattern)
-                        rows = _owned_rows(self.cluster, rows, pattern, site.site_id)
+                        rows = _scan(site, pattern)
                     candidates[index].extend(rows)
             self._charge_platform(stage, 1)
             stage.count(initial_candidates=sum(len(rows) for rows in candidates))

@@ -15,9 +15,8 @@ This captures the behaviour the paper observes in Fig. 12:
   results are huge, making the final join and its data shipment expensive.
 
 The simulation lets every site match over the cluster's live master
-encoding (the replica every site would hold; updates reach it as they reach
-the master graph) and reuses the shared star decomposition and hash-join
-helpers.
+encoding (the replica every site would hold; every update patches it) and
+reuses the shared star decomposition and hash-join helpers.
 """
 
 from __future__ import annotations

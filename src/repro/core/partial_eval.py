@@ -44,7 +44,7 @@ is one of this site's (:func:`~repro.store.fragment_index.internal_pools`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..partition.fragment import Fragment
 from ..rdf.terms import Variable
@@ -78,15 +78,18 @@ class PartialEvaluator:
 
     def __init__(
         self,
-        fragment: Fragment,
+        fragment: Union[Fragment, FragmentIndex],
         graph: Optional[FragmentIndex] = None,
         paranoid: bool = False,
         edge_order: Optional[Sequence[int]] = None,
     ) -> None:
+        """``fragment`` is a site's (:attr:`Site.fragment
+        <repro.distributed.site.Site.fragment>`, an index) or a partition-time one."""
         self._fragment = fragment
-        #: The site's index of ``fragment`` (:attr:`Site.graph
-        #: <repro.distributed.site.Site.graph>`), or one built here.
-        self._index = graph if graph is not None else FragmentIndex.build(fragment)
+        #: The site's index (:attr:`Site.graph <repro.distributed.site.Site.graph>`), or one built here.
+        if graph is None:
+            graph = fragment if isinstance(fragment, FragmentIndex) else FragmentIndex.build(fragment)
+        self._index = graph
         #: Re-check every produced LPM against Definition 5 and raise on a
         #: violation (slower; for tests).
         self._paranoid = paranoid
@@ -104,6 +107,8 @@ class PartialEvaluator:
     ) -> PartialEvaluationResult:
         """Enumerate every local partial match of ``query`` in this fragment."""
         fragment = self._fragment
+        if self._paranoid and isinstance(fragment, FragmentIndex):
+            fragment = fragment.decoded()  # Definition 5 is checked on terms
         result = PartialEvaluationResult(fragment_id=fragment.fragment_id)
         index = self._index
         encoded, crossing_by_predicate = index.encoded, index.crossing_by_predicate
@@ -272,7 +277,7 @@ class PartialEvaluator:
 
 
 def evaluate_fragment(
-    fragment: Fragment,
+    fragment: Union[Fragment, FragmentIndex],
     query: QueryGraph,
     graph: Optional[FragmentIndex] = None,
     candidate_filter: Optional[GlobalCandidateFilter] = None,

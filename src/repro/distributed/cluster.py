@@ -1,26 +1,32 @@
 """Cluster: the set of sites plus the coordinator-side bookkeeping.
 
-A :class:`Cluster` is built from a :class:`~repro.partition.PartitionedGraph`
-— one site per fragment — and owns the :class:`MessageBus` that every engine
-uses to account for data shipment.  The cluster itself is engine-agnostic:
-the gStoreD engine (``repro.core.engine``) and the baselines
-(``repro.baselines``) all execute on top of the same cluster object, so
-comparisons happen over identical data placement.
+A :class:`Cluster` is built over ids: the one
+:class:`~repro.store.encoding.TermDictionary` every encoding uses, each
+fragment's edges as id triples — one site per fragment — and the live vertex
+→ fragment assignment.  :func:`build_cluster` encodes a
+:class:`~repro.partition.PartitionedGraph` into that form once, and a store
+file (:meth:`~repro.persist.ClusterStore.load_cluster`) feeds its int tables
+straight in; neither the partitioning nor its graph is kept.  The cluster
+owns the :class:`MessageBus` that every engine uses to account for data
+shipment.  It is engine-agnostic: the gStoreD engine (``repro.core.engine``)
+and the baselines (``repro.baselines``) all execute on top of the same
+cluster object, so comparisons happen over identical data placement.
 
-The cluster owns the one :class:`~repro.store.encoding.TermDictionary` every
-encoding uses: built from the base graph, so a term has one id at every site,
-in the master encoding and in the coordinator's joins.  The master encoding
-(the whole graph's columns, read by ``centralized`` and ``dream``) is built on
-first use.
+Each edge lives once per site that stores it, as columns of that site's
+encoding; there is no master graph.  The master encoding (the whole graph's
+columns, read by ``centralized`` and ``dream``) is built on first use from
+each site's home edges, and :attr:`Cluster.graph` /
+:attr:`Cluster.partitioned_graph` are decoded copies built per call.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from itertools import chain
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from ..partition.delta import DeltaEffect
+from ..partition.delta import stable_fragment_of
 from ..partition.fragment import PartitionedGraph
 from ..planner.optimizer import QueryPlanner
 from ..planner.plan_cache import DEFAULT_PLAN_CACHE_SIZE
@@ -28,7 +34,7 @@ from ..planner.statistics import GraphStatistics
 from ..rdf.graph import RDFGraph
 from ..rdf.terms import Node
 from ..rdf.triples import Triple
-from ..store.encoding import EncodedGraph, TermDictionary
+from ..store.encoding import EncodedGraph, IdTriple, TermDictionary
 from .network import MessageBus, NetworkModel
 from .site import Site
 from .stats import aggregate_graph_statistics
@@ -53,20 +59,31 @@ class Cluster:
 
     def __init__(
         self,
-        partitioned: PartitionedGraph,
+        dictionary: TermDictionary,
+        assignment: Dict[int, int],
+        fragments: Sequence[Iterable[IdTriple]],
+        *,
+        name: str = "",
+        strategy: str = "custom",
         network: Optional[NetworkModel] = None,
         statistics: Optional[Mapping[int, GraphStatistics]] = None,
     ) -> None:
-        """``statistics`` are already collected per-site summaries, by site id
-        (a store file's); the sites collect any missing ones when built."""
-        self._partitioned = partitioned
-        graph = partitioned.graph
+        """``fragments[k]`` are fragment ``k``'s edges (``E_k ∪ Ec_k``) as
+        distinct id triples of ``dictionary``; ``assignment`` maps every vertex
+        id to its fragment and is kept (updates extend it).  ``statistics``
+        are already collected per-site summaries, by site id (a store file's);
+        the sites collect any missing ones when built."""
         #: The one dictionary: base terms in ``term_sort_key`` order, new terms appended.
-        self.dictionary = TermDictionary(term for triple in graph for term in triple.as_tuple())
+        self.dictionary = dictionary
+        self._assignment = assignment
+        #: Name of the graph the cluster hosts.
+        self.name = name
+        #: Name of the partitioning strategy that placed the vertices.
+        self.strategy = strategy
         statistics = statistics or {}
         self._sites: List[Site] = [
-            Site(fragment.fragment_id, fragment, self.dictionary, statistics.get(fragment.fragment_id))
-            for fragment in partitioned
+            Site(site_id, triples, dictionary, assignment, statistics.get(site_id))
+            for site_id, triples in enumerate(fragments)
         ]
         self._encoded: Optional[EncodedGraph] = None
         self._encoded_lock = threading.Lock()
@@ -81,27 +98,44 @@ class Cluster:
     # ------------------------------------------------------------------
     # Topology
     # ------------------------------------------------------------------
-    @property
-    def partitioned_graph(self) -> PartitionedGraph:
-        return self._partitioned
+    def _home_edges(self) -> Iterator[IdTriple]:
+        """Every edge once, as id triples: each site's edges whose subject is internal to it."""
+        for site in self._sites:
+            internal = site.graph.internal
+            yield from (ids for ids in site.encoded.iter_triple_ids() if ids[0] in internal)
 
     @property
     def graph(self) -> RDFGraph:
-        """The full RDF graph (only used by ground-truth checks and baselines
-        that replicate the whole dataset, such as DREAM)."""
-        return self._partitioned.graph
+        """The full RDF graph, decoded from the sites: a copy built per call.
+
+        Mutating it changes nothing in the cluster; :meth:`apply` does.
+        """
+        term_of = self.dictionary.term_of
+        triples = (Triple(term_of(s), term_of(p), term_of(o)) for s, p, o in self._home_edges())
+        return RDFGraph(triples, name=self.name)
+
+    @property
+    def partitioned_graph(self) -> PartitionedGraph:
+        """The Definition 1 partitioning over :attr:`graph`, decoded: a copy built per call."""
+        term_of = self.dictionary.term_of
+        return PartitionedGraph(
+            self.graph,
+            {term_of(vertex): home for vertex, home in self._assignment.items()},
+            self.num_sites,
+            self.strategy,
+        )
 
     @property
     def encoded(self) -> EncodedGraph:
         """The master encoding: the full graph's columns over :attr:`dictionary`.
 
-        Built on first use (``centralized`` and ``dream`` read it) and patched
-        by :meth:`apply_ops` once it exists.  The ids are the dictionary's, so
-        when it is built does not change them.
+        Built on first use (``centralized`` and ``dream`` read it) from the
+        sites' home edges, and patched by :meth:`apply_ops` once it exists.
+        The ids are the dictionary's, so when it is built does not change them.
         """
         with self._encoded_lock:
             if self._encoded is None:
-                self._encoded = EncodedGraph(self.graph, self.dictionary)
+                self._encoded = EncodedGraph.from_ids(self._home_edges(), self.dictionary)
             return self._encoded
 
     @property
@@ -127,7 +161,7 @@ class Cluster:
 
     def site_of_vertex(self, vertex: Node) -> Site:
         """The site whose fragment owns ``vertex`` as an internal vertex."""
-        return self._sites[self._partitioned.fragment_of(vertex)]
+        return self._sites[self._assignment[self.dictionary.id_of(vertex)]]
 
     def graph_statistics(self) -> GraphStatistics:
         """Cluster-wide planner statistics, aggregated from the per-site
@@ -179,17 +213,19 @@ class Cluster:
         """Apply a triple delta to the whole cluster, in place.
 
         Removals run first, then additions; no-ops (adding a present triple,
-        removing an absent one) are skipped.  Every effective op is routed to
-        its fragments by the sticky :class:`~repro.partition.delta.DeltaRouter`
-        and folded into the master graph; the terms new to the cluster then
-        get the next dictionary ids, in effective-op order, the master
-        encoding (if built) is *patched*, and each touched site patches itself
-        once with its window (:meth:`Site.apply`).  So the id assignment is a
-        pure function of (base state, op sequence).  A replica replaying the
-        same ops from the same base — a reopened store file — therefore
-        reaches the bit-identical dictionary and encodings, which is what
-        keeps answers, match sequences and shipment fingerprints stable
-        across restarts.
+        removing an absent one) are skipped.  Each effective op's terms new to
+        the cluster get the next dictionary ids, in effective-op order, and
+        the op goes to the sites of its endpoints' homes.  Homes are sticky:
+        a vertex keeps its fragment for life, and a new vertex joins the home
+        of its first triple's other endpoint when that is assigned (the
+        subject is assigned first), else :func:`stable_fragment_of` its N3
+        text.  Each touched site then patches itself once with its window
+        (:meth:`Site.apply`), and so does the master encoding if built.  So
+        the ids and the placement are a pure function of (base state, op
+        sequence).  A replica replaying the same ops from the same base — a
+        reopened store file — therefore reaches the bit-identical dictionary
+        and encodings, which is what keeps answers, match sequences and
+        shipment fingerprints stable across restarts.
 
         Callers must not run queries concurrently with ``apply`` (the same
         contract as direct graph mutation; :meth:`Session.update
@@ -211,38 +247,46 @@ class Cluster:
         here, and the persistence layer replays a store file's write-ahead
         delta table through here so a reopened cluster walks the exact same
         code path (and reaches the exact same state) as the live one did.
+
+        Whether an op is effective is one probe of the subject's home site,
+        which stores every edge of its internal vertices (a term the
+        dictionary lacks is in no triple); ``window`` holds the state of each
+        triple this call already changed, since the sites are patched only
+        once the whole sequence is routed.
         """
-        staged = list(ops)
-        if not staged:
-            return AppliedDelta(0, 0)
-        graph = self.graph
-        router = self._partitioned.delta_router()
-        master_ops: List[Tuple[str, Triple]] = []
-        site_effects: Dict[int, List[DeltaEffect]] = {site.site_id: [] for site in self._sites}
-        added = removed = 0
-        for op, triple in staged:
-            if op == "+":
-                if not graph.add(triple):
-                    continue
-                added += 1
+        get = self.dictionary.get
+        assignment = self._assignment
+        window: Dict[Triple, bool] = {}
+        effective: List[Tuple[str, Triple]] = []
+        id_ops: List[Tuple[str, IdTriple]] = []
+        site_ops: Dict[int, List[Tuple[str, IdTriple]]] = {}
+        for op, triple in ops:
+            adding = op == "+"
+            present = window.get(triple)
+            if present is None:
+                s, p, o = get(triple.subject), get(triple.predicate), get(triple.object)
+                home = assignment.get(s)
+                present = home is not None and None not in (p, o) and self._sites[home].encoded.has_edge(s, p, o)
+            if present == adding:
+                continue
+            window[triple] = adding
+            ids = self.dictionary.ensure_triple(triple)
+            s, _, o = ids
+            if adding:
+                homes = {self._home(s, o), self._home(o, s)}
             else:
-                if not graph.discard(triple):
-                    continue
-                removed += 1
-            master_ops.append((op, triple))
-            for effect in router.route(op, triple):
-                site_effects[effect.fragment_id].append(effect)
-        if not master_ops:
+                homes = {assignment[s], assignment[o]}
+            for home in homes:
+                site_ops.setdefault(home, []).append((op, ids))
+            effective.append((op, triple))
+            id_ops.append((op, ids))
+        if not effective:
             return AppliedDelta(0, 0)
-        ensure = self.dictionary.ensure
-        for _, triple in master_ops:
-            for term in triple.as_tuple():
-                ensure(term)
         if self._encoded is not None:
-            self._encoded.apply_ops(master_ops)
+            self._encoded.apply_ops(id_ops)
         for site in self._sites:
-            if site_effects[site.site_id]:
-                site.apply(site_effects[site.site_id])
+            if site.site_id in site_ops:
+                site.apply(site_ops[site.site_id], assignment)
         with self._planner_lock:
             if self._coordinator_planner is not None:
                 statistics = self._coordinator_planner.statistics
@@ -252,7 +296,7 @@ class Cluster:
                 self._coordinator_planner.cache.clear()
         if self._store is not None:
             try:
-                self._store.append_ops(master_ops)
+                self._store.append_ops(effective)
             except BaseException as error:
                 # The in-memory apply above already landed, but the journal
                 # rolled back: the live cluster is now *ahead* of the store,
@@ -261,12 +305,23 @@ class Cluster:
                 # (ClusterStore.create(..., overwrite=True)) or discard the
                 # live state instead of silently serving unjournaled data.
                 error.add_note(
-                    f"cluster/store divergence: {len(master_ops)} applied op(s) "
+                    f"cluster/store divergence: {len(effective)} applied op(s) "
                     f"were not journaled to {getattr(self._store, 'path', self._store)!s}; "
                     "the store is behind the live cluster until re-snapshotted"
                 )
                 raise
-        return AppliedDelta(added, removed)
+        added = sum(op == "+" for op, _ in effective)
+        return AppliedDelta(added, len(effective) - added)
+
+    def _home(self, vertex: int, partner: int) -> int:
+        """``vertex``'s fragment, assigning a new vertex to ``partner``'s (or its stable hash)."""
+        home = self._assignment.get(vertex)
+        if home is None:
+            home = self._assignment.get(partner)
+            if home is None:
+                home = stable_fragment_of(self.dictionary.term_of(vertex), self.num_sites)
+            self._assignment[vertex] = home
+        return home
 
     # ------------------------------------------------------------------
     # Bookkeeping
@@ -281,15 +336,44 @@ class Cluster:
         self.bus.reset()
 
     def stats(self) -> Dict[str, object]:
+        sizes = [site.encoded.num_triples for site in self._sites]
+        # A crossing edge is stored at both of its endpoints' homes.
+        crossing = sum(len(site.graph.crossing) for site in self._sites) // 2
         return {
             "sites": self.num_sites,
-            **self._partitioned.stats(),
+            "strategy": self.strategy,
+            "fragments": self.num_sites,
+            "triples": sum(sizes) - crossing,
+            "crossing_edges": crossing,
+            "largest_fragment_edges": max(sizes, default=0),
+            "smallest_fragment_edges": min(sizes, default=0),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"<Cluster sites={self.num_sites} strategy={self._partitioned.strategy!r}>"
+        return f"<Cluster sites={self.num_sites} strategy={self.strategy!r}>"
 
 
 def build_cluster(partitioned: PartitionedGraph, network: Optional[NetworkModel] = None) -> Cluster:
-    """Convenience constructor mirroring ``build_partitioned_graph``."""
-    return Cluster(partitioned, network=network)
+    """The cluster of ``partitioned``: its terms and placement encoded once.
+
+    The dictionary holds every term of the graph and every assigned vertex;
+    each site is built from its fragment's edges as ids, one fragment at a
+    time.  The cluster keeps no reference to ``partitioned`` or its graph.
+    """
+    graph = partitioned.graph
+    assignment = partitioned.assignment
+    dictionary = TermDictionary(chain((term for triple in graph for term in triple.as_tuple()), assignment))
+    id_of = dictionary.id_of
+
+    def edges(fragment) -> Iterator[IdTriple]:
+        for triple in chain(fragment.internal_edges, fragment.crossing_edges):
+            yield (id_of(triple.subject), id_of(triple.predicate), id_of(triple.object))
+
+    return Cluster(
+        dictionary,
+        {id_of(vertex): home for vertex, home in assignment.items()},
+        [edges(fragment) for fragment in partitioned],
+        name=graph.name,
+        strategy=partitioned.strategy,
+        network=network,
+    )

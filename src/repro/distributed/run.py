@@ -69,7 +69,7 @@ class Run:
             query_name=query_name,
             engine=engine_name,
             dataset=dataset,
-            partitioning=cluster.partitioned_graph.strategy,
+            partitioning=cluster.strategy,
         )
         return cls(cluster, query, stats, **fields)
 

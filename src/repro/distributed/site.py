@@ -1,13 +1,14 @@
 """A site of the simulated cluster.
 
 Each site hosts exactly one fragment (the paper's simplifying assumption).
-It keeps three things: the :class:`~repro.partition.fragment.Fragment`, one
-:class:`~repro.store.encoding.EncodedGraph` of the fragment's edges (sorted
-columns over the cluster's dictionary, which every probe reads), and one
-:class:`~repro.store.fragment_index.FragmentIndex` over that encoding.  A
-local :class:`~repro.store.TripleStore` wraps the encoding for matching and
+It keeps two things: one :class:`~repro.store.encoding.EncodedGraph` of the
+fragment's edges (sorted columns over the cluster's dictionary, which every
+probe reads) and one :class:`~repro.store.fragment_index.FragmentIndex` over
+that encoding, which is the fragment: Definition 1 over ids.  A local
+:class:`~repro.store.TripleStore` wraps the encoding for matching and
 planning, with the planner statistics.  All of it is built once, in the
-constructor, and patched in place by :meth:`Site.apply`.  Sites expose the local operations the engines need —
+constructor, from id triples, and patched in place by :meth:`Site.apply`.
+Sites expose the local operations the engines need —
 candidate computation, local BGP evaluation — but they never look at other
 fragments: any cross-site information must arrive through the message bus.
 """
@@ -15,17 +16,14 @@ fragments: any cross-site information must arrive through the message bus.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
-from ..partition.delta import DeltaEffect, apply_delta_effects
-from ..partition.fragment import Fragment
 from ..planner.optimizer import QueryPlanner
 from ..planner.statistics import GraphStatistics
-from ..rdf.terms import Node
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import ResultSet
 from ..sparql.query_graph import QueryGraph
-from ..store.encoding import EncodedGraph, TermDictionary
+from ..store.encoding import EncodedGraph, IdTriple, TermDictionary
 from ..store.fragment_index import CandidateIds, FragmentIndex, internal_pools
 from ..store.triple_store import TripleStore
 
@@ -36,20 +34,22 @@ class Site:
     def __init__(
         self,
         site_id: int,
-        fragment: Fragment,
+        triples: Iterable[IdTriple],
         dictionary: TermDictionary,
+        home: Mapping[int, int],
         statistics: Optional[GraphStatistics] = None,
     ) -> None:
-        """``dictionary`` is the cluster's; ``statistics``, already collected
-        ones for the fragment as it stands, or ``None`` to collect them here."""
+        """``triples`` are the fragment's edges (``E_i ∪ Ec_i``) as distinct id
+        triples of the cluster's ``dictionary``; ``home``, the cluster's vertex
+        → fragment assignment; ``statistics``, already collected ones for the
+        fragment as it stands, or ``None`` to collect them here."""
         self.site_id = site_id
-        self.fragment = fragment
         #: The sorted columns of the fragment's edges over the cluster dictionary: every probe reads these.
-        self.encoded = EncodedGraph(fragment.all_edges, dictionary)
-        #: Definition 1 over the encoding's ids: what partial evaluation reads
-        #: (``PartialEvaluator(site.fragment, graph=site.graph)``).
-        self.graph = FragmentIndex(fragment, self.encoded)
-        self.store = TripleStore(self.encoded, name=fragment.name, statistics=statistics)
+        self.encoded = EncodedGraph.from_ids(triples, dictionary)
+        #: Definition 1 over the encoding's ids — the fragment itself, and what
+        #: partial evaluation reads (``PartialEvaluator(site.fragment, graph=site.graph)``).
+        self.fragment = self.graph = FragmentIndex(site_id, self.encoded, home)
+        self.store = TripleStore(self.encoded, name=self.fragment.name, statistics=statistics)
         #: Serializes site-task handler runs (:func:`repro.exec.run_site_task`):
         #: handlers read work counters off the store after evaluating, so two
         #: concurrent queries on this site would interleave them.
@@ -62,17 +62,6 @@ class Site:
     @property
     def name(self) -> str:
         return f"S{self.site_id}"
-
-    @property
-    def internal_vertices(self) -> Set[Node]:
-        return self.fragment.internal_vertices
-
-    @property
-    def extended_vertices(self) -> Set[Node]:
-        return self.fragment.extended_vertices
-
-    def is_internal(self, vertex: Node) -> bool:
-        return self.fragment.is_internal(vertex)
 
     # ------------------------------------------------------------------
     # Planner support
@@ -118,26 +107,27 @@ class Site:
     # ------------------------------------------------------------------
     # Mutation
     # ------------------------------------------------------------------
-    def apply(self, effects: Sequence[DeltaEffect]) -> None:
-        """Patch the site in place for its window of effective delta effects.
+    def apply(self, ops: Sequence[Tuple[str, IdTriple]], home: Mapping[int, int]) -> None:
+        """Patch the site in place for its window of effective ``(op, (s, p, o))`` id ops.
 
         In order: the encoding (which drops its per-query pools), the
-        fragment's edge sets, the internal/extended membership of every
-        touched vertex (once, from the patched encoding), the fragment index,
-        and the statistics with the plan cache.  Each result equals a fresh
-        build over the mutated fragment and the cluster dictionary, which
-        already holds the window's new terms.
+        fragment index (against the live ``home`` assignment), and the
+        statistics with the plan cache.  Each result equals a fresh build over
+        the mutated fragment and the cluster dictionary, which already holds
+        the window's new terms.
         """
-        ops = [("+" if effect.op == "add" else "-", effect.triple) for effect in effects]
-        encoded = self.encoded
-        encoded.apply_ops(ops)
-        id_of, degree = encoded.dictionary.id_of, encoded.degree
-        apply_delta_effects(self.fragment, effects, lambda vertex: degree(id_of(vertex)) > 0)
-        self.graph.patch(self.fragment, ops)
+        self.encoded.apply_ops(ops)
+        self.graph.patch(ops, home)
         self.store.patch_statistics(ops)
 
     def stats(self) -> Dict[str, int]:
-        return self.fragment.stats()
+        index = self.graph
+        return {
+            "internal_vertices": len(index.internal),
+            "extended_vertices": len(index.extended),
+            "internal_edges": self.encoded.num_triples - len(index.crossing),
+            "crossing_edges": len(index.crossing),
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<Site {self.name} fragment={self.fragment.name} triples={len(self.store)}>"

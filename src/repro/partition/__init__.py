@@ -10,12 +10,7 @@ from .cost_model import (
     select_best_partitioning,
     star_query_lec_feature_count,
 )
-from .delta import (
-    DeltaEffect,
-    DeltaRouter,
-    apply_delta_effects,
-    stable_fragment_of,
-)
+from .delta import stable_fragment_of
 from .fragment import Fragment, PartitionedGraph, PartitioningError, build_partitioned_graph
 from .partitioners import (
     HashPartitioner,
@@ -35,8 +30,6 @@ from .serialization import (
 )
 
 __all__ = [
-    "DeltaEffect",
-    "DeltaRouter",
     "Fragment",
     "HashPartitioner",
     "MetisLikePartitioner",
@@ -47,7 +40,6 @@ __all__ = [
     "PartitioningError",
     "RefinementReport",
     "SemanticHashPartitioner",
-    "apply_delta_effects",
     "build_partitioned_graph",
     "compare_partitionings",
     "crossing_edge_distribution",

@@ -155,13 +155,6 @@ class PartitionedGraph:
         """The id of the fragment whose internal vertices include ``vertex``."""
         return self._assignment[vertex]
 
-    def delta_router(self):
-        """A :class:`~repro.partition.delta.DeltaRouter` over the *live*
-        assignment: vertices it assigns become part of this partitioning."""
-        from .delta import DeltaRouter
-
-        return DeltaRouter(self._assignment, len(self._fragments))
-
     def fragment(self, fragment_id: int) -> Fragment:
         return self._fragments[fragment_id]
 

@@ -7,8 +7,9 @@ One store file holds one cluster, in five tables plus a manifest:
 * ``terms`` — the file's dictionary: dense integer id → N3 text.  Base ids
   are assigned in sorted-N3 order; terms first seen by a delta get appended
   ids in first-appearance order.  (These ids are the file's own; a loaded
-  cluster builds its dictionary from the base graph and replays the deltas.)
-* ``triples`` — the *base* master graph as integer ``(s, p, o)`` rows.
+  cluster maps the base ones onto its dictionary of the base terms and
+  replays the deltas.)
+* ``triples`` — the *base* graph's triples as integer ``(s, p, o)`` rows.
 * ``assignment`` — term id → fragment id, the Definition 1 vertex
   assignment (sticky entries included, so replayed routing is identical).
 * ``stats`` — per-fragment planner statistics as JSON, collected at
@@ -42,7 +43,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..planner.statistics import GraphStatistics, collect_statistics
-from ..rdf.graph import RDFGraph
 from ..rdf.ntriples import parse_term
 from ..rdf.terms import Node, Term
 from ..rdf.triples import Triple
@@ -365,36 +365,47 @@ class ClusterStore:
     def load_cluster(self, network=None):
         """Rebuild the full cluster: base snapshot + delta replay.
 
-        The replay goes through :meth:`Cluster.apply_ops` — the exact code
-        path live mutations took — from the exact base the live cluster
-        mutated from, which is what makes the reopened cluster's encodings,
-        fragments and statistics bit-identical to the live one's.  The store
-        attaches to the cluster *after* replay so replayed ops are not
-        re-journaled.
+        The int tables go straight into the cluster's constructor: the file's
+        ids are mapped once onto the cluster dictionary of the base terms
+        (the terms of the base triples and assigned vertices), and each
+        fragment's edges are the base triples with an endpoint at home there.
+        No graph is built.  The replay goes through :meth:`Cluster.apply_ops`
+        — the exact code path live mutations took — from the exact base the
+        live cluster mutated from, which is what makes the reopened cluster's
+        dictionary, encodings, fragments and statistics bit-identical to the
+        live one's.  The store attaches to the cluster *after* replay so
+        replayed ops are not re-journaled.
         """
         from ..distributed.cluster import Cluster
-        from ..partition.fragment import build_partitioned_graph
 
         terms = self._load_terms()
-        graph = RDFGraph(name=self._manifest.get("graph_name", ""))
-        for s, p, o in self._conn.execute("SELECT s, p, o FROM triples"):
-            graph.add(Triple(terms[s], terms[p], terms[o]))
-        assignment = {
-            terms[term_id]: fragment_id
-            for term_id, fragment_id in self._conn.execute(
-                "SELECT term, fragment_id FROM assignment"
-            )
-        }
-        partitioned = build_partitioned_graph(
-            graph,
-            assignment,
-            num_fragments=self.num_fragments,
-            strategy=self._manifest.get("strategy", "loaded"),
-            validate=False,
-        )
+        triples = self._conn.execute("SELECT s, p, o FROM triples").fetchall()
+        homes = self._conn.execute("SELECT term, fragment_id FROM assignment").fetchall()
+        base = {term_id for row in triples for term_id in row}
+        base.update(term_id for term_id, _ in homes)
+        dictionary = TermDictionary(terms[term_id] for term_id in base)
+        id_of = dictionary.id_of
+        cluster_id = {term_id: id_of(terms[term_id]) for term_id in base}
+        assignment = {cluster_id[term_id]: fragment_id for term_id, fragment_id in homes}
+        fragments: List[List[Tuple[int, int, int]]] = [[] for _ in range(self.num_fragments)]
+        for s, p, o in triples:
+            ids = (cluster_id[s], cluster_id[p], cluster_id[o])
+            home_s, home_o = assignment[ids[0]], assignment[ids[2]]
+            fragments[home_s].append(ids)
+            if home_o != home_s:
+                fragments[home_o].append(ids)
+        del triples  # the rows go before the sites are built
         statistics = {fragment_id: self.load_statistics(fragment_id) for fragment_id in range(self.num_fragments)}
-        cluster = Cluster(partitioned, network=network, statistics=statistics)
-        ops = self.load_deltas({i: term for i, term in enumerate(terms)})
+        cluster = Cluster(
+            dictionary,
+            assignment,
+            fragments,
+            name=self._manifest.get("graph_name", ""),
+            strategy=self._manifest.get("strategy", "loaded"),
+            network=network,
+            statistics=statistics,
+        )
+        ops = self.load_deltas(dict(enumerate(terms)))
         if ops:
             cluster.apply_ops(ops)
         cluster.attach_store(self)

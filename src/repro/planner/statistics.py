@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Tuple
 
 from ..rdf.terms import IRI
-from ..rdf.triples import Triple
 
 if TYPE_CHECKING:  # the store package imports the planner
     from ..store.encoding import EncodedGraph
@@ -205,9 +204,9 @@ def collect_statistics(encoded: "EncodedGraph") -> GraphStatistics:
 def apply_statistics_ops(
     stats: GraphStatistics,
     encoded: "EncodedGraph",
-    ops: Iterable[Tuple[str, Triple]],
+    ops: Iterable[Tuple[str, Tuple[int, int, int]]],
 ) -> None:
-    """Patch ``stats`` in place for a window of effective mutations.
+    """Patch ``stats`` in place for a window of effective ``(op, (s, p, o))`` id mutations.
 
     ``encoded`` must already reflect the ops.  The patch is *exact*: every
     touched predicate summary is re-read from its columns, and the degree
@@ -215,20 +214,20 @@ def apply_statistics_ops(
     backwards — the result equals a fresh :func:`collect_statistics` of the
     patched encoding.
     """
-    id_of = encoded.dictionary.id_of
     touched_predicates = set()
     degree_delta: Dict[int, int] = {}
     triple_delta = 0
-    for op, triple in ops:
-        touched_predicates.add(triple.predicate)
+    for op, (subject, predicate, obj) in ops:
+        touched_predicates.add(predicate)
         step = 1 if op == "+" else -1
         triple_delta += step
         # A self-loop contributes to both the out- and in-degree.
-        for vertex in (id_of(triple.subject), id_of(triple.object)):
+        for vertex in (subject, obj):
             degree_delta[vertex] = degree_delta.get(vertex, 0) + step
     stats.num_triples += triple_delta
-    for predicate in touched_predicates:
-        predicate_id = id_of(predicate)
+    term_of = encoded.dictionary.term_of
+    for predicate_id in touched_predicates:
+        predicate = term_of(predicate_id)
         out_column = encoded.out_column(predicate_id)
         if not out_column.keys:
             stats.predicates.pop(predicate, None)

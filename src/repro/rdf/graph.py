@@ -1,8 +1,9 @@
 """In-memory indexed RDF graph.
 
-:class:`RDFGraph` holds a whole dataset: generators, loaders, partitioners,
-the cluster's master graph and the centralized ground truth operate on it
-(a site stores only its fragment's encoding, :mod:`repro.store.encoding`).
+:class:`RDFGraph` holds a whole dataset: generators, loaders, partitioners
+and the centralized ground truth operate on it, and a cluster's decoded copy
+(:attr:`~repro.distributed.Cluster.graph`) is one; the cluster itself keeps
+only its sites' encodings (:mod:`repro.store.encoding`).
 It keeps the classic three permutation indexes (SPO, POS,
 OSP) plus per-vertex adjacency, so the pattern-matching code can answer
 ``triples(s, p, o)`` with any combination of bound positions efficiently.

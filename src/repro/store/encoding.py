@@ -20,7 +20,7 @@ Weikum, VLDB 2008).  This module is that layer for the reproduction:
   Every probe reads those columns; :meth:`EncodedGraph.apply_ops` patches
   only the touched predicates' columns.
 * A cluster has **one** dictionary (:attr:`Cluster.dictionary
-  <repro.distributed.cluster.Cluster.dictionary>`), built from its base graph:
+  <repro.distributed.cluster.Cluster.dictionary>`), built from its base terms:
   every site's encoding and the master encoding are columns over it, so a
   term has one id everywhere, from a site's columns to the coordinator's
   joins.  A site's ids are a subset of one order, so sorting them still sorts
@@ -42,6 +42,9 @@ from typing import Collection, Dict, Iterable, Iterator, List, Optional, Set, Tu
 
 from ..rdf.terms import IRI, Node, PatternTerm, Term, Variable
 from ..rdf.triples import Triple
+
+#: A triple as ``(subject, predicate, object)`` ids of one dictionary.
+IdTriple = Tuple[int, int, int]
 
 #: Predicate code of a query edge whose predicate is a variable ("any label").
 PREDICATE_ANY = -1
@@ -163,6 +166,11 @@ class TermDictionary:
             # get one table, and racing fills write equal values.
             positions = self._bit_positions.setdefault(width, _BitPositions(self, width))
         return positions
+
+    def ensure_triple(self, triple: Triple) -> IdTriple:
+        """The ids of ``triple``'s terms, appending fresh ones for unseen terms (:meth:`ensure`)."""
+        ensure = self.ensure
+        return (ensure(triple.subject), ensure(triple.predicate), ensure(triple.object))
 
     def encode_nodes(self, nodes: Iterable[Node]) -> Set[int]:
         """Ids of ``nodes``, silently dropping terms unknown to the graph."""
@@ -333,32 +341,42 @@ class EncodedGraph:
     :class:`~repro.rdf.graph.RDFGraph` or a fragment's edge set; it is not
     kept.  ``dictionary`` is the one the ids come from (a cluster's, which
     must already hold every term of ``triples``); without one the encoding
-    builds its own over ``triples``.
+    builds its own over ``triples``.  :meth:`from_ids` builds one straight
+    from id triples, as a site's is.
     """
 
     __slots__ = ("dictionary", "_out", "_in", "_any", "_sorted_vertex_ids", "_num_triples", "memo")
 
     def __init__(self, triples: Collection[Triple], dictionary: Optional[TermDictionary] = None) -> None:
-        global _REBUILDS
         if dictionary is None:
             dictionary = TermDictionary(term for triple in triples for term in triple.as_tuple())
-        self.dictionary = dictionary
         id_of = dictionary.id_of
+        self._build(dictionary, ((id_of(t.subject), id_of(t.predicate), id_of(t.object)) for t in triples))
+
+    @classmethod
+    def from_ids(cls, triples: Iterable[IdTriple], dictionary: TermDictionary) -> "EncodedGraph":
+        """The encoding of distinct ``(s, p, o)`` id triples over ``dictionary``: nothing is decoded."""
+        encoded = cls.__new__(cls)
+        encoded._build(dictionary, triples)
+        return encoded
+
+    def _build(self, dictionary: TermDictionary, triples: Iterable[IdTriple]) -> None:
+        global _REBUILDS
+        self.dictionary = dictionary
         by_predicate: Dict[int, List[Tuple[int, int]]] = {}
-        for triple in triples:
-            by_predicate.setdefault(id_of(triple.predicate), []).append(
-                (id_of(triple.subject), id_of(triple.object))
-            )
+        for s, p, o in triples:
+            by_predicate.setdefault(p, []).append((s, o))
         self._out: Dict[int, SortedColumn] = {}
         self._in: Dict[int, SortedColumn] = {}
+        self._num_triples = 0
         for predicate in sorted(by_predicate):
             pairs = by_predicate.pop(predicate)
             pairs.sort()
+            self._num_triples += len(pairs)
             self._out[predicate] = SortedColumn.from_pairs(pairs)
             self._in[predicate] = SortedColumn.from_pairs(sorted([(o, s) for s, o in pairs]))
         self._any: Optional[Tuple[SortedColumn, SortedColumn]] = None
         self._sorted_vertex_ids: Optional[List[int]] = None
-        self._num_triples = len(triples)
         #: Per-id caches (ids keep their terms) and the per-query pools
         #: (:data:`QUERY_POOLS`, dropped by a patch); all die with the encoding.
         self.memo: Dict[object, dict] = {}
@@ -490,12 +508,12 @@ class EncodedGraph:
     # ------------------------------------------------------------------
     # Incremental maintenance
     # ------------------------------------------------------------------
-    def apply_ops(self, ops: Iterable[Tuple[str, Triple]]) -> None:
-        """Patch the columns for a window of ``("+"|"-", triple)`` ops.
+    def apply_ops(self, ops: Iterable[Tuple[str, IdTriple]]) -> None:
+        """Patch the columns for a window of ``("+"|"-", (s, p, o))`` id ops.
 
-        ``ops`` are in mutation order.  New terms get fresh appended
-        dictionary ids (a cluster's dictionary already holds them).  Each
-        triple's last op decides its state; every
+        ``ops`` are in mutation order, over ids :attr:`dictionary` already
+        holds (:meth:`TermDictionary.ensure_triple`).  Each triple's last op
+        decides its state; every
         predicate whose triples change gets new columns from one
         :meth:`SortedColumn.patched` pass per direction, equal to a cold
         build over the same ids, and every other column stays as it is.
@@ -506,10 +524,7 @@ class EncodedGraph:
         with _REBUILDS_LOCK:
             _PATCHES += 1
         self.memo.pop(QUERY_POOLS, None)
-        ensure = self.dictionary.ensure
-        final: Dict[Tuple[int, int, int], bool] = {}
-        for op, triple in ops:
-            final[(ensure(triple.subject), ensure(triple.predicate), ensure(triple.object))] = op == "+"
+        final = {ids: op == "+" for op, ids in ops}
         out_changes: Dict[int, Dict[int, Dict[int, bool]]] = {}
         in_changes: Dict[int, Dict[int, Dict[int, bool]]] = {}
         for (s, p, o), present in final.items():

@@ -5,78 +5,106 @@ Definition 1 restated over the ids of the site's
 int sets, crossing edges as ``(s, p, o)`` id tuples grouped by predicate (a
 seed scan touches only its own label) and sorted, which is their rank.
 
-A :class:`~repro.distributed.site.Site` builds one index with its encoding,
-reuses it for every query and patches it with each update window
-(:meth:`FragmentIndex.patch`), after the encoding and the fragment.
+The index is the site's Definition 1: it is derived from the encoding and the
+vertex homes (the cluster's vertex → fragment assignment) and nothing else.
+A :class:`~repro.distributed.site.Site` builds one with its encoding, reuses it
+for every query and patches it with each update window
+(:meth:`FragmentIndex.patch`), after the encoding.  :meth:`decoded` gives the
+partition-time :class:`~repro.partition.fragment.Fragment` of the same sets,
+as a copy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import chain
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, Mapping, Set, Tuple
 
 from ..partition.fragment import Fragment
 from ..rdf.triples import Triple
 from ..sparql.query_graph import QueryGraph
-from .encoding import EncodedGraph
+from .encoding import EncodedGraph, IdTriple
 from .kernel import query_pools
-
-IdTriple = Tuple[int, int, int]
 
 
 class FragmentIndex:
     """Internal/extended id sets and ranked crossing edges of one fragment."""
 
-    __slots__ = ("encoded", "internal", "extended", "crossing", "crossing_by_predicate")
+    __slots__ = ("fragment_id", "encoded", "internal", "extended", "crossing", "crossing_by_predicate")
 
-    def __init__(self, fragment: Fragment, encoded: EncodedGraph) -> None:
-        dictionary = encoded.dictionary
-        id_of = dictionary.id_of
+    def __init__(self, fragment_id: int, encoded: EncodedGraph, home: Mapping[int, int]) -> None:
+        """``home`` maps at least every vertex id of ``encoded`` to its fragment."""
+        self.fragment_id = fragment_id
         self.encoded = encoded
-        self.internal: Set[int] = dictionary.encode_nodes(fragment.internal_vertices)
-        self.extended: Set[int] = dictionary.encode_nodes(fragment.extended_vertices)
-        by_predicate: Dict[int, list] = {}
-        for edge in fragment.crossing_edges:
-            ids = (id_of(edge.subject), id_of(edge.predicate), id_of(edge.object))
-            by_predicate.setdefault(ids[1], []).append(ids)
+        vertices: Set[int] = set()
+        for predicate in encoded.predicate_ids():
+            vertices.update(encoded.out_column(predicate).keys, encoded.in_column(predicate).keys)
+        self.internal: Set[int] = {vertex for vertex in vertices if home.get(vertex) == fragment_id}
+        self.extended: Set[int] = vertices - self.internal
+        internal = self.internal
         #: predicate id -> that label's crossing edges in ascending id order.
-        self.crossing_by_predicate: Dict[int, Tuple[IdTriple, ...]] = {
-            predicate: tuple(sorted(triples)) for predicate, triples in by_predicate.items()
-        }
+        self.crossing_by_predicate: Dict[int, Tuple[IdTriple, ...]] = {}
+        for predicate in encoded.predicate_ids():
+            of_label = tuple(
+                (s, predicate, o)
+                for s, o in encoded.out_column(predicate).pairs()
+                if s not in internal or o not in internal
+            )
+            if of_label:
+                self.crossing_by_predicate[predicate] = of_label
         #: Every crossing edge in ascending id order: the seeds of a variable predicate.
-        self.crossing: Tuple[IdTriple, ...] = tuple(sorted(chain.from_iterable(by_predicate.values())))
+        self.crossing: Tuple[IdTriple, ...] = tuple(sorted(chain.from_iterable(self.crossing_by_predicate.values())))
 
     @classmethod
     def build(cls, fragment: Fragment) -> "FragmentIndex":
-        """The index of ``fragment`` over a fresh encoding of its edges."""
-        return cls(fragment, EncodedGraph(fragment.all_edges))
+        """The index of a partition-time ``fragment`` over a fresh encoding of its edges."""
+        encoded = EncodedGraph(fragment.all_edges)
+        home = dict.fromkeys(encoded.dictionary.encode_nodes(fragment.internal_vertices), fragment.fragment_id)
+        return cls(fragment.fragment_id, encoded, home)
 
-    def patch(self, fragment: Fragment, ops: Iterable[Tuple[str, Triple]]) -> None:
+    @property
+    def name(self) -> str:
+        return f"F{self.fragment_id}"
+
+    def patch(self, ops: Iterable[Tuple[str, IdTriple]], home: Mapping[int, int]) -> None:
         """Follow an update window of the site, to what a fresh build gives.
 
-        The encoding must already hold the window's terms (it is patched first).
-
-        Vertex homes are sticky, so only the window's triples and their
-        endpoints can have changed class: each is re-tested against
-        ``fragment``'s sets, which the delta has already been folded into.
+        The encoding must already be patched.  Vertex homes are sticky, so
+        only the window's triples and their endpoints can have changed class:
+        a vertex the site still stores an edge at is internal at its home and
+        extended elsewhere, and one without an edge is neither; a stored
+        triple is crossing when its endpoints' homes differ.
         """
-        id_of = self.encoded.dictionary.id_of
-        for triple in {triple for _, triple in ops}:
-            ids = (id_of(triple.subject), id_of(triple.predicate), id_of(triple.object))
-            for vertex, vertex_id in ((triple.subject, ids[0]), (triple.object, ids[2])):
-                for ids_of_class, members in (
-                    (self.internal, fragment.internal_vertices),
-                    (self.extended, fragment.extended_vertices),
-                ):
-                    (ids_of_class.add if vertex in members else ids_of_class.discard)(vertex_id)
-            present = triple in fragment.crossing_edges
+        encoded = self.encoded
+        triples = {ids for _, ids in ops}
+        for vertex in {vertex for s, _, o in triples for vertex in (s, o)}:
+            stored = encoded.degree(vertex) > 0
+            at_home = home[vertex] == self.fragment_id
+            (self.internal.add if stored and at_home else self.internal.discard)(vertex)
+            (self.extended.add if stored and not at_home else self.extended.discard)(vertex)
+        for ids in triples:
+            s, p, o = ids
+            present = home[s] != home[o] and encoded.has_edge(s, p, o)
             self.crossing = _with(self.crossing, ids, present)
-            of_label = _with(self.crossing_by_predicate.get(ids[1], ()), ids, present)
+            of_label = _with(self.crossing_by_predicate.get(p, ()), ids, present)
             if of_label:
-                self.crossing_by_predicate[ids[1]] = of_label
+                self.crossing_by_predicate[p] = of_label
             else:
-                self.crossing_by_predicate.pop(ids[1], None)
+                self.crossing_by_predicate.pop(p, None)
+
+    def decoded(self) -> Fragment:
+        """The same Definition 1 sets as a partition-time :class:`Fragment` of terms: a copy."""
+        dictionary = self.encoded.dictionary
+        term_of = dictionary.term_of
+        edges = {Triple(term_of(s), term_of(p), term_of(o)) for s, p, o in self.encoded.iter_triple_ids()}
+        crossing = {Triple(term_of(s), term_of(p), term_of(o)) for s, p, o in self.crossing}
+        return Fragment(
+            self.fragment_id,
+            dictionary.decode_ids(self.internal),
+            edges - crossing,
+            crossing,
+            dictionary.decode_ids(self.extended),
+        )
 
 
 def _with(triples: Tuple[IdTriple, ...], ids: IdTriple, present: bool) -> Tuple[IdTriple, ...]:

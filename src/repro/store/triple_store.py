@@ -18,11 +18,10 @@ from ..planner.statistics import (
     apply_statistics_ops,
     collect_statistics,
 )
-from ..rdf.triples import Triple
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import ResultSet
 from ..sparql.query_graph import QueryGraph
-from .encoding import EncodedGraph
+from .encoding import EncodedGraph, IdTriple
 from .matcher import LocalMatcher
 
 
@@ -67,8 +66,8 @@ class TripleStore:
         """Planner statistics for the encoding, kept exact by :meth:`patch_statistics`."""
         return self._statistics
 
-    def patch_statistics(self, ops: Iterable[Tuple[str, Triple]]) -> None:
-        """Follow a window of effective ops the encoding has already applied.
+    def patch_statistics(self, ops: Iterable[Tuple[str, IdTriple]]) -> None:
+        """Follow a window of effective id ops the encoding has already applied.
 
         Collected statistics are patched in place (exact — see
         :func:`~repro.planner.statistics.apply_statistics_ops`), so the

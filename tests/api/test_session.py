@@ -312,7 +312,10 @@ class TestAlternativeConstructors:
     def test_from_partitioned_wraps_a_custom_partitioning(self):
         partitioned = build_example_partitioning()
         with Session.from_partitioned(partitioned, dataset="custom") as session:
-            assert session.partitioned is partitioned
+            # A decoded copy: equal to the caller's partitioning, not the object itself.
+            assert session.partitioned is not partitioned
+            assert session.partitioned.assignment == partitioned.assignment
+            assert list(session.partitioned) == list(partitioned)
             result = session.query(EXAMPLE_SPARQL)
             assert len(result) == 4
 

@@ -33,10 +33,11 @@ def reference_internal_candidates(site, query_graph):
     The pools come from a fresh encoding of the fragment, with its own
     dictionary, so they are decoded out of another id space than the site's.
     """
-    encoded = EncodedGraph(site.fragment.all_edges)
+    fragment = site.fragment.decoded()
+    encoded = EncodedGraph(fragment.all_edges)
     pools = ArrayRunner(encoded).compute_pools(query_graph)
     decode = encoded.dictionary.decode_ids
-    return {vertex: decode(found) & site.fragment.internal_vertices for vertex, found in pools.items()}
+    return {vertex: decode(found) & fragment.internal_vertices for vertex, found in pools.items()}
 
 
 def reference_site_vectors(internal_candidates, width=DEFAULT_BIT_VECTOR_BITS):

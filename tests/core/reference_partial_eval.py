@@ -63,6 +63,7 @@ from repro.sparql.query_graph import QueryEdge, QueryGraph
 from repro.core.candidate_exchange import GlobalCandidateFilter
 from repro.core.partial_match import LocalPartialMatch, check_local_partial_match
 from repro.store.encoding import TermDictionary
+from repro.store.fragment_index import FragmentIndex
 
 
 @dataclass
@@ -89,6 +90,8 @@ class PartialEvaluator:
         paranoid: bool = False,
         edge_order: Optional[Sequence[int]] = None,
     ) -> None:
+        if isinstance(fragment, FragmentIndex):  # a site's fragment: decode it
+            fragment = fragment.decoded()
         self._fragment = fragment
         self._graph = RDFGraph(fragment.all_edges, name=fragment.name)
         #: The dictionary the emitted ids come from: the one the evaluator

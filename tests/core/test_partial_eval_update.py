@@ -44,10 +44,12 @@ def index_state(index):
 
 def assert_indexes_patched_exactly(session, indexes):
     """Every site still serves the index object it had, equal to a cold build."""
+    dictionary = session.cluster.dictionary
+    home = {dictionary.id_of(vertex): site_id for vertex, site_id in session.partitioned.assignment.items()}
     for site in session.cluster:
         index = site.graph
         assert index is indexes[site.site_id], "an update rebuilt the index instead of patching it"
-        assert index_state(index) == index_state(FragmentIndex(site.fragment, index.encoded))
+        assert index_state(index) == index_state(FragmentIndex(site.site_id, index.encoded, home))
 
 
 def assert_matches_a_fresh_cluster(session):

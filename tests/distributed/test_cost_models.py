@@ -5,7 +5,6 @@ import pytest
 from repro.core import EngineConfig, GStoreDEngine
 from repro.datasets import lubm
 from repro.distributed import (
-    Cluster,
     GRAPH_BSP_PLATFORM,
     MAPREDUCE_PLATFORM,
     NATIVE_PLATFORM,
@@ -13,6 +12,7 @@ from repro.distributed import (
     PlatformModel,
     SPARK_SQL_PLATFORM,
     StageStats,
+    build_cluster,
 )
 from repro.partition import HashPartitioner
 
@@ -69,8 +69,8 @@ class TestClusterNetworkConfiguration:
         graph = lubm.generate(scale=1)
         partitioned = HashPartitioner(3).partition(graph)
         slow_network = NetworkModel(latency_s=0.05, bandwidth_bytes_per_s=10_000.0)
-        fast_cluster = Cluster(partitioned)
-        slow_cluster = Cluster(partitioned, network=slow_network)
+        fast_cluster = build_cluster(partitioned)
+        slow_cluster = build_cluster(partitioned, network=slow_network)
         query = lubm.queries()["LQ1"]
 
         fast_result = GStoreDEngine(fast_cluster, EngineConfig.lec_optimized()).execute(query)
@@ -82,7 +82,7 @@ class TestClusterNetworkConfiguration:
 
     def test_engine_charges_network_time_on_shipping_stages(self):
         graph = lubm.generate(scale=1)
-        cluster = Cluster(HashPartitioner(3).partition(graph))
+        cluster = build_cluster(HashPartitioner(3).partition(graph))
         result = GStoreDEngine(cluster, EngineConfig.full()).execute(lubm.queries()["LQ1"])
         pruning = result.statistics.find_stage("lec_pruning")
         assert pruning is not None

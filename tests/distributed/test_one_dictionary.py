@@ -61,7 +61,7 @@ class TestOneIdSpace:
                 for term_id in ids:
                     assert seen.setdefault(term_of(term_id), term_id) == term_id
             # A crossing edge is stored at both of its sites under the same ids.
-            for edge in site.fragment.crossing_edges:
+            for edge in site.fragment.decoded().crossing_edges:
                 ids = tuple(cluster.dictionary.id_of(term) for term in edge.as_tuple())
                 assert site.encoded.has_edge(*ids)
         assert set(seen) == {term for triple in cluster.graph for term in triple.as_tuple()}

@@ -2,6 +2,7 @@
 
 import pytest
 
+from mirror import Mirror, assert_mirrors
 from repro.datasets import lubm
 from repro.distributed import Cluster, build_cluster
 from repro.partition import HashPartitioner
@@ -11,18 +12,21 @@ from repro.store.encoding import EncodedGraph, encoded_rebuilds
 
 
 class TestSite:
-    def test_site_graph_matches_fragment(self, example_cluster):
+    def test_site_graph_matches_fragment(self, example_cluster, example_partitioning):
         for site in example_cluster:
-            assert len(site.store) == site.encoded.num_triples == site.fragment.num_edges
+            fragment = example_partitioning.fragment(site.site_id)
+            assert len(site.store) == site.encoded.num_triples == fragment.num_edges
+            assert site.fragment is site.graph and site.fragment.fragment_id == site.site_id
             assert site.graph.encoded is site.encoded is site.store.encoded
             assert site.name == f"S{site.site_id}"
 
-    def test_internal_and_extended_vertices(self, example_cluster):
-        site = example_cluster.site(0)
-        assert site.internal_vertices == site.fragment.internal_vertices
-        assert site.extended_vertices == site.fragment.extended_vertices
-        some_internal = next(iter(site.internal_vertices))
-        assert site.is_internal(some_internal)
+    def test_internal_and_extended_vertices(self, example_cluster, example_partitioning):
+        for site in example_cluster:
+            decode = example_cluster.dictionary.decode_ids
+            fragment = example_partitioning.fragment(site.site_id)
+            assert decode(site.fragment.internal) == fragment.internal_vertices
+            assert decode(site.fragment.extended) == fragment.extended_vertices
+            assert site.fragment.decoded() == fragment
 
     def test_local_evaluate_star_query(self, lubm_cluster):
         query = parse_query(
@@ -41,7 +45,7 @@ class TestSite:
         for site in lubm_cluster.sites[:2]:
             candidates = site.internal_candidates(graph)
             for values in candidates.values():
-                assert candidates.encoded.dictionary.decode_ids(values) <= site.internal_vertices
+                assert values <= site.fragment.internal
 
     def test_site_stats(self, example_cluster):
         stats = example_cluster.site(0).stats()
@@ -95,12 +99,14 @@ class TestOneEncodingPerSite:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(RDFGraph, "__init__", counting)
-        cluster = build_cluster(partitioned)
+        build_cluster(partitioned)
         assert constructed == []
-        assert cluster.graph is partitioned.graph
 
     def test_an_update_constructs_no_graph_and_no_encoding(self, partitioned, monkeypatch):
-        cluster = build_cluster(HashPartitioner(3).partition(partitioned.graph.copy()))
+        cluster = build_cluster(partitioned)
+        mirror = Mirror(partitioned)
+        edge = sorted(partitioned.graph, key=lambda triple: triple.n3())[0]
+        added = Triple(edge.subject, edge.predicate, IRI("http://example.org/new"))
         cluster.graph_statistics()
         cluster.encoded  # the master encoding: built on first use, then patched
         structures = [(site.encoded, site.graph, site.graph_statistics()) for site in cluster]
@@ -112,13 +118,16 @@ class TestOneEncodingPerSite:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(RDFGraph, "__init__", counting)
-        edge = sorted(cluster.graph, key=lambda triple: triple.n3())[0]
         encodings = encoded_rebuilds()
         cluster.apply(remove=[edge])
-        cluster.apply(add=[edge, Triple(edge.subject, edge.predicate, IRI("http://example.org/new"))])
+        cluster.apply(add=[edge, added])
         assert constructed == []
         assert encoded_rebuilds() == encodings
         assert [(site.encoded, site.graph, site.graph_statistics()) for site in cluster] == structures
+        monkeypatch.undo()
+        mirror.apply(remove=[edge])
+        mirror.apply(add=[edge, added])
+        assert_mirrors(cluster, mirror)
 
     def test_the_site_encoding_is_the_encoding_of_its_edges(self, partitioned):
         cluster = build_cluster(partitioned)
@@ -126,9 +135,8 @@ class TestOneEncodingPerSite:
             encoded = site.graph.encoded
             assert encoded is site.encoded is site.store.encoded
             assert encoded.dictionary is cluster.dictionary
-            reference = EncodedGraph(
-                RDFGraph(site.fragment.internal_edges | site.fragment.crossing_edges), cluster.dictionary
-            )
+            fragment = partitioned.fragment(site.site_id)
+            reference = EncodedGraph(RDFGraph(fragment.internal_edges | fragment.crossing_edges), cluster.dictionary)
             assert encoded.predicate_ids() == reference.predicate_ids()
             for predicate in reference.predicate_ids():
                 for ours, theirs in (

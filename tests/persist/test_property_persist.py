@@ -13,6 +13,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirror import Mirror, assert_mirrors
 from repro.bench import stage_shipment_snapshot as snapshot
 from repro.core import GStoreDEngine
 from repro.datasets import random_assignment, random_connected_query, random_graph
@@ -37,8 +38,8 @@ def build_environment(seed, num_fragments):
     return partitioned, query
 
 
-def random_batches(rng, cluster, count):
-    """Random add/remove batches drawn against the cluster's current state."""
+def random_batches(rng, mirror, count):
+    """Random add/remove batches drawn against the mirror's initial state."""
     batches = []
     for tag in range(count):
         add = [
@@ -51,7 +52,7 @@ def random_batches(rng, cluster, count):
         ]
         remove = []
         if rng.random() < 0.5:
-            pool = sorted(cluster.graph, key=lambda t: t.n3())
+            pool = sorted(mirror.triples, key=lambda t: t.n3())
             remove = [pool[rng.randrange(len(pool))]]
         batches.append({"add": add, "remove": remove})
     return batches
@@ -88,12 +89,14 @@ class TestSaveReopenParity:
             ClusterStore.create(path, partitioned).close()
             store = ClusterStore.open(path)
             mirrored = store.load_cluster()
-            for batch in random_batches(rng, live, batches):
+            mirror = Mirror(partitioned)
+            for batch in random_batches(rng, mirror, batches):
                 live.apply(**batch)
                 mirrored.apply(**batch)
+                mirror.apply(**batch)
                 assert fingerprint(mirrored, query) == fingerprint(live, query)
             store.close()
             with ClusterStore.open(path) as cold_store:
                 cold = cold_store.load_cluster()
                 assert fingerprint(cold, query) == fingerprint(live, query)
-                cold.partitioned_graph.validate()
+                assert_mirrors(cold, mirror)

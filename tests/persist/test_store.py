@@ -9,6 +9,7 @@ import sqlite3
 
 import pytest
 
+from mirror import Mirror, assert_mirrors
 from repro.datasets.paper_example import build_example_partitioning
 from repro.persist import SCHEMA_VERSION, ClusterStore, StoreError
 from repro.rdf import IRI, Triple
@@ -166,25 +167,22 @@ class TestClusterLoading:
     def test_loaded_cluster_matches_the_source(self, paper_store):
         partitioned = build_example_partitioning()
         cluster = paper_store.load_cluster()
-        assert set(cluster.graph) == set(partitioned.graph)
-        assert cluster.partitioned_graph.assignment == partitioned.assignment
-        for original, loaded in zip(partitioned, cluster.partitioned_graph):
-            assert loaded.internal_vertices == original.internal_vertices
-            assert loaded.internal_edges == original.internal_edges
-            assert loaded.crossing_edges == original.crossing_edges
-            assert loaded.extended_vertices == original.extended_vertices
-        cluster.partitioned_graph.validate()
+        for original, site in zip(partitioned, cluster):
+            assert site.fragment.decoded() == original
+        assert_mirrors(cluster, Mirror(partitioned))
 
     def test_loaded_cluster_replays_the_delta_journal(self, paper_store, store_path):
+        mirror = Mirror(build_example_partitioning())
         live = paper_store.load_cluster()
         live.apply(add=[_triple("x")], remove=[])
+        mirror.apply(add=[_triple("x")])
         assert paper_store.delta_head == 1
         paper_store.close()
         with ClusterStore.open(store_path) as reopened_store:
             reopened = reopened_store.load_cluster()
-            assert _triple("x") in set(reopened.graph)
-            assert set(reopened.graph) == set(live.graph)
-            reopened.partitioned_graph.validate()
+            assert _triple("x") in mirror.triples
+            assert_mirrors(reopened, mirror)
+            assert_mirrors(live, mirror)
 
     def test_loaded_sites_reuse_the_stored_statistics(self, paper_store):
         cluster = paper_store.load_cluster()
@@ -202,17 +200,17 @@ class TestClusterLoading:
 
 class TestCompaction:
     def test_compact_folds_deltas_and_preserves_state(self, paper_store, store_path):
+        mirror = Mirror(build_example_partitioning())
+        delta = dict(add=[_triple("k")], remove=[min(mirror.triples, key=Triple.n3)])
         cluster = paper_store.load_cluster()
-        cluster.apply(add=[_triple("k")], remove=[next(iter(cluster.graph))])
-        state_before = set(cluster.graph)
+        cluster.apply(**delta)
+        mirror.apply(**delta)
         cluster.attach_store(None)
         report = paper_store.compact()
         assert report["folded_deltas"] == 2
         assert paper_store.delta_head == 0
         assert paper_store.info()["pending_deltas"] == 0
-        compacted = paper_store.load_cluster()
-        assert set(compacted.graph) == state_before
-        compacted.partitioned_graph.validate()
+        assert_mirrors(paper_store.load_cluster(), mirror)
 
     def test_failed_compaction_rolls_back_to_the_previous_state(
         self, paper_store, store_path, monkeypatch
@@ -227,9 +225,11 @@ class TestCompaction:
         """
         from repro.planner.statistics import GraphStatistics
 
+        mirror = Mirror(build_example_partitioning())
+        delta = dict(add=[_triple("k")], remove=[min(mirror.triples, key=Triple.n3)])
         cluster = paper_store.load_cluster()
-        cluster.apply(add=[_triple("k")], remove=[next(iter(cluster.graph))])
-        state_before = set(cluster.graph)
+        cluster.apply(**delta)
+        mirror.apply(**delta)
         info_before = paper_store.info()
         cluster.attach_store(None)
         monkeypatch.setattr(
@@ -247,9 +247,7 @@ class TestCompaction:
         assert after["pending_deltas"] == info_before["pending_deltas"]
         assert after["base_triples"] == info_before["base_triples"]
         assert after["base_terms"] == info_before["base_terms"]
-        assert set(paper_store.load_cluster().graph) == state_before
+        assert_mirrors(paper_store.load_cluster(), mirror)
         paper_store.close()
         with ClusterStore.open(store_path) as reopened:
-            recovered = reopened.load_cluster()
-            assert set(recovered.graph) == state_before
-            recovered.partitioned_graph.validate()
+            assert_mirrors(reopened.load_cluster(), mirror)

@@ -71,7 +71,8 @@ class TestTripleStoreIntegration:
         planner = store.enable_planner()
         before = store.statistics.num_triples
         planner.plan_for(QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), EX.term("knows"), Variable("y"))])))
-        ops = [("+", Triple(EX.term("new1"), EX.term("knows"), EX.term("new2")))]
+        triple = Triple(EX.term("new1"), EX.term("knows"), EX.term("new2"))
+        ops = [("+", store.encoded.dictionary.ensure_triple(triple))]
         store.encoded.apply_ops(ops)
         store.patch_statistics(ops)
         assert store.statistics.num_triples == before + 1

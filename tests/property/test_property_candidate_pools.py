@@ -197,7 +197,7 @@ class TestTheMemoLivesAsLongAsItsQuery:
             first = site.internal_candidates(query_graph)
             assert site.internal_candidates(query_graph) is first
             entry = weakref.ref(cached_pools(site.encoded, query.bgp))
-            session.update(remove=[next(iter(site.fragment.internal_edges))])
+            session.update(remove=[next(iter(site.fragment.decoded().internal_edges))])
             assert cached_pools(site.encoded, query.bgp) is None
             again = site.internal_candidates(query_graph)
             assert again is not first

@@ -5,7 +5,7 @@ window changes new out- and in-columns from one merge pass, and keeps every
 other column.  Random windows — new terms and predicates, self-loops and
 literals, rows and whole predicates that empty out, a triple removed and
 added back — are applied to a graph whose encoding is warm, and patched
-into it as the cluster patches its master encoding.  After each window every
+into it as id ops, as the cluster patches its master encoding.  After each window every
 predicate's ``keys``, ``offsets`` and ``values`` must equal both the CSR
 columns built by hand from the graph's triples with the encoding's own ids and
 a cold :class:`EncodedGraph` build over the same dictionary, and every probe
@@ -61,7 +61,7 @@ def apply_window(graph, encoded, window, triples, predicates):
         else:
             for present in list(graph.triples(predicate=predicates[number % len(predicates)])):
                 do("-", present)
-    encoded.apply_ops(effective)
+    encoded.apply_ops([(op, encoded.dictionary.ensure_triple(triple)) for op, triple in effective])
 
 
 def cold_column(pairs):

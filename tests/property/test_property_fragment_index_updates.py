@@ -10,14 +10,16 @@ fragments over a dense graph); after every window each site must still hold
 the encoding, index and statistics objects it had — no rebuild — with
 ``internal`` / ``extended`` / ``crossing`` / ``crossing_by_predicate`` equal
 to a fresh ``FragmentIndex`` and to the Definition 1 sets of a partitioning
-built from scratch over the mutated graph, and statistics equal to a fresh
-collection over a fresh encoding of the mutated fragment.
+built from scratch over the triples and homes the test follows itself
+(:class:`mirror.Mirror`), and statistics equal to a fresh collection over a
+fresh encoding of that fragment.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirror import Mirror
 from repro.datasets import random_assignment, random_graph
 from repro.distributed import build_cluster
 from repro.partition import build_partitioned_graph
@@ -80,34 +82,28 @@ def site_objects(cluster):
     return {site.site_id: (site.encoded, site.graph, site.graph_statistics()) for site in cluster}
 
 
-def assert_patched_exactly(cluster, objects):
-    partitioned = cluster.partitioned_graph
-    scratch = build_partitioned_graph(
-        partitioned.graph.copy(),
-        {vertex: home for vertex, home in partitioned.assignment.items() if vertex in partitioned.graph.vertices},
-        num_fragments=partitioned.num_fragments,
-    )
+def assert_patched_exactly(cluster, objects, mirror):
+    expected_partitioning = mirror.partitioned()
+    assert cluster.partitioned_graph.assignment == mirror.homes
     for site in cluster:
         encoded, index, statistics = objects[site.site_id]
         assert site.encoded is encoded, "an update rebuilt the encoding instead of patching it"
-        assert site.graph is index, "an update rebuilt the index instead of patching it"
+        assert site.graph is index is site.fragment, "an update rebuilt the index instead of patching it"
         assert index.encoded is encoded and site.store.encoded is encoded
         dictionary = index.encoded.dictionary
         assert dictionary is cluster.dictionary
-        # The cold side: a fresh encoding and index of the mutated fragment over the same dictionary.
-        cold = FragmentIndex(site.fragment, EncodedGraph(site.fragment.all_edges, dictionary))
+        expected = expected_partitioning.fragment(site.site_id)
+        # The cold side: a fresh encoding and index of the expected fragment over the same dictionary.
+        home = {dictionary.id_of(vertex): fragment_id for vertex, fragment_id in mirror.homes.items()}
+        cold = FragmentIndex(site.site_id, EncodedGraph(expected.all_edges, dictionary), home)
         assert state(index) == state(cold)
         assert list(encoded.iter_triple_ids()) == list(cold.encoded.iter_triple_ids())
         assert list(index.crossing) == sorted(index.crossing)
-        expected = scratch.fragment(site.site_id)
-        assert site.fragment.internal_vertices == expected.internal_vertices
-        assert site.fragment.extended_vertices == expected.extended_vertices
-        assert site.fragment.internal_edges == expected.internal_edges
-        assert site.fragment.crossing_edges == expected.crossing_edges
         assert dictionary.decode_ids(index.internal) == expected.internal_vertices
         assert dictionary.decode_ids(index.extended) == expected.extended_vertices
         term_of = dictionary.term_of
         assert {Triple(*map(term_of, ids)) for ids in index.crossing} == expected.crossing_edges
+        assert index.decoded() == expected
         assert site.graph_statistics() is statistics, "an update re-collected the statistics"
         fresh = collect_statistics(cold.encoded)
         assert statistics.as_dict() == fresh.as_dict()
@@ -115,18 +111,23 @@ def assert_patched_exactly(cluster, objects):
 
 def check_windows(graph, assignment, num_fragments, windows):
     """Apply ``windows`` (lists of ``(op, triple)``) to a cluster and compare after each one."""
-    cluster = build_cluster(build_partitioned_graph(graph, assignment, num_fragments=num_fragments))
+    partitioned = build_partitioned_graph(graph, assignment, num_fragments=num_fragments)
+    cluster = build_cluster(partitioned)
+    mirror = Mirror(partitioned)
     objects = site_objects(cluster)
-    assert_patched_exactly(cluster, objects)
+    assert_patched_exactly(cluster, objects, mirror)
     for number, window in enumerate(windows):
         if number % 2:
             cluster.apply_ops(window)  # ordered: a triple may come and go inside one window
+            mirror.apply_ops(window)
         else:
-            cluster.apply(
+            delta = dict(
                 add=[triple for op, triple in window if op == "+"],
                 remove=[triple for op, triple in window if op == "-"],
             )
-        assert_patched_exactly(cluster, objects)
+            cluster.apply(**delta)
+            mirror.apply(**delta)
+        assert_patched_exactly(cluster, objects, mirror)
 
 
 @pytest.mark.parametrize("partitioning", PARTITIONINGS)

@@ -186,7 +186,7 @@ class TestOneDictionary:
         ops = [("+", Triple(B, LIKES, A)), ("-", Triple(A, KNOWS, B)), ("+", Triple(EX.term("new"), NAME, A))]
         for op, triple in ops:
             (graph.add if op == "+" else graph.discard)(triple)
-        encoded.apply_ops(ops)
+        encoded.apply_ops([(op, dictionary.ensure_triple(triple)) for op, triple in ops])
         assert dictionary.get(EX.term("new")) == len(dictionary) - 1
         cold = EncodedGraph(graph, dictionary)
         assert encoded.predicate_ids() == cold.predicate_ids()
@@ -224,7 +224,7 @@ class TestKernelSurvivesMutation:
         ops = [("+", Triple(zed, KNOWS, A)), ("+", Triple(EX.term("aaa"), NAME, Literal("Aaa")))]
         for _, triple in ops:
             graph.add(triple)
-        encoded.apply_ops(ops)
+        encoded.apply_ops([(op, encoded.dictionary.ensure_triple(triple)) for op, triple in ops])
         matches = list(matcher.find_matches(query))
         assert {(m[Variable("x")], m[Variable("y")]) for m in matches} == {
             (A, B),

@@ -16,6 +16,11 @@ def store_of(*triples, name=""):
     return TripleStore(EncodedGraph(RDFGraph(triples)), name=name)
 
 
+def id_ops(store, ops):
+    """``(op, triple)`` ops as the id ops a patch takes, over the store's dictionary."""
+    return [(op, store.encoded.dictionary.ensure_triple(triple)) for op, triple in ops]
+
+
 class TestConstruction:
     def test_name_from_constructor(self):
         assert store_of(name="fragment-1").name == "fragment-1"
@@ -64,7 +69,7 @@ class TestPatching:
     def test_matcher_survives_a_patch_and_stays_correct(self):
         store = store_of(Triple(A, KNOWS, B))
         first = store.matcher
-        ops = [("+", Triple(B, KNOWS, C))]
+        ops = id_ops(store, [("+", Triple(B, KNOWS, C))])
         store.encoded.apply_ops(ops)
         store.patch_statistics(ops)
         assert store.matcher is first
@@ -76,7 +81,7 @@ class TestPatching:
         query = QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), KNOWS, Variable("y"))]))
         assert len(list(store.find_matches(query))) == 2
         statistics = store.statistics
-        ops = [("-", Triple(B, KNOWS, C))]
+        ops = id_ops(store, [("-", Triple(B, KNOWS, C))])
         store.encoded.apply_ops(ops)
         store.patch_statistics(ops)
         assert len(list(store.find_matches(query))) == 1
@@ -87,7 +92,7 @@ class TestPatching:
     def test_an_addition_patches_the_statistics_in_place(self):
         store = store_of(Triple(A, KNOWS, B))
         statistics = store.statistics
-        ops = [("+", Triple(B, KNOWS, C))]
+        ops = id_ops(store, [("+", Triple(B, KNOWS, C))])
         store.encoded.apply_ops(ops)
         store.patch_statistics(ops)
         assert store.statistics is statistics

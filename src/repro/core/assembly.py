@@ -10,10 +10,13 @@ implemented:
   it as the gStoreD-Basic baseline.
 * :class:`LECAssembler` — Algorithm 3: the join of :mod:`repro.core.joins`
   finds each combination of LPMs whose LECSigns (Theorem 5: equal signs
-  never join) partition the query vertices once, trying as partners only
-  the LPMs listed under one crossing pair and one query vertex the partial
-  combination still lacks.  Matches come out sorted by their vertex-slot
-  ids, so the order of crossing rows depends on the answer set alone.
+  never join) partition the query vertices once, reading each LPM as its
+  ``(internal_mask, crossing)`` and trying as partners only the LPMs listed
+  under one crossing pair whose end the partial combination still lacks.
+  Each combination's members are merged once (:func:`join_matches
+  <repro.core.partial_match.join_matches>`), and the matches come out sorted
+  by their vertex-slot ids, so the order of crossing rows depends on the
+  answer set alone.
 
 Both assemblers return the same set of complete matches (asserted by the
 test-suite); they differ only in how much work they do to find them.
@@ -27,7 +30,7 @@ from typing import FrozenSet, List, Sequence, Set, Tuple
 from ..rdf.terms import Variable
 from ..sparql.bindings import Binding, Row
 from ..sparql.query_graph import QueryGraph
-from .joins import JoinCompiler, SignGroups, one_space
+from .joins import SignGroups, one_space
 from .partial_match import LocalPartialMatch, join_matches
 
 
@@ -42,7 +45,7 @@ class AssemblyOutcome:
     successful_joins: int = 0
     #: LPMs for :class:`BasicAssembler`, distinct LECSigns for :class:`LECAssembler`.
     groups: int = 0
-    #: ``(pair, vertex) -> LPM`` postings of the per-query join index (LEC assembly).
+    #: ``(crossing pair, end) -> LPM`` postings of the per-query join index (LEC assembly).
     index_size: int = 0
 
     def bindings(self) -> List[Binding]:
@@ -149,12 +152,18 @@ class LECAssembler(BaseAssembler):
         """
         one_space(lpm.dictionary for lpm in lpms)
         outcome = AssemblyOutcome()
-        compiler = JoinCompiler(self._query)
-        groups = SignGroups(compiler, [compiler.lpm(lpm) for lpm in lpms])
-        found: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
-        groups.join(lambda members, vertex_slots: found.append((vertex_slots, members)))
-        found.sort()
-        outcome.matches = [join_matches([lpms[number] for number in members]) for _, members in found]
+        groups = SignGroups(self._query, [(lpm.internal_mask, lpm.crossing) for lpm in lpms])
+        found: List[Tuple[int, ...]] = []
+        groups.join(found.append)
+        base = self._query.num_edges
+        keyed = []
+        for members in found:
+            match = join_matches([lpms[number] for number in members])
+            # A complete match maps every query vertex: its items from slot
+            # |E_Q| on are its vertex-slot ids, in vertex order.
+            keyed.append(([held for slot, held in match.items if slot >= base], members, match))
+        keyed.sort(key=lambda entry: entry[:2])
+        outcome.matches = [match for _, _, match in keyed]
         outcome.groups = groups.groups
         outcome.join_attempts = groups.join_attempts
         outcome.successful_joins = groups.successful_joins

@@ -3,134 +3,84 @@
 Algorithm 2 (LEC feature pruning) and Algorithm 3 (LEC-based assembly) run
 the same search over operands — LEC features, or local partial matches: find
 every combination whose LECSigns partition the query vertices and whose
-members join pairwise (Definition 9, Theorem 4).  :class:`JoinCompiler`
-numbers a query's crossing ``(query edge, crossing edge)`` pairs;
-:class:`SignGroups` lists each operand under ``(pair id, query vertex)`` for
-each endpoint of its pairs it maps internally, and extends a partial
-combination only through one vertex it reaches over a crossing pair but does
-not cover — the exact-cover rule of Knuth's Algorithm X.  The member that
-covers that vertex maps every query edge of it (Definition 5, condition 4),
-so it holds the pair and sits in that one list: every combination is reached
-along exactly one path, and emitted once.  ``docs/performance.md``
-("Coordinator joins") has the argument in full; ``tests/core/reference_joins.py``
-keeps the nested-loop join as the oracle.
+members join pairwise (Definition 9, Theorem 4).  An operand is what the
+join reads, ``(LECSign, crossing pairs)``, taken as it arrives: a feature's
+``(lec_sign, crossing)``, an LPM's ``(internal_mask, crossing)`` (Theorem 2:
+the crossing pairs decide what an operand joins with).  :class:`SignGroups`
+lists each operand under each crossing pair whose subject or object it maps
+internally, and extends a partial combination only through one vertex it
+reaches over a crossing pair but does not cover — the exact-cover rule of
+Knuth's Algorithm X.  The member that covers that vertex maps every query
+edge of it (Definition 5, condition 4), so it holds the pair and sits in
+that one list: every combination is reached along exactly one path, and
+emitted once.  Joining a listed operand is one :func:`fill` pass over its
+pairs.  ``docs/performance.md`` ("Coordinator joins") has the argument in
+full; ``tests/core/reference_joins.py`` keeps the nested-loop join as the
+oracle.
 
-Operands arrive as cluster ids (:mod:`repro.core.partial_match`), so
-compiling is one dict probe per crossing pair and conflict tests compare
-ints; :func:`one_space` refuses operands whose ids come from two dictionaries.
+Operands arrive as cluster ids (:mod:`repro.core.partial_match`), so the
+index hashes the sites' own pair tuples and conflict tests compare ints;
+:func:`one_space` refuses operands whose ids come from two dictionaries.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sparql.query_graph import QueryGraph
 from ..store.encoding import TermDictionary
-from .lec import LECFeature
-from .partial_match import Item, LocalPartialMatch, Pair
+from .partial_match import Pair
 
-#: Value of a slot whose query edge / query vertex is unmapped (the paper's NULL).
-NULL = None
+#: Per query edge: the slots of its subject and object (query vertex ``j``
+#: owns slot ``|E_Q| + j``), then their query vertex indexes.
+Ends = Tuple[int, int, int, int]
 
-#: Called with the operand numbers of each complete combination, in join
-#: order, and the combination's query-vertex slots.
-EmitFn = Callable[[Tuple[int, ...], Tuple[Optional[int], ...]], None]
+#: One slot per query edge and query vertex: the predicate or data vertex id
+#: it is mapped to, ``None`` where unmapped (the paper's NULL).
+Slots = List[Optional[int]]
 
-
-class Operand(NamedTuple):
-    """The compiled form of one LEC feature or local partial match."""
-
-    sign: int
-    fragment_id: int
-    #: Ids of the crossing ``(query edge, data edge)`` pairs: the join keys.
-    pairs: Tuple[int, ...]
-    #: What the operand maps every query edge and query vertex it covers to.
-    items: Tuple[Item, ...]
+#: Called with the operand numbers of each complete combination, in join order.
+EmitFn = Callable[[Tuple[int, ...]], None]
 
 
-class JoinCompiler:
-    """Numbers one query's crossing pairs: the keys the join index lists operands under."""
-
-    def __init__(self, query: QueryGraph) -> None:
-        self.query = query
-        base = query.num_edges
-        self._edge_ends = [
-            (base + query.vertex_index(edge.subject), base + query.vertex_index(edge.object))
-            for edge in query.edges
-        ]
-        self._pair_ids: Dict[Pair, int] = {}
-        #: Pair id -> the items it implies: its query edge's and both ends'.
-        self._pair_items: List[Tuple[Item, Item, Item]] = []
-        #: Pair id -> the query vertex indexes of its subject and object.
-        self.pair_ends: List[Tuple[int, int]] = []
-
-    def _pair_id(self, pair: Pair) -> int:
-        pair_id = self._pair_ids.get(pair)
-        if pair_id is None:
-            pair_id = self._pair_ids[pair] = len(self._pair_items)
-            index, subject, predicate, obj = pair
-            subject_slot, object_slot = self._edge_ends[index]
-            self._pair_items.append(((index, predicate), (subject_slot, subject), (object_slot, obj)))
-            base = self.query.num_edges
-            self.pair_ends.append((subject_slot - base, object_slot - base))
-        return pair_id
-
-    def feature(self, feature: LECFeature) -> Operand:
-        """Compile a LEC feature: its crossing pairs (``g``) alone fix what it maps."""
-        pair_id = self._pair_id
-        pairs = tuple([pair_id(pair) for pair in feature.crossing])
-        items: Set[Item] = set()
-        for key in pairs:
-            items.update(self._pair_items[key])
-        if len(dict(items)) != len(items):
-            # One query edge or vertex mapped twice: the operand conflicts with
-            # itself, so nothing can join it (Definition 9).  Without join keys
-            # the index never lists it.
-            pairs = ()
-        return Operand(feature.lec_sign, feature.fragment_id, pairs, tuple(items))
-
-    def lpm(self, lpm: LocalPartialMatch) -> Operand:
-        """Compile a local partial match (one item per slot: never self-conflicting)."""
-        pair_id = self._pair_id
-        pairs = tuple([pair_id(pair) for pair in lpm.crossing])
-        return Operand(lpm.internal_mask, lpm.fragment_id, pairs, lpm.items)
+def edge_ends(query: QueryGraph) -> List[Ends]:
+    """Each query edge's :data:`Ends`, by edge index."""
+    base, ends = query.num_edges, []
+    for edge in query.edges:
+        subject, obj = query.vertex_index(edge.subject), query.vertex_index(edge.object)
+        ends.append((base + subject, base + obj, subject, obj))
+    return ends
 
 
-#: A partial combination: LECSign, crossing-pair ids, one slot per query edge
-#: and query vertex (:data:`NULL` where unmapped), and the operand numbers
-#: joined so far, in join order.
-Partial = Tuple[int, Tuple[int, ...], List[Optional[int]], Tuple[int, ...]]
+def fill(slots: Slots, crossing: Iterable[Pair], ends: Sequence[Ends]) -> Optional[Slots]:
+    """Condition 3 of Definition 9 as one check-and-fill pass.
 
-
-def seed(operand: Operand, number: int, query: QueryGraph) -> Partial:
-    """The partial combination holding ``operand`` alone."""
-    slots = [NULL] * (query.num_edges + query.num_vertices)
-    for slot, held in operand.items:
-        slots[slot] = held
-    return (operand.sign, operand.pairs, slots, (number,))
-
-
-def conflicts(slots: Sequence[Optional[int]], operand: Operand) -> bool:
-    """Condition 3 of Definition 9 as slot compares.
-
-    True when ``operand`` maps a query edge to another data edge, or a query
-    vertex to another data vertex, than ``slots`` already hold.
+    A copy of ``slots`` with each pair's query edge, subject and object slot
+    filled in; ``None`` at the first slot that already holds another id — the
+    pairs map a query edge to two data edges, or a query vertex to two data
+    vertices, against ``slots`` or against each other.
     """
-    for slot, held in operand.items:
-        if slots[slot] != held and slots[slot] is not NULL:
-            return True
-    return False
-
-
-def joinable(left: Operand, right: Operand, query: QueryGraph) -> bool:
-    """Definition 9 between two single operands."""
-    return (
-        left.fragment_id != right.fragment_id
-        and not left.sign & right.sign
-        and not set(left.pairs).isdisjoint(right.pairs)
-        and not conflicts(seed(left, 0, query)[2], right)
-    )
+    filled = slots[:]
+    # Unrolled over a pair's three slots: this is the join's inner loop.
+    for index, subject, predicate, obj in crossing:
+        subject_slot, object_slot, _, _ = ends[index]
+        held = filled[index]
+        if held is None:
+            filled[index] = predicate
+        elif held != predicate:
+            return None
+        held = filled[subject_slot]
+        if held is None:
+            filled[subject_slot] = subject
+        elif held != subject:
+            return None
+        held = filled[object_slot]
+        if held is None:
+            filled[object_slot] = obj
+        elif held != obj:
+            return None
+    return filled
 
 
 def one_space(dictionaries: Iterable[TermDictionary]) -> None:
@@ -144,34 +94,34 @@ def one_space(dictionaries: Iterable[TermDictionary]) -> None:
 
 
 class SignGroups:
-    """One query's operands, listed under ``(pair id, query vertex)`` (Theorem 4's join).
+    """One query's operands, listed under their crossing pairs (Theorem 4's join).
 
-    ``index[pair id, v]`` lists, in arrival order, the operands that carry the
-    pair and map its endpoint ``v`` internally.  Built once per query and
-    discarded with it.  Theorem 5 is the sign test: operands whose LECSigns
-    overlap never join.
+    ``by_end[0][pair]`` lists, in arrival order, the operands that carry
+    ``pair`` and map its subject internally; ``by_end[1][pair]`` those that
+    map its object internally.  Built once per query and discarded with it.
+    Theorem 5 is the sign test: operands whose LECSigns overlap never join.
     """
 
-    def __init__(self, compiler: JoinCompiler, operands: Sequence[Operand]) -> None:
-        self._query = compiler.query
+    def __init__(self, query: QueryGraph, operands: Sequence[Tuple[int, Tuple[Pair, ...]]]) -> None:
+        self._query = query
         self._operands = operands
-        self._pair_ends = pair_ends = compiler.pair_ends
+        self._ends = ends = edge_ends(query)
         #: LECSign -> number of operands carrying it.
-        self._signs = Counter([operand.sign for operand in operands])
+        self._signs = Counter([sign for sign, _ in operands])
         #: Distinct LECSigns among the operands.
         self.groups = len(self._signs)
-        self.index: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        index = self.index
-        for number, operand in enumerate(operands):
-            sign = operand.sign
-            for pair_id in operand.pairs:
-                subject, obj = pair_ends[pair_id]
+        by_subject: Dict[Pair, List[int]] = defaultdict(list)
+        by_object: Dict[Pair, List[int]] = defaultdict(list)
+        for number, (sign, crossing) in enumerate(operands):
+            for pair in crossing:
+                _, _, subject, obj = ends[pair[0]]
                 if sign >> subject & 1:
-                    index[pair_id, subject].append(number)
+                    by_subject[pair].append(number)
                 if sign >> obj & 1:
-                    index[pair_id, obj].append(number)
-        #: Number of ``(pair id, vertex) -> operand`` postings.
-        self.index_size = sum(map(len, index.values()))
+                    by_object[pair].append(number)
+        self.by_end = (by_subject, by_object)
+        #: Number of ``(pair, end) -> operand`` postings.
+        self.index_size = sum(map(len, by_subject.values())) + sum(map(len, by_object.values()))
         self.join_attempts = 0
         self.successful_joins = 0
 
@@ -179,8 +129,9 @@ class SignGroups:
         """Emit every complete combination (Theorem 4) once, full-sign operands on their own.
 
         Seeds are the operands covering the root — the query vertex the
-        fewest operands cover, lowest index first — and a partial grows only
-        through its scarcest ``(pair, vertex)`` list (:meth:`_extend`).
+        fewest operands cover, lowest index first — that :func:`fill` accepts
+        on their own, and a partial grows only through its scarcest list
+        (:meth:`_extend`).
         """
         query = self._query
         if not self._operands:
@@ -189,30 +140,37 @@ class SignGroups:
             range(query.num_vertices),
             key=lambda vertex: (sum(n for sign, n in self._signs.items() if sign >> vertex & 1), vertex),
         )
-        for number, operand in enumerate(self._operands):
-            if operand.sign == query.full_mask:
-                _, _, slots, members = seed(operand, number, query)
-                emit(members, tuple(slots[query.num_edges :]))
-            elif operand.sign >> root & 1:
-                self._extend(seed(operand, number, query), emit)
+        empty: Slots = [None] * (query.num_edges + query.num_vertices)
+        for number, (sign, crossing) in enumerate(self._operands):
+            if sign == query.full_mask:
+                emit((number,))
+            elif sign >> root & 1:
+                slots = fill(empty, crossing, self._ends)
+                if slots is not None:
+                    self._extend(sign, crossing, slots, (number,), emit)
 
-    def _extend(self, partial: Partial, emit: EmitFn) -> None:
-        """Join ``partial`` with the operands of one frontier vertex, and recurse.
+    def _extend(
+        self, sign: int, pairs: Tuple[Pair, ...], slots: Slots, joined: Tuple[int, ...], emit: EmitFn
+    ) -> None:
+        """Join a partial combination with the operands of one frontier vertex, and recurse.
 
-        A frontier vertex is one the partial maps through a crossing pair but
-        does not cover.  Of its ``(pair, vertex)`` lists the shortest is
-        taken (then the lowest vertex, then the partial's pair order); an
-        empty one means no operand can complete the partial.
+        The partial is its LECSign, its crossing pairs, its slots and the
+        operand numbers joined so far, in join order.  A frontier vertex is
+        one the partial maps through a crossing pair but does not cover.  Of
+        the lists of its pairs' uncovered ends the shortest is taken (then
+        the lowest vertex, then the partial's pair order); a missing one
+        means no operand can complete the partial.
         """
-        sign, pairs, slots, joined = partial
-        pair_ends, index = self._pair_ends, self.index
+        ends = self._ends
+        by_subject, by_object = self.by_end
         chosen: Optional[List[int]] = None
         chosen_vertex = 0
-        for pair_id in pairs:
-            for vertex in pair_ends[pair_id]:
+        for pair in pairs:
+            _, _, subject, obj = ends[pair[0]]
+            for vertex, index in (subject, by_subject), (obj, by_object):
                 if sign >> vertex & 1:
                     continue
-                listed = index.get((pair_id, vertex))
+                listed = index.get(pair)
                 if listed is None:
                     return
                 if chosen is None or (len(listed), vertex) < (len(chosen), chosen_vertex):
@@ -222,19 +180,18 @@ class SignGroups:
             # component, which no crossing pair joins.
             return
         operands, full_mask = self._operands, self._query.full_mask
-        vertex_base = self._query.num_edges
         self.join_attempts += len(chosen)
         for number in chosen:
-            operand = operands[number]
-            if operand.sign & sign or conflicts(slots, operand):
+            other, crossing = operands[number]
+            if other & sign:
+                continue
+            new_slots = fill(slots, crossing, ends)
+            if new_slots is None:
                 continue
             self.successful_joins += 1
-            new_slots = list(slots)
-            for slot, held in operand.items:
-                new_slots[slot] = held
             members = joined + (number,)
-            if sign | operand.sign == full_mask:
-                emit(members, tuple(new_slots[vertex_base:]))
+            if sign | other == full_mask:
+                emit(members)
             else:
-                new_pairs = pairs + tuple([p for p in operand.pairs if p not in pairs])
-                self._extend((sign | operand.sign, new_pairs, new_slots, members), emit)
+                new_pairs = pairs + tuple([pair for pair in crossing if pair not in pairs])
+                self._extend(sign | other, new_pairs, new_slots, members, emit)

@@ -2,8 +2,9 @@
 
 The coordinator receives every site's LEC features and enumerates, once
 each, the combinations whose LECSigns partition the query vertices and whose
-members join pairwise (the join of :mod:`repro.core.joins`; Theorem 5 is its
-sign test).  Every feature that appears in no such complete combination is
+members join pairwise (the join of :mod:`repro.core.joins`, which reads each
+feature as its ``(lec_sign, crossing)`` as received; Theorem 5 is its sign
+test).  Every feature that appears in no such complete combination is
 pruned, and with it every local partial match of its equivalence class.
 
 The implementation tracks constituents at the level of individual features
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
 
 from ..sparql.query_graph import QueryGraph
-from .joins import JoinCompiler, SignGroups, one_space
+from .joins import SignGroups, one_space
 from .lec import LECFeature
 
 
@@ -34,7 +35,7 @@ class PruningOutcome:
     #: Features the join index listed and the Definition-9 test ran on.
     join_attempts: int = 0
     complete_combinations: int = 0
-    #: ``(pair, vertex) -> feature`` postings of the per-query join index.
+    #: ``(crossing pair, end) -> feature`` postings of the per-query join index.
     index_size: int = 0
 
     @property
@@ -54,7 +55,7 @@ class LECFeaturePruner:
     def prune(self, features: Iterable[LECFeature]) -> PruningOutcome:
         """Algorithm 2: return the features that can contribute to a match.
 
-        The features are compiled and indexed per call (see
+        The features are indexed under their crossing pairs per call (see
         :mod:`repro.core.joins`); a feature whose LECSign already covers the
         query stands alone — its LPMs span the whole query inside one
         fragment through crossing edges.  Raises ``ValueError`` for features
@@ -63,10 +64,9 @@ class LECFeaturePruner:
         all_features = list(dict.fromkeys(features))
         one_space(feature.dictionary for feature in all_features)
         outcome = PruningOutcome(total_features=len(all_features))
-        compiler = JoinCompiler(self._query)
-        groups = SignGroups(compiler, [compiler.feature(f) for f in all_features])
+        groups = SignGroups(self._query, [(feature.lec_sign, feature.crossing) for feature in all_features])
 
-        def emit(members: Tuple[int, ...], _vertex_slots) -> None:
+        def emit(members: Tuple[int, ...]) -> None:
             outcome.complete_combinations += 1
             outcome.surviving.update(all_features[number] for number in members)
 

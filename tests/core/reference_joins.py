@@ -16,10 +16,12 @@ Since LPMs and features cross as cluster ids, the assembler below tests
 Definition 9 with :func:`lpms_joinable` on the LPMs' decoded views (the
 object-level ``can_join`` they had), so the id-based joins are checked
 against term objects.  Also here, because nothing in ``src/`` calls them:
-:func:`group_features_by_sign` and :func:`compiled_features_joinable`
-(``repro.core.lec``'s grouping and Definition 9 on the compiled form, until
-they moved), and :func:`lec_feature`, which builds a feature's id form from
-object-level ``(index, Triple)`` pairs.
+:func:`group_features_by_sign` (``repro.core.lec``'s grouping, until it
+moved); :func:`pairs_joinable` and :func:`crossing_features_joinable`,
+Definition 9 between two operands as the production join tests it (the
+pairwise ``joinable`` it had until operands became their crossing pairs);
+and :func:`lec_feature`, which builds a feature's id form from object-level
+``(index, Triple)`` pairs.
 
 Two more oracles belong to the messages around Algorithm 2.
 :func:`echo_survivors` and :func:`echo_filter` are the survivor exchange as it
@@ -38,9 +40,9 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.assembly import AssemblyOutcome
-from repro.core.joins import JoinCompiler, joinable
+from repro.core.joins import edge_ends, fill
 from repro.core.lec import LECFeature, lec_feature_of
-from repro.core.partial_match import LocalPartialMatch
+from repro.core.partial_match import LocalPartialMatch, Pair
 from repro.core.pruning import PruningOutcome
 from repro.rdf.triples import Triple
 from repro.sparql.query_graph import QueryGraph
@@ -167,10 +169,30 @@ def lpms_joinable(left: LocalPartialMatch, right: LocalPartialMatch) -> bool:
     return True
 
 
-def compiled_features_joinable(left: LECFeature, right: LECFeature, query: QueryGraph) -> bool:
-    """Definition 9 on the compiled form the coordinator's joins use (:mod:`repro.core.joins`)."""
-    compiler = JoinCompiler(query)
-    return joinable(compiler.feature(left), compiler.feature(right), query)
+def pairs_joinable(
+    left: Tuple[int, Tuple[Pair, ...]], right: Tuple[int, Tuple[Pair, ...]], query: QueryGraph
+) -> bool:
+    """Definition 9 between two ``(LECSign, crossing pairs)`` operands, as :mod:`repro.core.joins` tests it.
+
+    Disjoint LECSigns, a shared crossing pair, and one :func:`~repro.core.joins.fill`
+    pass over both operands' pairs with no clash.
+    """
+    (left_sign, left_pairs), (right_sign, right_pairs) = left, right
+    ends = edge_ends(query)
+    slots = fill([None] * (query.num_edges + query.num_vertices), left_pairs, ends)
+    return (
+        not left_sign & right_sign
+        and not set(left_pairs).isdisjoint(right_pairs)
+        and slots is not None
+        and fill(slots, right_pairs, ends) is not None
+    )
+
+
+def crossing_features_joinable(left: LECFeature, right: LECFeature, query: QueryGraph) -> bool:
+    """Definition 9 between two features of different fragments, on their crossing pairs."""
+    return left.fragment_id != right.fragment_id and pairs_joinable(
+        (left.lec_sign, left.crossing), (right.lec_sign, right.crossing), query
+    )
 
 
 # ----------------------------------------------------------------------

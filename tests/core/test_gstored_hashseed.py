@@ -2,8 +2,8 @@
 
 LPMs and LEC features reach the coordinator as N3-text keys, and a string's
 hash depends on the interpreter's seed.  The joins may hash those keys but
-must never let a set or dict of them decide an order: pair ids are numbered in
-arrival order, groups are visited in sorted LECSign order, partners in operand
+must never let a set or dict of them decide an order: the join index lists
+operands in arrival order under their crossing-pair tuples, groups are visited in sorted LECSign order, partners in operand
 order.  Two child interpreters with different seeds run multi-join queries of
 all three benchmark datasets through ``Session.query`` and print, per query,
 the row *sequence*, the bytes and messages of every stage and every stage

@@ -2,7 +2,7 @@
 
 import pytest
 
-from reference_joins import compiled_features_joinable as features_joinable
+from reference_joins import crossing_features_joinable as features_joinable
 from reference_joins import group_features_by_sign, lec_feature
 
 from repro.core import EngineConfig, GStoreDEngine, LECFeature, compute_lec_features, lec_feature_of

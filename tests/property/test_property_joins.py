@@ -2,8 +2,8 @@
 
 ``repro.core.joins`` replaced the ``partials x group`` scans of Algorithm 2
 (LEC feature pruning) and Algorithm 3 (LEC-based assembly) with a join that
-finds each complete combination once, over an integer compilation of the
-features and LPMs.  The scans survive verbatim in
+finds each complete combination once, reading the features and LPMs as
+their LECSigns and crossing pairs.  The scans survive verbatim in
 ``tests/core/reference_joins.py``; this suite asserts, on random graphs and
 queries and on adversarial partitionings, that
 
@@ -11,6 +11,9 @@ queries and on adversarial partitionings, that
   groups, and finds each member set the nested loop emits exactly once —
   ``SignGroups.join`` never emits one member set twice, for LPM and for
   feature operands;
+* crossing pairs decide LPM joins (Theorem 2): for every ordered pair of
+  LPMs with disjoint LECSigns, the check-and-fill over their crossing pairs
+  agrees with Definition 9 on their decoded views;
 * ``LECAssembler`` returns the nested loop's matches sorted by their
   vertex-slot ids, with no more join attempts or successful joins;
 * both agree with ``BasicAssembler`` and with the centralized answers, alone
@@ -40,6 +43,7 @@ from reference_joins import LECAssembler as ReferenceAssembler
 from reference_joins import LECFeaturePruner as ReferencePruner
 from reference_candidates import hashed_positions, recount_vector, reference_internal_candidates
 from reference_joins import echo_filter, echo_survivors, feature_keys, recount_feature_message, recount_lpm_message
+from reference_joins import lpms_joinable, pairs_joinable
 
 from repro.core import (
     CandidateBitVector,
@@ -51,7 +55,7 @@ from repro.core import (
     prune_features,
 )
 from repro.core.assembly import BasicAssembler, LECAssembler
-from repro.core.joins import JoinCompiler, SignGroups
+from repro.core.joins import SignGroups, edge_ends, fill
 from repro.core.partial_eval import evaluate_fragment
 from repro.core.site_tasks import run_lec_filter
 from repro.distributed.network import estimate_size
@@ -138,14 +142,27 @@ def assert_joins_agree(query_graph, classes):
     return assembled
 
 
-def emitted_member_sets(query_graph, operands, compile_one):
-    """Each member set ``SignGroups.join`` emits over ``operands``, in emission order."""
-    compiler = JoinCompiler(query_graph)
+def emitted_member_sets(query_graph, operands):
+    """Each member set ``SignGroups.join`` emits over ``(LECSign, crossing pairs)`` operands, in emission order."""
     emitted = []
-    SignGroups(compiler, [compile_one(compiler, operand) for operand in operands]).join(
-        lambda members, _vertex_slots: emitted.append(members)
-    )
+    SignGroups(query_graph, operands).join(emitted.append)
     return emitted
+
+
+def assert_theorem_2(query_graph, lpms):
+    """Theorem 2 at the LPM level: crossing pairs decide joinability.
+
+    For every ordered pair of LPMs with disjoint LECSigns, the check-and-fill
+    over their crossing pairs alone agrees with Definition 9 on their full
+    decoded views; an LPM's own pairs never clash.
+    """
+    ends, empty = edge_ends(query_graph), [None] * (query_graph.num_edges + query_graph.num_vertices)
+    assert all(fill(empty, lpm.crossing, ends) is not None for lpm in lpms)
+    operands = [(lpm.internal_mask, lpm.crossing) for lpm in lpms]
+    for left, left_operand in zip(lpms, operands):
+        for right, right_operand in zip(lpms, operands):
+            if not left.internal_mask & right.internal_mask:
+                assert pairs_joinable(left_operand, right_operand, query_graph) == lpms_joinable(left, right)
 
 
 def assert_centralized(graph, query, partitioned, crossing):
@@ -184,10 +201,21 @@ class TestIndexedJoinsEqualTheNestedLoop:
         )
         _, query_graph, classes = coordinator_inputs(graph, query, *partitioning(graph, seed))
         lpms = [lpm for members in classes.values() for lpm in members]
-        for operands, compile_one in ((list(classes), JoinCompiler.feature), (lpms, JoinCompiler.lpm)):
-            emitted = emitted_member_sets(query_graph, operands, compile_one)
+        features = [(feature.lec_sign, feature.crossing) for feature in classes]
+        for operands in (features, [(lpm.internal_mask, lpm.crossing) for lpm in lpms]):
+            emitted = emitted_member_sets(query_graph, operands)
             assert all(len(set(members)) == len(members) for members in emitted)
             assert len({frozenset(members) for members in emitted}) == len(emitted)
+
+    @given(seeds, partitionings, query_sizes, constant_probabilities)
+    @settings(max_examples=40, deadline=None)
+    def test_crossing_pairs_decide_lpm_joins(self, seed, partitioning, query_edges, constant_probability):
+        graph = random_graph(seed, num_vertices=14, num_edges=30, num_predicates=3)
+        query = random_connected_query(
+            graph, seed + 17, num_edges=query_edges, constant_probability=constant_probability
+        )
+        _, query_graph, classes = coordinator_inputs(graph, query, *partitioning(graph, seed))
+        assert_theorem_2(query_graph, [lpm for members in classes.values() for lpm in members])
 
     @given(seeds, partitionings, query_sizes)
     @settings(max_examples=10, deadline=None)
@@ -327,6 +355,7 @@ class TestTwoRegionsOfOneFragment:
         assert sorted(feature.fragment_id for feature in classes) == [0, 0, 1]
         crossing = assert_joins_agree(query_graph, classes)
         assert_centralized(graph, query, partitioned, crossing)
+        assert_theorem_2(query_graph, [lpm for members in classes.values() for lpm in members])
         (match,) = crossing.matches
         assert match.fragments == frozenset({0, 1})
         pruned = LECFeaturePruner(query_graph).prune(list(classes))

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "core"))
-from reference_joins import compiled_features_joinable as features_joinable
+from reference_joins import crossing_features_joinable as features_joinable
 from reference_joins import group_features_by_sign
 
 from repro.core import LECFeaturePruner, compute_lec_features, lec_feature_of

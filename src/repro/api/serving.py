@@ -24,7 +24,7 @@ import json
 import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..exec import SiteTaskError
 from ..obs import MetricsRegistry
@@ -135,6 +135,22 @@ class AdmissionController:
             self._slots.release()
 
 
+def _content_length(values: List[str]) -> Optional[int]:
+    """The body length the ``Content-Length`` header ``values`` declare.
+
+    ``None`` unless the value is ASCII digits alone (RFC 9110 §8.6) and every
+    copy of the header agrees: ``int`` alone would take ``2_0``, ``+20`` and
+    non-ASCII digits, and of two differing copies only one frames the body.
+    """
+    distinct = {value.strip(" \t") for value in values}
+    if len(distinct) != 1:
+        return None
+    (value,) = distinct
+    if not value or not value.isascii() or not value.isdigit():
+        return None
+    return int(value)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Request handler for :class:`QueryServer` (one instance per request)."""
 
@@ -152,8 +168,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # Head and body leave in one write.  Written apart, the body is a
+        # small second segment that Nagle's algorithm holds until the client
+        # ACKs the head, and a keep-alive client delays that ACK by 40 ms or
+        # more.  ``end_headers`` would write the head on its own, so the blank
+        # line is added here (an HTTP/0.9 request gets no head at all).
+        head = getattr(self, "_headers_buffer", [])
+        if head:
+            head.append(b"\r\n")
+        self._headers_buffer = []
+        self.wfile.write(b"".join([*head, body]))
 
     def _respond_json(self, status: int, payload: Dict[str, Any]) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -192,16 +216,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._respond_json(404, {"error": f"unknown path {self.path!r}"})
             return
         server = self._query_server
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = -1
-        if length < 0:
-            # Reject before reading: ``rfile.read`` of a negative length blocks
-            # this handler thread until the client hangs up, and without a
-            # usable length the rest of the connection cannot be framed.
+        length = _content_length(self.headers.get_all("Content-Length", ["0"]))
+        if length is None:
+            # Reject before reading: without one usable length the body, and
+            # so the rest of the connection, cannot be framed.
             self.close_connection = True
-            self._respond_json(400, {"error": "Content-Length must be a non-negative integer"})
+            self._respond_json(
+                400, {"error": "Content-Length must be one non-negative decimal integer"}
+            )
             return
         if length > MAX_BODY_BYTES:
             # Same reason: reading a body this size (or waiting for one the

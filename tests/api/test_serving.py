@@ -1,8 +1,11 @@
 """Tests for :mod:`repro.api.serving` — admission and the HTTP server."""
 
+import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -16,6 +19,19 @@ from repro.api.serving import (
     MAX_BODY_BYTES,
     QUEUE_DEPTH_FAMILY,
     REJECTED_FAMILY,
+    _Handler,
+)
+
+#: SPARQL over the paper example, served beside the named ``example`` query.
+PAPER_NAMES = "SELECT ?p ?n WHERE { ?p <http://example.org/name> ?n . }"
+PAPER_INFLUENCES = (
+    "SELECT ?a ?b ?l WHERE { ?a <http://example.org/influencedBy> ?b . "
+    "?b <http://example.org/mainInterest> ?i . ?i <http://example.org/label> ?l . }"
+)
+#: LUBM scale 1: 192 rows, a ~30 KB body (far over an 8 KiB socket buffer).
+LUBM_TAKES_COURSE = (
+    "PREFIX ub: <http://example.org/univ-bench#> "
+    "SELECT ?x ?y WHERE { ?x ub:takesCourse ?y . }"
 )
 
 
@@ -106,20 +122,42 @@ def _post(base, payload, timeout=30):
         return response.status, json.loads(response.read())
 
 
+def _read_response(stream):
+    """Read one response off ``stream`` by its Content-Length (so a kept-alive
+    connection is not waited on): its status code and every byte of it."""
+    received = [stream.readline()]
+    length = 0
+    for line in iter(stream.readline, b"\r\n"):
+        received.append(line)
+        name, _, value = line.decode("latin-1").partition(":")
+        if name.strip().lower() == "content-length":
+            length = int(value)
+    received += [b"\r\n", stream.read(length)]
+    return int(received[0].split()[1]), b"".join(received)
+
+
 def _exchange(address, request):
     """Send raw ``request`` bytes; return the first response's status line and
     JSON body, and every byte the server sent after it before closing."""
     with socket.create_connection(address, timeout=5.0) as connection:
         connection.sendall(request)
         stream = connection.makefile("rb")
-        status_line = stream.readline()
-        length = 0
-        for line in iter(stream.readline, b"\r\n"):
-            name, _, value = line.decode("latin-1").partition(":")
-            if name.strip().lower() == "content-length":
-                length = int(value)
-        body = json.loads(stream.read(length))
-        return status_line, body, stream.read()  # read() returns at EOF
+        _status, response = _read_response(stream)
+        head, _, body = response.partition(b"\r\n\r\n")
+        return head.partition(b"\r\n")[0], json.loads(body), stream.read()  # read() returns at EOF
+
+
+def _roundtrip(address, request):
+    """Send raw ``request`` bytes on a fresh connection; return the status
+    code and every byte of the one response."""
+    with socket.create_connection(address, timeout=5.0) as connection:
+        connection.sendall(request)
+        return _read_response(connection.makefile("rb"))
+
+
+def _post_request(path, body):
+    head = f"POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)}\r\n\r\n"
+    return head.encode("ascii") + body
 
 
 class TestQueryServer:
@@ -222,17 +260,35 @@ class TestQueryServer:
         assert body["num_rows"] == 4
         assert body["engine"] == session.engine(session.default_engine).name
 
-    @pytest.mark.parametrize("content_length", ["-1", "ten"])
+    @pytest.mark.parametrize(
+        "content_length",
+        ["-1", "ten", "2_0", "+20", "\xb2", "", "20, 20", "20\r\nContent-Length: 3"],
+        ids=["negative", "word", "underscore", "plus", "superscript", "empty", "list", "differing-duplicate"],
+    )
     def test_unusable_content_length_gets_400_without_reading(self, served, content_length):
-        """Regression: ``rfile.read(-1)`` blocked the handler until the client hung up."""
+        """Regression: ``rfile.read(-1)`` blocked the handler until the client
+        hung up; ``int`` took ``2_0`` and ``+20``; of two differing headers
+        only the first framed the body.  Each gets 400 and a closed connection."""
         _session, server, _base = served
         request = (
             f"POST /query HTTP/1.1\r\nHost: test\r\nContent-Length: {content_length}\r\n\r\n"
-        ).encode("ascii")
+        ).encode("latin-1")
         with socket.create_connection(server.address, timeout=1.0) as connection:
             connection.sendall(request)  # the socket stays open: no EOF to unblock a read
-            status_line = connection.makefile("rb").readline()
-        assert status_line.startswith(b"HTTP/1.1 400 "), status_line
+            response = connection.makefile("rb").read()  # returns once the server closes
+        assert response.startswith(b"HTTP/1.1 400 "), response
+        assert b"Content-Length" in response
+
+    def test_identical_duplicate_content_lengths_frame_the_body(self, served):
+        _session, server, _base = served
+        body = json.dumps({"query": "example"}).encode("ascii")
+        request = (
+            "POST /query HTTP/1.1\r\nHost: test\r\n"
+            f"Content-Length: {len(body)}\r\nContent-Length: {len(body)}\r\n\r\n"
+        ).encode("ascii") + body
+        status, response = _roundtrip(server.address, request)
+        assert status == 200, response
+        assert json.loads(response.partition(b"\r\n\r\n")[2])["num_rows"] == 4
 
     def test_oversized_content_length_gets_413_without_reading(self, served):
         """A claimed 2 GiB body is refused at once and the connection closed;
@@ -326,6 +382,65 @@ class TestQueryServer:
             assert f"{REJECTED_FAMILY} 1" in session.metrics.prometheus_text()
         session.close()
 
+    def test_no_delayed_ack_stall_on_one_connection(self, served):
+        """A stalled response waited 40 ms or more for the client's delayed ACK."""
+        _session, server, _base = served
+        connection = http.client.HTTPConnection(*server.address, timeout=30)
+        body = json.dumps({"query": "example"}).encode("ascii")
+        latencies = {"GET": [], "POST": []}
+        try:
+            for method, path, payload in [("GET", "/healthz", None), ("POST", "/query", body)] * 20:
+                started = time.perf_counter()
+                connection.request(method, path, body=payload)
+                response = connection.getresponse()
+                response.read()
+                latencies[method].append((time.perf_counter() - started) * 1e3)
+                assert response.status == 200
+        finally:
+            connection.close()
+        for method, samples in latencies.items():
+            assert statistics.median(samples) < 20.0, (method, sorted(samples))
+
+    def test_two_keep_alive_clients_overlap_and_answer_right(self, served):
+        session, server, base = served
+        queries = ["example", PAPER_NAMES, PAPER_INFLUENCES]
+        expected = {
+            query: sorted(json.dumps(row, sort_keys=True) for row in session.query(query).to_dicts())
+            for query in queries
+        }
+
+        def queries_total():
+            with urllib.request.urlopen(base + "/metrics", timeout=30) as response:
+                text = response.read().decode("utf-8")
+            return sum(
+                float(line.rsplit(" ", 1)[1])
+                for line in text.splitlines()
+                if line.startswith("repro_queries_total")
+            )
+
+        def client(offset):
+            connection = http.client.HTTPConnection(*server.address, timeout=30)
+            answers = []
+            try:
+                for index in range(15):
+                    query = queries[(index + offset) % len(queries)]
+                    connection.request("POST", "/query", body=json.dumps({"query": query}))
+                    response = connection.getresponse()
+                    answers.append((query, response.status, json.loads(response.read())))
+            finally:
+                connection.close()
+            return answers
+
+        before = queries_total()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            answers = [a for future in [pool.submit(client, k) for k in (0, 1)] for a in future.result()]
+        assert len(answers) == 30
+        for query, status, body in answers:
+            assert status == 200, body
+            assert sorted(json.dumps(row, sort_keys=True) for row in body["rows"]) == expected[query]
+            assert body["num_rows"] == len(expected[query])
+        assert queries_total() - before == 30
+
     def test_shutdown_keeps_the_session_open(self):
         session = repro.open(dataset="paper")
         server = QueryServer(session, port=0).start()
@@ -334,3 +449,112 @@ class TestQueryServer:
         assert not session.closed
         assert len(session.query("example")) == 4
         session.close()
+
+
+class _CountingWriter:
+    """Wraps a handler's ``wfile``; logs the size of every ``write``."""
+
+    def __init__(self, raw, log):
+        self._raw = raw
+        self._log = log
+
+    def write(self, data):
+        self._log.append(len(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):  # flush, close, closed
+        return getattr(self._raw, name)
+
+
+class TestOneWritePerResponse:
+    """Head and body leave in one ``wfile.write``: written apart, Nagle's
+    algorithm held the body until the client's delayed ACK (40 ms or more)."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        writes = []
+        real_setup = _Handler.setup
+
+        def counting_setup(handler):
+            real_setup(handler)
+            handler.wfile = _CountingWriter(handler.wfile, writes)
+
+        monkeypatch.setattr(_Handler, "setup", counting_setup)
+        session = repro.open(dataset="lubm", scale=1)
+        with QueryServer(session, port=0, max_inflight=1, max_queue=0) as server:
+            yield session, server, writes
+        session.close()
+
+    @staticmethod
+    def _assert_one_write(server, writes, request, status):
+        writes.clear()
+        got, response = _roundtrip(server.address, request)
+        assert got == status, response
+        assert writes == [len(response)]
+        return response
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n", 200),
+            (b"GET /metrics HTTP/1.1\r\nHost: test\r\n\r\n", 200),
+            (_post_request("/query", b"not json"), 400),
+            (b"GET /nope HTTP/1.1\r\nHost: test\r\n\r\n", 404),
+            (_post_request("/nope", b"{}"), 404),
+            (
+                b"POST /query HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n"
+                b"0\r\n\r\n",
+                411,
+            ),
+            (
+                f"POST /query HTTP/1.1\r\nHost: test\r\nContent-Length: {MAX_BODY_BYTES + 1}"
+                "\r\n\r\n".encode("ascii"),
+                413,
+            ),
+        ],
+        ids=["healthz", "metrics", "400", "404-get", "404-post", "411", "413"],
+    )
+    def test_each_response_is_one_write(self, counted, request_bytes, status):
+        _session, server, writes = counted
+        self._assert_one_write(server, writes, request_bytes, status)
+
+    def test_a_large_answer_is_one_write(self, counted):
+        _session, server, writes = counted
+        body = json.dumps({"query": LUBM_TAKES_COURSE}).encode("ascii")
+        response = self._assert_one_write(server, writes, _post_request("/query", body), 200)
+        assert len(response.partition(b"\r\n\r\n")[2]) > 8192
+
+    def test_a_500_is_one_write(self, counted, monkeypatch):
+        session, server, writes = counted
+
+        def failing_query(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(session, "query", failing_query)
+        body = json.dumps({"query": "LQ1"}).encode("ascii")
+        response = self._assert_one_write(server, writes, _post_request("/query", body), 500)
+        assert b"RuntimeError: boom" in response
+
+    def test_a_429_is_one_write(self, counted, monkeypatch):
+        session, server, writes = counted
+        release = threading.Event()
+        entered = threading.Event()
+        real_query = session.query
+
+        def slow_query(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=30)
+            return real_query(*args, **kwargs)
+
+        monkeypatch.setattr(session, "query", slow_query)
+        request = _post_request("/query", json.dumps({"query": "LQ1"}).encode("ascii"))
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            blocked = pool.submit(_roundtrip, server.address, request)
+            try:
+                assert entered.wait(timeout=30)  # the one slot is taken
+                self._assert_one_write(server, writes, request, 429)
+            finally:
+                release.set()
+            status, response = blocked.result()
+        assert status == 200
+        assert writes[1:] == [len(response)]  # after the 429's one write

@@ -140,7 +140,7 @@ class GStoreDEngine:
             query,
             query_name,
             dataset,
-            query_graph=QueryGraph(query.bgp),
+            query_graph=QueryGraph.of(query.bgp),
             trace=trace,
             profiler=profiler,
         )

@@ -222,7 +222,21 @@ class MessageBus:
         global log, scoping the accounting to the query that opened it.
         """
         size = estimate_size(payload)
-        message = Message(source, destination, kind, size, stage)
+        self._log(Message(source, destination, kind, size, stage))
+        return size
+
+    def broadcast(self, source: int, destinations: List[int], kind: str, payload: Any, stage: str = "") -> int:
+        """Send the same payload to every destination; return the total bytes.
+
+        The payload is sized once; each destination's message carries that size.
+        """
+        size = estimate_size(payload)
+        for destination in destinations:
+            self._log(Message(source, destination, kind, size, stage))
+        return size * len(destinations)
+
+    def _log(self, message: Message) -> None:
+        """Charge ``message`` to the sending thread's open ledger, else the global log."""
         with self._lock:
             stack = self._ledgers.get(threading.get_ident())
             ledger = stack[-1] if stack else None
@@ -230,11 +244,6 @@ class MessageBus:
                 self.messages.append(message)
         if ledger is not None:
             ledger.record(message)
-        return size
-
-    def broadcast(self, source: int, destinations: List[int], kind: str, payload: Any, stage: str = "") -> int:
-        """Send the same payload to every destination; return the total bytes."""
-        return sum(self.send(source, destination, kind, payload, stage) for destination in destinations)
 
     @contextmanager
     def ledger(self) -> Iterator[ShipmentLedger]:

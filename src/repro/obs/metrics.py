@@ -145,17 +145,26 @@ class MetricsRegistry:
 
     Families are created on first use through :meth:`counter`, :meth:`gauge`
     and :meth:`histogram`; re-using a family name with a different type
-    raises :class:`ValueError`.  All access is lock-guarded, so queries on
-    several serving threads can record while a scraper formats
-    :meth:`prometheus_text`.
+    raises :class:`ValueError`.  Each (kind, name, labels) series is resolved
+    under the registry lock once; later calls return its handle from a dict
+    lookup (label values must be hashable).  Every series guards its own
+    value, so queries on several serving threads can record while a scraper
+    formats :meth:`prometheus_text`.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         # name -> (type, help, {label_key: series})
         self._families: Dict[str, Tuple[str, str, Dict[_LabelKey, Any]]] = {}
+        # (kind, name, *label items as passed) -> series: each series is
+        # resolved (label key sorted, kind checked) once, then read lock-free.
+        self._handles: Dict[tuple, Any] = {}
 
     def _series(self, kind: str, name: str, help_text: str, labels: Dict[str, Any], factory):
+        handle = (kind, name, *labels.items())
+        series = self._handles.get(handle)
+        if series is not None:
+            return series
         with self._lock:
             family = self._families.get(name)
             if family is None:
@@ -170,6 +179,9 @@ class MetricsRegistry:
             if series is None:
                 series = factory()
                 family[2][key] = series
+            # Stored under the lock, so a concurrent reset() never leaves a
+            # handle to a dropped series behind.
+            self._handles[handle] = series
             return series
 
     def counter(self, name: str, help_text: str = "", **labels: Any) -> Counter:
@@ -254,9 +266,10 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n"
 
     def reset(self) -> None:
-        """Drop every family (tests and long-lived sessions)."""
+        """Drop every family, and every resolved handle (tests and long-lived sessions)."""
         with self._lock:
             self._families.clear()
+            self._handles.clear()
 
 
 def _format_number(value: float) -> str:

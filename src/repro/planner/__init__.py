@@ -28,7 +28,8 @@ collects a site's statistics when the site is built; ``Site.apply`` patches them
 from .cardinality import MIN_CARDINALITY, CardinalityEstimator
 from .optimizer import PlanOptimizer, QueryPlanner
 from .plan import QueryPlan, SOURCE_CACHE, SOURCE_FALLBACK, SOURCE_STATISTICS
-from .plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache, ShapeKey, shape_key
+from ..sparql.query_graph import ShapeKey, shape_key
+from .plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache
 from .statistics import (
     GraphStatistics,
     PredicateStatistics,

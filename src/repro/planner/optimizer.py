@@ -28,7 +28,7 @@ from ..rdf.terms import PatternTerm, Variable
 from ..sparql.query_graph import QueryGraph, traversal_order
 from .cardinality import CardinalityEstimator
 from .plan import QueryPlan, SOURCE_FALLBACK, SOURCE_STATISTICS
-from .plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache, shape_key
+from .plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache
 from .statistics import GraphStatistics, collect_statistics
 
 if TYPE_CHECKING:  # the store package imports the planner
@@ -191,7 +191,7 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     def plan_for(self, query: QueryGraph) -> QueryPlan:
         """The (possibly cached) plan for ``query``."""
-        key = shape_key(query)
+        key = query.shape_key
         cached = self.cache.get(key)
         if cached is not None:
             return cached.as_cached()

@@ -4,7 +4,8 @@ Planning is cheap but not free, and production query streams are dominated
 by a small number of *templates*: the same BGP shape instantiated with
 different constants ("all papers of author X").  The cache therefore keys
 plans on the query graph's canonical shape with non-predicate constants
-abstracted away:
+abstracted away (:attr:`~repro.sparql.QueryGraph.shape_key`, computed once
+per graph):
 
 * variables are renamed ``?0, ?1, ...`` in first-appearance order,
 * subject/object constants are renamed ``$0, $1, ...`` in first-appearance
@@ -22,39 +23,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..rdf.terms import PatternTerm, Variable
-from ..sparql.query_graph import QueryGraph
+from ..sparql.query_graph import ShapeKey
 from .plan import QueryPlan
 
 #: Default maximum number of cached plans.
 DEFAULT_PLAN_CACHE_SIZE = 128
-
-ShapeKey = Tuple[Tuple[str, str, str], ...]
-
-
-def shape_key(query: QueryGraph) -> ShapeKey:
-    """The canonical shape of ``query`` with constants abstracted."""
-    tokens: Dict[PatternTerm, str] = {}
-
-    def vertex_token(term: PatternTerm) -> str:
-        token = tokens.get(term)
-        if token is None:
-            if isinstance(term, Variable):
-                token = f"?{sum(1 for t in tokens.values() if t.startswith('?'))}"
-            else:
-                token = f"${sum(1 for t in tokens.values() if t.startswith('$'))}"
-            tokens[term] = token
-        return token
-
-    key = []
-    for edge in query.edges:
-        subject = vertex_token(edge.subject)
-        predicate = edge.predicate.n3() if not isinstance(edge.predicate, Variable) else "?p"
-        object_ = vertex_token(edge.object)
-        key.append((subject, predicate, object_))
-    return tuple(key)
 
 
 class PlanCache:

@@ -14,8 +14,9 @@ serialization-vector convention of the paper's examples.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..rdf.terms import IRI, PatternTerm, Variable
 from ..rdf.triples import TriplePattern
@@ -56,26 +57,36 @@ class QueryEdge:
 
 
 class QueryGraph:
-    """The graph view of a BGP query with a stable vertex order."""
+    """The graph view of a BGP query with a stable vertex order.
+
+    Immutable once built: its vertex, edge and adjacency tuples and its
+    plan-cache :attr:`shape_key` are computed once and read by every user.
+    """
 
     def __init__(self, bgp: BasicGraphPattern) -> None:
         self._bgp = bgp
-        self._vertices: List[PatternTerm] = []
+        vertices: List[PatternTerm] = []
         self._vertex_index: Dict[PatternTerm, int] = {}
-        self._edges: List[QueryEdge] = []
-        self._adjacency: Dict[PatternTerm, List[QueryEdge]] = {}
+        edges: List[QueryEdge] = []
+        adjacency: Dict[PatternTerm, List[QueryEdge]] = {}
         for position, pattern in enumerate(bgp):
             edge = QueryEdge(pattern.subject, pattern.predicate, pattern.object, position)
-            self._edges.append(edge)
+            edges.append(edge)
             for term in (pattern.subject, pattern.object):
                 if term not in self._vertex_index:
-                    self._vertex_index[term] = len(self._vertices)
-                    self._vertices.append(term)
-                    self._adjacency[term] = []
-            self._adjacency[pattern.subject].append(edge)
+                    self._vertex_index[term] = len(vertices)
+                    vertices.append(term)
+                    adjacency[term] = []
+            adjacency[pattern.subject].append(edge)
             if pattern.object != pattern.subject:
-                self._adjacency[pattern.object].append(edge)
-        self._full_mask = (1 << len(self._vertices)) - 1
+                adjacency[pattern.object].append(edge)
+        self._vertices: Tuple[PatternTerm, ...] = tuple(vertices)
+        self._edges: Tuple[QueryEdge, ...] = tuple(edges)
+        self._adjacency: Dict[PatternTerm, Tuple[QueryEdge, ...]] = {
+            vertex: tuple(incident) for vertex, incident in adjacency.items()
+        }
+        self._full_mask = (1 << len(vertices)) - 1
+        self._shape_key: Optional[ShapeKey] = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -83,6 +94,25 @@ class QueryGraph:
     @classmethod
     def from_query(cls, query: SelectQuery) -> "QueryGraph":
         return cls(query.bgp)
+
+    @classmethod
+    def of(cls, bgp: BasicGraphPattern) -> "QueryGraph":
+        """The live graph of ``bgp``, built only when none is alive.
+
+        The coordinator builds a query's graph through here and holds it for
+        the execution, so every site's matcher that asks for the same BGP
+        shares it.  The BGP refers to its graph *weakly*: the graph already
+        holds the BGP, so a strong memo would make a cycle, and the graph
+        (with every site's pools keyed on it) must die by refcount when the
+        execution drops it.  Two threads that race here may each build a
+        graph; both are correct, only not shared.
+        """
+        ref = bgp.__dict__.get("_graph")
+        graph = ref() if ref is not None else None
+        if graph is None:
+            graph = cls(bgp)
+            bgp.__dict__["_graph"] = weakref.ref(graph)
+        return graph
 
     # ------------------------------------------------------------------
     # Accessors
@@ -94,11 +124,18 @@ class QueryGraph:
     @property
     def vertices(self) -> Tuple[PatternTerm, ...]:
         """Query vertices in their stable (first-appearance) order."""
-        return tuple(self._vertices)
+        return self._vertices
 
     @property
     def edges(self) -> Tuple[QueryEdge, ...]:
-        return tuple(self._edges)
+        return self._edges
+
+    @property
+    def shape_key(self) -> ShapeKey:
+        """The plan-cache key of the graph (:func:`shape_key`), computed once."""
+        if self._shape_key is None:
+            self._shape_key = shape_key(self)
+        return self._shape_key
 
     @property
     def variables(self) -> Tuple[Variable, ...]:
@@ -130,7 +167,7 @@ class QueryGraph:
 
     def edges_of(self, vertex: PatternTerm) -> Tuple[QueryEdge, ...]:
         """All edges adjacent to ``vertex`` (in either direction)."""
-        return tuple(self._adjacency.get(vertex, ()))
+        return self._adjacency.get(vertex, ())
 
     def neighbours(self, vertex: PatternTerm) -> Set[PatternTerm]:
         """All vertices adjacent to ``vertex``."""
@@ -234,6 +271,38 @@ class QueryGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"<QueryGraph |V|={self.num_vertices} |E|={self.num_edges} shape={self.classify_shape()}>"
+
+
+#: A plan-cache key: one ``(subject, predicate, object)`` token triple per edge.
+ShapeKey = Tuple[Tuple[str, str, str], ...]
+
+
+def shape_key(query: QueryGraph) -> ShapeKey:
+    """The canonical shape of ``query`` with constants abstracted.
+
+    Variables become ``?0, ?1, ...`` and subject/object constants ``$0, $1,
+    ...`` in first-appearance order; predicate constants keep their IRI (see
+    :mod:`repro.planner.plan_cache`).  Read it as :attr:`QueryGraph.shape_key`,
+    which computes it once per graph.
+    """
+    tokens: Dict[PatternTerm, str] = {}
+    counts = {"?": 0, "$": 0}
+
+    def vertex_token(term: PatternTerm) -> str:
+        token = tokens.get(term)
+        if token is None:
+            sigil = "?" if isinstance(term, Variable) else "$"
+            token = tokens[term] = f"{sigil}{counts[sigil]}"
+            counts[sigil] += 1
+        return token
+
+    key = []
+    for edge in query.edges:
+        subject = vertex_token(edge.subject)
+        predicate = edge.predicate.n3() if not isinstance(edge.predicate, Variable) else "?p"
+        object_ = vertex_token(edge.object)
+        key.append((subject, predicate, object_))
+    return tuple(key)
 
 
 def traversal_order(graph: QueryGraph, start: Optional[PatternTerm] = None) -> List[PatternTerm]:

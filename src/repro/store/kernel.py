@@ -162,6 +162,10 @@ class ArrayRunner:
                 if not column:
                     return []
                 columns.append(column)
+        if len(columns) == 1:
+            # One edge supports the vertex: its column is the pool, copied
+            # at C speed (the merge below would keep every id of it).
+            return list(columns[0])
         seed_position = min(range(len(columns)), key=lambda i: len(columns[i]))
         seed = columns[seed_position]
         others = [

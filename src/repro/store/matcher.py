@@ -119,7 +119,14 @@ class LocalMatcher:
         if len(components) == 1:
             # Pools are per query vertex: a sole component reuses the query's.
             pools = cached_pools(self._encoded, query.bgp)
-            return list(self._solutions(QueryGraph(components[0]), None, pools, projection))
+            # A sole component in the BGP's own pattern order has the BGP's
+            # graph: share the live one (the coordinator's) instead of
+            # building one per site.
+            if components[0] == query.bgp:
+                graph = QueryGraph.of(query.bgp)
+            else:
+                graph = QueryGraph(components[0])
+            return list(self._solutions(graph, None, pools, projection))
         partial: List[List[Dict[PatternTerm, Node]]] = []
         steps = 0
         intersections = 0

@@ -93,6 +93,24 @@ class TestMessageBus:
         assert bus.total_messages == 3
         assert total == bus.total_bytes
 
+    def test_broadcast_sizes_its_payload_once(self):
+        class Payload:
+            sized = 0
+
+            def shipment_size(self):
+                Payload.sized += 1
+                return 17
+
+        bus, sent = MessageBus(), MessageBus()
+        with bus.ledger() as ledger:
+            total = bus.broadcast(COORDINATOR, [2, 0, 1], "filter", Payload(), stage="s")
+        assert Payload.sized == 1 and total == 3 * 17
+        for destination in (2, 0, 1):
+            sent.send(COORDINATOR, destination, "filter", Payload(), stage="s")
+        assert ledger.messages == sent.messages
+        assert ledger.snapshot() == sent.snapshot()
+        assert bus.messages == []  # the ledger took them
+
     def test_bytes_for_stage(self):
         bus = MessageBus()
         bus.send(0, 1, "a", "xx", stage="first")

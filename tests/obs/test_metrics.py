@@ -1,5 +1,6 @@
 """Unit tests for the metrics registry and the query-to-metrics translation."""
 
+import sys
 import threading
 
 import pytest
@@ -97,6 +98,65 @@ class TestRegistry:
         registry.counter("c").inc()
         registry.reset()
         assert registry.snapshot() == {}
+
+
+class TestResolvedHandles:
+    """Each (kind, name, labels) series is resolved once, then read from a handle."""
+
+    def test_label_order_does_not_split_a_series(self):
+        registry = MetricsRegistry()
+        first = registry.counter("c", engine="e", backend="b")
+        assert registry.counter("c", backend="b", engine="e") is first
+        first.inc()
+        assert registry.snapshot()["c"]["series"] == {"backend=b,engine=e": 1}
+
+    def test_reset_drops_the_handles_too(self):
+        registry = MetricsRegistry()
+        before = registry.counter("c", stage="assembly")
+        before.inc(5)
+        registry.reset()
+        after = registry.counter("c", stage="assembly")
+        assert after is not before
+        after.inc()
+        assert registry.snapshot()["c"]["series"] == {"stage=assembly": 1}
+
+    def test_a_kind_clash_still_raises_after_the_name_has_a_handle(self):
+        registry = MetricsRegistry()
+        registry.counter("repro_queries_total", engine="gStoreD").inc()
+        registry.counter("repro_queries_total", engine="gStoreD").inc()
+        with pytest.raises(ValueError, match="already registered as counter"):
+            registry.gauge("repro_queries_total", engine="gStoreD")
+        with pytest.raises(ValueError, match="already registered as counter"):
+            registry.histogram("repro_queries_total", engine="gStoreD")
+
+    def test_two_threads_recording_give_exact_totals(self):
+        registry = MetricsRegistry()
+        barrier = threading.Barrier(2)
+
+        def record(engine):
+            barrier.wait()
+            for _ in range(200):
+                record_query(registry, make_statistics(), engine="gStoreD")
+                registry.counter("repro_thread_queries_total", engine=engine).inc()
+
+        threads = [threading.Thread(target=record, args=(name,)) for name in ("a", "b")]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        snapshot = registry.snapshot()
+        assert snapshot["repro_queries_total"]["series"] == {"engine=gStoreD": 400}
+        assert snapshot["repro_search_steps_total"]["series"][""] == 400 * 42
+        assert snapshot["repro_plan_cache_hits_total"]["series"][""] == 400
+        assert snapshot["repro_messages_total"]["series"]["stage=partial_evaluation"] == 400 * 4
+        assert snapshot["repro_stage_seconds"]["series"]["stage=partial_evaluation"]["count"] == 400
+        assert snapshot["repro_thread_queries_total"]["series"] == {"engine=a": 200, "engine=b": 200}
 
 
 def make_statistics():

@@ -22,6 +22,7 @@ import repro
 from repro.rdf import Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph, parse_query
 from repro.store import KERNEL_PYTHON, EncodedGraph, LocalMatcher, resolve_kernel
+from repro.store.encoding import predicate_code
 from repro.store.kernel import ArrayRunner
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -304,3 +305,61 @@ class TestSelfLoopPools:
         assert matcher.search_steps == fresh.search_steps
         encoded = matcher.encoded
         assert pool_ids(encoded, query) == set_candidate_ids(encoded, query)
+
+
+def single_and_merged(vertex_at_subject, other_end):
+    """A one-edge query and its two-edge twin whose ``?x`` edges read one column.
+
+    The twin repeats the edge (with a fresh variable when the other end is one),
+    so ``?x``'s pool goes through the merge path over two equal columns.
+    """
+    twin_end = Variable("twin") if isinstance(other_end, Variable) else other_end
+
+    def edge(end):
+        return TriplePattern(X, KNOWS, end) if vertex_at_subject else TriplePattern(end, KNOWS, X)
+
+    return QueryGraph(BasicGraphPattern([edge(other_end)])), QueryGraph(
+        BasicGraphPattern([edge(other_end), edge(twin_end)])
+    )
+
+
+class TestSingleColumnPools:
+    """A vertex supported by one endpoint column takes a copy of that column."""
+
+    @pytest.mark.parametrize("vertex_at_subject", [True, False], ids=["subject", "object"])
+    @pytest.mark.parametrize("other_end", [Variable("y"), ALICE, BOB], ids=["variable", "alice", "bob"])
+    def test_the_single_column_pool_equals_the_merge_paths(self, vertex_at_subject, other_end):
+        encoded = EncodedGraph(social_graph())
+        single, merged = single_and_merged(vertex_at_subject, other_end)
+        single_runner, merged_runner = ArrayRunner(encoded), ArrayRunner(encoded)
+        pool = single_runner.compute_pools(single)[X]
+        assert pool == merged_runner.compute_pools(merged)[X]
+        assert pool == sorted(set(pool))
+        assert single_runner.intersections == 0
+        assert merged_runner.intersections == 1
+
+    def test_the_pool_is_a_copy_of_the_column(self):
+        encoded = EncodedGraph(social_graph())
+        pool = ArrayRunner(encoded).compute_pools(knows_chain())[X]
+        column = encoded.subjects_of_predicate(predicate_code(encoded, KNOWS))
+        assert pool == list(column) and pool is not column
+        pool.append(-1)
+        assert -1 not in column
+
+    def test_lubm_single_column_pools_equal_the_merge_paths(self, lubm_graph):
+        encoded = EncodedGraph(lubm_graph)
+        predicates = sorted({triple.predicate for triple in lubm_graph}, key=str)
+        sizes = []
+        for predicate in predicates:
+            for single, merged in (
+                single_and_merged(True, Variable("y")),
+                single_and_merged(False, Variable("y")),
+            ):
+                single, merged = (
+                    QueryGraph(BasicGraphPattern(TriplePattern(p.subject, predicate, p.object) for p in query.bgp))
+                    for query in (single, merged)
+                )
+                pool = ArrayRunner(encoded).compute_pools(single)[X]
+                assert pool == ArrayRunner(encoded).compute_pools(merged)[X]
+                sizes.append(len(pool))
+        assert min(sizes) > 0 and max(sizes) > 100

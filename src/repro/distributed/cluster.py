@@ -288,12 +288,12 @@ class Cluster:
             if site.site_id in site_ops:
                 site.apply(site_ops[site.site_id], assignment)
         with self._planner_lock:
+            # The planner's cache is keyed by the statistics each plan read,
+            # so refreshing them is all an update needs to do.
             if self._coordinator_planner is not None:
                 statistics = self._coordinator_planner.statistics
                 if statistics is not None:
                     statistics.replace_with(self.graph_statistics())
-                # Cached orders were chosen against the old statistics.
-                self._coordinator_planner.cache.clear()
         if self._store is not None:
             try:
                 self._store.append_ops(effective)

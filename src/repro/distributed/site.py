@@ -112,9 +112,9 @@ class Site:
 
         In order: the encoding (which drops its per-query pools), the
         fragment index (against the live ``home`` assignment), and the
-        statistics with the plan cache.  Each result equals a fresh build over
-        the mutated fragment and the cluster dictionary, which already holds
-        the window's new terms.
+        statistics.  Each result equals a fresh build over the mutated
+        fragment and the cluster dictionary, which already holds the window's
+        new terms.
         """
         self.encoded.apply_ops(ops)
         self.graph.patch(ops, home)

@@ -7,7 +7,7 @@
   already-ordered region across the connected frontier, picking the vertex
   whose join keeps the estimated intermediate-result size smallest (the
   "fail fast" ordering);
-* without statistics (or on an empty graph), the seed's static
+* without statistics (or while they describe an empty graph), the seed's static
   :func:`~repro.sparql.query_graph.traversal_order`, so behaviour degrades
   gracefully to exactly what the engine did before the planner existed.
 
@@ -15,9 +15,10 @@ Connectivity is preserved in both cases: after the first vertex, every next
 vertex is adjacent to an already-placed one whenever the query graph allows
 it, which the backtracking matcher relies on for early pruning.
 
-:class:`QueryPlanner` bundles the optimizer with a shape-keyed
-:class:`~repro.planner.plan_cache.PlanCache`, so hot query templates pay the
-optimization cost once.
+:class:`QueryPlanner` bundles the optimizer with a
+:class:`~repro.planner.plan_cache.PlanCache` keyed by the query's shape and
+the statistics its plan reads, so hot query templates pay the optimization
+cost once per statistics state.
 """
 
 from __future__ import annotations
@@ -40,13 +41,32 @@ class PlanOptimizer:
 
     def __init__(self, statistics: Optional[GraphStatistics] = None) -> None:
         self._statistics = statistics
-        self._estimator = (
-            CardinalityEstimator(statistics) if statistics is not None and not statistics.is_empty else None
-        )
+        self._estimator = CardinalityEstimator(statistics) if statistics is not None else None
 
     @property
     def has_statistics(self) -> bool:
-        return self._estimator is not None
+        """Do statistics drive the plans now?  Read afresh each time: a patch may fill or empty them."""
+        return self._statistics is not None and not self._statistics.is_empty
+
+    def statistics_read(self, query: QueryGraph) -> Optional[Tuple[object, ...]]:
+        """The statistics a plan of ``query`` reads, as values (``None``: none, a fallback plan).
+
+        The estimator reads the
+        :class:`~repro.planner.statistics.PredicateStatistics` of each constant
+        predicate, taken here in edge order, and the graph's triple and vertex
+        counts only for a variable predicate.  So the plan is a pure function
+        of ``query.shape_key`` and this tuple.
+        """
+        statistics = self._statistics
+        if statistics is None or statistics.is_empty:
+            return None
+        get = statistics.predicates.get
+        read: List[object] = [
+            get(edge.predicate) for edge in query.edges if not isinstance(edge.predicate, Variable)
+        ]
+        if len(read) < query.num_edges:
+            read.append((statistics.num_triples, statistics.num_vertices))
+        return tuple(read)
 
     # ------------------------------------------------------------------
     # Planning
@@ -58,9 +78,10 @@ class PlanOptimizer:
         available (or the query is empty) — the plan is then marked with
         ``SOURCE_FALLBACK`` so callers can tell the difference.
         """
-        if self._estimator is None or query.num_vertices == 0:
+        estimator = self._estimator
+        if estimator is None or estimator.statistics.is_empty or query.num_vertices == 0:
             return self._fallback_plan(query)
-        return self._greedy_plan(query, self._estimator)
+        return self._greedy_plan(query, estimator)
 
     def _fallback_plan(self, query: QueryGraph) -> QueryPlan:
         order = traversal_order(query)
@@ -190,11 +211,17 @@ class QueryPlanner:
     # Planning
     # ------------------------------------------------------------------
     def plan_for(self, query: QueryGraph) -> QueryPlan:
-        """The (possibly cached) plan for ``query``."""
-        key = query.shape_key
+        """The (possibly cached) plan for ``query``.
+
+        The cache key is the query's shape plus the statistics its plan reads
+        (:meth:`PlanOptimizer.statistics_read`), as values: a plan chosen
+        against other statistics is never served, so an update needs no
+        invalidation, and a state that comes back (remove, then re-add) hits.
+        """
+        key = (query.shape_key, self._optimizer.statistics_read(query))
         cached = self.cache.get(key)
         if cached is not None:
-            return cached.as_cached()
+            return cached
         plan = self._optimizer.plan(query)
         self.cache.put(key, plan)
         return plan

@@ -1,9 +1,9 @@
-"""Shape-keyed LRU cache of query plans.
+"""LRU cache of query plans, keyed by shape and by the statistics they read.
 
 Planning is cheap but not free, and production query streams are dominated
 by a small number of *templates*: the same BGP shape instantiated with
-different constants ("all papers of author X").  The cache therefore keys
-plans on the query graph's canonical shape with non-predicate constants
+different constants ("all papers of author X").  A key has two parts.  The
+first is the query graph's canonical shape with non-predicate constants
 abstracted away (:attr:`~repro.sparql.QueryGraph.shape_key`, computed once
 per graph):
 
@@ -15,6 +15,14 @@ per graph):
   estimates are predicate-driven — two queries over different predicates
   genuinely deserve different plans.
 
+The second is every statistic the plan was computed from, as values
+(:meth:`~repro.planner.PlanOptimizer.statistics_read`): the summary of each
+constant predicate in edge order, the graph's counts when a predicate is a
+variable, and ``None`` while there are no statistics.  A plan is a pure
+function of the two, so updates invalidate nothing: a plan chosen against
+other statistics is never looked up, and a state that comes back (remove,
+then re-add) finds its plan again.
+
 Since :class:`~repro.planner.plan.QueryPlan` stores vertex *positions*, a
 cached plan resolves correctly against any query with the same key.
 """
@@ -23,17 +31,20 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..sparql.query_graph import ShapeKey
 from .plan import QueryPlan
+
+#: A plan-cache key: the query's shape and the statistics its plan reads.
+PlanKey = Tuple[ShapeKey, Optional[Tuple[object, ...]]]
 
 #: Default maximum number of cached plans.
 DEFAULT_PLAN_CACHE_SIZE = 128
 
 
 class PlanCache:
-    """A bounded LRU mapping of query shapes to plans, with hit accounting.
+    """A bounded LRU mapping of plan keys to plans, with hit accounting.
 
     All operations are guarded by a lock: concurrent queries on one session
     may plan at the same time, and the LRU reordering plus the hit/miss
@@ -44,13 +55,13 @@ class PlanCache:
         if maxsize < 1:
             raise ValueError("plan cache size must be at least 1")
         self.maxsize = maxsize
-        self._entries: "OrderedDict[ShapeKey, QueryPlan]" = OrderedDict()
+        self._entries: "OrderedDict[PlanKey, QueryPlan]" = OrderedDict()
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0
 
-    def get(self, key: ShapeKey) -> Optional[QueryPlan]:
-        """The cached plan for ``key``, refreshing its LRU position (None on miss)."""
+    def get(self, key: PlanKey) -> Optional[QueryPlan]:
+        """The cached plan for ``key`` (source ``cache``), refreshing its LRU position (None on miss)."""
         with self._lock:
             plan = self._entries.get(key)
             if plan is None:
@@ -60,26 +71,24 @@ class PlanCache:
             self.hits += 1
             return plan
 
-    def put(self, key: ShapeKey, plan: QueryPlan) -> None:
-        """Cache ``plan`` under ``key``, evicting the least recently used entries."""
+    def put(self, key: PlanKey, plan: QueryPlan) -> None:
+        """Cache ``plan`` under ``key``, evicting the least recently used entries.
+
+        What is stored is the plan marked as served from the cache, built
+        here once, so a hit returns it as it is.
+        """
+        cached = plan.as_cached()
         with self._lock:
-            self._entries[key] = plan
+            self._entries[key] = cached
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop every cached plan and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
-    def __contains__(self, key: ShapeKey) -> bool:
+    def __contains__(self, key: PlanKey) -> bool:
         with self._lock:
             return key in self._entries
 

@@ -26,7 +26,7 @@ stored alongside a partitioned workspace or shipped between sites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, NamedTuple, Tuple
 
 from ..rdf.terms import IRI
 
@@ -34,9 +34,13 @@ if TYPE_CHECKING:  # the store package imports the planner
     from ..store.encoding import EncodedGraph
 
 
-@dataclass
-class PredicateStatistics:
-    """Summary of all triples sharing one predicate."""
+class PredicateStatistics(NamedTuple):
+    """Summary of all triples sharing one predicate.
+
+    Immutable: a patch or a merge builds a new summary, so a plan-cache key
+    that holds one (:meth:`~repro.planner.QueryPlanner.plan_for`) keeps the
+    values its plan was chosen against.
+    """
 
     count: int = 0
     distinct_subjects: int = 0
@@ -232,10 +236,9 @@ def apply_statistics_ops(
         if not out_column.keys:
             stats.predicates.pop(predicate, None)
             continue
-        per_predicate = stats.predicates.setdefault(predicate, PredicateStatistics())
-        per_predicate.count = len(out_column.values)
-        per_predicate.distinct_subjects = len(out_column.keys)
-        per_predicate.distinct_objects = len(encoded.in_column(predicate_id).keys)
+        stats.predicates[predicate] = PredicateStatistics(
+            len(out_column.values), len(out_column.keys), len(encoded.in_column(predicate_id).keys)
+        )
     histogram = stats.degree_histogram
     for vertex, delta in degree_delta.items():
         if delta == 0:
@@ -270,12 +273,13 @@ def merge_statistics(parts: Iterable[GraphStatistics]) -> GraphStatistics:
         merged.num_vertices += part.num_vertices
         for predicate, stats in part.predicates.items():
             into = merged.predicates.get(predicate)
-            if into is None:
-                into = PredicateStatistics()
-                merged.predicates[predicate] = into
-            into.count += stats.count
-            into.distinct_subjects += stats.distinct_subjects
-            into.distinct_objects += stats.distinct_objects
+            if into is not None:
+                stats = PredicateStatistics(
+                    into.count + stats.count,
+                    into.distinct_subjects + stats.distinct_subjects,
+                    into.distinct_objects + stats.distinct_objects,
+                )
+            merged.predicates[predicate] = stats
         for bucket, count in part.degree_histogram.items():
             merged.degree_histogram[bucket] = merged.degree_histogram.get(bucket, 0) + count
     return merged

@@ -335,7 +335,7 @@ class EncodedGraph:
     kernel and partial evaluation make reads those columns, against ids from
     :attr:`dictionary`; nothing else is indexed.  The variable-predicate
     (:data:`PREDICATE_ANY`) columns and the sorted vertex ids are derived on
-    first use and dropped by a patch.
+    first use; a patch drops the former and edits the latter in place.
 
     ``triples`` is any collection of distinct triples — an
     :class:`~repro.rdf.graph.RDFGraph` or a fragment's edge set; it is not
@@ -419,7 +419,8 @@ class EncodedGraph:
     def sorted_vertex_ids(self) -> List[int]:
         """Every subject/object id in canonical (= candidate sort) order.
 
-        Derived on first use after a build or patch: the "all vertices" candidate pool.
+        Derived on first use after a build; once built, a patch edits it in
+        place at the changed triples' endpoints.
         """
         if self._sorted_vertex_ids is None:
             columns = chain(self._out.values(), self._in.values())
@@ -518,7 +519,8 @@ class EncodedGraph:
         :meth:`SortedColumn.patched` pass per direction, equal to a cold
         build over the same ids, and every other column stays as it is.
         The per-query pools of :attr:`memo` are dropped: they were computed
-        against the old columns.
+        against the old columns.  A built :attr:`sorted_vertex_ids` is edited
+        in place to equal a cold build's; an unbuilt one stays unbuilt.
         """
         global _PATCHES
         with _REBUILDS_LOCK:
@@ -527,11 +529,15 @@ class EncodedGraph:
         final = {ids: op == "+" for op, ids in ops}
         out_changes: Dict[int, Dict[int, Dict[int, bool]]] = {}
         in_changes: Dict[int, Dict[int, Dict[int, bool]]] = {}
+        # Endpoints of changed triples: True once one of them is added.
+        endpoints: Dict[int, bool] = {}
         for (s, p, o), present in final.items():
             if self.has_edge(s, p, o) != present:
                 out_changes.setdefault(p, {}).setdefault(s, {})[o] = present
                 in_changes.setdefault(p, {}).setdefault(o, {})[s] = present
                 self._num_triples += 1 if present else -1
+                endpoints[s] = endpoints.get(s, False) or present
+                endpoints[o] = endpoints.get(o, False) or present
         for columns, changes in ((self._out, out_changes), (self._in, in_changes)):
             for p, by_key in changes.items():
                 column = columns.get(p, _EMPTY_COLUMN).patched(by_key)
@@ -541,7 +547,21 @@ class EncodedGraph:
                     del columns[p]
         if out_changes:
             self._any = None
-            self._sorted_vertex_ids = None
+            if self._sorted_vertex_ids is not None:
+                self._patch_vertex_ids(self._sorted_vertex_ids, endpoints)
+
+    def _patch_vertex_ids(self, vertices: List[int], endpoints: Dict[int, bool]) -> None:
+        """Insert or delete each changed triple's endpoint at its bisect position in
+        ``vertices``, as the patched columns still hold a row for it or not."""
+        columns = (*self._out.values(), *self._in.values())
+        for vertex, added in endpoints.items():
+            present = added or any(vertex in column._rows for column in columns)
+            at = bisect_left(vertices, vertex)
+            listed = at < len(vertices) and vertices[at] == vertex
+            if present and not listed:
+                vertices.insert(at, vertex)
+            elif listed and not present:
+                del vertices[at]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

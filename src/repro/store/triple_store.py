@@ -72,12 +72,10 @@ class TripleStore:
         Collected statistics are patched in place (exact — see
         :func:`~repro.planner.statistics.apply_statistics_ops`), so the
         planner and optimizer, which hold a reference to them, see the
-        update; the plan cache is cleared either way, because its orders were
-        chosen against the old statistics.
+        update.  The plan cache keeps its plans: each is keyed by the
+        statistics it read, so none chosen against the old ones is served.
         """
         apply_statistics_ops(self._statistics, self._encoded, ops)
-        if self._planner is not None:
-            self._planner.cache.clear()
 
     # ------------------------------------------------------------------
     # Planning

@@ -70,14 +70,22 @@ class TestTripleStoreIntegration:
         store = TripleStore(EncodedGraph(tiny_graph))
         planner = store.enable_planner()
         before = store.statistics.num_triples
-        planner.plan_for(QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), EX.term("knows"), Variable("y"))])))
+        query = QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), EX.term("knows"), Variable("y"))]))
+        planner.plan_for(query)
         triple = Triple(EX.term("new1"), EX.term("knows"), EX.term("new2"))
         ops = [("+", store.encoded.dictionary.ensure_triple(triple))]
         store.encoded.apply_ops(ops)
         store.patch_statistics(ops)
         assert store.statistics.num_triples == before + 1
         assert store.statistics.as_dict() == collect_statistics(store.encoded).as_dict()
-        assert len(planner.cache) == 0, "plans chosen against the old statistics survived"
+        served = planner.plan_for(query)
+        fresh = QueryPlanner(collect_statistics(store.encoded)).plan_for(query)
+        assert (served.vertex_order, served.edge_order, served.estimates) == (
+            fresh.vertex_order,
+            fresh.edge_order,
+            fresh.estimates,
+        ), "a plan chosen against the old statistics was served"
+        assert served.source == "statistics"
 
 
 class TestEngineIntegration:

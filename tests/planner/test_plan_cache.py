@@ -82,16 +82,6 @@ class TestPlanCache:
         assert keys[2] in cache
         assert len(cache) == 2
 
-    def test_clear_resets_accounting(self):
-        cache = PlanCache(maxsize=2)
-        key = shape_key(query_of(TriplePattern(Variable("x"), EX.term("p"), Variable("y"))))
-        cache.put(key, plan_of(2))
-        cache.get(key)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.hits == 0
-        assert cache.hit_rate == 0.0
-
     def test_describe(self):
         cache = PlanCache(maxsize=3)
         description = cache.describe()

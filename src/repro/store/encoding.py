@@ -52,9 +52,9 @@ PREDICATE_ANY = -1
 #: edge (the IRI is absent from the graph, or the term is not an IRI at all).
 PREDICATE_ABSENT = -2
 
-#: :attr:`EncodedGraph.memo` key of the per-query candidate pools
-#: (:func:`repro.store.kernel.query_pools`): dropped by every patch.
-QUERY_POOLS = "query_pools"
+#: :attr:`EncodedGraph.memo` key of the candidate pools by variable signature
+#: (:func:`repro.store.kernel.query_pools`): ints only, dropped by every patch.
+SIGNATURE_POOLS = "signature_pools"
 
 
 def term_sort_key(term: Term) -> Tuple[str, str]:
@@ -142,9 +142,9 @@ class TermDictionary:
         """The id of ``term``; raises ``KeyError`` for unknown terms."""
         return self._ids[term]
 
-    def get(self, term: Term) -> Optional[int]:
-        """The id of ``term``, or ``None`` when the graph never saw it."""
-        return self._ids.get(term)
+    def get(self, term: Term, default: Optional[int] = None) -> Optional[int]:
+        """The id of ``term``, or ``default`` when the graph never saw it."""
+        return self._ids.get(term, default)
 
     def term_of(self, term_id: int) -> Term:
         """The term behind ``term_id`` (dense ids make this a list lookup)."""
@@ -377,8 +377,8 @@ class EncodedGraph:
             self._in[predicate] = SortedColumn.from_pairs(sorted([(o, s) for s, o in pairs]))
         self._any: Optional[Tuple[SortedColumn, SortedColumn]] = None
         self._sorted_vertex_ids: Optional[List[int]] = None
-        #: Per-id caches (ids keep their terms) and the per-query pools
-        #: (:data:`QUERY_POOLS`, dropped by a patch); all die with the encoding.
+        #: Per-id caches (ids keep their terms) and the pools by signature
+        #: (:data:`SIGNATURE_POOLS`, dropped by a patch); all die with the encoding.
         self.memo: Dict[object, dict] = {}
         with _REBUILDS_LOCK:
             _REBUILDS += 1
@@ -518,14 +518,14 @@ class EncodedGraph:
         predicate whose triples change gets new columns from one
         :meth:`SortedColumn.patched` pass per direction, equal to a cold
         build over the same ids, and every other column stays as it is.
-        The per-query pools of :attr:`memo` are dropped: they were computed
-        against the old columns.  A built :attr:`sorted_vertex_ids` is edited
+        The pools of :attr:`memo` are dropped: they were computed against the
+        old columns.  A built :attr:`sorted_vertex_ids` is edited
         in place to equal a cold build's; an unbuilt one stays unbuilt.
         """
         global _PATCHES
         with _REBUILDS_LOCK:
             _PATCHES += 1
-        self.memo.pop(QUERY_POOLS, None)
+        self.memo.pop(SIGNATURE_POOLS, None)
         final = {ids: op == "+" for op, ids in ops}
         out_changes: Dict[int, Dict[int, Dict[int, bool]]] = {}
         in_changes: Dict[int, Dict[int, Dict[int, bool]]] = {}

@@ -78,7 +78,7 @@ class FragmentIndex:
         encoded = self.encoded
         triples = {ids for _, ids in ops}
         for vertex in {vertex for s, _, o in triples for vertex in (s, o)}:
-            stored = encoded.degree(vertex) > 0
+            stored = encoded.is_vertex(vertex)
             at_home = home[vertex] == self.fragment_id
             (self.internal.add if stored and at_home else self.internal.discard)(vertex)
             (self.extended.add if stored and not at_home else self.extended.discard)(vertex)
@@ -124,9 +124,11 @@ class CandidateIds(dict):
 
 def internal_pools(index: FragmentIndex, query: QueryGraph) -> CandidateIds:
     """``query``'s pools on ``index.encoded`` (:func:`~repro.store.kernel.query_pools`)
-    restricted to the fragment's internal ids, kept with them."""
-    entry = query_pools(index.encoded, query)
-    if entry.internal is None:
-        internal = CandidateIds((v, index.internal.intersection(pool)) for v, pool in entry.pools.items())
-        internal.encoded, entry.internal = index.encoded, internal
-    return entry.internal
+    restricted to the fragment's internal ids, each kept with its pool."""
+    internal = CandidateIds()
+    for vertex, entry in query_pools(index.encoded, query).items():
+        if entry.internal is None:
+            entry.internal = index.internal.intersection(entry.pool)
+        internal[vertex] = entry.internal
+    internal.encoded = index.encoded
+    return internal

@@ -10,6 +10,9 @@ parity oracle of the test-suite.  Both yield the identical match *sequence*
 and the identical ``search_steps`` counter (see ``docs/performance.md`` for
 why the decomposition is exact).
 
+An *implied* variable's frontier is its neighbours' rows alone, as in Leapfrog
+Triejoin (Veldhuizen, ICDT 2014); pools are cached by signature (:func:`query_pools`).
+
 The sorted columns are the :class:`~repro.store.encoding.EncodedGraph`'s
 own: built with the encoding, and replaced *per predicate* when
 ``apply_ops`` patches it — an incremental mutation touches only the mutated
@@ -21,12 +24,11 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..rdf.terms import IRI, Literal, PatternTerm, Variable
-from ..sparql.algebra import BasicGraphPattern
+from ..rdf.terms import IRI, BlankNode, Literal, PatternTerm, Variable
 from ..sparql.query_graph import QueryEdge, QueryGraph
-from .encoding import QUERY_POOLS, EncodedGraph, predicate_code
+from .encoding import SIGNATURE_POOLS, EncodedGraph, predicate_code
 
 #: The sorted-column kernel's name, as recorded in traces and result metadata.
 KERNEL_PYTHON = "python"
@@ -54,7 +56,7 @@ class CompiledArrayVertex:
     consistency check covers.
     """
 
-    __slots__ = ("index", "pool_list", "narrow_columns", "loop_codes")
+    __slots__ = ("index", "pool_list", "narrow_columns", "loop_codes", "implied")
 
     def __init__(
         self,
@@ -62,6 +64,7 @@ class CompiledArrayVertex:
         pool_list: List[int],
         narrow_columns: List[Tuple[Dict[int, int], List[int], List[int], int]],
         loop_codes: List[int],
+        implied: bool,
     ) -> None:
         self.index = index
         self.pool_list = pool_list
@@ -73,6 +76,7 @@ class CompiledArrayVertex:
         #: caching its internals here is safe.
         self.narrow_columns = narrow_columns
         self.loop_codes = loop_codes
+        self.implied = implied
 
 
 # ----------------------------------------------------------------------
@@ -107,17 +111,14 @@ class ArrayRunner:
         """Every query vertex's candidate ids, ascending: a constant's own id
         where it is a vertex here, a variable's the ids supporting every
         incident edge."""
-        pools: Dict[PatternTerm, List[int]] = {}
-        for query_vertex in query.vertices:
-            if isinstance(query_vertex, (IRI, Literal)):
-                vertex_id = self.encoded.dictionary.get(query_vertex)
-                if vertex_id is not None and self.encoded.is_vertex(vertex_id):
-                    pools[query_vertex] = [vertex_id]
-                else:
-                    pools[query_vertex] = []
-            else:
-                pools[query_vertex] = self._variable_pool(query, query_vertex)
-        return pools
+        return {query_vertex: self.vertex_pool(query, query_vertex) for query_vertex in query.vertices}
+
+    def vertex_pool(self, query: QueryGraph, query_vertex: PatternTerm) -> List[int]:
+        """One vertex's entry of :meth:`compute_pools`."""
+        if isinstance(query_vertex, (IRI, Literal)):
+            vertex_id = self.encoded.dictionary.get(query_vertex)
+            return [vertex_id] if vertex_id is not None and self.encoded.is_vertex(vertex_id) else []
+        return self._variable_pool(query, query_vertex)
 
     def _endpoint_column(self, edge: QueryEdge, query_vertex: PatternTerm) -> List[int]:
         """Sorted ids that could sit at ``query_vertex``'s end of ``edge``.
@@ -175,30 +176,38 @@ class ArrayRunner:
         ]
         survivors = []
         self.intersections += len(others)
+        # The seed ascends, so each column's next probe starts at its last one.
+        starts = [0] * len(others)
         for vertex_id in seed:
-            supported = True
-            for column in others:
-                position = bisect_left(column, vertex_id)
+            for at, column in enumerate(others):
+                position = starts[at] = bisect_left(column, vertex_id, starts[at])
                 if position >= len(column) or column[position] != vertex_id:
-                    supported = False
                     break
-            if supported:
+            else:
                 survivors.append(vertex_id)
         return survivors
 
     # -- compilation -----------------------------------------------------
     def compile(self, query, order, pools) -> List[CompiledArrayVertex]:
+        """The vertices of ``order``; a variable without a self-loop whose
+        neighbours all come earlier and are variables or IRI/literal constants
+        is *implied*: each neighbour's row is within that edge's endpoint
+        column, whose intersection is the pool, so its frontier skips the pool.
+        """
         compiled: List[CompiledArrayVertex] = []
         encoded = self.encoded
-        for vertex in order:
+        for position, vertex in enumerate(order):
             vertex_index = query.vertex_index(vertex)
             narrow_columns = []
             loop_codes: List[int] = []
+            implied = isinstance(vertex, Variable)
             for edge in query.edges_of(vertex):
                 code = predicate_code(encoded, edge.predicate)
-                if edge.other_endpoint(vertex) == vertex:
+                other = edge.other_endpoint(vertex)
+                if other == vertex:
                     loop_codes.append(code)
                     continue
+                implied = implied and other in order[:position] and not isinstance(other, BlankNode)
                 # The row to intersect is keyed by the *other* endpoint's
                 # assignment: vertex-as-subject narrows through the inbound
                 # column of the object, and vice versa.
@@ -211,9 +220,8 @@ class ArrayRunner:
                 narrow_columns.append(
                     (column._rows, column.offsets, column.values, other_index)
                 )
-            compiled.append(
-                CompiledArrayVertex(vertex_index, pools[vertex], narrow_columns, loop_codes)
-            )
+            implied = implied and not loop_codes and bool(narrow_columns)
+            compiled.append(CompiledArrayVertex(vertex_index, pools[vertex], narrow_columns, loop_codes, implied))
         return compiled
 
     # -- the batched frontier --------------------------------------------
@@ -246,9 +254,12 @@ class ArrayRunner:
             # Nothing adjacent assigned yet (always the depth-0 case): the
             # frontier is the whole pool.
             survivors = vertex.pool_list
+        elif vertex.implied and len(spans) == 1:
+            _, values, lo, hi = spans[0]  # the one row is the frontier: a C slice
+            survivors = values[lo:hi]
         else:
-            pool_list = vertex.pool_list
-            spans.append((len(pool_list), pool_list, 0, len(pool_list)))
+            if not vertex.implied:
+                spans.append((len(vertex.pool_list), vertex.pool_list, 0, len(vertex.pool_list)))
             # The smallest span drives the merge; the rest are probe targets
             # (their relative order does not matter, so no sort).
             best = 0
@@ -282,39 +293,66 @@ class ArrayRunner:
         return survivors, tried
 
 
+#: A signature's other end if a variable, the loop, or an unknown constant (a known one's is its id).
+_VARIABLE, _LOOP, _UNKNOWN = -1, -2, -3
+#: Signatures one encoding's pool cache holds: reaching it empties the cache.
+POOL_CACHE_LIMIT = 1024
+#: Per live query graph (held weakly, and never pickled with it): the
+#: dictionary state and its variables' signatures.
+_SIGNATURES: "weakref.WeakKeyDictionary[QueryGraph, tuple]" = weakref.WeakKeyDictionary()
+
+
 @dataclass
-class QueryPools:
-    """One query's :meth:`ArrayRunner.compute_pools` over one encoding."""
+class CachedPool:
+    """One pool of :func:`query_pools`."""
 
-    owner: weakref.ref  #: the query graph, held weakly: the entry dies with it
-    pools: Dict[PatternTerm, List[int]]
-    #: What computing them cost, charged again to every search reusing them.
+    pool: List[int]
+    #: What computing it cost, charged again to every search reusing it.
     intersections: int
-    internal: Optional[dict] = None  #: restricted to a fragment's internal ids
+    internal: Optional[Set[int]] = None  #: restricted to a fragment's internal ids
 
 
-def cached_pools(encoded: EncodedGraph, bgp: BasicGraphPattern) -> Optional[QueryPools]:
-    """The pools of the live query graph built on ``bgp``, if any.
+def pool_signatures(encoded: EncodedGraph, query: QueryGraph) -> Dict[PatternTerm, tuple]:
+    """Each variable's ``(end, predicate code, other end)`` per edge of ``edges_of``:
+    all :meth:`ArrayRunner._variable_pool` reads.  Computed once per query graph
+    for every site sharing the dictionary, again once it grows (a new term
+    turns an unknown constant into an id)."""
+    dictionary = encoded.dictionary
+    state = (dictionary.space, len(dictionary))
+    known = _SIGNATURES.get(query)
+    if known is None or known[0] != state:
+        signatures = {}
+        for vertex in query.variables:
+            entries = []
+            for edge in query.edges_of(vertex):
+                other = edge.other_endpoint(vertex)
+                other_id = _VARIABLE if isinstance(other, Variable) else dictionary.get(other, _UNKNOWN)
+                code = predicate_code(encoded, edge.predicate)
+                entries.append((int(edge.subject != vertex), code, _LOOP if other == vertex else other_id))
+            signatures[vertex] = tuple(entries)
+        known = _SIGNATURES[query] = (state, signatures)
+    return known[1]
 
-    A patch of ``encoded`` drops them all (:meth:`EncodedGraph.apply_ops`).
+
+def query_pools(encoded: EncodedGraph, query: QueryGraph) -> Dict[PatternTerm, CachedPool]:
+    """``query``'s candidate pools over ``encoded``: each variable's from the
+    encoding's cache by its signature, every other vertex's computed.
+
+    Stage 1, partial evaluation and the search all read them.  A miss
+    computes and stores; :meth:`EncodedGraph.apply_ops` drops the cache.
     """
-    entry = encoded.memo.get(QUERY_POOLS, {}).get(id(bgp))
-    if entry is None or getattr(entry.owner(), "bgp", None) is not bgp:
-        return None
-    return entry
-
-
-def query_pools(encoded: EncodedGraph, query: QueryGraph) -> QueryPools:
-    """``query``'s candidate pools over ``encoded``, computed once per query.
-
-    Stage 1, partial evaluation and the complete-match search share them
-    through a memo on the encoding, keyed on the BGP.  A miss computes.
-    """
-    entry = cached_pools(encoded, query.bgp)
-    if entry is None:
-        key = id(query.bgp)
-        memo, runner = encoded.memo.setdefault(QUERY_POOLS, {}), ArrayRunner(encoded)
-        pools = runner.compute_pools(query)
-        owner = weakref.ref(query, lambda _: memo.pop(key, None))
-        entry = memo[key] = QueryPools(owner, pools, runner.intersections)
-    return entry
+    cache = encoded.memo.setdefault(SIGNATURE_POOLS, {})
+    signatures = pool_signatures(encoded, query)
+    pools = {}
+    for vertex in query.vertices:
+        signature = signatures.get(vertex)
+        entry = None if signature is None else cache.get(signature)
+        if entry is None:
+            runner = ArrayRunner(encoded)
+            entry = CachedPool(runner.vertex_pool(query, vertex), runner.intersections)
+            if signature is not None:
+                if len(cache) >= POOL_CACHE_LIMIT:
+                    cache.clear()
+                cache[signature] = entry
+        pools[vertex] = entry
+    return pools

@@ -37,7 +37,7 @@ from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import ResultSet, Row
 from ..sparql.query_graph import QueryGraph, traversal_order
 from .encoding import EncodedGraph
-from .kernel import ArrayRunner, QueryPools, cached_pools
+from .kernel import ArrayRunner, query_pools
 
 
 def finalize_matches(query: SelectQuery, rows: List[Row]) -> ResultSet:
@@ -117,8 +117,6 @@ class LocalMatcher:
             return []
         projection = query.effective_projection
         if len(components) == 1:
-            # Pools are per query vertex: a sole component reuses the query's.
-            pools = cached_pools(self._encoded, query.bgp)
             # A sole component in the BGP's own pattern order has the BGP's
             # graph: share the live one (the coordinator's) instead of
             # building one per site.
@@ -126,7 +124,7 @@ class LocalMatcher:
                 graph = QueryGraph.of(query.bgp)
             else:
                 graph = QueryGraph(components[0])
-            return list(self._solutions(graph, None, pools, projection))
+            return list(self._solutions(graph, None, projection))
         partial: List[List[Dict[PatternTerm, Node]]] = []
         steps = 0
         intersections = 0
@@ -145,7 +143,6 @@ class LocalMatcher:
         self,
         query: QueryGraph,
         order: Optional[Sequence[PatternTerm]] = None,
-        pools: Optional[QueryPools] = None,
     ) -> Iterator[Dict[PatternTerm, Node]]:
         """Yield complete assignments (query vertex → data vertex) for ``query``.
 
@@ -155,12 +152,13 @@ class LocalMatcher:
         vertices yields the same matches — the order only changes how much
         of the search space is explored before failures are detected.
 
-        ``pools`` are this query's already computed kernel pools.
+        The kernel's pools come from the encoding's signature cache
+        (:func:`~repro.store.kernel.query_pools`).
         """
         vertices = query.vertices
-        return (dict(zip(vertices, row)) for row in self._solutions(query, order, pools, vertices))
+        return (dict(zip(vertices, row)) for row in self._solutions(query, order, vertices))
 
-    def _solutions(self, query, order, pools, columns) -> Iterator[Row]:
+    def _solutions(self, query, order, columns) -> Iterator[Row]:
         """:meth:`find_matches`, each match as a row of the terms of ``columns``.
 
         A column that is no vertex of ``query`` is ``None``; only the
@@ -172,10 +170,12 @@ class LocalMatcher:
         encoded = self._encoded
         runner = self.runner_class(encoded)
         try:
-            if pools is None or self.runner_class is not ArrayRunner:
-                pools = runner.compute_pools(query)
+            if self.runner_class is ArrayRunner:
+                cached = query_pools(encoded, query)
+                pools = {vertex: entry.pool for vertex, entry in cached.items()}
+                runner.intersections = sum(entry.intersections for entry in cached.values())
             else:
-                runner.intersections, pools = pools.intersections, pools.pools
+                pools = runner.compute_pools(query)
             if any(len(pools[vertex]) == 0 for vertex in query.vertices):
                 return
             if order is not None:

@@ -3,10 +3,11 @@
 The coordinator builds a query's :class:`~repro.sparql.QueryGraph` once
 (:meth:`QueryGraph.of`) and holds it for the execution; each site's matcher
 asks for the graph of the same BGP and gets that one.  The BGP refers to it
-weakly, so the graph — and every site's candidate pools keyed on it — dies by
-refcount when the execution drops it.  Sharing must change nothing a caller
-can see: rows, LPM sequences, work counters and shipment are those of a run
-where every site builds its own graph.
+weakly, and every site's candidate pools are keyed by int signatures, not by
+the graph, so the graph dies by refcount when the execution drops it.
+Sharing must change nothing a caller can see: rows, LPM sequences, work
+counters and shipment are those of a run where every site builds its own
+graph.
 """
 
 import gc
@@ -18,7 +19,8 @@ import pytest
 import repro
 from repro.core import site_tasks
 from repro.sparql import QueryGraph, parse_query
-from repro.store.encoding import QUERY_POOLS
+from repro.store import kernel
+from repro.store.encoding import SIGNATURE_POOLS
 
 PREFIX = (
     "PREFIX ub: <http://example.org/univ-bench#> "
@@ -50,8 +52,23 @@ def counting_constructions(monkeypatch):
     monkeypatch.setattr(QueryGraph, "__init__", original)
 
 
-def pools_memo_sizes(session):
-    return [len(site.encoded.memo.get(QUERY_POOLS, {})) for site in session.cluster]
+def signature_caches(session):
+    return [site.encoded.memo.get(SIGNATURE_POOLS, {}) for site in session.cluster]
+
+
+def holds_only_ints(cache):
+    """Keys are tuples of int triples; pools are lists, and internal pools sets, of ints."""
+    for signature, entry in cache.items():
+        assert all(type(item) is int for entry_key in signature for item in entry_key)
+        assert all(type(item) is int for item in entry.pool)
+        assert entry.internal is None or all(type(item) is int for item in entry.internal)
+    return True
+
+
+def cached_signatures(session, graph):
+    """The variables' signatures of ``graph`` each site's cache holds."""
+    signatures = set(kernel.pool_signatures(session.cluster.site(0).encoded, graph).values())
+    return [signatures & set(cache) for cache in signature_caches(session)], signatures
 
 
 class TestOneGraphPerQuery:
@@ -89,9 +106,7 @@ class TestOneGraphPerQuery:
 
 class TestNoReferenceCycle:
     @pytest.mark.parametrize("text", [STAR, TRIANGLE], ids=["star", "triangle"])
-    def test_the_pools_die_with_the_query_by_refcount(self, session, text):
-        gc.collect()
-        assert not any(pools_memo_sizes(session))
+    def test_the_cache_holds_no_graph_so_the_query_dies_by_refcount(self, session, text):
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -99,22 +114,25 @@ class TestNoReferenceCycle:
             graph = QueryGraph.of(query.bgp)
             session.cluster.site(0).internal_candidates(graph)
             result = session.query(query)
-            assert pools_memo_sizes(session)[0] == 1
+            held, signatures = cached_signatures(session, graph)
+            assert held[0] == signatures
+            assert all(holds_only_ints(cache) for cache in signature_caches(session))
             alive = weakref.ref(graph)
             del query, graph, result
             assert alive() is None
-            assert not any(pools_memo_sizes(session))
         finally:
             if enabled:
                 gc.enable()
 
-    def test_a_pipeline_run_leaves_no_pools_behind(self, session, monkeypatch):
-        seen = []
+    def test_a_pipeline_run_computes_each_signature_once(self, session, monkeypatch):
+        seen, graphs = [], []
         original = site_tasks.run_candidate_vectors
 
         def recording(site, payload):
             output = original(site, payload)
-            seen.append(len(site.encoded.memo.get(QUERY_POOLS, {})))
+            graphs.append(weakref.ref(payload["query_graph"]))
+            held, signatures = cached_signatures(session, payload["query_graph"])
+            seen.append(held[site.site_id] == signatures)
             return output
 
         monkeypatch.setattr(site_tasks, "run_candidate_vectors", recording)
@@ -122,8 +140,15 @@ class TestNoReferenceCycle:
         gc.disable()
         try:
             session.query(parse_query(TRIANGLE))
-            assert seen == [1] * 6  # stage 1 memoized the pools at every site
-            assert not any(pools_memo_sizes(session))  # the run is over: all gone
+            assert seen == [True] * 6  # stage 1 cached the pools at every site
+            assert all(graph() is None for graph in graphs)  # the run is over: its graph is gone
+            computed = []
+            compute = kernel.ArrayRunner.vertex_pool
+            monkeypatch.setattr(
+                kernel.ArrayRunner, "vertex_pool", lambda runner, *args: computed.append(args) or compute(runner, *args)
+            )
+            session.query(parse_query(TRIANGLE))
+            assert computed == []  # a recurring query reads every pool from the cache
         finally:
             if enabled:
                 gc.enable()

@@ -1,7 +1,8 @@
 """One candidate computation per site per query, against the decode path.
 
-A site computes a query's candidate pools once (``repro.store.kernel.
-query_pools``): stage 1 sets the vector bits straight from their internal ids,
+A site computes each variable's candidate pool once per signature
+(``repro.store.kernel.query_pools``), so a query that recurs reads them from
+the cache: stage 1 sets the vector bits straight from their internal ids,
 partial evaluation refuses internal bindings outside them, and the complete
 local-match search reuses them.  The path they replaced survives as the
 oracle: ``tests/core/reference_candidates.py`` (decoded ``Node`` sets, hashed
@@ -17,11 +18,14 @@ crossing, a single site, empty fragments) and on LUBM LQ1/3/6/7, site by site:
   search that reuses the pools equal those of the search that computed them;
 
 and the engine's answers equal ``centralized`` with the filtered-branch
-count exercised.  The memo dies with its query, never outlives an update, and
+count exercised.  The signature cache holds no query graph, so a query's
+graph dies with it; every pool it holds equals a cold ``compute_pools``
+after any update window; rotating constants keep it within its bound; and
 concurrent queries sharing it answer and count as a lone query does.
 """
 
 import gc
+import random
 import sys
 import threading
 import weakref
@@ -44,11 +48,13 @@ from repro.core.partial_eval import PartialEvaluator
 from repro.datasets import lubm, random_connected_query, random_graph
 from repro.distributed import build_cluster
 from repro.partition import HashPartitioner, build_partitioned_graph
-from repro.sparql import QueryGraph
+from repro.rdf import IRI, Triple, TriplePattern, Variable
+from repro.sparql import BasicGraphPattern, QueryGraph
 from repro.store import evaluate_centralized
 from repro.store import fragment_index as fragment_index_module
-from repro.store.encoding import QUERY_POOLS
-from repro.store.kernel import cached_pools
+from repro.store import kernel
+from repro.store.encoding import SIGNATURE_POOLS
+from repro.store.kernel import POOL_CACHE_LIMIT, ArrayRunner, pool_signatures
 
 BITS = 4096
 LUBM_QUERIES = ("LQ1", "LQ3", "LQ6", "LQ7")
@@ -93,7 +99,7 @@ def assert_cluster_agrees(cluster, query):
         assert vectors[-1] == reference_site_vectors(oracle, BITS)
     candidate_filter = union_site_vectors(vectors, BITS)
     for site in cluster:
-        assert cached_pools(site.encoded, query.bgp) is not None
+        assert set(pool_signatures(site.encoded, query_graph).values()) <= set(cache_of(site))
         assert local_search(site, query) == computed[site.site_id]
         evaluator = PartialEvaluator(site.fragment, graph=site.graph)
         pruned = evaluator.evaluate(query_graph, candidate_filter=candidate_filter)
@@ -166,46 +172,103 @@ class TestEngineAnswers:
         assert filtered > 0  # the filter is exercised, not vacuous
 
 
-def memo_of(site):
-    return site.encoded.memo.get(QUERY_POOLS, {})
+def cache_of(site):
+    return site.encoded.memo.get(SIGNATURE_POOLS, {})
 
 
-class TestTheMemoLivesAsLongAsItsQuery:
-    def test_no_pools_survive_a_query(self, monkeypatch):
-        entries = []
+def assert_cache_is_cold(site, queries):
+    """Every pool ``site`` caches for a variable of ``queries`` equals a cold
+    ``compute_pools``, its charge and internal restriction too."""
+    cache = cache_of(site)
+    for query_graph in queries:
+        for vertex, signature in pool_signatures(site.encoded, query_graph).items():
+            entry = cache.get(signature)
+            if entry is None:
+                continue
+            runner = ArrayRunner(site.encoded)
+            pool = runner.vertex_pool(QueryGraph(query_graph.bgp), vertex)
+            assert pool == ArrayRunner(site.encoded).compute_pools(query_graph)[vertex]
+            assert entry.pool == pool
+            assert entry.intersections == runner.intersections
+            assert entry.internal is None or entry.internal == site.graph.internal.intersection(pool)
+
+
+class TestTheSignatureCache:
+    def test_no_query_graph_survives_a_query(self, monkeypatch):
+        graphs = []
         compute = fragment_index_module.query_pools
 
-        def recording(*arguments):
-            entry = compute(*arguments)
-            entries.append(weakref.ref(entry))
-            return entry
+        def recording(encoded, query_graph):
+            graphs.append(weakref.ref(query_graph))
+            return compute(encoded, query_graph)
 
         monkeypatch.setattr(fragment_index_module, "query_pools", recording)
-        with repro.open(dataset="lubm", scale=1, sites=3, executor="serial") as session:
-            for name in LUBM_QUERIES:
-                session.query(name)
-            gc.collect()
-            assert entries, "stage 1 never asked for the pools"
-            assert all(entry() is None for entry in entries)
-            assert all(not memo_of(site) for site in session.cluster)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with repro.open(dataset="lubm", scale=1, sites=3, executor="serial") as session:
+                for name in LUBM_QUERIES:
+                    session.query(name)
+                assert graphs, "stage 1 never asked for the pools"
+                assert all(graph() is None for graph in graphs)
+                assert all(cache_of(site) for site in session.cluster)
+        finally:
+            if enabled:
+                gc.enable()
 
-    def test_a_live_query_graph_keeps_its_pools_until_the_graph_changes(self):
+    def test_an_update_drops_the_cache_of_the_sites_it_patches(self):
         with repro.open(dataset="lubm", scale=1, sites=3, executor="serial") as session:
             query = session.queries["LQ6"]
             query_graph = QueryGraph(query.bgp)
             site = session.cluster.site(0)
             first = site.internal_candidates(query_graph)
-            assert site.internal_candidates(query_graph) is first
-            entry = weakref.ref(cached_pools(site.encoded, query.bgp))
+            again = site.internal_candidates(QueryGraph(query.bgp))
+            assert all(again[vertex] is first[vertex] for vertex in query_graph.variables)
             session.update(remove=[next(iter(site.fragment.decoded().internal_edges))])
-            assert cached_pools(site.encoded, query.bgp) is None
+            assert not cache_of(site)
             again = site.internal_candidates(query_graph)
-            assert again is not first
             decode = again.encoded.dictionary.decode_ids
             assert {v: decode(ids) for v, ids in again.items()} == reference_internal_candidates(site, query_graph)
-            del query_graph, first, again
-            gc.collect()
-            assert entry() is None and not memo_of(site)
+
+    @given(seeds, st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=4))
+    @settings(max_examples=25, deadline=None)
+    def test_random_update_windows_leave_every_cached_pool_cold(self, seed, windows):
+        graph, query, cluster = random_setting(seed, uniform(3), 3, 0.25)
+        queries = [QueryGraph(query.bgp)]
+        queries += [QueryGraph(random_connected_query(graph, seed + k, num_edges=2).bgp) for k in (1, 2)]
+        vertices = sorted(graph.vertices, key=lambda vertex: vertex.n3())
+        predicates = sorted(graph.predicates, key=lambda predicate: predicate.n3())
+        for adding, window_seed in windows:
+            for query_graph in queries:
+                for site in cluster:
+                    site.internal_candidates(query_graph)
+            rng = random.Random(window_seed)
+            if adding:
+                cluster.apply(add=[Triple(rng.choice(vertices), rng.choice(predicates), rng.choice(vertices)) for _ in range(3)])
+            else:
+                present = sorted(cluster.graph, key=lambda triple: triple.n3())
+                cluster.apply(remove=rng.sample(present, min(3, len(present))))
+            for site in cluster:
+                assert_cache_is_cold(site, queries)
+
+    def test_rotating_constants_keep_the_cache_within_its_bound(self):
+        with repro.open(dataset="lubm", scale=1, sites=3, executor="serial") as session:
+            site = session.cluster.site(0)
+            dictionary = session.cluster.dictionary
+            takes = IRI("http://example.org/univ-bench#takesCourse")
+            labels = [dictionary.term_of(code) for code in site.encoded.predicate_ids()]
+            terms = list(map(dictionary.term_of, range(len(dictionary))))
+            x, y = Variable("x"), Variable("y")
+            sizes = []
+            for position in range(POOL_CACHE_LIMIT + 200):
+                constant, label = terms[position % len(terms)], labels[position // len(terms) % len(labels)]
+                query_graph = QueryGraph(BasicGraphPattern([TriplePattern(x, takes, y), TriplePattern(x, label, constant)]))
+                site.internal_candidates(query_graph)
+                sizes.append(len(cache_of(site)))
+                if position % 97 == 0:
+                    assert_cache_is_cold(site, [query_graph])
+            assert max(sizes) <= POOL_CACHE_LIMIT
+            assert any(later < earlier for earlier, later in zip(sizes, sizes[1:]))  # it was emptied
 
 
 def assert_answers_fresh(session, names):
@@ -235,8 +298,11 @@ def test_query_remove_query_add_query_on_lubm3():
         assert_answers_fresh(session, LUBM_QUERIES)
 
 
-def test_concurrent_queries_share_the_memo_safely():
-    """Four threads querying one session, switching often: every run counts as alone."""
+@pytest.mark.parametrize("limit", [POOL_CACHE_LIMIT, 2], ids=["bound", "emptied-often"])
+def test_concurrent_queries_share_the_cache_safely(monkeypatch, limit):
+    """Four threads querying one session, switching often: every run counts as
+    alone, also when the cache is emptied under them all the time."""
+    monkeypatch.setattr(kernel, "POOL_CACHE_LIMIT", limit)
     with repro.open(dataset="lubm", scale=1, sites=3, executor="serial") as session:
         expected = {name: counters(session.query(name)) for name in LUBM_QUERIES}
         mismatches = []

@@ -30,7 +30,7 @@ from ..partition.delta import stable_fragment_of
 from ..partition.fragment import PartitionedGraph
 from ..planner.optimizer import QueryPlanner
 from ..planner.plan_cache import DEFAULT_PLAN_CACHE_SIZE
-from ..planner.statistics import GraphStatistics
+from ..planner.statistics import GraphStatistics, remerge_statistics
 from ..rdf.graph import RDFGraph
 from ..rdf.terms import Node
 from ..rdf.triples import Triple
@@ -289,11 +289,17 @@ class Cluster:
                 site.apply(site_ops[site.site_id], assignment)
         with self._planner_lock:
             # The planner's cache is keyed by the statistics each plan read,
-            # so refreshing them is all an update needs to do.
+            # so refreshing them is all an update needs to do: the window's
+            # predicates and the totals, re-summed over the sites in place.
             if self._coordinator_planner is not None:
                 statistics = self._coordinator_planner.statistics
                 if statistics is not None:
-                    statistics.replace_with(self.graph_statistics())
+                    term_of = self.dictionary.term_of
+                    remerge_statistics(
+                        statistics,
+                        [site.graph_statistics() for site in self._sites],
+                        dict.fromkeys(term_of(p) for _, (_, p, _) in id_ops),
+                    )
         if self._store is not None:
             try:
                 self._store.append_ops(effective)

@@ -110,7 +110,7 @@ class Site:
     def apply(self, ops: Sequence[Tuple[str, IdTriple]], home: Mapping[int, int]) -> None:
         """Patch the site in place for its window of effective ``(op, (s, p, o))`` id ops.
 
-        In order: the encoding (which drops its per-query pools), the
+        In order: the encoding (which drops the pools it made stale), the
         fragment index (against the live ``home`` assignment), and the
         statistics.  Each result equals a fresh build over the mutated
         fragment and the cluster dictionary, which already holds the window's

@@ -26,7 +26,11 @@ Crash safety: every write happens inside one SQLite transaction with
 ``synchronous=FULL``, so a crash mid-commit leaves the previous committed
 state (SQLite's rollback journal restores it on the next open).  A torn
 ``apply`` therefore loses at most the op batch being journaled — never the
-base snapshot, never previously committed deltas.  Snapshot rewrites
+base snapshot, never previously committed deltas.  A writable store keeps
+its journal file between commits (``journal_mode=PERSIST``: a commit zeroes
+the journal's header instead of deleting the file, so it creates no file
+and syncs no directory); :meth:`ClusterStore.close` deletes it, so a closed
+store is one file.  Snapshot rewrites
 (:meth:`ClusterStore.compact`) deliberately avoid DDL: DDL autocommits
 eagerly under pysqlite's legacy transaction handling, so tables are cleared
 with ``DELETE FROM`` inside one explicit ``BEGIN IMMEDIATE`` transaction —
@@ -93,9 +97,12 @@ class ClusterStore:
         self._path = Path(path)
         self._conn = connection
         self._read_only = read_only
+        self._closed = False
         self._lock = threading.Lock()
         self._manifest = self._read_manifest()
         self._head = int(self._manifest.get("delta_head", "0"))
+        #: N3 text -> file id of every term, read from ``terms`` by the first append.
+        self._term_ids: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -127,6 +134,7 @@ class ClusterStore:
         if path.parent and not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
         connection = sqlite3.connect(str(path), check_same_thread=False)
+        connection.execute("PRAGMA journal_mode=PERSIST")
         connection.execute("PRAGMA synchronous=FULL")
         try:
             # DDL once, at creation time; snapshot rewrites never drop or
@@ -158,6 +166,7 @@ class ClusterStore:
                 )
             else:
                 connection = sqlite3.connect(str(path), check_same_thread=False)
+                connection.execute("PRAGMA journal_mode=PERSIST")
                 connection.execute("PRAGMA synchronous=FULL")
             connection.execute("PRAGMA busy_timeout=5000")
         except sqlite3.DatabaseError as error:
@@ -170,6 +179,10 @@ class ClusterStore:
         return store
 
     def close(self) -> None:
+        """Detach (again: a no-op); a writable store first deletes its journal file."""
+        if not self._read_only and not self._closed:
+            self._conn.execute("PRAGMA journal_mode=DELETE")
+        self._closed = True
         self._conn.close()
 
     def __enter__(self) -> "ClusterStore":
@@ -258,11 +271,12 @@ class ClusterStore:
 
         Terms the file has never seen get appended ids in its ``terms``
         table, in first-appearance order; replaying the ops in journal order
-        gives a loaded cluster's dictionary the live one's new ids.  The batch commits (and fsyncs) atomically;
-        ``self`` is only mutated *after* the commit, so a failed transaction
-        (disk full, busy timeout) leaves both the file and the in-memory
-        head/manifest exactly as they were — the next append reuses the same
-        sequence numbers instead of skipping past phantom ones.
+        gives a loaded cluster's dictionary the live one's new ids, taken from
+        an in-memory map of ``terms`` read once.  The batch commits (and
+        fsyncs) atomically; ``self`` — that map included — is only mutated
+        *after* the commit, so a failed transaction (disk full, busy timeout)
+        leaves the file and the in-memory state exactly as they were — the
+        next append reuses the same sequence numbers and term ids.
         """
         if self._read_only:
             raise StoreError(f"store opened read-only: {self._path}")
@@ -270,30 +284,28 @@ class ClusterStore:
         if not staged:
             return self._head
         with self._lock:
+            term_ids = self._term_ids
+            if term_ids is None:
+                term_ids = self._term_ids = dict(self._conn.execute("SELECT n3, id FROM terms"))
+            fresh: Dict[str, int] = {}
             head = self._head
+            rows = []
+            for op, triple in staged:
+                ids = []
+                for term in triple.as_tuple():
+                    text = term.n3()
+                    term_id = term_ids.get(text)
+                    if term_id is None:
+                        # Ids are dense, so the next one is the count so far.
+                        term_id = fresh.setdefault(text, len(term_ids) + len(fresh))
+                    ids.append(term_id)
+                head += 1
+                rows.append((head, op, *ids))
             with self._conn:
                 cursor = self._conn.cursor()
-                next_id = cursor.execute(
-                    "SELECT COALESCE(MAX(id), -1) + 1 FROM terms"
-                ).fetchone()[0]
-                rows = []
-                for op, triple in staged:
-                    ids = []
-                    for term in (triple.subject, triple.predicate, triple.object):
-                        text = term.n3()
-                        found = cursor.execute(
-                            "SELECT id FROM terms WHERE n3 = ?", (text,)
-                        ).fetchone()
-                        if found is None:
-                            cursor.execute(
-                                "INSERT INTO terms (id, n3) VALUES (?, ?)", (next_id, text)
-                            )
-                            ids.append(next_id)
-                            next_id += 1
-                        else:
-                            ids.append(found[0])
-                    head += 1
-                    rows.append((head, op, ids[0], ids[1], ids[2]))
+                cursor.executemany(
+                    "INSERT INTO terms (id, n3) VALUES (?, ?)", ((i, t) for t, i in fresh.items())
+                )
                 cursor.executemany(
                     "INSERT INTO deltas (seq, op, s, p, o) VALUES (?, ?, ?, ?, ?)", rows
                 )
@@ -302,6 +314,7 @@ class ClusterStore:
                 )
             # Past this point the transaction is committed; only now may the
             # in-memory view advance.
+            term_ids.update(fresh)
             self._head = head
             self._manifest["delta_head"] = str(head)
         return self._head
@@ -439,6 +452,7 @@ class ClusterStore:
             self._conn.execute("VACUUM")
             self._manifest = self._read_manifest()
             self._head = 0
+            self._term_ids = None
         return {"folded_deltas": folded, "file_bytes": self._path.stat().st_size}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -4,8 +4,8 @@ The seed engine walked query vertices in a static
 :func:`~repro.sparql.query_graph.traversal_order`.  This package adds the
 standard next layer of a gStore-style engine:
 
-* :mod:`statistics` — cheap per-fragment summaries (predicate counts,
-  distinct subjects/objects, degree histogram) read off an encoding's sorted
+* :mod:`statistics` — cheap per-fragment summaries (triple, vertex and
+  predicate counts, distinct subjects/objects) read off an encoding's sorted
   columns and patched with each update window, serializable and mergeable
   across sites;
 * :mod:`cardinality` — System-R-style estimates for triple patterns,
@@ -34,7 +34,6 @@ from .statistics import (
     GraphStatistics,
     PredicateStatistics,
     collect_statistics,
-    degree_bucket,
     merge_statistics,
 )
 
@@ -54,6 +53,5 @@ __all__ = [
     "ShapeKey",
     "shape_key",
     "collect_statistics",
-    "degree_bucket",
     "merge_statistics",
 ]

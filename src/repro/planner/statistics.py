@@ -12,12 +12,10 @@ coordinator, which aggregates them (see :func:`merge_statistics` and
 
 Collected per graph/fragment:
 
-* total triple and vertex counts,
+* total triple and vertex counts, and
 * per-predicate triple counts and distinct subject/object counts (the
   classic ``T(p) / d_s(p) / d_o(p)`` summaries every System-R-style
-  cardinality model is built from), and
-* a log-bucketed vertex-degree histogram (used to reason about expected
-  fan-out when no predicate information helps).
+  cardinality model is built from).
 
 Everything serializes to plain JSON-able dictionaries so statistics can be
 stored alongside a partitioned workspace or shipped between sites.
@@ -26,7 +24,7 @@ stored alongside a partitioned workspace or shipped between sites.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, Mapping, NamedTuple, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Mapping, NamedTuple, Sequence, Tuple
 
 from ..rdf.terms import IRI
 
@@ -63,15 +61,6 @@ class PredicateStatistics(NamedTuple):
         )
 
 
-def degree_bucket(degree: int) -> int:
-    """The histogram bucket of a vertex degree: ``bit_length`` (log2) buckets.
-
-    Bucket ``b`` holds degrees in ``[2**(b-1), 2**b - 1]``; bucket 0 is
-    unused because every counted vertex has degree >= 1.
-    """
-    return int(degree).bit_length()
-
-
 @dataclass
 class GraphStatistics:
     """One graph's (or fragment's) planner-facing summary."""
@@ -79,8 +68,6 @@ class GraphStatistics:
     num_triples: int = 0
     num_vertices: int = 0
     predicates: Dict[IRI, PredicateStatistics] = field(default_factory=dict)
-    #: ``degree_bucket(degree) -> number of vertices`` histogram.
-    degree_histogram: Dict[int, int] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
     # Lookups used by the cardinality estimator
@@ -104,22 +91,6 @@ class GraphStatistics:
         stats = self.predicates.get(predicate)
         return stats.distinct_objects if stats is not None else 0
 
-    def average_degree(self) -> float:
-        """Mean vertex degree, estimated from the histogram buckets."""
-        total_vertices = sum(self.degree_histogram.values())
-        if not total_vertices:
-            return 0.0
-        # Use each bucket's geometric midpoint as the representative degree.
-        # Buckets are summed in sorted order so the float accumulation is
-        # identical however the histogram dict was built (collected fresh,
-        # patched in place, or deserialized from a store file).
-        weighted = 0.0
-        for bucket, vertices in sorted(self.degree_histogram.items()):
-            low = 2 ** (bucket - 1) if bucket > 0 else 0
-            high = 2**bucket - 1 if bucket > 0 else 0
-            weighted += vertices * ((low + high) / 2.0 or 1.0)
-        return weighted / total_vertices
-
     @property
     def is_empty(self) -> bool:
         return self.num_triples == 0
@@ -135,45 +106,27 @@ class GraphStatistics:
             "predicates": {
                 predicate.value: stats.as_dict() for predicate, stats in self.predicates.items()
             },
-            "degree_histogram": {str(bucket): count for bucket, count in self.degree_histogram.items()},
         }
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "GraphStatistics":
+        """The summary of :meth:`as_dict`; a ``degree_histogram`` older files carry is ignored."""
         predicates = {
             IRI(value): PredicateStatistics.from_dict(stats)
             for value, stats in dict(data.get("predicates", {})).items()
-        }
-        histogram = {
-            int(bucket): int(count)
-            for bucket, count in dict(data.get("degree_histogram", {})).items()
         }
         return cls(
             num_triples=int(data.get("num_triples", 0)),
             num_vertices=int(data.get("num_vertices", 0)),
             predicates=predicates,
-            degree_histogram=histogram,
         )
-
-    def replace_with(self, other: "GraphStatistics") -> None:
-        """Overwrite this summary in place with ``other``'s contents.
-
-        Planners and optimizers hold references to one statistics object;
-        refreshing *in place* updates every holder at once instead of
-        leaving them bound to a stale snapshot.
-        """
-        self.num_triples = other.num_triples
-        self.num_vertices = other.num_vertices
-        self.predicates.clear()
-        self.predicates.update(other.predicates)
-        self.degree_histogram.clear()
-        self.degree_histogram.update(other.degree_histogram)
 
     def summary(self) -> str:
         """One-line human rendering used by ``repro explain``."""
+        average = 2 * self.num_triples / self.num_vertices if self.num_vertices else 0.0
         return (
             f"{self.num_triples} triples, {self.num_vertices} vertices, "
-            f"{self.num_predicates} predicates, avg degree {self.average_degree():.1f}"
+            f"{self.num_predicates} predicates, avg degree {average:.1f}"
         )
 
 
@@ -181,12 +134,12 @@ def collect_statistics(encoded: "EncodedGraph") -> GraphStatistics:
     """Summarize ``encoded`` from its columns.
 
     A predicate's count is its out-column's length, its distinct subjects and
-    objects the key counts of its out- and in-column; a vertex's degree is
-    the sum of its row lengths.
+    objects the key counts of its out- and in-column; the vertices are the
+    keys of every column.
     """
     term_of = encoded.dictionary.term_of
     stats = GraphStatistics(num_triples=encoded.num_triples)
-    degrees: Dict[int, int] = {}
+    vertices = set()
     for predicate in encoded.predicate_ids():
         out_column, in_column = encoded.out_column(predicate), encoded.in_column(predicate)
         stats.predicates[term_of(predicate)] = PredicateStatistics(
@@ -194,14 +147,8 @@ def collect_statistics(encoded: "EncodedGraph") -> GraphStatistics:
             distinct_subjects=len(out_column.keys),
             distinct_objects=len(in_column.keys),
         )
-        for column in (out_column, in_column):
-            offsets = column.offsets
-            for position, vertex in enumerate(column.keys):
-                degrees[vertex] = degrees.get(vertex, 0) + offsets[position + 1] - offsets[position]
-    stats.num_vertices = len(degrees)
-    for degree in degrees.values():
-        bucket = degree_bucket(degree)
-        stats.degree_histogram[bucket] = stats.degree_histogram.get(bucket, 0) + 1
+        vertices.update(out_column.keys, in_column.keys)
+    stats.num_vertices = len(vertices)
     return stats
 
 
@@ -213,22 +160,14 @@ def apply_statistics_ops(
     """Patch ``stats`` in place for a window of effective ``(op, (s, p, o))`` id mutations.
 
     ``encoded`` must already reflect the ops.  The patch is *exact*: every
-    touched predicate summary is re-read from its columns, and the degree
-    histogram is adjusted by walking each affected vertex's degree delta
-    backwards — the result equals a fresh :func:`collect_statistics` of the
-    patched encoding.
+    touched predicate summary is re-read from its columns, and the vertex
+    count is the length of the patched vertex list — the result equals a
+    fresh :func:`collect_statistics` of the patched encoding.
     """
     touched_predicates = set()
-    degree_delta: Dict[int, int] = {}
-    triple_delta = 0
-    for op, (subject, predicate, obj) in ops:
+    for op, (_, predicate, _) in ops:
         touched_predicates.add(predicate)
-        step = 1 if op == "+" else -1
-        triple_delta += step
-        # A self-loop contributes to both the out- and in-degree.
-        for vertex in (subject, obj):
-            degree_delta[vertex] = degree_delta.get(vertex, 0) + step
-    stats.num_triples += triple_delta
+        stats.num_triples += 1 if op == "+" else -1
     term_of = encoded.dictionary.term_of
     for predicate_id in touched_predicates:
         predicate = term_of(predicate_id)
@@ -239,24 +178,7 @@ def apply_statistics_ops(
         stats.predicates[predicate] = PredicateStatistics(
             len(out_column.values), len(out_column.keys), len(encoded.in_column(predicate_id).keys)
         )
-    histogram = stats.degree_histogram
-    for vertex, delta in degree_delta.items():
-        if delta == 0:
-            continue
-        new_degree = encoded.degree(vertex)
-        old_degree = new_degree - delta
-        if old_degree > 0:
-            bucket = degree_bucket(old_degree)
-            remaining = histogram.get(bucket, 0) - 1
-            if remaining:
-                histogram[bucket] = remaining
-            else:
-                histogram.pop(bucket, None)
-            stats.num_vertices -= 1
-        if new_degree > 0:
-            bucket = degree_bucket(new_degree)
-            histogram[bucket] = histogram.get(bucket, 0) + 1
-            stats.num_vertices += 1
+    stats.num_vertices = len(encoded.sorted_vertex_ids)
 
 
 def merge_statistics(parts: Iterable[GraphStatistics]) -> GraphStatistics:
@@ -267,19 +189,20 @@ def merge_statistics(parts: Iterable[GraphStatistics]) -> GraphStatistics:
     an upper bound, which is the safe direction for a cost model (it can only
     make the planner *more* pessimistic about unselective predicates).
     """
+    parts = list(parts)
     merged = GraphStatistics()
-    for part in parts:
-        merged.num_triples += part.num_triples
-        merged.num_vertices += part.num_vertices
-        for predicate, stats in part.predicates.items():
-            into = merged.predicates.get(predicate)
-            if into is not None:
-                stats = PredicateStatistics(
-                    into.count + stats.count,
-                    into.distinct_subjects + stats.distinct_subjects,
-                    into.distinct_objects + stats.distinct_objects,
-                )
-            merged.predicates[predicate] = stats
-        for bucket, count in part.degree_histogram.items():
-            merged.degree_histogram[bucket] = merged.degree_histogram.get(bucket, 0) + count
+    remerge_statistics(merged, parts, dict.fromkeys(predicate for part in parts for predicate in part.predicates))
     return merged
+
+
+def remerge_statistics(merged: GraphStatistics, parts: Sequence[GraphStatistics], predicates: Iterable[IRI]) -> None:
+    """Re-sum ``merged``'s totals and its summaries of ``predicates`` over ``parts``, in place:
+    their :func:`merge_statistics` again when nothing else changed since it."""
+    merged.num_triples = sum(part.num_triples for part in parts)
+    merged.num_vertices = sum(part.num_vertices for part in parts)
+    for predicate in predicates:
+        found = [part.predicates[predicate] for part in parts if predicate in part.predicates]
+        if found:
+            merged.predicates[predicate] = PredicateStatistics(*map(sum, zip(*found)))
+        else:
+            merged.predicates.pop(predicate, None)

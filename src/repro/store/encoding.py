@@ -53,7 +53,8 @@ PREDICATE_ANY = -1
 PREDICATE_ABSENT = -2
 
 #: :attr:`EncodedGraph.memo` key of the candidate pools by variable signature
-#: (:func:`repro.store.kernel.query_pools`): ints only, dropped by every patch.
+#: (:class:`repro.store.kernel.PoolCache`): ints only; a patch drops those
+#: that read what it changed.
 SIGNATURE_POOLS = "signature_pools"
 
 
@@ -279,8 +280,9 @@ class SortedColumn:
             for value in values[offsets[position] : offsets[position + 1]]:
                 yield key, value
 
-    def patched(self, changes: Dict[int, Dict[int, bool]]) -> "SortedColumn":
-        """This column with ``changes`` (key → value → present) applied, in one pass.
+    def patched(self, changes: Dict[int, Dict[int, bool]]) -> Tuple["SortedColumn", bool]:
+        """This column with ``changes`` (key → value → present) applied, in one
+        pass, and whether its key list stayed the same.
 
         Runs of untouched rows are copied as slices and only a changed row is
         re-sorted, so the result equals a cold build of the patched pairs.
@@ -308,7 +310,7 @@ class SortedColumn:
             same_keys = same_keys and found == bool(row)
             start = at + found
         self._copy_rows(start, len(self.keys), keys, values, offsets)
-        return SortedColumn(keys, values, offsets, self._rows if same_keys else None)
+        return SortedColumn(keys, values, offsets, self._rows if same_keys else None), same_keys
 
     def _copy_rows(
         self, start: int, stop: int, keys: List[int], values: List[int], offsets: List[int]
@@ -378,7 +380,8 @@ class EncodedGraph:
         self._any: Optional[Tuple[SortedColumn, SortedColumn]] = None
         self._sorted_vertex_ids: Optional[List[int]] = None
         #: Per-id caches (ids keep their terms) and the pools by signature
-        #: (:data:`SIGNATURE_POOLS`, dropped by a patch); all die with the encoding.
+        #: (:data:`SIGNATURE_POOLS`, dropped by a patch that changes what they
+        #: read); all die with the encoding.
         self.memo: Dict[object, dict] = {}
         with _REBUILDS_LOCK:
             _REBUILDS += 1
@@ -426,19 +429,6 @@ class EncodedGraph:
             columns = chain(self._out.values(), self._in.values())
             self._sorted_vertex_ids = sorted({key for column in columns for key in column.keys})
         return self._sorted_vertex_ids
-
-    def degree(self, term_id: int) -> int:
-        """How many stored triples touch ``term_id``: the sum of its row lengths.
-
-        A self-loop counts twice, once per direction.
-        """
-        total = 0
-        for columns in (self._out, self._in):
-            for column in columns.values():
-                position = column._rows.get(term_id)
-                if position is not None:
-                    total += column.offsets[position + 1] - column.offsets[position]
-        return total
 
     def is_vertex(self, term_id: int) -> bool:
         """Is ``term_id`` a subject or object of some triple?"""
@@ -518,37 +508,44 @@ class EncodedGraph:
         predicate whose triples change gets new columns from one
         :meth:`SortedColumn.patched` pass per direction, equal to a cold
         build over the same ids, and every other column stays as it is.
-        The pools of :attr:`memo` are dropped: they were computed against the
-        old columns.  A built :attr:`sorted_vertex_ids` is edited
-        in place to equal a cold build's; an unbuilt one stays unbuilt.
+        The pools of :attr:`memo` that read a changed row or key list are
+        dropped (:meth:`~repro.store.kernel.PoolCache.drop_stale`); every
+        other stays.  A built :attr:`sorted_vertex_ids`
+        is edited in place to equal a cold build's; an unbuilt one stays unbuilt.
         """
         global _PATCHES
         with _REBUILDS_LOCK:
             _PATCHES += 1
-        self.memo.pop(SIGNATURE_POOLS, None)
         final = {ids: op == "+" for op, ids in ops}
-        out_changes: Dict[int, Dict[int, Dict[int, bool]]] = {}
-        in_changes: Dict[int, Dict[int, Dict[int, bool]]] = {}
+        # Per direction (out, in): predicate -> key -> value -> present.
+        changes: Tuple[Dict[int, Dict[int, Dict[int, bool]]], ...] = ({}, {})
         # Endpoints of changed triples: True once one of them is added.
         endpoints: Dict[int, bool] = {}
         for (s, p, o), present in final.items():
             if self.has_edge(s, p, o) != present:
-                out_changes.setdefault(p, {}).setdefault(s, {})[o] = present
-                in_changes.setdefault(p, {}).setdefault(o, {})[s] = present
+                changes[0].setdefault(p, {}).setdefault(s, {})[o] = present
+                changes[1].setdefault(p, {}).setdefault(o, {})[s] = present
                 self._num_triples += 1 if present else -1
                 endpoints[s] = endpoints.get(s, False) or present
                 endpoints[o] = endpoints.get(o, False) or present
-        for columns, changes in ((self._out, out_changes), (self._in, in_changes)):
-            for p, by_key in changes.items():
-                column = columns.get(p, _EMPTY_COLUMN).patched(by_key)
+        # (direction, predicate) of each key list a key came to or left.
+        new_keys: Set[Tuple[int, int]] = set()
+        for direction, columns in enumerate((self._out, self._in)):
+            for p, by_key in changes[direction].items():
+                column, same_keys = columns.get(p, _EMPTY_COLUMN).patched(by_key)
+                if not same_keys:
+                    new_keys.add((direction, p))
                 if column.keys:
                     columns[p] = column
                 else:
                     del columns[p]
-        if out_changes:
+        if changes[0]:
             self._any = None
             if self._sorted_vertex_ids is not None:
                 self._patch_vertex_ids(self._sorted_vertex_ids, endpoints)
+            pools = self.memo.get(SIGNATURE_POOLS)
+            if pools:
+                pools.drop_stale(changes, new_keys)
 
     def _patch_vertex_ids(self, vertices: List[int], endpoints: Dict[int, bool]) -> None:
         """Insert or delete each changed triple's endpoint at its bisect position in

@@ -74,6 +74,11 @@ class FragmentIndex:
         a vertex the site still stores an edge at is internal at its home and
         extended elsewhere, and one without an edge is neither; a stored
         triple is crossing when its endpoints' homes differ.
+
+        The internal restriction of a pool the encoding kept stays exact: the
+        pool reads only rows and key lists the window left alone, so it holds
+        no vertex that came to or left the site, and only such a vertex
+        changes class.
         """
         encoded = self.encoded
         triples = {ids for _, ids in ops}

@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..rdf.terms import IRI, BlankNode, Literal, PatternTerm, Variable
 from ..sparql.query_graph import QueryEdge, QueryGraph
-from .encoding import SIGNATURE_POOLS, EncodedGraph, predicate_code
+from .encoding import PREDICATE_ANY, SIGNATURE_POOLS, EncodedGraph, predicate_code
 
 #: The sorted-column kernel's name, as recorded in traces and result metadata.
 KERNEL_PYTHON = "python"
@@ -312,6 +312,28 @@ class CachedPool:
     internal: Optional[Set[int]] = None  #: restricted to a fragment's internal ids
 
 
+class PoolCache(dict):
+    """One encoding's :class:`CachedPool` by signature (:data:`SIGNATURE_POOLS`)."""
+
+    def drop_stale(self, changes: tuple, new_keys: Set[Tuple[int, int]]) -> None:
+        """Drop each pool whose signature reads what a patch changed: per
+        direction (out, in), ``changes`` maps predicate -> key -> the values
+        that came or went, and ``new_keys`` holds ``(direction, predicate)``
+        for each key list a key came to or left.  Any label reads everything.
+        """
+        for signature in list(self):
+            for end, code, other in signature:
+                if other in (_VARIABLE, _LOOP):
+                    # The variable's column's key list; a loop reads the other one too.
+                    stale = (end, code) in new_keys or (other == _LOOP and (1, code) in new_keys)
+                else:
+                    # The constant's row of the column keyed by it; an unknown one has none.
+                    stale = other in changes[1 - end].get(code, ())
+                if stale or code == PREDICATE_ANY:
+                    del self[signature]
+                    break
+
+
 def pool_signatures(encoded: EncodedGraph, query: QueryGraph) -> Dict[PatternTerm, tuple]:
     """Each variable's ``(end, predicate code, other end)`` per edge of ``edges_of``:
     all :meth:`ArrayRunner._variable_pool` reads.  Computed once per query graph
@@ -339,9 +361,10 @@ def query_pools(encoded: EncodedGraph, query: QueryGraph) -> Dict[PatternTerm, C
     encoding's cache by its signature, every other vertex's computed.
 
     Stage 1, partial evaluation and the search all read them.  A miss
-    computes and stores; :meth:`EncodedGraph.apply_ops` drops the cache.
+    computes and stores; :meth:`EncodedGraph.apply_ops` drops the entries
+    whose signature reads what it changed (:meth:`PoolCache.drop_stale`).
     """
-    cache = encoded.memo.setdefault(SIGNATURE_POOLS, {})
+    cache = encoded.memo.get(SIGNATURE_POOLS) or encoded.memo.setdefault(SIGNATURE_POOLS, PoolCache())
     signatures = pool_signatures(encoded, query)
     pools = {}
     for vertex in query.vertices:

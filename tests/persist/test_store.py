@@ -21,6 +21,21 @@ def _triple(tag: str) -> Triple:
     return Triple(IRI(EX + f"s-{tag}"), IRI(EX + "p"), IRI(EX + f"o-{tag}"))
 
 
+def _rows(store):
+    """Every row of the tables an append writes, in key order."""
+    return [
+        store._conn.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
+        for table in ("terms", "deltas", "manifest")
+    ]
+
+
+def _loaded(store):
+    """The loaded cluster's dictionary, in id order, and each site's id triples."""
+    cluster = store.load_cluster()
+    terms = [cluster.dictionary.term_of(term_id) for term_id in range(len(cluster.dictionary))]
+    return terms, [list(site.encoded.iter_triple_ids()) for site in cluster]
+
+
 @pytest.fixture()
 def store_path(tmp_path):
     return tmp_path / "cluster.store"
@@ -129,12 +144,15 @@ class TestDeltaJournal:
         assert paper_store.info()["base_terms"] == base_terms + 3
         assert rows[_triple("fresh").subject.n3()] >= base_terms
 
-    def test_failed_append_leaves_head_and_journal_unchanged(self, paper_store, store_path):
+    def test_failed_append_leaves_head_and_journal_unchanged(self, paper_store, store_path, tmp_path):
         """A rolled-back journal transaction must not advance the in-memory head.
 
         Regression: the head used to be bumped while staging rows, so a
         failed commit left ``delta_head`` pointing past phantom sequence
-        numbers and the next append journaled wrong seqs.
+        numbers and the next append journaled wrong seqs.  The failed batch
+        brings new terms: the in-memory term map must not keep them, so the
+        append that next brings them gives them the ids a store that never
+        failed gives them, and the file reopens to the same rows.
         """
         paper_store.append_ops([("+", _triple("a"))])
         base_terms = paper_store.info()["base_terms"]
@@ -145,22 +163,71 @@ class TestDeltaJournal:
         with pytest.raises(sqlite3.DatabaseError, match="injected"):
             paper_store.append_ops([("+", _triple("b"))])
         # Nothing moved: not the head, not the manifest, not the journal,
-        # not the term dictionary the rolled-back batch had extended.
+        # not the term dictionary the rolled-back batch had extended, not
+        # the in-memory map of it.
         assert paper_store.delta_head == 1
         assert paper_store.manifest["delta_head"] == "1"
         assert paper_store.info()["pending_deltas"] == 1
         assert paper_store.info()["base_terms"] == base_terms
+        assert _triple("b").subject.n3() not in paper_store._term_ids
+        assert len(paper_store._term_ids) == base_terms
         paper_store._conn.execute("DROP TRIGGER fail_deltas")
-        # The next append reuses the sequence the failed batch never claimed.
-        assert paper_store.append_ops([("+", _triple("c"))]) == 2
+        # The next append reuses the sequence the failed batch never claimed,
+        # and the ids of the terms it brought.
+        assert paper_store.append_ops([("+", _triple("c")), ("+", _triple("b"))]) == 3
+        ids = dict(paper_store._conn.execute("SELECT n3, id FROM terms"))
+        assert [ids[_triple(tag).subject.n3()] for tag in "cb"] == [base_terms, base_terms + 2]
         ops = paper_store.load_deltas()
         assert [(op, triple) for op, triple in ops] == [
             ("+", _triple("a")),
             ("+", _triple("c")),
+            ("+", _triple("b")),
         ]
         paper_store.close()
-        with ClusterStore.open(store_path, read_only=True) as reopened:
-            assert reopened.delta_head == 2
+        control_path = tmp_path / "control.store"
+        with ClusterStore.create(control_path, build_example_partitioning(), dataset="paper-example") as control:
+            control.append_ops([("+", _triple("a"))])
+            control.append_ops([("+", _triple("c")), ("+", _triple("b"))])
+        with ClusterStore.open(store_path, read_only=True) as reopened, ClusterStore.open(control_path) as control:
+            assert reopened.delta_head == 3
+            assert _rows(reopened) == _rows(control)
+            assert _loaded(reopened) == _loaded(control)
+
+    def test_writable_stores_journal_with_full_sync(self, paper_store, store_path):
+        assert paper_store._conn.execute("PRAGMA journal_mode").fetchone() == ("persist",)
+        assert paper_store._conn.execute("PRAGMA synchronous").fetchone() == (2,)  # FULL
+        paper_store.close()
+        with ClusterStore.open(store_path) as reopened:
+            assert reopened._conn.execute("PRAGMA journal_mode").fetchone() == ("persist",)
+            assert reopened._conn.execute("PRAGMA synchronous").fetchone() == (2,)
+
+    def test_a_closed_store_is_one_file(self, paper_store, store_path):
+        def beside():
+            return sorted(path.name for path in store_path.parent.iterdir() if path != store_path)
+
+        paper_store.append_ops([("+", _triple("a"))])
+        assert beside() == [store_path.name + "-journal"]
+        paper_store.close()
+        assert beside() == []
+        with ClusterStore.open(store_path) as reopened:
+            reopened.append_ops([("+", _triple("b"))])
+            reopened.compact()
+        assert beside() == []
+        with ClusterStore.open(store_path) as reopened:
+            assert reopened.delta_head == 0
+            assert reopened.info()["pending_deltas"] == 0
+
+    def test_a_reader_opens_a_store_a_writer_holds(self, paper_store, store_path):
+        paper_store.append_ops([("+", _triple("a"))])
+        # The writer is mid-transaction too: the reader sees the last commit.
+        paper_store._conn.execute("BEGIN IMMEDIATE")
+        paper_store._conn.execute("UPDATE manifest SET value = '7' WHERE key = 'delta_head'")
+        with ClusterStore.open(store_path, read_only=True) as reader:
+            assert reader.delta_head == 1
+            assert reader.load_deltas() == [("+", _triple("a"))]
+            assert len(reader.load_cluster().dictionary) == paper_store.info()["base_terms"]
+        paper_store._conn.rollback()
+        assert paper_store.append_ops([("+", _triple("b"))]) == 2
 
 
 class TestClusterLoading:

@@ -2,7 +2,7 @@
 
 from repro.distributed import aggregate_graph_statistics, build_cluster
 from repro.partition import HashPartitioner
-from repro.planner import GraphStatistics, collect_statistics, degree_bucket, merge_statistics
+from repro.planner import GraphStatistics, collect_statistics, merge_statistics
 from repro.rdf import IRI, Literal, Namespace, RDFGraph, Triple
 from repro.store.encoding import EncodedGraph
 
@@ -28,25 +28,18 @@ class TestCollect:
         assert stats.predicate_count(EX.term("nope")) == 0
         assert stats.distinct_subjects(EX.term("nope")) == 0
 
-    def test_degree_histogram_counts_every_vertex(self, tiny_graph):
-        stats = collect_statistics(EncodedGraph(tiny_graph))
-        assert sum(stats.degree_histogram.values()) == stats.num_vertices
-        assert stats.average_degree() > 0
-
     def test_empty_graph(self):
         stats = collect_statistics(EncodedGraph(RDFGraph()))
         assert stats.is_empty
         assert stats.num_vertices == 0
-        assert stats.average_degree() == 0.0
+        assert stats.summary().endswith("avg degree 0.0")
 
-
-class TestDegreeBucket:
-    def test_log_buckets(self):
-        assert degree_bucket(1) == 1
-        assert degree_bucket(2) == 2
-        assert degree_bucket(3) == 2
-        assert degree_bucket(4) == 3
-        assert degree_bucket(1000) == 10
+    def test_summary_prints_the_exact_average_degree(self, tiny_graph):
+        stats = collect_statistics(EncodedGraph(tiny_graph))
+        average = 2 * stats.num_triples / stats.num_vertices
+        assert stats.summary() == (
+            f"4 triples, {stats.num_vertices} vertices, 3 predicates, avg degree {average:.1f}"
+        )
 
 
 class TestSerialization:
@@ -54,6 +47,11 @@ class TestSerialization:
         stats = collect_statistics(EncodedGraph(tiny_graph))
         restored = GraphStatistics.from_dict(stats.as_dict())
         assert restored == stats
+
+    def test_a_stored_degree_histogram_is_ignored(self, tiny_graph):
+        stats = collect_statistics(EncodedGraph(tiny_graph))
+        stored = dict(stats.as_dict(), degree_histogram={"1": 2, "2": 1})
+        assert GraphStatistics.from_dict(stored) == stats
 
     def test_as_dict_is_jsonable(self, tiny_graph):
         import json

@@ -19,8 +19,10 @@ crossing, a single site, empty fragments) and on LUBM LQ1/3/6/7, site by site:
 
 and the engine's answers equal ``centralized`` with the filtered-branch
 count exercised.  The signature cache holds no query graph, so a query's
-graph dies with it; every pool it holds equals a cold ``compute_pools``
-after any update window; rotating constants keep it within its bound; and
+graph dies with it; an update window drops exactly the entries that read a
+row or key list it changed (or any label); every pool it holds equals a
+cold ``compute_pools`` after any update window; rotating constants keep it
+within its bound; and
 concurrent queries sharing it answer and count as a lone query does.
 """
 
@@ -29,6 +31,7 @@ import random
 import sys
 import threading
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -53,8 +56,8 @@ from repro.sparql import BasicGraphPattern, QueryGraph
 from repro.store import evaluate_centralized
 from repro.store import fragment_index as fragment_index_module
 from repro.store import kernel
-from repro.store.encoding import SIGNATURE_POOLS
-from repro.store.kernel import POOL_CACHE_LIMIT, ArrayRunner, pool_signatures
+from repro.store.encoding import PREDICATE_ANY, SIGNATURE_POOLS
+from repro.store.kernel import _LOOP, _VARIABLE, POOL_CACHE_LIMIT, ArrayRunner, pool_signatures, query_pools
 
 BITS = 4096
 LUBM_QUERIES = ("LQ1", "LQ3", "LQ6", "LQ7")
@@ -193,6 +196,23 @@ def assert_cache_is_cold(site, queries):
             assert entry.internal is None or entry.internal == site.graph.internal.intersection(pool)
 
 
+def what_it_reads(encoded, signature):
+    """The rows and key lists a pool of ``signature`` reads over ``encoded``, as values:
+    a constant's row, a variable end's key list, a loop's two, any label's every pair."""
+    read = []
+    for end, code, other in signature:
+        out_column, in_column = encoded.out_column(code), encoded.in_column(code)
+        if code == PREDICATE_ANY:
+            read.append(list(out_column.pairs()))
+        elif other >= 0:
+            read.append((in_column if end == 0 else out_column).row(other))
+        elif other == _VARIABLE:
+            read.append(list((out_column if end == 0 else in_column).keys))
+        elif other == _LOOP:
+            read.append((list(out_column.keys), list(in_column.keys)))
+    return read
+
+
 class TestTheSignatureCache:
     def test_no_query_graph_survives_a_query(self, monkeypatch):
         graphs = []
@@ -216,7 +236,7 @@ class TestTheSignatureCache:
             if enabled:
                 gc.enable()
 
-    def test_an_update_drops_the_cache_of_the_sites_it_patches(self):
+    def test_an_update_drops_exactly_the_entries_that_read_what_it_changed(self):
         with repro.open(dataset="lubm", scale=1, sites=3, executor="serial") as session:
             query = session.queries["LQ6"]
             query_graph = QueryGraph(query.bgp)
@@ -224,11 +244,69 @@ class TestTheSignatureCache:
             first = site.internal_candidates(query_graph)
             again = site.internal_candidates(QueryGraph(query.bgp))
             assert all(again[vertex] is first[vertex] for vertex in query_graph.variables)
-            session.update(remove=[next(iter(site.fragment.decoded().internal_edges))])
-            assert not cache_of(site)
+            for name in ("LQ1", "LQ2", "LQ3", "LQ4", "LQ5", "LQ7"):
+                session.query(name)
+                session.query(name, engine="centralized")
+            # Probes of every kind of signature entry: any label, and per label
+            # of site 0 a loop and both ends of a constant the graph lacks.
+            dictionary = session.cluster.dictionary
+            x, p, y, nowhere = Variable("x"), Variable("p"), Variable("y"), IRI("http://example.org/nowhere")
+            any_label = QueryGraph(BasicGraphPattern([TriplePattern(x, p, y)]))
+            probes = [any_label]
+            for label in map(dictionary.term_of, site.encoded.predicate_ids()):
+                probes += [
+                    QueryGraph(BasicGraphPattern([pattern]))
+                    for pattern in (TriplePattern(x, label, x), TriplePattern(x, label, nowhere), TriplePattern(nowhere, label, x))
+                ]
+            encodings = [site.encoded for site in session.cluster] + [session.cluster.encoded]
+            for encoded in encodings:
+                for probe in probes:
+                    query_pools(encoded, probe)
+            before = [
+                {signature: (entry, what_it_reads(encoded, signature)) for signature, entry in cache.items()}
+                for encoded, cache in ((encoded, encoded.memo[SIGNATURE_POOLS]) for encoded in encodings)
+            ]
+            internal = sorted(site.fragment.decoded().internal_edges, key=lambda triple: triple.n3())
+            # The added triple gives its label a new object, not a new subject.
+            subject, label, _ = internal[0].as_tuple()
+            objects = site.encoded.in_column(dictionary.id_of(label)).keys
+            target = next(vertex for vertex in sorted(site.graph.internal) if vertex not in objects)
+            session.update(remove=internal[1:4], add=[Triple(subject, label, dictionary.term_of(target))])
+            kept = dropped = 0
+            for encoded, entries in zip(encodings, before):
+                cache = encoded.memo[SIGNATURE_POOLS]
+                for signature, (entry, read) in entries.items():
+                    unchanged = what_it_reads(encoded, signature) == read
+                    assert (cache.get(signature) is entry) == unchanged, signature
+                    kept += unchanged
+                    dropped += not unchanged
+            assert kept and dropped  # both sides exercised
+            for encoded in (site.encoded, session.cluster.encoded):  # patched: any label is stale
+                assert not set(pool_signatures(encoded, any_label).values()) & set(encoded.memo[SIGNATURE_POOLS])
             again = site.internal_candidates(query_graph)
             decode = again.encoded.dictionary.decode_ids
             assert {v: decode(ids) for v, ids in again.items()} == reference_internal_candidates(site, query_graph)
+
+    def test_a_window_that_changes_the_internal_set_keeps_exact_restrictions(self):
+        with repro.open(dataset="lubm", scale=1, sites=3, executor="serial") as session:
+            site = session.cluster.site(0)
+            queries = [QueryGraph(session.queries[name].bgp) for name in LUBM_QUERIES]
+            for query_graph in queries:
+                site.internal_candidates(query_graph)
+            restricted = {signature: entry.internal for signature, entry in cache_of(site).items()}
+            # An internal vertex with one edge here leaves the internal set with it.
+            edges = sorted(site.fragment.decoded().internal_edges, key=lambda triple: triple.n3())
+            ends = Counter(vertex for triple in edges for vertex in (triple.subject, triple.object))
+            edge = next(triple for triple in edges if ends[triple.object] == 1)
+            leaf = session.cluster.dictionary.id_of(edge.object)
+            assert leaf in site.graph.internal
+            session.update(remove=[edge])
+            assert leaf not in site.graph.internal
+            kept = [signature for signature in restricted if signature in cache_of(site)]
+            assert kept and len(kept) < len(restricted)
+            # The kept restrictions are the very sets computed before, and exact.
+            assert all(cache_of(site)[signature].internal is restricted[signature] for signature in kept)
+            assert_cache_is_cold(site, queries)
 
     @given(seeds, st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=4))
     @settings(max_examples=25, deadline=None)

@@ -232,14 +232,6 @@ class TestKernelSurvivesMutation:
             (zed, A),
         }
 
-    def test_degree_is_the_sum_of_row_lengths(self):
-        graph = build_graph()
-        graph.add(Triple(A, KNOWS, A))  # a loop counts once per direction
-        encoded = EncodedGraph(graph)
-        for vertex in graph.vertices:
-            assert encoded.degree(encoded.dictionary.id_of(vertex)) == graph.degree(vertex)
-        assert encoded.degree(encoded.dictionary.id_of(KNOWS)) == 0
-
 
 def tracked_containers(encoded: EncodedGraph) -> int:
     """GC-tracked objects reachable from ``encoded``, terms and classes not entered."""

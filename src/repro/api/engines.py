@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import inspect
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from ..baselines.cloud import CliqueSquareEngine, S2RDFEngine, S2XEngine
@@ -124,12 +124,12 @@ class CentralizedEngine:
             with self._lock:
                 matcher = self._ensure_matcher()
                 with stage.measure():
-                    results = matcher.evaluate(query)
-                    # The distributed engines all project with distinct=True
+                    # The distributed engines all answer with distinct rows
                     # (duplicate solutions collapse when projection drops
-                    # variables); normalize the centralized answer to the same
-                    # convention so every evaluator is row-for-row comparable.
-                    results = results.project(query.effective_projection, distinct=True)
+                    # variables); the centralized answer drops them too,
+                    # before any LIMIT, so every evaluator is row-for-row
+                    # comparable.
+                    results = matcher.evaluate(replace(query, distinct=True))
                 search_steps = matcher.search_steps
             if stage.span is not None:
                 stage.span.set(search_steps=search_steps)

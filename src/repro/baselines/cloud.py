@@ -84,7 +84,7 @@ def _scan(site: Site, pattern: TriplePattern) -> List[Binding]:
     if isinstance(pattern.predicate, Variable):
         triples = encoded.iter_triple_ids()
     else:
-        predicate = predicate_code(encoded, pattern.predicate)
+        predicate = predicate_code(encoded.dictionary, pattern.predicate)
         triples = ((s, predicate, o) for s, o in encoded.out_column(predicate).pairs())
     return _pattern_bindings(
         (Triple(term_of(s), term_of(p), term_of(o)) for s, p, o in triples if s in internal), pattern

@@ -25,11 +25,12 @@ test-suite); they differ only in how much work they do to find them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Sequence, Set, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from ..rdf.terms import Variable
 from ..sparql.bindings import Binding, Row
 from ..sparql.query_graph import QueryGraph
+from ..store.kernel import query_layout
 from .joins import SignGroups, one_space
 from .partial_match import LocalPartialMatch, join_matches
 
@@ -52,12 +53,12 @@ class AssemblyOutcome:
         return [match.to_binding() for match in self.matches]
 
     def rows(self, variables: Sequence[Variable]) -> List[Row]:
-        """Each match's terms for ``variables``, read from its vertex slots (``None``: no vertex)."""
+        """Each match's terms for ``variables``, read from their slots (``None``: bound nowhere)."""
         if not self.matches:
             return []
         first = self.matches[0]
-        query, term_of = first.query, first.dictionary.term_of
-        slots = [query.num_edges + query.vertex_index(v) if v in query else None for v in variables]
+        slots = query_layout(first.query).row_slots(variables)
+        term_of = first.dictionary.term_of
         rows = []
         for match in self.matches:
             id_at = dict(match.items).get
@@ -78,6 +79,15 @@ class BaseAssembler:
     def assemble(self, lpms: Sequence[LocalPartialMatch]) -> AssemblyOutcome:
         raise NotImplementedError
 
+    def _labelled(self, matches: List[LocalPartialMatch]) -> List[LocalPartialMatch]:
+        """The ``matches`` whose edges of each predicate variable carry one label.
+
+        Partial evaluation labels each edge on its own, so a join may give one
+        variable two labels; a complete match maps every edge.
+        """
+        repeated = [edges for edges in query_layout(self._query).labelled if len(edges) > 1]
+        return [m for m in matches if all(len({dict(m.items)[e] for e in edges}) == 1 for edges in repeated)]
+
 
 class BasicAssembler(BaseAssembler):
     """The ungrouped join of [18]: DFS over individual local partial matches.
@@ -92,7 +102,7 @@ class BasicAssembler(BaseAssembler):
 
     def assemble(self, lpms: Sequence[LocalPartialMatch]) -> AssemblyOutcome:
         outcome = AssemblyOutcome()
-        seen_matches: Set[FrozenSet] = set()
+        seen_matches: Set[tuple] = set()
         visited_partials: Set[LocalPartialMatch] = set()
         items = list(lpms)
         outcome.groups = len(items)
@@ -100,12 +110,13 @@ class BasicAssembler(BaseAssembler):
             self._emit_if_complete(lpm, outcome, seen_matches)
         for seed in items:
             self._extend(seed, items, outcome, seen_matches, visited_partials)
+        outcome.matches = self._labelled(outcome.matches)
         return outcome
 
-    def _emit_if_complete(self, candidate: LocalPartialMatch, outcome: AssemblyOutcome, seen: Set[FrozenSet]) -> bool:
+    def _emit_if_complete(self, candidate: LocalPartialMatch, outcome: AssemblyOutcome, seen: Set[tuple]) -> bool:
         if not candidate.is_complete(self._query):
             return False
-        key = candidate.assignment
+        key = candidate.items
         if key not in seen:
             seen.add(key)
             outcome.matches.append(candidate)
@@ -116,7 +127,7 @@ class BasicAssembler(BaseAssembler):
         partial: LocalPartialMatch,
         items: Sequence[LocalPartialMatch],
         outcome: AssemblyOutcome,
-        seen_matches: Set[FrozenSet],
+        seen_matches: Set[tuple],
         visited_partials: Set[LocalPartialMatch],
     ) -> None:
         # Every join adds at least one internally-matched query vertex, so a
@@ -163,7 +174,7 @@ class LECAssembler(BaseAssembler):
             # |E_Q| on are its vertex-slot ids, in vertex order.
             keyed.append(([held for slot, held in match.items if slot >= base], members, match))
         keyed.sort(key=lambda entry: entry[:2])
-        outcome.matches = [match for _, _, match in keyed]
+        outcome.matches = self._labelled([match for _, _, match in keyed])
         outcome.groups = groups.groups
         outcome.join_attempts = groups.join_attempts
         outcome.successful_joins = groups.successful_joins

@@ -30,10 +30,12 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..sparql.query_graph import QueryGraph
 from ..store.encoding import TermDictionary
+from ..store.kernel import query_layout
 from .partial_match import Pair
 
 #: Per query edge: the slots of its subject and object (query vertex ``j``
-#: owns slot ``|E_Q| + j``), then their query vertex indexes.
+#: owns slot ``|E_Q| + j``), then their query vertex indexes
+#: (:attr:`QueryLayout.edge_ends <repro.store.kernel.QueryLayout.edge_ends>`).
 Ends = Tuple[int, int, int, int]
 
 #: One slot per query edge and query vertex: the predicate or data vertex id
@@ -42,15 +44,6 @@ Slots = List[Optional[int]]
 
 #: Called with the operand numbers of each complete combination, in join order.
 EmitFn = Callable[[Tuple[int, ...]], None]
-
-
-def edge_ends(query: QueryGraph) -> List[Ends]:
-    """Each query edge's :data:`Ends`, by edge index."""
-    base, ends = query.num_edges, []
-    for edge in query.edges:
-        subject, obj = query.vertex_index(edge.subject), query.vertex_index(edge.object)
-        ends.append((base + subject, base + obj, subject, obj))
-    return ends
 
 
 def fill(slots: Slots, crossing: Iterable[Pair], ends: Sequence[Ends]) -> Optional[Slots]:
@@ -105,7 +98,7 @@ class SignGroups:
     def __init__(self, query: QueryGraph, operands: Sequence[Tuple[int, Tuple[Pair, ...]]]) -> None:
         self._query = query
         self._operands = operands
-        self._ends = ends = edge_ends(query)
+        self._ends = ends = query_layout(query).edge_ends
         #: LECSign -> number of operands carrying it.
         self._signs = Counter([sign for sign, _ in operands])
         #: Distinct LECSigns among the operands.

@@ -20,9 +20,10 @@ moment it matches a crossing data edge to a query edge ranked below ``r``.
 Every LPM therefore comes out of one seed, once: nothing is deduplicated.
 
 **Representation.**  The search runs on the ids of the site's
-:class:`~repro.store.encoding.EncodedGraph`: query vertices are slots of a
-``values`` list, query edges are bits in rank order (edge and vertex sets are
-int masks), vertex classes and ranked crossing edges come from the site's
+:class:`~repro.store.encoding.EncodedGraph`, reading the query's one compiled
+form (:func:`~repro.store.kernel.compile_query`): query vertices are slots of
+a ``values`` list, query edges bits in rank order (edge and vertex sets are int
+masks); vertex classes and ranked crossing edges come from the site's
 :class:`~repro.store.fragment_index.FragmentIndex`.  A forced edge with one
 free endpoint reads the bound endpoint's ascending row of its label once and
 sorts each value in one loop: internal-admissible, extended-admissible (the
@@ -44,18 +45,15 @@ is one of this site's (:func:`~repro.store.fragment_index.internal_pools`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Union
 
 from ..partition.fragment import Fragment
-from ..rdf.terms import Variable
 from ..sparql.query_graph import QueryGraph
-from ..store.encoding import PREDICATE_ANY, predicate_code
+from ..store.encoding import PREDICATE_ANY
 from ..store.fragment_index import FragmentIndex, internal_pools
+from ..store.kernel import compile_query
 from .candidate_exchange import GlobalCandidateFilter
 from .partial_match import LocalPartialMatch, LPMList, check_local_partial_match
-
-#: Id of a constant query vertex the fragment never stores: no data vertex has it.
-_ABSENT_VERTEX = -1
 
 
 @dataclass
@@ -96,9 +94,7 @@ class PartialEvaluator:
         #: Planner-supplied ranking of query-edge indexes (most selective
         #: first): decides which seed an LPM comes out of and which forced
         #: edge a branch matches next — never which LPMs exist.
-        self._edge_priority: Dict[int, int] = (
-            {index: rank for rank, index in enumerate(edge_order)} if edge_order is not None else {}
-        )
+        self._edge_order = edge_order
 
     def evaluate(
         self,
@@ -115,13 +111,10 @@ class PartialEvaluator:
         internal, extended = index.internal, index.extended
         triple_ids, dictionary = encoded.triple_ids, encoded.dictionary
 
-        # Compile the query: vertices to slots, edges to bits in rank order.
-        vertices = query.vertices
-        constant: List[Optional[int]] = [
-            None if isinstance(vertex, Variable)
-            else _ABSENT_VERTEX if (code := dictionary.get(vertex)) is None else code
-            for vertex in vertices
-        ]
+        # The compiled query: vertices are slots, edges bits in rank order.
+        compiled = compile_query(query, dictionary)
+        vertices, constant = query.vertices, compiled.constants
+        edges, incident, by_index = compiled.ranked(self._edge_order)
         # The stage-1 vector each variable is filtered by (None: unfiltered).
         vectors = [
             candidate_filter.vectors.get(vertex) if candidate_filter is not None and code is None else None
@@ -133,17 +126,6 @@ class PartialEvaluator:
         # The internal values each slot may take: with the filter, the site's own candidates.
         own = internal_pools(index, query) if candidate_filter is not None else None
         allowed = [internal if own is None else own[vertex] for vertex in vertices]
-        priority = self._edge_priority
-        ranked = sorted(query.edges, key=lambda edge: (priority.get(edge.index, edge.index), edge.index))
-        slot_of = query.vertex_index
-        edges: List[Tuple[int, int, int, int]] = [
-            (slot_of(edge.subject), slot_of(edge.object), predicate_code(encoded, edge.predicate), edge.index)
-            for edge in ranked
-        ]
-        incident = [0] * len(vertices)
-        for rank, (subject_slot, object_slot, _, _) in enumerate(edges):
-            incident[subject_slot] |= 1 << rank
-            incident[object_slot] |= 1 << rank
 
         values: List[Optional[int]] = [None] * len(vertices)
         # Each rank's matched predicate id: its code, or a variable predicate's label.
@@ -151,8 +133,6 @@ class PartialEvaluator:
         out_columns = [None if code == PREDICATE_ANY else encoded.out_column(code) for _, _, code, _ in edges]
         in_columns = [None if code == PREDICATE_ANY else encoded.in_column(code) for _, _, code, _ in edges]
         fragments = frozenset({fragment.fragment_id})
-        # Emission order: edge slots by index, then vertex slots.
-        by_index = sorted((edge_index, rank, s, o) for rank, (s, o, _, edge_index) in enumerate(edges))
         vertex_base = len(edges)
 
         def emit(matched: int, internal_mask: int) -> None:

@@ -34,7 +34,7 @@ tests and by the enumerator's final filter) in :func:`check_local_partial_match`
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..partition.fragment import Fragment
 from ..rdf.terms import IRI, Literal, Node, PatternTerm, Term, Variable
@@ -42,6 +42,7 @@ from ..rdf.triples import Triple
 from ..sparql.bindings import Binding
 from ..sparql.query_graph import QueryGraph
 from ..store.encoding import TermDictionary
+from ..store.kernel import query_layout
 
 #: ``(slot, id)``: query edge ``i`` owns slot ``i`` and holds its data edge's
 #: predicate id, query vertex ``j`` owns slot ``|E_Q| + j`` and holds its data
@@ -111,27 +112,22 @@ class LocalPartialMatch:
         term_of = self.dictionary.term_of
         return tuple([term_of(term_id) for _, term_id in self.items])
 
-    def _vertex_terms(self) -> Iterator[Tuple[PatternTerm, Node]]:
-        base, vertices, term_of = self.query.num_edges, self.query.vertices, self.dictionary.term_of
-        return ((vertices[slot - base], term_of(term_id)) for slot, term_id in self.items if slot >= base)
-
     @property
     def assignment(self) -> FrozenSet[Tuple[PatternTerm, Node]]:
         """The non-NULL part of the mapping ``f``: (query vertex, data vertex) pairs."""
-        return frozenset(self._vertex_terms())
+        base, vertices, term_of = self.query.num_edges, self.query.vertices, self.dictionary.term_of
+        return frozenset((vertices[slot - base], term_of(term_id)) for slot, term_id in self.items if slot >= base)
 
     @property
     def edge_assignment(self) -> FrozenSet[Tuple[int, Triple]]:
         """(query edge index, data triple) for every matched query edge."""
-        query, values = self.query, {slot: term for (slot, _), term in zip(self.items, self.terms)}
-        base = query.num_edges
-        pairs = []
-        for slot, predicate in values.items():
-            if slot < base:
-                edge = query.edge_at(slot)
-                subject = values[base + query.vertex_index(edge.subject)]
-                pairs.append((slot, Triple(subject, predicate, values[base + query.vertex_index(edge.object)])))
-        return frozenset(pairs)
+        values = {slot: term for (slot, _), term in zip(self.items, self.terms)}
+        ends = query_layout(self.query).edge_ends
+        return frozenset(
+            (slot, Triple(values[ends[slot][0]], predicate, values[ends[slot][1]]))
+            for slot, predicate in values.items()
+            if slot < self.query.num_edges
+        )
 
     @property
     def crossing_assignment(self) -> FrozenSet[Tuple[int, Triple]]:
@@ -167,8 +163,12 @@ class LocalPartialMatch:
         )
 
     def to_binding(self) -> Binding:
-        """The variable bindings of this (complete) match."""
-        return Binding({vertex: value for vertex, value in self._vertex_terms() if isinstance(vertex, Variable)})
+        """The variable bindings of this (complete) match, predicate variables included."""
+        held, term_of = dict(self.items), self.dictionary.term_of
+        slots = query_layout(self.query).slot_of
+        return Binding(
+            {term: term_of(held[slot]) for term, slot in slots.items() if isinstance(term, Variable) and slot in held}
+        )
 
     def is_complete(self, query: QueryGraph) -> bool:
         """All query vertices internally matched somewhere (Theorem 4, condition 3)."""
@@ -305,23 +305,17 @@ def _rebuild_lpms(table: Sequence[Tuple[int, Term]], records: Sequence[tuple], s
     """
     dictionary = TermDictionary.received(table, space)
     ids = [term_id for term_id, _ in table]
-    ends: Dict[int, List[Tuple[int, int]]] = {}
     lpms = LPMList()
     for query, fragments, internal_mask, flat in records:
-        edge_ends = ends.get(id(query))
-        if edge_ends is None:
-            edge_ends = ends[id(query)] = [
-                (query.vertex_index(edge.subject), query.vertex_index(edge.object)) for edge in query.edges
-            ]
-        base = query.num_edges
+        edge_ends = query_layout(query).edge_ends
         items = tuple(zip(flat[0::2], [ids[reference] for reference in flat[1::2]]))
         held = dict(items)
         crossing = []
         for slot, term_id in items:
-            if slot < base:
-                subject, obj = edge_ends[slot]
+            if slot < query.num_edges:
+                subject_slot, object_slot, subject, obj = edge_ends[slot]
                 if not internal_mask >> subject & internal_mask >> obj & 1:
-                    crossing.append((slot, held[base + subject], term_id, held[base + obj]))
+                    crossing.append((slot, held[subject_slot], term_id, held[object_slot]))
         lpms.append(LocalPartialMatch(fragments, query, items, dictionary, internal_mask, tuple(crossing)))
     return lpms
 

@@ -15,12 +15,10 @@ through small result dataclasses — the same objects whose shipment the
 message bus then charges, so ``shipped_bytes``/``messages`` depend only on
 what the handlers return.
 
-The stage bodies themselves run on the site store's dictionary-encoded
-matching kernel (:mod:`repro.store.encoding`): a site computes a query's
-candidate pools once (:func:`repro.store.kernel.query_pools`), stage 1 sets
-bits from their ids and stage 2 reuses them; only complete matches decode to
-:class:`~repro.rdf.terms.Node` objects, so the payloads and results — and therefore the shipment accounting — are identical
-to the pre-encoding object path.
+The stage bodies run on ids: every site reads the query's one compiled form
+(:func:`repro.store.kernel.compile_query`) and computes its candidate pools
+once (:func:`repro.store.kernel.query_pools`), which stage 1 sets bits from
+and stage 2 reuses; only complete matches decode to terms.
 """
 
 from __future__ import annotations

@@ -16,6 +16,7 @@ fragments: any cross-site information must arrive through the message bus.
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..planner.optimizer import QueryPlanner
@@ -90,8 +91,11 @@ class Site:
 
         Used for star queries (whose results are always contained in one
         fragment because crossing edges are replicated) and by several
-        baselines.
+        baselines.  The coordinator keeps an answer's distinct rows, so under a
+        LIMIT repeats go before the cut, lest one take an answer row's place.
         """
+        if query.limit is not None:
+            query = replace(query, distinct=True)
         return self.store.evaluate(query)
 
     def internal_candidates(self, query: QueryGraph) -> CandidateIds:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..rdf.terms import IRI, PatternTerm, Variable
-from ..rdf.triples import TriplePattern
 from .algebra import BasicGraphPattern, SelectQuery
 
 
@@ -36,10 +35,6 @@ class QueryEdge:
     predicate: PatternTerm
     object: PatternTerm
     index: int
-
-    @property
-    def pattern(self) -> TriplePattern:
-        return TriplePattern(self.subject, self.predicate, self.object)
 
     @property
     def endpoints(self) -> Tuple[PatternTerm, PatternTerm]:

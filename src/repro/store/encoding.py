@@ -74,20 +74,19 @@ def key_bit(key: str, width: int) -> int:
     return int.from_bytes(digest[:8], "big") % width
 
 
-def predicate_code(encoded: "EncodedGraph", predicate: PatternTerm) -> int:
+def predicate_code(dictionary: "TermDictionary", predicate: PatternTerm) -> int:
     """The kernel code of a query-edge predicate.
 
     Variables map to :data:`PREDICATE_ANY`; constant IRIs map to their
-    dictionary id, or :data:`PREDICATE_ABSENT` when the graph never uses the
-    label (no data edge can match).  Non-IRI constants cannot label data
-    edges, so they are absent by construction.
+    dictionary id, or :data:`PREDICATE_ABSENT` when the dictionary does not
+    hold the label (no data edge can match).  Non-IRI constants cannot label
+    data edges, so they are absent by construction.
     """
     if isinstance(predicate, Variable):
         return PREDICATE_ANY
     if not isinstance(predicate, IRI):
         return PREDICATE_ABSENT
-    predicate_id = encoded.dictionary.get(predicate)
-    return PREDICATE_ABSENT if predicate_id is None else predicate_id
+    return dictionary.get(predicate, PREDICATE_ABSENT)
 
 
 class TermDictionary:

@@ -1,22 +1,18 @@
-"""The matching kernel: merge-join intersection over sorted columns.
+"""The matching kernel: the compiled query, candidate pools and merge-join frontiers.
 
-The matcher searches on dense integer ids; this module supplies the
-substrate under that search: flat sorted columns (contiguous value lists
-with per-row offset bounds) over which candidate narrowing becomes
-galloping ``bisect`` merge-join intersection instead of per-element hash
-probes.  :class:`ArrayRunner` is the one kernel (named ``python`` in traces
-and result metadata); the hash-set path it replaced survives only as the
-parity oracle of the test-suite.  Both yield the identical match *sequence*
-and the identical ``search_steps`` counter (see ``docs/performance.md`` for
-why the decomposition is exact).
-
-An *implied* variable's frontier is its neighbours' rows alone, as in Leapfrog
-Triejoin (Veldhuizen, ICDT 2014); pools are cached by signature (:func:`query_pools`).
-
-The sorted columns are the :class:`~repro.store.encoding.EncodedGraph`'s
-own: built with the encoding, and replaced *per predicate* when
-``apply_ops`` patches it — an incremental mutation touches only the mutated
-predicates' columns, everything else stays as it is.
+:func:`compile_query` is where a query becomes ints — slots, constant ids,
+predicate codes, ranks and pool signatures — once per query graph and
+dictionary state; the sites read that one :class:`CompiledQuery`, and the
+coordinator, which holds no site's dictionary, only its dictionary-free
+:class:`QueryLayout` (:func:`query_layout`).
+:class:`ArrayRunner` is the one matching kernel (named ``python`` in traces):
+pools and frontiers are sorted id lists, narrowed by galloping ``bisect``
+merge-joins over the encoding's sorted columns (replaced per predicate by a
+patch).  The hash-set path it replaced survives as the test-suite's parity
+oracle; both yield the same match *sequence* and ``search_steps``.  An
+*implied* variable's frontier is its neighbours' rows alone, as in Leapfrog
+Triejoin (Veldhuizen, ICDT 2014); pools are cached by signature
+(:func:`query_pools`).  ``docs/performance.md`` has the details.
 """
 
 from __future__ import annotations
@@ -24,11 +20,11 @@ from __future__ import annotations
 import weakref
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..rdf.terms import IRI, BlankNode, Literal, PatternTerm, Variable
-from ..sparql.query_graph import QueryEdge, QueryGraph
-from .encoding import PREDICATE_ANY, SIGNATURE_POOLS, EncodedGraph, predicate_code
+from ..sparql.query_graph import QueryGraph
+from .encoding import PREDICATE_ANY, SIGNATURE_POOLS, EncodedGraph, TermDictionary, predicate_code
 
 #: The sorted-column kernel's name, as recorded in traces and result metadata.
 KERNEL_PYTHON = "python"
@@ -39,63 +35,148 @@ def resolve_kernel(name: None = None) -> str:
     return KERNEL_PYTHON
 
 
-# ----------------------------------------------------------------------
-# Compiled query vertices
-# ----------------------------------------------------------------------
-class CompiledArrayVertex:
-    """A query vertex compiled for the sorted-column kernel.
+#: A signature's other end if a variable, or an unknown constant (a known one's
+#: is its id); :attr:`CompiledQuery.constants` marks an unknown constant so too.
+_VARIABLE, _UNKNOWN = -1, -3
+#: Per live query graph (held weakly, and never pickled with it): its layout,
+#: and its compiled form in the last dictionary state it was compiled under.
+_LAYOUTS: "weakref.WeakKeyDictionary[QueryGraph, QueryLayout]" = weakref.WeakKeyDictionary()
+_COMPILED: "weakref.WeakKeyDictionary[QueryGraph, CompiledQuery]" = weakref.WeakKeyDictionary()
 
-    The pool is already in id (= candidate) order — pools come out of
-    :meth:`ArrayRunner.compute_pools` sorted.  Narrowing carries only the
-    non-loop incident edges, pre-resolved to their adjacency columns; the
-    only residual per-candidate checks are self-loops: a non-loop edge
-    toward an *assigned* neighbour is enforced by intersecting that
-    neighbour's adjacency row into the frontier, and an edge toward an
-    unassigned neighbour is checked when that neighbour's own frontier
-    narrows through this vertex — exactly the cases the set path's
-    consistency check covers.
+
+class QueryLayout:
+    """A query graph's slots, which no dictionary decides (:func:`query_layout`).
+
+    Slots are the local-partial-match item layout (:data:`repro.core.partial_match.Item`):
+    query edge ``i`` owns slot ``i``, query vertex ``j`` slot ``|E_Q| + j``, and
+    a predicate variable the slot of the first edge it labels.  A variable that
+    is also a vertex keeps its vertex slot and labels nothing.
     """
 
-    __slots__ = ("index", "pool_list", "narrow_columns", "loop_codes", "implied")
+    def __init__(self, query: QueryGraph) -> None:
+        base = self.num_edges = query.num_edges
+        index = {vertex: position for position, vertex in enumerate(query.vertices)}
+        #: Vertex or predicate variable -> its slot.
+        self.slot_of: Dict[PatternTerm, int] = {vertex: base + j for vertex, j in index.items()}
+        #: Blank-node vertices: searched like variables, read as constants by their neighbours' pools.
+        self.blank = frozenset(j for vertex, j in index.items() if isinstance(vertex, BlankNode))
+        #: Per edge: subject slot, object slot, subject vertex, object vertex.
+        self.edge_ends = tuple(
+            (base + index[e.subject], base + index[e.object], index[e.subject], index[e.object]) for e in query.edges
+        )
+        labelled: Dict[PatternTerm, List[int]] = {}
+        for edge in query.edges:
+            if isinstance(edge.predicate, Variable) and edge.predicate not in index:
+                labelled.setdefault(edge.predicate, []).append(edge.index)
+                self.slot_of.setdefault(edge.predicate, edge.index)
+        #: Per predicate variable, by first edge: every edge it labels.
+        self.labelled = tuple(map(tuple, labelled.values()))
 
-    def __init__(
-        self,
-        index: int,
-        pool_list: List[int],
-        narrow_columns: List[Tuple[Dict[int, int], List[int], List[int], int]],
-        loop_codes: List[int],
-        implied: bool,
-    ) -> None:
-        self.index = index
-        self.pool_list = pool_list
-        #: ``(row index, offsets, values, other_vertex_index)`` per incident
-        #: non-loop edge — the internals of the adjacency column whose row at
-        #: the other endpoint's assignment narrows this vertex's frontier,
-        #: flattened so the per-depth hot loop runs on plain dict/list
-        #: lookups.  A column is never mutated (a patch replaces it), so
-        #: caching its internals here is safe.
-        self.narrow_columns = narrow_columns
-        self.loop_codes = loop_codes
-        self.implied = implied
+    def row_slots(self, variables: Sequence[Variable]) -> List[Optional[int]]:
+        """The slot of each of ``variables`` (``None``: the query binds it nowhere)."""
+        return [self.slot_of.get(variable) for variable in variables]
 
 
-# ----------------------------------------------------------------------
-# The match runner
-# ----------------------------------------------------------------------
+def query_layout(query: QueryGraph) -> QueryLayout:
+    """``query``'s :class:`QueryLayout`, built once per live query graph."""
+    layout = _LAYOUTS.get(query)
+    if layout is None:
+        layout = _LAYOUTS[query] = QueryLayout(query)
+    return layout
+
+
+class CompiledQuery:
+    """A query graph's :class:`QueryLayout` with the ids one dictionary state
+    gives its terms (:func:`compile_query`)."""
+
+    def __init__(self, query: QueryGraph, dictionary: TermDictionary) -> None:
+        self.layout = query_layout(query)
+        #: The dictionary's ``(space, len)``: more terms may turn an unknown constant into an id.
+        self.state = (dictionary.space, len(dictionary))
+        vertices, index = query.vertices, query.vertex_index
+        #: Per vertex: ``None`` for a variable, else the constant's id or ``_UNKNOWN``.
+        self.constants = tuple(None if isinstance(v, Variable) else dictionary.get(v, _UNKNOWN) for v in vertices)
+        #: Per edge: its predicate code.
+        self.codes = tuple(predicate_code(dictionary, edge.predicate) for edge in query.edges)
+        #: Per vertex, per edge of ``edges_of``: other vertex (itself on a loop),
+        #: end (0 where the vertex is the subject) and code.
+        self.adjacency = tuple(
+            tuple((index(e.other_endpoint(v)), int(e.subject != v), self.codes[e.index]) for e in query.edges_of(v))
+            for v in vertices
+        )
+        #: Per vertex: its pool signature (``None`` for an IRI or literal, whose pool is its own id).
+        self.signatures = tuple(
+            None if isinstance(vertex, (IRI, Literal)) else self._signature(j) for j, vertex in enumerate(vertices)
+        )
+        self._ranked: Dict[Optional[tuple], tuple] = {}
+
+    def _signature(self, vertex: int) -> tuple:
+        """``(end, code, other end)`` per column the vertex's pool intersects:
+        the other end is ``_VARIABLE`` or a constant's id, and a loop with a
+        constant label also needs an incoming edge, the label's objects."""
+        entries = []
+        for other, end, code in self.adjacency[vertex]:
+            constant = self.constants[other]
+            entries.append((end, code, _VARIABLE if constant is None else constant))
+            if other == vertex and code != PREDICATE_ANY:
+                entries.append((1, code, _VARIABLE))
+        return tuple(entries)
+
+    def ranked(self, edge_order: Optional[Sequence[int]] = None) -> tuple:
+        """Once per edge order: per rank ``(subject, object, code, edge index)``
+        (the planner's order, BGP order where it names no rank), each vertex's
+        incident mask over ranks, and the emission order ``(edge index, rank,
+        subject, object)``."""
+        key = None if edge_order is None else tuple(edge_order)
+        ranked = self._ranked.get(key)
+        if ranked is None:
+            priority = {} if key is None else {index: rank for rank, index in enumerate(key)}
+            order = sorted(range(len(self.codes)), key=lambda index: (priority.get(index, index), index))
+            edges = [(*self.layout.edge_ends[index][2:], self.codes[index], index) for index in order]
+            incident = [0] * len(self.constants)
+            for rank, (subject, obj, _, _) in enumerate(edges):
+                incident[subject] |= 1 << rank
+                incident[obj] |= 1 << rank
+            emission = sorted((index, rank, subject, obj) for rank, (subject, obj, _, index) in enumerate(edges))
+            ranked = self._ranked[key] = (edges, incident, emission)
+        return ranked
+
+
+def compile_query(query: QueryGraph, dictionary: TermDictionary) -> CompiledQuery:
+    """``query``'s :class:`CompiledQuery` over ``dictionary``: built once per live
+    query graph for every site sharing the dictionary, and again once the
+    dictionary's state changes (a new term may be a constant the query named).
+    Ranks are keyed by edge order inside it (:meth:`CompiledQuery.ranked`)."""
+    compiled = _COMPILED.get(query)
+    if compiled is None or compiled.state != (dictionary.space, len(dictionary)):
+        compiled = _COMPILED[query] = CompiledQuery(query, dictionary)
+    return compiled
+
+
+@dataclass(slots=True)
+class CompiledArrayVertex:
+    """A query vertex in visit order with this encoding's columns.
+
+    ``narrow_columns`` holds ``(row index, offsets, values, other vertex)`` per
+    non-loop edge: the column whose row at the other end's assignment narrows
+    the frontier, flattened for the hot loop (a patch replaces a column, never
+    mutates it).  Self-loops are the only per-candidate probe.
+    """
+
+    index: int
+    pool_list: List[int]
+    narrow_columns: List[Tuple[Dict[int, int], List[int], List[int], int]]
+    loop_codes: List[int]
+    implied: bool
+
+
 class ArrayRunner:
     """One ``find_matches`` call's kernel state (never shared across calls).
 
-    The matcher drives three steps: :meth:`compute_pools` (per-vertex
-    candidate pools, sorted in id order), :meth:`compile` (query vertices to
-    integer tuples in visit order), and :meth:`frontier` (the batched
-    candidate list for one search depth).
-
-    Candidate pools and frontiers are sorted lists; narrowing is a
-    merge-join over the adjacency rows of already-assigned neighbours (plus
-    the pool itself), smallest row driving.  Because every non-loop incident
-    edge toward an assigned vertex participates in the merge, the only
-    residual per-candidate check is the self-loop probe — the set path's
-    consistency verdicts are reproduced exactly, at merge-join cost.
+    The matcher drives three steps: :meth:`compute_pools` (per-vertex pools
+    in id order), :meth:`compile` (the visit order with its columns) and
+    :meth:`frontier` (one search depth's candidates, by merge-join over the
+    assigned neighbours' rows and the pool, smallest driving).
     """
 
     kernel = KERNEL_PYTHON
@@ -106,80 +187,44 @@ class ArrayRunner:
         #: — the work metric behind ``repro_kernel_intersections_total``.
         self.intersections = 0
 
-    # -- candidate pools -------------------------------------------------
     def compute_pools(self, query: QueryGraph) -> Dict[PatternTerm, List[int]]:
-        """Every query vertex's candidate ids, ascending: a constant's own id
-        where it is a vertex here, a variable's the ids supporting every
-        incident edge."""
-        return {query_vertex: self.vertex_pool(query, query_vertex) for query_vertex in query.vertices}
+        """Every query vertex's candidate ids, ascending, computed afresh."""
+        compiled = compile_query(query, self.encoded.dictionary)
+        return {
+            vertex: self.vertex_pool(signature, constant)
+            for vertex, signature, constant in zip(query.vertices, compiled.signatures, compiled.constants)
+        }
 
-    def vertex_pool(self, query: QueryGraph, query_vertex: PatternTerm) -> List[int]:
-        """One vertex's entry of :meth:`compute_pools`."""
-        if isinstance(query_vertex, (IRI, Literal)):
-            vertex_id = self.encoded.dictionary.get(query_vertex)
-            return [vertex_id] if vertex_id is not None and self.encoded.is_vertex(vertex_id) else []
-        return self._variable_pool(query, query_vertex)
-
-    def _endpoint_column(self, edge: QueryEdge, query_vertex: PatternTerm) -> List[int]:
-        """Sorted ids that could sit at ``query_vertex``'s end of ``edge``.
-
-        The sorted-column counterpart of the set path's per-edge endpoint
-        sets: membership in this sequence *is* edge support, so the same
-        sequence drives both seeding and support filtering.
-        """
+    def vertex_pool(self, signature: Optional[tuple], constant: Optional[int]) -> List[int]:
+        """A constant's own id where it is a vertex here; else the ids in every
+        column of ``signature`` (a label's key list where the other end is a
+        variable, the constant's row otherwise: membership *is* edge support)."""
         encoded = self.encoded
-        code = predicate_code(encoded, edge.predicate)
-        if edge.subject == query_vertex:
-            other = edge.object
-            if isinstance(other, Variable):
-                return encoded.subjects_of_predicate(code)
-            other_id = encoded.dictionary.get(other)
-            if other_id is None:
-                return []
-            return encoded.subjects_to(code, other_id)
-        other = edge.subject
-        if isinstance(other, Variable):
-            return encoded.objects_of_predicate(code)
-        other_id = encoded.dictionary.get(other)
-        if other_id is None:
-            return []
-        return encoded.objects_from(other_id, code)
-
-    def _variable_pool(self, query, query_vertex) -> List[int]:
-        """The ids in every incident edge's endpoint column, in id order.
-
-        A self-loop ``?x p ?x`` with a constant ``p`` requires both of
-        ``p``'s columns: a candidate must have an outgoing *and* an incoming
-        ``p`` edge.  Whether that is the same edge is left to the search.
-        """
+        if signature is None:
+            return [constant] if constant >= 0 and encoded.is_vertex(constant) else []
         columns = []
-        for edge in query.edges_of(query_vertex):
-            column = self._endpoint_column(edge, query_vertex)
+        for end, code, other in signature:
+            if other == _VARIABLE:
+                column = encoded.out_column(code).keys if end == 0 else encoded.in_column(code).keys
+            elif other == _UNKNOWN:
+                return []
+            else:
+                column = encoded.subjects_to(code, other) if end == 0 else encoded.objects_from(other, code)
             if not column:
                 return []
             columns.append(column)
-            if edge.object == edge.subject and not isinstance(edge.predicate, Variable):
-                column = self.encoded.objects_of_predicate(predicate_code(self.encoded, edge.predicate))
-                if not column:
-                    return []
-                columns.append(column)
         if len(columns) == 1:
             # One edge supports the vertex: its column is the pool, copied
             # at C speed (the merge below would keep every id of it).
             return list(columns[0])
         seed_position = min(range(len(columns)), key=lambda i: len(columns[i]))
-        seed = columns[seed_position]
-        others = [
-            column
-            for position, column in enumerate(columns)
-            if position != seed_position
-        ]
+        seed = columns.pop(seed_position)
         survivors = []
-        self.intersections += len(others)
+        self.intersections += len(columns)
         # The seed ascends, so each column's next probe starts at its last one.
-        starts = [0] * len(others)
+        starts = [0] * len(columns)
         for vertex_id in seed:
-            for at, column in enumerate(others):
+            for at, column in enumerate(columns):
                 position = starts[at] = bisect_left(column, vertex_id, starts[at])
                 if position >= len(column) or column[position] != vertex_id:
                     break
@@ -187,42 +232,31 @@ class ArrayRunner:
                 survivors.append(vertex_id)
         return survivors
 
-    # -- compilation -----------------------------------------------------
     def compile(self, query, order, pools) -> List[CompiledArrayVertex]:
         """The vertices of ``order``; a variable without a self-loop whose
         neighbours all come earlier and are variables or IRI/literal constants
         is *implied*: each neighbour's row is within that edge's endpoint
         column, whose intersection is the pool, so its frontier skips the pool.
         """
-        compiled: List[CompiledArrayVertex] = []
-        encoded = self.encoded
-        for position, vertex in enumerate(order):
-            vertex_index = query.vertex_index(vertex)
-            narrow_columns = []
-            loop_codes: List[int] = []
-            implied = isinstance(vertex, Variable)
-            for edge in query.edges_of(vertex):
-                code = predicate_code(encoded, edge.predicate)
-                other = edge.other_endpoint(vertex)
-                if other == vertex:
+        compiled = compile_query(query, self.encoded.dictionary)
+        layout, encoded, vertices, earlier = compiled.layout, self.encoded, [], set()
+        for vertex in order:
+            index = layout.slot_of[vertex] - layout.num_edges
+            narrow_columns, loop_codes = [], []
+            implied = compiled.constants[index] is None
+            for other, end, code in compiled.adjacency[index]:
+                if other == index:
                     loop_codes.append(code)
                     continue
-                implied = implied and other in order[:position] and not isinstance(other, BlankNode)
-                # The row to intersect is keyed by the *other* endpoint's
-                # assignment: vertex-as-subject narrows through the inbound
-                # column of the object, and vice versa.
-                if edge.subject == vertex:
-                    column = encoded.in_column(code)
-                    other_index = query.vertex_index(edge.object)
-                else:
-                    column = encoded.out_column(code)
-                    other_index = query.vertex_index(edge.subject)
-                narrow_columns.append(
-                    (column._rows, column.offsets, column.values, other_index)
-                )
+                implied = implied and other in earlier and other not in layout.blank
+                # The row is keyed by the *other* end's assignment: a subject
+                # narrows through the object's inbound column, and vice versa.
+                column = encoded.in_column(code) if end == 0 else encoded.out_column(code)
+                narrow_columns.append((column._rows, column.offsets, column.values, other))
+            earlier.add(index)
             implied = implied and not loop_codes and bool(narrow_columns)
-            compiled.append(CompiledArrayVertex(vertex_index, pools[vertex], narrow_columns, loop_codes, implied))
-        return compiled
+            vertices.append(CompiledArrayVertex(index, pools[vertex], narrow_columns, loop_codes, implied))
+        return vertices
 
     # -- the batched frontier --------------------------------------------
     def frontier(
@@ -293,13 +327,8 @@ class ArrayRunner:
         return survivors, tried
 
 
-#: A signature's other end if a variable, the loop, or an unknown constant (a known one's is its id).
-_VARIABLE, _LOOP, _UNKNOWN = -1, -2, -3
 #: Signatures one encoding's pool cache holds: reaching it empties the cache.
 POOL_CACHE_LIMIT = 1024
-#: Per live query graph (held weakly, and never pickled with it): the
-#: dictionary state and its variables' signatures.
-_SIGNATURES: "weakref.WeakKeyDictionary[QueryGraph, tuple]" = weakref.WeakKeyDictionary()
 
 
 @dataclass
@@ -323,9 +352,8 @@ class PoolCache(dict):
         """
         for signature in list(self):
             for end, code, other in signature:
-                if other in (_VARIABLE, _LOOP):
-                    # The variable's column's key list; a loop reads the other one too.
-                    stale = (end, code) in new_keys or (other == _LOOP and (1, code) in new_keys)
+                if other == _VARIABLE:
+                    stale = (end, code) in new_keys  # the variable's column's key list
                 else:
                     # The constant's row of the column keyed by it; an unknown one has none.
                     stale = other in changes[1 - end].get(code, ())
@@ -334,45 +362,22 @@ class PoolCache(dict):
                     break
 
 
-def pool_signatures(encoded: EncodedGraph, query: QueryGraph) -> Dict[PatternTerm, tuple]:
-    """Each variable's ``(end, predicate code, other end)`` per edge of ``edges_of``:
-    all :meth:`ArrayRunner._variable_pool` reads.  Computed once per query graph
-    for every site sharing the dictionary, again once it grows (a new term
-    turns an unknown constant into an id)."""
-    dictionary = encoded.dictionary
-    state = (dictionary.space, len(dictionary))
-    known = _SIGNATURES.get(query)
-    if known is None or known[0] != state:
-        signatures = {}
-        for vertex in query.variables:
-            entries = []
-            for edge in query.edges_of(vertex):
-                other = edge.other_endpoint(vertex)
-                other_id = _VARIABLE if isinstance(other, Variable) else dictionary.get(other, _UNKNOWN)
-                code = predicate_code(encoded, edge.predicate)
-                entries.append((int(edge.subject != vertex), code, _LOOP if other == vertex else other_id))
-            signatures[vertex] = tuple(entries)
-        known = _SIGNATURES[query] = (state, signatures)
-    return known[1]
-
-
 def query_pools(encoded: EncodedGraph, query: QueryGraph) -> Dict[PatternTerm, CachedPool]:
     """``query``'s candidate pools over ``encoded``: each variable's from the
-    encoding's cache by its signature, every other vertex's computed.
+    encoding's cache by its compiled signature, every constant's computed.
 
     Stage 1, partial evaluation and the search all read them.  A miss
     computes and stores; :meth:`EncodedGraph.apply_ops` drops the entries
     whose signature reads what it changed (:meth:`PoolCache.drop_stale`).
     """
     cache = encoded.memo.get(SIGNATURE_POOLS) or encoded.memo.setdefault(SIGNATURE_POOLS, PoolCache())
-    signatures = pool_signatures(encoded, query)
+    compiled = compile_query(query, encoded.dictionary)
     pools = {}
-    for vertex in query.vertices:
-        signature = signatures.get(vertex)
+    for vertex, signature, constant in zip(query.vertices, compiled.signatures, compiled.constants):
         entry = None if signature is None else cache.get(signature)
         if entry is None:
             runner = ArrayRunner(encoded)
-            entry = CachedPool(runner.vertex_pool(query, vertex), runner.intersections)
+            entry = CachedPool(runner.vertex_pool(signature, constant), runner.intersections)
             if signature is not None:
                 if len(cache) >= POOL_CACHE_LIMIT:
                     cache.clear()

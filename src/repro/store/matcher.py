@@ -3,31 +3,23 @@
 This is the "local evaluation inside one site" engine and also the
 ground-truth centralized evaluator used by the tests: finding all matches of
 a BGP query over an RDF graph is finding all subgraph homomorphisms from the
-query graph to the data graph (Definition 3).
+query graph to the data graph (Definition 3).  Distinct query vertices may
+map to the same data vertex, matching SPARQL semantics, and a predicate
+variable is bound like any other: a match yields a row per label its edges
+share.
 
-The matcher is a classic backtracking search over the query vertices in a
-connectivity-preserving order, with candidate filtering (per-edge support,
-as sorted-column intersection) done upfront.  Variables on predicates are
-supported.  Distinct query vertices may map to the same data vertex
-(homomorphism, not isomorphism), matching SPARQL semantics.
-
-Since the dictionary-encoding PR the search runs entirely on dense integer
-ids from :mod:`repro.store.encoding`; the per-depth candidate computation
-is delegated to the sorted-column *match runner* of
-:mod:`repro.store.kernel`, which narrows candidates by galloping merge-join
-over sorted adjacency lists.  The search itself is a batched backtracking
-frontier — one runner call computes a whole depth's ordered candidates at
-once — and it produces the identical match sequence and identical
-``search_steps`` (the frontier's pre-consistency candidate count per depth,
-exactly what the per-candidate loop used to charge) as the original
-hash-set path, which the test-suite keeps as its oracle.
-
-Assignments decode back to :class:`~repro.rdf.terms.Node` objects only when
-a complete match is yielded.
+The search is a batched backtracking frontier over the query vertices in a
+connectivity-preserving order, on the ids of :mod:`repro.store.encoding`:
+one call of the :mod:`repro.store.kernel` runner computes a whole depth's
+candidates by merge-join over sorted rows.  It gives the match sequence and
+``search_steps`` of the hash-set path the test-suite keeps as its oracle.
+A complete match decodes to :class:`~repro.rdf.terms.Node` objects only
+when it is yielded.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from ..planner.optimizer import QueryPlanner
@@ -36,8 +28,8 @@ from ..rdf.terms import Node, PatternTerm
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import ResultSet, Row
 from ..sparql.query_graph import QueryGraph, traversal_order
-from .encoding import EncodedGraph
-from .kernel import ArrayRunner, query_pools
+from .encoding import PREDICATE_ANY, EncodedGraph
+from .kernel import ArrayRunner, query_layout, query_pools
 
 
 def finalize_matches(query: SelectQuery, rows: List[Row]) -> ResultSet:
@@ -126,17 +118,19 @@ class LocalMatcher:
                 graph = QueryGraph(components[0])
             return list(self._solutions(graph, None, projection))
         partial: List[List[Dict[PatternTerm, Node]]] = []
-        steps = 0
-        intersections = 0
+        steps = intersections = 0
         for component in components:
-            partial.append(list(self.find_matches(QueryGraph(component))))
+            names = component.variables
+            rows = self._solutions(QueryGraph(component), None, names)
+            partial.append([dict(zip(names, row)) for row in rows])
             steps += self.search_steps
             intersections += self.kernel_intersections
         self.search_steps = steps
         self.kernel_intersections = intersections
         combined = partial[0]
         for extra in partial[1:]:
-            combined = [{**left, **right} for left in combined for right in extra]
+            # Components share no vertex, but may share a predicate variable: a pair must agree on it.
+            combined = [{**a, **b} for a in combined for b in extra if all(a[v] == b[v] for v in a.keys() & b.keys())]
         return [tuple(map(assignment.get, projection)) for assignment in combined]
 
     def find_matches(
@@ -153,16 +147,19 @@ class LocalMatcher:
         of the search space is explored before failures are detected.
 
         The kernel's pools come from the encoding's signature cache
-        (:func:`~repro.store.kernel.query_pools`).
+        (:func:`~repro.store.kernel.query_pools`).  An assignment is yielded
+        once, if its edges of each predicate variable share a label.
         """
         vertices = query.vertices
-        return (dict(zip(vertices, row)) for row in self._solutions(query, order, vertices))
+        return (dict(zip(vertices, row)) for row in self._solutions(query, order, vertices, per_label=False))
 
-    def _solutions(self, query, order, columns) -> Iterator[Row]:
+    def _solutions(self, query, order, columns, per_label: bool = True) -> Iterator[Row]:
         """:meth:`find_matches`, each match as a row of the terms of ``columns``.
 
-        A column that is no vertex of ``query`` is ``None``; only the
-        vertices a column names are decoded.
+        A column the query binds nowhere is ``None``; only the terms a column
+        names are decoded.  With ``per_label`` a match is one row per labelling
+        of its predicate-variable edges where each variable's edges carry one
+        label, in ascending label order (:meth:`_labelled`).
         """
         self.search_steps = 0
         self.kernel_intersections = 0
@@ -187,14 +184,36 @@ class LocalMatcher:
             compiled = runner.compile(query, chosen, pools)
             assignment: List[Optional[int]] = [None] * query.num_vertices
             term_of = encoded.dictionary.term_of
-            slot_of = {chosen[position]: vertex.index for position, vertex in enumerate(compiled)}
-            slots = [slot_of.get(column) for column in columns]
-            for _ in self._extend(assignment, compiled, runner):
-                # The inner generator is suspended with every slot assigned,
-                # so the complete match decodes straight off the assignment.
-                yield tuple([None if s is None else term_of(assignment[s]) for s in slots])
+            form = query_layout(query)
+            # A cell is a vertex's index in the assignment, or past it a
+            # predicate variable's position in ``labelled``.
+            base, first = form.num_edges, {edges[0]: len(assignment) + at for at, edges in enumerate(form.labelled)}
+            cells = [s if s is None else s - base if s >= base else first[s] for s in form.row_slots(columns)]
+            matches = self._extend(assignment, compiled, runner)
+            if form.labelled:
+                matches = self._labelled(form, matches, per_label)
+            for values in matches:
+                yield tuple([None if cell is None else term_of(values[cell]) for cell in cells])
         finally:
             self.kernel_intersections += runner.intersections
+
+    def _labelled(self, form, matches: Iterator[List[int]], per_label: bool) -> Iterator[List[int]]:
+        """Each of ``matches`` followed by a label per predicate variable, once
+        per labelling where each variable's edges carry one label, ascending
+        (without ``per_label``, once with no labels if there is such a labelling)."""
+        triple_ids, ends = self._encoded.triple_ids, form.edge_ends
+        for assignment in matches:
+            choices = []
+            for edges in form.labelled:
+                labels = None
+                for edge in edges:
+                    _, _, subject, obj = ends[edge]
+                    found = [p for _, p, _ in triple_ids(assignment[subject], PREDICATE_ANY, assignment[obj])]
+                    labels = found if labels is None else [label for label in labels if label in found]
+                choices.append(labels)
+            if all(choices):
+                for labels in product(*choices) if per_label else [()]:
+                    yield assignment + list(labels)
 
     def count_matches(self, query: QueryGraph) -> int:
         """Number of complete matches (used by benchmarks)."""
@@ -208,8 +227,8 @@ class LocalMatcher:
         assignment: List[Optional[int]],
         compiled: List[object],
         runner: ArrayRunner,
-    ) -> Iterator[None]:
-        """DFS over the compiled vertices; yields once per complete match.
+    ) -> Iterator[List[Optional[int]]]:
+        """DFS over the compiled vertices; yields ``assignment`` once per complete match.
 
         Iterative (an explicit per-depth frame stack) rather than nested
         generators: every yielded match would otherwise bubble through one
@@ -221,7 +240,7 @@ class LocalMatcher:
         consume the generator fully, so the totals are identical).
         """
         if not compiled:
-            yield None
+            yield assignment
             return
         frontier = runner.frontier
         last = len(compiled) - 1
@@ -243,7 +262,7 @@ class LocalMatcher:
             frame[1] = position + 1
             assignment[compiled[depth].index] = survivors[position]
             if depth == last:
-                yield None  # the caller reads the complete assignment in place
+                yield assignment  # complete, read in place before the search resumes
             else:
                 depth += 1
 

@@ -5,7 +5,8 @@ coordinator's DISTINCT and LIMIT and finally ``Result.rows()`` /
 ``to_dicts()``.  These cases are the shapes where a projection can go wrong
 on that path: a variable projected twice, a projected variable the BGP never
 binds, ``LIMIT 0``, a disconnected BGP (a cross product of its components),
-``SELECT *`` and a DISTINCT that drops a variable.
+``SELECT *``, a DISTINCT that drops a variable, a projected predicate
+variable, and a predicate variable whose two edges must carry one label.
 
 For every (engine, case) the golden file pins the answer count, the
 result's ``variables``, the shipped bytes, ``Result.rows()`` and
@@ -47,6 +48,10 @@ PATH = (
     "?s ub:undergraduateDegreeFrom u:University0 ."
 )
 
+#: A graduate student whose advisor heads a department, and that department.
+ADVISEE = "<http://example.org/university/University0/Department0/GraduateStudent0>"
+DEPARTMENT = "<http://example.org/university/University0/Department0>"
+
 CASES = {
     "duplicate-star": f"SELECT ?p ?p WHERE {{ {STAR} }}",
     "duplicate-path": f"SELECT ?d ?s ?d WHERE {{ {PATH} }}",
@@ -61,6 +66,10 @@ CASES = {
     ),
     "select-all": f"SELECT * WHERE {{ {PATH} }}",
     "distinct-drops-a-variable": f"SELECT DISTINCT ?d WHERE {{ {PATH} }}",
+    "projected-predicate": (
+        f"SELECT ?r ?d WHERE {{ {ADVISEE} ub:advisor ?a . ?a ?r ?d . ?d ub:subOrganizationOf u:University0 . }}"
+    ),
+    "repeated-predicate": f"SELECT ?x WHERE {{ {ADVISEE} ub:advisor ?a . ?a ?r {DEPARTMENT} . ?x ?r {DEPARTMENT} . }}",
 }
 
 #: Engines whose row sequence does not depend on the hash seed.

@@ -40,13 +40,19 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.core.assembly import AssemblyOutcome
-from repro.core.joins import edge_ends, fill
+from repro.core.joins import fill
 from repro.core.lec import LECFeature, lec_feature_of
 from repro.core.partial_match import LocalPartialMatch, Pair
 from repro.core.pruning import PruningOutcome
 from repro.rdf.triples import Triple
 from repro.sparql.query_graph import QueryGraph
 from repro.store.encoding import TermDictionary
+from repro.store.kernel import query_layout
+
+
+def edge_ends(query: QueryGraph):
+    """Each query edge's subject and object slots, then vertices, by edge index."""
+    return query_layout(query).edge_ends
 
 
 def lec_feature(

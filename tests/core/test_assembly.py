@@ -9,9 +9,10 @@ from repro.core.assembly import BasicAssembler, LECAssembler, assemble_matches
 from repro.core.partial_match import LPMList
 from repro.core.partial_eval import evaluate_fragment
 from repro.distributed import build_cluster
-from repro.partition import HashPartitioner, SemanticHashPartitioner
-from repro.sparql import QueryGraph
-from repro.datasets import btc, lubm, yago
+from repro.partition import HashPartitioner, SemanticHashPartitioner, build_partitioned_graph
+from repro.rdf import Triple
+from repro.sparql import QueryGraph, parse_query
+from repro.datasets import btc, lubm, random_assignment, random_graph, yago
 
 
 def collect_lpms(partitioned, query_graph):
@@ -82,6 +83,22 @@ class TestAssemblyDetails:
         outcome = LECAssembler(example_query_graph).assemble(lpms)
         for binding in outcome.bindings():
             assert all(variable.is_variable for variable in binding.variables)
+
+    @pytest.mark.parametrize("use_lec_grouping", [True, False], ids=["lec", "basic"])
+    def test_a_predicate_variable_binds_one_label_in_rows_and_bindings(self, use_lec_grouping):
+        """Crossing matches of ``?a ?p ?b . ?b ?p ?c`` give ``?p`` a cell, the
+        label both edges carry; partial evaluation labels each edge alone."""
+        graph = random_graph(1050, 10, 22, 2)
+        query = parse_query("PREFIX ex: <http://example.org/random/> SELECT ?a ?p ?c WHERE { ?a ?p ?b . ?b ?p ?c }")
+        query_graph = QueryGraph(query.bgp)
+        lpms = collect_lpms(build_partitioned_graph(graph, random_assignment(graph, 7, 3), 3), query_graph)
+        outcome = assemble_matches(query_graph, lpms, use_lec_grouping=use_lec_grouping)
+        projection = query.effective_projection
+        rows = [tuple(map(binding.get, projection)) for binding in outcome.bindings()]
+        assert rows == outcome.rows(projection) and rows
+        for binding in outcome.bindings():
+            a, p, b, c = (binding.get(variable) for variable in query.variables)
+            assert Triple(a, p, b) in graph and Triple(b, p, c) in graph
 
     def test_same_fragment_lpms_can_participate_in_one_match(self):
         """A crossing match may need two LPMs of the same fragment (two

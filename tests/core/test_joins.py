@@ -5,11 +5,11 @@ from functools import partial
 import pytest
 
 from reference_joins import LECFeaturePruner as ReferencePruner
-from reference_joins import crossing_features_joinable, group_features_by_sign, lec_feature
+from reference_joins import crossing_features_joinable, edge_ends, group_features_by_sign, lec_feature
 from reference_joins import features_joinable as reference_joinable
 
 from repro.core import LECFeaturePruner, lec_feature_of, prune_features
-from repro.core.joins import SignGroups, edge_ends, fill
+from repro.core.joins import SignGroups, fill
 from repro.core.partial_eval import evaluate_fragment
 from repro.distributed import build_cluster
 from repro.datasets import lubm

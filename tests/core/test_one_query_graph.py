@@ -8,9 +8,18 @@ the graph, so the graph dies by refcount when the execution drops it.
 Sharing must change nothing a caller can see: rows, LPM sequences, work
 counters and shipment are those of a run where every site builds its own
 graph.
+
+The graph is compiled once too (:func:`repro.store.kernel.compile_query`):
+one slot-and-id form of ints serves the pools, the search and partial
+evaluation at every site; the coordinator's joins and the answer rows read
+only its slots (:func:`repro.store.kernel.query_layout`).  Both are held
+beside the graph, never in it, so a task pickles to the same bytes; the ids
+are rebuilt when the dictionary grows, since a new term may be a constant
+the query named.
 """
 
 import gc
+import pickle
 import weakref
 from contextlib import contextmanager
 
@@ -18,6 +27,7 @@ import pytest
 
 import repro
 from repro.core import site_tasks
+from repro.rdf import IRI, Triple
 from repro.sparql import QueryGraph, parse_query
 from repro.store import kernel
 from repro.store.encoding import SIGNATURE_POOLS
@@ -67,7 +77,7 @@ def holds_only_ints(cache):
 
 def cached_signatures(session, graph):
     """The variables' signatures of ``graph`` each site's cache holds."""
-    signatures = set(kernel.pool_signatures(session.cluster.site(0).encoded, graph).values())
+    signatures = set(kernel.compile_query(graph, session.cluster.dictionary).signatures) - {None}
     return [signatures & set(cache) for cache in signature_caches(session)], signatures
 
 
@@ -196,3 +206,80 @@ class TestSharingChangesNothing:
         own = observed(session, query, monkeypatch)
         assert shared == own
         assert shared["rows"] or any(sequence for _, sequence in shared["lpms"])
+
+
+@contextmanager
+def counting_compilations(monkeypatch):
+    built = []
+    original = kernel.CompiledQuery.__init__
+
+    def counting(self, query, dictionary):
+        built.append(query)
+        original(self, query, dictionary)
+
+    monkeypatch.setattr(kernel.CompiledQuery, "__init__", counting)
+    yield built
+    monkeypatch.setattr(kernel.CompiledQuery, "__init__", original)
+
+
+def ints_only(value):
+    """``value`` is an int, ``None``, or a tuple, list or frozenset of such."""
+    if isinstance(value, (tuple, list, frozenset)):
+        return all(ints_only(item) for item in value)
+    return value is None or type(value) is int
+
+
+class TestOneCompiledQuery:
+    @pytest.mark.parametrize("text", [STAR, TRIANGLE], ids=["star", "triangle"])
+    def test_a_six_site_query_compiles_once(self, session, monkeypatch, text):
+        query = parse_query(text)
+        with counting_compilations(monkeypatch) as built:
+            result = session.query(query)
+        assert len(result) > 0
+        assert len(built) == 1 and built[0].bgp is query.bgp
+
+    @pytest.mark.parametrize("text", [STAR, TRIANGLE], ids=["star", "triangle"])
+    def test_it_holds_ints_beside_the_graph_and_pickles_with_no_task(self, session, text):
+        query = parse_query(text)
+        graph = QueryGraph.of(query.bgp)
+        tasks = site_tasks.partial_eval_tasks([0, 1], query, graph, (2, 0, 1), None, False)
+        session.query(query)  # the graph's own lazy caches are filled, and it is compiled
+        dictionary = session.cluster.dictionary
+        compiled = kernel.compile_query(graph, dictionary)
+        assert compiled is kernel.compile_query(graph, dictionary)
+        pickled = [pickle.dumps(task) for task in tasks + [graph]]
+        assert compiled.layout is kernel.query_layout(graph)
+        assert not any(b"CompiledQuery" in data or b"QueryLayout" in data for data in pickled)
+        del kernel._COMPILED[graph], kernel._LAYOUTS[graph]
+        assert [pickle.dumps(task) for task in tasks + [graph]] == pickled
+        assert compiled.state == (dictionary.space, len(dictionary))  # the key it was built under
+        assert all(ints_only(ranked) for ranked in compiled._ranked.values())
+        layout = compiled.layout
+        # Keyed by the graph's own terms.
+        assert set(layout.slot_of) <= set(graph.vertices) | set(query.bgp.variables)
+        assert ints_only(tuple(layout.slot_of.values()))
+        for form in (compiled, layout):
+            for name, value in vars(form).items():
+                if name not in ("layout", "state", "_ranked", "slot_of"):
+                    assert ints_only(value), name
+
+    def test_a_grown_dictionary_recompiles_a_live_query(self):
+        """A constant the query named but no store held binds once an update adds it."""
+        newcomer = IRI("http://example.org/university/NewProfessor")
+        text = PREFIX + (
+            "SELECT ?x ?c WHERE { ?x ub:advisor <http://example.org/university/NewProfessor> . "
+            "?x ub:takesCourse ?c . <http://example.org/university/NewProfessor> ub:teacherOf ?c . }"
+        )
+        with repro.open(dataset="lubm", scale=1, sites=6, partitioner="hash", result_cache=0) as fresh:
+            query = parse_query(text)
+            graph = QueryGraph.of(query.bgp)  # held, so every run below shares it and its compiled form
+            assert len(fresh.query(query)) == 0
+            assert kernel.compile_query(graph, fresh.cluster.dictionary).constants.count(kernel._UNKNOWN) == 1
+            student = parse_query(PREFIX + "SELECT ?x ?c WHERE { ?x ub:takesCourse ?c . }")
+            x, c = fresh.query(student, engine="centralized").results.rows[0]
+            advisor, teacher = (IRI("http://example.org/univ-bench#" + name) for name in ("advisor", "teacherOf"))
+            fresh.update(add=[Triple(x, advisor, newcomer), Triple(newcomer, teacher, c)])
+            assert QueryGraph.of(query.bgp) is graph
+            for engine in ("gstored", "centralized"):
+                assert fresh.query(query, engine=engine).results.rows == [(x, c)], engine
+            assert kernel._UNKNOWN not in kernel.compile_query(graph, fresh.cluster.dictionary).constants

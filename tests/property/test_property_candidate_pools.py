@@ -57,9 +57,15 @@ from repro.store import evaluate_centralized
 from repro.store import fragment_index as fragment_index_module
 from repro.store import kernel
 from repro.store.encoding import PREDICATE_ANY, SIGNATURE_POOLS
-from repro.store.kernel import _LOOP, _VARIABLE, POOL_CACHE_LIMIT, ArrayRunner, pool_signatures, query_pools
+from repro.store.kernel import _VARIABLE, POOL_CACHE_LIMIT, ArrayRunner, compile_query, query_pools
 
 BITS = 4096
+
+
+def pool_signatures(encoded, query_graph):
+    """Each vertex's compiled pool signature, where its pool has one."""
+    compiled = compile_query(query_graph, encoded.dictionary)
+    return {vertex: signature for vertex, signature in zip(query_graph.vertices, compiled.signatures) if signature}
 LUBM_QUERIES = ("LQ1", "LQ3", "LQ6", "LQ7")
 
 seeds = st.integers(min_value=0, max_value=5_000)
@@ -189,7 +195,7 @@ def assert_cache_is_cold(site, queries):
             if entry is None:
                 continue
             runner = ArrayRunner(site.encoded)
-            pool = runner.vertex_pool(QueryGraph(query_graph.bgp), vertex)
+            pool = runner.vertex_pool(signature, None)
             assert pool == ArrayRunner(site.encoded).compute_pools(query_graph)[vertex]
             assert entry.pool == pool
             assert entry.intersections == runner.intersections
@@ -198,7 +204,7 @@ def assert_cache_is_cold(site, queries):
 
 def what_it_reads(encoded, signature):
     """The rows and key lists a pool of ``signature`` reads over ``encoded``, as values:
-    a constant's row, a variable end's key list, a loop's two, any label's every pair."""
+    a constant's row, a variable end's key list, any label's every pair."""
     read = []
     for end, code, other in signature:
         out_column, in_column = encoded.out_column(code), encoded.in_column(code)
@@ -208,8 +214,6 @@ def what_it_reads(encoded, signature):
             read.append((in_column if end == 0 else out_column).row(other))
         elif other == _VARIABLE:
             read.append(list((out_column if end == 0 else in_column).keys))
-        elif other == _LOOP:
-            read.append((list(out_column.keys), list(in_column.keys)))
     return read
 
 

@@ -43,7 +43,7 @@ from reference_joins import LECAssembler as ReferenceAssembler
 from reference_joins import LECFeaturePruner as ReferencePruner
 from reference_candidates import hashed_positions, recount_vector, reference_internal_candidates
 from reference_joins import echo_filter, echo_survivors, feature_keys, recount_feature_message, recount_lpm_message
-from reference_joins import lpms_joinable, pairs_joinable
+from reference_joins import edge_ends, lpms_joinable, pairs_joinable
 
 from repro.core import (
     CandidateBitVector,
@@ -55,7 +55,7 @@ from repro.core import (
     prune_features,
 )
 from repro.core.assembly import BasicAssembler, LECAssembler
-from repro.core.joins import SignGroups, edge_ends, fill
+from repro.core.joins import SignGroups, fill
 from repro.core.partial_eval import evaluate_fragment
 from repro.core.site_tasks import run_lec_filter
 from repro.distributed.network import estimate_size

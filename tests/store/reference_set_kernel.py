@@ -108,7 +108,7 @@ def _variable_candidate_ids(
             return set()
     assert seed is not None
     loop_codes = [
-        predicate_code(encoded, edge.predicate)
+        predicate_code(encoded.dictionary, edge.predicate)
         for edge in required_edges
         if edge.subject == edge.object and not isinstance(edge.predicate, Variable)
     ]
@@ -129,7 +129,7 @@ def _edge_endpoint_ids(
 
     Returns live index sets — callers only iterate them, never mutate.
     """
-    code = predicate_code(encoded, edge.predicate)
+    code = predicate_code(encoded.dictionary, edge.predicate)
     if edge.subject == query_vertex:
         other = edge.object
         if isinstance(other, Variable):
@@ -151,7 +151,7 @@ def _edge_supported(
     encoded: EncodedGraph, index: SetIndex, vertex_id: int, edge: QueryEdge, query_vertex: PatternTerm
 ) -> bool:
     """Does ``vertex_id`` have an incident data edge matching ``edge`` at ``query_vertex``'s end?"""
-    code = predicate_code(encoded, edge.predicate)
+    code = predicate_code(encoded.dictionary, edge.predicate)
     if edge.subject == query_vertex:
         other = edge.object
         if isinstance(other, Variable):
@@ -220,7 +220,7 @@ class SetRunner:
             narrow_edges: List[Tuple[bool, int, int]] = []
             check_edges: List[Tuple[bool, int, bool, int, int]] = []
             for edge in query.edges_of(vertex):
-                code = predicate_code(encoded, edge.predicate)
+                code = predicate_code(encoded.dictionary, edge.predicate)
                 subject_index = query.vertex_index(edge.subject)
                 object_index = query.vertex_index(edge.object)
                 check_edges.append(

@@ -341,7 +341,7 @@ class TestSingleColumnPools:
     def test_the_pool_is_a_copy_of_the_column(self):
         encoded = EncodedGraph(social_graph())
         pool = ArrayRunner(encoded).compute_pools(knows_chain())[X]
-        column = encoded.subjects_of_predicate(predicate_code(encoded, KNOWS))
+        column = encoded.subjects_of_predicate(predicate_code(encoded.dictionary, KNOWS))
         assert pool == list(column) and pool is not column
         pool.append(-1)
         assert -1 not in column

@@ -36,7 +36,6 @@ def main() -> None:
         rows = []
         for query_name in session.queries:
             for config in ABLATION_CONFIGS:
-                session.cluster.reset_network()
                 with repro.make_engine("gstored", session.cluster, config=config) as engine:
                     result = engine.execute(
                         session.queries[query_name], query_name=query_name, dataset="YAGO2"

@@ -33,8 +33,7 @@ Registry names (see :func:`engine_names`):
 from __future__ import annotations
 
 import inspect
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
 from ..baselines.cloud import CliqueSquareEngine, S2RDFEngine, S2XEngine
@@ -70,9 +69,8 @@ class QueryEngine(Protocol):
     ) -> Result:
         """Evaluate ``query`` and return its solutions plus statistics.
 
-        With a ``trace`` the engine records its stage spans into it (measured
-        or synthesized from its statistics); with a ``profiler`` it may
-        capture per-stage profiles.  Neither changes the answers.
+        With a ``trace`` the engine records its measured stage spans into it;
+        with a ``profiler`` it captures per-stage profiles.  Neither changes the answers.
         """
         ...
 
@@ -84,10 +82,9 @@ class QueryEngine(Protocol):
 class CentralizedEngine:
     """The centralized ground truth behind the standard engine contract.
 
-    Wraps :class:`~repro.store.LocalMatcher` over the cluster's master
+    Runs :class:`~repro.store.LocalMatcher` over the cluster's master
     encoding (:attr:`Cluster.encoded <repro.distributed.cluster.Cluster.encoded>`),
-    and keeps the matcher warm across queries, the way a long-lived
-    single-store deployment would.
+    one matcher per query: the pools it reads are cached on the encoding.
     Nothing is shipped, so the statistics carry a single
     ``centralized_evaluation`` stage with pure coordinator time.
     """
@@ -96,16 +93,6 @@ class CentralizedEngine:
 
     def __init__(self, cluster: Cluster) -> None:
         self.cluster = cluster
-        self._matcher: Optional[LocalMatcher] = None
-        # One machine, one matcher: the matcher accumulates its
-        # ``search_steps`` work counter on itself, so concurrent queries
-        # serialize on this lock (which also guards the lazy build).
-        self._lock = threading.Lock()
-
-    def _ensure_matcher(self) -> LocalMatcher:
-        if self._matcher is None:
-            self._matcher = LocalMatcher(self.cluster.encoded)
-        return self._matcher
 
     def execute(
         self,
@@ -120,27 +107,17 @@ class CentralizedEngine:
         run = Run.start(
             self.name, self.cluster, query, query_name, dataset, trace=trace, profiler=profiler
         )
+        matcher = LocalMatcher(self.cluster.encoded)
         with run.stage(STAGE_CENTRALIZED) as stage:
-            with self._lock:
-                matcher = self._ensure_matcher()
-                with stage.measure():
-                    # The distributed engines all answer with distinct rows
-                    # (duplicate solutions collapse when projection drops
-                    # variables); the centralized answer drops them too,
-                    # before any LIMIT, so every evaluator is row-for-row
-                    # comparable.
-                    results = matcher.evaluate(replace(query, distinct=True))
-                search_steps = matcher.search_steps
+            with stage.measure():
+                rows = matcher.raw_matches(query)
             if stage.span is not None:
-                stage.span.set(search_steps=search_steps)
-        run.stats.work["search_steps"] = search_steps
-        run.stats.num_results = len(results)
-        return Result(results, run.stats)
+                stage.span.set(search_steps=matcher.search_steps)
+        run.stats.work["search_steps"] = matcher.search_steps
+        return run.result(rows)
 
     def close(self) -> None:
-        """Drop the cached matcher (indexes are rebuilt on next use)."""
-        with self._lock:
-            self._matcher = None
+        """Nothing to release: the engine holds no resources of its own."""
 
     def __enter__(self) -> "CentralizedEngine":
         return self

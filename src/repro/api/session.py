@@ -320,10 +320,9 @@ class Session:
         the workload's benchmark queries (``session.queries``), or raw SPARQL
         text.  Execution runs under a per-query shipment ledger on the
         cluster's message bus, so each result's statistics describe exactly
-        one execution — even with other queries in flight on other threads —
-        and the result keeps its own detached copies of the statistics and
-        the shipment breakdown, so a later ``query()`` cannot zero them
-        retroactively.
+        one execution — even with other queries in flight on other threads.
+        The result carries the run's own statistics and the ledger's
+        shipment breakdown; nothing a later ``query()`` does can change them.
 
         When the session traces (``repro.open(..., trace=True)``) the
         returned result additionally carries ``result.trace``; the session's
@@ -379,9 +378,7 @@ class Session:
                 self.metrics, engine=engine_label, backend=self.backend.name
             )
             raise
-        shipment = ledger.snapshot()
-        result.detach_statistics()
-        result.shipment = shipment
+        shipment = result.shipment = ledger.snapshot()
         if trace is not None:
             trace.finish(rows=len(result))
             result.trace = trace

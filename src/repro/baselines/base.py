@@ -21,7 +21,6 @@ from ..distributed.cluster import Cluster
 from ..distributed.network import NATIVE_PLATFORM, PlatformModel
 from ..distributed.result import Result
 from ..distributed.run import Run, Stage
-from ..obs import record_statistics_spans
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import Binding, ResultSet
 
@@ -49,20 +48,15 @@ class DistributedEngine(ABC):
     ) -> Result:
         """Evaluate ``query`` and return its solutions plus statistics.
 
-        The baselines model fixed strategies without per-stage coordinator
-        hooks, so they cannot measure spans inline the way the gStoreD
-        pipeline does; instead the finished statistics (which every baseline
-        does produce, per stage and per site) are replayed into ``trace`` as
-        ``synthesized=True`` spans — here and nowhere else.  ``profiler`` is
-        accepted for the uniform contract and ignored.
+        ``trace`` and ``profiler`` go to the run, so every stage records its
+        measured span (with a ``site:{id}`` span per timed site block) and
+        profile the way the gStoreD pipeline's stages do.
         """
-        del profiler
-        run = Run.start(self.name, self.cluster, query, query_name, dataset)
+        run = Run.start(
+            self.name, self.cluster, query, query_name, dataset, trace=trace, profiler=profiler
+        )
         solutions = ResultSet(self._evaluate(run), query.variables)
-        result = run.result(solutions.project(query.effective_projection).rows)
-        if trace is not None:
-            record_statistics_spans(trace, result.statistics)
-        return result
+        return run.result(solutions.project(query.effective_projection).rows)
 
     @abstractmethod
     def _evaluate(self, run: Run) -> List[Binding]:

@@ -88,13 +88,12 @@ def run_query(
     config: Optional[EngineConfig] = None,
     engine: str = "gstored",
 ) -> Result:
-    """Run one benchmark query on a prepared workload with a fresh network.
+    """Run one benchmark query on a prepared workload.
 
     ``engine`` is any :func:`repro.api.make_engine` registry name; the
     gStoreD family takes ``config``, the fixed-strategy engines require it
     to stay ``None``.
     """
-    workload.cluster.reset_network()
     with make_engine(engine, workload.cluster, config=config) as built:
         return built.execute(
             workload.queries[query_name], query_name=query_name, dataset=workload.dataset
@@ -360,7 +359,6 @@ def comparison_series(
         with make_engine(baseline_name, hash_workload.cluster) as engine:
             series[baseline_name] = {}
             for name in chosen_queries:
-                hash_workload.cluster.reset_network()
                 result = engine.execute(
                     hash_workload.queries[name], query_name=name, dataset=dataset
                 )

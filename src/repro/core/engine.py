@@ -20,7 +20,10 @@ one :class:`~repro.distributed.Cluster`:
 Star queries are answered purely locally when ``star_shortcut`` is enabled —
 every match of a star query is contained in a single fragment because
 crossing edges are replicated — which reproduces the zero-cost optimization
-rows of the paper's Tables I-III.
+rows of the paper's Tables I-III.  A disconnected query runs each connected
+component through that choice on its own and combines their rows with a
+cross product, as the partial-evaluation framework evaluates components
+separately.
 
 Every stage's wall-clock time (per site and for the coordinator) and every
 inter-site message is recorded in a :class:`~repro.distributed.QueryStatistics`,
@@ -55,6 +58,7 @@ from ..planner.plan import QueryPlan
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import Row
 from ..sparql.query_graph import QueryGraph
+from ..store.matcher import cross_product
 from .assembly import assemble_matches
 from .candidate_exchange import GlobalCandidateFilter, union_site_vectors
 from .config import EngineConfig
@@ -150,13 +154,26 @@ class GStoreDEngine:
             # where the coordinator never plans — its zero-cost row mirrors
             # how the star shortcut zeroes the other optimization stages.
             stats.stage(STAGE_PLANNING)
-        if self.config.star_shortcut and run.query_graph.is_star():
-            rows = self._evaluate_star(run)
+        components = query.bgp.connected_components()
+        if len(components) > 1:
+            # Each component runs through the pipeline on its own; Run.result
+            # applies DISTINCT and LIMIT once, to the combined rows.
+            parts = [
+                (part.query.variables, list(dict.fromkeys(self._evaluate(part))))
+                for part in map(run.component, components)
+            ]
+            rows = cross_product(parts, query.effective_projection)
         else:
-            rows = self._evaluate_general(run)
+            rows = self._evaluate(run)
         stats.extra["query_shape"] = run.query_graph.classify_shape()
         stats.extra["selective"] = run.query_graph.has_selective_pattern()
         return run.result(rows)
+
+    def _evaluate(self, run: Run) -> List[Row]:
+        """The rows of a connected query: the star shortcut or the general pipeline."""
+        if self.config.star_shortcut and run.query_graph.is_star():
+            return self._evaluate_star(run)
+        return self._evaluate_general(run)
 
     # ------------------------------------------------------------------
     # Stage 0: cost-based planning

@@ -332,15 +332,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Bookkeeping
     # ------------------------------------------------------------------
-    def reset_network(self) -> None:
-        """Clear the bus's global message log between back-to-back runs.
-
-        Stage timing needs no reset: every execution times itself on its own
-        :class:`~repro.distributed.run.Run` and keeps only the copy in its
-        statistics.
-        """
-        self.bus.reset()
-
     def stats(self) -> Dict[str, object]:
         sizes = [site.encoded.num_triples for site in self._sites]
         # A crossing edge is stored at both of its endpoints' homes.

@@ -124,12 +124,10 @@ class Message:
 
 @dataclass(frozen=True)
 class ShipmentSnapshot:
-    """An immutable summary of the bus at one point in time.
+    """An immutable summary of one query's shipment, by stage and by message kind.
 
-    Taken with :meth:`MessageBus.snapshot` *before* the bus is reset between
-    queries, so a finished query's shipment breakdown (by stage and by
-    message kind) survives the next ``Cluster.reset_network()`` — this is
-    what the session layer attaches to each :class:`~repro.api.Result`.
+    Taken with :meth:`ShipmentLedger.snapshot`; this is what the session
+    layer attaches to each :class:`~repro.api.Result`.
     """
 
     total_bytes: int
@@ -139,34 +137,13 @@ class ShipmentSnapshot:
     bytes_by_kind: Dict[str, int]
 
 
-def _summarize(messages: List[Message]) -> ShipmentSnapshot:
-    """Fold a message log into an immutable :class:`ShipmentSnapshot`."""
-    bytes_by_stage: Dict[str, int] = {}
-    messages_by_stage: Dict[str, int] = {}
-    bytes_by_kind: Dict[str, int] = {}
-    total = 0
-    for message in messages:
-        total += message.size_bytes
-        bytes_by_stage[message.stage] = bytes_by_stage.get(message.stage, 0) + message.size_bytes
-        messages_by_stage[message.stage] = messages_by_stage.get(message.stage, 0) + 1
-        bytes_by_kind[message.kind] = bytes_by_kind.get(message.kind, 0) + message.size_bytes
-    return ShipmentSnapshot(
-        total_bytes=total,
-        total_messages=len(messages),
-        bytes_by_stage=bytes_by_stage,
-        messages_by_stage=messages_by_stage,
-        bytes_by_kind=bytes_by_kind,
-    )
-
-
 class ShipmentLedger:
-    """Message accounting scoped to one query execution.
+    """The messages of one query execution.
 
     Opened with :meth:`MessageBus.ledger`.  While a ledger is active on a
-    thread, every message that thread sends through the bus is recorded here
-    *instead of* the bus's global log, so concurrent queries over one cluster
-    never see each other's shipment — and never need the global
-    ``reset()``/``snapshot()`` window that made back-to-back accounting racy.
+    thread, every message that thread sends through the bus is recorded
+    here, so concurrent queries over one cluster never see each other's
+    shipment.
 
     A ledger is thread-confined by construction: the bus routes a send to the
     ledger only from the thread that opened it, and engines issue every send
@@ -192,37 +169,48 @@ class ShipmentLedger:
 
     def snapshot(self) -> ShipmentSnapshot:
         """Summarize the ledger into an immutable :class:`ShipmentSnapshot`."""
-        return _summarize(self.messages)
+        bytes_by_stage: Dict[str, int] = {}
+        messages_by_stage: Dict[str, int] = {}
+        bytes_by_kind: Dict[str, int] = {}
+        total = 0
+        for message in self.messages:
+            size = message.size_bytes
+            total += size
+            bytes_by_stage[message.stage] = bytes_by_stage.get(message.stage, 0) + size
+            messages_by_stage[message.stage] = messages_by_stage.get(message.stage, 0) + 1
+            bytes_by_kind[message.kind] = bytes_by_kind.get(message.kind, 0) + size
+        return ShipmentSnapshot(
+            total_bytes=total,
+            total_messages=len(self.messages),
+            bytes_by_stage=bytes_by_stage,
+            messages_by_stage=messages_by_stage,
+            bytes_by_kind=bytes_by_kind,
+        )
 
 
 @dataclass
 class MessageBus:
-    """Records every message sent between sites / the coordinator.
+    """Sizes every message sent between sites / the coordinator.
 
-    The bus is shared by every query on the cluster, so concurrent queries
-    (each on its own thread) may send at once; an internal lock keeps the
-    message log and its derived counters consistent.  (The engines issue
-    their sends from the deterministic site-order merge, so the *order* of
-    one query's messages is fixed.)
+    The bus keeps no log of its own: a message is recorded only into the
+    sending thread's open :class:`ShipmentLedger` (see :meth:`ledger`), and
+    a send outside any ledger is sized for the caller's statistics and then
+    dropped.  The bus is shared by every query on the cluster, so an
+    internal lock guards the table of open ledgers.
     """
 
-    messages: List[Message] = field(default_factory=list)
     _lock: threading.RLock = field(default_factory=threading.RLock, repr=False, compare=False)
-    #: Active per-query ledgers, a stack per sending thread (see
-    #: :meth:`ledger`); guarded by ``_lock`` like the global log.
+    #: Active per-query ledgers, a stack per sending thread (see :meth:`ledger`).
     _ledgers: Dict[int, List[ShipmentLedger]] = field(
         default_factory=dict, repr=False, compare=False
     )
 
     def send(self, source: int, destination: int, kind: str, payload: Any, stage: str = "") -> int:
-        """Record a message and return its estimated size in bytes.
-
-        When the sending thread has an open :class:`ShipmentLedger` (see
-        :meth:`ledger`) the message is charged to that ledger instead of the
-        global log, scoping the accounting to the query that opened it.
-        """
+        """Charge one message to the sending thread's ledger; its estimated size in bytes."""
         size = estimate_size(payload)
-        self._log(Message(source, destination, kind, size, stage))
+        ledger = self._open_ledger()
+        if ledger is not None:
+            ledger.record(Message(source, destination, kind, size, stage))
         return size
 
     def broadcast(self, source: int, destinations: List[int], kind: str, payload: Any, stage: str = "") -> int:
@@ -231,28 +219,24 @@ class MessageBus:
         The payload is sized once; each destination's message carries that size.
         """
         size = estimate_size(payload)
-        for destination in destinations:
-            self._log(Message(source, destination, kind, size, stage))
+        ledger = self._open_ledger()
+        if ledger is not None:
+            for destination in destinations:
+                ledger.record(Message(source, destination, kind, size, stage))
         return size * len(destinations)
 
-    def _log(self, message: Message) -> None:
-        """Charge ``message`` to the sending thread's open ledger, else the global log."""
+    def _open_ledger(self) -> Optional[ShipmentLedger]:
+        """The sending thread's innermost open ledger, if any."""
         with self._lock:
             stack = self._ledgers.get(threading.get_ident())
-            ledger = stack[-1] if stack else None
-            if ledger is None:
-                self.messages.append(message)
-        if ledger is not None:
-            ledger.record(message)
+            return stack[-1] if stack else None
 
     @contextmanager
     def ledger(self) -> Iterator[ShipmentLedger]:
         """Scope this thread's sends to a fresh :class:`ShipmentLedger`.
 
-        Nested ledgers stack (the innermost wins); other threads' sends — and
-        this thread's sends outside the ``with`` block — keep hitting the
-        global log, so engine-level callers that read the bus directly are
-        unaffected.
+        Nested ledgers stack (the innermost wins); other threads' sends, and
+        this thread's sends outside the ``with`` block, never reach it.
         """
         opened = ShipmentLedger()
         ident = threading.get_ident()
@@ -267,44 +251,6 @@ class MessageBus:
                     stack.remove(opened)
                 if not stack:
                     self._ledgers.pop(ident, None)
-
-    # ------------------------------------------------------------------
-    # Accounting
-    # ------------------------------------------------------------------
-    @property
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(message.size_bytes for message in self.messages)
-
-    @property
-    def total_messages(self) -> int:
-        with self._lock:
-            return len(self.messages)
-
-    def bytes_for_stage(self, stage: str) -> int:
-        with self._lock:
-            return sum(m.size_bytes for m in self.messages if m.stage == stage)
-
-    def messages_for_stage(self, stage: str) -> int:
-        with self._lock:
-            return sum(1 for m in self.messages if m.stage == stage)
-
-    def bytes_by_kind(self) -> Dict[str, int]:
-        with self._lock:
-            totals: Dict[str, int] = {}
-            for message in self.messages:
-                totals[message.kind] = totals.get(message.kind, 0) + message.size_bytes
-            return totals
-
-    def snapshot(self) -> ShipmentSnapshot:
-        """Summarize the current log into an immutable :class:`ShipmentSnapshot`."""
-        with self._lock:
-            messages = list(self.messages)
-        return _summarize(messages)
-
-    def reset(self) -> None:
-        with self._lock:
-            self.messages.clear()
 
 
 class StageTimer:

@@ -6,10 +6,9 @@ systems and the centralized ground truth — returns a :class:`Result` from
 so :mod:`repro.core` and :mod:`repro.baselines` can build one without
 importing the session layer; :mod:`repro.api` re-exports it.
 
-* solutions are iterated lazily (``for binding in result``) and rendered on
-  demand — ``rows()`` / ``sorted_rows()`` / ``to_dicts()`` are computed the
-  first time they are asked for and cached;
-* the :class:`~repro.distributed.QueryStatistics` of the producing engine is
+* solutions are rendered on demand — ``rows()`` / ``sorted_rows()`` /
+  ``to_dicts()`` are computed the first time they are asked for and cached;
+* the :class:`~repro.distributed.QueryStatistics` of the producing run is
   always attached (centralized evaluation gets a single-stage statistics
   object), so cost reporting works identically for all six evaluators;
 * equality helpers (:meth:`same_solutions`, ``==`` over sorted rows) give
@@ -19,14 +18,10 @@ importing the session layer; :mod:`repro.api` re-exports it.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from .stats import QueryStatistics
 from ..sparql.bindings import Binding, ResultSet
-
-#: What a :class:`Result` can be built from: an already-materialized result
-#: set, or a zero-argument thunk evaluated on first access (lazy execution).
-ResultSource = Union[ResultSet, Callable[[], ResultSet]]
 
 
 class Result:
@@ -39,9 +34,9 @@ class Result:
     solution order, variable order, or which engine produced them.
     """
 
-    def __init__(self, source: ResultSource, statistics: Optional[QueryStatistics] = None) -> None:
-        self._source = source
-        self._result_set: Optional[ResultSet] = None if callable(source) else source
+    def __init__(self, results: ResultSet, statistics: Optional[QueryStatistics] = None) -> None:
+        #: The underlying :class:`~repro.sparql.bindings.ResultSet`.
+        self.results = results
         self._statistics = statistics if statistics is not None else QueryStatistics()
         self._rows: Optional[List[Tuple[str, ...]]] = None
         self._sorted_rows: Optional[List[Tuple[str, ...]]] = None
@@ -49,41 +44,17 @@ class Result:
         #: The :class:`~repro.obs.Trace` of the producing run, when the
         #: session was opened with ``trace=True`` (``None`` otherwise).
         self.trace = None
-        #: The :class:`~repro.distributed.ShipmentSnapshot` taken from the
-        #: message bus right after the run, when produced through a
-        #: :class:`~repro.api.Session` (``None`` otherwise).  Unlike the live
-        #: bus, this survives the next query's ``reset_network()``.
+        #: The :class:`~repro.distributed.ShipmentSnapshot` of the run's
+        #: ledger, set by :class:`~repro.api.Session` (``None`` otherwise).
         self.shipment = None
-
-    # ------------------------------------------------------------------
-    # Lazy materialization
-    # ------------------------------------------------------------------
-    @property
-    def results(self) -> ResultSet:
-        """The underlying :class:`~repro.sparql.bindings.ResultSet`.
-
-        Evaluates the deferred query on first access when the result was
-        constructed lazily.
-        """
-        if self._result_set is None:
-            self._result_set = self._source()  # type: ignore[operator]
-        return self._result_set
 
     @property
     def statistics(self) -> QueryStatistics:
-        """Per-stage timing, shipment and counters of the producing engine."""
-        return self._statistics
+        """Per-stage timing, shipment and counters of the producing run.
 
-    def detach_statistics(self) -> QueryStatistics:
-        """Replace :attr:`statistics` with an independent deep copy.
-
-        Engines may hand the result a statistics object that shares stage
-        records with engine- or cluster-held state; after detaching, nothing
-        a later query does (``Cluster.reset_network()``, engine reuse) can
-        mutate this result's numbers.  The session layer calls this on every
-        result it returns; returns the detached copy.
+        Every run builds its own statistics and nothing else holds them after
+        ``execute()`` returns, so a later query never changes these numbers.
         """
-        self._statistics = self._statistics.snapshot()
         return self._statistics
 
     @property
@@ -161,5 +132,4 @@ class Result:
         return hash(tuple(self.sorted_rows()))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        state = "pending" if self._result_set is None else f"solutions={len(self._result_set)}"
-        return f"<Result {state} engine={self._statistics.engine!r}>"
+        return f"<Result solutions={len(self.results)} engine={self._statistics.engine!r}>"

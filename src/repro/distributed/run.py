@@ -27,13 +27,14 @@ concurrent queries and keep no per-query state of their own.
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, ContextManager, Iterator, List, Optional, Sequence
+from typing import Callable, Iterator, List, Optional, Sequence
 
 from ..exec import SiteTask, SiteTaskResult, run_site_tasks
 from ..obs import CATEGORY_COORDINATOR, Span, StageProfiler, Trace, stage_scope
-from ..sparql.algebra import SelectQuery
+from ..sparql.algebra import BasicGraphPattern, SelectQuery
 from ..sparql.bindings import ResultSet, Row
 from ..sparql.query_graph import QueryGraph
 from .cluster import Cluster
@@ -73,22 +74,42 @@ class Run:
         )
         return cls(cluster, query, stats, **fields)
 
+    def component(self, bgp: BasicGraphPattern) -> "Run":
+        """A run of one connected component of the query, ``SELECT *`` over ``bgp``.
+
+        It adds into this run's statistics, trace and profiler, so shipments,
+        counters and stage times of every component sum up; it times its
+        stages on its own timer, because :meth:`stage` folds the whole timer.
+        """
+        return Run(
+            self.cluster,
+            SelectQuery(bgp),
+            self.stats,
+            QueryGraph.of(bgp),
+            self.trace,
+            self.profiler,
+        )
+
     @contextmanager
     def stage(self, name: str, **span_attrs) -> Iterator["Stage"]:
         """Run one pipeline stage: statistics record, span, profile, then the fold.
 
-        Entered once per stage.  On a clean exit the span gets the stage's
-        shipment, the per-site and coordinator times measured during the
-        stage are copied into its statistics, and the shipped bytes/messages
+        Entered once per stage of a run.  On a clean exit the span gets what
+        the stage shipped while it was open, the per-site and coordinator
+        times measured during the stage are added to its statistics, and the shipped bytes/messages
         are converted into modelled transfer time; an exception skips all
         three and propagates.
         """
         stats = self.stats.stage(name)
+        shipped, messages = stats.shipped_bytes, stats.messages
         with stage_scope(self.trace, self.profiler, name, **span_attrs) as span:
             yield Stage(self, name, stats, span)
             if span is not None:
-                span.set(shipped_bytes=stats.shipped_bytes, messages=stats.messages)
-        stats.site_times_s.update(self.timer.site_times(name))
+                span.set(
+                    shipped_bytes=stats.shipped_bytes - shipped, messages=stats.messages - messages
+                )
+        for site_id, seconds in self.timer.site_times(name).items():
+            stats.record_site_time(site_id, seconds)
         stats.coordinator_time_s += self.timer.elapsed(name, COORDINATOR)
         stats.network_time_s = self.cluster.network.transfer_time(
             stats.shipped_bytes, stats.messages
@@ -135,9 +156,24 @@ class Stage:
         self.stats.messages += len(destinations)
 
     # -- timing --------------------------------------------------------------
-    def measure(self, site_id: int = COORDINATOR) -> ContextManager[None]:
-        """Time a block of coordinator work (or of one site's inline work)."""
-        return self.run.timer.measure(self.name, site_id)
+    @contextmanager
+    def measure(self, site_id: int = COORDINATOR) -> Iterator[None]:
+        """Time a block of coordinator work, or of one site's inline work.
+
+        When tracing, a site's block gets a measured ``site:{id}`` span under
+        the stage span, one per block.
+        """
+        started = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - started
+            run = self.run
+            run.timer.record(self.name, site_id, elapsed)
+            if run.trace is not None and site_id != COORDINATOR:
+                run.trace.add_site_span(
+                    self.span, site_id, self.name, started - run.trace.origin, elapsed
+                )
 
     @contextmanager
     def join(self) -> Iterator[Callable[[object], None]]:

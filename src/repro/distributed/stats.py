@@ -128,36 +128,6 @@ class QueryStatistics:
             return default
         return stage.counters.get(counter_name, default)
 
-    def snapshot(self) -> "QueryStatistics":
-        """A deep copy sharing no mutable state with this instance.
-
-        The session layer snapshots each query's statistics into its
-        :class:`~repro.api.Result` so that nothing holding the original can
-        mutate or zero an already-returned result's numbers.
-        """
-        return QueryStatistics(
-            query_name=self.query_name,
-            engine=self.engine,
-            dataset=self.dataset,
-            partitioning=self.partitioning,
-            stages=[
-                StageStats(
-                    name=stage.name,
-                    site_times_s=dict(stage.site_times_s),
-                    coordinator_time_s=stage.coordinator_time_s,
-                    network_time_s=stage.network_time_s,
-                    platform_time_s=stage.platform_time_s,
-                    shipped_bytes=stage.shipped_bytes,
-                    messages=stage.messages,
-                    counters=dict(stage.counters),
-                )
-                for stage in self.stages
-            ],
-            num_results=self.num_results,
-            extra=dict(self.extra),
-            work=dict(self.work),
-        )
-
     def as_row(self) -> Dict[str, object]:
         """Flatten into a single report row (used by the benchmark tables)."""
         row: Dict[str, object] = {

@@ -40,7 +40,6 @@ from .trace import (
     Span,
     Trace,
     Tracer,
-    record_statistics_spans,
     validate_chrome_trace,
 )
 
@@ -61,7 +60,6 @@ __all__ = [
     "Tracer",
     "record_query",
     "record_query_failure",
-    "record_statistics_spans",
     "stage_scope",
     "validate_chrome_trace",
 ]

@@ -317,34 +317,6 @@ class Tracer:
             return len(self.traces)
 
 
-def record_statistics_spans(trace: Trace, statistics) -> None:
-    """Reconstruct stage/site spans from a finished :class:`QueryStatistics`.
-
-    Engines that bypass the staged instrumentation (the fixed-strategy
-    baselines) still produce per-stage timings and per-site times; this
-    helper synthesizes the corresponding spans after the fact, laid out
-    sequentially per the simulation's response-time model.  Synthesized
-    spans carry ``synthesized=True`` so consumers can tell them from
-    measured ones.
-    """
-    cursor = trace._now()
-    for stage in statistics.stages:
-        duration = stage.parallel_time_s
-        with trace.span(
-            f"stage:{stage.name}",
-            category=CATEGORY_STAGE,
-            synthesized=True,
-            shipped_bytes=stage.shipped_bytes,
-            messages=stage.messages,
-        ) as span:
-            pass
-        span.start_s = cursor
-        span.duration_s = duration
-        for site_id, seconds in sorted(stage.site_times_s.items()):
-            site_span = trace.add_site_span(span, site_id, stage.name, span.start_s, seconds)
-            site_span.set(synthesized=True)
-
-
 def validate_chrome_trace(payload: Any) -> List[Dict[str, Any]]:
     """Validate a Chrome trace-event document; return its complete events.
 

@@ -20,11 +20,11 @@ when it is yielded.
 from __future__ import annotations
 
 from itertools import product
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..planner.optimizer import QueryPlanner
 from ..rdf.graph import RDFGraph
-from ..rdf.terms import Node, PatternTerm
+from ..rdf.terms import Node, PatternTerm, Variable
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import ResultSet, Row
 from ..sparql.query_graph import QueryGraph, traversal_order
@@ -42,6 +42,25 @@ def finalize_matches(query: SelectQuery, rows: List[Row]) -> ResultSet:
     if query.distinct:
         rows = list(dict.fromkeys(rows))
     return ResultSet(variables=query.effective_projection, rows=rows[: query.limit])
+
+
+def cross_product(parts: Sequence[Tuple[Sequence[Variable], Sequence[Row]]], projection) -> List[Row]:
+    """Rows of ``projection``, one per combination of a row from each part.
+
+    A part is one connected component's ``(variables, rows)``.  Components
+    share no vertex, but may share a predicate variable: a combination is
+    kept only when its rows agree on it.
+    """
+    combined: List[Dict[Variable, Node]] = [{}]
+    for names, rows in parts:
+        assignments = [dict(zip(names, row)) for row in rows]
+        combined = [
+            {**a, **b}
+            for a in combined
+            for b in assignments
+            if all(a[v] == b[v] for v in a.keys() & b.keys())
+        ]
+    return [tuple(map(assignment.get, projection)) for assignment in combined]
 
 
 class LocalMatcher:
@@ -117,21 +136,16 @@ class LocalMatcher:
             else:
                 graph = QueryGraph(components[0])
             return list(self._solutions(graph, None, projection))
-        partial: List[List[Dict[PatternTerm, Node]]] = []
+        parts = []
         steps = intersections = 0
         for component in components:
             names = component.variables
-            rows = self._solutions(QueryGraph(component), None, names)
-            partial.append([dict(zip(names, row)) for row in rows])
+            parts.append((names, list(self._solutions(QueryGraph(component), None, names))))
             steps += self.search_steps
             intersections += self.kernel_intersections
         self.search_steps = steps
         self.kernel_intersections = intersections
-        combined = partial[0]
-        for extra in partial[1:]:
-            # Components share no vertex, but may share a predicate variable: a pair must agree on it.
-            combined = [{**a, **b} for a in combined for b in extra if all(a[v] == b[v] for v in a.keys() & b.keys())]
-        return [tuple(map(assignment.get, projection)) for assignment in combined]
+        return cross_product(parts, projection)
 
     def find_matches(
         self,

@@ -1,5 +1,8 @@
 """Tests for the :mod:`repro.api` engine protocol and registry."""
 
+import gc
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 import repro
@@ -23,6 +26,7 @@ from repro.datasets.paper_example import (
     example_query,
 )
 from repro.distributed import build_cluster
+from repro.store import LocalMatcher
 
 ALL_ENGINES = ("centralized", "cloud", "decomp", "dream", "gstored", "s2x")
 
@@ -118,14 +122,22 @@ class TestCentralizedEngine:
         assert stats.total_shipment_bytes == 0
         assert stats.num_results == len(result) == 4
 
-    def test_matcher_is_cached_across_queries_and_dropped_on_close(self, cluster):
+    def test_each_query_runs_its_own_matcher(self, cluster):
+        """No matcher outlives its query, and none is shared, so no lock keeps
+        concurrent queries' counters apart."""
         engine = CentralizedEngine(cluster)
-        engine.execute(example_query())
-        first = engine._matcher
-        engine.execute(example_query())
-        assert engine._matcher is first
+        queries = [example_query(), repro.parse_query("SELECT ?s ?o WHERE { ?s ?p ?o }")]
+        serial = [engine.execute(query).statistics.work["search_steps"] for query in queries]
+        assert serial[0] != serial[1]
+        gc.collect()
+        alive = [m for m in gc.get_objects() if isinstance(m, LocalMatcher) and m.encoded is cluster.encoded]
+        assert alive == []
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            for _ in range(10):
+                runs = [pool.submit(engine.execute, query) for query in queries]
+                assert [run.result().statistics.work["search_steps"] for run in runs] == serial
         engine.close()
-        assert engine._matcher is None
+        assert len(engine.execute(queries[0])) == 4
 
 
 class TestContextManagers:

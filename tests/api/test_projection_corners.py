@@ -75,11 +75,6 @@ CASES = {
 #: Engines whose row sequence does not depend on the hash seed.
 ORDERED_ENGINES = ("centralized", "dream", "gstored")
 
-#: (engine, case) pairs whose answer is known to differ from the oracle:
-#: the gStoreD pipeline does not evaluate a disconnected BGP component by
-#: component, so it misses the cross products no single fragment holds.
-KNOWN_WRONG = {("gstored", "disconnected")}
-
 
 def _short(text: str) -> str:
     return text.replace(UNIV, "u:")
@@ -132,18 +127,7 @@ def test_answer_matches_the_recorded_one(observed, golden, engine, case):
         assert observed[key][field] == value, f"{key}: {field} moved"
 
 
-@pytest.mark.parametrize(
-    "engine",
-    [
-        pytest.param(
-            name,
-            marks=pytest.mark.xfail(strict=True, reason="gStoreD misses disconnected cross products")
-            if (name, "disconnected") in KNOWN_WRONG
-            else (),
-        )
-        for name in engine_names()
-    ],
-)
+@pytest.mark.parametrize("engine", engine_names())
 def test_disconnected_answer_matches_the_oracle(observed, engine):
     expected = observed["centralized/disconnected"]
     assert sorted(observed[f"{engine}/disconnected"]["rows"]) == sorted(expected["rows"])

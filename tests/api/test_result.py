@@ -24,34 +24,6 @@ def example_results():
     return evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
 
 
-class TestLaziness:
-    def test_thunk_is_not_evaluated_until_accessed(self, example_results):
-        calls = []
-
-        def produce():
-            calls.append(1)
-            return example_results
-
-        result = Result(produce)
-        assert calls == []
-        assert len(result) == 4
-        assert calls == [1]
-
-    def test_thunk_is_evaluated_exactly_once(self, example_results):
-        calls = []
-
-        def produce():
-            calls.append(1)
-            return example_results
-
-        result = Result(produce)
-        result.rows()
-        result.sorted_rows()
-        result.to_dicts()
-        list(result)
-        assert calls == [1]
-
-
 class TestRowViews:
     def test_rows_are_sorted_within_each_row(self, example_results):
         for row in Result(example_results).rows():

@@ -37,14 +37,12 @@ class TestBaselineCorrectness:
         graph, cluster, queries = lubm_env
         query = queries[query_name]
         central = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
-        cluster.reset_network()
         engine = make_baseline(baseline_name, cluster)
         result = engine.execute(query, query_name=query_name, dataset="LUBM")
         assert result.results.same_solutions(central)
 
     def test_statistics_are_populated(self, lubm_env, baseline_name):
         graph, cluster, queries = lubm_env
-        cluster.reset_network()
         engine = make_baseline(baseline_name, cluster)
         result = engine.execute(queries["LQ6"], query_name="LQ6", dataset="LUBM")
         stats = result.statistics
@@ -58,7 +56,6 @@ class TestBaselineCorrectness:
 class TestDreamBehaviour:
     def test_replication_means_no_partial_matches_but_shipped_results(self, lubm_env):
         graph, cluster, queries = lubm_env
-        cluster.reset_network()
         result = DreamEngine(cluster).execute(queries["LQ7"], query_name="LQ7")
         stats = result.statistics
         assert stats.counter("subquery_evaluation", "star_subqueries") >= 2
@@ -66,7 +63,6 @@ class TestDreamBehaviour:
 
     def test_star_query_is_single_subquery(self, lubm_env):
         graph, cluster, queries = lubm_env
-        cluster.reset_network()
         result = DreamEngine(cluster).execute(queries["LQ2"], query_name="LQ2")
         assert result.statistics.counter("subquery_evaluation", "star_subqueries") == 1
 
@@ -74,7 +70,6 @@ class TestDreamBehaviour:
 class TestCloudBehaviour:
     def test_s2rdf_scans_every_pattern(self, lubm_env):
         graph, cluster, queries = lubm_env
-        cluster.reset_network()
         result = S2RDFEngine(cluster).execute(queries["LQ7"], query_name="LQ7")
         stats = result.statistics
         assert stats.counter("pattern_scan", "patterns") == len(queries["LQ7"].bgp)
@@ -83,7 +78,6 @@ class TestCloudBehaviour:
 
     def test_s2x_runs_supersteps(self, lubm_env):
         graph, cluster, queries = lubm_env
-        cluster.reset_network()
         result = S2XEngine(cluster).execute(queries["LQ1"], query_name="LQ1")
         stats = result.statistics
         assert stats.counter("supersteps", "supersteps") >= 1
@@ -98,6 +92,5 @@ class TestCloudBehaviour:
         query = dataset_module.queries()[query_name]
         central = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
         for baseline_name in BASELINE_ENGINES:
-            cluster.reset_network()
             result = make_baseline(baseline_name, cluster).execute(query, query_name=query_name)
             assert result.results.same_solutions(central)

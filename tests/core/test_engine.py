@@ -14,6 +14,7 @@ from repro.core import (
 )
 from repro.datasets import lubm
 from repro.distributed import build_cluster
+from repro.obs import Trace
 from repro.partition import HashPartitioner
 from repro.rdf import Triple
 from repro.store import evaluate_centralized
@@ -32,7 +33,6 @@ def lubm_setup():
 class TestPipelineStages:
     def test_all_stages_present_for_complex_query(self, lubm_setup):
         graph, cluster, queries = lubm_setup
-        cluster.reset_network()
         result = GStoreDEngine(cluster, EngineConfig.full()).execute(queries["LQ1"], query_name="LQ1")
         names = [stage.name for stage in result.statistics.stages]
         assert names == [
@@ -45,7 +45,6 @@ class TestPipelineStages:
 
     def test_star_query_skips_optimizations(self, lubm_setup):
         graph, cluster, queries = lubm_setup
-        cluster.reset_network()
         result = GStoreDEngine(cluster, EngineConfig.full()).execute(queries["LQ2"], query_name="LQ2")
         stats = result.statistics
         assert stats.counter(STAGE_PARTIAL_EVAL, "local_partial_matches") == 0
@@ -56,7 +55,6 @@ class TestPipelineStages:
     def test_star_shortcut_can_be_disabled(self, lubm_setup):
         graph, cluster, queries = lubm_setup
         central = evaluate_centralized(graph, queries["LQ4"])
-        cluster.reset_network()
         config = EngineConfig.full().with_options(star_shortcut=False)
         result = GStoreDEngine(cluster, config).execute(queries["LQ4"], query_name="LQ4")
         assert result.results.same_solutions(
@@ -65,7 +63,6 @@ class TestPipelineStages:
 
     def test_basic_config_has_no_pruning_or_candidate_stage_costs(self, lubm_setup):
         graph, cluster, queries = lubm_setup
-        cluster.reset_network()
         result = GStoreDEngine(cluster, EngineConfig.basic()).execute(queries["LQ1"], query_name="LQ1")
         stats = result.statistics
         assert stats.find_stage(STAGE_PRUNING) is None or stats.find_stage(STAGE_PRUNING).shipped_bytes == 0
@@ -74,7 +71,6 @@ class TestPipelineStages:
 
     def test_pruning_reports_feature_counts(self, lubm_setup):
         graph, cluster, queries = lubm_setup
-        cluster.reset_network()
         result = GStoreDEngine(cluster, EngineConfig.lec_optimized()).execute(queries["LQ1"], query_name="LQ1")
         stats = result.statistics
         assert stats.counter(STAGE_PRUNING, "lec_features") > 0
@@ -82,17 +78,16 @@ class TestPipelineStages:
 
     def test_data_shipment_recorded_for_each_stage(self, lubm_setup):
         graph, cluster, queries = lubm_setup
-        cluster.reset_network()
-        result = GStoreDEngine(cluster, EngineConfig.full()).execute(queries["LQ1"], query_name="LQ1")
+        with cluster.bus.ledger() as ledger:
+            result = GStoreDEngine(cluster, EngineConfig.full()).execute(queries["LQ1"], query_name="LQ1")
         stats = result.statistics
         assert stats.find_stage(STAGE_CANDIDATES).shipped_bytes > 0
         assert stats.find_stage(STAGE_PRUNING).shipped_bytes > 0
         assert stats.find_stage(STAGE_ASSEMBLY).shipped_bytes > 0
-        assert stats.total_shipment_bytes == cluster.bus.total_bytes
+        assert stats.total_shipment_bytes == ledger.total_bytes
 
     def test_metadata_recorded(self, lubm_setup):
         graph, cluster, queries = lubm_setup
-        cluster.reset_network()
         result = GStoreDEngine(cluster).execute(queries["LQ6"], query_name="LQ6", dataset="LUBM")
         stats = result.statistics
         assert stats.query_name == "LQ6"
@@ -100,6 +95,35 @@ class TestPipelineStages:
         assert stats.engine == "gStoreD"
         assert stats.partitioning == "hash"
         assert stats.extra["selective"] is True
+
+
+    def test_a_disconnected_query_adds_up_its_components(self, lubm_setup):
+        """Each component enters partial evaluation once; the stage keeps the
+        site time, bytes and messages of both."""
+        graph, cluster, queries = lubm_setup
+        query = parse_query(
+            UB + "PREFIX u: <http://example.org/university/> SELECT * WHERE { "
+            "?s ub:memberOf ?d . ?d ub:subOrganizationOf u:University0 . "
+            "?s ub:undergraduateDegreeFrom u:University0 . "
+            "?h ub:headOf <http://example.org/university/University0/Department0> . }"
+        )
+        trace = Trace("query")
+        with cluster.bus.ledger() as ledger:
+            result = GStoreDEngine(cluster).execute(query, trace=trace)
+        trace.finish()
+        expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
+        assert len(result) > 1 and result.results.same_solutions(expected)
+        spans = trace.find_spans(name=f"stage:{STAGE_PARTIAL_EVAL}")
+        assert [span.attrs.get("star_shortcut", False) for span in spans] == [False, True]
+        stage = result.statistics.find_stage(STAGE_PARTIAL_EVAL)
+        for site_id, seconds in stage.site_times_s.items():
+            tasks = [t for span in spans for t in trace.children(span) if t.attrs["site_id"] == site_id]
+            assert len(tasks) == 2 and seconds == pytest.approx(sum(t.duration_s for t in tasks))
+        assert sorted(stage.site_times_s) == sorted(cluster.site_ids)
+        assert stage.messages == 2 * cluster.num_sites
+        assert stage.shipped_bytes == sum(span.attrs["shipped_bytes"] for span in spans)
+        assert all(span.attrs["messages"] == cluster.num_sites for span in spans)
+        assert ledger.snapshot().bytes_by_stage[STAGE_PARTIAL_EVAL] == stage.shipped_bytes
 
 
 class TestCorrectness:
@@ -110,13 +134,11 @@ class TestCorrectness:
         central = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
         odd_width = EngineConfig.full().with_options(bit_vector_bits=100)
         for config in (*ABLATION_CONFIGS, odd_width):
-            cluster.reset_network()
             result = GStoreDEngine(cluster, config).execute(query, query_name=query_name)
             assert result.results.same_solutions(central), f"{config} differs on {query_name}"
 
     def test_result_is_iterable_and_sized(self, lubm_setup):
         graph, cluster, queries = lubm_setup
-        cluster.reset_network()
         result = GStoreDEngine(cluster).execute(queries["LQ6"], query_name="LQ6")
         assert len(result) == len(list(result))
 
@@ -126,7 +148,6 @@ class TestCorrectness:
             "PREFIX ub: <http://example.org/univ-bench#> "
             "SELECT ?s WHERE { ?s ub:advisor ?p . ?p ub:teacherOf ?c . } LIMIT 3"
         )
-        cluster.reset_network()
         result = GStoreDEngine(cluster).execute(query)
         assert len(result.results) == 3
 
@@ -164,6 +185,5 @@ class TestSelfLoops:
         central = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
         assert len(central) > 0
         for config in ABLATION_CONFIGS:
-            cluster.reset_network()
             result = GStoreDEngine(cluster, config).execute(query, query_name=name)
             assert result.results.same_solutions(central), f"{config} differs on {name}"

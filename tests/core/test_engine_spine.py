@@ -4,7 +4,8 @@ Every case runs one query through ``make_engine("gstored", ...)`` over a
 *fresh* cluster (so the plan-cache counters start from zero) and reduces the
 run to a fingerprint of everything the engine promises to keep bit-identical:
 
-* the ordered bus log ``(source, destination, kind, stage, bytes)``;
+* the run's ordered message log ``(source, destination, kind, stage, bytes)``,
+  read from a ledger opened around it;
 * the stage-name order and, per stage, shipped bytes, messages, the modelled
   network/platform time, which sites reported a time, whether coordinator
   time was folded in, and every counter key and value in insertion order;
@@ -76,7 +77,7 @@ def fingerprint(workloads, case_id, traced):
     partitioned, queries = workloads[workload]
     cluster = build_cluster(partitioned)
     trace = Trace("query") if traced else None
-    with make_engine("gstored", cluster, config=config) as engine:
+    with make_engine("gstored", cluster, config=config) as engine, cluster.bus.ledger() as ledger:
         result = engine.execute(
             queries[query_name], query_name=query_name, dataset=workload, trace=trace
         )
@@ -92,7 +93,7 @@ def fingerprint(workloads, case_id, traced):
     return {
         "bus": [
             [m.source, m.destination, m.kind, m.stage, m.size_bytes]
-            for m in cluster.bus.messages
+            for m in ledger.messages
         ],
         "stages": [
             {

@@ -120,15 +120,14 @@ class TestDefinition8Compresses:
         partitioned, bgp = self.build()
         cluster = build_cluster(partitioned)
         config = EngineConfig.full().with_options(star_shortcut=False)
-        result = GStoreDEngine(cluster, config).execute(
-            SelectQuery(bgp, (X, Y, Z))
-        )
+        with cluster.bus.ledger() as ledger:
+            result = GStoreDEngine(cluster, config).execute(SelectQuery(bgp, (X, Y, Z)))
         statistics = result.statistics
         lpms = statistics.counter("partial_evaluation", "local_partial_matches")
         assert lpms / statistics.counter("lec_pruning", "lec_features") > 1
         assert statistics.counter("lec_pruning", "pruned_local_partial_matches") == 0
         assert len(result.results) == self.LEAVES
-        shipped = cluster.bus.bytes_by_kind()
+        shipped = ledger.snapshot().bytes_by_kind
         assert shipped["lec_features"] < shipped["local_partial_matches"]
 
 

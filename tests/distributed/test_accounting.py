@@ -2,18 +2,22 @@
 
 Concurrent queries record times and send messages from their own threads;
 these tests pin that no sample is ever lost when several threads record at
-once, that ``reset()`` gives each run a clean slate, and that the
+once, that each thread's ledger holds exactly its own sends, and that the
 per-stage/per-kind byte breakdowns agree with each other and with the
 shipment attributes the tracing layer stamps onto stage spans.
 """
 
+import gc
 import threading
 
 import pytest
 
+from repro.api import make_engine
 from repro.core import GStoreDEngine
-from repro.datasets import get_dataset
-from repro.distributed.network import MessageBus, ShipmentSnapshot, StageTimer
+from repro.datasets import get_dataset, lubm
+from repro.distributed import build_cluster
+from repro.distributed.network import Message, MessageBus, StageTimer
+from repro.partition import HashPartitioner
 from repro.obs import CATEGORY_STAGE, Trace
 
 
@@ -61,55 +65,53 @@ class TestStageTimerConcurrency:
 
 
 class TestMessageBusConcurrency:
-    def test_concurrent_sends_lose_no_messages(self):
+    def test_concurrent_ledgers_each_hold_exactly_their_thread_s_sends(self):
         bus = MessageBus()
         sends_per_thread = 400
+        ledgers = {}
 
         def worker(site_id):
-            for _ in range(sends_per_thread):
-                bus.send(site_id, -1, "local_matches", "xxxx", stage="partial_evaluation")
+            with bus.ledger() as ledger:
+                for _ in range(sends_per_thread):
+                    bus.send(site_id, -1, "local_matches", "xxxx", stage="partial_evaluation")
+            ledgers[site_id] = ledger
 
         run_in_threads(worker)
-        assert bus.total_messages == 8 * sends_per_thread
-        assert bus.total_bytes == 8 * sends_per_thread * 4  # "xxxx" is 4 bytes
-        assert bus.messages_for_stage("partial_evaluation") == 8 * sends_per_thread
-
-    def test_reset_between_runs_clears_the_log(self):
-        bus = MessageBus()
-        bus.send(0, 1, "k", "payload", stage="assembly")
-        bus.reset()
-        assert bus.total_messages == 0
-        assert bus.total_bytes == 0
-        assert bus.snapshot() == ShipmentSnapshot(0, 0, {}, {}, {})
+        assert sorted(ledgers) == list(range(8))
+        for site_id, ledger in ledgers.items():
+            assert ledger.total_messages == sends_per_thread
+            assert ledger.total_bytes == sends_per_thread * 4  # "xxxx" is 4 bytes
+            assert {message.source for message in ledger.messages} == {site_id}
+            assert ledger.snapshot().messages_by_stage == {"partial_evaluation": sends_per_thread}
 
     def test_stage_and_kind_breakdowns_are_consistent(self):
         bus = MessageBus()
-        bus.send(0, 1, "candidate_vectors", "aa", stage="candidate_exchange")
-        bus.send(1, -1, "local_matches", "bbbb", stage="partial_evaluation")
-        bus.send(2, -1, "local_matches", "cc", stage="partial_evaluation")
-        snapshot = bus.snapshot()
-        assert snapshot.total_bytes == bus.total_bytes
-        assert snapshot.total_messages == bus.total_messages
+        with bus.ledger() as ledger:
+            bus.send(0, 1, "candidate_vectors", "aa", stage="candidate_exchange")
+            bus.send(1, -1, "local_matches", "bbbb", stage="partial_evaluation")
+            bus.send(2, -1, "local_matches", "cc", stage="partial_evaluation")
+        snapshot = ledger.snapshot()
+        assert snapshot.total_bytes == ledger.total_bytes == 8
+        assert snapshot.total_messages == ledger.total_messages == 3
         assert sum(snapshot.bytes_by_stage.values()) == snapshot.total_bytes
         assert sum(snapshot.bytes_by_kind.values()) == snapshot.total_bytes
         assert sum(snapshot.messages_by_stage.values()) == snapshot.total_messages
-        for stage, size in snapshot.bytes_by_stage.items():
-            assert bus.bytes_for_stage(stage) == size
-        assert snapshot.bytes_by_kind == bus.bytes_by_kind()
+        assert snapshot.bytes_by_stage == {"candidate_exchange": 2, "partial_evaluation": 6}
+        assert snapshot.bytes_by_kind == {"candidate_vectors": 2, "local_matches": 6}
 
 
-class TestSpanAttributesMatchTheBus:
-    """The shipment attrs on stage spans are the same numbers the bus and
+class TestSpanAttributesMatchTheLedger:
+    """The shipment attrs on stage spans are the same numbers the ledger and
     the statistics report — one accounting, three views."""
 
-    def test_stage_span_attrs_equal_bus_and_statistics(self, lubm_cluster):
+    def test_stage_span_attrs_equal_ledger_and_statistics(self, lubm_cluster):
         query = get_dataset("LUBM").queries()["LQ1"]
-        lubm_cluster.reset_network()
         trace = Trace("query")
-        result = GStoreDEngine(lubm_cluster).execute(query, trace=trace)
+        with lubm_cluster.bus.ledger() as ledger:
+            result = GStoreDEngine(lubm_cluster).execute(query, trace=trace)
         trace.finish()
 
-        bus = lubm_cluster.bus
+        shipment = ledger.snapshot()
         stage_spans = trace.find_spans(category=CATEGORY_STAGE)
         assert stage_spans
         for span in stage_spans:
@@ -118,7 +120,18 @@ class TestSpanAttributesMatchTheBus:
             assert stage is not None
             assert span.attrs["shipped_bytes"] == stage.shipped_bytes
             assert span.attrs["messages"] == stage.messages
-            assert bus.bytes_for_stage(stage_name) == stage.shipped_bytes
-            assert bus.messages_for_stage(stage_name) == stage.messages
+            assert shipment.bytes_by_stage.get(stage_name, 0) == stage.shipped_bytes
+            assert shipment.messages_by_stage.get(stage_name, 0) == stage.messages
         total_from_spans = sum(span.attrs["shipped_bytes"] for span in stage_spans)
-        assert total_from_spans == result.statistics.total_shipment_bytes == bus.total_bytes
+        assert total_from_spans == result.statistics.total_shipment_bytes == shipment.total_bytes
+
+
+def test_runs_outside_a_ledger_leave_no_message_alive():
+    """The bus keeps no log: 20 direct runs hold no :class:`Message` after them."""
+    cluster = build_cluster(HashPartitioner(3).partition(lubm.generate(scale=1)))
+    query = lubm.queries()["LQ1"]
+    engine = make_engine("gstored", cluster)
+    for _ in range(20):
+        assert engine.execute(query).statistics.total_shipment_bytes > 0
+    gc.collect()
+    assert sum(isinstance(obj, Message) for obj in gc.get_objects()) == 0

@@ -65,11 +65,6 @@ class TestCluster:
     def test_graph_accessor_returns_full_graph(self, example_cluster, example_graph):
         assert example_cluster.graph == example_graph
 
-    def test_reset_network(self, example_cluster):
-        example_cluster.bus.send(0, 1, "x", "payload")
-        example_cluster.reset_network()
-        assert example_cluster.bus.total_messages == 0
-
     def test_stats_include_partitioning_info(self, example_cluster):
         stats = example_cluster.stats()
         assert stats["sites"] == 3

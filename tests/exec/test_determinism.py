@@ -23,7 +23,6 @@ def stage_counters(result):
 
 def run(cluster, query, trace=None):
     """One execution on a fresh network."""
-    cluster.reset_network()
     return GStoreDEngine(cluster).execute(query, trace=trace)
 
 

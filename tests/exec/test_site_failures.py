@@ -85,7 +85,6 @@ def clusters():
 
 
 def run(cluster, config):
-    cluster.reset_network()
     return GStoreDEngine(cluster, config).execute(example_query())
 
 

@@ -57,7 +57,6 @@ class TestGStoreDAgainstCentralized:
         cluster = clusters[strategy]
         for name, query in queries.items():
             expected = centralized_answer(graph, query)
-            cluster.reset_network()
             result = GStoreDEngine(cluster, EngineConfig.full()).execute(query, query_name=name)
             assert result.results.same_solutions(expected), f"{dataset}/{strategy}/{name}"
 
@@ -68,7 +67,6 @@ class TestGStoreDAgainstCentralized:
         config = ABLATION_CONFIGS[config_index]
         for name, query in queries.items():
             expected = centralized_answer(graph, query)
-            cluster.reset_network()
             result = GStoreDEngine(cluster, config).execute(query, query_name=name)
             assert result.results.same_solutions(expected), f"{config.label}/{name}"
 
@@ -81,7 +79,6 @@ class TestBaselinesAgainstCentralized:
         engine = make_baseline(baseline, cluster)
         for name, query in queries.items():
             expected = centralized_answer(graph, query)
-            cluster.reset_network()
             result = engine.execute(query, query_name=name)
             assert result.results.same_solutions(expected), f"{baseline}/YAGO2/{name}"
 
@@ -93,9 +90,7 @@ class TestConsistencyAcrossEngines:
         query = queries["YQ4"]
         answers = []
         for config in ABLATION_CONFIGS:
-            cluster.reset_network()
             answers.append(GStoreDEngine(cluster, config).execute(query).results.as_set())
         for baseline in BASELINE_ENGINES:
-            cluster.reset_network()
             answers.append(make_baseline(baseline, cluster).execute(query).results.as_set())
         assert all(answer == answers[0] for answer in answers)

@@ -65,7 +65,6 @@ def centralized(graph, query):
 
 
 def distributed(cluster, query):
-    cluster.reset_network()
     return answers(GStoreDEngine(cluster, EngineConfig.full()).execute(query).results)
 
 

@@ -1,10 +1,12 @@
 """Session-level observability: ``repro.open(..., trace=True)``, metrics,
-profiling, and the detached-statistics lifetime guarantee."""
+profiling, and the lifetime of a result's statistics."""
 
 import pytest
 
 import repro
-from repro.distributed import ShipmentSnapshot
+from repro.baselines import cloud
+from repro.distributed import COORDINATOR, ShipmentSnapshot
+from repro.distributed.run import Stage
 from repro.obs import CATEGORY_STAGE, CATEGORY_TASK, validate_chrome_trace
 
 QUERY = (
@@ -54,13 +56,40 @@ class TestTracedSessions:
             assert first.trace is not second.trace
             assert len(session.tracer) == 2
 
-    def test_baseline_engines_yield_synthesized_spans(self):
+    def test_a_baseline_s_stage_span_is_measured_around_its_work(self, monkeypatch):
+        """A timestamp taken inside the first stage lies within its span."""
         with repro.open(dataset="paper", trace=True) as session:
-            result = session.query(QUERY, engine="dream")
-            stage_spans = result.trace.find_spans(category=CATEGORY_STAGE)
-            assert stage_spans
-            assert all(span.attrs.get("synthesized") for span in stage_spans)
-            validate_chrome_trace(result.trace.to_chrome())
+            inside = []
+            scan = cloud._scan
+
+            def timed_scan(site, pattern):
+                inside.append(session.tracer.last._now())
+                return scan(site, pattern)
+
+            monkeypatch.setattr(cloud, "_scan", timed_scan)
+            result = session.query(QUERY, engine="cloud")
+        first = result.trace.find_spans(category=CATEGORY_STAGE)[0]
+        assert first.name == f"stage:{cloud.STAGE_SCAN}" and inside
+        assert all(first.start_s <= moment <= first.start_s + first.duration_s for moment in inside)
+        validate_chrome_trace(result.trace.to_chrome())
+
+    @pytest.mark.parametrize("engine", ["cloud", "decomp", "dream", "s2x"])
+    def test_each_timed_site_block_of_a_baseline_gives_a_site_span(self, monkeypatch, engine):
+        blocks = []
+        measure = Stage.measure
+
+        def counted(stage, site_id=COORDINATOR):
+            if site_id != COORDINATOR:
+                blocks.append((stage.name, site_id))
+            return measure(stage, site_id)
+
+        monkeypatch.setattr(Stage, "measure", counted)
+        with repro.open(dataset="paper", trace=True) as session:
+            result = session.query(QUERY, engine=engine)
+        spans = result.trace.find_spans(category=CATEGORY_TASK)
+        assert blocks and [(s.attrs["stage"], s.attrs["site_id"]) for s in spans] == blocks
+        assert [s.name for s in spans] == [f"site:{site_id}" for _, site_id in blocks]
+        assert not any("synthesized" in span.attrs for span in result.trace.spans)
 
     def test_centralized_engine_traces_its_single_stage(self):
         with repro.open(dataset="paper", trace=True) as session:
@@ -156,22 +185,14 @@ class TestResultStatisticsLifetime:
             assert [dict(stage.as_dict()) for stage in first.statistics.stages] == frozen_stages
             assert first.statistics.total_shipment_bytes > 0
 
-    def test_shipment_snapshot_survives_network_reset(self):
+    def test_shipment_snapshot_survives_a_later_query(self):
         with repro.open(dataset="paper") as session:
             first = session.query(QUERY)
             assert isinstance(first.shipment, ShipmentSnapshot)
             total = first.shipment.total_bytes
             assert total == first.statistics.total_shipment_bytes
-            session.query("example")  # resets the bus
+            session.query("example")
             assert first.shipment.total_bytes == total
-
-    def test_detach_statistics_returns_an_equal_deep_copy(self):
-        with repro.open(dataset="paper") as session:
-            result = session.query(QUERY)
-            original_row = result.statistics.as_row()
-            detached = result.detach_statistics()
-            assert detached.as_row() == original_row
-            assert detached is result.statistics
 
 
 class TestTracedEquivalence:

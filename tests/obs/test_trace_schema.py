@@ -23,7 +23,6 @@ from repro.obs import (
 
 def traced_run(cluster):
     query = get_dataset("LUBM").queries()["LQ1"]
-    cluster.reset_network()
     trace = Trace("query", engine="gstored")
     result = GStoreDEngine(cluster).execute(query, trace=trace)
     trace.finish(rows=len(result.results))
@@ -69,7 +68,6 @@ class TestCoordinatorSpans:
 
     def test_each_join_has_a_coordinator_span_under_its_stage(self, lubm_cluster):
         query = get_dataset("LUBM").queries()["LQ1"]
-        lubm_cluster.reset_network()
         trace = Trace("query")
         with GStoreDEngine(lubm_cluster) as engine:
             result = engine.execute(query, trace=trace)
@@ -90,7 +88,6 @@ class TestCoordinatorSpans:
 
     def test_star_queries_run_no_coordinator_join(self, lubm_cluster):
         query = get_dataset("LUBM").queries()["LQ2"]
-        lubm_cluster.reset_network()
         trace = Trace("query")
         with GStoreDEngine(lubm_cluster) as engine:
             engine.execute(query, trace=trace)

@@ -99,9 +99,7 @@ class TestSiteSpans:
         query = get_dataset("LUBM").queries()[query_name]
         engine = GStoreDEngine(lubm_cluster)
         engine.execute(query)  # warm the plan cache
-        lubm_cluster.reset_network()
         untraced = engine.execute(query)
-        lubm_cluster.reset_network()
         trace = Trace("query")
         traced = engine.execute(query, trace=trace)
         trace.finish()

@@ -43,7 +43,6 @@ def _mutations():
 
 
 def fingerprint(cluster, query):
-    cluster.reset_network()
     result = GStoreDEngine(cluster).execute(query)
     rows = sorted(map(sorted, (row.items() for row in result.results.to_table())))
     return rows, dict(result.statistics.work), snapshot(result)

@@ -94,15 +94,12 @@ class TestEngineIntegration:
         on = GStoreDEngine(cluster, EngineConfig.full())
         off = GStoreDEngine(cluster, EngineConfig.full().with_options(use_planner=False))
         for name in ("LQ1", "LQ2", "LQ6", "LQ7"):
-            cluster.reset_network()
             expected = off.execute(queries[name]).results
-            cluster.reset_network()
             actual = on.execute(queries[name]).results
             assert actual.same_solutions(expected)
 
     def test_planning_stage_recorded(self, lubm_setup):
         _, cluster, queries = lubm_setup
-        cluster.reset_network()
         result = GStoreDEngine(cluster, EngineConfig.full()).execute(queries["LQ1"])
         stats = result.statistics
         assert stats.find_stage(STAGE_PLANNING) is not None
@@ -111,7 +108,6 @@ class TestEngineIntegration:
 
     def test_planner_off_records_no_planning_stage(self, lubm_setup):
         _, cluster, queries = lubm_setup
-        cluster.reset_network()
         config = EngineConfig.full().with_options(use_planner=False)
         result = GStoreDEngine(cluster, config).execute(queries["LQ1"])
         assert result.statistics.find_stage(STAGE_PLANNING) is None
@@ -119,9 +115,7 @@ class TestEngineIntegration:
     def test_repeated_queries_hit_plan_cache(self, lubm_setup):
         _, cluster, queries = lubm_setup
         engine = GStoreDEngine(cluster, EngineConfig.full())
-        cluster.reset_network()
         engine.execute(queries["LQ7"])
-        cluster.reset_network()
         result = engine.execute(queries["LQ7"])
         assert result.statistics.counter(STAGE_PLANNING, "plan_cache_hit") == 1
 

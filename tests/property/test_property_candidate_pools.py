@@ -133,7 +133,6 @@ def counters(result):
 def run_engine(cluster, query):
     """The engine's counters for one run without the star shortcut."""
     config = EngineConfig.full().with_options(star_shortcut=False)
-    cluster.reset_network()
     return counters(GStoreDEngine(cluster, config).execute(query))
 
 

@@ -47,7 +47,6 @@ class TestDistributedEqualsCentralized:
         graph, query, cluster = build_environment(seed, num_fragments, query_edges, 0.25)
         expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
         for config in ABLATION_CONFIGS:
-            cluster.reset_network()
             result = GStoreDEngine(cluster, config).execute(query)
             assert result.results.same_solutions(expected)
 
@@ -64,9 +63,9 @@ class TestDistributedEqualsCentralized:
 class TestAccountingInvariants:
     @given(seeds, fragment_counts, query_sizes)
     @settings(max_examples=8, deadline=None)
-    def test_shipment_totals_match_message_bus(self, seed, num_fragments, query_edges):
+    def test_shipment_totals_match_the_ledger(self, seed, num_fragments, query_edges):
         graph, query, cluster = build_environment(seed, num_fragments, query_edges, 0.25)
-        cluster.reset_network()
-        result = GStoreDEngine(cluster, EngineConfig.full()).execute(query)
-        assert result.statistics.total_shipment_bytes == cluster.bus.total_bytes
+        with cluster.bus.ledger() as ledger:
+            result = GStoreDEngine(cluster, EngineConfig.full()).execute(query)
+        assert result.statistics.total_shipment_bytes == ledger.total_bytes
         assert result.statistics.total_time_s >= 0

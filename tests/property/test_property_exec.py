@@ -63,9 +63,7 @@ class TestCrossEngineEquivalence:
         fingerprints and ``search_steps`` are bit-identical with a trace
         attached."""
         _, query, cluster = build_environment(seed, num_fragments, query_edges, 0.25)
-        cluster.reset_network()
         untraced = GStoreDEngine(cluster).execute(query)
-        cluster.reset_network()
         traced = GStoreDEngine(cluster).execute(query, trace=Trace("query"))
         assert sorted_rows(traced.results) == sorted_rows(untraced.results)
         assert stage_shipment_snapshot(traced) == stage_shipment_snapshot(untraced)
@@ -73,11 +71,10 @@ class TestCrossEngineEquivalence:
 
     @given(seeds, fragment_counts, query_sizes)
     @settings(max_examples=6, deadline=None)
-    def test_repeated_shipment_equals_the_bus_total(self, seed, num_fragments, query_edges):
+    def test_repeated_shipment_equals_the_ledger_total(self, seed, num_fragments, query_edges):
         _, query, cluster = build_environment(seed, num_fragments, query_edges, 0.25)
-        cluster.reset_network()
         first = GStoreDEngine(cluster).execute(query)
-        cluster.reset_network()
-        again = GStoreDEngine(cluster).execute(query)
+        with cluster.bus.ledger() as ledger:
+            again = GStoreDEngine(cluster).execute(query)
         assert stage_shipment_snapshot(again) == stage_shipment_snapshot(first)
-        assert again.statistics.total_shipment_bytes == cluster.bus.total_bytes
+        assert again.statistics.total_shipment_bytes == ledger.total_bytes

@@ -323,10 +323,11 @@ class TestTheWireForm:
         _, query_graph, classes_by_site = site_classes(graph, query, assignment, num_fragments, candidate_filter)
         recounted.update(recount_messages(query_graph, classes_by_site))
         config = EngineConfig.full().with_options(star_shortcut=False, use_candidate_exchange=candidate_exchange)
-        result = GStoreDEngine(cluster, config).execute(query)
+        with cluster.bus.ledger() as ledger:
+            result = GStoreDEngine(cluster, config).execute(query)
         expected = evaluate_centralized(graph, query).project(query.effective_projection, distinct=True)
         assert result.results.same_solutions(expected)
-        shipped = cluster.bus.bytes_by_kind()
+        shipped = ledger.snapshot().bytes_by_kind
         assert set(shipped) == set(recounted) | {"local_matches"}
         for kind, size in recounted.items():
             assert shipped[kind] == size, kind

@@ -115,7 +115,6 @@ class TestKernelEquivalence:
         )
         expected_rows = sorted_rows(expected)
 
-        cluster.reset_network()
         serial = GStoreDEngine(cluster).execute(query)
         assert sorted_rows(serial.results) == expected_rows
 
@@ -182,14 +181,12 @@ class TestDistributedKernelParity:
         partitioned = build_partitioned_graph(graph, assignment, num_fragments=num_fragments)
         cluster = build_cluster(partitioned)
 
-        cluster.reset_network()
         reference = GStoreDEngine(cluster).execute(query)
         reference_rows = sorted_rows(reference.results)
         reference_snapshot = stage_shipment_snapshot(reference)
 
         for kernel, running_on in ENGINE_KERNELS.items():
             with running_on():
-                cluster.reset_network()
                 outcome = GStoreDEngine(cluster).execute(query)
             assert sorted_rows(outcome.results) == reference_rows, kernel
             assert stage_shipment_snapshot(outcome) == reference_snapshot, kernel

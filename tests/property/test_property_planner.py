@@ -47,7 +47,6 @@ class TestPlannerEquivalence:
         expected = GStoreDEngine(
             cluster, EngineConfig.full().with_options(use_planner=False)
         ).execute(query)
-        cluster.reset_network()
         actual = GStoreDEngine(cluster, EngineConfig.full()).execute(query)
         assert actual.results.same_solutions(expected.results)
 

@@ -126,7 +126,7 @@ def test_docs_cover_the_observability_surface():
         "repro_queries_total",
         "repro_stage_seconds",
         "repro_shipped_bytes_total",
-        "synthesized",
+        "Run.stage",
     ):
         assert required in text, f"docs/observability.md no longer mentions {required}"
 

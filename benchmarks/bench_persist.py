@@ -2,8 +2,9 @@
 
 The point of :mod:`repro.persist` is the restart path: a coordinator (or a
 ``repro serve`` process) coming back up should *open* its cluster from the
-store file instead of regenerating the dataset, re-partitioning it and
-re-collecting per-fragment statistics.  This benchmark measures both paths
+store file instead of regenerating the dataset and re-partitioning it (the
+planner statistics of either path read the site encodings' columns, so
+neither collects any).  This benchmark measures both paths
 to a fully queryable cluster (statistics forced, one query answered) on the
 LUBM workload at scale 2 and gates the ratio:
 

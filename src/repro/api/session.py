@@ -396,8 +396,9 @@ class Session:
         """Apply a triple delta to the session's cluster, in place.
 
         Thin veneer over :meth:`~repro.distributed.Cluster.apply`: removals
-        run first, then additions; no-ops are skipped; every index, fragment
-        and statistic is *patched* rather than rebuilt; and with a
+        run first, then additions; no-ops are skipped; every index and
+        fragment is *patched* rather than rebuilt (the planner statistics read
+        the patched columns); and with a
         store-backed session (``repro.open(path=…)``) the effective ops are
         journaled to the store's write-ahead delta table before this returns,
         so a reopened session resumes from the mutated state.
@@ -650,14 +651,7 @@ def open_session(
             name, strategy, scale, sites
         )
         cluster = build_cluster(partitioned, network=network)
-        # The sites' statistics are what the snapshot stores: collect them once.
-        store = ClusterStore.create(
-            path,
-            partitioned,
-            dataset=dataset_name,
-            scale=chosen_scale,
-            statistics={site.site_id: site.graph_statistics() for site in cluster},
-        )
+        store = ClusterStore.create(path, partitioned, dataset=dataset_name, scale=chosen_scale)
         try:
             cluster.attach_store(store)
             return Session.from_cluster(

@@ -2,7 +2,7 @@
 
 from .base import DistributedEngine
 from .cloud import CliqueSquareEngine, S2RDFEngine, S2XEngine
-from .decomposition import decompose_into_stars, hash_join, join_all, single_pattern_queries
+from .decomposition import decompose_into_stars, hash_join, join_all
 from .dream import DreamEngine
 
 #: The comparison systems of Fig. 12 keyed by their report name.
@@ -32,5 +32,4 @@ __all__ = [
     "hash_join",
     "join_all",
     "make_baseline",
-    "single_pattern_queries",
 ]

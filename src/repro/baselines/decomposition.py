@@ -39,11 +39,6 @@ def decompose_into_stars(bgp: BasicGraphPattern) -> List[BasicGraphPattern]:
     return [BasicGraphPattern(patterns) for patterns in hubs.values()]
 
 
-def single_pattern_queries(bgp: BasicGraphPattern) -> List[BasicGraphPattern]:
-    """The finest decomposition: one subquery per triple pattern."""
-    return [BasicGraphPattern([pattern]) for pattern in bgp]
-
-
 def subquery(patterns: BasicGraphPattern) -> SelectQuery:
     """Wrap a BGP into a ``SELECT *`` query for a local evaluator."""
     return SelectQuery(bgp=patterns, projection=())
@@ -93,11 +88,3 @@ def join_all(solution_sets: Iterable[Sequence[Binding]]) -> List[Binding]:
             return []
     return current
 
-
-def estimate_bindings_size(bindings: Sequence[Binding]) -> int:
-    """Approximate serialized size of a set of solution mappings (bytes)."""
-    total = 4
-    for binding in bindings:
-        for variable in binding.variables:
-            total += len(variable.name) + len(binding[variable].n3())
-    return total

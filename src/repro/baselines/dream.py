@@ -28,12 +28,7 @@ from ..distributed.run import Run
 from ..sparql.bindings import Binding
 from ..store.matcher import LocalMatcher
 from .base import DistributedEngine
-from .decomposition import (
-    decompose_into_stars,
-    estimate_bindings_size,
-    join_all,
-    subquery,
-)
+from .decomposition import decompose_into_stars, join_all, subquery
 
 STAGE_SUBQUERIES = "subquery_evaluation"
 STAGE_JOIN = "result_join"

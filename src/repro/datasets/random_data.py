@@ -65,10 +65,11 @@ def random_connected_query(
     vertex is replaced by a fresh variable (or kept as a constant with
     probability ``constant_probability``).  The resulting query has at least
     one match (the sampled subgraph itself).  Returns ``None`` when the graph
-    is too small to sample from.
+    is too small to sample from.  Triples and vertices are drawn in N3 order,
+    so the query depends on ``seed`` alone, not on the hash seed.
     """
     rng = random.Random(seed)
-    triples = list(graph)
+    triples = sorted(graph, key=Triple.n3)
     if not triples:
         return None
     start = triples[rng.randrange(len(triples))]
@@ -77,8 +78,8 @@ def random_connected_query(
     for _ in range(num_edges - 1):
         adjacent = [
             triple
-            for vertex in touched
-            for triple in graph.edges_of(vertex)
+            for vertex in sorted(touched, key=_n3)
+            for triple in sorted(graph.edges_of(vertex), key=Triple.n3)
             if triple not in chosen
         ]
         if not adjacent:
@@ -89,7 +90,7 @@ def random_connected_query(
 
     vertex_terms: Dict[Node, PatternTerm] = {}
     counter = 0
-    for vertex in sorted(touched, key=lambda v: v.n3()):
+    for vertex in sorted(touched, key=_n3):
         if rng.random() < constant_probability:
             vertex_terms[vertex] = vertex
         else:
@@ -97,7 +98,7 @@ def random_connected_query(
             counter += 1
     if not any(isinstance(term, Variable) for term in vertex_terms.values()):
         # Ensure at least one variable so the query projects something.
-        first = sorted(touched, key=lambda v: v.n3())[0]
+        first = min(touched, key=_n3)
         vertex_terms[first] = Variable("x0")
 
     patterns = [
@@ -108,6 +109,11 @@ def random_connected_query(
 
 
 def random_assignment(graph: RDFGraph, seed: int, num_fragments: int) -> Dict[Node, int]:
-    """A uniformly random vertex → fragment assignment (for partition tests)."""
+    """A uniformly random vertex → fragment assignment (for partition tests),
+    drawn over the vertices in N3 order, so it depends on ``seed`` alone."""
     rng = random.Random(seed)
-    return {vertex: rng.randrange(num_fragments) for vertex in graph.vertices}
+    return {vertex: rng.randrange(num_fragments) for vertex in sorted(graph.vertices, key=_n3)}
+
+
+def _n3(term: Node) -> str:
+    return term.n3()

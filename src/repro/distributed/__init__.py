@@ -20,7 +20,7 @@ from .network import (
 from .result import Result
 from .run import Run, Stage
 from .site import Site
-from .stats import QueryStatistics, StageStats, aggregate_graph_statistics
+from .stats import QueryStatistics, StageStats
 
 __all__ = [
     "AppliedDelta",
@@ -43,7 +43,6 @@ __all__ = [
     "Stage",
     "StageStats",
     "StageTimer",
-    "aggregate_graph_statistics",
     "build_cluster",
     "estimate_size",
 ]

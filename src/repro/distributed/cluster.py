@@ -24,20 +24,19 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..partition.delta import stable_fragment_of
 from ..partition.fragment import PartitionedGraph
 from ..planner.optimizer import QueryPlanner
 from ..planner.plan_cache import DEFAULT_PLAN_CACHE_SIZE
-from ..planner.statistics import GraphStatistics, remerge_statistics
+from ..planner.statistics import GraphStatistics
 from ..rdf.graph import RDFGraph
 from ..rdf.terms import Node
 from ..rdf.triples import Triple
 from ..store.encoding import EncodedGraph, IdTriple, TermDictionary
 from .network import MessageBus, NetworkModel
 from .site import Site
-from .stats import aggregate_graph_statistics
 
 
 @dataclass(frozen=True)
@@ -66,13 +65,10 @@ class Cluster:
         name: str = "",
         strategy: str = "custom",
         network: Optional[NetworkModel] = None,
-        statistics: Optional[Mapping[int, GraphStatistics]] = None,
     ) -> None:
         """``fragments[k]`` are fragment ``k``'s edges (``E_k ∪ Ec_k``) as
         distinct id triples of ``dictionary``; ``assignment`` maps every vertex
-        id to its fragment and is kept (updates extend it).  ``statistics``
-        are already collected per-site summaries, by site id (a store file's);
-        the sites collect any missing ones when built."""
+        id to its fragment and is kept (updates extend it)."""
         #: The one dictionary: base terms in ``term_sort_key`` order, new terms appended.
         self.dictionary = dictionary
         self._assignment = assignment
@@ -80,10 +76,8 @@ class Cluster:
         self.name = name
         #: Name of the partitioning strategy that placed the vertices.
         self.strategy = strategy
-        statistics = statistics or {}
         self._sites: List[Site] = [
-            Site(site_id, triples, dictionary, assignment, statistics.get(site_id))
-            for site_id, triples in enumerate(fragments)
+            Site(site_id, triples, dictionary, assignment) for site_id, triples in enumerate(fragments)
         ]
         self._encoded: Optional[EncodedGraph] = None
         self._encoded_lock = threading.Lock()
@@ -164,11 +158,10 @@ class Cluster:
         return self._sites[self._assignment[self.dictionary.id_of(vertex)]]
 
     def graph_statistics(self) -> GraphStatistics:
-        """Cluster-wide planner statistics, aggregated from the per-site
-        summaries (the coordinator's global view of the data distribution),
-        merged in ``site_id`` order."""
-        sites = sorted(self._sites, key=lambda site: site.site_id)
-        return aggregate_graph_statistics(site.graph_statistics() for site in sites)
+        """Cluster-wide planner statistics (the coordinator's global view of the
+        data distribution): every count summed over the sites' encodings, in
+        ``site_id`` order."""
+        return GraphStatistics([site.encoded for site in self._sites])
 
     def coordinator_planner(
         self,
@@ -287,19 +280,6 @@ class Cluster:
         for site in self._sites:
             if site.site_id in site_ops:
                 site.apply(site_ops[site.site_id], assignment)
-        with self._planner_lock:
-            # The planner's cache is keyed by the statistics each plan read,
-            # so refreshing them is all an update needs to do: the window's
-            # predicates and the totals, re-summed over the sites in place.
-            if self._coordinator_planner is not None:
-                statistics = self._coordinator_planner.statistics
-                if statistics is not None:
-                    term_of = self.dictionary.term_of
-                    remerge_statistics(
-                        statistics,
-                        [site.graph_statistics() for site in self._sites],
-                        dict.fromkeys(term_of(p) for _, (_, p, _) in id_ops),
-                    )
         if self._store is not None:
             try:
                 self._store.append_ops(effective)

@@ -6,8 +6,9 @@ fragment's edges (sorted columns over the cluster's dictionary, which every
 probe reads) and one :class:`~repro.store.fragment_index.FragmentIndex` over
 that encoding, which is the fragment: Definition 1 over ids.  A local
 :class:`~repro.store.TripleStore` wraps the encoding for matching and
-planning, with the planner statistics.  All of it is built once, in the
-constructor, from id triples, and patched in place by :meth:`Site.apply`.
+planning; its planner statistics read the encoding's columns.  All of it
+is built once, in the constructor, from id triples, and patched in place by
+:meth:`Site.apply`.
 Sites expose the local operations the engines need —
 candidate computation, local BGP evaluation — but they never look at other
 fragments: any cross-site information must arrive through the message bus.
@@ -38,19 +39,17 @@ class Site:
         triples: Iterable[IdTriple],
         dictionary: TermDictionary,
         home: Mapping[int, int],
-        statistics: Optional[GraphStatistics] = None,
     ) -> None:
         """``triples`` are the fragment's edges (``E_i ∪ Ec_i``) as distinct id
         triples of the cluster's ``dictionary``; ``home``, the cluster's vertex
-        → fragment assignment; ``statistics``, already collected ones for the
-        fragment as it stands, or ``None`` to collect them here."""
+        → fragment assignment."""
         self.site_id = site_id
         #: The sorted columns of the fragment's edges over the cluster dictionary: every probe reads these.
         self.encoded = EncodedGraph.from_ids(triples, dictionary)
         #: Definition 1 over the encoding's ids — the fragment itself, and what
         #: partial evaluation reads (``PartialEvaluator(site.fragment, graph=site.graph)``).
         self.fragment = self.graph = FragmentIndex(site_id, self.encoded, home)
-        self.store = TripleStore(self.encoded, name=self.fragment.name, statistics=statistics)
+        self.store = TripleStore(self.encoded, name=self.fragment.name)
         #: Serializes site-task handler runs (:func:`repro.exec.run_site_task`):
         #: handlers read work counters off the store after evaluating, so two
         #: concurrent queries on this site would interleave them.
@@ -68,7 +67,7 @@ class Site:
     # Planner support
     # ------------------------------------------------------------------
     def graph_statistics(self) -> GraphStatistics:
-        """This fragment's planner statistics (kept exact by the local store)."""
+        """This fragment's planner statistics: the view of its encoding's columns."""
         return self.store.statistics
 
     @property
@@ -114,15 +113,14 @@ class Site:
     def apply(self, ops: Sequence[Tuple[str, IdTriple]], home: Mapping[int, int]) -> None:
         """Patch the site in place for its window of effective ``(op, (s, p, o))`` id ops.
 
-        In order: the encoding (which drops the pools it made stale), the
-        fragment index (against the live ``home`` assignment), and the
-        statistics.  Each result equals a fresh build over the mutated
-        fragment and the cluster dictionary, which already holds the window's
-        new terms.
+        In order: the encoding (which drops the pools it made stale; the
+        statistics read its columns) and the fragment index (against the live
+        ``home`` assignment).  Each result equals a fresh build over the
+        mutated fragment and the cluster dictionary, which already holds the
+        window's new terms.
         """
         self.encoded.apply_ops(ops)
         self.graph.patch(ops, home)
-        self.store.patch_statistics(ops)
 
     def stats(self) -> Dict[str, int]:
         index = self.graph

@@ -17,10 +17,7 @@ the same table rows as the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..planner.statistics import GraphStatistics
+from typing import Dict, List, Optional
 
 
 @dataclass
@@ -148,16 +145,3 @@ class QueryStatistics:
         row.update(self.extra)
         return row
 
-
-def aggregate_graph_statistics(parts: Iterable["GraphStatistics"]) -> "GraphStatistics":
-    """Merge per-site planner statistics into one cluster-wide summary.
-
-    This is how the coordinator builds its global view: every site
-    summarizes its own fragment once (``Site.graph_statistics``), ships the
-    small summary, and the coordinator aggregates — it never touches the
-    fragments themselves.  See :func:`repro.planner.statistics.merge_statistics`
-    for the aggregation semantics.
-    """
-    from ..planner.statistics import merge_statistics
-
-    return merge_statistics(parts)

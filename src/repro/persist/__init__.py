@@ -2,9 +2,8 @@
 
 ``repro.persist`` makes the in-memory reproduction restartable: a
 :class:`ClusterStore` is a single SQLite file holding one cluster's term
-dictionary, integer triple table, vertex→fragment assignment, per-fragment
-planner statistics and a write-ahead delta table, under a versioned
-manifest.  ``repro.open(path=...)`` builds-and-saves or reopens a cluster
+dictionary, integer triple table, vertex→fragment assignment and a
+write-ahead delta table, under a versioned manifest.  ``repro.open(path=...)`` builds-and-saves or reopens a cluster
 from it, :meth:`~repro.distributed.Cluster.apply` journals mutations into
 it, and ``repro store info`` inspects it read-only.
 

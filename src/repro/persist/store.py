@@ -12,8 +12,9 @@ One store file holds one cluster, in five tables plus a manifest:
 * ``triples`` — the *base* graph's triples as integer ``(s, p, o)`` rows.
 * ``assignment`` — term id → fragment id, the Definition 1 vertex
   assignment (sticky entries included, so replayed routing is identical).
-* ``stats`` — per-fragment planner statistics as JSON, collected at
-  snapshot time so reopening skips the collection pass.
+* ``stats`` — kept empty: files written before the planner read its
+  statistics off the site encodings carry per-fragment JSON here, which
+  nothing reads (a loaded site's statistics read its columns).
 * ``deltas`` — the write-ahead delta table: ``(seq, op, s, p, o)`` rows,
   one per effective mutation, appended (and fsynced) by
   :meth:`~repro.distributed.Cluster.apply` before it returns.
@@ -46,11 +47,10 @@ import threading
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
-from ..planner.statistics import GraphStatistics, collect_statistics
 from ..rdf.ntriples import parse_term
 from ..rdf.terms import Node, Term
 from ..rdf.triples import Triple
-from ..store.encoding import EncodedGraph, TermDictionary
+from ..store.encoding import TermDictionary
 
 PathLike = Union[str, Path]
 
@@ -115,13 +115,10 @@ class ClusterStore:
         *,
         dataset: str = "",
         scale: Optional[int] = None,
-        statistics: Optional[Mapping[int, GraphStatistics]] = None,
         overwrite: bool = False,
     ) -> "ClusterStore":
         """Snapshot ``partitioned`` into a brand-new store file at ``path``.
 
-        ``statistics`` optionally supplies already-collected per-fragment
-        summaries (keyed by fragment id); missing ones are collected here.
         Refuses to clobber an existing file unless ``overwrite`` is set.
         """
         path = Path(path)
@@ -140,13 +137,7 @@ class ClusterStore:
             # DDL once, at creation time; snapshot rewrites never drop or
             # recreate tables (see _write_snapshot).
             connection.executescript(_SCHEMA)
-            _write_snapshot(
-                connection,
-                partitioned,
-                dataset=dataset,
-                scale=scale,
-                statistics=statistics,
-            )
+            _write_snapshot(connection, partitioned, dataset=dataset, scale=scale)
         except BaseException:
             connection.close()
             path.unlink(missing_ok=True)
@@ -366,15 +357,6 @@ class ClusterStore:
             (op, Triple(terms[s], terms[p], terms[o])) for op, s, p, o in rows
         ]
 
-    def load_statistics(self, fragment_id: int) -> Optional[GraphStatistics]:
-        """The stored planner statistics of one fragment (base state)."""
-        row = self._conn.execute(
-            "SELECT payload FROM stats WHERE fragment_id = ?", (fragment_id,)
-        ).fetchone()
-        if row is None:
-            return None
-        return GraphStatistics.from_dict(json.loads(row[0]))
-
     def load_cluster(self, network=None):
         """Rebuild the full cluster: base snapshot + delta replay.
 
@@ -408,7 +390,6 @@ class ClusterStore:
             if home_o != home_s:
                 fragments[home_o].append(ids)
         del triples  # the rows go before the sites are built
-        statistics = {fragment_id: self.load_statistics(fragment_id) for fragment_id in range(self.num_fragments)}
         cluster = Cluster(
             dictionary,
             assignment,
@@ -416,7 +397,6 @@ class ClusterStore:
             name=self._manifest.get("graph_name", ""),
             strategy=self._manifest.get("strategy", "loaded"),
             network=network,
-            statistics=statistics,
         )
         ops = self.load_deltas(dict(enumerate(terms)))
         if ops:
@@ -442,13 +422,7 @@ class ClusterStore:
         cluster = self.load_cluster()
         cluster.attach_store(None)
         with self._lock:
-            _write_snapshot(
-                self._conn,
-                cluster.partitioned_graph,
-                dataset=self.dataset,
-                scale=self.scale,
-                statistics={site.site_id: site.store.statistics for site in cluster},
-            )
+            _write_snapshot(self._conn, cluster.partitioned_graph, dataset=self.dataset, scale=self.scale)
             self._conn.execute("VACUUM")
             self._manifest = self._read_manifest()
             self._head = 0
@@ -465,7 +439,6 @@ def _write_snapshot(
     *,
     dataset: str,
     scale: Optional[int],
-    statistics: Optional[Mapping[int, GraphStatistics]],
 ) -> None:
     """(Re)write every table from ``partitioned``'s current state, atomically.
 
@@ -516,19 +489,6 @@ def _write_snapshot(
                 for vertex, fragment_id in assignment.items()
             ),
         )
-        dictionary = None
-        for fragment in partitioned:
-            summary = None
-            if statistics is not None:
-                summary = statistics.get(fragment.fragment_id)
-            if summary is None:
-                if dictionary is None:
-                    dictionary = TermDictionary(terms)
-                summary = collect_statistics(EncodedGraph(fragment.all_edges, dictionary))
-            connection.execute(
-                "INSERT INTO stats (fragment_id, payload) VALUES (?, ?)",
-                (fragment.fragment_id, json.dumps(summary.as_dict())),
-            )
         manifest = {
             "format": STORE_FORMAT,
             "schema_version": str(SCHEMA_VERSION),

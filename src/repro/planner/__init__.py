@@ -4,10 +4,10 @@ The seed engine walked query vertices in a static
 :func:`~repro.sparql.query_graph.traversal_order`.  This package adds the
 standard next layer of a gStore-style engine:
 
-* :mod:`statistics` — cheap per-fragment summaries (triple, vertex and
-  predicate counts, distinct subjects/objects) read off an encoding's sorted
-  columns and patched with each update window, serializable and mergeable
-  across sites;
+* :mod:`statistics` — triple, vertex and predicate counts and distinct
+  subjects/objects, read off the sorted columns of a site's encoding (or
+  summed over every site's, for the coordinator) whenever the planner asks,
+  so an update window needs no second copy to patch;
 * :mod:`cardinality` — System-R-style estimates for triple patterns,
   vertex candidates and join fan-out;
 * :mod:`plan` — the ordered :class:`QueryPlan` plus its ``explain()``
@@ -18,7 +18,7 @@ standard next layer of a gStore-style engine:
 * :mod:`plan_cache` — a shape-keyed LRU so hot query templates plan once.
 
 The planner is wired through :class:`~repro.store.TripleStore` (which
-collects a site's statistics when the site is built; ``Site.apply`` patches them) /
+holds the statistics view of a site's encoding) /
 :class:`~repro.store.LocalMatcher` (vertex order), the partial evaluator
 (edge order) and the engine (per-query planning stage); the
 ``use_planner`` / ``plan_cache_size`` knobs live on
@@ -30,12 +30,7 @@ from .optimizer import PlanOptimizer, QueryPlanner
 from .plan import QueryPlan, SOURCE_CACHE, SOURCE_FALLBACK, SOURCE_STATISTICS
 from ..sparql.query_graph import ShapeKey, shape_key
 from .plan_cache import DEFAULT_PLAN_CACHE_SIZE, PlanCache
-from .statistics import (
-    GraphStatistics,
-    PredicateStatistics,
-    collect_statistics,
-    merge_statistics,
-)
+from .statistics import GraphStatistics, collect_statistics
 
 __all__ = [
     "CardinalityEstimator",
@@ -44,7 +39,6 @@ __all__ = [
     "MIN_CARDINALITY",
     "PlanCache",
     "PlanOptimizer",
-    "PredicateStatistics",
     "QueryPlan",
     "QueryPlanner",
     "SOURCE_CACHE",
@@ -53,5 +47,4 @@ __all__ = [
     "ShapeKey",
     "shape_key",
     "collect_statistics",
-    "merge_statistics",
 ]

@@ -45,14 +45,13 @@ class PlanOptimizer:
 
     @property
     def has_statistics(self) -> bool:
-        """Do statistics drive the plans now?  Read afresh each time: a patch may fill or empty them."""
+        """Do statistics drive the plans now?  Read afresh each time: an update may fill or empty the columns."""
         return self._statistics is not None and not self._statistics.is_empty
 
     def statistics_read(self, query: QueryGraph) -> Optional[Tuple[object, ...]]:
         """The statistics a plan of ``query`` reads, as values (``None``: none, a fallback plan).
 
-        The estimator reads the
-        :class:`~repro.planner.statistics.PredicateStatistics` of each constant
+        The estimator reads :meth:`GraphStatistics.read` of each constant
         predicate, taken here in edge order, and the graph's triple and vertex
         counts only for a variable predicate.  So the plan is a pure function
         of ``query.shape_key`` and this tuple.
@@ -60,9 +59,9 @@ class PlanOptimizer:
         statistics = self._statistics
         if statistics is None or statistics.is_empty:
             return None
-        get = statistics.predicates.get
+        read_of = statistics.read
         read: List[object] = [
-            get(edge.predicate) for edge in query.edges if not isinstance(edge.predicate, Variable)
+            read_of(edge.predicate) for edge in query.edges if not isinstance(edge.predicate, Variable)
         ]
         if len(read) < query.num_edges:
             read.append((statistics.num_triples, statistics.num_vertices))

@@ -2,26 +2,22 @@
 
 Each site of the simulated cluster hosts one :class:`TripleStore` over its
 fragment's :class:`~repro.store.encoding.EncodedGraph`, bundling a matcher,
-planner statistics (collected when the store is built, unless supplied) and
-an optional planner.  The site patches the encoding itself and then hands the
-same op window to :meth:`TripleStore.patch_statistics`.
+the planner statistics (a view that reads the encoding's columns) and an
+optional planner.  The site patches the encoding itself; the statistics
+read the patched columns.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Tuple
+from typing import Optional
 
 from ..planner.optimizer import QueryPlanner
 from ..planner.plan_cache import DEFAULT_PLAN_CACHE_SIZE
-from ..planner.statistics import (
-    GraphStatistics,
-    apply_statistics_ops,
-    collect_statistics,
-)
+from ..planner.statistics import GraphStatistics, collect_statistics
 from ..sparql.algebra import SelectQuery
 from ..sparql.bindings import ResultSet
 from ..sparql.query_graph import QueryGraph
-from .encoding import EncodedGraph, IdTriple
+from .encoding import EncodedGraph
 from .matcher import LocalMatcher
 
 
@@ -34,14 +30,11 @@ class TripleStore:
         name: str = "",
         use_planner: bool = False,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-        statistics: Optional[GraphStatistics] = None,
     ) -> None:
-        """``statistics``, when given, must describe ``encoded`` as it stands
-        (a store file's summary); otherwise they are collected here."""
         self._encoded = encoded
         self._name = name
         self._matcher: Optional[LocalMatcher] = None
-        self._statistics = collect_statistics(encoded) if statistics is None else statistics
+        self._statistics = collect_statistics(encoded)
         self._use_planner = use_planner
         self._plan_cache_size = plan_cache_size
         self._planner: Optional[QueryPlanner] = None
@@ -63,19 +56,11 @@ class TripleStore:
     # ------------------------------------------------------------------
     @property
     def statistics(self) -> GraphStatistics:
-        """Planner statistics for the encoding, kept exact by :meth:`patch_statistics`."""
+        """Planner statistics: the view of the encoding's columns, so an update
+        that patches them is what the planner reads next.  The plan cache keeps
+        its plans: each is keyed by the statistics it read, so none chosen
+        against the old columns is served."""
         return self._statistics
-
-    def patch_statistics(self, ops: Iterable[Tuple[str, IdTriple]]) -> None:
-        """Follow a window of effective id ops the encoding has already applied.
-
-        Collected statistics are patched in place (exact — see
-        :func:`~repro.planner.statistics.apply_statistics_ops`), so the
-        planner and optimizer, which hold a reference to them, see the
-        update.  The plan cache keeps its plans: each is keyed by the
-        statistics it read, so none chosen against the old ones is served.
-        """
-        apply_statistics_ops(self._statistics, self._encoded, ops)
 
     # ------------------------------------------------------------------
     # Planning

@@ -1,7 +1,7 @@
 """Unit tests for query decomposition and the solution hash join."""
 
-from repro.baselines import decompose_into_stars, hash_join, join_all, single_pattern_queries
-from repro.baselines.decomposition import estimate_bindings_size, subquery
+from repro.baselines import decompose_into_stars, hash_join, join_all
+from repro.baselines.decomposition import subquery
 from repro.rdf import IRI, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, Binding
 
@@ -34,12 +34,6 @@ class TestStarDecomposition:
         bgp = BasicGraphPattern([TriplePattern(A, P, Y), TriplePattern(Y, Q, Z)])
         stars = decompose_into_stars(bgp)
         assert len(stars) == 1
-
-    def test_single_pattern_queries(self):
-        bgp = BasicGraphPattern([TriplePattern(X, P, Y), TriplePattern(Y, Q, Z)])
-        singles = single_pattern_queries(bgp)
-        assert len(singles) == 2
-        assert all(len(single) == 1 for single in singles)
 
     def test_subquery_wraps_bgp(self):
         bgp = BasicGraphPattern([TriplePattern(X, P, Y)])
@@ -75,7 +69,3 @@ class TestHashJoin:
 
     def test_join_all_empty_input(self):
         assert join_all([]) == []
-
-    def test_estimate_bindings_size(self):
-        bindings = [Binding({X: A})]
-        assert estimate_bindings_size(bindings) > estimate_bindings_size([])

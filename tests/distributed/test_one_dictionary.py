@@ -135,40 +135,3 @@ class TestTheMasterEncodingIsBuiltOnFirstUse:
             assert late_rows == early_rows
         assert list(late.encoded.iter_triple_ids()) == list(early.encoded.iter_triple_ids())
 
-
-class TestStatisticsAtBuild:
-    def test_sites_collect_their_statistics_when_built(self, monkeypatch):
-        import repro.store.triple_store as triple_store
-
-        collected = []
-        original = triple_store.collect_statistics
-
-        def counting(encoded):
-            collected.append(encoded)
-            return original(encoded)
-
-        monkeypatch.setattr(triple_store, "collect_statistics", counting)
-        cluster = build_cluster(build_example_partitioning())
-        assert collected == [site.encoded for site in cluster]
-        repro.core.GStoreDEngine(cluster).execute(example_query())
-        assert len(collected) == cluster.num_sites, "enabling the site planners collected again"
-
-    def test_a_store_backed_open_collects_no_statistics(self, tmp_path, monkeypatch):
-        import repro.planner.statistics as statistics
-        import repro.store.triple_store as triple_store
-
-        path = tmp_path / "statistics.store"
-        with repro.open(dataset="paper", path=str(path)) as session:
-            session.update(**ops(session.cluster.graph)[0])
-        calls = []
-
-        def counting(encoded):
-            calls.append(encoded)
-            return statistics.collect_statistics(encoded)
-
-        monkeypatch.setattr(triple_store, "collect_statistics", counting)
-        with repro.open(path=str(path)) as session:
-            session.query(example_query())
-            assert calls == []
-            for site in session.cluster:
-                assert site.graph_statistics().as_dict() == statistics.collect_statistics(site.encoded).as_dict()

@@ -56,3 +56,17 @@ def assert_mirrors(cluster, mirror):
     assert cluster.partitioned_graph.assignment == mirror.homes
     for site in cluster:
         assert site.fragment.decoded() == expected.fragment(site.site_id)
+
+
+def statistics_values(statistics, terms):
+    """Every number a planner reads off ``statistics``: the totals and each term's predicate read.
+
+    Two views compare value for value through this, whatever encodings they
+    read; ``terms`` may hold terms that label no triple (their read is ``None``).
+    """
+    return (
+        statistics.num_triples,
+        statistics.num_vertices,
+        statistics.num_predicates,
+        [statistics.read(term) for term in terms],
+    )

@@ -5,11 +5,14 @@ rejection), the write-ahead delta journal, full-cluster loading, and
 compaction.
 """
 
+import json
 import sqlite3
 
 import pytest
 
-from mirror import Mirror, assert_mirrors
+import repro
+from mirror import Mirror, assert_mirrors, statistics_values
+from repro.datasets import example_query
 from repro.datasets.paper_example import build_example_partitioning
 from repro.persist import SCHEMA_VERSION, ClusterStore, StoreError
 from repro.rdf import IRI, Triple
@@ -27,6 +30,43 @@ def _rows(store):
         store._conn.execute(f"SELECT * FROM {table} ORDER BY 1").fetchall()
         for table in ("terms", "deltas", "manifest")
     ]
+
+
+def _answers(cluster):
+    """The example query's rows on ``cluster``, in sequence."""
+    with repro.Session.from_cluster(cluster) as session:
+        return session.query(example_query()).results.rows
+
+
+def _older_stats_payload(site):
+    """One fragment's ``stats`` row as older files carry it: its planner statistics as JSON."""
+    statistics, term_of = site.graph_statistics(), site.encoded.dictionary.term_of
+    fields = ("count", "distinct_subjects", "distinct_objects")
+    return json.dumps(
+        {
+            "num_triples": statistics.num_triples,
+            "num_vertices": statistics.num_vertices,
+            "predicates": {
+                term_of(code).value: dict(zip(fields, statistics.read(term_of(code))))
+                for code in site.encoded.predicate_ids()
+            },
+        }
+    )
+
+
+class _FailingManifest:
+    """A store connection whose write of the manifest rows fails."""
+
+    def __init__(self, connection):
+        self._connection = connection
+
+    def __getattr__(self, name):
+        return getattr(self._connection, name)
+
+    def executemany(self, sql, rows):
+        if "INSERT INTO manifest" in sql:
+            raise RuntimeError("injected failure")
+        return self._connection.executemany(sql, rows)
 
 
 def _loaded(store):
@@ -251,12 +291,30 @@ class TestClusterLoading:
             assert_mirrors(reopened, mirror)
             assert_mirrors(live, mirror)
 
-    def test_loaded_sites_reuse_the_stored_statistics(self, paper_store):
-        cluster = paper_store.load_cluster()
-        for site in cluster:
-            stored = paper_store.load_statistics(site.site_id)
-            assert stored is not None
-            assert site.store.statistics.as_dict() == stored.as_dict()
+    def test_stats_rows_of_older_files_are_ignored(self, paper_store, store_path):
+        """Older v1 files carry one JSON ``stats`` row per fragment.  The file
+        still opens as schema v1, the loaded sites' statistics read their
+        columns, the answers are those of a file without the rows, and a
+        compaction clears them."""
+        plain = paper_store.load_cluster()
+        with paper_store._conn:
+            paper_store._conn.executemany(
+                "INSERT INTO stats (fragment_id, payload) VALUES (?, ?)",
+                ((site.site_id, _older_stats_payload(site)) for site in plain),
+            )
+        paper_store.close()
+        with ClusterStore.open(store_path) as reopened:
+            assert reopened.manifest["schema_version"] == "1"
+            loaded = reopened.load_cluster()
+            terms = [loaded.dictionary.term_of(term_id) for term_id in range(len(loaded.dictionary))]
+            for site, plain_site in zip(loaded, plain):
+                assert statistics_values(site.graph_statistics(), terms) == statistics_values(
+                    plain_site.graph_statistics(), terms
+                )
+            assert _answers(loaded) == _answers(plain)
+            reopened.compact()
+            assert reopened._conn.execute("SELECT COUNT(*) FROM stats").fetchone() == (0,)
+            assert _answers(reopened.load_cluster()) == _answers(plain)
 
     def test_store_attaches_after_replay(self, paper_store):
         cluster = paper_store.load_cluster()
@@ -290,8 +348,6 @@ class TestCompaction:
         now runs as DELETE + INSERT inside one explicit transaction, so the
         failure below rolls back to the pre-compaction store.
         """
-        from repro.planner.statistics import GraphStatistics
-
         mirror = Mirror(build_example_partitioning())
         delta = dict(add=[_triple("k")], remove=[min(mirror.triples, key=Triple.n3)])
         cluster = paper_store.load_cluster()
@@ -299,11 +355,8 @@ class TestCompaction:
         mirror.apply(**delta)
         info_before = paper_store.info()
         cluster.attach_store(None)
-        monkeypatch.setattr(
-            GraphStatistics,
-            "as_dict",
-            lambda self: (_ for _ in ()).throw(RuntimeError("injected failure")),
-        )
+        # The manifest is the snapshot's last write: every table is cleared and refilled by then.
+        monkeypatch.setattr(paper_store, "_conn", _FailingManifest(paper_store._conn))
         with pytest.raises(RuntimeError, match="injected"):
             paper_store.compact()
         monkeypatch.undo()

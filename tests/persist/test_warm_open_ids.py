@@ -8,6 +8,7 @@ per-site id triples, Definition 1 id sets and statistics — not only the same
 answers.
 """
 
+from mirror import statistics_values
 from repro.datasets import get_dataset
 from repro.datasets.paper_example import build_example_partitioning
 from repro.distributed import build_cluster
@@ -20,8 +21,9 @@ EX = "http://example.org/warm-open/"
 
 def id_state(cluster):
     """Everything a cluster holds, as ids: nothing decoded but the dictionary's terms."""
+    terms = [cluster.dictionary.term_of(term_id) for term_id in range(len(cluster.dictionary))]
     return (
-        [cluster.dictionary.term_of(term_id) for term_id in range(len(cluster.dictionary))],
+        terms,
         list(cluster.encoded.iter_triple_ids()),
         [
             (
@@ -30,7 +32,7 @@ def id_state(cluster):
                 site.graph.extended,
                 site.graph.crossing,
                 site.graph.crossing_by_predicate,
-                site.graph_statistics().as_dict(),
+                statistics_values(site.graph_statistics(), terms),
             )
             for site in cluster
         ],

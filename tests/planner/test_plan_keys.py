@@ -33,10 +33,8 @@ def plan_fields(plan):
 
 
 def patch(store, ops):
-    """Apply ``("+"|"-", Triple)`` ops to ``store``'s encoding and statistics, as a site does."""
-    id_ops = [(op, store.encoded.dictionary.ensure_triple(triple)) for op, triple in ops]
-    store.encoded.apply_ops(id_ops)
-    store.patch_statistics(id_ops)
+    """Apply ``("+"|"-", Triple)`` ops to ``store``'s encoding, as a site does."""
+    store.encoded.apply_ops([(op, store.encoded.dictionary.ensure_triple(triple)) for op, triple in ops])
 
 
 class TestPlannerDecidesPerPlan:

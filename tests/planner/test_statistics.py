@@ -1,8 +1,9 @@
-"""Unit tests for the planner's graph statistics collector."""
+"""Unit tests for the planner's graph statistics: a view over encodings' columns."""
 
-from repro.distributed import aggregate_graph_statistics, build_cluster
+from mirror import statistics_values
+from repro.distributed import build_cluster
 from repro.partition import HashPartitioner
-from repro.planner import GraphStatistics, collect_statistics, merge_statistics
+from repro.planner import GraphStatistics, collect_statistics
 from repro.rdf import IRI, Literal, Namespace, RDFGraph, Triple
 from repro.store.encoding import EncodedGraph
 
@@ -42,43 +43,65 @@ class TestCollect:
         )
 
 
-class TestSerialization:
-    def test_roundtrip(self, tiny_graph):
-        stats = collect_statistics(EncodedGraph(tiny_graph))
-        restored = GraphStatistics.from_dict(stats.as_dict())
-        assert restored == stats
-
-    def test_a_stored_degree_histogram_is_ignored(self, tiny_graph):
-        stats = collect_statistics(EncodedGraph(tiny_graph))
-        stored = dict(stats.as_dict(), degree_histogram={"1": 2, "2": 1})
-        assert GraphStatistics.from_dict(stored) == stats
-
-    def test_as_dict_is_jsonable(self, tiny_graph):
-        import json
-
-        encoded = json.dumps(collect_statistics(EncodedGraph(tiny_graph)).as_dict())
-        restored = GraphStatistics.from_dict(json.loads(encoded))
-        assert restored.num_triples == 4
-
-
-class TestMerge:
-    def test_merge_totals(self, tiny_graph):
-        stats = collect_statistics(EncodedGraph(tiny_graph))
-        merged = merge_statistics([stats, stats])
+class TestSums:
+    def test_every_count_sums_over_the_encodings(self, tiny_graph):
+        encoded = EncodedGraph(tiny_graph)
+        stats = collect_statistics(encoded)
+        merged = GraphStatistics([encoded, encoded])
         assert merged.num_triples == 2 * stats.num_triples
+        assert merged.num_vertices == 2 * stats.num_vertices
+        assert merged.num_predicates == stats.num_predicates
         knows = EX.term("knows")
         assert merged.predicate_count(knows) == 2 * stats.predicate_count(knows)
         assert merged.distinct_subjects(knows) == 2 * stats.distinct_subjects(knows)
 
-    def test_merge_empty(self):
-        assert merge_statistics([]).is_empty
+    def test_a_site_view_reads_what_the_general_view_reads(self, tiny_graph):
+        a, b, c, knows = EX.term("a"), EX.term("b"), EX.term("c"), EX.term("knows")
+        encoded = EncodedGraph(RDFGraph([*tiny_graph, Triple(a, knows, c)]))
+        terms = [encoded.dictionary.term_of(term_id) for term_id in range(len(encoded.dictionary))]
+        assert statistics_values(collect_statistics(encoded), terms) == statistics_values(
+            GraphStatistics([encoded]), terms
+        )
+        assert collect_statistics(encoded).read(knows) == (3, 2, 2)
+        assert collect_statistics(EncodedGraph(RDFGraph([Triple(a, knows, c), Triple(b, knows, c)]))).read(knows) == (2, 2, 1)
 
-    def test_cluster_aggregation_matches_fragment_sums(self, tiny_graph):
+    def test_no_encodings_is_empty(self):
+        stats = GraphStatistics()
+        assert stats.is_empty
+        assert stats.read(EX.term("knows")) is None
+        assert stats.predicate_count(EX.term("knows")) == 0
+
+    def test_cluster_view_matches_fragment_sums(self, tiny_graph):
         cluster = build_cluster(HashPartitioner(2).partition(tiny_graph))
         merged = cluster.graph_statistics()
         per_site = [site.graph_statistics() for site in cluster]
         assert merged.num_triples == sum(s.num_triples for s in per_site)
-        assert aggregate_graph_statistics(per_site).num_triples == merged.num_triples
+        assert merged.num_vertices == sum(s.num_vertices for s in per_site)
+        knows = EX.term("knows")
+        assert merged.read(knows) == tuple(map(sum, zip(*(s.read(knows) or (0, 0, 0) for s in per_site))))
         # Crossing edges are replicated, so fragments together hold at least
         # every triple of the original graph.
         assert merged.num_triples >= len(tiny_graph)
+
+
+class TestTheViewReadsTheColumns:
+    def test_a_patch_is_what_the_view_reads_next(self, tiny_graph):
+        encoded = EncodedGraph(tiny_graph)
+        stats = collect_statistics(encoded)
+        knows = EX.term("knows")
+        added = Triple(EX.term("d"), knows, EX.term("e"))
+        encoded.apply_ops([("+", encoded.dictionary.ensure_triple(added))])
+        assert stats.predicate_count(knows) == 3
+        assert stats.num_triples == 5
+        mirrored = RDFGraph([*tiny_graph, added])
+        terms = [*mirrored.predicates, *mirrored.vertices]
+        assert statistics_values(stats, terms) == statistics_values(collect_statistics(EncodedGraph(mirrored)), terms)
+
+    def test_an_emptied_predicate_reads_none(self, tiny_graph):
+        encoded = EncodedGraph(tiny_graph)
+        stats = collect_statistics(encoded)
+        knows = EX.term("knows")
+        gone = [triple for triple in tiny_graph if triple.predicate == knows]
+        encoded.apply_ops([("-", encoded.dictionary.ensure_triple(triple)) for triple in gone])
+        assert stats.read(knows) is None
+        assert stats.num_predicates == 2

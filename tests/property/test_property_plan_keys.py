@@ -9,17 +9,18 @@ patches, and through :meth:`~repro.distributed.Cluster.apply_ops` to a
 cluster whose site planners and coordinator planner are warm.  After every
 window each plan a planner serves, for queries with constant and with
 variable predicates, must equal a fresh :class:`~repro.planner.QueryPlanner`'s
-over statistics collected from the current encodings.
+over fresh encodings of the triples (and homes) the test follows itself.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mirror import Mirror
 from repro.datasets import random_assignment, random_graph
 from repro.distributed import build_cluster
 from repro.partition import build_partitioned_graph
-from repro.planner import QueryPlanner, collect_statistics, merge_statistics
+from repro.planner import QueryPlanner, collect_statistics
 from repro.rdf import Namespace, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph
 from repro.store import EncodedGraph, TripleStore
@@ -108,13 +109,11 @@ def check_store(seed, windows):
     query_graphs = queries(graph, predicates)
     store = TripleStore(EncodedGraph(graph))
     planner = store.enable_planner()
-    assert_serves_fresh_plans(planner, collect_statistics(store.encoded), query_graphs)
+    assert_serves_fresh_plans(planner, collect_statistics(EncodedGraph(graph)), query_graphs)
     for window in windows:
         effective = apply_to_graph(graph, resolve(graph, window, triples, predicates))
-        id_ops = [(op, store.encoded.dictionary.ensure_triple(triple)) for op, triple in effective]
-        store.encoded.apply_ops(id_ops)
-        store.patch_statistics(id_ops)
-        assert_serves_fresh_plans(planner, collect_statistics(store.encoded), query_graphs)
+        store.encoded.apply_ops([(op, store.encoded.dictionary.ensure_triple(triple)) for op, triple in effective])
+        assert_serves_fresh_plans(planner, collect_statistics(EncodedGraph(graph)), query_graphs)
 
 
 def check_cluster(seed, num_fragments, windows):
@@ -122,21 +121,24 @@ def check_cluster(seed, num_fragments, windows):
     triples, predicates = universe(graph)
     query_graphs = queries(graph, predicates)
     assignment = random_assignment(graph, seed + 5, num_fragments)
-    cluster = build_cluster(build_partitioned_graph(graph, assignment, num_fragments=num_fragments))
+    partitioned = build_partitioned_graph(graph, assignment, num_fragments=num_fragments)
+    cluster = build_cluster(partitioned)
+    mirror = Mirror(partitioned)
     site_planners = [site.enable_planner() for site in cluster]
     coordinator = cluster.coordinator_planner()
 
     def assert_all_fresh():
-        fresh = [collect_statistics(site.encoded) for site in cluster]
-        for planner, statistics in zip(site_planners, fresh):
-            assert_serves_fresh_plans(planner, statistics, query_graphs)
-        assert_serves_fresh_plans(coordinator, merge_statistics(fresh), query_graphs)
+        fresh = build_cluster(mirror.partitioned())
+        for planner, fresh_site in zip(site_planners, fresh):
+            assert_serves_fresh_plans(planner, fresh_site.graph_statistics(), query_graphs)
+        assert_serves_fresh_plans(coordinator, fresh.graph_statistics(), query_graphs)
 
     assert_all_fresh()
     for window in windows:
         ops_window = resolve(graph, window, triples, predicates)
         apply_to_graph(graph, ops_window)
         cluster.apply_ops(ops_window)
+        mirror.apply_ops(ops_window)
         assert cluster.coordinator_planner() is coordinator
         assert_all_fresh()
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.rdf import Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph, parse_query
-from repro.planner import collect_statistics
 from repro.store import EncodedGraph, TripleStore
 
 EX = Namespace("http://example.org/")
@@ -32,33 +31,6 @@ class TestConstruction:
         assert store.encoded is encoded
         assert store.matcher.encoded is encoded
 
-    def test_statistics_are_collected_when_the_store_is_built(self, monkeypatch):
-        import repro.store.triple_store as module
-
-        calls = []
-
-        def counting(encoded):
-            calls.append(encoded)
-            return collect_statistics(encoded)
-
-        monkeypatch.setattr(module, "collect_statistics", counting)
-        store = store_of(Triple(A, KNOWS, B), Triple(B, KNOWS, C))
-        assert calls == [store.encoded]
-        assert store.statistics.num_triples == 2
-        assert store.statistics is store.statistics
-        store.enable_planner()
-        assert len(calls) == 1, "enabling the planner collects nothing"
-
-    def test_supplied_statistics_are_adopted_not_collected(self, monkeypatch):
-        import repro.store.triple_store as module
-
-        encoded = EncodedGraph(RDFGraph([Triple(A, KNOWS, B)]))
-        supplied = collect_statistics(encoded)
-        monkeypatch.setattr(module, "collect_statistics", lambda encoded: pytest.fail("collected"))
-        store = TripleStore(encoded, statistics=supplied)
-        assert store.statistics is supplied
-        assert store.enable_planner().statistics is supplied
-
     def test_the_store_does_not_mutate(self):
         store = store_of(Triple(A, KNOWS, B))
         for gone in ("load", "add", "discard", "candidates", "stats", "graph"):
@@ -71,33 +43,30 @@ class TestPatching:
         first = store.matcher
         ops = id_ops(store, [("+", Triple(B, KNOWS, C))])
         store.encoded.apply_ops(ops)
-        store.patch_statistics(ops)
         assert store.matcher is first
         query = QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), KNOWS, Variable("y"))]))
         assert len(list(store.find_matches(query))) == 2
 
-    def test_a_removal_patches_collected_statistics(self):
+    def test_the_statistics_read_a_removal(self):
         store = store_of(Triple(A, KNOWS, B), Triple(B, KNOWS, C))
         query = QueryGraph(BasicGraphPattern([TriplePattern(Variable("x"), KNOWS, Variable("y"))]))
         assert len(list(store.find_matches(query))) == 2
         statistics = store.statistics
-        ops = id_ops(store, [("-", Triple(B, KNOWS, C))])
-        store.encoded.apply_ops(ops)
-        store.patch_statistics(ops)
+        store.encoded.apply_ops(id_ops(store, [("-", Triple(B, KNOWS, C))]))
         assert len(list(store.find_matches(query))) == 1
         assert store.statistics is statistics
         assert statistics.num_triples == 1
-        assert statistics.as_dict() == collect_statistics(store.encoded).as_dict()
+        assert statistics.read(KNOWS) == (1, 1, 1)
+        assert statistics.num_vertices == 2
 
-    def test_an_addition_patches_the_statistics_in_place(self):
+    def test_the_statistics_read_an_addition(self):
         store = store_of(Triple(A, KNOWS, B))
         statistics = store.statistics
-        ops = id_ops(store, [("+", Triple(B, KNOWS, C))])
-        store.encoded.apply_ops(ops)
-        store.patch_statistics(ops)
+        store.encoded.apply_ops(id_ops(store, [("+", Triple(B, KNOWS, C))]))
         assert store.statistics is statistics
         assert statistics.num_triples == 2
-        assert statistics.as_dict() == collect_statistics(store.encoded).as_dict()
+        assert statistics.read(KNOWS) == (2, 2, 2)
+        assert statistics.num_vertices == 3
 
 
 class TestQuerying:

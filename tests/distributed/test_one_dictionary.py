@@ -10,6 +10,7 @@ only, so an update of a session that never reads it builds nothing.
 import pytest
 
 import repro
+from mirror import statistics_values
 from repro.datasets import build_example_partitioning, example_query
 from repro.distributed import build_cluster
 from repro.partition import HashPartitioner
@@ -135,3 +136,44 @@ class TestTheMasterEncodingIsBuiltOnFirstUse:
             assert late_rows == early_rows
         assert list(late.encoded.iter_triple_ids()) == list(early.encoded.iter_triple_ids())
 
+
+class TestStatisticsAtBuild:
+    def test_sites_collect_their_statistics_when_built(self, monkeypatch):
+        import repro.store.triple_store as triple_store
+
+        collected = []
+        original = triple_store.collect_statistics
+
+        def counting(encoded):
+            collected.append(encoded)
+            return original(encoded)
+
+        monkeypatch.setattr(triple_store, "collect_statistics", counting)
+        cluster = build_cluster(build_example_partitioning())
+        assert collected == [site.encoded for site in cluster]
+        repro.core.GStoreDEngine(cluster).execute(example_query())
+        assert len(collected) == cluster.num_sites, "enabling the site planners collected again"
+
+    def test_a_store_backed_open_views_the_loaded_columns(self, tmp_path, monkeypatch):
+        import repro.store.triple_store as triple_store
+
+        path = tmp_path / "statistics.store"
+        with repro.open(dataset="paper", path=str(path)) as session:
+            session.update(**ops(session.cluster.graph)[0])
+            terms = dictionary_terms(session.cluster.dictionary)
+            written = [statistics_values(site.graph_statistics(), terms) for site in session.cluster]
+            coordinator = statistics_values(session.cluster.graph_statistics(), terms)
+        collected = []
+        original = triple_store.collect_statistics
+
+        def counting(encoded):
+            collected.append(encoded)
+            return original(encoded)
+
+        monkeypatch.setattr(triple_store, "collect_statistics", counting)
+        with repro.open(path=str(path)) as session:
+            session.query(example_query())
+            assert collected == [site.encoded for site in session.cluster]
+            assert dictionary_terms(session.cluster.dictionary) == terms
+            assert [statistics_values(site.graph_statistics(), terms) for site in session.cluster] == written
+            assert statistics_values(session.cluster.graph_statistics(), terms) == coordinator

@@ -5,7 +5,7 @@ from repro.distributed import build_cluster
 from repro.partition import HashPartitioner
 from repro.planner import GraphStatistics, collect_statistics
 from repro.rdf import IRI, Literal, Namespace, RDFGraph, Triple
-from repro.store.encoding import EncodedGraph
+from repro.store.encoding import EncodedGraph, TermDictionary
 
 EX = Namespace("http://example.org/")
 
@@ -23,6 +23,15 @@ class TestCollect:
         assert stats.predicate_count(knows) == 2
         assert stats.distinct_subjects(knows) == 2  # a and b
         assert stats.distinct_objects(knows) == 2  # b and c
+
+    def test_a_vertex_that_labels_no_triple_reads_none(self, tiny_graph):
+        encoded = EncodedGraph(tiny_graph)
+        a = EX.term("a")
+        assert encoded.dictionary.get(a) is not None
+        for stats in (collect_statistics(encoded), GraphStatistics([encoded, encoded])):
+            assert stats.read(a) is None
+            assert stats.read(Literal("Carol")) is None
+            assert (stats.predicate_count(a), stats.distinct_subjects(a), stats.distinct_objects(a)) == (0, 0, 0)
 
     def test_unknown_predicate_is_zero(self, tiny_graph):
         stats = collect_statistics(EncodedGraph(tiny_graph))
@@ -65,6 +74,19 @@ class TestSums:
         assert collect_statistics(encoded).read(knows) == (3, 2, 2)
         assert collect_statistics(EncodedGraph(RDFGraph([Triple(a, knows, c), Triple(b, knows, c)]))).read(knows) == (2, 2, 1)
 
+    def test_a_predicate_one_encoding_lacks_sums_the_others(self, tiny_graph):
+        knows, likes = EX.term("knows"), EX.term("likes")
+        dictionary = TermDictionary(term for triple in tiny_graph for term in triple.as_tuple())
+        with_knows = EncodedGraph([t for t in tiny_graph if t.predicate == knows], dictionary)
+        without = EncodedGraph([t for t in tiny_graph if t.predicate != knows], dictionary)
+        for stats in (GraphStatistics([with_knows, without]), GraphStatistics([without, with_knows])):
+            assert stats.read(knows) == (2, 2, 2)
+            assert stats.read(likes) == (1, 1, 1)
+            assert stats.num_triples == 4
+            assert stats.num_predicates == 3
+        assert collect_statistics(without).read(knows) is None
+        assert GraphStatistics([without, without]).read(knows) is None
+
     def test_no_encodings_is_empty(self):
         stats = GraphStatistics()
         assert stats.is_empty
@@ -105,3 +127,24 @@ class TestTheViewReadsTheColumns:
         encoded.apply_ops([("-", encoded.dictionary.ensure_triple(triple)) for triple in gone])
         assert stats.read(knows) is None
         assert stats.num_predicates == 2
+
+    def test_the_summary_reads_the_patched_columns(self, tiny_graph):
+        encoded = EncodedGraph(tiny_graph)
+        stats = collect_statistics(encoded)
+        coordinator = GraphStatistics([encoded])
+        removed = Triple(EX.term("c"), EX.term("name"), Literal("Carol"))
+        encoded.apply_ops([("-", encoded.dictionary.ensure_triple(removed))])
+        fresh = collect_statistics(EncodedGraph(RDFGraph([t for t in tiny_graph if t != removed])))
+        assert stats.summary() == coordinator.summary() == fresh.summary()
+        assert stats.summary().startswith("3 triples, 3 vertices, 2 predicates")
+
+    def test_an_emptied_encoding_is_empty(self, tiny_graph):
+        encoded = EncodedGraph(tiny_graph)
+        stats = collect_statistics(encoded)
+        coordinator = GraphStatistics([encoded, encoded])
+        assert not stats.is_empty and not coordinator.is_empty
+        encoded.apply_ops([("-", encoded.dictionary.ensure_triple(triple)) for triple in tiny_graph])
+        for view in (stats, coordinator):
+            assert view.is_empty
+            assert (view.num_triples, view.num_vertices, view.num_predicates) == (0, 0, 0)
+            assert view.summary() == "0 triples, 0 vertices, 0 predicates, avg degree 0.0"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.rdf import Literal, Namespace, RDFGraph, Triple, TriplePattern, Variable
 from repro.sparql import BasicGraphPattern, QueryGraph, parse_query
+from repro.planner import collect_statistics
 from repro.store import EncodedGraph, TripleStore
 
 EX = Namespace("http://example.org/")
@@ -30,6 +31,23 @@ class TestConstruction:
         assert len(store) == 1
         assert store.encoded is encoded
         assert store.matcher.encoded is encoded
+
+    def test_statistics_are_collected_when_the_store_is_built(self, monkeypatch):
+        import repro.store.triple_store as module
+
+        calls = []
+
+        def counting(encoded):
+            calls.append(encoded)
+            return collect_statistics(encoded)
+
+        monkeypatch.setattr(module, "collect_statistics", counting)
+        store = store_of(Triple(A, KNOWS, B), Triple(B, KNOWS, C))
+        assert calls == [store.encoded]
+        assert store.statistics.num_triples == 2
+        assert store.statistics is store.statistics
+        store.enable_planner()
+        assert len(calls) == 1, "enabling the planner collects nothing"
 
     def test_the_store_does_not_mutate(self):
         store = store_of(Triple(A, KNOWS, B))

@@ -11,6 +11,9 @@ the union covers every useful candidate — and broadcasts the result.
 During partial evaluation each site then refuses to bind an *extended*
 vertex to a variable when the global bit vector says that vertex is an
 internal candidate nowhere: such a binding could never survive the assembly.
+An all-zero union vector proves the answer empty: that variable has no
+internal candidate at any site, so no site enumerates anything
+(:meth:`GlobalCandidateFilter.proves_empty`).
 
 The paper fixes the vector length so that this stage's communication cost
 does not depend on the data.  On the wire a vector travels as the smaller of
@@ -115,6 +118,10 @@ class GlobalCandidateFilter:
 
     def shipment_size(self) -> int:
         return sum(vector.shipment_size() for vector in self.vectors.values()) + 4
+
+    def proves_empty(self) -> bool:
+        """Whether some variable's union vector is all zero, so it binds in no complete match."""
+        return any(not vector.bits for vector in self.vectors.values())
 
     def __len__(self) -> int:
         return len(self.vectors)

@@ -40,6 +40,9 @@ The optional ``candidate_filter`` implements the Section VI optimization: an
 extended vertex may only be used when the coordinator's global bit vector
 says it is an internal candidate of *some* site; an internal one only when it
 is one of this site's (:func:`~repro.store.fragment_index.internal_pools`).
+An all-zero union vector proves the answer empty (every vertex of a complete
+match is an internal candidate of its owner), so the site finds no LPM and
+searches nothing (:meth:`~repro.core.candidate_exchange.GlobalCandidateFilter.proves_empty`).
 """
 
 from __future__ import annotations
@@ -101,11 +104,13 @@ class PartialEvaluator:
         query: QueryGraph,
         candidate_filter: Optional[GlobalCandidateFilter] = None,
     ) -> PartialEvaluationResult:
-        """Enumerate every local partial match of ``query`` in this fragment."""
+        """Enumerate every local partial match of ``query`` in this fragment: none if ``candidate_filter.proves_empty()``."""
         fragment = self._fragment
         if self._paranoid and isinstance(fragment, FragmentIndex):
             fragment = fragment.decoded()  # Definition 5 is checked on terms
         result = PartialEvaluationResult(fragment_id=fragment.fragment_id)
+        if candidate_filter is not None and candidate_filter.proves_empty():
+            return result
         index = self._index
         encoded, crossing_by_predicate = index.encoded, index.crossing_by_predicate
         internal, extended = index.internal, index.extended

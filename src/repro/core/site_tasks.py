@@ -136,6 +136,8 @@ def run_partial_eval(site, payload: Mapping[str, object]) -> PartialEvalOutput:
         edge_order=payload["edge_order"],
     )
     # First, so the local search below reuses the candidate pools it builds.
+    # An all-zero union vector proves the answer empty: then it builds none,
+    # and the search reads its pools from the signature cache on its own.
     outcome = evaluator.evaluate(query_graph, candidate_filter=candidate_filter)
     local_results = site.local_evaluate(query)
     matcher = site.store.matcher

@@ -26,7 +26,7 @@ from contextlib import contextmanager
 import pytest
 
 import repro
-from repro.core import site_tasks
+from repro.core import STAGE_CANDIDATES, site_tasks
 from repro.rdf import IRI, Triple
 from repro.sparql import QueryGraph, parse_query
 from repro.store import kernel
@@ -205,7 +205,13 @@ class TestSharingChangesNothing:
         monkeypatch.setattr(QueryGraph, "of", classmethod(lambda cls, bgp: cls(bgp)))
         own = observed(session, query, monkeypatch)
         assert shared == own
-        assert shared["rows"] or any(sequence for _, sequence in shared["lpms"])
+        # Both runs did work: rows, LPMs, or (LQ3, which stage 1 proves empty)
+        # the internal candidates stage 1 found.
+        assert (
+            shared["rows"]
+            or any(sequence for _, sequence in shared["lpms"])
+            or shared["counters"][STAGE_CANDIDATES].get("internal_candidates")
+        )
 
 
 @contextmanager

@@ -102,13 +102,21 @@ class TestEnumeration:
         assert outcome.seeds_explored >= 1
 
 
+def vector_missing(term):
+    """A ``?z`` vector with one bit set, not ``term``'s: it refuses ``term``
+    but proves nothing empty."""
+    vector = CandidateBitVector()
+    vector.add(A)
+    assert vector.popcount() == 1 and not vector.might_contain(term)
+    return vector
+
+
 class TestCandidateFilter:
     def test_filter_blocks_extended_candidates(self):
         partitioned, query = path_setting()
-        # A filter claiming ?z has no internal candidates anywhere blocks the
-        # F0 LPM (whose z→c is an extended binding).
-        empty_vector = CandidateBitVector()
-        candidate_filter = GlobalCandidateFilter({Z: empty_vector})
+        # A filter claiming c is an internal candidate of ?z nowhere blocks
+        # the F0 LPM (whose z→c is an extended binding).
+        candidate_filter = GlobalCandidateFilter({Z: vector_missing(C)})
         outcome = evaluate_fragment(partitioned.fragment(0), query, candidate_filter=candidate_filter)
         assert outcome.count == 0
         assert outcome.branches_pruned_by_filter >= 1
@@ -123,10 +131,38 @@ class TestCandidateFilter:
 
     def test_filter_never_applies_to_internal_bindings(self):
         partitioned, query = path_setting()
-        # Fragment 1 binds ?z internally to c; an empty ?z vector must not block it.
-        candidate_filter = GlobalCandidateFilter({Z: CandidateBitVector()})
+        # Fragment 1 binds ?z internally to c; a ?z vector without c must not block it.
+        candidate_filter = GlobalCandidateFilter({Z: vector_missing(C)})
         outcome = evaluate_fragment(partitioned.fragment(1), query, candidate_filter=candidate_filter)
         assert outcome.count == 1
+
+
+class TestAnAllZeroVectorProvesTheAnswerEmpty:
+    """A variable whose union vector has no bit set is an internal candidate
+    nowhere: no site enumerates or explores anything."""
+
+    @pytest.mark.parametrize("empty", [X, Y, Z], ids=str)
+    @pytest.mark.parametrize("fragment_id", [0, 1])
+    def test_any_one_zero_vector_ends_the_search(self, empty, fragment_id):
+        partitioned, query = path_setting()
+        everything = CandidateBitVector(bits=(1 << CandidateBitVector().width) - 1)
+        vectors = {vertex: CandidateBitVector() if vertex == empty else everything for vertex in (X, Y, Z)}
+        candidate_filter = GlobalCandidateFilter(vectors)
+        assert candidate_filter.proves_empty()
+        fragment = partitioned.fragment(fragment_id)
+        assert evaluate_fragment(fragment, query).count == 1  # without the filter there is one
+        outcome = evaluate_fragment(fragment, query, candidate_filter=candidate_filter)
+        assert outcome.count == 0
+        assert outcome.seeds_explored == 0
+        assert outcome.branches_pruned_by_filter == 0
+
+    def test_a_one_bit_vector_does_not_end_the_search(self):
+        partitioned, query = path_setting()
+        candidate_filter = GlobalCandidateFilter({Z: vector_missing(C)})
+        assert not candidate_filter.proves_empty()
+        for fragment_id in (0, 1):
+            outcome = evaluate_fragment(partitioned.fragment(fragment_id), query, candidate_filter=candidate_filter)
+            assert outcome.seeds_explored >= 1
 
 
 class TestParanoidMode:

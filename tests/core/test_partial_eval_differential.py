@@ -14,6 +14,11 @@ edge order, on hash partitionings of the three benchmark datasets, on the
 paper's example, and on adversarial partitionings (every edge crossing, a
 single site, fragments that own nothing, one fragment overlapping a match in
 disconnected regions).
+
+Where the filter proves the answer empty (a variable's union vector is all
+zero), the new evaluator returns nothing and explores no seed, and the LPMs
+the reference still enumerates from every fragment, with the filter and
+without it, assemble into no complete match.
 """
 
 import sys
@@ -24,6 +29,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 from reference_partial_eval import PartialEvaluator as ReferenceEvaluator
 
+from repro.core.assembly import assemble_matches
 from repro.core.candidate_exchange import build_site_vectors, union_site_vectors
 from repro.core.partial_eval import PartialEvaluator
 from repro.core.partial_match import check_local_partial_match
@@ -47,6 +53,8 @@ BENCHMARK_QUERIES = {
     "YAGO2": ("YQ1", "YQ2", "YQ3", "YQ4"),
     "BTC": ("BQ4", "BQ5", "BQ6", "BQ7"),
 }
+#: The ones among them whose stage-1 filter proves the answer empty.
+PROVEN_EMPTY = {"LQ3", "YQ2", "BQ6", "BQ7"}
 
 
 def candidate_filter_for(cluster, query_graph, bits=4096):
@@ -76,10 +84,33 @@ def assert_same_lpms(fragment, graph, query_graph, candidate_filter, edge_order,
     return lpms
 
 
+def assert_proven_empty(cluster, query_graph, candidate_filter):
+    """No site finds or explores anything, and the reference's LPMs from every
+    fragment, filtered or not, assemble into no complete match."""
+    for edge_order in edge_orders(query_graph):
+        for site in cluster:
+            evaluator = PartialEvaluator(site.fragment, graph=site.graph, edge_order=edge_order)
+            outcome = evaluator.evaluate(query_graph, candidate_filter=candidate_filter)
+            assert len(outcome.local_partial_matches) == 0
+            assert outcome.seeds_explored == outcome.branches_pruned_by_filter == 0
+    for reference_filter in (None, candidate_filter):
+        lpms = [
+            lpm
+            for site in cluster
+            for lpm in ReferenceEvaluator(site.fragment, graph=site.graph)
+            .evaluate(query_graph, candidate_filter=reference_filter)
+            .local_partial_matches
+        ]
+        assert assemble_matches(query_graph, lpms).matches == []
+
+
 def assert_cluster_agrees(partitioned, query_graph):
     cluster = build_cluster(partitioned)
     total = 0
     for candidate_filter in (None, candidate_filter_for(cluster, query_graph)):
+        if candidate_filter is not None and candidate_filter.proves_empty():
+            assert_proven_empty(cluster, query_graph, candidate_filter)
+            continue
         for edge_order in edge_orders(query_graph):
             for site in cluster:
                 total += len(
@@ -103,6 +134,8 @@ def hash_partitioned():
 def test_benchmark_queries_on_hash_partitioning(hash_partitioned, dataset, query_name):
     query_graph = QueryGraph(get_dataset(dataset).queries()[query_name].bgp)
     assert_cluster_agrees(hash_partitioned[dataset], query_graph)
+    candidate_filter = candidate_filter_for(build_cluster(hash_partitioned[dataset]), query_graph)
+    assert candidate_filter.proves_empty() == (query_name in PROVEN_EMPTY)
 
 
 def test_paper_example():

@@ -13,7 +13,11 @@ parallel edges that close an edge ranked below the seed between two bound
 slots (under three edge orders).
 
 The file was recorded from the per-data-edge search that the row-at-a-time
-one replaced: the two enumerate in the same order.
+one replaced: the two enumerate in the same order.  It was re-pinned once
+since, when an all-zero union vector began to end the search: the
+``filter=on`` entries of the queries stage 1 proves empty (LQ3, YQ2, BQ6,
+BQ7 and the hand-built ``absent-constant`` and ``constant-object``) hold no
+LPM and no counted seed or refusal.
 
 The ids are cluster ids, assigned in term order, so the file holds under
 every ``PYTHONHASHSEED``.  Regenerate (only when a change is *meant* to move

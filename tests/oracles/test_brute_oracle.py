@@ -12,6 +12,10 @@ four partitionings (random, every edge crossing, a single site, an empty
 fragment) through all six engines, and must give the oracle's solution set
 (an engine's answer is a set of rows); under ``LIMIT``, as many rows as the
 limit leaves of that set, all of them in it.
+
+Fixed cases a stage-1 filter proves empty (a variable that is an internal
+candidate nowhere, so its union vector is all zero) end partial evaluation
+at every site before it finds anything; every engine still answers nothing.
 """
 
 import dataclasses
@@ -23,11 +27,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import engine_names, make_engine
-from repro.datasets import random_assignment, random_graph
+from repro.core import GStoreDEngine, site_tasks
+from repro.core.candidate_exchange import build_site_vectors, union_site_vectors
+from repro.datasets import lubm, random_assignment, random_graph
 from repro.distributed import build_cluster
-from repro.partition import build_partitioned_graph
+from repro.partition import HashPartitioner, build_partitioned_graph
 from repro.rdf import IRI, Triple, TriplePattern, Variable
-from repro.sparql import BasicGraphPattern, SelectQuery, parse_query
+from repro.sparql import BasicGraphPattern, QueryGraph, SelectQuery, parse_query
 from repro.sparql.bindings import ResultSet
 from repro.store import evaluate_centralized
 
@@ -193,3 +199,57 @@ def test_a_limit_counts_distinct_rows():
     graph = data(2)
     query = parse_query(PREFIX + "SELECT ?b WHERE { ?b ex:p0 ?a . ?c ex:p0 ?a } LIMIT 2")
     assert_engines_agree(graph, *single_site(graph, 2), query)
+
+
+def union_filter(cluster, query):
+    """The union vectors stage 1 broadcasts for ``query`` over ``cluster``."""
+    query_graph = QueryGraph(query.bgp)
+    return union_site_vectors(build_site_vectors(site.internal_candidates(query_graph)) for site in cluster)
+
+
+#: A path whose ``?c`` needs a ``p1`` edge into ``v0``: the data has ``p1``
+#: edges and edges into ``v0``, but none that is both.
+NO_CANDIDATE = PREFIX + "SELECT * WHERE { ?a ex:p0 ?b . ?b ex:p1 ?c . ?c ex:p1 ex:v0 }"
+
+
+@pytest.mark.parametrize("partitioning", PARTITIONINGS, ids=lambda partitioning: partitioning.__name__)
+def test_a_variable_that_is_an_internal_candidate_nowhere_empties_the_answer(partitioning):
+    graph = data(0)
+    v0, p1 = IRI(f"{EX}v0"), IRI(f"{EX}p1")
+    assert any(triple.object == v0 for triple in graph) and any(triple.predicate == p1 for triple in graph)
+    assert not any(triple.predicate == p1 and triple.object == v0 for triple in graph)
+    query = parse_query(NO_CANDIDATE)
+    assignment, num_fragments = partitioning(graph, 0)
+    cluster = build_cluster(build_partitioned_graph(graph, assignment, num_fragments=num_fragments))
+    assert union_filter(cluster, query).proves_empty()
+    assert evaluate(graph, query) == []
+    assert_engines_agree(graph, assignment, num_fragments, query)
+
+
+def test_lq6_with_a_university_absent_from_the_dictionary(lubm_graph, monkeypatch):
+    """The absent constant leaves ``?department`` and ``?student`` no
+    candidate: stage 1 proves the answer empty, and no site finds an LPM."""
+    university, absent = IRI(f"{lubm.UNIV.base}University0"), IRI(f"{lubm.UNIV.base}University999")
+    query = lubm.queries()["LQ6"]
+    assert university in query.bgp.terms
+    swap = {university: absent}
+    bgp = BasicGraphPattern(
+        [TriplePattern(swap.get(p.subject, p.subject), p.predicate, swap.get(p.object, p.object)) for p in query.bgp]
+    )
+    query = dataclasses.replace(query, bgp=bgp)
+    cluster = build_cluster(HashPartitioner(3).partition(lubm_graph))
+    assert absent not in cluster.dictionary
+    assert union_filter(cluster, query).proves_empty()
+    found = []
+    original = site_tasks.run_partial_eval
+
+    def recording(site, payload):
+        output = original(site, payload)
+        found.append((site.site_id, len(output.local_partial_matches)))
+        return output
+
+    monkeypatch.setattr(site_tasks, "run_partial_eval", recording)
+    GStoreDEngine(cluster).execute(query)
+    assert found == [(site_id, 0) for site_id in sorted(cluster.site_ids)]
+    for name in engine_names():
+        assert make_engine(name, cluster).execute(query).results.rows == [], name

@@ -14,6 +14,9 @@ crossing, a single site, empty fragments) and on LUBM LQ1/3/6/7, site by site:
   oracle's, at a narrow width (colliding positions) and the default one;
 * the LPM *sequence* equals the unpruned evaluator's and the LPM set the
   object-level reference evaluator's; only the filtered-branch count may fall;
+  where the filter proves the answer empty, no site finds or explores
+  anything, and the reference's LPMs from every fragment assemble into no
+  complete match;
 * the local matches, ``search_steps`` and ``kernel_intersections`` of the
   search that reuses the pools equal those of the search that computed them;
 
@@ -46,6 +49,7 @@ from test_property_joins import empty_fragments, every_edge_crossing, partitioni
 
 import repro
 from repro.core import EngineConfig, GStoreDEngine, partial_eval
+from repro.core.assembly import assemble_matches
 from repro.core.candidate_exchange import build_site_vectors, union_site_vectors
 from repro.core.partial_eval import PartialEvaluator
 from repro.datasets import lubm, random_connected_query, random_graph
@@ -107,6 +111,8 @@ def assert_cluster_agrees(cluster, query):
         vectors.append(build_site_vectors(ids, BITS))
         assert vectors[-1] == reference_site_vectors(oracle, BITS)
     candidate_filter = union_site_vectors(vectors, BITS)
+    proven_empty = candidate_filter.proves_empty()
+    references = []
     for site in cluster:
         assert set(pool_signatures(site.encoded, query_graph).values()) <= set(cache_of(site))
         assert local_search(site, query) == computed[site.site_id]
@@ -119,7 +125,14 @@ def assert_cluster_agrees(cluster, query):
         reference = ReferenceEvaluator(site.fragment, graph=site.graph).evaluate(
             query_graph, candidate_filter=candidate_filter
         )
-        assert set(pruned.local_partial_matches) == set(reference.local_partial_matches)
+        references += reference.local_partial_matches
+        if proven_empty:
+            assert len(pruned.local_partial_matches) == pruned.seeds_explored == 0
+        else:
+            assert set(pruned.local_partial_matches) == set(reference.local_partial_matches)
+    if proven_empty:
+        assert assemble_matches(query_graph, references).matches == []
+    return proven_empty
 
 
 def counters(result):
@@ -157,7 +170,8 @@ class TestStageOneAndTheSearchesAgreeWithTheDecodePath:
     @pytest.mark.parametrize("name", LUBM_QUERIES)
     def test_lubm(self, lubm_graph, name):
         query = lubm.queries()[name]
-        assert_cluster_agrees(build_cluster(HashPartitioner(4).partition(lubm_graph)), query)
+        proven_empty = assert_cluster_agrees(build_cluster(HashPartitioner(4).partition(lubm_graph)), query)
+        assert proven_empty == (name == "LQ3")
 
 
 class TestEngineAnswers:
